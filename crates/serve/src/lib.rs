@@ -59,6 +59,7 @@ pub mod pool;
 pub mod scheduler;
 pub mod service;
 pub mod shard;
+mod stepper;
 
 pub use batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 pub use cache::{MarginalCache, ResultCache};

@@ -7,6 +7,11 @@
 //! then run jobs to a terminal [`JobOutcome`] published under the state
 //! lock. Shutdown is graceful: workers drain the queue before exiting,
 //! so every admitted job reaches an outcome.
+//!
+//! Every dispatch takes one road (docs/SERVING.md, "Dispatch
+//! lifecycle"): `precheck` → attempt loop → the stepper driver
+//! (`stepper.rs`), a whole-run engine, or the joint batch pass →
+//! `sample_and_package` → `publish_outcome`.
 
 use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
@@ -16,8 +21,8 @@ use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
 use crate::pool::{PoolConfig, PoolDecision};
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
-use crate::shard::{ShardConfig, ShardRecord, ShardedRun};
-use qgear_cluster::CommError;
+use crate::shard::{ShardConfig, ShardRecord, ShardSource};
+use crate::stepper::{drive, Attempt, DenseSource};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
 use qgear_ir::transpile::decompose_to_native;
@@ -27,13 +32,10 @@ use qgear_num::Scalar;
 use qgear_perfmodel::memory::{plan_shard_count, state_bytes, tableau_bytes};
 use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
-use qgear_statevec::checkpoint::{decode as decode_checkpoint, encode as encode_checkpoint};
 use qgear_statevec::sampling::SamplingConfig;
-use qgear_statevec::segment::SegmentedRun;
-use qgear_statevec::CheckpointScalar;
 use qgear_statevec::{
     run_batched, AerCpuBackend, BatchMemberOutput, Counts, ExecStats, GpuDevice, RunOptions,
-    SimError, Simulator, TrajectoryBackend,
+    RunOutput, SimError, Simulator, StateVector, TrajectoryBackend,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -42,6 +44,23 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Evaluate `$body` with `$t` bound to the scalar type of a job's
+/// requested precision — the one place execution goes generic.
+macro_rules! with_precision {
+    ($precision:expr, $t:ident => $body:expr) => {
+        match $precision {
+            Precision::Fp32 => {
+                type $t = f32;
+                $body
+            }
+            Precision::Fp64 => {
+                type $t = f64;
+                $body
+            }
+        }
+    };
+}
 
 /// Which engine the worker pool runs on.
 #[derive(Debug, Clone)]
@@ -106,10 +125,9 @@ pub struct ServeConfig {
     /// it is covered by the checkpoint plan fingerprint.
     pub sweep_width: usize,
     /// Schedule steps per execution segment when checkpointed execution
-    /// is enabled. `0` (the default) disables segmented execution and
-    /// checkpointing entirely; workers then run each attempt as one
-    /// uninterruptible call exactly as before. Only the GPU backend
-    /// executes segmented.
+    /// is enabled. `0` (the default) disables checkpointing: each
+    /// attempt then runs its whole schedule as one segment and nothing
+    /// is written. Only the GPU backend executes in segments.
     pub checkpoint_interval: usize,
     /// Checkpoint generations retained per job (newest wins; older ones
     /// are the recovery ladder's fallbacks). Ignored while
@@ -186,7 +204,7 @@ impl Default for ServeConfig {
 }
 
 /// Mutable service state, guarded by one mutex.
-struct State {
+pub(crate) struct State {
     queue: AdmissionQueue,
     cache: ResultCache,
     marginals: MarginalCache,
@@ -198,19 +216,19 @@ struct State {
     cancel_requests: HashSet<u64>,
     dispatch_log: Vec<DispatchRecord>,
     /// Per-job generational checkpoints for in-flight segmented jobs.
-    checkpoints: CheckpointStore,
+    pub(crate) checkpoints: CheckpointStore,
     /// Ordered record of every checkpoint write/verify/resume decision,
     /// for the simtest oracles and operators' post-mortems.
-    checkpoint_log: Vec<CheckpointRecord>,
+    pub(crate) checkpoint_log: Vec<CheckpointRecord>,
     /// One record per flushed batch (member ids + dispositions), in
     /// flush order — the coalescing-conservation oracle's evidence.
     batch_log: Vec<BatchRecord>,
     /// Shard-group lifecycle audit: starts, faults, migrations,
     /// completions, in worker order (see [`ShardRecord`]).
-    shard_log: Vec<ShardRecord>,
+    pub(crate) shard_log: Vec<ShardRecord>,
     /// Elastic-pool decision audit, in decision order. Under a virtual
     /// clock this log is exactly reproducible.
-    pool_log: Vec<PoolDecision>,
+    pub(crate) pool_log: Vec<PoolDecision>,
     /// Worker threads currently alive (spawned minus retired). Only the
     /// elastic pool moves it.
     live_workers: usize,
@@ -221,9 +239,9 @@ struct State {
     shutdown: bool,
 }
 
-struct Shared {
-    cfg: ServeConfig,
-    state: Mutex<State>,
+pub(crate) struct Shared {
+    pub(crate) cfg: ServeConfig,
+    pub(crate) state: Mutex<State>,
     /// Signals workers that the queue gained work (or shutdown began).
     jobs_cv: Condvar,
     /// Signals waiters that some job reached a terminal outcome.
@@ -232,7 +250,7 @@ struct Shared {
 
 /// A running multi-tenant simulation service.
 pub struct Service {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -550,6 +568,7 @@ impl Drop for Service {
     }
 }
 
+
 /// How one dispatch of a job ended: with a terminal outcome, or with the
 /// worker "dying" mid-job (injected fault) and the job owed a requeue.
 enum ServeStep {
@@ -561,25 +580,53 @@ enum ServeStep {
     },
 }
 
-/// One worker: pop → (deadline check, cache probe, execute with retries)
-/// → publish outcome. Exits when shutdown is flagged *and* the queue has
-/// drained, so accepted jobs are never abandoned. An injected worker
-/// death requeues the job at the front of its tenant queue and the
-/// thread continues as its own (logically fresh) replacement.
+/// What the dispatch prologue decided for one job.
+enum Precheck {
+    /// Resolved without executing (cancelled, expired, answered from a
+    /// cache); the outcome is still to be published. The disposition is
+    /// what the batch audit log records for a member that ended here.
+    Resolved(JobOutcome, BatchMemberDisposition),
+    /// Must execute: enters the attempt loop (solo) or the joint pass.
+    Execute { queue_wait: Duration },
+}
+
+/// Faults a scheduled event injects *into* a stepper run; every other
+/// fault kind is settled by the attempt loop at the attempt boundary.
+#[derive(Default)]
+pub(crate) struct Injected {
+    /// Die once this many segments have completed.
+    pub(crate) die_after: Option<u32>,
+    /// Shard rank the death takes down (sharded runs only).
+    pub(crate) lost_shard: u32,
+    /// `(exchange, corrupt)`: fail that pairwise exchange, once.
+    pub(crate) link_fault: Option<(u32, bool)>,
+}
+
+/// Book one job handed to a worker — its dispatch record and in-flight
+/// slot — under the same lock that popped it.
+fn record_dispatch(st: &mut State, job: &QueuedJob) {
+    st.dispatch_log.push(DispatchRecord {
+        id: job.id,
+        tenant: job.spec.tenant.clone(),
+        priority: job.spec.priority,
+        seq: job.seq,
+    });
+    st.in_flight += 1;
+    histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
+}
+
+/// One worker: pop → (precheck, execute with retries) → publish outcome.
+/// Exits when shutdown is flagged *and* the queue has drained, so
+/// accepted jobs are never abandoned. An injected worker death requeues
+/// the job at the front of its tenant queue and the thread continues as
+/// its own (logically fresh) replacement.
 fn worker_loop(shared: &Shared) {
     loop {
-        let mut job = {
+        let job = {
             let mut st = shared.state.lock().expect("serve state poisoned");
             loop {
                 if let Some(job) = st.queue.pop_next() {
-                    st.dispatch_log.push(DispatchRecord {
-                        id: job.id,
-                        tenant: job.spec.tenant.clone(),
-                        priority: job.spec.priority,
-                        seq: job.seq,
-                    });
-                    st.in_flight += 1;
-                    histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
+                    record_dispatch(&mut st, &job);
                     break job;
                 }
                 if st.shutdown {
@@ -594,36 +641,64 @@ fn worker_loop(shared: &Shared) {
             serve_batch(shared, members, formed_at);
             continue;
         }
-        match serve_one(shared, &job) {
-            ServeStep::Outcome(outcome) => {
-                let now = shared.cfg.clock.now();
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.outcomes.insert(job.id.0, outcome);
-                st.outcome_at.insert(job.id.0, now);
-                st.cancel_requests.remove(&job.id.0);
-                // Terminal: retained checkpoint generations are dead
-                // weight now, whatever the outcome was.
-                st.checkpoints.clear(job.id.0);
-                st.in_flight -= 1;
-                let retire = pool_retire(shared, &mut st);
-                drop(st);
-                shared.done_cv.notify_all();
-                if retire {
-                    return;
-                }
-            }
-            ServeStep::WorkerDied { attempts_consumed } => {
-                counter_inc(names::SERVE_WORKER_DEATHS);
-                counter_inc(names::SERVE_REQUEUES);
-                job.attempts_made = attempts_consumed;
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.queue.requeue_front(job);
-                st.in_flight -= 1;
-                drop(st);
-                shared.jobs_cv.notify_one();
-            }
+        let step = match precheck(shared, &job) {
+            Precheck::Resolved(outcome, _) => ServeStep::Outcome(outcome),
+            Precheck::Execute { queue_wait } => attempt_loop(shared, &job, queue_wait),
+        };
+        if finish_dispatch(shared, job, step, true) {
+            return;
         }
     }
+}
+
+/// Settle one dispatch: publish its terminal outcome, or requeue it
+/// after a worker death. Returns `true` when the calling worker must
+/// retire (see [`pool_retire`]).
+fn finish_dispatch(shared: &Shared, mut job: QueuedJob, step: ServeStep, solo: bool) -> bool {
+    match step {
+        ServeStep::Outcome(outcome) => publish_outcome(shared, job.id, outcome, solo),
+        ServeStep::WorkerDied { attempts_consumed } => {
+            job.attempts_made = attempts_consumed;
+            requeue_after_death(shared, vec![job]);
+            false
+        }
+    }
+}
+
+/// Publish a terminal outcome for one dispatched job. Only a `solo`
+/// dispatch may retire its worker — a batch worker still holds the rest
+/// of its flush — and the verdict is returned.
+fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, solo: bool) -> bool {
+    let now = shared.cfg.clock.now();
+    let mut st = shared.state.lock().expect("serve state poisoned");
+    st.outcomes.insert(id.0, outcome);
+    st.outcome_at.insert(id.0, now);
+    st.cancel_requests.remove(&id.0);
+    // Terminal: retained checkpoint generations are dead weight now,
+    // whatever the outcome was.
+    st.checkpoints.clear(id.0);
+    st.in_flight -= 1;
+    let retire = solo && pool_retire(shared, &mut st);
+    drop(st);
+    shared.done_cv.notify_all();
+    retire
+}
+
+/// One worker death, however many dispatched jobs it stranded (a solo
+/// job, or the unpublished members of a batch — possibly none): each
+/// goes back to the front of its tenant queue with the attempt ledger
+/// the caller already advanced past the dying dispatch.
+fn requeue_after_death(shared: &Shared, stranded: Vec<QueuedJob>) {
+    counter_inc(names::SERVE_WORKER_DEATHS);
+    let mut st = shared.state.lock().expect("serve state poisoned");
+    // requeue_front in reverse keeps the jobs' relative order.
+    for job in stranded.into_iter().rev() {
+        counter_inc(names::SERVE_REQUEUES);
+        st.queue.requeue_front(job);
+        st.in_flight -= 1;
+    }
+    drop(st);
+    shared.jobs_cv.notify_all();
 }
 
 /// Elastic-pool retirement, decided under the state lock right after a
@@ -678,27 +753,38 @@ fn backoff_with_cancel(shared: &Shared, id: JobId, backoff: Duration) -> bool {
     }
 }
 
-/// Run one dispatched job to a terminal outcome (or a worker death).
-fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
+/// The sampling knobs of a job, as the samplers take them.
+pub(crate) fn sampling_of(spec: &JobSpec) -> SamplingConfig {
+    SamplingConfig { shots: spec.shots, seed: spec.seed, batch_shots: spec.shot_batch }
+}
+
+/// The dispatch prologue, run exactly once per dispatch whether the job
+/// goes solo or rides a batch: cancel → deadline → result cache →
+/// marginal cache. A job that resolves here opens its own `serve_job`
+/// span (the executing paths open theirs), so span accounting stays one
+/// span per dispatch.
+fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     let clock = shared.cfg.clock.as_ref();
-    let _job_span = span!(spans::SERVE_JOB);
     let queue_wait = clock.now().saturating_sub(job.submitted_at);
     histogram_record(names::SERVE_QUEUE_WAIT_MS, queue_wait.as_secs_f64() * 1e3);
 
-    // A cancel that raced the dispatch: honour it before doing work.
+    // A cancel that raced the dispatch (or landed before the batch
+    // flushed): honour it before doing work. A batch member masked out
+    // here never aborts its batch-mates.
     if cancel_requested(shared, job.id) {
+        let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_CANCELLED);
-        return ServeStep::Outcome(JobOutcome::Cancelled);
+        return Precheck::Resolved(JobOutcome::Cancelled, BatchMemberDisposition::MaskedCancelled);
     }
 
     // Deadline: jobs that waited too long are dropped, not run late. A
     // wait of *exactly* the deadline still runs — the boundary belongs
-    // to the job (pinned by the simtest deadline-at-boundary scenario).
-    if let Some(deadline) = job.spec.deadline {
-        if queue_wait > deadline {
-            counter_inc(names::SERVE_JOBS_EXPIRED);
-            return ServeStep::Outcome(JobOutcome::Expired);
-        }
+    // to the job (pinned by the simtest deadline-at-boundary scenario;
+    // the coalescer flushes at that boundary rather than past it).
+    if job.spec.deadline.is_some_and(|deadline| queue_wait > deadline) {
+        let _job_span = span!(spans::SERVE_JOB);
+        counter_inc(names::SERVE_JOBS_EXPIRED);
+        return Precheck::Resolved(JobOutcome::Expired, BatchMemberDisposition::MaskedExpired);
     }
 
     // Cache probe (hit/miss counters live in the cache). A scheduled
@@ -716,17 +802,17 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
         }
     };
     if let Some(hit) = cached {
-        let service_time = clock.now().saturating_sub(job.submitted_at);
-        record_completion(&job.spec, service_time);
-        return ServeStep::Outcome(JobOutcome::Completed(Box::new(JobResult {
+        let _job_span = span!(spans::SERVE_JOB);
+        let result = JobResult {
             counts: hit.counts,
             stats: hit.stats,
             from_cache: true,
             from_state_cache: false,
             attempts: 0,
             queue_wait,
-            service_time,
-        })));
+            service_time: Duration::ZERO,
+        };
+        return Precheck::Resolved(complete(shared, job, result), BatchMemberDisposition::CacheHit);
     }
 
     // State-marginal probe: the same circuit evolved before under
@@ -745,13 +831,9 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
         None
     };
     if let Some(hit) = marginal {
+        let _job_span = span!(spans::SERVE_JOB);
         let sample_span = span!(spans::SAMPLE);
-        let cfg = SamplingConfig {
-            shots: job.spec.shots,
-            seed: job.spec.seed,
-            batch_shots: job.spec.shot_batch,
-        };
-        let counts = sample_from_probs(&hit.probs, &hit.measured, &cfg);
+        let counts = sample_from_probs(&hit.probs, &hit.measured, &sampling_of(&job.spec));
         drop(sample_span);
         let mut stats = hit.stats.clone();
         stats.elapsed = Duration::ZERO; // no simulation happened for *this* job
@@ -759,26 +841,78 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
             let mut st = shared.state.lock().expect("serve state poisoned");
             st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
         }
-        let service_time = clock.now().saturating_sub(job.submitted_at);
-        record_completion(&job.spec, service_time);
-        return ServeStep::Outcome(JobOutcome::Completed(Box::new(JobResult {
+        let result = JobResult {
             counts,
             stats,
             from_cache: false,
             from_state_cache: true,
             attempts: 0,
             queue_wait,
-            service_time,
-        })));
+            service_time: Duration::ZERO,
+        };
+        return Precheck::Resolved(
+            complete(shared, job, result),
+            BatchMemberDisposition::StateCacheHit,
+        );
     }
 
-    // Cold path: execute with retry-with-backoff against injected faults.
+    Precheck::Execute { queue_wait }
+}
+
+/// Stamp the service time on a finished job's result, record the
+/// completion telemetry, and package the terminal outcome.
+fn complete(shared: &Shared, job: &QueuedJob, mut result: JobResult) -> JobOutcome {
+    result.service_time = shared.cfg.clock.now().saturating_sub(job.submitted_at);
+    counter_inc(names::SERVE_JOBS_COMPLETED);
+    counter_inc(&names::serve_tenant_jobs(&job.spec.tenant));
+    counter_add(&names::serve_tenant_shots(&job.spec.tenant), u128::from(job.spec.shots));
+    histogram_record(names::SERVE_LATENCY_MS, result.service_time.as_secs_f64() * 1e3);
+    JobOutcome::Completed(Box::new(result))
+}
+
+/// The epilogue of a fresh execution (solo attempt or batch member):
+/// feed both caches, then [`complete`].
+fn complete_fresh(
+    shared: &Shared,
+    job: &QueuedJob,
+    queue_wait: Duration,
+    attempts: u32,
+    (counts, stats, fresh_marginal): Executed,
+) -> JobOutcome {
+    {
+        let mut st = shared.state.lock().expect("serve state poisoned");
+        st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
+        if let Some(m) = fresh_marginal {
+            st.marginals.insert(job.state_key, m);
+        }
+    }
+    let result = JobResult {
+        counts,
+        stats,
+        from_cache: false,
+        from_state_cache: false,
+        attempts,
+        queue_wait,
+        service_time: Duration::ZERO,
+    };
+    complete(shared, job, result)
+}
+
+/// The cold path of one dispatch, entered after [`precheck`]: execute
+/// with retry-with-backoff against injected faults, to a terminal
+/// outcome or a worker death.
+fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> ServeStep {
+    let _job_span = span!(spans::SERVE_JOB);
     // `attempt` is the 0-based *global* attempt index, seeded from the
     // ledger of attempts consumed before a worker death requeued the job,
     // so the retry budget and the fault coordinates span dispatches.
     let max_attempts = job.spec.max_retries.unwrap_or(shared.cfg.max_retries) + 1;
     let mut attempt = job.attempts_made;
-    let executed: Result<(Option<Counts>, ExecStats, Option<CachedMarginal>), ServeError> = loop {
+    // The dying attempt is consumed: the replacement worker resumes at
+    // the next global attempt index, so the immutable schedule cannot
+    // refire the event — but a death never trips `RetriesExhausted`.
+    let died = |attempt: u32| ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
+    let executed: Result<Executed, ServeError> = loop {
         // Attempt boundary: a cancel recorded while a previous attempt
         // was running (or racing the dispatch) takes effect here.
         if cancel_requested(shared, job.id) {
@@ -798,108 +932,54 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
             .schedule
             .events_for(job.id.0, attempt)
             .find(|kind| {
-                matches!(
-                    kind,
-                    FaultKind::Transient
-                        | FaultKind::WorkerDeath
-                        | FaultKind::WorkerDeathMidRun { .. }
-                        | FaultKind::WorkerDeathMidBatch { .. }
-                        | FaultKind::ShardWorkerDeath { .. }
-                        | FaultKind::LinkFault { .. }
-                )
+                !matches!(kind, FaultKind::CorruptCache | FaultKind::CorruptCheckpoint { .. })
             })
             .or_else(|| {
                 shared.cfg.fault.strikes(job.id.0, attempt).then_some(FaultKind::Transient)
             });
-        // Shard faults scheduled against a job admission routed to a
-        // single worker degrade to their unsharded analogues, as
-        // documented on the variants: there is no group to tear down and
-        // no fabric to fault.
-        let fault = match fault {
-            Some(FaultKind::ShardWorkerDeath { .. }) if job.engine != Engine::Sharded => {
-                Some(FaultKind::WorkerDeath)
+        let sharded = job.engine == Engine::Sharded;
+        let injected = match fault {
+            // The plain deaths, and every fault whose own machinery this
+            // dispatch lacks, degrading as documented on the variants: a
+            // batch fault striking a solo dispatch; a shard death with no
+            // group to tear down; a mid-run death where there are no
+            // segment boundaries to die at.
+            Some(FaultKind::WorkerDeath | FaultKind::WorkerDeathMidBatch { .. }) => {
+                return died(attempt);
             }
-            Some(FaultKind::LinkFault { .. }) if job.engine != Engine::Sharded => {
-                Some(FaultKind::Transient)
+            Some(FaultKind::ShardWorkerDeath { .. }) if !sharded => return died(attempt),
+            Some(FaultKind::WorkerDeathMidRun { .. })
+                if !(segmented_enabled(&shared.cfg) && job.engine == Engine::Dense) =>
+            {
+                return died(attempt);
             }
-            other => other,
-        };
-        match fault {
-            Some(FaultKind::WorkerDeath) => {
-                // The dying attempt is consumed: the replacement worker
-                // resumes at the next global attempt index.
-                return ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
-            }
+            // The run executes `after_segments` segments (writing
+            // checkpoint generations at interior boundaries), then the
+            // worker — for a shard group, one shard's worker, which
+            // tears the whole group down — dies and the job requeues.
+            // The requeued job's next dispatch is the replacement: its
+            // recovery ladder restores the newest verified generation,
+            // which for a shard group *is* the migration.
             Some(FaultKind::WorkerDeathMidRun { after_segments }) => {
-                if segmented_enabled(&shared.cfg) && job.engine == Engine::Dense {
-                    match execute_segmented_dispatch(shared, job, Some(after_segments)) {
-                        Ok(SegmentedOutcome::Died) => {
-                            return ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
-                        }
-                        Ok(SegmentedOutcome::Finished(done)) => {
-                            // Unreachable with a die budget, kept total.
-                            break Ok(*done);
-                        }
-                        Err(err) => break Err(ServeError::Sim(err)),
-                    }
-                }
-                // Without segmented execution there are no segment
-                // boundaries to die at: degrade to a plain worker death
-                // at the attempt boundary (documented on the variant).
-                return ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
-            }
-            Some(FaultKind::WorkerDeathMidBatch { .. }) => {
-                // The struck dispatch is running solo (batching disabled,
-                // or the member was ineligible): degrade to a plain
-                // worker death at the attempt boundary, as documented on
-                // the variant.
-                return ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
+                Injected { die_after: Some(after_segments), ..Injected::default() }
             }
             Some(FaultKind::ShardWorkerDeath { shard, after_segments }) => {
-                // A shard worker dies mid-run: the group executes
-                // `after_segments` segments (writing checkpoint
-                // generations at interior boundaries), then tears down
-                // and requeues. The requeued job's next dispatch is the
-                // replacement — its recovery ladder restores the newest
-                // verified generation onto a fresh group, which *is* the
-                // migration. The dying attempt coordinate is consumed so
-                // the immutable schedule cannot refire it, but a death
-                // never trips `RetriesExhausted`.
-                match execute_sharded_dispatch(shared, job, Some((shard, after_segments)), None) {
-                    Ok(ShardStep::Died) => {
-                        return ServeStep::WorkerDied { attempts_consumed: attempt + 1 };
-                    }
-                    Ok(ShardStep::Finished(done)) => {
-                        // Unreachable with a die budget, kept total.
-                        break Ok(*done);
-                    }
-                    Err(err) => break Err(ServeError::Sim(err)),
-                }
+                Injected { die_after: Some(after_segments), lost_shard: shard, link_fault: None }
             }
-            Some(FaultKind::LinkFault { exchange, corrupt }) => {
-                // A link fault costs a retry (the partial segment's work
-                // is discarded), but recovery happens *inside* the same
-                // dispatch: the run restores the newest verified
-                // generation in place and continues on the same worker.
+            // A link fault costs a retry (the partial segment's work is
+            // discarded), but recovery happens *inside* the same
+            // dispatch: the run restores the newest verified generation
+            // in place and continues on the same worker. With no fabric
+            // to fault it is a plain transient strike.
+            Some(FaultKind::LinkFault { exchange, corrupt }) if sharded => {
                 attempt += 1;
                 if attempt >= max_attempts {
                     break Err(ServeError::RetriesExhausted { attempts: attempt });
                 }
                 counter_inc(names::SERVE_RETRIES);
-                break match execute_sharded_dispatch(
-                    shared,
-                    job,
-                    None,
-                    Some((exchange, corrupt)),
-                ) {
-                    Ok(ShardStep::Finished(done)) => Ok(*done),
-                    Ok(ShardStep::Died) => {
-                        unreachable!("sharded run without a die budget cannot die")
-                    }
-                    Err(err) => Err(ServeError::Sim(err)),
-                };
+                Injected { link_fault: Some((exchange, corrupt)), ..Injected::default() }
             }
-            Some(FaultKind::Transient) => {
+            Some(FaultKind::Transient | FaultKind::LinkFault { .. }) => {
                 attempt += 1;
                 if attempt >= max_attempts {
                     break Err(ServeError::RetriesExhausted { attempts: attempt });
@@ -917,52 +997,19 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
                 continue;
             }
             Some(FaultKind::CorruptCache | FaultKind::CorruptCheckpoint { .. }) | None => {
-                if job.engine == Engine::Sharded {
-                    break match execute_sharded_dispatch(shared, job, None, None) {
-                        Ok(ShardStep::Finished(done)) => Ok(*done),
-                        Ok(ShardStep::Died) => {
-                            unreachable!("sharded run without a die budget cannot die")
-                        }
-                        Err(err) => Err(ServeError::Sim(err)),
-                    };
-                }
-                if segmented_enabled(&shared.cfg) && job.engine == Engine::Dense {
-                    break match execute_segmented_dispatch(shared, job, None) {
-                        Ok(SegmentedOutcome::Finished(done)) => Ok(*done),
-                        Ok(SegmentedOutcome::Died) => {
-                            unreachable!("segmented run without a die budget cannot die")
-                        }
-                        Err(err) => Err(ServeError::Sim(err)),
-                    };
-                }
-                break execute(&shared.cfg, job).map_err(ServeError::Sim);
+                Injected::default()
             }
-        }
+        };
+        break match run_attempt(shared, job, &injected) {
+            Ok(Attempt::Finished(done)) => Ok(*done),
+            Ok(Attempt::Died) => return died(attempt),
+            Err(err) => Err(ServeError::Sim(err)),
+        };
     };
 
     match executed {
-        Ok((counts, stats, fresh_marginal)) => {
-            {
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.cache.insert(
-                    job.key,
-                    CachedResult { counts: counts.clone(), stats: stats.clone() },
-                );
-                if let Some(m) = fresh_marginal {
-                    st.marginals.insert(job.state_key, m);
-                }
-            }
-            let service_time = clock.now().saturating_sub(job.submitted_at);
-            record_completion(&job.spec, service_time);
-            ServeStep::Outcome(JobOutcome::Completed(Box::new(JobResult {
-                counts,
-                stats,
-                from_cache: false,
-                from_state_cache: false,
-                attempts: attempt + 1,
-                queue_wait,
-                service_time,
-            })))
+        Ok(done) => {
+            ServeStep::Outcome(complete_fresh(shared, job, queue_wait, attempt + 1, done))
         }
         Err(err) => {
             counter_inc(names::SERVE_JOBS_FAILED);
@@ -972,8 +1019,9 @@ fn serve_one(shared: &Shared, job: &QueuedJob) -> ServeStep {
 }
 
 /// The execution options every attempt of a job runs with — one
-/// construction point so the straight-through and segmented paths agree
-/// (they must: the checkpoint plan fingerprint covers these knobs).
+/// construction point, because the checkpoint plan fingerprint covers
+/// these knobs: a dispatch that rebuilt them differently could not
+/// resume its predecessor's generations.
 fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     RunOptions {
         shots: job.spec.shots,
@@ -1052,14 +1100,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
                         && batch_eligible(&shared.cfg, j)
                 });
                 let Some(mate) = mate else { break };
-                st.dispatch_log.push(DispatchRecord {
-                    id: mate.id,
-                    tenant: mate.spec.tenant.clone(),
-                    priority: mate.spec.priority,
-                    seq: mate.seq,
-                });
-                st.in_flight += 1;
-                histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
+                record_dispatch(&mut st, &mate);
                 if let Some(d) = mate.spec.deadline {
                     end = end.min(mate.submitted_at.saturating_add(d));
                 }
@@ -1081,34 +1122,18 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
     members
 }
 
-/// Publish a terminal outcome for one dispatched job — the batch path's
-/// twin of the worker loop's `Outcome` arm, byte-for-byte the same
-/// bookkeeping.
-fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome) {
-    let now = shared.cfg.clock.now();
-    let mut st = shared.state.lock().expect("serve state poisoned");
-    st.outcomes.insert(id.0, outcome);
-    st.outcome_at.insert(id.0, now);
-    st.cancel_requests.remove(&id.0);
-    st.checkpoints.clear(id.0);
-    st.in_flight -= 1;
-    drop(st);
-    shared.done_cv.notify_all();
-}
-
 /// Run one flushed batch to per-member terminal outcomes (or requeues).
 ///
-/// Every member gets the same prologue a solo dispatch gets — cancel
-/// mask, deadline check, result-cache and marginal probes — then the
-/// survivors evolve in one joint batched pass and sample per member with
-/// their own seeds. A member masked out (cancelled, expired, answered
-/// from cache) never aborts its batch-mates. If the joint pass refuses
-/// the batch (congruence drift between same-shape members, planner
-/// strategy, memory bound), every surviving member re-runs through the
-/// ordinary solo path — trivially bit-identical, just unamortized.
+/// Every member passes the same [`precheck`] a solo dispatch does, then
+/// the survivors evolve in one joint batched pass and sample per member
+/// with their own seeds. If the joint pass refuses the batch (congruence
+/// drift between same-shape members, planner strategy, memory bound),
+/// every surviving member enters the ordinary solo [`attempt_loop`] —
+/// trivially bit-identical, just unamortized — without a second
+/// prologue: its queue wait, deadline verdict and cache probes were
+/// taken once, at the flush.
 fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
-    let clock = shared.cfg.clock.as_ref();
-    let flushed_at = clock.now();
+    let flushed_at = shared.cfg.clock.now();
     if members.len() >= 2 {
         counter_inc(names::SERVE_BATCHES_FORMED);
     }
@@ -1121,10 +1146,12 @@ fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
     let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(members.len());
     let mut executing: Vec<(QueuedJob, Duration)> = Vec::new();
     for job in members {
-        let queue_wait = clock.now().saturating_sub(job.submitted_at);
-        match batch_precheck(shared, &job, queue_wait) {
-            Some(disposition) => dispositions.push((job.id.0, disposition)),
-            None => executing.push((job, queue_wait)),
+        match precheck(shared, &job) {
+            Precheck::Resolved(outcome, disposition) => {
+                publish_outcome(shared, job.id, outcome, false);
+                dispositions.push((job.id.0, disposition));
+            }
+            Precheck::Execute { queue_wait } => executing.push((job, queue_wait)),
         }
     }
 
@@ -1132,138 +1159,18 @@ fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
         let BackendKind::Gpu(device) = &shared.cfg.backend else {
             unreachable!("batching is gated on the GPU backend");
         };
-        let precision = executing[0].0.spec.precision;
-        let refused = match precision {
-            Precision::Fp32 => execute_batch::<f32>(shared, device, executing, &mut dispositions),
-            Precision::Fp64 => execute_batch::<f64>(shared, device, executing, &mut dispositions),
-        };
-        if let Some(rejected) = refused {
-            for (mut job, _) in rejected {
-                dispositions.push((job.id.0, BatchMemberDisposition::SoloFallback));
-                match serve_one(shared, &job) {
-                    ServeStep::Outcome(outcome) => publish_outcome(shared, job.id, outcome),
-                    ServeStep::WorkerDied { attempts_consumed } => {
-                        counter_inc(names::SERVE_WORKER_DEATHS);
-                        counter_inc(names::SERVE_REQUEUES);
-                        job.attempts_made = attempts_consumed;
-                        let mut st = shared.state.lock().expect("serve state poisoned");
-                        st.queue.requeue_front(job);
-                        st.in_flight -= 1;
-                        drop(st);
-                        shared.jobs_cv.notify_one();
-                    }
-                }
-            }
+        let refused = with_precision!(executing[0].0.spec.precision, T => {
+            execute_batch::<T>(shared, device, executing, &mut dispositions)
+        });
+        for (job, queue_wait) in refused.into_iter().flatten() {
+            dispositions.push((job.id.0, BatchMemberDisposition::SoloFallback));
+            let step = attempt_loop(shared, &job, queue_wait);
+            finish_dispatch(shared, job, step, false);
         }
     }
 
     let mut st = shared.state.lock().expect("serve state poisoned");
     st.batch_log.push(BatchRecord { members: dispositions, formed_at, flushed_at });
-}
-
-/// The solo prologue applied to one batch member at flush time. Returns
-/// the member's disposition when it resolved without executing (outcome
-/// already published), or `None` when it must enter the joint pass.
-/// Members that resolve here open their own `serve_job` span so span
-/// accounting stays one span per dispatched member.
-fn batch_precheck(
-    shared: &Shared,
-    job: &QueuedJob,
-    queue_wait: Duration,
-) -> Option<BatchMemberDisposition> {
-    let clock = shared.cfg.clock.as_ref();
-    histogram_record(names::SERVE_QUEUE_WAIT_MS, queue_wait.as_secs_f64() * 1e3);
-
-    // A cancel that landed before the flush: mask the member out.
-    if cancel_requested(shared, job.id) {
-        let _job_span = span!(spans::SERVE_JOB);
-        counter_inc(names::SERVE_JOBS_CANCELLED);
-        publish_outcome(shared, job.id, JobOutcome::Cancelled);
-        return Some(BatchMemberDisposition::MaskedCancelled);
-    }
-
-    // Deadline semantics match solo dispatch exactly: a wait of
-    // *exactly* the deadline still runs (the coalescer flushes at that
-    // boundary rather than past it).
-    if let Some(deadline) = job.spec.deadline {
-        if queue_wait > deadline {
-            let _job_span = span!(spans::SERVE_JOB);
-            counter_inc(names::SERVE_JOBS_EXPIRED);
-            publish_outcome(shared, job.id, JobOutcome::Expired);
-            return Some(BatchMemberDisposition::MaskedExpired);
-        }
-    }
-
-    let cached = {
-        let mut st = shared.state.lock().expect("serve state poisoned");
-        if shared.cfg.schedule.corrupts_cache(job.id.0) && st.cache.invalidate(job.key) {
-            counter_inc(names::SERVE_CACHE_CORRUPTIONS);
-            None
-        } else {
-            st.cache.get(job.key)
-        }
-    };
-    if let Some(hit) = cached {
-        let _job_span = span!(spans::SERVE_JOB);
-        let service_time = clock.now().saturating_sub(job.submitted_at);
-        record_completion(&job.spec, service_time);
-        publish_outcome(
-            shared,
-            job.id,
-            JobOutcome::Completed(Box::new(JobResult {
-                counts: hit.counts,
-                stats: hit.stats,
-                from_cache: true,
-                from_state_cache: false,
-                attempts: 0,
-                queue_wait,
-                service_time,
-            })),
-        );
-        return Some(BatchMemberDisposition::CacheHit);
-    }
-
-    // Members are Dense by eligibility, so the marginal probe applies
-    // unconditionally, mirroring `serve_one`.
-    let marginal = {
-        let st = shared.state.lock().expect("serve state poisoned");
-        st.marginals.get(job.state_key)
-    };
-    if let Some(hit) = marginal {
-        let _job_span = span!(spans::SERVE_JOB);
-        let sample_span = span!(spans::SAMPLE);
-        let cfg = SamplingConfig {
-            shots: job.spec.shots,
-            seed: job.spec.seed,
-            batch_shots: job.spec.shot_batch,
-        };
-        let counts = sample_from_probs(&hit.probs, &hit.measured, &cfg);
-        drop(sample_span);
-        let mut stats = hit.stats.clone();
-        stats.elapsed = Duration::ZERO; // no simulation happened for *this* job
-        {
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
-        }
-        let service_time = clock.now().saturating_sub(job.submitted_at);
-        record_completion(&job.spec, service_time);
-        publish_outcome(
-            shared,
-            job.id,
-            JobOutcome::Completed(Box::new(JobResult {
-                counts,
-                stats,
-                from_cache: false,
-                from_state_cache: true,
-                attempts: 0,
-                queue_wait,
-                service_time,
-            })),
-        );
-        return Some(BatchMemberDisposition::StateCacheHit);
-    }
-
-    None
 }
 
 /// Evolve the surviving members in one joint batched pass and publish
@@ -1283,9 +1190,8 @@ fn execute_batch<T: Scalar>(
     dispositions: &mut Vec<(u64, BatchMemberDisposition)>,
 ) -> Option<Vec<(QueuedJob, Duration)>> {
     let cfg = &shared.cfg;
-    let clock = cfg.clock.as_ref();
-    // Evolution options mirror the solo `evolve_and_sample` prologue:
-    // same fusion/sweep knobs, sampling deferred to the per-member loop.
+    // Evolution options mirror a solo attempt's: same fusion/sweep
+    // knobs, sampling deferred to the per-member loop.
     let evolve_opts = RunOptions {
         shots: 0,
         keep_state: true,
@@ -1310,79 +1216,27 @@ fn execute_batch<T: Scalar>(
     });
 
     let mut published: u32 = 0;
-    let mut requeue: Vec<QueuedJob> = Vec::new();
-    for ((job, queue_wait), out) in members.into_iter().zip(outputs) {
+    let mut stranded: Vec<QueuedJob> = Vec::new();
+    for ((mut job, queue_wait), out) in members.into_iter().zip(outputs) {
+        // Every member opens its `serve_job` span, the stranded ones too
+        // — they *were* dispatched; span accounting counts them.
+        let _job_span = span!(spans::SERVE_JOB);
         if death.is_some_and(|after| published >= after) {
-            // The dying dispatch still opens its `serve_job` span — the
-            // member *was* dispatched; span accounting counts it.
-            let _job_span = span!(spans::SERVE_JOB);
             dispositions.push((job.id.0, BatchMemberDisposition::Requeued));
-            requeue.push(job);
+            job.attempts_made += 1;
+            stranded.push(job);
             continue;
         }
-        let _job_span = span!(spans::SERVE_JOB);
         let _attempt_span = span!(spans::SERVE_ATTEMPT);
-        let attempts = job.attempts_made + 1;
-        let mut stats = out.stats;
-        let (_, measured) = job.canonical.split_measurements();
-        let (counts, marginal) = if measured.is_empty() {
-            (None, None)
-        } else {
-            let sample_start = clock.now();
-            let sample_span = span!(spans::SAMPLE);
-            let probs = Arc::new(marginal_probs(&out.state, &measured));
-            let sampling = SamplingConfig {
-                shots: job.spec.shots,
-                seed: job.spec.seed,
-                batch_shots: job.spec.shot_batch,
-            };
-            let counts = sample_from_probs(&probs, &measured, &sampling);
-            drop(sample_span);
-            stats.sampling_elapsed += clock.now().saturating_sub(sample_start);
-            let marginal =
-                CachedMarginal { probs, measured: Arc::new(measured), stats: stats.clone() };
-            (counts, Some(marginal))
-        };
-        {
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            st.cache
-                .insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
-            if let Some(m) = marginal {
-                st.marginals.insert(job.state_key, m);
-            }
-        }
-        let service_time = clock.now().saturating_sub(job.submitted_at);
-        record_completion(&job.spec, service_time);
-        publish_outcome(
-            shared,
-            job.id,
-            JobOutcome::Completed(Box::new(JobResult {
-                counts,
-                stats,
-                from_cache: false,
-                from_state_cache: false,
-                attempts,
-                queue_wait,
-                service_time,
-            })),
-        );
+        let done = sample_and_package(out.state, out.stats, &job, cfg.clock.as_ref());
+        let outcome = complete_fresh(shared, &job, queue_wait, job.attempts_made + 1, done);
+        publish_outcome(shared, job.id, outcome, false);
         dispositions.push((job.id.0, BatchMemberDisposition::Executed));
         published += 1;
     }
 
     if death.is_some() {
-        // One death, however many members it stranded (possibly zero).
-        counter_inc(names::SERVE_WORKER_DEATHS);
-        let mut st = shared.state.lock().expect("serve state poisoned");
-        // requeue_front in reverse keeps the members' relative order.
-        for mut job in requeue.into_iter().rev() {
-            counter_inc(names::SERVE_REQUEUES);
-            job.attempts_made += 1;
-            st.queue.requeue_front(job);
-            st.in_flight -= 1;
-        }
-        drop(st);
-        shared.jobs_cv.notify_all();
+        requeue_after_death(shared, stranded);
     }
     None
 }
@@ -1579,566 +1433,128 @@ fn select_engine(
 /// `fusion_width` qubits (and at least 2 — the exchange planner swaps a
 /// local qubit against a device bit). Admission and execution both plan
 /// through this, so they always agree on the group width.
-fn shard_min_local_width(cfg: &ServeConfig) -> u32 {
+pub(crate) fn shard_min_local_width(cfg: &ServeConfig) -> u32 {
     cfg.fusion_width.max(2) as u32
 }
 
-/// Run the canonical circuit on the configured backend at the requested
-/// precision. Deterministic: both engines plus seeded multinomial
-/// sampling make equal `(circuit, shots, seed, precision, fusion_width)`
-/// produce bit-identical `Counts` — the property the cache relies on.
+/// What a finished execution hands the publisher: the counts, the
+/// engine's stats, and — dense engines only — the marginal artifact for
+/// the state cache.
+pub(crate) type Executed = (Option<Counts>, ExecStats, Option<CachedMarginal>);
+
+/// One execution attempt of a job that missed both caches.
 ///
-/// Executes in two phases (evolve, then sample from the exact marginal)
-/// so the marginal can be handed back for the state cache; the phases
-/// use the engines' own helpers, so the combined result is bit-identical
-/// to a one-shot `Simulator::run` with the same options.
-fn execute(
-    cfg: &ServeConfig,
-    job: &QueuedJob,
-) -> Result<(Option<Counts>, ExecStats, Option<CachedMarginal>), SimError> {
+/// Engines with a schedule cursor — the simulated-GPU dense engine and
+/// the shard group — run through the one stepper driver
+/// ([`crate::stepper::drive`]): recovery ladder, segment loop, checkpoint
+/// writes, die-after budget, final sample. Straight-through execution is
+/// that driver with an unbounded interval (one segment, nothing written).
+/// Deterministic throughout: equal `(circuit, shots, seed, precision,
+/// fusion_width)` produce bit-identical `Counts` on whichever rung the
+/// ladder lands — the property the caches rely on.
+fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<Attempt, SimError> {
+    let cfg = &shared.cfg;
     let opts = run_options(cfg, job);
-    let clock = cfg.clock.as_ref();
+    match (job.engine, &cfg.backend) {
+        (Engine::Dense, BackendKind::Gpu(device)) => {
+            let interval =
+                if segmented_enabled(cfg) { cfg.checkpoint_interval } else { usize::MAX };
+            let source = DenseSource { device, circuit: &job.canonical, opts };
+            with_precision!(job.spec.precision, T => {
+                drive::<T, _>(shared, job, &source, interval, injected.die_after)
+            })
+        }
+        (Engine::Sharded, _) => {
+            let source = ShardSource::plan(shared, job, injected)?;
+            // Sharded execution always checkpoints (interval floored at
+            // 1): without generations there would be nothing to migrate.
+            let interval = cfg.checkpoint_interval.max(1);
+            with_precision!(job.spec.precision, T => {
+                drive::<T, _>(shared, job, &source, interval, injected.die_after)
+            })
+        }
+        _ => run_whole(cfg, job, &opts).map(|done| Attempt::Finished(Box::new(done))),
+    }
+}
+
+/// Engines that run a circuit whole — no cursor to step, so nothing to
+/// checkpoint: the Aer CPU baseline (the differential reference, kept
+/// independent of the stepper core on purpose), the stabilizer tableau,
+/// and the trajectory fans.
+fn run_whole(cfg: &ServeConfig, job: &QueuedJob, opts: &RunOptions) -> Result<Executed, SimError> {
     match job.engine {
-        Engine::Dense => match &cfg.backend {
-            BackendKind::Gpu(device) => match job.spec.precision {
-                Precision::Fp32 => evolve_and_sample::<f32, _>(device, job, &opts, clock),
-                Precision::Fp64 => evolve_and_sample::<f64, _>(device, job, &opts, clock),
-            },
-            BackendKind::Cpu { .. } => match job.spec.precision {
-                Precision::Fp32 => evolve_and_sample::<f32, _>(&AerCpuBackend, job, &opts, clock),
-                Precision::Fp64 => evolve_and_sample::<f64, _>(&AerCpuBackend, job, &opts, clock),
-            },
-        },
-        // Non-dense engines run whole (evolve + sample inside the
-        // engine) and never feed the marginal cache: the tableau path
-        // has no state vector, and a noisy run is a mixture with no
-        // single marginal.
-        Engine::Stabilizer => {
-            let sim = StabilizerBackend::default();
-            match job.spec.precision {
-                Precision::Fp32 => run_counts::<f32, _>(&sim, job, &opts),
-                Precision::Fp64 => run_counts::<f64, _>(&sim, job, &opts),
-            }
-        }
-        Engine::Trajectory => {
+        // Two phases (evolve, then sample from the exact marginal) so the
+        // marginal can be handed back for the state cache; the phases use
+        // the engine's own helpers, so the combined result is
+        // bit-identical to a one-shot `Simulator::run` with `opts`.
+        Engine::Dense => with_precision!(job.spec.precision, T => {
+            let evolve_opts = RunOptions { shots: 0, keep_state: true, ..opts.clone() };
+            let out: RunOutput<T> = AerCpuBackend.run(&job.canonical, &evolve_opts)?;
+            let state = out.state.expect("keep_state run returns the state");
+            Ok(sample_and_package(state, out.stats, job, cfg.clock.as_ref()))
+        }),
+        // Non-dense engines evolve + sample inside the engine and never
+        // feed the marginal cache: the tableau path has no state vector,
+        // and a noisy run is a mixture with no single marginal.
+        Engine::Stabilizer => run_counts(&StabilizerBackend::default(), job, opts),
+        Engine::Trajectory | Engine::TrajectoryStabilizer => {
             let model = job.spec.noise.clone().expect("trajectory engine implies a noise model");
-            match &cfg.backend {
-                BackendKind::Gpu(device) => {
-                    let sim = TrajectoryBackend::new(device.clone(), model, job.spec.trajectories);
-                    match job.spec.precision {
-                        Precision::Fp32 => run_counts::<f32, _>(&sim, job, &opts),
-                        Precision::Fp64 => run_counts::<f64, _>(&sim, job, &opts),
-                    }
+            let fan = job.spec.trajectories;
+            match (job.engine, &cfg.backend) {
+                (Engine::TrajectoryStabilizer, _) => {
+                    let inner = StabilizerBackend::default();
+                    run_counts(&TrajectoryBackend::new(inner, model, fan), job, opts)
                 }
-                BackendKind::Cpu { .. } => {
-                    let sim = TrajectoryBackend::new(AerCpuBackend, model, job.spec.trajectories);
-                    match job.spec.precision {
-                        Precision::Fp32 => run_counts::<f32, _>(&sim, job, &opts),
-                        Precision::Fp64 => run_counts::<f64, _>(&sim, job, &opts),
-                    }
+                (_, BackendKind::Gpu(device)) => {
+                    run_counts(&TrajectoryBackend::new(device.clone(), model, fan), job, opts)
+                }
+                (_, BackendKind::Cpu { .. }) => {
+                    run_counts(&TrajectoryBackend::new(AerCpuBackend, model, fan), job, opts)
                 }
             }
         }
-        Engine::TrajectoryStabilizer => {
-            let model = job.spec.noise.clone().expect("trajectory engine implies a noise model");
-            let sim = TrajectoryBackend::new(StabilizerBackend::default(), model, job.spec.trajectories);
-            match job.spec.precision {
-                Precision::Fp32 => run_counts::<f32, _>(&sim, job, &opts),
-                Precision::Fp64 => run_counts::<f64, _>(&sim, job, &opts),
-            }
-        }
-        Engine::Sharded => {
-            unreachable!("sharded jobs route through execute_sharded_dispatch")
-        }
+        Engine::Sharded => unreachable!("sharded jobs run through the stepper driver"),
     }
 }
 
 /// Run an engine that samples internally (stabilizer, trajectory fans)
-/// and hand back its counts; no marginal artifact is produced.
-fn run_counts<T: Scalar, S: Simulator<T>>(
+/// at the job's precision and hand back its counts; no marginal
+/// artifact is produced.
+fn run_counts<S: Simulator<f32> + Simulator<f64>>(
     sim: &S,
     job: &QueuedJob,
     opts: &RunOptions,
-) -> Result<(Option<Counts>, ExecStats, Option<CachedMarginal>), SimError> {
-    let out = sim.run(&job.canonical, opts)?;
-    Ok((out.counts, out.stats, None))
+) -> Result<Executed, SimError> {
+    with_precision!(job.spec.precision, T => {
+        let out: RunOutput<T> = sim.run(&job.canonical, opts)?;
+        Ok((out.counts, out.stats, None))
+    })
 }
 
-/// Evolve once with sampling deferred, then draw the requested counts
-/// from the marginal and return the marginal for caching.
-fn evolve_and_sample<T: Scalar, S: Simulator<T>>(
-    sim: &S,
+/// The one tail of every dense execution — stepper run, whole-run
+/// baseline, batch member: exact marginal → seeded draw → cacheable
+/// artifact. Sharing it is what keeps a segmented, resumed, sharded or
+/// batched run byte-identical to a solo straight one. Takes the state
+/// by value so the amplitudes are freed before the shot draw.
+pub(crate) fn sample_and_package<T: Scalar>(
+    state: StateVector<T>,
+    mut stats: ExecStats,
     job: &QueuedJob,
-    opts: &RunOptions,
     clock: &dyn Clock,
-) -> Result<(Option<Counts>, ExecStats, Option<CachedMarginal>), SimError> {
-    let evolve_opts = RunOptions { shots: 0, keep_state: true, ..opts.clone() };
-    let out = sim.run(&job.canonical, &evolve_opts)?;
-    let state = out.state.expect("keep_state run returns the state");
-    let mut stats = out.stats;
-    let (_, measured) = job.canonical.split_measurements();
+) -> Executed {
+    let measured = job.canonical.measured_qubits();
     if measured.is_empty() {
-        return Ok((None, stats, None));
+        return (None, stats, None);
     }
     let sample_start = clock.now();
     let sample_span = span!(spans::SAMPLE);
     let probs = Arc::new(marginal_probs(&state, &measured));
     drop(state); // free the full state before sampling bookkeeping
-    let cfg = SamplingConfig {
-        shots: job.spec.shots,
-        seed: job.spec.seed,
-        batch_shots: job.spec.shot_batch,
-    };
-    let counts = sample_from_probs(&probs, &measured, &cfg);
-    drop(sample_span);
-    stats.sampling_elapsed += clock.now().saturating_sub(sample_start);
-    let marginal =
-        CachedMarginal { probs, measured: Arc::new(measured), stats: stats.clone() };
-    Ok((counts, stats, Some(marginal)))
-}
-
-/// How one segmented attempt ended: with results to publish, or with
-/// the worker dying at a segment boundary (checkpoints left behind in
-/// the store for the replacement to resume from).
-enum SegmentedOutcome {
-    Finished(Box<(Option<Counts>, ExecStats, Option<CachedMarginal>)>),
-    Died,
-}
-
-/// Precision dispatch for [`execute_segmented`]. Caller guarantees
-/// [`segmented_enabled`], i.e. the backend is a GPU device.
-fn execute_segmented_dispatch(
-    shared: &Shared,
-    job: &QueuedJob,
-    die_after: Option<u32>,
-) -> Result<SegmentedOutcome, SimError> {
-    let BackendKind::Gpu(device) = &shared.cfg.backend else {
-        unreachable!("segmented execution is gated on the GPU backend");
-    };
-    match job.spec.precision {
-        Precision::Fp32 => execute_segmented::<f32>(shared, device, job, die_after),
-        Precision::Fp64 => execute_segmented::<f64>(shared, device, job, die_after),
-    }
-}
-
-/// One checkpointed execution attempt.
-///
-/// **Recovery ladder** (runs first): retained generations are tried
-/// newest-first; each is decoded, CRC-verified, and cross-checked
-/// against the freshly rebuilt plan. A generation that fails *any* of
-/// those checks is dropped (`checkpoint.verify_fail`), never loaded,
-/// and the ladder steps to the next older one. The first survivor
-/// becomes the resume point (`job.resumed_from` records its cursor);
-/// if generations existed but none survived, the attempt cold-restarts
-/// from `|0…0⟩`. Because segmented execution is bit-identical to
-/// straight-through execution, whichever rung the ladder lands on
-/// produces byte-identical final counts.
-///
-/// **Execution**: the schedule advances `checkpoint_interval` steps per
-/// segment, writing a checkpoint generation at every interior segment
-/// boundary (`checkpoint.write`). A scheduled
-/// [`FaultKind::CorruptCheckpoint`] flips one bit in the encoded bytes
-/// *before* they reach the store — the torn-write model the CRC framing
-/// exists to catch. With `die_after` set, the worker "dies" once that
-/// many segments have completed (checkpoints written at earlier
-/// boundaries survive in the store); the death always fires, at the end
-/// of the run if the schedule was shorter.
-fn execute_segmented<T: CheckpointScalar>(
-    shared: &Shared,
-    device: &GpuDevice,
-    job: &QueuedJob,
-    die_after: Option<u32>,
-) -> Result<SegmentedOutcome, SimError> {
-    let cfg = &shared.cfg;
-    let opts = run_options(cfg, job);
-
-    let generations = {
-        let st = shared.state.lock().expect("serve state poisoned");
-        st.checkpoints.newest_first(job.id.0)
-    };
-    let had_generations = !generations.is_empty();
-    let mut resumed: Option<SegmentedRun<T>> = None;
-    for generation in generations {
-        let restore_span = span!(spans::CHECKPOINT_RESTORE);
-        let verified = decode_checkpoint::<T>(&generation.bytes)
-            .and_then(|ck| SegmentedRun::resume(device, &job.canonical, &opts, ck));
-        drop(restore_span);
-        match verified {
-            Ok(run) => {
-                histogram_record(names::JOB_RESUMED_FROM, run.cursor() as f64);
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.checkpoint_log.push(CheckpointRecord::Resumed {
-                    job: job.id.0,
-                    generation: generation.generation,
-                    cursor: run.cursor() as u64,
-                });
-                resumed = Some(run);
-                break;
-            }
-            Err(_) => {
-                counter_inc(names::CHECKPOINT_VERIFY_FAILS);
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.checkpoints.drop_generation(job.id.0, generation.generation);
-                st.checkpoint_log.push(CheckpointRecord::VerifyFailed {
-                    job: job.id.0,
-                    generation: generation.generation,
-                });
-            }
-        }
-    }
-    if resumed.is_none() && had_generations {
-        let mut st = shared.state.lock().expect("serve state poisoned");
-        st.checkpoint_log.push(CheckpointRecord::ColdRestart { job: job.id.0 });
-    }
-    let mut run = match resumed {
-        Some(run) => run,
-        None => SegmentedRun::new(device, &job.canonical, &opts)?,
-    };
-
-    let interval = cfg.checkpoint_interval.max(1);
-    let mut segments_done: u32 = 0;
-    while !run.is_done() {
-        run.advance(interval);
-        segments_done += 1;
-        if !run.is_done() {
-            let write_span = span!(spans::CHECKPOINT_WRITE);
-            let mut bytes = encode_checkpoint(&run.checkpoint());
-            let cursor = run.cursor() as u64;
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            let generation = st.checkpoints.next_generation(job.id.0);
-            if cfg.schedule.corrupts_checkpoint(job.id.0, generation) {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-            }
-            st.checkpoints.record(job.id.0, cursor, bytes);
-            st.checkpoint_log.push(CheckpointRecord::Wrote {
-                job: job.id.0,
-                generation,
-                cursor,
-            });
-            drop(st);
-            counter_inc(names::CHECKPOINT_WRITES);
-            drop(write_span);
-        }
-        if die_after.is_some_and(|d| segments_done >= d) {
-            return Ok(SegmentedOutcome::Died);
-        }
-    }
-    if die_after.is_some() {
-        // The schedule ran out before the death budget did: die at the
-        // end of the run, result unpublished, so the accounting for a
-        // scheduled mid-run death stays exact regardless of plan size.
-        return Ok(SegmentedOutcome::Died);
-    }
-
-    // Sampling mirrors `evolve_and_sample` exactly — same marginal
-    // conversion, same seeded draw, same cacheable artifact — so a
-    // segmented (or resumed) run is byte-identical to a straight one.
-    let mut stats = run.stats();
-    let (_, measured) = job.canonical.split_measurements();
-    if measured.is_empty() {
-        return Ok(SegmentedOutcome::Finished(Box::new((None, stats, None))));
-    }
-    let clock = cfg.clock.as_ref();
-    let sample_start = clock.now();
-    let sample_span = span!(spans::SAMPLE);
-    let probs = Arc::new(marginal_probs(run.state(), &measured));
-    let sampling = SamplingConfig {
-        shots: job.spec.shots,
-        seed: job.spec.seed,
-        batch_shots: job.spec.shot_batch,
-    };
-    let counts = sample_from_probs(&probs, &measured, &sampling);
+    let counts = sample_from_probs(&probs, &measured, &sampling_of(&job.spec));
     drop(sample_span);
     stats.sampling_elapsed += clock.now().saturating_sub(sample_start);
     let marginal = CachedMarginal { probs, measured: Arc::new(measured), stats: stats.clone() };
-    Ok(SegmentedOutcome::Finished(Box::new((counts, stats, Some(marginal)))))
-}
-
-/// How one sharded dispatch ended: results to publish, or the whole
-/// group torn down by a shard-worker death (checkpoint generations left
-/// behind for the replacement dispatch to migrate from).
-enum ShardStep {
-    Finished(Box<(Option<Counts>, ExecStats, Option<CachedMarginal>)>),
-    Died,
-}
-
-/// Precision dispatch for [`execute_sharded`]. Caller guarantees the job
-/// was admitted as [`Engine::Sharded`], which implies `cfg.shard` is set
-/// and the backend is a GPU device.
-fn execute_sharded_dispatch(
-    shared: &Shared,
-    job: &QueuedJob,
-    die_after: Option<(u32, u32)>,
-    link_fault: Option<(u32, bool)>,
-) -> Result<ShardStep, SimError> {
-    match job.spec.precision {
-        Precision::Fp32 => execute_sharded::<f32>(shared, job, die_after, link_fault),
-        Precision::Fp64 => execute_sharded::<f64>(shared, job, die_after, link_fault),
-    }
-}
-
-/// Recovery ladder over the job's retained checkpoint generations,
-/// newest first — the sharded twin of the segmented ladder, sharing the
-/// store, the log, and the counters. A surviving generation is
-/// re-scattered onto a fresh `shards`-wide group. Returns the resumed
-/// run (with the cursor it restored to) and whether any generations
-/// existed at all (so the caller can log a cold restart).
-fn shard_ladder<T: CheckpointScalar>(
-    shared: &Shared,
-    job: &QueuedJob,
-    shards: u32,
-    shard_cfg: ShardConfig,
-) -> (Option<(ShardedRun<T>, u64)>, bool) {
-    let cfg = &shared.cfg;
-    let generations = {
-        let st = shared.state.lock().expect("serve state poisoned");
-        st.checkpoints.newest_first(job.id.0)
-    };
-    let had_generations = !generations.is_empty();
-    for generation in generations {
-        let restore_span = span!(spans::CHECKPOINT_RESTORE);
-        let verified = decode_checkpoint::<T>(&generation.bytes).and_then(|ck| {
-            ShardedRun::resume(&job.canonical, shards, shard_cfg.topology, cfg.fusion_width, ck)
-        });
-        drop(restore_span);
-        match verified {
-            Ok(run) => {
-                let cursor = run.cursor();
-                histogram_record(names::JOB_RESUMED_FROM, cursor as f64);
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.checkpoint_log.push(CheckpointRecord::Resumed {
-                    job: job.id.0,
-                    generation: generation.generation,
-                    cursor,
-                });
-                return (Some((run, cursor)), had_generations);
-            }
-            Err(_) => {
-                counter_inc(names::CHECKPOINT_VERIFY_FAILS);
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.checkpoints.drop_generation(job.id.0, generation.generation);
-                st.checkpoint_log.push(CheckpointRecord::VerifyFailed {
-                    job: job.id.0,
-                    generation: generation.generation,
-                });
-            }
-        }
-    }
-    (None, had_generations)
-}
-
-/// One sharded execution dispatch: partition the state over a planned
-/// worker group, advance the fused schedule in checkpointed segments,
-/// and survive the two shard-specific faults.
-///
-/// **Migration** (`die_after` set, from a scheduled
-/// [`FaultKind::ShardWorkerDeath`]): the group completes that many
-/// segments — writing QCKP generations at interior boundaries — then one
-/// shard's worker dies. A partitioned state with a hole in it is
-/// unusable, so the whole group tears down and the job requeues; *this
-/// same function*, on the replacement dispatch, finds the generations,
-/// restores the newest verified one onto a fresh group, and continues.
-/// The checkpoint is the migration unit.
-///
-/// **In-place recovery** (`link_fault` set, from a scheduled
-/// [`FaultKind::LinkFault`]): the armed exchange fails mid-segment,
-/// poisoning the group's partitioned state. The dispatch discards the
-/// group, runs the same ladder, and continues on a fresh group without
-/// leaving the worker.
-///
-/// Sharded execution always checkpoints (interval floored at 1): without
-/// generations there would be nothing to migrate. Both recovery paths
-/// are bit-exact — gathered amplitudes are layout- and width-independent
-/// and the schedule is deterministic — so a migrated or recovered run's
-/// counts are byte-identical to an unfaulted (or single-device dense)
-/// run of the same spec.
-fn execute_sharded<T: CheckpointScalar>(
-    shared: &Shared,
-    job: &QueuedJob,
-    die_after: Option<(u32, u32)>,
-    link_fault: Option<(u32, bool)>,
-) -> Result<ShardStep, SimError> {
-    let cfg = &shared.cfg;
-    let shard_cfg = cfg.shard.expect("sharded admission implies a shard config");
-    let n = job.canonical.num_qubits();
-    // Re-derive the group width admission planned: same pure function,
-    // same inputs.
-    let shards = plan_shard_count(
-        n,
-        job.spec.precision,
-        cfg.backend.memory_bytes(),
-        shard_min_local_width(cfg),
-        shard_cfg.max_shards,
-    )
-    .ok_or_else(|| {
-        SimError::Interconnect("admitted sharded job lost its shard plan".to_owned())
-    })?;
-    {
-        let mut st = shared.state.lock().expect("serve state poisoned");
-        st.shard_log.push(ShardRecord::Started { job: job.id.0, shards });
-    }
-    let sampling = SamplingConfig {
-        shots: job.spec.shots,
-        seed: job.spec.seed,
-        batch_shots: job.spec.shot_batch,
-    };
-
-    // Ladder first: generations here mean a previous dispatch's group
-    // died — restoring one onto this fresh group is the migration.
-    let (resumed, had_generations) = shard_ladder::<T>(shared, job, shards, shard_cfg);
-    let mut run = match resumed {
-        Some((run, cursor)) => {
-            counter_inc(names::SERVE_SHARD_MIGRATIONS);
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            st.shard_log.push(ShardRecord::Migrated { job: job.id.0, resumed_from: cursor });
-            run
-        }
-        None => {
-            if had_generations {
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                st.checkpoint_log.push(CheckpointRecord::ColdRestart { job: job.id.0 });
-                st.shard_log.push(ShardRecord::ColdRestarted { job: job.id.0 });
-            }
-            ShardedRun::new(&job.canonical, shards, shard_cfg.topology, cfg.fusion_width, sampling)
-        }
-    };
-
-    if let Some((exchange, corrupt)) = link_fault {
-        let err = if corrupt { CommError::Corrupted } else { CommError::Dropped };
-        run.inject_link_fault(u64::from(exchange), err);
-    }
-
-    let die_budget = die_after.map(|(_, segments)| segments);
-    let interval = cfg.checkpoint_interval.max(1);
-    let mut segments_done: u32 = 0;
-    while !run.is_done() {
-        match run.advance(interval) {
-            Ok(()) => {}
-            Err(err) => {
-                // A pairwise exchange failed mid-segment; the partitioned
-                // state is inconsistent. Discard the group and recover in
-                // place from the newest verified generation (or from
-                // |0…0⟩ if none survived — the injection was one-shot, so
-                // the rerun is clean either way).
-                counter_inc(names::SERVE_SHARD_LINK_FAULTS);
-                let corrupt = matches!(err, CommError::Corrupted);
-                let exchange = run.exchanges().saturating_sub(1);
-                let (recovered, had) = shard_ladder::<T>(shared, job, shards, shard_cfg);
-                let (next_run, resumed_from) = match recovered {
-                    Some((r, cursor)) => (r, Some(cursor)),
-                    None => {
-                        if had {
-                            let mut st = shared.state.lock().expect("serve state poisoned");
-                            st.checkpoint_log.push(CheckpointRecord::ColdRestart { job: job.id.0 });
-                            st.shard_log.push(ShardRecord::ColdRestarted { job: job.id.0 });
-                        }
-                        let fresh = ShardedRun::new(
-                            &job.canonical,
-                            shards,
-                            shard_cfg.topology,
-                            cfg.fusion_width,
-                            sampling,
-                        );
-                        (fresh, None)
-                    }
-                };
-                {
-                    let mut st = shared.state.lock().expect("serve state poisoned");
-                    st.shard_log.push(ShardRecord::LinkFault {
-                        job: job.id.0,
-                        exchange,
-                        corrupt,
-                        resumed_from,
-                    });
-                }
-                run = next_run;
-                continue;
-            }
-        }
-        segments_done += 1;
-        if !run.is_done() {
-            let write_span = span!(spans::CHECKPOINT_WRITE);
-            let mut bytes = encode_checkpoint(&run.checkpoint());
-            let cursor = run.cursor();
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            let generation = st.checkpoints.next_generation(job.id.0);
-            if cfg.schedule.corrupts_checkpoint(job.id.0, generation) {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-            }
-            st.checkpoints.record(job.id.0, cursor, bytes);
-            st.checkpoint_log.push(CheckpointRecord::Wrote { job: job.id.0, generation, cursor });
-            drop(st);
-            counter_inc(names::CHECKPOINT_WRITES);
-            drop(write_span);
-        }
-        if die_budget.is_some_and(|d| segments_done >= d) {
-            return Ok(shard_teardown(shared, job, die_after, segments_done));
-        }
-    }
-    if die_after.is_some() {
-        // The schedule ran out before the death budget did: the group
-        // still dies at the end of the run, result unpublished, so the
-        // accounting for a scheduled death stays exact for any plan size.
-        return Ok(shard_teardown(shared, job, die_after, segments_done));
-    }
-
-    // Completion: record the surviving instance's traffic (the
-    // conservation oracle checks messages == 2 × exchanges against it),
-    // then sample exactly like `evolve_and_sample`.
-    let mut stats = run.stats();
-    {
-        let mut st = shared.state.lock().expect("serve state poisoned");
-        st.shard_log.push(ShardRecord::Completed {
-            job: job.id.0,
-            shards,
-            exchanges: run.exchanges(),
-            messages: run.messages(),
-            bytes: run.bytes(),
-        });
-    }
-    let (_, measured) = job.canonical.split_measurements();
-    if measured.is_empty() {
-        return Ok(ShardStep::Finished(Box::new((None, stats, None))));
-    }
-    let clock = cfg.clock.as_ref();
-    let sample_start = clock.now();
-    let sample_span = span!(spans::SAMPLE);
-    let state = run.state();
-    let probs = Arc::new(marginal_probs(&state, &measured));
-    drop(state); // free the gathered full state before sampling bookkeeping
-    let counts = sample_from_probs(&probs, &measured, &sampling);
-    drop(sample_span);
-    stats.sampling_elapsed += clock.now().saturating_sub(sample_start);
-    let marginal = CachedMarginal { probs, measured: Arc::new(measured), stats: stats.clone() };
-    Ok(ShardStep::Finished(Box::new((counts, stats, Some(marginal)))))
-}
-
-/// Record a shard-group teardown: the lost shard in the shard log, and —
-/// when the pool is elastic — the replacement hand-off in the pool log.
-fn shard_teardown(
-    shared: &Shared,
-    job: &QueuedJob,
-    die_after: Option<(u32, u32)>,
-    after_segments: u32,
-) -> ShardStep {
-    let (shard, _) = die_after.expect("teardown implies a scheduled death");
-    let at = shared.cfg.clock.now();
-    let mut st = shared.state.lock().expect("serve state poisoned");
-    st.shard_log.push(ShardRecord::WorkerLost { job: job.id.0, shard, after_segments });
-    if shared.cfg.pool.is_some() {
-        st.pool_log.push(PoolDecision::Replace { at, job: job.id.0, shard });
-    }
-    ShardStep::Died
-}
-
-/// Telemetry bookkeeping shared by the cache-hit and cold-run paths.
-fn record_completion(spec: &JobSpec, service_time: Duration) {
-    counter_inc(names::SERVE_JOBS_COMPLETED);
-    counter_inc(&names::serve_tenant_jobs(&spec.tenant));
-    counter_add(&names::serve_tenant_shots(&spec.tenant), u128::from(spec.shots));
-    histogram_record(names::SERVE_LATENCY_MS, service_time.as_secs_f64() * 1e3);
+    (counts, stats, Some(marginal))
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! vector does not fit one device) are admitted as [`crate::job::Engine::Sharded`]
 //! and executed on a [`qgear_cluster::DistributedState`] spread over a
 //! power-of-two shard group (`qgear_perfmodel::memory::plan_shard_count`
-//! picks the width at admission). Execution advances in *segments* of
-//! fused blocks; every interior segment boundary gathers the partitioned
-//! state and writes a QCKP-v1 checkpoint generation, which makes the
-//! checkpoint — not the shard — the unit of migration:
+//! picks the width at admission). The stepper driver advances a
+//! [`ShardedRun`] in *segments* of fused blocks; every interior segment
+//! boundary gathers the partitioned state and writes a QCKP-v1 checkpoint
+//! generation, which makes the checkpoint — not the shard — the unit of
+//! migration:
 //!
 //! * a [`crate::fault::FaultKind::ShardWorkerDeath`] tears the group
 //!   down and requeues the job; the replacement dispatch restores the
@@ -24,14 +25,23 @@
 //! fused kernels the dense engine would, so a migrated or recovered run
 //! finishes byte-identical to an unfaulted (or unsharded) one.
 
+use crate::pool::PoolDecision;
+use crate::scheduler::QueuedJob;
+use crate::service::{sampling_of, shard_min_local_width, Injected, Shared};
+use crate::stepper::{StepSource, Stepper};
 use qgear_cluster::{ClusterTopology, CommError, DistributedState, LinkClass};
 use qgear_ir::fusion::{fuse, FusedProgram};
 use qgear_ir::Circuit;
+use qgear_perfmodel::memory::plan_shard_count;
 use qgear_statevec::checkpoint::{
     plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
 };
 use qgear_statevec::sampling::SamplingConfig;
-use qgear_statevec::{ExecStats, StateVector};
+use qgear_statevec::{ExecStats, SimError, StateVector};
+use qgear_telemetry::clock::Clock;
+use qgear_telemetry::{counter_inc, names};
+use std::cell::Cell;
+use std::time::Duration;
 
 /// Sharded-serving knobs. Attaching this to `ServeConfig::shard` turns
 /// beyond-cutoff rejections into shard-group admissions (GPU backend
@@ -129,6 +139,9 @@ pub struct ShardedRun<T: CheckpointScalar> {
     cursor: usize,
     fingerprint: u64,
     sampling: SamplingConfig,
+    /// Evolve time this group instance spent in driven `advance` calls,
+    /// read from the service clock (see the [`Stepper`] impl).
+    elapsed: Duration,
 }
 
 impl<T: CheckpointScalar> ShardedRun<T> {
@@ -146,7 +159,7 @@ impl<T: CheckpointScalar> ShardedRun<T> {
         let fingerprint =
             plan_fingerprint(circuit, fusion_width, 0, false, T::PRECISION_TAG);
         let dist = DistributedState::zero(circuit.num_qubits(), shards as usize, topology);
-        ShardedRun { dist, prog, cursor: 0, fingerprint, sampling }
+        ShardedRun { dist, prog, cursor: 0, fingerprint, sampling, elapsed: Duration::ZERO }
     }
 
     /// Resume from a decoded checkpoint: rebuild the schedule, refuse
@@ -185,6 +198,7 @@ impl<T: CheckpointScalar> ShardedRun<T> {
             cursor: ck.cursor as usize,
             fingerprint: ck.fingerprint,
             sampling: ck.sampling,
+            elapsed: Duration::ZERO,
         })
     }
 
@@ -214,12 +228,13 @@ impl<T: CheckpointScalar> ShardedRun<T> {
         self.dist.inject_link_fault(at_exchange, err);
     }
 
-    /// Apply up to `max_blocks` further fused blocks. On a [`CommError`]
-    /// the partitioned state is inconsistent and this run must be
-    /// discarded — the cursor still names the last *completed* block, so
-    /// callers know which checkpoint generation to prefer.
+    /// Apply up to `max_blocks` further fused blocks (at least one;
+    /// `usize::MAX` runs to the end). On a [`CommError`] the partitioned
+    /// state is inconsistent and this run must be discarded — the cursor
+    /// still names the last *completed* block, so callers know which
+    /// checkpoint generation to prefer.
     pub fn advance(&mut self, max_blocks: usize) -> Result<(), CommError> {
-        let end = (self.cursor + max_blocks.max(1)).min(self.prog.blocks.len());
+        let end = self.cursor.saturating_add(max_blocks.max(1)).min(self.prog.blocks.len());
         while self.cursor < end {
             let block = &self.prog.blocks[self.cursor];
             self.dist.apply_block(block)?;
@@ -263,11 +278,17 @@ impl<T: CheckpointScalar> ShardedRun<T> {
         }
     }
 
-    /// Execution stats for a completed run. Communication counters are
-    /// this group instance's (see [`ShardRecord::Completed`]); schedule
-    /// counters are cursor-derived and migration-invariant.
+    /// Execution stats for the blocks applied so far. Schedule counters
+    /// — including `bytes_touched` (one read + one write of the full
+    /// state per block) and `flops`, by the same closed forms
+    /// `ClusterEngine::run` charges — are cursor-derived and therefore
+    /// migration-invariant. Communication counters and `elapsed` are
+    /// this group instance's (see [`ShardRecord::Completed`]): a
+    /// replacement group does not inherit a dead one's traffic or time.
     pub fn stats(&self) -> ExecStats {
         let counters = self.counters();
+        let applied = &self.prog.blocks[..self.cursor];
+        let n_amps = 1u128 << self.dist.num_qubits();
         let traffic = self.dist.traffic();
         let mut comm_bytes = [0u128; 3];
         for class in LinkClass::ALL {
@@ -276,6 +297,9 @@ impl<T: CheckpointScalar> ShardedRun<T> {
         ExecStats {
             gates_applied: counters.gates_applied,
             kernels_launched: counters.kernels_launched,
+            bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128 * applied.len() as u128,
+            flops: applied.iter().map(|b| n_amps * (1u128 << b.qubits.len())).sum(),
+            elapsed: self.elapsed,
             comm_bytes,
             comm_messages: traffic.total_messages(),
             ..ExecStats::default()
@@ -295,6 +319,174 @@ impl<T: CheckpointScalar> ShardedRun<T> {
     /// Payload bytes moved by this group instance.
     pub fn bytes(&self) -> u128 {
         self.dist.traffic().total_bytes()
+    }
+}
+
+impl<T: CheckpointScalar> Stepper<T> for ShardedRun<T> {
+    /// Evolve time accumulates from the service clock, as
+    /// `ClusterEngine` times its phases — this crate reads no other.
+    fn advance(&mut self, max_steps: usize, clock: &dyn Clock) -> Result<(), CommError> {
+        let start = clock.now();
+        let result = ShardedRun::advance(self, max_steps);
+        self.elapsed += clock.now().saturating_sub(start);
+        result
+    }
+
+    fn is_done(&self) -> bool {
+        ShardedRun::is_done(self)
+    }
+
+    fn cursor(&self) -> u64 {
+        ShardedRun::cursor(self)
+    }
+
+    fn checkpoint(&self) -> StateCheckpoint<T> {
+        ShardedRun::checkpoint(self)
+    }
+
+    fn stats(&self) -> ExecStats {
+        ShardedRun::stats(self)
+    }
+
+    fn into_state(self) -> StateVector<T> {
+        ShardedRun::state(&self)
+    }
+}
+
+/// Steppers for one dispatch of a sharded job, and the shard-specific
+/// reading of the driver's decisions:
+///
+/// * a generation restored at the **start** of a dispatch means a
+///   previous dispatch's group died — restoring it onto this fresh group
+///   *is* the migration. A partitioned state with a hole in it is
+///   unusable, so a shard-worker death tears the whole group down and
+///   requeues the job rather than patching the group;
+/// * a run **broken** mid-segment by a link fault is discarded and the
+///   dispatch continues on a fresh group without leaving the worker.
+pub(crate) struct ShardSource<'a> {
+    shared: &'a Shared,
+    job: &'a QueuedJob,
+    shards: u32,
+    topology: ClusterTopology,
+    lost_shard: u32,
+    /// Armed on the first group this dispatch builds, then spent: the
+    /// group that recovers from the fault must run clean.
+    link_fault: Cell<Option<(u32, bool)>>,
+}
+
+impl<'a> ShardSource<'a> {
+    /// Re-derive the group width admission planned (same pure function,
+    /// same inputs) and log the dispatch's entry into sharded execution.
+    pub(crate) fn plan(
+        shared: &'a Shared,
+        job: &'a QueuedJob,
+        injected: &Injected,
+    ) -> Result<Self, SimError> {
+        let cfg = &shared.cfg;
+        let shard_cfg = cfg.shard.expect("sharded admission implies a shard config");
+        let shards = plan_shard_count(
+            job.canonical.num_qubits(),
+            job.spec.precision,
+            cfg.backend.memory_bytes(),
+            shard_min_local_width(cfg),
+            shard_cfg.max_shards,
+        )
+        .ok_or_else(|| {
+            SimError::Interconnect("admitted sharded job lost its shard plan".to_owned())
+        })?;
+        log(shared, ShardRecord::Started { job: job.id.0, shards });
+        Ok(ShardSource {
+            shared,
+            job,
+            shards,
+            topology: shard_cfg.topology,
+            lost_shard: injected.lost_shard,
+            link_fault: Cell::new(injected.link_fault),
+        })
+    }
+
+    fn arm<T: CheckpointScalar>(&self, mut run: ShardedRun<T>) -> ShardedRun<T> {
+        if let Some((exchange, corrupt)) = self.link_fault.take() {
+            let err = if corrupt { CommError::Corrupted } else { CommError::Dropped };
+            run.inject_link_fault(u64::from(exchange), err);
+        }
+        run
+    }
+}
+
+fn log(shared: &Shared, record: ShardRecord) {
+    shared.state.lock().expect("serve state poisoned").shard_log.push(record);
+}
+
+impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
+    type Run = ShardedRun<T>;
+
+    fn fresh(&self) -> Result<Self::Run, SimError> {
+        Ok(self.arm(ShardedRun::new(
+            &self.job.canonical,
+            self.shards,
+            self.topology,
+            self.shared.cfg.fusion_width,
+            sampling_of(&self.job.spec),
+        )))
+    }
+
+    fn resume(&self, ck: StateCheckpoint<T>) -> Result<Self::Run, CheckpointError> {
+        let fusion_width = self.shared.cfg.fusion_width;
+        ShardedRun::resume(&self.job.canonical, self.shards, self.topology, fusion_width, ck)
+            .map(|run| self.arm(run))
+    }
+
+    fn settled(
+        &self,
+        restored: Option<u64>,
+        had_generations: bool,
+        broken: Option<(&Self::Run, CommError)>,
+    ) {
+        let job = self.job.id.0;
+        if restored.is_none() && had_generations {
+            log(self.shared, ShardRecord::ColdRestarted { job });
+        }
+        match (broken, restored) {
+            (Some((run, err)), resumed_from) => {
+                counter_inc(names::SERVE_SHARD_LINK_FAULTS);
+                let exchange = run.exchanges().saturating_sub(1);
+                let corrupt = matches!(err, CommError::Corrupted);
+                log(self.shared, ShardRecord::LinkFault { job, exchange, corrupt, resumed_from });
+            }
+            (None, Some(resumed_from)) => {
+                counter_inc(names::SERVE_SHARD_MIGRATIONS);
+                log(self.shared, ShardRecord::Migrated { job, resumed_from });
+            }
+            (None, None) => {}
+        }
+    }
+
+    /// The lost shard goes in the shard log and — when the pool is
+    /// elastic — the replacement hand-off in the pool log.
+    fn died(&self, after_segments: u32) {
+        let (job, shard) = (self.job.id.0, self.lost_shard);
+        let at = self.shared.cfg.clock.now();
+        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        st.shard_log.push(ShardRecord::WorkerLost { job, shard, after_segments });
+        if self.shared.cfg.pool.is_some() {
+            st.pool_log.push(PoolDecision::Replace { at, job, shard });
+        }
+    }
+
+    /// Record the surviving instance's traffic (the conservation oracle
+    /// checks messages == 2 × exchanges against it).
+    fn completed(&self, run: &Self::Run) {
+        log(
+            self.shared,
+            ShardRecord::Completed {
+                job: self.job.id.0,
+                shards: self.shards,
+                exchanges: run.exchanges(),
+                messages: run.messages(),
+                bytes: run.bytes(),
+            },
+        );
     }
 }
 
@@ -339,6 +531,17 @@ mod tests {
             "resumed run must be bit-identical"
         );
         assert_eq!(whole.stats().gates_applied, back.stats().gates_applied);
+    }
+
+    #[test]
+    fn advance_usize_max_from_a_mid_run_cursor_finishes_the_schedule() {
+        let mut run: ShardedRun<f64> =
+            ShardedRun::new(&job_circuit(), 2, ClusterTopology::default(), 1, sampling());
+        run.advance(1).expect("healthy fabric");
+        // `cursor + usize::MAX` must saturate, not wrap to "apply nothing".
+        run.advance(usize::MAX).expect("healthy fabric");
+        assert!(run.is_done());
+        assert_eq!(run.cursor(), run.steps_total());
     }
 
     #[test]

@@ -20,18 +20,20 @@
 //! The device also models the *structure* of a GPU — SM count, warp size,
 //! per-kernel launch accounting — because the performance model in
 //! `qgear-perfmodel` converts those counters into projected A100 timings.
+//!
+//! This module holds the device and its kernels only. The plan those
+//! kernels execute, the loop that walks it and the stats it charges live
+//! once, in [`crate::segment`]; [`Simulator::run`] here is one unbounded
+//! segment of that stepper.
 
 use crate::arena;
-use crate::backend::{check_capacity, sample_measured, ExecStats, RunOptions, RunOutput, SimError, Simulator};
-use crate::planner::{self, ExecStrategy};
+use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::simd::{self, DiagTable};
-use crate::state::StateVector;
-use qgear_ir::fusion::{self, FusedBlock, KernelStructure};
-use qgear_ir::schedule::{self, Sweep};
+use qgear_ir::fusion::{FusedBlock, KernelStructure};
+use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
 use qgear_num::{Complex, Scalar};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Simulated GPU device description. Defaults model one NVIDIA A100
 /// (Ampere: 108 SMs, 32-thread warps, 40 GB HBM2e as on Perlmutter's
@@ -839,120 +841,10 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
         "nvidia"
     }
 
+    /// One segment of [`crate::SegmentedRun`], start to finish: the plan
+    /// and the kernel loop live there, once.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        // Device memory is the default capacity bound; an explicit option
-        // overrides (used by the harnesses to model other devices).
-        let effective = RunOptions {
-            memory_limit: opts.memory_limit.or(Some(self.memory_bytes)),
-            ..opts.clone()
-        };
-        check_capacity::<T>(circuit.num_qubits(), &effective)?;
-        let (unitary, measured) = circuit.split_measurements();
-        let mut state: StateVector<T> = StateVector::zero(circuit.num_qubits());
-        let amp_bytes = (2 * T::BYTES) as u128;
-        let n_amps = state.len() as u128;
-
-        let mut stats = ExecStats::default();
-        let start = Instant::now();
-        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        if effective.strategy == ExecStrategy::Planned {
-            // Adaptive path: the planner walks the sweep schedule and
-            // executes every segment in its cost-model-chosen mode.
-            let plan = planner::plan(
-                &unitary,
-                effective.fusion_width,
-                effective.sweep_width,
-                effective.sweep_reorder,
-                &effective.planner_costs,
-                2 * T::BYTES,
-            )
-            .map_err(|e| {
-                SimError::UnsupportedGate(format!(
-                    "{e} (transpile to the native set before kernel transformation)"
-                ))
-            })?;
-            for idx in 0..plan.len() {
-                let seg = planner::execute_segment(state.amplitudes_mut(), &plan, idx);
-                stats.kernels_launched += seg.kernels_launched;
-                stats.sweeps_executed += seg.sweeps_executed;
-                stats.bytes_touched += seg.bytes_touched;
-                stats.flops += seg.flops;
-            }
-            stats.gates_applied = plan.source_gates;
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::SWEEPS_EXECUTED,
-                stats.sweeps_executed as u128,
-            );
-            qgear_telemetry::counter_add(qgear_telemetry::names::GATES_APPLIED, stats.gates_applied as u128);
-            qgear_telemetry::counter_add(qgear_telemetry::names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
-            drop(sim_span);
-            stats.elapsed = start.elapsed();
-
-            let sample_start = Instant::now();
-            let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-            let counts = sample_measured(&state, &measured, &effective);
-            drop(sample_span);
-            stats.sampling_elapsed = sample_start.elapsed();
-            return Ok(RunOutput { state: effective.keep_state.then_some(state), counts, stats });
-        }
-        // Fusion rejects arity-3 gates with a typed error; surface it as
-        // an unsupported-gate failure instead of aborting the caller's
-        // thread (the serving workers depend on this).
-        let program =
-            fusion::try_fuse(&unitary, opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH))
-                .map_err(|e| {
-                    SimError::UnsupportedGate(format!(
-                        "{e} (transpile to the native set before kernel transformation)"
-                    ))
-                })?;
-        if effective.sweep_width > 0 && program.blocks.len() > 1 {
-            // Sweep-fused path: group commuting/disjoint kernels into
-            // cache-blocked passes. DRAM traffic is charged per sweep;
-            // arithmetic is still charged per kernel.
-            let sched_opts = schedule::SweepOptions {
-                max_width: effective.sweep_width,
-                reorder: effective.sweep_reorder,
-            };
-            let plan = schedule::sweeps(&program, &sched_opts);
-            for sweep in &plan.sweeps {
-                GpuDevice::apply_sweep(
-                    state.amplitudes_mut(),
-                    &program.blocks,
-                    sweep,
-                    !effective.sweep_reorder,
-                );
-                stats.sweeps_executed += 1;
-                stats.kernels_launched += sweep.kernels.len() as u64;
-                stats.bytes_touched += 2 * n_amps * amp_bytes;
-                for &ki in &sweep.kernels {
-                    stats.flops += n_amps * (1u128 << program.blocks[ki].qubits.len());
-                }
-            }
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::SWEEPS_EXECUTED,
-                stats.sweeps_executed as u128,
-            );
-        } else {
-            for block in &program.blocks {
-                GpuDevice::apply_block(state.amplitudes_mut(), block);
-                stats.kernels_launched += 1;
-                stats.bytes_touched += 2 * n_amps * amp_bytes;
-                stats.flops += n_amps * (1u128 << block.qubits.len());
-            }
-        }
-        stats.gates_applied = program.source_gate_count() as u64;
-        qgear_telemetry::counter_add(qgear_telemetry::names::GATES_APPLIED, stats.gates_applied as u128);
-        qgear_telemetry::counter_add(qgear_telemetry::names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
-        drop(sim_span);
-        stats.elapsed = start.elapsed();
-
-        let sample_start = Instant::now();
-        let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        let counts = sample_measured(&state, &measured, &effective);
-        drop(sample_span);
-        stats.sampling_elapsed = sample_start.elapsed();
-
-        Ok(RunOutput { state: effective.keep_state.then_some(state), counts, stats })
+        self.run_segmented(circuit, opts, usize::MAX)
     }
 }
 
@@ -960,6 +852,7 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
 mod tests {
     use super::*;
     use crate::aer::AerCpuBackend;
+    use crate::state::StateVector;
     use qgear_ir::reference;
     use qgear_num::approx::max_deviation;
 

@@ -503,9 +503,8 @@ pub(crate) struct SegmentStats {
 }
 
 /// Execute one planned segment over the state, returning its counter
-/// deltas. Used by both the straight-through planned run and
-/// [`SegmentedRun`](crate::SegmentedRun) steps, so checkpointed planned
-/// execution is the same arithmetic as uninterrupted planned execution.
+/// deltas — one [`SegmentedRun`](crate::SegmentedRun) step under
+/// [`ExecStrategy::Planned`].
 pub(crate) fn execute_segment<T: Scalar>(
     state: &mut [Complex<T>],
     plan: &ExecutionPlan,

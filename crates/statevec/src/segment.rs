@@ -1,22 +1,23 @@
-//! Segmented execution: a resumable cursor over the fused/sweep schedule.
+//! The simulated-GPU execution core: a resumable cursor over the
+//! fused/sweep schedule.
 //!
-//! [`SegmentedRun`] builds the *same* execution plan as
-//! [`GpuDevice`]'s straight-through [`Simulator::run`] — same capacity
-//! checks, same fusion clamp, same
-//! sweep scheduling decision — but applies it in bounded steps under
-//! caller control instead of one uninterruptible loop. Because the step
-//! kernels ([`GpuDevice::apply_block`] / [`GpuDevice::apply_sweep`])
-//! are deterministic over disjoint amplitude groups, the state after
-//! `k` steps is bit-identical whether those steps ran in one call, one
-//! per call, or across a checkpoint/restore boundary on a different
-//! worker. That property is what makes a [`StateCheckpoint`] safe to
-//! resume from: the cursor plus the amplitudes *are* the execution
-//! state; there is nothing hidden.
+//! [`SegmentedRun`] is the only place [`GpuDevice`] builds an execution
+//! plan (capacity check, fusion clamp, sweep scheduling decision,
+//! planner call) and the only place it walks one. It applies the plan
+//! in bounded steps under caller control; [`Simulator::run`] is the
+//! degenerate caller that advances to the end in a single segment.
+//! Because the step kernels ([`GpuDevice::apply_block`] /
+//! [`GpuDevice::apply_sweep`]) are deterministic over disjoint amplitude
+//! groups, the state after `k` steps is bit-identical whether those
+//! steps ran in one call, one per call, or across a checkpoint/restore
+//! boundary on a different worker. That property is what makes a
+//! [`StateCheckpoint`] safe to resume from: the cursor plus the
+//! amplitudes *are* the execution state; there is nothing hidden.
 //!
 //! Step granularity matches the plan the options select: one step per
-//! cache-blocked sweep when sweeping is on and profitable (the same
-//! `sweep_width > 0 && blocks > 1` condition as the straight-through
-//! path), otherwise one step per fused block. Under
+//! cache-blocked sweep when sweeping is on and profitable
+//! (`sweep_width > 0 && blocks > 1`), otherwise one step per fused
+//! block. Under
 //! [`ExecStrategy::Planned`](crate::planner::ExecStrategy) the steps are
 //! the planner's segments — one per scheduled sweep, each executed in
 //! its cost-model-chosen mode — and the planner's mode-decision digest
@@ -39,10 +40,11 @@ use crate::state::StateVector;
 use qgear_ir::fusion::{self, FusedProgram};
 use qgear_ir::schedule::{self, Sweep};
 use qgear_ir::Circuit;
+use qgear_num::Scalar;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// The checkpointable step schedule a [`SegmentedRun`] walks — the same
-/// three shapes the straight-through engine executes.
+/// The checkpointable step schedule a [`SegmentedRun`] walks.
 enum StepPlan {
     /// Kernel-at-a-time: one step per fused block (`sweep_width == 0`
     /// or a single-block program).
@@ -58,30 +60,45 @@ enum StepPlan {
     Planned { plan: ExecutionPlan },
 }
 
+/// What [`plan_fingerprint`] digests, kept so the fingerprint can be
+/// computed on first use: it Debug-formats the whole circuit, which a
+/// run that never checkpoints (every straight-through run) must not pay.
+struct FingerprintInputs {
+    circuit: Circuit,
+    fusion_width: usize,
+    sweep_width: usize,
+    sweep_reorder: bool,
+}
+
 /// A partially-executed simulation: the evolving state plus a cursor
 /// into its (fixed) kernel schedule.
-pub struct SegmentedRun<T: CheckpointScalar> {
+pub struct SegmentedRun<T: Scalar> {
     state: StateVector<T>,
     plan: StepPlan,
     measured: Vec<u32>,
     cursor: usize,
     steps_total: usize,
     counters: CheckpointCounters,
-    fingerprint: u64,
+    fingerprint_inputs: FingerprintInputs,
+    fingerprint: OnceLock<u64>,
     sampling: SamplingConfig,
-    /// Real wall-clock accumulated across `advance` calls.
+    /// Real wall-clock spent building the plan and in `advance` calls.
     elapsed: Duration,
 }
 
-impl<T: CheckpointScalar> SegmentedRun<T> {
-    /// Build the plan exactly as the straight-through
-    /// [`Simulator::run`](crate::Simulator::run) would and position
-    /// the cursor at step zero.
+impl<T: Scalar> SegmentedRun<T> {
+    /// Check capacity, build the plan the options select, and position
+    /// the cursor at step zero. Plan construction sits inside a
+    /// `simulate` span and counts toward [`ExecStats::elapsed`], so a
+    /// run's reported evolve time covers fusion and planning as well as
+    /// the kernels.
     pub fn new(
         device: &GpuDevice,
         circuit: &Circuit,
         opts: &RunOptions,
     ) -> Result<Self, SimError> {
+        // Device memory is the default capacity bound; an explicit option
+        // overrides (used by the harnesses to model other devices).
         let effective = RunOptions {
             memory_limit: opts.memory_limit.or(Some(device.memory_bytes)),
             ..opts.clone()
@@ -89,14 +106,19 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         check_capacity::<T>(circuit.num_qubits(), &effective)?;
         let (unitary, measured) = circuit.split_measurements();
         let state: StateVector<T> = StateVector::zero(circuit.num_qubits());
-        let base_fingerprint = plan_fingerprint(
-            circuit,
-            effective.fusion_width,
-            effective.sweep_width,
-            effective.sweep_reorder,
-            T::PRECISION_TAG,
-        );
-        let (plan, steps_total, fingerprint) = if effective.strategy == ExecStrategy::Planned {
+        let start = Instant::now();
+        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
+        // Fusion rejects arity-3 gates with a typed error; surface it as
+        // an unsupported-gate failure instead of aborting the caller's
+        // thread (the serving workers depend on this).
+        let unsupported = |e: fusion::FusionError| {
+            SimError::UnsupportedGate(format!(
+                "{e} (transpile to the native set before kernel transformation)"
+            ))
+        };
+        let (plan, steps_total) = if effective.strategy == ExecStrategy::Planned {
+            // Adaptive: the planner walks the sweep schedule and picks
+            // every segment's mode from its cost model.
             let plan = planner::plan(
                 &unitary,
                 effective.fusion_width,
@@ -105,25 +127,15 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
                 &effective.planner_costs,
                 2 * T::BYTES,
             )
-            .map_err(|e| {
-                SimError::UnsupportedGate(format!(
-                    "{e} (transpile to the native set before kernel transformation)"
-                ))
-            })?;
+            .map_err(unsupported)?;
             let steps = plan.len();
-            // The mode-decision digest distinguishes plans that walk the
-            // same schedule with different per-segment choices (e.g.
-            // differently calibrated cost models).
-            let fp = fold_strategy(base_fingerprint, plan.digest);
-            (StepPlan::Planned { plan }, steps, fp)
+            (StepPlan::Planned { plan }, steps)
         } else {
             let fusion_width = opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH);
-            let program = fusion::try_fuse(&unitary, fusion_width).map_err(|e| {
-                SimError::UnsupportedGate(format!(
-                    "{e} (transpile to the native set before kernel transformation)"
-                ))
-            })?;
+            let program = fusion::try_fuse(&unitary, fusion_width).map_err(unsupported)?;
             if effective.sweep_width > 0 && program.blocks.len() > 1 {
+                // Group commuting/disjoint kernels into cache-blocked
+                // passes.
                 let sched_opts = schedule::SweepOptions {
                     max_width: effective.sweep_width,
                     reorder: effective.sweep_reorder,
@@ -131,12 +143,13 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
                 let sweeps = schedule::sweeps(&program, &sched_opts).sweeps;
                 let steps = sweeps.len();
                 let exact = !effective.sweep_reorder;
-                (StepPlan::Sweeps { program, sweeps, exact }, steps, base_fingerprint)
+                (StepPlan::Sweeps { program, sweeps, exact }, steps)
             } else {
                 let steps = program.blocks.len();
-                (StepPlan::Blocks { program }, steps, base_fingerprint)
+                (StepPlan::Blocks { program }, steps)
             }
         };
+        drop(sim_span);
         Ok(SegmentedRun {
             state,
             plan,
@@ -144,21 +157,29 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
             cursor: 0,
             steps_total,
             counters: CheckpointCounters::default(),
-            fingerprint,
+            fingerprint_inputs: FingerprintInputs {
+                circuit: circuit.clone(),
+                fusion_width: effective.fusion_width,
+                sweep_width: effective.sweep_width,
+                sweep_reorder: effective.sweep_reorder,
+            },
+            fingerprint: OnceLock::new(),
             sampling: SamplingConfig {
                 shots: effective.shots,
                 seed: effective.seed,
                 batch_shots: effective.shot_batch,
             },
-            elapsed: Duration::ZERO,
+            elapsed: start.elapsed(),
         })
     }
 
     /// Apply up to `max_steps` further schedule steps (at least one when
-    /// not already done, even if `max_steps == 0` would stall). Returns
-    /// the number of steps actually applied. Stats accounting per step
-    /// matches the straight-through path exactly; the per-call telemetry
-    /// deltas sum to the same totals an uninterrupted run would emit.
+    /// not already done, even if `max_steps == 0` would stall;
+    /// `usize::MAX` runs to the end). Returns the number of steps
+    /// actually applied. DRAM traffic is charged per full-state pass
+    /// (per sweep, or per kernel without sweeps), arithmetic per kernel;
+    /// the per-call telemetry deltas sum to the same totals whatever the
+    /// segment size.
     pub fn advance(&mut self, max_steps: usize) -> usize {
         if self.cursor >= self.steps_total {
             return 0;
@@ -166,7 +187,7 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         let start = Instant::now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let from = self.cursor;
-        let end = self.steps_total.min(self.cursor + max_steps.max(1));
+        let end = self.steps_total.min(self.cursor.saturating_add(max_steps.max(1)));
         let amp_bytes = (2 * T::BYTES) as u128;
         let n_amps = self.state.len() as u128;
         let before = self.counters;
@@ -234,63 +255,6 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         self.cursor - from
     }
 
-    /// Snapshot the current execution state. Cheap relative to the
-    /// evolution itself (one amplitude-vector clone); the caller owns
-    /// serialization via [`crate::checkpoint::encode`].
-    pub fn checkpoint(&self) -> StateCheckpoint<T> {
-        StateCheckpoint {
-            num_qubits: self.state.num_qubits(),
-            cursor: self.cursor as u64,
-            steps_total: self.steps_total as u64,
-            fingerprint: self.fingerprint,
-            counters: self.counters,
-            sampling: self.sampling,
-            state: self.state.clone(),
-        }
-    }
-
-    /// Rebuild the plan for `(circuit, opts)` and install a verified
-    /// checkpoint's state and cursor into it.
-    ///
-    /// The checkpoint must describe the *same* plan: the fingerprint,
-    /// step count, and amplitude count are all cross-checked against the
-    /// freshly-rebuilt schedule, so a checkpoint from a different
-    /// circuit, fusion width, or sweep configuration is rejected rather
-    /// than silently producing wrong amplitudes. The sampling
-    /// configuration is taken from `opts` (the job spec stays
-    /// authoritative), which the codec round-trips for audit only.
-    pub fn resume(
-        device: &GpuDevice,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        ck: StateCheckpoint<T>,
-    ) -> Result<Self, CheckpointError> {
-        let mut run = SegmentedRun::new(device, circuit, opts)
-            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
-        if ck.fingerprint != run.fingerprint {
-            return Err(CheckpointError::PlanMismatch {
-                expected: run.fingerprint,
-                found: ck.fingerprint,
-            });
-        }
-        if ck.steps_total != run.steps_total as u64 || ck.cursor > ck.steps_total {
-            return Err(CheckpointError::CursorOutOfRange {
-                cursor: ck.cursor,
-                steps_total: run.steps_total as u64,
-            });
-        }
-        if ck.state.len() != run.state.len() {
-            return Err(CheckpointError::AmplitudeMismatch {
-                expected: 2 * run.state.len() as u64,
-                found: 2 * ck.state.len() as u64,
-            });
-        }
-        run.state = ck.state;
-        run.cursor = ck.cursor as usize;
-        run.counters = ck.counters;
-        Ok(run)
-    }
-
     /// Steps applied so far.
     pub fn cursor(&self) -> usize {
         self.cursor
@@ -306,14 +270,15 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         self.cursor >= self.steps_total
     }
 
-    /// Fingerprint of the plan this run executes.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// The (possibly partially-evolved) state.
     pub fn state(&self) -> &StateVector<T> {
         &self.state
+    }
+
+    /// Give up the cursor and keep only the state, so a caller that
+    /// samples for itself can free the amplitudes as early as it likes.
+    pub fn into_state(self) -> StateVector<T> {
+        self.state
     }
 
     /// Counters accumulated so far, as [`ExecStats`] (real wall-clock
@@ -347,15 +312,95 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
     }
 }
 
+impl<T: CheckpointScalar> SegmentedRun<T> {
+    /// Fingerprint of the plan this run executes (see
+    /// [`plan_fingerprint`]); computed on first use and cached. Under
+    /// the planner the mode-decision digest is folded in: it
+    /// distinguishes plans that walk the same schedule with different
+    /// per-segment choices (e.g. differently calibrated cost models).
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let inputs = &self.fingerprint_inputs;
+            let base = plan_fingerprint(
+                &inputs.circuit,
+                inputs.fusion_width,
+                inputs.sweep_width,
+                inputs.sweep_reorder,
+                T::PRECISION_TAG,
+            );
+            match &self.plan {
+                StepPlan::Planned { plan } => fold_strategy(base, plan.digest),
+                StepPlan::Blocks { .. } | StepPlan::Sweeps { .. } => base,
+            }
+        })
+    }
+
+    /// Snapshot the current execution state. Cheap relative to the
+    /// evolution itself (one amplitude-vector clone); the caller owns
+    /// serialization via [`crate::checkpoint::encode`].
+    pub fn checkpoint(&self) -> StateCheckpoint<T> {
+        StateCheckpoint {
+            num_qubits: self.state.num_qubits(),
+            cursor: self.cursor as u64,
+            steps_total: self.steps_total as u64,
+            fingerprint: self.fingerprint(),
+            counters: self.counters,
+            sampling: self.sampling,
+            state: self.state.clone(),
+        }
+    }
+
+    /// Rebuild the plan for `(circuit, opts)` and install a verified
+    /// checkpoint's state and cursor into it.
+    ///
+    /// The checkpoint must describe the *same* plan: the fingerprint,
+    /// step count, and amplitude count are all cross-checked against the
+    /// freshly-rebuilt schedule, so a checkpoint from a different
+    /// circuit, fusion width, or sweep configuration is rejected rather
+    /// than silently producing wrong amplitudes. The sampling
+    /// configuration is taken from `opts` (the job spec stays
+    /// authoritative), which the codec round-trips for audit only.
+    pub fn resume(
+        device: &GpuDevice,
+        circuit: &Circuit,
+        opts: &RunOptions,
+        ck: StateCheckpoint<T>,
+    ) -> Result<Self, CheckpointError> {
+        let mut run = SegmentedRun::new(device, circuit, opts)
+            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
+        if ck.fingerprint != run.fingerprint() {
+            return Err(CheckpointError::PlanMismatch {
+                expected: run.fingerprint(),
+                found: ck.fingerprint,
+            });
+        }
+        if ck.steps_total != run.steps_total as u64 || ck.cursor > ck.steps_total {
+            return Err(CheckpointError::CursorOutOfRange {
+                cursor: ck.cursor,
+                steps_total: run.steps_total as u64,
+            });
+        }
+        if ck.state.len() != run.state.len() {
+            return Err(CheckpointError::AmplitudeMismatch {
+                expected: 2 * run.state.len() as u64,
+                found: 2 * ck.state.len() as u64,
+            });
+        }
+        run.state = ck.state;
+        run.cursor = ck.cursor as usize;
+        run.counters = ck.counters;
+        Ok(run)
+    }
+}
+
 impl GpuDevice {
-    /// Run a circuit in bounded segments of `segment_steps` schedule
-    /// steps each. Functionally identical to [`Simulator::run`] on the
-    /// same options (bit-identical amplitudes and counts); exists so
-    /// callers that don't need checkpoints can still exercise the
-    /// segmented path end to end.
+    /// Run a circuit to completion in segments of `segment_steps`
+    /// schedule steps each. Amplitudes, counts and counters are
+    /// bit-identical for every segment size; [`Simulator::run`] is this
+    /// with `usize::MAX` (one segment).
     ///
     /// [`Simulator::run`]: crate::Simulator::run
-    pub fn run_segmented<T: CheckpointScalar>(
+    pub fn run_segmented<T: Scalar>(
         &self,
         circuit: &Circuit,
         opts: &RunOptions,
@@ -401,15 +446,43 @@ mod tests {
         let opts = RunOptions { shots: 64, fusion_width: 1, sweep_width: 0, ..Default::default() };
         let dev = GpuDevice::a100_40gb();
         let straight: RunOutput<f64> = dev.run(&c, &opts).unwrap();
-        let segmented: RunOutput<f64> = dev.run_segmented(&c, &opts, 1).unwrap();
-        assert_eq!(
-            bits(straight.state.as_ref().unwrap()),
-            bits(segmented.state.as_ref().unwrap())
-        );
-        assert_eq!(straight.counts, segmented.counts);
-        assert_eq!(straight.stats.kernels_launched, segmented.stats.kernels_launched);
-        assert_eq!(straight.stats.gates_applied, segmented.stats.gates_applied);
-        assert_eq!(straight.stats.flops, segmented.stats.flops);
+        // `run` is the one-segment case of the same stepper, so this pins
+        // interval-invariance: every segment size lands on the same bits.
+        for interval in [1, 2, usize::MAX] {
+            let segmented: RunOutput<f64> = dev.run_segmented(&c, &opts, interval).unwrap();
+            assert_eq!(
+                bits(straight.state.as_ref().unwrap()),
+                bits(segmented.state.as_ref().unwrap())
+            );
+            assert_eq!(straight.counts, segmented.counts);
+            assert_eq!(straight.stats.kernels_launched, segmented.stats.kernels_launched);
+            assert_eq!(straight.stats.gates_applied, segmented.stats.gates_applied);
+            assert_eq!(straight.stats.flops, segmented.stats.flops);
+        }
+    }
+
+    #[test]
+    fn advance_usize_max_from_a_mid_run_cursor_finishes_the_schedule() {
+        let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
+        let mut run: SegmentedRun<f64> =
+            SegmentedRun::new(&GpuDevice::a100_40gb(), &ghz(4), &opts).unwrap();
+        assert_eq!(run.advance(1), 1);
+        // `cursor + usize::MAX` must saturate, not wrap to "apply nothing".
+        assert_eq!(run.advance(usize::MAX), run.steps_total() - 1);
+        assert!(run.is_done());
+    }
+
+    #[test]
+    fn fingerprint_is_lazy_and_matches_the_eager_digest() {
+        let c = ghz(3);
+        let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
+        let mut run: SegmentedRun<f64> =
+            SegmentedRun::new(&GpuDevice::a100_40gb(), &c, &opts).unwrap();
+        run.advance(usize::MAX);
+        assert!(run.fingerprint.get().is_none(), "a run that never checkpoints never formats");
+        let eager = plan_fingerprint(&c, 1, 0, opts.sweep_reorder, f64::PRECISION_TAG);
+        assert_eq!(run.checkpoint().fingerprint, eager);
+        assert_eq!(run.fingerprint.get(), Some(&eager));
     }
 
     #[test]

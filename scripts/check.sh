@@ -58,6 +58,17 @@ cargo run --release -p qgear-bench --bin bench_shard -- --smoke
 echo "==> cargo test -q --test simtest shard_worker_death (named migration gate)"
 cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically
 
+# The repo benchmark's smoke run (BENCHMARK.json, benchmark/README.md):
+# the only check that drives all four traffic shapes — batched, mixed
+# solo, large dense, sharded + checkpointed — through the real `Service`.
+# Its in-command correctness gate (counts sum to shots, TV distance vs
+# `AerCpuBackend`, exact repeats equal, sharded jobs really exchanged)
+# fails the run, and building it proves `benchmark/` — a package outside
+# the workspace, so nothing above compiles it — still builds against
+# the crates.
+echo "==> benchmark/run.sh --smoke (four workloads through the real Service)"
+bash benchmark/run.sh --smoke >/dev/null
+
 # Deterministic simulation matrix: the simtest suite re-runs under four
 # fixed scenario seeds so the oracle properties — including the
 # checkpoint-recovery acceptance scenario (die mid-run, newest

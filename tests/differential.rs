@@ -529,11 +529,12 @@ fn cluster_matches_single_device_with_sweeps_enabled() {
 /// Run `circ` segmented, interrupting at schedule step `k`: snapshot,
 /// serialize through the full checkpoint codec (the same wire bytes a
 /// crashed worker leaves behind), decode, resume a *fresh* plan from the
-/// verified checkpoint, and finish.
+/// verified checkpoint, and finish in segments of `interval` steps.
 fn interrupted_at<T: CheckpointScalar>(
     circ: &Circuit,
     opts: &RunOptions,
     k: usize,
+    interval: usize,
 ) -> RunOutput<T> {
     let device = GpuDevice::a100_40gb();
     let mut run = SegmentedRun::<T>::new(&device, circ, opts).expect("plan");
@@ -546,7 +547,7 @@ fn interrupted_at<T: CheckpointScalar>(
     let ck = decode_checkpoint::<T>(&bytes).expect("intact checkpoint verifies");
     let mut resumed = SegmentedRun::resume(&device, circ, opts, ck).expect("resume");
     while !resumed.is_done() {
-        resumed.advance(2);
+        resumed.advance(interval);
     }
     resumed.finish(opts)
 }
@@ -556,7 +557,10 @@ fn interrupted_at<T: CheckpointScalar>(
 /// and resuming through the codec reproduces the straight-through run
 /// bit for bit (amplitudes and sampled counts), across the plain-fused
 /// schedule, both sweep modes, and the adaptive planner (natural and
-/// pinned to each forced mode), at fp64.
+/// pinned to each forced mode), at fp64. The straight-through run is the
+/// same stepper at one unbounded segment, so this pins
+/// interval-invariance: the resumed half finishes both in short segments
+/// and in a single `usize::MAX` one.
 #[test]
 fn resume_at_every_segment_boundary_is_bit_identical_to_straight_through() {
     let circ = qft_circuit(6, &QftOptions::default());
@@ -608,8 +612,8 @@ fn resume_at_every_segment_boundary_is_bit_identical_to_straight_through() {
             .steps_total();
         assert!(steps >= 2, "{label}: schedule too short to interrupt meaningfully");
 
-        for k in 0..=steps {
-            let resumed = interrupted_at::<f64>(&circ, &opts, k);
+        for (k, interval) in (0..=steps).flat_map(|k| [(k, 2), (k, usize::MAX)]) {
+            let resumed = interrupted_at::<f64>(&circ, &opts, k, interval);
             let resumed_amps = resumed.state.as_ref().expect("state").amplitudes();
             for (a, b) in straight_amps.iter().zip(resumed_amps.iter()) {
                 assert_eq!(
@@ -656,7 +660,7 @@ fn fp32_resume_is_self_consistent_and_tracks_fp64_within_tolerance() {
         .expect("plan")
         .steps_total();
     for k in 0..=steps {
-        let resumed = interrupted_at::<f32>(&circ, &opts, k);
+        let resumed = interrupted_at::<f32>(&circ, &opts, k, 2);
         let resumed_amps = resumed.state.as_ref().expect("state").amplitudes();
         for (a, b) in straight32_amps.iter().zip(resumed_amps.iter()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits(), "fp32 divergence at boundary {k}");
@@ -1133,7 +1137,7 @@ fn resume_through_checkpoint_into_simd_kernels_is_bit_identical() {
         .steps_total();
     assert!(steps >= 2, "schedule too short to interrupt meaningfully");
     for k in 0..=steps {
-        let resumed = interrupted_at::<f64>(&circ, &opts, k);
+        let resumed = interrupted_at::<f64>(&circ, &opts, k, 2);
         assert_bits_eq_f64(
             straight_amps,
             resumed.state.as_ref().expect("state").amplitudes(),

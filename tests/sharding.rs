@@ -108,6 +108,53 @@ fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
     );
 }
 
+/// Sharded `ExecStats` tell the truth. A served sharded job reports real
+/// evolve time and the schedule's byte/flop cost by the same closed forms
+/// `ClusterEngine::run` charges for the same fused program; and because
+/// those counters derive from the cursor alone, a run that migrated onto
+/// a replacement group mid-schedule reports exactly what an unfaulted
+/// one does.
+#[test]
+fn sharded_stats_match_the_cluster_closed_form_and_survive_migration() {
+    use qgear_cluster::ClusterEngine;
+    use qgear_serve::{FaultKind, FaultSchedule};
+
+    let serve = |schedule: FaultSchedule| {
+        let service = Service::start(ServeConfig { schedule, ..sharded_config() });
+        let id = service
+            .submit(JobSpec::new(beyond_one_worker()).shots(300).seed(17))
+            .job_id()
+            .expect("admitted sharded");
+        let outcome = service.wait(id).unwrap();
+        let result = outcome.result().expect("the sharded run completes").clone();
+        service.shutdown();
+        (result, service.shard_log())
+    };
+
+    let (clean, _) = serve(FaultSchedule::none());
+    assert!(clean.stats.elapsed > std::time::Duration::ZERO, "evolve time must be measured");
+
+    let (native, _) = decompose_to_native(&beyond_one_worker());
+    let opts = RunOptions { shots: 0, fusion_width: 1, sweep_width: 0, ..Default::default() };
+    let cluster: RunOutput<f64> = ClusterEngine::a100_cluster(2).run(&native, &opts).unwrap();
+    assert!(cluster.stats.bytes_touched > 0 && cluster.stats.flops > 0);
+    assert_eq!(clean.stats.bytes_touched, cluster.stats.bytes_touched);
+    assert_eq!(clean.stats.flops, cluster.stats.flops);
+    assert_eq!(clean.stats.kernels_launched, cluster.stats.kernels_launched);
+    assert_eq!(clean.stats.gates_applied, cluster.stats.gates_applied);
+
+    let death = FaultKind::ShardWorkerDeath { shard: 1, after_segments: 2 };
+    let (migrated, log) = serve(FaultSchedule::none().with_event(0, 0, death));
+    assert!(
+        log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 0, resumed_from: 2 })),
+        "the run must actually have migrated; log: {log:?}"
+    );
+    assert_eq!(migrated.counts, clean.counts);
+    assert_eq!(migrated.stats.bytes_touched, clean.stats.bytes_touched);
+    assert_eq!(migrated.stats.flops, clean.stats.flops);
+    assert_eq!(migrated.stats.kernels_launched, clean.stats.kernels_launched);
+}
+
 /// Admission control: the same job on the same tiny device is rejected
 /// without a shard config; with a config capped below the needed group
 /// width it is rejected *with a `Sharded` verdict* naming the cap. A

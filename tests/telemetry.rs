@@ -248,6 +248,73 @@ fn checkpoint_recovery_metrics_flow_into_the_json_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A refused batch falls back to solo execution *without* a second
+/// dispatch prologue. The device holds exactly one 3-qubit fp64 state,
+/// so admission takes every job but the joint pass (which needs all
+/// members resident at once) refuses any flush of two or more with
+/// `OutOfMemory` — the only public-surface route to
+/// `BatchMemberDisposition::SoloFallback`. Each member must then be
+/// prologued once: one queue-wait sample, one result-cache miss, one
+/// marginal-cache miss per job, and counts bit-identical to a service
+/// that never batched.
+#[test]
+fn solo_fallback_members_are_prologued_once_and_match_the_unbatched_service() {
+    use qgear_serve::{
+        BackendKind, BatchConfig, BatchMemberDisposition, JobSpec, ServeConfig, Service,
+    };
+    use std::time::Duration;
+    let _l = LOCK.lock().unwrap();
+    const MEMBERS: usize = 4;
+    let device = GpuDevice { memory_bytes: 8 * 16, ..GpuDevice::a100_40gb() };
+    let specs: Vec<JobSpec> = (0..MEMBERS)
+        .map(|i| {
+            let mut c = qgear_ir::Circuit::new(3);
+            c.h(0).ry(0.2 + 0.3 * i as f64, 1).cx(0, 1).cx(1, 2).measure_all();
+            JobSpec::new(c).shots(300).seed(i as u64)
+        })
+        .collect();
+    let serve = |batch: BatchConfig| {
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            backend: BackendKind::Gpu(device.clone()),
+            batch,
+            ..Default::default()
+        });
+        let ids: Vec<_> =
+            specs.iter().map(|s| service.submit(s.clone()).job_id().expect("accepted")).collect();
+        let counts: Vec<_> = ids
+            .iter()
+            .map(|&id| service.wait(id).expect("outcome").result().expect("done").counts.clone())
+            .collect();
+        service.shutdown();
+        (counts, service.batch_log())
+    };
+
+    qgear_telemetry::reset();
+    qgear_telemetry::enable();
+    // The flush fires when the batch fills, so the long window costs
+    // nothing; it only keeps a slow submitter from splitting the batch.
+    let (batched, log) = serve(BatchConfig { max_size: MEMBERS, window: Duration::from_secs(2) });
+    qgear_telemetry::disable();
+    let snap = qgear_telemetry::snapshot();
+    qgear_telemetry::reset();
+
+    let fallbacks = log
+        .iter()
+        .flat_map(|record| &record.members)
+        .filter(|(_, d)| *d == BatchMemberDisposition::SoloFallback)
+        .count();
+    assert!(fallbacks >= 2, "the joint pass must have refused a flush: {log:?}");
+    let members = MEMBERS as u128;
+    assert_eq!(u128::from(snap.histograms[names::SERVE_QUEUE_WAIT_MS].count), members);
+    assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), members);
+    assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), members);
+    assert_eq!(snap.span_count(spans::SERVE_JOB), MEMBERS, "one serve_job span per dispatch");
+
+    let (unbatched, _) = serve(BatchConfig::disabled());
+    assert_eq!(batched, unbatched, "fallback members must match the unbatched service bit for bit");
+}
+
 #[test]
 fn json_sink_roundtrips_against_documented_schema() {
     let _l = LOCK.lock().unwrap();
