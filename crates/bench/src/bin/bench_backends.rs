@@ -17,7 +17,9 @@
 //! `cargo run --release -p qgear-bench --bin bench_backends` for the
 //! full shot counts, `--smoke` for the seconds-long CI gate run by
 //! `scripts/check.sh` (same width grid — the tableau is cheap enough to
-//! take 128 qubits even in smoke — smaller shot and trajectory counts).
+//! take 128 qubits even in smoke — smaller shot and trajectory counts;
+//! writes the suffixed `BENCH_backends_smoke.json` so it never clobbers
+//! the tracked full-count artifact).
 
 use qgear_perfmodel::memory::tableau_bytes;
 use qgear_stabilizer::StabilizerBackend;
@@ -167,7 +169,8 @@ fn main() {
         Ok(dir) => std::path::PathBuf::from(dir).join("../.."),
         Err(_) => std::path::PathBuf::from("."),
     };
-    let path = root.join("BENCH_backends.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_backends.json");
+    let path =
+        root.join(if smoke { "BENCH_backends_smoke.json" } else { "BENCH_backends.json" });
+    std::fs::write(&path, format!("{json}\n")).expect("write the backends summary");
     println!("→ summary written to {}", path.display());
 }

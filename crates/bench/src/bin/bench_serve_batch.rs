@@ -1,5 +1,5 @@
-//! Batched-serving benchmark: coalesced joint dispatch vs
-//! one-job-per-worker on a parameter-sweep flood.
+//! Batched-serving benchmark: shape-coalesced dispatch vs
+//! one-job-per-dispatch on a parameter-sweep flood.
 //!
 //! Serving traffic at scale is many *small* same-shape circuits — the
 //! same ansatz resubmitted with different angles. This bench floods the
@@ -8,20 +8,24 @@
 //! behavior) and once with shape-aware coalescing enabled.
 //!
 //! Both passes run through the **real** service — real coalescer, real
-//! scheduler, real batched kernels — and every completed counts table
-//! is checked bit-identical across the two modes (the batch-invariance
-//! contract, end to end), along with the usual conservation invariants.
+//! scheduler, the one set of solo kernels — and every completed counts
+//! table is checked bit-identical across the two modes (the
+//! batch-invariance contract, end to end), along with the usual
+//! conservation invariants. On the host a batch is its members run one
+//! after another, and measured host wall is batch-neutral; it is
+//! reported per pass for scale.
 //!
 //! Throughput and latency are then priced on the **paper testbed**
 //! (`qgear_perfmodel::CostModel`, the repo-wide methodology: measured
 //! operation counts → projected seconds on the modeled A100), because
 //! that is where batching's economics live: a 10-qubit state is
-//! launch-bound solo, and the joint pass pays each kernel launch once
-//! for the whole batch (`CostModel::gpu_unitary_batched`). Each mode's
-//! *actual* dispatch schedule — which jobs ran solo, which batches
-//! formed at what occupancy, in what order — is replayed through a
-//! greedy worker-packing model to get open-loop completion times; the
-//! host wall clock for each pass is reported alongside for scale.
+//! launch-bound solo, and `CostModel::gpu_unitary_batched` prices one
+//! A100 launch per kernel for the whole batch. Each mode's *actual*
+//! dispatch schedule — which jobs ran solo, which batches formed at
+//! what occupancy, in what order — is replayed through a greedy
+//! worker-packing model to get open-loop completion times, so the
+//! headline ratio is a modeled figure computed from the **recorded
+//! batch occupancies**.
 //!
 //! Emits `BENCH_serve_batch.json` at the repo root. Usage:
 //! `cargo run --release -p qgear-bench --bin bench_serve_batch` for the
@@ -220,7 +224,7 @@ fn run_pass(
 /// Unit costs: a solo job is one `gpu_unitary` pass (compute + launch;
 /// the worker's device context is persistent, so per-job init is not
 /// charged) plus serial GPU sampling; a batch is one
-/// `gpu_unitary_batched` joint pass plus per-member sampling.
+/// `gpu_unitary_batched` launch sequence plus per-member sampling.
 fn replay_on_model(
     model: &CostModel,
     units: &[usize], // occupancy per dispatch unit, in dispatch order

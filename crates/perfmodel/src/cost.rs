@@ -170,10 +170,13 @@ impl CostModel {
         }
     }
 
-    /// GPU unitary phase for a *batched* pass: `batch` shape-congruent
-    /// circuits evolved in lockstep (`qgear_statevec::run_batched`), the
-    /// amplitudes laid batch-major so each kernel launch sweeps every
-    /// member's lane.
+    /// GPU unitary phase for a *batched* launch on the modeled A100:
+    /// what `batch` shape-congruent circuits would cost there if each
+    /// kernel launch covered every member at once. This prices the
+    /// paper's hardware, fed with the batch occupancies `qgear-serve`
+    /// records; it does not describe the host path, which runs the
+    /// members one after another on the solo kernels and whose measured
+    /// wall time is batch-neutral.
     ///
     /// The returned breakdown is the **whole-batch** wall time; divide by
     /// `batch` for the per-member amortized cost. Two effects make that
@@ -184,8 +187,8 @@ impl CostModel {
     ///   `1/batch`. This dominates for the small states serving
     ///   workloads are made of, which are launch-bound solo
     ///   (`occupancy_makes_tiny_states_launch_bound`).
-    /// * **Occupancy recovery** — the joint sweep touches `batch`× the
-    ///   bytes per kernel, pushing tiny states up the device's
+    /// * **Occupancy recovery** — a batched kernel touches `batch`× the
+    ///   bytes per launch, pushing tiny states up the device's
     ///   bandwidth-efficiency knee that a solo sweep sits far below.
     ///
     /// Compute bytes scale linearly with `batch` (every member's lane is
@@ -203,7 +206,7 @@ impl CostModel {
         let b = batch.max(1);
         let solo = self.gpu_unitary(num_qubits, amp_bytes, devices, kernels, traffic);
 
-        // Joint sweep: b lanes per kernel, priced at the efficiency the
+        // b members per kernel launch, priced at the efficiency the
         // *combined* working set reaches.
         let state_bytes = 2f64.powi(num_qubits as i32) * amp_bytes as f64;
         let local_bytes = state_bytes * b as f64 / devices as f64;
@@ -214,7 +217,7 @@ impl CostModel {
         TimeBreakdown {
             compute,
             // One launch per kernel regardless of occupancy — the whole
-            // point of the batched pass.
+            // point of a batched launch.
             launch: solo.launch,
             comm: solo.comm * b as f64,
             init: solo.init,
@@ -222,8 +225,8 @@ impl CostModel {
         }
     }
 
-    /// Per-member amortized speedup of a `batch`-wide joint pass over a
-    /// solo dispatch: `batch · T_solo / T_batched`, single device.
+    /// Modeled per-member amortized speedup of a `batch`-wide launch over
+    /// a solo dispatch: `batch · T_solo / T_batched`, single device.
     pub fn batch_speedup(
         &self,
         num_qubits: u32,

@@ -1,16 +1,18 @@
 //! Shape-aware batch coalescing: configuration, compatibility keys and
 //! the per-batch audit record.
 //!
-//! The serving layer amortizes dispatch overhead by grouping admitted
-//! Dense jobs whose canonical circuits share a *structural fingerprint*
-//! ([`qgear_ir::ShapeDigest`]: same gate kinds on the same operands in
-//! the same order, parameters free) and the same numeric precision.
-//! Members of such a group fuse to congruent kernel schedules, so one
-//! batched state-vector pass (`qgear_statevec::run_batched`) evolves all
-//! of them in lockstep — amplitudes laid batch-major so every kernel
-//! launch touches every member — while each member keeps its own
-//! parameter values, its own amplitudes, and its own domain-separated
-//! sampling seed.
+//! The coalescer groups admitted Dense jobs whose canonical circuits
+//! share a *structural fingerprint* ([`qgear_ir::ShapeDigest`]: same gate
+//! kinds on the same operands in the same order, parameters free) and
+//! the same numeric precision, and flushes each group to one worker as
+//! one dispatch. That is all batching is here — a dispatch decision. The
+//! worker runs the members one after another, each on the stepper and
+//! kernels a solo dense job runs on, with its own parameter values, its
+//! own amplitudes and its own domain-separated sampling seed. What a
+//! batch would save on the paper's hardware — one A100 launch per kernel
+//! for the whole batch — is priced by
+//! `qgear_perfmodel::CostModel::gpu_unitary_batched` from the recorded
+//! occupancies; measured host wall is batch-neutral (EXPERIMENTS.md).
 //!
 //! **Invariant — batching is invisible in results.** A member's
 //! amplitudes, counts, cache entries and outcome are bit-identical to
@@ -28,10 +30,10 @@ use qgear_num::scalar::Precision;
 /// Coalescer tuning, part of `ServeConfig`.
 ///
 /// Batching is enabled when `max_size >= 2`, the backend is the
-/// simulated GPU, and segmented (checkpointed) execution is off —
-/// checkpoint generations are keyed per job and segment, which a joint
-/// batch pass cannot honor, so the two features are mutually exclusive
-/// by construction.
+/// simulated GPU, and segmented (checkpointed) execution is off — batch
+/// members run straight through and the only death a batch replays falls
+/// between members, so the two features are mutually exclusive by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Largest batch the coalescer will form; `0` or `1` disables
@@ -81,17 +83,14 @@ pub struct BatchKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMemberDisposition {
     /// Answered from the full-result cache during the pre-execution
-    /// probe; never entered the joint pass.
+    /// probe; never executed.
     CacheHit,
-    /// Re-sampled from a cached marginal distribution; never entered
-    /// the joint pass.
+    /// Re-sampled from a cached marginal distribution; never executed.
     StateCacheHit,
-    /// Evolved in the joint batched pass and published a fresh result.
+    /// Ran on the flush's worker and published its own terminal outcome:
+    /// a fresh result, or `Failed` if its run errored — which never
+    /// touches its batch-mates.
     Executed,
-    /// The joint pass was refused (member congruence drift, planner
-    /// strategy, memory bound); this member re-ran through the ordinary
-    /// solo path with full solo semantics.
-    SoloFallback,
     /// Cancellation had been requested before the batch executed; the
     /// member was masked out (published `Cancelled`) without aborting
     /// its batch-mates.

@@ -10,8 +10,8 @@
 //!
 //! Every dispatch takes one road (docs/SERVING.md, "Dispatch
 //! lifecycle"): `precheck` → attempt loop → the stepper driver
-//! (`stepper.rs`), a whole-run engine, or the joint batch pass →
-//! `sample_and_package` → `publish_outcome`.
+//! (`stepper.rs`) or a whole-run engine → `sample_and_package` →
+//! `publish_outcome`. A flushed batch takes it once per member.
 
 use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
@@ -34,8 +34,8 @@ use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
-    run_batched, AerCpuBackend, BatchMemberOutput, Counts, ExecStats, GpuDevice, RunOptions,
-    RunOutput, SimError, Simulator, StateVector, TrajectoryBackend,
+    AerCpuBackend, Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator,
+    StateVector, TrajectoryBackend,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -586,7 +586,8 @@ enum Precheck {
     /// cache); the outcome is still to be published. The disposition is
     /// what the batch audit log records for a member that ended here.
     Resolved(JobOutcome, BatchMemberDisposition),
-    /// Must execute: enters the attempt loop (solo) or the joint pass.
+    /// Must execute: enters the attempt loop (solo) or its batch's
+    /// member loop.
     Execute { queue_wait: Duration },
 }
 
@@ -1043,10 +1044,11 @@ fn segmented_enabled(cfg: &ServeConfig) -> bool {
 }
 
 /// Whether the coalescer may form batches at all: opted in via
-/// [`ServeConfig::batch`], GPU backend only (the joint pass is the fused
-/// GPU engine's), and never together with segmented execution — the
-/// checkpoint cursor is per job and per segment, which a joint batch
-/// pass cannot honor.
+/// [`ServeConfig::batch`], GPU backend only (the modeled saving is one
+/// A100 launch per kernel for the whole batch), and never together with
+/// segmented execution — batch members run straight through (the only
+/// death a batch replays is `WorkerDeathMidBatch`, *between* members),
+/// so checkpoint generations would be written and never resumed.
 fn batching_enabled(cfg: &ServeConfig) -> bool {
     cfg.batch.enabled()
         && cfg.checkpoint_interval == 0
@@ -1124,14 +1126,12 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
 
 /// Run one flushed batch to per-member terminal outcomes (or requeues).
 ///
-/// Every member passes the same [`precheck`] a solo dispatch does, then
-/// the survivors evolve in one joint batched pass and sample per member
-/// with their own seeds. If the joint pass refuses the batch (congruence
-/// drift between same-shape members, planner strategy, memory bound),
-/// every surviving member enters the ordinary solo [`attempt_loop`] —
-/// trivially bit-identical, just unamortized — without a second
-/// prologue: its queue wait, deadline verdict and cache probes were
-/// taken once, at the flush.
+/// Every member passes the same [`precheck`] a solo dispatch does — all
+/// of them before any executes, so queue waits, deadline verdicts and
+/// cache probes are taken at the flush — and the survivors then run one
+/// after another through [`execute_batch`]. Batching is a dispatch
+/// decision only: what it amortizes is priced by the modeled-A100
+/// `CostModel::gpu_unitary_batched` from the occupancies recorded here.
 fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
     let flushed_at = shared.cfg.clock.now();
     if members.len() >= 2 {
@@ -1154,62 +1154,33 @@ fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
             Precheck::Execute { queue_wait } => executing.push((job, queue_wait)),
         }
     }
-
-    if !executing.is_empty() {
-        let BackendKind::Gpu(device) = &shared.cfg.backend else {
-            unreachable!("batching is gated on the GPU backend");
-        };
-        let refused = with_precision!(executing[0].0.spec.precision, T => {
-            execute_batch::<T>(shared, device, executing, &mut dispositions)
-        });
-        for (job, queue_wait) in refused.into_iter().flatten() {
-            dispositions.push((job.id.0, BatchMemberDisposition::SoloFallback));
-            let step = attempt_loop(shared, &job, queue_wait);
-            finish_dispatch(shared, job, step, false);
-        }
-    }
+    execute_batch(shared, executing, &mut dispositions);
 
     let mut st = shared.state.lock().expect("serve state poisoned");
     st.batch_log.push(BatchRecord { members: dispositions, formed_at, flushed_at });
 }
 
-/// Evolve the surviving members in one joint batched pass and publish
-/// per-member results. Returns the members untouched when the joint
-/// pass refuses the batch (the caller falls back to solo dispatch);
-/// `None` means every member was published or requeued.
+/// Run the surviving members, in batch order, each as its own
+/// straight-through [`run_attempt`] — the stepper a solo dense job runs
+/// on, so a member's amplitudes, counts and `ExecStats` (its own
+/// `elapsed` included) are those of a solo dispatch, and the device only
+/// ever holds one member's state. A member whose run errors is published
+/// `Failed` on its own; its batch-mates proceed.
 ///
 /// A scheduled [`FaultKind::WorkerDeathMidBatch`] on any executing
 /// member arms a death after `after_members` results have been
 /// published (batch order): every remaining member is requeued
 /// individually with its cumulative attempt ledger advanced past the
 /// dying dispatch, exactly like a solo worker death.
-fn execute_batch<T: Scalar>(
+fn execute_batch(
     shared: &Shared,
-    device: &GpuDevice,
     members: Vec<(QueuedJob, Duration)>,
     dispositions: &mut Vec<(u64, BatchMemberDisposition)>,
-) -> Option<Vec<(QueuedJob, Duration)>> {
-    let cfg = &shared.cfg;
-    // Evolution options mirror a solo attempt's: same fusion/sweep
-    // knobs, sampling deferred to the per-member loop.
-    let evolve_opts = RunOptions {
-        shots: 0,
-        keep_state: true,
-        fusion_width: cfg.fusion_width,
-        sweep_width: cfg.sweep_width,
-        memory_limit: Some(cfg.backend.memory_bytes()),
-        ..RunOptions::default()
-    };
-    let circuits: Vec<&Circuit> = members.iter().map(|(j, _)| &j.canonical).collect();
-    let outputs: Vec<BatchMemberOutput<T>> = match run_batched(device, &circuits, &evolve_opts) {
-        Ok(outputs) => outputs,
-        Err(_) => return Some(members),
-    };
-
+) {
     // Mid-batch death: the first member (batch order) with a scheduled
     // `WorkerDeathMidBatch` at its current attempt coordinates arms it.
     let death = members.iter().find_map(|(job, _)| {
-        cfg.schedule.events_for(job.id.0, job.attempts_made).find_map(|kind| match kind {
+        shared.cfg.schedule.events_for(job.id.0, job.attempts_made).find_map(|kind| match kind {
             FaultKind::WorkerDeathMidBatch { after_members } => Some(after_members),
             _ => None,
         })
@@ -1217,7 +1188,7 @@ fn execute_batch<T: Scalar>(
 
     let mut published: u32 = 0;
     let mut stranded: Vec<QueuedJob> = Vec::new();
-    for ((mut job, queue_wait), out) in members.into_iter().zip(outputs) {
+    for (mut job, queue_wait) in members {
         // Every member opens its `serve_job` span, the stranded ones too
         // — they *were* dispatched; span accounting counts them.
         let _job_span = span!(spans::SERVE_JOB);
@@ -1228,8 +1199,16 @@ fn execute_batch<T: Scalar>(
             continue;
         }
         let _attempt_span = span!(spans::SERVE_ATTEMPT);
-        let done = sample_and_package(out.state, out.stats, &job, cfg.clock.as_ref());
-        let outcome = complete_fresh(shared, &job, queue_wait, job.attempts_made + 1, done);
+        let outcome = match run_attempt(shared, &job, &Injected::default()) {
+            Ok(Attempt::Finished(done)) => {
+                complete_fresh(shared, &job, queue_wait, job.attempts_made + 1, *done)
+            }
+            Ok(Attempt::Died) => unreachable!("no death was injected into the run"),
+            Err(err) => {
+                counter_inc(names::SERVE_JOBS_FAILED);
+                JobOutcome::Failed(ServeError::Sim(err))
+            }
+        };
         publish_outcome(shared, job.id, outcome, false);
         dispositions.push((job.id.0, BatchMemberDisposition::Executed));
         published += 1;
@@ -1238,7 +1217,6 @@ fn execute_batch<T: Scalar>(
     if death.is_some() {
         requeue_after_death(shared, stranded);
     }
-    None
 }
 
 /// The admission decision: which engine runs the job, and the circuit it
@@ -1726,6 +1704,62 @@ mod tests {
             );
         }
         solo.shutdown();
+    }
+
+    #[test]
+    fn a_batch_member_that_fails_in_fusion_fails_alone() {
+        // `submit` lowers every non-native gate, so an arity-3 `ccx` can
+        // reach the engine only in a hand-built dispatch: three members
+        // straight into `serve_batch`, the middle one unfusable.
+        let service = small_service(1);
+        let members: Vec<QueuedJob> = (0..3u64)
+            .map(|i| {
+                let mut c = Circuit::new(3);
+                c.h(0).ry(0.4, 1);
+                if i == 1 {
+                    c.ccx(0, 1, 2);
+                } else {
+                    c.cx(0, 1).cx(1, 2);
+                }
+                c.measure_all();
+                QueuedJob {
+                    id: JobId(i),
+                    key: CircuitKey(i),
+                    state_key: CircuitKey(!i),
+                    shape: shape_digest(&c),
+                    spec: JobSpec::new(c.clone()).shots(64),
+                    canonical: c,
+                    submitted_at: Duration::ZERO,
+                    seq: i,
+                    attempts_made: 0,
+                    engine: Engine::Dense,
+                }
+            })
+            .collect();
+        {
+            let mut st = service.shared.state.lock().unwrap();
+            for job in &members {
+                record_dispatch(&mut st, job);
+            }
+        }
+        serve_batch(&service.shared, members, Duration::ZERO);
+        service.drain(); // returns: every in-flight slot was given back
+
+        for id in [0, 2] {
+            let outcome = service.try_outcome(JobId(id)).expect("published");
+            let result = outcome.result().expect("the mates complete");
+            assert_eq!(result.counts.as_ref().map(|c| c.total()), Some(64));
+        }
+        let bad = service.try_outcome(JobId(1)).expect("published");
+        assert!(
+            matches!(bad, JobOutcome::Failed(ServeError::Sim(SimError::UnsupportedGate(_)))),
+            "{bad:?}"
+        );
+        let log = service.batch_log();
+        assert_eq!(log.len(), 1);
+        let ran = |id| (id, BatchMemberDisposition::Executed);
+        assert_eq!(log[0].members, [ran(0), ran(1), ran(2)]);
+        service.shutdown();
     }
 
     #[test]

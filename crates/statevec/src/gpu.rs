@@ -552,8 +552,8 @@ impl GpuDevice {
 /// remapped into tile-slot space. Everything derivable once per kernel —
 /// local-index address offsets, lane-splatted matrix entries, diagonal
 /// lookup tables — is computed at build time and shared read-only across
-/// every tile, worker, and batch member.
-pub(crate) enum KernelPlan<T: Scalar> {
+/// every tile and worker.
+enum KernelPlan<T: Scalar> {
     /// Pure phase pattern: element-wise multiply, no data movement.
     Diag {
         /// Precomputed chunked lookup table (see [`DiagTable`]).
@@ -603,13 +603,13 @@ pub(crate) enum KernelPlan<T: Scalar> {
 
 impl<T: Scalar> KernelPlan<T> {
     /// Diagonal kernel plan over spans of `span` amplitudes/slots.
-    pub(crate) fn diag(d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
+    fn diag(d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
         KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
     }
 
     /// Dense kernel plan. `masks[j]` is the tile-slot mask of
     /// kernel-local bit `j`; the matrix is row-major `2^k × 2^k`.
-    pub(crate) fn dense(m: Vec<Complex<T>>, masks: &[usize]) -> Self {
+    fn dense(m: Vec<Complex<T>>, masks: &[usize]) -> Self {
         let mut sorted_local: Vec<usize> =
             masks.iter().map(|&mask| mask.trailing_zeros() as usize).collect();
         sorted_local.sort_unstable();
@@ -628,7 +628,7 @@ impl<T: Scalar> KernelPlan<T> {
     /// cross-block matrix entries are below the `mixing_mask` tolerance
     /// (1e-12), so the factored product matches the dense one to well
     /// under the engines' agreement tolerance.
-    pub(crate) fn factored(b: &FusedBlock, mixing: &[bool], masks: &[usize]) -> Self {
+    fn factored(b: &FusedBlock, mixing: &[bool], masks: &[usize]) -> Self {
         let k = b.qubits.len();
         let dim = 1usize << k;
         let mixed_bits: Vec<usize> = (0..k).filter(|&j| mixing[j]).collect();
@@ -690,7 +690,7 @@ impl<T: Scalar> KernelPlan<T> {
     /// True when [`KernelPlan::apply`] over a `tile`-slot span will take
     /// the SIMD lane path under the current toggle state (telemetry
     /// dispatch accounting).
-    pub(crate) fn lane_eligible(&self, tile: usize) -> bool {
+    fn lane_eligible(&self, tile: usize) -> bool {
         if !simd::simd_enabled() {
             return false;
         }
@@ -711,7 +711,7 @@ impl<T: Scalar> KernelPlan<T> {
     /// `apply_block` (on both the scalar and lane paths, which are
     /// themselves bitwise identical); `Factored` agrees to the
     /// factorization tolerance.
-    pub(crate) fn apply(&self, scratch: &mut [Complex<T>], tile: usize) {
+    fn apply(&self, scratch: &mut [Complex<T>], tile: usize) {
         let vector = self.lane_eligible(tile);
         match self {
             KernelPlan::Diag { table } => table.apply(scratch, 0),
@@ -816,7 +816,7 @@ impl<T: Scalar> KernelPlan<T> {
 /// Raw shared pointer wrapper used to hand disjoint slices of the state to
 /// rayon tasks. All writes go to group-disjoint indices (see
 /// [`GpuDevice::apply_block`]), so no two tasks alias.
-pub(crate) struct SharedState<T>(pub(crate) *mut Complex<T>);
+struct SharedState<T>(*mut Complex<T>);
 unsafe impl<T> Send for SharedState<T> {}
 unsafe impl<T> Sync for SharedState<T> {}
 
@@ -824,14 +824,14 @@ impl<T: Scalar> SharedState<T> {
     /// SAFETY: caller guarantees `i` is in bounds and no concurrent task
     /// writes the same index.
     #[inline(always)]
-    pub(crate) unsafe fn read(&self, i: usize) -> Complex<T> {
+    unsafe fn read(&self, i: usize) -> Complex<T> {
         *self.0.add(i)
     }
 
     /// SAFETY: caller guarantees `i` is in bounds and uniquely owned by the
     /// calling task for the duration of the kernel.
     #[inline(always)]
-    pub(crate) unsafe fn write(&self, i: usize, v: Complex<T>) {
+    unsafe fn write(&self, i: usize, v: Complex<T>) {
         *self.0.add(i) = v;
     }
 }

@@ -52,7 +52,6 @@
 pub mod aer;
 pub mod arena;
 pub mod backend;
-pub mod batch;
 pub mod checkpoint;
 pub mod gpu;
 pub mod noise;
@@ -67,7 +66,6 @@ pub use backend::{
     marginal_probs, sample_from_probs, Counts, ExecStats, RunOptions, RunOutput, ShotBatchOutput,
     SimError, Simulator,
 };
-pub use batch::{run_batched, BatchError, BatchMemberOutput, BatchStateVector};
 pub use checkpoint::{
     decode as decode_checkpoint, encode as encode_checkpoint, plan_fingerprint,
     CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,

@@ -3,6 +3,7 @@
 # the whole workspace. CI and pre-merge both run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+before="$(git status --porcelain --untracked-files=no)"
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -34,7 +35,7 @@ echo "==> hotpath bench smoke (sweep executor + planner + perf-baseline gates)"
 cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned --enforce-baseline
 
 # Backend smoke: stabilizer scaling at 16/64/128 qubits plus trajectory
-# throughput, emitting BENCH_backends.json (docs/BACKENDS.md). The run
+# throughput, emitting BENCH_backends_smoke.json (docs/BACKENDS.md). The run
 # itself asserts shot conservation on every point, so a broken engine
 # fails the gate rather than writing bad numbers.
 echo "==> bench_backends smoke (stabilizer scaling + trajectory throughput)"
@@ -89,6 +90,16 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --release -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint"
+fi
+
+# The gate must leave the tree as it found it: every smoke artifact
+# above goes to an ignored file, so a tracked file that differs from the
+# index now was rewritten by the gate itself.
+dirty="$(git status --porcelain --untracked-files=no)"
+if [ "$dirty" != "$before" ]; then
+    echo "check.sh changed tracked files:" >&2
+    diff <(echo "$before") <(echo "$dirty") >&2 || true
+    exit 1
 fi
 
 echo "All checks passed."

@@ -713,9 +713,7 @@ fn serve_counts_match_direct_evolve_and_sample() {
 /// path — coalescing enabled, batch occupancy one — produces counts
 /// bit-identical to (a) the same service with batching disabled and
 /// (b) directly evolving and sampling the canonical circuit with the
-/// same knobs. The joint pass itself is held to the same standard: a
-/// single-member `run_batched` evolves amplitudes bit-identical to the
-/// solo engine. Batching must be a pure dispatch decision, invisible in
+/// same knobs. Batching must be a pure dispatch decision, invisible in
 /// every result bit.
 #[test]
 fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
@@ -759,29 +757,17 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
     assert!(solo_service.batch_log().is_empty(), "batching disabled logs nothing");
     assert_eq!(batched.map, solo.map, "batch-of-1 counts must match solo serving");
 
-    // Directly: single-member joint pass, then the shared sampling
-    // pipeline. Amplitudes first — the stronger claim.
+    // Directly: one `GpuDevice::run`, then the shared sampling pipeline.
     let canonical =
         if circ.is_native() { circ.clone() } else { transpile::decompose_to_native(&circ).0 };
     let evolve = RunOptions { shots: 0, keep_state: true, ..Default::default() };
-    let joint = qgear_statevec::run_batched::<f64>(
-        &GpuDevice::a100_40gb(),
-        &[&canonical],
-        &evolve,
-    )
-    .expect("single-member batch");
     let direct: RunOutput<f64> =
         GpuDevice::a100_40gb().run(&canonical, &evolve).expect("gpu run");
-    let direct_state = direct.state.expect("state");
-    for (a, b) in joint[0].state.amplitudes().iter().zip(direct_state.amplitudes()) {
-        assert_eq!(a.re.to_bits(), b.re.to_bits(), "joint pass amplitude drift");
-        assert_eq!(a.im.to_bits(), b.im.to_bits());
-    }
     let (_, measured) = canonical.split_measurements();
-    let probs = marginal_probs(&joint[0].state, &measured);
+    let probs = marginal_probs(&direct.state.expect("state"), &measured);
     let cfg = SamplingConfig { shots: 1024, seed: 99, batch_shots: 32 };
-    let from_joint = sample_from_probs(&probs, &measured, &cfg).expect("counts");
-    assert_eq!(batched.map, from_joint.map, "served batch-of-1 must replay the joint pass");
+    let replayed = sample_from_probs(&probs, &measured, &cfg).expect("counts");
+    assert_eq!(batched.map, replayed.map, "served batch-of-1 must replay direct execution");
 }
 
 // ─────────────────────── SIMD differential tier ───────────────────────
@@ -1013,14 +999,16 @@ fn simd_lane_path_engages_on_all_structure_classes() {
     }
 }
 
-/// Batched execution under the toggle: every member of a joint pass is
-/// bitwise stable against SIMD on/off, which combined with
-/// `every_member_is_bit_identical_to_its_solo_run` keeps the batched
-/// path inside the same bit-identity contract as the solo engine.
+/// Batched serving under the toggle: three same-shape members ride a
+/// batching `Service` once on the lane path and once on the scalar path,
+/// and every published counts table is identical — the batch dispatch
+/// sits inside the same bit-identity contract as the solo engine.
 #[test]
 fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
+    use qgear_serve::BatchConfig;
+    use std::time::Duration;
     let _g = SIMD_LOCK.lock().unwrap();
-    let members: Vec<Circuit> = (0..3)
+    let specs: Vec<JobSpec> = (0..3u32)
         .map(|i| {
             let mut c = Circuit::new(10);
             for q in 0..10 {
@@ -1029,24 +1017,32 @@ fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
             for q in 0..9 {
                 c.cx(q, q + 1).p(0.11 * f64::from(q + 1), q + 1);
             }
-            c
+            c.measure_all();
+            JobSpec::new(c).shots(4096).seed(17 + u64::from(i))
         })
         .collect();
-    let refs: Vec<&Circuit> = members.iter().collect();
-    let opts = RunOptions { keep_state: true, ..Default::default() };
-    let on = with_simd(true, || {
-        qgear_statevec::run_batched::<f64>(&GpuDevice::a100_40gb(), &refs, &opts).expect("batch")
-    });
-    let off = with_simd(false, || {
-        qgear_statevec::run_batched::<f64>(&GpuDevice::a100_40gb(), &refs, &opts).expect("batch")
-    });
-    for (m, (a, b)) in on.iter().zip(off.iter()).enumerate() {
-        assert_bits_eq_f64(
-            a.state.amplitudes(),
-            b.state.amplitudes(),
-            &format!("batched member {m}"),
-        );
-    }
+    let serve = || {
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            batch: BatchConfig { max_size: 3, window: Duration::from_micros(200) },
+            ..Default::default()
+        });
+        let ids: Vec<_> =
+            specs.iter().map(|s| service.submit(s.clone()).job_id().expect("accepted")).collect();
+        let counts: Vec<_> = ids
+            .iter()
+            .map(|&id| {
+                let outcome = service.wait(id).expect("completes");
+                outcome.result().expect("success").counts.clone().expect("counts").map
+            })
+            .collect();
+        service.shutdown();
+        assert_eq!(service.batch_log().iter().map(|r| r.members.len()).sum::<usize>(), 3);
+        counts
+    };
+    let on = with_simd(true, serve);
+    let off = with_simd(false, serve);
+    assert_eq!(on, off, "batched members must not see the SIMD toggle");
 }
 
 /// The zero-copy sweep tile fast path: when a sweep's qubits are exactly

@@ -386,12 +386,10 @@ fn assert_log_conserves(log: &[BatchRecord], jobs: usize) {
         assert!(record.flushed_at >= record.formed_at);
         for &(id, disposition) in &record.members {
             assert!(seen.insert(id), "job {id} appears in two batch records");
-            assert!(
-                matches!(
-                    disposition,
-                    BatchMemberDisposition::Executed | BatchMemberDisposition::SoloFallback
-                ),
-                "fault-free cache-free member resolved {disposition:?}"
+            assert_eq!(
+                disposition,
+                BatchMemberDisposition::Executed,
+                "fault-free cache-free member must have run"
             );
         }
     }

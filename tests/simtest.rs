@@ -413,7 +413,7 @@ fn a_deadline_inside_the_coalescing_window_flushes_the_batch_early() {
     assert_eq!(lead.members, vec![(victim.0, BatchMemberDisposition::Executed)]);
 }
 
-/// Mid-batch worker death: the doomed joint pass requeues every
+/// Mid-batch worker death: the doomed batch dispatch requeues every
 /// stranded member *individually* with the dying dispatch charged to
 /// its attempt ledger, and the retries complete — each job shows
 /// exactly one `Requeued` and one `Executed` batch appearance, two
@@ -449,7 +449,7 @@ fn mid_batch_worker_death_requeues_survivors_with_the_cumulative_ledger() {
                 }
             }
         }
-        assert_eq!(requeued, 1, "job {id} must be requeued by the dying joint pass");
+        assert_eq!(requeued, 1, "job {id} must be requeued by the dying batch dispatch");
         assert_eq!(executed, 1, "job {id} must execute exactly once after the requeue");
         assert_eq!(
             report.dispatch_counts.get(&id),
@@ -494,7 +494,7 @@ fn random_batched_scenarios_hold_every_oracle() {
 
 /// The shrinker understands the batch knobs: a failure that reproduces
 /// without coalescing sheds them (pass 5), while a failure that *needs*
-/// the joint pass — a mid-batch requeue disposition — keeps both the
+/// the batch dispatch — a mid-batch requeue disposition — keeps both the
 /// batch config and the `WorkerDeathMidBatch` event in the minimal
 /// reproduction.
 #[test]

@@ -248,71 +248,116 @@ fn checkpoint_recovery_metrics_flow_into_the_json_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A refused batch falls back to solo execution *without* a second
-/// dispatch prologue. The device holds exactly one 3-qubit fp64 state,
-/// so admission takes every job but the joint pass (which needs all
-/// members resident at once) refuses any flush of two or more with
-/// `OutOfMemory` — the only public-surface route to
-/// `BatchMemberDisposition::SoloFallback`. Each member must then be
-/// prologued once: one queue-wait sample, one result-cache miss, one
-/// marginal-cache miss per job, and counts bit-identical to a service
-/// that never batched.
+/// A flushed batch is its members run one after another, each on the
+/// stepper a solo job runs on. The device holds exactly one 3-qubit fp64
+/// state, so a batch of four fits only because one member is resident at
+/// a time; the second case alternates `ry(0.0)` (a diagonal kernel) with
+/// `ry(0.3)` (a dense one) — same shape, different kernel classes, which
+/// no shared schedule walk could serve. Either way every member is
+/// `Executed`, prologued once (one queue-wait sample, one result-cache
+/// miss, one marginal-cache miss, one `serve_job` span per dispatch),
+/// carries its own stepper time in `stats.elapsed`, and publishes counts
+/// bit-identical to a service that never batched.
 #[test]
-fn solo_fallback_members_are_prologued_once_and_match_the_unbatched_service() {
+fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
     use qgear_serve::{
-        BackendKind, BatchConfig, BatchMemberDisposition, JobSpec, ServeConfig, Service,
+        BackendKind, BatchConfig, BatchMemberDisposition, FaultKind, FaultSchedule, JobResult,
+        JobSpec, ServeConfig, Service,
     };
     use std::time::Duration;
     let _l = LOCK.lock().unwrap();
     const MEMBERS: usize = 4;
     let device = GpuDevice { memory_bytes: 8 * 16, ..GpuDevice::a100_40gb() };
-    let specs: Vec<JobSpec> = (0..MEMBERS)
-        .map(|i| {
-            let mut c = qgear_ir::Circuit::new(3);
-            c.h(0).ry(0.2 + 0.3 * i as f64, 1).cx(0, 1).cx(1, 2).measure_all();
-            JobSpec::new(c).shots(300).seed(i as u64)
-        })
-        .collect();
-    let serve = |batch: BatchConfig| {
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            backend: BackendKind::Gpu(device.clone()),
-            batch,
-            ..Default::default()
-        });
-        let ids: Vec<_> =
-            specs.iter().map(|s| service.submit(s.clone()).job_id().expect("accepted")).collect();
-        let counts: Vec<_> = ids
-            .iter()
-            .map(|&id| service.wait(id).expect("outcome").result().expect("done").counts.clone())
-            .collect();
-        service.shutdown();
-        (counts, service.batch_log())
-    };
+    type Build = fn(&mut qgear_ir::Circuit, f64);
+    let cases: [(&str, usize, Build, [f64; MEMBERS]); 2] = [
+        (
+            "one-state device",
+            qgear_ir::fusion::DEFAULT_FUSION_WIDTH,
+            |c, theta| {
+                c.h(0).ry(theta, 1).cx(0, 1).cx(1, 2);
+            },
+            [0.2, 0.5, 0.8, 1.1],
+        ),
+        // Unfused, `ry(0.0)` leaves an all-diagonal (element-wise) sweep
+        // where `ry(0.3)` forces a gather/scatter one.
+        (
+            "kernels classify differently",
+            1,
+            |c, theta| {
+                c.ry(theta, 1).rz(0.4, 1).rz(0.7, 0).rz(0.3, 2);
+            },
+            [0.0, 0.3, 0.0, 0.3],
+        ),
+    ];
+    for (what, fusion_width, build, thetas) in cases {
+        // Job 0 pins the single worker in a retry backoff while the
+        // members queue up behind it, so the leader finds all its mates
+        // waiting and the flush is one full batch, whatever the host's
+        // thread timing.
+        let serve = |batch: BatchConfig| {
+            let service = Service::start(ServeConfig {
+                workers: 1,
+                backend: BackendKind::Gpu(device.clone()),
+                fusion_width,
+                batch,
+                schedule: FaultSchedule::none().with_event(0, 0, FaultKind::Transient),
+                retry_backoff: Duration::from_millis(100),
+                ..Default::default()
+            });
+            let mut pin = qgear_ir::Circuit::new(2);
+            pin.h(0).cx(0, 1).measure_all();
+            let pin = service.submit(JobSpec::new(pin).shots(8)).job_id().expect("accepted");
+            let ids: Vec<_> = thetas
+                .iter()
+                .enumerate()
+                .map(|(i, &theta)| {
+                    let mut c = qgear_ir::Circuit::new(3);
+                    build(&mut c, theta);
+                    c.measure_all();
+                    let spec = JobSpec::new(c).shots(300).seed(i as u64);
+                    service.submit(spec).job_id().expect("accepted")
+                })
+                .collect();
+            let results: Vec<JobResult> = ids
+                .iter()
+                .map(|&id| service.wait(id).expect("outcome").result().expect("done").clone())
+                .collect();
+            assert!(service.wait(pin).expect("outcome").result().is_some());
+            service.shutdown();
+            (results, service.batch_log())
+        };
 
-    qgear_telemetry::reset();
-    qgear_telemetry::enable();
-    // The flush fires when the batch fills, so the long window costs
-    // nothing; it only keeps a slow submitter from splitting the batch.
-    let (batched, log) = serve(BatchConfig { max_size: MEMBERS, window: Duration::from_secs(2) });
-    qgear_telemetry::disable();
-    let snap = qgear_telemetry::snapshot();
-    qgear_telemetry::reset();
+        qgear_telemetry::reset();
+        qgear_telemetry::enable();
+        let (batched, log) = serve(BatchConfig { max_size: MEMBERS, window: Duration::ZERO });
+        qgear_telemetry::disable();
+        let snap = qgear_telemetry::snapshot();
+        qgear_telemetry::reset();
 
-    let fallbacks = log
-        .iter()
-        .flat_map(|record| &record.members)
-        .filter(|(_, d)| *d == BatchMemberDisposition::SoloFallback)
-        .count();
-    assert!(fallbacks >= 2, "the joint pass must have refused a flush: {log:?}");
-    let members = MEMBERS as u128;
-    assert_eq!(u128::from(snap.histograms[names::SERVE_QUEUE_WAIT_MS].count), members);
-    assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), members);
-    assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), members);
-    assert_eq!(snap.span_count(spans::SERVE_JOB), MEMBERS, "one serve_job span per dispatch");
+        assert_eq!(log.len(), 1, "{what}: one flush: {log:?}");
+        assert_eq!(log[0].members.len(), MEMBERS, "{what}: {log:?}");
+        for &(id, disposition) in &log[0].members {
+            assert_eq!(disposition, BatchMemberDisposition::Executed, "{what}: job {id}");
+        }
+        let dispatches = MEMBERS + 1; // the pin is a (solo) dispatch too
+        assert_eq!(snap.histograms[names::SERVE_QUEUE_WAIT_MS].count as usize, dispatches);
+        assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), dispatches as u128);
+        assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), dispatches as u128);
+        assert_eq!(snap.span_count(spans::SERVE_JOB), dispatches, "{what}: one span per dispatch");
 
-    let (unbatched, _) = serve(BatchConfig::disabled());
-    assert_eq!(batched, unbatched, "fallback members must match the unbatched service bit for bit");
+        // `stats.elapsed` is the member's own stepper time: four runs do
+        // not share one reading, and together they fit inside the last
+        // member's prologue-to-publish wall (all prologues come first).
+        let elapsed: Vec<Duration> = batched.iter().map(|r| r.stats.elapsed).collect();
+        assert!(elapsed.iter().any(|e| *e != elapsed[0]), "{what}: one shared value {elapsed:?}");
+        let wall = batched.iter().map(|r| r.service_time - r.queue_wait).max().unwrap();
+        assert!(elapsed.iter().sum::<Duration>() <= wall, "{what}: {elapsed:?} exceed {wall:?}");
+
+        let (unbatched, log) = serve(BatchConfig::disabled());
+        assert!(log.is_empty(), "{what}: batching disabled logs nothing");
+        let counts = |rs: &[JobResult]| rs.iter().map(|r| r.counts.clone()).collect::<Vec<_>>();
+        assert_eq!(counts(&batched), counts(&unbatched), "{what}: members must match unbatched");
+    }
 }
 
 #[test]
