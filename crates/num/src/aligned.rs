@@ -71,7 +71,7 @@ impl<T: Copy> AlignedVec<T> {
 
     /// View the elements as a slice. The base pointer is 64-byte aligned.
     pub fn as_slice(&self) -> &[T] {
-        // Sound: the backing lines were fully initialized at construction,
+        // SAFETY: the backing lines were fully initialized at construction,
         // `T: Copy` has no invalid bit patterns beyond what the callers
         // wrote through `as_mut_slice`, every byte of the first `len`
         // elements lies inside the allocation, and CacheLine's 64-byte
@@ -81,7 +81,7 @@ impl<T: Copy> AlignedVec<T> {
 
     /// View the elements as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // Sound for the same reasons as `as_slice`; `&mut self` guarantees
+        // SAFETY: same reasons as `as_slice`; `&mut self` guarantees
         // exclusivity.
         unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr() as *mut T, self.len) }
     }

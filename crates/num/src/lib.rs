@@ -26,6 +26,8 @@
 //! assert!(h.is_unitary(1e-15));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aligned;
 pub mod approx;
 pub mod complex;

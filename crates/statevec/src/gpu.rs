@@ -21,6 +21,15 @@
 //! per-kernel launch accounting — because the performance model in
 //! `qgear-perfmodel` converts those counters into projected A100 timings.
 //!
+//! Kernel arithmetic exists once. `KernelPlan` classifies a fused block
+//! (diagonal table, or a group kernel over the bits the block mixes —
+//! dense being the all-mixed case) and owns the one gather / mul-add /
+//! scatter body; a full-state kernel ([`GpuDevice::apply_block`], the
+//! `Controlled` class of [`GpuDevice::apply_block_structured`]) is that
+//! body driven over the whole state, a sweep ([`GpuDevice::apply_sweep`])
+//! the same body driven over cache-sized tiles. Only the permutation
+//! shuffle has a loop of its own.
+//!
 //! This module holds the device and its kernels only. The plan those
 //! kernels execute, the loop that walks it and the stats it charges live
 //! once, in [`crate::segment`]; [`Simulator::run`] here is one unbounded
@@ -90,115 +99,52 @@ impl GpuDevice {
 
     /// Execute one fused block over the state, data-parallel.
     ///
-    /// Splits the `2^(n-k)` independent amplitude groups across rayon
-    /// workers; each group gathers its `2^k` amplitudes, multiplies by the
-    /// dense kernel, and scatters back. Groups are disjoint by
-    /// construction, which is the safety argument for the shared-pointer
-    /// write access below.
+    /// The block is classified once, in exact mode (`KernelPlan::new`) —
+    /// a pure phase pattern (QFT's cr1 chains, rz runs) becomes one
+    /// element-wise table pass with no gather/scatter, exactly like a
+    /// cuQuantum diagonal kernel; anything else the dense `2^k` mul-add
+    /// chain — and the full-state driver splits the `2^(n-k)` independent
+    /// amplitude groups across rayon workers. The sweep path runs the
+    /// *same* plan body over its tiles, which is why order-preserving
+    /// sweeps are bit-identical to this kernel-at-a-time path.
     pub fn apply_block<T: Scalar>(state: &mut [Complex<T>], block: &FusedBlock) {
+        GpuDevice::apply_full(state, block, None);
+    }
+
+    /// One full-state kernel pass: plan `block` over global bit masks —
+    /// the exact plan, or with `mixing` (the structure classifier's mask)
+    /// the factored one — and hand it to the full-state driver.
+    fn apply_full<T: Scalar>(
+        state: &mut [Complex<T>],
+        block: &FusedBlock,
+        mixing: Option<&[bool]>,
+    ) {
         let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
         // Each kernel reads and writes every amplitude once.
         qgear_telemetry::counter_add(
             qgear_telemetry::names::AMPLITUDES_TOUCHED,
             2 * state.len() as u128,
         );
-        let k = block.qubits.len();
-        let dim = 1usize << k;
-        debug_assert!(dim <= 64);
-        // Diagonal fast path: fused phase ladders (QFT's cr1 chains, rz
-        // runs) need no gather/scatter — one element-wise sweep, exactly
-        // like a cuQuantum diagonal kernel. The precomputed DiagTable
-        // replaces the per-amplitude mask-test loop with a table lookup
-        // and multiplies `T::LANES` amplitudes per step.
-        if let Some(diag) = block.unitary.diagonal(1e-15) {
-            let d: Vec<Complex<T>> = diag.iter().map(|c| c.cast()).collect();
-            let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-            let table = DiagTable::build(d, &masks, state.len());
-            simd::record_dispatch::<T>(simd::simd_enabled() && table.chunk() >= T::LANES);
-            let chunk = table.chunk();
-            state
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, cs)| table.apply(cs, ci * chunk));
-            return;
-        }
-        // Kernel matrix in execution precision.
-        let m: Vec<Complex<T>> = block.unitary.elements().iter().map(|c| c.cast()).collect();
-        // Sorted bit positions for group-index expansion.
-        let mut sorted = block.qubits.clone();
-        sorted.sort_unstable();
-        // Masks in local-bit order (block.qubits[j] ↔ local bit j) and the
-        // per-local-index address offsets they induce (hoisted out of the
-        // per-group gather loop).
         let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let offs = simd::local_offsets(&masks);
-        let groups = state.len() >> k;
-        let sorted_bits: Vec<usize> = sorted.iter().map(|&q| q as usize).collect();
-        let vector = simd::simd_enabled() && simd::lanes_ok::<T>(&sorted_bits, groups);
-        simd::record_dispatch::<T>(vector);
-
-        let shared = SharedState(state.as_mut_ptr());
-        let shared = &shared;
-        let offs = &offs;
-        let sorted = &sorted;
-        if vector {
-            // Lane path: with every block qubit at or above the lane
-            // width, `T::LANES` consecutive groups sit at consecutive
-            // addresses — one lane vector per matrix column, same
-            // accumulation order as the scalar loop, bitwise identical.
-            let msplat = simd::splat_all::<T>(&m);
-            let msplat = &msplat;
-            (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
-                let mut base = gb * T::LANES;
-                for &q in sorted {
-                    let low = base & ((1usize << q) - 1);
-                    base = ((base >> q) << (q + 1)) | low;
-                }
-                // SAFETY: distinct groups expand to disjoint index sets
-                // (zero bits reinserted at every block qubit position), so
-                // lane blocks never alias each other.
-                unsafe { simd::dense_block_lanes::<T>(shared.0, base, msplat, dim, offs) };
-            });
-            return;
-        }
-        (0..groups).into_par_iter().for_each(move |g| {
-            // Expand the group index around the block's qubit bits.
-            let mut base = g;
-            for &q in sorted {
-                let low = base & ((1usize << q) - 1);
-                base = ((base >> q) << (q + 1)) | low;
-            }
-            // Gather.
-            let mut scratch = [Complex::<T>::ZERO; 64];
-            for local in 0..dim {
-                // SAFETY: every index derived from a distinct group `g` is
-                // distinct: `base` reinserts zero bits at the block qubit
-                // positions, so two groups never share any gathered index.
-                scratch[local] = unsafe { shared.read(base | offs[local]) };
-            }
-            // Multiply + scatter.
-            for (local, row) in m.chunks_exact(dim).enumerate() {
-                let mut acc = Complex::<T>::ZERO;
-                for c in 0..dim {
-                    acc = row[c].mul_add(scratch[c], acc);
-                }
-                // SAFETY: same disjointness argument as the gather.
-                unsafe { shared.write(base | offs[local], acc) };
-            }
-        });
+        let plan = match mixing {
+            Some(mixing) => KernelPlan::grouped(block, &masks, state.len(), mixing),
+            None => KernelPlan::new(block, &masks, state.len(), true),
+        };
+        simd::record_dispatch::<T>(plan.lane_eligible());
+        plan.run_full(state);
     }
 
     /// Execute one fused block through the kernel matching its structure
     /// class — the planner's "fused stops meaning dense `2^k` apply"
     /// dispatch (see [`KernelStructure`] and `crate::planner`).
     ///
-    /// `Diagonal` and `Dense` fall through to [`GpuDevice::apply_block`]
-    /// (which already has the element-wise diagonal fast path);
+    /// `Diagonal` and `Dense` are [`GpuDevice::apply_block`] (whose exact
+    /// plan already takes the element-wise diagonal fast path);
     /// `Permutation` runs a gather/permute/scatter pass with one complex
-    /// multiply per amplitude; `Controlled` runs the block-diagonal
-    /// factorization over the full state, cutting per-amplitude cost from
-    /// `2^k` to `2^μ` mul-adds. All four dispatch targets apply the same
-    /// unitary: results agree with the dense kernel to the structure
+    /// multiply per amplitude; `Controlled` runs the same full-state
+    /// driver over the block's factored plan, cutting per-amplitude cost
+    /// from `2^k` to `2^μ` mul-adds. All four dispatch targets apply the
+    /// same unitary: results agree with the dense kernel to the structure
     /// classifier's tolerance (1e-15, far below engine agreement bounds).
     pub fn apply_block_structured<T: Scalar>(
         state: &mut [Complex<T>],
@@ -212,8 +158,11 @@ impl GpuDevice {
             KernelStructure::Permutation(perm) => {
                 GpuDevice::apply_block_permutation(state, block, perm);
             }
+            // The block mixes only `μ < k` of its qubits: it factors into
+            // `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed by
+            // the unmixed (control/phase) bits (see [`KernelPlan`]).
             KernelStructure::Controlled { mixing } => {
-                GpuDevice::apply_block_controlled(state, block, mixing);
+                GpuDevice::apply_full(state, block, Some(mixing));
             }
         }
     }
@@ -243,13 +192,12 @@ impl GpuDevice {
         // Column `c` maps to row `rows[c]` with weight `phases[c]`.
         let rows: Vec<usize> = perm.iter().map(|&(r, _)| r).collect();
         let phases: Vec<Complex<T>> = perm.iter().map(|&(_, p)| p.cast()).collect();
-        let mut sorted = block.qubits.clone();
-        sorted.sort_unstable();
         let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
         let offs = simd::local_offsets(&masks);
         let groups = state.len() >> k;
-        let sorted_bits: Vec<usize> = sorted.iter().map(|&q| q as usize).collect();
-        let vector = simd::simd_enabled() && simd::lanes_ok::<T>(&sorted_bits, groups);
+        let mut sorted: Vec<usize> = block.qubits.iter().map(|&q| q as usize).collect();
+        sorted.sort_unstable();
+        let vector = simd::simd_enabled() && simd::lanes_ok::<T>(&sorted, groups);
         simd::record_dispatch::<T>(vector);
 
         let shared = SharedState(state.as_mut_ptr());
@@ -261,12 +209,11 @@ impl GpuDevice {
             let phase_splat = simd::splat_all::<T>(&phases);
             let phase_splat = &phase_splat;
             (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
-                let mut base = gb * T::LANES;
-                for &q in sorted {
-                    let low = base & ((1usize << q) - 1);
-                    base = ((base >> q) << (q + 1)) | low;
-                }
-                // SAFETY: group-disjoint lane blocks, as in `apply_block`.
+                let base = expand_index(gb * T::LANES, sorted);
+                // SAFETY: distinct groups expand to disjoint index sets
+                // (zero bits reinserted at every block qubit position), so
+                // lane blocks never alias each other; every index stays
+                // below `groups << k == state.len()`.
                 unsafe {
                     simd::perm_block_lanes::<T>(shared.0, base, phase_splat, rows, dim, offs)
                 };
@@ -275,116 +222,15 @@ impl GpuDevice {
         }
         let phases = &phases;
         (0..groups).into_par_iter().for_each(move |g| {
-            let mut base = g;
-            for &q in sorted {
-                let low = base & ((1usize << q) - 1);
-                base = ((base >> q) << (q + 1)) | low;
-            }
+            let base = expand_index(g, sorted);
             let mut scratch = [Complex::<T>::ZERO; 64];
             for local in 0..dim {
-                // SAFETY: group-disjoint indices, as in `apply_block`.
+                // SAFETY: group-disjoint, in-bounds indices, as above.
                 scratch[local] = unsafe { shared.read(base | offs[local]) };
             }
             for c in 0..dim {
                 // SAFETY: same disjointness argument as the gather.
                 unsafe { shared.write(base | offs[rows[c]], phases[c] * scratch[c]) };
-            }
-        });
-    }
-
-    /// Controlled-structure kernel: the block mixes only `μ < k` of its
-    /// qubits ([`FusedBlock::mixing_mask`]), so it factors into `2^(k-μ)`
-    /// independent `2^μ × 2^μ` sub-unitaries indexed by the unmixed
-    /// (control/phase) bits — the full-state analogue of the sweep path's
-    /// `KernelPlan::Factored`, built by the same factorization.
-    fn apply_block_controlled<T: Scalar>(
-        state: &mut [Complex<T>],
-        block: &FusedBlock,
-        mixing: &[bool],
-    ) {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::AMPLITUDES_TOUCHED,
-            2 * state.len() as u128,
-        );
-        // Global bit masks (the factorization is mask-space agnostic: it
-        // works identically on tile slots and global indices).
-        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let KernelPlan::Factored { subs, subs_splat, offs, sorted_mixed, diag_extract, min_extract_bit, mdim } =
-            KernelPlan::<T>::factored(block, mixing, &masks)
-        else {
-            unreachable!("factored() always builds KernelPlan::Factored")
-        };
-        let mu = sorted_mixed.len();
-        debug_assert!(mdim <= 64);
-        let groups = state.len() >> mu;
-        // Lane path needs both the mixed bits (address contiguity of
-        // consecutive groups) and the extract bits (a lane-uniform
-        // sub-unitary index) to clear the lane width.
-        let vector = simd::simd_enabled()
-            && simd::lanes_ok::<T>(&sorted_mixed, groups)
-            && min_extract_bit >= simd::lane_log2::<T>();
-        simd::record_dispatch::<T>(vector);
-
-        let shared = SharedState(state.as_mut_ptr());
-        let shared = &shared;
-        let subs = &subs;
-        let subs_splat = &subs_splat;
-        let offs = &offs;
-        let sorted_mixed = &sorted_mixed;
-        let diag_extract = &diag_extract;
-        if vector {
-            (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
-                let mut base = gb * T::LANES;
-                for &p in sorted_mixed {
-                    let low = base & ((1usize << p) - 1);
-                    base = ((base >> p) << (p + 1)) | low;
-                }
-                // Every extract bit clears the lane width, so the whole
-                // lane block shares one sub-unitary.
-                let mut d = 0usize;
-                for &(mask, weight) in diag_extract {
-                    if base & mask != 0 {
-                        d |= weight;
-                    }
-                }
-                // SAFETY: group-disjoint lane blocks — zero bits are
-                // reinserted at every mixed position, as in `apply_block`.
-                unsafe {
-                    simd::dense_block_lanes::<T>(shared.0, base, &subs_splat[d], mdim, offs)
-                };
-            });
-            return;
-        }
-        (0..groups).into_par_iter().for_each(move |g| {
-            // Expand the group index around the mixed bits; the base then
-            // carries every assignment of the unmixed bits.
-            let mut base = g;
-            for &p in sorted_mixed {
-                let low = base & ((1usize << p) - 1);
-                base = ((base >> p) << (p + 1)) | low;
-            }
-            let mut d = 0usize;
-            for &(mask, weight) in diag_extract {
-                if base & mask != 0 {
-                    d |= weight;
-                }
-            }
-            let sub = &subs[d];
-            let mut scratch = [Complex::<T>::ZERO; 64];
-            for a in 0..mdim {
-                // SAFETY: groups expand to disjoint index sets (zero bits
-                // reinserted at every mixed position), so tasks never
-                // alias — same argument as `apply_block`.
-                scratch[a] = unsafe { shared.read(base | offs[a]) };
-            }
-            for (r, row) in sub.chunks_exact(mdim).enumerate() {
-                let mut acc = Complex::<T>::ZERO;
-                for c in 0..mdim {
-                    acc = row[c].mul_add(scratch[c], acc);
-                }
-                // SAFETY: same disjointness argument as the gather.
-                unsafe { shared.write(base | offs[r], acc) };
             }
         });
     }
@@ -400,17 +246,18 @@ impl GpuDevice {
     /// read + one write of the state per *sweep* instead of per kernel.
     ///
     /// `exact` selects the tile arithmetic. When `true` (order-preserving
-    /// schedules), each kernel runs the same `mul_add` accumulation as
-    /// [`GpuDevice::apply_block`], so sweep execution is **bit-identical**
-    /// to applying the sweep's kernels sequentially over the full state in
-    /// the same order. When `false` (the default reordering schedules,
-    /// which already only agree up to round-off), each kernel is instead
-    /// applied through its block-diagonal factorization: a kernel of width
-    /// `k` that mixes only `μ` of its qubits ([`FusedBlock::mixing_mask`])
-    /// splits into `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed
-    /// by the unmixed (control/phase) bits, cutting the per-amplitude cost
-    /// from `2^k` to `2^μ` mul-adds — 16× for QFT kernels, which mix only
-    /// the single `h` qubit of each block.
+    /// schedules), each kernel is the exact plan [`GpuDevice::apply_block`]
+    /// builds, run by the same body, so sweep execution is
+    /// **bit-identical** to applying the sweep's kernels sequentially over
+    /// the full state in the same order. When `false` (the default
+    /// reordering schedules, which already only agree up to round-off),
+    /// each kernel is instead planned through its block-diagonal
+    /// factorization: a kernel of width `k` that mixes only `μ` of its
+    /// qubits ([`FusedBlock::mixing_mask`]) splits into `2^(k-μ)`
+    /// independent `2^μ × 2^μ` sub-unitaries indexed by the unmixed
+    /// (control/phase) bits, cutting the per-amplitude cost from `2^k` to
+    /// `2^μ` mul-adds — 16× for QFT kernels, which mix only the single `h`
+    /// qubit of each block.
     pub fn apply_sweep<T: Scalar>(
         state: &mut [Complex<T>],
         blocks: &[FusedBlock],
@@ -466,20 +313,11 @@ impl GpuDevice {
             .map(|&ki| {
                 let b = &blocks[ki];
                 let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << pos(q)).collect();
-                if let Some(diag) = b.unitary.diagonal(1e-15) {
-                    return KernelPlan::diag(diag.iter().map(|c| c.cast()).collect(), &masks, tile);
-                }
-                let k = b.qubits.len();
-                let mixing = b.mixing_mask();
-                let mu = mixing.iter().filter(|&&m| m).count();
-                if !exact && mu < k {
-                    return KernelPlan::factored(b, &mixing, &masks);
-                }
-                KernelPlan::dense(b.unitary.elements().iter().map(|c| c.cast()).collect(), &masks)
+                KernelPlan::new(b, &masks, tile, exact)
             })
             .collect();
         for plan in &plans {
-            simd::record_dispatch::<T>(plan.lane_eligible(tile));
+            simd::record_dispatch::<T>(plan.lane_eligible());
         }
         let groups = state.len() >> u;
 
@@ -496,7 +334,7 @@ impl GpuDevice {
             let plans = &plans;
             state.par_chunks_mut(tile).for_each(|tile_slice| {
                 for plan in plans {
-                    plan.apply(tile_slice, tile);
+                    plan.run_tile(tile_slice);
                 }
             });
             return;
@@ -504,42 +342,36 @@ impl GpuDevice {
 
         // Tile-slot → global-offset table: slot bit `j` lives at global
         // bit `sweep.qubits[j]`. Built once per sweep, shared read-only.
-        let mut offs = vec![0usize; tile];
-        for (j, &q) in sweep.qubits.iter().enumerate() {
-            let bit = 1usize << q;
-            for i in 0..(1usize << j) {
-                offs[(1usize << j) | i] = offs[i] | bit;
-            }
-        }
+        let union_masks: Vec<usize> = sweep.qubits.iter().map(|&q| 1usize << q).collect();
+        let offs = simd::local_offsets(&union_masks);
 
         let shared = SharedState(state.as_mut_ptr());
         let shared = &shared;
         let plans = &plans;
         let offs = &offs;
-        let union_qubits = &sweep.qubits;
+        let union_bits: Vec<usize> = sweep.qubits.iter().map(|&q| q as usize).collect();
+        let union_bits = &union_bits;
         (0..groups).into_par_iter().for_each(move |g| {
             // Tile scratch comes from the per-thread arena: one aligned
             // buffer per worker is reused across every tile, sweep,
             // segment, and batch member of this size (scratch.reuse).
             arena::with_scratch::<T, _>(tile, |scratch| {
                 // Expand the tile index around the union's qubit bits.
-                let mut base = g;
-                for &q in union_qubits {
-                    let low = base & ((1usize << q) - 1);
-                    base = ((base >> q) << (q + 1)) | low;
-                }
-                // Gather the tile. SAFETY: distinct `g` values produce
-                // disjoint index sets (zero bits are reinserted at every
-                // union qubit position), so tasks never alias.
+                let base = expand_index(g, union_bits);
                 for (slot, &off) in offs.iter().enumerate() {
+                    // SAFETY: distinct `g` values produce disjoint index
+                    // sets (zero bits are reinserted at every union qubit
+                    // position), so tasks never alias, and every index
+                    // stays below `groups << u == state.len()`.
                     scratch[slot] = unsafe { shared.read(base | off) };
                 }
                 // Apply every kernel while the tile is hot.
                 for plan in plans {
-                    plan.apply(scratch, tile);
+                    plan.run_tile(scratch);
                 }
-                // Scatter once. SAFETY: same disjointness argument.
+                // Scatter once.
                 for (slot, &off) in offs.iter().enumerate() {
+                    // SAFETY: same disjointness argument as the gather.
                     unsafe { shared.write(base | off, scratch[slot]) };
                 }
             });
@@ -547,278 +379,286 @@ impl GpuDevice {
     }
 }
 
-/// One kernel's precomputed application plan inside a sweep tile: the
-/// matrix (or diagonal) in execution precision plus its qubit positions
-/// remapped into tile-slot space. Everything derivable once per kernel —
-/// local-index address offsets, lane-splatted matrix entries, diagonal
-/// lookup tables — is computed at build time and shared read-only across
-/// every tile and worker.
+/// Expand a group index around `sorted_bits` (ascending): reinsert a zero
+/// bit at every listed position, so distinct group indices address
+/// disjoint amplitude sets and `index | offset` ranges over the group.
+#[inline(always)]
+fn expand_index(mut index: usize, sorted_bits: &[usize]) -> usize {
+    for &p in sorted_bits {
+        let low = index & ((1usize << p) - 1);
+        index = ((index >> p) << (p + 1)) | low;
+    }
+    index
+}
+
+/// One fused kernel, classified once and ready to run over `span`
+/// amplitudes: a sweep tile (masks in tile-slot space) or the whole state
+/// (global bit masks) — the plan is mask-space agnostic, and both drivers
+/// ([`KernelPlan::run_tile`], [`KernelPlan::run_full`]) execute the same
+/// per-group body, so tile and full-state application of one plan are
+/// bit-identical. Everything derivable once per kernel — local-index
+/// address offsets, lane-splatted matrix entries, diagonal lookup tables,
+/// the lane-path decision — is computed at build time and shared
+/// read-only across every tile and worker.
 enum KernelPlan<T: Scalar> {
     /// Pure phase pattern: element-wise multiply, no data movement.
     Diag {
         /// Precomputed chunked lookup table (see [`DiagTable`]).
         table: DiagTable<T>,
     },
-    /// Dense kernel: gather/apply/scatter over tile sub-groups.
-    Dense {
-        /// Row-major kernel matrix in execution precision (scalar path).
-        m: Vec<Complex<T>>,
-        /// The same matrix with every entry pre-broadcast to a lane
-        /// vector (lane path).
-        msplat: Vec<<T as Scalar>::Lanes>,
-        /// Address offset of each kernel-local index inside a tile.
-        offs: Vec<usize>,
-        /// Tile-slot positions of the kernel's qubits, ascending (for
-        /// sub-group index expansion).
-        sorted_local: Vec<usize>,
-        /// Kernel dimension `2^k`.
-        dim: usize,
-    },
-    /// Block-diagonal kernel factored over its unmixed (control/phase)
-    /// bits: one `2^μ × 2^μ` sub-unitary per assignment of the unmixed
-    /// bits, applied to the `μ` mixed bits only. Per-amplitude cost is
-    /// `2^μ` mul-adds instead of the dense `2^k`.
-    Factored {
-        /// Sub-unitaries, row-major `2^μ × 2^μ`, indexed by the unmixed
-        /// bits packed in kernel-local order.
-        subs: Vec<Vec<Complex<T>>>,
-        /// Lane-splatted sub-unitaries (lane path).
-        subs_splat: Vec<Vec<<T as Scalar>::Lanes>>,
-        /// Address offset of each mixed-bit local index.
-        offs: Vec<usize>,
-        /// Tile-slot positions of the mixed bits, ascending (sub-group
-        /// index expansion).
-        sorted_mixed: Vec<usize>,
-        /// `(tile-slot mask, packed weight)` pairs extracting the
-        /// sub-unitary index from a sub-group base slot.
-        diag_extract: Vec<(usize, usize)>,
-        /// Lowest bit position among the extract masks (`usize::MAX` when
-        /// there are none): the lane path needs it to clear the lane
-        /// width so one sub-unitary serves the whole lane block.
-        min_extract_bit: usize,
-        /// Sub-unitary dimension `2^μ`.
-        mdim: usize,
-    },
+    /// Gather / mul-add / scatter over amplitude groups.
+    Grouped(GroupKernel<T>),
+}
+
+/// A kernel applied group by group: the block's `μ` *mixed* bits span a
+/// group of `2^μ` amplitudes, and every assignment of its unmixed
+/// (control/phase) bits selects one `2^μ × 2^μ` sub-unitary of the
+/// block-diagonal matrix — `2^μ` mul-adds per amplitude instead of the
+/// dense `2^k`. A dense kernel is the `μ = k` case: every bit mixed, one
+/// sub-unitary (the matrix itself), nothing to select.
+struct GroupKernel<T: Scalar> {
+    /// The sub-unitaries, each row-major `2^μ × 2^μ` in execution
+    /// precision, concatenated in order of the unmixed bits packed in
+    /// kernel-local order (scalar path).
+    subs: Vec<Complex<T>>,
+    /// The same entries pre-broadcast to lane vectors (lane path; empty
+    /// when `lanes` is off).
+    subs_splat: Vec<<T as Scalar>::Lanes>,
+    /// Address offset of each mixed-bit local index inside the span.
+    offs: Vec<usize>,
+    /// Span bit positions of the mixed bits, ascending (group-index
+    /// expansion).
+    sorted_mixed: Vec<usize>,
+    /// `(span mask, packed weight)` pairs extracting the sub-unitary
+    /// index from a group's base address.
+    extract: Vec<(usize, usize)>,
+    /// Sub-unitary dimension `2^μ`.
+    mdim: usize,
+    /// Amplitudes per application; every address the body forms is below
+    /// it (checked at build time, and against the slice by the drivers).
+    span: usize,
+    /// Take the SIMD lane path (decided at build time from the toggle and
+    /// the group layout, see [`crate::simd`]).
+    lanes: bool,
 }
 
 impl<T: Scalar> KernelPlan<T> {
-    /// Diagonal kernel plan over spans of `span` amplitudes/slots.
-    fn diag(d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
-        KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
-    }
-
-    /// Dense kernel plan. `masks[j]` is the tile-slot mask of
-    /// kernel-local bit `j`; the matrix is row-major `2^k × 2^k`.
-    fn dense(m: Vec<Complex<T>>, masks: &[usize]) -> Self {
-        let mut sorted_local: Vec<usize> =
-            masks.iter().map(|&mask| mask.trailing_zeros() as usize).collect();
-        sorted_local.sort_unstable();
-        KernelPlan::Dense {
-            msplat: simd::splat_all::<T>(&m),
-            offs: simd::local_offsets(masks),
-            dim: 1usize << masks.len(),
-            m,
-            sorted_local,
+    /// Classify `b` and plan it over spans of `span` amplitudes/slots,
+    /// `masks[j]` being the span mask of kernel-local bit `j`. A diagonal
+    /// matrix becomes a [`DiagTable`]. Otherwise `exact` selects the
+    /// arithmetic: `true` keeps the dense `2^k` mul-add chain (every bit
+    /// treated as mixed) — the operation sequence every bitwise tier is
+    /// pinned to; `false` factors the kernel over the bits it does not
+    /// mix ([`FusedBlock::mixing_mask`]), which agrees with the dense
+    /// product only to that mask's tolerance.
+    fn new(b: &FusedBlock, masks: &[usize], span: usize, exact: bool) -> Self {
+        if let Some(diag) = b.unitary.diagonal(1e-15) {
+            let d = diag.iter().map(|c| c.cast()).collect();
+            return KernelPlan::Diag { table: DiagTable::build(d, masks, span) };
         }
+        let mixing = if exact { vec![true; masks.len()] } else { b.mixing_mask() };
+        KernelPlan::grouped(b, masks, span, &mixing)
     }
 
-    /// Build the block-diagonal factorization of a kernel that mixes only
-    /// some of its qubits. `mixing` is the kernel-local mixing mask and
-    /// `masks[j]` the tile-slot mask of kernel-local bit `j`. The dropped
-    /// cross-block matrix entries are below the `mixing_mask` tolerance
-    /// (1e-12), so the factored product matches the dense one to well
-    /// under the engines' agreement tolerance.
-    fn factored(b: &FusedBlock, mixing: &[bool], masks: &[usize]) -> Self {
+    /// Plan a non-diagonal kernel as a [`GroupKernel`] over the bits
+    /// `mixing` flags (kernel-local order). The cross-block matrix entries
+    /// an unmixed bit drops are below the `mixing_mask` tolerance (1e-12),
+    /// so the factored product matches the dense one to well under the
+    /// engines' agreement tolerance; with every bit flagged nothing is
+    /// dropped and the single sub-unitary is the matrix itself.
+    fn grouped(b: &FusedBlock, masks: &[usize], span: usize, mixing: &[bool]) -> Self {
         let k = b.qubits.len();
         let dim = 1usize << k;
+        // The unsafe body's bounds argument: group bases and offsets only
+        // ever combine bits below a power-of-two span.
+        assert!(
+            span.is_power_of_two() && masks.iter().all(|&m| m.is_power_of_two() && m < span),
+            "kernel bit masks must lie inside the span"
+        );
         let mixed_bits: Vec<usize> = (0..k).filter(|&j| mixing[j]).collect();
         let diag_bits: Vec<usize> = (0..k).filter(|&j| !mixing[j]).collect();
         let mdim = 1usize << mixed_bits.len();
-        // Kernel-local index with assignment `d` on the unmixed bits and
-        // `a` on the mixed bits.
-        let expand = |d: usize, a: usize| -> usize {
-            let mut i = 0usize;
-            for (t, &j) in diag_bits.iter().enumerate() {
-                if d & (1 << t) != 0 {
-                    i |= 1 << j;
-                }
-            }
-            for (t, &j) in mixed_bits.iter().enumerate() {
-                if a & (1 << t) != 0 {
-                    i |= 1 << j;
-                }
-            }
-            i
+        assert!(mdim <= 64, "group scratch holds 64 amplitudes");
+        // Kernel-local index of each assignment of the mixed bits, and of
+        // the unmixed bits.
+        let local = |bits: &[usize]| {
+            simd::local_offsets(&bits.iter().map(|&j| 1usize << j).collect::<Vec<_>>())
         };
+        let (of_mixed, of_diag) = (local(&mixed_bits), local(&diag_bits));
         let u = b.unitary.elements();
-        let subs: Vec<Vec<Complex<T>>> = (0..dim >> mixed_bits.len())
-            .map(|d| {
-                let mut sub = Vec::with_capacity(mdim * mdim);
-                for r in 0..mdim {
-                    let row = expand(d, r) * dim;
-                    for c in 0..mdim {
-                        sub.push(u[row + expand(d, c)].cast());
-                    }
-                }
-                sub
-            })
-            .collect();
+        let mut subs: Vec<Complex<T>> = Vec::with_capacity(dim * mdim);
+        for &d in &of_diag {
+            for &r in &of_mixed {
+                subs.extend(of_mixed.iter().map(|&c| u[(d | r) * dim + (d | c)].cast::<T>()));
+            }
+        }
         let mut sorted_mixed: Vec<usize> =
             mixed_bits.iter().map(|&j| masks[j].trailing_zeros() as usize).collect();
         sorted_mixed.sort_unstable();
         let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
-        let diag_extract: Vec<(usize, usize)> = diag_bits
-            .iter()
-            .enumerate()
-            .map(|(t, &j)| (masks[j], 1usize << t))
-            .collect();
-        KernelPlan::Factored {
-            subs_splat: subs.iter().map(|sub| simd::splat_all::<T>(sub)).collect(),
+        let extract: Vec<(usize, usize)> =
+            diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
+        // Lanes need the mixed bits to clear the lane width (consecutive
+        // groups at consecutive addresses) and the extract bits too (one
+        // sub-unitary serves the whole lane block).
+        let lanes = simd::simd_enabled()
+            && simd::lanes_ok::<T>(&sorted_mixed, span >> sorted_mixed.len())
+            && extract.iter().all(|&(mask, _)| mask >= T::LANES);
+        KernelPlan::Grouped(GroupKernel {
+            subs_splat: if lanes { simd::splat_all::<T>(&subs) } else { Vec::new() },
             offs: simd::local_offsets(&mixed_masks),
-            min_extract_bit: diag_extract
-                .iter()
-                .map(|&(mask, _)| mask.trailing_zeros() as usize)
-                .min()
-                .unwrap_or(usize::MAX),
             subs,
             sorted_mixed,
-            diag_extract,
+            extract,
             mdim,
+            span,
+            lanes,
+        })
+    }
+
+    /// True when this plan runs on the SIMD lane path (telemetry dispatch
+    /// accounting).
+    fn lane_eligible(&self) -> bool {
+        match self {
+            KernelPlan::Diag { table } => simd::simd_enabled() && table.chunk() >= T::LANES,
+            KernelPlan::Grouped(kernel) => kernel.lanes,
         }
     }
 
-    /// True when [`KernelPlan::apply`] over a `tile`-slot span will take
-    /// the SIMD lane path under the current toggle state (telemetry
-    /// dispatch accounting).
-    fn lane_eligible(&self, tile: usize) -> bool {
-        if !simd::simd_enabled() {
-            return false;
-        }
+    /// Tile driver: apply the plan to one exclusively borrowed span —
+    /// a gathered (or zero-copy) sweep tile — group after group.
+    fn run_tile(&self, tile: &mut [Complex<T>]) {
         match self {
-            KernelPlan::Diag { table } => table.chunk() >= T::LANES,
-            KernelPlan::Dense { sorted_local, .. } => {
-                simd::lanes_ok::<T>(sorted_local, tile >> sorted_local.len())
-            }
-            KernelPlan::Factored { sorted_mixed, min_extract_bit, .. } => {
-                simd::lanes_ok::<T>(sorted_mixed, tile >> sorted_mixed.len())
-                    && *min_extract_bit >= simd::lane_log2::<T>()
+            KernelPlan::Diag { table } => table.apply(tile, 0),
+            KernelPlan::Grouped(kernel) => {
+                assert_eq!(tile.len(), kernel.span, "plan built for another span");
+                let groups = kernel.span >> kernel.sorted_mixed.len();
+                let ptr = tile.as_mut_ptr();
+                if kernel.lanes {
+                    for gb in 0..groups / T::LANES {
+                        // SAFETY: `ptr` addresses the `span` slots of the
+                        // exclusively borrowed tile, and the lane block
+                        // `gb * LANES .. + LANES` lies below `groups`.
+                        unsafe { kernel.apply_group(ptr, gb * T::LANES, true) };
+                    }
+                } else {
+                    for g in 0..groups {
+                        // SAFETY: as above, for the single group `g`.
+                        unsafe { kernel.apply_group(ptr, g, false) };
+                    }
+                }
             }
         }
     }
 
-    /// Apply this kernel to a gathered tile, in place. `Diag` and `Dense`
-    /// arithmetic is bit-identical to the full-state paths in
-    /// `apply_block` (on both the scalar and lane paths, which are
-    /// themselves bitwise identical); `Factored` agrees to the
-    /// factorization tolerance.
-    fn apply(&self, scratch: &mut [Complex<T>], tile: usize) {
-        let vector = self.lane_eligible(tile);
+    /// Full-state driver: apply the plan to the whole state, its groups
+    /// (or table chunks) split across rayon tasks. One group or lane block
+    /// per parallel item, deliberately: the rayon stand-in decides
+    /// inline-vs-threads from the *item count*, so handing each task a
+    /// run of groups silently serializes mid-size states.
+    fn run_full(&self, state: &mut [Complex<T>]) {
         match self {
-            KernelPlan::Diag { table } => table.apply(scratch, 0),
-            KernelPlan::Dense { m, msplat, offs, sorted_local, dim } => {
-                let dim = *dim;
-                let sub_groups = tile >> sorted_local.len();
-                if vector {
-                    let ptr = scratch.as_mut_ptr();
-                    for sgb in 0..sub_groups / T::LANES {
-                        let mut sbase = sgb * T::LANES;
-                        for &p in sorted_local {
-                            let low = sbase & ((1usize << p) - 1);
-                            sbase = ((sbase >> p) << (p + 1)) | low;
-                        }
-                        // SAFETY: every touched slot `sbase | offs[c] + l`
-                        // lies inside this exclusively borrowed tile, and
-                        // sub-groups are disjoint.
-                        unsafe { simd::dense_block_lanes::<T>(ptr, sbase, msplat, dim, offs) };
-                    }
-                    return;
-                }
-                for sg in 0..sub_groups {
-                    let mut sbase = sg;
-                    for &p in sorted_local {
-                        let low = sbase & ((1usize << p) - 1);
-                        sbase = ((sbase >> p) << (p + 1)) | low;
-                    }
-                    let mut tmp = [Complex::<T>::ZERO; 64];
-                    for local in 0..dim {
-                        tmp[local] = scratch[sbase | offs[local]];
-                    }
-                    for (local, row) in m.chunks_exact(dim).enumerate() {
-                        let mut acc = Complex::<T>::ZERO;
-                        for c in 0..dim {
-                            acc = row[c].mul_add(tmp[c], acc);
-                        }
-                        scratch[sbase | offs[local]] = acc;
-                    }
+            KernelPlan::Diag { table } => {
+                let chunk = table.chunk();
+                state
+                    .par_chunks_mut(chunk)
+                    .enumerate()
+                    .for_each(|(ci, cs)| table.apply(cs, ci * chunk));
+            }
+            KernelPlan::Grouped(kernel) => {
+                assert_eq!(state.len(), kernel.span, "plan built for another span");
+                let groups = kernel.span >> kernel.sorted_mixed.len();
+                let shared = SharedState(state.as_mut_ptr());
+                let shared = &shared;
+                if kernel.lanes {
+                    (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
+                        // SAFETY: the pointer addresses the `span`
+                        // amplitudes of the exclusively borrowed state, the
+                        // lane block lies below `groups`, and distinct
+                        // groups touch disjoint amplitudes, so no two
+                        // tasks alias.
+                        unsafe { kernel.apply_group(shared.0, gb * T::LANES, true) }
+                    });
+                } else {
+                    (0..groups).into_par_iter().for_each(move |g| {
+                        // SAFETY: as above, for the single group `g`.
+                        unsafe { kernel.apply_group(shared.0, g, false) }
+                    });
                 }
             }
-            KernelPlan::Factored {
-                subs, subs_splat, offs, sorted_mixed, diag_extract, mdim, ..
-            } => {
-                let mdim = *mdim;
-                let sub_groups = tile >> sorted_mixed.len();
-                if vector {
-                    let ptr = scratch.as_mut_ptr();
-                    for sgb in 0..sub_groups / T::LANES {
-                        let mut base = sgb * T::LANES;
-                        for &p in sorted_mixed {
-                            let low = base & ((1usize << p) - 1);
-                            base = ((base >> p) << (p + 1)) | low;
-                        }
-                        let mut d = 0usize;
-                        for &(mask, weight) in diag_extract {
-                            if base & mask != 0 {
-                                d |= weight;
-                            }
-                        }
-                        // SAFETY: as in the Dense lane arm — in-tile,
-                        // disjoint sub-groups, exclusive borrow.
-                        unsafe {
-                            simd::dense_block_lanes::<T>(ptr, base, &subs_splat[d], mdim, offs)
-                        };
-                    }
-                    return;
-                }
-                for sg in 0..sub_groups {
-                    // Expand the sub-group index around the mixed slots;
-                    // the base ranges over every assignment of the other
-                    // tile slots, including this kernel's unmixed bits.
-                    let mut base = sg;
-                    for &p in sorted_mixed {
-                        let low = base & ((1usize << p) - 1);
-                        base = ((base >> p) << (p + 1)) | low;
-                    }
-                    // The unmixed-bit assignment picks the sub-unitary.
-                    let mut d = 0usize;
-                    for &(mask, weight) in diag_extract {
-                        if base & mask != 0 {
-                            d |= weight;
-                        }
-                    }
-                    let sub = &subs[d];
-                    let mut tmp = [Complex::<T>::ZERO; 64];
-                    for a in 0..mdim {
-                        tmp[a] = scratch[base | offs[a]];
-                    }
-                    for (r, row) in sub.chunks_exact(mdim).enumerate() {
-                        let mut acc = Complex::<T>::ZERO;
-                        for c in 0..mdim {
-                            acc = row[c].mul_add(tmp[c], acc);
-                        }
-                        scratch[base | offs[r]] = acc;
-                    }
-                }
+        }
+    }
+}
+
+impl<T: Scalar> GroupKernel<T> {
+    /// The one gather / mul-add / scatter body. Expands group index `g`
+    /// around the mixed bits — the base then carries an assignment of
+    /// every other span bit, this kernel's unmixed bits included, which
+    /// picks the sub-unitary — gathers the group's `2^μ` amplitudes,
+    /// accumulates each output row in column order with one `mul_add` per
+    /// entry, and scatters. With `lanes`, `g` is the first of `T::LANES`
+    /// consecutive groups processed as one lane vector per column, same
+    /// accumulation order, bitwise identical. `lanes` is a parameter
+    /// (always `self.lanes`) so each driver loop inlines one
+    /// straight-line form.
+    ///
+    /// # Safety
+    /// `ptr` must address `self.span` amplitudes; `g` must be below
+    /// `span >> μ` (with `lanes`: a multiple of `T::LANES` with the whole
+    /// lane block below it, on a plan whose `self.lanes` is true); and no
+    /// other thread may access the amplitudes of the group(s) during the
+    /// call. Distinct groups are disjoint: expansion reinserts zero bits
+    /// at every mixed position and the offsets set only those bits.
+    #[inline(always)]
+    unsafe fn apply_group(&self, ptr: *mut Complex<T>, g: usize, lanes: bool) {
+        let mdim = self.mdim;
+        let base = expand_index(g, &self.sorted_mixed);
+        let mut d = 0usize;
+        for &(mask, weight) in &self.extract {
+            if base & mask != 0 {
+                d |= weight;
             }
+        }
+        let sub = d * mdim * mdim..(d + 1) * mdim * mdim;
+        if lanes {
+            // SAFETY: the caller's contract; with every mixed and extract
+            // bit at or above the lane width the `T::LANES` groups from
+            // `g` share `d` and sit at consecutive addresses.
+            unsafe {
+                simd::dense_block_lanes::<T>(ptr, base, &self.subs_splat[sub], mdim, &self.offs)
+            };
+            return;
+        }
+        let mut scratch = [Complex::<T>::ZERO; 64];
+        // Sliced to `mdim` once, so the loops below index it unchecked.
+        let offs = &self.offs[..mdim];
+        for a in 0..mdim {
+            // SAFETY: `base | offs[a] < span` (bits below a power-of-two
+            // span, checked in `grouped`), owned by this call's group.
+            scratch[a] = unsafe { *ptr.add(base | offs[a]) };
+        }
+        for (r, row) in self.subs[sub].chunks_exact(mdim).enumerate() {
+            let mut acc = Complex::<T>::ZERO;
+            for c in 0..mdim {
+                acc = row[c].mul_add(scratch[c], acc);
+            }
+            // SAFETY: same address set as the gather.
+            unsafe { *ptr.add(base | offs[r]) = acc };
         }
     }
 }
 
 /// Raw shared pointer wrapper used to hand disjoint slices of the state to
-/// rayon tasks. All writes go to group-disjoint indices (see
-/// [`GpuDevice::apply_block`]), so no two tasks alias.
+/// rayon tasks. All accesses go to group-disjoint indices (see
+/// [`expand_index`]), so no two tasks alias.
 struct SharedState<T>(*mut Complex<T>);
-unsafe impl<T> Send for SharedState<T> {}
-unsafe impl<T> Sync for SharedState<T> {}
+// SAFETY: the one field points into a `&mut [Complex<T>]` that the kernel
+// creating the wrapper holds for the whole parallel region; `T: Scalar`
+// amplitudes are plain `Send` data, and tasks only touch disjoint indices.
+unsafe impl<T: Scalar> Send for SharedState<T> {}
+// SAFETY: as for `Send` — sharing the wrapper shares only the address;
+// every dereference is an `unsafe` call whose caller owns its indices.
+unsafe impl<T: Scalar> Sync for SharedState<T> {}
 
 impl<T: Scalar> SharedState<T> {
     /// SAFETY: caller guarantees `i` is in bounds and no concurrent task
@@ -982,6 +822,98 @@ mod tests {
             let b = swept.state.unwrap();
             for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
                 assert!(x.re == y.re && x.im == y.im, "seed {seed}: sweep drift");
+            }
+        }
+    }
+
+    /// One width-5 fused block whose first `mu` local bits are mixed
+    /// (random rotations and CXs among them) and whose other bits only
+    /// ever control or phase, relabelled onto `qubits`.
+    fn width5_block(mu: u32, qubits: &[u32; 5], seed: u64) -> FusedBlock {
+        let mut s = seed | 1;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as f64 / (1u64 << 31) as f64 * std::f64::consts::TAU
+        };
+        let mut c = Circuit::new(5);
+        for round in 0..3u32 {
+            for q in 0..mu {
+                c.u(rnd(), rnd(), rnd(), q);
+                if mu > 1 {
+                    c.cx(q, (q + 1 + round % (mu - 1)) % mu);
+                }
+            }
+            for ctl in mu..5 {
+                c.rz(rnd(), ctl).cx(ctl, (ctl + round) % mu).cr1(rnd(), ctl, ctl % mu);
+            }
+        }
+        let mut blocks = qgear_ir::fusion::fuse(&c, 5).blocks;
+        assert_eq!(blocks.len(), 1, "one width-5 kernel");
+        let mut block = blocks.pop().unwrap();
+        assert_eq!(block.mixing_mask().iter().filter(|&&m| m).count(), mu as usize);
+        for q in &mut block.qubits {
+            *q = qubits[*q as usize];
+        }
+        block
+    }
+
+    /// Run `block`'s plan (exact, or factored over its mixing mask) through
+    /// the full-state driver and through the tile driver with the whole
+    /// state as the one tile, lanes allowed or forced off.
+    fn through_both_drivers<T: Scalar>(
+        block: &FusedBlock,
+        exact: bool,
+        simd: bool,
+        n: u32,
+    ) -> ([Vec<u64>; 2], bool) {
+        let len = 1usize << n;
+        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
+        let mut plan = KernelPlan::<T>::new(block, &masks, len, exact);
+        let KernelPlan::Grouped(kernel) = &mut plan else { panic!("not a diagonal block") };
+        kernel.lanes &= simd;
+        let lanes = kernel.lanes;
+        let rich: Vec<Complex<T>> = (0..len)
+            .map(|i| Complex::new(T::from_f64((i as f64 * 0.37).sin()), T::from_f64((i as f64 * 0.11).cos())))
+            .collect();
+        let bits = |amps: &[Complex<T>]| -> Vec<u64> {
+            amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
+        };
+        let (mut full, mut tile) = (rich.clone(), rich);
+        plan.run_full(&mut full);
+        plan.run_tile(&mut tile);
+        ([bits(&full), bits(&tile)], lanes)
+    }
+
+    #[test]
+    fn full_state_driver_and_tile_driver_are_one_body_bit_for_bit() {
+        // n = 14: the μ = 1 plan has 2^13 groups, so the full-state driver
+        // really fans out across threads (the shim's threshold is 4096).
+        let n = 14;
+        // Placements: low bits (scalar: below both lane widths), high bits
+        // in ascending and in scrambled local order (lanes), and high
+        // leading bits over low trailing ones (scalar: a low mixed bit for
+        // the dense block, a low extract bit for the factored ones).
+        let placements: [([u32; 5], bool); 4] = [
+            ([0, 1, 2, 7, 13], false),
+            ([4, 6, 9, 11, 13], true),
+            ([13, 6, 11, 4, 9], true),
+            ([13, 12, 11, 1, 0], false),
+        ];
+        for (mu, exact) in [(5, true), (1, false), (3, false)] {
+            for (qubits, expect_lanes) in placements {
+                let block = width5_block(mu, &qubits, 17 + mu as u64);
+                let ([full64, tile64], lanes64) = through_both_drivers::<f64>(&block, exact, true, n);
+                let ([full32, tile32], lanes32) = through_both_drivers::<f32>(&block, exact, true, n);
+                let what = format!("μ={mu} on {qubits:?}");
+                assert_eq!((lanes64, lanes32), (expect_lanes, expect_lanes), "{what}: lanes");
+                assert_eq!(full64, tile64, "{what}: fp64 full vs tile");
+                assert_eq!(full32, tile32, "{what}: fp32 full vs tile");
+                let ([off_full64, off_tile64], _) = through_both_drivers::<f64>(&block, exact, false, n);
+                let ([off_full32, off_tile32], _) = through_both_drivers::<f32>(&block, exact, false, n);
+                assert_eq!(off_full64, off_tile64, "{what}: fp64 full vs tile, scalar");
+                assert_eq!(off_full32, off_tile32, "{what}: fp32 full vs tile, scalar");
+                assert_eq!(full64, off_full64, "{what}: fp64 lanes vs scalar");
+                assert_eq!(full32, off_full32, "{what}: fp32 lanes vs scalar");
             }
         }
     }

@@ -49,6 +49,8 @@
 //! assert!(planned.state.unwrap().fidelity(&g) > 1.0 - 1e-12);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aer;
 pub mod arena;
 pub mod backend;

@@ -432,8 +432,8 @@ pub fn plan(
             }
         }
         let sweep_cost = if let [only] = sweep.kernels.as_slice() {
-            // Singleton sweeps delegate to the full-state kernel, which
-            // has no factored path: price diagonal or dense, not
+            // Singleton sweeps delegate to `apply_block`, whose plan is
+            // always the exact one: price diagonal or dense, not
             // structured.
             let k = program.blocks[*only].qubits.len();
             let flops = match &structures[*only] {
@@ -488,18 +488,72 @@ pub fn plan(
     })
 }
 
-/// Deterministic counters one executed segment contributes, merged into
-/// [`ExecStats`](crate::ExecStats)/checkpoint counters by the callers.
-/// The accounting conventions match the fixed paths exactly: bytes per
-/// state pass, flops at the dense `2^k`-per-kernel rate (the audited
-/// "kernel grid" figure, even when structured dispatch does less work —
-/// same convention as the factored sweep path).
+/// Deterministic counters one executed step contributes, merged into
+/// [`ExecStats`](crate::ExecStats)/checkpoint counters by
+/// [`SegmentedRun::advance`](crate::SegmentedRun::advance). Bytes are
+/// charged per state pass, flops at the dense `2^k`-per-kernel rate (the
+/// audited "kernel grid" figure, even when structured or factored
+/// dispatch does less work).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SegmentStats {
     pub kernels_launched: u64,
     pub sweeps_executed: u64,
     pub bytes_touched: u128,
     pub flops: u128,
+}
+
+impl SegmentStats {
+    /// One kernel (or unfused gate) of `width` qubits in a state pass of
+    /// its own.
+    fn kernel_pass<T: Scalar>(n_amps: usize, width: usize) -> Self {
+        let n_amps = n_amps as u128;
+        SegmentStats {
+            kernels_launched: 1,
+            sweeps_executed: 0,
+            bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128,
+            flops: n_amps << width,
+        }
+    }
+
+    fn add(&mut self, step: SegmentStats) {
+        self.kernels_launched += step.kernels_launched;
+        self.sweeps_executed += step.sweeps_executed;
+        self.bytes_touched += step.bytes_touched;
+        self.flops += step.flops;
+    }
+}
+
+/// The block step kind: one fused kernel in one full-state pass —
+/// through the kernel matching `structure` when the caller has
+/// classified it, the exact [`GpuDevice::apply_block`] otherwise.
+pub(crate) fn block_step<T: Scalar>(
+    state: &mut [Complex<T>],
+    block: &FusedBlock,
+    structure: Option<&KernelStructure>,
+) -> SegmentStats {
+    match structure {
+        Some(structure) => GpuDevice::apply_block_structured(state, block, structure),
+        None => GpuDevice::apply_block(state, block),
+    }
+    SegmentStats::kernel_pass::<T>(state.len(), block.qubits.len())
+}
+
+/// The sweep step kind: every kernel of one scheduled sweep in a single
+/// cache-blocked pass — one pass of bytes, every kernel's arithmetic.
+pub(crate) fn sweep_step<T: Scalar>(
+    state: &mut [Complex<T>],
+    blocks: &[FusedBlock],
+    sweep: &Sweep,
+    exact: bool,
+) -> SegmentStats {
+    GpuDevice::apply_sweep(state, blocks, sweep, exact);
+    let n_amps = state.len() as u128;
+    SegmentStats {
+        kernels_launched: sweep.kernels.len() as u64,
+        sweeps_executed: 1,
+        bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128,
+        flops: sweep.kernels.iter().map(|&ki| n_amps << blocks[ki].qubits.len()).sum(),
+    }
 }
 
 /// Execute one planned segment over the state, returning its counter
@@ -513,41 +567,26 @@ pub(crate) fn execute_segment<T: Scalar>(
     let seg = &plan.segments[idx];
     let telemetry_on = qgear_telemetry::is_enabled();
     let start = telemetry_on.then(Instant::now);
-    let n_amps = state.len() as u128;
-    let amp_bytes = (2 * T::BYTES) as u128;
     let mut st = SegmentStats::default();
     match seg.mode {
         SegmentMode::Unfused => {
             for g in &seg.gates {
                 AerCpuBackend::apply_gate(state, g)
                     .expect("fused gates are executable by the per-gate path");
-                st.kernels_launched += 1;
-                st.bytes_touched += 2 * n_amps * amp_bytes;
-                st.flops += n_amps * (1u128 << g.operands().len());
+                st.add(SegmentStats::kernel_pass::<T>(state.len(), g.operands().len()));
             }
         }
         SegmentMode::Fused => {
             for &ki in &seg.sweep.kernels {
-                GpuDevice::apply_block_structured(state, &plan.blocks[ki], &plan.structures[ki]);
+                st.add(block_step(state, &plan.blocks[ki], Some(&plan.structures[ki])));
                 if telemetry_on {
                     qgear_telemetry::counter_inc(&names::planner_kernel(
                         plan.structures[ki].name(),
                     ));
                 }
-                st.kernels_launched += 1;
-                st.bytes_touched += 2 * n_amps * amp_bytes;
-                st.flops += n_amps * (1u128 << plan.blocks[ki].qubits.len());
             }
         }
-        SegmentMode::Sweep => {
-            GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep, plan.exact);
-            st.sweeps_executed = 1;
-            st.kernels_launched = seg.sweep.kernels.len() as u64;
-            st.bytes_touched = 2 * n_amps * amp_bytes;
-            for &ki in &seg.sweep.kernels {
-                st.flops += n_amps * (1u128 << plan.blocks[ki].qubits.len());
-            }
-        }
+        SegmentMode::Sweep => st = sweep_step(state, &plan.blocks, &seg.sweep, plan.exact),
     }
     if let Some(start) = start {
         let actual = start.elapsed().as_secs_f64();

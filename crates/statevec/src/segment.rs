@@ -188,43 +188,22 @@ impl<T: Scalar> SegmentedRun<T> {
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let from = self.cursor;
         let end = self.steps_total.min(self.cursor.saturating_add(max_steps.max(1)));
-        let amp_bytes = (2 * T::BYTES) as u128;
-        let n_amps = self.state.len() as u128;
         let before = self.counters;
         while self.cursor < end {
-            match &self.plan {
+            let amps = self.state.amplitudes_mut();
+            let step = match &self.plan {
                 StepPlan::Sweeps { program, sweeps, exact } => {
-                    let sweep = &sweeps[self.cursor];
-                    GpuDevice::apply_sweep(
-                        self.state.amplitudes_mut(),
-                        &program.blocks,
-                        sweep,
-                        *exact,
-                    );
-                    self.counters.sweeps_executed += 1;
-                    self.counters.kernels_launched += sweep.kernels.len() as u64;
-                    self.counters.bytes_touched += 2 * n_amps * amp_bytes;
-                    for &ki in &sweep.kernels {
-                        self.counters.flops +=
-                            n_amps * (1u128 << program.blocks[ki].qubits.len());
-                    }
+                    planner::sweep_step(amps, &program.blocks, &sweeps[self.cursor], *exact)
                 }
                 StepPlan::Blocks { program } => {
-                    let block = &program.blocks[self.cursor];
-                    GpuDevice::apply_block(self.state.amplitudes_mut(), block);
-                    self.counters.kernels_launched += 1;
-                    self.counters.bytes_touched += 2 * n_amps * amp_bytes;
-                    self.counters.flops += n_amps * (1u128 << block.qubits.len());
+                    planner::block_step(amps, &program.blocks[self.cursor], None)
                 }
-                StepPlan::Planned { plan } => {
-                    let seg =
-                        planner::execute_segment(self.state.amplitudes_mut(), plan, self.cursor);
-                    self.counters.sweeps_executed += seg.sweeps_executed;
-                    self.counters.kernels_launched += seg.kernels_launched;
-                    self.counters.bytes_touched += seg.bytes_touched;
-                    self.counters.flops += seg.flops;
-                }
-            }
+                StepPlan::Planned { plan } => planner::execute_segment(amps, plan, self.cursor),
+            };
+            self.counters.sweeps_executed += step.sweeps_executed;
+            self.counters.kernels_launched += step.kernels_launched;
+            self.counters.bytes_touched += step.bytes_touched;
+            self.counters.flops += step.flops;
             self.cursor += 1;
         }
         let applied = self.counters;

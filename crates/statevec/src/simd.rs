@@ -1,9 +1,10 @@
 //! SIMD lane kernels shared by the full-state and sweep-tile hot paths.
 //!
-//! Every kernel in [`crate::gpu`] has two implementations: the scalar
+//! Every kernel body in [`crate::gpu`] has two forms: the scalar
 //! reference (the original per-amplitude loops) and a lane-vectorized path
-//! built on [`qgear_num::simd`]. The vector path engages when three
-//! conditions hold:
+//! built on [`qgear_num::simd`] — one body per kernel class, run by both
+//! the full-state and the sweep-tile driver. The vector path engages when
+//! three conditions hold:
 //!
 //! 1. SIMD is enabled ([`simd_enabled`], a process-global toggle the
 //!    differential tests flip to compare the two paths bit for bit);
@@ -170,8 +171,8 @@ impl<T: Scalar> DiagTable<T> {
 ///
 /// # Safety
 /// Caller guarantees every address `base0 | offs[c] + lane` is in bounds
-/// and not concurrently accessed by another task (the group-disjointness
-/// argument of [`crate::gpu::GpuDevice::apply_block`]).
+/// and not concurrently accessed by another task (distinct amplitude
+/// groups are disjoint, see `GroupKernel::apply_group` in [`crate::gpu`]).
 #[inline(always)]
 pub(crate) unsafe fn dense_block_lanes<T: Scalar>(
     ptr: *mut Complex<T>,
@@ -183,6 +184,8 @@ pub(crate) unsafe fn dense_block_lanes<T: Scalar>(
     let zero = T::Lanes::splat(Complex::ZERO);
     let mut inp = [zero; 64];
     for c in 0..dim {
+        // SAFETY: the caller's contract — `LANES` in-bounds amplitudes
+        // from `base0 | offs[c]`, owned by this call.
         inp[c] = unsafe { T::Lanes::load_ptr(ptr.add(base0 | offs[c])) };
     }
     for r in 0..dim {
@@ -191,6 +194,7 @@ pub(crate) unsafe fn dense_block_lanes<T: Scalar>(
         for (c, rc) in row.iter().enumerate() {
             acc = rc.mul_add(inp[c], acc);
         }
+        // SAFETY: same address set as the loads, all of them done.
         unsafe { acc.store_ptr(ptr.add(base0 | offs[r])) };
     }
 }
@@ -216,9 +220,12 @@ pub(crate) unsafe fn perm_block_lanes<T: Scalar>(
     let zero = T::Lanes::splat(Complex::ZERO);
     let mut inp = [zero; 64];
     for c in 0..dim {
+        // SAFETY: the caller's contract, as in `dense_block_lanes`.
         inp[c] = unsafe { T::Lanes::load_ptr(ptr.add(base0 | offs[c])) };
     }
     for c in 0..dim {
+        // SAFETY: `rows` permutes `0..dim`, so this is the loads' address
+        // set again, every column already gathered.
         unsafe { phase_splat[c].mul(inp[c]).store_ptr(ptr.add(base0 | offs[rows[c]])) };
     }
 }

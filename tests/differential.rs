@@ -972,30 +972,57 @@ fn simd_tail_shapes_fall_back_bitwise_identically() {
 /// Lane-guaranteed coverage of all four structure classes: each pool is
 /// lifted onto the top qubits of a 12-qubit register, so every inserted
 /// bit clears both lane widths and the vector kernels demonstrably
-/// engage (not just trivially agree via the shared scalar path).
+/// engage (not just trivially agree via the shared scalar path). The
+/// width-5 pools — one dense block, one controlled block mixing a single
+/// qubit, one mixing three — are the blocks `gpu.rs` pins the full-state
+/// and tile drivers to each other with; they also run on the low qubits,
+/// below the lane width, where the same body takes its scalar form.
 #[test]
 fn simd_lane_path_engages_on_all_structure_classes() {
     type PoolBuilder = fn(&mut Circuit);
-    let pools: [(&str, PoolBuilder); 4] = [
-        ("diagonal", |c| {
+    // (width, mixed qubits of the one block a width-5 pool must fuse to)
+    let pools: [(u32, Option<usize>, PoolBuilder); 7] = [
+        (3, None, |c| {
             c.p(0.3, 0).cr1(0.7, 1, 2).t(1).rz(-0.9, 2);
         }),
-        ("permutation", |c| {
+        (3, None, |c| {
             c.x(0).cx(1, 2).swap(0, 2);
         }),
-        ("controlled", |c| {
+        (3, None, |c| {
             c.ry(0.4, 0).cx(1, 0).cr1(0.7, 2, 0);
         }),
-        ("dense", |c| {
+        (3, None, |c| {
             c.h(0).ry(0.3, 1).h(2).cx(0, 1).u(0.2, 0.1, -0.3, 2);
         }),
+        (5, Some(5), |c| {
+            for q in 0..5 {
+                c.u(0.3 + 0.2 * f64::from(q), 0.1, -0.4, q).cx(q, (q + 1) % 5);
+            }
+        }),
+        (5, Some(1), |c| {
+            for ctl in 1..5 {
+                c.ry(0.2 * f64::from(ctl), 0).cx(ctl, 0).cr1(0.5, ctl, 0);
+            }
+        }),
+        (5, Some(3), |c| {
+            for q in 0..3 {
+                c.u(0.7, 0.2 * f64::from(q), 0.9, q).cx(q, (q + 1) % 3);
+            }
+            c.cx(3, 0).cr1(0.6, 4, 1).cx(4, 2).rz(0.3, 3);
+        }),
     ];
-    for (name, build) in pools {
-        let mut small = Circuit::new(3);
+    for (width, mixed, build) in pools {
+        let mut small = Circuit::new(width);
         build(&mut small);
-        let wide = lifted(&small, 12);
-        assert_simd_toggle_invisible_on_blocks(&wide, 13);
-        let _ = name;
+        if let Some(mu) = mixed {
+            let blocks = fusion::try_fuse(&small, 5).expect("fusable").blocks;
+            assert_eq!(blocks.len(), 1, "width-5 pool fuses to one block");
+            assert_eq!(blocks[0].mixing_mask().iter().filter(|&&m| m).count(), mu);
+            let mut low = Circuit::new(12);
+            build(&mut low);
+            assert_simd_toggle_invisible_on_blocks(&low, 13);
+        }
+        assert_simd_toggle_invisible_on_blocks(&lifted(&small, 12), 13);
     }
 }
 
