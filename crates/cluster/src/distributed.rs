@@ -353,23 +353,47 @@ impl<T: Scalar> DistributedState<T> {
         out
     }
 
-    /// Reassemble the full state in logical qubit order (for verification;
-    /// allocates the whole `2^n` vector, so test-scale only).
+    /// Reassemble the full state in logical qubit order. On the serving
+    /// path: a sharded job gathers at every checkpoint boundary and once
+    /// more for the final sample, so this is a table-driven permutation,
+    /// not a per-amplitude bit loop.
+    ///
+    /// A physical index is rank ‖ high local bits ‖ low local bits, and
+    /// its logical index is the OR of the three parts' images under the
+    /// layout, so two small tables and one offset per device replace the
+    /// `n` shifts per amplitude. Low bits the layout has left in place
+    /// (all of them, until a block mixes a global qubit) keep runs of
+    /// amplitudes contiguous, and those move as `copy_from_slice`.
     pub fn gather(&self) -> StateVector<T> {
         let lw = self.local_width();
-        let mut amps = vec![Complex::ZERO; 1usize << self.num_qubits];
+        // Logical index bits of the physical bits `from..` set in `bits`.
+        let image = |bits: usize, from: u32| -> usize {
+            (0..usize::BITS - bits.leading_zeros())
+                .filter(|b| bits >> b & 1 == 1)
+                .map(|b| 1usize << self.layout.logical_at(from + b))
+                .sum()
+        };
+        let in_place = (0..lw).take_while(|&p| self.layout.logical_at(p) == p).count() as u32;
+        let low = in_place.max(lw / 2);
+        let low_image: Vec<usize> = (0..1usize << low).map(|i| image(i, 0)).collect();
+        let high_image: Vec<usize> = (0..1usize << (lw - low)).map(|i| image(i, low)).collect();
+
+        let mut state = StateVector::zero(self.num_qubits);
+        let amps = state.amplitudes_mut();
         for (r, part) in self.parts.iter().enumerate() {
-            for (i, &a) in part.iter().enumerate() {
-                let full = (r << lw) | i;
-                let mut logical = 0usize;
-                for q in 0..self.num_qubits {
-                    let pp = self.layout.physical(q) as usize;
-                    logical |= ((full >> pp) & 1) << q;
+            let rank = image(r, lw);
+            for (run, &high) in part.chunks_exact(1 << low).zip(&high_image) {
+                let base = rank | high;
+                if low == in_place {
+                    amps[base..base + run.len()].copy_from_slice(run);
+                } else {
+                    for (&a, &offset) in run.iter().zip(&low_image) {
+                        amps[base | offset] = a;
+                    }
                 }
-                amps[logical] = a;
             }
         }
-        StateVector::from_amplitudes(amps)
+        state
     }
 
     /// Partition a full state vector (logical amplitude order) across
@@ -685,6 +709,41 @@ mod tests {
             DistributedState::zero(6, 4, ClusterTopology::default());
         dist.run_program(&prog).expect("healthy fabric");
         assert_eq!(dist.traffic().total_messages(), 2 * dist.exchanges());
+    }
+
+    #[test]
+    fn gather_undoes_any_layout() {
+        // Amplitude `i` carries the value `i`, so a misplaced one shows.
+        let n = 7u32;
+        let state = StateVector::from_amplitudes(
+            (0..1 << n).map(|i| Complex::new(f64::from(i), -f64::from(i))).collect(),
+        );
+        for devices in [1usize, 2, 4, 16, 128] {
+            let mut dist = DistributedState::from_state(&state, devices, ClusterTopology::default());
+            assert_eq!(dist.gather(), state, "{devices} devices, identity layout");
+            let lw = dist.local_width();
+            // Displace the lowest local bit (so no run stays contiguous),
+            // the highest one, and a global one.
+            if lw >= 2 {
+                dist.swap_local_local(0, lw - 1);
+            }
+            if (1..n).contains(&lw) {
+                dist.swap_local_global(0, n - 1).expect("healthy fabric");
+                dist.swap_local_global(lw - 1, lw).expect("healthy fabric");
+            }
+            assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.layout);
+            // Put bit 0 back: runs of two stay contiguous, the rest is
+            // still scattered.
+            if lw >= 2 {
+                let at = dist.physical(0);
+                if at < lw {
+                    dist.swap_local_local(0, at);
+                } else {
+                    dist.swap_local_global(0, at).expect("healthy fabric");
+                }
+                assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.layout);
+            }
+        }
     }
 
     #[test]

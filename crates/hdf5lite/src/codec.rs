@@ -9,6 +9,8 @@
 //! paper stores (index arrays, one-hot tags, zero-padded parameter
 //! tensors; Appendix C reports ~50 % savings).
 
+use bytes::Buf;
+
 /// Compression selector for a container file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
@@ -43,11 +45,19 @@ impl Compression {
 /// chunk cache granule).
 pub const CHUNK_SIZE: usize = 64 * 1024;
 
-/// Run-length encode: emit `(count, byte)` pairs with `count ∈ 1..=255`.
-pub fn rle_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+/// Run-length encode `data` onto `out` as `(count, byte)` pairs with
+/// `count ∈ 1..=255`, giving up as soon as the encoding is as long as
+/// its input: from there on storing the chunk raw is never worse, so the
+/// rest would be built only to be thrown away. Returns whether the
+/// encoding is complete and strictly shorter than `data`; on `false`
+/// what was appended to `out` is partial and the caller truncates it.
+pub fn rle_encode(out: &mut Vec<u8>, data: &[u8]) -> bool {
+    let start = out.len();
     let mut i = 0;
     while i < data.len() {
+        if out.len() - start + 2 >= data.len() {
+            return false;
+        }
         let b = data[i];
         let mut run = 1usize;
         while run < 255 && i + run < data.len() && data[i + run] == b {
@@ -57,109 +67,182 @@ pub fn rle_encode(data: &[u8]) -> Vec<u8> {
         out.push(b);
         i += run;
     }
-    out
+    !data.is_empty()
 }
 
-/// Invert [`rle_encode`]. Returns `None` on malformed input (odd length or
-/// zero run counts).
-pub fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
+/// Invert [`rle_encode`] onto `out`. Returns `None` on malformed input
+/// (odd length or zero run counts) and on input that would decode to
+/// more than `limit` bytes — checked from the run counts alone, before
+/// anything is appended.
+pub fn rle_decode(out: &mut Vec<u8>, data: &[u8], limit: usize) -> Option<()> {
     if !data.len().is_multiple_of(2) {
         return None;
     }
-    let mut out = Vec::with_capacity(data.len());
+    let mut decoded = 0usize;
     for pair in data.chunks_exact(2) {
-        let (count, byte) = (pair[0], pair[1]);
-        if count == 0 {
+        if pair[0] == 0 {
             return None;
         }
-        out.extend(std::iter::repeat_n(byte, count as usize));
+        decoded += pair[0] as usize;
     }
-    Some(out)
+    if decoded > limit {
+        return None;
+    }
+    for pair in data.chunks_exact(2) {
+        out.extend(std::iter::repeat_n(pair[1], pair[0] as usize));
+    }
+    Some(())
 }
 
-/// Byte-shuffle `data` as an array of `width`-byte elements: output plane
-/// `k` holds the `k`-th byte of every element. A trailing partial element
-/// (when `data.len() % width != 0`) is appended unshuffled.
-pub fn shuffle(data: &[u8], width: usize) -> Vec<u8> {
-    if width <= 1 {
-        return data.to_vec();
+/// Byte-shuffle `data` as an array of `width`-byte elements into `out`
+/// (same length): output plane `k` holds the `k`-th byte of every
+/// element. A trailing partial element (when `data.len() % width != 0`)
+/// is copied unshuffled.
+pub fn shuffle(out: &mut [u8], data: &[u8], width: usize) {
+    let n = data.len() / width.max(1);
+    if width <= 1 || n == 0 {
+        return out.copy_from_slice(data);
     }
-    let n = data.len() / width;
-    let mut out = Vec::with_capacity(data.len());
-    for k in 0..width {
-        for e in 0..n {
-            out.push(data[e * width + k]);
+    let (planes, tail) = out.split_at_mut(n * width);
+    for (k, plane) in planes.chunks_exact_mut(n).enumerate() {
+        for (dst, element) in plane.iter_mut().zip(data.chunks_exact(width)) {
+            *dst = element[k];
         }
     }
-    out.extend_from_slice(&data[n * width..]);
-    out
+    tail.copy_from_slice(&data[n * width..]);
 }
 
 /// Invert [`shuffle`].
-pub fn unshuffle(data: &[u8], width: usize) -> Vec<u8> {
-    if width <= 1 {
-        return data.to_vec();
+pub fn unshuffle(out: &mut [u8], data: &[u8], width: usize) {
+    let n = data.len() / width.max(1);
+    if width <= 1 || n == 0 {
+        return out.copy_from_slice(data);
     }
-    let n = data.len() / width;
-    let mut out = vec![0u8; data.len()];
-    for k in 0..width {
-        for e in 0..n {
-            out[e * width + k] = data[k * n + e];
+    let (planes, tail) = data.split_at(n * width);
+    for (k, plane) in planes.chunks_exact(n).enumerate() {
+        for (&src, element) in plane.iter().zip(out.chunks_exact_mut(width)) {
+            element[k] = src;
         }
     }
-    out[n * width..].copy_from_slice(&data[n * width..]);
-    out
+    out[n * width..].copy_from_slice(tail);
 }
 
-/// Compress one chunk. `width` is the dataset element width (used by the
-/// shuffle filter). Falls back to storing raw (tagged) when "compression"
-/// would expand the chunk, so the codec never loses.
-pub fn compress_chunk(data: &[u8], codec: Compression, width: usize) -> Vec<u8> {
-    let encoded = match codec {
-        Compression::None => return prepend_tag(0, data.to_vec()),
-        Compression::Rle => rle_encode(data),
-        Compression::ShuffleRle => rle_encode(&shuffle(data, width)),
-    };
-    if encoded.len() >= data.len() {
-        prepend_tag(0, data.to_vec())
-    } else {
-        prepend_tag(codec.tag(), encoded)
+/// A lower bound on the `(count, byte)` pairs [`rle_encode`] needs for
+/// `data` after a `width`-byte [`shuffle`]: one per run, and bytes that
+/// end up adjacent inside a plane sit `width` apart in `data`. One
+/// contiguous compare-and-count pass, so a chunk that cannot shrink (a
+/// dense amplitude vector) is found out before it is shuffled.
+fn min_rle_pairs(data: &[u8], width: usize) -> usize {
+    let width = width.max(1);
+    let shuffled = data.len() / width * width;
+    let boundaries = data[..shuffled]
+        .iter()
+        .zip(&data[..shuffled][width.min(shuffled)..])
+        .filter(|(a, b)| a != b)
+        .count();
+    1 + boundaries
+}
+
+/// Compress one chunk onto `out`, self-tagged. `width` is the dataset
+/// element width (used by the shuffle filter); `scratch` holds the
+/// shuffled planes and is reused from chunk to chunk. Falls back to
+/// storing raw when "compression" would not shrink the chunk, so the
+/// codec never loses.
+pub fn compress_chunk(
+    out: &mut Vec<u8>,
+    data: &[u8],
+    codec: Compression,
+    width: usize,
+    scratch: &mut Vec<u8>,
+) {
+    let width = if codec == Compression::ShuffleRle { width } else { 1 };
+    let tag_at = out.len();
+    out.push(codec.tag());
+    let shrunk = codec != Compression::None
+        && 2 * min_rle_pairs(data, width) < data.len()
+        && if width > 1 {
+            scratch.resize(data.len(), 0);
+            shuffle(scratch, data, width);
+            rle_encode(out, scratch)
+        } else {
+            rle_encode(out, data)
+        };
+    if !shrunk {
+        out[tag_at] = Compression::None.tag();
+        out.truncate(tag_at + 1);
+        out.extend_from_slice(data);
     }
 }
 
-fn prepend_tag(tag: u8, mut body: Vec<u8>) -> Vec<u8> {
-    body.insert(0, tag);
-    body
-}
-
-/// Decompress one chunk produced by [`compress_chunk`].
-pub fn decompress_chunk(data: &[u8], width: usize) -> Option<Vec<u8>> {
-    let (&tag, body) = data.split_first()?;
+/// Decompress one chunk produced by [`compress_chunk`] onto `out`;
+/// `None` if it is malformed or holds more than `limit` bytes.
+pub fn decompress_chunk(
+    out: &mut Vec<u8>,
+    chunk: &[u8],
+    width: usize,
+    limit: usize,
+    scratch: &mut Vec<u8>,
+) -> Option<()> {
+    let (&tag, body) = chunk.split_first()?;
     match Compression::from_tag(tag)? {
-        Compression::None => Some(body.to_vec()),
-        Compression::Rle => rle_decode(body),
-        Compression::ShuffleRle => Some(unshuffle(&rle_decode(body)?, width)),
+        Compression::None => {
+            if body.len() > limit {
+                return None;
+            }
+            out.extend_from_slice(body);
+        }
+        Compression::Rle => rle_decode(out, body, limit)?,
+        Compression::ShuffleRle => {
+            scratch.clear();
+            rle_decode(scratch, body, limit)?;
+            let start = out.len();
+            out.resize(start + scratch.len(), 0);
+            unshuffle(&mut out[start..], scratch, width);
+        }
+    }
+    Some(())
+}
+
+/// Compress a full payload in [`CHUNK_SIZE`] chunks straight onto `out`,
+/// as the container stores it: chunk count `u32`, then per chunk its
+/// stored length `u32` and its self-tagged body.
+pub fn compress_payload(out: &mut Vec<u8>, data: &[u8], codec: Compression, width: usize) {
+    let mut scratch = Vec::new();
+    let chunks = data.chunks(CHUNK_SIZE);
+    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    for chunk in chunks {
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        compress_chunk(out, chunk, codec, width, &mut scratch);
+        let stored = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&stored.to_le_bytes());
     }
 }
 
-/// Compress a full payload in [`CHUNK_SIZE`] chunks; returns the chunk
-/// bodies (each self-tagged). The caller records per-chunk lengths.
-pub fn compress_payload(data: &[u8], codec: Compression, width: usize) -> Vec<Vec<u8>> {
-    if data.is_empty() {
-        return Vec::new();
+/// Read back what [`compress_payload`] wrote, advancing `cur` past it.
+/// The stream is untrusted: `expected` (the length the dataset's shape
+/// and dtype imply) must be met exactly, no chunk may hold more than
+/// [`CHUNK_SIZE`] bytes, and every length is checked against the bytes
+/// actually present before anything is allocated for it, so the result
+/// never costs more than the stream's own RLE expansion. `None` on any
+/// violation.
+pub fn decompress_payload(cur: &mut &[u8], expected: usize, width: usize) -> Option<Vec<u8>> {
+    let u32_le = |cur: &mut &[u8]| (cur.remaining() >= 4).then(|| cur.get_u32_le() as usize);
+    let nchunks = u32_le(cur)?;
+    // A chunk is at least its length field and its tag.
+    if nchunks > cur.len() / 5 {
+        return None;
     }
-    data.chunks(CHUNK_SIZE)
-        .map(|c| compress_chunk(c, codec, width))
-        .collect()
-}
-
-/// Reassemble a payload from compressed chunks.
-pub fn decompress_payload(chunks: &[Vec<u8>], width: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    for c in chunks {
-        out.extend(decompress_chunk(c, width)?);
+    let mut out = Vec::with_capacity(expected.min(cur.len()));
+    let mut scratch = Vec::new();
+    for _ in 0..nchunks {
+        let stored = u32_le(cur)?;
+        let chunk = cur.get(..stored)?;
+        cur.advance(stored);
+        let limit = CHUNK_SIZE.min(expected - out.len());
+        decompress_chunk(&mut out, chunk, width, limit, &mut scratch)?;
     }
-    Some(out)
+    (out.len() == expected).then_some(out)
 }
 
 #[cfg(test)]
@@ -168,6 +251,39 @@ mod tests {
 
     fn float_bytes(values: &[f64]) -> Vec<u8> {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn shuffled(data: &[u8], width: usize) -> Vec<u8> {
+        let mut out = vec![0; data.len()];
+        shuffle(&mut out, data, width);
+        out
+    }
+
+    /// Reference encoder: the whole pair stream, however long.
+    fn rle(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut rest = data;
+        while let Some(&b) = rest.first() {
+            let run = rest.iter().take(255).take_while(|&&x| x == b).count();
+            out.extend_from_slice(&[run as u8, b]);
+            rest = &rest[run..];
+        }
+        out
+    }
+
+    fn chunk(data: &[u8], codec: Compression, width: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_chunk(&mut out, data, codec, width, &mut Vec::new());
+        out
+    }
+
+    fn payload_roundtrip(data: &[u8], codec: Compression, width: usize) -> Vec<u8> {
+        let mut stream = Vec::new();
+        compress_payload(&mut stream, data, codec, width);
+        let mut cur = &stream[..];
+        assert_eq!(decompress_payload(&mut cur, data.len(), width).as_deref(), Some(data), "{codec:?}");
+        assert!(cur.is_empty());
+        stream
     }
 
     #[test]
@@ -181,25 +297,53 @@ mod tests {
             b"abacadabra".to_vec(),
         ];
         for case in cases {
-            let enc = rle_encode(&case);
-            assert_eq!(rle_decode(&enc).unwrap(), case);
+            let pairs = rle(&case);
+            let mut back = Vec::new();
+            rle_decode(&mut back, &pairs, case.len()).unwrap();
+            assert_eq!(back, case);
+            // The real encoder: the same pairs when they are a win,
+            // nothing usable when they are not.
+            let mut out = Vec::new();
+            assert_eq!(rle_encode(&mut out, &case), pairs.len() < case.len());
+            assert!(out == pairs || pairs.len() >= case.len());
         }
     }
 
     #[test]
+    fn rle_gives_up_exactly_when_it_cannot_win() {
+        // Runs of two encode to their own length: a tie, so no win.
+        let pairs: Vec<u8> = (0..64).map(|i| i / 2).collect();
+        assert!(!rle_encode(&mut Vec::new(), &pairs));
+        // One run of four among them: two bytes shorter.
+        let mut one_longer = pairs.clone();
+        one_longer[2] = 0;
+        one_longer[3] = 0;
+        let mut out = Vec::new();
+        assert!(rle_encode(&mut out, &one_longer));
+        assert_eq!(out.len(), 62);
+        assert!(!rle_encode(&mut Vec::new(), &[]));
+    }
+
+    #[test]
     fn rle_rejects_malformed() {
-        assert!(rle_decode(&[1]).is_none(), "odd length");
-        assert!(rle_decode(&[0, 5]).is_none(), "zero run");
+        let mut out = Vec::new();
+        assert!(rle_decode(&mut out, &[1], 64).is_none(), "odd length");
+        assert!(rle_decode(&mut out, &[0, 5], 64).is_none(), "zero run");
+        assert!(rle_decode(&mut out, &[200, 5, 200, 6], 399).is_none(), "past the limit");
+        assert!(out.is_empty(), "nothing is appended for a rejected input");
+        assert!(rle_decode(&mut out, &[200, 5, 200, 6], 400).is_some());
     }
 
     #[test]
     fn shuffle_roundtrip_various_widths() {
         let data: Vec<u8> = (0..97).map(|i| (i * 31 % 256) as u8).collect();
-        for width in [1usize, 2, 4, 8] {
-            let s = shuffle(&data, width);
-            assert_eq!(s.len(), data.len());
-            assert_eq!(unshuffle(&s, width), data);
+        for width in [1usize, 2, 4, 8, 128] {
+            let s = shuffled(&data, width);
+            let mut back = vec![0; data.len()];
+            unshuffle(&mut back, &s, width);
+            assert_eq!(back, data);
         }
+        assert_eq!(shuffled(&[1, 2, 3, 4, 5], 2), [1, 3, 2, 4, 5], "planes, then the tail");
     }
 
     #[test]
@@ -208,13 +352,30 @@ mod tests {
         // repeated bytes form runs.
         let values: Vec<f64> = (0..512).map(|i| 1.0 + i as f64 * 1e-6).collect();
         let raw = float_bytes(&values);
-        let shuffled = shuffle(&raw, 8);
-        let rle_raw = rle_encode(&raw).len();
-        let rle_shuf = rle_encode(&shuffled).len();
+        let rle_raw = rle(&raw).len();
+        let rle_shuf = rle(&shuffled(&raw, 8)).len();
         assert!(
             rle_shuf < rle_raw,
             "shuffle should help: {rle_shuf} vs {rle_raw}"
         );
+    }
+
+    #[test]
+    fn pair_bound_never_exceeds_the_encoding() {
+        let mut x = 1u32;
+        for len in [1usize, 7, 8, 9, 64, 1000] {
+            for width in [1usize, 2, 4, 8] {
+                // Mostly-repeating bytes, so some runs survive the shuffle.
+                let data: Vec<u8> = (0..len)
+                    .map(|_| {
+                        x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                        (x >> 30) as u8
+                    })
+                    .collect();
+                let pairs = rle(&shuffled(&data, width)).len() / 2;
+                assert!(min_rle_pairs(&data, width) <= pairs, "len {len} width {width}");
+            }
+        }
     }
 
     #[test]
@@ -223,9 +384,15 @@ mod tests {
         let noise: Vec<u8> = (0..4096u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        let c = compress_chunk(&noise, Compression::ShuffleRle, 8);
-        assert!(c.len() <= noise.len() + 1);
-        assert_eq!(decompress_chunk(&c, 8).unwrap(), noise);
+        let c = chunk(&noise, Compression::ShuffleRle, 8);
+        assert_eq!(c.len(), noise.len() + 1);
+        let mut back = Vec::new();
+        decompress_chunk(&mut back, &c, 8, noise.len(), &mut Vec::new()).unwrap();
+        assert_eq!(back, noise);
+        assert!(
+            decompress_chunk(&mut back, &c, 8, noise.len() - 1, &mut Vec::new()).is_none(),
+            "a raw chunk past the limit is refused"
+        );
     }
 
     #[test]
@@ -236,14 +403,12 @@ mod tests {
         for (i, byte) in data.iter_mut().enumerate().take(2_000) {
             *byte = (i % 251) as u8;
         }
-        let chunks = compress_payload(&data, Compression::ShuffleRle, 8);
-        let stored: usize = chunks.iter().map(Vec::len).sum();
+        let stored = payload_roundtrip(&data, Compression::ShuffleRle, 8).len();
         assert!(
             stored * 2 < data.len(),
             "expected >=50% compression, stored {stored} of {}",
             data.len()
         );
-        assert_eq!(decompress_payload(&chunks, 8).unwrap(), data);
     }
 
     #[test]
@@ -252,16 +417,35 @@ mod tests {
             .map(|i| (i / 64) as u8)
             .collect();
         for codec in [Compression::None, Compression::Rle, Compression::ShuffleRle] {
-            let chunks = compress_payload(&data, codec, 4);
-            assert_eq!(chunks.len(), 3);
-            assert_eq!(decompress_payload(&chunks, 4).unwrap(), data, "{codec:?}");
+            let stream = payload_roundtrip(&data, codec, 4);
+            assert_eq!(stream[..4], 3u32.to_le_bytes(), "chunk count");
         }
     }
 
     #[test]
     fn empty_payload() {
-        assert!(compress_payload(&[], Compression::ShuffleRle, 8).is_empty());
-        assert_eq!(decompress_payload(&[], 8).unwrap(), Vec::<u8>::new());
+        assert_eq!(payload_roundtrip(&[], Compression::ShuffleRle, 8), [0; 4]);
+    }
+
+    #[test]
+    fn payload_reader_holds_the_stream_to_its_claims() {
+        let data = vec![0u8; CHUNK_SIZE + 10];
+        let mut stream = Vec::new();
+        compress_payload(&mut stream, &data, Compression::Rle, 1);
+        let read = |stream: &[u8], expected| decompress_payload(&mut &stream[..], expected, 1);
+        assert!(read(&stream, data.len()).is_some());
+        assert!(read(&stream, data.len() - 1).is_none(), "decodes past the dataset's length");
+        assert!(read(&stream, data.len() + 1).is_none(), "decodes short of it");
+        // More chunks claimed than the bytes behind the count could hold.
+        let mut bomb = stream.clone();
+        bomb[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read(&bomb, data.len()).is_none());
+        // One chunk that expands past CHUNK_SIZE: 258 pairs of 255.
+        let mut fat = 1u32.to_le_bytes().to_vec();
+        fat.extend_from_slice(&(1 + 2 * 258u32).to_le_bytes());
+        fat.push(Compression::Rle.tag());
+        fat.extend(std::iter::repeat_n([255u8, 0], 258).flatten());
+        assert!(read(&fat, 258 * 255).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::dataset::{Attr, Dataset, Dtype};
 use crate::error::H5Error;
 use crate::tree::{Group, Node};
 use crate::H5File;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use std::collections::BTreeMap;
 
 /// File magic.
@@ -27,25 +27,41 @@ pub const MAGIC: &[u8; 4] = b"H5L1";
 /// Format version.
 pub const VERSION: u16 = 1;
 
+/// Deepest group nesting [`read`] follows (the root is depth 0). Real
+/// files nest three or four deep; the cap keeps a crafted file from
+/// recursing the reader off its stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Serialize a container.
 pub fn write(file: &H5File, compression: Compression) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(file.payload_bytes() / 2 + 1024);
+    let mut buf = Vec::new();
+    write_into(&mut buf, file, compression);
+    buf
+}
+
+/// Serialize a container onto the end of `buf` (a framing format that
+/// embeds one, like a checkpoint's STATE section, writes it in place).
+pub fn write_into(buf: &mut Vec<u8>, file: &H5File, compression: Compression) {
+    // Room for every chunk stored raw (length field + tag each), so a
+    // dense payload is written without one regrowth copy.
+    let payload = file.payload_bytes();
+    buf.reserve(payload + payload / codec::CHUNK_SIZE * 5 + 1024);
+    let start = buf.len();
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u8(compression.tag());
-    write_group(&mut buf, &file.root, compression);
-    let crc = crc32(&buf);
+    write_group(buf, &file.root, compression);
+    let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
-    buf.to_vec()
 }
 
-fn write_str(buf: &mut BytesMut, s: &str) {
+fn write_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     buf.put_u16_le(bytes.len().min(u16::MAX as usize) as u16);
     buf.put_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
 }
 
-fn write_attrs(buf: &mut BytesMut, attrs: &BTreeMap<String, Attr>) {
+fn write_attrs(buf: &mut Vec<u8>, attrs: &BTreeMap<String, Attr>) {
     buf.put_u16_le(attrs.len() as u16);
     for (name, attr) in attrs {
         write_str(buf, name);
@@ -73,7 +89,7 @@ fn write_attrs(buf: &mut BytesMut, attrs: &BTreeMap<String, Attr>) {
     }
 }
 
-fn write_group(buf: &mut BytesMut, group: &Group, compression: Compression) {
+fn write_group(buf: &mut Vec<u8>, group: &Group, compression: Compression) {
     buf.put_u8(0);
     write_attrs(buf, &group.attrs);
     buf.put_u32_le(group.children.len() as u32);
@@ -86,7 +102,7 @@ fn write_group(buf: &mut BytesMut, group: &Group, compression: Compression) {
     }
 }
 
-fn write_dataset(buf: &mut BytesMut, ds: &Dataset, compression: Compression) {
+fn write_dataset(buf: &mut Vec<u8>, ds: &Dataset, compression: Compression) {
     buf.put_u8(1);
     write_attrs(buf, &ds.attrs);
     buf.put_u8(ds.dtype.tag());
@@ -94,12 +110,7 @@ fn write_dataset(buf: &mut BytesMut, ds: &Dataset, compression: Compression) {
     for &d in &ds.shape {
         buf.put_u64_le(d);
     }
-    let chunks = codec::compress_payload(&ds.data, compression, ds.dtype.size());
-    buf.put_u32_le(chunks.len() as u32);
-    for c in &chunks {
-        buf.put_u32_le(c.len() as u32);
-        buf.put_slice(c);
-    }
+    codec::compress_payload(buf, &ds.data, compression, ds.dtype.size());
 }
 
 /// Deserialize a container.
@@ -123,7 +134,7 @@ pub fn read(data: &[u8]) -> Result<H5File, H5Error> {
         return Err(H5Error::UnsupportedVersion(version));
     }
     let _codec_tag = cur.get_u8(); // informational; chunks are self-tagged
-    let root = match read_node(&mut cur)? {
+    let root = match read_node(&mut cur, 0)? {
         Node::Group(g) => g,
         Node::Dataset(_) => return Err(H5Error::Malformed("root is a dataset".into())),
     };
@@ -182,17 +193,20 @@ fn read_attrs(cur: &mut &[u8]) -> Result<BTreeMap<String, Attr>, H5Error> {
     Ok(attrs)
 }
 
-fn read_node(cur: &mut &[u8]) -> Result<Node, H5Error> {
+fn read_node(cur: &mut &[u8], depth: usize) -> Result<Node, H5Error> {
     need(cur, 1)?;
     match cur.get_u8() {
         0 => {
+            if depth > MAX_DEPTH {
+                return Err(H5Error::Malformed(format!("groups nested past {MAX_DEPTH}")));
+            }
             let attrs = read_attrs(cur)?;
             need(cur, 4)?;
             let count = cur.get_u32_le();
             let mut children = BTreeMap::new();
             for _ in 0..count {
                 let name = read_str(cur)?;
-                let node = read_node(cur)?;
+                let node = read_node(cur, depth + 1)?;
                 children.insert(name, node);
             }
             Ok(Node::Group(Group { children, attrs }))
@@ -203,37 +217,79 @@ fn read_node(cur: &mut &[u8]) -> Result<Node, H5Error> {
             let dtype = Dtype::from_tag(cur.get_u8())
                 .ok_or_else(|| H5Error::Malformed("unknown dtype".into()))?;
             let ndim = cur.get_u8() as usize;
-            need(cur, ndim * 8 + 4)?;
+            need(cur, ndim * 8)?;
             let shape: Vec<u64> = (0..ndim).map(|_| cur.get_u64_le()).collect();
-            let nchunks = cur.get_u32_le() as usize;
-            let mut chunks = Vec::with_capacity(nchunks);
-            for _ in 0..nchunks {
-                need(cur, 4)?;
-                let len = cur.get_u32_le() as usize;
-                need(cur, len)?;
-                chunks.push(cur[..len].to_vec());
-                cur.advance(len);
-            }
-            let data = codec::decompress_payload(&chunks, dtype.size())
-                .ok_or_else(|| H5Error::Malformed("chunk decompression failed".into()))?;
-            let ds = Dataset { dtype, shape, data, attrs };
-            ds.validate()?;
-            Ok(Node::Dataset(ds))
+            // The length the chunks must decode to, fixed before any of
+            // them is looked at.
+            let bytes = shape
+                .iter()
+                .try_fold(dtype.size() as u64, |acc, &d| acc.checked_mul(d))
+                .and_then(|b| usize::try_from(b).ok())
+                .ok_or_else(|| H5Error::Malformed("dataset size overflows".into()))?;
+            let data = codec::decompress_payload(cur, bytes, dtype.size())
+                .ok_or_else(|| H5Error::Malformed("chunk stream does not decode to the dataset's shape".into()))?;
+            Ok(Node::Dataset(Dataset { dtype, shape, data, attrs }))
         }
         t => Err(H5Error::Malformed(format!("unknown node tag {t}"))),
     }
 }
 
-/// CRC-32 (IEEE), bitwise. Duplicated from `qgear-ir`'s QPY-lite on purpose:
-/// both formats must stay self-contained and dependency-free of each other.
+/// Slice-by-16 lookup tables: `TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes, so sixteen input bytes fold into
+/// the register with sixteen independent lookups instead of 128
+/// dependent shift/xor steps. Built at compile time; a `static`, so that
+/// an unoptimized build indexes it in place instead of materializing
+/// 16 KB at every use.
+static TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (reflected IEEE polynomial `0xEDB88320`), table-driven: the
+/// one fast implementation in the workspace. Containers and the
+/// checkpoint sections that embed them run it over whole state vectors,
+/// so it has to move at memory-ish speed; `qgear_ir::qpy::crc32` is the
+/// same function as a bitwise loop, kept for QPY's small headers (the
+/// two crates do not depend on each other) and as this one's test
+/// oracle (`tests/wire_stability.rs`).
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        // Byte `i` of the block has 15 - i bytes behind it; the register
+        // folds into the first four.
+        let word = |i: usize| u32::from_le_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+        let fold = |w: u32, top: usize| {
+            TABLES[top][(w & 0xFF) as usize]
+                ^ TABLES[top - 1][(w >> 8 & 0xFF) as usize]
+                ^ TABLES[top - 2][(w >> 16 & 0xFF) as usize]
+                ^ TABLES[top - 3][(w >> 24) as usize]
+        };
+        crc = fold(crc ^ word(0), 15) ^ fold(word(4), 11) ^ fold(word(8), 7) ^ fold(word(12), 3);
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -303,6 +359,71 @@ mod tests {
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(read(&bytes), Err(H5Error::UnsupportedVersion(7)));
+    }
+
+    /// A container around hand-written root-group bytes, CRC and all.
+    fn signed(root: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.put_u16_le(VERSION);
+        bytes.put_u8(0);
+        bytes.put_slice(root);
+        let crc = crc32(&bytes);
+        bytes.put_u32_le(crc);
+        bytes
+    }
+
+    /// Root group with one dataset `d`: u8, one dimension of `dim`, then
+    /// `chunks` verbatim.
+    fn one_dataset(dim: u64, chunks: &[u8]) -> Vec<u8> {
+        let mut root = vec![0, 0, 0, 1, 0, 0, 0, 1, 0, b'd', 1, 0, 0, Dtype::U8.tag(), 1];
+        root.put_u64_le(dim);
+        root.put_slice(chunks);
+        signed(&root)
+    }
+
+    fn malformed(bytes: &[u8]) -> bool {
+        matches!(read(bytes), Err(H5Error::Malformed(_)))
+    }
+
+    #[test]
+    fn length_fields_are_not_trusted() {
+        // Sanity: the hand-written framing is what the writer emits.
+        let mut f = H5File::new();
+        f.write_dataset("d", Dataset::from_u8(&[7, 7, 7], &[3])).unwrap();
+        assert_eq!(one_dataset(3, &[1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 7, 7]), write(&f, Compression::None));
+
+        // A chunk count (and a shape) far past the bytes behind them.
+        let mut bomb = u32::MAX.to_le_bytes().to_vec();
+        bomb.put_slice(&[4, 0, 0, 0, 0, 7, 7, 7]);
+        assert!(malformed(&one_dataset(u64::MAX, &bomb)));
+        assert!(malformed(&one_dataset(3, &bomb)));
+        // A shape whose byte count overflows.
+        let mut root = vec![0, 0, 0, 1, 0, 0, 0, 1, 0, b'd', 1, 0, 0, Dtype::F64.tag(), 2];
+        root.put_u64_le(1 << 62);
+        root.put_u64_le(4);
+        root.put_u32_le(0);
+        assert!(malformed(&signed(&root)));
+        // Chunks that decode to more, and to less, than the shape says.
+        assert!(malformed(&one_dataset(2, &[1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 7, 7])));
+        assert!(malformed(&one_dataset(4, &[1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 7, 7])));
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        // `depth` groups inside the root, each the only child `g` of the
+        // one before: 10 bytes a level.
+        let nested = |depth: usize| {
+            let mut root = Vec::new();
+            for _ in 0..depth {
+                root.put_slice(&[0, 0, 0, 1, 0, 0, 0, 1, 0, b'g']);
+            }
+            root.put_slice(&[0, 0, 0, 0, 0, 0, 0]);
+            signed(&root)
+        };
+        assert!(read(&nested(MAX_DEPTH)).is_ok());
+        assert!(malformed(&nested(MAX_DEPTH + 1)));
+        // A megabyte of nesting is an error, not a stack overflow.
+        assert!(malformed(&nested(100_000)));
     }
 
     #[test]

@@ -123,8 +123,11 @@ pub fn read(mut data: &[u8]) -> Result<Vec<Circuit>, IrError> {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-free bitwise variant —
-/// throughput is irrelevant for these headers and it keeps the format
-/// self-contained.
+/// throughput is irrelevant for these headers (a QPY-lite file is a few
+/// KB) and it keeps the format self-contained. It is the only bitwise
+/// CRC in the workspace: anything state-sized goes through the
+/// table-driven `qgear_hdf5lite::format::crc32`, which
+/// `tests/wire_stability.rs` holds to this function's values.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {

@@ -15,10 +15,12 @@
 //! telemetry log reads causally.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One stored checkpoint generation: opaque encoded bytes plus the
 /// coordinates the recovery ladder and the simtest oracles need without
-/// decoding.
+/// decoding. Cloning one clones a handle: the ladder takes its copy of
+/// the window under the service lock, and a generation is megabytes.
 #[derive(Debug, Clone)]
 pub struct CheckpointGeneration {
     /// Per-job monotone generation number (0-based, never reused).
@@ -26,7 +28,7 @@ pub struct CheckpointGeneration {
     /// Schedule cursor the checkpoint was taken at (segments applied).
     pub cursor: u64,
     /// The encoded checkpoint (`qgear_statevec::checkpoint` wire bytes).
-    pub bytes: Vec<u8>,
+    pub bytes: Arc<Vec<u8>>,
 }
 
 /// Everything the service records about checkpoint activity, kept as an
@@ -104,7 +106,7 @@ impl CheckpointStore {
         if window.len() >= self.max_generations {
             window.pop_front();
         }
-        window.push_back(CheckpointGeneration { generation: this_gen, cursor, bytes });
+        window.push_back(CheckpointGeneration { generation: this_gen, cursor, bytes: Arc::new(bytes) });
         this_gen
     }
 
@@ -154,6 +156,14 @@ mod tests {
             "newest first, oldest evicted"
         );
         assert_eq!(window[0].cursor, 3);
+    }
+
+    #[test]
+    fn the_ladder_gets_handles_not_copies() {
+        let mut store = CheckpointStore::new(2);
+        store.record(3, 1, vec![9; 1 << 16]);
+        let (first, second) = (store.newest_first(3), store.newest_first(3));
+        assert!(Arc::ptr_eq(&first[0].bytes, &second[0].bytes));
     }
 
     #[test]

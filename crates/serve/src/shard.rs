@@ -34,7 +34,8 @@ use qgear_ir::fusion::{fuse, FusedProgram};
 use qgear_ir::Circuit;
 use qgear_perfmodel::memory::plan_shard_count;
 use qgear_statevec::checkpoint::{
-    plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
+    encode, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
+    StateCheckpoint,
 };
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{ExecStats, SimError, StateVector};
@@ -340,8 +341,8 @@ impl<T: CheckpointScalar> Stepper<T> for ShardedRun<T> {
         ShardedRun::cursor(self)
     }
 
-    fn checkpoint(&self) -> StateCheckpoint<T> {
-        ShardedRun::checkpoint(self)
+    fn encode_checkpoint(&self) -> Vec<u8> {
+        encode(&ShardedRun::checkpoint(self))
     }
 
     fn stats(&self) -> ExecStats {
@@ -493,7 +494,7 @@ impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgear_statevec::checkpoint::{decode, encode};
+    use qgear_statevec::checkpoint::decode;
 
     fn job_circuit() -> Circuit {
         let mut c = Circuit::new(4);

@@ -16,9 +16,7 @@ use crate::scheduler::QueuedJob;
 use crate::service::{sample_and_package, Executed, Shared};
 use qgear_cluster::CommError;
 use qgear_ir::Circuit;
-use qgear_statevec::checkpoint::{
-    decode as decode_checkpoint, encode as encode_checkpoint, CheckpointError, StateCheckpoint,
-};
+use qgear_statevec::checkpoint::{decode as decode_checkpoint, CheckpointError, StateCheckpoint};
 use qgear_statevec::segment::SegmentedRun;
 use qgear_statevec::{CheckpointScalar, ExecStats, GpuDevice, RunOptions, SimError, StateVector};
 use qgear_telemetry::clock::Clock;
@@ -39,8 +37,9 @@ pub(crate) trait Stepper<T: CheckpointScalar> {
     fn is_done(&self) -> bool;
     /// Steps applied so far.
     fn cursor(&self) -> u64;
-    /// Snapshot the execution state for the QCKP codec.
-    fn checkpoint(&self) -> StateCheckpoint<T>;
+    /// The execution state as QCKP wire bytes (a borrow of a resident
+    /// state, a gather of a partitioned one).
+    fn encode_checkpoint(&self) -> Vec<u8>;
     /// Counters and evolve time accumulated so far.
     fn stats(&self) -> ExecStats;
     /// Trade the finished run for its state in logical amplitude order
@@ -118,7 +117,7 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
         segments_done += 1;
         if !run.is_done() {
             let write_span = span!(spans::CHECKPOINT_WRITE);
-            let mut bytes = encode_checkpoint(&run.checkpoint());
+            let mut bytes = run.encode_checkpoint();
             let cursor = run.cursor();
             let mut st = shared.state.lock().expect("serve state poisoned");
             let generation = st.checkpoints.next_generation(id);
@@ -239,8 +238,8 @@ impl<T: CheckpointScalar> Stepper<T> for SegmentedRun<T> {
         SegmentedRun::cursor(self) as u64
     }
 
-    fn checkpoint(&self) -> StateCheckpoint<T> {
-        SegmentedRun::checkpoint(self)
+    fn encode_checkpoint(&self) -> Vec<u8> {
+        SegmentedRun::encode_checkpoint(self)
     }
 
     fn stats(&self) -> ExecStats {
@@ -262,7 +261,7 @@ mod tests {
     use crate::job::{Engine, JobId, JobSpec};
     use crate::{FaultKind, FaultSchedule, ServeConfig, Service};
     use qgear_ir::shape_digest;
-    use qgear_statevec::checkpoint::CheckpointCounters;
+    use qgear_statevec::checkpoint::{encode, CheckpointCounters};
     use qgear_statevec::SamplingConfig;
     use std::cell::{Cell, RefCell};
     use std::time::Duration;
@@ -294,16 +293,16 @@ mod tests {
             self.cursor
         }
 
-        fn checkpoint(&self) -> StateCheckpoint<f64> {
-            StateCheckpoint {
+        fn encode_checkpoint(&self) -> Vec<u8> {
+            encode(&StateCheckpoint {
                 num_qubits: 1,
                 cursor: self.cursor,
                 steps_total: self.total,
                 fingerprint: FINGERPRINT,
                 counters: CheckpointCounters::default(),
                 sampling: SamplingConfig::single(0, 0),
-                state: StateVector::zero(1),
-            }
+                state: StateVector::<f64>::zero(1),
+            })
         }
 
         fn stats(&self) -> ExecStats {

@@ -21,8 +21,9 @@
 //!   crc     u32 LE over tag ‖ len ‖ payload
 //! ```
 //!
-//! Every section is CRC-32-framed with the same IEEE polynomial as
-//! `qgear-ir::qpy` ([`qgear_ir::qpy::crc32`]); the STATE payload is a
+//! Every section is CRC-32-framed with the IEEE polynomial, computed by
+//! the container's table-driven [`qgear_hdf5lite::format::crc32`] (a
+//! STATE section is a whole state vector long); the STATE payload is a
 //! `qgear-hdf5lite` container (which carries its own internal CRC), so
 //! amplitude bytes are double-covered. The decoder *rejects* — it never
 //! "best-efforts" — on a bad magic, an unknown version or section tag,
@@ -33,8 +34,8 @@
 
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
-use qgear_hdf5lite::{Compression, Dataset, H5File};
-use qgear_ir::qpy::crc32;
+use qgear_hdf5lite::format::{crc32, write_into};
+use qgear_hdf5lite::{Compression, Dataset, Dtype, H5Error, H5File};
 use qgear_ir::Circuit;
 use qgear_num::{Complex, Scalar};
 use std::fmt;
@@ -59,41 +60,42 @@ const META_LEN: usize = 1 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 16 + 16 + 8 + 8 + 8;
 const AMPLITUDE_DATASET: &str = "checkpoint/amplitudes";
 
 /// Scalars that can ride in a checkpoint: the codec needs a precision
-/// tag and a bit-exact route in and out of an hdf5lite [`Dataset`].
+/// tag and a bit-exact route in and out of an hdf5lite [`Dataset`]'s
+/// little-endian bytes.
 pub trait CheckpointScalar: Scalar {
     /// Precision tag stored in META (the per-component byte width).
     const PRECISION_TAG: u8;
 
-    /// Pack interleaved `re, im` components into a dataset, bit-exactly.
-    fn dataset_from(parts: &[Self]) -> Dataset;
+    /// Element type of the amplitude dataset.
+    const DTYPE: Dtype;
 
-    /// Unpack a dataset back into components; errors on a dtype mismatch.
-    fn parts_from(ds: &Dataset) -> Result<Vec<Self>, qgear_hdf5lite::H5Error>;
+    /// Write the component's little-endian bytes into `dst`
+    /// (`PRECISION_TAG` bytes long).
+    fn write_le(self, dst: &mut [u8]);
+
+    /// Read a component back from its little-endian bytes.
+    fn read_le(src: &[u8]) -> Self;
 }
 
-impl CheckpointScalar for f32 {
-    const PRECISION_TAG: u8 = 4;
+macro_rules! checkpoint_scalar {
+    ($t:ty, $dtype:expr) => {
+        impl CheckpointScalar for $t {
+            const PRECISION_TAG: u8 = std::mem::size_of::<$t>() as u8;
+            const DTYPE: Dtype = $dtype;
 
-    fn dataset_from(parts: &[Self]) -> Dataset {
-        Dataset::from_f32(parts, &[parts.len() as u64])
-    }
+            fn write_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
 
-    fn parts_from(ds: &Dataset) -> Result<Vec<Self>, qgear_hdf5lite::H5Error> {
-        ds.as_f32()
-    }
+            fn read_le(src: &[u8]) -> Self {
+                <$t>::from_le_bytes(src.try_into().expect("one component wide"))
+            }
+        }
+    };
 }
 
-impl CheckpointScalar for f64 {
-    const PRECISION_TAG: u8 = 8;
-
-    fn dataset_from(parts: &[Self]) -> Dataset {
-        Dataset::from_f64(parts, &[parts.len() as u64])
-    }
-
-    fn parts_from(ds: &Dataset) -> Result<Vec<Self>, qgear_hdf5lite::H5Error> {
-        ds.as_f64()
-    }
-}
+checkpoint_scalar!(f32, Dtype::F32);
+checkpoint_scalar!(f64, Dtype::F64);
 
 /// Why a checkpoint was rejected. Every variant means "do not load";
 /// the serving recovery ladder counts them and falls back a generation.
@@ -268,51 +270,94 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Append one CRC-framed section.
-fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Open a section: tag and a length placeholder. Returns where it starts.
+fn begin_section(out: &mut Vec<u8>, tag: u8) -> usize {
     let start = out.len();
     out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Close the section opened at `start`: fill in the payload length and
+/// append the CRC over tag ‖ len ‖ payload.
+fn end_section(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start - 5) as u32;
+    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Serialize a checkpoint to its framed wire format.
 pub fn encode<T: CheckpointScalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
-    let mut meta = Vec::with_capacity(META_LEN);
-    meta.push(T::PRECISION_TAG);
-    meta.extend_from_slice(&ck.num_qubits.to_le_bytes());
-    meta.extend_from_slice(&ck.cursor.to_le_bytes());
-    meta.extend_from_slice(&ck.steps_total.to_le_bytes());
-    meta.extend_from_slice(&ck.fingerprint.to_le_bytes());
-    meta.extend_from_slice(&ck.counters.gates_applied.to_le_bytes());
-    meta.extend_from_slice(&ck.counters.kernels_launched.to_le_bytes());
-    meta.extend_from_slice(&ck.counters.sweeps_executed.to_le_bytes());
-    meta.extend_from_slice(&ck.counters.bytes_touched.to_le_bytes());
-    meta.extend_from_slice(&ck.counters.flops.to_le_bytes());
-    meta.extend_from_slice(&ck.sampling.shots.to_le_bytes());
-    meta.extend_from_slice(&ck.sampling.seed.to_le_bytes());
-    meta.extend_from_slice(&ck.sampling.batch_shots.to_le_bytes());
-    debug_assert_eq!(meta.len(), META_LEN);
+    encode_amplitudes(
+        ck.state.amplitudes(),
+        ck.num_qubits,
+        ck.cursor,
+        ck.steps_total,
+        ck.fingerprint,
+        &ck.counters,
+        &ck.sampling,
+    )
+}
 
-    // Interleave re/im components and hand them to the container, which
-    // stores little-endian bytes — a bit-exact round trip.
-    let mut parts: Vec<T> = Vec::with_capacity(2 * ck.state.len());
-    for amp in ck.state.amplitudes() {
-        parts.push(amp.re);
-        parts.push(amp.im);
+/// [`encode`] over borrowed amplitudes and the remaining
+/// [`StateCheckpoint`] fields, so a live run can be written without
+/// cloning its state into a `StateCheckpoint` first.
+///
+/// The amplitudes are converted once, into the STATE container's
+/// dataset, and the container serializes itself straight into the
+/// output buffer; for a dense state that is one conversion pass, one
+/// chunk copy and the two CRC passes the format asks for.
+pub fn encode_amplitudes<T: CheckpointScalar>(
+    amplitudes: &[Complex<T>],
+    num_qubits: u32,
+    cursor: u64,
+    steps_total: u64,
+    fingerprint: u64,
+    counters: &CheckpointCounters,
+    sampling: &SamplingConfig,
+) -> Vec<u8> {
+    let width = usize::from(T::PRECISION_TAG);
+    let mut data = vec![0u8; amplitudes.len() * 2 * width];
+    for (dst, amp) in data.chunks_exact_mut(2 * width).zip(amplitudes) {
+        let (re, im) = dst.split_at_mut(width);
+        amp.re.write_le(re);
+        amp.im.write_le(im);
     }
     let mut file = H5File::new();
-    file.write_dataset(AMPLITUDE_DATASET, T::dataset_from(&parts))
-        .expect("fresh container accepts the dataset");
-    let state_bytes = file.to_bytes(Compression::ShuffleRle);
+    let ds = Dataset {
+        dtype: T::DTYPE,
+        shape: vec![2 * amplitudes.len() as u64],
+        data,
+        attrs: Default::default(),
+    };
+    file.write_dataset(AMPLITUDE_DATASET, ds).expect("fresh container accepts the dataset");
 
-    let mut out = Vec::with_capacity(6 + meta.len() + state_bytes.len() + 18);
+    // `write_into` reserves for the container, which is all but ~130 bytes.
+    let mut out = Vec::new();
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    push_section(&mut out, SECTION_META, &meta);
-    push_section(&mut out, SECTION_STATE, &state_bytes);
+
+    let meta = begin_section(&mut out, SECTION_META);
+    out.push(T::PRECISION_TAG);
+    out.extend_from_slice(&num_qubits.to_le_bytes());
+    out.extend_from_slice(&cursor.to_le_bytes());
+    out.extend_from_slice(&steps_total.to_le_bytes());
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&counters.gates_applied.to_le_bytes());
+    out.extend_from_slice(&counters.kernels_launched.to_le_bytes());
+    out.extend_from_slice(&counters.sweeps_executed.to_le_bytes());
+    out.extend_from_slice(&counters.bytes_touched.to_le_bytes());
+    out.extend_from_slice(&counters.flops.to_le_bytes());
+    out.extend_from_slice(&sampling.shots.to_le_bytes());
+    out.extend_from_slice(&sampling.seed.to_le_bytes());
+    out.extend_from_slice(&sampling.batch_shots.to_le_bytes());
+    debug_assert_eq!(out.len() - meta - 5, META_LEN);
+    end_section(&mut out, meta);
+
+    let state = begin_section(&mut out, SECTION_STATE);
+    write_into(&mut out, &file, Compression::ShuffleRle);
+    end_section(&mut out, state);
     out
 }
 
@@ -438,26 +483,25 @@ pub fn decode<T: CheckpointScalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, C
     let ds = file
         .dataset(AMPLITUDE_DATASET)
         .map_err(|e| CheckpointError::Container(e.to_string()))?;
-    let parts = T::parts_from(ds).map_err(|e| CheckpointError::Container(e.to_string()))?;
-    let expected = 2u64 << num_qubits;
-    if parts.len() as u64 != expected {
-        return Err(CheckpointError::AmplitudeMismatch {
-            expected,
-            found: parts.len() as u64,
-        });
+    if ds.dtype != T::DTYPE {
+        let mismatch = H5Error::DtypeMismatch { stored: ds.dtype.name(), requested: T::DTYPE.name() };
+        return Err(CheckpointError::Container(mismatch.to_string()));
     }
-    let amps: Vec<Complex<T>> =
-        parts.chunks_exact(2).map(|p| Complex::new(p[0], p[1])).collect();
+    // The container has already held the payload to its shape, so this
+    // is the number of components actually present.
+    let width = usize::from(T::PRECISION_TAG);
+    let expected = 2u64 << num_qubits;
+    let found = (ds.data.len() / width) as u64;
+    if found != expected {
+        return Err(CheckpointError::AmplitudeMismatch { expected, found });
+    }
+    let mut state = StateVector::zero(num_qubits);
+    for (amp, src) in state.amplitudes_mut().iter_mut().zip(ds.data.chunks_exact(2 * width)) {
+        let (re, im) = src.split_at(width);
+        *amp = Complex::new(T::read_le(re), T::read_le(im));
+    }
 
-    Ok(StateCheckpoint {
-        num_qubits,
-        cursor,
-        steps_total,
-        fingerprint,
-        counters,
-        sampling,
-        state: StateVector::from_amplitudes(amps),
-    })
+    Ok(StateCheckpoint { num_qubits, cursor, steps_total, fingerprint, counters, sampling, state })
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ use crate::backend::{
     check_capacity, sample_measured, ExecStats, RunOptions, RunOutput, SimError,
 };
 use crate::checkpoint::{
-    fold_strategy, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
-    StateCheckpoint,
+    encode_amplitudes, fold_strategy, plan_fingerprint, CheckpointCounters, CheckpointError,
+    CheckpointScalar, StateCheckpoint,
 };
 use crate::gpu::GpuDevice;
 use crate::planner::{self, ExecStrategy, ExecutionPlan};
@@ -314,9 +314,9 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         })
     }
 
-    /// Snapshot the current execution state. Cheap relative to the
-    /// evolution itself (one amplitude-vector clone); the caller owns
-    /// serialization via [`crate::checkpoint::encode`].
+    /// Snapshot the current execution state as an owned value (one
+    /// amplitude-vector clone). To serialize the snapshot, call
+    /// [`Self::encode_checkpoint`], which skips the clone.
     pub fn checkpoint(&self) -> StateCheckpoint<T> {
         StateCheckpoint {
             num_qubits: self.state.num_qubits(),
@@ -327,6 +327,21 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
             sampling: self.sampling,
             state: self.state.clone(),
         }
+    }
+
+    /// [`encode`](crate::checkpoint::encode) of [`Self::checkpoint`],
+    /// written from the live state: what a segment boundary stores costs
+    /// no clone of the amplitudes.
+    pub fn encode_checkpoint(&self) -> Vec<u8> {
+        encode_amplitudes(
+            self.state.amplitudes(),
+            self.state.num_qubits(),
+            self.cursor as u64,
+            self.steps_total as u64,
+            self.fingerprint(),
+            &self.counters,
+            &self.sampling,
+        )
     }
 
     /// Rebuild the plan for `(circuit, opts)` and install a verified

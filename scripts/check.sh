@@ -59,6 +59,16 @@ cargo run --release -p qgear-bench --bin bench_shard -- --smoke
 echo "==> cargo test -q --test simtest shard_worker_death (named migration gate)"
 cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically
 
+# Checkpoint throughput, self-calibrating (docs/CHECKPOINTS.md): on this
+# host, encoding a dense n=16 fp64 state must take less time than one
+# bit-by-bit CRC-32 pass over the encoder's own output, and decoding
+# less than two, best of five interleaved rounds. The format itself asks
+# for two CRC passes each way, so a bit loop or a few stray state-sized
+# copies in the codec fail it (the pre-table encoder: 0.3x), and no
+# absolute number is involved.
+echo "==> bench_checkpoint smoke (QCKP encode/decode vs a bitwise CRC pass)"
+cargo run --release -p qgear-bench --bin bench_checkpoint -- --smoke
+
 # The repo benchmark's smoke run (BENCHMARK.json, benchmark/README.md):
 # the only check that drives all four traffic shapes — batched, mixed
 # solo, large dense, sharded + checkpointed — through the real `Service`.

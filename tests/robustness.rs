@@ -174,9 +174,124 @@ proptest! {
     ) {
         use qgear_hdf5lite::codec;
         for comp in [Compression::None, Compression::Rle, Compression::ShuffleRle] {
-            let chunks = codec::compress_payload(&data, comp, width);
-            let back = codec::decompress_payload(&chunks, width).unwrap();
+            let mut stream = Vec::new();
+            codec::compress_payload(&mut stream, &data, comp, width);
+            let back = codec::decompress_payload(&mut &stream[..], data.len(), width).unwrap();
             prop_assert_eq!(&back, &data);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, .. ProptestConfig::default() })]
+
+    #[test]
+    fn resigned_mutations_reach_the_parsers_and_stay_bounded(
+        at in 0usize..1 << 20,
+        kind in 0u8..6,
+        value in any::<u64>(),
+        codec in prop_oneof![Just(Compression::None), Just(Compression::Rle), Just(Compression::ShuffleRle)],
+    ) {
+        // A CRC stops a plain bit flip at the door; these mutations are
+        // signed again afterwards, so what they corrupt — length fields,
+        // counts, tags, chunk bodies — is read by the parser proper. It
+        // must answer Ok or Err, never panic, and never reserve memory
+        // for a size the bytes in hand cannot back.
+        let peak_before = vm_peak_kb();
+
+        let mut h5 = mutation_corpus_file().to_bytes(codec);
+        mutate(&mut h5, at, kind, value);
+        resign_h5(&mut h5);
+        if let Ok(file) = H5File::from_bytes(&h5) {
+            // RLE's best case is 255 bytes out of a 2-byte pair.
+            prop_assert!(file.payload_bytes() <= 128 * h5.len());
+        }
+
+        let mut qckp = valid_checkpoint_bytes();
+        mutate(&mut qckp, at, kind, value);
+        resign_qckp(&mut qckp);
+        if let Ok(ck) = decode_checkpoint::<f64>(&qckp) {
+            prop_assert_eq!(ck.state.len() as u64, 1u64 << ck.num_qubits);
+            prop_assert!(ck.state.byte_len() <= 128 * qckp.len());
+        }
+
+        if let (Some(before), Some(after)) = (peak_before, vm_peak_kb()) {
+            prop_assert!(after - before < 256 * 1024, "address space grew {} KB", after - before);
+        }
+    }
+}
+
+/// Groups three deep, every attribute kind, a dataset RLE shrinks, one
+/// only shuffled RLE shrinks, one nothing does. Small, so that thousands
+/// of mutations stay cheap unoptimized; chunk-boundary streams are
+/// attacked in `qgear_hdf5lite::codec`'s own tests.
+fn mutation_corpus_file() -> H5File {
+    use qgear_hdf5lite::{Attr, Dataset};
+    let mut f = H5File::new();
+    f.set_attr("", "creator", Attr::Str("qgear".into())).unwrap();
+    f.write_dataset("a/b/zeros", Dataset::from_f64(&[0.0; 300], &[300])).unwrap();
+    f.set_attr("a/b", "n", Attr::Int(3)).unwrap();
+    f.set_attr("a", "dims", Attr::IntVec(vec![4, 5])).unwrap();
+    f.set_attr("a/b/zeros", "scale", Attr::Float(0.5)).unwrap();
+    let noise: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+    f.write_dataset("a/noise", Dataset::from_u8(&noise, &[200])).unwrap();
+    let ramp: Vec<i32> = (0..600).map(|i| i / 50).collect();
+    f.write_dataset("ramp", Dataset::from_i32(&ramp, &[600])).unwrap();
+    f
+}
+
+/// One structure-aware edit at (about) `at`: the kinds aim at what a
+/// binary parser trusts — widths of 1, 4 and 8 bytes set to extreme or
+/// chosen values, bytes removed, bytes repeated.
+fn mutate(bytes: &mut Vec<u8>, at: usize, kind: u8, value: u64) {
+    let at = at % bytes.len();
+    let extremes = [0, 1, u64::MAX, 1 << 31, 1 << 40, 1 << 62, bytes.len() as u64, value];
+    let pick = extremes[(value % 8) as usize];
+    match kind {
+        0 => bytes[at] ^= 1 << (value % 8),
+        1 => bytes[at] = pick as u8,
+        2 if at + 4 <= bytes.len() => bytes[at..at + 4].copy_from_slice(&(pick as u32).to_le_bytes()),
+        3 if at + 8 <= bytes.len() => bytes[at..at + 8].copy_from_slice(&pick.to_le_bytes()),
+        4 => {
+            bytes.drain(at..(at + 1 + (value % 64) as usize).min(bytes.len()));
+        }
+        _ => {
+            let repeat: Vec<u8> = bytes[at..(at + 1 + (value % 64) as usize).min(bytes.len())].to_vec();
+            bytes.splice(at..at, repeat);
+        }
+    }
+}
+
+/// Recompute an H5L1 container's trailing CRC.
+fn resign_h5(bytes: &mut [u8]) {
+    if let Some(body_len) = bytes.len().checked_sub(4) {
+        let crc = qgear_hdf5lite::format::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Recompute every QCKP section CRC that is still in bounds, and the
+/// CRC of the container inside a STATE section first.
+fn resign_qckp(bytes: &mut [u8]) {
+    let mut off = 6;
+    while off + 9 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[off + 1..off + 5].try_into().unwrap()) as usize;
+        let Some(end) = (off + 5).checked_add(len).filter(|end| end + 4 <= bytes.len()) else {
+            return;
+        };
+        if bytes[off] == 2 {
+            resign_h5(&mut bytes[off + 5..end]);
+        }
+        let crc = qgear_hdf5lite::format::crc32(&bytes[off..end]);
+        bytes[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        off = end + 4;
+    }
+}
+
+/// Peak virtual size of this process: a reservation shows here even if
+/// it is never touched. `None` where `/proc` is not available.
+fn vm_peak_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmPeak:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
