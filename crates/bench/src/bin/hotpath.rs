@@ -6,14 +6,17 @@
 //!
 //! * **unfused** — the Aer-like CPU baseline, one full-state pass per gate;
 //! * **fused**   — the GPU engine with sweep scheduling off
-//!   (`sweep_width: 0`), one full-state pass per fused kernel;
+//!   (`sweep_width: 0`), one exact dense pass per fused kernel;
 //! * **sweep**   — the GPU engine with the commutation-aware sweep
 //!   scheduler on (the default), one full-state pass per *sweep* with
 //!   cache-blocked tiles kept hot across the sweep's kernels;
-//! * **planned** — the adaptive planner (`RunOptions::planned()`): per
-//!   scheduled segment, the cheapest of the three modes under the
-//!   calibrated cost model, with structure-dispatched fused kernels.
-//!   See `docs/PLANNER.md` for how to read this series.
+//! * **planned** — the priced plan (`PlannerCosts::host_reference()`):
+//!   per scheduled segment, the cheapest of the three modes under the
+//!   cost model, with structure-dispatched fused kernels. See
+//!   `docs/PLANNER.md` for how to read this series.
+//!
+//! The GPU series differ only in the plan's one selector
+//! (`RunOptions::planner_costs`) and the sweep width.
 //!
 //! Emits `results/hotpath.jsonl` (via [`Report`]) plus a summary
 //! `BENCH_hotpath.json` at the repo root with the per-point stats and
@@ -30,19 +33,11 @@
 //! `--enforce-planned` exits nonzero if the planned series is slower
 //! than the best fixed mode on any cell (CI's planner regression gate,
 //! run by `scripts/check.sh` on the smoke grid).
-//!
-//! `--enforce-baseline` diffs the fresh run against the committed
-//! `BENCH_hotpath_baseline.json` and exits nonzero when any cell is
-//! slower than baseline × 1.10 + 10 ms (see [`qgear_bench::baseline`]).
-//! After an intentional perf change, rerun with `QGEAR_BENCH_REBASELINE=1`
-//! to rewrite the baseline from the fresh numbers. The test-only
-//! `QGEAR_BENCH_SYNTHETIC_SLOWDOWN=<factor>` env var inflates every
-//! measured wall-clock by `<factor>`, which is how CI proves the gate
-//! actually fires on a regression.
 
-use qgear_bench::baseline::{self, BaselineDoc, BaselinePoint};
 use qgear_bench::report::{human_time, Report};
-use qgear_statevec::{AerCpuBackend, GpuDevice, RunOptions, RunOutput, Simulator};
+use qgear_statevec::{
+    AerCpuBackend, GpuDevice, PlannerCosts, RunOptions, RunOutput, SegmentMode, Simulator,
+};
 use qgear_workloads::qcrank::{QcrankCodec, QcrankConfig};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use qgear_workloads::random::{generate_random_gate_list, RandomCircuitSpec};
@@ -135,10 +130,13 @@ fn workload(name: &str, n: u32) -> qgear_ir::Circuit {
 
 /// Best-of-`reps` wall-clock plus the stats of the final rep.
 fn run_mode(circ: &qgear_ir::Circuit, mode: &str, reps: u32) -> Sample {
+    let select = |planner_costs| RunOptions { planner_costs, ..Default::default() };
     let opts = match mode {
-        "unfused" | "fused" => RunOptions { sweep_width: 0, ..Default::default() },
-        "sweep" => RunOptions::default(),
-        "planned" => RunOptions::planned(),
+        // The Aer engine has one mode; it reads neither knob.
+        "unfused" => select(PlannerCosts::pinned(SegmentMode::Unfused)),
+        "fused" => RunOptions { sweep_width: 0, ..select(PlannerCosts::pinned(SegmentMode::Sweep)) },
+        "sweep" => select(PlannerCosts::pinned(SegmentMode::Sweep)),
+        "planned" => select(PlannerCosts::host_reference()),
         other => panic!("unknown mode {other}"),
     };
     let mut best = f64::INFINITY;
@@ -154,18 +152,12 @@ fn run_mode(circ: &qgear_ir::Circuit, mode: &str, reps: u32) -> Sample {
         stats = Some(out.stats);
     }
     let stats = stats.expect("at least one rep");
-    // Test-only hook: inflate the measured wall-clock so CI can prove
-    // the --enforce-baseline gate trips on a synthetic regression.
-    let slowdown: f64 = std::env::var("QGEAR_BENCH_SYNTHETIC_SLOWDOWN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
     Sample {
         workload: String::new(),
         num_qubits: circ.num_qubits(),
         mode: mode.to_owned(),
         gates: circ.len(),
-        seconds: best * slowdown,
+        seconds: best,
         kernels_launched: stats.kernels_launched,
         sweeps_executed: stats.sweeps_executed,
         bytes_touched: stats.bytes_touched,
@@ -390,81 +382,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("planned-mode gate passed: never slower than the best fixed mode");
-    }
-
-    // Perf-regression gate against the committed baseline. Skipped cells
-    // (NaN seconds) never enter the point set, so the unfused cost cap
-    // can't masquerade as a regression.
-    let baseline_path = root.join("BENCH_hotpath_baseline.json");
-    let fresh_points: Vec<BaselinePoint> = summary
-        .samples
-        .iter()
-        .filter(|s| !s.seconds.is_nan())
-        .map(|s| BaselinePoint {
-            workload: s.workload.clone(),
-            num_qubits: s.num_qubits,
-            mode: s.mode.clone(),
-            seconds: s.seconds,
-        })
-        .collect();
-    if std::env::var("QGEAR_BENCH_REBASELINE").is_ok_and(|v| v == "1") {
-        let doc = BaselineDoc {
-            bench: "hotpath".to_owned(),
-            grid: grid.to_owned(),
-            points: fresh_points,
-        };
-        let json = serde_json::to_value(&doc).expect("baseline serializes");
-        std::fs::write(&baseline_path, format!("{json}\n")).expect("write baseline");
-        println!("→ baseline rewritten at {}", baseline_path.display());
-    } else if args.iter().any(|a| a == "--enforce-baseline") {
-        let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "baseline gate: cannot read {} ({e}); run with QGEAR_BENCH_REBASELINE=1 to create it",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        });
-        let doc: BaselineDoc = serde_json::from_str(&text).expect("parse baseline");
-        if doc.grid != grid {
-            eprintln!(
-                "baseline gate: baseline was measured on the `{}` grid but this run used `{grid}`; \
-                 rerun on the matching grid (CI uses --smoke)",
-                doc.grid
-            );
-            std::process::exit(1);
-        }
-        let cmp = baseline::compare(&doc.points, &fresh_points);
-        for m in &cmp.missing {
-            eprintln!("baseline gate: cell {m} is in the baseline but was not measured");
-        }
-        for r in &cmp.regressions {
-            eprintln!(
-                "baseline gate: {} n={} {} regressed: {:.4}s vs baseline {:.4}s ({:.2}x, allowed {:.4}s)",
-                r.workload,
-                r.num_qubits,
-                r.mode,
-                r.fresh_seconds,
-                r.baseline_seconds,
-                r.ratio,
-                baseline::allowed_seconds(r.baseline_seconds)
-            );
-        }
-        if !cmp.passed() {
-            eprintln!(
-                "baseline gate FAILED ({} regressed, {} missing of {} baseline cells); \
-                 if this slowdown is intentional, rerun with QGEAR_BENCH_REBASELINE=1 \
-                 and commit the new BENCH_hotpath_baseline.json",
-                cmp.regressions.len(),
-                cmp.missing.len(),
-                cmp.compared + cmp.missing.len()
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "baseline gate passed: {} cells within {:.0}% + {} ms of the committed baseline",
-            cmp.compared,
-            (baseline::RELATIVE_TOLERANCE - 1.0) * 100.0,
-            (baseline::ABSOLUTE_FLOOR_SECONDS * 1000.0) as u64
-        );
     }
 }

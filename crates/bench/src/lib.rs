@@ -8,11 +8,8 @@
 //! * [`measured`] — real wall-clock experiments at laptop scale on the
 //!   actual engines (the "measured mode");
 //! * [`modeled`] — projected testbed times through `qgear-perfmodel`
-//!   (the "modeled mode" used for paper-scale points);
-//! * [`baseline`] — the perf-regression gate's baseline diffing
-//!   (`BENCH_hotpath_baseline.json` vs a fresh smoke run).
+//!   (the "modeled mode" used for paper-scale points).
 
-pub mod baseline;
 pub mod measured;
 pub mod modeled;
 pub mod report;

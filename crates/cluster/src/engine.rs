@@ -1,12 +1,10 @@
 //! Cluster execution engine: the `nvidia-mgpu` and `nvidia-mqpu` targets.
 
 use crate::comm::ClusterTopology;
-use crate::distributed::DistributedState;
-use qgear_ir::{fusion, schedule};
+use crate::sharded::ShardedRun;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
-use qgear_statevec::backend::{sample_from_probs, ExecStats, RunOptions, RunOutput, SimError, Simulator};
-use qgear_statevec::sampling::SamplingConfig;
+use qgear_statevec::backend::{sample_from_probs, RunOptions, RunOutput, SimError, Simulator};
 use qgear_statevec::GpuDevice;
 use qgear_telemetry::clock::{SharedClock, WallClock};
 
@@ -27,8 +25,9 @@ pub struct ClusterEngine {
     pub topology: ClusterTopology,
     /// Ablation: restore the identity qubit layout after every kernel.
     pub restore_layout: bool,
-    /// Clock that times the simulate/sample phases ([`ExecStats::elapsed`]
-    /// and `sampling_elapsed` are read from it). Production keeps the
+    /// Clock that times the kernel walk and the sample phase
+    /// ([`ExecStats::elapsed`](qgear_statevec::ExecStats) and
+    /// `sampling_elapsed` are read from it). Production keeps the
     /// default wall clock; the simulation harness substitutes a virtual
     /// one and asserts the recorded spans exactly.
     pub clock: SharedClock,
@@ -83,88 +82,36 @@ impl<T: Scalar> Simulator<T> for ClusterEngine {
         "nvidia-mgpu"
     }
 
+    /// One [`ShardedRun`] driven straight through — the plan, the kernel
+    /// walk and the counters live there, once — plus the cross-device
+    /// sample.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        let n = circuit.num_qubits();
-        if !self.num_devices.is_power_of_two() {
-            return Err(SimError::UnsupportedGate(format!(
-                "mgpu requires a power-of-two device count, got {}",
-                self.num_devices
-            )));
-        }
-        let p = self.num_devices.trailing_zeros();
-        // Kernels execute on local bits after remapping, so the fusion
-        // window cannot exceed the local width; two local bits are the
-        // floor (a CX kernel needs both operands resident).
-        if p > n || n - p < 2 {
-            return Err(SimError::TooManyQubits(n));
-        }
-        let width = (opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH) as u32).min(n - p);
-        // Per-device capacity: local slice must fit in one device.
-        let amp_bytes = (2 * T::BYTES) as u128;
-        let local_bytes = (1u128 << (n - p)) * amp_bytes;
-        let limit = opts.memory_limit.unwrap_or(self.device.memory_bytes);
-        if local_bytes > limit {
-            return Err(SimError::OutOfMemory { required: local_bytes, limit });
-        }
-        let (unitary, measured) = circuit.split_measurements();
-        let mut stats = ExecStats::default();
-        let start = self.clock.now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        let program = fusion::try_fuse(&unitary, width as usize)
-            .map_err(|e| SimError::UnsupportedGate(e.to_string()))?;
-        // The distributed engine executes kernel-at-a-time (each kernel
-        // may force a layout exchange), so instead of cache blocking it
-        // takes the *ordering* half of the sweep schedule: kernels with
-        // shared support land adjacently, which keeps hot qubits local
-        // between exchanges.
-        let program = if opts.sweep_width > 0 {
-            let plan = schedule::sweeps(
-                &program,
-                &schedule::SweepOptions { max_width: opts.sweep_width, reorder: opts.sweep_reorder },
-            );
-            plan.reorder_program(&program)
-        } else {
-            program
-        };
-        let mut dist: DistributedState<T> = DistributedState::zero(n, self.num_devices, self.topology);
-        dist.set_restore_layout(self.restore_layout);
-        dist.run_program(&program)
-            .map_err(|e| SimError::Interconnect(e.to_string()))?;
+        let mut run: ShardedRun<T> = ShardedRun::new(self, circuit, opts)?;
+        run.advance(usize::MAX).map_err(|e| SimError::Interconnect(e.to_string()))?;
         drop(sim_span);
-        stats.elapsed = self.clock.now().saturating_sub(start);
-        stats.gates_applied = program.source_gate_count() as u64;
-        stats.kernels_launched = program.blocks.len() as u64;
+        let mut stats = run.stats();
         qgear_telemetry::counter_add(qgear_telemetry::names::GATES_APPLIED, stats.gates_applied as u128);
         qgear_telemetry::counter_add(qgear_telemetry::names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
-        let n_amps = 1u128 << n;
-        stats.bytes_touched = 2 * n_amps * amp_bytes * program.blocks.len() as u128;
-        stats.flops = program
-            .blocks
-            .iter()
-            .map(|b| n_amps * (1u128 << b.qubits.len()))
-            .sum();
-        let traffic = *dist.traffic();
-        stats.comm_bytes = traffic.bytes;
-        stats.comm_messages = traffic.total_messages();
 
         // Sampling: exact marginal reduced across devices, then one
         // multinomial draw.
+        let measured = circuit.measured_qubits();
         let sample_start = self.clock.now();
         let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
         // Same helper as the single-device engines, so cluster sampling
         // is bit-identical given the same marginal, seed and shot split.
         let counts = if opts.shots > 0 && !measured.is_empty() {
-            let probs: Vec<f64> = dist.marginal(&measured).iter().map(|p| p.to_f64()).collect();
-            let cfg =
-                SamplingConfig { shots: opts.shots, seed: opts.seed, batch_shots: opts.shot_batch };
-            sample_from_probs(&probs, &measured, &cfg)
+            let probs: Vec<f64> =
+                run.dist().marginal(&measured).iter().map(|p| p.to_f64()).collect();
+            sample_from_probs(&probs, &measured, &opts.sampling())
         } else {
             None
         };
         drop(sample_span);
         stats.sampling_elapsed = self.clock.now().saturating_sub(sample_start);
 
-        let state = opts.keep_state.then(|| dist.gather());
+        let state = opts.keep_state.then(|| run.state());
         Ok(RunOutput { state, counts, stats })
     }
 }

@@ -3,7 +3,8 @@
 //! Implements the paper's `nvidia-mgpu` and `nvidia-mqpu` targets over
 //! *simulated* GPUs:
 //!
-//! * **mgpu** ([`DistributedState`], `ClusterEngine::run`) — one state
+//! * **mgpu** ([`DistributedState`], walked by [`ShardedRun`];
+//!   `ClusterEngine::run` drives one straight through) — one state
 //!   vector pooled across `P = 2^p` devices. Device `r` owns the
 //!   amplitudes whose top `p` index bits equal `r`; gates on those global
 //!   qubits are handled by first *remapping* the global qubit onto a local
@@ -25,8 +26,10 @@ pub mod comm;
 pub mod distributed;
 pub mod engine;
 pub mod layout;
+pub mod sharded;
 
 pub use comm::{exchange_buffers, ClusterTopology, CommError, LinkClass, TrafficStats};
 pub use distributed::DistributedState;
 pub use layout::{QubitLayout, TrafficPlanner};
 pub use engine::ClusterEngine;
+pub use sharded::ShardedRun;

@@ -1,0 +1,387 @@
+//! The partitioned-state walker: a resumable cursor over an
+//! [`ExecutionPlan`]'s kernels, executed on a [`DistributedState`].
+//!
+//! [`ShardedRun`] is to a state pooled over a device group what
+//! [`qgear_statevec::SegmentedRun`] is to a state resident on one
+//! device: it asks the same plan builder for the same schedule and
+//! applies it in bounded steps under caller control.
+//! [`ClusterEngine::run`](crate::ClusterEngine) is the degenerate caller
+//! that advances to the end in one call; `qgear-serve` drives it in
+//! segments, snapshots it at segment boundaries, and migrates the
+//! snapshots between shard groups.
+//!
+//! The distributed engine executes kernel-at-a-time (each kernel may
+//! force a layout exchange), so a step is one fused block and of the
+//! plan it takes the *ordering*: with sweep scheduling on, kernels with
+//! shared support land adjacently, which keeps hot qubits local between
+//! exchanges; at `sweep_width: 0` the order is the program's. Every
+//! block runs as the exact dense kernel whatever mode a single-device
+//! walker would give its segment, so the plan is built under the
+//! [`SegmentMode::Sweep`] pin, which prices and classifies nothing.
+//!
+//! Everything here is deterministic, so equal `(circuit, options,
+//! precision)` rebuild byte-identical schedules and a cursor is portable
+//! across runs — and across group widths, since gathered amplitudes are
+//! width-independent.
+
+use crate::comm::{CommError, LinkClass};
+use crate::distributed::DistributedState;
+use crate::engine::ClusterEngine;
+use qgear_ir::{fusion, Circuit};
+use qgear_num::Scalar;
+use qgear_statevec::checkpoint::{
+    plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
+};
+use qgear_statevec::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
+use qgear_statevec::{ExecStats, RunOptions, SamplingConfig, SimError, StateVector};
+use qgear_telemetry::clock::SharedClock;
+use std::sync::OnceLock;
+use std::time::Duration;
+
+/// A partially-executed pooled simulation: the partitioned state plus a
+/// cursor into its plan's kernel order.
+pub struct ShardedRun<T: Scalar> {
+    dist: DistributedState<T>,
+    plan: ExecutionPlan,
+    /// [`ExecutionPlan::block_order`]: the schedule this run steps
+    /// through, one kernel per step.
+    order: Vec<usize>,
+    cursor: usize,
+    /// Kept for the fingerprint a checkpoint carries, which
+    /// Debug-formats the whole circuit: computed on first use, so a run
+    /// that never checkpoints (`ClusterEngine::run`) never pays for it.
+    circuit: Circuit,
+    fingerprint: OnceLock<u64>,
+    sampling: SamplingConfig,
+    clock: SharedClock,
+    /// Time this group instance spent in `advance` calls, on `clock`.
+    elapsed: Duration,
+}
+
+/// Admission checks and the plan for `circuit` pooled over `engine`'s
+/// devices: the group must be a power of two, every kernel must be
+/// remappable onto local bits, and one slice must fit one device.
+fn plan_for<T: Scalar>(
+    engine: &ClusterEngine,
+    circuit: &Circuit,
+    opts: &RunOptions,
+) -> Result<ExecutionPlan, SimError> {
+    let n = circuit.num_qubits();
+    if !engine.num_devices.is_power_of_two() {
+        return Err(SimError::UnsupportedGate(format!(
+            "mgpu requires a power-of-two device count, got {}",
+            engine.num_devices
+        )));
+    }
+    let p = engine.num_devices.trailing_zeros();
+    // Kernels execute on local bits after remapping, so the fusion
+    // window cannot exceed the local width; two local bits are the
+    // floor (a CX kernel needs both operands resident).
+    if p > n || n - p < 2 {
+        return Err(SimError::TooManyQubits(n));
+    }
+    let width = opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH).min((n - p) as usize);
+    let local_bytes = (1u128 << (n - p)) * (2 * T::BYTES) as u128;
+    let limit = opts.memory_limit.unwrap_or(engine.device.memory_bytes);
+    if local_bytes > limit {
+        return Err(SimError::OutOfMemory { required: local_bytes, limit });
+    }
+    planner::plan(
+        circuit,
+        width,
+        opts.sweep_width,
+        opts.sweep_reorder,
+        &PlannerCosts::pinned(SegmentMode::Sweep),
+        2 * T::BYTES,
+    )
+    .map_err(|e| SimError::UnsupportedGate(e.to_string()))
+}
+
+impl<T: Scalar> ShardedRun<T> {
+    /// Check that `engine`'s group can hold `circuit`, build the plan
+    /// the options select, and position the cursor at step zero of
+    /// `|0…0⟩`.
+    pub fn new(
+        engine: &ClusterEngine,
+        circuit: &Circuit,
+        opts: &RunOptions,
+    ) -> Result<Self, SimError> {
+        let plan = plan_for::<T>(engine, circuit, opts)?;
+        let dist = DistributedState::zero(circuit.num_qubits(), engine.num_devices, engine.topology);
+        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, 0))
+    }
+
+    fn assemble(
+        engine: &ClusterEngine,
+        circuit: &Circuit,
+        opts: &RunOptions,
+        plan: ExecutionPlan,
+        mut dist: DistributedState<T>,
+        cursor: usize,
+    ) -> Self {
+        dist.set_restore_layout(engine.restore_layout);
+        ShardedRun {
+            dist,
+            order: plan.block_order(),
+            plan,
+            cursor,
+            circuit: circuit.clone(),
+            fingerprint: OnceLock::new(),
+            sampling: opts.sampling(),
+            clock: engine.clock.clone(),
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// Fused blocks already applied.
+    pub fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Total fused blocks in the schedule.
+    pub fn steps_total(&self) -> usize {
+        self.order.len()
+    }
+
+    /// True once every block has been applied.
+    pub fn is_done(&self) -> bool {
+        self.cursor >= self.order.len()
+    }
+
+    /// The partitioned state (for cross-device sampling, the traffic
+    /// counters, and link-fault injection).
+    pub fn dist(&self) -> &DistributedState<T> {
+        &self.dist
+    }
+
+    /// Arm a one-shot link fault on the group's fabric (see
+    /// [`DistributedState::inject_link_fault`]).
+    pub fn inject_link_fault(&mut self, at_exchange: u64, err: CommError) {
+        self.dist.inject_link_fault(at_exchange, err);
+    }
+
+    /// Apply up to `max_blocks` further fused blocks (at least one;
+    /// `usize::MAX` runs to the end), timed on the engine's clock. On a
+    /// [`CommError`] the partitioned state is inconsistent and this run
+    /// must be discarded — the cursor still names the last *completed*
+    /// block, so callers know which checkpoint generation to prefer.
+    pub fn advance(&mut self, max_blocks: usize) -> Result<(), CommError> {
+        let start = self.clock.now();
+        let end = self.cursor.saturating_add(max_blocks.max(1)).min(self.order.len());
+        let result = (self.cursor..end).try_for_each(|step| {
+            self.dist.apply_block(&self.plan.blocks[self.order[step]])?;
+            self.cursor = step + 1;
+            Ok(())
+        });
+        self.elapsed += self.clock.now().saturating_sub(start);
+        result
+    }
+
+    /// The full state in logical amplitude order.
+    pub fn state(&self) -> StateVector<T> {
+        self.dist.gather()
+    }
+
+    /// Deterministic engine counters for the blocks applied so far —
+    /// derived from the cursor alone, so a resumed run's stats match an
+    /// uninterrupted one regardless of which generation it restored.
+    fn counters(&self) -> CheckpointCounters {
+        let applied = self.order[..self.cursor].iter().map(|&ki| &self.plan.blocks[ki]);
+        CheckpointCounters {
+            gates_applied: applied.map(|b| b.source_gates as u64).sum(),
+            kernels_launched: self.cursor as u64,
+            ..CheckpointCounters::default()
+        }
+    }
+
+    /// Execution stats for the blocks applied so far. Schedule counters
+    /// — including `bytes_touched` (one read + one write of the full
+    /// state per block) and `flops` — are cursor-derived and therefore
+    /// migration-invariant. Communication counters and `elapsed` are
+    /// this group instance's: a replacement group does not inherit a
+    /// dead one's traffic or time.
+    pub fn stats(&self) -> ExecStats {
+        let counters = self.counters();
+        let n_amps = 1u128 << self.dist.num_qubits();
+        let traffic = self.dist.traffic();
+        let mut comm_bytes = [0u128; 3];
+        for class in LinkClass::ALL {
+            comm_bytes[class as usize] = traffic.bytes_over(class);
+        }
+        ExecStats {
+            gates_applied: counters.gates_applied,
+            kernels_launched: counters.kernels_launched,
+            bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128 * self.cursor as u128,
+            flops: self.order[..self.cursor]
+                .iter()
+                .map(|&ki| n_amps << self.plan.blocks[ki].qubits.len())
+                .sum(),
+            elapsed: self.elapsed,
+            comm_bytes,
+            comm_messages: traffic.total_messages(),
+            ..ExecStats::default()
+        }
+    }
+}
+
+impl<T: CheckpointScalar> ShardedRun<T> {
+    /// Fingerprint of the plan this run executes (see
+    /// [`plan_fingerprint`]); computed on first use and cached.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| plan_fingerprint(&self.circuit, T::PRECISION_TAG, self.plan.digest))
+    }
+
+    /// Snapshot the run: gather the partitioned amplitudes (bit-exact at
+    /// any layout) into a QCKP checkpoint that any later run — on any
+    /// group width — can resume from.
+    pub fn checkpoint(&self) -> StateCheckpoint<T> {
+        StateCheckpoint {
+            num_qubits: self.dist.num_qubits(),
+            cursor: self.cursor as u64,
+            steps_total: self.steps_total() as u64,
+            fingerprint: self.fingerprint(),
+            counters: self.counters(),
+            sampling: self.sampling,
+            state: self.dist.gather(),
+        }
+    }
+
+    /// Rebuild the plan for `(circuit, opts)`, refuse a checkpoint that
+    /// does not match it exactly ([`StateCheckpoint::verify_against`]),
+    /// then re-scatter the snapshot amplitudes onto `engine`'s group.
+    pub fn resume(
+        engine: &ClusterEngine,
+        circuit: &Circuit,
+        opts: &RunOptions,
+        ck: StateCheckpoint<T>,
+    ) -> Result<Self, CheckpointError> {
+        let plan = plan_for::<T>(engine, circuit, opts)
+            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
+        let fingerprint = plan_fingerprint(circuit, T::PRECISION_TAG, plan.digest);
+        ck.verify_against(fingerprint, plan.blocks.len(), circuit.num_qubits())?;
+        let dist = DistributedState::from_state(&ck.state, engine.num_devices, engine.topology);
+        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qgear_statevec::checkpoint::{decode, encode};
+
+    fn job_circuit() -> Circuit {
+        let mut c = Circuit::new(4);
+        c.h(0).cx(0, 1).ry(0.3, 2).cx(1, 2).cr1(0.7, 2, 3).cx(2, 3).measure_all();
+        c
+    }
+
+    /// Program order, one gate per kernel.
+    fn opts() -> RunOptions {
+        RunOptions { shots: 100, seed: 7, fusion_width: 1, sweep_width: 0, ..Default::default() }
+    }
+
+    fn group(shards: usize) -> ClusterEngine {
+        ClusterEngine::a100_cluster(shards)
+    }
+
+    #[test]
+    fn checkpoint_roundtrip_resumes_bit_identically() {
+        let c = job_circuit();
+        let mut whole: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        while !whole.is_done() {
+            whole.advance(1).expect("healthy fabric");
+        }
+
+        let mut front: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        front.advance(3).expect("healthy fabric");
+        let bytes = encode(&front.checkpoint());
+        let ck = decode::<f64>(&bytes).expect("decodes");
+        // Resume onto a *wider* group: amplitudes are width-independent.
+        let mut back: ShardedRun<f64> =
+            ShardedRun::resume(&group(4), &c, &opts(), ck).expect("resumes");
+        assert_eq!(back.cursor(), 3);
+        while !back.is_done() {
+            back.advance(1).expect("healthy fabric");
+        }
+        assert_eq!(
+            whole.state().amplitudes(),
+            back.state().amplitudes(),
+            "resumed run must be bit-identical"
+        );
+        assert_eq!(whole.stats().gates_applied, back.stats().gates_applied);
+    }
+
+    #[test]
+    fn advance_usize_max_from_a_mid_run_cursor_finishes_the_schedule() {
+        let mut run: ShardedRun<f64> =
+            ShardedRun::new(&group(2), &job_circuit(), &opts()).unwrap();
+        run.advance(1).expect("healthy fabric");
+        // `cursor + usize::MAX` must saturate, not wrap to "apply nothing".
+        run.advance(usize::MAX).expect("healthy fabric");
+        assert!(run.is_done());
+        assert_eq!(run.cursor(), run.steps_total());
+    }
+
+    #[test]
+    fn resume_refuses_a_mismatched_plan() {
+        let c = job_circuit();
+        let mut run: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        run.advance(2).expect("healthy fabric");
+        let ck = run.checkpoint();
+        // A different fusion width rebuilds a different schedule.
+        let wider = RunOptions { fusion_width: 2, ..opts() };
+        match ShardedRun::<f64>::resume(&group(2), &c, &wider, ck) {
+            Err(CheckpointError::PlanMismatch { .. }) => {}
+            Err(other) => panic!("wrong rejection: {other:?}"),
+            Ok(_) => panic!("a mismatched plan must not resume"),
+        }
+    }
+
+    #[test]
+    fn resume_reports_the_rebuilt_schedule_on_a_step_count_mismatch() {
+        let c = job_circuit();
+        let run: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        let rebuilt = run.steps_total() as u64;
+        let mut ck = run.checkpoint();
+        ck.steps_total = rebuilt + 5;
+        ck.cursor = rebuilt + 2;
+        // The same verdict, field for field, as `SegmentedRun::resume`.
+        match ShardedRun::<f64>::resume(&group(2), &c, &opts(), ck) {
+            Err(CheckpointError::CursorOutOfRange { cursor, steps_total }) => {
+                assert_eq!((cursor, steps_total), (rebuilt + 2, rebuilt));
+            }
+            other => panic!("wrong verdict: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn link_fault_surfaces_and_leaves_the_cursor_at_the_last_good_block() {
+        let mut run: ShardedRun<f64> =
+            ShardedRun::new(&group(4), &job_circuit(), &opts()).unwrap();
+        run.inject_link_fault(0, CommError::Dropped);
+        let mut failed_at = None;
+        while !run.is_done() {
+            if let Err(e) = run.advance(1) {
+                failed_at = Some((e, run.cursor()));
+                break;
+            }
+        }
+        let (err, cursor) = failed_at.expect("the armed fault must fire");
+        assert_eq!(err, CommError::Dropped);
+        assert!(cursor < run.steps_total());
+    }
+
+    #[test]
+    fn conservation_messages_are_twice_exchanges() {
+        let mut run: ShardedRun<f64> =
+            ShardedRun::new(&group(4), &job_circuit(), &opts()).unwrap();
+        while !run.is_done() {
+            run.advance(2).expect("healthy fabric");
+        }
+        let traffic = run.dist().traffic();
+        assert_eq!(traffic.total_messages(), 2 * run.dist().exchanges());
+        assert!(traffic.total_bytes() > 0, "4 qubits over 4 devices must exchange");
+    }
+}

@@ -470,7 +470,7 @@ mod tests {
         let (_, _, sweeps) = plan.mode_histogram();
         assert!(sweeps >= 1, "bandwidth-rich device model should sweep the ladders");
         for seg in &plan.segments {
-            let p = &seg.predicted;
+            let p = seg.predicted.expect("priced");
             let chosen = p.of(seg.mode);
             assert!(chosen <= p.unfused && chosen <= p.fused && chosen <= p.sweep);
         }

@@ -72,4 +72,4 @@ pub use job::{
 pub use pool::{PoolConfig, PoolDecision};
 pub use scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 pub use service::{BackendKind, SelectionPolicy, ServeConfig, Service};
-pub use shard::{ShardConfig, ShardRecord, ShardedRun};
+pub use shard::{ShardConfig, ShardRecord};

@@ -755,7 +755,7 @@ fn backoff_with_cancel(shared: &Shared, id: JobId, backoff: Duration) -> bool {
 }
 
 /// The sampling knobs of a job, as the samplers take them.
-pub(crate) fn sampling_of(spec: &JobSpec) -> SamplingConfig {
+fn sampling_of(spec: &JobSpec) -> SamplingConfig {
     SamplingConfig { shots: spec.shots, seed: spec.seed, batch_shots: spec.shot_batch }
 }
 
@@ -1443,7 +1443,7 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
             })
         }
         (Engine::Sharded, _) => {
-            let source = ShardSource::plan(shared, job, injected)?;
+            let source = ShardSource::plan(shared, job, opts, injected)?;
             // Sharded execution always checkpoints (interval floored at
             // 1): without generations there would be nothing to migrate.
             let interval = cfg.checkpoint_interval.max(1);

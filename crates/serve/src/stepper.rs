@@ -2,7 +2,7 @@
 //!
 //! Every engine that walks a schedule with a cursor — the simulated-GPU
 //! dense engine ([`SegmentedRun`]) and the shard group
-//! ([`crate::ShardedRun`]) — implements [`Stepper`], and [`drive`] is the
+//! ([`qgear_cluster::ShardedRun`]) — implements [`Stepper`], and [`drive`] is the
 //! only code that runs one. Execution modes are intervals of its loop:
 //! straight-through is unbounded (one segment, the checkpoint store
 //! never touched), checkpointed is finite, sharded is checkpointed plus
@@ -19,7 +19,6 @@ use qgear_ir::Circuit;
 use qgear_statevec::checkpoint::{decode as decode_checkpoint, CheckpointError, StateCheckpoint};
 use qgear_statevec::segment::SegmentedRun;
 use qgear_statevec::{CheckpointScalar, ExecStats, GpuDevice, RunOptions, SimError, StateVector};
-use qgear_telemetry::clock::Clock;
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_inc, histogram_record, span};
 
@@ -27,12 +26,10 @@ use qgear_telemetry::{counter_inc, histogram_record, span};
 /// fixed, deterministic step schedule.
 pub(crate) trait Stepper<T: CheckpointScalar> {
     /// Apply up to `max_steps` further steps (at least one; `usize::MAX`
-    /// runs to the end), timing the work on `clock` where the
-    /// implementation has no evolve clock of its own. `Err` means a
-    /// pairwise exchange failed mid-segment: the partitioned state is
-    /// inconsistent and this run must be discarded. A run resident on
-    /// one device never fails.
-    fn advance(&mut self, max_steps: usize, clock: &dyn Clock) -> Result<(), CommError>;
+    /// runs to the end). `Err` means a pairwise exchange failed
+    /// mid-segment: the partitioned state is inconsistent and this run
+    /// must be discarded. A run resident on one device never fails.
+    fn advance(&mut self, max_steps: usize) -> Result<(), CommError>;
     /// True once every step has been applied.
     fn is_done(&self) -> bool;
     /// Steps applied so far.
@@ -102,12 +99,11 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
     interval: usize,
     die_after: Option<u32>,
 ) -> Result<Attempt, SimError> {
-    let clock = shared.cfg.clock.as_ref();
     let id = job.id.0;
     let mut run = settle(shared, id, source, interval, None)?;
     let mut segments_done: u32 = 0;
     while !run.is_done() {
-        if let Err(err) = run.advance(interval, clock) {
+        if let Err(err) = run.advance(interval) {
             // Recover in place from the newest verified generation (or
             // from |0…0⟩ if none survived — a link fault is one-shot, so
             // the rerun is clean either way).
@@ -141,6 +137,7 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
     }
     source.completed(&run);
     let stats = run.stats();
+    let clock = shared.cfg.clock.as_ref();
     Ok(Attempt::Finished(Box::new(sample_and_package(run.into_state(), stats, job, clock))))
 }
 
@@ -225,7 +222,7 @@ impl<T: CheckpointScalar> StepSource<T> for DenseSource<'_> {
 impl<T: CheckpointScalar> Stepper<T> for SegmentedRun<T> {
     /// Times itself on the host clock: its kernels are real work even
     /// under a virtual service clock.
-    fn advance(&mut self, max_steps: usize, _clock: &dyn Clock) -> Result<(), CommError> {
+    fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
         SegmentedRun::advance(self, max_steps);
         Ok(())
     }
@@ -277,7 +274,7 @@ mod tests {
     }
 
     impl Stepper<f64> for FakeRun {
-        fn advance(&mut self, max_steps: usize, _clock: &dyn Clock) -> Result<(), CommError> {
+        fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
             if self.break_at == Some(self.cursor) {
                 return Err(CommError::Dropped);
             }

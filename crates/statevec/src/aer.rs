@@ -149,7 +149,7 @@ impl<T: Scalar> Simulator<T> for AerCpuBackend {
     }
 
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        check_capacity::<T>(circuit.num_qubits(), opts)?;
+        check_capacity::<T>(circuit.num_qubits(), opts.memory_limit)?;
         let (unitary, measured) = circuit.split_measurements();
         let mut state: StateVector<T> = StateVector::zero(circuit.num_qubits());
         let amp_bytes = (2 * T::BYTES) as u128;

@@ -61,9 +61,10 @@ pub struct RunOptions {
     pub fusion_width: usize,
     /// Union-support cap (qubits) for the commutation-aware sweep
     /// scheduler: fused kernels are grouped into cache-blocked sweeps
-    /// whose tiles hold `2^sweep_width` amplitudes. `0` disables
-    /// sweeping (one full-state pass per fused kernel, the pre-sweep
-    /// behaviour); ignored by the unfused baseline.
+    /// whose tiles hold `2^sweep_width` amplitudes, one plan segment per
+    /// sweep. `0` means no grouping — one segment per fused block in
+    /// program order, whatever the selector (the exact-dense reference
+    /// schedule under the default pin); ignored by the unfused baseline.
     pub sweep_width: usize,
     /// Allow the sweep scheduler to move kernels past *commuting*
     /// neighbours into earlier sweeps. `false` restricts it to grouping
@@ -77,33 +78,35 @@ pub struct RunOptions {
     /// Set to 40 GB to reproduce the single-A100 limit, 460 GB for the
     /// CPU-node limit.
     pub memory_limit: Option<u128>,
-    /// Execution strategy for the simulated-GPU engine: `Fixed` replays
-    /// the historical global-mode behaviour selected by the knobs above;
-    /// `Planned` lets the adaptive planner pick the cheapest mode per
-    /// scheduled segment (see [`crate::planner`]). The default stays
-    /// `Fixed` for bit-compatibility with existing artifacts — use
-    /// [`RunOptions::planned`] for the recommended adaptive path.
-    pub strategy: crate::planner::ExecStrategy,
-    /// Cost-model constants the planner prices segments with; ignored
-    /// under `ExecStrategy::Fixed`. Defaults to the host-reference fit;
-    /// pass [`crate::planner::PlannerCosts::calibrated`] output to feed
-    /// measured telemetry back into the model.
+    /// The execution-mode selector of the simulated-GPU engines, and
+    /// the cost constants a priced plan ranks modes with (see
+    /// [`crate::planner`]). The default pins every segment to
+    /// [`SegmentMode::Sweep`](crate::planner::SegmentMode) — the
+    /// sweep-scheduled engine; [`PlannerCosts::host_reference`] (or
+    /// [`PlannerCosts::calibrated`] output) prices each segment instead.
+    ///
+    /// ```
+    /// use qgear_statevec::{GpuDevice, PlannerCosts, RunOptions, RunOutput, Simulator};
+    /// let mut c = qgear_ir::Circuit::new(3);
+    /// c.h(0).cx(0, 1).cx(1, 2);
+    /// let priced = RunOptions { planner_costs: PlannerCosts::host_reference(), ..Default::default() };
+    /// let out: RunOutput<f64> = GpuDevice::default().run(&c, &priced).unwrap();
+    /// assert!(out.state.is_some());
+    /// ```
+    ///
+    /// [`PlannerCosts::host_reference`]: crate::planner::PlannerCosts::host_reference
+    /// [`PlannerCosts::calibrated`]: crate::planner::PlannerCosts::calibrated
     pub planner_costs: crate::planner::PlannerCosts,
 }
 
 impl RunOptions {
-    /// The recommended adaptive configuration: default knobs with the
-    /// per-segment planner enabled.
-    ///
-    /// ```
-    /// use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
-    /// let mut c = qgear_ir::Circuit::new(3);
-    /// c.h(0).cx(0, 1).cx(1, 2);
-    /// let out: RunOutput<f64> = GpuDevice::default().run(&c, &RunOptions::planned()).unwrap();
-    /// assert!(out.state.is_some());
-    /// ```
-    pub fn planned() -> Self {
-        RunOptions { strategy: crate::planner::ExecStrategy::Planned, ..Default::default() }
+    /// The sampling knobs as the samplers take them.
+    pub fn sampling(&self) -> sampling::SamplingConfig {
+        sampling::SamplingConfig {
+            shots: self.shots,
+            seed: self.seed,
+            batch_shots: self.shot_batch,
+        }
     }
 }
 
@@ -118,8 +121,7 @@ impl Default for RunOptions {
             sweep_reorder: true,
             keep_state: true,
             memory_limit: None,
-            strategy: crate::planner::ExecStrategy::Fixed,
-            planner_costs: crate::planner::PlannerCosts::host_reference(),
+            planner_costs: crate::planner::PlannerCosts::pinned(crate::planner::SegmentMode::Sweep),
         }
     }
 }
@@ -133,8 +135,9 @@ pub struct ExecStats {
     pub gates_applied: u64,
     /// Kernels launched (fused blocks, or gates for the unfused baseline).
     pub kernels_launched: u64,
-    /// Cache-blocked sweeps executed (full-state passes). Zero when the
-    /// engine ran kernel-at-a-time (`sweep_width == 0` or unfused).
+    /// State passes made by sweep-mode plan segments (a one-kernel
+    /// segment is one pass). Zero when nothing ran in sweep mode: the
+    /// unfused baseline, `Unfused`/`Fused` segments, the cluster engine.
     pub sweeps_executed: u64,
     /// State-vector bytes read + written across all sweeps.
     pub bytes_touched: u128,
@@ -275,12 +278,12 @@ pub trait Simulator<T: Scalar> {
 /// Shared pre-flight checks: width vs address space and memory limit.
 pub(crate) fn check_capacity<T: Scalar>(
     num_qubits: u32,
-    opts: &RunOptions,
+    memory_limit: Option<u128>,
 ) -> Result<(), SimError> {
     if num_qubits >= usize::BITS - 1 {
         return Err(SimError::TooManyQubits(num_qubits));
     }
-    if let Some(limit) = opts.memory_limit {
+    if let Some(limit) = memory_limit {
         let required = (1u128 << num_qubits) * 2 * T::BYTES as u128;
         if required > limit {
             return Err(SimError::OutOfMemory { required, limit });
@@ -330,12 +333,7 @@ pub(crate) fn sample_measured<T: Scalar>(
         return None;
     }
     let probs = marginal_probs(state, measured);
-    let cfg = sampling::SamplingConfig {
-        shots: opts.shots,
-        seed: opts.seed,
-        batch_shots: opts.shot_batch,
-    };
-    sample_from_probs(&probs, measured, &cfg)
+    sample_from_probs(&probs, measured, &opts.sampling())
 }
 
 #[cfg(test)]
@@ -344,25 +342,25 @@ mod tests {
 
     #[test]
     fn capacity_check_enforces_limit() {
-        let opts = RunOptions { memory_limit: Some(1024), ..Default::default() };
+        let limit = Some(1024);
         // 6 qubits fp64 = 64 * 16 = 1024 B: exactly fits.
-        assert!(check_capacity::<f64>(6, &opts).is_ok());
+        assert!(check_capacity::<f64>(6, limit).is_ok());
         // 7 qubits = 2048 B: rejected.
         assert_eq!(
-            check_capacity::<f64>(7, &opts),
+            check_capacity::<f64>(7, limit),
             Err(SimError::OutOfMemory { required: 2048, limit: 1024 })
         );
         // fp32 halves the footprint: 7 qubits fit.
-        assert!(check_capacity::<f32>(7, &opts).is_ok());
+        assert!(check_capacity::<f32>(7, limit).is_ok());
     }
 
     #[test]
     fn capacity_check_paper_limits() {
         // Single A100: 40 GB. fp32 32 qubits = 34.4 GB fits; 33 does not.
-        let a100 = RunOptions { memory_limit: Some(40_000_000_000), ..Default::default() };
-        assert!(check_capacity::<f32>(32, &a100).is_ok());
+        let a100 = Some(40_000_000_000);
+        assert!(check_capacity::<f32>(32, a100).is_ok());
         assert!(matches!(
-            check_capacity::<f32>(33, &a100),
+            check_capacity::<f32>(33, a100),
             Err(SimError::OutOfMemory { .. })
         ));
     }

@@ -211,8 +211,8 @@ pub struct StateCheckpoint<T: CheckpointScalar> {
     pub cursor: u64,
     /// Total steps in the schedule.
     pub steps_total: u64,
-    /// Fingerprint of `(circuit, fusion/sweep options, precision)` —
-    /// see [`plan_fingerprint`]. Resume refuses a mismatch.
+    /// Fingerprint of `(circuit, precision, plan digest)` — see
+    /// [`plan_fingerprint`]. Resume refuses a mismatch.
     pub fingerprint: u64,
     /// Deterministic counters accumulated so far.
     pub counters: CheckpointCounters,
@@ -224,45 +224,59 @@ pub struct StateCheckpoint<T: CheckpointScalar> {
     pub state: StateVector<T>,
 }
 
+impl<T: CheckpointScalar> StateCheckpoint<T> {
+    /// Cross-check this checkpoint against the schedule a walker just
+    /// rebuilt for the same job — its fingerprint, step count and
+    /// register width. Both walkers ([`crate::SegmentedRun`] and the
+    /// cluster's `ShardedRun`) resume through here, so a mismatch reads
+    /// the same whichever layout the state was in; the reported totals
+    /// are the rebuilt schedule's.
+    pub fn verify_against(
+        &self,
+        fingerprint: u64,
+        steps_total: usize,
+        num_qubits: u32,
+    ) -> Result<(), CheckpointError> {
+        if self.fingerprint != fingerprint {
+            return Err(CheckpointError::PlanMismatch {
+                expected: fingerprint,
+                found: self.fingerprint,
+            });
+        }
+        let steps_total = steps_total as u64;
+        if self.steps_total != steps_total || self.cursor > steps_total {
+            return Err(CheckpointError::CursorOutOfRange { cursor: self.cursor, steps_total });
+        }
+        if self.num_qubits != num_qubits || self.state.num_qubits() != num_qubits {
+            return Err(CheckpointError::AmplitudeMismatch {
+                expected: 2u64 << num_qubits,
+                found: 2 * self.state.len() as u64,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Fingerprint of the execution plan a checkpoint cursor indexes into:
-/// a FNV-1a/splitmix digest of the canonical circuit plus every option
-/// that shapes the fused/sweep schedule or the arithmetic. Two runs
-/// with equal fingerprints rebuild byte-identical schedules, so a
-/// cursor is portable between them; anything else must be rejected.
-///
-/// Fixed-mode runs use this digest directly (value-stable with earlier
-/// releases). Adaptive runs additionally fold the planner's per-segment
-/// mode-decision digest in via [`fold_strategy`], so a cursor taken
-/// under one plan can never resume under a run whose cost model decided
-/// differently — the segmentation itself would differ.
-pub fn plan_fingerprint(
-    circuit: &Circuit,
-    fusion_width: usize,
-    sweep_width: usize,
-    sweep_reorder: bool,
-    precision_tag: u8,
-) -> u64 {
+/// a FNV-1a/splitmix digest of the canonical circuit, the arithmetic
+/// precision, and the plan's own digest
+/// ([`ExecutionPlan::digest`](crate::planner::ExecutionPlan), which
+/// covers the clamped fusion width, the sweep options and every
+/// segment's mode). Two runs with equal fingerprints rebuilt
+/// byte-identical schedules and made identical decisions, so a cursor is
+/// portable between them; anything else must be rejected. There is one
+/// fingerprint: a pinned plan and a priced plan that decided the same
+/// are the same plan.
+pub fn plan_fingerprint(circuit: &Circuit, precision_tag: u8, plan_digest: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in format!("{circuit:?}").bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h = mix(h, fusion_width as u64);
-    h = mix(h, sweep_width as u64);
-    h = mix(h, u64::from(sweep_reorder));
-    mix(h, u64::from(precision_tag))
+    mix(mix(h, u64::from(precision_tag)), plan_digest)
 }
 
-/// Fold an execution-strategy digest (e.g.
-/// [`ExecutionPlan::digest`](crate::planner::ExecutionPlan)) into a plan
-/// fingerprint. Any nonzero-entropy digest moves the fingerprint, so
-/// fixed-mode cursors (un-folded fingerprints) and adaptive cursors
-/// reject each other on resume.
-pub fn fold_strategy(fingerprint: u64, strategy_digest: u64) -> u64 {
-    mix(mix(fingerprint, 1), strategy_digest)
-}
-
-/// One splitmix64 avalanche step (shared by the fingerprint builders).
+/// One splitmix64 avalanche step.
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -603,12 +617,10 @@ mod tests {
         a.h(0).cx(0, 1);
         let mut b = Circuit::new(3);
         b.h(0).cx(0, 2);
-        let fa = plan_fingerprint(&a, 5, 12, true, 8);
-        assert_eq!(fa, plan_fingerprint(&a, 5, 12, true, 8), "pure function");
-        assert_ne!(fa, plan_fingerprint(&b, 5, 12, true, 8), "circuit");
-        assert_ne!(fa, plan_fingerprint(&a, 1, 12, true, 8), "fusion width");
-        assert_ne!(fa, plan_fingerprint(&a, 5, 0, true, 8), "sweep width");
-        assert_ne!(fa, plan_fingerprint(&a, 5, 12, false, 8), "reorder");
-        assert_ne!(fa, plan_fingerprint(&a, 5, 12, true, 4), "precision");
+        let fa = plan_fingerprint(&a, 8, 7);
+        assert_eq!(fa, plan_fingerprint(&a, 8, 7), "pure function");
+        assert_ne!(fa, plan_fingerprint(&b, 8, 7), "circuit");
+        assert_ne!(fa, plan_fingerprint(&a, 4, 7), "precision");
+        assert_ne!(fa, plan_fingerprint(&a, 8, 9), "plan digest");
     }
 }

@@ -12,13 +12,14 @@
 //!   statistics (kernel launches, bytes touched) feed the calibrated
 //!   performance model in `qgear-perfmodel`.
 //!
-//! Neither fixed execution mode wins everywhere — the hot-path bench
-//! records dense fusion running 3–6× *slower* than the per-gate baseline
-//! on unstructured workloads. The [`planner`] module resolves this: under
-//! [`RunOptions::planned`] the simulated-GPU engine prices unfused, fused
-//! (structure-dispatched) and sweep execution per scheduled segment
-//! against a calibrated cost model and runs each segment in its cheapest
-//! mode. See `docs/PLANNER.md` for the model and decision procedure.
+//! Every simulated-GPU run walks one [`planner::ExecutionPlan`]. No
+//! single execution mode wins everywhere — dense fusion runs several
+//! times *slower* than the per-gate baseline on unstructured workloads —
+//! so the plan's one selector ([`PlannerCosts::force_mode`]) either pins
+//! every segment to a mode (the default pins sweeps) or prices unfused,
+//! fused (structure-dispatched) and sweep execution per scheduled
+//! segment against a cost model and runs each in its cheapest mode. See
+//! `docs/PLANNER.md` for the model and decision procedure.
 //!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`
 //! ([`qgear_num::Scalar`]), Born-rule [`sampling`] with multinomial shot
@@ -30,7 +31,7 @@
 //!
 //! ```
 //! use qgear_ir::Circuit;
-//! use qgear_statevec::{AerCpuBackend, GpuDevice, RunOptions, RunOutput, Simulator};
+//! use qgear_statevec::{AerCpuBackend, GpuDevice, PlannerCosts, RunOptions, RunOutput, Simulator};
 //!
 //! // A GHZ circuit run on both engines gives identical physics: the
 //! // fused simulated-GPU engine just gets there in fewer sweeps.
@@ -43,10 +44,11 @@
 //! assert!(a.fidelity(&g) > 1.0 - 1e-12);
 //! assert!(gpu.stats.kernels_launched < aer.stats.kernels_launched);
 //!
-//! // The adaptive planner picks the cheapest mode per segment instead
-//! // of one global mode — same physics, never the worst-case path.
-//! let planned: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &RunOptions::planned()).unwrap();
-//! assert!(planned.state.unwrap().fidelity(&g) > 1.0 - 1e-12);
+//! // A priced plan picks the cheapest mode per segment instead of one
+//! // pinned mode — same physics, never the worst-case path.
+//! let priced = RunOptions { planner_costs: PlannerCosts::host_reference(), ..opts };
+//! let priced: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &priced).unwrap();
+//! assert!(priced.state.unwrap().fidelity(&g) > 1.0 - 1e-12);
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -74,7 +76,7 @@ pub use checkpoint::{
 };
 pub use gpu::GpuDevice;
 pub use noise::{NoiseChannel, NoiseModel, TrajectoryBackend};
-pub use planner::{plan, ExecStrategy, ExecutionPlan, PlannerCosts, SegmentMode};
+pub use planner::{plan, ExecutionPlan, PlannerCosts, SegmentMode};
 pub use sampling::SamplingConfig;
 pub use segment::SegmentedRun;
 pub use simd::{set_simd_enabled, simd_enabled};

@@ -1,52 +1,58 @@
-//! The adaptive execution planner: cost-model-driven mode choice per
-//! scheduled segment.
+//! The execution planner: the one step schedule every run walks.
 //!
-//! The fixed execution modes are each a *global* bet, and
-//! `BENCH_hotpath.json` shows every one of them losing somewhere: dense
-//! fused kernels are 3–6× slower than the unfused per-gate baseline on
-//! the `random` and `qcrank` workloads (a width-5 kernel costs `2^5`
-//! mul-adds per amplitude where the gates it absorbed cost a handful),
-//! while the unfused baseline loses badly on QFT-shaped circuits where
-//! sweeps amortize state passes. The planner replaces the global bet
-//! with a per-segment decision: walk the commutation-aware sweep
-//! schedule segment by segment, price **unfused** (per-gate specialized
-//! loops), **fused** (one structured kernel pass per block, dispatched
-//! by [`KernelStructure`]), and **sweep** (one cache-blocked tile pass)
-//! against a calibrated [`PlannerCosts`] model, and execute each segment
-//! in its cheapest legal mode.
+//! An [`ExecutionPlan`] is the fused kernels of a circuit, partitioned
+//! into *segments* (one per scheduled sweep, or one per fused block at
+//! `sweep_width: 0`), each annotated with the [`SegmentMode`] it runs
+//! in: **unfused** (per-gate specialized loops), **fused** (one
+//! structured kernel pass per block, dispatched by
+//! [`KernelStructure`]), or **sweep** (one cache-blocked tile pass; a
+//! one-kernel segment is the exact dense kernel). One selector decides
+//! the modes — [`PlannerCosts::force_mode`]:
+//!
+//! * `Some(mode)` **pins** every segment to that mode. A pinned plan
+//!   prices nothing and classifies no structure it will not execute;
+//!   the historical fixed engines are pins (the default
+//!   [`RunOptions`](crate::RunOptions) pins `Sweep`).
+//! * `None` **prices** the three modes per segment against the
+//!   [`PlannerCosts`] constants and takes the cheapest, because each
+//!   pin is a global bet that loses somewhere (dense width-5 kernels
+//!   cost `2^5` mul-adds per amplitude where the gates they absorbed
+//!   cost a handful; per-gate execution loses on QFT-shaped circuits
+//!   where sweeps amortize state passes).
 //!
 //! Every mode applies the same unitaries in the same schedule order, so
-//! the planned state agrees with any fixed mode to floating-point
-//! round-off; with [`PlannerCosts::force_mode`] pinning one mode the
-//! arithmetic is *bit-identical* to the corresponding fixed path, which
-//! is how the differential suite anchors the planner. Plans are
-//! deterministic functions of `(circuit, options, costs)` — the mode
-//! digest is folded into the checkpoint plan fingerprint so a resumed
-//! [`SegmentedRun`](crate::SegmentedRun) can never silently continue
-//! under a different plan.
+//! any two plans of one circuit agree to floating-point round-off, and
+//! two plans that made the same decisions — however they were selected
+//! — are the same plan bit for bit. Plans are deterministic functions
+//! of `(circuit, options, costs)`; [`ExecutionPlan::digest`] covers the
+//! schedule-shaping options and every decision, and the checkpoint
+//! fingerprint always covers the digest, so a resumed walker can never
+//! continue under a different plan.
 //!
-//! See `docs/PLANNER.md` for the cost model's constants and the full
-//! decision procedure.
+//! See `docs/PLANNER.md` for the cost model and the decision procedure.
 //!
 //! ```
 //! use qgear_ir::Circuit;
 //! use qgear_statevec::planner::{plan, PlannerCosts, SegmentMode};
 //!
-//! // A QFT-shaped phase ladder: the planner walks the sweep schedule
-//! // and picks the cheapest mode for every segment.
+//! // A QFT-shaped phase ladder, priced: the planner walks the sweep
+//! // schedule and picks the cheapest mode for every segment.
 //! let mut c = Circuit::new(4);
 //! c.h(0).cr1(0.5, 0, 1).cr1(0.25, 0, 2).h(1).cr1(0.5, 1, 2).h(2);
-//! let plan = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-//! assert!(!plan.segments.is_empty());
-//! for seg in &plan.segments {
+//! let priced = plan(&c, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
+//! for seg in &priced.segments {
 //!     // The chosen mode is never predicted slower than either rival.
-//!     let p = &seg.predicted;
+//!     let p = seg.predicted.expect("priced segments carry their prediction");
 //!     assert!(p.of(seg.mode) <= p.unfused && p.of(seg.mode) <= p.fused);
 //!     assert!(p.of(seg.mode) <= p.sweep);
 //! }
+//! // The same schedule pinned to one mode: nothing is priced.
+//! let pinned = plan(&c, 5, 12, true, &PlannerCosts::pinned(SegmentMode::Sweep), 16).unwrap();
+//! assert!(pinned.segments.iter().all(|s| s.mode == SegmentMode::Sweep && s.predicted.is_none()));
 //! ```
 
 use crate::aer::AerCpuBackend;
+use crate::checkpoint::CheckpointCounters;
 use crate::gpu::GpuDevice;
 use qgear_ir::fusion::{self, FusedBlock, FusionError, KernelStructure};
 use qgear_ir::schedule::{self, Sweep, SweepOptions};
@@ -55,21 +61,7 @@ use qgear_num::{Complex, Scalar};
 use qgear_telemetry::names;
 use std::time::Instant;
 
-/// Which engine strategy a run uses: the historical fixed modes
-/// (selected by `sweep_width`/backend choice) or the adaptive planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// One global mode for the whole circuit, exactly as selected by the
-    /// `sweep_width`/`sweep_reorder` knobs. Default for bit-compatibility
-    /// with existing fixed-mode artifacts (checkpoints, cached results).
-    #[default]
-    Fixed,
-    /// Per-segment cost-model-driven mode choice (see module docs) —
-    /// the recommended path for performance-sensitive execution.
-    Planned,
-}
-
-/// Execution mode chosen for one schedule segment.
+/// Execution mode of one schedule segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentMode {
     /// Per-gate specialized loops (the Aer-style kernels): cheap
@@ -80,7 +72,8 @@ pub enum SegmentMode {
     /// over fused gates, arithmetic priced by [`KernelStructure`].
     Fused,
     /// One cache-blocked tile pass for the whole segment
-    /// ([`GpuDevice::apply_sweep`]).
+    /// ([`GpuDevice::apply_sweep`]); a one-kernel segment is the exact
+    /// dense [`GpuDevice::apply_block`].
     Sweep,
 }
 
@@ -95,13 +88,13 @@ impl SegmentMode {
     }
 }
 
-/// Calibrated throughput/overhead constants the cost model prices
-/// segments with. The defaults are fitted to the repo's reference VM
-/// from the measured `BENCH_hotpath.json` grid (see `docs/PLANNER.md`
-/// for the derivation); [`PlannerCosts::calibrated`] refits them from
-/// the predicted-vs-actual telemetry of earlier planned runs. Only the
-/// *ratios* between constants matter for mode ranking, so rough
-/// absolute values are fine.
+/// The mode selector plus the throughput/overhead constants priced
+/// plans rank modes with. [`PlannerCosts::host_reference`] is a hand fit
+/// to one host (measure yours with `benchmark/`, see its README);
+/// [`PlannerCosts::calibrated`] refits the constants from the
+/// predicted-vs-actual telemetry of earlier priced runs. Only the
+/// *ratios* between constants matter for mode ranking, so rough absolute
+/// values are fine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerCosts {
     /// Streaming bandwidth for full-state passes, bytes/second.
@@ -117,10 +110,9 @@ pub struct PlannerCosts {
     pub gate_amps_per_sec: f64,
     /// Fixed overhead per kernel launch / state pass, seconds.
     pub launch_seconds: f64,
-    /// Pin every segment to one mode regardless of cost. The escape
-    /// hatch that embeds the fixed modes into the planner: with a forced
-    /// mode the planned path is bit-identical to the corresponding fixed
-    /// path (the differential suite relies on this).
+    /// The one execution-mode selector: `Some(mode)` pins every segment
+    /// to `mode` and the constants above go unread; `None` prices every
+    /// segment and runs it in its cheapest mode.
     pub force_mode: Option<SegmentMode>,
 }
 
@@ -131,17 +123,15 @@ impl Default for PlannerCosts {
 }
 
 impl PlannerCosts {
-    /// Constants fitted to the 1-core reference VM from the measured
-    /// hot-path grid, **after** the SIMD/FMA kernel overhaul (native
-    /// codegen plus explicit lane kernels lifted every inner loop ~7–15×,
-    /// so the pre-SIMD constants would misprice all three modes): fused
-    /// `random@16` (122 dense width-5 kernels, 0.38 s) pins
-    /// `madds_per_sec` ≈ 7e8; unfused `random@16` (960 gates, 0.065 s)
-    /// pins `gate_amps_per_sec` ≈ 1e9; the chunked diagonal-table kernels
-    /// behind the qft-fused series pin `cmuls_per_sec` ≈ 2.5e9; sweep
-    /// deltas across the grid pin the effective streaming bandwidth; and
-    /// unfused `random@10` (600 gates, 0.6 ms total) bounds the per-gate
-    /// dispatch overhead at well under a microsecond.
+    /// The priced selector with constants hand-fitted to a small x86
+    /// host after the SIMD/FMA kernel overhaul: dense width-5 kernels on
+    /// a random circuit pin `madds_per_sec`, the per-gate loops on the
+    /// same circuit pin `gate_amps_per_sec`, the chunked diagonal-table
+    /// kernels of a QFT pin `cmuls_per_sec`, sweep-vs-fused deltas pin
+    /// the effective streaming bandwidth, and a 10-qubit per-gate run
+    /// bounds the dispatch overhead at well under a microsecond. The
+    /// numbers behind any fit go stale with the host; `benchmark/`
+    /// measures them.
     pub fn host_reference() -> Self {
         PlannerCosts {
             bytes_per_sec: 1.6e10,
@@ -153,12 +143,18 @@ impl PlannerCosts {
         }
     }
 
-    /// Refit the constants from a telemetry snapshot of earlier planned
+    /// The selector pinned to `mode`: every segment runs in it, nothing
+    /// is priced.
+    pub fn pinned(mode: SegmentMode) -> Self {
+        PlannerCosts { force_mode: Some(mode), ..PlannerCosts::host_reference() }
+    }
+
+    /// Refit the constants from a telemetry snapshot of earlier priced
     /// runs: each per-mode `planner.cost_ratio.*` histogram records
-    /// actual/predicted per executed segment, and its mean rescales the
-    /// constants that dominate that mode (clamped to `[0.25, 4]` per
-    /// refit so one noisy run cannot wreck the model). Returns the
-    /// costs unchanged for modes with no observations.
+    /// actual/predicted per executed priced segment, and its mean
+    /// rescales the constants that dominate that mode (clamped to
+    /// `[0.25, 4]` per refit so one noisy run cannot wreck the model).
+    /// Returns the costs unchanged for modes with no observations.
     pub fn calibrated(&self, snap: &qgear_telemetry::TelemetrySnapshot) -> PlannerCosts {
         let mean = |name: &str| {
             snap.histograms
@@ -212,10 +208,50 @@ impl PlannerCosts {
     /// gate multiplies into an accumulated dense block, ≈`4 · 4^w`
     /// mul-adds at full fusion width. This cost is paid once by every
     /// kernel-based mode but never by per-gate execution, so on small
-    /// states it can exceed the entire unfused run — the planner skips
+    /// states it can exceed the entire unfused run — a priced plan skips
     /// fusion outright when it does (see [`plan`]).
     fn fusion_build_seconds(&self, gates: usize, fusion_width: usize) -> f64 {
         gates as f64 * 4.0 * (1u64 << (2 * fusion_width)) as f64 / self.madds_per_sec
+    }
+
+    /// Price one segment under the three modes. `gates[ki]` are the
+    /// source gates block `ki` absorbed, `pass` one state pass in
+    /// seconds.
+    fn price(
+        &self,
+        sweep: &Sweep,
+        blocks: &[FusedBlock],
+        structures: &[KernelStructure],
+        gates: &[&[Gate]],
+        n_amps: f64,
+        pass: f64,
+    ) -> ModeCosts {
+        let mut costs = ModeCosts { unfused: 0.0, fused: 0.0, sweep: 0.0 };
+        let mut sweep_flops = 0.0f64;
+        for &ki in &sweep.kernels {
+            let flops = self.kernel_flop_seconds(&structures[ki], blocks[ki].qubits.len(), n_amps);
+            costs.fused += self.launch_seconds + pass + flops;
+            sweep_flops += flops;
+            for g in gates[ki] {
+                costs.unfused += self.unfused_gate_seconds(g, n_amps);
+            }
+        }
+        costs.sweep = if let [only] = sweep.kernels.as_slice() {
+            // A one-kernel sweep is `apply_block`, whose plan is always
+            // the exact one: price diagonal or dense, not structured.
+            let flops = match &structures[*only] {
+                KernelStructure::Diagonal => n_amps / self.cmuls_per_sec,
+                _ => n_amps * (1u64 << blocks[*only].qubits.len()) as f64 / self.madds_per_sec,
+            };
+            self.launch_seconds + pass + flops
+        } else {
+            // One tiled pass; gather/scatter index math inflates the
+            // bandwidth term unless the sweep is all-diagonal
+            // (element-wise, no data movement).
+            let tile_factor = if sweep.diagonal { 1.0 } else { 1.5 };
+            self.launch_seconds + tile_factor * pass + sweep_flops
+        };
+        costs
     }
 }
 
@@ -254,41 +290,46 @@ impl ModeCosts {
     }
 }
 
-/// One scheduled segment with its chosen execution mode.
+/// One scheduled segment with its execution mode.
 #[derive(Debug, Clone)]
 pub struct PlannedSegment {
     /// The scheduled sweep this segment executes (kernel indices into
     /// [`ExecutionPlan::blocks`], union support, diagonal flag).
     pub sweep: Sweep,
-    /// The mode the cost model picked.
+    /// The mode the segment runs in.
     pub mode: SegmentMode,
     /// The segment's source gates in schedule order — materialized only
     /// for [`SegmentMode::Unfused`] segments (empty otherwise).
     pub gates: Vec<Gate>,
-    /// The three predicted costs the decision was made from.
-    pub predicted: ModeCosts,
+    /// The three predicted costs a priced decision was made from; `None`
+    /// on a pinned segment, which was never priced.
+    pub predicted: Option<ModeCosts>,
 }
 
-/// A fully-resolved execution plan: the fused kernels, their structure
-/// classes, and one mode-annotated segment per scheduled sweep.
+/// A fully-resolved execution plan: the fused kernels and one
+/// mode-annotated segment per schedule step.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     /// Register width.
     pub num_qubits: u32,
     /// Fused kernels, indexed by the segments' `sweep.kernels`.
     pub blocks: Vec<FusedBlock>,
-    /// Structure class of each kernel, parallel to `blocks`.
+    /// Structure class of each kernel, parallel to `blocks` — classified
+    /// only where a segment may run [`SegmentMode::Fused`] (priced plans
+    /// and `Fused` pins), empty otherwise.
     pub structures: Vec<KernelStructure>,
     /// Mode-annotated segments in execution order.
     pub segments: Vec<PlannedSegment>,
     /// Source gates absorbed by the plan (pre-fusion count).
     pub source_gates: u64,
     /// Order-preserving flag forwarded to sweep execution
-    /// (`!sweep_reorder`, same as the fixed sweep path).
+    /// (`!sweep_reorder`).
     pub exact: bool,
-    /// Digest of the per-segment mode choices; folded into the
-    /// checkpoint plan fingerprint so resume rejects a plan whose
-    /// decisions differ (e.g. different calibrated costs).
+    /// Digest of the clamped fusion width, the sweep options and every
+    /// segment's size and mode — not of how the modes were selected, so
+    /// a pinned plan and a priced plan that decided the same share it.
+    /// The checkpoint fingerprint covers it: resume rejects a plan whose
+    /// schedule or decisions differ.
     pub digest: u64,
 }
 
@@ -303,7 +344,7 @@ impl ExecutionPlan {
         self.segments.is_empty()
     }
 
-    /// How many segments chose each mode, in
+    /// How many segments run in each mode, in
     /// `(unfused, fused, sweep)` order.
     pub fn mode_histogram(&self) -> (usize, usize, usize) {
         let count = |m: SegmentMode| self.segments.iter().filter(|s| s.mode == m).count();
@@ -312,6 +353,13 @@ impl ExecutionPlan {
             count(SegmentMode::Fused),
             count(SegmentMode::Sweep),
         )
+    }
+
+    /// Kernel indices into [`Self::blocks`] in execution order — what a
+    /// walker that runs kernel-at-a-time (the cluster engine) steps
+    /// through.
+    pub fn block_order(&self) -> Vec<usize> {
+        self.segments.iter().flat_map(|s| s.sweep.kernels.iter().copied()).collect()
     }
 }
 
@@ -323,17 +371,19 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Build the adaptive execution plan for a circuit.
+/// Build the execution plan for a circuit — the only plan builder.
 ///
-/// Fuses at `fusion_width` (clamped like the engines do), schedules
-/// sweeps at `sweep_width` (`0` falls back to the scheduler default —
-/// the planner always works on the scheduled segmentation), classifies
-/// every kernel's structure, prices each segment under the three modes
-/// and picks the cheapest. Measurements are split off; errors surface
-/// exactly as fusion reports them.
+/// Fuses at `fusion_width` (clamped to the fusion ceiling, once, here),
+/// then segments the kernels: `sweep_width > 0` schedules
+/// commutation-aware sweeps of that union support (`sweep_reorder` as in
+/// [`SweepOptions`]); `sweep_width == 0` makes one segment per fused
+/// block in program order — the checkpoint-per-kernel, exact-dense
+/// schedule. `costs.force_mode` then pins or prices every segment (see
+/// the module docs). Measurements are split off; errors surface exactly
+/// as fusion reports them.
 ///
 /// `amp_bytes` is the bytes-per-amplitude of the execution precision
-/// (8 for fp32, 16 for fp64) — it only scales the bandwidth term.
+/// (8 for fp32, 16 for fp64) — it only scales the priced bandwidth term.
 pub fn plan(
     circuit: &Circuit,
     fusion_width: usize,
@@ -344,115 +394,94 @@ pub fn plan(
 ) -> Result<ExecutionPlan, FusionError> {
     let (unitary, _) = circuit.split_measurements();
     let width = fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH);
-
-    // Whole-circuit shortcut: building fused kernels costs real time
-    // (dense matrix products per absorbed gate) that per-gate execution
-    // never pays. On small states that build alone can exceed the entire
-    // unfused run, so when the model predicts it would, skip fusion and
-    // emit a single all-unfused segment in source order. Forced modes
-    // always take the full path (fused/sweep need the kernels to exist).
-    let n_amps_f = (1u128 << unitary.num_qubits()) as f64;
-    let unfused_total: f64 = unitary
-        .gates()
-        .iter()
-        .filter(|g| g.is_unitary_op())
-        .map(|g| costs.unfused_gate_seconds(g, n_amps_f))
-        .sum();
-    let gate_count = unitary.gates().iter().filter(|g| g.is_unitary_op()).count();
-    if costs.force_mode.is_none()
-        && gate_count > 0
-        && unfused_total < costs.fusion_build_seconds(gate_count, width)
-    {
-        let gates: Vec<Gate> =
-            unitary.gates().iter().filter(|g| g.is_unitary_op()).copied().collect();
-        let predicted = ModeCosts {
-            unfused: unfused_total,
-            fused: f64::INFINITY,
-            sweep: f64::INFINITY,
-        };
-        // Distinct digest arm: a shortcut plan has no kernel schedule, so
-        // it must never fingerprint-collide with a scheduled plan.
-        let mut digest = mix(0x51D3_C0DE, u64::MAX);
-        digest = mix(digest, gates.len() as u64);
-        if qgear_telemetry::is_enabled() {
-            qgear_telemetry::counter_inc(names::PLANNER_SEGMENTS);
-            qgear_telemetry::counter_inc(names::PLANNER_MODE_UNFUSED);
-            qgear_telemetry::histogram_record(names::PLANNER_PREDICTED_US, unfused_total * 1e6);
+    let n_amps = (1u128 << unitary.num_qubits()) as f64;
+    let mut digest = mix(0x51D3_C0DE, width as u64);
+    digest = mix(digest, sweep_width as u64);
+    digest = mix(digest, u64::from(sweep_reorder));
+    // The source gate stream, where a segment may be priced or run gate
+    // by gate; a `Fused` or `Sweep` pin never reads it.
+    let gates: Vec<Gate> = match costs.force_mode {
+        None | Some(SegmentMode::Unfused) => {
+            unitary.gates().iter().filter(|g| g.is_unitary_op()).copied().collect()
         }
-        return Ok(ExecutionPlan {
-            num_qubits: unitary.num_qubits(),
-            blocks: Vec::new(),
-            structures: Vec::new(),
-            segments: vec![PlannedSegment {
-                sweep: Sweep { kernels: Vec::new(), qubits: Vec::new(), diagonal: false },
-                mode: SegmentMode::Unfused,
-                gates,
-                predicted,
-            }],
-            source_gates: gate_count as u64,
-            exact: !sweep_reorder,
-            digest,
-        });
+        Some(SegmentMode::Fused | SegmentMode::Sweep) => Vec::new(),
+    };
+
+    // Whole-circuit shortcut, priced plans only: building fused kernels
+    // costs real time (dense matrix products per absorbed gate) that
+    // per-gate execution never pays. On small states that build alone
+    // can exceed the entire unfused run, so when the model predicts it
+    // would, skip fusion and emit a single all-unfused segment in source
+    // order. Pins take the full path (they need the kernels to exist),
+    // and so does `sweep_width: 0`, which promises a step per block.
+    if costs.force_mode.is_none() && sweep_width > 0 && !gates.is_empty() {
+        let unfused: f64 = gates.iter().map(|g| costs.unfused_gate_seconds(g, n_amps)).sum();
+        if unfused < costs.fusion_build_seconds(gates.len(), width) {
+            // Distinct digest arm: a shortcut plan has no kernel
+            // schedule, so it must never collide with a scheduled plan.
+            digest = mix(mix(digest, u64::MAX), gates.len() as u64);
+            let predicted = ModeCosts { unfused, fused: f64::INFINITY, sweep: f64::INFINITY };
+            return Ok(ExecutionPlan {
+                num_qubits: unitary.num_qubits(),
+                blocks: Vec::new(),
+                structures: Vec::new(),
+                source_gates: gates.len() as u64,
+                segments: vec![PlannedSegment {
+                    sweep: Sweep { kernels: Vec::new(), qubits: Vec::new(), diagonal: false },
+                    mode: SegmentMode::Unfused,
+                    gates,
+                    predicted: Some(predicted),
+                }],
+                exact: !sweep_reorder,
+                digest,
+            });
+        }
     }
 
     let program = fusion::try_fuse(&unitary, width)?;
-    let width = if sweep_width == 0 { schedule::DEFAULT_SWEEP_WIDTH } else { sweep_width };
-    let sched = schedule::sweeps(&program, &SweepOptions { max_width: width, reorder: sweep_reorder });
-
-    // Partition the unitary gate stream by block: fusion absorbs
-    // contiguous runs, so block `i` owns the next `source_gates` gates.
-    let unitary_gates: Vec<&Gate> = unitary.gates().iter().filter(|g| g.is_unitary_op()).collect();
-    let mut block_gates: Vec<&[&Gate]> = Vec::with_capacity(program.blocks.len());
-    let mut off = 0usize;
-    for b in &program.blocks {
-        block_gates.push(&unitary_gates[off..off + b.source_gates]);
-        off += b.source_gates;
-    }
-    debug_assert_eq!(off, unitary_gates.len(), "fusion partitions the gate stream");
-
-    let structures: Vec<KernelStructure> =
-        program.blocks.iter().map(|b| b.structure()).collect();
-
-    let n_amps = (1u128 << unitary.num_qubits()) as f64;
-    let ab = amp_bytes as f64;
-    let mut segments = Vec::with_capacity(sched.sweeps.len());
-    let mut digest = mix(0x51D3_C0DE, sched.sweeps.len() as u64);
-    for sweep in sched.sweeps {
-        let pass = costs.pass_seconds(n_amps, ab);
-        let mut unfused_cost = 0.0f64;
-        let mut fused_cost = 0.0f64;
-        let mut sweep_flops = 0.0f64;
-        for &ki in &sweep.kernels {
-            let k = program.blocks[ki].qubits.len();
-            let flops = costs.kernel_flop_seconds(&structures[ki], k, n_amps);
-            fused_cost += costs.launch_seconds + pass + flops;
-            sweep_flops += flops;
-            for g in block_gates[ki] {
-                unfused_cost += costs.unfused_gate_seconds(g, n_amps);
-            }
-        }
-        let sweep_cost = if let [only] = sweep.kernels.as_slice() {
-            // Singleton sweeps delegate to `apply_block`, whose plan is
-            // always the exact one: price diagonal or dense, not
-            // structured.
-            let k = program.blocks[*only].qubits.len();
-            let flops = match &structures[*only] {
-                KernelStructure::Diagonal => n_amps / costs.cmuls_per_sec,
-                _ => n_amps * (1u64 << k) as f64 / costs.madds_per_sec,
-            };
-            costs.launch_seconds + pass + flops
-        } else {
-            // One tiled pass; gather/scatter index math inflates the
-            // bandwidth term unless the sweep is all-diagonal
-            // (element-wise, no data movement).
-            let tile_factor = if sweep.diagonal { 1.0 } else { 1.5 };
-            costs.launch_seconds + tile_factor * pass + sweep_flops
+    let sweeps: Vec<Sweep> = if sweep_width == 0 {
+        let singleton = |(ki, b): (usize, &FusedBlock)| {
+            let mut qubits = b.qubits.clone();
+            qubits.sort_unstable();
+            Sweep { kernels: vec![ki], qubits, diagonal: b.is_diagonal() }
         };
+        program.blocks.iter().enumerate().map(singleton).collect()
+    } else {
+        let opts = SweepOptions { max_width: sweep_width, reorder: sweep_reorder };
+        schedule::sweeps(&program, &opts).sweeps
+    };
 
-        let predicted = ModeCosts { unfused: unfused_cost, fused: fused_cost, sweep: sweep_cost };
-        let mode = costs.force_mode.unwrap_or_else(|| predicted.cheapest());
+    // Partition the gate stream by block: fusion absorbs contiguous
+    // runs, so block `i` owns the next `source_gates` gates.
+    let mut block_gates: Vec<&[Gate]> = Vec::new();
+    if !gates.is_empty() {
+        let mut rest = gates.as_slice();
+        for b in &program.blocks {
+            let (own, tail) = rest.split_at(b.source_gates);
+            block_gates.push(own);
+            rest = tail;
+        }
+        debug_assert!(rest.is_empty(), "fusion partitions the gate stream");
+    }
+    let structures: Vec<KernelStructure> = match costs.force_mode {
+        None | Some(SegmentMode::Fused) => program.blocks.iter().map(|b| b.structure()).collect(),
+        Some(SegmentMode::Unfused | SegmentMode::Sweep) => Vec::new(),
+    };
+
+    let pass = costs.pass_seconds(n_amps, amp_bytes as f64);
+    let mut segments = Vec::with_capacity(sweeps.len());
+    digest = mix(digest, sweeps.len() as u64);
+    for sweep in sweeps {
+        let (mode, predicted) = match costs.force_mode {
+            Some(pin) => (pin, None),
+            None => {
+                let priced =
+                    costs.price(&sweep, &program.blocks, &structures, &block_gates, n_amps, pass);
+                (priced.cheapest(), Some(priced))
+            }
+        };
         let gates: Vec<Gate> = if mode == SegmentMode::Unfused {
-            sweep.kernels.iter().flat_map(|&ki| block_gates[ki].iter().map(|&&g| g)).collect()
+            sweep.kernels.iter().flat_map(|&ki| block_gates[ki].iter().copied()).collect()
         } else {
             Vec::new()
         };
@@ -461,147 +490,92 @@ pub fn plan(
         segments.push(PlannedSegment { sweep, mode, gates, predicted });
     }
 
-    if qgear_telemetry::is_enabled() {
-        qgear_telemetry::counter_add(names::PLANNER_SEGMENTS, segments.len() as u128);
-        for seg in &segments {
-            let counter = match seg.mode {
-                SegmentMode::Unfused => names::PLANNER_MODE_UNFUSED,
-                SegmentMode::Fused => names::PLANNER_MODE_FUSED,
-                SegmentMode::Sweep => names::PLANNER_MODE_SWEEP,
-            };
-            qgear_telemetry::counter_inc(counter);
-            qgear_telemetry::histogram_record(
-                names::PLANNER_PREDICTED_US,
-                seg.predicted.of(seg.mode) * 1e6,
-            );
-        }
-    }
-
     Ok(ExecutionPlan {
         num_qubits: unitary.num_qubits(),
+        source_gates: program.source_gate_count() as u64,
         blocks: program.blocks,
         structures,
         segments,
-        source_gates: unitary_gates.len() as u64,
         exact: !sweep_reorder,
         digest,
     })
 }
 
-/// Deterministic counters one executed step contributes, merged into
-/// [`ExecStats`](crate::ExecStats)/checkpoint counters by
-/// [`SegmentedRun::advance`](crate::SegmentedRun::advance). Bytes are
-/// charged per state pass, flops at the dense `2^k`-per-kernel rate (the
-/// audited "kernel grid" figure, even when structured or factored
-/// dispatch does less work).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SegmentStats {
-    pub kernels_launched: u64,
-    pub sweeps_executed: u64,
-    pub bytes_touched: u128,
-    pub flops: u128,
+/// One state pass of `n_amps` amplitudes by a `width`-qubit kernel (or
+/// unfused gate), charged to `counters`: bytes per pass, flops at the
+/// dense `2^k`-per-kernel rate (the audited "kernel grid" figure, even
+/// when structured or factored dispatch does less work).
+fn charge_kernel_pass<T: Scalar>(counters: &mut CheckpointCounters, n_amps: usize, width: usize) {
+    let n_amps = n_amps as u128;
+    counters.kernels_launched += 1;
+    counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
+    counters.flops += n_amps << width;
 }
 
-impl SegmentStats {
-    /// One kernel (or unfused gate) of `width` qubits in a state pass of
-    /// its own.
-    fn kernel_pass<T: Scalar>(n_amps: usize, width: usize) -> Self {
-        let n_amps = n_amps as u128;
-        SegmentStats {
-            kernels_launched: 1,
-            sweeps_executed: 0,
-            bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128,
-            flops: n_amps << width,
-        }
-    }
-
-    fn add(&mut self, step: SegmentStats) {
-        self.kernels_launched += step.kernels_launched;
-        self.sweeps_executed += step.sweeps_executed;
-        self.bytes_touched += step.bytes_touched;
-        self.flops += step.flops;
-    }
-}
-
-/// The block step kind: one fused kernel in one full-state pass —
-/// through the kernel matching `structure` when the caller has
-/// classified it, the exact [`GpuDevice::apply_block`] otherwise.
-pub(crate) fn block_step<T: Scalar>(
-    state: &mut [Complex<T>],
-    block: &FusedBlock,
-    structure: Option<&KernelStructure>,
-) -> SegmentStats {
-    match structure {
-        Some(structure) => GpuDevice::apply_block_structured(state, block, structure),
-        None => GpuDevice::apply_block(state, block),
-    }
-    SegmentStats::kernel_pass::<T>(state.len(), block.qubits.len())
-}
-
-/// The sweep step kind: every kernel of one scheduled sweep in a single
-/// cache-blocked pass — one pass of bytes, every kernel's arithmetic.
-pub(crate) fn sweep_step<T: Scalar>(
-    state: &mut [Complex<T>],
-    blocks: &[FusedBlock],
-    sweep: &Sweep,
-    exact: bool,
-) -> SegmentStats {
-    GpuDevice::apply_sweep(state, blocks, sweep, exact);
-    let n_amps = state.len() as u128;
-    SegmentStats {
-        kernels_launched: sweep.kernels.len() as u64,
-        sweeps_executed: 1,
-        bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128,
-        flops: sweep.kernels.iter().map(|&ki| n_amps << blocks[ki].qubits.len()).sum(),
-    }
-}
-
-/// Execute one planned segment over the state, returning its counter
-/// deltas — one [`SegmentedRun`](crate::SegmentedRun) step under
-/// [`ExecStrategy::Planned`].
+/// Execute segment `idx` of `plan` over the state — one
+/// [`SegmentedRun`](crate::SegmentedRun) step — and charge its
+/// deterministic counters. Telemetry reports what ran: the segment and
+/// mode counters for every plan, predicted/actual/ratio only for priced
+/// segments (a pinned segment has no prediction, and
+/// [`PlannerCosts::calibrated`] must not be fed runs the model never
+/// priced).
 pub(crate) fn execute_segment<T: Scalar>(
     state: &mut [Complex<T>],
     plan: &ExecutionPlan,
     idx: usize,
-) -> SegmentStats {
+    counters: &mut CheckpointCounters,
+) {
     let seg = &plan.segments[idx];
     let telemetry_on = qgear_telemetry::is_enabled();
-    let start = telemetry_on.then(Instant::now);
-    let mut st = SegmentStats::default();
+    let priced = seg.predicted.filter(|_| telemetry_on).map(|p| (p.of(seg.mode), Instant::now()));
+    let n_amps = state.len();
     match seg.mode {
         SegmentMode::Unfused => {
             for g in &seg.gates {
                 AerCpuBackend::apply_gate(state, g)
                     .expect("fused gates are executable by the per-gate path");
-                st.add(SegmentStats::kernel_pass::<T>(state.len(), g.operands().len()));
+                charge_kernel_pass::<T>(counters, n_amps, g.operands().len());
             }
         }
         SegmentMode::Fused => {
             for &ki in &seg.sweep.kernels {
-                st.add(block_step(state, &plan.blocks[ki], Some(&plan.structures[ki])));
+                let (block, structure) = (&plan.blocks[ki], &plan.structures[ki]);
+                GpuDevice::apply_block_structured(state, block, structure);
+                charge_kernel_pass::<T>(counters, n_amps, block.qubits.len());
                 if telemetry_on {
-                    qgear_telemetry::counter_inc(&names::planner_kernel(
-                        plan.structures[ki].name(),
-                    ));
+                    qgear_telemetry::counter_inc(&names::planner_kernel(structure.name()));
                 }
             }
         }
-        SegmentMode::Sweep => st = sweep_step(state, &plan.blocks, &seg.sweep, plan.exact),
-    }
-    if let Some(start) = start {
-        let actual = start.elapsed().as_secs_f64();
-        qgear_telemetry::histogram_record(names::PLANNER_ACTUAL_US, actual * 1e6);
-        let predicted = seg.predicted.of(seg.mode);
-        if predicted > 0.0 {
-            let ratio_name = match seg.mode {
-                SegmentMode::Unfused => names::PLANNER_RATIO_UNFUSED,
-                SegmentMode::Fused => names::PLANNER_RATIO_FUSED,
-                SegmentMode::Sweep => names::PLANNER_RATIO_SWEEP,
-            };
-            qgear_telemetry::histogram_record(ratio_name, actual / predicted);
+        // Every kernel of the segment in a single cache-blocked pass:
+        // one pass of bytes, every kernel's arithmetic.
+        SegmentMode::Sweep => {
+            GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep, plan.exact);
+            let n_amps = n_amps as u128;
+            counters.kernels_launched += seg.sweep.kernels.len() as u64;
+            counters.sweeps_executed += 1;
+            counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
+            counters.flops +=
+                seg.sweep.kernels.iter().map(|&ki| n_amps << plan.blocks[ki].qubits.len()).sum::<u128>();
         }
     }
-    st
+    if telemetry_on {
+        qgear_telemetry::counter_inc(names::PLANNER_SEGMENTS);
+        let (chosen, ratio) = match seg.mode {
+            SegmentMode::Unfused => (names::PLANNER_MODE_UNFUSED, names::PLANNER_RATIO_UNFUSED),
+            SegmentMode::Fused => (names::PLANNER_MODE_FUSED, names::PLANNER_RATIO_FUSED),
+            SegmentMode::Sweep => (names::PLANNER_MODE_SWEEP, names::PLANNER_RATIO_SWEEP),
+        };
+        qgear_telemetry::counter_inc(chosen);
+        if let Some((predicted, start)) = priced {
+            let actual = start.elapsed().as_secs_f64();
+            qgear_telemetry::histogram_record(names::PLANNER_PREDICTED_US, predicted * 1e6);
+            qgear_telemetry::histogram_record(names::PLANNER_ACTUAL_US, actual * 1e6);
+            if predicted > 0.0 {
+                qgear_telemetry::histogram_record(ratio, actual / predicted);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -672,16 +646,23 @@ mod tests {
         // And never a dense-fused regression segment: fused is only
         // chosen where it is predicted at least as cheap as unfused.
         for seg in &p.segments {
-            assert!(seg.predicted.of(seg.mode) <= seg.predicted.unfused + 1e-12);
+            let predicted = seg.predicted.expect("priced");
+            assert!(predicted.of(seg.mode) <= predicted.unfused + 1e-12);
         }
     }
 
     #[test]
-    fn force_mode_overrides_the_cost_model() {
+    fn a_pin_overrides_the_cost_model_and_builds_only_what_it_runs() {
         for mode in [SegmentMode::Unfused, SegmentMode::Fused, SegmentMode::Sweep] {
-            let costs = PlannerCosts { force_mode: Some(mode), ..PlannerCosts::default() };
-            let p = plan(&qft_like(6), 5, 12, true, &costs, 16).unwrap();
-            assert!(p.segments.iter().all(|s| s.mode == mode));
+            let p = plan(&qft_like(6), 5, 12, true, &PlannerCosts::pinned(mode), 16).unwrap();
+            assert!(p.segments.iter().all(|s| s.mode == mode && s.predicted.is_none()));
+            // No structure is classified unless a segment dispatches on
+            // it, no gate list is kept unless a segment runs gate by gate.
+            let classified = if mode == SegmentMode::Fused { p.blocks.len() } else { 0 };
+            assert_eq!(p.structures.len(), classified, "{mode:?}");
+            let kept: usize = p.segments.iter().map(|s| s.gates.len()).sum();
+            let expect = if mode == SegmentMode::Unfused { p.source_gates as usize } else { 0 };
+            assert_eq!(kept, expect, "{mode:?}");
         }
     }
 
@@ -690,20 +671,40 @@ mod tests {
         let base = plan(&qft_like(8), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
         let same = plan(&qft_like(8), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
         assert_eq!(base.digest, same.digest, "planning is deterministic");
-        let forced = PlannerCosts {
-            force_mode: Some(SegmentMode::Unfused),
-            ..PlannerCosts::default()
-        };
-        let other = plan(&qft_like(8), 5, 12, true, &forced, 16).unwrap();
+        let pinned = PlannerCosts::pinned(SegmentMode::Unfused);
+        let other = plan(&qft_like(8), 5, 12, true, &pinned, 16).unwrap();
         assert_ne!(base.digest, other.digest, "different decisions, different digest");
+        // The digest is of the decisions, not of how they were reached:
+        // costs under which every segment prices cheapest as `Fused`
+        // (free passes and launches, ruinous per-gate loops; a
+        // fused/sweep tie resolves to `Fused`) share the `Fused` pin's.
+        let all_fused = PlannerCosts {
+            bytes_per_sec: f64::INFINITY,
+            launch_seconds: 0.0,
+            gate_amps_per_sec: 1.0,
+            ..PlannerCosts::host_reference()
+        };
+        let priced = plan(&qft_like(8), 5, 12, true, &all_fused, 16).unwrap();
+        assert_eq!(priced.mode_histogram(), (0, priced.len(), 0));
+        let pin = plan(&qft_like(8), 5, 12, true, &PlannerCosts::pinned(SegmentMode::Fused), 16);
+        assert_eq!(priced.digest, pin.unwrap().digest);
     }
 
     #[test]
-    fn sweep_width_zero_still_schedules() {
-        let p = plan(&qft_like(8), 5, 0, true, &PlannerCosts::default(), 16).unwrap();
-        assert!(!p.is_empty());
-        let scheduled: usize = p.segments.iter().map(|s| s.sweep.kernels.len()).sum();
-        assert_eq!(scheduled, p.blocks.len());
+    fn sweep_width_zero_is_one_segment_per_block_in_program_order() {
+        // A 7-qubit state is small enough that a priced plan at any
+        // positive sweep width takes the skip-fusion shortcut; width 0
+        // promises a step per block, so it must not.
+        let priced = PlannerCosts::host_reference();
+        assert!(plan(&qft_like(7), 5, 12, true, &priced, 16).unwrap().blocks.is_empty());
+        for costs in [priced, PlannerCosts::pinned(SegmentMode::Sweep)] {
+            for (c, width) in [(qft_like(7), 5), (qft_like(8), 2), (random_like(6, 3), 2)] {
+                let p = plan(&c, width, 0, true, &costs, 16).unwrap();
+                assert!(p.len() > 1);
+                assert_eq!(p.block_order(), (0..p.blocks.len()).collect::<Vec<_>>());
+                assert!(p.segments.iter().all(|s| s.sweep.kernels.len() == 1));
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,23 @@
-//! The simulated-GPU execution core: a resumable cursor over the
-//! fused/sweep schedule.
+//! The simulated-GPU execution core: a resumable cursor over an
+//! [`ExecutionPlan`].
 //!
-//! [`SegmentedRun`] is the only place [`GpuDevice`] builds an execution
-//! plan (capacity check, fusion clamp, sweep scheduling decision,
-//! planner call) and the only place it walks one. It applies the plan
+//! [`SegmentedRun`] is the walker for a state resident on one
+//! [`GpuDevice`]: it checks capacity, asks [`planner::plan`] — the only
+//! plan builder — for the schedule the options select, and applies it
 //! in bounded steps under caller control; [`Simulator::run`] is the
 //! degenerate caller that advances to the end in a single segment.
-//! Because the step kernels ([`GpuDevice::apply_block`] /
-//! [`GpuDevice::apply_sweep`]) are deterministic over disjoint amplitude
+//! Because the step kernels are deterministic over disjoint amplitude
 //! groups, the state after `k` steps is bit-identical whether those
 //! steps ran in one call, one per call, or across a checkpoint/restore
 //! boundary on a different worker. That property is what makes a
 //! [`StateCheckpoint`] safe to resume from: the cursor plus the
 //! amplitudes *are* the execution state; there is nothing hidden.
 //!
-//! Step granularity matches the plan the options select: one step per
-//! cache-blocked sweep when sweeping is on and profitable
-//! (`sweep_width > 0 && blocks > 1`), otherwise one step per fused
-//! block. Under
-//! [`ExecStrategy::Planned`](crate::planner::ExecStrategy) the steps are
-//! the planner's segments — one per scheduled sweep, each executed in
-//! its cost-model-chosen mode — and the planner's mode-decision digest
-//! is folded into the checkpoint fingerprint so a cursor can only
-//! resume under the identical plan.
+//! A step is one plan segment: one scheduled sweep, or one fused block
+//! at `sweep_width: 0`, executed in the mode the plan's selector pinned
+//! or priced for it (see [`crate::planner`]). The plan's digest is part
+//! of the checkpoint fingerprint, so a cursor can only resume under the
+//! identical plan.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
 
@@ -30,56 +25,30 @@ use crate::backend::{
     check_capacity, sample_measured, ExecStats, RunOptions, RunOutput, SimError,
 };
 use crate::checkpoint::{
-    encode_amplitudes, fold_strategy, plan_fingerprint, CheckpointCounters, CheckpointError,
-    CheckpointScalar, StateCheckpoint,
+    encode_amplitudes, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
+    StateCheckpoint,
 };
 use crate::gpu::GpuDevice;
-use crate::planner::{self, ExecStrategy, ExecutionPlan};
+use crate::planner::{self, ExecutionPlan};
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
-use qgear_ir::fusion::{self, FusedProgram};
-use qgear_ir::schedule::{self, Sweep};
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// The checkpointable step schedule a [`SegmentedRun`] walks.
-enum StepPlan {
-    /// Kernel-at-a-time: one step per fused block (`sweep_width == 0`
-    /// or a single-block program).
-    Blocks { program: FusedProgram },
-    /// Sweep-fused: one step per cache-blocked sweep.
-    Sweeps {
-        program: FusedProgram,
-        sweeps: Vec<Sweep>,
-        /// Exact-mode flag passed to `apply_sweep` (`!sweep_reorder`).
-        exact: bool,
-    },
-    /// Adaptive: one step per planner segment, each in its chosen mode.
-    Planned { plan: ExecutionPlan },
-}
-
-/// What [`plan_fingerprint`] digests, kept so the fingerprint can be
-/// computed on first use: it Debug-formats the whole circuit, which a
-/// run that never checkpoints (every straight-through run) must not pay.
-struct FingerprintInputs {
-    circuit: Circuit,
-    fusion_width: usize,
-    sweep_width: usize,
-    sweep_reorder: bool,
-}
-
 /// A partially-executed simulation: the evolving state plus a cursor
-/// into its (fixed) kernel schedule.
+/// into its (fixed) plan.
 pub struct SegmentedRun<T: Scalar> {
     state: StateVector<T>,
-    plan: StepPlan,
+    plan: ExecutionPlan,
     measured: Vec<u32>,
     cursor: usize,
-    steps_total: usize,
     counters: CheckpointCounters,
-    fingerprint_inputs: FingerprintInputs,
+    /// Kept for the fingerprint, which Debug-formats the whole circuit:
+    /// computed on first use, so a run that never checkpoints (every
+    /// straight-through run) never pays for it.
+    circuit: Circuit,
     fingerprint: OnceLock<u64>,
     sampling: SamplingConfig,
     /// Real wall-clock spent building the plan and in `advance` calls.
@@ -99,111 +68,59 @@ impl<T: Scalar> SegmentedRun<T> {
     ) -> Result<Self, SimError> {
         // Device memory is the default capacity bound; an explicit option
         // overrides (used by the harnesses to model other devices).
-        let effective = RunOptions {
-            memory_limit: opts.memory_limit.or(Some(device.memory_bytes)),
-            ..opts.clone()
-        };
-        check_capacity::<T>(circuit.num_qubits(), &effective)?;
-        let (unitary, measured) = circuit.split_measurements();
+        check_capacity::<T>(circuit.num_qubits(), opts.memory_limit.or(Some(device.memory_bytes)))?;
         let state: StateVector<T> = StateVector::zero(circuit.num_qubits());
         let start = Instant::now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
+        let plan = planner::plan(
+            circuit,
+            opts.fusion_width,
+            opts.sweep_width,
+            opts.sweep_reorder,
+            &opts.planner_costs,
+            2 * T::BYTES,
+        )
         // Fusion rejects arity-3 gates with a typed error; surface it as
         // an unsupported-gate failure instead of aborting the caller's
         // thread (the serving workers depend on this).
-        let unsupported = |e: fusion::FusionError| {
+        .map_err(|e| {
             SimError::UnsupportedGate(format!(
                 "{e} (transpile to the native set before kernel transformation)"
             ))
-        };
-        let (plan, steps_total) = if effective.strategy == ExecStrategy::Planned {
-            // Adaptive: the planner walks the sweep schedule and picks
-            // every segment's mode from its cost model.
-            let plan = planner::plan(
-                &unitary,
-                effective.fusion_width,
-                effective.sweep_width,
-                effective.sweep_reorder,
-                &effective.planner_costs,
-                2 * T::BYTES,
-            )
-            .map_err(unsupported)?;
-            let steps = plan.len();
-            (StepPlan::Planned { plan }, steps)
-        } else {
-            let fusion_width = opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH);
-            let program = fusion::try_fuse(&unitary, fusion_width).map_err(unsupported)?;
-            if effective.sweep_width > 0 && program.blocks.len() > 1 {
-                // Group commuting/disjoint kernels into cache-blocked
-                // passes.
-                let sched_opts = schedule::SweepOptions {
-                    max_width: effective.sweep_width,
-                    reorder: effective.sweep_reorder,
-                };
-                let sweeps = schedule::sweeps(&program, &sched_opts).sweeps;
-                let steps = sweeps.len();
-                let exact = !effective.sweep_reorder;
-                (StepPlan::Sweeps { program, sweeps, exact }, steps)
-            } else {
-                let steps = program.blocks.len();
-                (StepPlan::Blocks { program }, steps)
-            }
-        };
+        })?;
         drop(sim_span);
         Ok(SegmentedRun {
             state,
             plan,
-            measured,
+            measured: circuit.measured_qubits(),
             cursor: 0,
-            steps_total,
             counters: CheckpointCounters::default(),
-            fingerprint_inputs: FingerprintInputs {
-                circuit: circuit.clone(),
-                fusion_width: effective.fusion_width,
-                sweep_width: effective.sweep_width,
-                sweep_reorder: effective.sweep_reorder,
-            },
+            circuit: circuit.clone(),
             fingerprint: OnceLock::new(),
-            sampling: SamplingConfig {
-                shots: effective.shots,
-                seed: effective.seed,
-                batch_shots: effective.shot_batch,
-            },
+            sampling: opts.sampling(),
             elapsed: start.elapsed(),
         })
     }
 
-    /// Apply up to `max_steps` further schedule steps (at least one when
+    /// Apply up to `max_steps` further plan segments (at least one when
     /// not already done, even if `max_steps == 0` would stall;
     /// `usize::MAX` runs to the end). Returns the number of steps
     /// actually applied. DRAM traffic is charged per full-state pass
-    /// (per sweep, or per kernel without sweeps), arithmetic per kernel;
-    /// the per-call telemetry deltas sum to the same totals whatever the
-    /// segment size.
+    /// (per sweep segment, per kernel or gate otherwise), arithmetic per
+    /// kernel; the per-call telemetry deltas sum to the same totals
+    /// whatever the segment size.
     pub fn advance(&mut self, max_steps: usize) -> usize {
-        if self.cursor >= self.steps_total {
+        if self.is_done() {
             return 0;
         }
         let start = Instant::now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let from = self.cursor;
-        let end = self.steps_total.min(self.cursor.saturating_add(max_steps.max(1)));
+        let end = self.steps_total().min(self.cursor.saturating_add(max_steps.max(1)));
         let before = self.counters;
         while self.cursor < end {
             let amps = self.state.amplitudes_mut();
-            let step = match &self.plan {
-                StepPlan::Sweeps { program, sweeps, exact } => {
-                    planner::sweep_step(amps, &program.blocks, &sweeps[self.cursor], *exact)
-                }
-                StepPlan::Blocks { program } => {
-                    planner::block_step(amps, &program.blocks[self.cursor], None)
-                }
-                StepPlan::Planned { plan } => planner::execute_segment(amps, plan, self.cursor),
-            };
-            self.counters.sweeps_executed += step.sweeps_executed;
-            self.counters.kernels_launched += step.kernels_launched;
-            self.counters.bytes_touched += step.bytes_touched;
-            self.counters.flops += step.flops;
+            planner::execute_segment(amps, &self.plan, self.cursor, &mut self.counters);
             self.cursor += 1;
         }
         let applied = self.counters;
@@ -217,13 +134,8 @@ impl<T: Scalar> SegmentedRun<T> {
             qgear_telemetry::names::KERNELS_LAUNCHED,
             (applied.kernels_launched - before.kernels_launched) as u128,
         );
-        if self.cursor >= self.steps_total && self.counters.gates_applied == 0 {
-            self.counters.gates_applied = match &self.plan {
-                StepPlan::Blocks { program } | StepPlan::Sweeps { program, .. } => {
-                    program.source_gate_count() as u64
-                }
-                StepPlan::Planned { plan } => plan.source_gates,
-            };
+        if self.is_done() && self.counters.gates_applied == 0 {
+            self.counters.gates_applied = self.plan.source_gates;
             qgear_telemetry::counter_add(
                 qgear_telemetry::names::GATES_APPLIED,
                 self.counters.gates_applied as u128,
@@ -241,12 +153,12 @@ impl<T: Scalar> SegmentedRun<T> {
 
     /// Total steps in the schedule.
     pub fn steps_total(&self) -> usize {
-        self.steps_total
+        self.plan.len()
     }
 
     /// Whether every schedule step has been applied.
     pub fn is_done(&self) -> bool {
-        self.cursor >= self.steps_total
+        self.cursor >= self.plan.len()
     }
 
     /// The (possibly partially-evolved) state.
@@ -293,25 +205,11 @@ impl<T: Scalar> SegmentedRun<T> {
 
 impl<T: CheckpointScalar> SegmentedRun<T> {
     /// Fingerprint of the plan this run executes (see
-    /// [`plan_fingerprint`]); computed on first use and cached. Under
-    /// the planner the mode-decision digest is folded in: it
-    /// distinguishes plans that walk the same schedule with different
-    /// per-segment choices (e.g. differently calibrated cost models).
+    /// [`plan_fingerprint`]); computed on first use and cached.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let inputs = &self.fingerprint_inputs;
-            let base = plan_fingerprint(
-                &inputs.circuit,
-                inputs.fusion_width,
-                inputs.sweep_width,
-                inputs.sweep_reorder,
-                T::PRECISION_TAG,
-            );
-            match &self.plan {
-                StepPlan::Planned { plan } => fold_strategy(base, plan.digest),
-                StepPlan::Blocks { .. } | StepPlan::Sweeps { .. } => base,
-            }
-        })
+        *self
+            .fingerprint
+            .get_or_init(|| plan_fingerprint(&self.circuit, T::PRECISION_TAG, self.plan.digest))
     }
 
     /// Snapshot the current execution state as an owned value (one
@@ -321,7 +219,7 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
         StateCheckpoint {
             num_qubits: self.state.num_qubits(),
             cursor: self.cursor as u64,
-            steps_total: self.steps_total as u64,
+            steps_total: self.steps_total() as u64,
             fingerprint: self.fingerprint(),
             counters: self.counters,
             sampling: self.sampling,
@@ -337,7 +235,7 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
             self.state.amplitudes(),
             self.state.num_qubits(),
             self.cursor as u64,
-            self.steps_total as u64,
+            self.steps_total() as u64,
             self.fingerprint(),
             &self.counters,
             &self.sampling,
@@ -347,13 +245,13 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
     /// Rebuild the plan for `(circuit, opts)` and install a verified
     /// checkpoint's state and cursor into it.
     ///
-    /// The checkpoint must describe the *same* plan: the fingerprint,
-    /// step count, and amplitude count are all cross-checked against the
-    /// freshly-rebuilt schedule, so a checkpoint from a different
-    /// circuit, fusion width, or sweep configuration is rejected rather
-    /// than silently producing wrong amplitudes. The sampling
-    /// configuration is taken from `opts` (the job spec stays
-    /// authoritative), which the codec round-trips for audit only.
+    /// The checkpoint must describe the *same* plan
+    /// ([`StateCheckpoint::verify_against`]): a checkpoint from a
+    /// different circuit, fusion width, sweep configuration or mode
+    /// selection is rejected rather than silently producing wrong
+    /// amplitudes. The sampling configuration is taken from `opts` (the
+    /// job spec stays authoritative), which the codec round-trips for
+    /// audit only.
     pub fn resume(
         device: &GpuDevice,
         circuit: &Circuit,
@@ -362,24 +260,7 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
     ) -> Result<Self, CheckpointError> {
         let mut run = SegmentedRun::new(device, circuit, opts)
             .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
-        if ck.fingerprint != run.fingerprint() {
-            return Err(CheckpointError::PlanMismatch {
-                expected: run.fingerprint(),
-                found: ck.fingerprint,
-            });
-        }
-        if ck.steps_total != run.steps_total as u64 || ck.cursor > ck.steps_total {
-            return Err(CheckpointError::CursorOutOfRange {
-                cursor: ck.cursor,
-                steps_total: run.steps_total as u64,
-            });
-        }
-        if ck.state.len() != run.state.len() {
-            return Err(CheckpointError::AmplitudeMismatch {
-                expected: 2 * run.state.len() as u64,
-                found: 2 * ck.state.len() as u64,
-            });
-        }
+        ck.verify_against(run.fingerprint(), run.steps_total(), run.state.num_qubits())?;
         run.state = ck.state;
         run.cursor = ck.cursor as usize;
         run.counters = ck.counters;
@@ -474,7 +355,7 @@ mod tests {
             SegmentedRun::new(&GpuDevice::a100_40gb(), &c, &opts).unwrap();
         run.advance(usize::MAX);
         assert!(run.fingerprint.get().is_none(), "a run that never checkpoints never formats");
-        let eager = plan_fingerprint(&c, 1, 0, opts.sweep_reorder, f64::PRECISION_TAG);
+        let eager = plan_fingerprint(&c, f64::PRECISION_TAG, run.plan.digest);
         assert_eq!(run.checkpoint().fingerprint, eager);
         assert_eq!(run.fingerprint.get(), Some(&eager));
     }
@@ -517,6 +398,91 @@ mod tests {
             SegmentedRun::resume(&dev, &other, &opts, ck),
             Err(CheckpointError::PlanMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn the_default_options_are_the_sweep_pin() {
+        use crate::planner::{PlannerCosts, SegmentMode};
+        let c = ghz(6);
+        let dev = GpuDevice::a100_40gb();
+        for sweep_width in [RunOptions::default().sweep_width, 2, 0] {
+            let default = RunOptions { sweep_width, ..Default::default() };
+            let pinned = RunOptions {
+                planner_costs: PlannerCosts::pinned(SegmentMode::Sweep),
+                ..default.clone()
+            };
+            let a: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &default).unwrap();
+            let b: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &pinned).unwrap();
+            assert_eq!(a.plan.digest, b.plan.digest);
+            assert_eq!(a.fingerprint(), b.fingerprint());
+            assert!(a.plan.segments.iter().all(|s| s.mode == SegmentMode::Sweep));
+            if sweep_width == 0 {
+                // One step per fused block, in program order.
+                assert_eq!(a.plan.block_order(), (0..a.plan.blocks.len()).collect::<Vec<_>>());
+                assert_eq!(a.steps_total(), a.plan.blocks.len());
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_another_pin_and_accepts_a_priced_plan_that_decided_the_same() {
+        use crate::planner::{PlannerCosts, SegmentMode};
+        let c = ghz(5);
+        let dev = GpuDevice::a100_40gb();
+        let with = |planner_costs| RunOptions {
+            shots: 16,
+            fusion_width: 2,
+            sweep_width: 3,
+            planner_costs,
+            ..Default::default()
+        };
+        let fused = with(PlannerCosts::pinned(SegmentMode::Fused));
+        let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &fused).unwrap();
+        assert!(run.steps_total() > 1);
+        run.advance(1);
+        let ck = run.checkpoint();
+
+        // Same circuit, same widths, another pin: a different plan.
+        for other in [SegmentMode::Sweep, SegmentMode::Unfused] {
+            let refused = SegmentedRun::resume(&dev, &c, &with(PlannerCosts::pinned(other)), ck.clone());
+            assert!(
+                matches!(refused, Err(CheckpointError::PlanMismatch { .. })),
+                "a {other:?} pin resumed a Fused pin's cursor"
+            );
+        }
+
+        // Costs under which every segment prices cheapest as `Fused`
+        // (free passes and launches, ruinous per-gate loops): the same
+        // decisions, so the same plan, however it was selected.
+        let all_fused = PlannerCosts {
+            bytes_per_sec: f64::INFINITY,
+            launch_seconds: 0.0,
+            gate_amps_per_sec: 1.0,
+            ..PlannerCosts::host_reference()
+        };
+        let mut resumed = SegmentedRun::resume(&dev, &c, &with(all_fused), ck).unwrap();
+        assert!(resumed.plan.segments.iter().all(|s| s.predicted.is_some()));
+        resumed.advance(usize::MAX);
+        run.advance(usize::MAX);
+        assert_eq!(bits(run.state()), bits(resumed.state()));
+        assert_eq!(run.stats().kernels_launched, resumed.stats().kernels_launched);
+    }
+
+    #[test]
+    fn resume_reports_the_rebuilt_schedule_on_a_step_count_mismatch() {
+        let dev = GpuDevice::a100_40gb();
+        let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
+        let run: SegmentedRun<f64> = SegmentedRun::new(&dev, &ghz(3), &opts).unwrap();
+        let rebuilt = run.steps_total() as u64;
+        let mut ck = run.checkpoint();
+        ck.steps_total = rebuilt + 5;
+        ck.cursor = rebuilt + 2;
+        match SegmentedRun::resume(&dev, &ghz(3), &opts, ck) {
+            Err(CheckpointError::CursorOutOfRange { cursor, steps_total }) => {
+                assert_eq!((cursor, steps_total), (rebuilt + 2, rebuilt));
+            }
+            other => panic!("wrong verdict: {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -158,30 +158,30 @@ pub const CHECKPOINT_VERIFY_FAILS: &str = "checkpoint.verify_fail";
 /// of re-execution.
 pub const JOB_RESUMED_FROM: &str = "job.resumed_from";
 
-/// Segments walked by the adaptive execution planner
-/// (`qgear-statevec::planner`), one per scheduled sweep.
+/// Plan segments executed (`qgear-statevec::planner`), pinned or priced:
+/// counted when a segment runs, not when a plan is built.
 pub const PLANNER_SEGMENTS: &str = "planner.segments";
 
-/// Segments the planner resolved to per-gate unfused execution.
+/// Executed segments that ran as per-gate unfused loops.
 pub const PLANNER_MODE_UNFUSED: &str = "planner.mode_chosen.unfused";
 
-/// Segments the planner resolved to kernel-at-a-time structured fused
-/// execution.
+/// Executed segments that ran kernel-at-a-time through the structured
+/// fused kernels.
 pub const PLANNER_MODE_FUSED: &str = "planner.mode_chosen.fused";
 
-/// Segments the planner resolved to a cache-blocked sweep pass.
+/// Executed segments that ran as one cache-blocked sweep pass.
 pub const PLANNER_MODE_SWEEP: &str = "planner.mode_chosen.sweep";
 
-/// Histogram of the planner's predicted per-segment cost (µs of the
-/// chosen mode).
+/// Histogram of the predicted cost (µs of the chosen mode) of each
+/// executed *priced* segment; a pinned segment has no prediction.
 pub const PLANNER_PREDICTED_US: &str = "planner.predicted_us";
 
-/// Histogram of measured per-segment execution time (µs) on the planned
-/// path — compare against `planner.predicted_us` to audit the model.
+/// Histogram of measured execution time (µs) of each executed priced
+/// segment — compare against `planner.predicted_us` to audit the model.
 pub const PLANNER_ACTUAL_US: &str = "planner.actual_us";
 
-/// Histograms of actual/predicted cost ratio per executed segment, split
-/// by chosen mode. `PlannerCosts::calibrated` folds the means back into
+/// Histograms of actual/predicted cost ratio per executed priced
+/// segment, split by chosen mode (never fed by pinned runs). `PlannerCosts::calibrated` folds the means back into
 /// the cost constants (>1 ⇒ the model was optimistic for that mode).
 pub const PLANNER_RATIO_UNFUSED: &str = "planner.cost_ratio.unfused";
 /// See [`PLANNER_RATIO_UNFUSED`].

@@ -23,16 +23,11 @@ cargo test -q --test differential
 echo "==> cargo test -q --test differential resume_at_every_segment_boundary"
 cargo test -q --test differential resume_at_every_segment_boundary_is_bit_identical_to_straight_through
 
-# The smoke grid runs all four modes (unfused/fused/sweep/planned) end
-# to end; --enforce-planned fails the gate if the adaptive planner is
-# slower than the best fixed mode on any smoke cell (docs/PLANNER.md),
-# and --enforce-baseline fails it if any cell regressed >10% (+10 ms
-# jitter floor) against the committed BENCH_hotpath_baseline.json. For
-# an intentional perf change, rerun the smoke bench with
-# QGEAR_BENCH_REBASELINE=1 and commit the rewritten baseline
-# (docs/PERFORMANCE.md).
-echo "==> hotpath bench smoke (sweep executor + planner + perf-baseline gates)"
-cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned --enforce-baseline
+# The smoke grid runs all four series (unfused/fused/sweep/planned) end
+# to end; --enforce-planned fails the gate if the priced plan is slower
+# than the best pinned series on any smoke cell (docs/PLANNER.md).
+echo "==> hotpath bench smoke (sweep executor + planner gate)"
+cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned
 
 # Backend smoke: stabilizer scaling at 16/64/128 qubits plus trajectory
 # throughput, emitting BENCH_backends_smoke.json (docs/BACKENDS.md). The run

@@ -16,12 +16,13 @@
 //! serving layers in the comparison so sweep scheduling stays honest
 //! everywhere it is enabled.
 //!
-//! The adaptive planner (`qgear_statevec::planner`) joins the
-//! comparison on the same terms: naturally-planned execution agrees at
-//! tolerance on any circuit, a planner pinned to one mode
-//! (`PlannerCosts::force_mode`) is bit-identical to the corresponding
-//! fixed path, checkpoint/resume through `SegmentedRun` is bit-identical
-//! at every planned segment boundary, and the structure-dispatched
+//! Every GPU run walks one `qgear_statevec::planner::ExecutionPlan`,
+//! and its selector (`PlannerCosts::force_mode`) joins the comparison
+//! on the same terms: priced execution agrees at tolerance on any
+//! circuit, a plan pinned to one mode is bit-identical to that mode's
+//! kernels applied by hand outside the planner, checkpoint/resume
+//! through `SegmentedRun` is bit-identical at every segment boundary of
+//! pinned and priced plans alike, and the structure-dispatched
 //! kernels (diagonal/permutation/controlled) match the dense kernel on
 //! random gates of each structure class.
 //!
@@ -48,8 +49,8 @@ use qgear_num::complex::Complex;
 use qgear_serve::{JobSpec, ServeConfig, Service};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
-    decode_checkpoint, encode_checkpoint, AerCpuBackend, CheckpointScalar, ExecStrategy, GpuDevice,
-    PlannerCosts, RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, Simulator,
+    decode_checkpoint, encode_checkpoint, AerCpuBackend, CheckpointScalar, GpuDevice, PlannerCosts,
+    RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, Simulator,
 };
 use qgear_statevec::{set_simd_enabled, simd_enabled};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
@@ -111,6 +112,11 @@ fn arb_circuit(max_qubits: u32, max_gates: usize) -> impl Strategy<Value = Circu
         })
 }
 
+/// Default knobs under an explicit selector: a pin, or the priced plan.
+fn selected(planner_costs: PlannerCosts) -> RunOptions {
+    RunOptions { keep_state: true, planner_costs, ..Default::default() }
+}
+
 /// Run a circuit on the GPU engine at f64 with explicit sweep knobs.
 fn gpu_state(circ: &Circuit, sweep_width: usize, sweep_reorder: bool) -> Vec<Complex<f64>> {
     let opts = RunOptions { keep_state: true, sweep_width, sweep_reorder, ..Default::default() };
@@ -149,9 +155,9 @@ proptest! {
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
 
-        // The adaptive planner joins the agreement on any circuit, no
-        // matter which per-segment modes the cost model picks.
-        let planned_opts = RunOptions { keep_state: true, ..RunOptions::planned() };
+        // The priced plan joins the agreement on any circuit, no matter
+        // which per-segment modes the cost model picks.
+        let planned_opts = selected(PlannerCosts::host_reference());
         let planned: RunOutput<f64> =
             GpuDevice::a100_40gb().run(&native, &planned_opts).expect("planned run");
         let planned = planned.state.expect("state kept");
@@ -170,14 +176,8 @@ proptest! {
         let aer = aer.state.expect("state kept");
 
         let opts = RunOptions {
-            keep_state: true,
             sweep_reorder: false,
-            strategy: ExecStrategy::Planned,
-            planner_costs: PlannerCosts {
-                force_mode: Some(SegmentMode::Unfused),
-                ..PlannerCosts::host_reference()
-            },
-            ..Default::default()
+            ..selected(PlannerCosts::pinned(SegmentMode::Unfused))
         };
         let planned: RunOutput<f64> =
             GpuDevice::a100_40gb().run(&native, &opts).expect("planned run");
@@ -188,28 +188,30 @@ proptest! {
         }
     }
 
-    /// A planner pinned to sweep mode executes the exact sweep schedule
-    /// the fixed sweep path would have, bit for bit.
+    /// A plan pinned to sweep mode — which the default options are —
+    /// executes exactly the fixed sweep path: fuse, schedule, one
+    /// `apply_sweep` per scheduled sweep, replayed here by hand outside
+    /// the planner, bit for bit.
     #[test]
     fn planner_forced_sweep_is_bit_identical_to_fixed_sweep_mode(circ in arb_circuit(5, 40)) {
         let (native, _) = transpile::decompose_to_native(&circ);
-        let fixed = gpu_state(&native, schedule::DEFAULT_SWEEP_WIDTH, true);
+        let (unitary, _) = native.split_measurements();
+        let program = fusion::try_fuse(&unitary, fusion::DEFAULT_FUSION_WIDTH).expect("fusable");
+        let mut fixed = vec![Complex::<f64>::ZERO; 1 << native.num_qubits()];
+        fixed[0] = Complex::ONE;
+        for sweep in &schedule::sweeps(&program, &SweepOptions::default()).sweeps {
+            GpuDevice::apply_sweep(&mut fixed, &program.blocks, sweep, false);
+        }
 
-        let opts = RunOptions {
-            keep_state: true,
-            strategy: ExecStrategy::Planned,
-            planner_costs: PlannerCosts {
-                force_mode: Some(SegmentMode::Sweep),
-                ..PlannerCosts::host_reference()
-            },
-            ..Default::default()
-        };
-        let planned: RunOutput<f64> =
-            GpuDevice::a100_40gb().run(&native, &opts).expect("planned run");
-        let planned = planned.state.expect("state kept");
-        for (a, b) in fixed.iter().zip(planned.amplitudes().iter()) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+        let default = RunOptions { keep_state: true, ..Default::default() };
+        for opts in [selected(PlannerCosts::pinned(SegmentMode::Sweep)), default] {
+            let planned: RunOutput<f64> =
+                GpuDevice::a100_40gb().run(&native, &opts).expect("planned run");
+            let planned = planned.state.expect("state kept");
+            for (a, b) in fixed.iter().zip(planned.amplitudes().iter()) {
+                prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
+                prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
         }
     }
 
@@ -579,28 +581,16 @@ fn resume_at_every_segment_boundary_is_bit_identical_to_straight_through() {
         keep_state: true,
         ..Default::default()
     };
-    let forced = |mode| PlannerCosts { force_mode: Some(mode), ..PlannerCosts::host_reference() };
+    let with = |planner_costs, opts| RunOptions { planner_costs, ..opts };
     let configs = [
         ("fused", fixed(0, false)),
         ("ordered sweeps", fixed(3, false)),
         ("reordered sweeps", fixed(3, true)),
-        ("planned", RunOptions { strategy: ExecStrategy::Planned, ..fixed(3, true) }),
-        (
-            "planned forced unfused",
-            RunOptions {
-                strategy: ExecStrategy::Planned,
-                planner_costs: forced(SegmentMode::Unfused),
-                ..fixed(3, false)
-            },
-        ),
-        (
-            "planned forced sweep",
-            RunOptions {
-                strategy: ExecStrategy::Planned,
-                planner_costs: forced(SegmentMode::Sweep),
-                ..fixed(3, true)
-            },
-        ),
+        ("planned", with(PlannerCosts::host_reference(), fixed(3, true))),
+        ("planned per block", with(PlannerCosts::host_reference(), fixed(0, true))),
+        ("planned forced unfused", with(PlannerCosts::pinned(SegmentMode::Unfused), fixed(3, false))),
+        ("planned forced fused", with(PlannerCosts::pinned(SegmentMode::Fused), fixed(3, true))),
+        ("planned forced sweep", with(PlannerCosts::pinned(SegmentMode::Sweep), fixed(3, true))),
     ];
 
     for (label, opts) in configs {
@@ -872,7 +862,7 @@ proptest! {
             let off = with_simd(false, || gpu_state(&native, width, reorder));
             assert_bits_eq_f64(&on, &off, label);
         }
-        let planned = RunOptions { keep_state: true, ..RunOptions::planned() };
+        let planned = selected(PlannerCosts::host_reference());
         let on: RunOutput<f64> = with_simd(true, || {
             GpuDevice::a100_40gb().run(&native, &planned).expect("planned")
         });

@@ -14,14 +14,15 @@
 //! cap is too small the rejection carries an explicit `Sharded` verdict
 //! naming the cap, so clients can see sharding was considered.
 
-use qgear_cluster::ClusterTopology;
+use qgear_cluster::{ClusterEngine, ShardedRun};
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::Circuit;
 use qgear_serve::{
     Admission, BackendKind, Engine, JobSpec, ServeConfig, Service, ShardConfig, ShardRecord,
-    ShardedRun,
 };
-use qgear_statevec::{GpuDevice, RunOptions, RunOutput, SamplingConfig, Simulator};
+use qgear_statevec::backend::{marginal_probs, sample_from_probs};
+use qgear_statevec::{ExecStats, GpuDevice, RunOptions, RunOutput, Simulator};
+use std::time::Duration;
 
 /// A 4-qubit circuit whose fp64 state (256 B) overflows the 192-byte
 /// test worker but fits a 2-shard group (128 B per slice). Mixes
@@ -235,13 +236,8 @@ fn sharded_evolution_gathers_bitwise_dense_amplitudes() {
             if (4 - shards.trailing_zeros()) < fusion_width.max(2) as u32 {
                 continue;
             }
-            let mut run = ShardedRun::<f64>::new(
-                &native,
-                shards,
-                ClusterTopology::default(),
-                fusion_width,
-                SamplingConfig::single(0, 0),
-            );
+            let group = ClusterEngine::a100_cluster(shards as usize);
+            let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
             while !run.is_done() {
                 run.advance(1).expect("no faults armed");
             }
@@ -252,7 +248,76 @@ fn sharded_evolution_gathers_bitwise_dense_amplitudes() {
                 "gather() must be bit-identical to dense (fusion {fusion_width}, \
                  {shards} shards)"
             );
-            assert_eq!(run.messages(), 2 * run.exchanges(), "pairwise message conservation");
+            let dist = run.dist();
+            assert_eq!(
+                dist.traffic().total_messages(),
+                2 * dist.exchanges(),
+                "pairwise message conservation"
+            );
+        }
+    }
+}
+
+/// `ClusterEngine::run` is the shard walker driven straight through:
+/// stepping the same walker one block at a time lands on the same
+/// amplitudes, the same counts and the same `ExecStats` counters, bit
+/// for bit — in program order and in sweep-reordered order, with and
+/// without the restore-layout ablation.
+#[test]
+fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
+    let counters = |stats: &ExecStats| ExecStats {
+        elapsed: Duration::ZERO,
+        sampling_elapsed: Duration::ZERO,
+        ..stats.clone()
+    };
+    let (native, _) = decompose_to_native(&beyond_one_worker());
+    let mut wide = Circuit::new(7);
+    for q in 0..7 {
+        wide.h(q).ry(0.1 + 0.2 * f64::from(q), q);
+    }
+    for q in 0..6 {
+        wide.cx(q, q + 1).cr1(0.3, q, (q + 3) % 7);
+    }
+    wide.measure_all();
+    for (circuit, fusion_width) in [(&native, 1usize), (&native, 2), (&wide, 3)] {
+        for sweep_width in [0usize, 3, 12] {
+            for (devices, restore_layout) in [(2usize, false), (2, true), (4, false), (4, true)] {
+                let label = format!(
+                    "n={} fusion {fusion_width} sweep {sweep_width} {devices} devices \
+                     restore {restore_layout}",
+                    circuit.num_qubits()
+                );
+                let opts = RunOptions {
+                    shots: 500,
+                    seed: 41,
+                    fusion_width,
+                    sweep_width,
+                    sweep_reorder: true,
+                    ..Default::default()
+                };
+                let engine = ClusterEngine { restore_layout, ..ClusterEngine::a100_cluster(devices) };
+                let whole: RunOutput<f64> = engine.run(circuit, &opts).expect("mgpu run");
+
+                let mut run = ShardedRun::<f64>::new(&engine, circuit, &opts).expect("admissible");
+                let mut steps = 0;
+                while !run.is_done() {
+                    run.advance(1).expect("no faults armed");
+                    steps += 1;
+                }
+                assert_eq!(steps, run.steps_total(), "{label}");
+                let state = run.state();
+                assert_eq!(
+                    whole.state.as_ref().expect("state kept").amplitudes(),
+                    state.amplitudes(),
+                    "amplitudes ({label})"
+                );
+                let measured = circuit.measured_qubits();
+                let probs = marginal_probs(&state, &measured);
+                let counts = sample_from_probs(&probs, &measured, &opts.sampling());
+                assert_eq!(whole.counts, counts, "counts ({label})");
+                assert_eq!(counters(&whole.stats), counters(&run.stats()), "counters ({label})");
+                assert!(whole.stats.comm_messages > 0, "{label}");
+            }
         }
     }
 }

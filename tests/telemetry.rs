@@ -6,7 +6,9 @@
 //! Telemetry state is process-global, so every test takes `LOCK` and
 //! resets the registry around its recording window.
 
-use qgear_statevec::{AerCpuBackend, GpuDevice, RunOptions, RunOutput, Simulator};
+use qgear_statevec::{
+    AerCpuBackend, GpuDevice, PlannerCosts, RunOptions, RunOutput, SegmentMode, Simulator,
+};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{JsonSink, NullSink, TelemetrySink, TelemetrySnapshot};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
@@ -32,6 +34,60 @@ fn instrumented_run<S: Simulator<f64>>(
     let snap = qgear_telemetry::snapshot();
     qgear_telemetry::reset();
     (out, snap)
+}
+
+/// Planner telemetry reports what ran. Every plan counts its executed
+/// segments by mode; only a *priced* segment has a prediction, so only a
+/// priced run records `planner.predicted_us` / `planner.cost_ratio.*` —
+/// a pinned run (the default) never feeds `PlannerCosts::calibrated`.
+#[test]
+fn pinned_plans_count_modes_but_record_no_cost_ratio() {
+    let _l = LOCK.lock().unwrap();
+    let priced_only = [
+        names::PLANNER_RATIO_UNFUSED,
+        names::PLANNER_RATIO_FUSED,
+        names::PLANNER_RATIO_SWEEP,
+        names::PLANNER_PREDICTED_US,
+        names::PLANNER_ACTUAL_US,
+    ];
+    let samples = |snap: &TelemetrySnapshot, name: &str| {
+        snap.histograms.get(name).map_or(0, |h| h.count)
+    };
+
+    let pins = [
+        (RunOptions::default(), names::PLANNER_MODE_SWEEP),
+        (
+            RunOptions { planner_costs: PlannerCosts::pinned(SegmentMode::Fused), ..Default::default() },
+            names::PLANNER_MODE_FUSED,
+        ),
+    ];
+    for (opts, mode_counter) in pins {
+        let (out, snap) = instrumented_run(&GpuDevice::a100_40gb(), &opts);
+        let segments = snap.counter(names::PLANNER_SEGMENTS);
+        assert!(segments >= 1);
+        assert_eq!(snap.counter(mode_counter), segments, "{mode_counter}");
+        if mode_counter == names::PLANNER_MODE_SWEEP {
+            assert_eq!(segments, u128::from(out.stats.sweeps_executed));
+        }
+        for name in priced_only {
+            assert_eq!(samples(&snap, name), 0, "a pinned run recorded {name}");
+        }
+        // So a refit from a pinned run's telemetry changes nothing.
+        let base = PlannerCosts::host_reference();
+        assert_eq!(base.calibrated(&snap), base);
+    }
+
+    let priced = RunOptions { planner_costs: PlannerCosts::host_reference(), ..Default::default() };
+    let (_, snap) = instrumented_run(&GpuDevice::a100_40gb(), &priced);
+    let segments = snap.counter(names::PLANNER_SEGMENTS);
+    let by_mode: u128 = [names::PLANNER_MODE_UNFUSED, names::PLANNER_MODE_FUSED, names::PLANNER_MODE_SWEEP]
+        .iter()
+        .map(|name| snap.counter(name))
+        .sum();
+    assert_eq!(by_mode, segments);
+    assert_eq!(u128::from(samples(&snap, names::PLANNER_PREDICTED_US)), segments);
+    let ratios: u64 = priced_only[..3].iter().map(|name| samples(&snap, name)).sum();
+    assert_eq!(u128::from(ratios), segments, "one ratio per priced segment");
 }
 
 #[test]

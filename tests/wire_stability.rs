@@ -6,7 +6,14 @@
 //! `GOLDEN` pins a digest and a length of every output in `corpus()`;
 //! the table was produced by the encoders of commit 5c24127 (the last
 //! one with the copying encoder and the bitwise CRC) and every later
-//! encoder has to reproduce it. `tests/fixtures/qckp_v1_*.bin` are whole
+//! encoder has to reproduce it. One entry has been re-pinned since:
+//! `qckp/half_evolved_sparse_f64_n12` is the only fixture cut from a live
+//! run, so its header carries that run's *field values*, and two of them
+//! moved when every run became an `ExecutionPlan` walk (the fingerprint,
+//! which now always covers the plan digest; `sweeps_executed`, which now
+//! counts the one-kernel passes of a `sweep_width: 0` run) —
+//! `a_generation_written_before_the_one_fingerprint_decodes_but_never_resumes`
+//! holds the old digest. `tests/fixtures/qckp_v1_*.bin` are whole
 //! checkpoints written by that commit, which the decoder must still
 //! load.
 //!
@@ -18,7 +25,9 @@ use qgear_hdf5lite::codec::{self, CHUNK_SIZE};
 use qgear_hdf5lite::{format, Attr, Compression, Dataset, Dtype, H5File};
 use qgear_ir::{qpy, Circuit};
 use qgear_num::Complex;
-use qgear_statevec::checkpoint::{CheckpointCounters, CheckpointScalar, StateCheckpoint};
+use qgear_statevec::checkpoint::{
+    CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
+};
 use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, GpuDevice, RunOptions, SamplingConfig, SegmentedRun,
     StateVector,
@@ -115,6 +124,13 @@ fn dense_state<T: CheckpointScalar>(num_qubits: u32, seed: u64) -> StateVector<T
 /// A run stopped half way through a circuit that has touched only five
 /// of its twelve qubits: most amplitudes are still exactly zero.
 fn half_evolved_sparse() -> Vec<u8> {
+    let (c, opts) = half_evolved_job();
+    let mut run = SegmentedRun::<f64>::new(&GpuDevice::a100_40gb(), &c, &opts).expect("plan");
+    run.advance(run.steps_total() / 2);
+    encode_checkpoint(&run.checkpoint())
+}
+
+fn half_evolved_job() -> (Circuit, RunOptions) {
     let mut c = Circuit::new(12);
     for q in 0..5 {
         c.h(q).ry(0.3 + 0.1 * f64::from(q), q);
@@ -126,10 +142,7 @@ fn half_evolved_sparse() -> Vec<u8> {
         c.h(q);
     }
     c.measure_all();
-    let opts = RunOptions { shots: 100, fusion_width: 1, sweep_width: 0, ..Default::default() };
-    let mut run = SegmentedRun::<f64>::new(&GpuDevice::a100_40gb(), &c, &opts).expect("plan");
-    run.advance(run.steps_total() / 2);
-    encode_checkpoint(&run.checkpoint())
+    (c, RunOptions { shots: 100, fusion_width: 1, sweep_width: 0, ..Default::default() })
 }
 
 /// A small tree with every attribute kind, nested groups, three dtypes
@@ -274,6 +287,32 @@ fn checkpoints_written_by_the_copying_encoder_still_load() {
     assert_eq!(ck.counters.flops, (1 << 70) + 5);
 }
 
+/// The half-evolved fixture as the parent of the one-fingerprint change
+/// wrote it: same format, same amplitudes, its own header values. Today's
+/// encoder reproduces those bytes from those values (the format did not
+/// move), today's decoder loads them — and `resume` refuses them with a
+/// typed `PlanMismatch`, which is the contract for every generation
+/// written before the fingerprint covered the plan digest.
+#[test]
+fn a_generation_written_before_the_one_fingerprint_decodes_but_never_resumes() {
+    const PARENT_FINGERPRINT: u64 = 0x1dbb_2233_c554_5769;
+    const PARENT_DIGEST: u64 = 0x3080_31c9_ee2f_6ccb;
+    let mut old = decode_checkpoint::<f64>(&half_evolved_sparse()).expect("decodes");
+    assert_ne!(old.fingerprint, PARENT_FINGERPRINT, "the fingerprint value moved");
+    old.fingerprint = PARENT_FINGERPRINT;
+    old.counters.sweeps_executed = 0;
+    let parent_bytes = encode_checkpoint(&old);
+    assert_eq!((parent_bytes.len(), digest(&parent_bytes)), (1724, PARENT_DIGEST));
+
+    let old = decode_checkpoint::<f64>(&parent_bytes).expect("the parent's bytes still decode");
+    let (circuit, opts) = half_evolved_job();
+    match SegmentedRun::resume(&GpuDevice::a100_40gb(), &circuit, &opts, old) {
+        Err(CheckpointError::PlanMismatch { found, .. }) => assert_eq!(found, PARENT_FINGERPRINT),
+        Err(other) => panic!("wrong refusal: {other}"),
+        Ok(_) => panic!("a pre-change generation must never load"),
+    }
+}
+
 /// The two states the fixtures above hold; `write_fixtures` in the
 /// commit that produced them was this function plus `std::fs::write`.
 #[test]
@@ -317,7 +356,7 @@ fn table_crc_equals_the_bitwise_oracle_at_every_length_and_alignment() {
 const GOLDEN: &[(&str, u64, usize)] = &[
     ("qckp/all_zero_f64_n14", 0x43a4d099d9b24aa5, 2283),
     ("qckp/ground_f64_n14", 0x9f8356041ef05b51, 2289),
-    ("qckp/half_evolved_sparse_f64_n12", 0x308031c9ee2f6ccb, 1724),
+    ("qckp/half_evolved_sparse_f64_n12", 0x3e1269094dc5ebe7, 1724),
     ("qckp/dense_f32_n14", 0x40095a0860ea46c0, 131281),
     ("qckp/dense_f64_n12", 0xc1b4365eabd23b2f, 65740),
     ("qckp/dense_f64_n14", 0x9ad03e3535c84f36, 262363),
