@@ -1,5 +1,6 @@
-//! Hot-path benchmark: unfused vs fused vs sweep-fused vs planned
-//! execution.
+//! Hot-path probe: unfused vs fused vs sweep-fused vs planned
+//! execution, kernel layer only (no `Service`; serving-level numbers
+//! come from `benchmark/`).
 //!
 //! Measures real wall-clock for the four kernel strategies on the three
 //! paper workloads (QFT, random CX blocks, QCrank encoding):
@@ -16,87 +17,70 @@
 //!   `docs/PLANNER.md` for how to read this series.
 //!
 //! The GPU series differ only in the plan's one selector
-//! (`RunOptions::planner_costs`) and the sweep width.
+//! (`RunOptions::planner_costs`) and the sweep width. The four modes of
+//! a cell are interleaved rep by rep, so a slow stretch of the host
+//! lands on all of them, and each reports its best rep.
 //!
-//! Emits `results/hotpath.jsonl` (via [`Report`]) plus a summary
-//! `BENCH_hotpath.json` at the repo root with the per-point stats and
-//! the headline sweep-vs-fused speedups (smoke/custom grids write
-//! `BENCH_hotpath_<grid>.json` instead so probes never clobber the
-//! measured acceptance artifact), and exports sweep/kernel telemetry
-//! histograms to `results/telemetry/hotpath.json`.
+//! Prints its tables and writes nothing.
 //!
 //! Usage: `cargo run --release -p qgear-bench --bin hotpath` for the
 //! default grid (n = 16, 18, 20, 22); `--smoke` for a seconds-long CI
-//! grid (n = 10, 12); `--full` to extend the default grid to n = 24.
+//! grid (n = 16); `--full` to extend the default grid to n = 24.
 //! `--workload <qft|random|qcrank>` restricts to one workload and
 //! `--sizes <a,b,...>` overrides the qubit grid (for quick probes).
-//! `--enforce-planned` exits nonzero if the planned series is slower
-//! than the best fixed mode on any cell (CI's planner regression gate,
-//! run by `scripts/check.sh` on the smoke grid).
+//! `--enforce-planned` exits nonzero if the planned series loses to the
+//! best pinned mode by more than [`TOLERANCE`] on any gated cell (CI's
+//! planner regression gate, run by `scripts/check.sh` on the smoke
+//! grid).
 
-use qgear_bench::report::{human_time, Report};
+use qgear_bench::report::human_time;
 use qgear_statevec::{
     AerCpuBackend, GpuDevice, PlannerCosts, RunOptions, RunOutput, SegmentMode, Simulator,
 };
 use qgear_workloads::qcrank::{QcrankCodec, QcrankConfig};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use qgear_workloads::random::{generate_random_gate_list, RandomCircuitSpec};
-use serde::Serialize;
 use std::time::Instant;
 
-/// A per-size speedup entry (tuples don't serialize in the offline
-/// serde shim).
-#[derive(Debug, Serialize)]
-struct Speedup {
-    num_qubits: u32,
-    speedup: f64,
-}
+const MODES: [&str; 4] = ["unfused", "fused", "sweep", "planned"];
 
-/// One measured point.
-#[derive(Debug, Clone, Serialize)]
-struct Sample {
-    workload: String,
-    num_qubits: u32,
-    mode: String,
-    gates: usize,
-    seconds: f64,
-    kernels_launched: u64,
-    sweeps_executed: u64,
-    bytes_touched: u128,
-    note: Option<String>,
-}
+/// A cell is gated only when its best pinned mode takes at least this
+/// long: below it, one scheduler hiccup is a large ratio. Cells under
+/// the line are printed, not gated.
+const GATE_FLOOR_SECONDS: f64 = 0.010;
 
-/// Planned-vs-best-fixed comparison for one (workload, size) cell.
-#[derive(Debug, Serialize)]
+/// The largest `planned / best pinned` ratio the gate accepts: the
+/// worst ratio seen on any smoke cell over fourteen `--smoke` runs when
+/// the gate was set × 1.1 — ten on a quiet 2-core host (worst 1.03) and
+/// four with a busy loop pinned on each core (worst 1.10, random n=16).
+const TOLERANCE: f64 = 1.21;
+
+/// Planned-vs-best-pinned comparison for one (workload, size) cell.
+#[derive(Debug)]
 struct PlannedCell {
-    workload: String,
+    workload: &'static str,
     num_qubits: u32,
     planned_seconds: f64,
-    /// Fastest of the fixed modes measured on this cell.
-    best_fixed_seconds: f64,
-    /// Which fixed mode was fastest.
-    best_fixed_mode: String,
-    /// `planned_seconds / best_fixed_seconds` (≤ 1 means the planner
-    /// matched or beat every fixed mode).
-    ratio: f64,
+    /// Fastest of the pinned modes measured on this cell.
+    best_pinned_seconds: f64,
+    best_pinned_mode: &'static str,
 }
 
-/// The `BENCH_hotpath.json` document.
-#[derive(Debug, Serialize)]
-struct Summary {
-    bench: String,
-    grid: String,
-    sizes: Vec<u32>,
-    samples: Vec<Sample>,
-    /// Per-size QFT speedup of sweep-fused over plain fused.
-    qft_sweep_over_fused: Vec<Speedup>,
-    /// Minimum of the above at n >= 20 (the acceptance bar is 1.3).
-    qft_sweep_speedup_min_n20: Option<f64>,
-    /// Planned-mode comparison per cell (the planner acceptance bar:
-    /// every ratio ≤ 1 within noise).
-    planned_vs_best_fixed: Vec<PlannedCell>,
-    /// Maximum `ratio` across all cells.
-    planned_worst_ratio: Option<f64>,
+impl PlannedCell {
+    /// `≤ 1` means the planner matched or beat every pinned mode.
+    fn ratio(&self) -> f64 {
+        self.planned_seconds / self.best_pinned_seconds
+    }
+
+    fn gated(&self) -> bool {
+        self.best_pinned_seconds >= GATE_FLOOR_SECONDS
+    }
+}
+
+/// The gated cells the planner lost by more than `tolerance`. Purely
+/// relative: no absolute allowance a slow cell could hide under.
+fn losers(cells: &[PlannedCell], tolerance: f64) -> Vec<&PlannedCell> {
+    cells.iter().filter(|c| c.gated() && c.ratio() > tolerance).collect()
 }
 
 /// Skip the unfused baseline when its amplitude·gate product would take
@@ -128,8 +112,8 @@ fn workload(name: &str, n: u32) -> qgear_ir::Circuit {
     }
 }
 
-/// Best-of-`reps` wall-clock plus the stats of the final rep.
-fn run_mode(circ: &qgear_ir::Circuit, mode: &str, reps: u32) -> Sample {
+/// One run of `circ` in `mode`: wall-clock seconds and the run's stats.
+fn run_mode(circ: &qgear_ir::Circuit, mode: &str) -> (f64, qgear_statevec::ExecStats) {
     let select = |planner_costs| RunOptions { planner_costs, ..Default::default() };
     let opts = match mode {
         // The Aer engine has one mode; it reads neither knob.
@@ -139,40 +123,23 @@ fn run_mode(circ: &qgear_ir::Circuit, mode: &str, reps: u32) -> Sample {
         "planned" => select(PlannerCosts::host_reference()),
         other => panic!("unknown mode {other}"),
     };
-    let mut best = f64::INFINITY;
-    let mut stats = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out: RunOutput<f64> = if mode == "unfused" {
-            AerCpuBackend.run(circ, &opts).expect("unfused run")
-        } else {
-            GpuDevice::a100_40gb().run(circ, &opts).expect("gpu run")
-        };
-        best = best.min(start.elapsed().as_secs_f64());
-        stats = Some(out.stats);
-    }
-    let stats = stats.expect("at least one rep");
-    Sample {
-        workload: String::new(),
-        num_qubits: circ.num_qubits(),
-        mode: mode.to_owned(),
-        gates: circ.len(),
-        seconds: best,
-        kernels_launched: stats.kernels_launched,
-        sweeps_executed: stats.sweeps_executed,
-        bytes_touched: stats.bytes_touched,
-        note: None,
-    }
+    let start = Instant::now();
+    let out: RunOutput<f64> = if mode == "unfused" {
+        AerCpuBackend.run(circ, &opts).expect("unfused run")
+    } else {
+        GpuDevice::a100_40gb().run(circ, &opts).expect("gpu run")
+    };
+    (start.elapsed().as_secs_f64(), out.stats)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut grid, mut sizes): (&str, Vec<u32>) = if args.iter().any(|a| a == "--smoke") {
-        ("smoke", vec![10, 12])
+    let mut sizes: Vec<u32> = if args.iter().any(|a| a == "--smoke") {
+        vec![16]
     } else if args.iter().any(|a| a == "--full") {
-        ("full", vec![16, 18, 20, 22, 24])
+        vec![16, 18, 20, 22, 24]
     } else {
-        ("default", vec![16, 18, 20, 22])
+        vec![16, 18, 20, 22]
     };
     let flag = |name: &str| {
         args.iter().position(|a| a == name).map(|i| {
@@ -181,206 +148,137 @@ fn main() {
     };
     if let Some(list) = flag("--sizes") {
         sizes = list.split(',').map(|s| s.trim().parse().expect("qubit count")).collect();
-        grid = "custom";
     }
-    let workloads: Vec<&str> = match flag("--workload") {
-        Some(w) => match w.as_str() {
-            "qft" => vec!["qft"],
-            "random" => vec!["random"],
-            "qcrank" => vec!["qcrank"],
-            other => panic!("unknown workload {other}"),
-        },
+    let workloads: Vec<&'static str> = match flag("--workload").as_deref() {
+        Some("qft") => vec!["qft"],
+        Some("random") => vec!["random"],
+        Some("qcrank") => vec!["qcrank"],
+        Some(other) => panic!("unknown workload {other}"),
         None => vec!["qft", "random", "qcrank"],
     };
 
-    qgear_telemetry::reset();
-    qgear_telemetry::enable();
-
-    // Same ownership rule for the tracked results files: probe grids get
-    // their own id so they never rewrite the default grid's rows.
-    let report_id = match grid {
-        "default" | "full" => "hotpath".to_owned(),
-        other => format!("hotpath_{other}"),
-    };
-    let mut report = Report::new(&report_id, "unfused vs fused vs sweep-fused hot path");
-    let mut samples: Vec<Sample> = Vec::new();
     println!(
         "{:>8} {:>3} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
         "workload", "n", "mode", "gates", "kernels", "sweeps", "bytes", "wall-clock"
     );
-
+    let mut qft_speedups: Vec<(u32, f64)> = Vec::new();
+    let mut planned_cells: Vec<PlannedCell> = Vec::new();
     for &n in &sizes {
         for name in workloads.iter().copied() {
             let circ = workload(name, n);
             let reps = if n < 20 { 3 } else { 1 };
-            for mode in ["unfused", "fused", "sweep", "planned"] {
-                let mut sample = if mode == "unfused"
-                    && (1u128 << n) * circ.len() as u128 > UNFUSED_COST_CAP
-                {
-                    Sample {
-                        workload: String::new(),
-                        num_qubits: n,
-                        mode: mode.to_owned(),
-                        gates: circ.len(),
-                        seconds: f64::NAN,
-                        kernels_launched: 0,
-                        sweeps_executed: 0,
-                        bytes_touched: 0,
-                        note: Some("skipped: unfused baseline over cost cap".to_owned()),
+            let skip_unfused = (1u128 << n) * circ.len() as u128 > UNFUSED_COST_CAP;
+            // Best-of-`reps` seconds per mode (NaN = not run) plus the
+            // stats of the final rep.
+            let mut best = [f64::NAN; MODES.len()];
+            let mut stats: [qgear_statevec::ExecStats; MODES.len()] = Default::default();
+            for _ in 0..reps {
+                for (m, mode) in MODES.into_iter().enumerate() {
+                    if mode == "unfused" && skip_unfused {
+                        continue;
                     }
-                } else {
-                    run_mode(&circ, mode, reps)
-                };
-                sample.workload = name.to_owned();
+                    let (seconds, run_stats) = run_mode(&circ, mode);
+                    best[m] = seconds.min(best[m]);
+                    stats[m] = run_stats;
+                }
+            }
+            for (m, mode) in MODES.into_iter().enumerate() {
                 println!(
                     "{:>8} {:>3} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
-                    sample.workload,
+                    name,
                     n,
-                    sample.mode,
-                    sample.gates,
-                    sample.kernels_launched,
-                    sample.sweeps_executed,
-                    sample.bytes_touched,
-                    human_time(sample.seconds)
+                    mode,
+                    circ.len(),
+                    stats[m].kernels_launched,
+                    stats[m].sweeps_executed,
+                    stats[m].bytes_touched,
+                    human_time(best[m])
                 );
-                if sample.seconds.is_nan() {
-                    report.infeasible(&format!("{name}-{mode}"), f64::from(n), "cost cap");
-                } else {
-                    report.measured(&format!("{name}-{mode}"), f64::from(n), sample.seconds);
-                }
-                samples.push(sample);
             }
-        }
-    }
-
-    // Headline: sweep-fused over plain fused on the QFT.
-    let mut qft_speedups: Vec<Speedup> = Vec::new();
-    for &n in &sizes {
-        let t = |mode: &str| {
-            samples
-                .iter()
-                .find(|s| s.workload == "qft" && s.num_qubits == n && s.mode == mode)
-                .map(|s| s.seconds)
-        };
-        if let (Some(fused), Some(sweep)) = (t("fused"), t("sweep")) {
-            qft_speedups.push(Speedup { num_qubits: n, speedup: fused / sweep });
-        }
-    }
-    println!("\nQFT sweep-fused speedup over plain fused:");
-    for s in &qft_speedups {
-        println!("  n={:>2}: {:.2}x", s.num_qubits, s.speedup);
-    }
-    let min_n20 = qft_speedups
-        .iter()
-        .filter(|s| s.num_qubits >= 20)
-        .map(|s| s.speedup)
-        .fold(None, |acc: Option<f64>, s| Some(acc.map_or(s, |a| a.min(s))));
-    if let Some(m) = min_n20 {
-        println!("  min at n>=20: {m:.2}x (acceptance bar 1.3x)");
-    }
-
-    // Planner acceptance: planned never slower than the best fixed mode
-    // on any cell (ratio ≤ 1 within noise).
-    let mut planned_cells: Vec<PlannedCell> = Vec::new();
-    for &n in &sizes {
-        for name in workloads.iter().copied() {
-            let cell = |mode: &str| {
-                samples
-                    .iter()
-                    .find(|s| s.workload == name && s.num_qubits == n && s.mode == mode)
-                    .map(|s| s.seconds)
-                    .filter(|s| !s.is_nan())
-            };
-            let Some(planned) = cell("planned") else { continue };
-            let fixed: Vec<(&str, f64)> = ["unfused", "fused", "sweep"]
-                .iter()
-                .filter_map(|&m| cell(m).map(|s| (m, s)))
-                .collect();
-            let Some(&(best_mode, best)) = fixed
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("non-NaN seconds"))
-            else {
-                continue;
-            };
+            let [unfused, fused, sweep, planned] = best;
+            if name == "qft" {
+                qft_speedups.push((n, fused / sweep));
+            }
+            // `total_cmp` orders NaN (a skipped unfused run) last.
+            let (best_pinned_mode, best_pinned_seconds) =
+                [("unfused", unfused), ("fused", fused), ("sweep", sweep)]
+                    .into_iter()
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("three pinned modes");
             planned_cells.push(PlannedCell {
-                workload: name.to_owned(),
+                workload: name,
                 num_qubits: n,
                 planned_seconds: planned,
-                best_fixed_seconds: best,
-                best_fixed_mode: best_mode.to_owned(),
-                ratio: planned / best,
+                best_pinned_seconds,
+                best_pinned_mode,
             });
         }
     }
-    println!("\nplanned vs best fixed mode:");
+
+    if !qft_speedups.is_empty() {
+        println!("\nQFT sweep-fused speedup over plain fused:");
+        for (n, speedup) in &qft_speedups {
+            println!("  n={n:>2}: {speedup:.2}x");
+        }
+    }
+
+    println!("\nplanned vs best pinned mode:");
     for c in &planned_cells {
         println!(
-            "  {:>8} n={:>2}: planned {} vs best fixed {} ({}) → ratio {:.2}",
+            "  {:>8} n={:>2}: planned {} vs best pinned {} ({}) → ratio {:.2}{}",
             c.workload,
             c.num_qubits,
             human_time(c.planned_seconds),
-            human_time(c.best_fixed_seconds),
-            c.best_fixed_mode,
-            c.ratio
+            human_time(c.best_pinned_seconds),
+            c.best_pinned_mode,
+            c.ratio(),
+            if c.gated() { "" } else { "  (under the 10 ms gate floor)" }
         );
     }
-    let worst_ratio = planned_cells
-        .iter()
-        .map(|c| c.ratio)
-        .fold(None, |acc: Option<f64>, r| Some(acc.map_or(r, |a| a.max(r))));
-    if let Some(w) = worst_ratio {
-        println!("  worst ratio: {w:.2} (bar: ≤ 1 within noise)");
-    }
 
-    report.finish();
-
-    let summary = Summary {
-        bench: "hotpath".to_owned(),
-        grid: grid.to_owned(),
-        sizes,
-        samples,
-        qft_sweep_over_fused: qft_speedups,
-        qft_sweep_speedup_min_n20: min_n20,
-        planned_vs_best_fixed: planned_cells,
-        planned_worst_ratio: worst_ratio,
-    };
-    let json = serde_json::to_value(&summary).expect("summary serializes");
-    let root = match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => std::path::PathBuf::from(dir).join("../.."),
-        Err(_) => std::path::PathBuf::from("."),
-    };
-    // Only the full-size grids own the acceptance artifact; smoke and
-    // custom probe grids write a suffixed file so a CI smoke run never
-    // clobbers the measured n >= 20 speedups.
-    let file = match grid {
-        "default" | "full" => "BENCH_hotpath.json".to_owned(),
-        other => format!("BENCH_hotpath_{other}.json"),
-    };
-    let path = root.join(file);
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_hotpath.json");
-    println!("→ summary written to {}", path.display());
-
-    // CI gate (scripts/check.sh --smoke): fail if the planner lost any
-    // cell beyond timer noise. The tolerance absorbs scheduler jitter on
-    // sub-second smoke cells: 25% relative plus a 10 ms absolute floor.
-    // Runs after the summary write so a failing run still leaves the
-    // artifact to inspect.
     if args.iter().any(|a| a == "--enforce-planned") {
-        let losers: Vec<&PlannedCell> = summary
-            .planned_vs_best_fixed
-            .iter()
-            .filter(|c| c.planned_seconds > c.best_fixed_seconds * 1.25 + 0.010)
-            .collect();
-        if !losers.is_empty() {
-            eprintln!("planned-mode regression: slower than the best fixed mode on:");
-            for c in losers {
-                eprintln!(
-                    "  {} n={}: planned {:.3}s vs best fixed {:.3}s ({})",
-                    c.workload, c.num_qubits, c.planned_seconds, c.best_fixed_seconds, c.best_fixed_mode
-                );
+        let lost = losers(&planned_cells, TOLERANCE);
+        if !lost.is_empty() {
+            eprintln!("planned-mode regression: over {TOLERANCE}x the best pinned mode on:");
+            for c in lost {
+                eprintln!("  {} n={}: ratio {:.2}", c.workload, c.num_qubits, c.ratio());
             }
             std::process::exit(1);
         }
-        println!("planned-mode gate passed: never slower than the best fixed mode");
+        let gated: Vec<f64> =
+            planned_cells.iter().filter(|c| c.gated()).map(PlannedCell::ratio).collect();
+        let worst = gated.iter().copied().fold(f64::NAN, f64::max);
+        println!(
+            "planned-mode gate passed: worst accepted ratio {worst:.2} over {} gated cells (tolerance {TOLERANCE})",
+            gated.len()
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(planned_ms: f64, best_pinned_ms: f64) -> PlannedCell {
+        PlannedCell {
+            workload: "qft",
+            num_qubits: 16,
+            planned_seconds: planned_ms / 1e3,
+            best_pinned_seconds: best_pinned_ms / 1e3,
+            best_pinned_mode: "sweep",
+        }
+    }
+
+    #[test]
+    fn the_gate_is_relative_and_only_above_the_floor() {
+        // 30 ms against a 20 ms best pin: under the former
+        // `best × 1.25 + 10 ms` allowance (35 ms) this loss passed.
+        let cells = [cell(30.0, 20.0), cell(21.0, 20.0), cell(3.4, 2.0), cell(800.0, 500.0)];
+        let lost = losers(&cells, TOLERANCE);
+        assert_eq!(lost.len(), 2, "{lost:?}");
+        assert!(lost.iter().all(|c| c.ratio() > 1.45));
+        // A 1.7x loss on a 2 ms cell is timer noise territory: printed,
+        // never gated.
+        assert!(!cells[2].gated());
     }
 }

@@ -170,78 +170,6 @@ impl CostModel {
         }
     }
 
-    /// GPU unitary phase for a *batched* launch on the modeled A100:
-    /// what `batch` shape-congruent circuits would cost there if each
-    /// kernel launch covered every member at once. This prices the
-    /// paper's hardware, fed with the batch occupancies `qgear-serve`
-    /// records; it does not describe the host path, which runs the
-    /// members one after another on the solo kernels and whose measured
-    /// wall time is batch-neutral.
-    ///
-    /// The returned breakdown is the **whole-batch** wall time; divide by
-    /// `batch` for the per-member amortized cost. Two effects make that
-    /// amortized cost beat a solo dispatch of the same circuit:
-    ///
-    /// * **Launch amortization** — one launch per fused kernel covers all
-    ///   `batch` members, so per-member launch overhead shrinks by
-    ///   `1/batch`. This dominates for the small states serving
-    ///   workloads are made of, which are launch-bound solo
-    ///   (`occupancy_makes_tiny_states_launch_bound`).
-    /// * **Occupancy recovery** — a batched kernel touches `batch`× the
-    ///   bytes per launch, pushing tiny states up the device's
-    ///   bandwidth-efficiency knee that a solo sweep sits far below.
-    ///
-    /// Compute bytes scale linearly with `batch` (every member's lane is
-    /// read and written each kernel), as does exchange traffic and
-    /// device init — batching amortizes dispatch, never the physics.
-    pub fn gpu_unitary_batched(
-        &self,
-        num_qubits: u32,
-        amp_bytes: u64,
-        devices: usize,
-        kernels: u64,
-        batch: usize,
-        traffic: &TrafficStats,
-    ) -> TimeBreakdown {
-        let b = batch.max(1);
-        let solo = self.gpu_unitary(num_qubits, amp_bytes, devices, kernels, traffic);
-
-        // b members per kernel launch, priced at the efficiency the
-        // *combined* working set reaches.
-        let state_bytes = 2f64.powi(num_qubits as i32) * amp_bytes as f64;
-        let local_bytes = state_bytes * b as f64 / devices as f64;
-        let eff_bw = self.gpu.effective_bandwidth(local_bytes);
-        let per_kernel = 2.0 * local_bytes / eff_bw;
-        let compute = kernels as f64 * per_kernel * self.straggler(devices);
-
-        TimeBreakdown {
-            compute,
-            // One launch per kernel regardless of occupancy — the whole
-            // point of a batched launch.
-            launch: solo.launch,
-            comm: solo.comm * b as f64,
-            init: solo.init,
-            ..Default::default()
-        }
-    }
-
-    /// Modeled per-member amortized speedup of a `batch`-wide launch over
-    /// a solo dispatch: `batch · T_solo / T_batched`, single device.
-    pub fn batch_speedup(
-        &self,
-        num_qubits: u32,
-        amp_bytes: u64,
-        kernels: u64,
-        batch: usize,
-    ) -> f64 {
-        let empty = TrafficStats::default();
-        let solo = self.gpu_unitary(num_qubits, amp_bytes, 1, kernels, &empty).total();
-        let joint = self
-            .gpu_unitary_batched(num_qubits, amp_bytes, 1, kernels, batch, &empty)
-            .total();
-        batch.max(1) as f64 * solo / joint
-    }
-
     /// CPU (Qiskit-Aer) unitary phase: unfused, one sweep per gate, plus
     /// per-gate dispatch. `amp_bytes` is 16 for the fp64 Aer default.
     pub fn cpu_unitary(&self, num_qubits: u32, amp_bytes: u64, gates: u64) -> TimeBreakdown {
@@ -420,36 +348,6 @@ mod tests {
         let qgear = m.gpu_unitary(28, 8, 4, 100, &empty);
         let penny = m.pennylane_unitary(28, 8, 4, 500, &empty);
         assert!(penny.total() > 2.0 * qgear.total());
-    }
-
-    #[test]
-    fn batch_of_one_prices_identically_to_solo() {
-        let m = model();
-        let empty = TrafficStats::default();
-        let solo = m.gpu_unitary(20, 8, 1, 200, &empty);
-        let batched = m.gpu_unitary_batched(20, 8, 1, 200, 1, &empty);
-        assert_eq!(solo, batched);
-    }
-
-    #[test]
-    fn batching_amortizes_launch_overhead_on_small_states() {
-        // Serving-sized states (16-20 qubits) are launch-bound solo; a
-        // 16-wide batch pays each launch once, so the per-member cost
-        // collapses well past the paper-bench 5x throughput target.
-        let m = model();
-        for qubits in [16u32, 18, 20] {
-            let speedup = m.batch_speedup(qubits, 8, 500, 16);
-            assert!(
-                speedup > 5.0,
-                "{qubits} qubits: batch speedup {speedup:.1}x below target"
-            );
-        }
-        // Large states are bandwidth-bound: compute scales with the
-        // batch, so amortization fades toward (but never below) parity.
-        let big = m.batch_speedup(30, 8, 500, 16);
-        assert!((0.99..4.0).contains(&big), "30 qubits: {big:.2}x");
-        // And speedup grows with occupancy on the launch-bound side.
-        assert!(m.batch_speedup(16, 8, 500, 16) > m.batch_speedup(16, 8, 500, 4));
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! one dispatch. That is all batching is here — a dispatch decision. The
 //! worker runs the members one after another, each on the stepper and
 //! kernels a solo dense job runs on, with its own parameter values, its
-//! own amplitudes and its own domain-separated sampling seed. What a
-//! batch would save on the paper's hardware — one A100 launch per kernel
-//! for the whole batch — is priced by
-//! `qgear_perfmodel::CostModel::gpu_unitary_batched` from the recorded
-//! occupancies; measured host wall is batch-neutral (EXPERIMENTS.md).
+//! own amplitudes and its own domain-separated sampling seed. Measured
+//! host wall is batch-neutral (`serve_small` in `benchmark/`), and no
+//! modeled price for a batch is kept (docs/SERVING.md).
 //!
 //! **Invariant — batching is invisible in results.** A member's
 //! amplitudes, counts, cache entries and outcome are bit-identical to

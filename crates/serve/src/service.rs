@@ -41,7 +41,7 @@ use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_add, counter_inc, histogram_record, span};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -208,9 +208,9 @@ pub(crate) struct State {
     queue: AdmissionQueue,
     cache: ResultCache,
     marginals: MarginalCache,
-    outcomes: HashMap<u64, JobOutcome>,
-    /// Clock reading at the instant each terminal outcome was published.
-    outcome_at: HashMap<u64, Duration>,
+    /// Every terminal outcome with the clock reading at the instant it
+    /// was published.
+    outcomes: HashMap<u64, (JobOutcome, Duration)>,
     /// In-flight jobs whose cancellation has been requested; workers
     /// observe these between backoff slices and attempts.
     cancel_requests: HashSet<u64>,
@@ -241,11 +241,19 @@ pub(crate) struct State {
 
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
-    pub(crate) state: Mutex<State>,
+    state: Mutex<State>,
     /// Signals workers that the queue gained work (or shutdown began).
     jobs_cv: Condvar,
     /// Signals waiters that some job reached a terminal outcome.
     done_cv: Condvar,
+}
+
+impl Shared {
+    /// The one door to [`State`]. A poisoned lock means a thread
+    /// panicked mid-update, so the state can no longer be trusted.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("serve state poisoned")
+    }
 }
 
 /// A running multi-tenant simulation service.
@@ -264,7 +272,6 @@ impl Service {
                 cache: ResultCache::new(cfg.cache_capacity),
                 marginals: MarginalCache::new(cfg.state_cache_capacity),
                 outcomes: HashMap::new(),
-                outcome_at: HashMap::new(),
                 cancel_requests: HashSet::new(),
                 dispatch_log: Vec::new(),
                 checkpoints: CheckpointStore::new(cfg.checkpoint_generations),
@@ -333,7 +340,7 @@ impl Service {
         let key = CircuitKey::for_spec(&canonical, &spec, self.shared.cfg.fusion_width, engine);
         let state_key = CircuitKey::state_key(&canonical, &spec, self.shared.cfg.fusion_width);
         let submitted_at = self.shared.cfg.clock.now();
-        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        let mut st = self.shared.lock();
         if st.shutdown {
             return Admission::ShuttingDown;
         }
@@ -407,11 +414,10 @@ impl Service {
     /// already executing on the device is never interrupted.
     pub fn cancel(&self, id: JobId) -> bool {
         let now = self.shared.cfg.clock.now();
-        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        let mut st = self.shared.lock();
         if st.queue.cancel(id).is_some() {
             counter_inc(names::SERVE_JOBS_CANCELLED);
-            st.outcomes.insert(id.0, JobOutcome::Cancelled);
-            st.outcome_at.insert(id.0, now);
+            st.outcomes.insert(id.0, (JobOutcome::Cancelled, now));
             drop(st);
             self.shared.done_cv.notify_all();
             true
@@ -427,9 +433,9 @@ impl Service {
     /// Block until `id` reaches a terminal outcome. `None` when the id
     /// was never admitted by this service.
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
-        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        let mut st = self.shared.lock();
         loop {
-            if let Some(outcome) = st.outcomes.get(&id.0) {
+            if let Some((outcome, _)) = st.outcomes.get(&id.0) {
                 return Some(outcome.clone());
             }
             if id.0 >= st.next_id {
@@ -441,29 +447,27 @@ impl Service {
 
     /// The outcome if `id` already finished, without blocking.
     pub fn try_outcome(&self, id: JobId) -> Option<JobOutcome> {
-        let st = self.shared.state.lock().expect("serve state poisoned");
-        st.outcomes.get(&id.0).cloned()
+        self.shared.lock().outcomes.get(&id.0).map(|(outcome, _)| outcome.clone())
     }
 
     /// The service-clock reading at which `id`'s terminal outcome was
     /// published. Under a virtual clock this is exact and reproducible —
     /// the simulation oracles assert latency bounds against it.
     pub fn outcome_time(&self, id: JobId) -> Option<Duration> {
-        let st = self.shared.state.lock().expect("serve state poisoned");
-        st.outcome_at.get(&id.0).copied()
+        self.shared.lock().outcomes.get(&id.0).map(|&(_, at)| at)
     }
 
     /// True when the queue is empty and no job is in a worker's hands.
     /// Non-blocking counterpart of [`Service::drain`], for executors
     /// that must keep advancing a virtual clock while waiting.
     pub fn is_idle(&self) -> bool {
-        let st = self.shared.state.lock().expect("serve state poisoned");
+        let st = self.shared.lock();
         st.queue.is_empty() && st.in_flight == 0
     }
 
     /// Block until the queue is empty and no job is in flight.
     pub fn drain(&self) {
-        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        let mut st = self.shared.lock();
         while !st.queue.is_empty() || st.in_flight > 0 {
             st = self.shared.done_cv.wait(st).expect("serve state poisoned");
         }
@@ -471,19 +475,14 @@ impl Service {
 
     /// Jobs currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().expect("serve state poisoned").queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// The dispatch log so far — one record per job handed to a worker,
     /// in dispatch order. Invariant checks (FIFO within tenant+class,
     /// no duplicates) run over this.
     pub fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .dispatch_log
-            .clone()
+        self.shared.lock().dispatch_log.clone()
     }
 
     /// The checkpoint activity log so far — every write, verification
@@ -492,12 +491,7 @@ impl Service {
     /// simtest progress-monotonicity oracle replays this to prove the
     /// recovery ladder never moved a job's cursor backwards.
     pub fn checkpoint_log(&self) -> Vec<CheckpointRecord> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .checkpoint_log
-            .clone()
+        self.shared.lock().checkpoint_log.clone()
     }
 
     /// The batch audit log so far — one record per flushed batch in
@@ -506,12 +500,7 @@ impl Service {
     /// conservation oracle replays this to prove every admitted job
     /// landed in exactly one flush and none were lost or duplicated.
     pub fn batch_log(&self) -> Vec<BatchRecord> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .batch_log
-            .clone()
+        self.shared.lock().batch_log.clone()
     }
 
     /// The shard audit log so far — every group start, worker loss,
@@ -520,12 +509,7 @@ impl Service {
     /// simtest exchange-conservation and migration-bit-identity oracles
     /// replay this.
     pub fn shard_log(&self) -> Vec<ShardRecord> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .shard_log
-            .clone()
+        self.shared.lock().shard_log.clone()
     }
 
     /// The elastic-pool decision log so far — every scale-up, scale-down,
@@ -533,24 +517,19 @@ impl Service {
     /// Empty without a [`PoolConfig`]. Under a virtual clock the whole
     /// log is exactly reproducible, which the simtest regression pins.
     pub fn pool_log(&self) -> Vec<PoolDecision> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .pool_log
-            .clone()
+        self.shared.lock().pool_log.clone()
     }
 
     /// Worker threads currently alive (the fixed count without a pool).
     pub fn live_workers(&self) -> usize {
-        self.shared.state.lock().expect("serve state poisoned").live_workers
+        self.shared.lock().live_workers
     }
 
     /// Stop admitting, drain the queue, and join the workers. Idempotent;
     /// also invoked by `Drop`.
     pub fn shutdown(&self) {
         {
-            let mut st = self.shared.state.lock().expect("serve state poisoned");
+            let mut st = self.shared.lock();
             st.shutdown = true;
         }
         self.shared.jobs_cv.notify_all();
@@ -624,7 +603,7 @@ fn record_dispatch(st: &mut State, job: &QueuedJob) {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut st = shared.state.lock().expect("serve state poisoned");
+            let mut st = shared.lock();
             loop {
                 if let Some(job) = st.queue.pop_next() {
                     record_dispatch(&mut st, &job);
@@ -671,9 +650,8 @@ fn finish_dispatch(shared: &Shared, mut job: QueuedJob, step: ServeStep, solo: b
 /// of its flush — and the verdict is returned.
 fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, solo: bool) -> bool {
     let now = shared.cfg.clock.now();
-    let mut st = shared.state.lock().expect("serve state poisoned");
-    st.outcomes.insert(id.0, outcome);
-    st.outcome_at.insert(id.0, now);
+    let mut st = shared.lock();
+    st.outcomes.insert(id.0, (outcome, now));
     st.cancel_requests.remove(&id.0);
     // Terminal: retained checkpoint generations are dead weight now,
     // whatever the outcome was.
@@ -691,7 +669,7 @@ fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, solo: bool) 
 /// the caller already advanced past the dying dispatch.
 fn requeue_after_death(shared: &Shared, stranded: Vec<QueuedJob>) {
     counter_inc(names::SERVE_WORKER_DEATHS);
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     // requeue_front in reverse keeps the jobs' relative order.
     for job in stranded.into_iter().rev() {
         counter_inc(names::SERVE_REQUEUES);
@@ -727,12 +705,7 @@ fn pool_retire(shared: &Shared, st: &mut State) -> bool {
 
 /// True when a cancel request for `id` has been recorded.
 fn cancel_requested(shared: &Shared, id: JobId) -> bool {
-    shared
-        .state
-        .lock()
-        .expect("serve state poisoned")
-        .cancel_requests
-        .contains(&id.0)
+    shared.lock().cancel_requests.contains(&id.0)
 }
 
 /// Wait out `backoff` on the service clock in slices of at most
@@ -794,7 +767,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // which — execution being deterministic — reproduces the original
     // bytes and repopulates the cache.
     let cached = {
-        let mut st = shared.state.lock().expect("serve state poisoned");
+        let mut st = shared.lock();
         if shared.cfg.schedule.corrupts_cache(job.id.0) && st.cache.invalidate(job.key) {
             counter_inc(names::SERVE_CACHE_CORRUPTIONS);
             None
@@ -826,7 +799,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // runs qualify — their gathered amplitudes are bit-identical to a
     // single-device dense evolution of the same circuit.
     let marginal = if matches!(job.engine, Engine::Dense | Engine::Sharded) {
-        let st = shared.state.lock().expect("serve state poisoned");
+        let st = shared.lock();
         st.marginals.get(job.state_key)
     } else {
         None
@@ -839,7 +812,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
         let mut stats = hit.stats.clone();
         stats.elapsed = Duration::ZERO; // no simulation happened for *this* job
         {
-            let mut st = shared.state.lock().expect("serve state poisoned");
+            let mut st = shared.lock();
             st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
         }
         let result = JobResult {
@@ -881,7 +854,7 @@ fn complete_fresh(
     (counts, stats, fresh_marginal): Executed,
 ) -> JobOutcome {
     {
-        let mut st = shared.state.lock().expect("serve state poisoned");
+        let mut st = shared.lock();
         st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
         if let Some(m) = fresh_marginal {
             st.marginals.insert(job.state_key, m);
@@ -1094,7 +1067,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
     let mut members = vec![leader];
     loop {
         {
-            let mut st = shared.state.lock().expect("serve state poisoned");
+            let mut st = shared.lock();
             while members.len() < shared.cfg.batch.max_size {
                 let mate = st.queue.pop_matching(|j| {
                     j.shape.0 == key.shape
@@ -1130,8 +1103,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
 /// of them before any executes, so queue waits, deadline verdicts and
 /// cache probes are taken at the flush — and the survivors then run one
 /// after another through [`execute_batch`]. Batching is a dispatch
-/// decision only: what it amortizes is priced by the modeled-A100
-/// `CostModel::gpu_unitary_batched` from the occupancies recorded here.
+/// decision only.
 fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
     let flushed_at = shared.cfg.clock.now();
     if members.len() >= 2 {
@@ -1156,7 +1128,7 @@ fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
     }
     execute_batch(shared, executing, &mut dispositions);
 
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     st.batch_log.push(BatchRecord { members: dispositions, formed_at, flushed_at });
 }
 
@@ -1737,7 +1709,7 @@ mod tests {
             })
             .collect();
         {
-            let mut st = service.shared.state.lock().unwrap();
+            let mut st = service.shared.lock();
             for job in &members {
                 record_dispatch(&mut st, job);
             }

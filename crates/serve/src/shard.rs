@@ -221,7 +221,7 @@ impl<'a> ShardSource<'a> {
 }
 
 fn log(shared: &Shared, record: ShardRecord) {
-    shared.state.lock().expect("serve state poisoned").shard_log.push(record);
+    shared.lock().shard_log.push(record);
 }
 
 impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
@@ -266,7 +266,7 @@ impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
     fn died(&self, after_segments: u32) {
         let (job, shard) = (self.job.id.0, self.lost_shard);
         let at = self.shared.cfg.clock.now();
-        let mut st = self.shared.state.lock().expect("serve state poisoned");
+        let mut st = self.shared.lock();
         st.shard_log.push(ShardRecord::WorkerLost { job, shard, after_segments });
         if self.shared.cfg.pool.is_some() {
             st.pool_log.push(PoolDecision::Replace { at, job, shard });

@@ -115,7 +115,7 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
             let write_span = span!(spans::CHECKPOINT_WRITE);
             let mut bytes = run.encode_checkpoint();
             let cursor = run.cursor();
-            let mut st = shared.state.lock().expect("serve state poisoned");
+            let mut st = shared.lock();
             let generation = st.checkpoints.next_generation(id);
             if shared.cfg.schedule.corrupts_checkpoint(id, generation) {
                 let mid = bytes.len() / 2;
@@ -160,7 +160,7 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
     let generations = if interval == usize::MAX {
         Vec::new()
     } else {
-        shared.state.lock().expect("serve state poisoned").checkpoints.newest_first(id)
+        shared.lock().checkpoints.newest_first(id)
     };
     let had_generations = !generations.is_empty();
     let mut resumed = None;
@@ -174,21 +174,21 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
             Ok(run) => {
                 let cursor = run.cursor();
                 histogram_record(names::JOB_RESUMED_FROM, cursor as f64);
-                let mut st = shared.state.lock().expect("serve state poisoned");
+                let mut st = shared.lock();
                 st.checkpoint_log.push(CheckpointRecord::Resumed { job: id, generation, cursor });
                 resumed = Some(run);
                 break;
             }
             Err(_) => {
                 counter_inc(names::CHECKPOINT_VERIFY_FAILS);
-                let mut st = shared.state.lock().expect("serve state poisoned");
+                let mut st = shared.lock();
                 st.checkpoints.drop_generation(id, generation);
                 st.checkpoint_log.push(CheckpointRecord::VerifyFailed { job: id, generation });
             }
         }
     }
     if resumed.is_none() && had_generations {
-        let mut st = shared.state.lock().expect("serve state poisoned");
+        let mut st = shared.lock();
         st.checkpoint_log.push(CheckpointRecord::ColdRestart { job: id });
     }
     source.settled(resumed.as_ref().map(|run| run.cursor()), had_generations, broken);
@@ -392,7 +392,7 @@ mod tests {
     }
 
     fn retained(service: &Service, job: u64) -> Vec<u64> {
-        let st = service.shared.state.lock().unwrap();
+        let st = service.shared.lock();
         let store = &st.checkpoints;
         store.newest_first(job).iter().map(|g| g.generation).collect()
     }

@@ -23,34 +23,15 @@ cargo test -q --test differential
 echo "==> cargo test -q --test differential resume_at_every_segment_boundary"
 cargo test -q --test differential resume_at_every_segment_boundary_is_bit_identical_to_straight_through
 
-# The smoke grid runs all four series (unfused/fused/sweep/planned) end
-# to end; --enforce-planned fails the gate if the priced plan is slower
-# than the best pinned series on any smoke cell (docs/PLANNER.md).
-echo "==> hotpath bench smoke (sweep executor + planner gate)"
+# The smoke grid (n = 16) runs all four series (unfused/fused/sweep/
+# planned), interleaved rep by rep; --enforce-planned fails the gate if
+# the priced plan loses to the best pinned series by more than the
+# bin's one relative tolerance on any cell of at least 10 ms
+# (docs/PLANNER.md). Prints only.
+echo "==> hotpath smoke (per-mode kernels + planner gate)"
 cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned
 
-# Backend smoke: stabilizer scaling at 16/64/128 qubits plus trajectory
-# throughput, emitting BENCH_backends_smoke.json (docs/BACKENDS.md). The run
-# itself asserts shot conservation on every point, so a broken engine
-# fails the gate rather than writing bad numbers.
-echo "==> bench_backends smoke (stabilizer scaling + trajectory throughput)"
-cargo run --release -p qgear-bench --bin bench_backends -- --smoke
-
-# Batch coalescing smoke: solo vs batched on the same job stream, with
-# bitwise-identical per-job counts asserted across modes and a ≥2×
-# modeled-throughput floor enforced by the binary itself; emits
-# BENCH_serve_batch_smoke.json (docs/SERVING.md).
-echo "==> bench_serve_batch smoke (coalescing throughput + cross-mode bit identity)"
-cargo run --release -p qgear-bench --bin bench_serve_batch -- --smoke
-
-# Sharded-serving smoke: a beyond-one-worker job served on an
-# undersized group, with bitwise count identity against the dense
-# service asserted under clean, worker-death (checkpoint migration onto
-# a replacement group), and link-fault (in-place recovery) runs; emits
-# BENCH_shard_smoke.json (docs/SHARDING.md). The named simtest run
-# pins the migration path under three derived scenario seeds.
-echo "==> bench_shard smoke (shard migration + cross-mode bit identity)"
-cargo run --release -p qgear-bench --bin bench_shard -- --smoke
+# The shard-migration path by name, under three derived scenario seeds.
 echo "==> cargo test -q --test simtest shard_worker_death (named migration gate)"
 cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically
 
@@ -97,9 +78,23 @@ else
     echo "==> cargo clippy not installed; skipping lint"
 fi
 
-# The gate must leave the tree as it found it: every smoke artifact
-# above goes to an ignored file, so a tracked file that differs from the
-# index now was rewritten by the gate itself.
+# The unsafe kernels under AddressSanitizer (docs/TESTING.md): the unit
+# tests of `qgear-num` (aligned.rs, simd.rs) and `qgear-statevec`
+# (gpu.rs and the rest of its lib) rebuilt with the installed nightly
+# into their own target dir. Miri is not installable offline; this is
+# the checker the image does have. Optional like clippy.
+if cargo +nightly --version >/dev/null 2>&1; then
+    echo "==> cargo +nightly test (-Zsanitizer=address) -p qgear-num -p qgear-statevec --lib"
+    RUSTFLAGS="-Zsanitizer=address -C target-cpu=native" CARGO_TARGET_DIR=target/asan \
+        cargo +nightly test -q -p qgear-num -p qgear-statevec --lib --target x86_64-unknown-linux-gnu
+else
+    echo "==> nightly toolchain not installed; skipping the AddressSanitizer run"
+fi
+
+# The gate must leave the tree as it found it: nothing above writes a
+# tracked file (the probes print, the benchmark writes under ignored
+# paths), so one that differs from the index now was rewritten by the
+# gate itself.
 dirty="$(git status --porcelain --untracked-files=no)"
 if [ "$dirty" != "$before" ]; then
     echo "check.sh changed tracked files:" >&2

@@ -345,7 +345,10 @@ fn drain(service: &Service, clock: &VirtualClock) {
 fn hundred_qubit_clifford_job_completes_end_to_end_under_virtual_time() {
     // 100 dense qubits would need 2^100 amplitudes; the tableau needs a
     // few kilobytes. Auto selection must admit, route to the stabilizer
-    // engine, and complete — all on the simulated clock.
+    // engine, and complete — all on the simulated clock. The widths
+    // either side (64 = the outcome-key limit, 128 = two tableau words
+    // past it) and a fully measured 64-qubit random Clifford ride along:
+    // no shot may be lost at any of them.
     let clock = Arc::new(VirtualClock::new());
     let service = Service::start(ServeConfig {
         workers: 2,
@@ -354,19 +357,33 @@ fn hundred_qubit_clifford_job_completes_end_to_end_under_virtual_time() {
         ..Default::default()
     });
     let shots = 512;
-    let id = service
-        .submit(JobSpec::new(ghz(100, 64)).shots(shots).seed(29))
-        .job_id()
-        .expect("100-qubit Clifford job must be admitted under Auto selection");
-    drain(&service, &clock);
-    let outcome = service.try_outcome(id).expect("job reached a terminal state");
-    let JobOutcome::Completed(result) = outcome else {
-        panic!("100-qubit GHZ did not complete: {outcome:?}");
-    };
-    let counts = result.counts.expect("measured job yields counts");
-    assert_eq!(counts.total(), shots);
-    for &key in counts.map.keys() {
-        assert!(key == 0 || key == u64::MAX, "non-GHZ outcome {key:#x} on the 64-qubit prefix");
+    // (name, circuit, whether it is a GHZ state: all zeros or all ones)
+    let jobs = [
+        ("ghz-64", ghz(64, 64), true),
+        ("ghz-100", ghz(100, 64), true),
+        ("ghz-128", ghz(128, 64), true),
+        ("random-clifford-64", random_clifford(64, 8, 0xC11F + 64), false),
+    ];
+    for (what, circuit, is_ghz) in jobs {
+        let id = service
+            .submit(JobSpec::new(circuit).shots(shots).seed(29))
+            .job_id()
+            .unwrap_or_else(|| panic!("{what} must be admitted under Auto selection"));
+        drain(&service, &clock);
+        let outcome = service.try_outcome(id).expect("job reached a terminal state");
+        let JobOutcome::Completed(result) = outcome else {
+            panic!("{what} did not complete: {outcome:?}");
+        };
+        let counts = result.counts.expect("measured job yields counts");
+        assert_eq!(counts.total(), shots, "{what} lost shots");
+        if is_ghz {
+            for &key in counts.map.keys() {
+                assert!(
+                    key == 0 || key == u64::MAX,
+                    "{what}: non-GHZ outcome {key:#x} on the 64-qubit prefix"
+                );
+            }
+        }
     }
     service.shutdown();
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use qgear_ir::Circuit;
 use qgear_serve::{
     Admission, AdmissionQueue, BatchConfig, BatchMemberDisposition, BatchRecord, CircuitKey,
-    Engine, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, Service,
+    Engine, FaultPlan, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, Service,
 };
 use qgear_statevec::Counts;
 use qgear_telemetry::names;
@@ -138,6 +138,9 @@ proptest! {
         let warm = warm.result().expect("warm completes");
         prop_assert!(!cold.from_cache);
         prop_assert!(warm.from_cache, "second identical spec must hit the cache");
+        // Why a hit is cheap: it never touches the device.
+        prop_assert!(cold.attempts >= 1);
+        prop_assert_eq!(warm.attempts, 0);
         prop_assert_eq!(&cold.counts, &warm.counts);
         prop_assert_eq!(cold.counts.as_ref().unwrap().total(), shots);
     }
@@ -145,36 +148,59 @@ proptest! {
 
 /// A concurrent multi-tenant burst across 4 workers: every accepted job
 /// reaches exactly one terminal outcome and the dispatch log shows no
-/// duplicates — the service-level statement of the queue property.
+/// duplicates — the service-level statement of the queue property. Run
+/// once under capacity, and once saturated: a queue an eighth of the
+/// burst (the submitter rides through `QueueFull`) with transient
+/// device faults retried underneath.
 #[test]
 fn concurrent_burst_loses_and_duplicates_nothing() {
-    let service = Service::start(ServeConfig { workers: 4, queue_capacity: 128, ..Default::default() });
-    let mut ids = Vec::new();
-    for i in 0..60u64 {
-        let mut c = Circuit::new(3 + (i % 3) as u32);
-        c.h(0).cx(0, 1).ry(0.1 * i as f64, 2).measure_all();
-        let spec = JobSpec::new(c)
-            .shots(200)
-            .seed(i)
-            .tenant(tenant_name((i % 3) as u8))
-            .priority(priority_of((i % 3) as u8));
-        match service.submit(spec) {
-            Admission::Accepted(id) => ids.push(id),
-            other => panic!("burst of 60 under capacity 128 rejected: {other:?}"),
+    let inputs = [
+        ("under capacity", 128, FaultPlan::none()),
+        ("saturated", 8, FaultPlan::with_rate(0.1, 0xFA017)),
+    ];
+    for (what, queue_capacity, fault) in inputs {
+        let service = Service::start(ServeConfig {
+            workers: 4,
+            queue_capacity,
+            fault,
+            retry_backoff: Duration::from_micros(200),
+            ..Default::default()
+        });
+        let mut ids = Vec::new();
+        for i in 0..60u64 {
+            let mut c = Circuit::new(3 + (i % 3) as u32);
+            c.h(0).cx(0, 1).ry(0.1 * i as f64, 2).measure_all();
+            let spec = JobSpec::new(c)
+                .shots(200)
+                .seed(i)
+                .tenant(tenant_name((i % 3) as u8))
+                .priority(priority_of((i % 3) as u8));
+            loop {
+                match service.submit(spec.clone()) {
+                    Admission::Accepted(id) => {
+                        ids.push(id);
+                        break;
+                    }
+                    Admission::QueueFull { .. } if queue_capacity < 60 => {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    other => panic!("{what}: job {i} of 60 answered {other:?}"),
+                }
+            }
         }
+        for &id in &ids {
+            let outcome = service.wait(id).expect("every accepted id resolves");
+            assert!(
+                outcome.is_completed(),
+                "{what}: job {id:?} ended {outcome:?} with every fault retryable"
+            );
+        }
+        let log = service.dispatch_log();
+        let unique: HashSet<u64> = log.iter().map(|r| r.id.0).collect();
+        assert_eq!(unique.len(), log.len(), "{what}: duplicate dispatch");
+        assert_eq!(unique.len(), ids.len(), "{what}: dispatch log must cover every job");
+        service.shutdown();
     }
-    for &id in &ids {
-        let outcome = service.wait(id).expect("every accepted id resolves");
-        assert!(
-            outcome.is_completed(),
-            "job {id:?} ended {outcome:?} with no faults injected"
-        );
-    }
-    let log = service.dispatch_log();
-    let unique: HashSet<u64> = log.iter().map(|r| r.id.0).collect();
-    assert_eq!(unique.len(), log.len(), "duplicate dispatch");
-    assert_eq!(unique.len(), ids.len(), "dispatch log must cover every job");
-    service.shutdown();
 }
 
 /// End-to-end telemetry: counters, queue-depth histogram, per-tenant

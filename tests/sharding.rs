@@ -61,12 +61,16 @@ fn sharded_config() -> ServeConfig {
 }
 
 /// The tentpole acceptance path: the tiny-device service admits the
-/// beyond-one-worker job, runs it sharded (the shard log proves the
-/// group actually formed and completed), and its counts are bitwise
-/// identical to the same spec served dense on a 40 GB device with the
-/// same fusion/sweep configuration and sampling knobs.
+/// beyond-one-worker job, runs it sharded (the shard log proves a group
+/// of the planned width formed and completed), and its counts are
+/// bitwise identical to the same spec served dense on a 40 GB device
+/// with the same fusion/sweep configuration and sampling knobs — on a
+/// clean run, through a worker death (checkpoint migration onto a
+/// replacement group) and through a corrupted exchange (in-place
+/// recovery).
 #[test]
 fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
+    use qgear_serve::{FaultKind, FaultSchedule};
     let spec = |c: Circuit| JobSpec::new(c).shots(300).seed(17);
 
     let dense = Service::start(ServeConfig {
@@ -80,33 +84,50 @@ fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
     let reference = reference.result().expect("dense completes");
     dense.shutdown();
 
-    let sharded = Service::start(sharded_config());
-    let id = sharded
-        .submit(spec(beyond_one_worker()))
-        .job_id()
-        .expect("the shard planner must admit what one worker cannot hold");
-    let outcome = sharded.wait(id).unwrap();
-    let result = outcome.result().expect("the sharded run completes");
-    sharded.shutdown();
+    let runs = [
+        ("clean", None),
+        ("worker death", Some(FaultKind::ShardWorkerDeath { shard: 1, after_segments: 1 })),
+        ("corrupted exchange", Some(FaultKind::LinkFault { exchange: 0, corrupt: true })),
+    ];
+    for (what, fault) in runs {
+        let schedule = fault
+            .map_or(FaultSchedule::none(), |kind| FaultSchedule::none().with_event(0, 0, kind));
+        let sharded = Service::start(ServeConfig { schedule, ..sharded_config() });
+        let id = sharded
+            .submit(spec(beyond_one_worker()))
+            .job_id()
+            .expect("the shard planner must admit what one worker cannot hold");
+        let outcome = sharded.wait(id).unwrap();
+        let result = outcome.result().expect("the sharded run completes");
+        sharded.shutdown();
 
-    assert_eq!(
-        result.counts, reference.counts,
-        "sharded counts must be bitwise identical to the dense service"
-    );
-    let log = sharded.shard_log();
-    assert!(
-        log.iter().any(|r| matches!(r, ShardRecord::Started { job: 0, shards: 2 })),
-        "a 2-shard group must have formed; log: {log:?}"
-    );
-    assert!(
-        log.iter().any(|r| matches!(r, ShardRecord::Completed { job: 0, .. })),
-        "the group must have completed; log: {log:?}"
-    );
-    assert!(
-        result.stats.comm_bytes.iter().sum::<u128>() > 0,
-        "a sharded run moves amplitude traffic: {:?}",
-        result.stats.comm_bytes
-    );
+        assert_eq!(
+            result.counts, reference.counts,
+            "{what}: sharded counts must be bitwise identical to the dense service"
+        );
+        let log = sharded.shard_log();
+        assert!(
+            log.iter().any(|r| matches!(r, ShardRecord::Started { job: 0, shards: 2 })),
+            "{what}: a 2-shard group must have formed; log: {log:?}"
+        );
+        assert!(
+            log.iter().any(|r| matches!(r, ShardRecord::Completed { job: 0, shards: 2, .. })),
+            "{what}: the planned 2-shard group must have completed; log: {log:?}"
+        );
+        let struck = match fault {
+            None => true,
+            Some(FaultKind::ShardWorkerDeath { .. }) => {
+                log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 0, .. }))
+            }
+            Some(_) => log.iter().any(|r| matches!(r, ShardRecord::LinkFault { job: 0, .. })),
+        };
+        assert!(struck, "{what}: the fault must actually have struck; log: {log:?}");
+        assert!(
+            result.stats.comm_bytes.iter().sum::<u128>() > 0,
+            "{what}: a sharded run moves amplitude traffic: {:?}",
+            result.stats.comm_bytes
+        );
+    }
 }
 
 /// Sharded `ExecStats` tell the truth. A served sharded job reports real

@@ -400,6 +400,7 @@ fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
         assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), dispatches as u128);
         assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), dispatches as u128);
         assert_eq!(snap.span_count(spans::SERVE_JOB), dispatches, "{what}: one span per dispatch");
+        assert_eq!(snap.counter(names::SERVE_JOBS_COMPLETED), dispatches as u128, "{what}");
 
         // `stats.elapsed` is the member's own stepper time: four runs do
         // not share one reading, and together they fit inside the last
@@ -411,8 +412,10 @@ fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
 
         let (unbatched, log) = serve(BatchConfig::disabled());
         assert!(log.is_empty(), "{what}: batching disabled logs nothing");
-        let counts = |rs: &[JobResult]| rs.iter().map(|r| r.counts.clone()).collect::<Vec<_>>();
-        assert_eq!(counts(&batched), counts(&unbatched), "{what}: members must match unbatched");
+        let ran = |rs: &[JobResult]| {
+            rs.iter().map(|r| (r.counts.clone(), r.stats.kernels_launched)).collect::<Vec<_>>()
+        };
+        assert_eq!(ran(&batched), ran(&unbatched), "{what}: members must match unbatched");
     }
 }
 
