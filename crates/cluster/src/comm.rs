@@ -8,6 +8,7 @@
 //! link classes so traffic can be costed per class.
 
 use crossbeam::channel;
+use qgear_telemetry::names;
 use std::fmt;
 
 /// Link classes in increasing cost order.
@@ -37,14 +38,13 @@ impl LinkClass {
         }
     }
 
-    /// Telemetry suffix (`comm.bytes.<suffix>` / `comm.messages.<suffix>`),
-    /// following the `snake_case` quantity convention of
-    /// `qgear_telemetry::names`.
-    pub const fn metric_suffix(self) -> &'static str {
+    /// The `(comm.bytes.<class>, comm.messages.<class>)` counters the
+    /// real distributed engine adds to per exchange over this class.
+    pub const fn counters(self) -> (&'static str, &'static str) {
         match self {
-            LinkClass::IntraNode => "intra_node",
-            LinkClass::InterNode => "inter_node",
-            LinkClass::InterRack => "inter_rack",
+            LinkClass::IntraNode => (names::COMM_BYTES_INTRA_NODE, names::COMM_MESSAGES_INTRA_NODE),
+            LinkClass::InterNode => (names::COMM_BYTES_INTER_NODE, names::COMM_MESSAGES_INTER_NODE),
+            LinkClass::InterRack => (names::COMM_BYTES_INTER_RACK, names::COMM_MESSAGES_INTER_RACK),
         }
     }
 }
@@ -269,12 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn metric_suffixes_are_snake_case_and_distinct() {
+    fn class_counters_follow_the_naming_convention_and_are_distinct() {
         let mut seen = std::collections::HashSet::new();
         for class in LinkClass::ALL {
-            let s = class.metric_suffix();
-            assert!(s.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-            assert!(seen.insert(s));
+            let (bytes, messages) = class.counters();
+            let suffix = bytes.strip_prefix("comm.bytes.").expect("comm.bytes.<class>");
+            assert_eq!(messages.strip_prefix("comm.messages."), Some(suffix));
+            assert!(suffix.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
+            assert!(seen.insert(suffix));
         }
     }
 }

@@ -175,14 +175,9 @@ impl<T: Scalar> DistributedState<T> {
             // Per-class global counters for the *real* engine only — the
             // dry-run `TrafficPlanner` twin records into its own
             // `TrafficStats` without touching process-wide telemetry.
-            qgear_telemetry::counter_add(
-                &qgear_telemetry::names::comm_bytes(class.metric_suffix()),
-                2 * bytes,
-            );
-            qgear_telemetry::counter_add(
-                &qgear_telemetry::names::comm_messages(class.metric_suffix()),
-                2,
-            );
+            let (bytes_counter, messages_counter) = class.counters();
+            qgear_telemetry::counter_add(bytes_counter, 2 * bytes);
+            qgear_telemetry::counter_add(messages_counter, 2);
             // Scatter: r0 fills its bit=1 slots with r1's old bit=0 half;
             // r1 fills its bit=0 slots with r0's old bit=1 half.
             let mut k = 0usize;

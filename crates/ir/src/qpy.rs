@@ -85,6 +85,12 @@ pub fn read(mut data: &[u8]) -> Result<Vec<Circuit>, IrError> {
         return Err(IrError::UnsupportedVersion(version));
     }
     let count = data.get_u32_le() as usize;
+    // The count is untrusted even under a valid CRC: bound it by what
+    // the body can hold (10 bytes is a circuit with no name and no
+    // gates) before allocating for it.
+    if count > data.remaining() / 10 {
+        return Err(IrError::Malformed("circuit count exceeds the buffer".into()));
+    }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         if data.remaining() < 6 {

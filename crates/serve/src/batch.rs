@@ -77,7 +77,7 @@ pub struct BatchKey {
 }
 
 /// How one batch member's dispatch resolved, recorded in the
-/// [`BatchRecord`] audit log that the simulation oracles consume.
+/// [`BatchRecord`] events that the simulation oracles consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMemberDisposition {
     /// Answered from the full-result cache during the pre-execution
@@ -102,16 +102,15 @@ pub enum BatchMemberDisposition {
     Requeued,
 }
 
-/// Audit record of one flushed batch, appended to the service's batch
-/// log in flush order. Occupancy is `members.len()`.
-#[derive(Debug, Clone)]
+/// Audit record of one flushed batch: an [`crate::EventKind::Batch`]
+/// event, recorded once every member is published or requeued.
+/// Occupancy is `members.len()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRecord {
     /// `(job id, disposition)` per member, in batch (coalescing) order.
     pub members: Vec<(u64, BatchMemberDisposition)>,
     /// Service-clock instant the leader was popped (coalescing began).
     pub formed_at: Duration,
-    /// Service-clock instant the batch flushed to execution.
-    pub flushed_at: Duration,
 }
 
 #[cfg(test)]

@@ -31,9 +31,10 @@ pub struct CheckpointGeneration {
     pub bytes: Arc<Vec<u8>>,
 }
 
-/// Everything the service records about checkpoint activity, kept as an
-/// ordered log so the simtest oracles can replay the recovery ladder's
-/// decisions. Jobs are identified by their serving id (`JobId.0`).
+/// Everything the service records about checkpoint activity — the
+/// [`crate::EventKind::Checkpoint`] events, in order, are the recovery
+/// ladder's decisions for the simtest oracles to replay. Jobs are
+/// identified by their serving id (`JobId.0`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointRecord {
     /// A checkpoint generation was written at `cursor`.

@@ -30,16 +30,7 @@ impl CircuitKey {
     /// fan), so the engine tag is part of result identity.
     pub fn for_spec(circuit: &Circuit, spec: &JobSpec, fusion_width: usize, engine: Engine) -> Self {
         let mut h = Fnv::new();
-        h.u64(u64::from(circuit.num_qubits()));
-        for gate in circuit.gates() {
-            h.u64(u64::from(gate.kind.tag()));
-            for &q in gate.operands() {
-                h.u64(u64::from(q));
-            }
-            for &p in gate.parameters() {
-                h.u64(p.to_bits());
-            }
-        }
+        h.gates(circuit);
         h.u64(spec.shots);
         h.u64(spec.seed);
         h.u64(match spec.precision {
@@ -64,16 +55,7 @@ impl CircuitKey {
         h.u64(0x5747_4154_454b_4559); // "WGATEKEY"
         // The marginal cache is only populated and probed on the dense
         // ideal path, so noise/engine knobs never reach this digest.
-        h.u64(u64::from(circuit.num_qubits()));
-        for gate in circuit.gates() {
-            h.u64(u64::from(gate.kind.tag()));
-            for &q in gate.operands() {
-                h.u64(u64::from(q));
-            }
-            for &p in gate.parameters() {
-                h.u64(p.to_bits());
-            }
-        }
+        h.gates(circuit);
         h.u64(match spec.precision {
             Precision::Fp32 => 1,
             Precision::Fp64 => 2,
@@ -95,6 +77,21 @@ impl Fnv {
         for byte in v.to_le_bytes() {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Digest the register width and the gate stream: kind tag, operand
+    /// qubits and parameter bit patterns, gate by gate.
+    fn gates(&mut self, circuit: &Circuit) {
+        self.u64(u64::from(circuit.num_qubits()));
+        for gate in circuit.gates() {
+            self.u64(u64::from(gate.kind.tag()));
+            for &q in gate.operands() {
+                self.u64(u64::from(q));
+            }
+            for &p in gate.parameters() {
+                self.u64(p.to_bits());
+            }
         }
     }
 

@@ -31,6 +31,9 @@
 //!   job/shot counters, cache hit/miss counters, and one `serve_job`
 //!   span per dispatched job (see `qgear_telemetry::names`), so the
 //!   saturation bench reports p50/p95/p99 straight from spans.
+//! * **One event stream** ([`Service::events`]) — every dispatch,
+//!   checkpoint step, batch flush, shard step and pool decision in one
+//!   clock-stamped log, keyed per job by [`Service::events_for`].
 //!
 //! ```
 //! use qgear_ir::Circuit;
@@ -52,6 +55,7 @@
 pub mod batch;
 pub mod cache;
 pub mod checkpoint_store;
+pub mod event;
 pub mod fault;
 pub mod hashkey;
 pub mod job;
@@ -64,6 +68,7 @@ mod stepper;
 pub use batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 pub use cache::{MarginalCache, ResultCache};
 pub use checkpoint_store::{CheckpointGeneration, CheckpointRecord, CheckpointStore};
+pub use event::{EventKind, ServiceEvent};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 pub use hashkey::CircuitKey;
 pub use job::{

@@ -5,17 +5,16 @@
 //! and spawns extra workers when the backlog crosses the scale-up
 //! threshold, and a worker retires itself when it publishes an outcome
 //! into an empty queue while the pool is above its floor. Every decision
-//! is logged as a [`PoolDecision`] with the service-clock reading at
-//! which it was taken — under a virtual clock the whole log is exactly
-//! reproducible, which is what the simtest regression pins.
+//! is an [`crate::EventKind::Pool`] event, stamped like every event with
+//! the service-clock reading at which it was taken — under a virtual
+//! clock the whole sequence is exactly reproducible, which is what the
+//! simtest regression pins.
 //!
 //! The pool is also where shard migration draws replacement capacity: a
 //! [`crate::fault::FaultKind::ShardWorkerDeath`] tears a shard group
 //! down, and the requeued job's next dispatch — on whichever pool worker
 //! picks it up — is the replacement. That hand-off is recorded as
 //! [`PoolDecision::Replace`].
-
-use std::time::Duration;
 
 /// Elastic-pool sizing policy. Attach via `ServeConfig::pool`; the
 /// initial thread count is still `ServeConfig::workers` (conventionally
@@ -37,13 +36,11 @@ impl Default for PoolConfig {
     }
 }
 
-/// One autonomous pool action, stamped with the service clock.
+/// One autonomous pool action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolDecision {
     /// Admission saw a backlog and spawned a worker.
     ScaleUp {
-        /// Service-clock reading at the decision.
-        at: Duration,
         /// Live workers before the spawn.
         from: usize,
         /// Live workers after the spawn.
@@ -53,8 +50,6 @@ pub enum PoolDecision {
     },
     /// A worker published an outcome into an empty queue and retired.
     ScaleDown {
-        /// Service-clock reading at the decision.
-        at: Duration,
         /// Live workers before the retirement.
         from: usize,
         /// Live workers after the retirement.
@@ -63,8 +58,6 @@ pub enum PoolDecision {
     /// A shard group lost a worker; the requeued job's next dispatch is
     /// its replacement, drawn from the pool.
     Replace {
-        /// Service-clock reading at the group teardown.
-        at: Duration,
         /// Serving id of the sharded job being migrated.
         job: u64,
         /// Shard rank whose worker died.
@@ -82,22 +75,5 @@ mod tests {
         assert!(p.min_workers >= 1);
         assert!(p.max_workers >= p.min_workers);
         assert!(p.scale_up_depth >= 1);
-    }
-
-    #[test]
-    fn decisions_carry_their_clock_reading() {
-        let d = PoolDecision::ScaleUp {
-            at: Duration::from_millis(7),
-            from: 1,
-            to: 2,
-            queue_depth: 3,
-        };
-        match d {
-            PoolDecision::ScaleUp { at, from, to, queue_depth } => {
-                assert_eq!(at, Duration::from_millis(7));
-                assert_eq!((from, to, queue_depth), (1, 2, 3));
-            }
-            _ => unreachable!(),
-        }
     }
 }

@@ -15,13 +15,14 @@
 
 use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
-use crate::checkpoint_store::{CheckpointRecord, CheckpointStore};
+use crate::checkpoint_store::CheckpointStore;
+use crate::event::{EventKind, ServiceEvent};
 use crate::fault::{FaultKind, FaultPlan, FaultSchedule};
 use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
 use crate::pool::{PoolConfig, PoolDecision};
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
-use crate::shard::{ShardConfig, ShardRecord, ShardSource};
+use crate::shard::{ShardConfig, ShardSource};
 use crate::stepper::{drive, Attempt, DenseSource};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
@@ -214,21 +215,10 @@ pub(crate) struct State {
     /// In-flight jobs whose cancellation has been requested; workers
     /// observe these between backoff slices and attempts.
     cancel_requests: HashSet<u64>,
-    dispatch_log: Vec<DispatchRecord>,
+    /// The audit stream, appended only through [`Shared::record`].
+    events: Vec<ServiceEvent>,
     /// Per-job generational checkpoints for in-flight segmented jobs.
     pub(crate) checkpoints: CheckpointStore,
-    /// Ordered record of every checkpoint write/verify/resume decision,
-    /// for the simtest oracles and operators' post-mortems.
-    pub(crate) checkpoint_log: Vec<CheckpointRecord>,
-    /// One record per flushed batch (member ids + dispositions), in
-    /// flush order — the coalescing-conservation oracle's evidence.
-    batch_log: Vec<BatchRecord>,
-    /// Shard-group lifecycle audit: starts, faults, migrations,
-    /// completions, in worker order (see [`ShardRecord`]).
-    pub(crate) shard_log: Vec<ShardRecord>,
-    /// Elastic-pool decision audit, in decision order. Under a virtual
-    /// clock this log is exactly reproducible.
-    pub(crate) pool_log: Vec<PoolDecision>,
     /// Worker threads currently alive (spawned minus retired). Only the
     /// elastic pool moves it.
     live_workers: usize,
@@ -254,6 +244,13 @@ impl Shared {
     pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("serve state poisoned")
     }
+
+    /// The one way an event enters the stream: stamped under the state
+    /// lock the caller holds for the decision itself, so log order, stamp
+    /// order and decision order are one order.
+    pub(crate) fn record(&self, st: &mut State, kind: EventKind) {
+        st.events.push(ServiceEvent { at: self.cfg.clock.now(), kind });
+    }
 }
 
 /// A running multi-tenant simulation service.
@@ -273,12 +270,8 @@ impl Service {
                 marginals: MarginalCache::new(cfg.state_cache_capacity),
                 outcomes: HashMap::new(),
                 cancel_requests: HashSet::new(),
-                dispatch_log: Vec::new(),
+                events: Vec::new(),
                 checkpoints: CheckpointStore::new(cfg.checkpoint_generations),
-                checkpoint_log: Vec::new(),
-                batch_log: Vec::new(),
-                shard_log: Vec::new(),
-                pool_log: Vec::new(),
                 live_workers: worker_count,
                 next_worker_id: worker_count,
                 next_id: 0,
@@ -337,8 +330,11 @@ impl Service {
                 }
             };
 
+        // Every digest of the circuit is taken before the lock: each walks
+        // the whole gate stream, and workers block on this lock.
         let key = CircuitKey::for_spec(&canonical, &spec, self.shared.cfg.fusion_width, engine);
         let state_key = CircuitKey::state_key(&canonical, &spec, self.shared.cfg.fusion_width);
+        let shape = shape_digest(&canonical);
         let submitted_at = self.shared.cfg.clock.now();
         let mut st = self.shared.lock();
         if st.shutdown {
@@ -353,7 +349,6 @@ impl Service {
         }
         let id = JobId(st.next_id);
         st.next_id += 1;
-        let shape = shape_digest(&canonical);
         let job = QueuedJob {
             id,
             spec,
@@ -368,25 +363,23 @@ impl Service {
         };
         st.queue.push(job).expect("queue not full under lock");
         counter_inc(names::SERVE_JOBS_SUBMITTED);
-        counter_inc(&names::admission_backend_chosen(engine.name()));
+        if qgear_telemetry::is_enabled() {
+            counter_inc(&names::admission_backend_chosen(engine.name()));
+        }
         histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
 
         // Elastic pool: admission is where queue-depth telemetry turns
-        // into capacity. The decision is taken under the same lock that
-        // enqueued the job and stamped with the admission clock reading,
-        // so under a virtual clock the ScaleUp log is exact.
+        // into capacity. The decision is taken and stamped under the
+        // same lock that enqueued the job, so under a virtual clock the
+        // ScaleUp events are exact.
         let mut spawn_worker = None;
         if let Some(pool) = self.shared.cfg.pool {
             let depth = st.queue.len();
             if depth >= pool.scale_up_depth.max(1) && st.live_workers < pool.max_workers {
                 let from = st.live_workers;
                 st.live_workers += 1;
-                st.pool_log.push(PoolDecision::ScaleUp {
-                    at: submitted_at,
-                    from,
-                    to: from + 1,
-                    queue_depth: depth,
-                });
+                let up = PoolDecision::ScaleUp { from, to: from + 1, queue_depth: depth };
+                self.shared.record(&mut st, EventKind::Pool(up));
                 counter_inc(names::POOL_SCALE_UPS);
                 histogram_record(names::POOL_WORKERS, (from + 1) as f64);
                 spawn_worker = Some(st.next_worker_id);
@@ -478,46 +471,17 @@ impl Service {
         self.shared.lock().queue.len()
     }
 
-    /// The dispatch log so far — one record per job handed to a worker,
-    /// in dispatch order. Invariant checks (FIFO within tenant+class,
-    /// no duplicates) run over this.
-    pub fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.shared.lock().dispatch_log.clone()
+    /// The audit stream so far (see [`crate::event`]), in the order the
+    /// state lock serialized it. Under a virtual clock the whole stream
+    /// is exactly reproducible; the simtest oracles replay it.
+    pub fn events(&self) -> Vec<ServiceEvent> {
+        self.shared.lock().events.clone()
     }
 
-    /// The checkpoint activity log so far — every write, verification
-    /// failure, resume, and cold restart in the order the workers
-    /// performed them. Jobs are serving ids ([`JobId`]`.0`). The
-    /// simtest progress-monotonicity oracle replays this to prove the
-    /// recovery ladder never moved a job's cursor backwards.
-    pub fn checkpoint_log(&self) -> Vec<CheckpointRecord> {
-        self.shared.lock().checkpoint_log.clone()
-    }
-
-    /// The batch audit log so far — one record per flushed batch in
-    /// flush order, each listing its members' ids and dispositions.
-    /// Empty when batching is disabled. The simtest coalescing
-    /// conservation oracle replays this to prove every admitted job
-    /// landed in exactly one flush and none were lost or duplicated.
-    pub fn batch_log(&self) -> Vec<BatchRecord> {
-        self.shared.lock().batch_log.clone()
-    }
-
-    /// The shard audit log so far — every group start, worker loss,
-    /// migration, link fault, cold restart, and completion in the order
-    /// the workers performed them. Empty when sharding is disabled. The
-    /// simtest exchange-conservation and migration-bit-identity oracles
-    /// replay this.
-    pub fn shard_log(&self) -> Vec<ShardRecord> {
-        self.shared.lock().shard_log.clone()
-    }
-
-    /// The elastic-pool decision log so far — every scale-up, scale-down,
-    /// and shard-replacement hand-off, stamped with the service clock.
-    /// Empty without a [`PoolConfig`]. Under a virtual clock the whole
-    /// log is exactly reproducible, which the simtest regression pins.
-    pub fn pool_log(&self) -> Vec<PoolDecision> {
-        self.shared.lock().pool_log.clone()
+    /// The events that [concern](ServiceEvent::concerns) `id`, in stream
+    /// order — one job's life across every kind.
+    pub fn events_for(&self, id: JobId) -> Vec<ServiceEvent> {
+        self.shared.lock().events.iter().filter(|e| e.concerns(id)).cloned().collect()
     }
 
     /// Worker threads currently alive (the fixed count without a pool).
@@ -563,7 +527,7 @@ enum ServeStep {
 enum Precheck {
     /// Resolved without executing (cancelled, expired, answered from a
     /// cache); the outcome is still to be published. The disposition is
-    /// what the batch audit log records for a member that ended here.
+    /// what the flush's batch event records for a member that ended here.
     Resolved(JobOutcome, BatchMemberDisposition),
     /// Must execute: enters the attempt loop (solo) or its batch's
     /// member loop.
@@ -582,15 +546,16 @@ pub(crate) struct Injected {
     pub(crate) link_fault: Option<(u32, bool)>,
 }
 
-/// Book one job handed to a worker — its dispatch record and in-flight
+/// Book one job handed to a worker — its dispatch event and in-flight
 /// slot — under the same lock that popped it.
-fn record_dispatch(st: &mut State, job: &QueuedJob) {
-    st.dispatch_log.push(DispatchRecord {
+fn record_dispatch(shared: &Shared, st: &mut State, job: &QueuedJob) {
+    let dispatch = DispatchRecord {
         id: job.id,
         tenant: job.spec.tenant.clone(),
         priority: job.spec.priority,
         seq: job.seq,
-    });
+    };
+    shared.record(st, EventKind::Dispatch(dispatch));
     st.in_flight += 1;
     histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
 }
@@ -606,7 +571,7 @@ fn worker_loop(shared: &Shared) {
             let mut st = shared.lock();
             loop {
                 if let Some(job) = st.queue.pop_next() {
-                    record_dispatch(&mut st, &job);
+                    record_dispatch(shared, &mut st, &job);
                     break job;
                 }
                 if st.shutdown {
@@ -693,11 +658,7 @@ fn pool_retire(shared: &Shared, st: &mut State) -> bool {
     }
     let from = st.live_workers;
     st.live_workers -= 1;
-    st.pool_log.push(PoolDecision::ScaleDown {
-        at: shared.cfg.clock.now(),
-        from,
-        to: from - 1,
-    });
+    shared.record(st, EventKind::Pool(PoolDecision::ScaleDown { from, to: from - 1 }));
     counter_inc(names::POOL_SCALE_DOWNS);
     histogram_record(names::POOL_WORKERS, (from - 1) as f64);
     true
@@ -838,8 +799,11 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
 fn complete(shared: &Shared, job: &QueuedJob, mut result: JobResult) -> JobOutcome {
     result.service_time = shared.cfg.clock.now().saturating_sub(job.submitted_at);
     counter_inc(names::SERVE_JOBS_COMPLETED);
-    counter_inc(&names::serve_tenant_jobs(&job.spec.tenant));
-    counter_add(&names::serve_tenant_shots(&job.spec.tenant), u128::from(job.spec.shots));
+    if qgear_telemetry::is_enabled() {
+        // Per-tenant names are built here, so only when someone reads them.
+        counter_inc(&names::serve_tenant_jobs(&job.spec.tenant));
+        counter_add(&names::serve_tenant_shots(&job.spec.tenant), u128::from(job.spec.shots));
+    }
     histogram_record(names::SERVE_LATENCY_MS, result.service_time.as_secs_f64() * 1e3);
     JobOutcome::Completed(Box::new(result))
 }
@@ -1075,7 +1039,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
                         && batch_eligible(&shared.cfg, j)
                 });
                 let Some(mate) = mate else { break };
-                record_dispatch(&mut st, &mate);
+                record_dispatch(shared, &mut st, &mate);
                 if let Some(d) = mate.spec.deadline {
                     end = end.min(mate.submitted_at.saturating_add(d));
                 }
@@ -1128,8 +1092,8 @@ fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
     }
     execute_batch(shared, executing, &mut dispositions);
 
-    let mut st = shared.lock();
-    st.batch_log.push(BatchRecord { members: dispositions, formed_at, flushed_at });
+    let flush = BatchRecord { members: dispositions, formed_at };
+    shared.record(&mut shared.lock(), EventKind::Batch(flush));
 }
 
 /// Run the surviving members, in batch order, each as its own
@@ -1510,8 +1474,26 @@ pub(crate) fn sample_and_package<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint_store::CheckpointRecord;
     use crate::job::Priority;
     use qgear_ir::Circuit;
+
+    /// Job 0's checkpoint records, in stream order.
+    fn checkpoint_records(service: &Service) -> Vec<CheckpointRecord> {
+        let pick = |e: ServiceEvent| match e.kind {
+            EventKind::Checkpoint(record) => Some(record),
+            _ => None,
+        };
+        service.events_for(JobId(0)).into_iter().filter_map(pick).collect()
+    }
+
+    fn batch_records(service: &Service) -> Vec<BatchRecord> {
+        let pick = |e: ServiceEvent| match e.kind {
+            EventKind::Batch(record) => Some(record),
+            _ => None,
+        };
+        service.events().into_iter().filter_map(pick).collect()
+    }
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -1562,7 +1544,7 @@ mod tests {
         let outcome = service.wait(id).unwrap();
         let result = outcome.result().expect("completed after resume").clone();
         assert_eq!(result.attempts, 2, "the dying attempt was consumed");
-        let log = service.checkpoint_log();
+        let log = checkpoint_records(&service);
         assert!(log.contains(&CheckpointRecord::Wrote { job: 0, generation: 0, cursor: 1 }));
         assert!(log.contains(&CheckpointRecord::Wrote { job: 0, generation: 1, cursor: 2 }));
         assert!(
@@ -1608,7 +1590,7 @@ mod tests {
         let id = service.submit(JobSpec::new(c).shots(100)).job_id().unwrap();
         let outcome = service.wait(id).unwrap();
         assert!(outcome.result().is_some(), "cold restart still completes");
-        let log = service.checkpoint_log();
+        let log = checkpoint_records(&service);
         let fails = log
             .iter()
             .filter(|r| matches!(r, CheckpointRecord::VerifyFailed { .. }))
@@ -1652,7 +1634,7 @@ mod tests {
             .iter()
             .map(|&id| batched.wait(id).unwrap().result().unwrap().counts.clone())
             .collect();
-        let log = batched.batch_log();
+        let log = batch_records(&batched);
         let mut seen = std::collections::HashSet::new();
         for record in &log {
             for &(id, _) in &record.members {
@@ -1711,7 +1693,7 @@ mod tests {
         {
             let mut st = service.shared.lock();
             for job in &members {
-                record_dispatch(&mut st, job);
+                record_dispatch(&service.shared, &mut st, job);
             }
         }
         serve_batch(&service.shared, members, Duration::ZERO);
@@ -1727,7 +1709,7 @@ mod tests {
             matches!(bad, JobOutcome::Failed(ServeError::Sim(SimError::UnsupportedGate(_)))),
             "{bad:?}"
         );
-        let log = service.batch_log();
+        let log = batch_records(&service);
         assert_eq!(log.len(), 1);
         let ran = |id| (id, BatchMemberDisposition::Executed);
         assert_eq!(log[0].members, [ran(0), ran(1), ran(2)]);
@@ -2039,9 +2021,8 @@ mod tests {
         assert!(service.cancel(victim), "still queued, so cancellable");
         assert!(matches!(service.wait(victim).unwrap(), JobOutcome::Cancelled));
         assert!(!service.cancel(victim), "second cancel is a no-op");
-        let log = service.dispatch_log();
         assert!(
-            log.iter().all(|r| r.id != victim),
+            service.events_for(victim).is_empty(),
             "cancelled job must never dispatch"
         );
         service.shutdown();

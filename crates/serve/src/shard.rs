@@ -28,6 +28,7 @@
 //! fused kernels the dense engine would, so a migrated or recovered run
 //! finishes byte-identical to an unfaulted (or unsharded) one.
 
+use crate::event::EventKind;
 use crate::pool::PoolDecision;
 use crate::scheduler::QueuedJob;
 use crate::service::{shard_min_local_width, Injected, Shared};
@@ -57,10 +58,14 @@ impl Default for ShardConfig {
     }
 }
 
-/// One entry of the shard audit log ([`crate::Service::shard_log`]):
-/// every group start, fault, recovery, and completion in the order the
-/// workers performed them. Jobs are serving ids (`JobId.0`). The simtest
-/// exchange-conservation and migration oracles replay this.
+/// One step of a shard group's life — an [`crate::EventKind::Shard`]
+/// event: every group start, fault and completion in the order the
+/// workers performed them. Jobs are serving ids (`JobId.0`). What the
+/// recovery ladder then did — the migration onto the replacement group,
+/// or a cold restart — is the job's next
+/// [`crate::CheckpointRecord::Resumed`] / `ColdRestart` event and is not
+/// repeated here. The simtest exchange-conservation and migration
+/// oracles replay this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRecord {
     /// A dispatch entered sharded execution on a group this wide.
@@ -79,14 +84,6 @@ pub enum ShardRecord {
         /// Segments the group completed before the death.
         after_segments: u32,
     },
-    /// A replacement dispatch restored a checkpoint generation onto a
-    /// fresh group — the migration itself.
-    Migrated {
-        /// Serving id.
-        job: u64,
-        /// Schedule cursor of the restored generation.
-        resumed_from: u64,
-    },
     /// A pairwise exchange failed and the dispatch recovered in place.
     LinkFault {
         /// Serving id.
@@ -98,12 +95,6 @@ pub enum ShardRecord {
         /// Cursor recovered to (`None` = no verified generation survived;
         /// the dispatch cold-restarted from `|0…0⟩`).
         resumed_from: Option<u64>,
-    },
-    /// No verified generation survived the ladder; the dispatch restarted
-    /// from `|0…0⟩`.
-    ColdRestarted {
-        /// Serving id.
-        job: u64,
     },
     /// The group finished the schedule and sampled. Traffic counters are
     /// the *final* group instance's (a migration or in-place recovery
@@ -221,7 +212,7 @@ impl<'a> ShardSource<'a> {
 }
 
 fn log(shared: &Shared, record: ShardRecord) {
-    shared.lock().shard_log.push(record);
+    shared.record(&mut shared.lock(), EventKind::Shard(record));
 }
 
 impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
@@ -236,40 +227,30 @@ impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
             .map(|run| self.arm(run))
     }
 
-    fn settled(
-        &self,
-        restored: Option<u64>,
-        had_generations: bool,
-        broken: Option<(&Self::Run, CommError)>,
-    ) {
-        let job = self.job.id.0;
-        if restored.is_none() && had_generations {
-            log(self.shared, ShardRecord::ColdRestarted { job });
-        }
+    fn settled(&self, restored: Option<u64>, broken: Option<(&Self::Run, CommError)>) {
         match (broken, restored) {
             (Some((run, err)), resumed_from) => {
                 counter_inc(names::SERVE_SHARD_LINK_FAULTS);
+                let job = self.job.id.0;
                 let exchange = run.dist().exchanges().saturating_sub(1);
                 let corrupt = matches!(err, CommError::Corrupted);
                 log(self.shared, ShardRecord::LinkFault { job, exchange, corrupt, resumed_from });
             }
-            (None, Some(resumed_from)) => {
-                counter_inc(names::SERVE_SHARD_MIGRATIONS);
-                log(self.shared, ShardRecord::Migrated { job, resumed_from });
-            }
+            // The ladder's own `Resumed` event is the record of it.
+            (None, Some(_)) => counter_inc(names::SERVE_SHARD_MIGRATIONS),
             (None, None) => {}
         }
     }
 
-    /// The lost shard goes in the shard log and — when the pool is
-    /// elastic — the replacement hand-off in the pool log.
+    /// The lost shard is a shard event and — when the pool is elastic —
+    /// the replacement hand-off a pool event right behind it.
     fn died(&self, after_segments: u32) {
         let (job, shard) = (self.job.id.0, self.lost_shard);
-        let at = self.shared.cfg.clock.now();
         let mut st = self.shared.lock();
-        st.shard_log.push(ShardRecord::WorkerLost { job, shard, after_segments });
+        let lost = ShardRecord::WorkerLost { job, shard, after_segments };
+        self.shared.record(&mut st, EventKind::Shard(lost));
         if self.shared.cfg.pool.is_some() {
-            st.pool_log.push(PoolDecision::Replace { at, job, shard });
+            self.shared.record(&mut st, EventKind::Pool(PoolDecision::Replace { job, shard }));
         }
     }
 

@@ -12,6 +12,7 @@
 //! lands on produces byte-identical final counts.
 
 use crate::checkpoint_store::CheckpointRecord;
+use crate::event::EventKind;
 use crate::scheduler::QueuedJob;
 use crate::service::{sample_and_package, Executed, Shared};
 use qgear_cluster::CommError;
@@ -54,17 +55,10 @@ pub(crate) trait StepSource<T: CheckpointScalar> {
     /// Rebuild the schedule and install a decoded checkpoint into it,
     /// refusing anything that does not match it exactly.
     fn resume(&self, ck: StateCheckpoint<T>) -> Result<Self::Run, CheckpointError>;
-    /// The ladder settled: on the cursor it `restored`, or cold (with
-    /// `had_generations` telling whether any were retained at all). At
-    /// the start of a dispatch `broken` is `None`; mid-run it carries
-    /// the run a failed exchange just poisoned.
-    fn settled(
-        &self,
-        _restored: Option<u64>,
-        _had_generations: bool,
-        _broken: Option<(&Self::Run, CommError)>,
-    ) {
-    }
+    /// The ladder settled: on the cursor it `restored`, or cold. At the
+    /// start of a dispatch `broken` is `None`; mid-run it carries the
+    /// run a failed exchange just poisoned.
+    fn settled(&self, _restored: Option<u64>, _broken: Option<(&Self::Run, CommError)>) {}
     /// The die-after budget fired after `segments_done` segments.
     fn died(&self, _segments_done: u32) {}
     /// The schedule completed on `run`.
@@ -122,7 +116,8 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
                 bytes[mid] ^= 0x40;
             }
             st.checkpoints.record(id, cursor, bytes);
-            st.checkpoint_log.push(CheckpointRecord::Wrote { job: id, generation, cursor });
+            let wrote = CheckpointRecord::Wrote { job: id, generation, cursor };
+            shared.record(&mut st, EventKind::Checkpoint(wrote));
             drop(st);
             counter_inc(names::CHECKPOINT_WRITES);
             drop(write_span);
@@ -174,8 +169,8 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
             Ok(run) => {
                 let cursor = run.cursor();
                 histogram_record(names::JOB_RESUMED_FROM, cursor as f64);
-                let mut st = shared.lock();
-                st.checkpoint_log.push(CheckpointRecord::Resumed { job: id, generation, cursor });
+                let record = CheckpointRecord::Resumed { job: id, generation, cursor };
+                shared.record(&mut shared.lock(), EventKind::Checkpoint(record));
                 resumed = Some(run);
                 break;
             }
@@ -183,15 +178,16 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
                 counter_inc(names::CHECKPOINT_VERIFY_FAILS);
                 let mut st = shared.lock();
                 st.checkpoints.drop_generation(id, generation);
-                st.checkpoint_log.push(CheckpointRecord::VerifyFailed { job: id, generation });
+                let failed = CheckpointRecord::VerifyFailed { job: id, generation };
+                shared.record(&mut st, EventKind::Checkpoint(failed));
             }
         }
     }
     if resumed.is_none() && had_generations {
-        let mut st = shared.lock();
-        st.checkpoint_log.push(CheckpointRecord::ColdRestart { job: id });
+        let cold = CheckpointRecord::ColdRestart { job: id };
+        shared.record(&mut shared.lock(), EventKind::Checkpoint(cold));
     }
-    source.settled(resumed.as_ref().map(|run| run.cursor()), had_generations, broken);
+    source.settled(resumed.as_ref().map(|run| run.cursor()), broken);
     match resumed {
         Some(run) => Ok(run),
         None => source.fresh(),
@@ -256,7 +252,7 @@ mod tests {
     use super::*;
     use crate::hashkey::CircuitKey;
     use crate::job::{Engine, JobId, JobSpec};
-    use crate::{FaultKind, FaultSchedule, ServeConfig, Service};
+    use crate::{FaultKind, FaultSchedule, ServeConfig, Service, ServiceEvent};
     use qgear_ir::shape_digest;
     use qgear_statevec::checkpoint::{encode, CheckpointCounters};
     use qgear_statevec::SamplingConfig;
@@ -340,9 +336,9 @@ mod tests {
             Ok(FakeRun { cursor: ck.cursor, total: self.total, break_at: self.break_at.take() })
         }
 
-        fn settled(&self, restored: Option<u64>, had: bool, broken: Option<(&FakeRun, CommError)>) {
+        fn settled(&self, restored: Option<u64>, broken: Option<(&FakeRun, CommError)>) {
             let broken = broken.map(|(run, _)| run.cursor);
-            self.hooks.borrow_mut().push(format!("settled {restored:?} {had} {broken:?}"));
+            self.hooks.borrow_mut().push(format!("settled {restored:?} {broken:?}"));
         }
 
         fn died(&self, segments_done: u32) {
@@ -381,14 +377,14 @@ mod tests {
         })
     }
 
-    fn checkpoint_log(service: &Service, job: u64) -> Vec<CheckpointRecord> {
-        let wanted = |r: &CheckpointRecord| match *r {
-            CheckpointRecord::Wrote { job: j, .. }
-            | CheckpointRecord::VerifyFailed { job: j, .. }
-            | CheckpointRecord::Resumed { job: j, .. }
-            | CheckpointRecord::ColdRestart { job: j } => j == job,
+    /// `job`'s events; nothing but the ladder and the segment loop ever
+    /// ran for it, so every one is a checkpoint record.
+    fn checkpoint_events(service: &Service, job: u64) -> Vec<CheckpointRecord> {
+        let unwrap = |e: ServiceEvent| match e.kind {
+            EventKind::Checkpoint(record) => record,
+            other => panic!("drive() logged {other:?}"),
         };
-        service.checkpoint_log().into_iter().filter(wanted).collect()
+        service.events_for(JobId(job)).into_iter().map(unwrap).collect()
     }
 
     fn retained(service: &Service, job: u64) -> Vec<u64> {
@@ -403,7 +399,7 @@ mod tests {
         let source = FakeSource::new(4);
         let died = drive::<f64, _>(&service.shared, &job(id), &source, 1, Some(2)).unwrap();
         assert!(matches!(died, Attempt::Died));
-        assert_eq!(*source.hooks.borrow(), ["settled None false None", "died 2"]);
+        assert_eq!(*source.hooks.borrow(), ["settled None None", "died 2"]);
         source
     }
 
@@ -416,9 +412,9 @@ mod tests {
         let Attempt::Finished(done) = done else { panic!("no die budget, must finish") };
         assert_eq!(done.1.kernels_launched, 4);
         assert_eq!(done.0.as_ref().map(|c| c.total()), Some(8), "the driver samples");
-        assert_eq!(*source.hooks.borrow(), ["settled Some(2) true None", "completed 4"]);
+        assert_eq!(*source.hooks.borrow(), ["settled Some(2) None", "completed 4"]);
         assert_eq!(
-            checkpoint_log(&service, 0),
+            checkpoint_events(&service, 0),
             [
                 CheckpointRecord::Wrote { job: 0, generation: 0, cursor: 1 },
                 CheckpointRecord::Wrote { job: 0, generation: 1, cursor: 2 },
@@ -438,10 +434,10 @@ mod tests {
         let source = FakeSource::new(4);
         // Die again at once, so what the ladder left in the store shows.
         drive::<f64, _>(&service.shared, &job(1), &source, 4, Some(1)).unwrap();
-        assert_eq!(*source.hooks.borrow(), ["settled Some(1) true None", "died 1"]);
+        assert_eq!(*source.hooks.borrow(), ["settled Some(1) None", "died 1"]);
         assert_eq!(retained(&service, 1), [0], "only the corrupt generation was dropped");
         assert_eq!(
-            checkpoint_log(&service, 1)[2..],
+            checkpoint_events(&service, 1)[2..],
             [
                 CheckpointRecord::VerifyFailed { job: 1, generation: 1 },
                 CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 1 },
@@ -459,9 +455,9 @@ mod tests {
         let source = FakeSource::new(4);
         let done = drive::<f64, _>(&service.shared, &job(2), &source, 4, None).unwrap();
         assert!(matches!(done, Attempt::Finished(_)));
-        assert_eq!(*source.hooks.borrow(), ["settled None true None", "completed 4"]);
+        assert_eq!(*source.hooks.borrow(), ["settled None None", "completed 4"]);
         assert_eq!(
-            checkpoint_log(&service, 2)[2..],
+            checkpoint_events(&service, 2)[2..],
             [
                 CheckpointRecord::VerifyFailed { job: 2, generation: 1 },
                 CheckpointRecord::VerifyFailed { job: 2, generation: 0 },
@@ -476,8 +472,8 @@ mod tests {
         let source = FakeSource::new(2);
         let died = drive::<f64, _>(&service.shared, &job(3), &source, 5, Some(3)).unwrap();
         assert!(matches!(died, Attempt::Died), "the result must stay unpublished");
-        assert_eq!(*source.hooks.borrow(), ["settled None false None", "died 1"]);
-        assert!(checkpoint_log(&service, 3).is_empty(), "a finished run writes nothing");
+        assert_eq!(*source.hooks.borrow(), ["settled None None", "died 1"]);
+        assert!(checkpoint_events(&service, 3).is_empty(), "a finished run writes nothing");
     }
 
     #[test]
@@ -491,7 +487,7 @@ mod tests {
         assert!(matches!(done, Attempt::Died));
         assert_eq!(
             *source.hooks.borrow(),
-            ["settled None false None", "settled Some(1) true Some(1)", "died 3"]
+            ["settled None None", "settled Some(1) Some(1)", "died 3"]
         );
     }
 
@@ -501,7 +497,7 @@ mod tests {
         die_after_two(&service, 5);
         let source = FakeSource::new(4);
         drive::<f64, _>(&service.shared, &job(5), &source, usize::MAX, None).unwrap();
-        assert_eq!(*source.hooks.borrow(), ["settled None false None", "completed 4"]);
-        assert_eq!(checkpoint_log(&service, 5).len(), 2, "no resume, no write");
+        assert_eq!(*source.hooks.borrow(), ["settled None None", "completed 4"]);
+        assert_eq!(checkpoint_events(&service, 5).len(), 2, "no resume, no write");
     }
 }

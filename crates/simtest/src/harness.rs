@@ -25,9 +25,8 @@ use crate::scenario::{JobDef, Op, Scenario, TENANTS};
 use crate::trace::{counts_hash, ns, OutcomeSummary, Trace, TraceEvent};
 use qgear_ir::transpile::decompose_to_native;
 use qgear_serve::{
-    Admission, BackendKind, BatchConfig, BatchRecord, CheckpointRecord, FaultKind, FaultPlan,
-    FaultSchedule, JobId, JobOutcome, JobSpec, PoolDecision, ServeConfig, ServeError, Service,
-    ShardConfig, ShardRecord,
+    Admission, BackendKind, BatchConfig, EventKind, FaultKind, FaultPlan, FaultSchedule, JobId,
+    JobOutcome, JobSpec, ServeConfig, ServeError, Service, ServiceEvent, ShardConfig,
 };
 use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
 use std::collections::{BTreeMap, HashMap};
@@ -87,21 +86,14 @@ pub struct SimReport {
     pub outcomes: BTreeMap<u64, OutcomeSummary>,
     /// Virtual time each outcome was published.
     pub outcome_times: BTreeMap<u64, Duration>,
-    /// Dispatches per admission id (>1 only via worker-death requeues).
+    /// Dispatches per admission id (>1 only via worker-death requeues),
+    /// counted from `events`.
     pub dispatch_counts: BTreeMap<u64, usize>,
     /// Admission ids accepted (blocker included).
     pub accepted: Vec<u64>,
-    /// The service's checkpoint activity log (writes, verify failures,
-    /// resumes, cold restarts), in worker order.
-    pub checkpoint_log: Vec<CheckpointRecord>,
-    /// The service's batch audit log (one record per coalesced flush),
-    /// empty when the scenario ran without batching.
-    pub batch_log: Vec<BatchRecord>,
-    /// The service's shard audit log (group starts, worker losses,
-    /// migrations, link faults, completions), empty without sharding.
-    pub shard_log: Vec<ShardRecord>,
-    /// The service's elastic-pool decision log, empty without a pool.
-    pub pool_log: Vec<PoolDecision>,
+    /// The service's event stream ([`Service::events`]), in the order it
+    /// was recorded and stamped in virtual time.
+    pub events: Vec<ServiceEvent>,
     /// Whether the release phase hit its real-time budget.
     pub timed_out: bool,
     /// Oracle violations (empty ⇔ the run was sound).
@@ -173,7 +165,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
     // the shard group is logical slices of that worker's dispatch, so
     // determinism is preserved). No elastic pool here: pool scale-ups
     // would add real threads and break the single-worker pinning model;
-    // the pool log is pinned by a dedicated virtual-time test instead.
+    // the pool events are pinned by a dedicated virtual-time test instead.
     let backend = match scenario.shard {
         Some(p) => {
             let mut dev = GpuDevice::a100_40gb();
@@ -288,11 +280,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
 
     let mut outcomes = BTreeMap::new();
     let mut outcome_times = BTreeMap::new();
-    let mut dispatch_counts = BTreeMap::new();
-    let mut checkpoint_log = Vec::new();
-    let mut batch_log = Vec::new();
-    let mut shard_log = Vec::new();
-    let mut pool_log = Vec::new();
+    let mut events = Vec::new();
     let mut clean_hashes = BTreeMap::new();
     if timed_out {
         // The worker may be parked on virtual time forever; joining it
@@ -310,13 +298,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
             outcomes.insert(id, summary);
             outcome_times.insert(id, at);
         }
-        for record in service.dispatch_log() {
-            *dispatch_counts.entry(record.id.0).or_insert(0usize) += 1;
-        }
-        checkpoint_log = service.checkpoint_log();
-        batch_log = service.batch_log();
-        shard_log = service.shard_log();
-        pool_log = service.pool_log();
+        events = service.events();
 
         // Fault-free mirror of every scenario job, memoized per def
         // (duplicated defs are common by construction).
@@ -331,6 +313,13 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
         }
     }
 
+    let mut dispatch_counts = BTreeMap::new();
+    for event in &events {
+        if let EventKind::Dispatch(record) = &event.kind {
+            *dispatch_counts.entry(record.id.0).or_insert(0usize) += 1;
+        }
+    }
+
     violations.extend(oracle::check(&OracleInput {
         scenario,
         accepted: &accepted,
@@ -338,9 +327,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
         outcome_times: &outcome_times,
         dispatch_counts: &dispatch_counts,
         trace: &trace,
-        checkpoint_log: &checkpoint_log,
-        batch_log: &batch_log,
-        shard_log: &shard_log,
+        events: &events,
         clean_hashes: &clean_hashes,
         cancel_latency_bound: pin,
     }));
@@ -352,10 +339,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
         outcome_times,
         dispatch_counts,
         accepted,
-        checkpoint_log,
-        batch_log,
-        shard_log,
-        pool_log,
+        events,
         timed_out,
         violations,
     }
@@ -402,9 +386,12 @@ mod tests {
         let report = run_scenario(&scenario);
         assert!(report.is_ok(), "violations: {:?}", report.violations);
         assert!(
-            report.batch_log.iter().any(|r| r.members.len() >= 2),
+            report
+                .events
+                .iter()
+                .any(|e| matches!(&e.kind, EventKind::Batch(r) if r.members.len() >= 2)),
             "expected a coalesced flush, got {:?}",
-            report.batch_log
+            report.events
         );
         for id in 1..=4 {
             assert!(matches!(

@@ -7,7 +7,9 @@
 
 use crate::scenario::{Op, Scenario};
 use crate::trace::{OutcomeSummary, Trace, TraceEvent};
-use qgear_serve::{BatchMemberDisposition, BatchRecord, CheckpointRecord, FaultKind, ShardRecord};
+use qgear_serve::{
+    BatchMemberDisposition, CheckpointRecord, EventKind, FaultKind, ServiceEvent, ShardRecord,
+};
 use qgear_telemetry::TelemetrySnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -27,15 +29,10 @@ pub struct OracleInput<'a> {
     pub dispatch_counts: &'a BTreeMap<u64, usize>,
     /// The run's event log.
     pub trace: &'a Trace,
-    /// The service's checkpoint activity log, in worker order.
-    pub checkpoint_log: &'a [CheckpointRecord],
-    /// The service's batch audit log, in flush order. Empty when the
-    /// scenario ran without batch coalescing — the batch oracles are
-    /// vacuous then.
-    pub batch_log: &'a [BatchRecord],
-    /// The service's shard audit log, in worker order. Empty when the
-    /// scenario ran without sharding — the shard oracles are vacuous.
-    pub shard_log: &'a [ShardRecord],
+    /// The service's event stream, in the order it was recorded. Each
+    /// oracle replays the kinds it is about; one with no event of its
+    /// kind (no batching, no sharding) is vacuous.
+    pub events: &'a [ServiceEvent],
     /// Expected counts hash of a *fault-free* run, by admission id —
     /// what every completion must reproduce byte-for-byte.
     pub clean_hashes: &'a BTreeMap<u64, u64>,
@@ -121,7 +118,8 @@ fn dispatch_accounting(input: &OracleInput, v: &mut Vec<String>) {
     // A mid-batch death requeues every stranded batch-mate, not just the
     // struck job: each `Requeued` disposition licenses one extra
     // dispatch for that member.
-    for record in input.batch_log {
+    for event in input.events {
+        let EventKind::Batch(record) = &event.kind else { continue };
         for &(id, disposition) in &record.members {
             if disposition == BatchMemberDisposition::Requeued {
                 *death_budget.entry(id).or_insert(0) += 1;
@@ -246,7 +244,7 @@ fn resume_bit_identity(input: &OracleInput, v: &mut Vec<String>) {
     }
 }
 
-/// **Progress monotonicity**: replaying the checkpoint log per job, the
+/// **Progress monotonicity**: replaying the checkpoint events per job, the
 /// verified resume point never moves backwards across attempts — once
 /// the recovery ladder has proven progress up to cursor `c`, no later
 /// resume lands before `c`, and every checkpoint write records strictly
@@ -255,7 +253,8 @@ fn resume_bit_identity(input: &OracleInput, v: &mut Vec<String>) {
 /// generation survives verification) resets the floor to zero.
 fn progress_monotonicity(input: &OracleInput, v: &mut Vec<String>) {
     let mut floor: HashMap<u64, u64> = HashMap::new();
-    for record in input.checkpoint_log {
+    for event in input.events {
+        let EventKind::Checkpoint(record) = &event.kind else { continue };
         match record {
             CheckpointRecord::Wrote { job, generation, cursor } => {
                 let f = floor.get(job).copied().unwrap_or(0);
@@ -284,7 +283,7 @@ fn progress_monotonicity(input: &OracleInput, v: &mut Vec<String>) {
     }
 }
 
-/// **Coalescing conservation**: the batch log accounts for every
+/// **Coalescing conservation**: the batch events account for every
 /// batched dispatch exactly once — no member id repeats within a flush,
 /// every member was an accepted job, a job's batch appearances never
 /// exceed its dispatches, and at most one appearance is terminal
@@ -294,7 +293,9 @@ fn coalescing_conservation(input: &OracleInput, v: &mut Vec<String>) {
     let accepted: BTreeSet<u64> = input.accepted.iter().copied().collect();
     let mut appearances: HashMap<u64, usize> = HashMap::new();
     let mut terminal: HashMap<u64, usize> = HashMap::new();
-    for (flush, record) in input.batch_log.iter().enumerate() {
+    let mut flush = 0usize;
+    for event in input.events {
+        let EventKind::Batch(record) = &event.kind else { continue };
         let mut in_this_flush = BTreeSet::new();
         for &(id, disposition) in &record.members {
             if !in_this_flush.insert(id) {
@@ -312,6 +313,7 @@ fn coalescing_conservation(input: &OracleInput, v: &mut Vec<String>) {
                 *terminal.entry(id).or_insert(0) += 1;
             }
         }
+        flush += 1;
     }
     for (&id, &n) in &appearances {
         let dispatched = input.dispatch_counts.get(&id).copied().unwrap_or(0);
@@ -339,7 +341,8 @@ fn coalescing_conservation(input: &OracleInput, v: &mut Vec<String>) {
 /// meanwhile.)
 fn batch_attempt_ledger(input: &OracleInput, v: &mut Vec<String>) {
     let mut requeues: HashMap<u64, u32> = HashMap::new();
-    for record in input.batch_log {
+    for event in input.events {
+        let EventKind::Batch(record) = &event.kind else { continue };
         for &(id, disposition) in &record.members {
             if disposition == BatchMemberDisposition::Requeued {
                 *requeues.entry(id).or_insert(0) += 1;
@@ -384,8 +387,10 @@ fn shard_exchange_conservation(input: &OracleInput, v: &mut Vec<String>) {
             next += 1;
         }
     }
-    for record in input.shard_log {
-        let ShardRecord::Completed { job, shards, exchanges, messages, bytes } = record else {
+    for event in input.events {
+        let EventKind::Shard(ShardRecord::Completed { job, shards, exchanges, messages, bytes }) =
+            &event.kind
+        else {
             continue;
         };
         if *messages != 2 * *exchanges {
@@ -416,33 +421,35 @@ fn shard_exchange_conservation(input: &OracleInput, v: &mut Vec<String>) {
     }
 }
 
-/// **Migration discipline**: replaying the shard log per job, a worker
-/// loss leaves the job in a torn-down state that only a recorded
-/// recovery — [`ShardRecord::Migrated`] (checkpoint restored on the
-/// replacement dispatch) or [`ShardRecord::ColdRestarted`] (no
-/// generation survived) — may clear. A completion while the teardown is
-/// still pending means the replacement dispatch silently skipped the
-/// restore path. The *result* of the migration is separately pinned by
-/// the resume bit-identity oracle against the fault-free mirror.
+/// **Migration discipline**: replaying the stream per job, a worker
+/// loss leaves the job in a torn-down state that only the recovery
+/// ladder's own verdict — the job's next
+/// [`CheckpointRecord::Resumed`] (a generation restored on the
+/// replacement dispatch: the migration) or
+/// [`CheckpointRecord::ColdRestart`] (no generation survived) — may
+/// clear. A completion while the teardown is still pending means the
+/// replacement dispatch silently skipped the restore path. The *result*
+/// of the migration is separately pinned by the resume bit-identity
+/// oracle against the fault-free mirror.
 fn shard_migration(input: &OracleInput, v: &mut Vec<String>) {
-    let mut pending: HashMap<u64, bool> = HashMap::new();
-    for record in input.shard_log {
-        match record {
-            ShardRecord::WorkerLost { job, .. } => {
-                pending.insert(*job, true);
+    let mut pending: BTreeSet<u64> = BTreeSet::new();
+    for event in input.events {
+        match &event.kind {
+            EventKind::Shard(ShardRecord::WorkerLost { job, .. }) => {
+                pending.insert(*job);
             }
-            ShardRecord::Migrated { job, .. } | ShardRecord::ColdRestarted { job } => {
-                pending.insert(*job, false);
+            EventKind::Checkpoint(
+                CheckpointRecord::Resumed { job, .. } | CheckpointRecord::ColdRestart { job },
+            ) => {
+                pending.remove(job);
             }
-            ShardRecord::Completed { job, .. } => {
-                if pending.get(job).copied().unwrap_or(false) {
-                    v.push(format!(
-                        "shard migration: job {job} completed without a recorded \
-                         migration or cold restart after losing a shard worker"
-                    ));
-                }
+            EventKind::Shard(ShardRecord::Completed { job, .. }) if pending.contains(job) => {
+                v.push(format!(
+                    "shard migration: job {job} completed without a recorded \
+                     migration or cold restart after losing a shard worker"
+                ));
             }
-            ShardRecord::Started { .. } | ShardRecord::LinkFault { .. } => {}
+            _ => {}
         }
     }
 }
@@ -494,6 +501,12 @@ pub fn check_trajectory_accounting(snapshot: &TelemetrySnapshot) -> Vec<String> 
 mod tests {
     use super::*;
     use crate::scenario::JobDef;
+    use qgear_serve::BatchRecord;
+
+    /// An event stream out of bare kinds; no oracle here reads a stamp.
+    fn stream(kinds: impl IntoIterator<Item = EventKind>) -> Vec<ServiceEvent> {
+        kinds.into_iter().map(|kind| ServiceEvent { at: Duration::ZERO, kind }).collect()
+    }
 
     fn base<'a>(
         scenario: &'a Scenario,
@@ -511,9 +524,7 @@ mod tests {
             outcome_times,
             dispatch_counts,
             trace,
-            checkpoint_log: &[],
-            batch_log: &[],
-            shard_log: &[],
+            events: &[],
             clean_hashes: &NO_CLEAN_HASHES,
             cancel_latency_bound: Duration::from_millis(1),
         }
@@ -616,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_log_violations_are_flagged() {
+    fn batch_event_violations_are_flagged() {
         let scenario = Scenario::empty(0)
             .op(Op::Submit(JobDef::bell()))
             .op(Op::Submit(JobDef::bell()));
@@ -642,9 +653,9 @@ mod tests {
                 (2, BatchMemberDisposition::Executed),
             ],
             formed_at: Duration::ZERO,
-            flushed_at: Duration::ZERO,
         }];
-        input.batch_log = &healthy;
+        let healthy = stream(healthy.map(EventKind::Batch));
+        input.events = &healthy;
         assert!(check(&input).is_empty(), "{:?}", check(&input));
 
         // A member duplicated within one flush.
@@ -654,9 +665,9 @@ mod tests {
                 (1, BatchMemberDisposition::Executed),
             ],
             formed_at: Duration::ZERO,
-            flushed_at: Duration::ZERO,
         }];
-        input.batch_log = &duplicated;
+        let duplicated = stream(duplicated.map(EventKind::Batch));
+        input.events = &duplicated;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("appears twice in flush")), "{v:?}");
 
@@ -664,9 +675,9 @@ mod tests {
         let phantom = [BatchRecord {
             members: vec![(9, BatchMemberDisposition::Executed)],
             formed_at: Duration::ZERO,
-            flushed_at: Duration::ZERO,
         }];
-        input.batch_log = &phantom;
+        let phantom = stream(phantom.map(EventKind::Batch));
+        input.events = &phantom;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("never accepted")), "{v:?}");
 
@@ -675,17 +686,16 @@ mod tests {
             BatchRecord {
                 members: vec![(1, BatchMemberDisposition::Executed)],
                 formed_at: Duration::ZERO,
-                flushed_at: Duration::ZERO,
             },
             BatchRecord {
                 members: vec![(1, BatchMemberDisposition::Executed)],
                 formed_at: Duration::ZERO,
-                flushed_at: Duration::ZERO,
             },
         ];
         let dispatches2: BTreeMap<u64, usize> = [(1, 2), (2, 1)].into_iter().collect();
         let mut input2 = base(&scenario, &accepted, &outcomes, &times, &dispatches2, &trace);
-        input2.batch_log = &double;
+        let double = stream(double.map(EventKind::Batch));
+        input2.events = &double;
         let v = check(&input2);
         assert!(v.iter().any(|m| m.contains("terminal batch disposition")), "{v:?}");
     }
@@ -716,16 +726,15 @@ mod tests {
             BatchRecord {
                 members: vec![(1, BatchMemberDisposition::Requeued)],
                 formed_at: Duration::ZERO,
-                flushed_at: Duration::ZERO,
             },
             BatchRecord {
                 members: vec![(1, BatchMemberDisposition::Executed)],
                 formed_at: Duration::ZERO,
-                flushed_at: Duration::ZERO,
             },
         ];
+        let log = stream(log.map(EventKind::Batch));
         let mut input = base(&scenario, &accepted, &outcomes, &times, &dispatches, &trace);
-        input.batch_log = &log;
+        input.events = &log;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("batch ledger")), "{v:?}");
 
@@ -742,7 +751,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut input = base(&scenario, &accepted, &outcomes_ok, &times, &dispatches, &trace);
-        input.batch_log = &log;
+        input.events = &log;
         assert!(check(&input).is_empty(), "{:?}", check(&input));
     }
 
@@ -769,52 +778,71 @@ mod tests {
             scenario.clone().event(0, 0, FaultKind::ShardWorkerDeath { shard: 0, after_segments: 1 });
         let mut input = base(&licensed, &accepted, &outcomes, &times, &dispatches, &trace);
 
-        // Healthy: start, lose a worker, restart, migrate, complete with
-        // closed books — 3 exchanges × 2 messages × 64 bytes each
-        // (4 qubits on 2 shards ⇒ 2^(4−1−1) amplitudes × 16 bytes).
-        let healthy = [
-            ShardRecord::Started { job: 1, shards: 2 },
-            ShardRecord::WorkerLost { job: 1, shard: 0, after_segments: 1 },
-            ShardRecord::Started { job: 1, shards: 2 },
-            ShardRecord::Migrated { job: 1, resumed_from: 1 },
-            ShardRecord::Completed { job: 1, shards: 2, exchanges: 3, messages: 6, bytes: 384 },
-        ];
-        input.shard_log = &healthy;
+        // Healthy: start, lose a worker, restart, migrate (the ladder
+        // resumes a generation), complete with closed books — 3
+        // exchanges × 2 messages × 64 bytes each (4 qubits on 2 shards ⇒
+        // 2^(4−1−1) amplitudes × 16 bytes).
+        let started = EventKind::Shard(ShardRecord::Started { job: 1, shards: 2 });
+        let lost =
+            EventKind::Shard(ShardRecord::WorkerLost { job: 1, shard: 0, after_segments: 1 });
+        let completed = EventKind::Shard(ShardRecord::Completed {
+            job: 1,
+            shards: 2,
+            exchanges: 3,
+            messages: 6,
+            bytes: 384,
+        });
+        let resumed =
+            EventKind::Checkpoint(CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 1 });
+        let healthy =
+            stream([started.clone(), lost.clone(), started.clone(), resumed, completed.clone()]);
+        input.events = &healthy;
         assert!(check(&input).is_empty(), "{:?}", check(&input));
 
+        // So is a cold restart, when no generation survived.
+        let cold = EventKind::Checkpoint(CheckpointRecord::ColdRestart { job: 1 });
+        let restarted =
+            stream([started.clone(), lost.clone(), started.clone(), cold, completed.clone()]);
+        input.events = &restarted;
+        assert!(check(&input).is_empty(), "{:?}", check(&input));
+
+        // Another job's resume clears nothing.
+        let other =
+            EventKind::Checkpoint(CheckpointRecord::Resumed { job: 2, generation: 0, cursor: 1 });
+        let foreign =
+            stream([started.clone(), lost.clone(), started.clone(), other, completed.clone()]);
+        input.events = &foreign;
+        let v = check(&input);
+        assert!(v.iter().any(|m| m.contains("shard migration")), "{v:?}");
+
         // An odd message count breaks pairwise conservation.
-        let unpaired = [ShardRecord::Completed {
+        let unpaired = stream([EventKind::Shard(ShardRecord::Completed {
             job: 1,
             shards: 2,
             exchanges: 3,
             messages: 5,
             bytes: 320,
-        }];
-        input.shard_log = &unpaired;
+        })]);
+        input.events = &unpaired;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("two per exchange")), "{v:?}");
 
         // A byte total that doesn't match the slice size is flagged.
-        let leaky = [ShardRecord::Completed {
+        let leaky = stream([EventKind::Shard(ShardRecord::Completed {
             job: 1,
             shards: 2,
             exchanges: 3,
             messages: 6,
             bytes: 385,
-        }];
-        input.shard_log = &leaky;
+        })]);
+        input.events = &leaky;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("bytes per message")), "{v:?}");
 
         // Completing after a worker loss without a recovery record means
         // the replacement dispatch skipped the restore path.
-        let skipped = [
-            ShardRecord::Started { job: 1, shards: 2 },
-            ShardRecord::WorkerLost { job: 1, shard: 0, after_segments: 1 },
-            ShardRecord::Started { job: 1, shards: 2 },
-            ShardRecord::Completed { job: 1, shards: 2, exchanges: 3, messages: 6, bytes: 384 },
-        ];
-        input.shard_log = &skipped;
+        let skipped = stream([started.clone(), lost, started, completed]);
+        input.events = &skipped;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("shard migration")), "{v:?}");
     }
@@ -838,7 +866,8 @@ mod tests {
             CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 1 },
             CheckpointRecord::Wrote { job: 1, generation: 2, cursor: 2 },
         ];
-        input.checkpoint_log = &healthy;
+        let healthy = stream(healthy.map(EventKind::Checkpoint));
+        input.events = &healthy;
         assert!(check(&input).is_empty());
 
         // A resume behind the proven floor is flagged.
@@ -846,7 +875,8 @@ mod tests {
             CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 3 },
             CheckpointRecord::Resumed { job: 1, generation: 1, cursor: 2 },
         ];
-        input.checkpoint_log = &backwards;
+        let backwards = stream(backwards.map(EventKind::Checkpoint));
+        input.events = &backwards;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("behind the proven floor")), "{v:?}");
 
@@ -855,7 +885,8 @@ mod tests {
             CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 2 },
             CheckpointRecord::Wrote { job: 1, generation: 1, cursor: 2 },
         ];
-        input.checkpoint_log = &stale;
+        let stale = stream(stale.map(EventKind::Checkpoint));
+        input.events = &stale;
         let v = check(&input);
         assert!(v.iter().any(|m| m.contains("not past the proven floor")), "{v:?}");
 
@@ -865,7 +896,8 @@ mod tests {
             CheckpointRecord::ColdRestart { job: 1 },
             CheckpointRecord::Wrote { job: 1, generation: 1, cursor: 1 },
         ];
-        input.checkpoint_log = &restarted;
+        let restarted = stream(restarted.map(EventKind::Checkpoint));
+        input.events = &restarted;
         assert!(check(&input).is_empty());
     }
 }

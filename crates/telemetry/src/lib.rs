@@ -116,14 +116,19 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// Serializes tests that touch the global registry.
+    /// Serializes tests that touch the global registry; one failing test
+    /// must not poison the rest.
     static GUARD: Mutex<()> = Mutex::new(());
+
+    fn guard() -> MutexGuard<'static, ()> {
+        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_records_nothing() {
-        let _g = GUARD.lock();
+        let _g = guard();
         reset();
         disable();
         let _span = span!("ghost");
@@ -138,7 +143,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_counters_accumulate() {
-        let _g = GUARD.lock();
+        let _g = guard();
         reset();
         enable();
         {
@@ -170,7 +175,7 @@ mod tests {
 
     #[test]
     fn histograms_summarize() {
-        let _g = GUARD.lock();
+        let _g = guard();
         reset();
         enable();
         for w in [2.0, 5.0, 3.0] {
@@ -189,7 +194,7 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_do_not_interleave_paths() {
-        let _g = GUARD.lock();
+        let _g = guard();
         reset();
         enable();
         std::thread::scope(|s| {

@@ -1,7 +1,7 @@
 //! Counters and histograms.
 
 use crate::snapshot::HistogramSummary;
-use crate::span::REGISTRY;
+use crate::span::registry;
 
 /// Add `delta` to the named counter (created at zero on first use).
 ///
@@ -12,7 +12,7 @@ pub fn counter_add(name: &str, delta: u128) {
     if !crate::is_enabled() {
         return;
     }
-    let mut registry = REGISTRY.lock();
+    let mut registry = registry();
     if let Some(v) = registry.counters.get_mut(name) {
         *v += delta;
     } else {
@@ -35,7 +35,7 @@ pub fn histogram_record(name: &str, value: f64) {
     if !crate::is_enabled() || !value.is_finite() {
         return;
     }
-    let mut registry = REGISTRY.lock();
+    let mut registry = registry();
     if let Some(h) = registry.histograms.get_mut(name) {
         h.count += 1;
         h.min = h.min.min(value);

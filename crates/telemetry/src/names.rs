@@ -253,25 +253,10 @@ pub const POOL_SCALE_DOWNS: &str = "serve.pool.scale_down";
 /// Histogram of the live worker count, sampled at every pool decision.
 pub const POOL_WORKERS: &str = "serve.pool.workers";
 
-/// Per-link-class counter name for bytes the real distributed engine
-/// moved, e.g. `comm.bytes.intra_node` (see the `COMM_BYTES_*` constants
-/// for the fixed forms the exporter schema tests pin down).
-pub fn comm_bytes(class: &str) -> String {
-    format!("comm.bytes.{class}")
-}
-
-/// Per-link-class counter name for messages moved, e.g.
-/// `comm.messages.inter_rack`.
-pub fn comm_messages(class: &str) -> String {
-    format!("comm.messages.{class}")
-}
-
-/// Per-lane-width counter name for kernel SIMD dispatch, e.g.
-/// `kernel.simd.f64x4` (see the `KERNEL_SIMD_*` constants for the fixed
-/// forms the exporter schema tests pin down).
-pub fn kernel_simd(lane: &str) -> String {
-    format!("kernel.simd.{lane}")
-}
+// --- names built at the call site -----------------------------------------
+//
+// These allocate, and the hooks check `is_enabled()` only after their
+// argument is built: call them under `qgear_telemetry::is_enabled()`.
 
 /// Per-structure-class counter name for kernels dispatched by the
 /// structured fused path, e.g. `planner.kernel.permutation`.

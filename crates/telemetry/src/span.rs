@@ -1,10 +1,9 @@
 //! Span registry: RAII guards, per-thread nesting, global storage.
 
 use crate::snapshot::{SpanRecord, TelemetrySnapshot};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Detail cap: beyond this many stored spans, completions are counted
@@ -30,7 +29,15 @@ impl Registry {
     }
 }
 
-pub(crate) static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
+
+/// Lock the global registry. A panic elsewhere while the lock was held
+/// must not take telemetry down with it: every update is one push or
+/// one map entry, so the data is valid at every step and a poisoned
+/// guard is simply recovered.
+pub(crate) fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 thread_local! {
     /// Names of the spans currently open on this thread, outermost first.
@@ -83,7 +90,7 @@ impl Drop for SpanGuard {
             debug_assert_eq!(stack.last().copied(), Some(span.name), "span drop order");
             stack.pop();
         });
-        let mut registry = REGISTRY.lock();
+        let mut registry = registry();
         if registry.spans.len() >= MAX_STORED_SPANS {
             registry.dropped_spans += 1;
             return;
@@ -99,7 +106,7 @@ impl Drop for SpanGuard {
 }
 
 pub(crate) fn reset_registry() {
-    let mut registry = REGISTRY.lock();
+    let mut registry = registry();
     registry.spans.clear();
     registry.dropped_spans = 0;
     registry.counters.clear();
@@ -107,7 +114,7 @@ pub(crate) fn reset_registry() {
 }
 
 pub(crate) fn registry_snapshot() -> TelemetrySnapshot {
-    let registry = REGISTRY.lock();
+    let registry = registry();
     TelemetrySnapshot {
         spans: registry.spans.clone(),
         dropped_spans: registry.dropped_spans,

@@ -46,7 +46,7 @@ use qgear_ir::schedule::{self, SweepOptions};
 use qgear_ir::{fusion, reference, transpile, Circuit};
 use qgear_num::approx::{approx_eq_up_to_phase, max_deviation};
 use qgear_num::complex::Complex;
-use qgear_serve::{JobSpec, ServeConfig, Service};
+use qgear_serve::{BatchRecord, EventKind, JobSpec, ServeConfig, Service, ServiceEvent};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, AerCpuBackend, CheckpointScalar, GpuDevice, PlannerCosts,
@@ -110,6 +110,14 @@ fn arb_circuit(max_qubits: u32, max_gates: usize) -> impl Strategy<Value = Circu
             }
             c
         })
+}
+
+/// The flush records of a service's event stream, in order.
+fn flushes(events: &[ServiceEvent]) -> impl Iterator<Item = &BatchRecord> {
+    events.iter().filter_map(|e| match &e.kind {
+        EventKind::Batch(record) => Some(record),
+        _ => None,
+    })
 }
 
 /// Default knobs under an explicit selector: a pin, or the priced plan.
@@ -733,7 +741,8 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
     let batched = batched_service.wait(id).expect("completes");
     let batched = batched.result().expect("success").counts.clone().expect("counts");
     batched_service.shutdown();
-    let log = batched_service.batch_log();
+    let events = batched_service.events_for(id);
+    let log: Vec<_> = flushes(&events).collect();
     assert_eq!(log.len(), 1, "one dispatch, one batch record");
     assert_eq!(log[0].members.len(), 1, "the job rode alone");
     assert_eq!(log[0].members[0].1, BatchMemberDisposition::Executed);
@@ -744,7 +753,7 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
     let solo = solo_service.wait(id).expect("completes");
     let solo = solo.result().expect("success").counts.clone().expect("counts");
     solo_service.shutdown();
-    assert!(solo_service.batch_log().is_empty(), "batching disabled logs nothing");
+    assert_eq!(flushes(&solo_service.events()).count(), 0, "batching disabled logs no flush");
     assert_eq!(batched.map, solo.map, "batch-of-1 counts must match solo serving");
 
     // Directly: one `GpuDevice::run`, then the shared sampling pipeline.
@@ -1054,7 +1063,8 @@ fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
             })
             .collect();
         service.shutdown();
-        assert_eq!(service.batch_log().iter().map(|r| r.members.len()).sum::<usize>(), 3);
+        let flushed: usize = flushes(&service.events()).map(|r| r.members.len()).sum();
+        assert_eq!(flushed, 3);
         counts
     };
     let on = with_simd(true, serve);

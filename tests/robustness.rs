@@ -215,10 +215,43 @@ proptest! {
             prop_assert!(ck.state.byte_len() <= 128 * qckp.len());
         }
 
+        let mut qpyl = qpy::write(&qpy_corpus()).to_vec();
+        mutate(&mut qpyl, at, kind, value);
+        resign_qpy(&mut qpyl);
+        if let Ok(batch) = qpy::read(&qpyl) {
+            // Every circuit and every gate is backed by bytes in hand.
+            let gates: usize = batch.iter().map(|c| c.gates().len()).sum();
+            prop_assert!(10 * batch.len() + 37 * gates <= qpyl.len());
+        }
+
         if let (Some(before), Some(after)) = (peak_before, vm_peak_kb()) {
             prop_assert!(after - before < 256 * 1024, "address space grew {} KB", after - before);
         }
     }
+}
+
+/// The smallest file that made `qpy::read` reserve memory its bytes
+/// could not back: magic, version 1, a count of `u32::MAX`, a valid CRC.
+/// `Vec::with_capacity(count)` asked for 240 GB and aborted the process.
+#[test]
+fn a_fourteen_byte_qpy_file_claiming_four_billion_circuits_is_rejected() {
+    let mut bytes = Vec::from(*qpy::MAGIC);
+    bytes.extend_from_slice(&qpy::VERSION.to_le_bytes());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    resign_qpy(&mut bytes);
+    assert_eq!(bytes.len(), 14);
+    let err = qpy::read(&bytes).expect_err("no circuit follows the header");
+    assert!(matches!(err, qgear_ir::IrError::Malformed(_)), "{err:?}");
+}
+
+/// Two named circuits, one with every operand and parameter slot in use.
+fn qpy_corpus() -> Vec<Circuit> {
+    let mut a = Circuit::with_capacity(4, "alpha", 5);
+    a.h(0).cx(0, 1).ry(0.5, 2).cr1(0.25, 2, 3).measure_all();
+    let mut b = Circuit::with_capacity(3, "beta-β", 2);
+    b.u(1.0, -0.5, 2.25, 1).ccx(0, 1, 2);
+    vec![a, b]
 }
 
 /// Groups three deep, every attribute kind, a dataset RLE shrinks, one
@@ -266,6 +299,14 @@ fn mutate(bytes: &mut Vec<u8>, at: usize, kind: u8, value: u64) {
 fn resign_h5(bytes: &mut [u8]) {
     if let Some(body_len) = bytes.len().checked_sub(4) {
         let crc = qgear_hdf5lite::format::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Recompute a QPY-lite file's trailing CRC.
+fn resign_qpy(bytes: &mut [u8]) {
+    if let Some(body_len) = bytes.len().checked_sub(4) {
+        let crc = qpy::crc32(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
     }
 }

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    Admission, AdmissionQueue, BatchConfig, BatchMemberDisposition, BatchRecord, CircuitKey,
-    Engine, FaultPlan, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, Service,
+    Admission, AdmissionQueue, BatchConfig, BatchMemberDisposition, CircuitKey, Engine, EventKind,
+    FaultPlan, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, Service, ServiceEvent,
 };
 use qgear_statevec::Counts;
 use qgear_telemetry::names;
@@ -195,8 +195,15 @@ fn concurrent_burst_loses_and_duplicates_nothing() {
                 "{what}: job {id:?} ended {outcome:?} with every fault retryable"
             );
         }
-        let log = service.dispatch_log();
-        let unique: HashSet<u64> = log.iter().map(|r| r.id.0).collect();
+        let events = service.events();
+        let log: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Dispatch(record) => Some(record.id.0),
+                _ => None,
+            })
+            .collect();
+        let unique: HashSet<u64> = log.iter().copied().collect();
         assert_eq!(unique.len(), log.len(), "{what}: duplicate dispatch");
         assert_eq!(unique.len(), ids.len(), "{what}: dispatch log must cover every job");
         service.shutdown();
@@ -361,7 +368,7 @@ fn twister(qubits: u32, phase: f64) -> Circuit {
 }
 
 /// Submit `specs` in `order`, wait for every job, return counts indexed
-/// by the job's position in `specs` plus the complete batch log (read
+/// by the job's position in `specs` plus the complete event stream (read
 /// after shutdown, which joins the workers, so the final record —
 /// appended after its members' outcomes publish — is always present).
 fn run_jobs(
@@ -369,7 +376,7 @@ fn run_jobs(
     order: &[usize],
     workers: usize,
     batch: BatchConfig,
-) -> (Vec<Counts>, Vec<BatchRecord>) {
+) -> (Vec<Counts>, Vec<ServiceEvent>) {
     let service = Service::start(ServeConfig {
         workers,
         queue_capacity: specs.len() + 8,
@@ -399,17 +406,17 @@ fn run_jobs(
         }
     }
     service.shutdown();
-    let log = service.batch_log();
-    (counts, log)
+    (counts, service.events())
 }
 
-/// The batch log must account for every submitted job exactly once, and
-/// (fault-free, caches off) every member must have actually run.
-fn assert_log_conserves(log: &[BatchRecord], jobs: usize) {
+/// The batch events must account for every submitted job exactly once,
+/// and (fault-free, caches off) every member must have actually run.
+fn assert_log_conserves(events: &[ServiceEvent], jobs: usize) {
     let mut seen = HashSet::new();
-    for record in log {
+    for event in events {
+        let EventKind::Batch(record) = &event.kind else { continue };
         assert!(!record.members.is_empty(), "empty batch record flushed");
-        assert!(record.flushed_at >= record.formed_at);
+        assert!(event.at >= record.formed_at);
         for &(id, disposition) in &record.members {
             assert!(seen.insert(id), "job {id} appears in two batch records");
             assert_eq!(
@@ -462,7 +469,10 @@ fn member_counts_are_invariant_to_batch_size_order_and_worker_count() {
         (0..jobs).step_by(2).chain((1..jobs).step_by(2)).collect();
 
     let (reference, solo_log) = run_jobs(&specs, &forward, 1, BatchConfig::disabled());
-    assert!(solo_log.is_empty(), "disabled batching must not log batches");
+    assert!(
+        !solo_log.iter().any(|e| matches!(e.kind, EventKind::Batch(_))),
+        "disabled batching must not log batches"
+    );
 
     let window = Duration::from_millis(5);
     let variants: [(&str, &[usize], usize, usize); 4] = [
@@ -479,7 +489,8 @@ fn member_counts_are_invariant_to_batch_size_order_and_worker_count() {
             assert_eq!(got, want, "{label}: job {i} counts differ from solo reference");
         }
         assert_log_conserves(&log, jobs);
-        coalesced_anywhere |= log.iter().any(|r| r.members.len() >= 2);
+        coalesced_anywhere |=
+            log.iter().any(|e| matches!(&e.kind, EventKind::Batch(r) if r.members.len() >= 2));
     }
     assert!(
         coalesced_anywhere,

@@ -18,7 +18,8 @@ use qgear_cluster::{ClusterEngine, ShardedRun};
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    Admission, BackendKind, Engine, JobSpec, ServeConfig, Service, ShardConfig, ShardRecord,
+    Admission, BackendKind, CheckpointRecord, Engine, EventKind, JobSpec, ServeConfig, Service,
+    ServiceEvent, ShardConfig, ShardRecord,
 };
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{ExecStats, GpuDevice, RunOptions, RunOutput, Simulator};
@@ -60,8 +61,25 @@ fn sharded_config() -> ServeConfig {
     }
 }
 
+/// One word per event, for asserting the order of a job's life.
+fn step(event: &ServiceEvent) -> &'static str {
+    match &event.kind {
+        EventKind::Dispatch(_) => "dispatch",
+        EventKind::Checkpoint(CheckpointRecord::Wrote { .. }) => "wrote",
+        EventKind::Checkpoint(CheckpointRecord::VerifyFailed { .. }) => "verify-failed",
+        EventKind::Checkpoint(CheckpointRecord::Resumed { .. }) => "resumed",
+        EventKind::Checkpoint(CheckpointRecord::ColdRestart { .. }) => "cold-restart",
+        EventKind::Batch(_) => "batch",
+        EventKind::Shard(ShardRecord::Started { .. }) => "started",
+        EventKind::Shard(ShardRecord::WorkerLost { .. }) => "lost",
+        EventKind::Shard(ShardRecord::LinkFault { .. }) => "link-fault",
+        EventKind::Shard(ShardRecord::Completed { .. }) => "completed",
+        EventKind::Pool(_) => "pool",
+    }
+}
+
 /// The tentpole acceptance path: the tiny-device service admits the
-/// beyond-one-worker job, runs it sharded (the shard log proves a group
+/// beyond-one-worker job, runs it sharded (the shard events prove a group
 /// of the planned width formed and completed), and its counts are
 /// bitwise identical to the same spec served dense on a 40 GB device
 /// with the same fusion/sweep configuration and sampling knobs — on a
@@ -105,21 +123,41 @@ fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
             result.counts, reference.counts,
             "{what}: sharded counts must be bitwise identical to the dense service"
         );
-        let log = sharded.shard_log();
+        let log = sharded.events_for(id);
         assert!(
-            log.iter().any(|r| matches!(r, ShardRecord::Started { job: 0, shards: 2 })),
+            log.iter().any(|e| e.kind == EventKind::Shard(ShardRecord::Started { job: 0, shards: 2 })),
             "{what}: a 2-shard group must have formed; log: {log:?}"
         );
         assert!(
-            log.iter().any(|r| matches!(r, ShardRecord::Completed { job: 0, shards: 2, .. })),
+            log.iter().any(|e| matches!(
+                e.kind,
+                EventKind::Shard(ShardRecord::Completed { job: 0, shards: 2, .. })
+            )),
             "{what}: the planned 2-shard group must have completed; log: {log:?}"
         );
         let struck = match fault {
             None => true,
+            // What only one stream can say: the whole life in order,
+            // across kinds — the generation is written before the worker
+            // is lost, the replacement dispatch resumes it before it
+            // writes or completes anything — on one non-decreasing clock.
             Some(FaultKind::ShardWorkerDeath { .. }) => {
-                log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 0, .. }))
+                let mut life: Vec<_> = log.iter().map(step).collect();
+                life.dedup(); // one "wrote" per run of interior boundaries
+                assert_eq!(
+                    life,
+                    [
+                        "dispatch", "started", "wrote", "lost", //
+                        "dispatch", "started", "resumed", "wrote", "completed",
+                    ],
+                    "{what}: log: {log:?}"
+                );
+                assert!(log.windows(2).all(|w| w[0].at <= w[1].at), "{what}: stamps: {log:?}");
+                true
             }
-            Some(_) => log.iter().any(|r| matches!(r, ShardRecord::LinkFault { job: 0, .. })),
+            Some(_) => log
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::Shard(ShardRecord::LinkFault { job: 0, .. }))),
         };
         assert!(struck, "{what}: the fault must actually have struck; log: {log:?}");
         assert!(
@@ -150,7 +188,7 @@ fn sharded_stats_match_the_cluster_closed_form_and_survive_migration() {
         let outcome = service.wait(id).unwrap();
         let result = outcome.result().expect("the sharded run completes").clone();
         service.shutdown();
-        (result, service.shard_log())
+        (result, service.events_for(id))
     };
 
     let (clean, _) = serve(FaultSchedule::none());
@@ -168,7 +206,10 @@ fn sharded_stats_match_the_cluster_closed_form_and_survive_migration() {
     let death = FaultKind::ShardWorkerDeath { shard: 1, after_segments: 2 };
     let (migrated, log) = serve(FaultSchedule::none().with_event(0, 0, death));
     assert!(
-        log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 0, resumed_from: 2 })),
+        log.iter().any(|e| matches!(
+            e.kind,
+            EventKind::Checkpoint(CheckpointRecord::Resumed { job: 0, cursor: 2, .. })
+        )),
         "the run must actually have migrated; log: {log:?}"
     );
     assert_eq!(migrated.counts, clean.counts);

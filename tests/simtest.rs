@@ -17,9 +17,9 @@
 use qgear_cluster::ClusterEngine;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    BackendKind, BatchConfig, BatchMemberDisposition, CheckpointRecord, FaultKind, FaultPlan,
-    FaultSchedule, JobOutcome, JobSpec, PoolConfig, PoolDecision, ServeConfig, ServeError, Service,
-    ShardConfig, ShardRecord,
+    BackendKind, BatchConfig, BatchMemberDisposition, BatchRecord, CheckpointRecord, EventKind,
+    FaultKind, FaultPlan, FaultSchedule, JobOutcome, JobSpec, PoolConfig, PoolDecision,
+    ServeConfig, ServeError, Service, ServiceEvent, ShardConfig, ShardRecord,
 };
 use qgear_simtest::{
     replay_command, run_scenario, seed_from_env, shrink, JobDef, Op, OutcomeSummary, Scenario,
@@ -42,6 +42,23 @@ fn bell() -> Circuit {
     let mut c = Circuit::new(2);
     c.h(0).cx(0, 1).measure_all();
     c
+}
+
+/// The service's pool events as `(stamp, decision)` pairs.
+fn pool_decisions(service: &Service) -> Vec<(Duration, PoolDecision)> {
+    let pick = |e: ServiceEvent| match e.kind {
+        EventKind::Pool(decision) => Some((e.at, decision)),
+        _ => None,
+    };
+    service.events().into_iter().filter_map(pick).collect()
+}
+
+/// The flush records of an event stream, in order.
+fn flushes(events: &[ServiceEvent]) -> impl Iterator<Item = &BatchRecord> {
+    events.iter().filter_map(|e| match &e.kind {
+        EventKind::Batch(record) => Some(record),
+        _ => None,
+    })
 }
 
 /// Drain a virtually-clocked service: advance to successive sleeper
@@ -193,7 +210,8 @@ fn worker_death_requeues_and_the_attempt_ledger_carries_over() {
     let outcome = service.wait(id).unwrap();
     let result = outcome.result().expect("survives the death via requeue");
     assert_eq!(result.attempts, 2, "the dying attempt is consumed");
-    let dispatches = service.dispatch_log().iter().filter(|r| r.id == id).count();
+    let dispatches =
+        service.events_for(id).iter().filter(|e| matches!(e.kind, EventKind::Dispatch(_))).count();
     assert_eq!(dispatches, 2, "exactly one requeue");
     service.shutdown();
 }
@@ -272,17 +290,18 @@ fn death_at_segment_k_with_newest_checkpoint_corrupt_resumes_from_the_prior_gene
             ),
         );
         // Scenario job 0 is admission id 1 (the harness blocker is 0).
-        let log = &report.checkpoint_log;
+        let log = &report.events;
+        let logged = |record| log.iter().any(|e| e.kind == EventKind::Checkpoint(record));
         assert!(
-            log.contains(&CheckpointRecord::VerifyFailed { job: 1, generation: 1 }),
+            logged(CheckpointRecord::VerifyFailed { job: 1, generation: 1 }),
             "newest generation must fail verification; log: {log:?}"
         );
         assert!(
-            log.contains(&CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 1 }),
+            logged(CheckpointRecord::Resumed { job: 1, generation: 0, cursor: 1 }),
             "must resume from generation k−1 at cursor 1; log: {log:?}"
         );
         assert!(
-            !log.contains(&CheckpointRecord::ColdRestart { job: 1 }),
+            !logged(CheckpointRecord::ColdRestart { job: 1 }),
             "an older verified generation makes a cold restart illegal; log: {log:?}"
         );
         match report.outcomes.get(&1) {
@@ -403,13 +422,16 @@ fn a_deadline_inside_the_coalescing_window_flushes_the_batch_early() {
     assert!(service.try_outcome(straggler).unwrap().is_completed());
     service.shutdown();
 
-    let log = service.batch_log();
-    let lead = log
+    let events = service.events_for(victim);
+    let (flushed_at, lead) = events
         .iter()
-        .find(|r| r.members.iter().any(|&(id, _)| id == victim.0))
+        .find_map(|e| match &e.kind {
+            EventKind::Batch(record) => Some((e.at, record)),
+            _ => None,
+        })
         .expect("the leader's flush is logged");
     assert_eq!(lead.formed_at, PIN, "the window opened at the leader's pop");
-    assert_eq!(lead.flushed_at, PIN + slack, "flushed at the clip, not the window end");
+    assert_eq!(flushed_at, PIN + slack, "flushed at the clip, not the window end");
     assert_eq!(lead.members, vec![(victim.0, BatchMemberDisposition::Executed)]);
 }
 
@@ -437,7 +459,7 @@ fn mid_batch_worker_death_requeues_survivors_with_the_cumulative_ledger() {
     // is 0). Tally each job's batch appearances across the whole log.
     for id in 1..=3u64 {
         let (mut requeued, mut executed) = (0, 0);
-        for record in &report.batch_log {
+        for record in flushes(&report.events) {
             for &(member, disposition) in &record.members {
                 if member != id {
                     continue;
@@ -484,7 +506,7 @@ fn random_batched_scenarios_hold_every_oracle() {
             violations = report.violations,
             cmd = replay_command(seed, "random_batched_scenarios_hold_every_oracle"),
         );
-        coalesced += usize::from(report.batch_log.iter().any(|r| !r.members.is_empty()));
+        coalesced += usize::from(flushes(&report.events).any(|r| !r.members.is_empty()));
     }
     assert!(
         coalesced >= 1,
@@ -528,9 +550,7 @@ fn the_shrinker_sheds_batching_only_when_it_is_irrelevant() {
     }
     batched = batched.event(0, 0, FaultKind::WorkerDeathMidBatch { after_members: 0 });
     let requeues = |s: &Scenario| {
-        run_scenario(s)
-            .batch_log
-            .iter()
+        flushes(&run_scenario(s).events)
             .flat_map(|r| &r.members)
             .any(|&(_, d)| d == BatchMemberDisposition::Requeued)
     };
@@ -559,7 +579,7 @@ fn the_shrinker_sheds_batching_only_when_it_is_irrelevant() {
 /// routes it to a 2-shard group, and a scheduled shard-worker death
 /// tears the group down mid-run. The requeued dispatch must restore the
 /// newest verified checkpoint generation onto a fresh group (a recorded
-/// `Migrated`, never a cold restart — a checkpoint provably survives the
+/// `Resumed`, never a cold restart — a checkpoint provably survives the
 /// death) and complete with counts byte-identical to a fault-free run
 /// (the resume-bit-identity oracle checks the hash against a clean
 /// dense mirror). Varied over ≥ 3 derived seeds, each replayable via
@@ -599,18 +619,23 @@ fn shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically(
             ),
         );
         // Scenario job 0 is admission id 1 (the harness blocker is 0).
-        let log = &report.shard_log;
+        let log = &report.events;
+        let lost = log
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::Shard(ShardRecord::WorkerLost { job: 1, .. })))
+            .unwrap_or_else(|| panic!("the scheduled death must tear the group down; log: {log:?}"));
         assert!(
-            log.iter()
-                .any(|r| matches!(r, ShardRecord::WorkerLost { job: 1, .. })),
-            "the scheduled death must tear the group down; log: {log:?}"
-        );
-        assert!(
-            log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 1, .. })),
+            log[lost..].iter().any(|e| matches!(
+                e.kind,
+                EventKind::Checkpoint(CheckpointRecord::Resumed { job: 1, .. })
+            )),
             "the replacement dispatch must restore a checkpoint; log: {log:?}"
         );
         assert!(
-            !log.iter().any(|r| matches!(r, ShardRecord::ColdRestarted { job: 1 })),
+            !log.iter().any(|e| matches!(
+                e.kind,
+                EventKind::Checkpoint(CheckpointRecord::ColdRestart { job: 1 })
+            )),
             "a surviving generation makes a cold restart illegal; log: {log:?}"
         );
         assert_eq!(
@@ -643,11 +668,12 @@ fn a_link_fault_recovers_in_place_within_the_same_dispatch() {
             .event(0, 0, FaultKind::LinkFault { exchange: 0, corrupt });
         let report = run_scenario(&scenario);
         assert!(report.is_ok(), "corrupt={corrupt}: violations: {:?}", report.violations);
-        let log = &report.shard_log;
+        let log = &report.events;
         assert!(
-            log.iter().any(|r| matches!(
-                r,
-                ShardRecord::LinkFault { job: 1, exchange: 0, corrupt: c, .. } if *c == corrupt
+            log.iter().any(|e| matches!(
+                e.kind,
+                EventKind::Shard(ShardRecord::LinkFault { job: 1, exchange: 0, corrupt: c, .. })
+                    if c == corrupt
             )),
             "corrupt={corrupt}: the struck exchange must be logged; log: {log:?}"
         );
@@ -685,19 +711,23 @@ fn random_sharded_scenarios_hold_every_oracle() {
             violations = report.violations,
             cmd = replay_command(seed, "random_sharded_scenarios_hold_every_oracle"),
         );
+        let log = &report.events;
         completed += usize::from(
-            report.shard_log.iter().any(|r| matches!(r, ShardRecord::Completed { .. })),
+            log.iter().any(|e| matches!(e.kind, EventKind::Shard(ShardRecord::Completed { .. }))),
         );
-        struck += usize::from(report.shard_log.iter().any(|r| {
-            matches!(r, ShardRecord::WorkerLost { .. } | ShardRecord::LinkFault { .. })
+        struck += usize::from(log.iter().any(|e| {
+            matches!(
+                e.kind,
+                EventKind::Shard(ShardRecord::WorkerLost { .. } | ShardRecord::LinkFault { .. })
+            )
         }));
     }
     assert!(completed >= 1, "at least one scenario must complete a sharded run (vacuity guard)");
     assert!(struck >= 1, "at least one scenario must strike the shard machinery (vacuity guard)");
 }
 
-/// The elastic pool under a virtual clock: the whole `PoolDecision` log
-/// is exact. A pinned worker lets a backlog form; the second submission
+/// The elastic pool under a virtual clock: the whole sequence of pool
+/// events — stamps and decisions — is exact. A pinned worker lets a backlog form; the second submission
 /// trips the scale-up threshold at virtual t = 0; the spawned worker
 /// drains both victims and retires into the empty queue, also at t = 0
 /// (virtual time is frozen while workers compute); the blocker then
@@ -743,10 +773,10 @@ fn the_elastic_pool_pins_an_exact_decision_log_under_virtual_time() {
     service.shutdown();
 
     assert_eq!(
-        service.pool_log(),
+        pool_decisions(&service),
         vec![
-            PoolDecision::ScaleUp { at: Duration::ZERO, from: 1, to: 2, queue_depth: 2 },
-            PoolDecision::ScaleDown { at: Duration::ZERO, from: 2, to: 1 },
+            (Duration::ZERO, PoolDecision::ScaleUp { from: 1, to: 2, queue_depth: 2 }),
+            (Duration::ZERO, PoolDecision::ScaleDown { from: 2, to: 1 }),
         ],
         "the decision log must replay exactly under virtual time"
     );
@@ -755,7 +785,8 @@ fn the_elastic_pool_pins_an_exact_decision_log_under_virtual_time() {
 
 /// A shard-group teardown draws its replacement from the pool:
 /// `PoolDecision::Replace` is recorded at the teardown instant with the
-/// job and the dead shard's rank — exact under the virtual clock.
+/// job and the dead shard's rank — exact under the virtual clock — right
+/// behind the `WorkerLost` it answers and ahead of the migration.
 #[test]
 fn a_shard_teardown_records_an_exact_replacement_decision() {
     let _l = lock();
@@ -785,13 +816,24 @@ fn a_shard_teardown_records_an_exact_replacement_decision() {
     service.shutdown();
 
     assert_eq!(
-        service.pool_log(),
-        vec![PoolDecision::Replace { at: Duration::ZERO, job: 0, shard: 1 }],
+        pool_decisions(&service),
+        vec![(Duration::ZERO, PoolDecision::Replace { job: 0, shard: 1 })],
         "teardown at frozen virtual t = 0, job 0, shard rank 1"
     );
-    let log = service.shard_log();
+    let log = service.events_for(id);
+    let replace = log
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::Pool(_)))
+        .expect("Replace concerns job 0");
     assert!(
-        log.iter().any(|r| matches!(r, ShardRecord::Migrated { job: 0, .. })),
+        matches!(log[replace - 1].kind, EventKind::Shard(ShardRecord::WorkerLost { shard: 1, .. })),
+        "the hand-off answers the teardown; log: {log:?}"
+    );
+    assert!(
+        log[replace..].iter().any(|e| matches!(
+            e.kind,
+            EventKind::Checkpoint(CheckpointRecord::Resumed { job: 0, .. })
+        )),
         "the replacement dispatch must migrate; log: {log:?}"
     );
 }

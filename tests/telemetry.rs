@@ -317,8 +317,8 @@ fn checkpoint_recovery_metrics_flow_into_the_json_export() {
 #[test]
 fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
     use qgear_serve::{
-        BackendKind, BatchConfig, BatchMemberDisposition, FaultKind, FaultSchedule, JobResult,
-        JobSpec, ServeConfig, Service,
+        BackendKind, BatchConfig, BatchMemberDisposition, EventKind, FaultKind, FaultSchedule,
+        JobResult, JobSpec, ServeConfig, Service, ServiceEvent,
     };
     use std::time::Duration;
     let _l = LOCK.lock().unwrap();
@@ -380,7 +380,11 @@ fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
                 .collect();
             assert!(service.wait(pin).expect("outcome").result().is_some());
             service.shutdown();
-            (results, service.batch_log())
+            let flush = |e: ServiceEvent| match e.kind {
+                EventKind::Batch(record) => Some(record),
+                _ => None,
+            };
+            (results, service.events().into_iter().filter_map(flush).collect::<Vec<_>>())
         };
 
         qgear_telemetry::reset();
@@ -609,8 +613,8 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
     for key in [names::KERNEL_SIMD_F64X4, names::KERNEL_SIMD_SCALAR, names::SCRATCH_ALLOC] {
         assert!(counters.iter().any(|(k, _)| k == key), "counter {key} missing from export");
     }
-    assert_eq!(names::kernel_simd("f64x4"), names::KERNEL_SIMD_F64X4);
-    assert_eq!(names::kernel_simd("f32x8"), names::KERNEL_SIMD_F32X8);
+    assert_eq!(names::KERNEL_SIMD_F64X4, "kernel.simd.f64x4");
+    assert_eq!(names::KERNEL_SIMD_F32X8, "kernel.simd.f32x8");
     let (_, back) = TelemetrySnapshot::from_value(&value).expect("schema decode");
     assert_eq!(back, snap, "export round trip preserves the SIMD metrics");
     std::fs::remove_dir_all(&dir).ok();
@@ -649,15 +653,11 @@ fn distributed_exchange_traffic_flows_into_per_class_comm_counters() {
     let mut bytes_total = 0u128;
     let mut messages_total = 0u128;
     for class in LinkClass::ALL {
-        let bytes = snap.counter(&names::comm_bytes(class.metric_suffix()));
-        let messages = snap.counter(&names::comm_messages(class.metric_suffix()));
-        assert_eq!(bytes, traffic.bytes_over(class), "comm.bytes.{}", class.metric_suffix());
-        assert_eq!(
-            messages,
-            u128::from(traffic.messages[class as usize]),
-            "comm.messages.{}",
-            class.metric_suffix()
-        );
+        let (bytes_counter, messages_counter) = class.counters();
+        let bytes = snap.counter(bytes_counter);
+        let messages = snap.counter(messages_counter);
+        assert_eq!(bytes, traffic.bytes_over(class), "{bytes_counter}");
+        assert_eq!(messages, u128::from(traffic.messages[class as usize]), "{messages_counter}");
         bytes_total += bytes;
         messages_total += messages;
     }
