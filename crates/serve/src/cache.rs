@@ -103,19 +103,39 @@ pub struct CachedMarginal {
     pub stats: ExecStats,
 }
 
-/// A FIFO-bounded map from sampling-independent state key to cached
-/// marginal — the "evolve once, sample many" half of the serving cache.
+impl CachedMarginal {
+    /// Bytes the entry keeps resident: its probability table, `2^n · 8`
+    /// for `n` measured qubits (128 KiB at 14, 8 MiB at 20). The qubit
+    /// list and counters beside it are a few hundred bytes at any size.
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.probs[..])
+    }
+}
+
+/// Marginal bytes the cache keeps resident at most. An entry count alone
+/// bounds nothing — a marginal doubles with every measured qubit — so the
+/// cache is bounded by both: 64 entries of a 14-qubit job never come near
+/// this, four 20-qubit ones fill it, and a marginal larger than the whole
+/// budget is not cached at all.
+const MARGINAL_BUDGET_BYTES: usize = 32 << 20;
+
+/// A FIFO map from sampling-independent state key to cached marginal,
+/// bounded by entry count and by `MARGINAL_BUDGET_BYTES` — the "evolve
+/// once, sample many" half of the serving cache.
 #[derive(Debug, Default)]
 pub struct MarginalCache {
     capacity: usize,
     entries: HashMap<u64, CachedMarginal>,
     order: VecDeque<u64>,
+    /// Sum of `resident_bytes` over `entries`.
+    bytes: usize,
 }
 
 impl MarginalCache {
-    /// A cache holding at most `capacity` marginals (`0` disables it).
+    /// A cache holding at most `capacity` marginals (`0` disables it) and
+    /// at most 32 MiB of them.
     pub fn new(capacity: usize) -> Self {
-        MarginalCache { capacity, entries: HashMap::new(), order: VecDeque::new() }
+        MarginalCache { capacity, ..Default::default() }
     }
 
     /// Entries currently held.
@@ -139,18 +159,25 @@ impl MarginalCache {
         hit
     }
 
-    /// Insert a marginal, evicting the oldest entry when full.
+    /// Insert a marginal, evicting oldest-first while the cache is over
+    /// its entry count or its byte budget. A marginal larger than the
+    /// budget is skipped; one re-inserted under its key keeps its place
+    /// in the eviction order.
     pub fn insert(&mut self, key: CircuitKey, marginal: CachedMarginal) {
-        if self.capacity == 0 {
+        let size = marginal.resident_bytes();
+        if self.capacity == 0 || size > MARGINAL_BUDGET_BYTES {
             return;
         }
-        if self.entries.insert(key.0, marginal).is_none() {
-            self.order.push_back(key.0);
-            while self.entries.len() > self.capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
-                    counter_inc(names::SERVE_CACHE_EVICTIONS);
-                }
+        self.bytes += size;
+        match self.entries.insert(key.0, marginal) {
+            Some(replaced) => self.bytes -= replaced.resident_bytes(),
+            None => self.order.push_back(key.0),
+        }
+        while self.entries.len() > self.capacity || self.bytes > MARGINAL_BUDGET_BYTES {
+            let Some(oldest) = self.order.pop_front() else { break };
+            if let Some(evicted) = self.entries.remove(&oldest) {
+                self.bytes -= evicted.resident_bytes();
+                counter_inc(names::SERVE_CACHE_EVICTIONS);
             }
         }
     }
@@ -229,6 +256,35 @@ mod tests {
         let mut off = MarginalCache::new(0);
         off.insert(CircuitKey(9), cache.get(CircuitKey(2)).unwrap());
         assert!(off.is_empty(), "zero capacity disables the cache");
+
+        // The byte bound: 20-qubit marginals are 8 MiB each, so the 32 MiB
+        // budget holds four of them however many entries are allowed.
+        let dense = |qubits: u32| CachedMarginal {
+            probs: Arc::new(vec![0.0; 1 << qubits]),
+            measured: Arc::new((0..qubits).collect()),
+            stats: ExecStats::default(),
+        };
+        let mut cache = MarginalCache::new(64);
+        for key in 0..6 {
+            cache.insert(CircuitKey(key), dense(20));
+            assert!(cache.bytes <= MARGINAL_BUDGET_BYTES);
+        }
+        assert_eq!(cache.len(), 4);
+        assert!(cache.get(CircuitKey(1)).is_none() && cache.get(CircuitKey(2)).is_some());
+        // Re-inserting under a held key replaces the entry in place: bytes
+        // follow the new size and the key keeps its turn in the order.
+        cache.insert(CircuitKey(2), dense(10));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.bytes, (3 << 23) + (1 << 13));
+        cache.insert(CircuitKey(6), dense(20));
+        assert!(cache.get(CircuitKey(2)).is_none(), "still the oldest, evicted first");
+        assert!(cache.get(CircuitKey(3)).is_some());
+        assert_eq!((cache.len(), cache.bytes), (4, 4 << 23));
+        // Larger than the whole budget: skipped, and nothing is evicted
+        // to make room for it.
+        cache.insert(CircuitKey(8), dense(23));
+        assert!(cache.get(CircuitKey(8)).is_none());
+        assert_eq!((cache.len(), cache.bytes), (4, 4 << 23));
     }
 
     #[test]

@@ -136,10 +136,13 @@ pub struct ServeConfig {
     pub checkpoint_generations: usize,
     /// Result-cache entries to retain (0 disables caching).
     pub cache_capacity: usize,
-    /// State-marginal-cache entries to retain (0 disables it). A hit
-    /// lets a job that differs from an earlier one only in sampling
-    /// knobs (shots/seed/batch) skip simulation entirely and re-sample
-    /// the cached exact marginal — bit-identical to a cold run.
+    /// State-marginal-cache entries to retain at most (0 disables it);
+    /// the cache also keeps at most 32 MiB of marginals resident, evicts
+    /// oldest-first under either bound and never holds a marginal larger
+    /// than that budget (23 measured qubits and up). A hit lets a job
+    /// that differs from an earlier one only in sampling knobs
+    /// (shots/seed/batch) skip simulation entirely and re-sample the
+    /// cached exact marginal — bit-identical to a cold run.
     pub state_cache_capacity: usize,
     /// Injected transient-fault plan (defaults to no faults).
     pub fault: FaultPlan,

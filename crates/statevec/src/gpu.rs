@@ -208,7 +208,8 @@ impl GpuDevice {
         if vector {
             let phase_splat = simd::splat_all::<T>(&phases);
             let phase_splat = &phase_splat;
-            (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
+            let min = min_items::<T>(T::LANES << k);
+            (0..groups / T::LANES).into_par_iter().with_min_len(min).for_each(move |gb| {
                 let base = expand_index(gb * T::LANES, sorted);
                 // SAFETY: distinct groups expand to disjoint index sets
                 // (zero bits reinserted at every block qubit position), so
@@ -221,7 +222,7 @@ impl GpuDevice {
             return;
         }
         let phases = &phases;
-        (0..groups).into_par_iter().for_each(move |g| {
+        (0..groups).into_par_iter().with_min_len(min_items::<T>(dim)).for_each(move |g| {
             let base = expand_index(g, sorted);
             let mut scratch = [Complex::<T>::ZERO; 64];
             for local in 0..dim {
@@ -294,7 +295,8 @@ impl GpuDevice {
             for t in &tables {
                 simd::record_dispatch::<T>(simd::simd_enabled() && t.chunk() >= T::LANES);
             }
-            state.par_chunks_mut(chunk).enumerate().for_each(|(ci, cs)| {
+            let min = min_items::<T>(chunk);
+            state.par_chunks_mut(chunk).with_min_len(min).enumerate().for_each(|(ci, cs)| {
                 for t in &tables {
                     t.apply(cs, ci * chunk);
                 }
@@ -326,13 +328,13 @@ impl GpuDevice {
         // `g·2^u + j` — the tile is a contiguous slice of the state, so
         // the kernels run in place and the gather/scatter round-trip
         // through scratch disappears.
-        if sweep.qubits.iter().enumerate().all(|(j, &q)| q as usize == j) {
+        if is_low_prefix(&sweep.qubits) {
             qgear_telemetry::counter_add(
                 qgear_telemetry::names::SWEEP_ZERO_COPY_TILES,
                 groups as u128,
             );
             let plans = &plans;
-            state.par_chunks_mut(tile).for_each(|tile_slice| {
+            state.par_chunks_mut(tile).with_min_len(min_items::<T>(tile)).for_each(|tile_slice| {
                 for plan in plans {
                     plan.run_tile(tile_slice);
                 }
@@ -351,7 +353,7 @@ impl GpuDevice {
         let offs = &offs;
         let union_bits: Vec<usize> = sweep.qubits.iter().map(|&q| q as usize).collect();
         let union_bits = &union_bits;
-        (0..groups).into_par_iter().for_each(move |g| {
+        (0..groups).into_par_iter().with_min_len(min_items::<T>(tile)).for_each(move |g| {
             // Tile scratch comes from the per-thread arena: one aligned
             // buffer per worker is reused across every tile, sweep,
             // segment, and batch member of this size (scratch.reuse).
@@ -377,6 +379,27 @@ impl GpuDevice {
             });
         });
     }
+}
+
+/// Bytes of state a parallel task should own at least. Below two tasks'
+/// worth a kernel pass runs inline on the calling thread: waking a parked
+/// helper costs about what a core needs to stream this much, and an
+/// L1/L2-resident state gains nothing from a second core.
+const MIN_TASK_BYTES: usize = 64 << 10;
+
+/// The `with_min_len` of a kernel drive site whose parallel item — one
+/// amplitude group, lane block, table chunk or sweep tile — covers
+/// `amps_per_item` amplitudes: items per [`MIN_TASK_BYTES`]. This is the
+/// one go-parallel rule; every site hands the pool its natural item and
+/// lets the byte count decide how many make a task.
+fn min_items<T: Scalar>(amps_per_item: usize) -> usize {
+    (MIN_TASK_BYTES / (amps_per_item * std::mem::size_of::<Complex<T>>())).max(1)
+}
+
+/// True when sorted `qubits` are exactly `0..qubits.len()`: a tile over
+/// them is a contiguous slice of the state (the zero-copy sweep pass).
+fn is_low_prefix(qubits: &[u32]) -> bool {
+    qubits.iter().enumerate().all(|(j, &q)| q as usize == j)
 }
 
 /// Expand a group index around `sorted_bits` (ascending): reinsert a zero
@@ -552,16 +575,18 @@ impl<T: Scalar> KernelPlan<T> {
     }
 
     /// Full-state driver: apply the plan to the whole state, its groups
-    /// (or table chunks) split across rayon tasks. One group or lane block
-    /// per parallel item, deliberately: the rayon stand-in decides
-    /// inline-vs-threads from the *item count*, so handing each task a
-    /// run of groups silently serializes mid-size states.
+    /// (or table chunks) split across the kernel pool. The parallel item
+    /// is one group, lane block or table chunk; [`min_items`] turns its
+    /// size into the pool's minimum task length, so a task owns at least
+    /// [`MIN_TASK_BYTES`] of state and a pass smaller than two tasks stays
+    /// on the calling thread.
     fn run_full(&self, state: &mut [Complex<T>]) {
         match self {
             KernelPlan::Diag { table } => {
                 let chunk = table.chunk();
                 state
                     .par_chunks_mut(chunk)
+                    .with_min_len(min_items::<T>(chunk))
                     .enumerate()
                     .for_each(|(ci, cs)| table.apply(cs, ci * chunk));
             }
@@ -571,7 +596,8 @@ impl<T: Scalar> KernelPlan<T> {
                 let shared = SharedState(state.as_mut_ptr());
                 let shared = &shared;
                 if kernel.lanes {
-                    (0..groups / T::LANES).into_par_iter().for_each(move |gb| {
+                    let min = min_items::<T>(T::LANES * kernel.mdim);
+                    (0..groups / T::LANES).into_par_iter().with_min_len(min).for_each(move |gb| {
                         // SAFETY: the pointer addresses the `span`
                         // amplitudes of the exclusively borrowed state, the
                         // lane block lies below `groups`, and distinct
@@ -580,7 +606,8 @@ impl<T: Scalar> KernelPlan<T> {
                         unsafe { kernel.apply_group(shared.0, gb * T::LANES, true) }
                     });
                 } else {
-                    (0..groups).into_par_iter().for_each(move |g| {
+                    let min = min_items::<T>(kernel.mdim);
+                    (0..groups).into_par_iter().with_min_len(min).for_each(move |g| {
                         // SAFETY: as above, for the single group `g`.
                         unsafe { kernel.apply_group(shared.0, g, false) }
                     });
@@ -698,6 +725,12 @@ mod tests {
 
     fn rich_circuit(n: u32, seed: u64) -> Circuit {
         let mut c = Circuit::new(n);
+        push_rich_gates(&mut c, n, seed);
+        c
+    }
+
+    /// Append 80 seeded h/ry/rz/cx gates on the low `n` qubits of `c`.
+    fn push_rich_gates(c: &mut Circuit, n: u32, seed: u64) {
         let mut s = seed | 1;
         let mut rnd = move |m: u64| {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -721,7 +754,6 @@ mod tests {
                 }
             }
         }
-        c
     }
 
     #[test]
@@ -811,18 +843,37 @@ mod tests {
         // With reorder off, sweeps only group adjacent kernels and the
         // tile arithmetic replays the full-state op sequence exactly —
         // results must match the plain fused path bit for bit.
-        for seed in [2u64, 9, 40] {
-            let c = rich_circuit(8, seed);
+        let mut circuits: Vec<Circuit> = [2u64, 9, 40].iter().map(|&s| rich_circuit(8, s)).collect();
+        // n = 16, where a 2^6-amplitude tile pass is 1024 tiles in 16
+        // pooled tasks ([`min_items`]): gates on the low six qubits alone
+        // (their sweeps' union is a low-bit prefix: the zero-copy pass),
+        // then on all sixteen (the gathered pass), on a dense state.
+        let mut wide = Circuit::new(16);
+        for q in 0..16 {
+            wide.h(q);
+        }
+        push_rich_gates(&mut wide, 6, 77);
+        push_rich_gates(&mut wide, 16, 78);
+        let program = qgear_ir::fusion::fuse(&wide, RunOptions::default().fusion_width);
+        let opts = qgear_ir::schedule::SweepOptions { max_width: 6, reorder: false };
+        let (zero_copy, gathered): (Vec<Sweep>, Vec<Sweep>) = qgear_ir::schedule::sweeps(&program, &opts)
+            .sweeps
+            .into_iter()
+            .filter(|s| s.kernels.len() > 1 && !s.diagonal)
+            .partition(|s| is_low_prefix(&s.qubits));
+        assert!(!zero_copy.is_empty() && !gathered.is_empty(), "both tile passes run");
+        circuits.push(wide);
+        for (i, c) in circuits.iter().enumerate() {
             let plain: RunOutput<f64> = GpuDevice::default()
-                .run(&c, &RunOptions { sweep_width: 0, ..Default::default() })
+                .run(c, &RunOptions { sweep_width: 0, ..Default::default() })
                 .unwrap();
             let swept: RunOutput<f64> = GpuDevice::default()
-                .run(&c, &RunOptions { sweep_width: 6, sweep_reorder: false, ..Default::default() })
+                .run(c, &RunOptions { sweep_width: 6, sweep_reorder: false, ..Default::default() })
                 .unwrap();
             let a = plain.state.unwrap();
             let b = swept.state.unwrap();
             for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
-                assert!(x.re == y.re && x.im == y.im, "seed {seed}: sweep drift");
+                assert!(x.re == y.re && x.im == y.im, "circuit {i}: sweep drift");
             }
         }
     }
@@ -887,18 +938,20 @@ mod tests {
 
     #[test]
     fn full_state_driver_and_tile_driver_are_one_body_bit_for_bit() {
-        // n = 14: the μ = 1 plan has 2^13 groups, so the full-state driver
-        // really fans out across threads (the shim's threshold is 4096).
-        let n = 14;
+        // n = 16: 512 KiB of fp32 state, 1 MiB of fp64 — 8 and 16 tasks of
+        // `MIN_TASK_BYTES` whatever the item (group, lane block) weighs,
+        // so on a multi-core host the full-state driver really runs pooled
+        // on every placement.
+        let n = 16;
         // Placements: low bits (scalar: below both lane widths), high bits
         // in ascending and in scrambled local order (lanes), and high
         // leading bits over low trailing ones (scalar: a low mixed bit for
         // the dense block, a low extract bit for the factored ones).
         let placements: [([u32; 5], bool); 4] = [
-            ([0, 1, 2, 7, 13], false),
-            ([4, 6, 9, 11, 13], true),
-            ([13, 6, 11, 4, 9], true),
-            ([13, 12, 11, 1, 0], false),
+            ([0, 1, 2, 7, 15], false),
+            ([4, 6, 9, 11, 15], true),
+            ([15, 6, 11, 4, 9], true),
+            ([15, 14, 11, 1, 0], false),
         ];
         for (mu, exact) in [(5, true), (1, false), (3, false)] {
             for (qubits, expect_lanes) in placements {

@@ -79,14 +79,15 @@ else
 fi
 
 # The unsafe kernels under AddressSanitizer (docs/TESTING.md): the unit
-# tests of `qgear-num` (aligned.rs, simd.rs) and `qgear-statevec`
-# (gpu.rs and the rest of its lib) rebuilt with the installed nightly
+# tests of `qgear-num` (aligned.rs, simd.rs), `qgear-statevec` (gpu.rs
+# and the rest of its lib) and the `rayon` stand-in (the pool's erased
+# job closure and raw sub-slices) rebuilt with the installed nightly
 # into their own target dir. Miri is not installable offline; this is
 # the checker the image does have. Optional like clippy.
 if cargo +nightly --version >/dev/null 2>&1; then
-    echo "==> cargo +nightly test (-Zsanitizer=address) -p qgear-num -p qgear-statevec --lib"
+    echo "==> cargo +nightly test (-Zsanitizer=address) -p qgear-num -p qgear-statevec -p rayon --lib"
     RUSTFLAGS="-Zsanitizer=address -C target-cpu=native" CARGO_TARGET_DIR=target/asan \
-        cargo +nightly test -q -p qgear-num -p qgear-statevec --lib --target x86_64-unknown-linux-gnu
+        cargo +nightly test -q -p qgear-num -p qgear-statevec -p rayon --lib --target x86_64-unknown-linux-gnu
 else
     echo "==> nightly toolchain not installed; skipping the AddressSanitizer run"
 fi
