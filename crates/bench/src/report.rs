@@ -149,9 +149,8 @@ impl Report {
             return;
         }
         let sink = qgear_telemetry::JsonSink::new(results_dir().join("telemetry"));
-        match qgear_telemetry::TelemetrySink::export(&sink, &self.experiment, &snap) {
-            Ok(Some(path)) => println!("→ telemetry written to {}", path.display()),
-            Ok(None) => {}
+        match sink.export(&self.experiment, &snap) {
+            Ok(path) => println!("→ telemetry written to {}", path.display()),
             Err(e) => eprintln!("telemetry export failed: {e}"),
         }
     }

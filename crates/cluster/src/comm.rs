@@ -1,4 +1,4 @@
-//! Interconnect topology and message-passing primitives.
+//! Interconnect topology and per-link-class traffic accounting.
 //!
 //! Perlmutter's GPU partition (§2.3, Fig. 3): 4 A100s per node joined by
 //! NVLink-3, nodes joined by HPE Slingshot-11 NICs, and nodes grouped into
@@ -7,7 +7,6 @@
 //! topology here classifies every device pair into one of those three
 //! link classes so traffic can be costed per class.
 
-use crossbeam::channel;
 use qgear_telemetry::names;
 use std::fmt;
 
@@ -49,15 +48,17 @@ impl LinkClass {
     }
 }
 
-/// Why an exchange failed. Real fabrics surface both shapes: a peer (or
-/// its NIC) going away mid-transfer, and a transfer whose link-layer
-/// integrity check rejects the payload. Either way the amplitudes on the
-/// wire are lost — callers must treat the partitioned state as dead and
-/// recover from a checkpoint, never patch around a half-exchange.
+/// The two link faults a test or fault plan can inject into an exchange
+/// (`DistributedState::inject_link_fault`) — the shapes a real fabric
+/// fails in: a peer (or its NIC) going away mid-transfer, and a transfer
+/// whose link-layer integrity check rejects the payload. Nothing in this
+/// one-process simulation fails on its own. Either way the amplitudes of
+/// the failed exchange are lost — callers must treat the partitioned
+/// state as dead and recover from a checkpoint, never patch around a
+/// half-exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommError {
-    /// The partner endpoint disappeared before the rendezvous completed
-    /// (send or receive side found the channel closed).
+    /// The partner endpoint went away before the exchange completed.
     Dropped,
     /// The payload arrived but failed the link-layer integrity check.
     Corrupted,
@@ -165,48 +166,6 @@ impl TrafficStats {
     }
 }
 
-/// Exchange two buffers between two logical endpoints through real
-/// channels on scoped threads — the message actually serializes through a
-/// `crossbeam` rendezvous rather than being swapped in place, keeping the
-/// communication pattern observable and the endpoints symmetric (each side
-/// sends, then receives, like the MPI `sendrecv` the paper's pipeline
-/// uses).
-///
-/// The exchange is **fallible**: a partner that vanishes mid-rendezvous
-/// (closed channel, panicked endpoint) surfaces as [`CommError::Dropped`]
-/// rather than a panic, so callers on the serving path can run their
-/// recovery ladder instead of taking the whole process down.
-pub fn exchange_buffers<T: Send>(a: Vec<T>, b: Vec<T>) -> Result<(Vec<T>, Vec<T>), CommError> {
-    let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::EXCHANGE);
-    // This rendezvous is the single choke point all simulated fabric
-    // traffic passes through, so the fabric counters live here.
-    qgear_telemetry::counter_add(
-        qgear_telemetry::names::FABRIC_BYTES_MOVED,
-        ((a.len() + b.len()) * std::mem::size_of::<T>()) as u128,
-    );
-    qgear_telemetry::counter_add(qgear_telemetry::names::FABRIC_MESSAGES, 2);
-    let (to_b, from_a) = channel::bounded::<Vec<T>>(1);
-    let (to_a, from_b) = channel::bounded::<Vec<T>>(1);
-    let mut recv_a: Result<Vec<T>, CommError> = Err(CommError::Dropped);
-    let mut recv_b: Result<Vec<T>, CommError> = Err(CommError::Dropped);
-    let scope = crossbeam::thread::scope(|s| {
-        let ha = s.spawn(|_| -> Result<Vec<T>, CommError> {
-            to_b.send(a).map_err(|_| CommError::Dropped)?;
-            from_b.recv().map_err(|_| CommError::Dropped)
-        });
-        let hb = s.spawn(|_| -> Result<Vec<T>, CommError> {
-            to_a.send(b).map_err(|_| CommError::Dropped)?;
-            from_a.recv().map_err(|_| CommError::Dropped)
-        });
-        recv_a = ha.join().unwrap_or(Err(CommError::Dropped));
-        recv_b = hb.join().unwrap_or(Err(CommError::Dropped));
-    });
-    if scope.is_err() {
-        return Err(CommError::Dropped);
-    }
-    Ok((recv_a?, recv_b?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,22 +202,6 @@ mod tests {
         t.merge(&s);
         t.merge(&s);
         assert_eq!(t.total_bytes(), 4200);
-    }
-
-    #[test]
-    fn exchange_swaps_contents() {
-        let a: Vec<u32> = (0..100).collect();
-        let b: Vec<u32> = (100..200).collect();
-        let (na, nb) = exchange_buffers(a.clone(), b.clone()).expect("healthy exchange");
-        assert_eq!(na, b);
-        assert_eq!(nb, a);
-    }
-
-    #[test]
-    fn exchange_empty_buffers() {
-        let (a, b) = exchange_buffers(Vec::<u8>::new(), vec![1u8]).expect("healthy exchange");
-        assert_eq!(a, vec![1u8]);
-        assert!(b.is_empty());
     }
 
     #[test]

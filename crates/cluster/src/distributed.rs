@@ -11,8 +11,8 @@
 //! swapping back, and the default; see [`DistributedState::set_restore_layout`]
 //! for the ablation).
 
-use crate::comm::{exchange_buffers, ClusterTopology, CommError, TrafficStats};
-use crate::layout::QubitLayout;
+use crate::comm::{ClusterTopology, CommError, TrafficStats};
+use crate::layout::TrafficPlanner;
 use qgear_ir::fusion::{FusedBlock, FusedProgram};
 use qgear_num::{Complex, Scalar};
 use qgear_statevec::gpu::GpuDevice;
@@ -21,20 +21,12 @@ use qgear_statevec::StateVector;
 /// A state vector partitioned over `2^p` simulated devices.
 #[derive(Debug, Clone)]
 pub struct DistributedState<T: Scalar> {
-    num_qubits: u32,
-    /// log2 of the device count.
-    p: u32,
     /// Per-device amplitude slices, each of length `2^(n-p)`.
     parts: Vec<Vec<Complex<T>>>,
-    /// Logical↔physical qubit assignment, shared with the dry-run planner.
-    layout: QubitLayout,
-    /// Interconnect layout for traffic classification.
-    topology: ClusterTopology,
-    /// Accumulated exchange traffic.
-    traffic: TrafficStats,
-    /// Number of global↔local bit swaps performed.
-    swaps: u64,
-    /// Pairwise exchanges performed (each moves two messages).
+    /// Qubit layout, per-class traffic and swap count — the same
+    /// accountant the dry run uses, so the two cannot disagree.
+    planner: TrafficPlanner,
+    /// Pairwise exchanges attempted (each moves two messages).
     exchanges: u64,
     /// Injected link fault: fail the exchange with this index. Consulted
     /// once; the fault fires on the matching exchange and is cleared.
@@ -48,29 +40,16 @@ impl<T: Scalar> DistributedState<T> {
     /// `|0…0⟩` over `num_qubits`, split across `num_devices` (a power of
     /// two, at most `2^num_qubits`).
     pub fn zero(num_qubits: u32, num_devices: usize, topology: ClusterTopology) -> Self {
-        assert!(num_devices.is_power_of_two(), "device count must be a power of two");
-        let p = num_devices.trailing_zeros();
-        assert!(p <= num_qubits, "more device index bits than qubits");
-        let local_len = 1usize << (num_qubits - p);
+        let planner = TrafficPlanner::new(num_qubits, num_devices, topology, 2 * T::BYTES as u64);
+        let local_len = 1usize << (num_qubits - num_devices.trailing_zeros());
         let mut parts = vec![vec![Complex::ZERO; local_len]; num_devices];
         parts[0][0] = Complex::ONE;
-        DistributedState {
-            num_qubits,
-            p,
-            parts,
-            layout: QubitLayout::identity(num_qubits, num_qubits - p),
-            topology,
-            traffic: TrafficStats::default(),
-            swaps: 0,
-            exchanges: 0,
-            inject: None,
-            restore_layout: false,
-        }
+        DistributedState { parts, planner, exchanges: 0, inject: None, restore_layout: false }
     }
 
     /// Register width.
     pub fn num_qubits(&self) -> u32 {
-        self.num_qubits
+        self.local_width() + self.parts.len().trailing_zeros()
     }
 
     /// Device count.
@@ -80,7 +59,7 @@ impl<T: Scalar> DistributedState<T> {
 
     /// Width of the local index (qubits resident on one device).
     pub fn local_width(&self) -> u32 {
-        self.num_qubits - self.p
+        self.planner.layout.local_width()
     }
 
     /// Per-device amplitude bytes.
@@ -90,12 +69,12 @@ impl<T: Scalar> DistributedState<T> {
 
     /// Accumulated exchange traffic.
     pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
+        self.planner.traffic()
     }
 
     /// Global↔local swaps performed so far.
     pub fn swaps(&self) -> u64 {
-        self.swaps
+        self.planner.swaps()
     }
 
     /// Pairwise exchanges performed so far (each exchange carries two
@@ -122,76 +101,43 @@ impl<T: Scalar> DistributedState<T> {
 
     /// Physical bit position of a logical qubit.
     pub fn physical(&self, logical: u32) -> u32 {
-        self.layout.physical(logical)
+        self.planner.layout.physical(logical)
     }
 
-    /// Swap physical bit positions `a` (must be local) and `b` (must be
-    /// global): pairwise half-exchange between partner devices, plus a
-    /// local bit permutation. Updates the layout.
+    /// Swap physical bit positions `local` and `global`: partner devices
+    /// trade half a slice each. All the devices are slices of this
+    /// process's memory, so the exchange is a swap in place — the upper
+    /// half of every `2^(local+1)` block on the lower rank against the
+    /// lower half of the same block on the higher rank — and the
+    /// interconnect is what the planner charges for it.
     ///
-    /// On a [`CommError`] — real (partner channel died) or injected via
-    /// [`DistributedState::inject_link_fault`] — the partitioned state is
-    /// left **inconsistent** (some pairs may have exchanged, the failed
-    /// pair has not) and must be discarded; callers recover from a
+    /// On a [`CommError`] (armed with
+    /// [`DistributedState::inject_link_fault`]) the partitioned state is
+    /// left **inconsistent** (the earlier pairs have exchanged, the
+    /// failed pair has not) and must be discarded; callers recover from a
     /// checkpoint or restart.
     fn swap_local_global(&mut self, local: u32, global: u32) -> Result<(), CommError> {
-        let lw = self.local_width();
-        debug_assert!(local < lw && global >= lw);
-        let b = global - lw;
-        let lmask = 1usize << local;
-        let local_len = self.parts[0].len();
-        let half = local_len / 2;
-        let amp_bytes = (2 * T::BYTES) as u128;
-
-        for r0 in 0..self.parts.len() {
-            let r1 = r0 ^ (1usize << b);
-            if r0 >= r1 {
-                continue;
-            }
-            // Gather outgoing halves: r0 (rank bit 0) sends amplitudes with
-            // local bit = 1; r1 (rank bit 1) sends those with local bit = 0.
-            let mut out0 = Vec::with_capacity(half);
-            let mut out1 = Vec::with_capacity(half);
-            for base in 0..local_len {
-                if base & lmask == 0 {
-                    out0.push(self.parts[r0][base | lmask]);
-                    out1.push(self.parts[r1][base]);
-                }
-            }
-            let bytes = (out0.len() as u128) * amp_bytes;
-            let class = self.topology.link_class(r0, r1);
+        debug_assert!(local < self.local_width() && global >= self.local_width());
+        let run = 1usize << local;
+        self.planner.swap(local, global, |r0, r1, class, bytes| {
             let this_exchange = self.exchanges;
             self.exchanges += 1;
-            if let Some((at, err)) = self.inject {
-                if at == this_exchange {
-                    self.inject = None;
-                    return Err(err);
-                }
+            if let Some((_, err)) = self.inject.take_if(|(at, _)| *at == this_exchange) {
+                return Err(err);
             }
-            // Two messages: r0→r1 and r1→r0.
-            let (recv0, recv1) = exchange_buffers(out0, out1)?;
-            self.traffic.record(class, bytes);
-            self.traffic.record(class, bytes);
-            // Per-class global counters for the *real* engine only — the
-            // dry-run `TrafficPlanner` twin records into its own
-            // `TrafficStats` without touching process-wide telemetry.
+            let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::EXCHANGE);
+            let (lower, upper) = self.parts.split_at_mut(r1);
+            let (p0, p1) = (&mut lower[r0], &mut upper[0]);
+            for (b0, b1) in p0.chunks_exact_mut(2 * run).zip(p1.chunks_exact_mut(2 * run)) {
+                b0[run..].swap_with_slice(&mut b1[..run]);
+            }
+            // Process-wide counters for the engine only: a dry run
+            // charges its own `TrafficStats` and no telemetry.
             let (bytes_counter, messages_counter) = class.counters();
             qgear_telemetry::counter_add(bytes_counter, 2 * bytes);
             qgear_telemetry::counter_add(messages_counter, 2);
-            // Scatter: r0 fills its bit=1 slots with r1's old bit=0 half;
-            // r1 fills its bit=0 slots with r0's old bit=1 half.
-            let mut k = 0usize;
-            for base in 0..local_len {
-                if base & lmask == 0 {
-                    self.parts[r0][base | lmask] = recv0[k];
-                    self.parts[r1][base] = recv1[k];
-                    k += 1;
-                }
-            }
-        }
-        self.swaps += 1;
-        self.layout.note_swap(local, global);
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Apply one fused kernel addressed in *logical* qubits.
@@ -204,13 +150,13 @@ impl<T: Scalar> DistributedState<T> {
     pub fn apply_block(&mut self, block: &FusedBlock) -> Result<(), CommError> {
         // Plan remaps on a layout clone (the shared mixing-aware policy in
         // `QubitLayout::plan_block_mixing`), then execute each planned
-        // swap — the data movement updates `self.layout` to match.
+        // swap — the data movement updates the planner's layout to match.
         let mixing = block.mixing_mask();
-        let mut planned = self.layout.clone();
+        let mut planned = self.planner.layout.clone();
         for swap in planned.plan_block_mixing(&block.qubits, &mixing) {
             self.swap_local_global(swap.local, swap.global)?;
         }
-        debug_assert_eq!(self.layout, planned, "execution diverged from plan");
+        debug_assert_eq!(self.planner.layout, planned, "execution diverged from plan");
         let lw = self.local_width();
         let phys: Vec<u32> = block.qubits.iter().map(|&q| self.physical(q)).collect();
         // Split operands: still-global ones are all unmixed by planning.
@@ -275,8 +221,8 @@ impl<T: Scalar> DistributedState<T> {
     /// grows monotonically and the loop terminates after ≤ n swaps.
     pub(crate) fn restore_identity_layout(&mut self) -> Result<(), CommError> {
         let lw = self.local_width();
-        while let Some(q) = (0..self.num_qubits).find(|&q| self.layout.physical(q) != q) {
-            let cur = self.layout.physical(q);
+        while let Some(q) = (0..self.num_qubits()).find(|&q| self.physical(q) != q) {
+            let cur = self.physical(q);
             let home = q;
             match (cur < lw, home < lw) {
                 (true, true) => self.swap_local_local(cur, home),
@@ -309,12 +255,12 @@ impl<T: Scalar> DistributedState<T> {
                 }
             }
         }
-        self.layout.note_swap(a, b);
+        self.planner.layout.note_swap(a, b);
     }
 
     /// Run a whole fused program.
     pub fn run_program(&mut self, program: &FusedProgram) -> Result<(), CommError> {
-        assert_eq!(program.num_qubits, self.num_qubits);
+        assert_eq!(program.num_qubits, self.num_qubits());
         for block in &program.blocks {
             self.apply_block(block)?;
         }
@@ -361,19 +307,20 @@ impl<T: Scalar> DistributedState<T> {
     /// amplitudes contiguous, and those move as `copy_from_slice`.
     pub fn gather(&self) -> StateVector<T> {
         let lw = self.local_width();
+        let layout = &self.planner.layout;
         // Logical index bits of the physical bits `from..` set in `bits`.
         let image = |bits: usize, from: u32| -> usize {
             (0..usize::BITS - bits.leading_zeros())
                 .filter(|b| bits >> b & 1 == 1)
-                .map(|b| 1usize << self.layout.logical_at(from + b))
+                .map(|b| 1usize << layout.logical_at(from + b))
                 .sum()
         };
-        let in_place = (0..lw).take_while(|&p| self.layout.logical_at(p) == p).count() as u32;
+        let in_place = (0..lw).take_while(|&p| layout.logical_at(p) == p).count() as u32;
         let low = in_place.max(lw / 2);
         let low_image: Vec<usize> = (0..1usize << low).map(|i| image(i, 0)).collect();
         let high_image: Vec<usize> = (0..1usize << (lw - low)).map(|i| image(i, low)).collect();
 
-        let mut state = StateVector::zero(self.num_qubits);
+        let mut state = StateVector::zero(self.num_qubits());
         let amps = state.amplitudes_mut();
         for (r, part) in self.parts.iter().enumerate() {
             let rank = image(r, lw);
@@ -696,6 +643,70 @@ mod tests {
         dist.run_program(&prog).expect("fault index out of range is a no-op");
     }
 
+    /// Amplitude `i` carries the value `i`, so a misplaced one shows.
+    fn counting_state(n: u32) -> StateVector<f64> {
+        StateVector::from_amplitudes(
+            (0..1 << n).map(|i| Complex::new(f64::from(i), -f64::from(i))).collect(),
+        )
+    }
+
+    /// `i` with bits `a` and `b` exchanged.
+    fn swap_bits(i: usize, a: u32, b: u32) -> usize {
+        let differ = (i >> a ^ i >> b) & 1;
+        i ^ (differ << a | differ << b)
+    }
+
+    #[test]
+    fn every_local_global_swap_is_the_bit_permutation_and_charges_what_the_planner_does() {
+        // Local width 8: runs from 1 to 128 amplitudes, both global bits.
+        let (n, devices, topo) = (10u32, 4usize, ClusterTopology::default());
+        let state = counting_state(n);
+        let mut dist = DistributedState::from_state(&state, devices, topo);
+        let mut planner = TrafficPlanner::new(n, devices, topo, 16);
+        let mut expect = state.amplitudes().to_vec();
+        let lw = dist.local_width();
+        for global in lw..n {
+            for local in 0..lw {
+                dist.swap_local_global(local, global).expect("healthy fabric");
+                planner.swap(local, global, |_, _, _, _| Ok(())).expect("dry run");
+                expect = (0..expect.len()).map(|i| expect[swap_bits(i, local, global)]).collect();
+                assert_eq!(dist.parts.concat(), expect, "physical order after ({local}, {global})");
+                assert_eq!(dist.gather(), state, "logical order after ({local}, {global})");
+            }
+        }
+        assert_eq!(dist.traffic(), planner.traffic());
+        assert_eq!(dist.swaps(), planner.swaps());
+        assert_eq!(dist.swaps(), u64::from(lw * (n - lw)));
+        assert_eq!(dist.exchanges(), dist.swaps() * devices as u64 / 2);
+    }
+
+    #[test]
+    fn a_fault_at_exchange_k_stops_the_swap_between_pair_k_minus_one_and_pair_k() {
+        let (n, devices, topo) = (10u32, 4usize, ClusterTopology::default());
+        let state = counting_state(n);
+        // Swapping with the lowest global bit pairs ranks (0,1) then (2,3).
+        let (local, global, half) = (7u32, 8u32, 1usize << 9);
+        let swapped: Vec<_> =
+            (0..1usize << n).map(|i| state.amplitudes()[swap_bits(i, local, global)]).collect();
+        for k in 0..2u64 {
+            let mut dist = DistributedState::from_state(&state, devices, topo);
+            dist.inject_link_fault(k, CommError::Dropped);
+            assert_eq!(dist.swap_local_global(local, global), Err(CommError::Dropped));
+            let done = k as usize * half;
+            let now = dist.parts.concat();
+            assert_eq!(now[..done], swapped[..done], "pairs before {k} exchanged");
+            assert_eq!(now[done..], state.amplitudes()[done..], "pair {k} and later untouched");
+            assert_eq!(dist.exchanges(), k + 1);
+            assert_eq!(dist.swaps(), 0);
+            assert_eq!(dist.physical(local), local, "layout as it was");
+            let mut charged = TrafficStats::default();
+            for _ in 0..2 * k {
+                charged.record(topo.link_class(0, 1), dist.local_bytes() / 2);
+            }
+            assert_eq!(dist.traffic(), &charged, "the traffic of {k} exchanges");
+        }
+    }
+
     #[test]
     fn messages_are_twice_the_exchanges() {
         let c = random_native(6, 60, 21);
@@ -708,11 +719,8 @@ mod tests {
 
     #[test]
     fn gather_undoes_any_layout() {
-        // Amplitude `i` carries the value `i`, so a misplaced one shows.
         let n = 7u32;
-        let state = StateVector::from_amplitudes(
-            (0..1 << n).map(|i| Complex::new(f64::from(i), -f64::from(i))).collect(),
-        );
+        let state = counting_state(n);
         for devices in [1usize, 2, 4, 16, 128] {
             let mut dist = DistributedState::from_state(&state, devices, ClusterTopology::default());
             assert_eq!(dist.gather(), state, "{devices} devices, identity layout");
@@ -726,7 +734,7 @@ mod tests {
                 dist.swap_local_global(0, n - 1).expect("healthy fabric");
                 dist.swap_local_global(lw - 1, lw).expect("healthy fabric");
             }
-            assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.layout);
+            assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.planner.layout);
             // Put bit 0 back: runs of two stay contiguous, the rest is
             // still scattered.
             if lw >= 2 {
@@ -736,7 +744,7 @@ mod tests {
                 } else {
                     dist.swap_local_global(0, at).expect("healthy fabric");
                 }
-                assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.layout);
+                assert_eq!(dist.gather(), state, "{devices} devices, {:?}", dist.planner.layout);
             }
         }
     }

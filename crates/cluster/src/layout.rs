@@ -1,13 +1,13 @@
-//! Logical↔physical qubit layout shared by the real distributed engine and
-//! the dry-run traffic planner.
+//! Logical↔physical qubit layout and the traffic accountant built on it.
 //!
-//! Both the amplitude-moving engine ([`crate::DistributedState`]) and the
-//! zero-allocation planner ([`TrafficPlanner`]) must make *identical* remap
-//! decisions, or the performance model would cost a different communication
-//! schedule than the one actually executed. Factoring the decision logic
-//! here makes that identity structural rather than aspirational.
+//! The amplitude-moving engine ([`crate::DistributedState`]) and the dry
+//! run must make *identical* remap decisions and charge them identically,
+//! or the performance model would cost a different communication schedule
+//! than the one actually executed. Both therefore plan with
+//! [`QubitLayout::plan_block_mixing`] and charge through one
+//! [`TrafficPlanner`] — the engine holds one as a field.
 
-use crate::comm::{ClusterTopology, TrafficStats};
+use crate::comm::{ClusterTopology, CommError, LinkClass, TrafficStats};
 use qgear_ir::fusion::FusedProgram;
 
 /// Tracks which physical bit position holds each logical qubit.
@@ -110,20 +110,21 @@ impl QubitLayout {
     }
 }
 
-/// Zero-allocation communication planner: walks a fused program through the
-/// same remap policy as the real engine and accumulates the traffic each
-/// swap would generate on a cluster of `2^p` devices — without touching a
-/// single amplitude. This is how `qgear-perfmodel` costs 42-qubit runs on
-/// 1024 GPUs from a laptop.
+/// The one traffic accountant: owns the qubit layout, the per-class
+/// [`TrafficStats`] and the swap count of a run over `2^p` devices.
+/// [`crate::DistributedState`] holds one and moves amplitudes as it
+/// charges; on its own it is the dry run that walks a fused program
+/// through the same remap policy without touching a single amplitude —
+/// how `qgear-perfmodel` costs 42-qubit runs on 1024 GPUs from a laptop.
 #[derive(Debug, Clone)]
 pub struct TrafficPlanner {
-    layout: QubitLayout,
+    pub(crate) layout: QubitLayout,
     num_devices: usize,
     topology: ClusterTopology,
-    amp_bytes: u64,
     traffic: TrafficStats,
     swaps: u64,
-    local_len: u128,
+    /// Bytes one device sends its partner in a swap: half its slice.
+    message_bytes: u128,
 }
 
 impl TrafficPlanner {
@@ -135,44 +136,51 @@ impl TrafficPlanner {
         topology: ClusterTopology,
         amp_bytes: u64,
     ) -> Self {
-        assert!(num_devices.is_power_of_two());
+        assert!(num_devices.is_power_of_two(), "device count must be a power of two");
         let p = num_devices.trailing_zeros();
-        assert!(p <= num_qubits);
+        assert!(p <= num_qubits, "more device index bits than qubits");
         TrafficPlanner {
             layout: QubitLayout::identity(num_qubits, num_qubits - p),
             num_devices,
             topology,
-            amp_bytes,
             traffic: TrafficStats::default(),
             swaps: 0,
-            local_len: 1u128 << (num_qubits - p),
+            message_bytes: (1u128 << (num_qubits - p)) / 2 * amp_bytes as u128,
         }
     }
 
-    /// Account one planned swap: every device pairs with its partner and
-    /// exchanges half its local slice (one message each direction).
-    fn record_swap(&mut self, swap: PlannedSwap) {
-        let lw = self.layout.local_width();
-        let b = swap.global - lw;
-        let bytes_per_message = self.local_len / 2 * self.amp_bytes as u128;
-        for r0 in 0..self.num_devices {
-            let r1 = r0 ^ (1usize << b);
-            if r0 >= r1 {
-                continue;
-            }
+    /// Charge the swap of physical positions `local` and `global`: every
+    /// device pairs with the partner across the global bit and the two
+    /// exchange half a slice, one message each way. `exchange` is handed
+    /// each pair (lower rank first), its link class and the bytes of one
+    /// message before the pair is charged — the engine moves the
+    /// amplitudes there, the dry run does nothing — and its error stops
+    /// the swap with the earlier pairs charged and the layout as it was.
+    pub(crate) fn swap(
+        &mut self,
+        local: u32,
+        global: u32,
+        mut exchange: impl FnMut(usize, usize, LinkClass, u128) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        let partner_bit = 1usize << (global - self.layout.local_width());
+        for r0 in (0..self.num_devices).filter(|r| r & partner_bit == 0) {
+            let r1 = r0 | partner_bit;
             let class = self.topology.link_class(r0, r1);
-            self.traffic.record(class, bytes_per_message);
-            self.traffic.record(class, bytes_per_message);
+            exchange(r0, r1, class, self.message_bytes)?;
+            self.traffic.record(class, self.message_bytes);
+            self.traffic.record(class, self.message_bytes);
         }
         self.swaps += 1;
+        self.layout.note_swap(local, global);
+        Ok(())
     }
 
     /// Walk a whole fused program (mixing-aware, matching the engine).
     pub fn run_program(&mut self, program: &FusedProgram) {
         for block in &program.blocks {
-            let mixing = block.mixing_mask();
-            for swap in self.layout.plan_block_mixing(&block.qubits, &mixing) {
-                self.record_swap(swap);
+            for swap in self.layout.clone().plan_block_mixing(&block.qubits, &block.mixing_mask()) {
+                self.swap(swap.local, swap.global, |_, _, _, _| Ok(()))
+                    .expect("the dry run's exchange cannot fail");
             }
         }
     }
@@ -185,11 +193,6 @@ impl TrafficPlanner {
     /// Number of remap swaps planned.
     pub fn swaps(&self) -> u64 {
         self.swaps
-    }
-
-    /// Final layout (for chained planning).
-    pub fn layout(&self) -> &QubitLayout {
-        &self.layout
     }
 }
 

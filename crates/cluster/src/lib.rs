@@ -16,11 +16,13 @@
 //!   one per device, "effectively utilizing them as four quantum
 //!   processing units" (§3).
 //!
-//! Exchanges move real buffers between scoped threads through crossbeam
-//! channels, and every message is accounted against the [`comm`] topology
+//! The devices are slices of one process's memory, so an exchange swaps
+//! the two partners' halves in place; what the interconnect would have
+//! carried is accounted per message against the [`comm`] topology
 //! (NVLink inside a node, Slingshot between nodes, a penalty class across
-//! rack/dragonfly groups) — the raw material for the Fig. 4b reversal
-//! analysis in `qgear-perfmodel`.
+//! rack/dragonfly groups) by one [`TrafficPlanner`], shared with the dry
+//! run — the raw material for the Fig. 4b reversal analysis in
+//! `qgear-perfmodel`.
 
 pub mod comm;
 pub mod distributed;
@@ -28,7 +30,7 @@ pub mod engine;
 pub mod layout;
 pub mod sharded;
 
-pub use comm::{exchange_buffers, ClusterTopology, CommError, LinkClass, TrafficStats};
+pub use comm::{ClusterTopology, CommError, LinkClass, TrafficStats};
 pub use distributed::DistributedState;
 pub use layout::{QubitLayout, TrafficPlanner};
 pub use engine::ClusterEngine;

@@ -177,8 +177,7 @@ impl QGear {
             fusion_width: self.config.fusion_width,
             keep_state: self.config.keep_state,
             memory_limit: self.config.memory_limit,
-            // Sweep scheduling and shot batching ride on the engine
-            // defaults (sweeps on, batching off).
+            // Sweep scheduling rides on the engine defaults (sweeps on).
             ..RunOptions::default()
         }
     }

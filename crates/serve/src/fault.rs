@@ -160,7 +160,7 @@ pub struct FaultEvent {
 
 /// A declarative fault script layered over a rate-based [`FaultPlan`].
 ///
-/// `event_for` answers the explicit script; the service consults it
+/// `events_for` answers the explicit script; the service consults it
 /// before the plan, so a schedule can both add faults a rate plan never
 /// produces (worker death, cache corruption) and pin down exactly which
 /// attempts strike — the property the simulation harness's replay and
@@ -174,11 +174,6 @@ impl FaultSchedule {
     /// An empty schedule (only the rate plan applies).
     pub fn none() -> Self {
         FaultSchedule::default()
-    }
-
-    /// A schedule from an explicit event list.
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        FaultSchedule { events }
     }
 
     /// Builder: add one scheduled fault.
@@ -195,18 +190,6 @@ impl FaultSchedule {
     /// The scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// The scheduled fault for `(job, attempt)`, if any.
-    ///
-    /// **Matching order:** events are scanned in insertion order and the
-    /// *first* event whose `(job, attempt)` coordinates match wins. When
-    /// an attempt needs several effects at once — "die mid-run *and*
-    /// corrupt the newest checkpoint" — schedule multiple events at the
-    /// same coordinates and consume them with [`FaultSchedule::events_for`];
-    /// this accessor stays first-match for the single-fault callers.
-    pub fn event_for(&self, job: u64, attempt: u32) -> Option<FaultKind> {
-        self.events_for(job, attempt).next()
     }
 
     /// All scheduled faults for `(job, attempt)`, in insertion order.
@@ -286,10 +269,10 @@ mod tests {
             .with_event(3, 0, FaultKind::WorkerDeath)
             .with_event(3, 2, FaultKind::Transient)
             .with_event(5, 0, FaultKind::CorruptCache);
-        assert_eq!(schedule.event_for(3, 0), Some(FaultKind::WorkerDeath));
-        assert_eq!(schedule.event_for(3, 1), None);
-        assert_eq!(schedule.event_for(3, 2), Some(FaultKind::Transient));
-        assert_eq!(schedule.event_for(4, 0), None);
+        assert_eq!(schedule.events_for(3, 0).next(), Some(FaultKind::WorkerDeath));
+        assert_eq!(schedule.events_for(3, 1).next(), None);
+        assert_eq!(schedule.events_for(3, 2).next(), Some(FaultKind::Transient));
+        assert_eq!(schedule.events_for(4, 0).next(), None);
         assert!(schedule.corrupts_cache(5));
         assert!(!schedule.corrupts_cache(3), "non-corrupt kinds don't corrupt");
         assert!(FaultSchedule::none().is_empty());
@@ -302,11 +285,6 @@ mod tests {
             .with_event(2, 1, FaultKind::WorkerDeathMidRun { after_segments: 2 })
             .with_event(2, 1, FaultKind::CorruptCheckpoint { generation: 1 })
             .with_event(2, 1, FaultKind::Transient);
-        // event_for stays first-match (insertion order).
-        assert_eq!(
-            schedule.event_for(2, 1),
-            Some(FaultKind::WorkerDeathMidRun { after_segments: 2 })
-        );
         // events_for yields every match, in insertion order.
         let all: Vec<FaultKind> = schedule.events_for(2, 1).collect();
         assert_eq!(
@@ -337,11 +315,11 @@ mod tests {
             .with_event(1, 0, FaultKind::ShardWorkerDeath { shard: 1, after_segments: 2 })
             .with_event(1, 1, FaultKind::LinkFault { exchange: 3, corrupt: true });
         assert_eq!(
-            schedule.event_for(1, 0),
+            schedule.events_for(1, 0).next(),
             Some(FaultKind::ShardWorkerDeath { shard: 1, after_segments: 2 })
         );
         assert_eq!(
-            schedule.event_for(1, 1),
+            schedule.events_for(1, 1).next(),
             Some(FaultKind::LinkFault { exchange: 3, corrupt: true })
         );
         assert!(!schedule.corrupts_cache(1), "shard faults never corrupt the cache");

@@ -141,10 +141,6 @@ pub struct JobSpec {
     /// Sampling seed — part of the cache key, so equal specs replay
     /// bit-identically.
     pub seed: u64,
-    /// Shots per sampling batch (0 = one batch). Histogram-invariant —
-    /// see `qgear_statevec::SamplingConfig` — so it is *not* part of the
-    /// cache key; it only shapes streaming delivery.
-    pub shot_batch: u64,
     /// Numeric precision for the state vector.
     pub precision: Precision,
     /// Tenant this job bills to (fair-share bucket).
@@ -176,7 +172,6 @@ impl JobSpec {
             circuit,
             shots: 1024,
             seed: 0x5EED_0001,
-            shot_batch: 0,
             precision: Precision::Fp64,
             tenant: "default".to_owned(),
             priority: Priority::Normal,
@@ -197,12 +192,6 @@ impl JobSpec {
     /// Set the sampling seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the per-batch shot count (0 = one batch).
-    pub fn shot_batch(mut self, shot_batch: u64) -> Self {
-        self.shot_batch = shot_batch;
         self
     }
 

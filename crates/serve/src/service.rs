@@ -691,11 +691,6 @@ fn backoff_with_cancel(shared: &Shared, id: JobId, backoff: Duration) -> bool {
     }
 }
 
-/// The sampling knobs of a job, as the samplers take them.
-fn sampling_of(spec: &JobSpec) -> SamplingConfig {
-    SamplingConfig { shots: spec.shots, seed: spec.seed, batch_shots: spec.shot_batch }
-}
-
 /// The dispatch prologue, run exactly once per dispatch whether the job
 /// goes solo or rides a batch: cancel → deadline → result cache →
 /// marginal cache. A job that resolves here opens its own `serve_job`
@@ -771,7 +766,8 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     if let Some(hit) = marginal {
         let _job_span = span!(spans::SERVE_JOB);
         let sample_span = span!(spans::SAMPLE);
-        let counts = sample_from_probs(&hit.probs, &hit.measured, &sampling_of(&job.spec));
+        let sampling = SamplingConfig::single(job.spec.shots, job.spec.seed);
+        let counts = sample_from_probs(&hit.probs, &hit.measured, &sampling);
         drop(sample_span);
         let mut stats = hit.stats.clone();
         stats.elapsed = Duration::ZERO; // no simulation happened for *this* job
@@ -967,7 +963,6 @@ fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     RunOptions {
         shots: job.spec.shots,
         seed: job.spec.seed,
-        shot_batch: job.spec.shot_batch,
         fusion_width: cfg.fusion_width,
         sweep_width: cfg.sweep_width,
         keep_state: false,
@@ -1467,7 +1462,8 @@ pub(crate) fn sample_and_package<T: Scalar>(
     let sample_span = span!(spans::SAMPLE);
     let probs = Arc::new(marginal_probs(&state, &measured));
     drop(state); // free the full state before sampling bookkeeping
-    let counts = sample_from_probs(&probs, &measured, &sampling_of(&job.spec));
+    let sampling = SamplingConfig::single(job.spec.shots, job.spec.seed);
+    let counts = sample_from_probs(&probs, &measured, &sampling);
     drop(sample_span);
     stats.sampling_elapsed += clock.now().saturating_sub(sample_start);
     let marginal = CachedMarginal { probs, measured: Arc::new(measured), stats: stats.clone() };
@@ -1766,29 +1762,6 @@ mod tests {
         assert!(!cold.from_state_cache);
         assert_eq!(cold.counts, warm.counts, "marginal replay must be bit-identical");
         cold_service.shutdown();
-    }
-
-    #[test]
-    fn shot_batching_never_changes_served_counts() {
-        let service = small_service(1);
-        let unbatched = service
-            .submit(JobSpec::new(bell()).shots(1000).seed(5))
-            .job_id()
-            .unwrap();
-        let unbatched = service.wait(unbatched).unwrap();
-        // Different tenant + batching: full-result key matches anyway
-        // (shot_batch is histogram-invariant and not part of the key).
-        let batched = service
-            .submit(JobSpec::new(bell()).shots(1000).seed(5).shot_batch(64).tenant("b"))
-            .job_id()
-            .unwrap();
-        let batched = service.wait(batched).unwrap();
-        assert_eq!(
-            unbatched.result().unwrap().counts,
-            batched.result().unwrap().counts,
-            "batched and unbatched sampling must agree bit-for-bit"
-        );
-        service.shutdown();
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub fn clean_counts_hash(def: &JobDef) -> u64 {
     let opts = RunOptions {
         shots: spec.shots,
         seed: spec.seed,
-        shot_batch: spec.shot_batch,
         fusion_width: HARNESS_FUSION_WIDTH,
         sweep_width: HARNESS_SWEEP_WIDTH,
         keep_state: false,

@@ -28,8 +28,7 @@ use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::Scalar;
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
-    sample_from_probs, Counts, ExecStats, RunOptions, RunOutput, ShotBatchOutput, SimError,
-    Simulator,
+    sample_from_probs, Counts, ExecStats, RunOptions, RunOutput, SimError, Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -363,43 +362,9 @@ impl<T: Scalar> Simulator<T> for StabilizerBackend {
         let t = self.evolve(&unitary, &mut stats)?;
         stats.elapsed = start.elapsed();
         let sample_start = Instant::now();
-        let cfg = SamplingConfig {
-            shots: opts.shots,
-            seed: opts.seed,
-            batch_shots: opts.shot_batch,
-        };
-        let counts = self.sample(&t, &measured, &cfg)?;
+        let counts = self.sample(&t, &measured, &opts.sampling())?;
         stats.sampling_elapsed = sample_start.elapsed();
         Ok(RunOutput { state: None, counts, stats })
-    }
-
-    /// One tableau evolution serving several sampling requests. Overrides
-    /// the default (which requires a dense state) but keeps its contract:
-    /// each request's histogram is bit-identical to a standalone
-    /// [`Simulator::run`] with that request's `(shots, seed, batch)`.
-    fn run_shot_batch(
-        &self,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        requests: &[SamplingConfig],
-    ) -> Result<ShotBatchOutput<T>, SimError> {
-        self.check_feasible(circuit.num_qubits(), opts)?;
-        let (unitary, measured) = circuit.split_measurements();
-        let mut stats = ExecStats::default();
-        let start = Instant::now();
-        let t = self.evolve(&unitary, &mut stats)?;
-        stats.elapsed = start.elapsed();
-        let sample_start = Instant::now();
-        let counts = if measured.is_empty() {
-            requests.iter().map(|_| None).collect()
-        } else {
-            requests
-                .iter()
-                .map(|cfg| self.sample(&t, &measured, cfg))
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        stats.sampling_elapsed = sample_start.elapsed();
-        Ok(ShotBatchOutput { state: None, counts, stats })
     }
 }
 
@@ -428,16 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed_and_batch_invariant() {
+    fn deterministic_per_seed() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).s(1).h(2).measure_all();
         let a = run_counts(&c, 5000, 42);
         let b = run_counts(&c, 5000, 42);
         assert_eq!(a.map, b.map);
-        let opts = RunOptions { shots: 5000, seed: 42, shot_batch: 13, ..Default::default() };
-        let batched: RunOutput<f64> =
-            StabilizerBackend::default().run(&c, &opts).unwrap();
-        assert_eq!(batched.counts.unwrap().map, a.map);
     }
 
     #[test]
@@ -526,23 +487,5 @@ mod tests {
         let opts = RunOptions { shots: 10, ..Default::default() };
         let out: Result<RunOutput<f64>, _> = StabilizerBackend::default().run(&c, &opts);
         assert!(matches!(out, Err(SimError::UnsupportedGate(_))));
-    }
-
-    #[test]
-    fn shot_batch_requests_match_standalone_runs() {
-        let mut c = Circuit::new(5);
-        c.h(0).cx(0, 1).cx(1, 2).s(3).h(4).cx(3, 4).measure_all();
-        let reqs = [
-            SamplingConfig::single(1000, 5),
-            SamplingConfig { shots: 777, seed: 9, batch_shots: 64 },
-        ];
-        let opts = RunOptions::default();
-        let batch: ShotBatchOutput<f64> = StabilizerBackend::default()
-            .run_shot_batch(&c, &opts, &reqs)
-            .unwrap();
-        for (req, got) in reqs.iter().zip(&batch.counts) {
-            let solo = run_counts(&c, req.shots, req.seed);
-            assert_eq!(got.as_ref().unwrap().map, solo.map);
-        }
     }
 }

@@ -52,10 +52,6 @@ pub struct RunOptions {
     pub shots: u64,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// Shots per sampling batch (0 = one batch). Batching never changes
-    /// the histogram — see [`sampling::SamplingConfig`] — it only bounds
-    /// how many shots are materialized per pass in streaming consumers.
-    pub shot_batch: u64,
     /// Gate-fusion window for kernel-based engines (the paper's
     /// `gate fusion = 5`); ignored by the unfused baseline.
     pub fusion_width: usize,
@@ -102,11 +98,7 @@ pub struct RunOptions {
 impl RunOptions {
     /// The sampling knobs as the samplers take them.
     pub fn sampling(&self) -> sampling::SamplingConfig {
-        sampling::SamplingConfig {
-            shots: self.shots,
-            seed: self.seed,
-            batch_shots: self.shot_batch,
-        }
+        sampling::SamplingConfig::single(self.shots, self.seed)
     }
 }
 
@@ -115,7 +107,6 @@ impl Default for RunOptions {
         RunOptions {
             shots: 0,
             seed: 0x5EED_0001,
-            shot_batch: 0,
             fusion_width: qgear_ir::fusion::DEFAULT_FUSION_WIDTH,
             sweep_width: qgear_ir::schedule::DEFAULT_SWEEP_WIDTH,
             sweep_reorder: true,
@@ -221,19 +212,6 @@ pub struct RunOutput<T: Scalar> {
     pub stats: ExecStats,
 }
 
-/// Output of [`Simulator::run_shot_batch`]: one evolved state (when
-/// requested), one `Counts` per sampling request, and the merged stats.
-#[derive(Debug, Clone)]
-pub struct ShotBatchOutput<T: Scalar> {
-    /// Final state (if `keep_state` was set in the options).
-    pub state: Option<StateVector<T>>,
-    /// One histogram per request, `None` where the request drew zero
-    /// shots or the circuit measures nothing.
-    pub counts: Vec<Option<Counts>>,
-    /// Counters for the single evolution plus all sampling passes.
-    pub stats: ExecStats,
-}
-
 /// A state-vector engine: evolves `|0…0⟩` through a circuit and samples.
 pub trait Simulator<T: Scalar> {
     /// Engine name, matching the paper's backend labels where applicable.
@@ -241,38 +219,6 @@ pub trait Simulator<T: Scalar> {
 
     /// Execute the circuit.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError>;
-
-    /// Evolve the state **once** and serve several sampling requests from
-    /// it — the batched shot pipeline. For `r` requests this costs one
-    /// simulation plus `r` multinomial draws instead of `r` simulations,
-    /// which is what makes 98 M-shot QCrank workloads (Table 2) and
-    /// multi-tenant serving affordable.
-    ///
-    /// Each request samples from the same exact marginal with its own
-    /// `(shots, seed, batch_shots)`, so any single request is
-    /// bit-identical to what a standalone [`Simulator::run`] with those
-    /// options would have produced.
-    fn run_shot_batch(
-        &self,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        requests: &[sampling::SamplingConfig],
-    ) -> Result<ShotBatchOutput<T>, SimError> {
-        let evolve_opts = RunOptions { shots: 0, keep_state: true, ..opts.clone() };
-        let out = self.run(circuit, &evolve_opts)?;
-        let state = out.state.expect("keep_state run returns the state");
-        let mut stats = out.stats;
-        let (_, measured) = circuit.split_measurements();
-        let sample_start = std::time::Instant::now();
-        let counts = if measured.is_empty() {
-            requests.iter().map(|_| None).collect()
-        } else {
-            let probs = marginal_probs(&state, &measured);
-            requests.iter().map(|cfg| sample_from_probs(&probs, &measured, cfg)).collect()
-        };
-        stats.sampling_elapsed += sample_start.elapsed();
-        Ok(ShotBatchOutput { state: opts.keep_state.then_some(state), counts, stats })
-    }
 }
 
 /// Shared pre-flight checks: width vs address space and memory limit.

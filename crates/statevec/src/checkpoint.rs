@@ -365,7 +365,7 @@ pub fn encode_amplitudes<T: CheckpointScalar>(
     out.extend_from_slice(&counters.flops.to_le_bytes());
     out.extend_from_slice(&sampling.shots.to_le_bytes());
     out.extend_from_slice(&sampling.seed.to_le_bytes());
-    out.extend_from_slice(&sampling.batch_shots.to_le_bytes());
+    out.extend_from_slice(&sampling.reserved.to_le_bytes());
     debug_assert_eq!(out.len() - meta - 5, META_LEN);
     end_section(&mut out, meta);
 
@@ -490,7 +490,7 @@ pub fn decode<T: CheckpointScalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, C
         flops: r.u128(),
     };
     let sampling =
-        SamplingConfig { shots: r.u64(), seed: r.u64(), batch_shots: r.u64() };
+        SamplingConfig { shots: r.u64(), seed: r.u64(), reserved: r.u64() };
 
     let file =
         H5File::from_bytes(state).map_err(|e| CheckpointError::Container(e.to_string()))?;
@@ -537,7 +537,7 @@ mod tests {
                 bytes_touched: 4096,
                 flops: 512,
             },
-            sampling: SamplingConfig { shots: 100, seed: 9, batch_shots: 0 },
+            sampling: SamplingConfig::single(100, 9),
             state,
         }
     }
@@ -569,7 +569,7 @@ mod tests {
             steps_total: 1,
             fingerprint: 1,
             counters: CheckpointCounters::default(),
-            sampling: SamplingConfig { shots: 1, seed: 1, batch_shots: 0 },
+            sampling: SamplingConfig::single(1, 1),
             state,
         };
         let back: StateCheckpoint<f32> = decode(&encode(&ck)).expect("roundtrip");

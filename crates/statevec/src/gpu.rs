@@ -17,9 +17,9 @@
 //! identity — `tests/differential.rs` pins it down by diffing whole runs
 //! with SIMD forced off.
 //!
-//! The device also models the *structure* of a GPU — SM count, warp size,
-//! per-kernel launch accounting — because the performance model in
-//! `qgear-perfmodel` converts those counters into projected A100 timings.
+//! The device itself is a name and a memory size. What the performance
+//! model in `qgear-perfmodel` converts into projected A100 timings are
+//! the per-kernel launch and byte counters a run charges to `ExecStats`.
 //!
 //! Kernel arithmetic exists once. `KernelPlan` classifies a fused block
 //! (diagonal table, or a group kernel over the bits the block mixes —
@@ -45,16 +45,11 @@ use qgear_num::{Complex, Scalar};
 use rayon::prelude::*;
 
 /// Simulated GPU device description. Defaults model one NVIDIA A100
-/// (Ampere: 108 SMs, 32-thread warps, 40 GB HBM2e as on Perlmutter's
-/// original GPU partition).
+/// (40 GB HBM2e as on Perlmutter's original GPU partition).
 #[derive(Debug, Clone)]
 pub struct GpuDevice {
     /// Marketing name, for reports.
     pub name: String,
-    /// Streaming multiprocessors.
-    pub sm_count: u32,
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Device memory in bytes (enforced when `RunOptions::memory_limit`
     /// is `None`).
     pub memory_bytes: u128,
@@ -71,8 +66,6 @@ impl GpuDevice {
     pub fn a100_40gb() -> Self {
         GpuDevice {
             name: "NVIDIA A100 40GB (simulated)".to_owned(),
-            sm_count: 108,
-            warp_size: 32,
             memory_bytes: 40_000_000_000,
         }
     }
@@ -81,8 +74,6 @@ impl GpuDevice {
     pub fn a100_80gb() -> Self {
         GpuDevice {
             name: "NVIDIA A100 80GB (simulated)".to_owned(),
-            sm_count: 108,
-            warp_size: 32,
             memory_bytes: 80_000_000_000,
         }
     }

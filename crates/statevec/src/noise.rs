@@ -11,7 +11,7 @@
 //! Everything is deterministic by construction:
 //!
 //! * the requested shots are dealt across trajectories with the same
-//!   batch-invariant [`sampling::multinomial`] the engines sample with;
+//!   [`sampling::multinomial`] the engines sample with;
 //! * each trajectory derives its error-draw and sampling seeds from the
 //!   master seed via SplitMix64, so trajectory `k` is the same circuit
 //!   no matter how many threads execute the fan;
@@ -23,8 +23,8 @@
 //! circuits (Pauli insertions are Clifford, so a Clifford circuit stays
 //! stabilizer-simulable under this noise model).
 
-use crate::backend::{Counts, ExecStats, RunOptions, RunOutput, ShotBatchOutput, SimError, Simulator};
-use crate::sampling::{self, SamplingConfig};
+use crate::backend::{Counts, ExecStats, RunOptions, RunOutput, SimError, Simulator};
+use crate::sampling;
 use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::Scalar;
 use rand::rngs::StdRng;
@@ -202,16 +202,15 @@ impl<S> TrajectoryBackend<S> {
         &self,
         circuit: &Circuit,
         opts: &RunOptions,
-        cfg: &SamplingConfig,
     ) -> Result<(Option<Counts>, ExecStats), SimError>
     where
         S: Simulator<T> + Sync,
     {
         let k = self.trajectories.max(1) as usize;
-        // Deal the shots across trajectories with the batch-invariant
+        // Deal the shots across trajectories with the engines' own
         // multinomial — same machinery, same determinism contract.
         let uniform = vec![1.0 / k as f64; k];
-        let deal = sampling::multinomial(&uniform, cfg.shots, derive_seed(cfg.seed, DEAL_DOMAIN));
+        let deal = sampling::multinomial(&uniform, opts.shots, derive_seed(opts.seed, DEAL_DOMAIN));
         if qgear_telemetry::is_enabled() {
             qgear_telemetry::counter_add(
                 qgear_telemetry::names::TRAJECTORIES_REQUESTED,
@@ -225,13 +224,12 @@ impl<S> TrajectoryBackend<S> {
             .filter(|&(_, shots)| shots > 0)
             .collect();
         let run_one = |&(idx, shots): &(usize, u64)| -> TrajectoryResult {
-            let error_seed = derive_seed(cfg.seed ^ ERROR_DOMAIN, idx as u64);
-            let sample_seed = derive_seed(cfg.seed ^ SAMPLE_DOMAIN, idx as u64);
+            let error_seed = derive_seed(opts.seed ^ ERROR_DOMAIN, idx as u64);
+            let sample_seed = derive_seed(opts.seed ^ SAMPLE_DOMAIN, idx as u64);
             let noisy = self.model.noisy_circuit(circuit, error_seed);
             let traj_opts = RunOptions {
                 shots,
                 seed: sample_seed,
-                shot_batch: 0,
                 keep_state: false,
                 ..opts.clone()
             };
@@ -290,41 +288,9 @@ impl<T: Scalar, S: Simulator<T> + Sync> Simulator<T> for TrajectoryBackend<S> {
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
         let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::TRAJECTORY_BATCH);
         let start = Instant::now();
-        let cfg = SamplingConfig {
-            shots: opts.shots,
-            seed: opts.seed,
-            batch_shots: opts.shot_batch,
-        };
-        let (counts, mut stats) = self.run_fan(circuit, opts, &cfg)?;
+        let (counts, mut stats) = self.run_fan(circuit, opts)?;
         stats.elapsed = start.elapsed();
         Ok(RunOutput { state: None, counts, stats })
-    }
-
-    /// Serve several sampling requests. Trajectory noise cannot share one
-    /// evolution across requests (each request re-deals its shots), so
-    /// this is a loop over [`Simulator::run`] — each request remains
-    /// bit-identical to its standalone run.
-    fn run_shot_batch(
-        &self,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        requests: &[SamplingConfig],
-    ) -> Result<ShotBatchOutput<T>, SimError> {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::TRAJECTORY_BATCH);
-        let start = Instant::now();
-        let mut stats = ExecStats::default();
-        let mut counts = Vec::with_capacity(requests.len());
-        for cfg in requests {
-            if cfg.shots == 0 {
-                counts.push(None);
-                continue;
-            }
-            let (c, s) = self.run_fan(circuit, opts, cfg)?;
-            stats.merge(&s);
-            counts.push(c);
-        }
-        stats.elapsed = start.elapsed();
-        Ok(ShotBatchOutput { state: None, counts, stats })
     }
 }
 
@@ -406,17 +372,5 @@ mod tests {
         // Noise never lands after measurements.
         let idx_measure = a.gates().iter().position(|g| g.kind == GateKind::Measure).unwrap();
         assert!(a.gates()[idx_measure..].iter().all(|g| g.kind == GateKind::Measure));
-    }
-
-    #[test]
-    fn zero_shot_requests_short_circuit() {
-        let model = NoiseModel::single(NoiseChannel::BitFlip { p: 0.1 });
-        let backend = TrajectoryBackend::new(AerCpuBackend, model, 16);
-        let reqs = [SamplingConfig::single(0, 1), SamplingConfig::single(100, 2)];
-        let out: ShotBatchOutput<f64> = backend
-            .run_shot_batch(&flip_circuit(), &RunOptions::default(), &reqs)
-            .unwrap();
-        assert!(out.counts[0].is_none());
-        assert_eq!(out.counts[1].as_ref().unwrap().total(), 100);
     }
 }

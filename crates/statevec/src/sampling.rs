@@ -61,85 +61,32 @@ pub fn multinomial(probs: &[f64], shots: u64, seed: u64) -> Vec<u64> {
 }
 
 /// A deterministic shot-sampling request: how many shots, from which
-/// seed, and (optionally) how to split them into batches.
-///
-/// Batching is **histogram-invariant by construction**: the full
-/// multinomial is always drawn in one pass from the master seed
-/// ([`SamplingConfig::histogram`]), and [`SamplingConfig::batched_histograms`]
-/// *partitions* that draw deterministically instead of re-sampling per
-/// batch. Same `(shots, seed)` ⇒ bit-identical total histogram whether
-/// `batch_shots` is 0, 1, or anything else — the invariant the
-/// seed-determinism regression suite pins down.
+/// seed. Same `(shots, seed)` ⇒ bit-identical histogram, wherever and
+/// however often it is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Total shots to draw.
     pub shots: u64,
     /// Master RNG seed.
     pub seed: u64,
-    /// Shots per batch; `0` means a single batch of `shots`.
-    pub batch_shots: u64,
+    /// The third sampling word of a QCKP v1 META section. A checkpoint
+    /// carries it verbatim, so files already written keep their bytes
+    /// through a decode and re-encode; nothing reads it, and
+    /// [`SamplingConfig::single`] — the only constructor the workspace
+    /// uses — writes 0.
+    pub reserved: u64,
 }
 
 impl SamplingConfig {
-    /// A single-batch request.
+    /// `shots` draws from `seed`.
     pub fn single(shots: u64, seed: u64) -> Self {
-        SamplingConfig { shots, seed, batch_shots: 0 }
+        SamplingConfig { shots, seed, reserved: 0 }
     }
 
-    /// The batch sizes this config splits `shots` into (last batch may
-    /// be short). A single `[shots]` batch when `batch_shots == 0`.
-    pub fn batch_sizes(&self) -> Vec<u64> {
-        if self.batch_shots == 0 || self.batch_shots >= self.shots {
-            return vec![self.shots];
-        }
-        let full = self.shots / self.batch_shots;
-        let rem = self.shots % self.batch_shots;
-        let mut sizes = vec![self.batch_shots; full as usize];
-        if rem > 0 {
-            sizes.push(rem);
-        }
-        sizes
-    }
-
-    /// The total outcome histogram — one conditional-binomial multinomial
-    /// draw from the master seed, independent of `batch_shots`.
+    /// The outcome histogram — one conditional-binomial multinomial draw
+    /// from the master seed.
     pub fn histogram(&self, probs: &[f64]) -> Vec<u64> {
         multinomial(probs, self.shots, self.seed)
-    }
-
-    /// The per-batch histograms: a deterministic partition of
-    /// [`SamplingConfig::histogram`] whose per-batch totals equal
-    /// [`SamplingConfig::batch_sizes`] exactly and whose element-wise sum
-    /// is the total histogram exactly.
-    ///
-    /// The partition deals the total draw out in bin order — conceptually
-    /// the `shots` outcomes are laid out sorted by bin and cut into
-    /// consecutive `batch_shots`-sized runs. Batches are therefore *not*
-    /// statistically exchangeable mini-experiments; they are a bandwidth
-    /// amortization of one experiment, which is what the batched shot
-    /// pipeline needs.
-    pub fn batched_histograms(&self, probs: &[f64]) -> Vec<Vec<u64>> {
-        let total = self.histogram(probs);
-        let sizes = self.batch_sizes();
-        let mut out: Vec<Vec<u64>> = sizes.iter().map(|_| vec![0u64; total.len()]).collect();
-        let mut batch = 0usize;
-        // Remaining capacity of the current batch.
-        let mut room = sizes.first().copied().unwrap_or(0);
-        for (bin, &count) in total.iter().enumerate() {
-            let mut left = count;
-            while left > 0 {
-                if room == 0 {
-                    batch += 1;
-                    room = sizes[batch];
-                    continue;
-                }
-                let take = left.min(room);
-                out[batch][bin] += take;
-                left -= take;
-                room -= take;
-            }
-        }
-        out
     }
 }
 
@@ -271,43 +218,6 @@ mod tests {
         let probs = vec![0.5, f64::NAN, 0.5];
         let draw = multinomial(&probs, 1000, 11);
         assert_eq!(draw.iter().sum::<u64>(), 1000);
-    }
-
-    #[test]
-    fn sampling_config_batches_partition_the_master_draw() {
-        let probs = vec![0.4, 0.1, 0.25, 0.25];
-        for batch_shots in [0u64, 1, 7, 100, 999, 1000, 5000] {
-            let cfg = SamplingConfig { shots: 1000, seed: 77, batch_shots };
-            let total = cfg.histogram(&probs);
-            assert_eq!(total, SamplingConfig::single(1000, 77).histogram(&probs),
-                "histogram must not depend on batching (batch_shots={batch_shots})");
-            let batches = cfg.batched_histograms(&probs);
-            let sizes = cfg.batch_sizes();
-            assert_eq!(batches.len(), sizes.len());
-            let mut summed = vec![0u64; probs.len()];
-            for (hist, &size) in batches.iter().zip(&sizes) {
-                assert_eq!(hist.iter().sum::<u64>(), size, "batch total == batch size");
-                for (s, &h) in summed.iter_mut().zip(hist) {
-                    *s += h;
-                }
-            }
-            assert_eq!(summed, total, "batches partition the total exactly");
-        }
-    }
-
-    #[test]
-    fn sampling_config_batch_sizes() {
-        assert_eq!(SamplingConfig::single(10, 0).batch_sizes(), vec![10]);
-        assert_eq!(
-            SamplingConfig { shots: 10, seed: 0, batch_shots: 4 }.batch_sizes(),
-            vec![4, 4, 2]
-        );
-        assert_eq!(
-            SamplingConfig { shots: 8, seed: 0, batch_shots: 4 }.batch_sizes(),
-            vec![4, 4]
-        );
-        assert_eq!(SamplingConfig { shots: 3, seed: 0, batch_shots: 9 }.batch_sizes(), vec![3]);
-        assert_eq!(SamplingConfig::single(0, 1).batch_sizes(), vec![0]);
     }
 
     #[test]

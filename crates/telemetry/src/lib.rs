@@ -25,7 +25,7 @@
 //! atomic load and returns immediately when telemetry is disabled, so
 //! instrumented hot paths cost a fraction of a percent when not
 //! observed. Call [`enable`] to start recording, [`snapshot`] to read,
-//! and a [`TelemetrySink`] ([`JsonSink`] or [`NullSink`]) to export.
+//! and [`JsonSink::export`] to write the snapshot out.
 //!
 //! ```
 //! qgear_telemetry::reset();
@@ -53,7 +53,7 @@ mod span;
 
 pub use clock::{Clock, SharedClock, WallClock};
 pub use metrics::{counter_add, counter_inc, histogram_record};
-pub use sink::{JsonSink, NullSink, TelemetrySink};
+pub use sink::JsonSink;
 pub use snapshot::{HistogramSummary, SpanRecord, TelemetrySnapshot, SCHEMA_VERSION};
 pub use span::{start_span, SpanGuard};
 
@@ -88,17 +88,6 @@ pub fn reset() {
 /// Copy out everything recorded so far.
 pub fn snapshot() -> TelemetrySnapshot {
     span::registry_snapshot()
-}
-
-/// Snapshot the registry and export through `sink` under `label`.
-///
-/// Returns the written path for sinks that produce files ([`JsonSink`]),
-/// `None` for [`NullSink`].
-pub fn export_with(
-    label: &str,
-    sink: &dyn TelemetrySink,
-) -> std::io::Result<Option<std::path::PathBuf>> {
-    sink.export(label, &snapshot())
 }
 
 /// Open a timed span; the returned [`SpanGuard`] ends it on drop.

@@ -21,15 +21,9 @@ pub const FUSION_SOURCE_GATES: &str = "fusion.source_gates";
 /// State-vector amplitudes read or written by kernels.
 pub const AMPLITUDES_TOUCHED: &str = "amplitudes.touched";
 
-/// Bytes moved across the simulated inter-GPU fabric, all link classes.
-pub const FABRIC_BYTES_MOVED: &str = "fabric.bytes_moved";
-
-/// Messages exchanged across the simulated inter-GPU fabric.
-pub const FABRIC_MESSAGES: &str = "fabric.messages";
-
-/// Bytes moved over the intra-node (NVLink) link class by the *real*
-/// distributed engine — per-class split of `fabric.bytes_moved`; the
-/// dry-run traffic planner never increments these.
+/// Bytes charged to the intra-node (NVLink) link class by the *real*
+/// distributed engine's exchanges; the dry-run traffic planner never
+/// increments these.
 pub const COMM_BYTES_INTRA_NODE: &str = "comm.bytes.intra_node";
 /// Bytes over the inter-node (Slingshot NIC) link class.
 pub const COMM_BYTES_INTER_NODE: &str = "comm.bytes.inter_node";

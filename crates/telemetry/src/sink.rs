@@ -1,28 +1,8 @@
-//! Export sinks: where a snapshot goes when a run finishes.
+//! The export sink: where a snapshot goes when a run finishes.
 
 use crate::snapshot::TelemetrySnapshot;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Destination for finished-run telemetry.
-///
-/// Implementations receive a label (used for file naming) and the
-/// snapshot; they return the written path when they produce a file.
-pub trait TelemetrySink {
-    /// Export `snapshot` under `label`.
-    fn export(&self, label: &str, snapshot: &TelemetrySnapshot) -> io::Result<Option<PathBuf>>;
-}
-
-/// Sink that discards everything: the compiled-out-overhead path for
-/// benchmark baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn export(&self, _label: &str, _snapshot: &TelemetrySnapshot) -> io::Result<Option<PathBuf>> {
-        Ok(None)
-    }
-}
 
 /// Sink writing one pretty-printed schema-v1 JSON document per export
 /// to `<dir>/<label>.json`.
@@ -37,22 +17,19 @@ impl JsonSink {
         JsonSink { dir: dir.into() }
     }
 
-    /// Sink writing into the workspace's `results/telemetry/` directory.
-    ///
-    /// Resolved like the bench reports: `CARGO_MANIFEST_DIR/../../results`
-    /// when running under cargo from a workspace crate, `results/` under
-    /// the current directory otherwise.
-    pub fn workspace_default() -> Self {
-        let base = match std::env::var("CARGO_MANIFEST_DIR") {
-            Ok(dir) => PathBuf::from(dir).join("../../results"),
-            Err(_) => PathBuf::from("results"),
-        };
-        JsonSink { dir: base.join("telemetry") }
-    }
-
     /// The directory this sink writes into.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Write `snapshot` to `<dir>/<label>.json` and return that path.
+    pub fn export(&self, label: &str, snapshot: &TelemetrySnapshot) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(&self.dir)?;
+        let path = self.dir.join(format!("{}.json", Self::file_stem(label)));
+        let text = serde_json::to_string_pretty(&snapshot.to_value(label))
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        std::fs::write(&path, text + "\n")?;
+        Ok(path)
     }
 
     /// `label` restricted to filename-safe characters.
@@ -66,17 +43,6 @@ impl JsonSink {
         } else {
             stem
         }
-    }
-}
-
-impl TelemetrySink for JsonSink {
-    fn export(&self, label: &str, snapshot: &TelemetrySnapshot) -> io::Result<Option<PathBuf>> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.dir.join(format!("{}.json", Self::file_stem(label)));
-        let text = serde_json::to_string_pretty(&snapshot.to_value(label))
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        std::fs::write(&path, text + "\n")?;
-        Ok(Some(path))
     }
 }
 
@@ -102,11 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_writes_nothing() {
-        assert_eq!(NullSink.export("x", &sample()).unwrap(), None);
-    }
-
-    #[test]
     fn json_sink_writes_readable_document() {
         let dir = std::env::temp_dir().join(format!(
             "qgear-telemetry-test-{}-{:?}",
@@ -114,7 +75,7 @@ mod tests {
             std::thread::current().id()
         ));
         let sink = JsonSink::new(&dir);
-        let path = sink.export("qft n=10 über", &sample()).unwrap().unwrap();
+        let path = sink.export("qft n=10 über", &sample()).unwrap();
         assert!(path.file_name().unwrap().to_str().unwrap().starts_with("qft_n_10"));
         let text = std::fs::read_to_string(&path).unwrap();
         let value: Value = serde_json::from_str(&text).unwrap();

@@ -248,31 +248,6 @@ proptest! {
             max_deviation(&original, &permuted)
         );
     }
-
-    /// Batching a run's shots never changes its histogram: the batched
-    /// draws are a deterministic partition of the single seeded master
-    /// draw, on both backends.
-    #[test]
-    fn seed_determinism_batched_vs_unbatched(
-        circ in arb_circuit(5, 20),
-        seed in 0u64..1_000,
-        batch_idx in 0usize..4,
-    ) {
-        let batch = [1u64, 7, 100, 1_000_000][batch_idx];
-        let mut circ = circ;
-        circ.measure_all();
-        let (native, _) = transpile::decompose_to_native(&circ);
-        let base = RunOptions { shots: 600, seed, ..Default::default() };
-        let batched = RunOptions { shot_batch: batch, ..base.clone() };
-
-        let plain: RunOutput<f64> = AerCpuBackend.run(&native, &base).expect("aer");
-        let split: RunOutput<f64> = AerCpuBackend.run(&native, &batched).expect("aer");
-        prop_assert_eq!(plain.counts.unwrap().map, split.counts.unwrap().map);
-
-        let plain: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &base).expect("gpu");
-        let split: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &batched).expect("gpu");
-        prop_assert_eq!(plain.counts.unwrap().map, split.counts.unwrap().map);
-    }
 }
 
 /// A dense, normalized, deterministic pseudo-random state so kernel
@@ -582,7 +557,6 @@ fn resume_at_every_segment_boundary_is_bit_identical_to_straight_through() {
     let fixed = |sweep_width, sweep_reorder| RunOptions {
         shots: 512,
         seed: 23,
-        shot_batch: 32,
         fusion_width: 2,
         sweep_width,
         sweep_reorder,
@@ -688,7 +662,7 @@ fn serve_counts_match_direct_evolve_and_sample() {
     circ.measure_all();
 
     let service = Service::start(ServeConfig { workers: 1, ..Default::default() });
-    let spec = JobSpec::new(circ.clone()).shots(2048).seed(77).shot_batch(64);
+    let spec = JobSpec::new(circ.clone()).shots(2048).seed(77);
     let id = service.submit(spec).job_id().expect("accepted");
     let served = service.wait(id).expect("completes");
     let served = served.result().expect("success").counts.clone().expect("counts");
@@ -702,7 +676,7 @@ fn serve_counts_match_direct_evolve_and_sample() {
         .expect("gpu run");
     let (_, measured) = canonical.split_measurements();
     let probs = marginal_probs(&out.state.expect("state"), &measured);
-    let cfg = SamplingConfig { shots: 2048, seed: 77, batch_shots: 64 };
+    let cfg = SamplingConfig::single(2048, 77);
     let direct = sample_from_probs(&probs, &measured, &cfg).expect("counts");
     assert_eq!(served.map, direct.map, "served counts must replay bit-identically");
 }
@@ -728,7 +702,7 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
         circ.cx(q, q + 1);
     }
     circ.measure_all();
-    let spec = || JobSpec::new(circ.clone()).shots(1024).seed(99).shot_batch(32);
+    let spec = || JobSpec::new(circ.clone()).shots(1024).seed(99);
 
     // Through the batched dispatch path, alone in its batch.
     let batched_service = Service::start(ServeConfig {
@@ -764,7 +738,7 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
         GpuDevice::a100_40gb().run(&canonical, &evolve).expect("gpu run");
     let (_, measured) = canonical.split_measurements();
     let probs = marginal_probs(&direct.state.expect("state"), &measured);
-    let cfg = SamplingConfig { shots: 1024, seed: 99, batch_shots: 32 };
+    let cfg = SamplingConfig::single(1024, 99);
     let replayed = sample_from_probs(&probs, &measured, &cfg).expect("counts");
     assert_eq!(batched.map, replayed.map, "served batch-of-1 must replay direct execution");
 }

@@ -23,6 +23,7 @@ use qgear_serve::{
 };
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{ExecStats, GpuDevice, RunOptions, RunOutput, Simulator};
+use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::time::Duration;
 
 /// A 4-qubit circuit whose fp64 state (256 B) overflows the 192-byte
@@ -317,6 +318,66 @@ fn sharded_evolution_gathers_bitwise_dense_amplitudes() {
                 "pairwise message conservation"
             );
         }
+    }
+}
+
+/// Both identities again at a width where an exchange moves real runs
+/// of memory: at n = 16 a slice is 2^15 or 2^14 amplitudes and the
+/// planner's highest-free-local-bit remaps swap runs of up to 2^14, the
+/// shape the `sharded_ckpt` benchmark workload exchanges — the 4-qubit
+/// cases above never swap more than two amplitudes at a time. Served
+/// counts and gathered amplitudes over 2 and 4 shards are bitwise the
+/// dense run's.
+#[test]
+fn a_sixteen_qubit_job_is_bitwise_dense_over_two_and_four_shards() {
+    let n = 16u32;
+    let mut circuit = qft_circuit(n, &QftOptions::default());
+    circuit.measure_all();
+    let (native, _) = decompose_to_native(&circuit);
+    let config = || ServeConfig { workers: 1, sweep_width: 0, ..Default::default() };
+    let served = |config: ServeConfig| {
+        let service = Service::start(config);
+        let id = service
+            .submit(JobSpec::new(circuit.clone()).shots(4000).seed(29))
+            .job_id()
+            .expect("admitted");
+        let outcome = service.wait(id).unwrap();
+        let result = outcome.result().expect("completes").clone();
+        service.shutdown();
+        (result, service.events_for(id))
+    };
+    let (reference, _) = served(config());
+    let opts = RunOptions {
+        shots: 0,
+        fusion_width: config().fusion_width,
+        sweep_width: 0,
+        keep_state: true,
+        ..Default::default()
+    };
+    let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &opts).unwrap();
+    let dense = dense.state.expect("state kept");
+
+    for shards in [2u32, 4] {
+        // Served on workers that hold exactly one slice of the state.
+        let mut slice_device = GpuDevice::a100_40gb();
+        slice_device.memory_bytes = (16u128 << n) / u128::from(shards);
+        let (result, log) = served(ServeConfig {
+            backend: BackendKind::Gpu(slice_device),
+            shard: Some(ShardConfig::default()),
+            ..config()
+        });
+        assert_eq!(result.counts, reference.counts, "{shards} shards: served counts");
+        assert!(
+            log.iter().any(|e| e.kind == EventKind::Shard(ShardRecord::Started { job: 0, shards })),
+            "{shards} shards: the smallest sufficient group; log: {log:?}"
+        );
+        assert!(result.stats.comm_messages > 0, "{shards} shards: the QFT mixes global qubits");
+
+        let group = ClusterEngine::a100_cluster(shards as usize);
+        let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+        run.advance(usize::MAX).expect("no faults armed");
+        assert_eq!(run.state().amplitudes(), dense.amplitudes(), "{shards} shards: gathered");
+        assert!(run.dist().exchanges() > 0);
     }
 }
 

@@ -107,7 +107,7 @@ fn checkpoint_of<T: CheckpointScalar>(state: StateVector<T>) -> StateCheckpoint<
             bytes_touched: 1 << 33,
             flops: (1 << 70) + 5,
         },
-        sampling: SamplingConfig { shots: 10_000, seed: 77, batch_shots: 512 },
+        sampling: SamplingConfig { shots: 10_000, seed: 77, reserved: 512 },
         state,
     }
 }
