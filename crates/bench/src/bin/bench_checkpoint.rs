@@ -1,26 +1,27 @@
-//! Checkpoint cost: QCKP encode / decode and the shard gather, against
-//! what the same bytes cost to `memcpy` and to CRC bit by bit.
+//! Checkpoint cost: QCKP encode / decode, the shard gather and the
+//! gather-free sharded write, against what the same bytes cost to
+//! `memcpy` and to CRC bit by bit.
 //!
 //! `--smoke` is the throughput gate `scripts/check.sh` runs (n = 16,
 //! fp64, dense state). It needs no absolute number: on whatever host it
 //! runs, `checkpoint::encode` must take less time than **one**
 //! bitwise-oracle CRC-32 pass (`qgear_ir::qpy::crc32`) over its own
 //! output, and `decode` less than two, best of five interleaved rounds.
-//! The wire format asks for two CRC passes over the state each way, so
-//! the gate fails for any encoder that spends a bit loop, or a handful
-//! of extra state-sized passes, on them — it failed 2.8× over for the
-//! encoder this one replaced — and passes with room for this one.
+//! The wire format carries two CRCs over the state (the encoder makes
+//! one pass and derives the second, the decoder checks both), so the
+//! gate fails for any codec that spends a bit loop, or a handful of
+//! extra state-sized passes, on them — it failed 2.8× over for the
+//! first encoder — and passes with room for this one.
 //!
 //! Without `--smoke` it prints the host-stamped cost table of
 //! docs/CHECKPOINTS.md (n = 14, 16, 18, both precisions, 4 shards).
 
-use qgear_cluster::{ClusterTopology, DistributedState};
+use qgear_cluster::{ClusterEngine, ShardedRun};
 use qgear_hdf5lite::format;
-use qgear_ir::fusion::fuse;
 use qgear_ir::qpy;
 use qgear_num::Complex;
 use qgear_statevec::checkpoint::{decode, encode, CheckpointCounters, CheckpointScalar, StateCheckpoint};
-use qgear_statevec::{SamplingConfig, StateVector};
+use qgear_statevec::{RunOptions, SamplingConfig, StateVector};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,6 +63,7 @@ struct Cost {
     encode: f64,
     decode: f64,
     gather: f64,
+    sharded_write: f64,
     memcpy: f64,
     table_crc: f64,
     bitwise_crc: f64,
@@ -69,11 +71,21 @@ struct Cost {
 
 fn measure<T: CheckpointScalar>(num_qubits: u32) -> Cost {
     let ck = dense_checkpoint::<T>(num_qubits);
-    // A layout a real job leaves behind: QFT over 4 shards swaps global
-    // qubits into the top local positions.
-    let mut dist = DistributedState::<T>::zero(num_qubits, 4, ClusterTopology::default());
-    dist.run_program(&fuse(&qft_circuit(num_qubits, &QftOptions::default()), 5))
-        .expect("healthy fabric");
+    // The same dense amplitudes in a layout a real job leaves behind:
+    // resumed at cursor 0 onto 4 shards and run through a QFT, which
+    // swaps global qubits into the top local positions.
+    let circuit = qft_circuit(num_qubits, &QftOptions::default());
+    let group = ClusterEngine::a100_cluster(4);
+    let opts = RunOptions { sweep_width: 0, ..Default::default() };
+    let fresh = ShardedRun::<T>::new(&group, &circuit, &opts).expect("admissible");
+    let start = StateCheckpoint {
+        cursor: 0,
+        steps_total: fresh.steps_total() as u64,
+        fingerprint: fresh.fingerprint(),
+        ..ck.clone()
+    };
+    let mut run = ShardedRun::resume(&group, &circuit, &opts, start).expect("same plan");
+    run.advance(usize::MAX).expect("healthy fabric");
     let bytes = encode(&ck);
     let mut sink = vec![0u8; bytes.len()];
     let mut cost = Cost {
@@ -81,6 +93,7 @@ fn measure<T: CheckpointScalar>(num_qubits: u32) -> Cost {
         encode: f64::MAX,
         decode: f64::MAX,
         gather: f64::MAX,
+        sharded_write: f64::MAX,
         memcpy: f64::MAX,
         table_crc: f64::MAX,
         bitwise_crc: f64::MAX,
@@ -88,7 +101,8 @@ fn measure<T: CheckpointScalar>(num_qubits: u32) -> Cost {
     for _ in 0..ROUNDS {
         cost.encode = cost.encode.min(seconds(|| encode(&ck)));
         cost.decode = cost.decode.min(seconds(|| decode::<T>(&bytes).expect("decodes")));
-        cost.gather = cost.gather.min(seconds(|| dist.gather()));
+        cost.gather = cost.gather.min(seconds(|| run.dist().gather()));
+        cost.sharded_write = cost.sharded_write.min(seconds(|| run.encode_checkpoint()));
         cost.memcpy = cost.memcpy.min(seconds(|| sink.copy_from_slice(black_box(&bytes))));
         cost.table_crc = cost.table_crc.min(seconds(|| format::crc32(black_box(&bytes))));
         cost.bitwise_crc = cost.bitwise_crc.min(seconds(|| qpy::crc32(black_box(&bytes))));
@@ -125,17 +139,25 @@ fn main() {
         }
         return;
     }
-    println!("host: {}; best of {ROUNDS}; dense state; gather over 4 shards after QFT\n", host());
-    println!("| n | precision | bytes | encode ms | MB/s | decode ms | MB/s | gather ms | memcpy ms | table CRC ms | bitwise CRC ms |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    println!(
+        "host: {}; best of {ROUNDS}; dense state; gather and sharded write over 4 shards after QFT\n",
+        host()
+    );
+    println!(
+        "| n | precision | bytes | encode ms | MB/s | decode ms | MB/s | gather ms \
+         | sharded write (no gather) ms | memcpy ms | table CRC ms | bitwise CRC ms |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     for n in [14, 16, 18] {
         for (name, c) in [("fp32", measure::<f32>(n)), ("fp64", measure::<f64>(n))] {
             println!(
-                "| {n} | {name} | {} | {:.2} | {:.0} | {:.2} | {:.0} | {:.2} | {:.3} | {:.2} | {:.2} |",
+                "| {n} | {name} | {} | {:.2} | {:.0} | {:.2} | {:.0} | {:.2} | {:.2} | {:.3} \
+                 | {:.2} | {:.2} |",
                 c.bytes,
                 c.encode * 1e3, mb(&c, c.encode),
                 c.decode * 1e3, mb(&c, c.decode),
-                c.gather * 1e3, c.memcpy * 1e3, c.table_crc * 1e3, c.bitwise_crc * 1e3,
+                c.gather * 1e3, c.sharded_write * 1e3, c.memcpy * 1e3,
+                c.table_crc * 1e3, c.bitwise_crc * 1e3,
             );
         }
     }

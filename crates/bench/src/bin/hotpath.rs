@@ -7,7 +7,8 @@
 //!
 //! * **unfused** — the Aer-like CPU baseline, one full-state pass per gate;
 //! * **fused**   — the GPU engine with sweep scheduling off
-//!   (`sweep_width: 0`), one exact dense pass per fused kernel;
+//!   (`sweep_width: 0`), one exact pass per fused kernel: the dense
+//!   mul-add chain minus its exactly-zero entries, bit for bit the same;
 //! * **sweep**   — the GPU engine with the commutation-aware sweep
 //!   scheduler on (the default), one full-state pass per *sweep* with
 //!   cache-blocked tiles kept hot across the sweep's kernels;

@@ -147,65 +147,57 @@ impl<T: Scalar> DistributedState<T> {
     /// mix — pure controls and diagonal phases — stay global: each device
     /// applies the sub-block conditioned on its own rank bits, with zero
     /// communication (the cuQuantum-style control/diagonal optimization).
+    ///
+    /// The kernel itself is [`GpuDevice::apply_to_slices`]: planned once
+    /// per step at the operands' physical positions — once per rank-bit
+    /// pattern when some stayed global — and run over every slice that
+    /// plan serves, each slice getting bit for bit what
+    /// [`GpuDevice::apply_block`] would do to it.
     pub fn apply_block(&mut self, block: &FusedBlock) -> Result<(), CommError> {
         // Plan remaps on a layout clone (the shared mixing-aware policy in
         // `QubitLayout::plan_block_mixing`), then execute each planned
         // swap — the data movement updates the planner's layout to match.
-        let mixing = block.mixing_mask();
         let mut planned = self.planner.layout.clone();
-        for swap in planned.plan_block_mixing(&block.qubits, &mixing) {
+        for swap in planned.plan_block_mixing(&block.qubits, &block.mixing_mask()) {
             self.swap_local_global(swap.local, swap.global)?;
         }
         debug_assert_eq!(self.planner.layout, planned, "execution diverged from plan");
         let lw = self.local_width();
-        let phys: Vec<u32> = block.qubits.iter().map(|&q| self.physical(q)).collect();
-        // Split operands: still-global ones are all unmixed by planning.
-        let conditional: Vec<(usize, u32)> = phys
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p >= lw)
-            .map(|(j, &p)| (j, p - lw))
-            .collect();
-        if conditional.is_empty() {
-            let local_block = FusedBlock {
-                qubits: phys,
-                unitary: block.unitary.clone(),
-                source_gates: block.source_gates,
-            };
-            for part in &mut self.parts {
-                GpuDevice::apply_block(part, &local_block);
+        // Split operands: still-global ones (all unmixed, by planning)
+        // condition the kernel on `(local bit, rank bit)`, the rest say
+        // which slice bits it acts on, in local-bit order.
+        let mut conditional: Vec<(usize, u32)> = Vec::new();
+        let mut positions: Vec<u32> = Vec::with_capacity(block.qubits.len());
+        for (j, &q) in block.qubits.iter().enumerate() {
+            match self.physical(q) {
+                p if p < lw => positions.push(p),
+                p => conditional.push((j, p - lw)),
             }
-        } else {
-            // Local bits the sub-blocks act on, in conditioned order.
-            let kept_phys: Vec<u32> = phys
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| !conditional.iter().any(|&(cj, _)| cj == j))
-                .map(|(_, &p)| p)
-                .collect();
-            // One conditioned sub-block per rank-bit pattern, shared by
-            // every device with that pattern.
-            let patterns = 1usize << conditional.len();
-            let mut sub_blocks: Vec<FusedBlock> = Vec::with_capacity(patterns);
-            for pattern in 0..patterns {
+        }
+        let pattern_of = |rank: usize| -> usize {
+            let bits = conditional.iter().enumerate();
+            bits.map(|(bit, &(_, rank_bit))| (rank >> rank_bit & 1) << bit).sum()
+        };
+        // One kernel per rank-bit pattern, shared by every device with
+        // that pattern: with nothing conditional, the block's own
+        // unitary on every slice.
+        for pattern in 0..1usize << conditional.len() {
+            let conditioned;
+            let unitary = if conditional.is_empty() {
+                &block.unitary
+            } else {
                 let conditions: Vec<(usize, usize)> = conditional
                     .iter()
                     .enumerate()
                     .map(|(bit, &(j, _))| (j, (pattern >> bit) & 1))
                     .collect();
-                sub_blocks.push(FusedBlock {
-                    qubits: kept_phys.clone(),
-                    unitary: block.unitary.condition_on(&conditions),
-                    source_gates: block.source_gates,
-                });
-            }
-            for (r, part) in self.parts.iter_mut().enumerate() {
-                let mut pattern = 0usize;
-                for (bit, &(_, rank_bit)) in conditional.iter().enumerate() {
-                    pattern |= ((r >> rank_bit) & 1) << bit;
-                }
-                GpuDevice::apply_block(part, &sub_blocks[pattern]);
-            }
+                conditioned = block.unitary.condition_on(&conditions);
+                &conditioned
+            };
+            let slices = self.parts.iter_mut().enumerate();
+            let slices = slices.filter(|&(rank, _)| pattern_of(rank) == pattern);
+            let slices = slices.map(|(_, part)| part.as_mut_slice());
+            GpuDevice::apply_to_slices(slices, unitary, &positions);
         }
         if self.restore_layout {
             self.restore_identity_layout()?;
@@ -294,46 +286,50 @@ impl<T: Scalar> DistributedState<T> {
         out
     }
 
-    /// Reassemble the full state in logical qubit order. On the serving
-    /// path: a sharded job gathers at every checkpoint boundary and once
-    /// more for the final sample, so this is a table-driven permutation,
-    /// not a per-amplitude bit loop.
+    /// The register in logical amplitude order, as the runs of amplitudes
+    /// that are contiguous in a slice: the one walker from physical
+    /// placement back to logical order, for whoever needs the state whole
+    /// ([`DistributedState::gather`]) or in order without ever holding it
+    /// whole (a checkpoint write).
     ///
-    /// A physical index is rank ‖ high local bits ‖ low local bits, and
-    /// its logical index is the OR of the three parts' images under the
-    /// layout, so two small tables and one offset per device replace the
-    /// `n` shifts per amplitude. Low bits the layout has left in place
-    /// (all of them, until a block mixes a global qubit) keep runs of
-    /// amplitudes contiguous, and those move as `copy_from_slice`.
-    pub fn gather(&self) -> StateVector<T> {
+    /// Low bits the layout has left in place (all of the local ones, until
+    /// a block mixes a global qubit) keep `2^in_place` logically
+    /// consecutive amplitudes side by side in one slice; that is a run. A
+    /// run's physical address is the OR of its remaining logical bits'
+    /// images under the layout, so two small tables replace the `n`
+    /// shifts per run.
+    pub fn logical_runs(&self) -> impl Iterator<Item = &[Complex<T>]> + '_ {
         let lw = self.local_width();
         let layout = &self.planner.layout;
-        // Logical index bits of the physical bits `from..` set in `bits`.
+        let in_place = (0..lw).take_while(|&p| layout.logical_at(p) == p).count() as u32;
+        // Physical index bits of the logical bits `from..` set in `bits`.
         let image = |bits: usize, from: u32| -> usize {
             (0..usize::BITS - bits.leading_zeros())
                 .filter(|b| bits >> b & 1 == 1)
-                .map(|b| 1usize << layout.logical_at(from + b))
+                .map(|b| 1usize << layout.physical(from + b))
                 .sum()
         };
-        let in_place = (0..lw).take_while(|&p| layout.logical_at(p) == p).count() as u32;
-        let low = in_place.max(lw / 2);
-        let low_image: Vec<usize> = (0..1usize << low).map(|i| image(i, 0)).collect();
-        let high_image: Vec<usize> = (0..1usize << (lw - low)).map(|i| image(i, low)).collect();
+        let rest = self.num_qubits() - in_place;
+        let low = rest / 2;
+        let low_image: Vec<usize> = (0..1usize << low).map(|i| image(i, in_place)).collect();
+        let high_image: Vec<usize> =
+            (0..1usize << (rest - low)).map(|i| image(i, in_place + low)).collect();
+        (0..1usize << rest).map(move |run| {
+            let at = high_image[run >> low] | low_image[run & ((1 << low) - 1)];
+            let offset = at & ((1 << lw) - 1);
+            &self.parts[at >> lw][offset..offset + (1 << in_place)]
+        })
+    }
 
+    /// Reassemble the full state in logical qubit order (bit-exact at any
+    /// layout): [`DistributedState::logical_runs`], laid end to end.
+    pub fn gather(&self) -> StateVector<T> {
         let mut state = StateVector::zero(self.num_qubits());
-        let amps = state.amplitudes_mut();
-        for (r, part) in self.parts.iter().enumerate() {
-            let rank = image(r, lw);
-            for (run, &high) in part.chunks_exact(1 << low).zip(&high_image) {
-                let base = rank | high;
-                if low == in_place {
-                    amps[base..base + run.len()].copy_from_slice(run);
-                } else {
-                    for (&a, &offset) in run.iter().zip(&low_image) {
-                        amps[base | offset] = a;
-                    }
-                }
-            }
+        let mut rest = state.amplitudes_mut();
+        for run in self.logical_runs() {
+            let (now, later) = rest.split_at_mut(run.len());
+            now.copy_from_slice(run);
+            rest = later;
         }
         state
     }

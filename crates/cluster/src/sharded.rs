@@ -15,9 +15,16 @@
 //! plan it takes the *ordering*: with sweep scheduling on, kernels with
 //! shared support land adjacently, which keeps hot qubits local between
 //! exchanges; at `sweep_width: 0` the order is the program's. Every
-//! block runs as the exact dense kernel whatever mode a single-device
-//! walker would give its segment, so the plan is built under the
-//! [`SegmentMode::Sweep`] pin, which prices and classifies nothing.
+//! block runs as the exact kernel — one plan per step, run over every
+//! slice ([`qgear_statevec::gpu::GpuDevice::apply_to_slices`]) —
+//! whatever mode a single-device walker would give its segment, so the
+//! plan is built under the [`SegmentMode::Sweep`] pin, which prices and
+//! classifies nothing. "Exact" is bit-identical to sequential dense
+//! application of the block to the gathered state, not the dense
+//! arithmetic itself: the kernel skips matrix entries that are exactly
+//! zero, which no result bit can see, short of a partial sum
+//! underflowing to `-0.0` (the argument is on `KernelPlan::new` in
+//! `qgear-statevec`'s `gpu.rs`).
 //!
 //! Everything here is deterministic, so equal `(circuit, options,
 //! precision)` rebuild byte-identical schedules and a cursor is portable
@@ -30,7 +37,8 @@ use crate::engine::ClusterEngine;
 use qgear_ir::{fusion, Circuit};
 use qgear_num::Scalar;
 use qgear_statevec::checkpoint::{
-    plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
+    encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
+    StateCheckpoint,
 };
 use qgear_statevec::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
 use qgear_statevec::{ExecStats, RunOptions, SamplingConfig, SimError, StateVector};
@@ -235,7 +243,8 @@ impl<T: CheckpointScalar> ShardedRun<T> {
 
     /// Snapshot the run: gather the partitioned amplitudes (bit-exact at
     /// any layout) into a QCKP checkpoint that any later run — on any
-    /// group width — can resume from.
+    /// group width — can resume from. Prefer
+    /// [`Self::encode_checkpoint`] when only the bytes are wanted.
     pub fn checkpoint(&self) -> StateCheckpoint<T> {
         StateCheckpoint {
             num_qubits: self.dist.num_qubits(),
@@ -246,6 +255,22 @@ impl<T: CheckpointScalar> ShardedRun<T> {
             sampling: self.sampling,
             state: self.dist.gather(),
         }
+    }
+
+    /// The QCKP bytes of [`Self::checkpoint`] — `encode(&self.checkpoint())`
+    /// byte for byte — written from the slices where they lie: the
+    /// encoder walks [`DistributedState::logical_runs`], so nothing is
+    /// gathered and the output is the only state-sized buffer.
+    pub fn encode_checkpoint(&self) -> Vec<u8> {
+        encode_runs(
+            self.dist.logical_runs(),
+            self.dist.num_qubits(),
+            self.cursor as u64,
+            self.steps_total() as u64,
+            self.fingerprint(),
+            &self.counters(),
+            &self.sampling,
+        )
     }
 
     /// Rebuild the plan for `(circuit, opts)`, refuse a checkpoint that
@@ -311,6 +336,35 @@ mod tests {
             "resumed run must be bit-identical"
         );
         assert_eq!(whole.stats().gates_applied, back.stats().gates_applied);
+    }
+
+    #[test]
+    fn the_gather_free_writer_emits_the_gathering_writers_bytes_at_every_cursor() {
+        // Thirteen qubits over four shards (two container chunks of
+        // fp64), mixing both global qubits: the identity layout, whole
+        // slices in a new order, and local bits displaced so that a chunk
+        // is many short runs all come by.
+        let mut c = Circuit::new(13);
+        c.h(0).h(12).cx(12, 0).ry(0.4, 11).cx(0, 11).h(3).cr1(0.3, 12, 2).cx(11, 12);
+        c.ry(1.1, 0).h(10).cx(10, 12).measure_all();
+        let check = |run: &ShardedRun<f64>| {
+            let gathered = encode(&run.checkpoint());
+            assert_eq!(run.encode_checkpoint(), gathered, "cursor {}", run.cursor());
+        };
+        let mut run: ShardedRun<f64> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
+        let mut layouts = std::collections::BTreeSet::new();
+        check(&run);
+        while !run.is_done() {
+            run.advance(1).expect("healthy fabric");
+            check(&run);
+            layouts.insert((0..13).map(|q| run.dist().physical(q)).collect::<Vec<_>>());
+        }
+        assert!(layouts.len() >= 3, "the layout was remapped: {layouts:?}");
+        assert!(layouts.iter().any(|l| l[10] != 10), "a local bit displaced: {layouts:?}");
+        // fp32, whose chunks hold twice the amplitudes.
+        let mut run: ShardedRun<f32> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
+        run.advance(7).expect("healthy fabric");
+        assert_eq!(run.encode_checkpoint(), encode(&run.checkpoint()));
     }
 
     #[test]

@@ -203,19 +203,53 @@ pub fn decompress_chunk(
     Some(())
 }
 
+/// One chunk as the container stores it: its stored length `u32`, then
+/// its self-tagged body.
+fn framed_chunk(
+    out: &mut Vec<u8>,
+    chunk: &[u8],
+    codec: Compression,
+    width: usize,
+    scratch: &mut Vec<u8>,
+) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    compress_chunk(out, chunk, codec, width, scratch);
+    let stored = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&stored.to_le_bytes());
+}
+
 /// Compress a full payload in [`CHUNK_SIZE`] chunks straight onto `out`,
-/// as the container stores it: chunk count `u32`, then per chunk its
-/// stored length `u32` and its self-tagged body.
+/// as the container stores it: chunk count `u32`, then every chunk
+/// length-framed.
 pub fn compress_payload(out: &mut Vec<u8>, data: &[u8], codec: Compression, width: usize) {
     let mut scratch = Vec::new();
     let chunks = data.chunks(CHUNK_SIZE);
     out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
     for chunk in chunks {
-        let len_at = out.len();
-        out.extend_from_slice(&[0; 4]);
-        compress_chunk(out, chunk, codec, width, &mut scratch);
-        let stored = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&stored.to_le_bytes());
+        framed_chunk(out, chunk, codec, width, &mut scratch);
+    }
+}
+
+/// [`compress_payload`] for a payload of `len` bytes that exists nowhere
+/// in one piece: `fill` is handed one chunk-sized buffer for each chunk
+/// in order (all [`CHUNK_SIZE`] long but the last) and writes that part
+/// of the payload into it. The stream is the one `compress_payload`
+/// emits for the same bytes; the only payload-sized buffer is `out`.
+pub fn compress_payload_with(
+    out: &mut Vec<u8>,
+    len: usize,
+    codec: Compression,
+    width: usize,
+    mut fill: impl FnMut(&mut [u8]),
+) {
+    let mut scratch = Vec::new();
+    let mut buffer = vec![0u8; CHUNK_SIZE.min(len)];
+    out.extend_from_slice(&(len.div_ceil(CHUNK_SIZE) as u32).to_le_bytes());
+    for start in (0..len).step_by(CHUNK_SIZE) {
+        let chunk = &mut buffer[..CHUNK_SIZE.min(len - start)];
+        fill(chunk);
+        framed_chunk(out, chunk, codec, width, &mut scratch);
     }
 }
 
@@ -283,6 +317,14 @@ mod tests {
         let mut cur = &stream[..];
         assert_eq!(decompress_payload(&mut cur, data.len(), width).as_deref(), Some(data), "{codec:?}");
         assert!(cur.is_empty());
+        // The chunk-at-a-time writer emits the same stream.
+        let (mut streamed, mut rest) = (Vec::new(), data);
+        compress_payload_with(&mut streamed, data.len(), codec, width, |chunk| {
+            let (now, later) = rest.split_at(chunk.len());
+            chunk.copy_from_slice(now);
+            rest = later;
+        });
+        assert_eq!(streamed, stream, "{codec:?}, streamed");
         stream
     }
 

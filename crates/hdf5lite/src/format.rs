@@ -35,24 +35,62 @@ pub const MAX_DEPTH: usize = 64;
 /// Serialize a container.
 pub fn write(file: &H5File, compression: Compression) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_into(&mut buf, file, compression);
+    let start = begin(&mut buf, file.payload_bytes(), compression);
+    write_group(&mut buf, &file.root, compression);
+    finish(&mut buf, start);
     buf
 }
 
-/// Serialize a container onto the end of `buf` (a framing format that
-/// embeds one, like a checkpoint's STATE section, writes it in place).
-pub fn write_into(buf: &mut Vec<u8>, file: &H5File, compression: Compression) {
+/// Serialize onto the end of `buf` (a framing format that embeds a
+/// container, like a checkpoint's STATE section, writes it in place) a
+/// container of one attribute-less dataset at `path` whose bytes exist
+/// nowhere in one piece: `fill` produces them a chunk at a time
+/// ([`codec::compress_payload_with`]). Byte for byte what [`write()`]
+/// emits for an [`H5File`] holding that dataset alone. Returns the
+/// CRC-32 of everything it appended, trailer included, so the frame
+/// around it can checksum itself without a second pass over the
+/// container ([`crc32_combine`]).
+pub fn write_dataset_into(
+    buf: &mut Vec<u8>,
+    path: &str,
+    dtype: Dtype,
+    shape: &[u64],
+    compression: Compression,
+    fill: impl FnMut(&mut [u8]),
+) -> u32 {
+    let bytes = dtype.size() * shape.iter().product::<u64>() as usize;
+    let start = begin(buf, bytes, compression);
+    // One group per path component, the root first, each holding only
+    // the next; the last component names the dataset.
+    for name in path.split('/') {
+        group_header(buf, &BTreeMap::new(), 1);
+        write_str(buf, name);
+    }
+    dataset_header(buf, &BTreeMap::new(), dtype, shape);
+    codec::compress_payload_with(buf, bytes, compression, dtype.size(), fill);
+    finish(buf, start)
+}
+
+/// Reserve for a container of `payload` dataset bytes and write its
+/// header. Returns where the container starts.
+fn begin(buf: &mut Vec<u8>, payload: usize, compression: Compression) -> usize {
     // Room for every chunk stored raw (length field + tag each), so a
     // dense payload is written without one regrowth copy.
-    let payload = file.payload_bytes();
     buf.reserve(payload + payload / codec::CHUNK_SIZE * 5 + 1024);
     let start = buf.len();
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u8(compression.tag());
-    write_group(buf, &file.root, compression);
+    start
+}
+
+/// Append the trailer of the container begun at `start` — the one CRC
+/// pass over it — and return the CRC-32 of the container with its
+/// trailer.
+fn finish(buf: &mut Vec<u8>, start: usize) -> u32 {
     let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
+    crc32_combine(crc, crc32(&crc.to_le_bytes()), 4)
 }
 
 fn write_str(buf: &mut Vec<u8>, s: &str) {
@@ -89,28 +127,34 @@ fn write_attrs(buf: &mut Vec<u8>, attrs: &BTreeMap<String, Attr>) {
     }
 }
 
-fn write_group(buf: &mut Vec<u8>, group: &Group, compression: Compression) {
+fn group_header(buf: &mut Vec<u8>, attrs: &BTreeMap<String, Attr>, children: usize) {
     buf.put_u8(0);
-    write_attrs(buf, &group.attrs);
-    buf.put_u32_le(group.children.len() as u32);
+    write_attrs(buf, attrs);
+    buf.put_u32_le(children as u32);
+}
+
+fn write_group(buf: &mut Vec<u8>, group: &Group, compression: Compression) {
+    group_header(buf, &group.attrs, group.children.len());
     for (name, node) in &group.children {
         write_str(buf, name);
         match node {
             Node::Group(g) => write_group(buf, g, compression),
-            Node::Dataset(d) => write_dataset(buf, d, compression),
+            Node::Dataset(d) => {
+                dataset_header(buf, &d.attrs, d.dtype, &d.shape);
+                codec::compress_payload(buf, &d.data, compression, d.dtype.size());
+            }
         }
     }
 }
 
-fn write_dataset(buf: &mut Vec<u8>, ds: &Dataset, compression: Compression) {
+fn dataset_header(buf: &mut Vec<u8>, attrs: &BTreeMap<String, Attr>, dtype: Dtype, shape: &[u64]) {
     buf.put_u8(1);
-    write_attrs(buf, &ds.attrs);
-    buf.put_u8(ds.dtype.tag());
-    buf.put_u8(ds.shape.len() as u8);
-    for &d in &ds.shape {
+    write_attrs(buf, attrs);
+    buf.put_u8(dtype.tag());
+    buf.put_u8(shape.len() as u8);
+    for &d in shape {
         buf.put_u64_le(d);
     }
-    codec::compress_payload(buf, &ds.data, compression, ds.dtype.size());
 }
 
 /// Deserialize a container.
@@ -294,6 +338,32 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()` — what a
+/// frame needs to checksum itself around a payload that has already been
+/// checksummed. Appending a zero byte is linear on the CRC register, and
+/// the `!` at both ends of [`crc32`] cancels out of the difference, so
+/// `crc32(a ‖ b) = Z^len(crc32(a)) ^ crc32(b)` with `Z` that one-byte
+/// operator; `Z^len` is `log2(len)` squarings of a 32 × 32 bit matrix.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let times = |op: &[u32; 32], v: u32| {
+        (0..32).filter(|i| v >> i & 1 == 1).fold(0, |acc, i| acc ^ op[i])
+    };
+    // Column `i`: the register after bit `i` alone meets one zero byte.
+    let mut op: [u32; 32] = std::array::from_fn(|i| {
+        let x = 1u32 << i;
+        (x >> 8) ^ TABLES[0][(x & 0xFF) as usize]
+    });
+    let (mut crc, mut len) = (crc_a, len_b);
+    while len != 0 {
+        if len & 1 == 1 {
+            crc = times(&op, crc);
+        }
+        op = std::array::from_fn(|i| times(&op, op[i]));
+        len >>= 1;
+    }
+    crc ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,6 +403,68 @@ mod tests {
         let f = H5File::new();
         let bytes = write(&f, Compression::ShuffleRle);
         assert_eq!(read(&bytes).unwrap(), f);
+    }
+
+    /// `len` bytes with no period a CRC could hide behind.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn combined_crcs_equal_the_crc_of_the_concatenation() {
+        // Around the 16-byte fold, around a chunk, and a long tail.
+        const CHUNK: usize = codec::CHUNK_SIZE;
+        let lens = [0, 1, 3, 15, 16, 17, 31, 33, CHUNK - 1, CHUNK, CHUNK + 1];
+        for (i, &la) in lens.iter().enumerate() {
+            for (j, &lb) in lens.iter().enumerate() {
+                let (a, b) = (noise(la, (i * 16 + j) as u64), noise(lb, (j * 16 + i + 999) as u64));
+                let whole = crc32(&[a.as_slice(), b.as_slice()].concat());
+                assert_eq!(crc32_combine(crc32(&a), crc32(&b), lb), whole, "{la} ‖ {lb}");
+            }
+        }
+        let data = noise(300_000, 7);
+        let mut x = 11u64;
+        for _ in 0..50 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (a, b) = data.split_at((x >> 33) as usize % (data.len() + 1));
+            let combined = crc32_combine(crc32(a), crc32(b), b.len());
+            assert_eq!(combined, crc32(&data), "split at {}", a.len());
+        }
+    }
+
+    #[test]
+    fn a_streamed_dataset_is_the_container_of_that_dataset_and_reports_its_crc() {
+        for (seed, len) in [0usize, 1, 1000, 8192, 8193, 3 * 8192 + 17].into_iter().enumerate() {
+            // Half noise, half zeros: raw chunks and shrunk ones.
+            let values: Vec<f64> = noise(len, seed as u64)
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if i < len / 2 { f64::from(b) * 0.37 } else { 0.0 })
+                .collect();
+            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let mut f = H5File::new();
+            f.write_dataset("a/b/values", Dataset::from_f64(&values, &[len as u64])).unwrap();
+            for codec in [Compression::None, Compression::Rle, Compression::ShuffleRle] {
+                let (mut streamed, mut rest) = (b"frame".to_vec(), bytes.as_slice());
+                let fill = |chunk: &mut [u8]| {
+                    let (now, later) = rest.split_at(chunk.len());
+                    chunk.copy_from_slice(now);
+                    rest = later;
+                };
+                let shape = [len as u64];
+                let streamed_crc =
+                    write_dataset_into(&mut streamed, "a/b/values", Dtype::F64, &shape, codec, fill);
+                assert_eq!(streamed[..5], *b"frame");
+                assert_eq!(streamed[5..], write(&f, codec), "{len} values, {codec:?}");
+                assert_eq!(streamed_crc, crc32(&streamed[5..]), "the CRC of what was appended");
+            }
+        }
     }
 
     #[test]

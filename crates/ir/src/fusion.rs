@@ -269,24 +269,37 @@ impl DenseUnitary {
         }
     }
 
-    /// True if the unitary **mixes** local bit `j`: some nonzero element
-    /// couples the `bit_j = 0` and `bit_j = 1` subspaces. A bit that is
-    /// *not* mixed (the matrix is block-diagonal in it) acts as a control
-    /// or phase qubit — when that qubit is device-global in a distributed
-    /// run, each device can apply its rank-conditioned sub-block with
-    /// **zero communication** (the cuQuantum-style optimization).
-    pub fn mixes_bit(&self, j: usize, tol: f64) -> bool {
-        debug_assert!(j < self.k);
-        let dim = self.dim();
-        let mask = 1usize << j;
-        for r in 0..dim {
-            for c in 0..dim {
-                if (r ^ c) & mask != 0 && self.m[r * dim + c].norm() > tol {
-                    return true;
+    /// Mask of the local bits the unitary **mixes** (bit `j` set iff some
+    /// element above `tol` couples the `bit_j = 0` and `bit_j = 1`
+    /// subspaces), from one scan of the matrix. A bit that is *not* mixed
+    /// (the matrix is block-diagonal in it) acts as a control or phase
+    /// qubit — when that qubit is device-global in a distributed run,
+    /// each device can apply its rank-conditioned sub-block with **zero
+    /// communication** (the cuQuantum-style optimization).
+    pub fn mixed_bits(&self, tol: f64) -> usize {
+        self.cross_bits(|e| e.norm() > tol)
+    }
+
+    /// [`DenseUnitary::mixed_bits`] with nothing rounded away: bit `j` is
+    /// clear only if every element coupling its two subspaces is bitwise
+    /// `±0.0` in both components. Not `mixed_bits(0.0)` — a `norm()` of
+    /// `1e-200` squares to zero first.
+    pub fn exactly_mixed_bits(&self) -> usize {
+        self.cross_bits(|e| e.re != 0.0 || e.im != 0.0)
+    }
+
+    /// OR of `row ^ col` over the elements `keep` accepts; an element
+    /// that could add no new bit is not asked about.
+    fn cross_bits(&self, keep: impl Fn(C64) -> bool) -> usize {
+        let mut bits = 0usize;
+        for (r, row) in self.m.chunks_exact(self.dim()).enumerate() {
+            for (c, &e) in row.iter().enumerate() {
+                if (r ^ c) & !bits != 0 && keep(e) {
+                    bits |= r ^ c;
                 }
             }
         }
-        false
+        bits
     }
 
     /// If the unitary is diagonal, return its diagonal (length `2^k`);
@@ -341,11 +354,9 @@ impl DenseUnitary {
     ///
     /// `conditions` maps local bit → fixed value (0 or 1).
     pub fn condition_on(&self, conditions: &[(usize, usize)]) -> DenseUnitary {
-        for &(j, v) in conditions {
-            debug_assert!(j < self.k && v <= 1);
-            debug_assert!(!self.mixes_bit(j, 1e-12), "conditioning a mixed bit");
-        }
+        debug_assert!(conditions.iter().all(|&(j, v)| j < self.k && v <= 1));
         let cond_mask: usize = conditions.iter().map(|&(j, _)| 1usize << j).sum();
+        debug_assert_eq!(self.mixed_bits(1e-12) & cond_mask, 0, "conditioning a mixed bit");
         let cond_value: usize = conditions.iter().map(|&(j, v)| v << j).sum();
         let kept: Vec<usize> = (0..self.k).filter(|j| cond_mask & (1 << j) == 0).collect();
         let new_k = kept.len();
@@ -455,9 +466,8 @@ impl FusedBlock {
     /// bit `j`). Unmixed qubits are pure controls/phases and never require
     /// remapping in distributed execution.
     pub fn mixing_mask(&self) -> Vec<bool> {
-        (0..self.qubits.len())
-            .map(|j| self.unitary.mixes_bit(j, 1e-12))
-            .collect()
+        let mixed = self.unitary.mixed_bits(1e-12);
+        (0..self.qubits.len()).map(|j| mixed >> j & 1 == 1).collect()
     }
 
     /// Global-qubit bitmask of this kernel's support (`bit q` set iff the
@@ -474,10 +484,11 @@ impl FusedBlock {
     /// block-diagonal over the shared bits, and their private supports are
     /// disjoint).
     pub fn mixed_support_mask(&self) -> u128 {
+        let mixed = self.unitary.mixed_bits(1e-12);
         self.qubits
             .iter()
             .enumerate()
-            .filter(|&(j, _)| self.unitary.mixes_bit(j, 1e-12))
+            .filter(|&(j, _)| mixed >> j & 1 == 1)
             .map(|(_, &q)| 1u128 << q)
             .sum()
     }

@@ -10,9 +10,9 @@
 //! `ClusterEngine::run` drives straight through) in *segments* of fused
 //! blocks; what lives here is admission's group width, fault arming and
 //! the audit hooks. Every interior segment
-//! boundary gathers the partitioned state and writes a QCKP-v1 checkpoint
-//! generation, which makes the checkpoint — not the shard — the unit of
-//! migration:
+//! boundary writes a QCKP-v1 checkpoint generation — the bytes of the
+//! gathered state, written from the slices without gathering them —
+//! which makes the checkpoint, not the shard, the unit of migration:
 //!
 //! * a [`crate::fault::FaultKind::ShardWorkerDeath`] tears the group
 //!   down and requeues the job; the replacement dispatch restores the
@@ -24,9 +24,14 @@
 //!   newest verified generation.
 //!
 //! Both recoveries are bit-exact: gathered amplitudes are layout- and
-//! width-independent, and the distributed engine applies the identical
-//! fused kernels the dense engine would, so a migrated or recovered run
-//! finishes byte-identical to an unfaulted (or unsharded) one.
+//! width-independent, so a migrated or recovered run finishes
+//! byte-identical to an unfaulted one. Against an *unsharded* run the
+//! same holds only when that one also runs kernel-at-a-time in program
+//! order — a service at `sweep_width: 0`, which is what a group steps at
+//! whatever the service is configured with: the distributed engine then
+//! applies the identical fused kernels the dense engine would. A dense
+//! service at its default sweep width reorders commuting kernels and
+//! agrees with a sharded run to round-off, not to the bit.
 
 use crate::event::EventKind;
 use crate::pool::PoolDecision;
@@ -35,7 +40,7 @@ use crate::service::{shard_min_local_width, Injected, Shared};
 use crate::stepper::{StepSource, Stepper};
 use qgear_cluster::{ClusterEngine, ClusterTopology, CommError, ShardedRun};
 use qgear_perfmodel::memory::plan_shard_count;
-use qgear_statevec::checkpoint::{encode, CheckpointError, CheckpointScalar, StateCheckpoint};
+use qgear_statevec::checkpoint::{CheckpointError, CheckpointScalar, StateCheckpoint};
 use qgear_statevec::{ExecStats, RunOptions, SimError, StateVector};
 use qgear_telemetry::{counter_inc, names};
 use std::cell::Cell;
@@ -127,7 +132,7 @@ impl<T: CheckpointScalar> Stepper<T> for ShardedRun<T> {
     }
 
     fn encode_checkpoint(&self) -> Vec<u8> {
-        encode(&ShardedRun::checkpoint(self))
+        ShardedRun::encode_checkpoint(self)
     }
 
     fn stats(&self) -> ExecStats {

@@ -35,8 +35,9 @@ pub(crate) trait Stepper<T: CheckpointScalar> {
     fn is_done(&self) -> bool;
     /// Steps applied so far.
     fn cursor(&self) -> u64;
-    /// The execution state as QCKP wire bytes (a borrow of a resident
-    /// state, a gather of a partitioned one).
+    /// The execution state as QCKP wire bytes, written from where the
+    /// amplitudes lie (a resident state, or a partitioned one's slices
+    /// walked in logical order).
     fn encode_checkpoint(&self) -> Vec<u8>;
     /// Counters and evolve time accumulated so far.
     fn stats(&self) -> ExecStats;

@@ -59,8 +59,8 @@ pub struct RunOptions {
     /// scheduler: fused kernels are grouped into cache-blocked sweeps
     /// whose tiles hold `2^sweep_width` amplitudes, one plan segment per
     /// sweep. `0` means no grouping — one segment per fused block in
-    /// program order, whatever the selector (the exact-dense reference
-    /// schedule under the default pin); ignored by the unfused baseline.
+    /// program order, whatever the selector (the exact kernel-at-a-time
+    /// reference schedule under the default pin); ignored by the unfused baseline.
     pub sweep_width: usize,
     /// Allow the sweep scheduler to move kernels past *commuting*
     /// neighbours into earlier sweeps. `false` restricts it to grouping

@@ -25,7 +25,9 @@
 //! the container's table-driven [`qgear_hdf5lite::format::crc32`] (a
 //! STATE section is a whole state vector long); the STATE payload is a
 //! `qgear-hdf5lite` container (which carries its own internal CRC), so
-//! amplitude bytes are double-covered. The decoder *rejects* — it never
+//! amplitude bytes are double-covered — the writer derives the outer
+//! CRC from the inner one ([`crc32_combine`]), the reader checks both.
+//! The decoder *rejects* — it never
 //! "best-efforts" — on a bad magic, an unknown version or section tag,
 //! a CRC mismatch, truncation, trailing bytes, a precision or plan
 //! mismatch, or any internally-inconsistent metadata. A corrupted
@@ -34,8 +36,8 @@
 
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
-use qgear_hdf5lite::format::{crc32, write_into};
-use qgear_hdf5lite::{Compression, Dataset, Dtype, H5Error, H5File};
+use qgear_hdf5lite::format::{crc32, crc32_combine, write_dataset_into};
+use qgear_hdf5lite::{Compression, Dtype, H5Error, H5File};
 use qgear_ir::Circuit;
 use qgear_num::{Complex, Scalar};
 use std::fmt;
@@ -60,7 +62,7 @@ const META_LEN: usize = 1 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 16 + 16 + 8 + 8 + 8;
 const AMPLITUDE_DATASET: &str = "checkpoint/amplitudes";
 
 /// Scalars that can ride in a checkpoint: the codec needs a precision
-/// tag and a bit-exact route in and out of an hdf5lite [`Dataset`]'s
+/// tag and a bit-exact route in and out of an hdf5lite [`Dataset`](qgear_hdf5lite::Dataset)'s
 /// little-endian bytes.
 pub trait CheckpointScalar: Scalar {
     /// Precision tag stored in META (the per-component byte width).
@@ -292,12 +294,13 @@ fn begin_section(out: &mut Vec<u8>, tag: u8) -> usize {
     start
 }
 
-/// Close the section opened at `start`: fill in the payload length and
-/// append the CRC over tag ‖ len ‖ payload.
-fn end_section(out: &mut Vec<u8>, start: usize) {
-    let len = (out.len() - start - 5) as u32;
-    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&out[start..]);
+/// Close the section opened at `start`, whose payload's CRC-32 is
+/// `payload_crc`: fill in the payload length and append the CRC over
+/// tag ‖ len ‖ payload, derived from the payload's.
+fn end_section(out: &mut Vec<u8>, start: usize, payload_crc: u32) {
+    let len = out.len() - start - 5;
+    out[start + 1..start + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32_combine(crc32(&out[start..start + 5]), payload_crc, len);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
@@ -317,11 +320,6 @@ pub fn encode<T: CheckpointScalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
 /// [`encode`] over borrowed amplitudes and the remaining
 /// [`StateCheckpoint`] fields, so a live run can be written without
 /// cloning its state into a `StateCheckpoint` first.
-///
-/// The amplitudes are converted once, into the STATE container's
-/// dataset, and the container serializes itself straight into the
-/// output buffer; for a dense state that is one conversion pass, one
-/// chunk copy and the two CRC passes the format asks for.
 pub fn encode_amplitudes<T: CheckpointScalar>(
     amplitudes: &[Complex<T>],
     num_qubits: u32,
@@ -331,23 +329,33 @@ pub fn encode_amplitudes<T: CheckpointScalar>(
     counters: &CheckpointCounters,
     sampling: &SamplingConfig,
 ) -> Vec<u8> {
-    let width = usize::from(T::PRECISION_TAG);
-    let mut data = vec![0u8; amplitudes.len() * 2 * width];
-    for (dst, amp) in data.chunks_exact_mut(2 * width).zip(amplitudes) {
-        let (re, im) = dst.split_at_mut(width);
-        amp.re.write_le(re);
-        amp.im.write_le(im);
-    }
-    let mut file = H5File::new();
-    let ds = Dataset {
-        dtype: T::DTYPE,
-        shape: vec![2 * amplitudes.len() as u64],
-        data,
-        attrs: Default::default(),
-    };
-    file.write_dataset(AMPLITUDE_DATASET, ds).expect("fresh container accepts the dataset");
+    let runs = std::iter::once(amplitudes);
+    encode_runs(runs, num_qubits, cursor, steps_total, fingerprint, counters, sampling)
+}
 
-    // `write_into` reserves for the container, which is all but ~130 bytes.
+/// [`encode`] over amplitudes that lie in pieces: `runs` yields the
+/// register in logical order, run after run, `2^num_qubits` amplitudes
+/// in all (a partitioned state's slices, walked in place — nothing is
+/// gathered first).
+///
+/// Each amplitude is touched three times and no buffer but the output
+/// is state-sized: the runs are converted to little-endian bytes one
+/// container chunk at a time, the chunk goes into the output compressed
+/// or raw while it is in cache, and one CRC pass over the finished
+/// container serves both checksums the format asks for.
+// The fields of a `StateCheckpoint` one by one: that struct is built by
+// literal outside this workspace, so they cannot be regrouped.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_runs<'a, T: CheckpointScalar>(
+    runs: impl IntoIterator<Item = &'a [Complex<T>]>,
+    num_qubits: u32,
+    cursor: u64,
+    steps_total: u64,
+    fingerprint: u64,
+    counters: &CheckpointCounters,
+    sampling: &SamplingConfig,
+) -> Vec<u8> {
+    // The STATE container reserves for itself, which is all but ~130 bytes.
     let mut out = Vec::new();
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
@@ -367,11 +375,37 @@ pub fn encode_amplitudes<T: CheckpointScalar>(
     out.extend_from_slice(&sampling.seed.to_le_bytes());
     out.extend_from_slice(&sampling.reserved.to_le_bytes());
     debug_assert_eq!(out.len() - meta - 5, META_LEN);
-    end_section(&mut out, meta);
+    let meta_crc = crc32(&out[meta + 5..]);
+    end_section(&mut out, meta, meta_crc);
 
     let state = begin_section(&mut out, SECTION_STATE);
-    write_into(&mut out, &file, Compression::ShuffleRle);
-    end_section(&mut out, state);
+    let width = usize::from(T::PRECISION_TAG);
+    let mut runs = runs.into_iter();
+    let mut run: &[Complex<T>] = &[];
+    let container_crc = write_dataset_into(
+        &mut out,
+        AMPLITUDE_DATASET,
+        T::DTYPE,
+        &[2u64 << num_qubits],
+        Compression::ShuffleRle,
+        |mut chunk| {
+            while !chunk.is_empty() {
+                if run.is_empty() {
+                    run = runs.next().expect("the runs hold 2^num_qubits amplitudes");
+                }
+                let (now, later) = run.split_at(run.len().min(chunk.len() / (2 * width)));
+                let (dst, rest) = chunk.split_at_mut(now.len() * 2 * width);
+                for (dst, amp) in dst.chunks_exact_mut(2 * width).zip(now) {
+                    let (re, im) = dst.split_at_mut(width);
+                    amp.re.write_le(re);
+                    amp.im.write_le(im);
+                }
+                (run, chunk) = (later, rest);
+            }
+        },
+    );
+    assert!(run.is_empty() && runs.next().is_none(), "the runs hold 2^num_qubits amplitudes");
+    end_section(&mut out, state, container_crc);
     out
 }
 

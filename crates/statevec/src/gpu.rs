@@ -26,9 +26,10 @@
 //! dense being the all-mixed case) and owns the one gather / mul-add /
 //! scatter body; a full-state kernel ([`GpuDevice::apply_block`], the
 //! `Controlled` class of [`GpuDevice::apply_block_structured`]) is that
-//! body driven over the whole state, a sweep ([`GpuDevice::apply_sweep`])
-//! the same body driven over cache-sized tiles. Only the permutation
-//! shuffle has a loop of its own.
+//! body driven over the whole state, a shard step
+//! ([`GpuDevice::apply_to_slices`]) one plan driven over every slice in
+//! turn, a sweep ([`GpuDevice::apply_sweep`]) the same body driven over
+//! cache-sized tiles. Only the permutation shuffle has a loop of its own.
 //!
 //! This module holds the device and its kernels only. The plan those
 //! kernels execute, the loop that walks it and the stats it charges live
@@ -38,7 +39,7 @@
 use crate::arena;
 use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::simd::{self, DiagTable};
-use qgear_ir::fusion::{FusedBlock, KernelStructure};
+use qgear_ir::fusion::{DenseUnitary, FusedBlock, KernelStructure};
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
 use qgear_num::{Complex, Scalar};
@@ -93,36 +94,37 @@ impl GpuDevice {
     /// The block is classified once, in exact mode (`KernelPlan::new`) —
     /// a pure phase pattern (QFT's cr1 chains, rz runs) becomes one
     /// element-wise table pass with no gather/scatter, exactly like a
-    /// cuQuantum diagonal kernel; anything else the dense `2^k` mul-add
-    /// chain — and the full-state driver splits the `2^(n-k)` independent
+    /// cuQuantum diagonal kernel; anything else a mul-add chain over the
+    /// entries that are not exactly zero, which is bit for bit the dense
+    /// `2^k` chain — and the full-state driver splits the independent
     /// amplitude groups across rayon workers. The sweep path runs the
     /// *same* plan body over its tiles, which is why order-preserving
     /// sweeps are bit-identical to this kernel-at-a-time path.
     pub fn apply_block<T: Scalar>(state: &mut [Complex<T>], block: &FusedBlock) {
-        GpuDevice::apply_full(state, block, None);
+        GpuDevice::apply_to_slices([state], &block.unitary, &block.qubits);
     }
 
-    /// One full-state kernel pass: plan `block` over global bit masks —
-    /// the exact plan, or with `mixing` (the structure classifier's mask)
-    /// the factored one — and hand it to the full-state driver.
-    fn apply_full<T: Scalar>(
-        state: &mut [Complex<T>],
-        block: &FusedBlock,
-        mixing: Option<&[bool]>,
+    /// Execute one kernel on every slice of a partitioned state: `unitary`
+    /// is planned **once**, in exact mode, with its local bit `j` at slice
+    /// bit `positions[j]`, and that plan runs over each of the equally
+    /// long `slices` in turn with the full-state driver.
+    /// [`GpuDevice::apply_block`] is the one-slice case, so a slice gets
+    /// bit for bit what a whole state would, without a block, a
+    /// relabelled qubit list or a second plan ever being built. The shard
+    /// stepper calls it once per step, or once per rank-bit pattern with
+    /// the sub-unitary that pattern conditions.
+    pub fn apply_to_slices<'a, T: Scalar>(
+        slices: impl IntoIterator<Item = &'a mut [Complex<T>]>,
+        unitary: &DenseUnitary,
+        positions: &[u32],
     ) {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
-        // Each kernel reads and writes every amplitude once.
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::AMPLITUDES_TOUCHED,
-            2 * state.len() as u128,
-        );
-        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let plan = match mixing {
-            Some(mixing) => KernelPlan::grouped(block, &masks, state.len(), mixing),
-            None => KernelPlan::new(block, &masks, state.len(), true),
-        };
-        simd::record_dispatch::<T>(plan.lane_eligible());
-        plan.run_full(state);
+        let mut slices = slices.into_iter().peekable();
+        let Some(first) = slices.peek() else { return };
+        let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
+        let plan = KernelPlan::new(unitary, &masks, first.len(), true);
+        for slice in slices {
+            plan.launch(slice);
+        }
     }
 
     /// Execute one fused block through the kernel matching its structure
@@ -153,7 +155,8 @@ impl GpuDevice {
             // `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed by
             // the unmixed (control/phase) bits (see [`KernelPlan`]).
             KernelStructure::Controlled { mixing } => {
-                GpuDevice::apply_full(state, block, Some(mixing));
+                let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
+                KernelPlan::grouped(&block.unitary, &masks, state.len(), mixing).launch(state);
             }
         }
     }
@@ -241,15 +244,16 @@ impl GpuDevice {
     /// schedules), each kernel is the exact plan [`GpuDevice::apply_block`]
     /// builds, run by the same body, so sweep execution is
     /// **bit-identical** to applying the sweep's kernels sequentially over
-    /// the full state in the same order. When `false` (the default
-    /// reordering schedules, which already only agree up to round-off),
-    /// each kernel is instead planned through its block-diagonal
-    /// factorization: a kernel of width `k` that mixes only `μ` of its
-    /// qubits ([`FusedBlock::mixing_mask`]) splits into `2^(k-μ)`
-    /// independent `2^μ × 2^μ` sub-unitaries indexed by the unmixed
-    /// (control/phase) bits, cutting the per-amplitude cost from `2^k` to
-    /// `2^μ` mul-adds — 16× for QFT kernels, which mix only the single `h`
-    /// qubit of each block.
+    /// the full state in the same order. Either way a kernel of width `k`
+    /// that mixes only `μ` of its qubits splits into `2^(k-μ)` independent
+    /// `2^μ × 2^μ` sub-unitaries indexed by the unmixed (control/phase)
+    /// bits, cutting the per-amplitude cost from `2^k` to `2^μ` mul-adds —
+    /// 16× for QFT kernels, which mix only the single `h` qubit of each
+    /// block. The exact plan counts a bit unmixed only when every entry
+    /// across it is exactly zero, which changes no result bit (see
+    /// `KernelPlan::new`); when `false` (the default reordering schedules,
+    /// which already only agree up to round-off) entries below the
+    /// [`FusedBlock::mixing_mask`] tolerance are dropped as well.
     pub fn apply_sweep<T: Scalar>(
         state: &mut [Complex<T>],
         blocks: &[FusedBlock],
@@ -306,7 +310,7 @@ impl GpuDevice {
             .map(|&ki| {
                 let b = &blocks[ki];
                 let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << pos(q)).collect();
-                KernelPlan::new(b, &masks, tile, exact)
+                KernelPlan::new(&b.unitary, &masks, tile, exact)
             })
             .collect();
         for plan in &plans {
@@ -457,31 +461,54 @@ struct GroupKernel<T: Scalar> {
 }
 
 impl<T: Scalar> KernelPlan<T> {
-    /// Classify `b` and plan it over spans of `span` amplitudes/slots,
+    /// Classify `u` and plan it over spans of `span` amplitudes/slots,
     /// `masks[j]` being the span mask of kernel-local bit `j`. A diagonal
-    /// matrix becomes a [`DiagTable`]. Otherwise `exact` selects the
-    /// arithmetic: `true` keeps the dense `2^k` mul-add chain (every bit
-    /// treated as mixed) — the operation sequence every bitwise tier is
-    /// pinned to; `false` factors the kernel over the bits it does not
-    /// mix ([`FusedBlock::mixing_mask`]), which agrees with the dense
-    /// product only to that mask's tolerance.
-    fn new(b: &FusedBlock, masks: &[usize], span: usize, exact: bool) -> Self {
-        if let Some(diag) = b.unitary.diagonal(1e-15) {
+    /// matrix becomes a [`DiagTable`]; anything else a [`GroupKernel`]
+    /// over the bits the matrix mixes, and this is the one place that
+    /// decides which those are.
+    ///
+    /// `exact: true` promises the bits of sequential dense application —
+    /// the `2^k` mul-add chain per amplitude, in column order, that every
+    /// bitwise tier is pinned to — and keeps the promise while skipping
+    /// the entries that are **exactly** zero
+    /// ([`DenseUnitary::exactly_mixed_bits`]; a fused QFT block has two
+    /// nonzero entries in a row of 32). The argument: a row's accumulator
+    /// starts at `+0.0`; a zero entry times a finite amplitude is `±0.0`,
+    /// and under round-to-nearest `x + ±0.0 == x` bit for bit for every
+    /// `x` except `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense
+    /// chain's zero terms leave the accumulator as they found it, the
+    /// nonzero terms meet the same accumulator in the same order in both
+    /// chains, and the results agree in every bit. The one corner is an
+    /// accumulator that *is* `-0.0`: adding zero products to `+0.0` keeps
+    /// it `+0.0` and exact cancellation rounds to `+0.0`, so that takes a
+    /// nonzero partial sum underflowing to `-0.0` — a product below the
+    /// smallest subnormal — and then the two chains may differ in the
+    /// sign of a zero. (Non-finite amplitudes have left the argument's
+    /// premise, and any meaning, already.) The mask is taken on the `f64`
+    /// matrix, so at fp32 an entry that only rounds to zero stays in the
+    /// chain.
+    ///
+    /// `exact: false` also drops cross entries below the
+    /// [`FusedBlock::mixing_mask`] tolerance (`1e-12`), which agrees with
+    /// the dense product only to that tolerance.
+    fn new(u: &DenseUnitary, masks: &[usize], span: usize, exact: bool) -> Self {
+        if let Some(diag) = u.diagonal(1e-15) {
             let d = diag.iter().map(|c| c.cast()).collect();
             return KernelPlan::Diag { table: DiagTable::build(d, masks, span) };
         }
-        let mixing = if exact { vec![true; masks.len()] } else { b.mixing_mask() };
-        KernelPlan::grouped(b, masks, span, &mixing)
+        let mixed = if exact { u.exactly_mixed_bits() } else { u.mixed_bits(1e-12) };
+        let mixing: Vec<bool> = (0..masks.len()).map(|j| mixed >> j & 1 == 1).collect();
+        KernelPlan::grouped(u, masks, span, &mixing)
     }
 
     /// Plan a non-diagonal kernel as a [`GroupKernel`] over the bits
-    /// `mixing` flags (kernel-local order). The cross-block matrix entries
-    /// an unmixed bit drops are below the `mixing_mask` tolerance (1e-12),
-    /// so the factored product matches the dense one to well under the
-    /// engines' agreement tolerance; with every bit flagged nothing is
-    /// dropped and the single sub-unitary is the matrix itself.
-    fn grouped(b: &FusedBlock, masks: &[usize], span: usize, mixing: &[bool]) -> Self {
-        let k = b.qubits.len();
+    /// `mixing` flags (kernel-local order). Whatever cross entries an
+    /// unflagged bit has are dropped — the caller's mask says how small
+    /// they are (exactly zero, or below the structure classifier's
+    /// `1e-12`); with every bit flagged nothing is dropped and the single
+    /// sub-unitary is the matrix itself.
+    fn grouped(u: &DenseUnitary, masks: &[usize], span: usize, mixing: &[bool]) -> Self {
+        let k = u.num_qubits();
         let dim = 1usize << k;
         // The unsafe body's bounds argument: group bases and offsets only
         // ever combine bits below a power-of-two span.
@@ -499,7 +526,7 @@ impl<T: Scalar> KernelPlan<T> {
             simd::local_offsets(&bits.iter().map(|&j| 1usize << j).collect::<Vec<_>>())
         };
         let (of_mixed, of_diag) = (local(&mixed_bits), local(&diag_bits));
-        let u = b.unitary.elements();
+        let u = u.elements();
         let mut subs: Vec<Complex<T>> = Vec::with_capacity(dim * mdim);
         for &d in &of_diag {
             for &r in &of_mixed {
@@ -537,6 +564,19 @@ impl<T: Scalar> KernelPlan<T> {
             KernelPlan::Diag { table } => simd::simd_enabled() && table.chunk() >= T::LANES,
             KernelPlan::Grouped(kernel) => kernel.lanes,
         }
+    }
+
+    /// One kernel pass over a whole state or shard slice, accounted as
+    /// one: the `apply_block` span, every amplitude read and written once,
+    /// one SIMD dispatch decision, then the full-state driver.
+    fn launch(&self, state: &mut [Complex<T>]) {
+        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
+        qgear_telemetry::counter_add(
+            qgear_telemetry::names::AMPLITUDES_TOUCHED,
+            2 * state.len() as u128,
+        );
+        simd::record_dispatch::<T>(self.lane_eligible());
+        self.run_full(state);
     }
 
     /// Tile driver: apply the plan to one exclusively borrowed span —
@@ -911,7 +951,7 @@ mod tests {
     ) -> ([Vec<u64>; 2], bool) {
         let len = 1usize << n;
         let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let mut plan = KernelPlan::<T>::new(block, &masks, len, exact);
+        let mut plan = KernelPlan::<T>::new(&block.unitary, &masks, len, exact);
         let KernelPlan::Grouped(kernel) = &mut plan else { panic!("not a diagonal block") };
         kernel.lanes &= simd;
         let lanes = kernel.lanes;
@@ -961,6 +1001,181 @@ mod tests {
                 assert_eq!(full32, off_full32, "{what}: fp32 lanes vs scalar");
             }
         }
+    }
+
+    /// A `2^k × 2^k` matrix of one structure class (not necessarily
+    /// unitary — the kernels never ask). Entries outside the structure
+    /// are exact zeros of either sign.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Dense,
+        /// Block-diagonal over the local bits of this mask.
+        Controlled(usize),
+        /// One entry per column, unimodular.
+        PhasedPermutation,
+        /// A diagonal plus entries of `1e-14 … 1e-18`: too big for the
+        /// `DiagTable`, far too small for the 1e-12 mixing mask.
+        NearDiagonal,
+    }
+
+    fn shaped_matrix(k: usize, shape: Shape, rnd: &mut impl FnMut() -> f64) -> DenseUnitary {
+        let dim = 1usize << k;
+        let signed_zero = |negative: bool| if negative { -0.0 } else { 0.0 };
+        let mut m: Vec<qgear_num::C64> = (0..dim * dim)
+            .map(|i| qgear_num::C64::new(signed_zero((i / dim) & 1 == 1), signed_zero(i & 1 == 0)))
+            .collect();
+        match shape {
+            Shape::Dense | Shape::Controlled(_) => {
+                let unmixed = if let Shape::Controlled(mask) = shape { mask } else { 0 };
+                for r in 0..dim {
+                    for c in (0..dim).filter(|c| (r ^ c) & unmixed == 0) {
+                        m[r * dim + c] = qgear_num::C64::new(rnd() - 0.5, rnd() - 0.5);
+                    }
+                }
+            }
+            Shape::PhasedPermutation => {
+                let mut rows: Vec<usize> = (0..dim).collect();
+                for i in (1..dim).rev() {
+                    rows.swap(i, (rnd() * (i + 1) as f64) as usize);
+                }
+                if rows.iter().enumerate().all(|(c, &r)| r == c) {
+                    rows.swap(0, 1);
+                }
+                for (c, &r) in rows.iter().enumerate() {
+                    m[r * dim + c] = qgear_num::C64::cis(rnd() * std::f64::consts::TAU);
+                }
+            }
+            Shape::NearDiagonal => {
+                for i in 0..dim {
+                    m[i * dim + i] = qgear_num::C64::cis(rnd() * std::f64::consts::TAU);
+                }
+                for c in 0..dim {
+                    let r = (c + 1 + (rnd() * (dim - 1) as f64) as usize) % dim;
+                    m[r * dim + c] = qgear_num::C64::new(10f64.powi(-14 - (c % 5) as i32), -1e-16);
+                }
+            }
+        }
+        DenseUnitary::from_elements(k, m)
+    }
+
+    /// Both drivers' output bits for `plan`, lanes allowed or forced off.
+    fn plan_bits<T: Scalar>(
+        mut plan: KernelPlan<T>,
+        simd: bool,
+        state: &[Complex<T>],
+    ) -> [Vec<u64>; 2] {
+        let KernelPlan::Grouped(kernel) = &mut plan else { panic!("not a diagonal block") };
+        kernel.lanes &= simd;
+        let bits = |amps: &[Complex<T>]| -> Vec<u64> {
+            amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
+        };
+        let (mut full, mut tile) = (state.to_vec(), state.to_vec());
+        plan.run_full(&mut full);
+        plan.run_tile(&mut tile);
+        [bits(&full), bits(&tile)]
+    }
+
+    /// The exact plan of `u` against the all-mixed plan of `u` — the
+    /// dense `2^k` chain — on one state, every driver and lane form.
+    fn assert_exact_plan_is_the_dense_chain<T: Scalar>(
+        u: &DenseUnitary,
+        masks: &[usize],
+        state: &[Complex<T>],
+        what: &str,
+    ) {
+        let (all, span) = (vec![true; masks.len()], state.len());
+        for simd in [true, false] {
+            let exact = plan_bits(KernelPlan::<T>::new(u, masks, span, true), simd, state);
+            let dense = plan_bits(KernelPlan::<T>::grouped(u, masks, span, &all), simd, state);
+            assert!(exact[0] == dense[0], "{what}, simd {simd}: run_full");
+            assert!(exact[1] == dense[1], "{what}, simd {simd}: run_tile");
+            assert!(exact[0] == exact[1], "{what}, simd {simd}: full vs tile");
+        }
+    }
+
+    #[test]
+    fn the_exact_plan_skips_exact_zeros_and_changes_no_bit() {
+        let mut s = 0x5EED_u64;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut case = 0u32;
+        for k in 1..=5usize {
+            let mut shapes = vec![Shape::Dense, Shape::NearDiagonal];
+            if k >= 2 {
+                shapes.push(Shape::PhasedPermutation);
+                // 1 to min(4, k - 1) unmixed bits, at scattered local positions.
+                for unmixed in 1..k.min(5) {
+                    let mut mask = 0usize;
+                    while mask.count_ones() < unmixed as u32 {
+                        mask |= 1 << (rnd() * k as f64) as usize;
+                    }
+                    shapes.push(Shape::Controlled(mask));
+                }
+            }
+            for shape in shapes {
+                case += 1;
+                let n = 8 + case % 7;
+                let u = shaped_matrix(k, shape, &mut rnd);
+                // Scattered positions, in no order.
+                let mut positions: Vec<u32> = (0..n).collect();
+                for i in (1..positions.len()).rev() {
+                    positions.swap(i, (rnd() * (i + 1) as f64) as usize);
+                }
+                let masks: Vec<usize> = positions[..k].iter().map(|&q| 1usize << q).collect();
+                // A rich state with exact zeros of both signs in it.
+                let state: Vec<Complex<f64>> = (0..1usize << n)
+                    .map(|i| {
+                        let mut pick = |v: f64| match (rnd() * 8.0) as u32 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => v,
+                        };
+                        Complex::new(pick((i as f64 * 0.37).sin()), pick((i as f64 * 0.11).cos()))
+                    })
+                    .collect();
+                let what = format!("k={k} {shape:?} at {:?} of n={n}", &positions[..k]);
+                if let Shape::Controlled(unmixed) = shape {
+                    let plan = KernelPlan::<f64>::new(&u, &masks, state.len(), true);
+                    let KernelPlan::Grouped(kernel) = plan else { panic!("{what}: grouped") };
+                    let mixed = k - unmixed.count_ones() as usize;
+                    assert_eq!(kernel.mdim, 1 << mixed, "{what}: factored");
+                }
+                assert_exact_plan_is_the_dense_chain::<f64>(&u, &masks, &state, &what);
+                let state32: Vec<Complex<f32>> = state.iter().map(|a| a.cast()).collect();
+                assert_exact_plan_is_the_dense_chain::<f32>(&u, &masks, &state32, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn an_entry_of_1e_minus_200_is_mixed_in_the_exact_plan() {
+        // Block-diagonal over local bit 1 but for one entry whose norm
+        // squares to zero — and which moves amplitude 2's 1e250 into
+        // amplitude 0 as 1e50.
+        let z = qgear_num::C64::ZERO;
+        let e = |re: f64| qgear_num::C64::new(re, 0.0);
+        #[rustfmt::skip]
+        let u = DenseUnitary::from_elements(2, vec![
+            e(0.6), e(0.8), e(1e-200), z,
+            e(-0.8), e(0.6), z, z,
+            z, z, e(0.6), e(-0.8),
+            z, z, e(0.8), e(0.6),
+        ]);
+        assert_eq!(u.mixed_bits(0.0), 0b01, "a norm test loses it");
+        assert_eq!(u.exactly_mixed_bits(), 0b11);
+        let masks = [1usize << 3, 1 << 6];
+        let mut state: Vec<Complex<f64>> =
+            (0..1 << 8).map(|i| Complex::new(f64::from(i), 0.5)).collect();
+        state[1 << 6] = Complex::new(1e250, 0.0);
+        let KernelPlan::Grouped(kernel) = KernelPlan::<f64>::new(&u, &masks, state.len(), true)
+        else { panic!("grouped") };
+        assert_eq!(kernel.mdim, 4, "both bits mixed");
+        assert_exact_plan_is_the_dense_chain::<f64>(&u, &masks, &state, "1e-200");
+        let mut out = state.clone();
+        KernelPlan::<f64>::new(&u, &masks, state.len(), true).run_full(&mut out);
+        assert!((out[0].re / 1e50 - 1.0).abs() < 1e-12, "the entry acted");
     }
 
     #[test]

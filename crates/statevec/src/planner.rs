@@ -6,7 +6,8 @@
 //! in: **unfused** (per-gate specialized loops), **fused** (one
 //! structured kernel pass per block, dispatched by
 //! [`KernelStructure`]), or **sweep** (one cache-blocked tile pass; a
-//! one-kernel segment is the exact dense kernel). One selector decides
+//! one-kernel segment is the exact kernel, [`GpuDevice::apply_block`]).
+//! One selector decides
 //! the modes — [`PlannerCosts::force_mode`]:
 //!
 //! * `Some(mode)` **pins** every segment to that mode. A pinned plan
@@ -73,7 +74,7 @@ pub enum SegmentMode {
     Fused,
     /// One cache-blocked tile pass for the whole segment
     /// ([`GpuDevice::apply_sweep`]); a one-kernel segment is the exact
-    /// dense [`GpuDevice::apply_block`].
+    /// [`GpuDevice::apply_block`].
     Sweep,
 }
 
@@ -238,7 +239,11 @@ impl PlannerCosts {
         }
         costs.sweep = if let [only] = sweep.kernels.as_slice() {
             // A one-kernel sweep is `apply_block`, whose plan is always
-            // the exact one: price diagonal or dense, not structured.
+            // the exact one. Priced as diagonal or dense: an upper bound
+            // since the exact plan began skipping exactly-zero entries
+            // (a controlled block then costs what `fused` is priced at,
+            // and `fused`, which wins the comparison, runs that same
+            // factored kernel).
             let flops = match &structures[*only] {
                 KernelStructure::Diagonal => n_amps / self.cmuls_per_sec,
                 _ => n_amps * (1u64 << blocks[*only].qubits.len()) as f64 / self.madds_per_sec,
@@ -377,7 +382,7 @@ fn mix(h: u64, v: u64) -> u64 {
 /// then segments the kernels: `sweep_width > 0` schedules
 /// commutation-aware sweeps of that union support (`sweep_reorder` as in
 /// [`SweepOptions`]); `sweep_width == 0` makes one segment per fused
-/// block in program order — the checkpoint-per-kernel, exact-dense
+/// block in program order — the checkpoint-per-kernel, exact-kernel
 /// schedule. `costs.force_mode` then pins or prices every segment (see
 /// the module docs). Measurements are split off; errors surface exactly
 /// as fusion reports them.

@@ -57,13 +57,23 @@ cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned
 echo "==> cargo test -q --test simtest shard_worker_death (named migration gate)"
 cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically
 
+# The shard tier at the repo benchmark's own size, kept out of tier-1
+# (n = 18 is minutes in a debug build, seconds in release): served
+# counts under checkpoint_interval 8, gathered amplitudes and a resume
+# from the generation at cursor 24 over four shards, all bitwise the
+# dense run's, and the gather-free checkpoint writer against the
+# gathering one on 64 container chunks.
+echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job -- --ignored (n = 18 shard tier)"
+cargo test -q --release --test sharding an_eighteen_qubit_job_is_bitwise_dense_over_four_shards -- --ignored
+
 # Checkpoint throughput, self-calibrating (docs/CHECKPOINTS.md): on this
 # host, encoding a dense n=16 fp64 state must take less time than one
 # bit-by-bit CRC-32 pass over the encoder's own output, and decoding
-# less than two, best of five interleaved rounds. The format itself asks
-# for two CRC passes each way, so a bit loop or a few stray state-sized
-# copies in the codec fail it (the pre-table encoder: 0.3x), and no
-# absolute number is involved.
+# less than two, best of five interleaved rounds. The format carries two
+# CRCs over the state (one pass and a combine to write, two passes to
+# check), so a bit loop or a few stray state-sized copies in the codec
+# fail it (the pre-table encoder: 0.3x), and no absolute number is
+# involved.
 echo "==> bench_checkpoint smoke (QCKP encode/decode vs a bitwise CRC pass)"
 cargo run --release -p qgear-bench --bin bench_checkpoint -- --smoke
 

@@ -22,7 +22,9 @@ use qgear_serve::{
     ServiceEvent, ShardConfig, ShardRecord,
 };
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
-use qgear_statevec::{ExecStats, GpuDevice, RunOptions, RunOutput, Simulator};
+use qgear_statevec::{
+    decode_checkpoint, encode_checkpoint, ExecStats, GpuDevice, RunOptions, RunOutput, Simulator,
+};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::time::Duration;
 
@@ -379,6 +381,80 @@ fn a_sixteen_qubit_job_is_bitwise_dense_over_two_and_four_shards() {
         assert_eq!(run.state().amplitudes(), dense.amplitudes(), "{shards} shards: gathered");
         assert!(run.dist().exchanges() > 0);
     }
+}
+
+/// The same identities at the benchmark's own size, outside tier-1
+/// (`scripts/check.sh` runs it by name, `--release -- --ignored`): at
+/// n = 18 over four shards a slice is 2^16 amplitudes — 1 MiB, past
+/// where the kernel pool starts splitting a slice pass — and a QCKP
+/// generation is 64 container chunks written from the slices where they
+/// lie. Served counts under `checkpoint_interval: 8` (the
+/// `sharded_ckpt` workload's shape), gathered amplitudes, and a run
+/// resumed from the generation at cursor 24 are all bitwise the dense
+/// run's.
+#[test]
+#[ignore = "minutes in a debug build; scripts/check.sh runs it by name with --release"]
+fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
+    let (n, shards) = (18u32, 4u32);
+    let mut circuit = qft_circuit(n, &QftOptions::default());
+    circuit.measure_all();
+    let (native, _) = decompose_to_native(&circuit);
+    let config = || ServeConfig { workers: 1, sweep_width: 0, ..Default::default() };
+    let served = |config: ServeConfig| {
+        let service = Service::start(config);
+        let id = service
+            .submit(JobSpec::new(circuit.clone()).shots(4000).seed(31))
+            .job_id()
+            .expect("admitted");
+        let outcome = service.wait(id).unwrap();
+        let result = outcome.result().expect("completes").clone();
+        service.shutdown();
+        (result, service.events_for(id))
+    };
+    let (reference, _) = served(config());
+    let mut slice_device = GpuDevice::a100_40gb();
+    slice_device.memory_bytes = (16u128 << n) / u128::from(shards);
+    let (result, log) = served(ServeConfig {
+        backend: BackendKind::Gpu(slice_device),
+        shard: Some(ShardConfig::default()),
+        checkpoint_interval: 8,
+        checkpoint_generations: 8,
+        ..config()
+    });
+    assert_eq!(result.counts, reference.counts, "served counts");
+    let started = EventKind::Shard(ShardRecord::Started { job: 0, shards });
+    assert!(log.iter().any(|e| e.kind == started), "the smallest sufficient group; log: {log:?}");
+    let wrote = |at: u64| {
+        log.iter().any(|e| match e.kind {
+            EventKind::Checkpoint(CheckpointRecord::Wrote { cursor, .. }) => cursor == at,
+            _ => false,
+        })
+    };
+    assert!(wrote(8) && wrote(24), "a generation every eight steps; log: {log:?}");
+
+    let opts = RunOptions {
+        shots: 0,
+        fusion_width: config().fusion_width,
+        sweep_width: 0,
+        keep_state: true,
+        ..Default::default()
+    };
+    let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &opts).unwrap();
+    let dense = dense.state.expect("state kept");
+    let group = ClusterEngine::a100_cluster(shards as usize);
+    let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    run.advance(24).expect("no faults armed");
+    let generation = run.encode_checkpoint();
+    assert_eq!(generation, encode_checkpoint(&run.checkpoint()), "written without gathering");
+    run.advance(usize::MAX).expect("no faults armed");
+    assert_eq!(run.state().amplitudes(), dense.amplitudes(), "gathered");
+    assert!(run.dist().exchanges() > 0);
+
+    let ck = decode_checkpoint::<f64>(&generation).expect("verifies");
+    let mut resumed = ShardedRun::resume(&group, &native, &opts, ck).expect("same plan");
+    assert_eq!(resumed.cursor(), 24);
+    resumed.advance(usize::MAX).expect("no faults armed");
+    assert_eq!(resumed.state().amplitudes(), dense.amplitudes(), "resumed from cursor 24");
 }
 
 /// `ClusterEngine::run` is the shard walker driven straight through:
