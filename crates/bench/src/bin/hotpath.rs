@@ -13,8 +13,8 @@
 //!   scheduler on (the default), one full-state pass per *sweep* with
 //!   cache-blocked tiles kept hot across the sweep's kernels;
 //! * **planned** — the priced plan (`PlannerCosts::host_reference()`):
-//!   per scheduled segment, the cheapest of the three modes under the
-//!   cost model, with structure-dispatched fused kernels. See
+//!   per scheduled segment, the cheaper of the plan's two modes
+//!   (per-gate loops or one sweep pass) under the cost model. See
 //!   `docs/PLANNER.md` for how to read this series.
 //!
 //! The GPU series differ only in the plan's one selector

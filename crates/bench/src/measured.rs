@@ -29,7 +29,7 @@ static TIMING_LOCK: Mutex<()> = Mutex::new(());
 /// repeated timed runs cannot creep toward the registry's span-storage
 /// cap; inside a caller's own recording session the measured spans stay,
 /// ready for export.
-pub fn timed_run<T: Scalar, S: Simulator<T>>(
+fn timed_run<T: Scalar, S: Simulator<T>>(
     engine: &S,
     circuit: &Circuit,
     opts: &RunOptions,

@@ -157,7 +157,7 @@ impl Report {
 }
 
 /// `results/` next to the workspace root when available.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → ../../results
     match std::env::var("CARGO_MANIFEST_DIR") {
         Ok(dir) => PathBuf::from(dir).join("../../results"),

@@ -100,12 +100,12 @@ impl Default for ClusterTopology {
 
 impl ClusterTopology {
     /// Node index of a device rank.
-    pub fn node_of(&self, rank: usize) -> usize {
+    fn node_of(&self, rank: usize) -> usize {
         rank / self.gpus_per_node
     }
 
     /// Rack index of a device rank.
-    pub fn rack_of(&self, rank: usize) -> usize {
+    fn rack_of(&self, rank: usize) -> usize {
         self.node_of(rank) / self.nodes_per_rack
     }
 

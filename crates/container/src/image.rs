@@ -4,9 +4,9 @@
 //! CUDA 12 DevOps base and layers NERSC's Cray MPICH plus the Python
 //! stack (`cupy-cuda12x`, `mpi4py`, `qiskit`, `cudaq`); the Shifter image
 //! builds on the cuda-quantum nightly with `qiskit-aer`, `h5py`, and
-//! `qiskit-ibm-experiment`. The structures here model layers, package
-//! dependencies, and stable content digests — enough to validate that a
-//! workflow's image actually provides what its jobs import.
+//! `qiskit-ibm-experiment`. The structures here model layers and stable
+//! content digests — enough to validate that a workflow's image actually
+//! provides what its jobs import.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,21 +33,6 @@ impl ContainerRuntime {
     }
 }
 
-/// Known package dependency edges (package → requirements) for the stacks
-/// the paper's images install.
-fn known_dependencies(pkg: &str) -> &'static [&'static str] {
-    match pkg {
-        "cudaq" => &["cuda-12", "cuquantum"],
-        "cuquantum" => &["cuda-12"],
-        "cupy-cuda12x" => &["cuda-12"],
-        "mpi4py" => &["cray-mpich"],
-        "qiskit-aer" => &["qiskit"],
-        "qiskit-ibm-experiment" => &["qiskit"],
-        "h5py" => &["hdf5"],
-        _ => &[],
-    }
-}
-
 /// An immutable container image: base layer, packages, environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContainerImage {
@@ -68,20 +53,6 @@ impl ContainerImage {
     /// True if `pkg` is installed.
     pub fn provides(&self, pkg: &str) -> bool {
         self.packages.contains(pkg)
-    }
-
-    /// Check that every installed package's requirements are satisfied;
-    /// returns the missing dependencies.
-    pub fn missing_dependencies(&self) -> Vec<(String, String)> {
-        let mut missing = Vec::new();
-        for pkg in &self.packages {
-            for &dep in known_dependencies(pkg) {
-                if !self.packages.contains(dep) {
-                    missing.push((pkg.clone(), dep.to_owned()));
-                }
-            }
-        }
-        missing
     }
 
     /// Stable content digest (order-independent over packages and env).
@@ -127,23 +98,6 @@ impl ContainerImage {
             .build()
     }
 
-    /// The paper's Shifter image for multi-node runs (Appendix E.2).
-    pub fn shifter_image() -> Self {
-        ImageBuilder::from_base("nvcr.io/nvidia/cuda-quantum:nightly", ContainerRuntime::Shifter)
-            .name("qgear-shifter:latest")
-            .package("cuda-12")
-            .package("cuquantum")
-            .package("cudaq")
-            .package("cray-mpich")
-            .package("mpi4py")
-            .package("qiskit")
-            .package("qiskit-aer")
-            .package("qiskit-ibm-experiment")
-            .package("hdf5")
-            .package("h5py")
-            .env("SLURM_MPI_TYPE", "cray_shasta")
-            .build()
-    }
 }
 
 /// Builder for [`ContainerImage`].
@@ -203,23 +157,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_images_are_dependency_complete() {
-        assert!(ContainerImage::podman_hpc_image().missing_dependencies().is_empty());
-        assert!(ContainerImage::shifter_image().missing_dependencies().is_empty());
-    }
-
-    #[test]
-    fn missing_dependency_detected() {
-        let img = ImageBuilder::from_base("scratch", ContainerRuntime::Docker)
-            .package("cudaq") // needs cuda-12 + cuquantum
-            .build();
-        let missing = img.missing_dependencies();
-        assert_eq!(missing.len(), 2);
-        assert!(missing.iter().any(|(_, d)| d == "cuda-12"));
-        assert!(missing.iter().any(|(_, d)| d == "cuquantum"));
-    }
-
-    #[test]
     fn digest_stable_and_content_sensitive() {
         let a = ContainerImage::podman_hpc_image();
         let b = ContainerImage::podman_hpc_image();
@@ -246,10 +183,10 @@ mod tests {
 
     #[test]
     fn provides_and_runtime_commands() {
-        let img = ContainerImage::shifter_image();
-        assert!(img.provides("qiskit-aer"));
+        let img = ContainerImage::podman_hpc_image();
+        assert!(img.provides("cudaq"));
         assert!(!img.provides("tensorflow-quantum"));
-        assert_eq!(img.runtime.command(), "shifter");
-        assert_eq!(ContainerRuntime::PodmanHpc.command(), "podman-hpc");
+        assert_eq!(img.runtime.command(), "podman-hpc");
+        assert_eq!(ContainerRuntime::Shifter.command(), "shifter");
     }
 }

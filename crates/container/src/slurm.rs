@@ -9,7 +9,6 @@
 //! simulated cluster: FIFO + backfill scheduling over nodes with typed
 //! resources, a discrete clock, and GPU-second utilization accounting.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a job can never run on a given cluster, detected at submit time.
@@ -165,7 +164,7 @@ impl JobRequest {
     }
 
     /// Total GPUs the job occupies.
-    pub fn total_gpus(&self) -> u32 {
+    fn total_gpus(&self) -> u32 {
         self.tasks * self.gpus_per_task
     }
 }
@@ -211,7 +210,7 @@ impl Cluster {
     }
 
     /// Total GPUs in the cluster.
-    pub fn total_gpus(&self) -> u32 {
+    fn total_gpus(&self) -> u32 {
         self.nodes.iter().map(|n| n.gpus).sum()
     }
 }
@@ -397,19 +396,6 @@ impl Scheduler {
         self.gpu_busy_seconds as f64 / total as f64
     }
 
-    /// Histogram of job states (pending/running/completed).
-    pub fn state_counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut m = BTreeMap::new();
-        for j in &self.jobs {
-            let k = match j.state {
-                JobState::Pending => "pending",
-                JobState::Running { .. } => "running",
-                JobState::Completed { .. } => "completed",
-            };
-            *m.entry(k).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -497,7 +483,7 @@ mod tests {
         assert_eq!(err, ScheduleError::NoMatchingNodes { constraint: Constraint::Gpu });
         // The rejected job is not retained: the event loop completes.
         assert_eq!(s.run_to_completion(), 0);
-        assert!(s.state_counts().is_empty());
+        assert!(s.jobs.is_empty());
     }
 
     #[test]
@@ -543,15 +529,5 @@ mod tests {
             .unwrap();
         s.run_to_completion();
         assert!((s.gpu_utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn state_counts_progress() {
-        let mut s = Scheduler::new(Cluster::perlmutter_slice(1, 0));
-        s.submit(JobRequest::parse_sbatch("-N 1 -n 4 -C gpu --gpus-per-task 1", 10).unwrap())
-            .unwrap();
-        assert_eq!(s.state_counts().get("pending"), Some(&1));
-        s.run_to_completion();
-        assert_eq!(s.state_counts().get("completed"), Some(&1));
     }
 }

@@ -58,14 +58,14 @@ impl PodmanWrapper {
     }
 
     /// Bind-mount a host path.
-    pub fn mount(mut self, host: &str, container: &str) -> Self {
+    fn mount(mut self, host: &str, container: &str) -> Self {
         self.mounts.push((host.to_owned(), container.to_owned()));
         self
     }
 
     /// Thread the standard Slurm/MPI batch variables for task `rank` of
     /// `world` (the wrapper's core job).
-    pub fn with_mpi_rank(self, rank: u32, world: u32) -> Self {
+    fn with_mpi_rank(self, rank: u32, world: u32) -> Self {
         self.env("SLURM_PROCID", rank)
             .env("SLURM_NTASKS", world)
             .env("MPICH_GPU_SUPPORT_ENABLED", 1)

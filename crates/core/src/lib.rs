@@ -45,7 +45,6 @@
 //! assert_eq!(counts.get(0b01) + counts.get(0b10), 0);
 //! ```
 
-pub mod observable;
 pub mod pennylane;
 pub mod result;
 pub mod storage;
@@ -53,7 +52,6 @@ pub mod target;
 pub mod transform;
 pub mod workflow;
 
-pub use observable::ExpectationEstimate;
 pub use pennylane::PennylaneLikeBackend;
 pub use result::RunResult;
 pub use target::Target;

@@ -12,7 +12,7 @@ use qgear_ir::encoding::PARAMS_PER_GATE;
 use qgear_ir::{IrError, TensorEncoding};
 
 /// Group that holds the encoding inside the container.
-pub const GROUP: &str = "qgear/circuits";
+const GROUP: &str = "qgear/circuits";
 
 /// Errors from the storage layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -240,29 +240,6 @@ impl QGear {
         Ok(result)
     }
 
-    /// Variational parameter sweep (§2.2's "parameterized kernel
-    /// transformations"): bind the template once per parameter vector and
-    /// execute each binding. On an `nvidia-mqpu` target the bindings run
-    /// as a device-parallel batch; on any other target they run in
-    /// sequence. The fused-kernel *structure* is identical across
-    /// bindings (`ParamCircuit::fusion_structure`), so per-binding
-    /// transformation cost is pure angle substitution.
-    pub fn run_sweep(
-        &self,
-        template: &qgear_ir::ParamCircuit,
-        bindings: &[Vec<f64>],
-    ) -> Result<Vec<RunResult>, PipelineError> {
-        let circuits: Vec<Circuit> = bindings
-            .iter()
-            .map(|v| template.bind(v))
-            .collect::<Result<_, _>>()?;
-        if matches!(self.config.target, Target::NvidiaMqpu { .. }) {
-            self.run_batch(&circuits)
-        } else {
-            circuits.iter().map(|c| self.run(c)).collect()
-        }
-    }
-
     /// mqpu batch: run independent circuits, one per simulated device.
     /// Requires an `nvidia-mqpu` target.
     pub fn run_batch(&self, circuits: &[Circuit]) -> Result<Vec<RunResult>, PipelineError> {
@@ -437,48 +414,6 @@ mod tests {
         let qgear = QGear::new(QGearConfig { prune_eps: Some(1e-6), ..Default::default() });
         let artifacts = qgear.transform(&circ).unwrap();
         assert_eq!(artifacts.pruned, 1);
-    }
-
-    #[test]
-    fn run_sweep_matches_individual_runs() {
-        use qgear_ir::ParamCircuit;
-        let mut template = ParamCircuit::new(3, 3);
-        template.ry_sym(0, 0).ry_sym(1, 1).cx(0, 1).rz_sym(2, 2).cx(1, 2);
-        template.measure_all();
-        let bindings: Vec<Vec<f64>> = (0..4)
-            .map(|i| vec![0.1 * i as f64, 0.2, -0.3 * i as f64])
-            .collect();
-        for target in [Target::Nvidia, Target::NvidiaMqpu { devices: 2 }] {
-            let qgear = QGear::new(QGearConfig {
-                target,
-                precision: Precision::Fp64,
-                shots: 0,
-                ..Default::default()
-            });
-            let results = qgear.run_sweep(&template, &bindings).unwrap();
-            assert_eq!(results.len(), 4);
-            for (result, binding) in results.iter().zip(&bindings) {
-                let bound = template.bind(binding).unwrap();
-                let expect = reference::run(&bound.split_measurements().0);
-                assert!(approx_eq_up_to_phase(
-                    result.state.as_ref().unwrap().amplitudes(),
-                    &expect,
-                    1e-10
-                ));
-            }
-        }
-    }
-
-    #[test]
-    fn run_sweep_rejects_bad_binding() {
-        use qgear_ir::ParamCircuit;
-        let mut template = ParamCircuit::new(2, 2);
-        template.ry_sym(0, 0).ry_sym(1, 1);
-        let qgear = QGear::new(QGearConfig::default());
-        assert!(matches!(
-            qgear.run_sweep(&template, &[vec![0.1]]),
-            Err(PipelineError::Ir(_))
-        ));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// rest would be built only to be thrown away. Returns whether the
 /// encoding is complete and strictly shorter than `data`; on `false`
 /// what was appended to `out` is partial and the caller truncates it.
-pub fn rle_encode(out: &mut Vec<u8>, data: &[u8]) -> bool {
+fn rle_encode(out: &mut Vec<u8>, data: &[u8]) -> bool {
     let start = out.len();
     let mut i = 0;
     while i < data.len() {
@@ -74,7 +74,7 @@ pub fn rle_encode(out: &mut Vec<u8>, data: &[u8]) -> bool {
 /// (odd length or zero run counts) and on input that would decode to
 /// more than `limit` bytes — checked from the run counts alone, before
 /// anything is appended.
-pub fn rle_decode(out: &mut Vec<u8>, data: &[u8], limit: usize) -> Option<()> {
+fn rle_decode(out: &mut Vec<u8>, data: &[u8], limit: usize) -> Option<()> {
     if !data.len().is_multiple_of(2) {
         return None;
     }
@@ -113,7 +113,7 @@ pub fn shuffle(out: &mut [u8], data: &[u8], width: usize) {
 }
 
 /// Invert [`shuffle`].
-pub fn unshuffle(out: &mut [u8], data: &[u8], width: usize) {
+fn unshuffle(out: &mut [u8], data: &[u8], width: usize) {
     let n = data.len() / width.max(1);
     if width <= 1 || n == 0 {
         return out.copy_from_slice(data);
@@ -148,7 +148,7 @@ fn min_rle_pairs(data: &[u8], width: usize) -> usize {
 /// shuffled planes and is reused from chunk to chunk. Falls back to
 /// storing raw when "compression" would not shrink the chunk, so the
 /// codec never loses.
-pub fn compress_chunk(
+fn compress_chunk(
     out: &mut Vec<u8>,
     data: &[u8],
     codec: Compression,
@@ -176,7 +176,7 @@ pub fn compress_chunk(
 
 /// Decompress one chunk produced by [`compress_chunk`] onto `out`;
 /// `None` if it is malformed or holds more than `limit` bytes.
-pub fn decompress_chunk(
+fn decompress_chunk(
     out: &mut Vec<u8>,
     chunk: &[u8],
     width: usize,

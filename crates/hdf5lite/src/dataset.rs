@@ -191,14 +191,6 @@ impl Attr {
             _ => None,
         }
     }
-
-    /// Integer list, if this is an `IntVec`.
-    pub fn as_int_vec(&self) -> Option<&[i64]> {
-        match self {
-            Attr::IntVec(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +257,6 @@ mod tests {
         assert_eq!(Attr::Int(5).as_float(), None);
         assert_eq!(Attr::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Attr::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(Attr::IntVec(vec![1, 2]).as_int_vec(), Some(&[1i64, 2][..]));
     }
 
     #[test]

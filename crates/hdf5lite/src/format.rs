@@ -30,7 +30,7 @@ pub const VERSION: u16 = 1;
 /// Deepest group nesting [`read`] follows (the root is depth 0). Real
 /// files nest three or four deep; the cap keeps a crafted file from
 /// recursing the reader off its stack.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 /// Serialize a container.
 pub fn write(file: &H5File, compression: Compression) -> Vec<u8> {

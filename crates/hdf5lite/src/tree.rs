@@ -176,22 +176,6 @@ impl Group {
             })
             .sum()
     }
-
-    /// Visit every dataset in the subtree with its full path (depth-first,
-    /// sorted). Used by the serializer and by integrity checks.
-    pub fn walk_datasets<'a>(&'a self, prefix: &str, visit: &mut dyn FnMut(String, &'a Dataset)) {
-        for (name, node) in &self.children {
-            let path = if prefix.is_empty() {
-                name.clone()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            match node {
-                Node::Group(g) => g.walk_datasets(&path, visit),
-                Node::Dataset(d) => visit(path, d),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,17 +245,6 @@ mod tests {
         assert_eq!(g.attr("grp", "label").unwrap().as_str(), Some("x"));
         assert_eq!(g.attr("grp/d", "scale").unwrap().as_float(), Some(2.0));
         assert_eq!(g.attr("grp", "missing").unwrap_err(), H5Error::AttrNotFound("missing".into()));
-    }
-
-    #[test]
-    fn walk_visits_all_datasets_sorted() {
-        let mut g = Group::default();
-        g.write_dataset("b/two", Dataset::from_u8(&[2], &[1])).unwrap();
-        g.write_dataset("a/one", Dataset::from_u8(&[1], &[1])).unwrap();
-        g.write_dataset("top", Dataset::from_u8(&[0], &[1])).unwrap();
-        let mut seen = Vec::new();
-        g.walk_datasets("", &mut |p, _| seen.push(p));
-        assert_eq!(seen, vec!["a/one", "b/two", "top"]);
     }
 
     #[test]

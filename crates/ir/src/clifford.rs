@@ -152,7 +152,7 @@ pub fn classify(circuit: &Circuit) -> CliffordSummary {
 ///
 /// Gates with no nearby Clifford expression (`ccx`, `cry` away from full
 /// turns) return `None` — they cannot be projected by angle rounding.
-pub fn project_gate(g: &Gate) -> Option<(Gate, f64)> {
+fn project_gate(g: &Gate) -> Option<(Gate, f64)> {
     if gate_is_clifford(g) {
         return Some((*g, 1.0));
     }

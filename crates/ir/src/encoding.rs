@@ -5,8 +5,9 @@
 //!
 //! * **dimension 1** — per-circuit metadata: circuit type, qubit count,
 //!   gate count;
-//! * **dimension 2** — per-gate structure: gate category (one-hot over the
-//!   Eq. 8 matrix **M**), control qubit index, target qubit index;
+//! * **dimension 2** — per-gate structure: gate category (stored as the
+//!   row index into the one-hot Eq. 8 matrix **M**: tags 0..4 are
+//!   `h, ry, rz, cx, measure`), control qubit index, target qubit index;
 //! * **dimension 3** — unified continuous gate parameters.
 //!
 //! All arrays are pre-allocated at a fixed capacity `d` satisfying
@@ -270,27 +271,6 @@ impl TensorEncoding {
             param,
         })
     }
-
-    /// The one-hot gate-type matrix **M** of Eq. 8 for the set
-    /// `(h, ry, rz, cx, measure)`: `one_hot_matrix()[i][j]` is 1 exactly
-    /// when `i == j`. Exposed for parity with the paper's NumPy encoding.
-    pub fn one_hot_matrix() -> [[u8; 5]; 5] {
-        let mut m = [[0u8; 5]; 5];
-        for (i, row) in m.iter_mut().enumerate() {
-            row[i] = 1;
-        }
-        m
-    }
-
-    /// One-hot row for a gate kind in the Eq. 8 basis; `None` for kinds
-    /// outside the 5-gate set.
-    pub fn one_hot_row(kind: GateKind) -> Option<[u8; 5]> {
-        GateKind::EQ8_SET.iter().position(|&k| k == kind).map(|i| {
-            let mut row = [0u8; 5];
-            row[i] = 1;
-            row
-        })
-    }
 }
 
 #[cfg(test)]
@@ -433,23 +413,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, IrError::Malformed(_)));
-    }
-
-    #[test]
-    fn one_hot_matrix_is_identity() {
-        let m = TensorEncoding::one_hot_matrix();
-        for (i, row) in m.iter().enumerate() {
-            for (j, &cell) in row.iter().enumerate() {
-                assert_eq!(cell, u8::from(i == j));
-            }
-        }
-    }
-
-    #[test]
-    fn one_hot_rows() {
-        assert_eq!(TensorEncoding::one_hot_row(GateKind::H), Some([1, 0, 0, 0, 0]));
-        assert_eq!(TensorEncoding::one_hot_row(GateKind::Cx), Some([0, 0, 0, 1, 0]));
-        assert_eq!(TensorEncoding::one_hot_row(GateKind::Swap), None);
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //! (`cx`, `rz`) into one dense kernel can cost *more* than applying them
 //! one at a time — the hot-path bench measures a 3–6× fused-mode
 //! regression on the `random` and `qcrank` workloads. Fusion pays off
-//! when the kernel has exploitable structure (see [`KernelStructure`]:
-//! diagonal, permutation, or controlled kernels apply far below the dense
-//! `2^k` cost) or when the run is bandwidth-bound and saving state passes
-//! dominates. The adaptive planner in `qgear-statevec::planner` makes
-//! that call per segment from a cost model instead of assuming fusion
-//! always wins.
+//! when the kernel has exploitable structure (a diagonal kernel is one
+//! multiply per amplitude, one that mixes `μ < k` of its qubits `2^μ`
+//! mul-adds: [`DenseUnitary::diagonal`], [`DenseUnitary::mixed_bits`]) or
+//! when the run is bandwidth-bound and saving state passes dominates.
+//! The adaptive planner in `qgear-statevec::planner` makes that call per
+//! segment from a cost model instead of assuming fusion always wins.
 //!
 //! [`fuse`] performs the greedy window fusion; [`FusedProgram`] is the
-//! executable kernel list handed to the engines in `qgear-statevec`;
-//! [`FusedBlock::structure`] classifies each kernel so the executors can
-//! dispatch to the cheap path it qualifies for.
+//! executable kernel list handed to the engines in `qgear-statevec`,
+//! which classify each kernel where they build it.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -165,16 +164,14 @@ impl DenseUnitary {
     /// `positions` maps each gate operand to its local bit (operand 0 → the
     /// control/high bit of a [`qgear_num::Mat4`]).
     ///
-    /// Panicking wrapper around [`DenseUnitary::try_push_gate`] for
-    /// callers that have already validated arity.
-    pub fn push_gate(&mut self, gate: &Gate, positions: &[usize]) {
-        self.try_push_gate(gate, positions).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible form of [`DenseUnitary::push_gate`]: rejects gates of
-    /// unsupported arity instead of panicking, so a serving worker can
-    /// turn a malformed circuit into a job error.
-    pub fn try_push_gate(&mut self, gate: &Gate, positions: &[usize]) -> Result<(), FusionError> {
+    /// Rejects gates of unsupported arity instead of panicking, so a
+    /// serving worker can turn a malformed circuit into a job error.
+    ///
+    /// Out of line on purpose: inlined into its one caller's gate loop,
+    /// [`try_fuse`] measured 25–40 % slower (qft-12 150 → 190 µs,
+    /// qcrank-13 4.0 → 5.5 ms, best of 9 × 30, interleaved).
+    #[inline(never)]
+    fn try_push_gate(&mut self, gate: &Gate, positions: &[usize]) -> Result<(), FusionError> {
         let dim = self.dim();
         let mut out = vec![C64::ZERO; dim * dim];
         match positions.len() {
@@ -317,36 +314,6 @@ impl DenseUnitary {
         Some((0..dim).map(|i| self.m[i * dim + i]).collect())
     }
 
-    /// If the unitary is a (phased) permutation — exactly one nonzero
-    /// entry per column — return `perm` with `perm[col] = (row, entry)`,
-    /// meaning the kernel maps amplitude `col` to slot `row` scaled by
-    /// `entry`. `None` otherwise. Fused `cx`/`x`/`swap` runs and their
-    /// phase-decorated variants qualify: they apply with **one** complex
-    /// multiply per amplitude instead of the dense `2^k` mul-adds.
-    ///
-    /// A diagonal unitary is the identity permutation; classify with
-    /// [`DenseUnitary::diagonal`] first to take the cheaper element-wise
-    /// path.
-    pub fn permutation(&self, tol: f64) -> Option<Vec<(usize, C64)>> {
-        let dim = self.dim();
-        let mut perm = Vec::with_capacity(dim);
-        for c in 0..dim {
-            let mut hit: Option<(usize, C64)> = None;
-            for r in 0..dim {
-                let e = self.m[r * dim + c];
-                if e.norm() > tol {
-                    if hit.is_some() {
-                        return None; // two nonzeros in one column: not a permutation
-                    }
-                    hit = Some((r, e));
-                }
-            }
-            // A unitary has no zero column; treat one defensively as dense.
-            perm.push(hit?);
-        }
-        Some(perm)
-    }
-
     /// Project onto the subspace where the given local bits take fixed
     /// values, producing the unitary over the remaining bits (which keep
     /// their relative order). Every conditioned bit must be unmixed
@@ -400,56 +367,6 @@ impl DenseUnitary {
     }
 }
 
-/// Structural class of a fused kernel, ordered cheapest-first. The
-/// executors in `qgear-statevec` dispatch on this instead of always
-/// paying the dense `2^k` mul-adds per amplitude, which is what lets
-/// "fused" execution stop being a regression on permutation-heavy
-/// workloads (the planner's cost model prices each class differently).
-#[derive(Debug, Clone, PartialEq)]
-pub enum KernelStructure {
-    /// Pure phase pattern: one element-wise complex multiply per
-    /// amplitude, no data movement (QFT `cr1` ladders, `rz` chains).
-    Diagonal,
-    /// Phased permutation (`perm[col] = (row, entry)`): one complex
-    /// multiply per amplitude plus an index shuffle (fused `cx`/`swap`
-    /// runs).
-    Permutation(Vec<(usize, C64)>),
-    /// Block-diagonal in at least one qubit: `mixing[j]` is true iff
-    /// local bit `j` is mixed. Factors into `2^(k-μ)` independent
-    /// `2^μ × 2^μ` sub-unitaries indexed by the unmixed control/phase
-    /// bits — `2^μ` mul-adds per amplitude instead of `2^k`.
-    Controlled {
-        /// Per-local-bit mixing flags (`true` = mixed).
-        mixing: Vec<bool>,
-    },
-    /// No exploitable structure: dense gather/mul-add/scatter.
-    Dense,
-}
-
-impl KernelStructure {
-    /// Stable lowercase label, used for telemetry counter names and
-    /// bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelStructure::Diagonal => "diagonal",
-            KernelStructure::Permutation(_) => "permutation",
-            KernelStructure::Controlled { .. } => "controlled",
-            KernelStructure::Dense => "dense",
-        }
-    }
-
-    /// Mixed-qubit count `μ` of a width-`k` kernel under this structure:
-    /// the per-amplitude arithmetic is `O(2^μ)` for controlled kernels,
-    /// `O(1)` for diagonal/permutation, `2^k` for dense.
-    pub fn mixed_count(&self, k: usize) -> usize {
-        match self {
-            KernelStructure::Diagonal | KernelStructure::Permutation(_) => 0,
-            KernelStructure::Controlled { mixing } => mixing.iter().filter(|&&m| m).count(),
-            KernelStructure::Dense => k,
-        }
-    }
-}
-
 /// One fused kernel: a dense unitary over an explicit set of global qubits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedBlock {
@@ -498,25 +415,6 @@ impl FusedBlock {
     /// width.
     pub fn is_diagonal(&self) -> bool {
         self.unitary.diagonal(1e-15).is_some()
-    }
-
-    /// Classify this kernel's structure, cheapest class first: diagonal ⊂
-    /// permutation, and a diagonal/permutation kernel is also trivially
-    /// controlled (`μ = 0`), so the order matters. The tolerances match
-    /// the executors' fast-path checks (`1e-15` for exact-zero patterns,
-    /// the `mixing_mask` tolerance `1e-12` for block-diagonality).
-    pub fn structure(&self) -> KernelStructure {
-        if self.unitary.diagonal(1e-15).is_some() {
-            return KernelStructure::Diagonal;
-        }
-        if let Some(perm) = self.unitary.permutation(1e-15) {
-            return KernelStructure::Permutation(perm);
-        }
-        let mixing = self.mixing_mask();
-        if mixing.iter().any(|&m| !m) {
-            return KernelStructure::Controlled { mixing };
-        }
-        KernelStructure::Dense
     }
 }
 
@@ -681,7 +579,7 @@ mod tests {
     #[test]
     fn grow_preserves_action_on_old_bits() {
         let mut u = DenseUnitary::identity(1);
-        u.push_gate(&Gate::q1p1(GateKind::Ry, 0, 0.8), &[0]);
+        u.try_push_gate(&Gate::q1p1(GateKind::Ry, 0, 0.8), &[0]).unwrap();
         let g = u.grow(3);
         assert_eq!(g.num_qubits(), 3);
         assert!(g.is_unitary(1e-13));
@@ -931,61 +829,6 @@ mod tests {
             }
         }
         assert!(max_deviation(&full, &cond) < 1e-12);
-    }
-
-    #[test]
-    fn structure_classifies_the_four_kernel_classes() {
-        // Diagonal: a cr1/rz ladder.
-        let mut c = Circuit::new(2);
-        c.cr1(0.8, 0, 1).rz(0.3, 0);
-        let b = &fuse(&c, 2).blocks[0];
-        assert!(matches!(b.structure(), KernelStructure::Diagonal));
-        assert_eq!(b.structure().mixed_count(2), 0);
-
-        // Permutation: fused x/cx/swap chain (not diagonal).
-        let mut c = Circuit::new(3);
-        c.x(0).cx(0, 1).swap(1, 2);
-        let b = &fuse(&c, 3).blocks[0];
-        match b.structure() {
-            KernelStructure::Permutation(perm) => {
-                assert_eq!(perm.len(), b.unitary.dim());
-                // Columns map to distinct rows with unimodular entries.
-                let mut rows: Vec<usize> = perm.iter().map(|&(r, _)| r).collect();
-                rows.sort_unstable();
-                rows.dedup();
-                assert_eq!(rows.len(), b.unitary.dim());
-                for &(_, e) in &perm {
-                    assert!((e.norm() - 1.0).abs() < 1e-12);
-                }
-            }
-            other => panic!("expected permutation, got {}", other.name()),
-        }
-
-        // Controlled: ry on the target strand keeps the control unmixed.
-        let mut c = Circuit::new(2);
-        c.ry(0.4, 0).cx(1, 0);
-        let b = &fuse(&c, 2).blocks[0];
-        match b.structure() {
-            KernelStructure::Controlled { mixing } => {
-                assert_eq!(mixing.iter().filter(|&&m| m).count(), 1);
-            }
-            other => panic!("expected controlled, got {}", other.name()),
-        }
-
-        // Dense: mixing on every strand.
-        let mut c = Circuit::new(2);
-        c.ry(0.7, 1).ry(0.2, 0).cx(1, 0);
-        let b = &fuse(&c, 2).blocks[0];
-        assert!(matches!(b.structure(), KernelStructure::Dense));
-        assert_eq!(b.structure().mixed_count(2), 2);
-    }
-
-    #[test]
-    fn permutation_rejects_mixing_rotations() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        let b = &fuse(&c, 2).blocks[0];
-        assert!(b.unitary.permutation(1e-15).is_none(), "h mixes amplitudes");
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl GateKind {
         GateKind::Barrier,
     ];
 
-    /// The subset of kinds corresponding to the one-hot matrix **M** of
-    /// Eq. 8: `(h, ry, rz, cx, measure)`.
-    pub const EQ8_SET: [GateKind; 5] = [
-        GateKind::H,
-        GateKind::Ry,
-        GateKind::Rz,
-        GateKind::Cx,
-        GateKind::Measure,
-    ];
-
     /// Decode a stable tag back into a kind.
     pub fn from_tag(tag: u8) -> Option<Self> {
         Self::ALL.get(tag as usize).copied()
@@ -146,7 +136,7 @@ impl GateKind {
     }
 
     /// Number of continuous parameters.
-    pub const fn num_params(self) -> usize {
+    const fn num_params(self) -> usize {
         match self {
             GateKind::Rx | GateKind::Ry | GateKind::Rz | GateKind::P => 1,
             GateKind::Cr1 | GateKind::Cry => 1,
@@ -357,7 +347,8 @@ mod tests {
     #[test]
     fn eq8_set_matches_paper_order() {
         // Eq. 8 one-hot order: (h, ry, rz, cx, measure) with tags 0..4.
-        for (i, kind) in GateKind::EQ8_SET.iter().enumerate() {
+        let eq8 = [GateKind::H, GateKind::Ry, GateKind::Rz, GateKind::Cx, GateKind::Measure];
+        for (i, kind) in eq8.iter().enumerate() {
             assert_eq!(kind.tag() as usize, i);
         }
     }

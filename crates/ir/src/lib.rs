@@ -4,9 +4,9 @@
 //!
 //! * [`gate`] / [`circuit`] — a Qiskit-like circuit builder producing gate
 //!   lists over a typed gate set;
-//! * [`encoding`] — the three-dimensional tensor encoding of §2.1 with the
-//!   one-hot gate-type matrix **M** of Eq. 8 and the fixed-capacity
-//!   guarantees of Lemma B.2;
+//! * [`encoding`] — the three-dimensional tensor encoding of §2.1 with
+//!   gate-type tags that index the one-hot matrix **M** of Eq. 8 and the
+//!   fixed-capacity guarantees of Lemma B.2;
 //! * [`qpy`] — a compact binary circuit serialization playing the role of
 //!   Qiskit's QPY files;
 //! * [`transpile`] — passes that lower circuits onto the native set
@@ -35,7 +35,6 @@ pub mod encoding;
 pub mod error;
 pub mod fusion;
 pub mod gate;
-pub mod parametric;
 pub mod qpy;
 pub mod reference;
 pub mod schedule;
@@ -46,8 +45,7 @@ pub use circuit::Circuit;
 pub use clifford::{classify, clifford_projection, gate_is_clifford, CircuitClass, CliffordSummary};
 pub use encoding::{EncodedCircuit, TensorEncoding};
 pub use error::IrError;
-pub use fusion::{FusedBlock, FusedProgram, FusionError, KernelStructure};
+pub use fusion::{FusedBlock, FusedProgram, FusionError};
 pub use gate::{Gate, GateKind};
-pub use parametric::{ParamCircuit, ParamValue};
 pub use schedule::{Sweep, SweepOptions, SweepSchedule};
 pub use shape::{shape_digest, ShapeDigest};

@@ -30,7 +30,7 @@
 //!
 //! Execution order *within* a sweep preserves the original program order,
 //! so a schedule that performed no cross-sweep motion
-//! ([`SweepSchedule::is_order_preserving`]) is bit-for-bit identical to
+//! ([`SweepSchedule::moved_kernels`] is 0) is bit-for-bit identical to
 //! unscheduled execution; reordered schedules are equal up to fp
 //! round-off (verified against the dense reference in the differential
 //! suite).
@@ -111,23 +111,6 @@ impl SweepSchedule {
     /// program's `blocks`).
     pub fn order(&self) -> Vec<usize> {
         self.sweeps.iter().flat_map(|s| s.kernels.iter().copied()).collect()
-    }
-
-    /// True when no kernel crossed a sweep boundary: execution order is
-    /// the program order and results are bit-identical to unscheduled
-    /// execution.
-    pub fn is_order_preserving(&self) -> bool {
-        self.moved_kernels == 0
-    }
-
-    /// Source gates per state pass — the sweep analogue of
-    /// [`FusedProgram::compression_ratio`]: how many passes scheduling
-    /// saved on top of fusion (≥ 1.0).
-    pub fn pass_compression(&self) -> f64 {
-        if self.sweeps.is_empty() {
-            return 1.0;
-        }
-        self.num_kernels() as f64 / self.sweeps.len() as f64
     }
 
     /// A new program with the blocks permuted into schedule order —
@@ -441,7 +424,7 @@ mod tests {
         assert_eq!(program2.blocks.len(), 3);
         let schedule = sweeps(&program2, &SweepOptions::default());
         assert_eq!(schedule.sweeps.len(), 1, "same-support kernels group (no motion needed)");
-        assert!(schedule.is_order_preserving());
+        assert_eq!(schedule.moved_kernels, 0);
         let _ = program;
     }
 
@@ -452,7 +435,7 @@ mod tests {
             let program = fuse(&c, 5);
             let opts = SweepOptions { max_width: 10, reorder: false };
             let schedule = sweeps(&program, &opts);
-            assert!(schedule.is_order_preserving());
+            assert_eq!(schedule.moved_kernels, 0);
             assert_eq!(schedule.order(), (0..program.blocks.len()).collect::<Vec<_>>());
             schedule.validate(&program, &opts).unwrap();
         }
@@ -474,7 +457,7 @@ mod tests {
         let schedule = sweeps(&program, &SweepOptions::default());
         schedule.validate(&program, &SweepOptions::default()).unwrap();
         assert!(
-            (schedule.pass_compression()) >= 1.5,
+            program.blocks.len() as f64 / schedule.sweeps.len() as f64 >= 1.5,
             "QFT sweeps {} vs blocks {}: expected ≥1.5x pass compression",
             schedule.sweeps.len(),
             program.blocks.len()
@@ -486,8 +469,7 @@ mod tests {
         let program = fuse(&Circuit::new(4), 5);
         let schedule = sweeps(&program, &SweepOptions::default());
         assert!(schedule.sweeps.is_empty());
-        assert_eq!(schedule.pass_compression(), 1.0);
-        assert!(schedule.is_order_preserving());
+        assert_eq!(schedule.moved_kernels, 0);
     }
 
     #[test]

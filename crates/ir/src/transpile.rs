@@ -291,7 +291,7 @@ pub fn merge_adjacent(circ: &Circuit) -> Circuit {
 /// circuit and the number of gates removed. This implements the AQFT
 /// approximation: `cr1` angles shrink as `2π/2^k`, so deep ladders are
 /// dominated by numerically-irrelevant rotations.
-pub fn prune_small_angles(circ: &Circuit, eps: f64) -> (Circuit, usize) {
+fn prune_small_angles(circ: &Circuit, eps: f64) -> (Circuit, usize) {
     let mut out = Circuit::with_capacity(circ.num_qubits(), circ.name.clone(), circ.gates().len());
     let mut pruned = 0usize;
     for g in circ.gates() {

@@ -47,13 +47,6 @@ impl<T: Scalar> Complex<T> {
         Complex { re: c, im: s }
     }
 
-    /// Construct from polar form `r·e^{iθ}`.
-    #[inline(always)]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        let (s, c) = theta.sin_cos();
-        Complex { re: r * c, im: r * s }
-    }
-
     /// Complex conjugate.
     #[inline(always)]
     pub fn conj(self) -> Self {
@@ -97,7 +90,7 @@ impl<T: Scalar> Complex<T> {
 
     /// Multiplicative inverse `1/z`. Panics in debug builds if `z == 0`.
     #[inline]
-    pub fn recip(self) -> Self {
+    fn recip(self) -> Self {
         let d = self.norm_sqr();
         debug_assert!(d > T::ZERO, "division by zero complex");
         Complex { re: self.re / d, im: -self.im / d }
@@ -283,12 +276,5 @@ mod tests {
         let v: Vec<C> = vec![];
         let s: C = v.into_iter().sum();
         assert_eq!(s, C::ZERO);
-    }
-
-    #[test]
-    fn from_polar_matches_cis() {
-        let z = C::from_polar(2.0, 1.25);
-        let w = C::cis(1.25).scale(2.0);
-        assert!(approx_eq_c(z, w, 1e-14));
     }
 }

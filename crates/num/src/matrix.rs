@@ -210,18 +210,6 @@ impl<T: Scalar> Mat4<T> {
         out
     }
 
-    /// Embed a single-qubit gate acting on the **high** bit of the pair:
-    /// `U ⊗ I`.
-    pub fn embed_high(u: &Mat2<T>) -> Self {
-        u.kron(&Mat2::identity())
-    }
-
-    /// Embed a single-qubit gate acting on the **low** bit of the pair:
-    /// `I ⊗ U`.
-    pub fn embed_low(u: &Mat2<T>) -> Self {
-        Mat2::identity().kron(u)
-    }
-
     /// Swap the roles of the high and low qubit: `P·U·P` with `P` the basis
     /// permutation exchanging bits. Used when the fuser canonicalizes qubit
     /// ordering inside a fused block.
@@ -340,16 +328,6 @@ mod tests {
         assert_eq!(xc.m[0][0], Complex::ONE);
         assert_eq!(xc.m[2][2], Complex::ONE);
         assert!(xc.is_unitary(1e-14));
-    }
-
-    #[test]
-    fn embed_high_low_commute_for_distinct_bits() {
-        let a = gates::ry::<f64>(0.3);
-        let b = gates::rz::<f64>(0.9);
-        let hi_lo = M4::embed_high(&a).mul(&M4::embed_low(&b));
-        let lo_hi = M4::embed_low(&b).mul(&M4::embed_high(&a));
-        assert!(hi_lo.max_deviation(&lo_hi) < 1e-14);
-        assert!(hi_lo.max_deviation(&a.kron(&b)) < 1e-14);
     }
 
     #[test]

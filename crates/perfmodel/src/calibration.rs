@@ -40,23 +40,6 @@ pub fn fit_exponential(points: &[(f64, f64)]) -> (f64, f64) {
     (log_a.exp2(), b)
 }
 
-/// Coefficient of determination (R²) of the exponential fit — how well a
-/// series matches `a · 2^(b n)`.
-pub fn fit_r_squared(points: &[(f64, f64)]) -> f64 {
-    let (a, b) = fit_exponential(points);
-    let mean: f64 = points.iter().map(|p| p.1.log2()).sum::<f64>() / points.len() as f64;
-    let ss_tot: f64 = points.iter().map(|p| (p.1.log2() - mean).powi(2)).sum();
-    let ss_res: f64 = points
-        .iter()
-        .map(|p| (p.1.log2() - (a.log2() + b * p.0)).powi(2))
-        .sum();
-    if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 /// Relative speedup of series `base` over series `other` at matching
 /// indices, geometric-mean aggregated — the "by roughly what factor"
 /// statistic EXPERIMENTS.md reports.
@@ -83,7 +66,6 @@ mod tests {
         let (a, b) = fit_exponential(&points);
         assert!((a - 3.0).abs() < 1e-9, "a = {a}");
         assert!((b - 0.9).abs() < 1e-12, "b = {b}");
-        assert!(fit_r_squared(&points) > 0.999_999);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const fn tableau_bytes(n: u32) -> u128 {
 /// Aer needs scratch alongside the state (measurement buffers, OpenMP
 /// working sets); 2.2× is a conservative envelope that reproduces the
 /// observed 34-qubit ceiling on the 460 GB node.
-pub const CPU_OVERHEAD_FACTOR: f64 = 2.2;
+const CPU_OVERHEAD_FACTOR: f64 = 2.2;
 
 /// Largest register width the CPU node can simulate (Aer runs fp64).
 pub fn max_qubits_cpu(cpu: &CpuNodeSpec) -> u32 {

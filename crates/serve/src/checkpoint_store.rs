@@ -120,11 +120,6 @@ impl CheckpointStore {
             .unwrap_or_default()
     }
 
-    /// True when `job` has at least one retained generation.
-    pub fn has_any(&self, job: u64) -> bool {
-        self.generations.get(&job).is_some_and(|w| !w.is_empty())
-    }
-
     /// Drop one generation of `job` (after it failed verification).
     pub fn drop_generation(&mut self, job: u64, generation: u64) {
         if let Some(window) = self.generations.get_mut(&job) {
@@ -172,7 +167,7 @@ mod tests {
         let mut store = CheckpointStore::new(4);
         store.record(1, 1, vec![]);
         store.clear(1);
-        assert!(!store.has_any(1));
+        assert!(store.newest_first(1).is_empty());
         assert_eq!(store.record(1, 1, vec![]), 1, "counter not reused");
         assert_eq!(store.next_generation(1), 2);
     }
@@ -192,8 +187,8 @@ mod tests {
     fn jobs_are_isolated() {
         let mut store = CheckpointStore::new(2);
         store.record(1, 1, vec![]);
-        assert!(store.has_any(1));
-        assert!(!store.has_any(2));
+        assert!(!store.newest_first(1).is_empty());
+        assert!(store.newest_first(2).is_empty());
         assert_eq!(store.next_generation(2), 0);
     }
 
@@ -201,7 +196,7 @@ mod tests {
     fn zero_bound_disables_retention() {
         let mut store = CheckpointStore::new(0);
         assert_eq!(store.record(1, 1, vec![]), 0);
-        assert!(!store.has_any(1));
+        assert!(store.newest_first(1).is_empty());
         assert_eq!(store.next_generation(1), 1, "counter still advances");
     }
 }

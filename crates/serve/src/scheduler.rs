@@ -112,11 +112,6 @@ impl AdmissionQueue {
         self.len >= self.capacity
     }
 
-    /// Next admission sequence number (assigned by [`Self::push`]).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Admit a job, stamping its `seq`. Returns the job back when the
     /// queue is at capacity (the caller reports [`crate::Admission::QueueFull`]).
     // Handing the job back on rejection is the point of this API; the

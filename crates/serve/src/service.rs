@@ -141,7 +141,7 @@ pub struct ServeConfig {
     /// oldest-first under either bound and never holds a marginal larger
     /// than that budget (23 measured qubits and up). A hit lets a job
     /// that differs from an earlier one only in sampling knobs
-    /// (shots/seed/batch) skip simulation entirely and re-sample the
+    /// (shots/seed) skip simulation entirely and re-sample the
     /// cached exact marginal — bit-identical to a cold run.
     pub state_cache_capacity: usize,
     /// Injected transient-fault plan (defaults to no faults).
@@ -979,8 +979,8 @@ fn segmented_enabled(cfg: &ServeConfig) -> bool {
 }
 
 /// Whether the coalescer may form batches at all: opted in via
-/// [`ServeConfig::batch`], GPU backend only (the modeled saving is one
-/// A100 launch per kernel for the whole batch), and never together with
+/// [`ServeConfig::batch`], GPU backend only (members run one after
+/// another on the dense engine's stepper), and never together with
 /// segmented execution — batch members run straight through (the only
 /// death a batch replays is `WorkerDeathMidBatch`, *between* members),
 /// so checkpoint generations would be written and never resumed.

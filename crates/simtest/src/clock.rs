@@ -15,14 +15,13 @@
 //!   run a pure function of its inputs: virtual time can never advance
 //!   past the earliest registered deadline, so every temporal reading
 //!   the code under test takes is reproducible.
-//! * **Auto** ([`VirtualClock::auto`]) — `sleep_until` advances time to
-//!   the deadline immediately and returns. Useful for single-threaded
-//!   code (e.g. timing spans inside an engine) where nothing needs to
-//!   interleave with the sleeper.
-//!
-//! An optional *tick* ([`VirtualClock::with_tick`]) advances time by a
-//! fixed amount on every `now()` call, so code that measures a span as
-//! `now() - start` observes an exact, asserted-upon nonzero duration.
+//! * **Auto** ([`VirtualClock::with_tick`]) — `sleep_until` advances
+//!   time to the deadline immediately and returns. Useful for
+//!   single-threaded code (e.g. timing spans inside an engine) where
+//!   nothing needs to interleave with the sleeper. Its *tick* also
+//!   advances time by a fixed amount on every `now()` call, so code that
+//!   measures a span as `now() - start` observes an exact, asserted-upon
+//!   nonzero duration.
 
 use qgear_telemetry::clock::Clock;
 use std::collections::BTreeMap;
@@ -66,13 +65,9 @@ impl VirtualClock {
         VirtualClock::with_mode(false, Duration::ZERO)
     }
 
-    /// An auto-advancing clock: every sleep jumps time to its deadline.
-    pub fn auto() -> Self {
-        VirtualClock::with_mode(true, Duration::ZERO)
-    }
-
-    /// An auto-advancing clock that also advances by `tick` on every
-    /// `now()` call, making `now() - start` spans exact and nonzero.
+    /// An auto-advancing clock — every sleep jumps time to its deadline —
+    /// that also advances by `tick` on every `now()` call, making
+    /// `now() - start` spans exact and nonzero.
     pub fn with_tick(tick: Duration) -> Self {
         VirtualClock::with_mode(true, tick)
     }
@@ -84,7 +79,7 @@ impl VirtualClock {
 
     /// Move time forward to `target` (never backward). Returns the new
     /// reading.
-    pub fn advance_to(&self, target: Duration) -> Duration {
+    fn advance_to(&self, target: Duration) -> Duration {
         let mut st = self.state.lock().expect("virtual clock poisoned");
         if target > st.now {
             st.now = target;
@@ -113,11 +108,6 @@ impl VirtualClock {
         drop(st);
         self.cv.notify_all();
         Some(earliest)
-    }
-
-    /// Threads currently parked in `sleep_until`.
-    pub fn sleeper_count(&self) -> usize {
-        self.state.lock().expect("virtual clock poisoned").sleepers.len()
     }
 
     /// Block (in real time, bounded by `real_timeout`) until at least
@@ -202,7 +192,7 @@ mod tests {
 
     #[test]
     fn auto_mode_jumps_to_sleep_deadlines() {
-        let clock = VirtualClock::auto();
+        let clock = VirtualClock::with_tick(Duration::ZERO);
         clock.sleep(Duration::from_millis(7));
         assert_eq!(clock.now(), Duration::from_millis(7));
         clock.sleep_until(Duration::from_millis(3)); // already past
@@ -233,7 +223,6 @@ mod tests {
         assert_eq!(clock.advance_to_next_sleeper(), Some(Duration::from_micros(10)));
         let woke_at = sleeper.join().unwrap();
         assert_eq!(woke_at, Duration::from_micros(10));
-        assert_eq!(clock.sleeper_count(), 0);
     }
 
     #[test]

@@ -38,18 +38,18 @@ pub const BLOCKER_JOB: u64 = 0;
 
 /// Fusion window the harness configures the service with (1 = one
 /// schedule step per source gate).
-pub const HARNESS_FUSION_WIDTH: usize = 1;
+const HARNESS_FUSION_WIDTH: usize = 1;
 
 /// Sweep window the harness configures the service with (0 = sweeping
 /// off, kernel-at-a-time).
-pub const HARNESS_SWEEP_WIDTH: usize = 0;
+const HARNESS_SWEEP_WIDTH: usize = 0;
 
 /// What the service *should* have answered for `def`: the clean,
 /// fault-free execution of its spec, mirrored gate-for-gate (same
 /// canonicalization, same engine, same fusion/sweep configuration, same
 /// seeded sampling). The resume bit-identity oracle compares every
 /// completion against this.
-pub fn clean_counts_hash(def: &JobDef) -> u64 {
+fn clean_counts_hash(def: &JobDef) -> u64 {
     let spec = def.spec();
     let canonical = if spec.circuit.is_native() {
         spec.circuit.clone()

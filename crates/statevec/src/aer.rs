@@ -100,7 +100,7 @@ pub fn apply_mat4<T: Scalar>(state: &mut [Complex<T>], a: u32, b: u32, m: &Mat4<
 /// CX specialization: swap amplitude pairs where the control bit is set.
 /// This is the Appendix A example — "noncontiguous memory access because
 /// the amplitudes to be swapped are scattered across the state vector".
-pub fn apply_cx<T: Scalar>(state: &mut [Complex<T>], control: u32, target: u32) {
+fn apply_cx<T: Scalar>(state: &mut [Complex<T>], control: u32, target: u32) {
     let mc = 1usize << control;
     let mt = 1usize << target;
     for i in 0..state.len() {
@@ -123,7 +123,7 @@ pub fn apply_ccx<T: Scalar>(state: &mut [Complex<T>], c0: u32, c1: u32, t: u32) 
 }
 
 /// Rz specialization: pure diagonal phase rotation.
-pub fn apply_rz<T: Scalar>(state: &mut [Complex<T>], q: u32, theta: T) {
+fn apply_rz<T: Scalar>(state: &mut [Complex<T>], q: u32, theta: T) {
     let neg = Complex::cis(-(theta * T::HALF));
     let pos = Complex::cis(theta * T::HALF);
     let mask = 1usize << q;
@@ -133,7 +133,7 @@ pub fn apply_rz<T: Scalar>(state: &mut [Complex<T>], q: u32, theta: T) {
 }
 
 /// Phase-gate specialization: `diag(1, e^{iλ})` on one qubit.
-pub fn apply_phase<T: Scalar>(state: &mut [Complex<T>], q: u32, lambda: T) {
+fn apply_phase<T: Scalar>(state: &mut [Complex<T>], q: u32, lambda: T) {
     let ph = Complex::cis(lambda);
     let mask = 1usize << q;
     for (i, amp) in state.iter_mut().enumerate() {

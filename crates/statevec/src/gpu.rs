@@ -21,15 +21,15 @@
 //! model in `qgear-perfmodel` converts into projected A100 timings are
 //! the per-kernel launch and byte counters a run charges to `ExecStats`.
 //!
-//! Kernel arithmetic exists once. `KernelPlan` classifies a fused block
-//! (diagonal table, or a group kernel over the bits the block mixes —
-//! dense being the all-mixed case) and owns the one gather / mul-add /
-//! scatter body; a full-state kernel ([`GpuDevice::apply_block`], the
-//! `Controlled` class of [`GpuDevice::apply_block_structured`]) is that
+//! Kernel arithmetic exists once. `classify` sorts a fused block into
+//! a diagonal table or a group kernel over the bits the block mixes
+//! (dense being the all-mixed case) — the planner prices a kernel from
+//! the same answer — and `KernelPlan` owns the one gather / mul-add /
+//! scatter body; a full-state kernel ([`GpuDevice::apply_block`]) is that
 //! body driven over the whole state, a shard step
 //! ([`GpuDevice::apply_to_slices`]) one plan driven over every slice in
 //! turn, a sweep ([`GpuDevice::apply_sweep`]) the same body driven over
-//! cache-sized tiles. Only the permutation shuffle has a loop of its own.
+//! cache-sized tiles.
 //!
 //! This module holds the device and its kernels only. The plan those
 //! kernels execute, the loop that walks it and the stats it charges live
@@ -39,10 +39,10 @@
 use crate::arena;
 use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::simd::{self, DiagTable};
-use qgear_ir::fusion::{DenseUnitary, FusedBlock, KernelStructure};
+use qgear_ir::fusion::{DenseUnitary, FusedBlock};
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
-use qgear_num::{Complex, Scalar};
+use qgear_num::{Complex, Scalar, C64};
 use rayon::prelude::*;
 
 /// Simulated GPU device description. Defaults model one NVIDIA A100
@@ -91,7 +91,7 @@ impl GpuDevice {
 
     /// Execute one fused block over the state, data-parallel.
     ///
-    /// The block is classified once, in exact mode (`KernelPlan::new`) —
+    /// The block is classified once, in exact mode (`classify`) —
     /// a pure phase pattern (QFT's cr1 chains, rz runs) becomes one
     /// element-wise table pass with no gather/scatter, exactly like a
     /// cuQuantum diagonal kernel; anything else a mul-add chain over the
@@ -127,109 +127,6 @@ impl GpuDevice {
         }
     }
 
-    /// Execute one fused block through the kernel matching its structure
-    /// class — the planner's "fused stops meaning dense `2^k` apply"
-    /// dispatch (see [`KernelStructure`] and `crate::planner`).
-    ///
-    /// `Diagonal` and `Dense` are [`GpuDevice::apply_block`] (whose exact
-    /// plan already takes the element-wise diagonal fast path);
-    /// `Permutation` runs a gather/permute/scatter pass with one complex
-    /// multiply per amplitude; `Controlled` runs the same full-state
-    /// driver over the block's factored plan, cutting per-amplitude cost
-    /// from `2^k` to `2^μ` mul-adds. All four dispatch targets apply the
-    /// same unitary: results agree with the dense kernel to the structure
-    /// classifier's tolerance (1e-15, far below engine agreement bounds).
-    pub fn apply_block_structured<T: Scalar>(
-        state: &mut [Complex<T>],
-        block: &FusedBlock,
-        structure: &KernelStructure,
-    ) {
-        match structure {
-            KernelStructure::Diagonal | KernelStructure::Dense => {
-                GpuDevice::apply_block(state, block);
-            }
-            KernelStructure::Permutation(perm) => {
-                GpuDevice::apply_block_permutation(state, block, perm);
-            }
-            // The block mixes only `μ < k` of its qubits: it factors into
-            // `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed by
-            // the unmixed (control/phase) bits (see [`KernelPlan`]).
-            KernelStructure::Controlled { mixing } => {
-                let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-                KernelPlan::grouped(&block.unitary, &masks, state.len(), mixing).launch(state);
-            }
-        }
-    }
-
-    /// Permutation kernel: the fused block's matrix has exactly one
-    /// nonzero per column (X/CX/SWAP ladders, optionally with phases).
-    /// Where the structure dispatch sends `Dense` blocks through the
-    /// `2^k`-wide mul-add accumulation (scalar or SIMD-lane form, see
-    /// [`crate::simd`]), a permutation block reduces to an index shuffle
-    /// plus one complex multiply per amplitude; the lane path performs
-    /// that shuffle on `T::LANES` amplitude groups per step when every
-    /// block qubit clears the lane width, and falls back to the scalar
-    /// shuffle otherwise.
-    fn apply_block_permutation<T: Scalar>(
-        state: &mut [Complex<T>],
-        block: &FusedBlock,
-        perm: &[(usize, qgear_num::C64)],
-    ) {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::AMPLITUDES_TOUCHED,
-            2 * state.len() as u128,
-        );
-        let k = block.qubits.len();
-        let dim = 1usize << k;
-        debug_assert!(dim <= 64);
-        // Column `c` maps to row `rows[c]` with weight `phases[c]`.
-        let rows: Vec<usize> = perm.iter().map(|&(r, _)| r).collect();
-        let phases: Vec<Complex<T>> = perm.iter().map(|&(_, p)| p.cast()).collect();
-        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let offs = simd::local_offsets(&masks);
-        let groups = state.len() >> k;
-        let mut sorted: Vec<usize> = block.qubits.iter().map(|&q| q as usize).collect();
-        sorted.sort_unstable();
-        let vector = simd::simd_enabled() && simd::lanes_ok::<T>(&sorted, groups);
-        simd::record_dispatch::<T>(vector);
-
-        let shared = SharedState(state.as_mut_ptr());
-        let shared = &shared;
-        let rows = &rows;
-        let offs = &offs;
-        let sorted = &sorted;
-        if vector {
-            let phase_splat = simd::splat_all::<T>(&phases);
-            let phase_splat = &phase_splat;
-            let min = min_items::<T>(T::LANES << k);
-            (0..groups / T::LANES).into_par_iter().with_min_len(min).for_each(move |gb| {
-                let base = expand_index(gb * T::LANES, sorted);
-                // SAFETY: distinct groups expand to disjoint index sets
-                // (zero bits reinserted at every block qubit position), so
-                // lane blocks never alias each other; every index stays
-                // below `groups << k == state.len()`.
-                unsafe {
-                    simd::perm_block_lanes::<T>(shared.0, base, phase_splat, rows, dim, offs)
-                };
-            });
-            return;
-        }
-        let phases = &phases;
-        (0..groups).into_par_iter().with_min_len(min_items::<T>(dim)).for_each(move |g| {
-            let base = expand_index(g, sorted);
-            let mut scratch = [Complex::<T>::ZERO; 64];
-            for local in 0..dim {
-                // SAFETY: group-disjoint, in-bounds indices, as above.
-                scratch[local] = unsafe { shared.read(base | offs[local]) };
-            }
-            for c in 0..dim {
-                // SAFETY: same disjointness argument as the gather.
-                unsafe { shared.write(base | offs[rows[c]], phases[c] * scratch[c]) };
-            }
-        });
-    }
-
     /// Execute one scheduled sweep — several mutually-reorderable fused
     /// kernels — in a single cache-blocked pass over the state.
     ///
@@ -251,7 +148,7 @@ impl GpuDevice {
     /// 16× for QFT kernels, which mix only the single `h` qubit of each
     /// block. The exact plan counts a bit unmixed only when every entry
     /// across it is exactly zero, which changes no result bit (see
-    /// `KernelPlan::new`); when `false` (the default reordering schedules,
+    /// `classify`); when `false` (the default reordering schedules,
     /// which already only agree up to round-off) entries below the
     /// [`FusedBlock::mixing_mask`] tolerance are dropped as well.
     pub fn apply_sweep<T: Scalar>(
@@ -281,7 +178,9 @@ impl GpuDevice {
                 .iter()
                 .map(|&ki| {
                     let b = &blocks[ki];
-                    let diag = b.unitary.diagonal(1e-15).expect("diagonal sweep member");
+                    let KernelClass::Diagonal(diag) = classify(&b.unitary, exact) else {
+                        panic!("diagonal sweep member")
+                    };
                     let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
                     DiagTable::build(diag.iter().map(|c| c.cast()).collect(), &masks, state.len())
                 })
@@ -409,6 +308,51 @@ fn expand_index(mut index: usize, sorted_bits: &[usize]) -> usize {
     index
 }
 
+/// How a fused kernel executes: the answer [`classify`] gives, which
+/// `KernelPlan::new` builds from and the planner prices from.
+pub(crate) enum KernelClass {
+    /// Pure phase pattern, by its diagonal: one multiply per amplitude.
+    Diagonal(Vec<C64>),
+    /// A group kernel over the mixed local bits of this mask: `2^μ`
+    /// mul-adds per amplitude, `μ` its popcount.
+    Mixed(usize),
+}
+
+/// Classify `u` — the one place that decides whether a kernel is a
+/// diagonal table and, if not, which of its bits it mixes.
+///
+/// `exact: true` promises the bits of sequential dense application —
+/// the `2^k` mul-add chain per amplitude, in column order, that every
+/// bitwise tier is pinned to — and keeps the promise while skipping
+/// the entries that are **exactly** zero
+/// ([`DenseUnitary::exactly_mixed_bits`]; a fused QFT block has two
+/// nonzero entries in a row of 32). The argument: a row's accumulator
+/// starts at `+0.0`; a zero entry times a finite amplitude is `±0.0`,
+/// and under round-to-nearest `x + ±0.0 == x` bit for bit for every
+/// `x` except `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense
+/// chain's zero terms leave the accumulator as they found it, the
+/// nonzero terms meet the same accumulator in the same order in both
+/// chains, and the results agree in every bit. The one corner is an
+/// accumulator that *is* `-0.0`: adding zero products to `+0.0` keeps
+/// it `+0.0` and exact cancellation rounds to `+0.0`, so that takes a
+/// nonzero partial sum underflowing to `-0.0` — a product below the
+/// smallest subnormal — and then the two chains may differ in the
+/// sign of a zero. (Non-finite amplitudes have left the argument's
+/// premise, and any meaning, already.) The mask is taken on the `f64`
+/// matrix, so at fp32 an entry that only rounds to zero stays in the
+/// chain.
+///
+/// `exact: false` also drops cross entries below the
+/// [`FusedBlock::mixing_mask`] tolerance (`1e-12`), which agrees with
+/// the dense product only to that tolerance.
+pub(crate) fn classify(u: &DenseUnitary, exact: bool) -> KernelClass {
+    match u.diagonal(1e-15) {
+        Some(diag) => KernelClass::Diagonal(diag),
+        None if exact => KernelClass::Mixed(u.exactly_mixed_bits()),
+        None => KernelClass::Mixed(u.mixed_bits(1e-12)),
+    }
+}
+
 /// One fused kernel, classified once and ready to run over `span`
 /// amplitudes: a sweep tile (masks in tile-slot space) or the whole state
 /// (global bit masks) — the plan is mask-space agnostic, and both drivers
@@ -461,52 +405,29 @@ struct GroupKernel<T: Scalar> {
 }
 
 impl<T: Scalar> KernelPlan<T> {
-    /// Classify `u` and plan it over spans of `span` amplitudes/slots,
-    /// `masks[j]` being the span mask of kernel-local bit `j`. A diagonal
-    /// matrix becomes a [`DiagTable`]; anything else a [`GroupKernel`]
-    /// over the bits the matrix mixes, and this is the one place that
-    /// decides which those are.
-    ///
-    /// `exact: true` promises the bits of sequential dense application —
-    /// the `2^k` mul-add chain per amplitude, in column order, that every
-    /// bitwise tier is pinned to — and keeps the promise while skipping
-    /// the entries that are **exactly** zero
-    /// ([`DenseUnitary::exactly_mixed_bits`]; a fused QFT block has two
-    /// nonzero entries in a row of 32). The argument: a row's accumulator
-    /// starts at `+0.0`; a zero entry times a finite amplitude is `±0.0`,
-    /// and under round-to-nearest `x + ±0.0 == x` bit for bit for every
-    /// `x` except `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense
-    /// chain's zero terms leave the accumulator as they found it, the
-    /// nonzero terms meet the same accumulator in the same order in both
-    /// chains, and the results agree in every bit. The one corner is an
-    /// accumulator that *is* `-0.0`: adding zero products to `+0.0` keeps
-    /// it `+0.0` and exact cancellation rounds to `+0.0`, so that takes a
-    /// nonzero partial sum underflowing to `-0.0` — a product below the
-    /// smallest subnormal — and then the two chains may differ in the
-    /// sign of a zero. (Non-finite amplitudes have left the argument's
-    /// premise, and any meaning, already.) The mask is taken on the `f64`
-    /// matrix, so at fp32 an entry that only rounds to zero stays in the
-    /// chain.
-    ///
-    /// `exact: false` also drops cross entries below the
-    /// [`FusedBlock::mixing_mask`] tolerance (`1e-12`), which agrees with
-    /// the dense product only to that tolerance.
+    /// Plan `u`, as [`classify`] sorts it, over spans of `span`
+    /// amplitudes/slots, `masks[j]` being the span mask of kernel-local
+    /// bit `j`: a diagonal becomes a [`DiagTable`], anything else a
+    /// [`GroupKernel`] over the bits it mixes.
     fn new(u: &DenseUnitary, masks: &[usize], span: usize, exact: bool) -> Self {
-        if let Some(diag) = u.diagonal(1e-15) {
-            let d = diag.iter().map(|c| c.cast()).collect();
-            return KernelPlan::Diag { table: DiagTable::build(d, masks, span) };
+        match classify(u, exact) {
+            KernelClass::Diagonal(diag) => {
+                let d = diag.iter().map(|c| c.cast()).collect();
+                KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
+            }
+            KernelClass::Mixed(mixed) => {
+                let mixing: Vec<bool> = (0..masks.len()).map(|j| mixed >> j & 1 == 1).collect();
+                KernelPlan::grouped(u, masks, span, &mixing)
+            }
         }
-        let mixed = if exact { u.exactly_mixed_bits() } else { u.mixed_bits(1e-12) };
-        let mixing: Vec<bool> = (0..masks.len()).map(|j| mixed >> j & 1 == 1).collect();
-        KernelPlan::grouped(u, masks, span, &mixing)
     }
 
     /// Plan a non-diagonal kernel as a [`GroupKernel`] over the bits
     /// `mixing` flags (kernel-local order). Whatever cross entries an
     /// unflagged bit has are dropped — the caller's mask says how small
-    /// they are (exactly zero, or below the structure classifier's
-    /// `1e-12`); with every bit flagged nothing is dropped and the single
-    /// sub-unitary is the matrix itself.
+    /// they are (exactly zero, or below `1e-12`); with every bit flagged
+    /// nothing is dropped and the single sub-unitary is the matrix
+    /// itself.
     fn grouped(u: &DenseUnitary, masks: &[usize], span: usize, mixing: &[bool]) -> Self {
         let k = u.num_qubits();
         let dim = 1usize << k;
@@ -743,6 +664,19 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
     /// and the kernel loop live there, once.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
         self.run_segmented(circuit, opts, usize::MAX)
+    }
+}
+
+/// `μ` of the group kernel `KernelPlan::new(u, .., exact)` really builds,
+/// `None` for a diagonal table: what the planner's pricing tests hold
+/// the priced `2^μ` against.
+#[cfg(test)]
+pub(crate) fn built_mixed_count(u: &DenseUnitary, exact: bool) -> Option<u32> {
+    let k = u.num_qubits();
+    let masks: Vec<usize> = (0..k).map(|j| 1usize << j).collect();
+    match KernelPlan::<f64>::new(u, &masks, 1 << k, exact) {
+        KernelPlan::Diag { .. } => None,
+        KernelPlan::Grouped(kernel) => Some(kernel.mdim.trailing_zeros()),
     }
 }
 

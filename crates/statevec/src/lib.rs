@@ -16,9 +16,9 @@
 //! single execution mode wins everywhere — dense fusion runs several
 //! times *slower* than the per-gate baseline on unstructured workloads —
 //! so the plan's one selector ([`PlannerCosts::force_mode`]) either pins
-//! every segment to a mode (the default pins sweeps) or prices unfused,
-//! fused (structure-dispatched) and sweep execution per scheduled
-//! segment against a cost model and runs each in its cheapest mode. See
+//! every segment to a mode (the default pins sweeps) or prices unfused
+//! and sweep execution per scheduled segment against a cost model and
+//! runs each in the cheaper mode. See
 //! `docs/PLANNER.md` for the model and decision procedure.
 //!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`

@@ -60,7 +60,7 @@ pub enum NoiseChannel {
 
 impl NoiseChannel {
     /// The channel's `(p_x, p_y, p_z)` Pauli error probabilities.
-    pub fn pauli_probs(&self) -> (f64, f64, f64) {
+    fn pauli_probs(&self) -> (f64, f64, f64) {
         match *self {
             NoiseChannel::BitFlip { p } => (p, 0.0, 0.0),
             NoiseChannel::PhaseFlip { p } => (0.0, 0.0, p),
@@ -74,7 +74,7 @@ impl NoiseChannel {
     }
 
     /// Total error probability (complement of the identity weight).
-    pub fn error_probability(&self) -> f64 {
+    fn error_probability(&self) -> f64 {
         let (px, py, pz) = self.pauli_probs();
         px + py + pz
     }
@@ -122,7 +122,7 @@ impl NoiseModel {
 
     /// Build trajectory `k`'s noisy circuit: the ideal gates with Pauli
     /// errors inserted after each, drawn from `error_seed`.
-    pub fn noisy_circuit(&self, circuit: &Circuit, error_seed: u64) -> Circuit {
+    fn noisy_circuit(&self, circuit: &Circuit, error_seed: u64) -> Circuit {
         let mut rng = StdRng::seed_from_u64(error_seed);
         let mut out =
             Circuit::with_capacity(circuit.num_qubits(), circuit.name.clone(), circuit.gates().len());

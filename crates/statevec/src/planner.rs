@@ -3,23 +3,24 @@
 //! An [`ExecutionPlan`] is the fused kernels of a circuit, partitioned
 //! into *segments* (one per scheduled sweep, or one per fused block at
 //! `sweep_width: 0`), each annotated with the [`SegmentMode`] it runs
-//! in: **unfused** (per-gate specialized loops), **fused** (one
-//! structured kernel pass per block, dispatched by
-//! [`KernelStructure`]), or **sweep** (one cache-blocked tile pass; a
-//! one-kernel segment is the exact kernel, [`GpuDevice::apply_block`]).
-//! One selector decides
-//! the modes — [`PlannerCosts::force_mode`]:
+//! in: **unfused** (per-gate specialized loops) or **sweep** (one
+//! cache-blocked tile pass; a one-kernel segment is the exact kernel,
+//! [`GpuDevice::apply_block`]). The two differ in passes over the
+//! state, not in kernel arithmetic: what a kernel costs is decided once
+//! (`gpu.rs`'s `classify`, which the kernel is built from), and read
+//! from there when a segment is priced. One selector decides the modes —
+//! [`PlannerCosts::force_mode`]:
 //!
 //! * `Some(mode)` **pins** every segment to that mode. A pinned plan
-//!   prices nothing and classifies no structure it will not execute;
-//!   the historical fixed engines are pins (the default
+//!   prices nothing and keeps no gate list it will not execute; the
+//!   historical fixed engines are pins (the default
 //!   [`RunOptions`](crate::RunOptions) pins `Sweep`).
-//! * `None` **prices** the three modes per segment against the
-//!   [`PlannerCosts`] constants and takes the cheapest, because each
-//!   pin is a global bet that loses somewhere (dense width-5 kernels
-//!   cost `2^5` mul-adds per amplitude where the gates they absorbed
-//!   cost a handful; per-gate execution loses on QFT-shaped circuits
-//!   where sweeps amortize state passes).
+//! * `None` **prices** both modes per segment against the
+//!   [`PlannerCosts`] constants and takes the cheaper, because each pin
+//!   is a global bet that loses somewhere (dense width-5 kernels cost
+//!   `2^5` mul-adds per amplitude where the gates they absorbed cost a
+//!   handful; per-gate execution loses on QFT-shaped circuits where
+//!   sweeps amortize state passes).
 //!
 //! Every mode applies the same unitaries in the same schedule order, so
 //! any two plans of one circuit agree to floating-point round-off, and
@@ -42,10 +43,9 @@
 //! c.h(0).cr1(0.5, 0, 1).cr1(0.25, 0, 2).h(1).cr1(0.5, 1, 2).h(2);
 //! let priced = plan(&c, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
 //! for seg in &priced.segments {
-//!     // The chosen mode is never predicted slower than either rival.
+//!     // The chosen mode is never predicted slower than its rival.
 //!     let p = seg.predicted.expect("priced segments carry their prediction");
-//!     assert!(p.of(seg.mode) <= p.unfused && p.of(seg.mode) <= p.fused);
-//!     assert!(p.of(seg.mode) <= p.sweep);
+//!     assert!(p.of(seg.mode) <= p.unfused && p.of(seg.mode) <= p.sweep);
 //! }
 //! // The same schedule pinned to one mode: nothing is priced.
 //! let pinned = plan(&c, 5, 12, true, &PlannerCosts::pinned(SegmentMode::Sweep), 16).unwrap();
@@ -54,28 +54,28 @@
 
 use crate::aer::AerCpuBackend;
 use crate::checkpoint::CheckpointCounters;
-use crate::gpu::GpuDevice;
-use qgear_ir::fusion::{self, FusedBlock, FusionError, KernelStructure};
+use crate::gpu::{self, GpuDevice, KernelClass};
+use qgear_ir::fusion::{self, FusedBlock, FusionError};
 use qgear_ir::schedule::{self, Sweep, SweepOptions};
 use qgear_ir::{Circuit, Gate};
 use qgear_num::{Complex, Scalar};
 use qgear_telemetry::names;
 use std::time::Instant;
 
-/// Execution mode of one schedule segment.
+/// Execution mode of one schedule segment. The discriminant is the word
+/// [`ExecutionPlan::digest`] folds in per segment, so it is part of every
+/// checkpoint fingerprint: `Sweep` stays 2 (1 was a structure-dispatched
+/// kernel-at-a-time mode, which ran the kernels a one-kernel `Sweep`
+/// segment runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentMode {
     /// Per-gate specialized loops (the Aer-style kernels): cheap
     /// arithmetic, one state pass per gate.
-    Unfused,
-    /// One structured kernel pass per fused block
-    /// ([`GpuDevice::apply_block_structured`]): state passes amortized
-    /// over fused gates, arithmetic priced by [`KernelStructure`].
-    Fused,
+    Unfused = 0,
     /// One cache-blocked tile pass for the whole segment
     /// ([`GpuDevice::apply_sweep`]); a one-kernel segment is the exact
     /// [`GpuDevice::apply_block`].
-    Sweep,
+    Sweep = 2,
 }
 
 impl SegmentMode {
@@ -83,7 +83,6 @@ impl SegmentMode {
     pub fn name(self) -> &'static str {
         match self {
             SegmentMode::Unfused => "unfused",
-            SegmentMode::Fused => "fused",
             SegmentMode::Sweep => "sweep",
         }
     }
@@ -103,7 +102,7 @@ pub struct PlannerCosts {
     /// Dense-kernel inner-loop throughput, complex mul-adds/second
     /// (gather/scatter bookkeeping amortized in).
     pub madds_per_sec: f64,
-    /// Element-wise diagonal/permutation throughput, complex
+    /// Element-wise diagonal-kernel throughput, complex
     /// multiplies/second.
     pub cmuls_per_sec: f64,
     /// Per-gate specialized-loop throughput of the unfused path,
@@ -128,8 +127,8 @@ impl PlannerCosts {
     /// host after the SIMD/FMA kernel overhaul: dense width-5 kernels on
     /// a random circuit pin `madds_per_sec`, the per-gate loops on the
     /// same circuit pin `gate_amps_per_sec`, the chunked diagonal-table
-    /// kernels of a QFT pin `cmuls_per_sec`, sweep-vs-fused deltas pin
-    /// the effective streaming bandwidth, and a 10-qubit per-gate run
+    /// kernels of a QFT pin `cmuls_per_sec`, sweep-vs-per-kernel deltas
+    /// pin the effective streaming bandwidth, and a 10-qubit per-gate run
     /// bounds the dispatch overhead at well under a microsecond. The
     /// numbers behind any fit go stale with the host; `benchmark/`
     /// measures them.
@@ -153,9 +152,12 @@ impl PlannerCosts {
     /// Refit the constants from a telemetry snapshot of earlier priced
     /// runs: each per-mode `planner.cost_ratio.*` histogram records
     /// actual/predicted per executed priced segment, and its mean
-    /// rescales the constants that dominate that mode (clamped to
-    /// `[0.25, 4]` per refit so one noisy run cannot wreck the model).
-    /// Returns the costs unchanged for modes with no observations.
+    /// rescales the constants that mode is priced from — the per-gate
+    /// rate for `Unfused`; bandwidth and both kernel rates for `Sweep`,
+    /// together, since ranking two modes has one degree of freedom
+    /// (clamped to `[0.25, 4]` per refit so one noisy run cannot wreck
+    /// the model). Returns the costs unchanged for modes with no
+    /// observations.
     pub fn calibrated(&self, snap: &qgear_telemetry::TelemetrySnapshot) -> PlannerCosts {
         let mean = |name: &str| {
             snap.histograms
@@ -167,12 +169,10 @@ impl PlannerCosts {
         if let Some(r) = mean(names::PLANNER_RATIO_UNFUSED) {
             c.gate_amps_per_sec /= r;
         }
-        if let Some(r) = mean(names::PLANNER_RATIO_FUSED) {
-            c.madds_per_sec /= r;
-            c.cmuls_per_sec /= r;
-        }
         if let Some(r) = mean(names::PLANNER_RATIO_SWEEP) {
             c.bytes_per_sec /= r;
+            c.madds_per_sec /= r;
+            c.cmuls_per_sec /= r;
         }
         c
     }
@@ -183,16 +183,14 @@ impl PlannerCosts {
         2.0 * n_amps * amp_bytes / self.bytes_per_sec
     }
 
-    /// Per-kernel arithmetic seconds under structured dispatch.
-    fn kernel_flop_seconds(&self, structure: &KernelStructure, k: usize, n_amps: f64) -> f64 {
-        match structure {
-            KernelStructure::Diagonal => n_amps / self.cmuls_per_sec,
-            // A permutation pays the same single multiply plus the
-            // gather/scatter shuffle.
-            KernelStructure::Permutation(_) => 1.5 * n_amps / self.cmuls_per_sec,
-            KernelStructure::Controlled { .. } | KernelStructure::Dense => {
-                let mu = structure.mixed_count(k);
-                n_amps * (1u64 << mu) as f64 / self.madds_per_sec
+    /// Arithmetic seconds of one kernel as [`GpuDevice`] will run it:
+    /// one multiply per amplitude for a diagonal table, `2^μ` mul-adds
+    /// over the bits the built kernel mixes otherwise.
+    fn kernel_flop_seconds(&self, block: &FusedBlock, exact: bool, n_amps: f64) -> f64 {
+        match gpu::classify(&block.unitary, exact) {
+            KernelClass::Diagonal(_) => n_amps / self.cmuls_per_sec,
+            KernelClass::Mixed(bits) => {
+                n_amps * (1u64 << bits.count_ones()) as f64 / self.madds_per_sec
             }
         }
     }
@@ -215,58 +213,41 @@ impl PlannerCosts {
         gates as f64 * 4.0 * (1u64 << (2 * fusion_width)) as f64 / self.madds_per_sec
     }
 
-    /// Price one segment under the three modes. `gates[ki]` are the
-    /// source gates block `ki` absorbed, `pass` one state pass in
-    /// seconds.
+    /// Price one segment under both modes. `gates[ki]` are the source
+    /// gates block `ki` absorbed, `pass` one state pass in seconds,
+    /// `exact` the plan's order-preserving flag.
     fn price(
         &self,
         sweep: &Sweep,
         blocks: &[FusedBlock],
-        structures: &[KernelStructure],
         gates: &[&[Gate]],
+        exact: bool,
         n_amps: f64,
         pass: f64,
     ) -> ModeCosts {
-        let mut costs = ModeCosts { unfused: 0.0, fused: 0.0, sweep: 0.0 };
-        let mut sweep_flops = 0.0f64;
+        // A one-kernel sweep is `apply_block`, whose plan is always the
+        // exact one; a pass of several gathers tiles (index math inflates
+        // the bandwidth term) unless it is all-diagonal — element-wise,
+        // no data movement.
+        let alone = sweep.kernels.len() == 1;
+        let tile_factor = if alone || sweep.diagonal { 1.0 } else { 1.5 };
+        let mut costs =
+            ModeCosts { unfused: 0.0, sweep: self.launch_seconds + tile_factor * pass };
         for &ki in &sweep.kernels {
-            let flops = self.kernel_flop_seconds(&structures[ki], blocks[ki].qubits.len(), n_amps);
-            costs.fused += self.launch_seconds + pass + flops;
-            sweep_flops += flops;
+            costs.sweep += self.kernel_flop_seconds(&blocks[ki], exact || alone, n_amps);
             for g in gates[ki] {
                 costs.unfused += self.unfused_gate_seconds(g, n_amps);
             }
         }
-        costs.sweep = if let [only] = sweep.kernels.as_slice() {
-            // A one-kernel sweep is `apply_block`, whose plan is always
-            // the exact one. Priced as diagonal or dense: an upper bound
-            // since the exact plan began skipping exactly-zero entries
-            // (a controlled block then costs what `fused` is priced at,
-            // and `fused`, which wins the comparison, runs that same
-            // factored kernel).
-            let flops = match &structures[*only] {
-                KernelStructure::Diagonal => n_amps / self.cmuls_per_sec,
-                _ => n_amps * (1u64 << blocks[*only].qubits.len()) as f64 / self.madds_per_sec,
-            };
-            self.launch_seconds + pass + flops
-        } else {
-            // One tiled pass; gather/scatter index math inflates the
-            // bandwidth term unless the sweep is all-diagonal
-            // (element-wise, no data movement).
-            let tile_factor = if sweep.diagonal { 1.0 } else { 1.5 };
-            self.launch_seconds + tile_factor * pass + sweep_flops
-        };
         costs
     }
 }
 
-/// The three predicted per-segment costs, in seconds.
+/// The two predicted per-segment costs, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeCosts {
     /// Predicted seconds for per-gate unfused execution.
     pub unfused: f64,
-    /// Predicted seconds for structured kernel-at-a-time execution.
-    pub fused: f64,
     /// Predicted seconds for one cache-blocked sweep pass.
     pub sweep: f64,
 }
@@ -276,22 +257,18 @@ impl ModeCosts {
     pub fn of(&self, mode: SegmentMode) -> f64 {
         match mode {
             SegmentMode::Unfused => self.unfused,
-            SegmentMode::Fused => self.fused,
             SegmentMode::Sweep => self.sweep,
         }
     }
 
-    /// The cheapest mode, ties resolved in `Unfused → Fused → Sweep`
-    /// declaration order (deterministic: the costs are pure f64
-    /// arithmetic over the same inputs on every host).
+    /// The cheaper mode, a tie going to `Unfused` (deterministic: the
+    /// costs are pure f64 arithmetic over the same inputs on every host).
     fn cheapest(&self) -> SegmentMode {
-        let mut best = SegmentMode::Unfused;
-        for mode in [SegmentMode::Fused, SegmentMode::Sweep] {
-            if self.of(mode) < self.of(best) {
-                best = mode;
-            }
+        if self.sweep < self.unfused {
+            SegmentMode::Sweep
+        } else {
+            SegmentMode::Unfused
         }
-        best
     }
 }
 
@@ -306,7 +283,7 @@ pub struct PlannedSegment {
     /// The segment's source gates in schedule order — materialized only
     /// for [`SegmentMode::Unfused`] segments (empty otherwise).
     pub gates: Vec<Gate>,
-    /// The three predicted costs a priced decision was made from; `None`
+    /// The two predicted costs a priced decision was made from; `None`
     /// on a pinned segment, which was never priced.
     pub predicted: Option<ModeCosts>,
 }
@@ -319,10 +296,6 @@ pub struct ExecutionPlan {
     pub num_qubits: u32,
     /// Fused kernels, indexed by the segments' `sweep.kernels`.
     pub blocks: Vec<FusedBlock>,
-    /// Structure class of each kernel, parallel to `blocks` — classified
-    /// only where a segment may run [`SegmentMode::Fused`] (priced plans
-    /// and `Fused` pins), empty otherwise.
-    pub structures: Vec<KernelStructure>,
     /// Mode-annotated segments in execution order.
     pub segments: Vec<PlannedSegment>,
     /// Source gates absorbed by the plan (pre-fusion count).
@@ -349,15 +322,10 @@ impl ExecutionPlan {
         self.segments.is_empty()
     }
 
-    /// How many segments run in each mode, in
-    /// `(unfused, fused, sweep)` order.
-    pub fn mode_histogram(&self) -> (usize, usize, usize) {
+    /// How many segments run in each mode, in `(unfused, sweep)` order.
+    pub fn mode_histogram(&self) -> (usize, usize) {
         let count = |m: SegmentMode| self.segments.iter().filter(|s| s.mode == m).count();
-        (
-            count(SegmentMode::Unfused),
-            count(SegmentMode::Fused),
-            count(SegmentMode::Sweep),
-        )
+        (count(SegmentMode::Unfused), count(SegmentMode::Sweep))
     }
 
     /// Kernel indices into [`Self::blocks`] in execution order — what a
@@ -404,12 +372,12 @@ pub fn plan(
     digest = mix(digest, sweep_width as u64);
     digest = mix(digest, u64::from(sweep_reorder));
     // The source gate stream, where a segment may be priced or run gate
-    // by gate; a `Fused` or `Sweep` pin never reads it.
+    // by gate; a `Sweep` pin never reads it.
     let gates: Vec<Gate> = match costs.force_mode {
         None | Some(SegmentMode::Unfused) => {
             unitary.gates().iter().filter(|g| g.is_unitary_op()).copied().collect()
         }
-        Some(SegmentMode::Fused | SegmentMode::Sweep) => Vec::new(),
+        Some(SegmentMode::Sweep) => Vec::new(),
     };
 
     // Whole-circuit shortcut, priced plans only: building fused kernels
@@ -425,11 +393,10 @@ pub fn plan(
             // Distinct digest arm: a shortcut plan has no kernel
             // schedule, so it must never collide with a scheduled plan.
             digest = mix(mix(digest, u64::MAX), gates.len() as u64);
-            let predicted = ModeCosts { unfused, fused: f64::INFINITY, sweep: f64::INFINITY };
+            let predicted = ModeCosts { unfused, sweep: f64::INFINITY };
             return Ok(ExecutionPlan {
                 num_qubits: unitary.num_qubits(),
                 blocks: Vec::new(),
-                structures: Vec::new(),
                 source_gates: gates.len() as u64,
                 segments: vec![PlannedSegment {
                     sweep: Sweep { kernels: Vec::new(), qubits: Vec::new(), diagonal: false },
@@ -468,11 +435,6 @@ pub fn plan(
         }
         debug_assert!(rest.is_empty(), "fusion partitions the gate stream");
     }
-    let structures: Vec<KernelStructure> = match costs.force_mode {
-        None | Some(SegmentMode::Fused) => program.blocks.iter().map(|b| b.structure()).collect(),
-        Some(SegmentMode::Unfused | SegmentMode::Sweep) => Vec::new(),
-    };
-
     let pass = costs.pass_seconds(n_amps, amp_bytes as f64);
     let mut segments = Vec::with_capacity(sweeps.len());
     digest = mix(digest, sweeps.len() as u64);
@@ -481,7 +443,7 @@ pub fn plan(
             Some(pin) => (pin, None),
             None => {
                 let priced =
-                    costs.price(&sweep, &program.blocks, &structures, &block_gates, n_amps, pass);
+                    costs.price(&sweep, &program.blocks, &block_gates, !sweep_reorder, n_amps, pass);
                 (priced.cheapest(), Some(priced))
             }
         };
@@ -499,7 +461,6 @@ pub fn plan(
         num_qubits: unitary.num_qubits(),
         source_gates: program.source_gate_count() as u64,
         blocks: program.blocks,
-        structures,
         segments,
         exact: !sweep_reorder,
         digest,
@@ -509,7 +470,7 @@ pub fn plan(
 /// One state pass of `n_amps` amplitudes by a `width`-qubit kernel (or
 /// unfused gate), charged to `counters`: bytes per pass, flops at the
 /// dense `2^k`-per-kernel rate (the audited "kernel grid" figure, even
-/// when structured or factored dispatch does less work).
+/// when the factored kernel does less work).
 fn charge_kernel_pass<T: Scalar>(counters: &mut CheckpointCounters, n_amps: usize, width: usize) {
     let n_amps = n_amps as u128;
     counters.kernels_launched += 1;
@@ -542,16 +503,6 @@ pub(crate) fn execute_segment<T: Scalar>(
                 charge_kernel_pass::<T>(counters, n_amps, g.operands().len());
             }
         }
-        SegmentMode::Fused => {
-            for &ki in &seg.sweep.kernels {
-                let (block, structure) = (&plan.blocks[ki], &plan.structures[ki]);
-                GpuDevice::apply_block_structured(state, block, structure);
-                charge_kernel_pass::<T>(counters, n_amps, block.qubits.len());
-                if telemetry_on {
-                    qgear_telemetry::counter_inc(&names::planner_kernel(structure.name()));
-                }
-            }
-        }
         // Every kernel of the segment in a single cache-blocked pass:
         // one pass of bytes, every kernel's arithmetic.
         SegmentMode::Sweep => {
@@ -568,7 +519,6 @@ pub(crate) fn execute_segment<T: Scalar>(
         qgear_telemetry::counter_inc(names::PLANNER_SEGMENTS);
         let (chosen, ratio) = match seg.mode {
             SegmentMode::Unfused => (names::PLANNER_MODE_UNFUSED, names::PLANNER_RATIO_UNFUSED),
-            SegmentMode::Fused => (names::PLANNER_MODE_FUSED, names::PLANNER_RATIO_FUSED),
             SegmentMode::Sweep => (names::PLANNER_MODE_SWEEP, names::PLANNER_RATIO_SWEEP),
         };
         qgear_telemetry::counter_inc(chosen);
@@ -615,6 +565,16 @@ mod tests {
         c
     }
 
+    /// `qft_like(n)` followed by the qubit-reversal swap network a full
+    /// QFT ends with.
+    fn qft_with_swaps(n: u32) -> Circuit {
+        let mut c = qft_like(n);
+        for q in 0..n / 2 {
+            c.swap(q, n - 1 - q);
+        }
+        c
+    }
+
     #[test]
     fn plan_partitions_every_kernel_and_gate() {
         let c = qft_like(8);
@@ -622,7 +582,6 @@ mod tests {
         let scheduled: usize = p.segments.iter().map(|s| s.sweep.kernels.len()).sum();
         assert_eq!(scheduled, p.blocks.len(), "segments partition the kernels");
         assert_eq!(p.source_gates as usize, c.unitary_count());
-        assert_eq!(p.structures.len(), p.blocks.len());
     }
 
     #[test]
@@ -630,7 +589,7 @@ mod tests {
         // The measured regression case: fully-mixed random blocks are
         // cheaper per gate than any dense kernel path.
         let p = plan(&random_like(12, 7), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        let (unfused, _, _) = p.mode_histogram();
+        let (unfused, _) = p.mode_histogram();
         assert!(
             unfused * 2 > p.segments.len(),
             "random workload should mostly plan unfused, got {:?}",
@@ -642,29 +601,156 @@ mod tests {
     fn qft_ladders_plan_to_sweeps() {
         // Multi-kernel μ=1 segments amortize passes: sweeps must win.
         let p = plan(&qft_like(12), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        let (_, _, sweep) = p.mode_histogram();
-        assert!(
-            sweep > 0,
-            "QFT should use sweep segments, got {:?}",
-            p.mode_histogram()
-        );
-        // And never a dense-fused regression segment: fused is only
-        // chosen where it is predicted at least as cheap as unfused.
+        let (_, sweep) = p.mode_histogram();
+        assert!(sweep > 0, "QFT should use sweep segments, got {:?}", p.mode_histogram());
+        // And a sweep only where it is predicted no dearer than per-gate.
         for seg in &p.segments {
             let predicted = seg.predicted.expect("priced");
-            assert!(predicted.of(seg.mode) <= predicted.unfused + 1e-12);
+            assert!(predicted.of(seg.mode) <= predicted.unfused);
+        }
+    }
+
+    /// What `price` must have charged `sweep` for: the launch, one pass
+    /// (half again for a gathered multi-kernel tile pass), and per kernel
+    /// the arithmetic of the plan `gpu.rs` really builds for it.
+    fn sweep_cost_of_the_built_kernels(
+        costs: &PlannerCosts,
+        sweep: &Sweep,
+        blocks: &[FusedBlock],
+        exact: bool,
+        n_amps: f64,
+        pass: f64,
+    ) -> f64 {
+        let alone = sweep.kernels.len() == 1;
+        let flops: f64 = sweep
+            .kernels
+            .iter()
+            .map(|&ki| match gpu::built_mixed_count(&blocks[ki].unitary, exact || alone) {
+                None => n_amps / costs.cmuls_per_sec,
+                Some(mu) => n_amps * f64::from(1u32 << mu) / costs.madds_per_sec,
+            })
+            .sum();
+        let passes = if alone || sweep.diagonal { 1.0 } else { 1.5 };
+        costs.launch_seconds + passes * pass + flops
+    }
+
+    #[test]
+    fn a_priced_sweep_costs_the_kernels_that_will_run() {
+        let costs = PlannerCosts::host_reference();
+        let (mut alone, mut several, mut factored, mut diagonal) = (0, 0, 0, 0);
+        for (c, sweep_width, reorder) in [
+            (qft_with_swaps(10), 0, true),
+            (qft_with_swaps(14), 12, true),
+            (qft_with_swaps(14), 6, false),
+            (random_like(14, 5), 0, true),
+            (random_like(14, 5), 12, false),
+        ] {
+            let n_amps = (1u64 << c.num_qubits()) as f64;
+            let pass = costs.pass_seconds(n_amps, 16.0);
+            let p = plan(&c, 5, sweep_width, reorder, &costs, 16).unwrap();
+            assert!(!p.blocks.is_empty(), "not the skip-fusion shortcut");
+            for seg in &p.segments {
+                let want = sweep_cost_of_the_built_kernels(
+                    &costs, &seg.sweep, &p.blocks, p.exact, n_amps, pass,
+                );
+                let got = seg.predicted.expect("priced").sweep;
+                assert!((got - want).abs() <= 1e-12 * want, "{got} vs {want}");
+                match seg.sweep.kernels.as_slice() {
+                    [only] => {
+                        alone += 1;
+                        let block = &p.blocks[*only];
+                        match gpu::built_mixed_count(&block.unitary, true) {
+                            None => diagonal += 1,
+                            Some(mu) if (mu as usize) < block.qubits.len() => factored += 1,
+                            Some(_) => {}
+                        }
+                    }
+                    _ => several += 1,
+                }
+            }
+        }
+        // One-kernel and multi-kernel segments, and among the former
+        // diagonal tables and kernels priced below the dense `2^k`.
+        assert!(alone > 0 && several > 0 && factored > 0 && diagonal > 0);
+    }
+
+    #[test]
+    fn pricing_follows_the_mask_execution_takes_for_the_segment() {
+        // Block-diagonal over local bit 1 but for a cross entry of 1e-14:
+        // exactly mixed, unmixed at the reordering sweeps' 1e-12.
+        let z = qgear_num::C64::ZERO;
+        let e = |re: f64| qgear_num::C64::new(re, 0.0);
+        #[rustfmt::skip]
+        let unitary = fusion::DenseUnitary::from_elements(2, vec![
+            e(0.6), e(0.8), e(1e-14), z,
+            e(-0.8), e(0.6), z, z,
+            z, z, e(0.6), e(-0.8),
+            z, z, e(0.8), e(0.6),
+        ]);
+        let block = FusedBlock { qubits: vec![0, 1], unitary, source_gates: 1 };
+        let blocks = [block.clone(), block];
+        let costs = PlannerCosts::host_reference();
+        let (n_amps, pass) = (1024.0, costs.pass_seconds(1024.0, 16.0));
+        let pair = Sweep { kernels: vec![0, 1], qubits: vec![0, 1], diagonal: false };
+        let single = Sweep { kernels: vec![0], ..pair.clone() };
+        let madd = n_amps / costs.madds_per_sec;
+        for (sweep, exact, flops) in [
+            (&pair, false, 2.0 * 2.0 * madd), // reordered tile pass: μ = 1 twice
+            (&pair, true, 2.0 * 4.0 * madd),  // order-preserving: μ = 2 twice
+            (&single, false, 4.0 * madd),     // `apply_block`: always exact
+        ] {
+            let gates: [&[Gate]; 2] = [&[], &[]];
+            let got = costs.price(sweep, &blocks, &gates, exact, n_amps, pass).sweep;
+            let want = sweep_cost_of_the_built_kernels(&costs, sweep, &blocks, exact, n_amps, pass);
+            assert!((got - want).abs() <= 1e-12 * want);
+            let passes = if sweep.kernels.len() == 1 { 1.0 } else { 1.5 };
+            let by_hand = costs.launch_seconds + passes * pass + flops;
+            assert!((got - by_hand).abs() <= 1e-12 * by_hand, "{got} vs {by_hand}");
+        }
+    }
+
+    #[test]
+    fn a_swap_network_runs_as_group_kernels_within_round_off_of_the_reference() {
+        use crate::{GpuDevice, RunOptions, RunOutput, Simulator};
+        let n = 10;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q).ry(0.3 + 0.17 * f64::from(q), q);
+        }
+        c.barrier();
+        for q in 0..n / 2 {
+            c.swap(q, n - 1 - q);
+        }
+        let expect = qgear_ir::reference::run(&c);
+        for costs in [PlannerCosts::host_reference(), PlannerCosts::pinned(SegmentMode::Sweep)] {
+            let p = plan(&c, 5, 0, true, &costs, 16).unwrap();
+            // The swap blocks are the permutation class no mode shuffles
+            // any more: they mix bits, so they are priced and run as
+            // group kernels, in either remaining mode.
+            let swaps: Vec<_> = p.blocks.iter().filter(|b| b.source_gates <= 2).collect();
+            assert!(!swaps.is_empty());
+            for b in swaps {
+                assert!(gpu::built_mixed_count(&b.unitary, true).is_some_and(|mu| mu >= 2));
+            }
+            let opts = RunOptions {
+                sweep_width: 0,
+                planner_costs: costs,
+                keep_state: true,
+                ..Default::default()
+            };
+            let out: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &opts).unwrap();
+            let got = out.state.expect("state");
+            let worst = qgear_num::approx::max_deviation(got.amplitudes(), &expect);
+            assert!(worst < 1e-12, "{worst}");
         }
     }
 
     #[test]
     fn a_pin_overrides_the_cost_model_and_builds_only_what_it_runs() {
-        for mode in [SegmentMode::Unfused, SegmentMode::Fused, SegmentMode::Sweep] {
+        for mode in [SegmentMode::Unfused, SegmentMode::Sweep] {
             let p = plan(&qft_like(6), 5, 12, true, &PlannerCosts::pinned(mode), 16).unwrap();
             assert!(p.segments.iter().all(|s| s.mode == mode && s.predicted.is_none()));
-            // No structure is classified unless a segment dispatches on
-            // it, no gate list is kept unless a segment runs gate by gate.
-            let classified = if mode == SegmentMode::Fused { p.blocks.len() } else { 0 };
-            assert_eq!(p.structures.len(), classified, "{mode:?}");
+            // No gate list is kept unless a segment runs gate by gate.
             let kept: usize = p.segments.iter().map(|s| s.gates.len()).sum();
             let expect = if mode == SegmentMode::Unfused { p.source_gates as usize } else { 0 };
             assert_eq!(kept, expect, "{mode:?}");
@@ -680,19 +766,29 @@ mod tests {
         let other = plan(&qft_like(8), 5, 12, true, &pinned, 16).unwrap();
         assert_ne!(base.digest, other.digest, "different decisions, different digest");
         // The digest is of the decisions, not of how they were reached:
-        // costs under which every segment prices cheapest as `Fused`
-        // (free passes and launches, ruinous per-gate loops; a
-        // fused/sweep tie resolves to `Fused`) share the `Fused` pin's.
-        let all_fused = PlannerCosts {
-            bytes_per_sec: f64::INFINITY,
-            launch_seconds: 0.0,
-            gate_amps_per_sec: 1.0,
-            ..PlannerCosts::host_reference()
-        };
-        let priced = plan(&qft_like(8), 5, 12, true, &all_fused, 16).unwrap();
-        assert_eq!(priced.mode_histogram(), (0, priced.len(), 0));
-        let pin = plan(&qft_like(8), 5, 12, true, &PlannerCosts::pinned(SegmentMode::Fused), 16);
+        // costs under which every segment prices cheapest as `Sweep`
+        // (ruinous per-gate loops) share the `Sweep` pin's.
+        let all_sweep = PlannerCosts { gate_amps_per_sec: 1.0, ..PlannerCosts::host_reference() };
+        let priced = plan(&qft_like(8), 5, 12, true, &all_sweep, 16).unwrap();
+        assert_eq!(priced.mode_histogram(), (0, priced.len()));
+        let pin = plan(&qft_like(8), 5, 12, true, &PlannerCosts::pinned(SegmentMode::Sweep), 16);
         assert_eq!(priced.digest, pin.unwrap().digest);
+    }
+
+    #[test]
+    fn pinned_sweep_digests_are_what_every_stored_fingerprint_was_taken_over() {
+        // Captured at 73fb931, when `SegmentMode` had a variant between
+        // these two: a checkpoint written under the served default must
+        // keep resuming, so `Sweep`'s digest word may never move.
+        let pin = PlannerCosts::pinned(SegmentMode::Sweep);
+        for (c, fusion_width, sweep_width, reorder, digest) in [
+            (qft_like(8), 5, 12, true, 0xd336_326e_91da_4cac_u64),
+            (random_like(6, 3), 2, 0, true, 0x35c8_22d7_61ff_0ae9),
+            (qft_with_swaps(6), 3, 3, false, 0x3748_726a_b8c5_2475),
+        ] {
+            let p = plan(&c, fusion_width, sweep_width, reorder, &pin, 16).unwrap();
+            assert_eq!(p.digest, digest, "{:#018x}", p.digest);
+        }
     }
 
     #[test]
@@ -716,18 +812,18 @@ mod tests {
     fn calibration_rescales_toward_observed_ratios() {
         qgear_telemetry::reset();
         qgear_telemetry::enable();
-        // Model twice too optimistic for fused segments.
-        qgear_telemetry::histogram_record(names::PLANNER_RATIO_FUSED, 2.0);
-        qgear_telemetry::histogram_record(names::PLANNER_RATIO_FUSED, 2.0);
+        // Model twice too optimistic for sweep segments.
+        qgear_telemetry::histogram_record(names::PLANNER_RATIO_SWEEP, 2.0);
+        qgear_telemetry::histogram_record(names::PLANNER_RATIO_SWEEP, 2.0);
         let snap = qgear_telemetry::snapshot();
         qgear_telemetry::disable();
         qgear_telemetry::reset();
         let base = PlannerCosts::default();
         let cal = base.calibrated(&snap);
+        assert!((cal.bytes_per_sec - base.bytes_per_sec / 2.0).abs() < 1.0);
         assert!((cal.madds_per_sec - base.madds_per_sec / 2.0).abs() < 1.0);
         assert!((cal.cmuls_per_sec - base.cmuls_per_sec / 2.0).abs() < 1.0);
         // Unobserved modes untouched.
         assert_eq!(cal.gate_amps_per_sec, base.gate_amps_per_sec);
-        assert_eq!(cal.bytes_per_sec, base.bytes_per_sec);
     }
 }

@@ -152,7 +152,7 @@ pub fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
 }
 
 /// One standard-normal draw via Box–Muller.
-pub fn standard_normal(rng: &mut StdRng) -> f64 {
+fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

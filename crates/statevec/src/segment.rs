@@ -436,31 +436,25 @@ mod tests {
             planner_costs,
             ..Default::default()
         };
-        let fused = with(PlannerCosts::pinned(SegmentMode::Fused));
-        let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &fused).unwrap();
+        let swept = with(PlannerCosts::pinned(SegmentMode::Sweep));
+        let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &swept).unwrap();
         assert!(run.steps_total() > 1);
         run.advance(1);
         let ck = run.checkpoint();
 
-        // Same circuit, same widths, another pin: a different plan.
-        for other in [SegmentMode::Sweep, SegmentMode::Unfused] {
-            let refused = SegmentedRun::resume(&dev, &c, &with(PlannerCosts::pinned(other)), ck.clone());
-            assert!(
-                matches!(refused, Err(CheckpointError::PlanMismatch { .. })),
-                "a {other:?} pin resumed a Fused pin's cursor"
-            );
-        }
+        // Same circuit, same widths, the other pin: a different plan.
+        let unfused = with(PlannerCosts::pinned(SegmentMode::Unfused));
+        let refused = SegmentedRun::resume(&dev, &c, &unfused, ck.clone());
+        assert!(
+            matches!(refused, Err(CheckpointError::PlanMismatch { .. })),
+            "an Unfused pin resumed a Sweep pin's cursor"
+        );
 
-        // Costs under which every segment prices cheapest as `Fused`
-        // (free passes and launches, ruinous per-gate loops): the same
-        // decisions, so the same plan, however it was selected.
-        let all_fused = PlannerCosts {
-            bytes_per_sec: f64::INFINITY,
-            launch_seconds: 0.0,
-            gate_amps_per_sec: 1.0,
-            ..PlannerCosts::host_reference()
-        };
-        let mut resumed = SegmentedRun::resume(&dev, &c, &with(all_fused), ck).unwrap();
+        // Costs under which every segment prices cheapest as `Sweep`
+        // (ruinous per-gate loops): the same decisions, so the same
+        // plan, however it was selected.
+        let all_sweep = PlannerCosts { gate_amps_per_sec: 1.0, ..PlannerCosts::host_reference() };
+        let mut resumed = SegmentedRun::resume(&dev, &c, &with(all_sweep), ck).unwrap();
         assert!(resumed.plan.segments.iter().all(|s| s.predicted.is_some()));
         resumed.advance(usize::MAX);
         run.advance(usize::MAX);

@@ -199,37 +199,6 @@ pub(crate) unsafe fn dense_block_lanes<T: Scalar>(
     }
 }
 
-/// Apply one permutation kernel (column `c` → row `rows[c]` with weight
-/// `phases[c]`) to `LANES` consecutive sub-groups based at `base0`.
-///
-/// Gathers every column before the first store, like the scalar path, so
-/// in-place cycles are safe. The multiply is `phase * amp` with the phase
-/// as the left operand — the exact scalar operand order.
-///
-/// # Safety
-/// Same contract as [`dense_block_lanes`].
-#[inline(always)]
-pub(crate) unsafe fn perm_block_lanes<T: Scalar>(
-    ptr: *mut Complex<T>,
-    base0: usize,
-    phase_splat: &[T::Lanes],
-    rows: &[usize],
-    dim: usize,
-    offs: &[usize],
-) {
-    let zero = T::Lanes::splat(Complex::ZERO);
-    let mut inp = [zero; 64];
-    for c in 0..dim {
-        // SAFETY: the caller's contract, as in `dense_block_lanes`.
-        inp[c] = unsafe { T::Lanes::load_ptr(ptr.add(base0 | offs[c])) };
-    }
-    for c in 0..dim {
-        // SAFETY: `rows` permutes `0..dim`, so this is the loads' address
-        // set again, every column already gathered.
-        unsafe { phase_splat[c].mul(inp[c]).store_ptr(ptr.add(base0 | offs[rows[c]])) };
-    }
-}
-
 /// True when a kernel whose sub-group expansion inserts bits at the
 /// positions in `sorted_bits` (ascending) can take the lane path over a
 /// span of `groups` sub-groups: every inserted bit must clear the lane
@@ -240,7 +209,7 @@ pub(crate) fn lanes_ok<T: Scalar>(sorted_bits: &[usize], groups: usize) -> bool 
     groups >= T::LANES && sorted_bits.first().is_none_or(|&b| b >= lane_log2::<T>())
 }
 
-/// Pre-broadcast a row-major matrix (or phase list) into lane vectors.
+/// Pre-broadcast a row-major matrix into lane vectors.
 #[inline]
 pub(crate) fn splat_all<T: Scalar>(m: &[Complex<T>]) -> Vec<T::Lanes> {
     m.iter().map(|&e| T::Lanes::splat(e)).collect()

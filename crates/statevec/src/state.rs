@@ -72,24 +72,13 @@ impl<T: Scalar> StateVector<T> {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Renormalize in place (guards against fp32 drift on deep circuits).
-    pub fn renormalize(&mut self) {
-        let n = self.norm_sqr().sqrt();
-        if n > T::ZERO {
-            let inv = T::ONE / n;
-            for a in self.amps.iter_mut() {
-                *a = a.scale(inv);
-            }
-        }
-    }
-
     /// Born-rule probability of each basis state.
     pub fn probabilities(&self) -> Vec<T> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
     /// Probability that qubit `q` measures `|1⟩`.
-    pub fn prob_one(&self, q: u32) -> T {
+    fn prob_one(&self, q: u32) -> T {
         let mask = 1usize << q;
         self.amps
             .iter()
@@ -203,13 +192,6 @@ mod tests {
         for p in m2 {
             assert!((p - 0.25).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn renormalize_restores_unit_norm() {
-        let mut s = StateVector::from_amplitudes(vec![C64::from_re(2.0), C64::ZERO]);
-        s.renormalize();
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -159,10 +159,6 @@ pub const PLANNER_SEGMENTS: &str = "planner.segments";
 /// Executed segments that ran as per-gate unfused loops.
 pub const PLANNER_MODE_UNFUSED: &str = "planner.mode_chosen.unfused";
 
-/// Executed segments that ran kernel-at-a-time through the structured
-/// fused kernels.
-pub const PLANNER_MODE_FUSED: &str = "planner.mode_chosen.fused";
-
 /// Executed segments that ran as one cache-blocked sweep pass.
 pub const PLANNER_MODE_SWEEP: &str = "planner.mode_chosen.sweep";
 
@@ -178,8 +174,6 @@ pub const PLANNER_ACTUAL_US: &str = "planner.actual_us";
 /// segment, split by chosen mode (never fed by pinned runs). `PlannerCosts::calibrated` folds the means back into
 /// the cost constants (>1 ⇒ the model was optimistic for that mode).
 pub const PLANNER_RATIO_UNFUSED: &str = "planner.cost_ratio.unfused";
-/// See [`PLANNER_RATIO_UNFUSED`].
-pub const PLANNER_RATIO_FUSED: &str = "planner.cost_ratio.fused";
 /// See [`PLANNER_RATIO_UNFUSED`].
 pub const PLANNER_RATIO_SWEEP: &str = "planner.cost_ratio.sweep";
 
@@ -251,12 +245,6 @@ pub const POOL_WORKERS: &str = "serve.pool.workers";
 //
 // These allocate, and the hooks check `is_enabled()` only after their
 // argument is built: call them under `qgear_telemetry::is_enabled()`.
-
-/// Per-structure-class counter name for kernels dispatched by the
-/// structured fused path, e.g. `planner.kernel.permutation`.
-pub fn planner_kernel(structure: &str) -> String {
-    format!("planner.kernel.{structure}")
-}
 
 /// Per-engine counter name for admission-time backend choice, e.g.
 /// `admission.backend_chosen.stabilizer`.

@@ -58,11 +58,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Total duration of all spans whose path is exactly `path`.
-    pub fn span_total_ns(&self, path: &str) -> u128 {
-        self.spans.iter().filter(|s| s.path == path).map(|s| s.duration_ns).sum()
-    }
-
     /// Counter value, zero when never touched.
     pub fn counter(&self, name: &str) -> u128 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -308,7 +303,5 @@ mod tests {
         let snap = sample();
         assert_eq!(snap.counter("gates.applied"), 14);
         assert_eq!(snap.counter("absent"), 0);
-        assert_eq!(snap.span_total_ns("run/fuse"), 30);
-        assert_eq!(snap.span_total_ns("absent"), 0);
     }
 }

@@ -14,20 +14,15 @@
 //! * [`images`] — deterministic synthetic grayscale images standing in
 //!   for the paper's Finger/Shoes/Building/Zebra set (same dimensions;
 //!   QCrank's cost depends only on pixel count and qubit split);
-//! * [`hamiltonian`] — Pauli-sum observables with qubit-wise-commuting
-//!   partitioning, the §2.4 "distinct Hamiltonians … distributed across
-//!   multiple hardware resources" workflow;
 //! * [`clifford`] — Clifford circuit families (GHZ, teleportation,
 //!   seeded random Clifford) for the stabilizer backend's differential
 //!   tests and the 100+ qubit admission demonstrations.
 
 pub mod clifford;
-pub mod hamiltonian;
 pub mod images;
 pub mod qcrank;
 pub mod qft;
 pub mod random;
 
-pub use hamiltonian::{Hamiltonian, Pauli, PauliString};
 pub use qcrank::{QcrankCodec, QcrankConfig};
 pub use random::RandomCircuitSpec;

@@ -92,30 +92,11 @@ pub fn ucry_angles(theta: &[f64]) -> Vec<f64> {
     (0..n).map(|j| wht[gray(j)] * scale).collect()
 }
 
-/// The naive O(4^k) transform, kept as the test oracle for
-/// [`ucry_angles`].
-#[doc(hidden)]
-pub fn ucry_angles_naive(theta: &[f64]) -> Vec<f64> {
-    let n = theta.len();
-    assert!(n.is_power_of_two());
-    (0..n)
-        .map(|j| {
-            let gj = gray(j);
-            let sum: f64 = theta
-                .iter()
-                .enumerate()
-                .map(|(a, &t)| if (a & gj).count_ones().is_multiple_of(2) { t } else { -t })
-                .sum();
-            sum / n as f64
-        })
-        .collect()
-}
-
 /// Append a uniformly controlled Ry over `addr` controls onto `target`,
 /// imposing `Ry(theta[a])` for each address basis state `a` (exactly —
 /// verified against the dense reference in the tests). Emits `2^k` `Ry`
 /// and `2^k` `CX` gates (none for `k = 0`, which is a plain `Ry`).
-pub fn append_ucry(circ: &mut Circuit, addr: &[u32], target: u32, theta: &[f64]) {
+fn append_ucry(circ: &mut Circuit, addr: &[u32], target: u32, theta: &[f64]) {
     let k = addr.len();
     assert_eq!(theta.len(), 1usize << k, "need 2^k angles");
     if k == 0 {
@@ -149,7 +130,7 @@ impl QcrankCodec {
     /// Map pixel index to its (data-qubit, address) cell: data qubit
     /// `p >> addr_qubits`, address `p & (2^addr − 1)` — contiguous chunks
     /// of `2^addr` pixels per data qubit.
-    pub fn cell_of(&self, pixel: usize) -> (u32, usize) {
+    fn cell_of(&self, pixel: usize) -> (u32, usize) {
         let per = 1usize << self.config.addr_qubits;
         ((pixel / per) as u32, pixel % per)
     }
@@ -401,6 +382,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The naive O(4^k) transform, kept as the test oracle for
+    /// [`ucry_angles`].
+    fn ucry_angles_naive(theta: &[f64]) -> Vec<f64> {
+        let n = theta.len();
+        assert!(n.is_power_of_two());
+        (0..n)
+            .map(|j| {
+                let gj = gray(j);
+                let sum: f64 = theta
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &t)| if (a & gj).count_ones().is_multiple_of(2) { t } else { -t })
+                    .sum();
+                sum / n as f64
+            })
+            .collect()
     }
 
     #[test]

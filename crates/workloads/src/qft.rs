@@ -64,12 +64,6 @@ pub fn qft_circuit(n: u32, opts: &QftOptions) -> Circuit {
     c
 }
 
-/// The inverse QFT (adjoint of [`qft_circuit`] without measurements).
-pub fn inverse_qft_circuit(n: u32, opts: &QftOptions) -> Circuit {
-    let forward = qft_circuit(n, &QftOptions { measure: false, ..*opts });
-    forward.inverse()
-}
-
 /// Exact gate count of the full QFT (Hadamards + CR1 ladder + swaps).
 pub fn qft_gate_count(n: u32, reverse: bool) -> usize {
     let ladder = (n as usize * (n as usize - 1)) / 2;
@@ -140,7 +134,7 @@ mod tests {
         let input = reference::random_state(n, 777);
         let mut state = input.clone();
         let fwd = qft_circuit(n, &QftOptions::default());
-        let inv = inverse_qft_circuit(n, &QftOptions::default());
+        let inv = fwd.inverse();
         for g in fwd.gates().iter().chain(inv.gates()) {
             reference::apply_gate(&mut state, n, g);
         }

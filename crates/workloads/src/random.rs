@@ -54,7 +54,7 @@ impl RandomCircuitSpec {
 
 /// Draw `k` ordered qubit pairs (with replacement across draws, excluding
 /// self-pairs), the paper's `random_qubit_pairs` helper.
-pub fn random_qubit_pairs(num_qubits: u32, k: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
+fn random_qubit_pairs(num_qubits: u32, k: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
     assert!(num_qubits >= 2, "pairs need at least two qubits");
     (0..k)
         .map(|_| {

@@ -27,6 +27,13 @@ if ! diff <(sed -n 's/^| `\([a-z_]*\)` |.*/\1/p' shims/README.md | sort) \
 fi
 [ "$stale" -eq 0 ]
 
+# The pub surface says what other files use: a `pub` item of `crates/*`
+# that no other file names is printed (a type a pub signature hands out
+# belongs there; anything else wants `pub(crate)` or less), and one that
+# only its own `#[cfg(test)]` module names — or nothing does — fails.
+echo "==> dead pub: no pub item lives only for its own unit tests"
+scripts/dead_pub.sh
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

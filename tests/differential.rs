@@ -22,9 +22,11 @@
 //! circuit, a plan pinned to one mode is bit-identical to that mode's
 //! kernels applied by hand outside the planner, checkpoint/resume
 //! through `SegmentedRun` is bit-identical at every segment boundary of
-//! pinned and priced plans alike, and the structure-dispatched
-//! kernels (diagonal/permutation/controlled) match the dense kernel on
-//! random gates of each structure class.
+//! pinned and priced plans alike, and the engine's one kernel
+//! (`GpuDevice::apply_block`: a diagonal table, or a mul-add chain that
+//! skips the entries that are exactly zero) matches the IR's dense
+//! reference on random gates of each structure class
+//! (diagonal/permutation/controlled).
 //!
 //! # SIMD differential tier
 //!
@@ -36,7 +38,7 @@
 //! ≤4-ULP bar a tolerance-based tier would set; no ULP allowance is
 //! needed anywhere. The tier diffs SIMD-on vs SIMD-off executions of
 //! whole runs (fused, sweep, planned, batched, checkpoint-resume) and of
-//! individual structure-class kernels, including remainder/tail shapes
+//! individual kernels of each structure class, including remainder/tail shapes
 //! (states too small to fill one lane vector, kernels whose target bits
 //! sit below the lane width) where the scalar fallback must engage.
 
@@ -270,35 +272,40 @@ fn rich_state(num_qubits: u32, seed: u64) -> Vec<Complex<f64>> {
     amps
 }
 
-/// Fuse a circuit and check every block's structure-dispatched kernel
-/// against the dense kernel on a rich state; `admissible` pins which
-/// structure classes the gate pool may legally produce.
-fn assert_structured_matches_dense(
+/// Fuse a circuit and check the engine's kernel for every block — a
+/// diagonal table, or a mul-add chain over the entries that are not
+/// exactly zero — against the IR's dense `2^k` reference on a rich
+/// state; `admissible` pins which matrix shapes the gate pool may
+/// legally produce.
+fn assert_kernel_matches_dense(
     circ: &Circuit,
     seed: u64,
-    admissible: impl Fn(&fusion::KernelStructure) -> bool,
+    admissible: impl Fn(&fusion::FusedBlock) -> bool,
 ) {
     let (native, _) = transpile::decompose_to_native(circ);
     let (unitary, _) = native.split_measurements();
     let program = fusion::try_fuse(&unitary, 5).expect("fusable");
     for block in &program.blocks {
-        let structure = block.structure();
-        assert!(
-            admissible(&structure),
-            "gate pool produced unexpected structure {}",
-            structure.name()
-        );
+        assert!(admissible(block), "gate pool produced an unexpected block on {:?}", block.qubits);
         let mut dense = rich_state(native.num_qubits(), seed);
-        let mut structured = dense.clone();
-        GpuDevice::apply_block(&mut dense, block);
-        GpuDevice::apply_block_structured(&mut structured, block, &structure);
+        let mut kernel = dense.clone();
+        block.unitary.apply_to_state(&mut dense, &block.qubits);
+        GpuDevice::apply_block(&mut kernel, block);
         assert!(
-            max_deviation(&dense, &structured) < 1e-12,
-            "{} kernel deviates {} from dense apply",
-            structure.name(),
-            max_deviation(&dense, &structured)
+            max_deviation(&dense, &kernel) < 1e-12,
+            "kernel on {:?} deviates {} from dense apply",
+            block.qubits,
+            max_deviation(&dense, &kernel)
         );
     }
+}
+
+/// True when every column of the block's matrix has one entry above
+/// round-off (a transpiled `x` is `rx(π)`, whose zeros are `6e-17`): a
+/// (phased) permutation.
+fn is_permutation(block: &fusion::FusedBlock) -> bool {
+    let dim = block.unitary.dim();
+    (0..dim).all(|c| (0..dim).filter(|&r| block.unitary.at(r, c).norm() > 1e-15).count() == 1)
 }
 
 /// Strategy: circuits drawn only from diagonal gates.
@@ -393,47 +400,41 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     /// Diagonal gate pools fuse into diagonal kernels, and the
-    /// phase-multiply fast path matches the dense kernel.
+    /// phase-multiply table matches the dense reference.
     #[test]
     fn diagonal_kernels_match_dense_apply(
         circ in diagonal_circuit(5, 24),
         seed in 0u64..1_000,
     ) {
-        assert_structured_matches_dense(&circ, seed, |s| {
-            matches!(s, fusion::KernelStructure::Diagonal)
-        });
+        assert_kernel_matches_dense(&circ, seed, fusion::FusedBlock::is_diagonal);
     }
 
-    /// Permutation gate pools fuse into permutation kernels (or collapse
-    /// to a diagonal identity), and the gather/scatter fast path matches
-    /// the dense kernel.
+    /// Permutation gate pools fuse into permutation matrices (one of
+    /// which may be the identity), and the zero-skipping group kernel
+    /// they run as matches the dense reference.
     #[test]
     fn permutation_kernels_match_dense_apply(
         circ in permutation_circuit(5, 24),
         seed in 0u64..1_000,
     ) {
-        assert_structured_matches_dense(&circ, seed, |s| {
-            matches!(
-                s,
-                fusion::KernelStructure::Permutation(_) | fusion::KernelStructure::Diagonal
-            )
-        });
+        assert_kernel_matches_dense(&circ, seed, is_permutation);
     }
 
     /// Pools that only mix one qubit produce controlled (or narrower)
-    /// kernels, and the factored fast path matches the dense kernel.
+    /// kernels, and the factored group kernel matches the dense
+    /// reference.
     #[test]
     fn controlled_kernels_match_dense_apply(
         circ in controlled_circuit(5, 24),
         seed in 0u64..1_000,
     ) {
-        assert_structured_matches_dense(&circ, seed, |_| true);
+        assert_kernel_matches_dense(&circ, seed, |b| b.mixed_support_mask() & !1 == 0);
     }
 }
 
-/// The controlled fast path on a deterministic known-Controlled block —
-/// guarantees the factored kernel is exercised even if a proptest draw
-/// happens to classify everything narrower.
+/// The factored kernel on a deterministic known-controlled block —
+/// guarantees it is exercised even if a proptest draw happens to
+/// produce nothing but narrower shapes.
 #[test]
 fn controlled_kernel_matches_dense_on_a_known_block() {
     let mut c = Circuit::new(3);
@@ -443,17 +444,17 @@ fn controlled_kernel_matches_dense_on_a_known_block() {
     let program = fusion::try_fuse(&unitary, 3).expect("fusable");
     assert_eq!(program.blocks.len(), 1, "expected one 3-qubit block");
     let block = &program.blocks[0];
-    let structure = block.structure();
-    assert!(
-        matches!(structure, fusion::KernelStructure::Controlled { .. }),
-        "expected Controlled, got {}",
-        structure.name()
+    assert!(!block.is_diagonal() && !is_permutation(block));
+    assert_eq!(
+        block.unitary.exactly_mixed_bits().count_ones(),
+        1,
+        "two exact controls: the kernel factors into four 2x2 sub-unitaries"
     );
     let mut dense = rich_state(3, 9);
-    let mut structured = dense.clone();
-    GpuDevice::apply_block(&mut dense, block);
-    GpuDevice::apply_block_structured(&mut structured, block, &structure);
-    assert!(max_deviation(&dense, &structured) < 1e-12);
+    let mut kernel = dense.clone();
+    block.unitary.apply_to_state(&mut dense, &block.qubits);
+    GpuDevice::apply_block(&mut kernel, block);
+    assert!(max_deviation(&dense, &kernel) < 1e-12);
 }
 
 /// fp32 execution of the sweep-fused hot path tracks fp64 within single
@@ -571,7 +572,6 @@ fn resume_at_every_segment_boundary_is_bit_identical_to_straight_through() {
         ("planned", with(PlannerCosts::host_reference(), fixed(3, true))),
         ("planned per block", with(PlannerCosts::host_reference(), fixed(0, true))),
         ("planned forced unfused", with(PlannerCosts::pinned(SegmentMode::Unfused), fixed(3, false))),
-        ("planned forced fused", with(PlannerCosts::pinned(SegmentMode::Fused), fixed(3, true))),
         ("planned forced sweep", with(PlannerCosts::pinned(SegmentMode::Sweep), fixed(3, true))),
     ];
 
@@ -776,10 +776,10 @@ fn assert_bits_eq_f32(a: &[Complex<f32>], b: &[Complex<f32>], what: &str) {
     }
 }
 
-/// Fuse `circ` and diff every block's SIMD-on vs SIMD-off application —
-/// dense kernel and structure-dispatched kernel, fp64 and fp32 — bitwise
-/// on a rich state. High-qubit blocks take the lane path; low-qubit and
-/// narrow blocks exercise the scalar remainder fallback.
+/// Fuse `circ` and diff every block's SIMD-on vs SIMD-off application,
+/// fp64 and fp32, bitwise on a rich state. High-qubit blocks take the
+/// lane path; low-qubit and narrow blocks exercise the scalar remainder
+/// fallback.
 fn assert_simd_toggle_invisible_on_blocks(circ: &Circuit, seed: u64) {
     let _g = SIMD_LOCK.lock().unwrap();
     let (native, _) = transpile::decompose_to_native(circ);
@@ -789,23 +789,17 @@ fn assert_simd_toggle_invisible_on_blocks(circ: &Circuit, seed: u64) {
     let base32: Vec<Complex<f32>> =
         base64.iter().map(|c| Complex::new(c.re as f32, c.im as f32)).collect();
     for block in &program.blocks {
-        let structure = block.structure();
-        let what = format!("{} block on {:?}", structure.name(), block.qubits);
+        let what = format!("block on {:?}", block.qubits);
 
         let (mut on, mut off) = (base64.clone(), base64.clone());
         with_simd(true, || GpuDevice::apply_block(&mut on, block));
         with_simd(false, || GpuDevice::apply_block(&mut off, block));
-        assert_bits_eq_f64(&on, &off, &format!("{what} (dense fp64)"));
-
-        let (mut on, mut off) = (base64.clone(), base64.clone());
-        with_simd(true, || GpuDevice::apply_block_structured(&mut on, block, &structure));
-        with_simd(false, || GpuDevice::apply_block_structured(&mut off, block, &structure));
-        assert_bits_eq_f64(&on, &off, &format!("{what} (structured fp64)"));
+        assert_bits_eq_f64(&on, &off, &format!("{what} (fp64)"));
 
         let (mut on, mut off) = (base32.clone(), base32.clone());
-        with_simd(true, || GpuDevice::apply_block_structured(&mut on, block, &structure));
-        with_simd(false, || GpuDevice::apply_block_structured(&mut off, block, &structure));
-        assert_bits_eq_f32(&on, &off, &format!("{what} (structured fp32)"));
+        with_simd(true, || GpuDevice::apply_block(&mut on, block));
+        with_simd(false, || GpuDevice::apply_block(&mut off, block));
+        assert_bits_eq_f32(&on, &off, &format!("{what} (fp32)"));
     }
 }
 
@@ -887,8 +881,8 @@ proptest! {
         assert_simd_toggle_invisible_on_blocks(&circ, seed);
     }
 
-    /// Per-block toggle invariance over permutation gate pools (the
-    /// shuffle + single-multiply lane kernel).
+    /// Per-block toggle invariance over permutation gate pools (group
+    /// kernels with one entry per row).
     #[test]
     fn simd_permutation_kernels_match_scalar_bitwise(
         circ in permutation_circuit(10, 24),
@@ -935,8 +929,8 @@ fn simd_tail_shapes_fall_back_bitwise_identically() {
         assert_simd_toggle_invisible_on_blocks(&c, 7 + u64::from(n));
     }
     // Low target bits on a wide register: enough groups, but inserted
-    // bits below the lane width keep dense/permutation kernels scalar —
-    // while the diagonal table still vectorizes over the same bits.
+    // bits below the lane width keep the group kernels scalar — while
+    // the diagonal table still vectorizes over the same bits.
     let mut low = Circuit::new(10);
     low.h(0).ry(0.21, 1).cx(0, 1).p(0.53, 0).cr1(0.71, 0, 1).x(1).swap(0, 1);
     assert_simd_toggle_invisible_on_blocks(&low, 41);

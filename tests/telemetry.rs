@@ -45,7 +45,6 @@ fn pinned_plans_count_modes_but_record_no_cost_ratio() {
     let _l = LOCK.lock().unwrap();
     let priced_only = [
         names::PLANNER_RATIO_UNFUSED,
-        names::PLANNER_RATIO_FUSED,
         names::PLANNER_RATIO_SWEEP,
         names::PLANNER_PREDICTED_US,
         names::PLANNER_ACTUAL_US,
@@ -57,8 +56,8 @@ fn pinned_plans_count_modes_but_record_no_cost_ratio() {
     let pins = [
         (RunOptions::default(), names::PLANNER_MODE_SWEEP),
         (
-            RunOptions { planner_costs: PlannerCosts::pinned(SegmentMode::Fused), ..Default::default() },
-            names::PLANNER_MODE_FUSED,
+            RunOptions { planner_costs: PlannerCosts::pinned(SegmentMode::Unfused), ..Default::default() },
+            names::PLANNER_MODE_UNFUSED,
         ),
     ];
     for (opts, mode_counter) in pins {
@@ -80,13 +79,10 @@ fn pinned_plans_count_modes_but_record_no_cost_ratio() {
     let priced = RunOptions { planner_costs: PlannerCosts::host_reference(), ..Default::default() };
     let (_, snap) = instrumented_run(&GpuDevice::a100_40gb(), &priced);
     let segments = snap.counter(names::PLANNER_SEGMENTS);
-    let by_mode: u128 = [names::PLANNER_MODE_UNFUSED, names::PLANNER_MODE_FUSED, names::PLANNER_MODE_SWEEP]
-        .iter()
-        .map(|name| snap.counter(name))
-        .sum();
+    let by_mode = snap.counter(names::PLANNER_MODE_UNFUSED) + snap.counter(names::PLANNER_MODE_SWEEP);
     assert_eq!(by_mode, segments);
     assert_eq!(u128::from(samples(&snap, names::PLANNER_PREDICTED_US)), segments);
-    let ratios: u64 = priced_only[..3].iter().map(|name| samples(&snap, name)).sum();
+    let ratios: u64 = priced_only[..2].iter().map(|name| samples(&snap, name)).sum();
     assert_eq!(u128::from(ratios), segments, "one ratio per priced segment");
 }
 
