@@ -165,7 +165,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             result.stats.kernels_launched, result.stats.gates_applied, result.stats.comm_messages
         );
         if let Some(counts) = &result.counts {
-            let mut top = counts.sorted();
+            let mut top: Vec<(u64, u64)> = counts.map.iter().map(|(&k, &c)| (k, c)).collect();
             top.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
             println!("  top outcomes of {} shots:", counts.total());
             for (key, count) in top.into_iter().take(5) {

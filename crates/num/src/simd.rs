@@ -46,6 +46,8 @@ pub trait CLanes<T: Scalar>: Copy + Send + Sync {
     /// Fill lane `l` with `f(l)` — the gather constructor used by the
     /// diagonal kernels' table lookups.
     fn from_fn(f: impl FnMut(usize) -> Complex<T>) -> Self;
+    /// The value in lane `l` — the scatter counterpart of [`Self::from_fn`].
+    fn lane(self, l: usize) -> Complex<T>;
     /// Load `LANES` consecutive complex values starting at `ptr`.
     ///
     /// # Safety
@@ -116,6 +118,11 @@ macro_rules! impl_clanes {
                     im[l] = v.im;
                 }
                 Self { re, im }
+            }
+
+            #[inline(always)]
+            fn lane(self, l: usize) -> Complex<$t> {
+                Complex::new(self.re[l], self.im[l])
             }
 
             #[inline(always)]
@@ -237,6 +244,15 @@ mod tests {
             let expect = a[l] * b[l];
             assert_eq!(out[l].re.to_bits(), expect.re.to_bits());
             assert_eq!(out[l].im.to_bits(), expect.im.to_bits());
+        }
+    }
+
+    #[test]
+    fn lane_reads_back_what_from_fn_put() {
+        let src = sample(4, 9);
+        let v = C64x4::from_fn(|l| src[l]);
+        for (l, &want) in src.iter().enumerate() {
+            assert_eq!(v.lane(l), want);
         }
     }
 

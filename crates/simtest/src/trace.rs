@@ -116,15 +116,13 @@ pub fn ns(t: Duration) -> u128 {
     t.as_nanos()
 }
 
-/// Order-independent content hash of sampled counts: folds the sorted
-/// `(key, count)` pairs plus the measured-qubit list through splitmix64.
+/// Content hash of sampled counts: folds the `(key, count)` pairs, in
+/// key order, plus the measured-qubit list through splitmix64.
 /// `None` (no measurements) hashes to a fixed sentinel.
 pub fn counts_hash(counts: &Option<Counts>) -> u64 {
     let Some(counts) = counts else {
         return 0x6e6f_6e65; // "none"
     };
-    let mut keys: Vec<u64> = counts.map.keys().copied().collect();
-    keys.sort_unstable();
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mix = |h: u64, v: u64| -> u64 {
         let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -135,9 +133,9 @@ pub fn counts_hash(counts: &Option<Counts>) -> u64 {
     for &q in &counts.qubits {
         h = mix(h, u64::from(q));
     }
-    for k in keys {
+    for (&k, &n) in &counts.map {
         h = mix(h, k);
-        h = mix(h, counts.map[&k]);
+        h = mix(h, n);
     }
     h
 }
@@ -145,14 +143,9 @@ pub fn counts_hash(counts: &Option<Counts>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn counts(pairs: &[(u64, u64)]) -> Counts {
-        let mut map = HashMap::new();
-        for &(k, v) in pairs {
-            map.insert(k, v);
-        }
-        Counts { qubits: vec![0, 1], map }
+        Counts { qubits: vec![0, 1], map: pairs.iter().copied().collect() }
     }
 
     #[test]

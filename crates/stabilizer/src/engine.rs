@@ -32,7 +32,7 @@ use qgear_statevec::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// `Counts` packs one measured qubit per key bit.
@@ -294,7 +294,7 @@ impl StabilizerBackend {
         if cfg.shots == 0 || measured.is_empty() {
             return None;
         }
-        let mut map: HashMap<u64, u64> = HashMap::new();
+        let mut map: BTreeMap<u64, u64> = BTreeMap::new();
         for shot in 0..cfg.shots {
             let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, shot));
             let mut tab = t.clone();
@@ -385,7 +385,7 @@ mod tests {
         c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all();
         let counts = run_counts(&c, 10_000, 7);
         assert_eq!(counts.total(), 10_000);
-        for (key, _) in counts.sorted() {
+        for &key in counts.map.keys() {
             assert!(key == 0 || key == 0b1111, "non-GHZ outcome {key:#b}");
         }
         // Both branches present at these shot counts.
@@ -416,7 +416,7 @@ mod tests {
         let counts = run_counts(&c, 500, 3);
         assert_eq!(counts.total(), 500);
         let all_ones = (1u64 << 20) - 1;
-        for (key, _) in counts.sorted() {
+        for &key in counts.map.keys() {
             assert!(key == 0 || key == all_ones);
         }
         // Determinism of the per-shot path.
@@ -472,7 +472,7 @@ mod tests {
         }
         let counts = run_counts(&c, 256, 11);
         assert_eq!(counts.total(), 256);
-        for (key, _) in counts.sorted() {
+        for &key in counts.map.keys() {
             assert!(key == 0 || key == u64::MAX, "GHZ prefix outcome {key:#x}");
         }
     }

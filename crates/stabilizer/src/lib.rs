@@ -32,7 +32,7 @@
 //! let counts = out.counts.unwrap();
 //! assert_eq!(counts.total(), 1000);
 //! // GHZ: only all-zeros and all-ones survive.
-//! assert!(counts.sorted().iter().all(|&(k, _)| k == 0 || k == 0xFF));
+//! assert!(counts.map.keys().all(|&k| k == 0 || k == 0xFF));
 //! ```
 
 pub mod engine;

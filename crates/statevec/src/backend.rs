@@ -4,7 +4,7 @@ use crate::sampling;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -168,8 +168,11 @@ impl ExecStats {
 pub struct Counts {
     /// The measured qubits, in key-bit order.
     pub qubits: Vec<u32>,
-    /// Outcome → occurrence count.
-    pub map: HashMap<u64, u64>,
+    /// Outcome → occurrence count, iterated in key order. An ordered
+    /// map because a served histogram is retained: collected from sorted
+    /// pairs its nodes are packed full, about half a hash table's bytes
+    /// per outcome (docs/SERVING.md § "What a retained outcome costs").
+    pub map: BTreeMap<u64, u64>,
 }
 
 impl Counts {
@@ -191,13 +194,6 @@ impl Counts {
         } else {
             self.get(key) as f64 / total as f64
         }
-    }
-
-    /// Outcomes sorted by key — stable output for reports.
-    pub fn sorted(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.map.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -239,12 +235,13 @@ pub(crate) fn check_capacity<T: Scalar>(
 }
 
 /// The exact measurement marginal as `f64` probabilities — the **single**
-/// conversion point between execution precision and sampling. Every
+/// conversion point between execution precision and sampling (each
+/// probability is summed in execution precision, then widened). Every
 /// sampling path (direct runs, batched runs, the serving layer's marginal
 /// cache) goes through here, so replaying a cached marginal is
 /// bit-identical to re-simulating.
 pub fn marginal_probs<T: Scalar>(state: &StateVector<T>, measured: &[u32]) -> Vec<f64> {
-    state.marginal(measured).iter().map(|p| p.to_f64()).collect()
+    state.marginal_as(measured, 0.0, |p| p.to_f64())
 }
 
 /// Draw one request's histogram from a prepared marginal. Returns `None`
@@ -259,12 +256,13 @@ pub fn sample_from_probs(
     }
     let draws = cfg.histogram(probs);
     qgear_telemetry::counter_add(qgear_telemetry::names::SHOTS_SAMPLED, cfg.shots as u128);
-    let mut map = HashMap::new();
-    for (key, count) in draws.into_iter().enumerate() {
-        if count > 0 {
-            map.insert(key as u64, count);
-        }
-    }
+    // Collected in key order: the map is bulk-built, every node full.
+    let map = draws
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, count)| count > 0)
+        .map(|(key, count)| (key as u64, count))
+        .collect();
     Some(Counts { qubits: measured.to_vec(), map })
 }
 
@@ -313,14 +311,13 @@ mod tests {
 
     #[test]
     fn counts_arithmetic() {
-        let mut c = Counts { qubits: vec![0, 1], map: HashMap::new() };
+        let mut c = Counts { qubits: vec![0, 1], map: BTreeMap::new() };
         c.map.insert(0, 75);
         c.map.insert(3, 25);
         assert_eq!(c.total(), 100);
         assert_eq!(c.get(3), 25);
         assert_eq!(c.get(1), 0);
         assert!((c.probability(0) - 0.75).abs() < 1e-12);
-        assert_eq!(c.sorted(), vec![(0, 75), (3, 25)]);
     }
 
     #[test]

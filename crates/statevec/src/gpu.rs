@@ -11,8 +11,9 @@
 //! kernels (each amplitude group is computed independently), so the
 //! oracle tests compare against `qgear-ir`'s reference simulator directly.
 //! The inner loops additionally run in explicit SIMD lane form
-//! (`f64x4`/`f32x8`, see [`crate::simd`]) whenever a kernel's group
-//! layout allows it; the lane kernels replicate the scalar complex
+//! (`f64x4`/`f32x8`, see [`crate::simd`]) on every span with
+//! `log2(LANES)` bits outside the kernel's support, wherever the kernel's
+//! own qubits sit; the lane kernels replicate the scalar complex
 //! arithmetic operation-for-operation, so this too preserves bit
 //! identity — `tests/differential.rs` pins it down by diffing whole runs
 //! with SIMD forced off.
@@ -42,7 +43,7 @@ use crate::simd::{self, DiagTable};
 use qgear_ir::fusion::{DenseUnitary, FusedBlock};
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
-use qgear_num::{Complex, Scalar, C64};
+use qgear_num::{AlignedVec, Complex, Scalar, C64};
 use rayon::prelude::*;
 
 /// Simulated GPU device description. Defaults model one NVIDIA A100
@@ -132,10 +133,12 @@ impl GpuDevice {
     ///
     /// This is the sweep-fusion analogue of CUDA shared-memory tiling:
     /// each rayon task gathers one `2^u`-amplitude tile (`u` = the
-    /// sweep's union support) into a scratch buffer sized to stay
-    /// cache-resident, applies *every* kernel of the sweep to the tile
-    /// while it is hot, then scatters once. DRAM-level traffic is one
-    /// read + one write of the state per *sweep* instead of per kernel.
+    /// sweep's union support, plus spectator qubits where that alone
+    /// would leave a kernel without lane bits) into a scratch buffer
+    /// sized to stay cache-resident, applies *every* kernel of the sweep
+    /// to the tile while it is hot, then scatters once. DRAM-level
+    /// traffic is one read + one write of the state per *sweep* instead
+    /// of per kernel.
     ///
     /// `exact` selects the tile arithmetic. When `true` (order-preserving
     /// schedules), each kernel is the exact plan [`GpuDevice::apply_block`]
@@ -198,11 +201,25 @@ impl GpuDevice {
             return;
         }
 
-        let u = sweep.qubits.len();
+        // The tile's qubits: the sweep's union support, widened with the
+        // lowest spectator qubits until its widest kernel has
+        // `log2(LANES)` tile bits outside its support — what the lane path
+        // needs (see [`GroupKernel`]). Spectators only ride along, so the
+        // arithmetic is the narrower tile's; the schedule never sees it.
+        let n = state.len().trailing_zeros();
+        let widest = sweep.kernels.iter().map(|&ki| blocks[ki].qubits.len()).max().unwrap_or(0);
+        let want = (widest + simd::lane_log2::<T>()).min(n as usize);
+        let mut qubits = sweep.qubits.clone();
+        let spectators = (0..n).filter(|q| !sweep.qubits.contains(q));
+        qubits.extend(spectators.take(want.saturating_sub(qubits.len())));
+        qubits.sort_unstable();
+        let qubits = &qubits;
+
+        let u = qubits.len();
         let tile = 1usize << u;
         debug_assert!(tile <= state.len());
-        // Scratch-slot position of a sweep qubit (sweep.qubits is sorted).
-        let pos = |q: u32| sweep.qubits.iter().position(|&x| x == q).expect("kernel qubit in sweep");
+        // Scratch-slot position of a tile qubit (`qubits` is sorted).
+        let pos = |q: u32| qubits.iter().position(|&x| x == q).expect("kernel qubit in sweep");
         let plans: Vec<KernelPlan<T>> = sweep
             .kernels
             .iter()
@@ -217,12 +234,12 @@ impl GpuDevice {
         }
         let groups = state.len() >> u;
 
-        // Zero-copy fast path: when the sweep's union support is exactly
-        // the low `u` qubits, slot `j` of tile `g` *is* amplitude
+        // Zero-copy fast path: when the tile's qubits are exactly the low
+        // `u` qubits, slot `j` of tile `g` *is* amplitude
         // `g·2^u + j` — the tile is a contiguous slice of the state, so
         // the kernels run in place and the gather/scatter round-trip
         // through scratch disappears.
-        if is_low_prefix(&sweep.qubits) {
+        if is_low_prefix(qubits) {
             qgear_telemetry::counter_add(
                 qgear_telemetry::names::SWEEP_ZERO_COPY_TILES,
                 groups as u128,
@@ -237,15 +254,15 @@ impl GpuDevice {
         }
 
         // Tile-slot → global-offset table: slot bit `j` lives at global
-        // bit `sweep.qubits[j]`. Built once per sweep, shared read-only.
-        let union_masks: Vec<usize> = sweep.qubits.iter().map(|&q| 1usize << q).collect();
+        // bit `qubits[j]`. Built once per sweep, shared read-only.
+        let union_masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
         let offs = simd::local_offsets(&union_masks);
 
         let shared = SharedState(state.as_mut_ptr());
         let shared = &shared;
         let plans = &plans;
         let offs = &offs;
-        let union_bits: Vec<usize> = sweep.qubits.iter().map(|&q| q as usize).collect();
+        let union_bits: Vec<usize> = qubits.iter().map(|&q| q as usize).collect();
         let union_bits = &union_bits;
         (0..groups).into_par_iter().with_min_len(min_items::<T>(tile)).for_each(move |g| {
             // Tile scratch comes from the per-thread arena: one aligned
@@ -286,13 +303,13 @@ const MIN_TASK_BYTES: usize = 64 << 10;
 /// `amps_per_item` amplitudes: items per [`MIN_TASK_BYTES`]. This is the
 /// one go-parallel rule; every site hands the pool its natural item and
 /// lets the byte count decide how many make a task.
-fn min_items<T: Scalar>(amps_per_item: usize) -> usize {
+pub(crate) fn min_items<T: Scalar>(amps_per_item: usize) -> usize {
     (MIN_TASK_BYTES / (amps_per_item * std::mem::size_of::<Complex<T>>())).max(1)
 }
 
 /// True when sorted `qubits` are exactly `0..qubits.len()`: a tile over
 /// them is a contiguous slice of the state (the zero-copy sweep pass).
-fn is_low_prefix(qubits: &[u32]) -> bool {
+pub(crate) fn is_low_prefix(qubits: &[u32]) -> bool {
     qubits.iter().enumerate().all(|(j, &q)| q as usize == j)
 }
 
@@ -359,9 +376,9 @@ pub(crate) fn classify(u: &DenseUnitary, exact: bool) -> KernelClass {
 /// ([`KernelPlan::run_tile`], [`KernelPlan::run_full`]) execute the same
 /// per-group body, so tile and full-state application of one plan are
 /// bit-identical. Everything derivable once per kernel — local-index
-/// address offsets, lane-splatted matrix entries, diagonal lookup tables,
-/// the lane-path decision — is computed at build time and shared
-/// read-only across every tile and worker.
+/// address offsets, the factored sub-unitaries, diagonal lookup tables,
+/// the lane layout — is computed at build time and shared read-only
+/// across every tile and worker.
 enum KernelPlan<T: Scalar> {
     /// Pure phase pattern: element-wise multiply, no data movement.
     Diag {
@@ -378,30 +395,48 @@ enum KernelPlan<T: Scalar> {
 /// block-diagonal matrix — `2^μ` mul-adds per amplitude instead of the
 /// dense `2^k`. A dense kernel is the `μ = k` case: every bit mixed, one
 /// sub-unitary (the matrix itself), nothing to select.
+///
+/// The body works an *item* at a time. On the lane path an item is a
+/// lane block: the `T::LANES` groups that differ only in the *lane bits*,
+/// the lowest `log2(LANES)` span bits outside the kernel's support
+/// (mixed and unmixed alike) — spectators, so the groups of a block
+/// share one sub-unitary by construction and lane `l` runs exactly the
+/// chain its group runs alone. On the scalar path (a span with fewer
+/// than `log2(LANES)` spare bits, or SIMD switched off) an item is one
+/// group.
 struct GroupKernel<T: Scalar> {
     /// The sub-unitaries, each row-major `2^μ × 2^μ` in execution
     /// precision, concatenated in order of the unmixed bits packed in
-    /// kernel-local order (scalar path).
-    subs: Vec<Complex<T>>,
-    /// The same entries pre-broadcast to lane vectors (lane path; empty
-    /// when `lanes` is off).
-    subs_splat: Vec<<T as Scalar>::Lanes>,
+    /// kernel-local order. Cache-line aligned like the state: the body
+    /// broadcasts every entry from here, and a `2×2` sub-unitary — one
+    /// line at fp64, half a line at fp32 — then never straddles two.
+    subs: AlignedVec<Complex<T>>,
     /// Address offset of each mixed-bit local index inside the span.
     offs: Vec<usize>,
-    /// Span bit positions of the mixed bits, ascending (group-index
-    /// expansion).
-    sorted_mixed: Vec<usize>,
+    /// Span bit positions an item index expands around, ascending: the
+    /// mixed bits, and on the lane path the lane bits too.
+    expand: Vec<usize>,
     /// `(span mask, packed weight)` pairs extracting the sub-unitary
-    /// index from a group's base address.
+    /// index from an item's base address.
     extract: Vec<(usize, usize)>,
     /// Sub-unitary dimension `2^μ`.
     mdim: usize,
     /// Amplitudes per application; every address the body forms is below
-    /// it (checked at build time, and against the slice by the drivers).
+    /// it (checked at build time, and against the slice by the driver).
     span: usize,
-    /// Take the SIMD lane path (decided at build time from the toggle and
-    /// the group layout, see [`crate::simd`]).
-    lanes: bool,
+    /// How an item's lanes are addressed (decided at build time).
+    lanes: LaneLayout,
+}
+
+/// Where the `T::LANES` groups of a lane block sit.
+enum LaneLayout {
+    /// No lane path: an item is a single group.
+    Scalar,
+    /// The lane bits are span bits `0..log2(LANES)`: lane `l` is the next
+    /// address up, one contiguous vector load or store per column.
+    Contiguous,
+    /// Lane `l` sits at this address offset — a per-lane gather/scatter.
+    Strided(Vec<usize>),
 }
 
 impl<T: Scalar> KernelPlan<T> {
@@ -416,66 +451,9 @@ impl<T: Scalar> KernelPlan<T> {
                 KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
             }
             KernelClass::Mixed(mixed) => {
-                let mixing: Vec<bool> = (0..masks.len()).map(|j| mixed >> j & 1 == 1).collect();
-                KernelPlan::grouped(u, masks, span, &mixing)
+                KernelPlan::Grouped(GroupKernel::new(u, masks, span, mixed, simd::simd_enabled()))
             }
         }
-    }
-
-    /// Plan a non-diagonal kernel as a [`GroupKernel`] over the bits
-    /// `mixing` flags (kernel-local order). Whatever cross entries an
-    /// unflagged bit has are dropped — the caller's mask says how small
-    /// they are (exactly zero, or below `1e-12`); with every bit flagged
-    /// nothing is dropped and the single sub-unitary is the matrix
-    /// itself.
-    fn grouped(u: &DenseUnitary, masks: &[usize], span: usize, mixing: &[bool]) -> Self {
-        let k = u.num_qubits();
-        let dim = 1usize << k;
-        // The unsafe body's bounds argument: group bases and offsets only
-        // ever combine bits below a power-of-two span.
-        assert!(
-            span.is_power_of_two() && masks.iter().all(|&m| m.is_power_of_two() && m < span),
-            "kernel bit masks must lie inside the span"
-        );
-        let mixed_bits: Vec<usize> = (0..k).filter(|&j| mixing[j]).collect();
-        let diag_bits: Vec<usize> = (0..k).filter(|&j| !mixing[j]).collect();
-        let mdim = 1usize << mixed_bits.len();
-        assert!(mdim <= 64, "group scratch holds 64 amplitudes");
-        // Kernel-local index of each assignment of the mixed bits, and of
-        // the unmixed bits.
-        let local = |bits: &[usize]| {
-            simd::local_offsets(&bits.iter().map(|&j| 1usize << j).collect::<Vec<_>>())
-        };
-        let (of_mixed, of_diag) = (local(&mixed_bits), local(&diag_bits));
-        let u = u.elements();
-        let mut subs: Vec<Complex<T>> = Vec::with_capacity(dim * mdim);
-        for &d in &of_diag {
-            for &r in &of_mixed {
-                subs.extend(of_mixed.iter().map(|&c| u[(d | r) * dim + (d | c)].cast::<T>()));
-            }
-        }
-        let mut sorted_mixed: Vec<usize> =
-            mixed_bits.iter().map(|&j| masks[j].trailing_zeros() as usize).collect();
-        sorted_mixed.sort_unstable();
-        let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
-        let extract: Vec<(usize, usize)> =
-            diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
-        // Lanes need the mixed bits to clear the lane width (consecutive
-        // groups at consecutive addresses) and the extract bits too (one
-        // sub-unitary serves the whole lane block).
-        let lanes = simd::simd_enabled()
-            && simd::lanes_ok::<T>(&sorted_mixed, span >> sorted_mixed.len())
-            && extract.iter().all(|&(mask, _)| mask >= T::LANES);
-        KernelPlan::Grouped(GroupKernel {
-            subs_splat: if lanes { simd::splat_all::<T>(&subs) } else { Vec::new() },
-            offs: simd::local_offsets(&mixed_masks),
-            subs,
-            sorted_mixed,
-            extract,
-            mdim,
-            span,
-            lanes,
-        })
     }
 
     /// True when this plan runs on the SIMD lane path (telemetry dispatch
@@ -483,7 +461,7 @@ impl<T: Scalar> KernelPlan<T> {
     fn lane_eligible(&self) -> bool {
         match self {
             KernelPlan::Diag { table } => simd::simd_enabled() && table.chunk() >= T::LANES,
-            KernelPlan::Grouped(kernel) => kernel.lanes,
+            KernelPlan::Grouped(kernel) => !matches!(kernel.lanes, LaneLayout::Scalar),
         }
     }
 
@@ -501,37 +479,21 @@ impl<T: Scalar> KernelPlan<T> {
     }
 
     /// Tile driver: apply the plan to one exclusively borrowed span —
-    /// a gathered (or zero-copy) sweep tile — group after group.
+    /// a gathered (or zero-copy) sweep tile — item after item on the
+    /// calling thread.
     fn run_tile(&self, tile: &mut [Complex<T>]) {
         match self {
             KernelPlan::Diag { table } => table.apply(tile, 0),
-            KernelPlan::Grouped(kernel) => {
-                assert_eq!(tile.len(), kernel.span, "plan built for another span");
-                let groups = kernel.span >> kernel.sorted_mixed.len();
-                let ptr = tile.as_mut_ptr();
-                if kernel.lanes {
-                    for gb in 0..groups / T::LANES {
-                        // SAFETY: `ptr` addresses the `span` slots of the
-                        // exclusively borrowed tile, and the lane block
-                        // `gb * LANES .. + LANES` lies below `groups`.
-                        unsafe { kernel.apply_group(ptr, gb * T::LANES, true) };
-                    }
-                } else {
-                    for g in 0..groups {
-                        // SAFETY: as above, for the single group `g`.
-                        unsafe { kernel.apply_group(ptr, g, false) };
-                    }
-                }
-            }
+            KernelPlan::Grouped(kernel) => kernel.run(tile, false),
         }
     }
 
-    /// Full-state driver: apply the plan to the whole state, its groups
-    /// (or table chunks) split across the kernel pool. The parallel item
-    /// is one group, lane block or table chunk; [`min_items`] turns its
-    /// size into the pool's minimum task length, so a task owns at least
-    /// [`MIN_TASK_BYTES`] of state and a pass smaller than two tasks stays
-    /// on the calling thread.
+    /// Full-state driver: apply the plan to the whole state, its items
+    /// (or table chunks) split across the kernel pool. [`min_items`]
+    /// turns an item's size — a group, lane block or table chunk — into
+    /// the items a task takes (a group kernel's run, a table's minimum
+    /// task length), so a task owns at least [`MIN_TASK_BYTES`] of state
+    /// and a pass smaller than two tasks stays on the calling thread.
     fn run_full(&self, state: &mut [Complex<T>]) {
         match self {
             KernelPlan::Diag { table } => {
@@ -542,88 +504,178 @@ impl<T: Scalar> KernelPlan<T> {
                     .enumerate()
                     .for_each(|(ci, cs)| table.apply(cs, ci * chunk));
             }
-            KernelPlan::Grouped(kernel) => {
-                assert_eq!(state.len(), kernel.span, "plan built for another span");
-                let groups = kernel.span >> kernel.sorted_mixed.len();
-                let shared = SharedState(state.as_mut_ptr());
-                let shared = &shared;
-                if kernel.lanes {
-                    let min = min_items::<T>(T::LANES * kernel.mdim);
-                    (0..groups / T::LANES).into_par_iter().with_min_len(min).for_each(move |gb| {
-                        // SAFETY: the pointer addresses the `span`
-                        // amplitudes of the exclusively borrowed state, the
-                        // lane block lies below `groups`, and distinct
-                        // groups touch disjoint amplitudes, so no two
-                        // tasks alias.
-                        unsafe { kernel.apply_group(shared.0, gb * T::LANES, true) }
-                    });
-                } else {
-                    let min = min_items::<T>(kernel.mdim);
-                    (0..groups).into_par_iter().with_min_len(min).for_each(move |g| {
-                        // SAFETY: as above, for the single group `g`.
-                        unsafe { kernel.apply_group(shared.0, g, false) }
-                    });
-                }
-            }
+            KernelPlan::Grouped(kernel) => kernel.run(state, true),
         }
     }
 }
 
 impl<T: Scalar> GroupKernel<T> {
-    /// The one gather / mul-add / scatter body. Expands group index `g`
-    /// around the mixed bits — the base then carries an assignment of
-    /// every other span bit, this kernel's unmixed bits included, which
-    /// picks the sub-unitary — gathers the group's `2^μ` amplitudes,
-    /// accumulates each output row in column order with one `mul_add` per
-    /// entry, and scatters. With `lanes`, `g` is the first of `T::LANES`
-    /// consecutive groups processed as one lane vector per column, same
-    /// accumulation order, bitwise identical. `lanes` is a parameter
-    /// (always `self.lanes`) so each driver loop inlines one
-    /// straight-line form.
+    /// Plan a non-diagonal kernel over the local bits set in `mixed`.
+    /// Whatever cross entries an unflagged bit has are dropped — the
+    /// caller's mask says how small they are (exactly zero, or below
+    /// `1e-12`); with every bit flagged nothing is dropped and the single
+    /// sub-unitary is the matrix itself. `simd` allows the lane path,
+    /// which a span with `log2(LANES)` bits outside `masks` then takes.
+    fn new(u: &DenseUnitary, masks: &[usize], span: usize, mixed: usize, simd: bool) -> Self {
+        let k = u.num_qubits();
+        let dim = 1usize << k;
+        // The unsafe body's bounds argument: item bases and offsets only
+        // ever combine bits below a power-of-two span.
+        assert!(
+            span.is_power_of_two() && masks.iter().all(|&m| m.is_power_of_two() && m < span),
+            "kernel bit masks must lie inside the span"
+        );
+        let (mixed_bits, diag_bits): (Vec<usize>, Vec<usize>) =
+            (0..k).partition(|&j| mixed >> j & 1 == 1);
+        let mdim = 1usize << mixed_bits.len();
+        // Kernel-local index of each assignment of the mixed bits, and of
+        // the unmixed bits.
+        let local = |bits: &[usize]| {
+            simd::local_offsets(&bits.iter().map(|&j| 1usize << j).collect::<Vec<_>>())
+        };
+        let (of_mixed, of_diag) = (local(&mixed_bits), local(&diag_bits));
+        let u = u.elements();
+        let mut subs: Vec<Complex<T>> = Vec::with_capacity(dim * mdim);
+        for &d in &of_diag {
+            for &r in &of_mixed {
+                subs.extend(of_mixed.iter().map(|&c| u[(d | r) * dim + (d | c)].cast::<T>()));
+            }
+        }
+        let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
+        let extract: Vec<(usize, usize)> =
+            diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
+        // Lane bits: the lowest `log2(LANES)` span bits no kernel bit
+        // occupies. Ascending, so they are `0..log2(LANES)` exactly when
+        // the last one is.
+        let support = masks.iter().fold(0usize, |acc, &m| acc | m);
+        let lane_masks: Vec<usize> = (0..span.trailing_zeros())
+            .map(|b| 1usize << b)
+            .filter(|m| support & m == 0)
+            .take(simd::lane_log2::<T>())
+            .collect();
+        let lanes = if !simd || lane_masks.len() < simd::lane_log2::<T>() {
+            LaneLayout::Scalar
+        } else if lane_masks.last() == Some(&(T::LANES / 2)) {
+            LaneLayout::Contiguous
+        } else {
+            LaneLayout::Strided(simd::local_offsets(&lane_masks))
+        };
+        let mut expand: Vec<usize> = mixed_masks.iter().map(|m| m.trailing_zeros() as usize).collect();
+        if !matches!(lanes, LaneLayout::Scalar) {
+            expand.extend(lane_masks.iter().map(|m| m.trailing_zeros() as usize));
+        }
+        expand.sort_unstable();
+        GroupKernel {
+            offs: simd::local_offsets(&mixed_masks),
+            subs: AlignedVec::from_slice(&subs),
+            expand,
+            extract,
+            mdim,
+            span,
+            lanes,
+        }
+    }
+
+    /// Drive the body over every item of `amps`, on the calling thread or
+    /// (`pooled`) split across the kernel pool. The one place the group
+    /// dimension becomes a constant: each arm is the driver loop and the
+    /// body compiled for that `2^μ`, scratch included.
+    fn run(&self, amps: &mut [Complex<T>], pooled: bool) {
+        assert_eq!(amps.len(), self.span, "plan built for another span");
+        let shared = SharedState(amps.as_mut_ptr());
+        match self.mdim {
+            1 => self.drive::<1>(&shared, pooled),
+            2 => self.drive::<2>(&shared, pooled),
+            4 => self.drive::<4>(&shared, pooled),
+            8 => self.drive::<8>(&shared, pooled),
+            16 => self.drive::<16>(&shared, pooled),
+            32 => self.drive::<32>(&shared, pooled),
+            64 => self.drive::<64>(&shared, pooled),
+            wider => unreachable!("a fused kernel mixes at most 6 bits, not 2^μ = {wider}"),
+        }
+    }
+
+    fn drive<const M: usize>(&self, shared: &SharedState<T>, pooled: bool) {
+        let items = self.span >> self.expand.len();
+        // A run is the items one task works through: a whole tile on the
+        // calling thread, [`MIN_TASK_BYTES`] of state in the pool. Only a
+        // run's first base is expanded from its index; the rest step to
+        // the next value of the bits outside `expand` by carrying across
+        // the bits inside it.
+        let run = if pooled { min_items::<T>(1usize << self.expand.len()).min(items) } else { items };
+        let skip = self.expand.iter().fold(0usize, |acc, &p| acc | 1 << p);
+        let work = move |r: usize| {
+            let mut base = expand_index(r * run, &self.expand);
+            for _ in 0..run {
+                // SAFETY: the pointer addresses the `span` amplitudes of
+                // the exclusively borrowed slice (`run` checked its
+                // length), `base` is the expansion of an item below
+                // `span >> expand.len()` (runs tile the items), `M` is
+                // `mdim`, and distinct items touch disjoint amplitudes, so
+                // no two tasks alias.
+                unsafe { self.apply::<M>(shared.0, base) };
+                base = ((base | skip) + 1) & !skip;
+            }
+        };
+        if pooled {
+            (0..items / run).into_par_iter().for_each(work);
+        } else {
+            (0..items / run).for_each(work);
+        }
+    }
+
+    /// The one gather / mul-add / scatter body. `base` is an item index
+    /// expanded around the mixed bits (and the lane bits) — it carries an
+    /// assignment of every other span bit, this kernel's unmixed bits
+    /// included, which picks the sub-unitary. Gathers the group's `2^μ`
+    /// amplitudes, accumulates each output row in column order with one
+    /// `mul_add` per entry, and scatters. On the lane path the same runs
+    /// for the `T::LANES` groups of the block at once, one lane vector
+    /// per column, same accumulation order, bitwise identical.
     ///
     /// # Safety
-    /// `ptr` must address `self.span` amplitudes; `g` must be below
-    /// `span >> μ` (with `lanes`: a multiple of `T::LANES` with the whole
-    /// lane block below it, on a plan whose `self.lanes` is true); and no
-    /// other thread may access the amplitudes of the group(s) during the
-    /// call. Distinct groups are disjoint: expansion reinserts zero bits
-    /// at every mixed position and the offsets set only those bits.
+    /// `ptr` must address `self.span` amplitudes; `base` must be below
+    /// `span` with every `expand` bit clear; `M` must be `self.mdim`; and
+    /// no other thread may access the item's amplitudes during the call.
+    /// Distinct items are disjoint: their bases differ outside the mixed
+    /// and lane positions and the offsets set only those bits.
     #[inline(always)]
-    unsafe fn apply_group(&self, ptr: *mut Complex<T>, g: usize, lanes: bool) {
-        let mdim = self.mdim;
-        let base = expand_index(g, &self.sorted_mixed);
+    unsafe fn apply<const M: usize>(&self, ptr: *mut Complex<T>, base: usize) {
         let mut d = 0usize;
         for &(mask, weight) in &self.extract {
             if base & mask != 0 {
                 d |= weight;
             }
         }
-        let sub = d * mdim * mdim..(d + 1) * mdim * mdim;
-        if lanes {
-            // SAFETY: the caller's contract; with every mixed and extract
-            // bit at or above the lane width the `T::LANES` groups from
-            // `g` share `d` and sit at consecutive addresses.
-            unsafe {
-                simd::dense_block_lanes::<T>(ptr, base, &self.subs_splat[sub], mdim, &self.offs)
-            };
-            return;
-        }
-        let mut scratch = [Complex::<T>::ZERO; 64];
-        // Sliced to `mdim` once, so the loops below index it unchecked.
-        let offs = &self.offs[..mdim];
-        for a in 0..mdim {
-            // SAFETY: `base | offs[a] < span` (bits below a power-of-two
-            // span, checked in `grouped`), owned by this call's group.
-            scratch[a] = unsafe { *ptr.add(base | offs[a]) };
-        }
-        for (r, row) in self.subs[sub].chunks_exact(mdim).enumerate() {
-            let mut acc = Complex::<T>::ZERO;
-            for c in 0..mdim {
-                acc = row[c].mul_add(scratch[c], acc);
+        let sub = d * M * M..(d + 1) * M * M;
+        // Sliced to `M` once, so the loops below index it unchecked.
+        let offs = &self.offs[..M];
+        let lane_offs = match &self.lanes {
+            LaneLayout::Scalar => {
+                let mut scratch = [Complex::<T>::ZERO; M];
+                for c in 0..M {
+                    // SAFETY: `base | offs[c] < span` (bits below a
+                    // power-of-two span, checked in `new`), owned by this
+                    // call's group.
+                    scratch[c] = unsafe { *ptr.add(base | offs[c]) };
+                }
+                for (r, row) in self.subs[sub].chunks_exact(M).enumerate() {
+                    let mut acc = Complex::<T>::ZERO;
+                    for c in 0..M {
+                        acc = row[c].mul_add(scratch[c], acc);
+                    }
+                    // SAFETY: same address set as the gather.
+                    unsafe { *ptr.add(base | offs[r]) = acc };
+                }
+                return;
             }
-            // SAFETY: same address set as the gather.
-            unsafe { *ptr.add(base | offs[r]) = acc };
-        }
+            LaneLayout::Contiguous => None,
+            LaneLayout::Strided(lane_offs) => Some(&lane_offs[..T::LANES]),
+        };
+        // SAFETY: the caller's contract; the lane bits lie outside the
+        // kernel's support, so the block's `T::LANES` groups share `d`,
+        // and every address is bits below the span, owned by this item.
+        unsafe { simd::dense_block_lanes::<T, M>(ptr, base, &self.subs[sub], offs, lane_offs) };
     }
 }
 
@@ -874,31 +926,66 @@ mod tests {
         block
     }
 
-    /// Run `block`'s plan (exact, or factored over its mixing mask) through
-    /// the full-state driver and through the tile driver with the whole
-    /// state as the one tile, lanes allowed or forced off.
-    fn through_both_drivers<T: Scalar>(
-        block: &FusedBlock,
+    /// `u`'s group kernel as [`KernelPlan::new`] plans it (exact, or
+    /// factored over the `1e-12` mask), lanes allowed or forced off — what
+    /// `set_simd_enabled` selects, without racing the process-wide toggle.
+    fn group_plan<T: Scalar>(
+        u: &DenseUnitary,
+        masks: &[usize],
+        span: usize,
         exact: bool,
         simd: bool,
-        n: u32,
-    ) -> ([Vec<u64>; 2], bool) {
-        let len = 1usize << n;
-        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
-        let mut plan = KernelPlan::<T>::new(&block.unitary, &masks, len, exact);
-        let KernelPlan::Grouped(kernel) = &mut plan else { panic!("not a diagonal block") };
-        kernel.lanes &= simd;
-        let lanes = kernel.lanes;
-        let rich: Vec<Complex<T>> = (0..len)
-            .map(|i| Complex::new(T::from_f64((i as f64 * 0.37).sin()), T::from_f64((i as f64 * 0.11).cos())))
-            .collect();
+    ) -> KernelPlan<T> {
+        let KernelClass::Mixed(mixed) = classify(u, exact) else { panic!("not a diagonal block") };
+        KernelPlan::Grouped(GroupKernel::new(u, masks, span, mixed, simd))
+    }
+
+    /// `plan` through the full-state driver and through the tile driver
+    /// with the whole state as the one tile: both outputs' bits.
+    fn both_drivers<T: Scalar>(plan: &KernelPlan<T>, state: &[Complex<T>]) -> [Vec<u64>; 2] {
         let bits = |amps: &[Complex<T>]| -> Vec<u64> {
             amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
         };
-        let (mut full, mut tile) = (rich.clone(), rich);
+        let (mut full, mut tile) = (state.to_vec(), state.to_vec());
         plan.run_full(&mut full);
         plan.run_tile(&mut tile);
-        ([bits(&full), bits(&tile)], lanes)
+        [bits(&full), bits(&tile)]
+    }
+
+    fn layout<T: Scalar>(plan: &KernelPlan<T>) -> &'static str {
+        let KernelPlan::Grouped(kernel) = plan else { panic!("a group kernel") };
+        match kernel.lanes {
+            LaneLayout::Scalar => "scalar",
+            LaneLayout::Contiguous => "contiguous",
+            LaneLayout::Strided(_) => "strided",
+        }
+    }
+
+    fn rich_state<T: Scalar>(n: u32) -> Vec<Complex<T>> {
+        (0..1usize << n)
+            .map(|i| Complex::new(T::from_f64((i as f64 * 0.37).sin()), T::from_f64((i as f64 * 0.11).cos())))
+            .collect()
+    }
+
+    /// `block` on `n` qubits at precision `T`: lanes and scalar agree bit
+    /// for bit, through both drivers. Returns the lane plan's layout.
+    fn assert_lanes_are_the_scalar_chain<T: Scalar>(
+        block: &FusedBlock,
+        exact: bool,
+        n: u32,
+        what: &str,
+    ) -> &'static str {
+        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
+        let state = rich_state::<T>(n);
+        let on = group_plan::<T>(&block.unitary, &masks, state.len(), exact, true);
+        let off = group_plan::<T>(&block.unitary, &masks, state.len(), exact, false);
+        assert_eq!(layout(&off), "scalar");
+        let ([full, tile], [off_full, off_tile]) = (both_drivers(&on, &state), both_drivers(&off, &state));
+        let what = format!("{what} {}", T::PRECISION_NAME);
+        assert!(full == tile, "{what}: full vs tile");
+        assert!(off_full == off_tile, "{what}: full vs tile, scalar");
+        assert!(full == off_full, "{what}: lanes vs scalar");
+        layout(&on)
     }
 
     #[test]
@@ -908,32 +995,63 @@ mod tests {
         // so on a multi-core host the full-state driver really runs pooled
         // on every placement.
         let n = 16;
-        // Placements: low bits (scalar: below both lane widths), high bits
-        // in ascending and in scrambled local order (lanes), and high
-        // leading bits over low trailing ones (scalar: a low mixed bit for
-        // the dense block, a low extract bit for the factored ones).
-        let placements: [([u32; 5], bool); 4] = [
-            ([0, 1, 2, 7, 15], false),
-            ([4, 6, 9, 11, 15], true),
-            ([15, 6, 11, 4, 9], true),
-            ([15, 14, 11, 1, 0], false),
+        // Placements: low bits, high bits in ascending and in scrambled
+        // local order, and high leading bits over low trailing ones (a low
+        // mixed bit for the dense block, a low extract bit for the
+        // factored ones). Every one has eleven spectator bits, so every
+        // one runs on lanes — gathered where a kernel bit sits below the
+        // lane width.
+        let placements: [([u32; 5], &str); 4] = [
+            ([0, 1, 2, 7, 15], "strided"),
+            ([4, 6, 9, 11, 15], "contiguous"),
+            ([15, 6, 11, 4, 9], "contiguous"),
+            ([15, 14, 11, 1, 0], "strided"),
         ];
         for (mu, exact) in [(5, true), (1, false), (3, false)] {
-            for (qubits, expect_lanes) in placements {
+            for (qubits, expect) in placements {
                 let block = width5_block(mu, &qubits, 17 + mu as u64);
-                let ([full64, tile64], lanes64) = through_both_drivers::<f64>(&block, exact, true, n);
-                let ([full32, tile32], lanes32) = through_both_drivers::<f32>(&block, exact, true, n);
                 let what = format!("μ={mu} on {qubits:?}");
-                assert_eq!((lanes64, lanes32), (expect_lanes, expect_lanes), "{what}: lanes");
-                assert_eq!(full64, tile64, "{what}: fp64 full vs tile");
-                assert_eq!(full32, tile32, "{what}: fp32 full vs tile");
-                let ([off_full64, off_tile64], _) = through_both_drivers::<f64>(&block, exact, false, n);
-                let ([off_full32, off_tile32], _) = through_both_drivers::<f32>(&block, exact, false, n);
-                assert_eq!(off_full64, off_tile64, "{what}: fp64 full vs tile, scalar");
-                assert_eq!(off_full32, off_tile32, "{what}: fp32 full vs tile, scalar");
-                assert_eq!(full64, off_full64, "{what}: fp64 lanes vs scalar");
-                assert_eq!(full32, off_full32, "{what}: fp32 lanes vs scalar");
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, exact, n, &what), expect, "{what}");
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, exact, n, &what), expect, "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn every_placement_class_runs_on_lanes_and_changes_no_bit() {
+        // n = 14 (fp64: four pooled tasks), kernel-local bits 0..μ mixed,
+        // the rest extract. Per class, the layout at (fp64, fp32).
+        let classes: [(&str, [u32; 5], [&str; 2]); 7] = [
+            ("all low", [0, 1, 2, 3, 4], ["strided", "strided"]),
+            ("straddling, lane bits 0, 2, 4", [1, 3, 6, 9, 13], ["strided", "strided"]),
+            ("above both lane widths", [4, 6, 9, 11, 13], ["contiguous", "contiguous"]),
+            ("scrambled local order", [13, 6, 11, 4, 9], ["contiguous", "contiguous"]),
+            ("extract bits below mixed bits", [13, 12, 11, 1, 0], ["strided", "strided"]),
+            ("between the lane widths", [2, 5, 8, 10, 12], ["contiguous", "strided"]),
+            ("all high", [9, 10, 11, 12, 13], ["contiguous", "contiguous"]),
+        ];
+        for (class, qubits, expect) in classes {
+            for mu in 1..=5 {
+                let block = width5_block(mu, &qubits, 40 + mu as u64);
+                for exact in [true, false] {
+                    let what = format!("{class}: μ={mu} exact={exact} on {qubits:?}");
+                    let got = [
+                        assert_lanes_are_the_scalar_chain::<f64>(&block, exact, 14, &what),
+                        assert_lanes_are_the_scalar_chain::<f32>(&block, exact, 14, &what),
+                    ];
+                    assert_eq!(got, expect, "{what}");
+                }
+            }
+        }
+        // Scalar is what is left when the span has no bits to spare: a
+        // width-5 kernel needs n = 7 for `f64x4` and n = 8 for `f32x8`.
+        let block = width5_block(5, &[0, 1, 2, 3, 4], 45);
+        for (n, expect) in [(6, ["scalar", "scalar"]), (7, ["strided", "scalar"]), (8, ["strided", "strided"])] {
+            let got = [
+                assert_lanes_are_the_scalar_chain::<f64>(&block, true, n, "small span"),
+                assert_lanes_are_the_scalar_chain::<f32>(&block, true, n, "small span"),
+            ];
+            assert_eq!(got, expect, "n = {n}");
         }
     }
 
@@ -992,23 +1110,6 @@ mod tests {
         DenseUnitary::from_elements(k, m)
     }
 
-    /// Both drivers' output bits for `plan`, lanes allowed or forced off.
-    fn plan_bits<T: Scalar>(
-        mut plan: KernelPlan<T>,
-        simd: bool,
-        state: &[Complex<T>],
-    ) -> [Vec<u64>; 2] {
-        let KernelPlan::Grouped(kernel) = &mut plan else { panic!("not a diagonal block") };
-        kernel.lanes &= simd;
-        let bits = |amps: &[Complex<T>]| -> Vec<u64> {
-            amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
-        };
-        let (mut full, mut tile) = (state.to_vec(), state.to_vec());
-        plan.run_full(&mut full);
-        plan.run_tile(&mut tile);
-        [bits(&full), bits(&tile)]
-    }
-
     /// The exact plan of `u` against the all-mixed plan of `u` — the
     /// dense `2^k` chain — on one state, every driver and lane form.
     fn assert_exact_plan_is_the_dense_chain<T: Scalar>(
@@ -1017,10 +1118,11 @@ mod tests {
         state: &[Complex<T>],
         what: &str,
     ) {
-        let (all, span) = (vec![true; masks.len()], state.len());
+        let (all, span) = ((1usize << masks.len()) - 1, state.len());
         for simd in [true, false] {
-            let exact = plan_bits(KernelPlan::<T>::new(u, masks, span, true), simd, state);
-            let dense = plan_bits(KernelPlan::<T>::grouped(u, masks, span, &all), simd, state);
+            let exact = both_drivers(&group_plan::<T>(u, masks, span, true, simd), state);
+            let dense =
+                both_drivers(&KernelPlan::Grouped(GroupKernel::<T>::new(u, masks, span, all, simd)), state);
             assert!(exact[0] == dense[0], "{what}, simd {simd}: run_full");
             assert!(exact[1] == dense[1], "{what}, simd {simd}: run_tile");
             assert!(exact[0] == exact[1], "{what}, simd {simd}: full vs tile");

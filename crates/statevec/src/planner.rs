@@ -124,18 +124,21 @@ impl Default for PlannerCosts {
 
 impl PlannerCosts {
     /// The priced selector with constants hand-fitted to a small x86
-    /// host after the SIMD/FMA kernel overhaul: dense width-5 kernels on
-    /// a random circuit pin `madds_per_sec`, the per-gate loops on the
-    /// same circuit pin `gate_amps_per_sec`, the chunked diagonal-table
-    /// kernels of a QFT pin `cmuls_per_sec`, sweep-vs-per-kernel deltas
-    /// pin the effective streaming bandwidth, and a 10-qubit per-gate run
-    /// bounds the dispatch overhead at well under a microsecond. The
-    /// numbers behind any fit go stale with the host; `benchmark/`
-    /// measures them.
+    /// host: dense width-5 kernels on a random circuit pin
+    /// `madds_per_sec` (refit when every group kernel moved onto SIMD
+    /// lanes: a dense pass at 20 qubits on two cores reads 4.3e9 at fp64
+    /// and 6.4e9 at fp32, one thread a little over half of that, a `2×2`
+    /// kernel a quarter; docs/PLANNER.md § "The lane rate"), the per-gate
+    /// loops on the same circuit pin `gate_amps_per_sec`, the chunked
+    /// diagonal-table kernels of a QFT pin `cmuls_per_sec`,
+    /// sweep-vs-per-kernel deltas pin the effective streaming bandwidth,
+    /// and a 10-qubit per-gate run bounds the dispatch overhead at well
+    /// under a microsecond. The numbers behind any fit go stale with the
+    /// host; `benchmark/` measures them.
     pub fn host_reference() -> Self {
         PlannerCosts {
             bytes_per_sec: 1.6e10,
-            madds_per_sec: 7.0e8,
+            madds_per_sec: 4.0e9,
             cmuls_per_sec: 2.5e9,
             gate_amps_per_sec: 1.0e9,
             launch_seconds: 5.0e-7,
@@ -203,16 +206,6 @@ impl PlannerCosts {
         self.launch_seconds + weight * n_amps / self.gate_amps_per_sec
     }
 
-    /// Estimated seconds to *build* the fused program: each absorbed
-    /// gate multiplies into an accumulated dense block, ≈`4 · 4^w`
-    /// mul-adds at full fusion width. This cost is paid once by every
-    /// kernel-based mode but never by per-gate execution, so on small
-    /// states it can exceed the entire unfused run — a priced plan skips
-    /// fusion outright when it does (see [`plan`]).
-    fn fusion_build_seconds(&self, gates: usize, fusion_width: usize) -> f64 {
-        gates as f64 * 4.0 * (1u64 << (2 * fusion_width)) as f64 / self.madds_per_sec
-    }
-
     /// Price one segment under both modes. `gates[ki]` are the source
     /// gates block `ki` absorbed, `pass` one state pass in seconds,
     /// `exact` the plan's order-preserving flag.
@@ -241,6 +234,19 @@ impl PlannerCosts {
         }
         costs
     }
+}
+
+/// Estimated seconds to *build* the fused program: each absorbed gate
+/// multiplies into an accumulated dense block, ≈`4 · 4^w` mul-adds at
+/// full fusion width. This cost is paid once by every kernel-based mode
+/// but never by per-gate execution, so on small states it can exceed the
+/// entire unfused run — a priced plan skips fusion outright when it does
+/// (see [`plan`]). The fuser multiplies scalar `f64` matrices on one
+/// thread and never ran a lane kernel, so the rate is the scalar one the
+/// shortcut was fitted with, not [`PlannerCosts::madds_per_sec`].
+fn fusion_build_seconds(gates: usize, fusion_width: usize) -> f64 {
+    const FUSER_MADDS_PER_SEC: f64 = 7.0e8;
+    gates as f64 * 4.0 * (1u64 << (2 * fusion_width)) as f64 / FUSER_MADDS_PER_SEC
 }
 
 /// The two predicted per-segment costs, in seconds.
@@ -389,7 +395,7 @@ pub fn plan(
     // and so does `sweep_width: 0`, which promises a step per block.
     if costs.force_mode.is_none() && sweep_width > 0 && !gates.is_empty() {
         let unfused: f64 = gates.iter().map(|g| costs.unfused_gate_seconds(g, n_amps)).sum();
-        if unfused < costs.fusion_build_seconds(gates.len(), width) {
+        if unfused < fusion_build_seconds(gates.len(), width) {
             // Distinct digest arm: a shortcut plan has no kernel
             // schedule, so it must never collide with a scheduled plan.
             digest = mix(mix(digest, u64::MAX), gates.len() as u64);
@@ -585,16 +591,19 @@ mod tests {
     }
 
     #[test]
-    fn dense_random_blocks_plan_to_unfused() {
-        // The measured regression case: fully-mixed random blocks are
-        // cheaper per gate than any dense kernel path.
-        let p = plan(&random_like(12, 7), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        let (unfused, _) = p.mode_histogram();
-        assert!(
-            unfused * 2 > p.segments.len(),
-            "random workload should mostly plan unfused, got {:?}",
-            p.mode_histogram()
-        );
+    fn dense_random_blocks_plan_by_the_dense_kernel_rate() {
+        // Fully-mixed random blocks are where the two modes sit closest:
+        // a width-5 kernel spends 32 mul-adds per amplitude on the eight
+        // or so gates it absorbed. At the rate group kernels ran at while
+        // most of them were scalar, per-gate loops won; at the lane rate
+        // `host_reference` holds now, the sweep does.
+        let c = random_like(12, 7);
+        let lanes = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
+        assert_eq!(lanes.mode_histogram().0, 0, "got {:?}", lanes.mode_histogram());
+        let scalar_rate = PlannerCosts { madds_per_sec: 7.0e8, ..PlannerCosts::default() };
+        let scalar = plan(&c, 5, 12, true, &scalar_rate, 16).unwrap();
+        let (unfused, _) = scalar.mode_histogram();
+        assert!(unfused * 2 > scalar.segments.len(), "got {:?}", scalar.mode_histogram());
     }
 
     #[test]

@@ -3,26 +3,26 @@
 //! Every kernel body in [`crate::gpu`] has two forms: the scalar
 //! reference (the original per-amplitude loops) and a lane-vectorized path
 //! built on [`qgear_num::simd`] — one body per kernel class, run by both
-//! the full-state and the sweep-tile driver. The vector path engages when
-//! three conditions hold:
-//!
-//! 1. SIMD is enabled ([`simd_enabled`], a process-global toggle the
-//!    differential tests flip to compare the two paths bit for bit);
-//! 2. the kernel's target bits all sit at or above the lane width
-//!    (`log2(LANES)` — 2 for `f64x4`, 3 for `f32x8`), so `LANES`
-//!    consecutive amplitude groups occupy `LANES` consecutive addresses
-//!    and lane loads/stores are contiguous;
-//! 3. there are at least `LANES` groups to fill one lane vector.
-//!
-//! Otherwise the kernel falls back to the scalar path — which doubles as
-//! the remainder/tail handling the differential tier exercises with small
-//! and low-qubit states.
+//! the full-state and the sweep-tile driver. With SIMD enabled
+//! ([`simd_enabled`], a process-global toggle the differential tests flip
+//! to compare the two paths bit for bit) a group kernel runs on lanes
+//! wherever its qubits sit: the lanes of a vector are the `LANES` groups
+//! that differ only in `log2(LANES)` *spectator* bits — span bits the
+//! kernel neither mixes nor reads — so they share one sub-unitary and
+//! each lane carries one group's chain. When the spectators are the
+//! span's lowest bits a column is one contiguous vector load, otherwise
+//! a per-lane gather through a `LANES`-entry offset table
+//! (`dense_block_lanes`). The scalar path is what is left for a span
+//! with fewer than `log2(LANES)` bits to spare — a five-qubit kernel on a
+//! six-qubit state — which is also where the differential tier exercises
+//! it.
 //!
 //! # Bit identity
 //!
 //! The lane operations replicate the exact scalar `Complex` formulas per
 //! lane (see [`qgear_num::simd`]), and the vector kernels accumulate in the
-//! same order over the same operands as the scalar loops. Results are
+//! same order over the same operands as the scalar loops: which groups
+//! share a vector changes, what each group computes does not. Results are
 //! therefore **bitwise identical** in both precisions, which is what lets
 //! the toggle exist at all: flipping it mid-run cannot change any result.
 
@@ -52,7 +52,8 @@ pub(crate) fn lane_log2<T: Scalar>() -> usize {
 }
 
 /// Record one kernel dispatch on the lane path (`kernel.simd.f64x4` /
-/// `kernel.simd.f32x8`) or the scalar fallback (`kernel.simd.scalar`).
+/// `kernel.simd.f32x8`) or the scalar one (`kernel.simd.scalar`: SIMD
+/// switched off, or a span too small to have spectator bits).
 #[inline]
 pub(crate) fn record_dispatch<T: Scalar>(vectorized: bool) {
     if vectorized {
@@ -160,59 +161,62 @@ impl<T: Scalar> DiagTable<T> {
     }
 }
 
-/// Apply one dense `dim × dim` kernel to `LANES` consecutive sub-groups
-/// whose bases are `base0 .. base0 + LANES`.
+/// Apply one dense `M × M` kernel to the `LANES` groups of a lane block,
+/// lane `l` being the group at `base + l` (`lane_offs: None`, the lane
+/// bits are the span's lowest) or at `base | lane_offs[l]`.
 ///
-/// `msplat` is the row-major matrix with every entry pre-broadcast to a
-/// lane vector; `offs[c]` is the address offset of kernel-local index `c`
-/// (the OR of the masks selected by `c`'s bits). Accumulation runs in the
-/// same `c = 0..dim` order with the same `mul_add` chain as the scalar
-/// loop, one lane per sub-group, so results are bitwise identical.
+/// `m` is the row-major matrix, each entry broadcast to a lane vector
+/// where it is used (a table of pre-broadcast entries is 64 KiB at
+/// `M = 32` — more than L1 — and measured a sixth slower than
+/// broadcasting from the 8 KiB of scalars); `offs[c]` is the address
+/// offset of kernel-local index `c` (the OR of the masks selected by
+/// `c`'s bits). Accumulation runs in the same `c = 0..M` order with the
+/// same `mul_add` chain as the scalar loop, one lane per group, so
+/// results are bitwise identical. `M` is a constant so the column scratch
+/// is `M` lane vectors, every one loaded before it is read.
 ///
 /// # Safety
-/// Caller guarantees every address `base0 | offs[c] + lane` is in bounds
-/// and not concurrently accessed by another task (distinct amplitude
-/// groups are disjoint, see `GroupKernel::apply_group` in [`crate::gpu`]).
+/// Caller guarantees every address `base | offs[c]` combined with every
+/// lane offset is in bounds and not concurrently accessed by another task
+/// (distinct items are disjoint, see `GroupKernel::apply` in
+/// [`crate::gpu`]), and that `lane_offs`, when given, has `LANES` entries.
 #[inline(always)]
-pub(crate) unsafe fn dense_block_lanes<T: Scalar>(
+pub(crate) unsafe fn dense_block_lanes<T: Scalar, const M: usize>(
     ptr: *mut Complex<T>,
-    base0: usize,
-    msplat: &[T::Lanes],
-    dim: usize,
+    base: usize,
+    m: &[Complex<T>],
     offs: &[usize],
+    lane_offs: Option<&[usize]>,
 ) {
     let zero = T::Lanes::splat(Complex::ZERO);
-    let mut inp = [zero; 64];
-    for c in 0..dim {
-        // SAFETY: the caller's contract — `LANES` in-bounds amplitudes
-        // from `base0 | offs[c]`, owned by this call.
-        inp[c] = unsafe { T::Lanes::load_ptr(ptr.add(base0 | offs[c])) };
+    let mut inp = [zero; M];
+    for c in 0..M {
+        let at = base | offs[c];
+        inp[c] = match lane_offs {
+            // SAFETY: the caller's contract — `LANES` in-bounds
+            // amplitudes from `at`, owned by this call.
+            None => unsafe { T::Lanes::load_ptr(ptr.add(at)) },
+            // SAFETY: as above, lane `l` at its own offset.
+            Some(lane) => T::Lanes::from_fn(|l| unsafe { *ptr.add(at | lane[l]) }),
+        };
     }
-    for r in 0..dim {
+    for (r, row) in m.chunks_exact(M).enumerate() {
         let mut acc = zero;
-        let row = &msplat[r * dim..(r + 1) * dim];
-        for (c, rc) in row.iter().enumerate() {
-            acc = rc.mul_add(inp[c], acc);
+        for c in 0..M {
+            acc = T::Lanes::splat(row[c]).mul_add(inp[c], acc);
         }
-        // SAFETY: same address set as the loads, all of them done.
-        unsafe { acc.store_ptr(ptr.add(base0 | offs[r])) };
+        let at = base | offs[r];
+        match lane_offs {
+            // SAFETY: same address set as the loads, all of them done.
+            None => unsafe { acc.store_ptr(ptr.add(at)) },
+            Some(lane) => {
+                for (l, &off) in lane.iter().enumerate() {
+                    // SAFETY: as above, lane `l` at its own offset.
+                    unsafe { *ptr.add(at | off) = acc.lane(l) };
+                }
+            }
+        }
     }
-}
-
-/// True when a kernel whose sub-group expansion inserts bits at the
-/// positions in `sorted_bits` (ascending) can take the lane path over a
-/// span of `groups` sub-groups: every inserted bit must clear the lane
-/// width so consecutive groups stay address-consecutive, and there must
-/// be at least one full lane vector of groups.
-#[inline(always)]
-pub(crate) fn lanes_ok<T: Scalar>(sorted_bits: &[usize], groups: usize) -> bool {
-    groups >= T::LANES && sorted_bits.first().is_none_or(|&b| b >= lane_log2::<T>())
-}
-
-/// Pre-broadcast a row-major matrix into lane vectors.
-#[inline]
-pub(crate) fn splat_all<T: Scalar>(m: &[Complex<T>]) -> Vec<T::Lanes> {
-    m.iter().map(|&e| T::Lanes::splat(e)).collect()
 }
 
 /// Address offset of each kernel-local index: `offs[c]` ORs together the
@@ -283,15 +287,5 @@ mod tests {
         let table = DiagTable::build(d, &masks, n);
         table.apply(&mut amps, 0);
         assert_eq!(amps, expect);
-    }
-
-    #[test]
-    fn lanes_ok_requires_clear_low_bits_and_full_lanes() {
-        assert!(lanes_ok::<f64>(&[2, 5], 16));
-        assert!(!lanes_ok::<f64>(&[1, 5], 16), "bit 1 is below the f64x4 lane width");
-        assert!(!lanes_ok::<f64>(&[2, 5], 2), "fewer groups than lanes");
-        assert!(!lanes_ok::<f32>(&[2, 5], 16), "f32x8 needs bits ≥ 3");
-        assert!(lanes_ok::<f32>(&[3, 5], 16));
-        assert!(lanes_ok::<f64>(&[], 8), "no inserted bits is trivially contiguous");
     }
 }

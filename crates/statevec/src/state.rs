@@ -1,6 +1,8 @@
 //! State-vector storage and basic linear-algebra queries.
 
+use crate::gpu::{is_low_prefix, min_items};
 use qgear_num::{AlignedVec, Complex, Scalar};
+use rayon::prelude::*;
 
 /// A `2^n`-amplitude quantum state (Eq. 1), generic over precision.
 ///
@@ -97,9 +99,41 @@ impl<T: Scalar> StateVector<T> {
     /// `qubits[j]` maps to bit `j` of the returned distribution's index.
     /// Runs in one pass over the full state.
     pub fn marginal(&self, qubits: &[u32]) -> Vec<T> {
+        self.marginal_as(qubits, T::ZERO, |p| p)
+    }
+
+    /// [`Self::marginal`] with every probability passed through `cast` —
+    /// the sampler's `f64` conversion, made while the value is in hand
+    /// instead of in a second state-sized pass and buffer.
+    pub(crate) fn marginal_as<U: Clone + Send>(
+        &self,
+        qubits: &[u32],
+        zero: U,
+        cast: impl Fn(T) -> U + Sync,
+    ) -> Vec<U> {
         let m = qubits.len();
         assert!(m <= 30, "marginal over too many qubits");
-        let mut out = vec![T::ZERO; 1usize << m];
+        if m != self.num_qubits as usize || !is_low_prefix(qubits) {
+            return self.marginal_by_key(qubits).into_iter().map(cast).collect();
+        }
+        // Every qubit, in order (`measure_all`): the key is the index and
+        // each slot gets exactly one term, so the pass is an element-wise
+        // fill split across the kernel pool — the bits of the general
+        // loop, whose `+0.0 + x` is `x` for every `x ≥ +0.0`.
+        const CHUNK: usize = 4096;
+        let amps = self.amps.as_slice();
+        let mut out = vec![zero; amps.len()];
+        out.par_chunks_mut(CHUNK).with_min_len(min_items::<T>(CHUNK)).enumerate().for_each(|(ci, probs)| {
+            for (p, a) in probs.iter_mut().zip(&amps[ci * CHUNK..]) {
+                *p = cast(a.norm_sqr());
+            }
+        });
+        out
+    }
+
+    /// The general marginal: every amplitude's key assembled bit by bit.
+    fn marginal_by_key(&self, qubits: &[u32]) -> Vec<T> {
+        let mut out = vec![T::ZERO; 1usize << qubits.len()];
         for (i, a) in self.amps.iter().enumerate() {
             let mut key = 0usize;
             for (j, &q) in qubits.iter().enumerate() {
@@ -191,6 +225,36 @@ mod tests {
         assert_eq!(m2.len(), 4);
         for p in m2 {
             assert!((p - 0.25).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn the_measure_all_marginal_is_the_general_loop_bit_for_bit() {
+        fn check<T: Scalar>(n: u32) {
+            // Exact zeros of both signs among the amplitudes.
+            let amps: Vec<Complex<T>> = (0..1usize << n)
+                .map(|i| {
+                    let v = |x: f64| match i % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => x,
+                    };
+                    Complex::new(T::from_f64(v((i as f64 * 0.37).sin())), T::from_f64(v((i as f64 * 0.11).cos())))
+                })
+                .collect();
+            let s = StateVector::from_amplitudes(amps);
+            let all: Vec<u32> = (0..n).collect();
+            let bits = |probs: Vec<T>| probs.iter().map(|p| p.to_f64().to_bits()).collect::<Vec<u64>>();
+            let general = bits(s.marginal_by_key(&all));
+            assert!(bits(s.marginal(&all)) == general, "n = {n} {}", T::PRECISION_NAME);
+            // And with the sampler's conversion made in the same pass.
+            let as_f64: Vec<u64> = s.marginal_as(&all, 0.0, |p| p.to_f64()).iter().map(|p| p.to_bits()).collect();
+            assert!(as_f64 == general, "n = {n} {} as f64", T::PRECISION_NAME);
+        }
+        // n = 3 runs inline; n = 16 is 512 KiB / 1 MiB of state, pooled.
+        for n in [3, 16] {
+            check::<f32>(n);
+            check::<f64>(n);
         }
     }
 

@@ -194,9 +194,9 @@ pub const KERNEL_SIMD_F64X4: &str = "kernel.simd.f64x4";
 /// amplitudes per `f32x8` lane vector).
 pub const KERNEL_SIMD_F32X8: &str = "kernel.simd.f32x8";
 
-/// Kernel launches that fell back to the scalar reference path — SIMD
-/// disabled, lane-incompatible qubit layout (a target bit below the lane
-/// width), or a state too small to fill one lane vector.
+/// Kernel launches that ran the scalar reference path — SIMD disabled,
+/// or a span too small to have `log2(LANES)` bits outside the kernel's
+/// support (a width-5 kernel on a 6-qubit state).
 pub const KERNEL_SIMD_SCALAR: &str = "kernel.simd.scalar";
 
 /// Scratch-arena requests served by reusing a pooled buffer (no

@@ -33,7 +33,7 @@ fn main() {
     let result = qgear.run(&circ).unwrap();
     let counts = result.counts.as_ref().expect("shots were requested");
     println!("\nmeasurement counts ({} shots):", counts.total());
-    for (outcome, count) in counts.sorted() {
+    for (outcome, count) in &counts.map {
         println!("  |{outcome:04b}⟩: {count}");
     }
 

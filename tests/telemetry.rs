@@ -530,9 +530,11 @@ fn backend_selection_and_trajectory_metrics_flow_into_the_json_export() {
 fn simd_and_scratch_metrics_flow_into_the_json_export() {
     let _l = LOCK.lock().unwrap();
 
-    // A 10-qubit QFT under narrow fusion: blocks land on high qubits
-    // (lane path) and low qubits (scalar fallback), and multi-kernel
-    // sweeps exercise the scratch arena.
+    // A 10-qubit QFT under narrow fusion: every width-2 kernel has
+    // spectator bits to run on lanes wherever its qubits sit — narrow
+    // sweep tiles are widened for it — and multi-kernel sweeps exercise
+    // the scratch arena. The scalar fallback is what a 3-qubit state
+    // gets: one bit to spare, and `f64x4` needs two.
     let opts = RunOptions { fusion_width: 2, sweep_width: 3, ..Default::default() };
     let run = |simd_on: bool| {
         qgear_statevec::set_simd_enabled(simd_on);
@@ -541,17 +543,18 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
         snap
     };
 
-    let snap = run(true);
+    let lanes_snap = run(true);
     assert!(
-        snap.counter(names::KERNEL_SIMD_F64X4) > 0,
+        lanes_snap.counter(names::KERNEL_SIMD_F64X4) > 0,
         "lane-eligible kernels should record f64x4 dispatches"
     );
-    assert!(
-        snap.counter(names::KERNEL_SIMD_SCALAR) > 0,
-        "low-qubit kernels should record scalar fallback dispatches"
+    assert_eq!(
+        lanes_snap.counter(names::KERNEL_SIMD_SCALAR),
+        0,
+        "a 10-qubit state leaves no group kernel without lane bits"
     );
     assert!(
-        snap.counter(names::SCRATCH_ALLOC) > 0,
+        lanes_snap.counter(names::SCRATCH_ALLOC) > 0,
         "tiled sweeps should allocate scratch through the arena"
     );
 
@@ -562,6 +565,21 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
         "SIMD disabled must not record lane dispatches"
     );
     assert!(scalar_snap.counter(names::KERNEL_SIMD_SCALAR) > 0);
+
+    // One snapshot with both dispatch kinds in it, for the export below.
+    let mut tiny = qgear_ir::Circuit::new(3);
+    tiny.h(0).cx(0, 1).ry(0.3, 2).cx(1, 2);
+    qgear_statevec::arena::clear_thread_pool();
+    qgear_telemetry::reset();
+    qgear_telemetry::enable();
+    let _: RunOutput<f64> = GpuDevice::a100_40gb().run(&qft10(), &opts).expect("run");
+    let _: RunOutput<f64> = GpuDevice::a100_40gb().run(&tiny, &opts).expect("run");
+    qgear_telemetry::disable();
+    let snap = qgear_telemetry::snapshot();
+    assert!(
+        snap.counter(names::KERNEL_SIMD_SCALAR) > 0,
+        "a span with no spare bits should record scalar fallback dispatches"
+    );
 
     // Deterministic arena traffic: on a cleared pool the first request
     // allocates, every same-size request after it is a pool hit.
@@ -666,4 +684,83 @@ fn distributed_exchange_traffic_flows_into_per_class_comm_counters() {
         .filter(|&&cl| traffic.messages[cl as usize] > 0)
         .count();
     assert!(classes_hit >= 1, "at least one link class carried traffic");
+}
+
+/// The lane path's perf gate, as a count that repeats exactly: the four
+/// circuit shapes `benchmark/` serves (`serve_small`'s ladder,
+/// `serve_mixed`'s QFT / random / QCrank image) at fp32 through a default
+/// `Service`, and `sharded_ckpt`'s fp64 QFT over four shards, dispatch no
+/// group kernel on the scalar path. Scalar is what a span with no
+/// spectator bits gets, and no span here is that small — if this fails,
+/// lane eligibility has silently narrowed again and `dense_large` is
+/// about to lose its factor of two and more (docs/PERFORMANCE.md § "SIMD
+/// lanes").
+#[test]
+fn no_benchmark_circuit_shape_dispatches_a_scalar_kernel() {
+    use qgear_num::scalar::Precision;
+    use qgear_serve::{BackendKind, JobSpec, ServeConfig, Service, ShardConfig};
+    use qgear_workloads::random::generate_random_gate_list;
+    use qgear_workloads::{images, QcrankCodec, QcrankConfig, RandomCircuitSpec};
+    let _l = LOCK.lock().unwrap();
+
+    let qft_after_input = |n: u32| {
+        let mut c = qgear_ir::Circuit::new(n);
+        for q in 0..n {
+            c.ry(0.1 + 0.37 * f64::from(q), q);
+        }
+        c.compose(&qft_circuit(n, &QftOptions { measure: true, ..Default::default() }))
+            .expect("same register width");
+        c
+    };
+    let mut ladder = qgear_ir::Circuit::new(10);
+    for layer in 0..4 {
+        for q in 0..10 {
+            ladder.h(q).ry(0.2 + 0.3 * f64::from(q + layer), q);
+        }
+        for q in 0..9 {
+            ladder.cx(q, q + 1);
+        }
+    }
+    ladder.measure_all();
+    let random = generate_random_gate_list(&RandomCircuitSpec {
+        num_qubits: 14,
+        num_blocks: 60,
+        seed: 7,
+        measure: true,
+    });
+    let qcrank = QcrankCodec::new(QcrankConfig { addr_qubits: 8, data_qubits: 4 })
+        .encode_image(&images::synthetic(32, 32, 7));
+    // One worker holds 2^14 fp64 amplitudes: n = 16 runs over four shards.
+    let four_shards = ServeConfig {
+        workers: 1,
+        backend: BackendKind::Gpu(GpuDevice { memory_bytes: (1 << 14) * 16, ..GpuDevice::a100_40gb() }),
+        shard: Some(ShardConfig::default()),
+        ..Default::default()
+    };
+    let cases = [
+        ("ladder-10x4", ladder, Precision::Fp32, ServeConfig::default()),
+        ("qft-13", qft_after_input(13), Precision::Fp32, ServeConfig::default()),
+        ("random-14x60", random, Precision::Fp32, ServeConfig::default()),
+        ("qcrank 8+4", qcrank, Precision::Fp32, ServeConfig::default()),
+        ("qft-16 over 4 shards", qft_after_input(16), Precision::Fp64, four_shards),
+    ];
+    for (what, circuit, precision, config) in cases {
+        qgear_telemetry::reset();
+        qgear_telemetry::enable();
+        let service = Service::start(config);
+        let spec = JobSpec::new(circuit).shots(100).precision(precision);
+        let id = service.submit(spec).job_id().expect("accepted");
+        let done = service.wait(id).expect("outcome").is_completed();
+        service.shutdown();
+        qgear_telemetry::disable();
+        let snap = qgear_telemetry::snapshot();
+        qgear_telemetry::reset();
+        assert!(done, "{what}: completed");
+        let lanes = snap.counter(match precision {
+            Precision::Fp32 => names::KERNEL_SIMD_F32X8,
+            Precision::Fp64 => names::KERNEL_SIMD_F64X4,
+        });
+        assert!(lanes > 0, "{what}: kernels dispatched on lanes");
+        assert_eq!(snap.counter(names::KERNEL_SIMD_SCALAR), 0, "{what}: scalar dispatches");
+    }
 }
