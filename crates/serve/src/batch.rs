@@ -1,16 +1,18 @@
 //! Shape-aware batch coalescing: configuration, compatibility keys and
 //! the per-batch audit record.
 //!
-//! The coalescer groups admitted Dense jobs whose canonical circuits
-//! share a *structural fingerprint* ([`qgear_ir::ShapeDigest`]: same gate
-//! kinds on the same operands in the same order, parameters free) and
-//! the same numeric precision, and flushes each group to one worker as
-//! one dispatch. That is all batching is here — a dispatch decision. The
-//! worker runs the members one after another, each on the stepper and
-//! kernels a solo dense job runs on, with its own parameter values, its
-//! own amplitudes and its own domain-separated sampling seed. Measured
-//! host wall is batch-neutral (`serve_small` in `benchmark/`), and no
-//! modeled price for a batch is kept (docs/SERVING.md).
+//! The coalescer groups admitted jobs whose canonical circuits share a
+//! *structural fingerprint* ([`qgear_ir::ShapeDigest`]: same gate kinds
+//! on the same operands in the same order, parameters free) and the same
+//! numeric precision, and flushes each group to one worker. That is all
+//! batching is here — a dispatch decision. The worker serves the members
+//! one after another, each down the road a lone job takes: the same
+//! precheck, the same attempt loop (cancel at the attempt boundary,
+//! retries, worker death, checkpoint resume, panic containment) and the
+//! same stepper and kernels, with its own parameter values, its own
+//! amplitudes and its own sampling seed. Measured host wall is
+//! batch-neutral (`serve_small` in `benchmark/`), and no modeled price
+//! for a batch is kept (docs/SERVING.md).
 //!
 //! **Invariant — batching is invisible in results.** A member's
 //! amplitudes, counts, cache entries and outcome are bit-identical to
@@ -27,11 +29,10 @@ use qgear_num::scalar::Precision;
 
 /// Coalescer tuning, part of `ServeConfig`.
 ///
-/// Batching is enabled when `max_size >= 2`, the backend is the
-/// simulated GPU, and segmented (checkpointed) execution is off — batch
-/// members run straight through and the only death a batch replays falls
-/// between members, so the two features are mutually exclusive by
-/// construction.
+/// Batching is enabled when `max_size >= 2`, on any backend and with any
+/// other setting — checkpointing included: a flush member is served
+/// through the attempt loop a lone job takes, so nothing about how a job
+/// executes depends on whether it was coalesced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Largest batch the coalescer will form; `0` or `1` disables
@@ -85,18 +86,21 @@ pub enum BatchMemberDisposition {
     CacheHit,
     /// Re-sampled from a cached marginal distribution; never executed.
     StateCacheHit,
-    /// Ran on the flush's worker and published its own terminal outcome:
-    /// a fresh result, or `Failed` if its run errored — which never
-    /// touches its batch-mates.
+    /// Entered the attempt loop and published its own outcome: a fresh
+    /// result, `Cancelled` at an attempt boundary (a cancel that landed
+    /// after the flush's precheck), or `Failed` (its run errored,
+    /// panicked or exhausted its retries) — which never touches its
+    /// batch-mates.
     Executed,
-    /// Cancellation had been requested before the batch executed; the
+    /// Cancellation had been requested before the flush's precheck; the
     /// member was masked out (published `Cancelled`) without aborting
     /// its batch-mates.
     MaskedCancelled,
     /// The member's deadline had passed by dispatch; masked out
     /// (published `Expired`) without aborting its batch-mates.
     MaskedExpired,
-    /// A mid-batch worker death landed before this member's result was
+    /// A worker death — in this member's own attempt loop, or in one run
+    /// before it in the flush — landed before this member's result was
     /// published; the member was requeued individually with its
     /// cumulative attempt ledger intact.
     Requeued,

@@ -1,71 +1,25 @@
-//! Deterministic fault injection: rate-based transient strikes plus a
-//! declarative schedule of targeted failures.
+//! Deterministic fault injection: one fault script of targeted failures
+//! plus an optional background rate of transient strikes.
 //!
 //! Real mQPU farms see transient device failures (ECC retirements, NVLink
 //! hiccups, preempted containers); the serving layer must retry through
-//! them. To keep the test suite and the saturation bench reproducible,
-//! faults here are a pure function of `(plan seed, job id, attempt)` —
-//! the same plan always strikes the same attempts, regardless of thread
-//! interleaving.
+//! them. To keep the test suite reproducible, faults here are a pure
+//! function of `(seed, job id, attempt)` — the same script always strikes
+//! the same attempts, regardless of thread interleaving.
 //!
-//! Two layers:
-//!
-//! * [`FaultPlan`] — per-attempt independent transient strikes at a
-//!   configured rate, for statistical stress (the saturation bench).
-//! * [`FaultSchedule`] — an explicit list of [`FaultEvent`]s pinning a
-//!   specific [`FaultKind`] to a specific `(job, attempt)` pair, for the
-//!   deterministic simulation harness: worker death mid-job, a corrupted
-//!   cache entry, or a targeted transient strike (e.g. one injected
-//!   *during* another job's backoff window). Scheduled events take
-//!   precedence over the rate plan at the same coordinates.
+//! [`FaultSchedule`] is the one script. Its explicit list of
+//! [`FaultEvent`]s pins a specific [`FaultKind`] to a specific
+//! `(job, attempt)` pair, for the deterministic simulation harness:
+//! worker death mid-job, a corrupted cache entry, a panic, or a targeted
+//! transient strike (e.g. one injected *during* another job's backoff
+//! window). [`FaultSchedule::with_rate`] adds independent per-attempt
+//! transient strikes at a configured rate, for statistical stress.
+//! [`FaultSchedule::at`] answers both; a scheduled event outranks the
+//! rate at the same coordinates.
 
-/// A reproducible plan of injected transient device faults.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Probability in `[0, 1]` that any given attempt faults.
-    pub rate: f64,
-    /// Seed decorrelating this plan from others at the same rate.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// No faults ever — the default for production-like runs.
-    pub const fn none() -> Self {
-        FaultPlan { rate: 0.0, seed: 0 }
-    }
-
-    /// Fault each attempt independently with probability `rate`.
-    pub const fn with_rate(rate: f64, seed: u64) -> Self {
-        FaultPlan { rate, seed }
-    }
-
-    /// Does this plan strike `attempt` (0-based) of `job_id`?
-    pub fn strikes(&self, job_id: u64, attempt: u32) -> bool {
-        if self.rate <= 0.0 {
-            return false;
-        }
-        if self.rate >= 1.0 {
-            return true;
-        }
-        let mixed = splitmix64(
-            self.seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(job_id)
-                .wrapping_add((u64::from(attempt)) << 48),
-        );
-        // Top 53 bits → uniform f64 in [0, 1).
-        let unit = (mixed >> 11) as f64 / (1u64 << 53) as f64;
-        unit < self.rate
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
-}
-
-/// What an injected fault does to the attempt it strikes.
+/// What an injected fault does to the attempt it strikes. Every kind acts
+/// the same on a lone job and on a member of a coalesced flush: both take
+/// the one attempt loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The attempt fails transiently; the worker backs off and retries
@@ -73,16 +27,19 @@ pub enum FaultKind {
     Transient,
     /// The worker dies mid-job: the job is requeued at the front of its
     /// tenant queue with its attempt ledger intact, and a (logically
-    /// fresh) worker picks it up. Does not consume a retry.
+    /// fresh) worker picks it up. In a flush, every member not yet run
+    /// is requeued with it, each charged the dying dispatch. Does not
+    /// consume a retry.
     WorkerDeath,
     /// The job's full-result cache entry is corrupted: the probe detects
     /// it, invalidates the entry, and falls through to a cold run.
     CorruptCache,
     /// The worker dies *mid-run*, after completing `after_segments`
     /// segments of segmented execution (so any checkpoints taken at
-    /// earlier segment boundaries survive). On a backend without
-    /// segmented execution this degrades to [`FaultKind::WorkerDeath`]
-    /// at the attempt boundary. Does not consume a retry.
+    /// earlier segment boundaries survive). Outside segmented dense
+    /// execution (checkpointing off, the CPU backend, any other engine)
+    /// this degrades to [`FaultKind::WorkerDeath`] at the attempt
+    /// boundary. Does not consume a retry.
     WorkerDeathMidRun {
         /// Segments the attempt completes before the worker dies
         /// (≥ 1; the death lands strictly inside the run).
@@ -98,20 +55,11 @@ pub enum FaultKind {
         /// Zero-based per-job generation number to corrupt.
         generation: u32,
     },
-    /// The worker dies while publishing a *batch* containing the struck
-    /// member: results for `after_members` executing members (in batch
-    /// order) are published first, then the worker dies and every
-    /// not-yet-published executing member is requeued individually at
-    /// the front of its tenant queue with its cumulative attempt ledger
-    /// intact. When the struck dispatch runs solo (batching disabled, or
-    /// the member coalesced alone) this degrades to
-    /// [`FaultKind::WorkerDeath`] at the attempt boundary. Does not
-    /// consume a retry.
-    WorkerDeathMidBatch {
-        /// Executing members whose results are published before the
-        /// death lands (0 = the batch dies before publishing anything).
-        after_members: u32,
-    },
+    /// The engine call panics — the stand-in for a kernel or engine bug.
+    /// The attempt loop contains it: the job ends
+    /// `Failed(ServeError::Panicked)`, is not retried, and the worker goes
+    /// on to its next job (in a flush, its next member).
+    Panic,
     /// One worker of a *shard group* dies after the group completes
     /// `after_segments` segments of sharded execution. The whole
     /// partitioned run is torn down (a shard is useless alone), the job
@@ -158,22 +106,35 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A declarative fault script layered over a rate-based [`FaultPlan`].
+/// The one fault script: scheduled events plus an optional background
+/// rate of transient strikes.
 ///
-/// `events_for` answers the explicit script; the service consults it
-/// before the plan, so a schedule can both add faults a rate plan never
-/// produces (worker death, cache corruption) and pin down exactly which
-/// attempts strike — the property the simulation harness's replay and
-/// shrinking machinery relies on.
+/// [`FaultSchedule::at`] is the lookup the attempt loop makes. A schedule
+/// both adds faults a rate never produces (worker death, cache
+/// corruption, panics) and pins down exactly which attempts strike — the
+/// property the simulation harness's replay and shrinking machinery
+/// relies on.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
+    /// Probability in `[0, 1]` that any given attempt strikes
+    /// transiently.
+    rate: f64,
+    /// Seed decorrelating the rate's strikes from another schedule's at
+    /// the same rate.
+    seed: u64,
 }
 
 impl FaultSchedule {
-    /// An empty schedule (only the rate plan applies).
+    /// No faults ever — the default for production-like runs.
     pub fn none() -> Self {
         FaultSchedule::default()
+    }
+
+    /// Strike each attempt transiently, independently, with probability
+    /// `rate`; add targeted events with [`FaultSchedule::with_event`].
+    pub fn with_rate(rate: f64, seed: u64) -> Self {
+        FaultSchedule { events: Vec::new(), rate, seed }
     }
 
     /// Builder: add one scheduled fault.
@@ -192,16 +153,49 @@ impl FaultSchedule {
         &self.events
     }
 
+    /// The fault that strikes `attempt` (0-based, cumulative across
+    /// worker deaths) of `job`, if any: the first event scheduled there
+    /// that acts at the attempt boundary, else a rate strike
+    /// ([`FaultKind::Transient`]). [`FaultKind::CorruptCache`] is consumed
+    /// at the cache probe and [`FaultKind::CorruptCheckpoint`] at the
+    /// checkpoint write, so neither is answered here.
+    pub fn at(&self, job: u64, attempt: u32) -> Option<FaultKind> {
+        self.events_for(job, attempt)
+            .find(|kind| {
+                !matches!(kind, FaultKind::CorruptCache | FaultKind::CorruptCheckpoint { .. })
+            })
+            .or_else(|| self.strikes(job, attempt).then_some(FaultKind::Transient))
+    }
+
     /// All scheduled faults for `(job, attempt)`, in insertion order.
     /// Multiple events at the same coordinates compose: e.g. a
     /// [`FaultKind::WorkerDeathMidRun`] paired with a
     /// [`FaultKind::CorruptCheckpoint`] models "the worker dies and the
     /// checkpoint it just wrote is torn".
-    pub fn events_for(&self, job: u64, attempt: u32) -> impl Iterator<Item = FaultKind> + '_ {
+    fn events_for(&self, job: u64, attempt: u32) -> impl Iterator<Item = FaultKind> + '_ {
         self.events
             .iter()
             .filter(move |e| e.job == job && e.attempt == attempt)
             .map(|e| e.kind)
+    }
+
+    /// Does the background rate strike `attempt` of `job`?
+    fn strikes(&self, job: u64, attempt: u32) -> bool {
+        if self.rate <= 0.0 {
+            return false;
+        }
+        if self.rate >= 1.0 {
+            return true;
+        }
+        let mixed = splitmix64(
+            self.seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(job)
+                .wrapping_add((u64::from(attempt)) << 48),
+        );
+        // Top 53 bits → uniform f64 in [0, 1).
+        let unit = (mixed >> 11) as f64 / (1u64 << 53) as f64;
+        unit < self.rate
     }
 
     /// True when `job`'s cache probe is scheduled to find corruption.
@@ -237,28 +231,28 @@ mod tests {
 
     #[test]
     fn deterministic_across_calls() {
-        let plan = FaultPlan::with_rate(0.3, 42);
+        let schedule = FaultSchedule::with_rate(0.3, 42);
         for job in 0..50u64 {
             for attempt in 0..4 {
-                assert_eq!(plan.strikes(job, attempt), plan.strikes(job, attempt));
+                assert_eq!(schedule.at(job, attempt), schedule.at(job, attempt));
             }
         }
     }
 
     #[test]
     fn rate_extremes() {
-        let never = FaultPlan::none();
-        let always = FaultPlan::with_rate(1.0, 7);
+        let never = FaultSchedule::none();
+        let always = FaultSchedule::with_rate(1.0, 7);
         for job in 0..20u64 {
-            assert!(!never.strikes(job, 0));
-            assert!(always.strikes(job, 0));
+            assert_eq!(never.at(job, 0), None);
+            assert_eq!(always.at(job, 0), Some(FaultKind::Transient));
         }
     }
 
     #[test]
     fn empirical_rate_tracks_requested_rate() {
-        let plan = FaultPlan::with_rate(0.25, 1234);
-        let strikes = (0..4000u64).filter(|&j| plan.strikes(j, 0)).count();
+        let schedule = FaultSchedule::with_rate(0.25, 1234);
+        let strikes = (0..4000u64).filter(|&j| schedule.at(j, 0).is_some()).count();
         let rate = strikes as f64 / 4000.0;
         assert!((rate - 0.25).abs() < 0.05, "empirical rate {rate}");
     }
@@ -296,6 +290,21 @@ mod tests {
             ]
         );
         assert!(schedule.events_for(2, 0).next().is_none());
+        // The attempt boundary answers the first kind that acts there.
+        assert_eq!(schedule.at(2, 1), Some(FaultKind::WorkerDeathMidRun { after_segments: 2 }));
+    }
+
+    #[test]
+    fn a_scheduled_kind_outranks_the_rate_and_corruption_defers_to_it() {
+        let schedule = FaultSchedule::with_rate(1.0, 5)
+            .with_event(0, 0, FaultKind::Panic)
+            .with_event(1, 0, FaultKind::CorruptCache)
+            .with_event(2, 0, FaultKind::CorruptCheckpoint { generation: 0 });
+        assert_eq!(schedule.at(0, 0), Some(FaultKind::Panic));
+        assert_eq!(schedule.at(1, 0), Some(FaultKind::Transient), "the probe consumes it");
+        assert_eq!(schedule.at(2, 0), Some(FaultKind::Transient), "the write consumes it");
+        let unrated = FaultSchedule::none().with_event(1, 0, FaultKind::CorruptCache);
+        assert_eq!(unrated.at(1, 0), None);
     }
 
     #[test]
@@ -329,9 +338,9 @@ mod tests {
     #[test]
     fn attempts_decorrelated() {
         // A struck first attempt must not doom every retry.
-        let plan = FaultPlan::with_rate(0.5, 9);
+        let schedule = FaultSchedule::with_rate(0.5, 9);
         let healed = (0..200u64)
-            .filter(|&j| plan.strikes(j, 0) && !plan.strikes(j, 1))
+            .filter(|&j| schedule.at(j, 0).is_some() && schedule.at(j, 1).is_none())
             .count();
         assert!(healed > 10, "retries should sometimes succeed ({healed})");
     }

@@ -289,6 +289,9 @@ pub enum ServeError {
         /// Attempts made (1 + retries).
         attempts: u32,
     },
+    /// The engine call panicked; the payload's message. Contained by the
+    /// attempt loop and not retried: the worker goes on to its next job.
+    Panicked(String),
 }
 
 impl fmt::Display for ServeError {
@@ -298,6 +301,7 @@ impl fmt::Display for ServeError {
             ServeError::RetriesExhausted { attempts } => {
                 write!(f, "transient device faults on all {attempts} attempts")
             }
+            ServeError::Panicked(msg) => write!(f, "engine panicked: {msg}"),
         }
     }
 }

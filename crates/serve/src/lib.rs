@@ -22,7 +22,8 @@
 //! * **Deadlines, cancellation, retries** — a job whose deadline passes
 //!   while queued is dropped at dispatch ([`JobOutcome::Expired`]);
 //!   queued jobs can be [`Service::cancel`]led; injected transient device
-//!   faults ([`FaultPlan`]) are retried with exponential backoff.
+//!   faults ([`FaultSchedule`]) are retried with exponential backoff, and
+//!   a panicking engine call fails its job, never the worker.
 //! * **Result cache** ([`ResultCache`]) — keyed by a canonical hash of
 //!   the transpiled IR plus shots, seed, precision and fusion width
 //!   ([`CircuitKey`]); a hit returns counts and [`qgear_statevec::ExecStats`]
@@ -69,7 +70,7 @@ pub use batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 pub use cache::{MarginalCache, ResultCache};
 pub use checkpoint_store::{CheckpointGeneration, CheckpointRecord, CheckpointStore};
 pub use event::{EventKind, ServiceEvent};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
+pub use fault::{FaultEvent, FaultKind, FaultSchedule};
 pub use hashkey::CircuitKey;
 pub use job::{
     Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, Priority, ServeError,

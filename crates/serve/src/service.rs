@@ -11,13 +11,13 @@
 //! Every dispatch takes one road (docs/SERVING.md, "Dispatch
 //! lifecycle"): `precheck` → attempt loop → the stepper driver
 //! (`stepper.rs`) or a whole-run engine → `sample_and_package` →
-//! `publish_outcome`. A flushed batch takes it once per member.
+//! `publish_outcome`. A coalesced flush takes it once per member.
 
 use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
 use crate::checkpoint_store::CheckpointStore;
 use crate::event::{EventKind, ServiceEvent};
-use crate::fault::{FaultKind, FaultPlan, FaultSchedule};
+use crate::fault::{FaultKind, FaultSchedule};
 use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
 use crate::pool::{PoolConfig, PoolDecision};
@@ -41,7 +41,9 @@ use qgear_statevec::{
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_add, counter_inc, histogram_record, span};
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -144,11 +146,11 @@ pub struct ServeConfig {
     /// (shots/seed) skip simulation entirely and re-sample the
     /// cached exact marginal — bit-identical to a cold run.
     pub state_cache_capacity: usize,
-    /// Injected transient-fault plan (defaults to no faults).
-    pub fault: FaultPlan,
-    /// Declarative fault script (worker death, cache corruption,
-    /// targeted transient strikes) consulted before `fault`. Defaults
-    /// to empty; the deterministic simulation harness is its main user.
+    /// The fault script: scheduled worker deaths, cache and checkpoint
+    /// corruption, panics and targeted transient strikes, plus an
+    /// optional background rate of transient strikes
+    /// ([`FaultSchedule::with_rate`]). Defaults to no faults; the
+    /// deterministic simulation harness is its main user.
     pub schedule: FaultSchedule,
     /// Default retry budget per job (overridable per [`JobSpec`]).
     pub max_retries: u32,
@@ -165,9 +167,10 @@ pub struct ServeConfig {
     /// How admission chooses among execution engines (dense state
     /// vector, stabilizer tableau, trajectory fans).
     pub selection: SelectionPolicy,
-    /// Shape-aware batch coalescing (defaults to disabled). Effective
-    /// only on the GPU backend with segmented execution off; see
-    /// [`BatchConfig`] for why the two are mutually exclusive.
+    /// Shape-aware batch coalescing (defaults to disabled). A flush is
+    /// its members served one after another on one worker, each down the
+    /// road a lone job takes, so it combines with every other setting
+    /// here; see [`BatchConfig`].
     pub batch: BatchConfig,
     /// Sharded execution for jobs beyond one worker's memory (defaults
     /// to `None` = such jobs stay [`Admission::RejectedInfeasible`]).
@@ -193,7 +196,6 @@ impl Default for ServeConfig {
             checkpoint_generations: 4,
             cache_capacity: 256,
             state_cache_capacity: 64,
-            fault: FaultPlan::none(),
             schedule: FaultSchedule::none(),
             max_retries: 3,
             retry_backoff: Duration::from_millis(1),
@@ -532,8 +534,7 @@ enum Precheck {
     /// cache); the outcome is still to be published. The disposition is
     /// what the flush's batch event records for a member that ended here.
     Resolved(JobOutcome, BatchMemberDisposition),
-    /// Must execute: enters the attempt loop (solo) or its batch's
-    /// member loop.
+    /// Must execute: enters the attempt loop.
     Execute { queue_wait: Duration },
 }
 
@@ -547,6 +548,8 @@ pub(crate) struct Injected {
     pub(crate) lost_shard: u32,
     /// `(exchange, corrupt)`: fail that pairwise exchange, once.
     pub(crate) link_fault: Option<(u32, bool)>,
+    /// Panic inside the engine call.
+    pub(crate) panic: bool,
 }
 
 /// Book one job handed to a worker — its dispatch event and in-flight
@@ -563,14 +566,15 @@ fn record_dispatch(shared: &Shared, st: &mut State, job: &QueuedJob) {
     histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
 }
 
-/// One worker: pop → (precheck, execute with retries) → publish outcome.
-/// Exits when shutdown is flagged *and* the queue has drained, so
-/// accepted jobs are never abandoned. An injected worker death requeues
-/// the job at the front of its tenant queue and the thread continues as
-/// its own (logically fresh) replacement.
+/// One worker: pop a leader → [`coalesce`] → [`serve_flush`]. Exits when
+/// shutdown is flagged *and* the queue has drained, so accepted jobs are
+/// never abandoned, or when the elastic pool retires it. An injected
+/// worker death requeues the stranded jobs at the front of their tenant
+/// queues and the thread continues as its own (logically fresh)
+/// replacement.
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let leader = {
             let mut st = shared.lock();
             loop {
                 if let Some(job) = st.queue.pop_next() {
@@ -583,40 +587,17 @@ fn worker_loop(shared: &Shared) {
                 st = shared.jobs_cv.wait(st).expect("serve state poisoned");
             }
         };
-        if batching_enabled(&shared.cfg) && batch_eligible(&shared.cfg, &job) {
-            let formed_at = shared.cfg.clock.now();
-            let members = coalesce(shared, job, formed_at);
-            serve_batch(shared, members, formed_at);
-            continue;
-        }
-        let step = match precheck(shared, &job) {
-            Precheck::Resolved(outcome, _) => ServeStep::Outcome(outcome),
-            Precheck::Execute { queue_wait } => attempt_loop(shared, &job, queue_wait),
-        };
-        if finish_dispatch(shared, job, step, true) {
+        let (members, formed_at) = coalesce(shared, leader);
+        if serve_flush(shared, members, formed_at) {
             return;
         }
     }
 }
 
-/// Settle one dispatch: publish its terminal outcome, or requeue it
-/// after a worker death. Returns `true` when the calling worker must
-/// retire (see [`pool_retire`]).
-fn finish_dispatch(shared: &Shared, mut job: QueuedJob, step: ServeStep, solo: bool) -> bool {
-    match step {
-        ServeStep::Outcome(outcome) => publish_outcome(shared, job.id, outcome, solo),
-        ServeStep::WorkerDied { attempts_consumed } => {
-            job.attempts_made = attempts_consumed;
-            requeue_after_death(shared, vec![job]);
-            false
-        }
-    }
-}
-
-/// Publish a terminal outcome for one dispatched job. Only a `solo`
-/// dispatch may retire its worker — a batch worker still holds the rest
-/// of its flush — and the verdict is returned.
-fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, solo: bool) -> bool {
+/// Publish a terminal outcome for one dispatched job. Only the `last`
+/// publish of a flush may retire its worker — before it the worker still
+/// holds the rest of its flush — and the verdict is returned.
+fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, last: bool) -> bool {
     let now = shared.cfg.clock.now();
     let mut st = shared.lock();
     st.outcomes.insert(id.0, (outcome, now));
@@ -625,16 +606,16 @@ fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, solo: bool) 
     // whatever the outcome was.
     st.checkpoints.clear(id.0);
     st.in_flight -= 1;
-    let retire = solo && pool_retire(shared, &mut st);
+    let retire = last && pool_retire(shared, &mut st);
     drop(st);
     shared.done_cv.notify_all();
     retire
 }
 
-/// One worker death, however many dispatched jobs it stranded (a solo
-/// job, or the unpublished members of a batch — possibly none): each
-/// goes back to the front of its tenant queue with the attempt ledger
-/// the caller already advanced past the dying dispatch.
+/// One worker death, however many dispatched jobs it stranded (a lone
+/// job, or the struck member of a flush and every member not yet run):
+/// each goes back to the front of its tenant queue with the attempt
+/// ledger the caller already advanced past the dying dispatch.
 fn requeue_after_death(shared: &Shared, stranded: Vec<QueuedJob>) {
     counter_inc(names::SERVE_WORKER_DEATHS);
     let mut st = shared.lock();
@@ -691,9 +672,9 @@ fn backoff_with_cancel(shared: &Shared, id: JobId, backoff: Duration) -> bool {
     }
 }
 
-/// The dispatch prologue, run exactly once per dispatch whether the job
-/// goes solo or rides a batch: cancel → deadline → result cache →
-/// marginal cache. A job that resolves here opens its own `serve_job`
+/// The dispatch prologue, run exactly once per dispatch, for a lone job
+/// and for every member of a flush alike: cancel → deadline → result
+/// cache → marginal cache. A job that resolves here opens its own `serve_job`
 /// span (the executing paths open theirs), so span accounting stays one
 /// span per dispatch.
 fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
@@ -701,9 +682,9 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     let queue_wait = clock.now().saturating_sub(job.submitted_at);
     histogram_record(names::SERVE_QUEUE_WAIT_MS, queue_wait.as_secs_f64() * 1e3);
 
-    // A cancel that raced the dispatch (or landed before the batch
-    // flushed): honour it before doing work. A batch member masked out
-    // here never aborts its batch-mates.
+    // A cancel that raced the dispatch (or landed before the flush):
+    // honour it before doing work. A member masked out here never aborts
+    // its batch-mates.
     if cancel_requested(shared, job.id) {
         let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_CANCELLED);
@@ -807,8 +788,8 @@ fn complete(shared: &Shared, job: &QueuedJob, mut result: JobResult) -> JobOutco
     JobOutcome::Completed(Box::new(result))
 }
 
-/// The epilogue of a fresh execution (solo attempt or batch member):
-/// feed both caches, then [`complete`].
+/// The epilogue of a fresh execution: feed both caches, then
+/// [`complete`].
 fn complete_fresh(
     shared: &Shared,
     job: &QueuedJob,
@@ -835,9 +816,10 @@ fn complete_fresh(
     complete(shared, job, result)
 }
 
-/// The cold path of one dispatch, entered after [`precheck`]: execute
-/// with retry-with-backoff against injected faults, to a terminal
-/// outcome or a worker death.
+/// The cold path of one dispatch — a lone job or one member of a flush —
+/// entered after [`precheck`]: execute with retry-with-backoff against
+/// injected faults, to a terminal outcome or a worker death. A panic in
+/// the engine call is contained here and fails the job.
 fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> ServeStep {
     let _job_span = span!(spans::SERVE_JOB);
     // `attempt` is the 0-based *global* attempt index, seeded from the
@@ -857,33 +839,13 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
             return ServeStep::Outcome(JobOutcome::Cancelled);
         }
         let _attempt_span = span!(spans::SERVE_ATTEMPT);
-        // Scheduled events out-rank the rate plan at the same coordinates.
-        // Multiple events can share an attempt (the composed "die *and*
-        // corrupt the checkpoint" scenarios): only the first
-        // execution-relevant kind decides this attempt's fate here —
-        // `CorruptCache` is consumed at the cache probe and
-        // `CorruptCheckpoint` at the checkpoint write, so both are inert
-        // at the attempt boundary.
-        let fault = shared
-            .cfg
-            .schedule
-            .events_for(job.id.0, attempt)
-            .find(|kind| {
-                !matches!(kind, FaultKind::CorruptCache | FaultKind::CorruptCheckpoint { .. })
-            })
-            .or_else(|| {
-                shared.cfg.fault.strikes(job.id.0, attempt).then_some(FaultKind::Transient)
-            });
         let sharded = job.engine == Engine::Sharded;
-        let injected = match fault {
-            // The plain deaths, and every fault whose own machinery this
+        let injected = match shared.cfg.schedule.at(job.id.0, attempt) {
+            // The plain death, and every death whose own machinery this
             // dispatch lacks, degrading as documented on the variants: a
-            // batch fault striking a solo dispatch; a shard death with no
-            // group to tear down; a mid-run death where there are no
-            // segment boundaries to die at.
-            Some(FaultKind::WorkerDeath | FaultKind::WorkerDeathMidBatch { .. }) => {
-                return died(attempt);
-            }
+            // shard death with no group to tear down; a mid-run death
+            // where there are no segment boundaries to die at.
+            Some(FaultKind::WorkerDeath) => return died(attempt),
             Some(FaultKind::ShardWorkerDeath { .. }) if !sharded => return died(attempt),
             Some(FaultKind::WorkerDeathMidRun { .. })
                 if !(segmented_enabled(&shared.cfg) && job.engine == Engine::Dense) =>
@@ -900,9 +862,11 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
             Some(FaultKind::WorkerDeathMidRun { after_segments }) => {
                 Injected { die_after: Some(after_segments), ..Injected::default() }
             }
-            Some(FaultKind::ShardWorkerDeath { shard, after_segments }) => {
-                Injected { die_after: Some(after_segments), lost_shard: shard, link_fault: None }
-            }
+            Some(FaultKind::ShardWorkerDeath { shard, after_segments }) => Injected {
+                die_after: Some(after_segments),
+                lost_shard: shard,
+                ..Injected::default()
+            },
             // A link fault costs a retry (the partial segment's work is
             // discarded), but recovery happens *inside* the same
             // dispatch: the run restores the newest verified generation
@@ -933,14 +897,20 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
                 }
                 continue;
             }
+            Some(FaultKind::Panic) => Injected { panic: true, ..Injected::default() },
             Some(FaultKind::CorruptCache | FaultKind::CorruptCheckpoint { .. }) | None => {
                 Injected::default()
             }
         };
-        break match run_attempt(shared, job, &injected) {
-            Ok(Attempt::Finished(done)) => Ok(*done),
-            Ok(Attempt::Died) => return died(attempt),
-            Err(err) => Err(ServeError::Sim(err)),
+        // Only the engine call is guarded: a panic there (a kernel bug,
+        // re-raised on this thread by the kernel pool) fails this job and
+        // leaves the worker, its in-flight slot and the queue intact.
+        let run = panic::catch_unwind(AssertUnwindSafe(|| run_attempt(shared, job, &injected)));
+        break match run {
+            Ok(Ok(Attempt::Finished(done))) => Ok(*done),
+            Ok(Ok(Attempt::Died)) => return died(attempt),
+            Ok(Err(err)) => Err(ServeError::Sim(err)),
+            Err(payload) => Err(ServeError::Panicked(panic_message(payload))),
         };
     };
 
@@ -951,6 +921,16 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
         Err(err) => {
             counter_inc(names::SERVE_JOBS_FAILED);
             ServeStep::Outcome(JobOutcome::Failed(err))
+        }
+    }
+}
+
+/// The message a panic carried, for [`ServeError::Panicked`].
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => {
+            payload.downcast_ref::<&str>().map_or("non-string panic payload", |m| m).to_owned()
         }
     }
 }
@@ -978,51 +958,27 @@ fn segmented_enabled(cfg: &ServeConfig) -> bool {
     cfg.checkpoint_interval > 0 && matches!(cfg.backend, BackendKind::Gpu(_))
 }
 
-/// Whether the coalescer may form batches at all: opted in via
-/// [`ServeConfig::batch`], GPU backend only (members run one after
-/// another on the dense engine's stepper), and never together with
-/// segmented execution — batch members run straight through (the only
-/// death a batch replays is `WorkerDeathMidBatch`, *between* members),
-/// so checkpoint generations would be written and never resumed.
-fn batching_enabled(cfg: &ServeConfig) -> bool {
-    cfg.batch.enabled()
-        && cfg.checkpoint_interval == 0
-        && matches!(cfg.backend, BackendKind::Gpu(_))
-}
-
-/// Whether this dispatch may enter a batch: the dense engine, with no
-/// fault scheduled at its current attempt coordinates that only the solo
-/// retry loop can replay (transient strikes back off and retry; solo
-/// worker deaths requeue from inside the attempt loop).
-/// [`FaultKind::WorkerDeathMidBatch`] is the batch fault and stays
-/// eligible — the batch publisher consumes it.
-fn batch_eligible(cfg: &ServeConfig, job: &QueuedJob) -> bool {
-    if job.engine != Engine::Dense {
-        return false;
-    }
-    if cfg.fault.strikes(job.id.0, job.attempts_made) {
-        return false;
-    }
-    !cfg.schedule.events_for(job.id.0, job.attempts_made).any(|kind| {
-        matches!(
-            kind,
-            FaultKind::Transient | FaultKind::WorkerDeath | FaultKind::WorkerDeathMidRun { .. }
-        )
-    })
-}
-
-/// Pull shape-compatible, batch-eligible jobs out of the admission queue
-/// behind `leader` until the batch fills, the queue drains, shutdown
+/// Pull jobs with the leader's [`BatchKey`] out of the admission queue
+/// behind `leader` until the flush fills, the queue drains, shutdown
 /// begins, or the coalescing window closes. The window opens when the
 /// leader is popped and is clipped by every member's deadline instant,
 /// so coalescing never waits a member into expiry — a deadline that
-/// would land inside the window flushes the batch early instead.
-/// Each pulled mate gets its dispatch record and in-flight slot under
-/// the same lock that popped it, exactly like a solo dispatch.
-fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<QueuedJob> {
+/// would land inside the window flushes early instead. Each pulled mate
+/// gets its dispatch record and in-flight slot under the same lock that
+/// popped it, exactly like the leader.
+///
+/// Returns the flush and, with batching on, the service-clock instant
+/// coalescing began. With batching off the flush is the leader alone:
+/// no lock, no clock reading, `None`.
+fn coalesce(shared: &Shared, leader: QueuedJob) -> (Vec<QueuedJob>, Option<Duration>) {
+    let batch = shared.cfg.batch;
+    if !batch.enabled() {
+        return (vec![leader], None);
+    }
     let clock = shared.cfg.clock.as_ref();
+    let formed_at = clock.now();
     let key = BatchKey { shape: leader.shape.0, precision: leader.spec.precision };
-    let mut end = formed_at.saturating_add(shared.cfg.batch.window);
+    let mut end = formed_at.saturating_add(batch.window);
     if let Some(d) = leader.spec.deadline {
         end = end.min(leader.submitted_at.saturating_add(d));
     }
@@ -1030,11 +986,9 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
     loop {
         {
             let mut st = shared.lock();
-            while members.len() < shared.cfg.batch.max_size {
+            while members.len() < batch.max_size {
                 let mate = st.queue.pop_matching(|j| {
-                    j.shape.0 == key.shape
-                        && j.spec.precision == key.precision
-                        && batch_eligible(&shared.cfg, j)
+                    BatchKey { shape: j.shape.0, precision: j.spec.precision } == key
                 });
                 let Some(mate) = mate else { break };
                 record_dispatch(shared, &mut st, &mate);
@@ -1043,7 +997,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
                 }
                 members.push(mate);
             }
-            if members.len() >= shared.cfg.batch.max_size || st.queue.is_empty() || st.shutdown {
+            if members.len() >= batch.max_size || st.queue.is_empty() || st.shutdown {
                 break;
             }
         }
@@ -1056,101 +1010,83 @@ fn coalesce(shared: &Shared, leader: QueuedJob, formed_at: Duration) -> Vec<Queu
         let slice = shared.cfg.backoff_slice.max(Duration::from_nanos(1));
         clock.sleep_until(now.saturating_add(slice).min(end));
     }
-    members
+    (members, Some(formed_at))
 }
 
-/// Run one flushed batch to per-member terminal outcomes (or requeues).
+/// Serve one flush — the leader alone, or the mates [`coalesce`] pulled
+/// behind it — to per-member outcomes or requeues. Returns `true` when
+/// the calling worker must retire (see [`pool_retire`]).
 ///
-/// Every member passes the same [`precheck`] a solo dispatch does — all
-/// of them before any executes, so queue waits, deadline verdicts and
-/// cache probes are taken at the flush — and the survivors then run one
-/// after another through [`execute_batch`]. Batching is a dispatch
-/// decision only.
-fn serve_batch(shared: &Shared, members: Vec<QueuedJob>, formed_at: Duration) {
-    let flushed_at = shared.cfg.clock.now();
-    if members.len() >= 2 {
-        counter_inc(names::SERVE_BATCHES_FORMED);
+/// Every member passes [`precheck`] first, all of them before any
+/// executes, so queue waits, deadline verdicts and cache probes are
+/// taken at the flush. The survivors then run one after another through
+/// the [`attempt_loop`] a lone job takes — cancel at the attempt
+/// boundary, retries, worker death, checkpoint resume and panic
+/// containment included. A death on one member strands it and every
+/// member not yet run: one [`requeue_after_death`] puts them all back.
+/// Batching is a dispatch decision only; with it on, the flush is
+/// recorded as one [`EventKind::Batch`].
+fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Duration>) -> bool {
+    if let Some(formed_at) = formed_at {
+        let flushed_at = shared.cfg.clock.now();
+        if members.len() >= 2 {
+            counter_inc(names::SERVE_BATCHES_FORMED);
+        }
+        histogram_record(names::SERVE_BATCH_OCCUPANCY, members.len() as f64);
+        histogram_record(
+            names::SERVE_BATCH_COALESCE_WAIT_MS,
+            flushed_at.saturating_sub(formed_at).as_secs_f64() * 1e3,
+        );
     }
-    histogram_record(names::SERVE_BATCH_OCCUPANCY, members.len() as f64);
-    histogram_record(
-        names::SERVE_BATCH_COALESCE_WAIT_MS,
-        flushed_at.saturating_sub(formed_at).as_secs_f64() * 1e3,
-    );
 
-    let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(members.len());
+    let count = members.len();
+    let mut retire = false;
+    let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(count);
     let mut executing: Vec<(QueuedJob, Duration)> = Vec::new();
-    for job in members {
+    for (i, job) in members.into_iter().enumerate() {
         match precheck(shared, &job) {
             Precheck::Resolved(outcome, disposition) => {
-                publish_outcome(shared, job.id, outcome, false);
+                let last = i + 1 == count && executing.is_empty();
+                retire = publish_outcome(shared, job.id, outcome, last);
                 dispositions.push((job.id.0, disposition));
             }
             Precheck::Execute { queue_wait } => executing.push((job, queue_wait)),
         }
     }
-    execute_batch(shared, executing, &mut dispositions);
-
-    let flush = BatchRecord { members: dispositions, formed_at };
-    shared.record(&mut shared.lock(), EventKind::Batch(flush));
-}
-
-/// Run the surviving members, in batch order, each as its own
-/// straight-through [`run_attempt`] — the stepper a solo dense job runs
-/// on, so a member's amplitudes, counts and `ExecStats` (its own
-/// `elapsed` included) are those of a solo dispatch, and the device only
-/// ever holds one member's state. A member whose run errors is published
-/// `Failed` on its own; its batch-mates proceed.
-///
-/// A scheduled [`FaultKind::WorkerDeathMidBatch`] on any executing
-/// member arms a death after `after_members` results have been
-/// published (batch order): every remaining member is requeued
-/// individually with its cumulative attempt ledger advanced past the
-/// dying dispatch, exactly like a solo worker death.
-fn execute_batch(
-    shared: &Shared,
-    members: Vec<(QueuedJob, Duration)>,
-    dispositions: &mut Vec<(u64, BatchMemberDisposition)>,
-) {
-    // Mid-batch death: the first member (batch order) with a scheduled
-    // `WorkerDeathMidBatch` at its current attempt coordinates arms it.
-    let death = members.iter().find_map(|(job, _)| {
-        shared.cfg.schedule.events_for(job.id.0, job.attempts_made).find_map(|kind| match kind {
-            FaultKind::WorkerDeathMidBatch { after_members } => Some(after_members),
-            _ => None,
-        })
-    });
-
-    let mut published: u32 = 0;
-    let mut stranded: Vec<QueuedJob> = Vec::new();
-    for (mut job, queue_wait) in members {
-        // Every member opens its `serve_job` span, the stranded ones too
-        // — they *were* dispatched; span accounting counts them.
-        let _job_span = span!(spans::SERVE_JOB);
-        if death.is_some_and(|after| published >= after) {
-            dispositions.push((job.id.0, BatchMemberDisposition::Requeued));
-            job.attempts_made += 1;
-            stranded.push(job);
-            continue;
+    let mut executing = executing.into_iter();
+    while let Some((job, queue_wait)) = executing.next() {
+        match attempt_loop(shared, &job, queue_wait) {
+            ServeStep::Outcome(outcome) => {
+                let last = executing.as_slice().is_empty();
+                retire = publish_outcome(shared, job.id, outcome, last);
+                dispositions.push((job.id.0, BatchMemberDisposition::Executed));
+            }
+            ServeStep::WorkerDied { attempts_consumed } => {
+                // The struck member keeps the ledger its loop returned; a
+                // mate never run is charged the dying dispatch. Each
+                // stranded mate still opens its `serve_job` span — it *was*
+                // dispatched, and span accounting counts dispatches.
+                let struck = QueuedJob { attempts_made: attempts_consumed, ..job };
+                let stranded: Vec<QueuedJob> = std::iter::once(struck)
+                    .chain(executing.map(|(mut mate, _)| {
+                        let _job_span = span!(spans::SERVE_JOB);
+                        mate.attempts_made += 1;
+                        mate
+                    }))
+                    .collect();
+                dispositions
+                    .extend(stranded.iter().map(|j| (j.id.0, BatchMemberDisposition::Requeued)));
+                requeue_after_death(shared, stranded);
+                break;
+            }
         }
-        let _attempt_span = span!(spans::SERVE_ATTEMPT);
-        let outcome = match run_attempt(shared, &job, &Injected::default()) {
-            Ok(Attempt::Finished(done)) => {
-                complete_fresh(shared, &job, queue_wait, job.attempts_made + 1, *done)
-            }
-            Ok(Attempt::Died) => unreachable!("no death was injected into the run"),
-            Err(err) => {
-                counter_inc(names::SERVE_JOBS_FAILED);
-                JobOutcome::Failed(ServeError::Sim(err))
-            }
-        };
-        publish_outcome(shared, job.id, outcome, false);
-        dispositions.push((job.id.0, BatchMemberDisposition::Executed));
-        published += 1;
     }
 
-    if death.is_some() {
-        requeue_after_death(shared, stranded);
+    if let Some(formed_at) = formed_at {
+        let flush = BatchRecord { members: dispositions, formed_at };
+        shared.record(&mut shared.lock(), EventKind::Batch(flush));
     }
+    retire
 }
 
 /// The admission decision: which engine runs the job, and the circuit it
@@ -1365,6 +1301,9 @@ pub(crate) type Executed = (Option<Counts>, ExecStats, Option<CachedMarginal>);
 /// fusion_width)` produce bit-identical `Counts` on whichever rung the
 /// ladder lands — the property the caches rely on.
 fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<Attempt, SimError> {
+    if injected.panic {
+        panic!("injected panic in {}", job.id);
+    }
     let cfg = &shared.cfg;
     let opts = run_options(cfg, job);
     match (job.engine, &cfg.backend) {
@@ -1663,7 +1602,7 @@ mod tests {
     fn a_batch_member_that_fails_in_fusion_fails_alone() {
         // `submit` lowers every non-native gate, so an arity-3 `ccx` can
         // reach the engine only in a hand-built dispatch: three members
-        // straight into `serve_batch`, the middle one unfusable.
+        // straight into `serve_flush`, the middle one unfusable.
         let service = small_service(1);
         let members: Vec<QueuedJob> = (0..3u64)
             .map(|i| {
@@ -1695,7 +1634,7 @@ mod tests {
                 record_dispatch(&service.shared, &mut st, job);
             }
         }
-        serve_batch(&service.shared, members, Duration::ZERO);
+        serve_flush(&service.shared, members, Some(Duration::ZERO));
         service.drain(); // returns: every in-flight slot was given back
 
         for id in [0, 2] {
@@ -1910,7 +1849,7 @@ mod tests {
         let service = Service::start(ServeConfig {
             workers: 1,
             queue_capacity: 2,
-            fault: FaultPlan::with_rate(1.0, 1),
+            schedule: FaultSchedule::with_rate(1.0, 1),
             max_retries: 3,
             retry_backoff: Duration::from_millis(50),
             ..Default::default()
@@ -1942,7 +1881,7 @@ mod tests {
         // rate 1.0 strikes every attempt; rate 0.5 heals eventually.
         let service = Service::start(ServeConfig {
             workers: 1,
-            fault: FaultPlan::with_rate(0.5, 3),
+            schedule: FaultSchedule::with_rate(0.5, 3),
             max_retries: 20,
             retry_backoff: Duration::from_micros(50),
             // The jobs differ only in seed; disable the state cache so
@@ -1966,7 +1905,7 @@ mod tests {
     fn exhausted_retries_fail_loudly() {
         let service = Service::start(ServeConfig {
             workers: 1,
-            fault: FaultPlan::with_rate(1.0, 3),
+            schedule: FaultSchedule::with_rate(1.0, 3),
             max_retries: 2,
             retry_backoff: Duration::from_micros(10),
             ..Default::default()
@@ -1987,7 +1926,7 @@ mod tests {
         // cancelled while still queued.
         let service = Service::start(ServeConfig {
             workers: 1,
-            fault: FaultPlan::with_rate(1.0, 1),
+            schedule: FaultSchedule::with_rate(1.0, 1),
             max_retries: 3,
             retry_backoff: Duration::from_millis(50),
             ..Default::default()

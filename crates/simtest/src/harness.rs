@@ -25,8 +25,8 @@ use crate::scenario::{JobDef, Op, Scenario, TENANTS};
 use crate::trace::{counts_hash, ns, OutcomeSummary, Trace, TraceEvent};
 use qgear_ir::transpile::decompose_to_native;
 use qgear_serve::{
-    Admission, BackendKind, BatchConfig, EventKind, FaultKind, FaultPlan, FaultSchedule, JobId,
-    JobOutcome, JobSpec, ServeConfig, ServeError, Service, ServiceEvent, ShardConfig,
+    Admission, BackendKind, BatchConfig, EventKind, FaultKind, FaultSchedule, JobId, JobOutcome,
+    JobSpec, ServeConfig, ServeError, Service, ServiceEvent, ShardConfig,
 };
 use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
 use std::collections::{BTreeMap, HashMap};
@@ -122,7 +122,9 @@ fn summarize(outcome: &JobOutcome) -> OutcomeSummary {
         JobOutcome::Failed(ServeError::RetriesExhausted { attempts }) => {
             OutcomeSummary::Failed { attempts: *attempts }
         }
-        JobOutcome::Failed(ServeError::Sim(_)) => OutcomeSummary::Failed { attempts: 0 },
+        JobOutcome::Failed(ServeError::Sim(_) | ServeError::Panicked(_)) => {
+            OutcomeSummary::Failed { attempts: 0 }
+        }
         JobOutcome::Cancelled => OutcomeSummary::Cancelled,
         JobOutcome::Expired => OutcomeSummary::Expired,
     }
@@ -137,20 +139,19 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
 
     // Translate the fault script into admission coordinates (+1 for the
     // blocker) and prepend the blocker's own pinning strike.
-    let mut schedule =
-        FaultSchedule::none().with_event(BLOCKER_JOB, 0, FaultKind::Transient);
+    let mut schedule = FaultSchedule::with_rate(scenario.fault_rate, scenario.seed)
+        .with_event(BLOCKER_JOB, 0, FaultKind::Transient);
     for e in &scenario.events {
         schedule = schedule.with_event(e.job + 1, e.attempt, e.kind);
     }
 
     // Fusion window 1 with sweeping off makes the schedule one step per
     // gate, so even the small scenario circuits span several segments —
-    // mid-run deaths and checkpoint generations are actually exercised.
-    //
-    // When the scenario opts into batching, segmented (checkpointed)
-    // execution is turned off — the service keeps the two mutually
-    // exclusive — and the coalescer window runs on the same virtual
-    // clock, so flush instants are as deterministic as everything else.
+    // mid-run deaths and checkpoint generations are actually exercised —
+    // inside a flush too, when the scenario opts into batching: a member
+    // takes the attempt loop a lone job takes. The coalescer window runs
+    // on the same virtual clock, so flush instants are as deterministic
+    // as everything else.
     let batch = match scenario.batch {
         Some(p) => BatchConfig {
             max_size: p.max_size,
@@ -182,10 +183,9 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
             .map(|p| ShardConfig { max_shards: p.max_shards, ..ShardConfig::default() }),
         fusion_width: HARNESS_FUSION_WIDTH,
         sweep_width: HARNESS_SWEEP_WIDTH,
-        checkpoint_interval: if batch.enabled() { 0 } else { 1 },
+        checkpoint_interval: 1,
         checkpoint_generations: 3,
         batch,
-        fault: FaultPlan::with_rate(scenario.fault_rate, scenario.seed),
         schedule,
         retry_backoff: pin,
         backoff_slice: pin,

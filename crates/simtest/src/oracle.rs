@@ -109,14 +109,13 @@ fn dispatch_accounting(input: &OracleInput, v: &mut Vec<String>) {
             e.kind,
             FaultKind::WorkerDeath
                 | FaultKind::WorkerDeathMidRun { .. }
-                | FaultKind::WorkerDeathMidBatch { .. }
                 | FaultKind::ShardWorkerDeath { .. }
         ) {
             *death_budget.entry(e.job + 1).or_insert(0) += 1;
         }
     }
-    // A mid-batch death requeues every stranded batch-mate, not just the
-    // struck job: each `Requeued` disposition licenses one extra
+    // A death in a flush requeues every batch-mate not yet run, not just
+    // the struck job: each `Requeued` disposition licenses one extra
     // dispatch for that member.
     for event in input.events {
         let EventKind::Batch(record) = &event.kind else { continue };
@@ -333,8 +332,8 @@ fn coalescing_conservation(input: &OracleInput, v: &mut Vec<String>) {
     }
 }
 
-/// **Batch attempt ledger**: a member requeued by mid-batch worker
-/// deaths carries its consumed attempts across dispatches — a cold
+/// **Batch attempt ledger**: a member requeued by worker deaths in its
+/// flushes carries its consumed attempts across dispatches — a cold
 /// completion after `R` requeues must report at least `1 + R` attempts.
 /// (Cache and marginal hits report zero attempts and are exempt: the
 /// requeued member may legitimately be answered from a cache populated
@@ -360,7 +359,7 @@ fn batch_attempt_ledger(input: &OracleInput, v: &mut Vec<String>) {
         }
         if *attempts < 1 + r {
             v.push(format!(
-                "batch ledger: job {id} was requeued {r}× mid-batch but completed with only \
+                "batch ledger: job {id} was requeued {r}× from a flush but completed with only \
                  {attempts} attempts (ledger lost across the requeue)"
             ));
         }
@@ -704,7 +703,7 @@ mod tests {
     fn lost_attempt_ledger_across_requeue_is_flagged() {
         let scenario = Scenario::empty(0)
             .op(Op::Submit(JobDef::bell()))
-            .event(0, 0, FaultKind::WorkerDeathMidBatch { after_members: 0 });
+            .event(0, 0, FaultKind::WorkerDeath);
         let accepted = vec![1];
         // Requeued once, yet the completion claims a single attempt:
         // the cumulative ledger was dropped somewhere.

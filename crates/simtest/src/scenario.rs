@@ -167,12 +167,14 @@ pub struct Scenario {
     pub ops: Vec<Op>,
     /// Fault script in *scenario* job coordinates.
     pub events: Vec<FaultEvent>,
-    /// Rate for the background [`qgear_serve::FaultPlan`] (seeded by
-    /// `seed`); 0 disables it.
+    /// Background transient-strike rate
+    /// ([`qgear_serve::FaultSchedule::with_rate`], seeded by `seed`); 0
+    /// disables it.
     pub fault_rate: f64,
     /// Batch coalescing configuration; `None` (the legacy default) runs
-    /// one job per dispatch. The harness disables segmented execution
-    /// when this is set (the service refuses the combination anyway).
+    /// one job per dispatch. Checkpointed execution stays on either way:
+    /// a flush member dies, retries and resumes in the attempt loop a
+    /// lone job takes.
     pub batch: Option<BatchParams>,
     /// Sharded-serving configuration; `None` (the legacy default) keeps
     /// the full-size single device, under which every scenario job is
@@ -318,9 +320,10 @@ impl Scenario {
 
     /// Generate a random *batched* scenario: [`Scenario::generate`]'s
     /// job/op mix, plus batch coalescing switched on and the fault
-    /// script extended with mid-batch worker deaths. Deterministic in
-    /// `seed`, and a distinct function from `generate` so the legacy
-    /// seed corpus keeps its meaning.
+    /// script extended with deaths (at the attempt boundary and mid-run)
+    /// and panics aimed into flushes. Deterministic in `seed`, and a
+    /// distinct function from `generate` so the legacy seed corpus keeps
+    /// its meaning.
     pub fn generate_batched(seed: u64) -> Self {
         let mut scenario = Scenario::generate(seed);
         let mut rng = SimRng::new(seed ^ 0xBA7C_4ED0_5EED_0001);
@@ -329,15 +332,16 @@ impl Scenario {
             max_size: 2 + rng.below(7) as usize,
             window_us: 50 + rng.below(2000),
         });
-        // 1–2 mid-batch deaths aimed at random jobs' first dispatches.
+        // 1–2 deaths or panics aimed at random jobs' first attempts.
         for _ in 0..1 + rng.below(2) {
-            scenario.events.push(FaultEvent {
-                job: rng.below(jobs),
-                attempt: rng.below(2) as u32,
-                kind: FaultKind::WorkerDeathMidBatch {
-                    after_members: rng.below(3) as u32,
-                },
-            });
+            let job = rng.below(jobs);
+            let attempt = rng.below(2) as u32;
+            let kind = match rng.below(3) {
+                0 => FaultKind::WorkerDeath,
+                1 => FaultKind::WorkerDeathMidRun { after_segments: 1 + rng.below(2) as u32 },
+                _ => FaultKind::Panic,
+            };
+            scenario.events.push(FaultEvent { job, attempt, kind });
         }
         scenario
     }

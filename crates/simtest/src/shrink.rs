@@ -68,7 +68,7 @@ where
             }
         }
 
-        // Pass 4: turn off the rate plan if it isn't needed.
+        // Pass 4: turn off the background fault rate if it isn't needed.
         if !improved && best.fault_rate > 0.0 {
             let mut cand = best.clone();
             cand.fault_rate = 0.0;

@@ -119,9 +119,9 @@ pub const SERVE_CACHE_CORRUPTIONS: &str = "serve.cache_corruptions";
 /// requeues the victim job at the front of its tenant queue.
 pub const SERVE_WORKER_DEATHS: &str = "serve.worker_deaths";
 
-/// Jobs requeued after a worker death (conservation evidence: one
-/// requeue per death on the solo path, one per surviving batch member
-/// when a death lands mid-batch).
+/// Jobs requeued after a worker death (conservation evidence: one per
+/// death of a lone job; in a flush, the struck member plus every member
+/// not yet run).
 pub const SERVE_REQUEUES: &str = "serve.requeues";
 
 /// Batches flushed to a worker by the shape-aware coalescer

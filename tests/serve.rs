@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use qgear_ir::Circuit;
 use qgear_serve::{
     Admission, AdmissionQueue, BatchConfig, BatchMemberDisposition, CircuitKey, Engine, EventKind,
-    FaultPlan, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, Service, ServiceEvent,
+    FaultKind, FaultSchedule, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig,
+    ServeError, Service, ServiceEvent,
 };
 use qgear_statevec::Counts;
 use qgear_telemetry::names;
@@ -155,14 +156,14 @@ proptest! {
 #[test]
 fn concurrent_burst_loses_and_duplicates_nothing() {
     let inputs = [
-        ("under capacity", 128, FaultPlan::none()),
-        ("saturated", 8, FaultPlan::with_rate(0.1, 0xFA017)),
+        ("under capacity", 128, FaultSchedule::none()),
+        ("saturated", 8, FaultSchedule::with_rate(0.1, 0xFA017)),
     ];
-    for (what, queue_capacity, fault) in inputs {
+    for (what, queue_capacity, schedule) in inputs {
         let service = Service::start(ServeConfig {
             workers: 4,
             queue_capacity,
-            fault,
+            schedule,
             retry_backoff: Duration::from_micros(200),
             ..Default::default()
         });
@@ -285,6 +286,35 @@ fn telemetry_snapshot_carries_the_serving_signals() {
         decoded.counter(&names::serve_tenant_jobs("telemetry-tenant")),
         12
     );
+}
+
+/// A panicking engine call fails its job and nothing else: the job ends
+/// `Failed(Panicked)` without a retry, `drain()` returns (the worker gave
+/// its in-flight slot back), and the same worker completes the next job.
+/// At 121f693 the panic killed the worker thread with the slot counted,
+/// and `drain()` never returned.
+#[test]
+fn a_panicking_job_fails_alone_and_the_service_keeps_serving() {
+    let service = Service::start(ServeConfig {
+        workers: 1,
+        schedule: FaultSchedule::none().with_event(0, 0, FaultKind::Panic),
+        ..Default::default()
+    });
+    let mut c = Circuit::new(3);
+    c.h(0).ry(0.4, 1).cx(0, 1).cx(1, 2).measure_all();
+    let doomed = service.submit(JobSpec::new(c.clone()).shots(100)).job_id().unwrap();
+    match service.wait(doomed) {
+        Some(JobOutcome::Failed(ServeError::Panicked(msg))) => {
+            assert!(msg.contains("injected panic"), "{msg}");
+        }
+        other => panic!("expected Failed(Panicked), got {other:?}"),
+    }
+    service.drain();
+    let later = service.submit(JobSpec::new(c).shots(100).seed(3)).job_id().unwrap();
+    let outcome = service.wait(later).unwrap();
+    assert_eq!(outcome.result().expect("completes").counts.as_ref().unwrap().total(), 100);
+    assert_eq!(service.live_workers(), 1, "the worker survived");
+    service.shutdown();
 }
 
 /// Deadlines, cancellation, and infeasibility all surface as explicit

@@ -18,12 +18,12 @@ use qgear_cluster::ClusterEngine;
 use qgear_ir::Circuit;
 use qgear_serve::{
     BackendKind, BatchConfig, BatchMemberDisposition, BatchRecord, CheckpointRecord, EventKind,
-    FaultKind, FaultPlan, FaultSchedule, JobOutcome, JobSpec, PoolConfig, PoolDecision,
-    ServeConfig, ServeError, Service, ServiceEvent, ShardConfig, ShardRecord,
+    FaultKind, FaultSchedule, JobOutcome, JobSpec, PoolConfig, PoolDecision, ServeConfig,
+    ServeError, Service, ServiceEvent, ShardConfig, ShardRecord,
 };
 use qgear_simtest::{
     replay_command, run_scenario, seed_from_env, shrink, JobDef, Op, OutcomeSummary, Scenario,
-    VirtualClock,
+    VirtualClock, BLOCKER_JOB,
 };
 use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
 use proptest::prelude::*;
@@ -170,7 +170,7 @@ fn retry_storm_at_rate_one_fails_at_the_exact_backoff_sum() {
     let clock = Arc::new(VirtualClock::new());
     let service = Service::start(ServeConfig {
         workers: 1,
-        fault: FaultPlan::with_rate(1.0, 7),
+        schedule: FaultSchedule::with_rate(1.0, 7),
         max_retries: 4,
         retry_backoff: base,
         backoff_slice: Duration::from_secs(1), // one sleep per backoff
@@ -435,9 +435,10 @@ fn a_deadline_inside_the_coalescing_window_flushes_the_batch_early() {
     assert_eq!(lead.members, vec![(victim.0, BatchMemberDisposition::Executed)]);
 }
 
-/// Mid-batch worker death: the doomed batch dispatch requeues every
-/// stranded member *individually* with the dying dispatch charged to
-/// its attempt ledger, and the retries complete — each job shows
+/// A worker death in a flush: the leader's own attempt loop dies, and the
+/// doomed flush requeues it and every member not yet run *individually*
+/// — the struck member with the ledger its loop returned, the others
+/// charged the dying dispatch — and the retries complete: each job shows
 /// exactly one `Requeued` and one `Executed` batch appearance, two
 /// dispatches, and a completion on attempt 2.
 #[test]
@@ -451,7 +452,7 @@ fn mid_batch_worker_death_requeues_survivors_with_the_cumulative_ledger() {
     }
     scenario = scenario
         .op(Op::Advance(Duration::from_micros(50)))
-        .event(0, 0, FaultKind::WorkerDeathMidBatch { after_members: 0 });
+        .event(0, 0, FaultKind::WorkerDeath);
     let report = run_scenario(&scenario);
     assert!(report.is_ok(), "violations: {:?}", report.violations);
 
@@ -487,8 +488,9 @@ fn mid_batch_worker_death_requeues_survivors_with_the_cumulative_ledger() {
     }
 }
 
-/// Random batched scenarios — shape-mixed job sets with coalescing on
-/// and mid-batch worker deaths in the fault script — hold every oracle,
+/// Random batched scenarios — shape-mixed job sets with coalescing and
+/// checkpointing on, and deaths and panics aimed into flushes — hold
+/// every oracle,
 /// including coalescing conservation and the batch attempt ledger.
 /// Six derived seeds, each replayable via `QGEAR_SIMTEST_SEED`.
 #[test]
@@ -516,9 +518,8 @@ fn random_batched_scenarios_hold_every_oracle() {
 
 /// The shrinker understands the batch knobs: a failure that reproduces
 /// without coalescing sheds them (pass 5), while a failure that *needs*
-/// the batch dispatch — a mid-batch requeue disposition — keeps both the
-/// batch config and the `WorkerDeathMidBatch` event in the minimal
-/// reproduction.
+/// a flush — a `Requeued` disposition — keeps both the batch config and
+/// the `WorkerDeath` event in the minimal reproduction.
 #[test]
 fn the_shrinker_sheds_batching_only_when_it_is_irrelevant() {
     let _l = lock();
@@ -542,19 +543,19 @@ fn the_shrinker_sheds_batching_only_when_it_is_irrelevant() {
         "batching is irrelevant to the expiry and must be shed: {minimal:?}"
     );
 
-    // Essential: the Requeued disposition only exists in the batch
-    // path, so the batch knobs and the mid-batch death survive.
+    // Essential: the Requeued disposition only exists in a flush's
+    // `Batch` event, so the batch knobs and the death survive.
     let mut batched = Scenario::empty(0xB5EED).batched(4, 300);
     for seed in 0..2u64 {
         batched = batched.op(Op::Submit(JobDef { shape: 1, qubits: 3, seed, ..JobDef::bell() }));
     }
-    batched = batched.event(0, 0, FaultKind::WorkerDeathMidBatch { after_members: 0 });
+    batched = batched.event(0, 0, FaultKind::WorkerDeath);
     let requeues = |s: &Scenario| {
         flushes(&run_scenario(s).events)
             .flat_map(|r| &r.members)
             .any(|&(_, d)| d == BatchMemberDisposition::Requeued)
     };
-    assert!(requeues(&batched), "the planted mid-batch death must trigger pre-shrink");
+    assert!(requeues(&batched), "the planted death in a flush must trigger pre-shrink");
     let (minimal, _) = shrink(&batched, requeues);
     assert!(requeues(&minimal));
     assert!(
@@ -565,9 +566,125 @@ fn the_shrinker_sheds_batching_only_when_it_is_irrelevant() {
         minimal
             .events
             .iter()
-            .any(|e| matches!(e.kind, FaultKind::WorkerDeathMidBatch { .. })),
-        "the mid-batch death is load-bearing and must survive shrinking: {minimal:?}"
+            .any(|e| matches!(e.kind, FaultKind::WorkerDeath)),
+        "the death is load-bearing and must survive shrinking: {minimal:?}"
     );
+}
+
+/// The flushes of a scenario run but the harness blocker's own.
+fn scenario_flushes(events: &[ServiceEvent]) -> Vec<&BatchRecord> {
+    flushes(events).filter(|r| r.members[0].0 != BLOCKER_JOB).collect()
+}
+
+/// Three jobs of one coalescing bucket — one structure, distinct angles,
+/// so neither cache answers a retry — submitted while the worker is
+/// pinned: they flush together once it is released.
+fn one_bucket_of_three(seed: u64) -> Scenario {
+    let mut scenario = Scenario::empty(seed).batched(4, 400);
+    for shape in [1u8, 4, 7] {
+        scenario = scenario.op(Op::Submit(JobDef { shape, qubits: 3, ..JobDef::bell() }));
+    }
+    scenario.op(Op::Advance(Duration::from_micros(50)))
+}
+
+/// Checkpointing and batching compose (at 121f693 any checkpoint interval
+/// silently switched batching off): the second member of a three-member
+/// flush dies after two segments of its checkpointed run, it and the
+/// member behind it are requeued, and the next flush resumes it from its
+/// own generation — with counts equal to a fault-free run (the
+/// resume-identity oracle).
+#[test]
+fn a_death_mid_run_inside_a_flush_resumes_the_member_from_its_own_generation() {
+    let _l = lock();
+    let scenario = one_bucket_of_three(0xC4EC_BA7C)
+        .event(1, 0, FaultKind::WorkerDeathMidRun { after_segments: 2 });
+    let report = run_scenario(&scenario);
+    assert!(report.is_ok(), "violations: {:?}", report.violations);
+    // Scenario jobs 0..3 are admission ids 1..=3.
+    let log = &report.events;
+    let first = scenario_flushes(log)[0];
+    assert_eq!(
+        first.members,
+        [
+            (1, BatchMemberDisposition::Executed),
+            (2, BatchMemberDisposition::Requeued),
+            (3, BatchMemberDisposition::Requeued),
+        ],
+        "log: {log:?}"
+    );
+    let logged = |record| log.iter().any(|e| e.kind == EventKind::Checkpoint(record));
+    assert!(
+        logged(CheckpointRecord::Wrote { job: 2, generation: 1, cursor: 2 }),
+        "the struck member checkpointed inside its flush; log: {log:?}"
+    );
+    assert!(
+        logged(CheckpointRecord::Resumed { job: 2, generation: 1, cursor: 2 }),
+        "the requeued member resumes from its own newest generation; log: {log:?}"
+    );
+    assert!(scenario_flushes(log)[1].members.len() >= 2, "log: {log:?}");
+    for (id, attempts) in [(1, 1), (2, 2), (3, 2)] {
+        match report.outcomes.get(&id) {
+            Some(OutcomeSummary::Completed { attempts: a, from_cache: false, .. })
+                if *a == attempts => {}
+            other => panic!("job {id}: expected a cold run on attempt {attempts}, got {other:?}"),
+        }
+    }
+}
+
+/// A transient strike on a flush member retries inside the member's own
+/// attempt loop, on the flush's worker: the member is logged `Executed` in
+/// the one flush, is dispatched once, and completes on attempt 2 (at
+/// 121f693 the scheduled strike kept it out of the batch).
+#[test]
+fn a_transient_strike_inside_a_flush_retries_in_the_members_attempt_loop() {
+    let _l = lock();
+    let scenario = one_bucket_of_three(0x7A45_BA7C).event(1, 0, FaultKind::Transient);
+    let report = run_scenario(&scenario);
+    assert!(report.is_ok(), "violations: {:?}", report.violations);
+    let log = scenario_flushes(&report.events);
+    assert_eq!(log.len(), 1, "one flush: {log:?}");
+    let ran = |id| (id, BatchMemberDisposition::Executed);
+    assert_eq!(log[0].members, [ran(1), ran(2), ran(3)]);
+    assert_eq!(report.dispatch_counts.get(&2), Some(&1), "retried in place");
+    for (id, attempts) in [(1, 1), (2, 2), (3, 1)] {
+        match report.outcomes.get(&id) {
+            Some(OutcomeSummary::Completed { attempts: a, .. }) if *a == attempts => {}
+            other => panic!("job {id}: expected completion on attempt {attempts}, got {other:?}"),
+        }
+    }
+}
+
+/// A panic is contained in the attempt loop that every dispatch takes:
+/// the struck member of a three-member flush and a lone job of another
+/// shape each end `Failed`, their flush-mates complete on the same worker
+/// behind them, and the service quiesces (every oracle, termination
+/// included). At 121f693 the first panic killed the only worker with its
+/// in-flight slot counted.
+#[test]
+fn a_panic_inside_a_flush_or_alone_fails_only_its_job() {
+    let _l = lock();
+    let lone = JobDef { shape: 2, qubits: 2, seed: 9, ..JobDef::bell() };
+    let scenario = one_bucket_of_three(0x9A41_C0DE)
+        .op(Op::Submit(lone))
+        .event(1, 0, FaultKind::Panic)
+        .event(3, 0, FaultKind::Panic);
+    let report = run_scenario(&scenario);
+    assert!(report.is_ok(), "violations: {:?}", report.violations);
+    let log = scenario_flushes(&report.events);
+    let ran = |id| (id, BatchMemberDisposition::Executed);
+    assert_eq!(log.len(), 2, "{log:?}");
+    assert_eq!(log[0].members, [ran(1), ran(2), ran(3)]);
+    assert_eq!(log[1].members, [ran(4)]);
+    for id in [2, 4] {
+        assert_eq!(report.outcomes.get(&id), Some(&OutcomeSummary::Failed { attempts: 0 }));
+        assert_eq!(report.dispatch_counts.get(&id), Some(&1), "a panic is not retried");
+    }
+    for id in [1, 3] {
+        assert!(matches!(
+            report.outcomes.get(&id),
+            Some(OutcomeSummary::Completed { attempts: 1, .. })
+        ));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -839,23 +956,24 @@ fn a_shard_teardown_records_an_exact_replacement_decision() {
 }
 
 // ---------------------------------------------------------------------
-// Fault-plan statistics
+// Fault-rate statistics
 // ---------------------------------------------------------------------
 
-/// The rate plan's empirical strike rate over 10⁵ (job, attempt) pairs
-/// tracks the configured rate within ±2 %, and the plan is a pure
-/// function of its seed.
+/// The schedule's background rate: its empirical strike rate over 10⁵
+/// (job, attempt) pairs tracks the configured rate within ±2 %, every
+/// strike is a transient, and the rate is a pure function of its seed.
 #[test]
 fn fault_plan_strike_rate_is_statistically_faithful_and_deterministic() {
     let rate = 0.2;
-    let plan = FaultPlan::with_rate(rate, 42);
-    let twin = FaultPlan::with_rate(rate, 42);
+    let plan = FaultSchedule::with_rate(rate, 42);
+    let twin = FaultSchedule::with_rate(rate, 42);
     let mut strikes = 0u64;
     for job in 0..20_000u64 {
         for attempt in 0..5u32 {
-            let hit = plan.strikes(job, attempt);
-            assert_eq!(hit, twin.strikes(job, attempt), "same seed ⇒ same decisions");
-            strikes += u64::from(hit);
+            let hit = plan.at(job, attempt);
+            assert_eq!(hit, twin.at(job, attempt), "same seed ⇒ same decisions");
+            assert!(matches!(hit, None | Some(FaultKind::Transient)), "{hit:?}");
+            strikes += u64::from(hit.is_some());
         }
     }
     let empirical = strikes as f64 / 100_000.0;
@@ -865,17 +983,17 @@ fn fault_plan_strike_rate_is_statistically_faithful_and_deterministic() {
     );
 }
 
-/// Plans with different seeds are decorrelated: at rate 0.5 they
+/// Rates with different seeds are decorrelated: at rate 0.5 they
 /// disagree on roughly half of all coordinates, and joint strikes land
 /// near the independent-product rate.
 #[test]
 fn fault_plans_with_different_seeds_are_decorrelated() {
-    let a = FaultPlan::with_rate(0.5, 1);
-    let b = FaultPlan::with_rate(0.5, 2);
+    let a = FaultSchedule::with_rate(0.5, 1);
+    let b = FaultSchedule::with_rate(0.5, 2);
     let (mut disagree, mut both) = (0u64, 0u64);
     let total = 10_000u64;
     for job in 0..total {
-        let (sa, sb) = (a.strikes(job, 0), b.strikes(job, 0));
+        let (sa, sb) = (a.at(job, 0).is_some(), b.at(job, 0).is_some());
         disagree += u64::from(sa != sb);
         both += u64::from(sa && sb);
     }
@@ -929,6 +1047,109 @@ fn replaying_a_seed_reproduces_the_trace_byte_for_byte() {
         );
         assert_eq!(first.trace_hash(), second.trace_hash());
     }
+}
+
+/// The bitwise trace tier, binding: the trace hash of every scenario the
+/// four `scripts/check.sh` seeds derive (six per seed, as the random
+/// tests derive them) run plain, batched and sharded — 72 hashes, pinned
+/// here and independent of `QGEAR_SIMTEST_SEED`. The plain and sharded
+/// rows are those of 121f693; the batched rows moved once, when flush
+/// members began taking the attempt loop. A mismatch on another host is
+/// a bitwise-tier failure to report, not a table to re-pin.
+#[test]
+fn the_seventy_two_simtest_trace_hashes_are_pinned() {
+    let _l = lock();
+    const PINNED: [(u64, [[u64; 6]; 3]); 4] = [
+        (
+            0x51D3_C0DE,
+            [
+                [
+                    0x492b9e5d3fb6ca13, 0x2adac3a35484542b, 0x8def4f62c90158c2,
+                    0x9363912d6c658352, 0x00252ea7a6eecbb3, 0x7783c27cf3f0dbbc,
+                ],
+                [
+                    0xf0a79ec4697d7ec8, 0x2adac3a35484542b, 0xc56012811ca1d083,
+                    0x16d7233107e6cf4e, 0x36717954a3d82707, 0xe1da52db6808ac7b,
+                ],
+                [
+                    0x68f763115703cb68, 0x15ae3267af70e90f, 0x8ca5e08af1fcbda1,
+                    0x650eda0172407894, 0x39d71e2d2a29e0ce, 0x7a7607db64495f03,
+                ],
+            ],
+        ),
+        (
+            0xDEAD_BEEF,
+            [
+                [
+                    0x3c38026ac9a56322, 0x553fbc1676362fda, 0x553fbc1676362fda,
+                    0x8ae5b0b761dea2f6, 0x60c3ee6efb066420, 0xdcbb9ef26235046a,
+                ],
+                [
+                    0xbb9646b5fd2be3ec, 0xb429e849eb2e2092, 0xe77bfc00c8b9c6b7,
+                    0x21271eb8d5caf13d, 0x60c3ee6efb066420, 0xaf473278a09aff04,
+                ],
+                [
+                    0x922950c0e282588c, 0x42c8f2d3a3092763, 0xdfb323ab2c32f510,
+                    0x8fb58fcfbc77a6d9, 0x05524ed02fbcff90, 0x3c870ce6199ea320,
+                ],
+            ],
+        ),
+        (
+            0x00C0_FFEE,
+            [
+                [
+                    0xccb5a9b2a05e5729, 0x1c32e8b63b788180, 0xb9f6957c588bb5a9,
+                    0x6ba91fcd10e92fc0, 0x88786accd59dcb7c, 0xdbf347de6903525a,
+                ],
+                [
+                    0x849321f3f2a42796, 0x4513c2ade47d438b, 0x6e4c2dc68e006bdd,
+                    0x37f48f98094e9e9d, 0xdfdd9abd4771bc18, 0x9bf6174b1ca1ce7c,
+                ],
+                [
+                    0xc62fb4b273ce9503, 0x04b44fec7dca3a67, 0xde3176405727da3d,
+                    0x619fc81058d5de2c, 0x7248f462c3d9ee81, 0x2cf924463b83fac7,
+                ],
+            ],
+        ),
+        (
+            0x0C1C_ADA5,
+            [
+                [
+                    0x5263cd5835a3c013, 0x06548e0f10a59819, 0x6f16bd32b0057af7,
+                    0xee5dbfb3046f0031, 0x87c48c60c661fb59, 0x49d89024ecf83a95,
+                ],
+                [
+                    0xae27551c7f6378dc, 0x06548e0f10a59819, 0x98ee1193ac5b4297,
+                    0xf6d5b9f47f7176cd, 0x032b8b983b7a771f, 0x49d89024ecf83a95,
+                ],
+                [
+                    0xc804db9a178d4a5b, 0x5b1fb4570b3dd055, 0xc7a4c1304c4b7fc3,
+                    0x360af181f5337fbf, 0xfe3643d4fc17b72a, 0x108a287a85c8b7cd,
+                ],
+            ],
+        ),
+    ];
+    type Generate = fn(u64) -> Scenario;
+    let families: [(&str, Generate); 3] = [
+        ("plain", Scenario::generate),
+        ("batched", Scenario::generate_batched),
+        ("sharded", Scenario::generate_sharded),
+    ];
+    let mut moved = Vec::new();
+    for (base, rows) in PINNED {
+        for ((family, generate), row) in families.iter().zip(rows) {
+            for (i, want) in (0u64..).zip(row) {
+                let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let report = run_scenario(&generate(seed));
+                assert!(report.is_ok(), "{family} seed {seed:#x}: {:?}", report.violations);
+                let got = report.trace_hash();
+                if got != want {
+                    moved.push(format!("{family} {base:#x}[{i}]: {want:#018x} -> {got:#018x}"));
+                }
+            }
+        }
+    }
+    assert!(moved.is_empty(), "{} trace hashes moved:\n{}", moved.len(), moved.join("\n"));
 }
 
 /// The shrinker reduces a failing scenario buried in noise to the
