@@ -1,30 +1,21 @@
-//! Backend probe: stabilizer scaling and trajectory throughput — the two
-//! engines no `benchmark/` workload reaches. Prints its tables and
-//! writes nothing.
+//! Backend probe: stabilizer scaling — the engine no `benchmark/`
+//! workload reaches. Prints its table and writes nothing.
 //!
-//! Two series back `docs/BACKENDS.md`:
-//!
-//! * **Stabilizer scaling** — wall time for Clifford workloads at
-//!   16 → 64 → 128 qubits on the CHP tableau engine. Dense simulation is
-//!   infeasible past ~32 qubits on the modelled A100 (Fig. 4a's memory
-//!   wall); the tableau's quadratic footprint sails through, and this
-//!   series records by how much: gates, shots, seconds, shots/s, and
-//!   the tableau bytes the admission layer prices.
-//! * **Trajectory throughput** — trajectories/second for the stochastic
-//!   Pauli-noise fan over a dense inner engine and over the stabilizer
-//!   inner engine on the same Clifford workload (Pauli insertions keep a
-//!   Clifford circuit Clifford, so both inners are exact).
+//! The series backs `docs/BACKENDS.md`: wall time for Clifford workloads
+//! at 16 → 64 → 128 qubits on the CHP tableau engine. Dense simulation is
+//! infeasible past ~32 qubits on the modelled A100 (Fig. 4a's memory
+//! wall); the tableau's quadratic footprint sails through, and this
+//! series records by how much: gates, shots, seconds, shots/s, and the
+//! tableau bytes the admission layer prices.
 //!
 //! Usage: `cargo run --release -p qgear-bench --bin bench_backends` for
 //! the full shot counts, `--smoke` for a seconds-long run (same width
 //! grid — the tableau is cheap enough to take 128 qubits even in smoke —
-//! smaller shot and trajectory counts).
+//! smaller shot counts).
 
 use qgear_perfmodel::memory::tableau_bytes;
 use qgear_stabilizer::StabilizerBackend;
-use qgear_statevec::{
-    AerCpuBackend, NoiseChannel, NoiseModel, RunOptions, RunOutput, Simulator, TrajectoryBackend,
-};
+use qgear_statevec::{RunOptions, RunOutput, Simulator};
 use qgear_workloads::clifford::{ghz, random_clifford};
 use std::time::Instant;
 
@@ -56,34 +47,10 @@ fn measure_stabilizer(workload: &str, n: u32, depth: usize, shots: u64) {
     );
 }
 
-/// One trajectory-throughput point: a depolarized 10-qubit GHZ fanned
-/// over `inner`.
-fn measure_trajectories<S: Simulator<f64> + Sync>(
-    inner_name: &str,
-    inner: S,
-    trajectories: u32,
-    shots: u64,
-) {
-    let circuit = ghz(10, 10);
-    let model = NoiseModel::single(NoiseChannel::Depolarizing { p: 0.01 });
-    let backend = TrajectoryBackend::new(inner, model, trajectories);
-    let opts = RunOptions { shots, seed: 0x70AD, ..Default::default() };
-    let start = Instant::now();
-    let out: RunOutput<f64> = backend.run(&circuit, &opts).expect("noisy GHZ runs");
-    let seconds = start.elapsed().as_secs_f64();
-    assert_eq!(out.counts.expect("counts").total(), shots);
-    println!(
-        "  inner={:<10} {:>9.1} trajectories/s",
-        inner_name,
-        f64::from(trajectories) / seconds.max(1e-9)
-    );
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let grid = if smoke { "smoke" } else { "full" };
-    let (shots, depth, trajectories, traj_shots) =
-        if smoke { (64, 8, 16, 200) } else { (1024, 32, 128, 4000) };
+    let (shots, depth) = if smoke { (64, 8) } else { (1024, 32) };
 
     println!("bench_backends ({grid}): stabilizer scaling 16 -> 64 -> 128 qubits");
     for n in [16u32, 64, 128] {
@@ -94,8 +61,4 @@ fn main() {
             measure_stabilizer("random_clifford", n, depth, shots);
         }
     }
-
-    println!("bench_backends ({grid}): trajectory throughput, {trajectories} trajectories");
-    measure_trajectories("dense", AerCpuBackend, trajectories, traj_shots);
-    measure_trajectories("stabilizer", StabilizerBackend::default(), trajectories, traj_shots);
 }

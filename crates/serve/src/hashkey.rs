@@ -3,14 +3,14 @@
 //! Two submissions collide iff they would produce bit-identical results:
 //! the key digests the *transpiled* IR gate-by-gate (kind tag, operand
 //! qubits, parameter bit patterns) together with every knob that affects
-//! the sampled counts — shots, seed, precision, and fusion width. Because
-//! both engines are deterministic and sampling is a seeded multinomial
-//! draw, equal keys guarantee equal `Counts`.
+//! the sampled counts — shots, seed, precision, fusion width, engine tag
+//! and fidelity floor. Because every engine is deterministic and
+//! sampling is a seeded multinomial draw, equal keys guarantee equal
+//! `Counts`.
 
 use crate::job::{Engine, JobSpec};
 use qgear_ir::Circuit;
 use qgear_num::scalar::Precision;
-use qgear_statevec::NoiseChannel;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -18,7 +18,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Cache key: a canonical digest of (transpiled circuit, shots, seed,
-/// precision, fusion width).
+/// precision, fusion width, engine, fidelity floor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CircuitKey(pub u64);
 
@@ -26,8 +26,9 @@ impl CircuitKey {
     /// Digest a spec whose circuit has already been canonicalized
     /// (transpiled to the native set), together with the engine
     /// admission routed it to. Different engines sample through
-    /// different code paths (dense marginal vs tableau vs trajectory
-    /// fan), so the engine tag is part of result identity.
+    /// different code paths (dense marginal vs tableau), so the engine
+    /// tag is part of result identity; so is the fidelity floor, which
+    /// selects the Clifford-projected circuit.
     pub fn for_spec(circuit: &Circuit, spec: &JobSpec, fusion_width: usize, engine: Engine) -> Self {
         let mut h = Fnv::new();
         h.gates(circuit);
@@ -39,7 +40,7 @@ impl CircuitKey {
         });
         h.u64(fusion_width as u64);
         h.u64(engine.tag());
-        h.noise(spec);
+        h.u64(spec.min_fidelity.to_bits());
         CircuitKey(h.finish())
     }
 
@@ -54,7 +55,7 @@ impl CircuitKey {
         // Domain tag: state keys must never be confused with result keys.
         h.u64(0x5747_4154_454b_4559); // "WGATEKEY"
         // The marginal cache is only populated and probed on the dense
-        // ideal path, so noise/engine knobs never reach this digest.
+        // path, so engine knobs never reach this digest.
         h.gates(circuit);
         h.u64(match spec.precision {
             Precision::Fp32 => 1,
@@ -93,30 +94,6 @@ impl Fnv {
                 self.u64(p.to_bits());
             }
         }
-    }
-
-    /// Digest the noise knobs: channel kinds and strengths in order,
-    /// trajectory width, and the fidelity floor. Jobs differing only in
-    /// noise must not collide in the result cache.
-    fn noise(&mut self, spec: &JobSpec) {
-        match &spec.noise {
-            None => self.u64(0),
-            Some(model) => {
-                self.u64(1 + model.channels.len() as u64);
-                for ch in &model.channels {
-                    let (tag, param) = match *ch {
-                        NoiseChannel::BitFlip { p } => (1u64, p),
-                        NoiseChannel::PhaseFlip { p } => (2, p),
-                        NoiseChannel::Depolarizing { p } => (3, p),
-                        NoiseChannel::AmplitudeDamping { gamma } => (4, gamma),
-                    };
-                    self.u64(tag);
-                    self.u64(param.to_bits());
-                }
-                self.u64(u64::from(spec.trajectories));
-            }
-        }
-        self.u64(spec.min_fidelity.to_bits());
     }
 
     fn finish(&self) -> u64 {
@@ -166,8 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_noise_perturb_the_key() {
-        use qgear_statevec::NoiseModel;
+    fn engine_and_fidelity_floor_perturb_the_key() {
         let c = ghz();
         let base = CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Dense);
         // Same circuit routed to the stabilizer engine samples through a
@@ -175,19 +151,6 @@ mod tests {
         assert_ne!(
             CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Stabilizer),
             base
-        );
-        let noisy = NoiseModel::single(NoiseChannel::BitFlip { p: 0.01 });
-        let withnoise = CircuitKey::for_spec(
-            &c,
-            &spec(&c).with_noise(noisy.clone(), 32),
-            5,
-            Engine::Trajectory,
-        );
-        assert_ne!(withnoise, base);
-        // Trajectory width changes the fan, hence the counts.
-        assert_ne!(
-            CircuitKey::for_spec(&c, &spec(&c).with_noise(noisy, 64), 5, Engine::Trajectory),
-            withnoise
         );
         // Fidelity floor participates: it selects the projected circuit.
         assert_ne!(

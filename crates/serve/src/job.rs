@@ -2,7 +2,7 @@
 
 use qgear_ir::Circuit;
 use qgear_num::scalar::Precision;
-use qgear_statevec::{Counts, ExecStats, NoiseModel, SimError};
+use qgear_statevec::{Counts, ExecStats, SimError};
 use std::fmt;
 use std::time::Duration;
 
@@ -62,11 +62,6 @@ pub enum Engine {
     Dense,
     /// CHP stabilizer tableau (quadratic memory, Clifford circuits only).
     Stabilizer,
-    /// Stochastic Pauli-trajectory fan wrapping a dense inner engine.
-    Trajectory,
-    /// Trajectory fan wrapping the stabilizer engine (Clifford + Pauli
-    /// noise stays stabilizer-simulable).
-    TrajectoryStabilizer,
     /// Dense state vector partitioned across a shard group of workers
     /// (pairwise amplitude exchange; admission plans the group width).
     /// Routes jobs *beyond* the single-worker memory wall.
@@ -79,19 +74,16 @@ impl Engine {
         match self {
             Engine::Dense => "dense",
             Engine::Stabilizer => "stabilizer",
-            Engine::Trajectory => "trajectory",
-            Engine::TrajectoryStabilizer => "trajectory_stabilizer",
             Engine::Sharded => "sharded",
         }
     }
 
-    /// Stable small tag for cache-key digests.
+    /// Stable small tag for cache-key digests. Tags are never reused:
+    /// 2 and 3 belonged to removed engines.
     pub const fn tag(self) -> u64 {
         match self {
             Engine::Dense => 0,
             Engine::Stabilizer => 1,
-            Engine::Trajectory => 2,
-            Engine::TrajectoryStabilizer => 3,
             Engine::Sharded => 4,
         }
     }
@@ -151,11 +143,6 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// Override the service-wide retry budget for this job.
     pub max_retries: Option<u32>,
-    /// Stochastic Pauli noise to apply via the trajectory fan. `None`
-    /// runs the circuit ideally.
-    pub noise: Option<NoiseModel>,
-    /// Trajectories in the noise fan (ignored without a noise model).
-    pub trajectories: u32,
     /// Minimum acceptable result fidelity in `[0, 1]`. `1.0` (the
     /// default) demands exact simulation; lower values let admission
     /// substitute a cheaper approximate engine — e.g. project a
@@ -177,8 +164,6 @@ impl JobSpec {
             priority: Priority::Normal,
             deadline: None,
             max_retries: None,
-            noise: None,
-            trajectories: 16,
             min_fidelity: 1.0,
         }
     }
@@ -222,14 +207,6 @@ impl JobSpec {
     /// Cap retries for this job (0 = fail on first fault).
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.max_retries = Some(retries);
-        self
-    }
-
-    /// Attach a noise model, executed as a `trajectories`-wide
-    /// stochastic Pauli-trajectory fan.
-    pub fn with_noise(mut self, model: NoiseModel, trajectories: u32) -> Self {
-        self.noise = Some(model);
-        self.trajectories = trajectories.max(1);
         self
     }
 

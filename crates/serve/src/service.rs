@@ -36,7 +36,7 @@ use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
     AerCpuBackend, Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator,
-    StateVector, TrajectoryBackend,
+    StateVector,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -96,10 +96,9 @@ impl Default for BackendKind {
 /// How admission picks the execution engine for each job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
-    /// Every ideal job runs on the dense state-vector backend — the
-    /// legacy behaviour, preserved as the default so bit-pinned
-    /// regression hashes stay valid. Jobs carrying a noise model still
-    /// route through the trajectory fan (noise cannot run dense-ideal).
+    /// Every job runs on the dense state-vector backend (sharded beyond
+    /// one worker's memory) — the legacy behaviour, preserved as the
+    /// default so bit-pinned regression hashes stay valid.
     #[default]
     DenseOnly,
     /// Price every applicable engine and take the cheapest feasible one:
@@ -165,7 +164,7 @@ pub struct ServeConfig {
     /// default [`WallClock`]; simulation substitutes a virtual clock.
     pub clock: SharedClock,
     /// How admission chooses among execution engines (dense state
-    /// vector, stabilizer tableau, trajectory fans).
+    /// vector, stabilizer tableau, shard group).
     pub selection: SelectionPolicy,
     /// Shape-aware batch coalescing (defaults to disabled). A flush is
     /// its members served one after another on one worker, each down the
@@ -734,10 +733,10 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // no device time, and bit-identical to what a cold run would draw
     // (both paths share `marginal_probs`/`sample_from_probs`). Only the
     // exact-dense paths produce or consume marginals: the state key
-    // does not digest engine or noise knobs, so a tableau- or
-    // trajectory-routed job must never alias a dense entry. Sharded
-    // runs qualify — their gathered amplitudes are bit-identical to a
-    // single-device dense evolution of the same circuit.
+    // does not digest the engine, so a tableau-routed job must never
+    // alias a dense entry. Sharded runs qualify — their gathered
+    // amplitudes are bit-identical to a single-device dense evolution
+    // of the same circuit.
     let marginal = if matches!(job.engine, Engine::Dense | Engine::Sharded) {
         let st = shared.lock();
         st.marginals.get(job.state_key)
@@ -1122,21 +1121,15 @@ fn select_engine(
     // overflow its shift there, so they price as infinite.
     let dense_required = if n >= 100 { u128::MAX } else { state_bytes(n, spec.precision) };
     let dense_feasible = dense_required <= device_bytes;
-    let noisy = spec.noise.as_ref().is_some_and(|m| !m.is_trivial());
-    // Noisy jobs fan over trajectories; the fan's inner engine decides
-    // the memory price.
-    let dense_engine = if noisy { Engine::Trajectory } else { Engine::Dense };
 
     let mut considered = Vec::new();
 
     if cfg.selection == SelectionPolicy::Auto {
-        let stab_engine = if noisy { Engine::TrajectoryStabilizer } else { Engine::Stabilizer };
         let tableau_required = tableau_bytes(n);
         let summary = classify(&canonical);
         // The candidate circuit the tableau would run: the job's own
         // circuit when it is Clifford, or its nearest-Clifford projection
-        // when the job's fidelity floor admits the approximation. (Pauli
-        // trajectory noise is Clifford, so noise never disqualifies.)
+        // when the job's fidelity floor admits the approximation.
         let candidate = if summary.is_clifford() {
             Some((canonical.clone(), "Clifford circuit".to_owned()))
         } else if spec.min_fidelity < 1.0 {
@@ -1150,7 +1143,7 @@ fn select_engine(
                 )),
                 Some((_, fidelity)) => {
                     considered.push(verdict(
-                        stab_engine,
+                        Engine::Stabilizer,
                         tableau_required,
                         device_bytes,
                         false,
@@ -1163,7 +1156,7 @@ fn select_engine(
                 }
                 None => {
                     considered.push(verdict(
-                        stab_engine,
+                        Engine::Stabilizer,
                         tableau_required,
                         device_bytes,
                         false,
@@ -1174,7 +1167,7 @@ fn select_engine(
             }
         } else {
             considered.push(verdict(
-                stab_engine,
+                Engine::Stabilizer,
                 tableau_required,
                 device_bytes,
                 false,
@@ -1190,7 +1183,7 @@ fn select_engine(
             let (_, measured) = circuit.split_measurements();
             if measured.len() > MAX_MEASURED_QUBITS {
                 considered.push(verdict(
-                    stab_engine,
+                    Engine::Stabilizer,
                     tableau_required,
                     device_bytes,
                     false,
@@ -1201,10 +1194,10 @@ fn select_engine(
                     ),
                 ));
             } else if tableau_required <= device_bytes {
-                return Ok(Selection { engine: stab_engine, canonical: circuit });
+                return Ok(Selection { engine: Engine::Stabilizer, canonical: circuit });
             } else {
                 considered.push(verdict(
-                    stab_engine,
+                    Engine::Stabilizer,
                     tableau_required,
                     device_bytes,
                     false,
@@ -1215,10 +1208,10 @@ fn select_engine(
     }
 
     if dense_feasible {
-        return Ok(Selection { engine: dense_engine, canonical });
+        return Ok(Selection { engine: Engine::Dense, canonical });
     }
     considered.push(verdict(
-        dense_engine,
+        Engine::Dense,
         dense_required,
         device_bytes,
         false,
@@ -1228,18 +1221,9 @@ fn select_engine(
     // Beyond the single-worker memory wall: plan a shard group. Every
     // doubling of the group buys one qubit (each worker then holds half
     // the slice), so the smallest sufficient power-of-two group wins.
-    // Ideal GPU jobs only — a trajectory fan re-evolves per trajectory,
-    // and the shard slices are device slices.
+    // GPU jobs only: the shard slices are device slices.
     if let Some(shard) = cfg.shard {
-        if noisy {
-            considered.push(verdict(
-                Engine::Sharded,
-                dense_required,
-                device_bytes,
-                false,
-                "noisy jobs cannot shard: the trajectory fan re-evolves per trajectory",
-            ));
-        } else if !matches!(cfg.backend, BackendKind::Gpu(_)) {
+        if !matches!(cfg.backend, BackendKind::Gpu(_)) {
             considered.push(verdict(
                 Engine::Sharded,
                 dense_required,
@@ -1330,8 +1314,8 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
 
 /// Engines that run a circuit whole — no cursor to step, so nothing to
 /// checkpoint: the Aer CPU baseline (the differential reference, kept
-/// independent of the stepper core on purpose), the stabilizer tableau,
-/// and the trajectory fans.
+/// independent of the stepper core on purpose) and the stabilizer
+/// tableau.
 fn run_whole(cfg: &ServeConfig, job: &QueuedJob, opts: &RunOptions) -> Result<Executed, SimError> {
     match job.engine {
         // Two phases (evolve, then sample from the exact marginal) so the
@@ -1344,42 +1328,14 @@ fn run_whole(cfg: &ServeConfig, job: &QueuedJob, opts: &RunOptions) -> Result<Ex
             let state = out.state.expect("keep_state run returns the state");
             Ok(sample_and_package(state, out.stats, job, cfg.clock.as_ref()))
         }),
-        // Non-dense engines evolve + sample inside the engine and never
-        // feed the marginal cache: the tableau path has no state vector,
-        // and a noisy run is a mixture with no single marginal.
-        Engine::Stabilizer => run_counts(&StabilizerBackend::default(), job, opts),
-        Engine::Trajectory | Engine::TrajectoryStabilizer => {
-            let model = job.spec.noise.clone().expect("trajectory engine implies a noise model");
-            let fan = job.spec.trajectories;
-            match (job.engine, &cfg.backend) {
-                (Engine::TrajectoryStabilizer, _) => {
-                    let inner = StabilizerBackend::default();
-                    run_counts(&TrajectoryBackend::new(inner, model, fan), job, opts)
-                }
-                (_, BackendKind::Gpu(device)) => {
-                    run_counts(&TrajectoryBackend::new(device.clone(), model, fan), job, opts)
-                }
-                (_, BackendKind::Cpu { .. }) => {
-                    run_counts(&TrajectoryBackend::new(AerCpuBackend, model, fan), job, opts)
-                }
-            }
-        }
+        // The tableau evolves + samples inside the engine and never feeds
+        // the marginal cache: it has no state vector.
+        Engine::Stabilizer => with_precision!(job.spec.precision, T => {
+            let out: RunOutput<T> = StabilizerBackend::default().run(&job.canonical, opts)?;
+            Ok((out.counts, out.stats, None))
+        }),
         Engine::Sharded => unreachable!("sharded jobs run through the stepper driver"),
     }
-}
-
-/// Run an engine that samples internally (stabilizer, trajectory fans)
-/// at the job's precision and hand back its counts; no marginal
-/// artifact is produced.
-fn run_counts<S: Simulator<f32> + Simulator<f64>>(
-    sim: &S,
-    job: &QueuedJob,
-    opts: &RunOptions,
-) -> Result<Executed, SimError> {
-    with_precision!(job.spec.precision, T => {
-        let out: RunOutput<T> = sim.run(&job.canonical, opts)?;
-        Ok((out.counts, out.stats, None))
-    })
 }
 
 /// The one tail of every dense execution — stepper run, whole-run
@@ -1795,22 +1751,6 @@ mod tests {
             }
             other => panic!("expected RejectedInfeasible, got {other:?}"),
         }
-        service.shutdown();
-    }
-
-    #[test]
-    fn noisy_job_routes_through_the_trajectory_fan() {
-        use qgear_statevec::{NoiseChannel, NoiseModel};
-        let service = small_service(1);
-        let model = NoiseModel::single(NoiseChannel::BitFlip { p: 0.05 });
-        let id = service
-            .submit(JobSpec::new(bell()).shots(500).with_noise(model, 8))
-            .job_id()
-            .unwrap();
-        let outcome = service.wait(id).unwrap();
-        let result = outcome.result().unwrap();
-        let counts = result.counts.as_ref().unwrap();
-        assert_eq!(counts.total(), 500, "shots conserved across the fan");
         service.shutdown();
     }
 

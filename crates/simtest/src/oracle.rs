@@ -470,32 +470,6 @@ pub fn check_telemetry(snapshot: &TelemetrySnapshot, dispatches: usize) -> Vec<S
     v
 }
 
-/// **Trajectory accounting** (telemetry oracle): the noise-trajectory
-/// fan never executes more trajectories than it requested, and any
-/// trajectory activity is wrapped in a `trajectory_batch` span. Vacuous
-/// for scenarios that submit no noisy jobs — all three observables are
-/// zero and the oracle holds trivially, so legacy scenarios are
-/// unaffected.
-pub fn check_trajectory_accounting(snapshot: &TelemetrySnapshot) -> Vec<String> {
-    let mut v = Vec::new();
-    let requested = snapshot.counter(qgear_telemetry::names::TRAJECTORIES_REQUESTED);
-    let run = snapshot.counter(qgear_telemetry::names::TRAJECTORIES_RUN);
-    let batches = snapshot.span_count(qgear_telemetry::names::spans::TRAJECTORY_BATCH);
-    if run > requested {
-        v.push(format!(
-            "trajectory accounting: {run} trajectories executed but only \
-             {requested} requested"
-        ));
-    }
-    if requested > 0 && batches == 0 {
-        v.push(format!(
-            "trajectory accounting: {requested} trajectories requested outside \
-             any trajectory_batch span"
-        ));
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

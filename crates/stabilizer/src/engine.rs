@@ -38,9 +38,9 @@ use std::time::Instant;
 /// `Counts` packs one measured qubit per key bit.
 pub const MAX_MEASURED_QUBITS: usize = 64;
 
-/// SplitMix64 — the per-shot / per-trajectory seed derivation used across
-/// the workspace's deterministic fan-outs.
-pub fn derive_seed(master: u64, index: u64) -> u64 {
+/// SplitMix64 — derives shot `index`'s measurement seed from the run's
+/// master seed, so each sampled shot is reproducible on its own.
+fn derive_seed(master: u64, index: u64) -> u64 {
     let mut s = master ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = s;

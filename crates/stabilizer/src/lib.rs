@@ -38,5 +38,5 @@
 pub mod engine;
 pub mod tableau;
 
-pub use engine::{derive_seed, StabilizerBackend, MAX_MEASURED_QUBITS};
+pub use engine::{StabilizerBackend, MAX_MEASURED_QUBITS};
 pub use tableau::{Measurement, Tableau};

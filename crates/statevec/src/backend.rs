@@ -145,23 +145,6 @@ pub struct ExecStats {
     pub comm_messages: u64,
 }
 
-impl ExecStats {
-    /// Merge counters from a sub-run (used by multi-device execution).
-    pub fn merge(&mut self, other: &ExecStats) {
-        self.gates_applied += other.gates_applied;
-        self.kernels_launched += other.kernels_launched;
-        self.sweeps_executed += other.sweeps_executed;
-        self.bytes_touched += other.bytes_touched;
-        self.flops += other.flops;
-        self.elapsed += other.elapsed;
-        self.sampling_elapsed += other.sampling_elapsed;
-        for i in 0..3 {
-            self.comm_bytes[i] += other.comm_bytes[i];
-        }
-        self.comm_messages += other.comm_messages;
-    }
-}
-
 /// Measurement outcome histogram over an ordered qubit subset.
 /// Keys pack `qubits[j]`'s outcome into bit `j`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -318,16 +301,5 @@ mod tests {
         assert_eq!(c.get(3), 25);
         assert_eq!(c.get(1), 0);
         assert!((c.probability(0) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = ExecStats { gates_applied: 5, kernels_launched: 2, bytes_touched: 100, flops: 50, ..Default::default() };
-        let b = ExecStats { gates_applied: 3, kernels_launched: 1, bytes_touched: 10, flops: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.gates_applied, 8);
-        assert_eq!(a.kernels_launched, 3);
-        assert_eq!(a.bytes_touched, 110);
-        assert_eq!(a.flops, 55);
     }
 }

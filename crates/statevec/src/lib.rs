@@ -58,7 +58,6 @@ pub mod arena;
 pub mod backend;
 pub mod checkpoint;
 pub mod gpu;
-pub mod noise;
 pub mod planner;
 pub mod sampling;
 pub mod segment;
@@ -75,7 +74,6 @@ pub use checkpoint::{
     CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
 };
 pub use gpu::GpuDevice;
-pub use noise::{NoiseChannel, NoiseModel, TrajectoryBackend};
 pub use planner::{plan, ExecutionPlan, PlannerCosts, SegmentMode};
 pub use sampling::SamplingConfig;
 pub use segment::SegmentedRun;

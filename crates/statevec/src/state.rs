@@ -79,22 +79,6 @@ impl<T: Scalar> StateVector<T> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Probability that qubit `q` measures `|1⟩`.
-    fn prob_one(&self, q: u32) -> T {
-        let mask = 1usize << q;
-        self.amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & mask != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    }
-
-    /// Expectation value of Pauli-Z on qubit `q`: `P(0) − P(1)`.
-    pub fn expect_z(&self, q: u32) -> T {
-        T::ONE - self.prob_one(q) - self.prob_one(q)
-    }
-
     /// Marginal probability distribution over an ordered subset of qubits.
     /// `qubits[j]` maps to bit `j` of the returned distribution's index.
     /// Runs in one pass over the full state.
@@ -198,18 +182,6 @@ mod tests {
     #[should_panic(expected = "must be 2^n")]
     fn non_power_of_two_rejected() {
         StateVector::from_amplitudes(vec![C64::ZERO; 3]);
-    }
-
-    #[test]
-    fn prob_one_and_expect_z() {
-        // |10⟩: qubit 1 is 1, qubit 0 is 0.
-        let mut amps = vec![C64::ZERO; 4];
-        amps[2] = C64::ONE;
-        let s = StateVector::from_amplitudes(amps);
-        assert_eq!(s.prob_one(1), 1.0);
-        assert_eq!(s.prob_one(0), 0.0);
-        assert_eq!(s.expect_z(1), -1.0);
-        assert_eq!(s.expect_z(0), 1.0);
     }
 
     #[test]

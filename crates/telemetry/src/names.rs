@@ -177,15 +177,6 @@ pub const PLANNER_RATIO_UNFUSED: &str = "planner.cost_ratio.unfused";
 /// See [`PLANNER_RATIO_UNFUSED`].
 pub const PLANNER_RATIO_SWEEP: &str = "planner.cost_ratio.sweep";
 
-/// Noise trajectories requested across all trajectory-batch fans
-/// (`qgear-statevec::noise`), including trajectories that were dealt
-/// zero shots and therefore skipped.
-pub const TRAJECTORIES_REQUESTED: &str = "trajectory.requested";
-
-/// Noise trajectories actually executed on the inner engine (dealt at
-/// least one shot).
-pub const TRAJECTORIES_RUN: &str = "trajectory.runs";
-
 /// Kernel launches that ran on the SIMD lane path in fp64 (4 complex
 /// amplitudes per `f64x4` lane vector).
 pub const KERNEL_SIMD_F64X4: &str = "kernel.simd.f64x4";
@@ -298,7 +289,4 @@ pub mod spans {
     /// Decode + verify + plan-rebuild of one checkpoint generation
     /// during the recovery ladder (opened per generation tried).
     pub const CHECKPOINT_RESTORE: &str = "checkpoint_restore";
-    /// One noise-trajectory fan: shot dealing, per-trajectory runs and
-    /// the histogram merge (`qgear-statevec::noise`).
-    pub const TRAJECTORY_BATCH: &str = "trajectory_batch";
 }
