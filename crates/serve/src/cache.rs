@@ -90,7 +90,7 @@ impl ResultCache {
 
 /// A cached measurement marginal: the exact `f64` outcome probabilities
 /// and measured qubits of one evolved state, reusable across *any*
-/// `(shots, seed, batch)` sampling request. Every sampler shares one
+/// `(shots, seed)` sampling request. Every sampler shares one
 /// probability-conversion point (`qgear_statevec::marginal_probs`), so
 /// replaying from here is bit-identical to re-simulating.
 #[derive(Debug, Clone)]

@@ -11,7 +11,6 @@
 use crate::batch::BatchRecord;
 use crate::checkpoint_store::CheckpointRecord;
 use crate::job::JobId;
-use crate::pool::PoolDecision;
 use crate::scheduler::DispatchRecord;
 use crate::shard::ShardRecord;
 use std::time::Duration;
@@ -38,13 +37,11 @@ pub enum EventKind {
     Batch(BatchRecord),
     /// A shard group started, faulted or completed.
     Shard(ShardRecord),
-    /// The elastic pool scaled, or handed a torn-down group's job on.
-    Pool(PoolDecision),
 }
 
 impl ServiceEvent {
-    /// Whether the event is part of `job`'s life: a batch flush concerns
-    /// every member, a scale decision no job at all.
+    /// Whether the event is part of `job`'s life. Every event concerns at
+    /// least one job; a batch flush concerns every member.
     pub fn concerns(&self, job: JobId) -> bool {
         match &self.kind {
             EventKind::Dispatch(r) => r.id == job,
@@ -60,9 +57,7 @@ impl ServiceEvent {
                 | ShardRecord::WorkerLost { job: j, .. }
                 | ShardRecord::LinkFault { job: j, .. }
                 | ShardRecord::Completed { job: j, .. },
-            )
-            | EventKind::Pool(PoolDecision::Replace { job: j, .. }) => *j == job.0,
-            EventKind::Pool(PoolDecision::ScaleUp { .. } | PoolDecision::ScaleDown { .. }) => false,
+            ) => *j == job.0,
         }
     }
 }
@@ -78,18 +73,12 @@ mod tests {
 
     #[test]
     fn events_carry_the_clock_reading_and_key_on_the_jobs_they_concern() {
-        let scale = at(7, EventKind::Pool(PoolDecision::ScaleUp { from: 1, to: 2, queue_depth: 3 }));
-        assert_eq!(scale.at, Duration::from_millis(7));
-        assert!((0..4).all(|j| !scale.concerns(JobId(j))), "a scale decision concerns no job");
-
-        let replace = at(8, EventKind::Pool(PoolDecision::Replace { job: 2, shard: 1 }));
-        assert!(replace.concerns(JobId(2)) && !replace.concerns(JobId(1)));
-
         let members = vec![
             (1, BatchMemberDisposition::Executed),
             (3, BatchMemberDisposition::Requeued),
         ];
         let flush = at(9, EventKind::Batch(BatchRecord { members, formed_at: Duration::ZERO }));
+        assert_eq!(flush.at, Duration::from_millis(9));
         assert!(flush.concerns(JobId(1)) && flush.concerns(JobId(3)), "every member");
         assert!(!flush.concerns(JobId(2)));
 

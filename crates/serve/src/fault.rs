@@ -37,9 +37,9 @@ pub enum FaultKind {
     /// The worker dies *mid-run*, after completing `after_segments`
     /// segments of segmented execution (so any checkpoints taken at
     /// earlier segment boundaries survive). Outside segmented dense
-    /// execution (checkpointing off, the CPU backend, any other engine)
-    /// this degrades to [`FaultKind::WorkerDeath`] at the attempt
-    /// boundary. Does not consume a retry.
+    /// execution (checkpointing off, or any other engine) this degrades
+    /// to [`FaultKind::WorkerDeath`] at the attempt boundary. Does not
+    /// consume a retry.
     WorkerDeathMidRun {
         /// Segments the attempt completes before the worker dies
         /// (≥ 1; the death lands strictly inside the run).
@@ -64,7 +64,7 @@ pub enum FaultKind {
     /// `after_segments` segments of sharded execution. The whole
     /// partitioned run is torn down (a shard is useless alone), the job
     /// is requeued front-of-queue with its attempt ledger intact, and the
-    /// replacement dispatch — drawn from the elastic pool — restores the
+    /// replacement dispatch — on whichever worker pops it — restores the
     /// newest verified checkpoint generation and resumes: a live-shard
     /// migration. On a job that was not sharded this degrades to
     /// [`FaultKind::WorkerDeath`] at the attempt boundary. Does not

@@ -4,10 +4,10 @@
 //! The paper's headline workflow pushes one circuit per GPU through
 //! Slurm at "approximately 100 % utilization of up to 1,024 GPUs"
 //! (§2.4). `qgear-container::slurm` *models* that farm as a
-//! discrete-event simulation; this crate **executes** it: a pool of real
-//! worker threads, each owning a [`qgear_statevec::GpuDevice`] (or the
-//! Aer-like CPU baseline), drains a bounded admission queue of
-//! [`JobSpec`]s and produces exact counts.
+//! discrete-event simulation; this crate **executes** it: a fixed set of
+//! real worker threads, each owning a [`qgear_statevec::GpuDevice`],
+//! drains a bounded admission queue of [`JobSpec`]s and produces exact
+//! counts.
 //!
 //! The moving parts mirror an inference-serving stack:
 //!
@@ -33,8 +33,8 @@
 //!   span per dispatched job (see `qgear_telemetry::names`), so the
 //!   saturation bench reports p50/p95/p99 straight from spans.
 //! * **One event stream** ([`Service::events`]) — every dispatch,
-//!   checkpoint step, batch flush, shard step and pool decision in one
-//!   clock-stamped log, keyed per job by [`Service::events_for`].
+//!   checkpoint step, batch flush and shard step in one clock-stamped
+//!   log, keyed per job by [`Service::events_for`].
 //!
 //! ```
 //! use qgear_ir::Circuit;
@@ -60,7 +60,6 @@ pub mod event;
 pub mod fault;
 pub mod hashkey;
 pub mod job;
-pub mod pool;
 pub mod scheduler;
 pub mod service;
 pub mod shard;
@@ -75,7 +74,6 @@ pub use hashkey::CircuitKey;
 pub use job::{
     Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, Priority, ServeError,
 };
-pub use pool::{PoolConfig, PoolDecision};
 pub use scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 pub use service::{BackendKind, SelectionPolicy, ServeConfig, Service};
 pub use shard::{ShardConfig, ShardRecord};

@@ -1,8 +1,9 @@
-//! The service runtime: worker pool, dispatch loop, retries, telemetry.
+//! The service runtime: a fixed set of workers, dispatch loop, retries,
+//! telemetry.
 //!
-//! `Service::start` spawns `workers` OS threads, each owning its own
-//! engine handle (a cloned [`GpuDevice`] or the Aer CPU baseline) — the
-//! executable analogue of the paper's one-circuit-per-GPU mQPU farm.
+//! `Service::start` spawns `workers` OS threads that run a [`GpuDevice`]
+//! each until `shutdown` — the executable analogue of the paper's
+//! one-circuit-per-GPU mQPU farm, which never grows or shrinks its set.
 //! Workers block on a condvar until the admission queue offers work,
 //! then run jobs to a terminal [`JobOutcome`] published under the state
 //! lock. Shutdown is graceful: workers drain the queue before exiting,
@@ -10,8 +11,9 @@
 //!
 //! Every dispatch takes one road (docs/SERVING.md, "Dispatch
 //! lifecycle"): `precheck` → attempt loop → the stepper driver
-//! (`stepper.rs`) or a whole-run engine → `sample_and_package` →
-//! `publish_outcome`. A coalesced flush takes it once per member.
+//! (`stepper.rs`, ending in `sample_and_package`) or the stabilizer
+//! tableau run whole → `publish_outcome`. A coalesced flush takes it once
+//! per member.
 
 use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
@@ -20,7 +22,6 @@ use crate::event::{EventKind, ServiceEvent};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
-use crate::pool::{PoolConfig, PoolDecision};
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 use crate::shard::{ShardConfig, ShardSource};
 use crate::stepper::{drive, Attempt, DenseSource};
@@ -35,8 +36,7 @@ use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
-    AerCpuBackend, Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator,
-    StateVector,
+    Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator, StateVector,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -44,7 +44,7 @@ use qgear_telemetry::{counter_add, counter_inc, histogram_record, span};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -65,25 +65,21 @@ macro_rules! with_precision {
     };
 }
 
-/// Which engine the worker pool runs on.
+/// The device every worker runs. It has one variant: the repo benchmark
+/// (`benchmark/src/drive.rs`) builds `BackendKind::Gpu(..)`, so the enum
+/// stays until that harness can hand `ServeConfig::backend` a plain
+/// [`GpuDevice`].
 #[derive(Debug, Clone)]
 pub enum BackendKind {
     /// The fused simulated-GPU engine; each worker clones the device.
     Gpu(GpuDevice),
-    /// The sequential Aer-like CPU baseline with this much RAM.
-    Cpu {
-        /// Node memory available to each worker, bytes.
-        memory_bytes: u128,
-    },
 }
 
 impl BackendKind {
     /// Device memory the admission feasibility check compares against.
     pub fn memory_bytes(&self) -> u128 {
-        match self {
-            BackendKind::Gpu(dev) => dev.memory_bytes,
-            BackendKind::Cpu { memory_bytes } => *memory_bytes,
-        }
+        let BackendKind::Gpu(dev) = self;
+        dev.memory_bytes
     }
 }
 
@@ -129,7 +125,7 @@ pub struct ServeConfig {
     /// Schedule steps per execution segment when checkpointed execution
     /// is enabled. `0` (the default) disables checkpointing: each
     /// attempt then runs its whole schedule as one segment and nothing
-    /// is written. Only the GPU backend executes in segments.
+    /// is written. The stabilizer tableau runs whole regardless.
     pub checkpoint_interval: usize,
     /// Checkpoint generations retained per job (newest wins; older ones
     /// are the recovery ladder's fallbacks). Ignored while
@@ -173,14 +169,10 @@ pub struct ServeConfig {
     pub batch: BatchConfig,
     /// Sharded execution for jobs beyond one worker's memory (defaults
     /// to `None` = such jobs stay [`Admission::RejectedInfeasible`]).
-    /// GPU backend only: the shard slices are device slices. Sharded
-    /// jobs always execute in checkpointed segments — the checkpoint is
-    /// the migration unit — using `checkpoint_interval` (floored at 1)
-    /// and `checkpoint_generations`.
+    /// Sharded jobs always execute in checkpointed segments — the
+    /// checkpoint is the migration unit — using `checkpoint_interval`
+    /// (floored at 1) and `checkpoint_generations`.
     pub shard: Option<ShardConfig>,
-    /// Elastic worker-pool policy (defaults to `None` = the fixed
-    /// `workers` count). See [`PoolConfig`].
-    pub pool: Option<PoolConfig>,
 }
 
 impl Default for ServeConfig {
@@ -203,7 +195,6 @@ impl Default for ServeConfig {
             selection: SelectionPolicy::default(),
             batch: BatchConfig::disabled(),
             shard: None,
-            pool: None,
         }
     }
 }
@@ -223,11 +214,6 @@ pub(crate) struct State {
     events: Vec<ServiceEvent>,
     /// Per-job generational checkpoints for in-flight segmented jobs.
     pub(crate) checkpoints: CheckpointStore,
-    /// Worker threads currently alive (spawned minus retired). Only the
-    /// elastic pool moves it.
-    live_workers: usize,
-    /// Next worker-thread name index (monotonic across scale-ups).
-    next_worker_id: usize,
     next_id: u64,
     in_flight: usize,
     shutdown: bool,
@@ -243,10 +229,16 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The one door to [`State`]. A poisoned lock means a thread
-    /// panicked mid-update, so the state can no longer be trusted.
+    /// The one door to [`State`]; [`Shared::wait`] is the same door
+    /// re-entered after a condvar wait.
     pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("serve state poisoned")
+        unpoisoned(self.state.lock())
+    }
+
+    /// Release `st`, block on `cv`, and re-acquire [`State`] under the
+    /// same poison policy as [`Shared::lock`].
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        unpoisoned(cv.wait(st))
     }
 
     /// The one way an event enters the stream: stamped under the state
@@ -257,6 +249,13 @@ impl Shared {
     }
 }
 
+/// The state lock's poison policy, for both of its doors: a poisoned lock
+/// means a thread panicked mid-update, so the state can no longer be
+/// trusted.
+fn unpoisoned<G>(acquired: LockResult<G>) -> G {
+    acquired.expect("serve state poisoned")
+}
+
 /// A running multi-tenant simulation service.
 pub struct Service {
     pub(crate) shared: Arc<Shared>,
@@ -264,7 +263,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Start the worker pool and return the service handle.
+    /// Start the workers and return the service handle.
     pub fn start(cfg: ServeConfig) -> Self {
         let worker_count = cfg.workers.max(1);
         let shared = Arc::new(Shared {
@@ -276,8 +275,6 @@ impl Service {
                 cancel_requests: HashSet::new(),
                 events: Vec::new(),
                 checkpoints: CheckpointStore::new(cfg.checkpoint_generations),
-                live_workers: worker_count,
-                next_worker_id: worker_count,
                 next_id: 0,
                 in_flight: 0,
                 shutdown: false,
@@ -371,34 +368,7 @@ impl Service {
             counter_inc(&names::admission_backend_chosen(engine.name()));
         }
         histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
-
-        // Elastic pool: admission is where queue-depth telemetry turns
-        // into capacity. The decision is taken and stamped under the
-        // same lock that enqueued the job, so under a virtual clock the
-        // ScaleUp events are exact.
-        let mut spawn_worker = None;
-        if let Some(pool) = self.shared.cfg.pool {
-            let depth = st.queue.len();
-            if depth >= pool.scale_up_depth.max(1) && st.live_workers < pool.max_workers {
-                let from = st.live_workers;
-                st.live_workers += 1;
-                let up = PoolDecision::ScaleUp { from, to: from + 1, queue_depth: depth };
-                self.shared.record(&mut st, EventKind::Pool(up));
-                counter_inc(names::POOL_SCALE_UPS);
-                histogram_record(names::POOL_WORKERS, (from + 1) as f64);
-                spawn_worker = Some(st.next_worker_id);
-                st.next_worker_id += 1;
-            }
-        }
         drop(st);
-        if let Some(worker_id) = spawn_worker {
-            let shared = Arc::clone(&self.shared);
-            let handle = thread::Builder::new()
-                .name(format!("qgear-serve-worker-{worker_id}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn serve worker");
-            self.workers.lock().expect("worker list poisoned").push(handle);
-        }
         self.shared.jobs_cv.notify_one();
         Admission::Accepted(id)
     }
@@ -438,7 +408,7 @@ impl Service {
             if id.0 >= st.next_id {
                 return None;
             }
-            st = self.shared.done_cv.wait(st).expect("serve state poisoned");
+            st = self.shared.wait(&self.shared.done_cv, st);
         }
     }
 
@@ -466,7 +436,7 @@ impl Service {
     pub fn drain(&self) {
         let mut st = self.shared.lock();
         while !st.queue.is_empty() || st.in_flight > 0 {
-            st = self.shared.done_cv.wait(st).expect("serve state poisoned");
+            st = self.shared.wait(&self.shared.done_cv, st);
         }
     }
 
@@ -486,11 +456,6 @@ impl Service {
     /// order — one job's life across every kind.
     pub fn events_for(&self, id: JobId) -> Vec<ServiceEvent> {
         self.shared.lock().events.iter().filter(|e| e.concerns(id)).cloned().collect()
-    }
-
-    /// Worker threads currently alive (the fixed count without a pool).
-    pub fn live_workers(&self) -> usize {
-        self.shared.lock().live_workers
     }
 
     /// Stop admitting, drain the queue, and join the workers. Idempotent;
@@ -565,12 +530,11 @@ fn record_dispatch(shared: &Shared, st: &mut State, job: &QueuedJob) {
     histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
 }
 
-/// One worker: pop a leader → [`coalesce`] → [`serve_flush`]. Exits when
-/// shutdown is flagged *and* the queue has drained, so accepted jobs are
-/// never abandoned, or when the elastic pool retires it. An injected
-/// worker death requeues the stranded jobs at the front of their tenant
-/// queues and the thread continues as its own (logically fresh)
-/// replacement.
+/// One worker: pop a leader → [`coalesce`] → [`serve_flush`]. Returns only
+/// once shutdown is flagged *and* the queue has drained, so accepted jobs
+/// are never abandoned. An injected worker death requeues the stranded
+/// jobs at the front of their tenant queues and the thread continues as
+/// its own (logically fresh) replacement.
 fn worker_loop(shared: &Shared) {
     loop {
         let leader = {
@@ -583,20 +547,16 @@ fn worker_loop(shared: &Shared) {
                 if st.shutdown {
                     return;
                 }
-                st = shared.jobs_cv.wait(st).expect("serve state poisoned");
+                st = shared.wait(&shared.jobs_cv, st);
             }
         };
         let (members, formed_at) = coalesce(shared, leader);
-        if serve_flush(shared, members, formed_at) {
-            return;
-        }
+        serve_flush(shared, members, formed_at);
     }
 }
 
-/// Publish a terminal outcome for one dispatched job. Only the `last`
-/// publish of a flush may retire its worker — before it the worker still
-/// holds the rest of its flush — and the verdict is returned.
-fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, last: bool) -> bool {
+/// Publish a terminal outcome for one dispatched job.
+fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome) {
     let now = shared.cfg.clock.now();
     let mut st = shared.lock();
     st.outcomes.insert(id.0, (outcome, now));
@@ -605,10 +565,8 @@ fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome, last: bool) 
     // whatever the outcome was.
     st.checkpoints.clear(id.0);
     st.in_flight -= 1;
-    let retire = last && pool_retire(shared, &mut st);
     drop(st);
     shared.done_cv.notify_all();
-    retire
 }
 
 /// One worker death, however many dispatched jobs it stranded (a lone
@@ -626,25 +584,6 @@ fn requeue_after_death(shared: &Shared, stranded: Vec<QueuedJob>) {
     }
     drop(st);
     shared.jobs_cv.notify_all();
-}
-
-/// Elastic-pool retirement, decided under the state lock right after a
-/// worker publishes an outcome: an empty queue with the pool above its
-/// floor means this worker is surplus and exits. Because every candidate
-/// passes through the same lock, concurrent retirements serialize into a
-/// strictly descending `(from, to)` chain regardless of thread timing.
-/// Returns `true` when the calling worker must exit its loop.
-fn pool_retire(shared: &Shared, st: &mut State) -> bool {
-    let Some(pool) = shared.cfg.pool else { return false };
-    if st.shutdown || !st.queue.is_empty() || st.live_workers <= pool.min_workers.max(1) {
-        return false;
-    }
-    let from = st.live_workers;
-    st.live_workers -= 1;
-    shared.record(st, EventKind::Pool(PoolDecision::ScaleDown { from, to: from - 1 }));
-    counter_inc(names::POOL_SCALE_DOWNS);
-    histogram_record(names::POOL_WORKERS, (from - 1) as f64);
-    true
 }
 
 /// True when a cancel request for `id` has been recorded.
@@ -847,7 +786,7 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
             Some(FaultKind::WorkerDeath) => return died(attempt),
             Some(FaultKind::ShardWorkerDeath { .. }) if !sharded => return died(attempt),
             Some(FaultKind::WorkerDeathMidRun { .. })
-                if !(segmented_enabled(&shared.cfg) && job.engine == Engine::Dense) =>
+                if !(shared.cfg.checkpoint_interval > 0 && job.engine == Engine::Dense) =>
             {
                 return died(attempt);
             }
@@ -950,13 +889,6 @@ fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     }
 }
 
-/// Whether attempts run in checkpointed segments: opted in via
-/// `checkpoint_interval` and only on the GPU backend (the segmented
-/// cursor is built over its fused/sweep schedule).
-fn segmented_enabled(cfg: &ServeConfig) -> bool {
-    cfg.checkpoint_interval > 0 && matches!(cfg.backend, BackendKind::Gpu(_))
-}
-
 /// Pull jobs with the leader's [`BatchKey`] out of the admission queue
 /// behind `leader` until the flush fills, the queue drains, shutdown
 /// begins, or the coalescing window closes. The window opens when the
@@ -1013,8 +945,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob) -> (Vec<QueuedJob>, Option<Durat
 }
 
 /// Serve one flush — the leader alone, or the mates [`coalesce`] pulled
-/// behind it — to per-member outcomes or requeues. Returns `true` when
-/// the calling worker must retire (see [`pool_retire`]).
+/// behind it — to per-member outcomes or requeues.
 ///
 /// Every member passes [`precheck`] first, all of them before any
 /// executes, so queue waits, deadline verdicts and cache probes are
@@ -1025,7 +956,7 @@ fn coalesce(shared: &Shared, leader: QueuedJob) -> (Vec<QueuedJob>, Option<Durat
 /// member not yet run: one [`requeue_after_death`] puts them all back.
 /// Batching is a dispatch decision only; with it on, the flush is
 /// recorded as one [`EventKind::Batch`].
-fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Duration>) -> bool {
+fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Duration>) {
     if let Some(formed_at) = formed_at {
         let flushed_at = shared.cfg.clock.now();
         if members.len() >= 2 {
@@ -1038,15 +969,12 @@ fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Durat
         );
     }
 
-    let count = members.len();
-    let mut retire = false;
-    let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(count);
+    let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(members.len());
     let mut executing: Vec<(QueuedJob, Duration)> = Vec::new();
-    for (i, job) in members.into_iter().enumerate() {
+    for job in members {
         match precheck(shared, &job) {
             Precheck::Resolved(outcome, disposition) => {
-                let last = i + 1 == count && executing.is_empty();
-                retire = publish_outcome(shared, job.id, outcome, last);
+                publish_outcome(shared, job.id, outcome);
                 dispositions.push((job.id.0, disposition));
             }
             Precheck::Execute { queue_wait } => executing.push((job, queue_wait)),
@@ -1056,8 +984,7 @@ fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Durat
     while let Some((job, queue_wait)) = executing.next() {
         match attempt_loop(shared, &job, queue_wait) {
             ServeStep::Outcome(outcome) => {
-                let last = executing.as_slice().is_empty();
-                retire = publish_outcome(shared, job.id, outcome, last);
+                publish_outcome(shared, job.id, outcome);
                 dispositions.push((job.id.0, BatchMemberDisposition::Executed));
             }
             ServeStep::WorkerDied { attempts_consumed } => {
@@ -1085,7 +1012,6 @@ fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Durat
         let flush = BatchRecord { members: dispositions, formed_at };
         shared.record(&mut shared.lock(), EventKind::Batch(flush));
     }
-    retire
 }
 
 /// The admission decision: which engine runs the job, and the circuit it
@@ -1221,40 +1147,26 @@ fn select_engine(
     // Beyond the single-worker memory wall: plan a shard group. Every
     // doubling of the group buys one qubit (each worker then holds half
     // the slice), so the smallest sufficient power-of-two group wins.
-    // GPU jobs only: the shard slices are device slices.
     if let Some(shard) = cfg.shard {
-        if !matches!(cfg.backend, BackendKind::Gpu(_)) {
-            considered.push(verdict(
+        match plan_shard_count(
+            n,
+            spec.precision,
+            device_bytes,
+            shard_min_local_width(cfg),
+            shard.max_shards,
+        ) {
+            Some(shards) => {
+                counter_inc(names::SERVE_SHARD_JOBS);
+                histogram_record(names::SERVE_SHARD_WIDTH, f64::from(shards));
+                return Ok(Selection { engine: Engine::Sharded, canonical });
+            }
+            None => considered.push(verdict(
                 Engine::Sharded,
                 dense_required,
                 device_bytes,
                 false,
-                "sharding requires the GPU backend",
-            ));
-        } else {
-            match plan_shard_count(
-                n,
-                spec.precision,
-                device_bytes,
-                shard_min_local_width(cfg),
-                shard.max_shards,
-            ) {
-                Some(shards) => {
-                    counter_inc(names::SERVE_SHARD_JOBS);
-                    histogram_record(names::SERVE_SHARD_WIDTH, f64::from(shards));
-                    return Ok(Selection { engine: Engine::Sharded, canonical });
-                }
-                None => considered.push(verdict(
-                    Engine::Sharded,
-                    dense_required,
-                    device_bytes,
-                    false,
-                    format!(
-                        "no admissible shard group within the {}-worker cap",
-                        shard.max_shards
-                    ),
-                )),
-            }
+                format!("no admissible shard group within the {}-worker cap", shard.max_shards),
+            )),
         }
     }
     Err(considered)
@@ -1281,6 +1193,7 @@ pub(crate) type Executed = (Option<Counts>, ExecStats, Option<CachedMarginal>);
 /// ([`crate::stepper::drive`]): recovery ladder, segment loop, checkpoint
 /// writes, die-after budget, final sample. Straight-through execution is
 /// that driver with an unbounded interval (one segment, nothing written).
+/// The stabilizer tableau has no cursor and runs whole.
 /// Deterministic throughout: equal `(circuit, shots, seed, precision,
 /// fusion_width)` produce bit-identical `Counts` on whichever rung the
 /// ladder lands — the property the caches rely on.
@@ -1290,16 +1203,17 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
     }
     let cfg = &shared.cfg;
     let opts = run_options(cfg, job);
-    match (job.engine, &cfg.backend) {
-        (Engine::Dense, BackendKind::Gpu(device)) => {
+    match job.engine {
+        Engine::Dense => {
+            let BackendKind::Gpu(device) = &cfg.backend;
             let interval =
-                if segmented_enabled(cfg) { cfg.checkpoint_interval } else { usize::MAX };
+                if cfg.checkpoint_interval > 0 { cfg.checkpoint_interval } else { usize::MAX };
             let source = DenseSource { device, circuit: &job.canonical, opts };
             with_precision!(job.spec.precision, T => {
                 drive::<T, _>(shared, job, &source, interval, injected.die_after)
             })
         }
-        (Engine::Sharded, _) => {
+        Engine::Sharded => {
             let source = ShardSource::plan(shared, job, opts, injected)?;
             // Sharded execution always checkpoints (interval floored at
             // 1): without generations there would be nothing to migrate.
@@ -1308,38 +1222,17 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
                 drive::<T, _>(shared, job, &source, interval, injected.die_after)
             })
         }
-        _ => run_whole(cfg, job, &opts).map(|done| Attempt::Finished(Box::new(done))),
-    }
-}
-
-/// Engines that run a circuit whole — no cursor to step, so nothing to
-/// checkpoint: the Aer CPU baseline (the differential reference, kept
-/// independent of the stepper core on purpose) and the stabilizer
-/// tableau.
-fn run_whole(cfg: &ServeConfig, job: &QueuedJob, opts: &RunOptions) -> Result<Executed, SimError> {
-    match job.engine {
-        // Two phases (evolve, then sample from the exact marginal) so the
-        // marginal can be handed back for the state cache; the phases use
-        // the engine's own helpers, so the combined result is
-        // bit-identical to a one-shot `Simulator::run` with `opts`.
-        Engine::Dense => with_precision!(job.spec.precision, T => {
-            let evolve_opts = RunOptions { shots: 0, keep_state: true, ..opts.clone() };
-            let out: RunOutput<T> = AerCpuBackend.run(&job.canonical, &evolve_opts)?;
-            let state = out.state.expect("keep_state run returns the state");
-            Ok(sample_and_package(state, out.stats, job, cfg.clock.as_ref()))
-        }),
         // The tableau evolves + samples inside the engine and never feeds
         // the marginal cache: it has no state vector.
         Engine::Stabilizer => with_precision!(job.spec.precision, T => {
-            let out: RunOutput<T> = StabilizerBackend::default().run(&job.canonical, opts)?;
-            Ok((out.counts, out.stats, None))
+            let out: RunOutput<T> = StabilizerBackend::default().run(&job.canonical, &opts)?;
+            Ok(Attempt::Finished(Box::new((out.counts, out.stats, None))))
         }),
-        Engine::Sharded => unreachable!("sharded jobs run through the stepper driver"),
     }
 }
 
-/// The one tail of every dense execution — stepper run, whole-run
-/// baseline, batch member: exact marginal → seeded draw → cacheable
+/// The one tail of every state-vector execution — the stepper driver's
+/// final sample, dense or sharded: exact marginal → seeded draw → cacheable
 /// artifact. Sharing it is what keeps a segmented, resumed, sharded or
 /// batched run byte-identical to a solo straight one. Takes the state
 /// by value so the amplitudes are freed before the shot draw.
@@ -1924,18 +1817,5 @@ mod tests {
             service.submit(JobSpec::new(bell())),
             Admission::ShuttingDown
         ));
-    }
-
-    #[test]
-    fn cpu_backend_serves_jobs_too() {
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            backend: BackendKind::Cpu { memory_bytes: 1 << 30 },
-            ..Default::default()
-        });
-        let id = service.submit(JobSpec::new(bell()).shots(100)).job_id().unwrap();
-        let outcome = service.wait(id).unwrap();
-        assert_eq!(outcome.result().unwrap().counts.as_ref().unwrap().total(), 100);
-        service.shutdown();
     }
 }

@@ -34,11 +34,10 @@
 //! agrees with a sharded run to round-off, not to the bit.
 
 use crate::event::EventKind;
-use crate::pool::PoolDecision;
 use crate::scheduler::QueuedJob;
 use crate::service::{shard_min_local_width, Injected, Shared};
 use crate::stepper::{StepSource, Stepper};
-use qgear_cluster::{ClusterEngine, ClusterTopology, CommError, ShardedRun};
+use qgear_cluster::{ClusterEngine, CommError, ShardedRun};
 use qgear_perfmodel::memory::plan_shard_count;
 use qgear_statevec::checkpoint::{CheckpointError, CheckpointScalar, StateCheckpoint};
 use qgear_statevec::{ExecStats, RunOptions, SimError, StateVector};
@@ -46,20 +45,18 @@ use qgear_telemetry::{counter_inc, names};
 use std::cell::Cell;
 
 /// Sharded-serving knobs. Attaching this to `ServeConfig::shard` turns
-/// beyond-cutoff rejections into shard-group admissions (GPU backend
-/// only — the shard slices are device slices).
+/// beyond-cutoff rejections into shard-group admissions. Groups run on
+/// [`ClusterEngine::a100_cluster`]'s topology.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
     /// Largest shard group admission may plan (power-of-two widths up to
     /// this are considered, smallest sufficient wins).
     pub max_shards: u32,
-    /// Interconnect layout for exchange-traffic classification.
-    pub topology: ClusterTopology,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { max_shards: 64, topology: ClusterTopology::default() }
+        ShardConfig { max_shards: 64 }
     }
 }
 
@@ -158,7 +155,7 @@ pub(crate) struct ShardSource<'a> {
     shared: &'a Shared,
     job: &'a QueuedJob,
     /// The shard group as the cluster walker sees it: admission's width,
-    /// the configured topology, the service clock.
+    /// the default topology, the service clock.
     engine: ClusterEngine,
     /// The job's [`crate::service`] run options at `sweep_width: 0`: a
     /// group steps — and checkpoints — per fused block in program order.
@@ -197,7 +194,6 @@ impl<'a> ShardSource<'a> {
             shared,
             job,
             engine: ClusterEngine {
-                topology: shard_cfg.topology,
                 clock: cfg.clock.clone(),
                 ..ClusterEngine::a100_cluster(shards as usize)
             },
@@ -247,16 +243,11 @@ impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
         }
     }
 
-    /// The lost shard is a shard event and — when the pool is elastic —
-    /// the replacement hand-off a pool event right behind it.
+    /// The lost shard is a shard event; the replacement group is the
+    /// job's next dispatch.
     fn died(&self, after_segments: u32) {
         let (job, shard) = (self.job.id.0, self.lost_shard);
-        let mut st = self.shared.lock();
-        let lost = ShardRecord::WorkerLost { job, shard, after_segments };
-        self.shared.record(&mut st, EventKind::Shard(lost));
-        if self.shared.cfg.pool.is_some() {
-            self.shared.record(&mut st, EventKind::Pool(PoolDecision::Replace { job, shard }));
-        }
+        log(self.shared, ShardRecord::WorkerLost { job, shard, after_segments });
     }
 
     /// Record the surviving instance's traffic (the conservation oracle

@@ -163,9 +163,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
     // overflow it and route to a shard group; everything else is
     // unchanged (the pin/release protocol still runs on one worker —
     // the shard group is logical slices of that worker's dispatch, so
-    // determinism is preserved). No elastic pool here: pool scale-ups
-    // would add real threads and break the single-worker pinning model;
-    // the pool events are pinned by a dedicated virtual-time test instead.
+    // determinism is preserved).
     let backend = match scenario.shard {
         Some(p) => {
             let mut dev = GpuDevice::a100_40gb();
@@ -178,9 +176,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
         workers: 1,
         queue_capacity: 1024,
         backend,
-        shard: scenario
-            .shard
-            .map(|p| ShardConfig { max_shards: p.max_shards, ..ShardConfig::default() }),
+        shard: scenario.shard.map(|p| ShardConfig { max_shards: p.max_shards }),
         fusion_width: HARNESS_FUSION_WIDTH,
         sweep_width: HARNESS_SWEEP_WIDTH,
         checkpoint_interval: 1,

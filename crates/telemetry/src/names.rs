@@ -204,7 +204,7 @@ pub const SCRATCH_ALLOC: &str = "scratch.alloc";
 /// the gather/scatter round-trip through scratch is skipped entirely.
 pub const SWEEP_ZERO_COPY_TILES: &str = "sweep.tiles.zero_copy";
 
-// --- sharded serving: shard groups, migration, elastic pool ---------------
+// --- sharded serving: shard groups, migration -----------------------------
 
 /// Jobs admitted past the single-worker feasibility cutoff into a shard
 /// group (`qgear-serve` sharded dispatch).
@@ -220,17 +220,6 @@ pub const SERVE_SHARD_LINK_FAULTS: &str = "serve.shard.link_faults";
 
 /// Histogram of shard counts chosen at admission (workers per shard group).
 pub const SERVE_SHARD_WIDTH: &str = "serve.shard.width";
-
-/// Elastic-pool scale-up decisions (queue depth crossed the threshold and
-/// a worker was added).
-pub const POOL_SCALE_UPS: &str = "serve.pool.scale_up";
-
-/// Elastic-pool scale-down decisions (idle worker retired at an empty
-/// queue).
-pub const POOL_SCALE_DOWNS: &str = "serve.pool.scale_down";
-
-/// Histogram of the live worker count, sampled at every pool decision.
-pub const POOL_WORKERS: &str = "serve.pool.workers";
 
 // --- names built at the call site -----------------------------------------
 //

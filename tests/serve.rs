@@ -313,7 +313,6 @@ fn a_panicking_job_fails_alone_and_the_service_keeps_serving() {
     let later = service.submit(JobSpec::new(c).shots(100).seed(3)).job_id().unwrap();
     let outcome = service.wait(later).unwrap();
     assert_eq!(outcome.result().expect("completes").counts.as_ref().unwrap().total(), 100);
-    assert_eq!(service.live_workers(), 1, "the worker survived");
     service.shutdown();
 }
 

@@ -77,7 +77,6 @@ fn step(event: &ServiceEvent) -> &'static str {
         EventKind::Shard(ShardRecord::WorkerLost { .. }) => "lost",
         EventKind::Shard(ShardRecord::LinkFault { .. }) => "link-fault",
         EventKind::Shard(ShardRecord::Completed { .. }) => "completed",
-        EventKind::Pool(_) => "pool",
     }
 }
 
@@ -256,7 +255,7 @@ fn admission_rejects_or_explains_when_sharding_cannot_help() {
     // job needs: rejected, and the verdict list says sharding was
     // priced and why it lost.
     let capped = Service::start(ServeConfig {
-        shard: Some(ShardConfig { max_shards: 1, ..ShardConfig::default() }),
+        shard: Some(ShardConfig { max_shards: 1 }),
         ..sharded_config()
     });
     match capped.submit(JobSpec::new(beyond_one_worker())) {

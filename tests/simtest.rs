@@ -17,15 +17,14 @@
 use qgear_cluster::ClusterEngine;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    BackendKind, BatchConfig, BatchMemberDisposition, BatchRecord, CheckpointRecord, EventKind,
-    FaultKind, FaultSchedule, JobOutcome, JobSpec, PoolConfig, PoolDecision, ServeConfig,
-    ServeError, Service, ServiceEvent, ShardConfig, ShardRecord,
+    BatchConfig, BatchMemberDisposition, BatchRecord, CheckpointRecord, EventKind, FaultKind,
+    FaultSchedule, JobOutcome, JobSpec, ServeConfig, ServeError, Service, ServiceEvent, ShardRecord,
 };
 use qgear_simtest::{
     replay_command, run_scenario, seed_from_env, shrink, JobDef, Op, OutcomeSummary, Scenario,
     VirtualClock, BLOCKER_JOB,
 };
-use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
+use qgear_statevec::{RunOptions, RunOutput, Simulator};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -42,15 +41,6 @@ fn bell() -> Circuit {
     let mut c = Circuit::new(2);
     c.h(0).cx(0, 1).measure_all();
     c
-}
-
-/// The service's pool events as `(stamp, decision)` pairs.
-fn pool_decisions(service: &Service) -> Vec<(Duration, PoolDecision)> {
-    let pick = |e: ServiceEvent| match e.kind {
-        EventKind::Pool(decision) => Some((e.at, decision)),
-        _ => None,
-    };
-    service.events().into_iter().filter_map(pick).collect()
 }
 
 /// The flush records of an event stream, in order.
@@ -841,118 +831,6 @@ fn random_sharded_scenarios_hold_every_oracle() {
     }
     assert!(completed >= 1, "at least one scenario must complete a sharded run (vacuity guard)");
     assert!(struck >= 1, "at least one scenario must strike the shard machinery (vacuity guard)");
-}
-
-/// The elastic pool under a virtual clock: the whole sequence of pool
-/// events — stamps and decisions — is exact. A pinned worker lets a backlog form; the second submission
-/// trips the scale-up threshold at virtual t = 0; the spawned worker
-/// drains both victims and retires into the empty queue, also at t = 0
-/// (virtual time is frozen while workers compute); the blocker then
-/// completes at t = PIN without retiring below the floor.
-#[test]
-fn the_elastic_pool_pins_an_exact_decision_log_under_virtual_time() {
-    let _l = lock();
-    const PIN: Duration = Duration::from_millis(1);
-    let clock = Arc::new(VirtualClock::new());
-    let service = Service::start(ServeConfig {
-        workers: 1,
-        pool: Some(PoolConfig { min_workers: 1, max_workers: 2, scale_up_depth: 2 }),
-        schedule: FaultSchedule::none().with_event(0, 0, FaultKind::Transient),
-        retry_backoff: PIN,
-        backoff_slice: PIN,
-        clock: clock.clone(),
-        ..Default::default()
-    });
-
-    // Blocker (job 0): parks the only worker in backoff until t = PIN.
-    let blocker = service.submit(JobSpec::new(bell()).tenant("pin")).job_id().unwrap();
-    assert!(clock.wait_for_sleepers(1, Duration::from_secs(10)), "worker never parked");
-
-    // Depth 1 < 2: no decision. Depth 2: scale up, exactly once.
-    let first = service.submit(JobSpec::new(bell()).seed(2)).job_id().unwrap();
-    let second = service.submit(JobSpec::new(bell()).seed(3)).job_id().unwrap();
-
-    // The spawned worker drains both victims at frozen t = 0 and
-    // retires. Wait for that to happen before releasing the blocker so
-    // the decision order is fully pinned.
-    for id in [first, second] {
-        assert!(service.wait(id).unwrap().is_completed());
-    }
-    let bound = Instant::now() + Duration::from_secs(10);
-    while service.live_workers() > 1 {
-        assert!(Instant::now() < bound, "the spare worker never retired");
-        std::thread::yield_now();
-    }
-
-    assert_eq!(clock.advance_to_next_sleeper(), Some(PIN));
-    drain(&service, &clock);
-    assert!(service.try_outcome(blocker).unwrap().is_completed());
-    service.shutdown();
-
-    assert_eq!(
-        pool_decisions(&service),
-        vec![
-            (Duration::ZERO, PoolDecision::ScaleUp { from: 1, to: 2, queue_depth: 2 }),
-            (Duration::ZERO, PoolDecision::ScaleDown { from: 2, to: 1 }),
-        ],
-        "the decision log must replay exactly under virtual time"
-    );
-    assert_eq!(service.live_workers(), 1, "back at the floor");
-}
-
-/// A shard-group teardown draws its replacement from the pool:
-/// `PoolDecision::Replace` is recorded at the teardown instant with the
-/// job and the dead shard's rank — exact under the virtual clock — right
-/// behind the `WorkerLost` it answers and ahead of the migration.
-#[test]
-fn a_shard_teardown_records_an_exact_replacement_decision() {
-    let _l = lock();
-    let clock = Arc::new(VirtualClock::new());
-    let mut dev = GpuDevice::a100_40gb();
-    dev.memory_bytes = 192; // 4 qubits fp64 (256 B) won't fit solo
-    let service = Service::start(ServeConfig {
-        workers: 1,
-        backend: BackendKind::Gpu(dev),
-        shard: Some(ShardConfig::default()),
-        pool: Some(PoolConfig { min_workers: 1, max_workers: 2, scale_up_depth: 8 }),
-        fusion_width: 1,
-        sweep_width: 0,
-        checkpoint_interval: 1,
-        checkpoint_generations: 3,
-        schedule: FaultSchedule::none()
-            .with_event(0, 0, FaultKind::ShardWorkerDeath { shard: 1, after_segments: 1 }),
-        clock: clock.clone(),
-        ..Default::default()
-    });
-
-    let mut c = Circuit::new(4);
-    c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all();
-    let id = service.submit(JobSpec::new(c).shots(150)).job_id().unwrap();
-    let outcome = service.wait(id).unwrap();
-    assert!(outcome.is_completed(), "the migration must complete the job: {outcome:?}");
-    service.shutdown();
-
-    assert_eq!(
-        pool_decisions(&service),
-        vec![(Duration::ZERO, PoolDecision::Replace { job: 0, shard: 1 })],
-        "teardown at frozen virtual t = 0, job 0, shard rank 1"
-    );
-    let log = service.events_for(id);
-    let replace = log
-        .iter()
-        .position(|e| matches!(e.kind, EventKind::Pool(_)))
-        .expect("Replace concerns job 0");
-    assert!(
-        matches!(log[replace - 1].kind, EventKind::Shard(ShardRecord::WorkerLost { shard: 1, .. })),
-        "the hand-off answers the teardown; log: {log:?}"
-    );
-    assert!(
-        log[replace..].iter().any(|e| matches!(
-            e.kind,
-            EventKind::Checkpoint(CheckpointRecord::Resumed { job: 0, .. })
-        )),
-        "the replacement dispatch must migrate; log: {log:?}"
-    );
 }
 
 // ---------------------------------------------------------------------
