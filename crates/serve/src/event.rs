@@ -8,7 +8,6 @@
 //! twice: a shard migration *is* the `Checkpoint(Resumed)` that follows a
 //! `Shard(WorkerLost)`.
 
-use crate::batch::BatchRecord;
 use crate::checkpoint_store::CheckpointRecord;
 use crate::job::JobId;
 use crate::scheduler::DispatchRecord;
@@ -28,24 +27,20 @@ pub struct ServiceEvent {
 /// What a [`ServiceEvent`] records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A job was handed to a worker (solo, or pulled into a batch).
+    /// A job was handed to a worker.
     Dispatch(DispatchRecord),
     /// A checkpoint write, or one step of the recovery ladder.
     Checkpoint(CheckpointRecord),
-    /// A coalesced flush settled; the stamp is the instant its last
-    /// member was published or requeued.
-    Batch(BatchRecord),
     /// A shard group started, faulted or completed.
     Shard(ShardRecord),
 }
 
 impl ServiceEvent {
-    /// Whether the event is part of `job`'s life. Every event concerns at
-    /// least one job; a batch flush concerns every member.
+    /// Whether the event is part of `job`'s life. Every event concerns
+    /// exactly one job.
     pub fn concerns(&self, job: JobId) -> bool {
         match &self.kind {
             EventKind::Dispatch(r) => r.id == job,
-            EventKind::Batch(r) => r.members.iter().any(|&(id, _)| id == job.0),
             EventKind::Checkpoint(
                 CheckpointRecord::Wrote { job: j, .. }
                 | CheckpointRecord::VerifyFailed { job: j, .. }
@@ -65,7 +60,7 @@ impl ServiceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchMemberDisposition;
+    use crate::job::Priority;
 
     fn at(ms: u64, kind: EventKind) -> ServiceEvent {
         ServiceEvent { at: Duration::from_millis(ms), kind }
@@ -73,14 +68,12 @@ mod tests {
 
     #[test]
     fn events_carry_the_clock_reading_and_key_on_the_jobs_they_concern() {
-        let members = vec![
-            (1, BatchMemberDisposition::Executed),
-            (3, BatchMemberDisposition::Requeued),
-        ];
-        let flush = at(9, EventKind::Batch(BatchRecord { members, formed_at: Duration::ZERO }));
-        assert_eq!(flush.at, Duration::from_millis(9));
-        assert!(flush.concerns(JobId(1)) && flush.concerns(JobId(3)), "every member");
-        assert!(!flush.concerns(JobId(2)));
+        let record =
+            DispatchRecord { id: JobId(1), tenant: "a".into(), priority: Priority::Normal, seq: 0 };
+        let dispatch = at(9, EventKind::Dispatch(record));
+        assert_eq!(dispatch.at, Duration::from_millis(9));
+        assert!(dispatch.concerns(JobId(1)));
+        assert!(!dispatch.concerns(JobId(2)));
 
         let lost = ShardRecord::WorkerLost { job: 5, shard: 0, after_segments: 1 };
         assert!(at(9, EventKind::Shard(lost)).concerns(JobId(5)));

@@ -17,9 +17,7 @@
 //! [`FaultSchedule::at`] answers both; a scheduled event outranks the
 //! rate at the same coordinates.
 
-/// What an injected fault does to the attempt it strikes. Every kind acts
-/// the same on a lone job and on a member of a coalesced flush: both take
-/// the one attempt loop.
+/// What an injected fault does to the attempt it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The attempt fails transiently; the worker backs off and retries
@@ -27,9 +25,7 @@ pub enum FaultKind {
     Transient,
     /// The worker dies mid-job: the job is requeued at the front of its
     /// tenant queue with its attempt ledger intact, and a (logically
-    /// fresh) worker picks it up. In a flush, every member not yet run
-    /// is requeued with it, each charged the dying dispatch. Does not
-    /// consume a retry.
+    /// fresh) worker picks it up. Does not consume a retry.
     WorkerDeath,
     /// The job's full-result cache entry is corrupted: the probe detects
     /// it, invalidates the entry, and falls through to a cold run.
@@ -58,7 +54,7 @@ pub enum FaultKind {
     /// The engine call panics — the stand-in for a kernel or engine bug.
     /// The attempt loop contains it: the job ends
     /// `Failed(ServeError::Panicked)`, is not retried, and the worker goes
-    /// on to its next job (in a flush, its next member).
+    /// on to its next job.
     Panic,
     /// One worker of a *shard group* dies after the group completes
     /// `after_segments` segments of sharded execution. The whole

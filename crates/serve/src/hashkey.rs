@@ -30,15 +30,19 @@ impl CircuitKey {
     /// tag is part of result identity; so is the fidelity floor, which
     /// selects the Clifford-projected circuit.
     pub fn for_spec(circuit: &Circuit, spec: &JobSpec, fusion_width: usize, engine: Engine) -> Self {
+        CircuitKey::state_key(circuit, spec, fusion_width).sampled(spec, engine)
+    }
+
+    /// The result key of a job whose [state key](Self::state_key) this
+    /// is: the state key with every knob that shapes the counts but not
+    /// the evolved state folded in — shots, seed, engine tag, fidelity
+    /// floor. Deriving it from the state key is what lets admission walk
+    /// the gate stream once for both caches.
+    pub fn sampled(self, spec: &JobSpec, engine: Engine) -> Self {
         let mut h = Fnv::new();
-        h.gates(circuit);
+        h.u64(self.0);
         h.u64(spec.shots);
         h.u64(spec.seed);
-        h.u64(match spec.precision {
-            Precision::Fp32 => 1,
-            Precision::Fp64 => 2,
-        });
-        h.u64(fusion_width as u64);
         h.u64(engine.tag());
         h.u64(spec.min_fidelity.to_bits());
         CircuitKey(h.finish())
@@ -46,7 +50,7 @@ impl CircuitKey {
 
     /// Digest of everything that determines the evolved state's
     /// measurement *marginal* — circuit, precision, fusion width — but
-    /// **not** the sampling knobs (shots, seed, batching). Jobs that
+    /// **not** the sampling knobs (shots, seed). Jobs that
     /// differ only in how they sample share this key, which is what lets
     /// the serving layer evolve a circuit once and serve every
     /// shots/seed combination from the cached marginal.

@@ -33,8 +33,8 @@
 //!   span per dispatched job (see `qgear_telemetry::names`), so the
 //!   saturation bench reports p50/p95/p99 straight from spans.
 //! * **One event stream** ([`Service::events`]) — every dispatch,
-//!   checkpoint step, batch flush and shard step in one clock-stamped
-//!   log, keyed per job by [`Service::events_for`].
+//!   checkpoint step and shard step in one clock-stamped log, keyed per
+//!   job by [`Service::events_for`].
 //!
 //! ```
 //! use qgear_ir::Circuit;
@@ -53,7 +53,6 @@
 //! service.shutdown();
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod checkpoint_store;
 pub mod event;
@@ -65,7 +64,6 @@ pub mod service;
 pub mod shard;
 mod stepper;
 
-pub use batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 pub use cache::{MarginalCache, ResultCache};
 pub use checkpoint_store::{CheckpointGeneration, CheckpointRecord, CheckpointStore};
 pub use event::{EventKind, ServiceEvent};
@@ -75,5 +73,5 @@ pub use job::{
     Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, Priority, ServeError,
 };
 pub use scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
-pub use service::{BackendKind, SelectionPolicy, ServeConfig, Service};
+pub use service::{BackendKind, BatchConfig, SelectionPolicy, ServeConfig, Service};
 pub use shard::{ShardConfig, ShardRecord};

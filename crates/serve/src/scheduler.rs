@@ -16,7 +16,7 @@
 
 use crate::hashkey::CircuitKey;
 use crate::job::{Engine, JobId, JobSpec, Priority};
-use qgear_ir::{Circuit, ShapeDigest};
+use qgear_ir::Circuit;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
@@ -46,10 +46,6 @@ pub struct QueuedJob {
     /// Engine admission routed the job to (decided once at submit so
     /// retries and requeues replay on the same engine).
     pub engine: Engine,
-    /// Structural fingerprint of the canonical circuit (parameter-free),
-    /// computed once at admission — the coalescer's batch-compatibility
-    /// axis.
-    pub shape: ShapeDigest,
 }
 
 /// One dispatch event, recorded in admission order for invariant checks
@@ -132,29 +128,13 @@ impl AdmissionQueue {
     /// Pop the next job per the policy above, charging the tenant one
     /// dispatch credit.
     pub fn pop_next(&mut self) -> Option<QueuedJob> {
-        self.pop_where(|_| true)
-    }
-
-    /// Pop the next job whose tenant-queue *front* satisfies `pred`,
-    /// under the same class/fair-share/FIFO policy as [`Self::pop_next`]
-    /// (fair share stays exact because the tenant's dispatch credit is
-    /// charged per pop). Only queue fronts are considered — pulling a
-    /// deeper job would reorder a tenant's FIFO — so the batch coalescer
-    /// coalesces compatible *front-runners* and never jumps the line.
-    pub fn pop_matching<F: Fn(&QueuedJob) -> bool>(&mut self, pred: F) -> Option<QueuedJob> {
-        self.pop_where(pred)
-    }
-
-    fn pop_where<F: Fn(&QueuedJob) -> bool>(&mut self, pred: F) -> Option<QueuedJob> {
         for class in &mut self.classes {
-            // Tenant with least dispatched work among those whose front
-            // job qualifies; tie → earliest front seq.
+            // Tenant with least dispatched work; tie → earliest front seq.
             let pick = class
                 .iter()
-                .filter(|(_, q)| q.front().is_some_and(&pred))
-                .map(|(tenant, q)| {
+                .filter_map(|(tenant, q)| {
                     let credit = self.credits.get(tenant).copied().unwrap_or(0);
-                    (credit, q.front().map(|j| j.seq).unwrap_or(u64::MAX), tenant.clone())
+                    q.front().map(|j| (credit, j.seq, tenant.clone()))
                 })
                 .min();
             if let Some((_, _, tenant)) = pick {
@@ -222,7 +202,6 @@ mod tests {
             seq: 0,
             attempts_made: 0,
             engine: Engine::Dense,
-            shape: ShapeDigest(0),
         }
     }
 

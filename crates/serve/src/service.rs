@@ -9,13 +9,12 @@
 //! lock. Shutdown is graceful: workers drain the queue before exiting,
 //! so every admitted job reaches an outcome.
 //!
-//! Every dispatch takes one road (docs/SERVING.md, "Dispatch
-//! lifecycle"): `precheck` → attempt loop → the stepper driver
-//! (`stepper.rs`, ending in `sample_and_package`) or the stabilizer
-//! tableau run whole → `publish_outcome`. A coalesced flush takes it once
-//! per member.
+//! A worker pops one job per dispatch, and every dispatch takes one road
+//! (docs/SERVING.md, "Dispatch lifecycle"): `precheck` → attempt loop →
+//! the stepper driver (`stepper.rs`, ending in `sample_and_package`) or
+//! the stabilizer tableau run whole → `publish_outcome`, or
+//! `requeue_after_death`.
 
-use crate::batch::{BatchConfig, BatchKey, BatchMemberDisposition, BatchRecord};
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
 use crate::checkpoint_store::CheckpointStore;
 use crate::event::{EventKind, ServiceEvent};
@@ -28,7 +27,7 @@ use crate::stepper::{drive, Attempt, DenseSource};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
 use qgear_ir::transpile::decompose_to_native;
-use qgear_ir::{classify, clifford_projection, shape_digest, Circuit};
+use qgear_ir::{classify, clifford_projection, Circuit};
 use qgear_num::scalar::Precision;
 use qgear_num::Scalar;
 use qgear_perfmodel::memory::{plan_shard_count, state_bytes, tableau_bytes};
@@ -162,10 +161,9 @@ pub struct ServeConfig {
     /// How admission chooses among execution engines (dense state
     /// vector, stabilizer tableau, shard group).
     pub selection: SelectionPolicy,
-    /// Shape-aware batch coalescing (defaults to disabled). A flush is
-    /// its members served one after another on one worker, each down the
-    /// road a lone job takes, so it combines with every other setting
-    /// here; see [`BatchConfig`].
+    /// Read by nothing: every dispatch is one job. Kept only because the
+    /// repo benchmark (`benchmark/src/drive.rs`) still sets it; see
+    /// [`BatchConfig`].
     pub batch: BatchConfig,
     /// Sharded execution for jobs beyond one worker's memory (defaults
     /// to `None` = such jobs stay [`Admission::RejectedInfeasible`]).
@@ -193,10 +191,22 @@ impl Default for ServeConfig {
             backoff_slice: Duration::from_millis(1),
             clock: WallClock::shared(),
             selection: SelectionPolicy::default(),
-            batch: BatchConfig::disabled(),
+            batch: BatchConfig::default(),
             shard: None,
         }
     }
+}
+
+/// The settings of a batch coalescer this service no longer has. Nothing
+/// reads them: the repo benchmark (`benchmark/src/drive.rs`) builds this
+/// literal, so the struct and [`ServeConfig::batch`] stay until that
+/// harness stops naming them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchConfig {
+    /// Formerly the largest batch a flush could hold.
+    pub max_size: usize,
+    /// Formerly how long a leader waited for look-alike jobs.
+    pub window: Duration,
 }
 
 /// Mutable service state, guarded by one mutex.
@@ -331,11 +341,10 @@ impl Service {
                 }
             };
 
-        // Every digest of the circuit is taken before the lock: each walks
-        // the whole gate stream, and workers block on this lock.
-        let key = CircuitKey::for_spec(&canonical, &spec, self.shared.cfg.fusion_width, engine);
+        // The one walk of the gate stream is taken before the lock, which
+        // workers block on; the result key is derived from the state key.
         let state_key = CircuitKey::state_key(&canonical, &spec, self.shared.cfg.fusion_width);
-        let shape = shape_digest(&canonical);
+        let key = state_key.sampled(&spec, engine);
         let submitted_at = self.shared.cfg.clock.now();
         let mut st = self.shared.lock();
         if st.shutdown {
@@ -360,7 +369,6 @@ impl Service {
             seq: 0,
             attempts_made: 0,
             engine,
-            shape,
         };
         st.queue.push(job).expect("queue not full under lock");
         counter_inc(names::SERVE_JOBS_SUBMITTED);
@@ -495,9 +503,8 @@ enum ServeStep {
 /// What the dispatch prologue decided for one job.
 enum Precheck {
     /// Resolved without executing (cancelled, expired, answered from a
-    /// cache); the outcome is still to be published. The disposition is
-    /// what the flush's batch event records for a member that ended here.
-    Resolved(JobOutcome, BatchMemberDisposition),
+    /// cache); the outcome is still to be published.
+    Resolved(JobOutcome),
     /// Must execute: enters the attempt loop.
     Execute { queue_wait: Duration },
 }
@@ -530,14 +537,14 @@ fn record_dispatch(shared: &Shared, st: &mut State, job: &QueuedJob) {
     histogram_record(names::SERVE_QUEUE_DEPTH, st.queue.len() as f64);
 }
 
-/// One worker: pop a leader → [`coalesce`] → [`serve_flush`]. Returns only
-/// once shutdown is flagged *and* the queue has drained, so accepted jobs
-/// are never abandoned. An injected worker death requeues the stranded
-/// jobs at the front of their tenant queues and the thread continues as
-/// its own (logically fresh) replacement.
+/// One worker: pop a job → [`dispatch`]. Returns only once shutdown is
+/// flagged *and* the queue has drained, so accepted jobs are never
+/// abandoned. An injected worker death requeues the job at the front of
+/// its tenant queue and the thread continues as its own (logically fresh)
+/// replacement.
 fn worker_loop(shared: &Shared) {
     loop {
-        let leader = {
+        let job = {
             let mut st = shared.lock();
             loop {
                 if let Some(job) = st.queue.pop_next() {
@@ -550,9 +557,25 @@ fn worker_loop(shared: &Shared) {
                 st = shared.wait(&shared.jobs_cv, st);
             }
         };
-        let (members, formed_at) = coalesce(shared, leader);
-        serve_flush(shared, members, formed_at);
+        dispatch(shared, job);
     }
+}
+
+/// Serve one dispatched job down the one road: [`precheck`] → (if it
+/// must execute) [`attempt_loop`] → [`publish_outcome`], or
+/// [`requeue_after_death`] when the worker died mid-job.
+fn dispatch(shared: &Shared, job: QueuedJob) {
+    let outcome = match precheck(shared, &job) {
+        Precheck::Resolved(outcome) => outcome,
+        Precheck::Execute { queue_wait } => match attempt_loop(shared, &job, queue_wait) {
+            ServeStep::Outcome(outcome) => outcome,
+            ServeStep::WorkerDied { attempts_consumed } => {
+                requeue_after_death(shared, QueuedJob { attempts_made: attempts_consumed, ..job });
+                return;
+            }
+        },
+    };
+    publish_outcome(shared, job.id, outcome);
 }
 
 /// Publish a terminal outcome for one dispatched job.
@@ -569,19 +592,15 @@ fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome) {
     shared.done_cv.notify_all();
 }
 
-/// One worker death, however many dispatched jobs it stranded (a lone
-/// job, or the struck member of a flush and every member not yet run):
-/// each goes back to the front of its tenant queue with the attempt
-/// ledger the caller already advanced past the dying dispatch.
-fn requeue_after_death(shared: &Shared, stranded: Vec<QueuedJob>) {
+/// One worker death: the stranded job goes back to the front of its
+/// tenant queue with the attempt ledger the caller already advanced past
+/// the dying dispatch.
+fn requeue_after_death(shared: &Shared, job: QueuedJob) {
     counter_inc(names::SERVE_WORKER_DEATHS);
+    counter_inc(names::SERVE_REQUEUES);
     let mut st = shared.lock();
-    // requeue_front in reverse keeps the jobs' relative order.
-    for job in stranded.into_iter().rev() {
-        counter_inc(names::SERVE_REQUEUES);
-        st.queue.requeue_front(job);
-        st.in_flight -= 1;
-    }
+    st.queue.requeue_front(job);
+    st.in_flight -= 1;
     drop(st);
     shared.jobs_cv.notify_all();
 }
@@ -610,33 +629,29 @@ fn backoff_with_cancel(shared: &Shared, id: JobId, backoff: Duration) -> bool {
     }
 }
 
-/// The dispatch prologue, run exactly once per dispatch, for a lone job
-/// and for every member of a flush alike: cancel → deadline → result
-/// cache → marginal cache. A job that resolves here opens its own `serve_job`
-/// span (the executing paths open theirs), so span accounting stays one
-/// span per dispatch.
+/// The dispatch prologue, run exactly once per dispatch: cancel →
+/// deadline → result cache → marginal cache. A job that resolves here
+/// opens its own `serve_job` span (the executing paths open theirs), so
+/// span accounting stays one span per dispatch.
 fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     let clock = shared.cfg.clock.as_ref();
     let queue_wait = clock.now().saturating_sub(job.submitted_at);
     histogram_record(names::SERVE_QUEUE_WAIT_MS, queue_wait.as_secs_f64() * 1e3);
 
-    // A cancel that raced the dispatch (or landed before the flush):
-    // honour it before doing work. A member masked out here never aborts
-    // its batch-mates.
+    // A cancel that raced the dispatch: honour it before doing work.
     if cancel_requested(shared, job.id) {
         let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_CANCELLED);
-        return Precheck::Resolved(JobOutcome::Cancelled, BatchMemberDisposition::MaskedCancelled);
+        return Precheck::Resolved(JobOutcome::Cancelled);
     }
 
     // Deadline: jobs that waited too long are dropped, not run late. A
     // wait of *exactly* the deadline still runs — the boundary belongs
-    // to the job (pinned by the simtest deadline-at-boundary scenario;
-    // the coalescer flushes at that boundary rather than past it).
+    // to the job (pinned by the simtest deadline-at-boundary scenario).
     if job.spec.deadline.is_some_and(|deadline| queue_wait > deadline) {
         let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_EXPIRED);
-        return Precheck::Resolved(JobOutcome::Expired, BatchMemberDisposition::MaskedExpired);
+        return Precheck::Resolved(JobOutcome::Expired);
     }
 
     // Cache probe (hit/miss counters live in the cache). A scheduled
@@ -664,7 +679,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
             queue_wait,
             service_time: Duration::ZERO,
         };
-        return Precheck::Resolved(complete(shared, job, result), BatchMemberDisposition::CacheHit);
+        return Precheck::Resolved(complete(shared, job, result));
     }
 
     // State-marginal probe: the same circuit evolved before under
@@ -703,10 +718,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
             queue_wait,
             service_time: Duration::ZERO,
         };
-        return Precheck::Resolved(
-            complete(shared, job, result),
-            BatchMemberDisposition::StateCacheHit,
-        );
+        return Precheck::Resolved(complete(shared, job, result));
     }
 
     Precheck::Execute { queue_wait }
@@ -754,10 +766,10 @@ fn complete_fresh(
     complete(shared, job, result)
 }
 
-/// The cold path of one dispatch — a lone job or one member of a flush —
-/// entered after [`precheck`]: execute with retry-with-backoff against
-/// injected faults, to a terminal outcome or a worker death. A panic in
-/// the engine call is contained here and fails the job.
+/// The cold path of one dispatch, entered after [`precheck`]: execute
+/// with retry-with-backoff against injected faults, to a terminal outcome
+/// or a worker death. A panic in the engine call is contained here and
+/// fails the job.
 fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> ServeStep {
     let _job_span = span!(spans::SERVE_JOB);
     // `attempt` is the 0-based *global* attempt index, seeded from the
@@ -886,131 +898,6 @@ fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
         keep_state: false,
         memory_limit: Some(cfg.backend.memory_bytes()),
         ..RunOptions::default()
-    }
-}
-
-/// Pull jobs with the leader's [`BatchKey`] out of the admission queue
-/// behind `leader` until the flush fills, the queue drains, shutdown
-/// begins, or the coalescing window closes. The window opens when the
-/// leader is popped and is clipped by every member's deadline instant,
-/// so coalescing never waits a member into expiry — a deadline that
-/// would land inside the window flushes early instead. Each pulled mate
-/// gets its dispatch record and in-flight slot under the same lock that
-/// popped it, exactly like the leader.
-///
-/// Returns the flush and, with batching on, the service-clock instant
-/// coalescing began. With batching off the flush is the leader alone:
-/// no lock, no clock reading, `None`.
-fn coalesce(shared: &Shared, leader: QueuedJob) -> (Vec<QueuedJob>, Option<Duration>) {
-    let batch = shared.cfg.batch;
-    if !batch.enabled() {
-        return (vec![leader], None);
-    }
-    let clock = shared.cfg.clock.as_ref();
-    let formed_at = clock.now();
-    let key = BatchKey { shape: leader.shape.0, precision: leader.spec.precision };
-    let mut end = formed_at.saturating_add(batch.window);
-    if let Some(d) = leader.spec.deadline {
-        end = end.min(leader.submitted_at.saturating_add(d));
-    }
-    let mut members = vec![leader];
-    loop {
-        {
-            let mut st = shared.lock();
-            while members.len() < batch.max_size {
-                let mate = st.queue.pop_matching(|j| {
-                    BatchKey { shape: j.shape.0, precision: j.spec.precision } == key
-                });
-                let Some(mate) = mate else { break };
-                record_dispatch(shared, &mut st, &mate);
-                if let Some(d) = mate.spec.deadline {
-                    end = end.min(mate.submitted_at.saturating_add(d));
-                }
-                members.push(mate);
-            }
-            if members.len() >= batch.max_size || st.queue.is_empty() || st.shutdown {
-                break;
-            }
-        }
-        let now = clock.now();
-        if now >= end {
-            break;
-        }
-        // Wait in cancel-check-sized slices like the backoff path, so a
-        // virtual clock can step through the window deterministically.
-        let slice = shared.cfg.backoff_slice.max(Duration::from_nanos(1));
-        clock.sleep_until(now.saturating_add(slice).min(end));
-    }
-    (members, Some(formed_at))
-}
-
-/// Serve one flush — the leader alone, or the mates [`coalesce`] pulled
-/// behind it — to per-member outcomes or requeues.
-///
-/// Every member passes [`precheck`] first, all of them before any
-/// executes, so queue waits, deadline verdicts and cache probes are
-/// taken at the flush. The survivors then run one after another through
-/// the [`attempt_loop`] a lone job takes — cancel at the attempt
-/// boundary, retries, worker death, checkpoint resume and panic
-/// containment included. A death on one member strands it and every
-/// member not yet run: one [`requeue_after_death`] puts them all back.
-/// Batching is a dispatch decision only; with it on, the flush is
-/// recorded as one [`EventKind::Batch`].
-fn serve_flush(shared: &Shared, members: Vec<QueuedJob>, formed_at: Option<Duration>) {
-    if let Some(formed_at) = formed_at {
-        let flushed_at = shared.cfg.clock.now();
-        if members.len() >= 2 {
-            counter_inc(names::SERVE_BATCHES_FORMED);
-        }
-        histogram_record(names::SERVE_BATCH_OCCUPANCY, members.len() as f64);
-        histogram_record(
-            names::SERVE_BATCH_COALESCE_WAIT_MS,
-            flushed_at.saturating_sub(formed_at).as_secs_f64() * 1e3,
-        );
-    }
-
-    let mut dispositions: Vec<(u64, BatchMemberDisposition)> = Vec::with_capacity(members.len());
-    let mut executing: Vec<(QueuedJob, Duration)> = Vec::new();
-    for job in members {
-        match precheck(shared, &job) {
-            Precheck::Resolved(outcome, disposition) => {
-                publish_outcome(shared, job.id, outcome);
-                dispositions.push((job.id.0, disposition));
-            }
-            Precheck::Execute { queue_wait } => executing.push((job, queue_wait)),
-        }
-    }
-    let mut executing = executing.into_iter();
-    while let Some((job, queue_wait)) = executing.next() {
-        match attempt_loop(shared, &job, queue_wait) {
-            ServeStep::Outcome(outcome) => {
-                publish_outcome(shared, job.id, outcome);
-                dispositions.push((job.id.0, BatchMemberDisposition::Executed));
-            }
-            ServeStep::WorkerDied { attempts_consumed } => {
-                // The struck member keeps the ledger its loop returned; a
-                // mate never run is charged the dying dispatch. Each
-                // stranded mate still opens its `serve_job` span — it *was*
-                // dispatched, and span accounting counts dispatches.
-                let struck = QueuedJob { attempts_made: attempts_consumed, ..job };
-                let stranded: Vec<QueuedJob> = std::iter::once(struck)
-                    .chain(executing.map(|(mut mate, _)| {
-                        let _job_span = span!(spans::SERVE_JOB);
-                        mate.attempts_made += 1;
-                        mate
-                    }))
-                    .collect();
-                dispositions
-                    .extend(stranded.iter().map(|j| (j.id.0, BatchMemberDisposition::Requeued)));
-                requeue_after_death(shared, stranded);
-                break;
-            }
-        }
-    }
-
-    if let Some(formed_at) = formed_at {
-        let flush = BatchRecord { members: dispositions, formed_at };
-        shared.record(&mut shared.lock(), EventKind::Batch(flush));
     }
 }
 
@@ -1233,9 +1120,9 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
 
 /// The one tail of every state-vector execution — the stepper driver's
 /// final sample, dense or sharded: exact marginal → seeded draw → cacheable
-/// artifact. Sharing it is what keeps a segmented, resumed, sharded or
-/// batched run byte-identical to a solo straight one. Takes the state
-/// by value so the amplitudes are freed before the shot draw.
+/// artifact. Sharing it is what keeps a segmented, resumed or sharded run
+/// byte-identical to a straight one. Takes the state by value so the
+/// amplitudes are freed before the shot draw.
 pub(crate) fn sample_and_package<T: Scalar>(
     state: StateVector<T>,
     mut stats: ExecStats,
@@ -1272,14 +1159,6 @@ mod tests {
             _ => None,
         };
         service.events_for(JobId(0)).into_iter().filter_map(pick).collect()
-    }
-
-    fn batch_records(service: &Service) -> Vec<BatchRecord> {
-        let pick = |e: ServiceEvent| match e.kind {
-            EventKind::Batch(record) => Some(record),
-            _ => None,
-        };
-        service.events().into_iter().filter_map(pick).collect()
     }
 
     fn bell() -> Circuit {
@@ -1392,114 +1271,45 @@ mod tests {
     }
 
     #[test]
-    fn batched_service_matches_solo_results_bit_for_bit() {
-        // Six same-shape jobs with distinct rotation angles. However the
-        // coalescer groups them (races decide occupancy under the wall
-        // clock), every member's counts must equal the batching-disabled
-        // service's, and the batch log must conserve jobs: each id in at
-        // most one flush, no duplicates.
-        let circuits: Vec<Circuit> = (0..6)
-            .map(|i| {
-                let mut c = Circuit::new(3);
-                c.h(0).ry(0.2 + 0.31 * f64::from(i), 1).cx(0, 1).cx(1, 2).measure_all();
-                c
-            })
-            .collect();
-
-        let batched = Service::start(ServeConfig {
-            workers: 2,
-            batch: BatchConfig { max_size: 8, window: Duration::from_millis(2) },
-            cache_capacity: 0,
-            state_cache_capacity: 0,
-            ..Default::default()
-        });
-        let ids: Vec<JobId> = circuits
-            .iter()
-            .map(|c| batched.submit(JobSpec::new(c.clone()).shots(200).seed(7)).job_id().unwrap())
-            .collect();
-        let batched_counts: Vec<_> = ids
-            .iter()
-            .map(|&id| batched.wait(id).unwrap().result().unwrap().counts.clone())
-            .collect();
-        let log = batch_records(&batched);
-        let mut seen = std::collections::HashSet::new();
-        for record in &log {
-            for &(id, _) in &record.members {
-                assert!(seen.insert(id), "job {id} appears in two flushes: {log:?}");
-            }
-        }
-        batched.shutdown();
-
-        let solo = Service::start(ServeConfig {
-            workers: 1,
-            cache_capacity: 0,
-            state_cache_capacity: 0,
-            ..Default::default()
-        });
-        for (c, batched_counts) in circuits.iter().zip(&batched_counts) {
-            let id = solo.submit(JobSpec::new(c.clone()).shots(200).seed(7)).job_id().unwrap();
-            let solo_counts = solo.wait(id).unwrap().result().unwrap().counts.clone();
-            assert_eq!(
-                &solo_counts, batched_counts,
-                "batched member must be bit-identical to its solo run"
-            );
-        }
-        solo.shutdown();
-    }
-
-    #[test]
-    fn a_batch_member_that_fails_in_fusion_fails_alone() {
+    fn a_lone_job_that_fails_in_fusion_fails_alone() {
         // `submit` lowers every non-native gate, so an arity-3 `ccx` can
-        // reach the engine only in a hand-built dispatch: three members
-        // straight into `serve_flush`, the middle one unfusable.
+        // reach the engine only in a hand-built dispatch: an unfusable
+        // job, then a plain one, each booked and served down the road a
+        // worker takes.
         let service = small_service(1);
-        let members: Vec<QueuedJob> = (0..3u64)
-            .map(|i| {
-                let mut c = Circuit::new(3);
-                c.h(0).ry(0.4, 1);
-                if i == 1 {
-                    c.ccx(0, 1, 2);
-                } else {
-                    c.cx(0, 1).cx(1, 2);
-                }
-                c.measure_all();
-                QueuedJob {
-                    id: JobId(i),
-                    key: CircuitKey(i),
-                    state_key: CircuitKey(!i),
-                    shape: shape_digest(&c),
-                    spec: JobSpec::new(c.clone()).shots(64),
-                    canonical: c,
-                    submitted_at: Duration::ZERO,
-                    seq: i,
-                    attempts_made: 0,
-                    engine: Engine::Dense,
-                }
-            })
-            .collect();
-        {
-            let mut st = service.shared.lock();
-            for job in &members {
-                record_dispatch(&service.shared, &mut st, job);
+        for (i, unfusable) in [(0u64, true), (1, false)] {
+            let mut c = Circuit::new(3);
+            c.h(0).ry(0.4, 1);
+            if unfusable {
+                c.ccx(0, 1, 2);
+            } else {
+                c.cx(0, 1).cx(1, 2);
             }
+            c.measure_all();
+            let job = QueuedJob {
+                id: JobId(i),
+                key: CircuitKey(i),
+                state_key: CircuitKey(!i),
+                spec: JobSpec::new(c.clone()).shots(64),
+                canonical: c,
+                submitted_at: Duration::ZERO,
+                seq: i,
+                attempts_made: 0,
+                engine: Engine::Dense,
+            };
+            record_dispatch(&service.shared, &mut service.shared.lock(), &job);
+            dispatch(&service.shared, job);
         }
-        serve_flush(&service.shared, members, Some(Duration::ZERO));
         service.drain(); // returns: every in-flight slot was given back
 
-        for id in [0, 2] {
-            let outcome = service.try_outcome(JobId(id)).expect("published");
-            let result = outcome.result().expect("the mates complete");
-            assert_eq!(result.counts.as_ref().map(|c| c.total()), Some(64));
-        }
-        let bad = service.try_outcome(JobId(1)).expect("published");
+        let bad = service.try_outcome(JobId(0)).expect("published");
         assert!(
             matches!(bad, JobOutcome::Failed(ServeError::Sim(SimError::UnsupportedGate(_)))),
             "{bad:?}"
         );
-        let log = batch_records(&service);
-        assert_eq!(log.len(), 1);
-        let ran = |id| (id, BatchMemberDisposition::Executed);
-        assert_eq!(log[0].members, [ran(0), ran(1), ran(2)]);
+        let next = service.try_outcome(JobId(1)).expect("published");
+        let result = next.result().expect("the next job completes");
+        assert_eq!(result.counts.as_ref().map(|c| c.total()), Some(64));
         service.shutdown();
     }
 

@@ -254,7 +254,6 @@ mod tests {
     use crate::hashkey::CircuitKey;
     use crate::job::{Engine, JobId, JobSpec};
     use crate::{FaultKind, FaultSchedule, ServeConfig, Service, ServiceEvent};
-    use qgear_ir::shape_digest;
     use qgear_statevec::checkpoint::{encode, CheckpointCounters};
     use qgear_statevec::SamplingConfig;
     use std::cell::{Cell, RefCell};
@@ -359,7 +358,6 @@ mod tests {
             id: JobId(id),
             key: CircuitKey(id),
             state_key: CircuitKey(!id),
-            shape: shape_digest(&circuit),
             canonical: circuit,
             spec,
             submitted_at: Duration::ZERO,

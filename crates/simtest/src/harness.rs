@@ -25,7 +25,7 @@ use crate::scenario::{JobDef, Op, Scenario, TENANTS};
 use crate::trace::{counts_hash, ns, OutcomeSummary, Trace, TraceEvent};
 use qgear_ir::transpile::decompose_to_native;
 use qgear_serve::{
-    Admission, BackendKind, BatchConfig, EventKind, FaultKind, FaultSchedule, JobId, JobOutcome,
+    Admission, BackendKind, EventKind, FaultKind, FaultSchedule, JobId, JobOutcome,
     JobSpec, ServeConfig, ServeError, Service, ServiceEvent, ShardConfig,
 };
 use qgear_statevec::{GpuDevice, RunOptions, RunOutput, Simulator};
@@ -147,18 +147,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
 
     // Fusion window 1 with sweeping off makes the schedule one step per
     // gate, so even the small scenario circuits span several segments —
-    // mid-run deaths and checkpoint generations are actually exercised —
-    // inside a flush too, when the scenario opts into batching: a member
-    // takes the attempt loop a lone job takes. The coalescer window runs
-    // on the same virtual clock, so flush instants are as deterministic
-    // as everything else.
-    let batch = match scenario.batch {
-        Some(p) => BatchConfig {
-            max_size: p.max_size,
-            window: Duration::from_micros(p.window_us),
-        },
-        None => BatchConfig::disabled(),
-    };
+    // mid-run deaths and checkpoint generations are actually exercised.
     // A sharded scenario shrinks the per-worker device so 4-qubit jobs
     // overflow it and route to a shard group; everything else is
     // unchanged (the pin/release protocol still runs on one worker —
@@ -181,7 +170,6 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
         sweep_width: HARNESS_SWEEP_WIDTH,
         checkpoint_interval: 1,
         checkpoint_generations: 3,
-        batch,
         schedule,
         retry_backoff: pin,
         backoff_slice: pin,
@@ -366,33 +354,5 @@ mod tests {
         assert!(a.is_ok(), "violations: {:?}", a.violations);
         assert_eq!(a.trace.render(), b.trace.render());
         assert_eq!(a.trace_hash(), b.trace_hash());
-    }
-
-    #[test]
-    fn batched_scenario_coalesces_and_holds_every_oracle() {
-        // Four same-shape submits land while the worker is pinned, so
-        // once released the leader finds three compatible companions
-        // immediately: one multi-member flush, oracles still clean.
-        let mut scenario = Scenario::empty(1).batched(4, 500);
-        for _ in 0..4 {
-            scenario = scenario.op(Op::Submit(JobDef::bell()));
-        }
-        scenario = scenario.op(Op::Advance(Duration::from_micros(50)));
-        let report = run_scenario(&scenario);
-        assert!(report.is_ok(), "violations: {:?}", report.violations);
-        assert!(
-            report
-                .events
-                .iter()
-                .any(|e| matches!(&e.kind, EventKind::Batch(r) if r.members.len() >= 2)),
-            "expected a coalesced flush, got {:?}",
-            report.events
-        );
-        for id in 1..=4 {
-            assert!(matches!(
-                report.outcomes.get(&id),
-                Some(OutcomeSummary::Completed { .. })
-            ));
-        }
     }
 }

@@ -42,7 +42,7 @@ pub mod trace;
 pub use clock::VirtualClock;
 pub use harness::{run_scenario, SimReport, BLOCKER_JOB};
 pub use rng::SimRng;
-pub use scenario::{BatchParams, JobDef, Op, Scenario, TENANTS};
+pub use scenario::{JobDef, Op, Scenario, TENANTS};
 pub use shrink::shrink;
 pub use trace::{counts_hash, OutcomeSummary, Trace, TraceEvent};
 

@@ -7,9 +7,7 @@
 
 use crate::scenario::{Op, Scenario};
 use crate::trace::{OutcomeSummary, Trace, TraceEvent};
-use qgear_serve::{
-    BatchMemberDisposition, CheckpointRecord, EventKind, FaultKind, ServiceEvent, ShardRecord,
-};
+use qgear_serve::{CheckpointRecord, EventKind, FaultKind, ServiceEvent, ShardRecord};
 use qgear_telemetry::TelemetrySnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -31,7 +29,7 @@ pub struct OracleInput<'a> {
     pub trace: &'a Trace,
     /// The service's event stream, in the order it was recorded. Each
     /// oracle replays the kinds it is about; one with no event of its
-    /// kind (no batching, no sharding) is vacuous.
+    /// kind (no sharding, no checkpoint) is vacuous.
     pub events: &'a [ServiceEvent],
     /// Expected counts hash of a *fault-free* run, by admission id —
     /// what every completion must reproduce byte-for-byte.
@@ -51,8 +49,6 @@ pub fn check(input: &OracleInput) -> Vec<String> {
     cache_bit_identity(input, &mut v);
     resume_bit_identity(input, &mut v);
     progress_monotonicity(input, &mut v);
-    coalescing_conservation(input, &mut v);
-    batch_attempt_ledger(input, &mut v);
     shard_exchange_conservation(input, &mut v);
     shard_migration(input, &mut v);
     v
@@ -112,17 +108,6 @@ fn dispatch_accounting(input: &OracleInput, v: &mut Vec<String>) {
                 | FaultKind::ShardWorkerDeath { .. }
         ) {
             *death_budget.entry(e.job + 1).or_insert(0) += 1;
-        }
-    }
-    // A death in a flush requeues every batch-mate not yet run, not just
-    // the struck job: each `Requeued` disposition licenses one extra
-    // dispatch for that member.
-    for event in input.events {
-        let EventKind::Batch(record) = &event.kind else { continue };
-        for &(id, disposition) in &record.members {
-            if disposition == BatchMemberDisposition::Requeued {
-                *death_budget.entry(id).or_insert(0) += 1;
-            }
         }
     }
     for (&id, &n) in input.dispatch_counts {
@@ -282,90 +267,6 @@ fn progress_monotonicity(input: &OracleInput, v: &mut Vec<String>) {
     }
 }
 
-/// **Coalescing conservation**: the batch events account for every
-/// batched dispatch exactly once — no member id repeats within a flush,
-/// every member was an accepted job, a job's batch appearances never
-/// exceed its dispatches, and at most one appearance is terminal
-/// (anything but `Requeued` resolves the dispatch; only a requeue may
-/// be followed by another appearance).
-fn coalescing_conservation(input: &OracleInput, v: &mut Vec<String>) {
-    let accepted: BTreeSet<u64> = input.accepted.iter().copied().collect();
-    let mut appearances: HashMap<u64, usize> = HashMap::new();
-    let mut terminal: HashMap<u64, usize> = HashMap::new();
-    let mut flush = 0usize;
-    for event in input.events {
-        let EventKind::Batch(record) = &event.kind else { continue };
-        let mut in_this_flush = BTreeSet::new();
-        for &(id, disposition) in &record.members {
-            if !in_this_flush.insert(id) {
-                v.push(format!(
-                    "coalescing: job {id} appears twice in flush {flush}"
-                ));
-            }
-            if !accepted.contains(&id) {
-                v.push(format!(
-                    "coalescing: flush {flush} contains job {id}, which was never accepted"
-                ));
-            }
-            *appearances.entry(id).or_insert(0) += 1;
-            if disposition != BatchMemberDisposition::Requeued {
-                *terminal.entry(id).or_insert(0) += 1;
-            }
-        }
-        flush += 1;
-    }
-    for (&id, &n) in &appearances {
-        let dispatched = input.dispatch_counts.get(&id).copied().unwrap_or(0);
-        if n > dispatched {
-            v.push(format!(
-                "coalescing: job {id} appears in {n} flushes but dispatched only {dispatched}×"
-            ));
-        }
-    }
-    for (&id, &n) in &terminal {
-        if n > 1 {
-            v.push(format!(
-                "coalescing: job {id} reached a terminal batch disposition {n}× (duplicate \
-                 publication)"
-            ));
-        }
-    }
-}
-
-/// **Batch attempt ledger**: a member requeued by worker deaths in its
-/// flushes carries its consumed attempts across dispatches — a cold
-/// completion after `R` requeues must report at least `1 + R` attempts.
-/// (Cache and marginal hits report zero attempts and are exempt: the
-/// requeued member may legitimately be answered from a cache populated
-/// meanwhile.)
-fn batch_attempt_ledger(input: &OracleInput, v: &mut Vec<String>) {
-    let mut requeues: HashMap<u64, u32> = HashMap::new();
-    for event in input.events {
-        let EventKind::Batch(record) = &event.kind else { continue };
-        for &(id, disposition) in &record.members {
-            if disposition == BatchMemberDisposition::Requeued {
-                *requeues.entry(id).or_insert(0) += 1;
-            }
-        }
-    }
-    for (&id, &r) in &requeues {
-        let Some(OutcomeSummary::Completed { attempts, from_cache, from_state_cache, .. }) =
-            input.outcomes.get(&id)
-        else {
-            continue;
-        };
-        if *from_cache || *from_state_cache {
-            continue;
-        }
-        if *attempts < 1 + r {
-            v.push(format!(
-                "batch ledger: job {id} was requeued {r}× from a flush but completed with only \
-                 {attempts} attempts (ledger lost across the requeue)"
-            ));
-        }
-    }
-}
-
 /// **Shard exchange conservation**: every completed sharded run's
 /// traffic accounting closes exactly. A pairwise exchange moves two
 /// messages (one each direction), so `messages == 2 × exchanges`; and
@@ -474,7 +375,6 @@ pub fn check_telemetry(snapshot: &TelemetrySnapshot, dispatches: usize) -> Vec<S
 mod tests {
     use super::*;
     use crate::scenario::JobDef;
-    use qgear_serve::BatchRecord;
 
     /// An event stream out of bare kinds; no oracle here reads a stamp.
     fn stream(kinds: impl IntoIterator<Item = EventKind>) -> Vec<ServiceEvent> {
@@ -597,135 +497,6 @@ mod tests {
         let clean_ok: BTreeMap<u64, u64> = [(1, 0xbad)].into_iter().collect();
         input.clean_hashes = &clean_ok;
         assert!(check(&input).is_empty());
-    }
-
-    #[test]
-    fn batch_event_violations_are_flagged() {
-        let scenario = Scenario::empty(0)
-            .op(Op::Submit(JobDef::bell()))
-            .op(Op::Submit(JobDef::bell()));
-        let accepted = vec![1, 2];
-        let mk = |attempts| OutcomeSummary::Completed {
-            attempts,
-            from_cache: false,
-            from_state_cache: false,
-            counts_hash: 7,
-        };
-        let outcomes: BTreeMap<u64, OutcomeSummary> =
-            [(1, mk(1)), (2, mk(1))].into_iter().collect();
-        let times: BTreeMap<u64, Duration> =
-            [(1, Duration::ZERO), (2, Duration::ZERO)].into_iter().collect();
-        let dispatches: BTreeMap<u64, usize> = [(1, 1), (2, 1)].into_iter().collect();
-        let trace = Trace::default();
-        let mut input = base(&scenario, &accepted, &outcomes, &times, &dispatches, &trace);
-
-        // Healthy: one flush, both members executed.
-        let healthy = [BatchRecord {
-            members: vec![
-                (1, BatchMemberDisposition::Executed),
-                (2, BatchMemberDisposition::Executed),
-            ],
-            formed_at: Duration::ZERO,
-        }];
-        let healthy = stream(healthy.map(EventKind::Batch));
-        input.events = &healthy;
-        assert!(check(&input).is_empty(), "{:?}", check(&input));
-
-        // A member duplicated within one flush.
-        let duplicated = [BatchRecord {
-            members: vec![
-                (1, BatchMemberDisposition::Executed),
-                (1, BatchMemberDisposition::Executed),
-            ],
-            formed_at: Duration::ZERO,
-        }];
-        let duplicated = stream(duplicated.map(EventKind::Batch));
-        input.events = &duplicated;
-        let v = check(&input);
-        assert!(v.iter().any(|m| m.contains("appears twice in flush")), "{v:?}");
-
-        // A member that was never accepted.
-        let phantom = [BatchRecord {
-            members: vec![(9, BatchMemberDisposition::Executed)],
-            formed_at: Duration::ZERO,
-        }];
-        let phantom = stream(phantom.map(EventKind::Batch));
-        input.events = &phantom;
-        let v = check(&input);
-        assert!(v.iter().any(|m| m.contains("never accepted")), "{v:?}");
-
-        // Two terminal dispositions across flushes = double publication.
-        let double = [
-            BatchRecord {
-                members: vec![(1, BatchMemberDisposition::Executed)],
-                formed_at: Duration::ZERO,
-            },
-            BatchRecord {
-                members: vec![(1, BatchMemberDisposition::Executed)],
-                formed_at: Duration::ZERO,
-            },
-        ];
-        let dispatches2: BTreeMap<u64, usize> = [(1, 2), (2, 1)].into_iter().collect();
-        let mut input2 = base(&scenario, &accepted, &outcomes, &times, &dispatches2, &trace);
-        let double = stream(double.map(EventKind::Batch));
-        input2.events = &double;
-        let v = check(&input2);
-        assert!(v.iter().any(|m| m.contains("terminal batch disposition")), "{v:?}");
-    }
-
-    #[test]
-    fn lost_attempt_ledger_across_requeue_is_flagged() {
-        let scenario = Scenario::empty(0)
-            .op(Op::Submit(JobDef::bell()))
-            .event(0, 0, FaultKind::WorkerDeath);
-        let accepted = vec![1];
-        // Requeued once, yet the completion claims a single attempt:
-        // the cumulative ledger was dropped somewhere.
-        let outcomes: BTreeMap<u64, OutcomeSummary> = [(
-            1,
-            OutcomeSummary::Completed {
-                attempts: 1,
-                from_cache: false,
-                from_state_cache: false,
-                counts_hash: 7,
-            },
-        )]
-        .into_iter()
-        .collect();
-        let times: BTreeMap<u64, Duration> = [(1, Duration::ZERO)].into_iter().collect();
-        let dispatches: BTreeMap<u64, usize> = [(1, 2)].into_iter().collect();
-        let trace = Trace::default();
-        let log = [
-            BatchRecord {
-                members: vec![(1, BatchMemberDisposition::Requeued)],
-                formed_at: Duration::ZERO,
-            },
-            BatchRecord {
-                members: vec![(1, BatchMemberDisposition::Executed)],
-                formed_at: Duration::ZERO,
-            },
-        ];
-        let log = stream(log.map(EventKind::Batch));
-        let mut input = base(&scenario, &accepted, &outcomes, &times, &dispatches, &trace);
-        input.events = &log;
-        let v = check(&input);
-        assert!(v.iter().any(|m| m.contains("batch ledger")), "{v:?}");
-
-        // With the ledger intact (2 attempts after 1 requeue) all clear.
-        let outcomes_ok: BTreeMap<u64, OutcomeSummary> = [(
-            1,
-            OutcomeSummary::Completed {
-                attempts: 2,
-                from_cache: false,
-                from_state_cache: false,
-                counts_hash: 7,
-            },
-        )]
-        .into_iter()
-        .collect();
-        let mut input = base(&scenario, &accepted, &outcomes_ok, &times, &dispatches, &trace);
-        input.events = &log;
-        assert!(check(&input).is_empty(), "{:?}", check(&input));
     }
 
     #[test]

@@ -125,17 +125,6 @@ pub enum Op {
     },
 }
 
-/// Batch-coalescing knobs a scenario may switch on (in [`Scenario`]'s
-/// `batch` field). `None` keeps the legacy one-job-per-dispatch
-/// behavior byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchParams {
-    /// Largest batch the coalescer may form (≥ 2 to matter).
-    pub max_size: usize,
-    /// Coalescing window in virtual microseconds.
-    pub window_us: u64,
-}
-
 /// Sharding knobs a scenario may switch on (in [`Scenario`]'s `shard`
 /// field). Setting this shrinks the service device to `worker_bytes` and
 /// attaches a `ShardConfig`, so 4-qubit jobs overflow a single worker
@@ -171,11 +160,6 @@ pub struct Scenario {
     /// ([`qgear_serve::FaultSchedule::with_rate`], seeded by `seed`); 0
     /// disables it.
     pub fault_rate: f64,
-    /// Batch coalescing configuration; `None` (the legacy default) runs
-    /// one job per dispatch. Checkpointed execution stays on either way:
-    /// a flush member dies, retries and resumes in the attempt loop a
-    /// lone job takes.
-    pub batch: Option<BatchParams>,
     /// Sharded-serving configuration; `None` (the legacy default) keeps
     /// the full-size single device, under which every scenario job is
     /// dense-feasible and no shard machinery engages.
@@ -190,15 +174,8 @@ impl Scenario {
             ops: Vec::new(),
             events: Vec::new(),
             fault_rate: 0.0,
-            batch: None,
             shard: None,
         }
-    }
-
-    /// Builder: switch on batch coalescing.
-    pub fn batched(mut self, max_size: usize, window_us: u64) -> Self {
-        self.batch = Some(BatchParams { max_size, window_us });
-        self
     }
 
     /// Builder: switch on sharded serving with the default tiny device.
@@ -315,23 +292,23 @@ impl Scenario {
             }
         }
         let fault_rate = if rng.chance(1, 4) { 0.3 } else { 0.0 };
-        Scenario { seed, ops, events, fault_rate, batch: None, shard: None }
+        Scenario { seed, ops, events, fault_rate, shard: None }
     }
 
-    /// Generate a random *batched* scenario: [`Scenario::generate`]'s
-    /// job/op mix, plus batch coalescing switched on and the fault
-    /// script extended with deaths (at the attempt boundary and mid-run)
-    /// and panics aimed into flushes. Deterministic in `seed`, and a
-    /// distinct function from `generate` so the legacy seed corpus keeps
-    /// its meaning.
-    pub fn generate_batched(seed: u64) -> Self {
+    /// Generate a random *struck* scenario: [`Scenario::generate`]'s
+    /// job/op mix, with the fault script extended by deaths (at the
+    /// attempt boundary and mid-run) and panics — the one fault kind
+    /// `generate` never draws. Deterministic in `seed`, and a distinct
+    /// function from `generate` so the legacy seed corpus keeps its
+    /// meaning.
+    pub fn generate_struck(seed: u64) -> Self {
         let mut scenario = Scenario::generate(seed);
         let mut rng = SimRng::new(seed ^ 0xBA7C_4ED0_5EED_0001);
         let jobs = scenario.job_count() as u64;
-        scenario.batch = Some(BatchParams {
-            max_size: 2 + rng.below(7) as usize,
-            window_us: 50 + rng.below(2000),
-        });
+        // The stream's first two draws once sized batch knobs; they are
+        // still taken, so a seed strikes the jobs it always struck.
+        rng.next_u64();
+        rng.next_u64();
         // 1–2 deaths or panics aimed at random jobs' first attempts.
         for _ in 0..1 + rng.below(2) {
             let job = rng.below(jobs);
@@ -414,7 +391,6 @@ impl Scenario {
             ops,
             events,
             fault_rate: 0.0,
-            batch: None,
             shard: Some(ShardParams::default()),
         }
     }

@@ -78,19 +78,6 @@ where
             }
         }
 
-        // Pass 5: turn off batch coalescing if it isn't needed, so a
-        // failure that reproduces one-job-per-dispatch shrinks to the
-        // legacy configuration and only genuinely batch-dependent bugs
-        // keep their batch knobs.
-        if !improved && best.batch.is_some() {
-            let mut cand = best.clone();
-            cand.batch = None;
-            if check(&cand) {
-                best = cand;
-                improved = true;
-            }
-        }
-
         if !improved {
             return (best, runs);
         }
@@ -127,17 +114,6 @@ mod tests {
         assert!(matches!(&minimal.ops[0], Op::Submit(d) if d.seed == 3));
         assert_eq!(minimal.fault_rate, 0.0, "rate plan shed as irrelevant");
         assert!(runs > 1);
-    }
-
-    #[test]
-    fn sheds_batching_when_the_predicate_ignores_it() {
-        let scenario = Scenario::empty(3)
-            .batched(4, 200)
-            .op(Op::Submit(JobDef { seed: 3, ..JobDef::bell() }));
-        assert!(fails(&scenario));
-        let (minimal, _) = shrink(&scenario, fails);
-        assert!(fails(&minimal));
-        assert!(minimal.batch.is_none(), "batch knobs shed as irrelevant: {minimal:?}");
     }
 
     #[test]

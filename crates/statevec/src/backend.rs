@@ -128,7 +128,7 @@ pub struct ExecStats {
     pub kernels_launched: u64,
     /// State passes made by sweep-mode plan segments (a one-kernel
     /// segment is one pass). Zero when nothing ran in sweep mode: the
-    /// unfused baseline, `Unfused`/`Fused` segments, the cluster engine.
+    /// unfused baseline, `Unfused` segments, the cluster engine.
     pub sweeps_executed: u64,
     /// State-vector bytes read + written across all sweeps.
     pub bytes_touched: u128,
@@ -220,8 +220,8 @@ pub(crate) fn check_capacity<T: Scalar>(
 /// The exact measurement marginal as `f64` probabilities — the **single**
 /// conversion point between execution precision and sampling (each
 /// probability is summed in execution precision, then widened). Every
-/// sampling path (direct runs, batched runs, the serving layer's marginal
-/// cache) goes through here, so replaying a cached marginal is
+/// sampling path (direct runs, the serving layer's marginal cache) goes
+/// through here, so replaying a cached marginal is
 /// bit-identical to re-simulating.
 pub fn marginal_probs<T: Scalar>(state: &StateVector<T>, measured: &[u32]) -> Vec<f64> {
     state.marginal_as(measured, 0.0, |p| p.to_f64())

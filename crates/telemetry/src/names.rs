@@ -120,20 +120,8 @@ pub const SERVE_CACHE_CORRUPTIONS: &str = "serve.cache_corruptions";
 pub const SERVE_WORKER_DEATHS: &str = "serve.worker_deaths";
 
 /// Jobs requeued after a worker death (conservation evidence: one per
-/// death of a lone job; in a flush, the struck member plus every member
-/// not yet run).
+/// death).
 pub const SERVE_REQUEUES: &str = "serve.requeues";
-
-/// Batches flushed to a worker by the shape-aware coalescer
-/// (`qgear-serve`); a solo dispatch does not count.
-pub const SERVE_BATCHES_FORMED: &str = "serve.batch.formed";
-
-/// Histogram of members per flushed batch (coalescer occupancy).
-pub const SERVE_BATCH_OCCUPANCY: &str = "serve.batch.occupancy";
-
-/// Histogram of time a batch leader spent coalescing (pop → flush),
-/// milliseconds of service-clock time.
-pub const SERVE_BATCH_COALESCE_WAIT_MS: &str = "serve.batch.coalesce_wait_ms";
 
 /// In-flight jobs cancelled while waiting out a retry backoff.
 pub const SERVE_CANCELLED_IN_BACKOFF: &str = "serve.cancelled_in_backoff";
@@ -191,8 +179,8 @@ pub const KERNEL_SIMD_F32X8: &str = "kernel.simd.f32x8";
 pub const KERNEL_SIMD_SCALAR: &str = "kernel.simd.scalar";
 
 /// Scratch-arena requests served by reusing a pooled buffer (no
-/// allocation). High reuse across segments/sweeps/batch members is the
-/// point of the arena.
+/// allocation). High reuse across segments, sweeps and jobs is the point
+/// of the arena.
 pub const SCRATCH_REUSE: &str = "scratch.reuse";
 
 /// Scratch-arena requests that had to allocate a fresh aligned buffer

@@ -85,8 +85,8 @@ echo "==> bench_checkpoint smoke (QCKP encode/decode vs a bitwise CRC pass)"
 cargo run --release -p qgear-bench --bin bench_checkpoint -- --smoke
 
 # The repo benchmark's smoke run (BENCHMARK.json, benchmark/README.md):
-# the only check that drives all four traffic shapes — batched, mixed
-# solo, large dense, sharded + checkpointed — through the real `Service`.
+# the only check that drives all four traffic shapes — same-shape floods,
+# mixed, large dense, sharded + checkpointed — through the real `Service`.
 # Its in-command correctness gate (counts sum to shots, TV distance vs
 # `AerCpuBackend`, exact repeats equal, sharded jobs really exchanged)
 # fails the run, and building it proves `benchmark/` — a package outside

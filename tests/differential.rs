@@ -37,7 +37,7 @@
 //! **fp64 AND fp32 bitwise identity** — strictly stronger than the
 //! ≤4-ULP bar a tolerance-based tier would set; no ULP allowance is
 //! needed anywhere. The tier diffs SIMD-on vs SIMD-off executions of
-//! whole runs (fused, sweep, planned, batched, checkpoint-resume) and of
+//! whole runs (fused, sweep, planned, served, checkpoint-resume) and of
 //! individual kernels of each structure class, including remainder/tail shapes
 //! (states too small to fill one lane vector, kernels whose target bits
 //! sit below the lane width) where the scalar fallback must engage.
@@ -48,7 +48,7 @@ use qgear_ir::schedule::{self, SweepOptions};
 use qgear_ir::{fusion, reference, transpile, Circuit};
 use qgear_num::approx::{approx_eq_up_to_phase, max_deviation};
 use qgear_num::complex::Complex;
-use qgear_serve::{BatchRecord, EventKind, JobSpec, ServeConfig, Service, ServiceEvent};
+use qgear_serve::{JobSpec, ServeConfig, Service};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, AerCpuBackend, CheckpointScalar, GpuDevice, PlannerCosts,
@@ -112,14 +112,6 @@ fn arb_circuit(max_qubits: u32, max_gates: usize) -> impl Strategy<Value = Circu
             }
             c
         })
-}
-
-/// The flush records of a service's event stream, in order.
-fn flushes(events: &[ServiceEvent]) -> impl Iterator<Item = &BatchRecord> {
-    events.iter().filter_map(|e| match &e.kind {
-        EventKind::Batch(record) => Some(record),
-        _ => None,
-    })
 }
 
 /// Default knobs under an explicit selector: a pin, or the priced plan.
@@ -681,19 +673,14 @@ fn serve_counts_match_direct_evolve_and_sample() {
     assert_eq!(served.map, direct.map, "served counts must replay bit-identically");
 }
 
-/// Batch-of-1 differential: a job served through the batched dispatch
-/// path — coalescing enabled, batch occupancy one — produces counts
-/// bit-identical to (a) the same service with batching disabled and
-/// (b) directly evolving and sampling the canonical circuit with the
-/// same knobs. Batching must be a pure dispatch decision, invisible in
-/// every result bit.
+/// A served job's counts are bit-identical to directly evolving and
+/// sampling the canonical circuit with the same knobs, on a non-Clifford
+/// rotation ladder (the QFT case is
+/// `serve_counts_match_direct_evolve_and_sample`).
 #[test]
 fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
-    use qgear_serve::{BatchConfig, BatchMemberDisposition};
-    use std::time::Duration;
-
     // Rotation angles keep the circuit off the Clifford/stabilizer path
-    // so admission selects the dense engine the coalescer batches.
+    // so admission selects the dense engine.
     let mut circ = Circuit::new(5);
     for q in 0..5 {
         circ.h(q).ry(0.23 + 0.31 * f64::from(q), q);
@@ -702,33 +689,12 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
         circ.cx(q, q + 1);
     }
     circ.measure_all();
-    let spec = || JobSpec::new(circ.clone()).shots(1024).seed(99);
 
-    // Through the batched dispatch path, alone in its batch.
-    let batched_service = Service::start(ServeConfig {
-        workers: 1,
-        checkpoint_interval: 0,
-        batch: BatchConfig { max_size: 4, window: Duration::from_micros(200) },
-        ..Default::default()
-    });
-    let id = batched_service.submit(spec()).job_id().expect("accepted");
-    let batched = batched_service.wait(id).expect("completes");
-    let batched = batched.result().expect("success").counts.clone().expect("counts");
-    batched_service.shutdown();
-    let events = batched_service.events_for(id);
-    let log: Vec<_> = flushes(&events).collect();
-    assert_eq!(log.len(), 1, "one dispatch, one batch record");
-    assert_eq!(log[0].members.len(), 1, "the job rode alone");
-    assert_eq!(log[0].members[0].1, BatchMemberDisposition::Executed);
-
-    // Through the pre-batching solo path.
-    let solo_service = Service::start(ServeConfig { workers: 1, ..Default::default() });
-    let id = solo_service.submit(spec()).job_id().expect("accepted");
-    let solo = solo_service.wait(id).expect("completes");
-    let solo = solo.result().expect("success").counts.clone().expect("counts");
-    solo_service.shutdown();
-    assert_eq!(flushes(&solo_service.events()).count(), 0, "batching disabled logs no flush");
-    assert_eq!(batched.map, solo.map, "batch-of-1 counts must match solo serving");
+    let service = Service::start(ServeConfig { workers: 1, ..Default::default() });
+    let id = service.submit(JobSpec::new(circ.clone()).shots(1024).seed(99)).job_id();
+    let served = service.wait(id.expect("accepted")).expect("completes");
+    let served = served.result().expect("success").counts.clone().expect("counts");
+    service.shutdown();
 
     // Directly: one `GpuDevice::run`, then the shared sampling pipeline.
     let canonical =
@@ -740,7 +706,7 @@ fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
     let probs = marginal_probs(&direct.state.expect("state"), &measured);
     let cfg = SamplingConfig::single(1024, 99);
     let replayed = sample_from_probs(&probs, &measured, &cfg).expect("counts");
-    assert_eq!(batched.map, replayed.map, "served batch-of-1 must replay direct execution");
+    assert_eq!(served.map, replayed.map, "served counts must replay direct execution");
 }
 
 // ─────────────────────── SIMD differential tier ───────────────────────
@@ -993,14 +959,12 @@ fn simd_lane_path_engages_on_all_structure_classes() {
     }
 }
 
-/// Batched serving under the toggle: three same-shape members ride a
-/// batching `Service` once on the lane path and once on the scalar path,
-/// and every published counts table is identical — the batch dispatch
-/// sits inside the same bit-identity contract as the solo engine.
+/// Serving under the toggle: three same-shape jobs ride a one-worker
+/// `Service` once on the lane path and once on the scalar path, and every
+/// published counts table is identical — dispatch sits inside the same
+/// bit-identity contract as the engine.
 #[test]
 fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
-    use qgear_serve::BatchConfig;
-    use std::time::Duration;
     let _g = SIMD_LOCK.lock().unwrap();
     let specs: Vec<JobSpec> = (0..3u32)
         .map(|i| {
@@ -1016,11 +980,7 @@ fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
         })
         .collect();
     let serve = || {
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            batch: BatchConfig { max_size: 3, window: Duration::from_micros(200) },
-            ..Default::default()
-        });
+        let service = Service::start(ServeConfig { workers: 1, ..Default::default() });
         let ids: Vec<_> =
             specs.iter().map(|s| service.submit(s.clone()).job_id().expect("accepted")).collect();
         let counts: Vec<_> = ids
@@ -1031,13 +991,11 @@ fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
             })
             .collect();
         service.shutdown();
-        let flushed: usize = flushes(&service.events()).map(|r| r.members.len()).sum();
-        assert_eq!(flushed, 3);
         counts
     };
     let on = with_simd(true, serve);
     let off = with_simd(false, serve);
-    assert_eq!(on, off, "batched members must not see the SIMD toggle");
+    assert_eq!(on, off, "served jobs must not see the SIMD toggle");
 }
 
 /// The zero-copy sweep tile fast path: when a sweep's qubits are exactly

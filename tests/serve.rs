@@ -13,9 +13,8 @@
 use proptest::prelude::*;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    Admission, AdmissionQueue, BatchConfig, BatchMemberDisposition, CircuitKey, Engine, EventKind,
-    FaultKind, FaultSchedule, JobId, JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig,
-    ServeError, Service, ServiceEvent,
+    Admission, AdmissionQueue, CircuitKey, Engine, EventKind, FaultKind, FaultSchedule, JobId,
+    JobOutcome, JobSpec, Priority, QueuedJob, ServeConfig, ServeError, Service,
 };
 use qgear_statevec::Counts;
 use qgear_telemetry::names;
@@ -32,7 +31,6 @@ fn priority_of(p: u8) -> Priority {
 
 fn queued(id: u64, tenant: u8, priority: u8) -> QueuedJob {
     let circuit = Circuit::new(1);
-    let shape = qgear_ir::shape_digest(&circuit);
     QueuedJob {
         id: JobId(id),
         spec: JobSpec::new(circuit.clone())
@@ -45,7 +43,6 @@ fn queued(id: u64, tenant: u8, priority: u8) -> QueuedJob {
         seq: 0,
         attempts_made: 0,
         engine: Engine::Dense,
-        shape,
     }
 }
 
@@ -353,14 +350,13 @@ fn control_plane_outcomes_are_explicit() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-invariance tier: batching is invisible in results.
+// Dispatch-invariance tier: order and worker count are invisible in results.
 //
-// A member's counts must be bit-identical to a solo dispatch of the same
-// spec regardless of which batch it landed in, batch size, member order,
-// and worker thread count. The tests below run the same job set through
-// a solo reference service and through batched services with varied
-// coalescing caps, submission orders and worker pools, then compare
-// per-member counts exactly and check the batch log conserves jobs.
+// A job's counts must be bit-identical to a one-worker dispatch of the
+// same spec regardless of submission order and worker thread count. The
+// tests below run the same job set through a one-worker reference service
+// and through services with varied submission orders and worker pools,
+// then compare per-job counts exactly; every job must have run once.
 // ---------------------------------------------------------------------------
 
 /// The shared sweep ansatz, parameterised per job: same shape digest for
@@ -396,24 +392,18 @@ fn twister(qubits: u32, phase: f64) -> Circuit {
     c
 }
 
-/// Submit `specs` in `order`, wait for every job, return counts indexed
-/// by the job's position in `specs` plus the complete event stream (read
-/// after shutdown, which joins the workers, so the final record —
-/// appended after its members' outcomes publish — is always present).
-fn run_jobs(
-    specs: &[JobSpec],
-    order: &[usize],
-    workers: usize,
-    batch: BatchConfig,
-) -> (Vec<Counts>, Vec<ServiceEvent>) {
+/// Submit `specs` in `order`, wait for every job, and return counts
+/// indexed by the job's position in `specs`. Conservation is read off the
+/// outcomes: every job completes exactly once, cold, on its first attempt
+/// (fault-free, caches off).
+fn run_jobs(specs: &[JobSpec], order: &[usize], workers: usize) -> Vec<Counts> {
     let service = Service::start(ServeConfig {
         workers,
         queue_capacity: specs.len() + 8,
-        // Caches off so every member actually executes; cache hits have
+        // Caches off so every job actually executes; cache hits have
         // their own invariance coverage in the tier above.
         cache_capacity: 0,
         state_cache_capacity: 0,
-        batch,
         ..Default::default()
     });
     let mut ids: Vec<Option<JobId>> = vec![None; specs.len()];
@@ -429,33 +419,15 @@ fn run_jobs(
     for (i, id) in ids.iter().enumerate() {
         match service.wait(id.expect("every spec submitted")) {
             Some(JobOutcome::Completed(r)) => {
+                assert_eq!(r.attempts, 1, "job {i} must run exactly once");
+                assert!(!r.from_cache && !r.from_state_cache, "job {i} must have run cold");
                 counts.push(r.counts.expect("measured circuit yields counts"));
             }
             other => panic!("job {i} did not complete: {other:?}"),
         }
     }
     service.shutdown();
-    (counts, service.events())
-}
-
-/// The batch events must account for every submitted job exactly once,
-/// and (fault-free, caches off) every member must have actually run.
-fn assert_log_conserves(events: &[ServiceEvent], jobs: usize) {
-    let mut seen = HashSet::new();
-    for event in events {
-        let EventKind::Batch(record) = &event.kind else { continue };
-        assert!(!record.members.is_empty(), "empty batch record flushed");
-        assert!(event.at >= record.formed_at);
-        for &(id, disposition) in &record.members {
-            assert!(seen.insert(id), "job {id} appears in two batch records");
-            assert_eq!(
-                disposition,
-                BatchMemberDisposition::Executed,
-                "fault-free cache-free member must have run"
-            );
-        }
-    }
-    assert_eq!(seen.len(), jobs, "batch log must cover every job exactly once");
+    counts
 }
 
 /// Deterministic Fisher–Yates permutation of `0..n` (no external RNG in
@@ -472,9 +444,9 @@ fn permuted(n: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Fixed-workload statement of the invariance contract: one mixed-shape
-/// job set, one solo reference, four batched configurations spanning
-/// batch size, member order and worker count. Every configuration must
-/// reproduce the reference counts bit-for-bit.
+/// job set, one one-worker reference, four configurations spanning
+/// submission order and worker count. Every configuration must reproduce
+/// the reference counts bit-for-bit.
 #[test]
 fn member_counts_are_invariant_to_batch_size_order_and_worker_count() {
     let jobs = 12usize;
@@ -497,34 +469,19 @@ fn member_counts_are_invariant_to_batch_size_order_and_worker_count() {
     let evens_then_odds: Vec<usize> =
         (0..jobs).step_by(2).chain((1..jobs).step_by(2)).collect();
 
-    let (reference, solo_log) = run_jobs(&specs, &forward, 1, BatchConfig::disabled());
-    assert!(
-        !solo_log.iter().any(|e| matches!(e.kind, EventKind::Batch(_))),
-        "disabled batching must not log batches"
-    );
-
-    let window = Duration::from_millis(5);
-    let variants: [(&str, &[usize], usize, usize); 4] = [
-        ("1 worker, cap 4", &forward, 1, 4),
-        ("4 workers, cap 8", &forward, 4, 8),
-        ("2 workers, cap 3, reversed order", &reversed, 2, 3),
-        ("3 workers, cap 12, shapes segregated", &evens_then_odds, 3, 12),
+    let reference = run_jobs(&specs, &forward, 1);
+    let variants: [(&str, &[usize], usize); 4] = [
+        ("1 worker, reversed order", &reversed, 1),
+        ("4 workers", &forward, 4),
+        ("2 workers, reversed order", &reversed, 2),
+        ("3 workers, shapes segregated", &evens_then_odds, 3),
     ];
-    let mut coalesced_anywhere = false;
-    for (label, order, workers, max_size) in variants {
-        let (counts, log) =
-            run_jobs(&specs, order, workers, BatchConfig { max_size, window });
+    for (label, order, workers) in variants {
+        let counts = run_jobs(&specs, order, workers);
         for (i, (got, want)) in counts.iter().zip(&reference).enumerate() {
-            assert_eq!(got, want, "{label}: job {i} counts differ from solo reference");
+            assert_eq!(got, want, "{label}: job {i} counts differ from the reference");
         }
-        assert_log_conserves(&log, jobs);
-        coalesced_anywhere |=
-            log.iter().any(|e| matches!(&e.kind, EventKind::Batch(r) if r.members.len() >= 2));
     }
-    assert!(
-        coalesced_anywhere,
-        "at least one configuration must have formed a multi-member batch"
-    );
 }
 
 proptest! {
@@ -532,9 +489,9 @@ proptest! {
 
     /// Property form over random shape mixes (case count scales with
     /// `QGEAR_PROPTEST_CASES`): arbitrary interleavings of three shape
-    /// families with random angles, shots, seeds, submission order,
-    /// worker count and coalescing cap all reproduce the solo reference
-    /// counts bit-for-bit, and the batch log conserves jobs.
+    /// families with random angles, shots, seeds, submission order and
+    /// worker count all reproduce the one-worker reference counts
+    /// bit-for-bit, and every job runs exactly once.
     #[test]
     fn batched_counts_match_solo_for_random_shape_mixes(
         mix in proptest::collection::vec(
@@ -542,7 +499,6 @@ proptest! {
             3..10,
         ),
         workers in 1usize..5,
-        max_size in 2usize..7,
         shuffle in any::<u64>(),
     ) {
         let specs: Vec<JobSpec> = mix
@@ -562,18 +518,12 @@ proptest! {
             .collect();
 
         let forward: Vec<usize> = (0..specs.len()).collect();
-        let (reference, _) = run_jobs(&specs, &forward, 1, BatchConfig::disabled());
+        let reference = run_jobs(&specs, &forward, 1);
 
         let order = permuted(specs.len(), shuffle);
-        let (counts, log) = run_jobs(
-            &specs,
-            &order,
-            workers,
-            BatchConfig { max_size, window: Duration::from_micros(500) },
-        );
+        let counts = run_jobs(&specs, &order, workers);
         for (i, (got, want)) in counts.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(got, want, "job {} counts differ from solo reference", i);
+            prop_assert_eq!(got, want, "job {} counts differ from the reference", i);
         }
-        assert_log_conserves(&log, specs.len());
     }
 }

@@ -72,7 +72,6 @@ fn step(event: &ServiceEvent) -> &'static str {
         EventKind::Checkpoint(CheckpointRecord::VerifyFailed { .. }) => "verify-failed",
         EventKind::Checkpoint(CheckpointRecord::Resumed { .. }) => "resumed",
         EventKind::Checkpoint(CheckpointRecord::ColdRestart { .. }) => "cold-restart",
-        EventKind::Batch(_) => "batch",
         EventKind::Shard(ShardRecord::Started { .. }) => "started",
         EventKind::Shard(ShardRecord::WorkerLost { .. }) => "lost",
         EventKind::Shard(ShardRecord::LinkFault { .. }) => "link-fault",

@@ -298,28 +298,23 @@ fn checkpoint_recovery_metrics_flow_into_the_json_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A flushed batch is its members run one after another, each on the
-/// stepper a solo job runs on. The device holds exactly one 3-qubit fp64
-/// state, so a batch of four fits only because one member is resident at
-/// a time; the second case alternates `ry(0.0)` (a diagonal kernel) with
-/// `ry(0.3)` (a dense one) — same shape, different kernel classes, which
-/// no shared schedule walk could serve. Either way every member is
-/// `Executed`, prologued once (one queue-wait sample, one result-cache
-/// miss, one marginal-cache miss, one `serve_job` span per dispatch),
-/// carries its own stepper time in `stats.elapsed`, and publishes counts
-/// bit-identical to a service that never batched.
+/// Every job runs alone on the stepper, one dispatch at a time. The device
+/// holds exactly one 3-qubit fp64 state, so four queued jobs fit only
+/// because one is resident at a time; the second case alternates
+/// `ry(0.0)` (a diagonal kernel) with `ry(0.3)` (a dense one) — same
+/// shape, different kernel classes. Either way each dispatch is
+/// prologued once (one queue-wait sample, one result-cache miss, one
+/// marginal-cache miss, one `serve_job` span) and each job carries its
+/// own stepper time in `stats.elapsed`.
 #[test]
 fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
-    use qgear_serve::{
-        BackendKind, BatchConfig, BatchMemberDisposition, EventKind, FaultKind, FaultSchedule,
-        JobResult, JobSpec, ServeConfig, Service, ServiceEvent,
-    };
+    use qgear_serve::{BackendKind, JobResult, JobSpec, ServeConfig, Service};
     use std::time::Duration;
     let _l = LOCK.lock().unwrap();
-    const MEMBERS: usize = 4;
+    const JOBS: usize = 4;
     let device = GpuDevice { memory_bytes: 8 * 16, ..GpuDevice::a100_40gb() };
     type Build = fn(&mut qgear_ir::Circuit, f64);
-    let cases: [(&str, usize, Build, [f64; MEMBERS]); 2] = [
+    let cases: [(&str, usize, Build, [f64; JOBS]); 2] = [
         (
             "one-state device",
             qgear_ir::fusion::DEFAULT_FUSION_WIDTH,
@@ -340,83 +335,52 @@ fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
         ),
     ];
     for (what, fusion_width, build, thetas) in cases {
-        // Job 0 pins the single worker in a retry backoff while the
-        // members queue up behind it, so the leader finds all its mates
-        // waiting and the flush is one full batch, whatever the host's
-        // thread timing.
-        let serve = |batch: BatchConfig| {
-            let service = Service::start(ServeConfig {
-                workers: 1,
-                backend: BackendKind::Gpu(device.clone()),
-                fusion_width,
-                batch,
-                schedule: FaultSchedule::none().with_event(0, 0, FaultKind::Transient),
-                retry_backoff: Duration::from_millis(100),
-                ..Default::default()
-            });
-            let mut pin = qgear_ir::Circuit::new(2);
-            pin.h(0).cx(0, 1).measure_all();
-            let pin = service.submit(JobSpec::new(pin).shots(8)).job_id().expect("accepted");
-            let ids: Vec<_> = thetas
-                .iter()
-                .enumerate()
-                .map(|(i, &theta)| {
-                    let mut c = qgear_ir::Circuit::new(3);
-                    build(&mut c, theta);
-                    c.measure_all();
-                    let spec = JobSpec::new(c).shots(300).seed(i as u64);
-                    service.submit(spec).job_id().expect("accepted")
-                })
-                .collect();
-            let results: Vec<JobResult> = ids
-                .iter()
-                .map(|&id| service.wait(id).expect("outcome").result().expect("done").clone())
-                .collect();
-            assert!(service.wait(pin).expect("outcome").result().is_some());
-            service.shutdown();
-            // The pin rides a one-member flush of its own (its transient
-            // strike retries inside the attempt loop every member takes);
-            // the flush under test is the members'.
-            let flush = |e: ServiceEvent| match e.kind {
-                EventKind::Batch(record) if record.members[0].0 != pin.0 => Some(record),
-                _ => None,
-            };
-            (results, service.events().into_iter().filter_map(flush).collect::<Vec<_>>())
-        };
-
         qgear_telemetry::reset();
         qgear_telemetry::enable();
-        let (batched, log) = serve(BatchConfig { max_size: MEMBERS, window: Duration::ZERO });
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            backend: BackendKind::Gpu(device.clone()),
+            fusion_width,
+            // The second case repeats circuits under new seeds; with the
+            // marginal cache off every job still runs the stepper.
+            state_cache_capacity: 0,
+            ..Default::default()
+        });
+        let ids: Vec<_> = thetas
+            .iter()
+            .enumerate()
+            .map(|(i, &theta)| {
+                let mut c = qgear_ir::Circuit::new(3);
+                build(&mut c, theta);
+                c.measure_all();
+                let spec = JobSpec::new(c).shots(300).seed(i as u64);
+                service.submit(spec).job_id().expect("accepted")
+            })
+            .collect();
+        let results: Vec<JobResult> = ids
+            .iter()
+            .map(|&id| service.wait(id).expect("outcome").result().expect("done").clone())
+            .collect();
+        service.shutdown();
         qgear_telemetry::disable();
         let snap = qgear_telemetry::snapshot();
         qgear_telemetry::reset();
 
-        assert_eq!(log.len(), 1, "{what}: one flush: {log:?}");
-        assert_eq!(log[0].members.len(), MEMBERS, "{what}: {log:?}");
-        for &(id, disposition) in &log[0].members {
-            assert_eq!(disposition, BatchMemberDisposition::Executed, "{what}: job {id}");
-        }
-        let dispatches = MEMBERS + 1; // the pin is a (solo) dispatch too
-        assert_eq!(snap.histograms[names::SERVE_QUEUE_WAIT_MS].count as usize, dispatches);
-        assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), dispatches as u128);
-        assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), dispatches as u128);
-        assert_eq!(snap.span_count(spans::SERVE_JOB), dispatches, "{what}: one span per dispatch");
-        assert_eq!(snap.counter(names::SERVE_JOBS_COMPLETED), dispatches as u128, "{what}");
+        assert_eq!(snap.histograms[names::SERVE_QUEUE_WAIT_MS].count as usize, JOBS, "{what}");
+        assert_eq!(snap.counter(names::SERVE_CACHE_MISSES), JOBS as u128, "{what}");
+        assert_eq!(snap.counter(names::SERVE_STATE_CACHE_MISSES), JOBS as u128, "{what}");
+        assert_eq!(snap.span_count(spans::SERVE_JOB), JOBS, "{what}: one span per dispatch");
+        assert_eq!(snap.counter(names::SERVE_JOBS_COMPLETED), JOBS as u128, "{what}");
 
-        // `stats.elapsed` is the member's own stepper time: four runs do
-        // not share one reading, and together they fit inside the last
-        // member's prologue-to-publish wall (all prologues come first).
-        let elapsed: Vec<Duration> = batched.iter().map(|r| r.stats.elapsed).collect();
+        // `stats.elapsed` is each job's own stepper time: the four runs do
+        // not share one reading, and each fits inside its own
+        // dispatch-to-publish wall.
+        let elapsed: Vec<Duration> = results.iter().map(|r| r.stats.elapsed).collect();
         assert!(elapsed.iter().any(|e| *e != elapsed[0]), "{what}: one shared value {elapsed:?}");
-        let wall = batched.iter().map(|r| r.service_time - r.queue_wait).max().unwrap();
-        assert!(elapsed.iter().sum::<Duration>() <= wall, "{what}: {elapsed:?} exceed {wall:?}");
-
-        let (unbatched, log) = serve(BatchConfig::disabled());
-        assert!(log.is_empty(), "{what}: batching disabled logs nothing");
-        let ran = |rs: &[JobResult]| {
-            rs.iter().map(|r| (r.counts.clone(), r.stats.kernels_launched)).collect::<Vec<_>>()
-        };
-        assert_eq!(ran(&batched), ran(&unbatched), "{what}: members must match unbatched");
+        for r in &results {
+            let wall = r.service_time - r.queue_wait;
+            assert!(r.stats.elapsed <= wall, "{what}: {:?} exceeds {wall:?}", r.stats.elapsed);
+        }
     }
 }
 
