@@ -259,38 +259,11 @@ impl<T: Scalar> DistributedState<T> {
         Ok(())
     }
 
-    /// Total squared norm across devices.
-    pub fn norm_sqr(&self) -> T {
-        self.parts
-            .iter()
-            .map(|p| p.iter().map(|a| a.norm_sqr()).sum::<T>())
-            .sum()
-    }
-
-    /// Marginal distribution over *logical* qubits (`qubits[j]` → bit `j`
-    /// of the result index), reduced across devices.
-    pub fn marginal(&self, qubits: &[u32]) -> Vec<T> {
-        let lw = self.local_width();
-        let phys: Vec<u32> = qubits.iter().map(|&q| self.physical(q)).collect();
-        let mut out = vec![T::ZERO; 1usize << qubits.len()];
-        for (r, part) in self.parts.iter().enumerate() {
-            for (i, a) in part.iter().enumerate() {
-                let full = (r << lw) | i;
-                let mut key = 0usize;
-                for (j, &pp) in phys.iter().enumerate() {
-                    key |= ((full >> pp) & 1) << j;
-                }
-                out[key] += a.norm_sqr();
-            }
-        }
-        out
-    }
-
     /// The register in logical amplitude order, as the runs of amplitudes
     /// that are contiguous in a slice: the one walker from physical
     /// placement back to logical order, for whoever needs the state whole
     /// ([`DistributedState::gather`]) or in order without ever holding it
-    /// whole (a checkpoint write).
+    /// whole (a checkpoint write, the measurement marginal).
     ///
     /// Low bits the layout has left in place (all of the local ones, until
     /// a block mixes a global qubit) keep `2^in_place` logically
@@ -362,6 +335,7 @@ mod tests {
     use qgear_ir::fusion::fuse;
     use qgear_ir::{reference, Circuit};
     use qgear_num::approx::max_deviation;
+    use qgear_statevec::backend::{marginal_of_runs, marginal_probs};
 
     fn random_native(n: u32, gates: usize, seed: u64) -> Circuit {
         let mut c = Circuit::new(n);
@@ -571,17 +545,35 @@ mod tests {
 
     #[test]
     fn marginal_matches_gathered_state() {
-        let c = random_native(6, 50, 11);
-        let prog = fuse(&c, 3);
-        let mut dist: DistributedState<f64> =
-            DistributedState::zero(6, 4, ClusterTopology::default());
-        dist.run_program(&prog).expect("healthy fabric");
-        let gathered = dist.gather();
-        for qubits in [vec![0u32], vec![5, 1], vec![2, 4, 0]] {
-            let got = dist.marginal(&qubits);
-            let expect = gathered.marginal(&qubits);
-            for (a, b) in got.iter().zip(&expect) {
-                assert!((a - b).abs() < 1e-12);
+        // The marginal read from the slices in place is the dense
+        // marginal of the gathered state, bit for bit, at any layout.
+        fn check<T: Scalar>(n: u32, devices: usize, seed: u64) {
+            let mut c = random_native(n, 12 * n as usize, seed);
+            c.h(n - 1); // the top qubit, global at rest, ends local
+            let prog = fuse(&c, 2);
+            let mut dist: DistributedState<T> =
+                DistributedState::zero(n, devices, ClusterTopology::default());
+            dist.run_program(&prog).expect("healthy fabric");
+            let label = format!("n={n} {devices} devices seed {seed} {}", T::PRECISION_NAME);
+            assert!((0..n).any(|q| dist.physical(q) != q), "{label}: the layout was remapped");
+            let gathered = dist.gather();
+            let all: Vec<u32> = (0..n).collect();
+            let reversed: Vec<u32> = (0..n).rev().collect();
+            // Partial, permuted, and complete in order (the element-wise
+            // fill) and out of order.
+            let sets: [&[u32]; 6] =
+                [&[0], &[n - 1, 1], &[2, n - 2, 0], &[1, 0, 3, 2], &all, &reversed];
+            for measured in sets {
+                let got = marginal_of_runs(dist.logical_runs(), n, measured);
+                let expect = marginal_probs(&gathered, measured);
+                let bits = |p: &[f64]| p.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{label}: measured {measured:?}");
+            }
+        }
+        for seed in [11, 12, 13] {
+            for (n, devices) in [(8, 2), (8, 4), (10, 8)] {
+                check::<f32>(n, devices, seed);
+                check::<f64>(n, devices, seed);
             }
         }
     }
@@ -593,7 +585,7 @@ mod tests {
         let mut dist: DistributedState<f64> =
             DistributedState::zero(7, 8, ClusterTopology::default());
         dist.run_program(&prog).expect("healthy fabric");
-        assert!((dist.norm_sqr() - 1.0).abs() < 1e-10);
+        assert!((dist.gather().norm_sqr() - 1.0).abs() < 1e-10);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use crate::comm::ClusterTopology;
 use crate::sharded::ShardedRun;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
-use qgear_statevec::backend::{sample_from_probs, RunOptions, RunOutput, SimError, Simulator};
+use qgear_statevec::backend::{
+    marginal_of_runs, sample_from_probs, RunOptions, RunOutput, SimError, Simulator,
+};
 use qgear_statevec::GpuDevice;
 use qgear_telemetry::clock::{SharedClock, WallClock};
 
@@ -94,16 +96,16 @@ impl<T: Scalar> Simulator<T> for ClusterEngine {
         qgear_telemetry::counter_add(qgear_telemetry::names::GATES_APPLIED, stats.gates_applied as u128);
         qgear_telemetry::counter_add(qgear_telemetry::names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
 
-        // Sampling: exact marginal reduced across devices, then one
-        // multinomial draw.
+        // Sampling: the one marginal, read from the slices where they lie,
+        // then one multinomial draw — the single-device engines' marginal
+        // and draw, so the counts are theirs bit for bit given the same
+        // amplitudes, seed and shot split.
         let measured = circuit.measured_qubits();
         let sample_start = self.clock.now();
         let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        // Same helper as the single-device engines, so cluster sampling
-        // is bit-identical given the same marginal, seed and shot split.
         let counts = if opts.shots > 0 && !measured.is_empty() {
-            let probs: Vec<f64> =
-                run.dist().marginal(&measured).iter().map(|p| p.to_f64()).collect();
+            let dist = run.dist();
+            let probs = marginal_of_runs(dist.logical_runs(), dist.num_qubits(), &measured);
             sample_from_probs(&probs, &measured, &opts.sampling())
         } else {
             None

@@ -91,7 +91,7 @@ impl ResultCache {
 /// A cached measurement marginal: the exact `f64` outcome probabilities
 /// and measured qubits of one evolved state, reusable across *any*
 /// `(shots, seed)` sampling request. Every sampler shares one
-/// probability-conversion point (`qgear_statevec::marginal_probs`), so
+/// probability-conversion point (`qgear_statevec::marginal_of_runs`), so
 /// replaying from here is bit-identical to re-simulating.
 #[derive(Debug, Clone)]
 pub struct CachedMarginal {

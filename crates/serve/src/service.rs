@@ -23,19 +23,18 @@ use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 use crate::shard::{ShardConfig, ShardSource};
-use crate::stepper::{drive, Attempt, DenseSource};
+use crate::stepper::{drive, Attempt, DenseSource, Stepper};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::{classify, clifford_projection, Circuit};
 use qgear_num::scalar::Precision;
-use qgear_num::Scalar;
 use qgear_perfmodel::memory::{plan_shard_count, state_bytes, tableau_bytes};
 use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
-use qgear_statevec::backend::{marginal_probs, sample_from_probs};
+use qgear_statevec::backend::sample_from_probs;
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
-    Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator, StateVector,
+    CheckpointScalar, Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -685,12 +684,12 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // State-marginal probe: the same circuit evolved before under
     // different sampling knobs. Re-sample the cached exact marginal —
     // no device time, and bit-identical to what a cold run would draw
-    // (both paths share `marginal_probs`/`sample_from_probs`). Only the
+    // (both paths share `marginal_of_runs`/`sample_from_probs`). Only the
     // exact-dense paths produce or consume marginals: the state key
     // does not digest the engine, so a tableau-routed job must never
-    // alias a dense entry. Sharded runs qualify — their gathered
-    // amplitudes are bit-identical to a single-device dense evolution
-    // of the same circuit.
+    // alias a dense entry. Sharded runs qualify — their amplitudes, in
+    // logical order, are bit-identical to a single-device dense
+    // evolution of the same circuit.
     let marginal = if matches!(job.engine, Engine::Dense | Engine::Sharded) {
         let st = shared.lock();
         st.marginals.get(job.state_key)
@@ -1119,12 +1118,13 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
 }
 
 /// The one tail of every state-vector execution — the stepper driver's
-/// final sample, dense or sharded: exact marginal → seeded draw → cacheable
-/// artifact. Sharing it is what keeps a segmented, resumed or sharded run
-/// byte-identical to a straight one. Takes the state by value so the
-/// amplitudes are freed before the shot draw.
-pub(crate) fn sample_and_package<T: Scalar>(
-    state: StateVector<T>,
+/// final sample, dense or sharded: exact marginal, read where the
+/// amplitudes lie → seeded draw → cacheable artifact. Sharing it is what
+/// keeps a segmented, resumed or sharded run byte-identical to a straight
+/// one. Takes the finished run by value so the amplitudes are freed
+/// before the shot draw.
+pub(crate) fn sample_and_package<T: CheckpointScalar>(
+    run: impl Stepper<T>,
     mut stats: ExecStats,
     job: &QueuedJob,
     clock: &dyn Clock,
@@ -1135,8 +1135,8 @@ pub(crate) fn sample_and_package<T: Scalar>(
     }
     let sample_start = clock.now();
     let sample_span = span!(spans::SAMPLE);
-    let probs = Arc::new(marginal_probs(&state, &measured));
-    drop(state); // free the full state before sampling bookkeeping
+    let probs = Arc::new(run.marginal(&measured));
+    drop(run); // free the amplitudes before sampling bookkeeping
     let sampling = SamplingConfig::single(job.spec.shots, job.spec.seed);
     let counts = sample_from_probs(&probs, &measured, &sampling);
     drop(sample_span);

@@ -40,7 +40,7 @@ use crate::stepper::{StepSource, Stepper};
 use qgear_cluster::{ClusterEngine, CommError, ShardedRun};
 use qgear_perfmodel::memory::plan_shard_count;
 use qgear_statevec::checkpoint::{CheckpointError, CheckpointScalar, StateCheckpoint};
-use qgear_statevec::{ExecStats, RunOptions, SimError, StateVector};
+use qgear_statevec::{marginal_of_runs, ExecStats, RunOptions, SimError};
 use qgear_telemetry::{counter_inc, names};
 use std::cell::Cell;
 
@@ -136,8 +136,9 @@ impl<T: CheckpointScalar> Stepper<T> for ShardedRun<T> {
         ShardedRun::stats(self)
     }
 
-    fn into_state(self) -> StateVector<T> {
-        ShardedRun::state(&self)
+    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
+        let dist = self.dist();
+        marginal_of_runs(dist.logical_runs(), dist.num_qubits(), measured)
     }
 }
 

@@ -19,7 +19,7 @@ use qgear_cluster::CommError;
 use qgear_ir::Circuit;
 use qgear_statevec::checkpoint::{decode as decode_checkpoint, CheckpointError, StateCheckpoint};
 use qgear_statevec::segment::SegmentedRun;
-use qgear_statevec::{CheckpointScalar, ExecStats, GpuDevice, RunOptions, SimError, StateVector};
+use qgear_statevec::{marginal_probs, CheckpointScalar, ExecStats, GpuDevice, RunOptions, SimError};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_inc, histogram_record, span};
 
@@ -41,9 +41,10 @@ pub(crate) trait Stepper<T: CheckpointScalar> {
     fn encode_checkpoint(&self) -> Vec<u8>;
     /// Counters and evolve time accumulated so far.
     fn stats(&self) -> ExecStats;
-    /// Trade the finished run for its state in logical amplitude order
-    /// (gathered, when partitioned), for the final marginal.
-    fn into_state(self) -> StateVector<T>;
+    /// The measurement marginal over `measured`, read from where the
+    /// amplitudes lie (a partitioned state's slices are walked in logical
+    /// order, never gathered): [`qgear_statevec::marginal_of_runs`].
+    fn marginal(&self, measured: &[u32]) -> Vec<f64>;
 }
 
 /// How [`drive`] obtains steppers for one job, plus the audit hooks an
@@ -134,7 +135,7 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
     source.completed(&run);
     let stats = run.stats();
     let clock = shared.cfg.clock.as_ref();
-    Ok(Attempt::Finished(Box::new(sample_and_package(run.into_state(), stats, job, clock))))
+    Ok(Attempt::Finished(Box::new(sample_and_package(run, stats, job, clock))))
 }
 
 /// The recovery ladder: retained generations are tried newest-first;
@@ -240,8 +241,8 @@ impl<T: CheckpointScalar> Stepper<T> for SegmentedRun<T> {
         SegmentedRun::stats(self)
     }
 
-    fn into_state(self) -> StateVector<T> {
-        SegmentedRun::into_state(self)
+    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
+        marginal_probs(self.state(), measured)
     }
 }
 
@@ -255,7 +256,7 @@ mod tests {
     use crate::job::{Engine, JobId, JobSpec};
     use crate::{FaultKind, FaultSchedule, ServeConfig, Service, ServiceEvent};
     use qgear_statevec::checkpoint::{encode, CheckpointCounters};
-    use qgear_statevec::SamplingConfig;
+    use qgear_statevec::{SamplingConfig, StateVector};
     use std::cell::{Cell, RefCell};
     use std::time::Duration;
 
@@ -302,8 +303,8 @@ mod tests {
             ExecStats { kernels_launched: self.cursor, ..ExecStats::default() }
         }
 
-        fn into_state(self) -> StateVector<f64> {
-            StateVector::zero(1)
+        fn marginal(&self, measured: &[u32]) -> Vec<f64> {
+            marginal_probs(&StateVector::<f64>::zero(1), measured)
         }
     }
 

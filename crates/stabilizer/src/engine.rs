@@ -252,7 +252,7 @@ impl StabilizerBackend {
     }
 
     /// Exact marginal over `measured` (≤ `exact_marginal_cap` qubits),
-    /// bit-packed exactly like `StateVector::marginal`: the outcome of
+    /// bit-packed exactly like `qgear_statevec::marginal_probs`: the outcome of
     /// `measured[j]` lands in key bit `j`. Branches the tableau on every
     /// random measurement; stabilizer outcomes are uniform over the
     /// reachable affine subspace, so every leaf weighs `2^-r`.

@@ -1,9 +1,11 @@
 //! The simulator interface shared by every engine.
 
+use crate::gpu::{is_low_prefix, min_items};
 use crate::sampling;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
-use qgear_num::Scalar;
+use qgear_num::{Complex, Scalar};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -217,14 +219,69 @@ pub(crate) fn check_capacity<T: Scalar>(
     Ok(())
 }
 
-/// The exact measurement marginal as `f64` probabilities — the **single**
-/// conversion point between execution precision and sampling (each
-/// probability is summed in execution precision, then widened). Every
-/// sampling path (direct runs, the serving layer's marginal cache) goes
-/// through here, so replaying a cached marginal is
-/// bit-identical to re-simulating.
+/// [`marginal_of_runs`] of a state resident in one piece: the register is
+/// one run.
 pub fn marginal_probs<T: Scalar>(state: &StateVector<T>, measured: &[u32]) -> Vec<f64> {
-    state.marginal_as(measured, 0.0, |p| p.to_f64())
+    marginal_of_runs(std::iter::once(state.amplitudes()), state.num_qubits(), measured)
+}
+
+/// The exact measurement marginal as `f64` probabilities, read from the
+/// register's amplitudes in logical order, run after run, `2^num_qubits`
+/// in all: one run for a resident state, a partitioned state's slices
+/// walked in place (`DistributedState::logical_runs` in `qgear-cluster`)
+/// — nothing is gathered first. `measured[j]` is bit `j` of the outcome
+/// index.
+///
+/// This is the **one** marginal and the single conversion point between
+/// execution precision and sampling: each probability is summed in
+/// execution precision, amplitude by amplitude in logical order, then
+/// widened once. Every sampler (direct runs, the cluster engine, the
+/// serving layer and its marginal cache) goes through here, so where the
+/// amplitudes lie changes no bit, and replaying a cached marginal is
+/// bit-identical to re-simulating.
+pub fn marginal_of_runs<'a, T: Scalar>(
+    runs: impl IntoIterator<Item = &'a [Complex<T>]>,
+    num_qubits: u32,
+    measured: &[u32],
+) -> Vec<f64> {
+    let m = measured.len();
+    assert!(m <= 30, "marginal over too many qubits");
+    if m == num_qubits as usize && is_low_prefix(measured) {
+        // Every qubit, in order (`measure_all`): the key is the index and
+        // each slot gets exactly one term, so the pass is an element-wise
+        // fill split across the kernel pool — the bits of the general
+        // loop, whose `+0.0 + x` is `x` for every `x ≥ +0.0`.
+        const CHUNK: usize = 4096;
+        let mut out = vec![0.0; 1usize << num_qubits];
+        let mut rest = out.as_mut_slice();
+        for run in runs {
+            let (now, later) = rest.split_at_mut(run.len());
+            now.par_chunks_mut(CHUNK).with_min_len(min_items::<T>(CHUNK)).enumerate().for_each(
+                |(ci, probs)| {
+                    for (p, a) in probs.iter_mut().zip(&run[ci * CHUNK..]) {
+                        *p = a.norm_sqr().to_f64();
+                    }
+                },
+            );
+            rest = later;
+        }
+        return out;
+    }
+    // The general marginal: every amplitude's key assembled bit by bit
+    // from its logical index.
+    let mut out = vec![T::ZERO; 1usize << m];
+    let mut i = 0usize;
+    for run in runs {
+        for a in run {
+            let mut key = 0usize;
+            for (j, &q) in measured.iter().enumerate() {
+                key |= ((i >> q) & 1) << j;
+            }
+            out[key] += a.norm_sqr();
+            i += 1;
+        }
+    }
+    out.into_iter().map(|p| p.to_f64()).collect()
 }
 
 /// Draw one request's histogram from a prepared marginal. Returns `None`
@@ -290,6 +347,65 @@ mod tests {
             check_capacity::<f32>(33, a100),
             Err(SimError::OutOfMemory { .. })
         ));
+    }
+
+    /// The reference: every amplitude's key assembled bit by bit, summed
+    /// in execution precision, widened at the end.
+    fn by_key<T: Scalar>(amps: &[Complex<T>], measured: &[u32]) -> Vec<u64> {
+        let mut out = vec![T::ZERO; 1usize << measured.len()];
+        for (i, a) in amps.iter().enumerate() {
+            let key: usize = measured.iter().enumerate().map(|(j, &q)| ((i >> q) & 1) << j).sum();
+            out[key] += a.norm_sqr();
+        }
+        out.iter().map(|p| p.to_f64().to_bits()).collect()
+    }
+
+    #[test]
+    fn marginal_distribution() {
+        // Uniform 2-qubit state: marginal over qubit 1 alone = [0.5, 0.5].
+        let s = StateVector::from_amplitudes(vec![qgear_num::C64::from_re(0.5); 4]);
+        assert_eq!(marginal_probs(&s, &[1]), [0.5, 0.5]);
+        // Over both, reversed order: index bit 0 = qubit 1.
+        assert_eq!(marginal_probs(&s, &[1, 0]), [0.25; 4]);
+    }
+
+    #[test]
+    fn every_measured_set_and_run_length_is_the_general_loop_bit_for_bit() {
+        fn check<T: Scalar>(n: u32) {
+            // Exact zeros of both signs among the amplitudes.
+            let amps: Vec<Complex<T>> = (0..1usize << n)
+                .map(|i| {
+                    let v = |x: f64| match i % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => x,
+                    };
+                    let (re, im) = (v((i as f64 * 0.37).sin()), v((i as f64 * 0.11).cos()));
+                    Complex::new(T::from_f64(re), T::from_f64(im))
+                })
+                .collect();
+            let state = StateVector::from_amplitudes(amps.clone());
+            let all: Vec<u32> = (0..n).collect();
+            let reversed: Vec<u32> = (0..n).rev().collect();
+            // Complete in order (the element-wise fill), complete out of
+            // order, partial and permuted (the general loop).
+            let sets: [&[u32]; 4] = [&all, &reversed, &[n - 1, 0, 1], &[1]];
+            for measured in sets {
+                let expect = by_key(&amps, measured);
+                let bits = |probs: Vec<f64>| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                let label = format!("n = {n} {} {measured:?}", T::PRECISION_NAME);
+                assert!(bits(marginal_probs(&state, measured)) == expect, "{label}, one run");
+                for run in [16, 1] {
+                    let got = bits(marginal_of_runs(amps.chunks(run), n, measured));
+                    assert!(got == expect, "{label}, runs of {run}");
+                }
+            }
+        }
+        // n = 3 runs inline; n = 16 is 512 KiB / 1 MiB of state, pooled.
+        for n in [3, 16] {
+            check::<f32>(n);
+            check::<f64>(n);
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod state;
 
 pub use aer::AerCpuBackend;
 pub use backend::{
-    marginal_probs, sample_from_probs, Counts, ExecStats, RunOptions, RunOutput, SimError,
-    Simulator,
+    marginal_of_runs, marginal_probs, sample_from_probs, Counts, ExecStats, RunOptions, RunOutput,
+    SimError, Simulator,
 };
 pub use checkpoint::{
     decode as decode_checkpoint, encode as encode_checkpoint, plan_fingerprint,

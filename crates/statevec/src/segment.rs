@@ -166,12 +166,6 @@ impl<T: Scalar> SegmentedRun<T> {
         &self.state
     }
 
-    /// Give up the cursor and keep only the state, so a caller that
-    /// samples for itself can free the amplitudes as early as it likes.
-    pub fn into_state(self) -> StateVector<T> {
-        self.state
-    }
-
     /// Counters accumulated so far, as [`ExecStats`] (real wall-clock
     /// reflects only the work done *in this process* — resumed runs
     /// don't inherit a dead worker's timings).

@@ -34,6 +34,19 @@ fi
 echo "==> dead pub: no pub item lives only for its own unit tests"
 scripts/dead_pub.sh
 
+# Every `unsafe` block, fn and impl of `crates/` is a site the AddressSanitizer
+# run below has to cover; the count is capped so a new one has to displace
+# an old one.
+echo "==> unsafe sites: at most 24 in crates/"
+unsafe_sites="$(grep -rnEo 'unsafe( fn| impl|\s*\{)' crates --include='*.rs' || true)"
+unsafe_count="$(grep -c . <<<"$unsafe_sites" || true)"
+echo "$unsafe_count unsafe sites"
+if [ "$unsafe_count" -gt 24 ]; then
+    echo "more than 24 unsafe sites in crates/:" >&2
+    echo "$unsafe_sites" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -678,7 +678,7 @@ fn serve_counts_match_direct_evolve_and_sample() {
 /// rotation ladder (the QFT case is
 /// `serve_counts_match_direct_evolve_and_sample`).
 #[test]
-fn batch_of_one_is_bit_identical_to_solo_serving_and_direct_execution() {
+fn a_served_rotation_ladder_matches_direct_evolve_and_sample() {
     // Rotation angles keep the circuit off the Clifford/stabilizer path
     // so admission selects the dense engine.
     let mut circ = Circuit::new(5);
@@ -964,7 +964,7 @@ fn simd_lane_path_engages_on_all_structure_classes() {
 /// published counts table is identical — dispatch sits inside the same
 /// bit-identity contract as the engine.
 #[test]
-fn simd_toggle_is_bitwise_invisible_on_batched_runs() {
+fn simd_toggle_is_bitwise_invisible_on_served_jobs() {
     let _g = SIMD_LOCK.lock().unwrap();
     let specs: Vec<JobSpec> = (0..3u32)
         .map(|i| {

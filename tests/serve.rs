@@ -448,7 +448,7 @@ fn permuted(n: usize, seed: u64) -> Vec<usize> {
 /// submission order and worker count. Every configuration must reproduce
 /// the reference counts bit-for-bit.
 #[test]
-fn member_counts_are_invariant_to_batch_size_order_and_worker_count() {
+fn counts_are_invariant_to_submission_order_and_worker_count() {
     let jobs = 12usize;
     let specs: Vec<JobSpec> = (0..jobs)
         .map(|i| {
@@ -493,7 +493,7 @@ proptest! {
     /// worker count all reproduce the one-worker reference counts
     /// bit-for-bit, and every job runs exactly once.
     #[test]
-    fn batched_counts_match_solo_for_random_shape_mixes(
+    fn random_shape_mixes_match_the_one_worker_reference_in_any_order(
         mix in proptest::collection::vec(
             (0u8..3, 0.0..std::f64::consts::TAU, 6u32..9, any::<u64>()),
             3..10,

@@ -86,86 +86,93 @@ fn step(event: &ServiceEvent) -> &'static str {
 /// with the same fusion/sweep configuration and sampling knobs — on a
 /// clean run, through a worker death (checkpoint migration onto a
 /// replacement group) and through a corrupted exchange (in-place
-/// recovery).
+/// recovery). Measuring every qubit makes each outcome one amplitude;
+/// measuring a permuted subset makes the marginal, read from the slices
+/// in place, sum several per outcome.
 #[test]
 fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
     use qgear_serve::{FaultKind, FaultSchedule};
-    let spec = |c: Circuit| JobSpec::new(c).shots(300).seed(17);
+    let (mut subset, _) = beyond_one_worker().split_measurements();
+    subset.measure(3).measure(0).measure(2);
+    for (measures, circuit) in [("all", beyond_one_worker()), ("3, 0, 2", subset)] {
+        let spec = || JobSpec::new(circuit.clone()).shots(300).seed(17);
 
-    let dense = Service::start(ServeConfig {
-        workers: 1,
-        fusion_width: 1,
-        sweep_width: 0,
-        ..Default::default()
-    });
-    let id = dense.submit(spec(beyond_one_worker())).job_id().expect("dense admits");
-    let reference = dense.wait(id).unwrap();
-    let reference = reference.result().expect("dense completes");
-    dense.shutdown();
+        let dense = Service::start(ServeConfig {
+            workers: 1,
+            fusion_width: 1,
+            sweep_width: 0,
+            ..Default::default()
+        });
+        let id = dense.submit(spec()).job_id().expect("dense admits");
+        let reference = dense.wait(id).unwrap();
+        let reference = reference.result().expect("dense completes");
+        dense.shutdown();
 
-    let runs = [
-        ("clean", None),
-        ("worker death", Some(FaultKind::ShardWorkerDeath { shard: 1, after_segments: 1 })),
-        ("corrupted exchange", Some(FaultKind::LinkFault { exchange: 0, corrupt: true })),
-    ];
-    for (what, fault) in runs {
-        let schedule = fault
-            .map_or(FaultSchedule::none(), |kind| FaultSchedule::none().with_event(0, 0, kind));
-        let sharded = Service::start(ServeConfig { schedule, ..sharded_config() });
-        let id = sharded
-            .submit(spec(beyond_one_worker()))
-            .job_id()
-            .expect("the shard planner must admit what one worker cannot hold");
-        let outcome = sharded.wait(id).unwrap();
-        let result = outcome.result().expect("the sharded run completes");
-        sharded.shutdown();
+        let runs = [
+            ("clean", None),
+            ("worker death", Some(FaultKind::ShardWorkerDeath { shard: 1, after_segments: 1 })),
+            ("corrupted exchange", Some(FaultKind::LinkFault { exchange: 0, corrupt: true })),
+        ];
+        for (what, fault) in runs {
+            let what = format!("measuring {measures}, {what}");
+            let schedule = fault
+                .map_or(FaultSchedule::none(), |kind| FaultSchedule::none().with_event(0, 0, kind));
+            let sharded = Service::start(ServeConfig { schedule, ..sharded_config() });
+            let id = sharded
+                .submit(spec())
+                .job_id()
+                .expect("the shard planner must admit what one worker cannot hold");
+            let outcome = sharded.wait(id).unwrap();
+            let result = outcome.result().expect("the sharded run completes");
+            sharded.shutdown();
 
-        assert_eq!(
-            result.counts, reference.counts,
-            "{what}: sharded counts must be bitwise identical to the dense service"
-        );
-        let log = sharded.events_for(id);
-        assert!(
-            log.iter().any(|e| e.kind == EventKind::Shard(ShardRecord::Started { job: 0, shards: 2 })),
-            "{what}: a 2-shard group must have formed; log: {log:?}"
-        );
-        assert!(
-            log.iter().any(|e| matches!(
-                e.kind,
-                EventKind::Shard(ShardRecord::Completed { job: 0, shards: 2, .. })
-            )),
-            "{what}: the planned 2-shard group must have completed; log: {log:?}"
-        );
-        let struck = match fault {
-            None => true,
-            // What only one stream can say: the whole life in order,
-            // across kinds — the generation is written before the worker
-            // is lost, the replacement dispatch resumes it before it
-            // writes or completes anything — on one non-decreasing clock.
-            Some(FaultKind::ShardWorkerDeath { .. }) => {
-                let mut life: Vec<_> = log.iter().map(step).collect();
-                life.dedup(); // one "wrote" per run of interior boundaries
-                assert_eq!(
-                    life,
-                    [
-                        "dispatch", "started", "wrote", "lost", //
-                        "dispatch", "started", "resumed", "wrote", "completed",
-                    ],
-                    "{what}: log: {log:?}"
-                );
-                assert!(log.windows(2).all(|w| w[0].at <= w[1].at), "{what}: stamps: {log:?}");
-                true
-            }
-            Some(_) => log
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::Shard(ShardRecord::LinkFault { job: 0, .. }))),
-        };
-        assert!(struck, "{what}: the fault must actually have struck; log: {log:?}");
-        assert!(
-            result.stats.comm_bytes.iter().sum::<u128>() > 0,
-            "{what}: a sharded run moves amplitude traffic: {:?}",
-            result.stats.comm_bytes
-        );
+            assert_eq!(
+                result.counts, reference.counts,
+                "{what}: sharded counts must be bitwise identical to the dense service"
+            );
+            let log = sharded.events_for(id);
+            assert!(
+                log.iter().any(|e| e.kind == EventKind::Shard(ShardRecord::Started { job: 0, shards: 2 })),
+                "{what}: a 2-shard group must have formed; log: {log:?}"
+            );
+            assert!(
+                log.iter().any(|e| matches!(
+                    e.kind,
+                    EventKind::Shard(ShardRecord::Completed { job: 0, shards: 2, .. })
+                )),
+                "{what}: the planned 2-shard group must have completed; log: {log:?}"
+            );
+            let struck = match fault {
+                None => true,
+                // What only one stream can say: the whole life in order,
+                // across kinds — the generation is written before the worker
+                // is lost, the replacement dispatch resumes it before it
+                // writes or completes anything — on one non-decreasing clock.
+                Some(FaultKind::ShardWorkerDeath { .. }) => {
+                    let mut life: Vec<_> = log.iter().map(step).collect();
+                    life.dedup(); // one "wrote" per run of interior boundaries
+                    assert_eq!(
+                        life,
+                        [
+                            "dispatch", "started", "wrote", "lost", //
+                            "dispatch", "started", "resumed", "wrote", "completed",
+                        ],
+                        "{what}: log: {log:?}"
+                    );
+                    assert!(log.windows(2).all(|w| w[0].at <= w[1].at), "{what}: stamps: {log:?}");
+                    true
+                }
+                Some(_) => log
+                    .iter()
+                    .any(|e| matches!(e.kind, EventKind::Shard(ShardRecord::LinkFault { job: 0, .. }))),
+            };
+            assert!(struck, "{what}: the fault must actually have struck; log: {log:?}");
+            assert!(
+                result.stats.comm_bytes.iter().sum::<u128>() > 0,
+                "{what}: a sharded run moves amplitude traffic: {:?}",
+                result.stats.comm_bytes
+            );
+        }
     }
 }
 
@@ -459,7 +466,8 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
 /// stepping the same walker one block at a time lands on the same
 /// amplitudes, the same counts and the same `ExecStats` counters, bit
 /// for bit — in program order and in sweep-reordered order, with and
-/// without the restore-layout ablation.
+/// without the restore-layout ablation, measuring every qubit or a
+/// permuted subset.
 #[test]
 fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
     let counters = |stats: &ExecStats| ExecStats {
@@ -475,8 +483,11 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
     for q in 0..6 {
         wide.cx(q, q + 1).cr1(0.3, q, (q + 3) % 7);
     }
+    let (mut partial, _) = wide.split_measurements();
+    partial.measure(6).measure(2).measure(4).measure(0);
     wide.measure_all();
-    for (circuit, fusion_width) in [(&native, 1usize), (&native, 2), (&wide, 3)] {
+    let circuits = [(&native, 1usize), (&native, 2), (&wide, 3), (&partial, 2)];
+    for (circuit, fusion_width) in circuits {
         for sweep_width in [0usize, 3, 12] {
             for (devices, restore_layout) in [(2usize, false), (2, true), (4, false), (4, true)] {
                 let label = format!(

@@ -357,7 +357,7 @@ fn random_struck_scenarios_hold_every_oracle() {
 /// included). At 121f693 the first panic killed the only worker with its
 /// in-flight slot counted.
 #[test]
-fn a_panic_inside_a_flush_or_alone_fails_only_its_job() {
+fn a_panicking_job_fails_alone_and_the_jobs_queued_behind_it_complete() {
     let _l = lock();
     let mut scenario = Scenario::empty(0x9A41_C0DE);
     for shape in [1u8, 4, 7] {

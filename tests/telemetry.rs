@@ -307,7 +307,7 @@ fn checkpoint_recovery_metrics_flow_into_the_json_export() {
 /// marginal-cache miss, one `serve_job` span) and each job carries its
 /// own stepper time in `stats.elapsed`.
 #[test]
-fn batch_members_run_one_at_a_time_on_the_solo_stepper() {
+fn each_job_is_one_dispatch_with_its_own_stepper_time() {
     use qgear_serve::{BackendKind, JobResult, JobSpec, ServeConfig, Service};
     use std::time::Duration;
     let _l = LOCK.lock().unwrap();
