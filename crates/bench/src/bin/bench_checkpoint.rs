@@ -19,9 +19,9 @@
 use qgear_cluster::{ClusterEngine, ShardedRun};
 use qgear_hdf5lite::format;
 use qgear_ir::qpy;
-use qgear_num::Complex;
-use qgear_statevec::checkpoint::{decode, encode, CheckpointCounters, CheckpointScalar, StateCheckpoint};
-use qgear_statevec::{RunOptions, SamplingConfig, StateVector};
+use qgear_num::{Complex, Scalar};
+use qgear_statevec::checkpoint::{decode, encode, CheckpointCounters, StateCheckpoint};
+use qgear_statevec::{RunOptions, SamplingConfig, StateVector, Stepper};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,7 +35,7 @@ fn seconds<R>(f: impl FnOnce() -> R) -> f64 {
 }
 
 /// A state with no zero and no repeated amplitude: nothing compresses.
-fn dense_checkpoint<T: CheckpointScalar>(num_qubits: u32) -> StateCheckpoint<T> {
+fn dense_checkpoint<T: Scalar>(num_qubits: u32) -> StateCheckpoint<T> {
     let mut state = StateVector::zero(num_qubits);
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut unit = move || {
@@ -69,7 +69,7 @@ struct Cost {
     bitwise_crc: f64,
 }
 
-fn measure<T: CheckpointScalar>(num_qubits: u32) -> Cost {
+fn measure<T: Scalar>(num_qubits: u32) -> Cost {
     let ck = dense_checkpoint::<T>(num_qubits);
     // The same dense amplitudes in a layout a real job leaves behind:
     // resumed at cursor 0 onto 4 shards and run through a QFT, which

@@ -4,10 +4,8 @@ use crate::comm::ClusterTopology;
 use crate::sharded::ShardedRun;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
-use qgear_statevec::backend::{
-    marginal_of_runs, sample_from_probs, RunOptions, RunOutput, SimError, Simulator,
-};
-use qgear_statevec::GpuDevice;
+use qgear_statevec::backend::{RunOptions, RunOutput, SimError, Simulator};
+use qgear_statevec::{straight_through, GpuDevice};
 use qgear_telemetry::clock::{SharedClock, WallClock};
 
 /// A cluster of simulated GPUs.
@@ -84,37 +82,16 @@ impl<T: Scalar> Simulator<T> for ClusterEngine {
         "nvidia-mgpu"
     }
 
-    /// One [`ShardedRun`] driven straight through — the plan, the kernel
-    /// walk and the counters live there, once — plus the cross-device
-    /// sample.
+    /// One [`ShardedRun`] through the one tail, [`straight_through`],
+    /// timed on the engine's clock: the plan, the kernel walk and the
+    /// counters live in the walker, the marginal read from the slices and
+    /// the draw in the tail — the single-device engines' marginal and
+    /// draw, so the counts are theirs bit for bit given the same
+    /// amplitudes, seed and shot split.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        let mut run: ShardedRun<T> = ShardedRun::new(self, circuit, opts)?;
-        run.advance(usize::MAX).map_err(|e| SimError::Interconnect(e.to_string()))?;
-        drop(sim_span);
-        let mut stats = run.stats();
-        qgear_telemetry::counter_add(qgear_telemetry::names::GATES_APPLIED, stats.gates_applied as u128);
-        qgear_telemetry::counter_add(qgear_telemetry::names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
-
-        // Sampling: the one marginal, read from the slices where they lie,
-        // then one multinomial draw — the single-device engines' marginal
-        // and draw, so the counts are theirs bit for bit given the same
-        // amplitudes, seed and shot split.
-        let measured = circuit.measured_qubits();
-        let sample_start = self.clock.now();
-        let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        let counts = if opts.shots > 0 && !measured.is_empty() {
-            let dist = run.dist();
-            let probs = marginal_of_runs(dist.logical_runs(), dist.num_qubits(), &measured);
-            sample_from_probs(&probs, &measured, &opts.sampling())
-        } else {
-            None
-        };
-        drop(sample_span);
-        stats.sampling_elapsed = self.clock.now().saturating_sub(sample_start);
-
-        let state = opts.keep_state.then(|| run.state());
-        Ok(RunOutput { state, counts, stats })
+        let run: ShardedRun<T> = ShardedRun::new(self, circuit, opts)?;
+        straight_through(run, circuit, opts, self.clock.as_ref())
+            .map_err(|e| SimError::Interconnect(e.to_string()))
     }
 }
 

@@ -3,12 +3,13 @@
 //!
 //! [`ShardedRun`] is to a state pooled over a device group what
 //! [`qgear_statevec::SegmentedRun`] is to a state resident on one
-//! device: it asks the same plan builder for the same schedule and
-//! applies it in bounded steps under caller control.
-//! [`ClusterEngine::run`](crate::ClusterEngine) is the degenerate caller
-//! that advances to the end in one call; `qgear-serve` drives it in
-//! segments, snapshots it at segment boundaries, and migrates the
-//! snapshots between shard groups.
+//! device: it asks the same plan builder for the same schedule, applies
+//! it in bounded steps under caller control, and keeps the same
+//! contract, [`qgear_statevec::Stepper`], with a broken exchange as its
+//! fault. [`ClusterEngine::run`](crate::ClusterEngine) hands it to the
+//! one straight-through tail, [`qgear_statevec::straight_through`];
+//! `qgear-serve` drives it in segments, snapshots it at segment
+//! boundaries, and migrates the snapshots between shard groups.
 //!
 //! The distributed engine executes kernel-at-a-time (each kernel may
 //! force a layout exchange), so a step is one fused block and of the
@@ -37,11 +38,12 @@ use crate::engine::ClusterEngine;
 use qgear_ir::{fusion, Circuit};
 use qgear_num::Scalar;
 use qgear_statevec::checkpoint::{
-    encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
-    StateCheckpoint,
+    encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
 };
 use qgear_statevec::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
-use qgear_statevec::{ExecStats, RunOptions, SamplingConfig, SimError, StateVector};
+use qgear_statevec::{
+    marginal_of_runs, ExecStats, RunOptions, SamplingConfig, SimError, StateVector, Stepper,
+};
 use qgear_telemetry::clock::SharedClock;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -68,7 +70,8 @@ pub struct ShardedRun<T: Scalar> {
 
 /// Admission checks and the plan for `circuit` pooled over `engine`'s
 /// devices: the group must be a power of two, every kernel must be
-/// remappable onto local bits, and one slice must fit one device.
+/// remappable onto local bits, and one slice must fit one device. The
+/// plan is built inside a `simulate` span, as `SegmentedRun`'s is.
 fn plan_for<T: Scalar>(
     engine: &ClusterEngine,
     circuit: &Circuit,
@@ -94,6 +97,7 @@ fn plan_for<T: Scalar>(
     if local_bytes > limit {
         return Err(SimError::OutOfMemory { required: local_bytes, limit });
     }
+    let _sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
     planner::plan(
         circuit,
         width,
@@ -141,19 +145,9 @@ impl<T: Scalar> ShardedRun<T> {
         }
     }
 
-    /// Fused blocks already applied.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
     /// Total fused blocks in the schedule.
     pub fn steps_total(&self) -> usize {
         self.order.len()
-    }
-
-    /// True once every block has been applied.
-    pub fn is_done(&self) -> bool {
-        self.cursor >= self.order.len()
     }
 
     /// The partitioned state (for cross-device sampling, the traffic
@@ -166,23 +160,6 @@ impl<T: Scalar> ShardedRun<T> {
     /// [`DistributedState::inject_link_fault`]).
     pub fn inject_link_fault(&mut self, at_exchange: u64, err: CommError) {
         self.dist.inject_link_fault(at_exchange, err);
-    }
-
-    /// Apply up to `max_blocks` further fused blocks (at least one;
-    /// `usize::MAX` runs to the end), timed on the engine's clock. On a
-    /// [`CommError`] the partitioned state is inconsistent and this run
-    /// must be discarded — the cursor still names the last *completed*
-    /// block, so callers know which checkpoint generation to prefer.
-    pub fn advance(&mut self, max_blocks: usize) -> Result<(), CommError> {
-        let start = self.clock.now();
-        let end = self.cursor.saturating_add(max_blocks.max(1)).min(self.order.len());
-        let result = (self.cursor..end).try_for_each(|step| {
-            self.dist.apply_block(&self.plan.blocks[self.order[step]])?;
-            self.cursor = step + 1;
-            Ok(())
-        });
-        self.elapsed += self.clock.now().saturating_sub(start);
-        result
     }
 
     /// The full state in logical amplitude order.
@@ -202,13 +179,94 @@ impl<T: Scalar> ShardedRun<T> {
         }
     }
 
-    /// Execution stats for the blocks applied so far. Schedule counters
-    /// — including `bytes_touched` (one read + one write of the full
-    /// state per block) and `flops` — are cursor-derived and therefore
-    /// migration-invariant. Communication counters and `elapsed` are
-    /// this group instance's: a replacement group does not inherit a
-    /// dead one's traffic or time.
-    pub fn stats(&self) -> ExecStats {
+    /// Fingerprint of the plan this run executes (see
+    /// [`plan_fingerprint`]); computed on first use and cached.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| plan_fingerprint(&self.circuit, T::BYTES as u8, self.plan.digest))
+    }
+
+    /// Snapshot the run: gather the partitioned amplitudes (bit-exact at
+    /// any layout) into a QCKP checkpoint that any later run — on any
+    /// group width — can resume from. Prefer
+    /// [`Stepper::encode_checkpoint`] when only the bytes are wanted.
+    pub fn checkpoint(&self) -> StateCheckpoint<T> {
+        StateCheckpoint {
+            num_qubits: self.dist.num_qubits(),
+            cursor: self.cursor as u64,
+            steps_total: self.steps_total() as u64,
+            fingerprint: self.fingerprint(),
+            counters: self.counters(),
+            sampling: self.sampling,
+            state: self.dist.gather(),
+        }
+    }
+
+    /// Rebuild the plan for `(circuit, opts)`, refuse a checkpoint that
+    /// does not match it exactly ([`StateCheckpoint::verify_against`]),
+    /// then re-scatter the snapshot amplitudes onto `engine`'s group.
+    pub fn resume(
+        engine: &ClusterEngine,
+        circuit: &Circuit,
+        opts: &RunOptions,
+        ck: StateCheckpoint<T>,
+    ) -> Result<Self, CheckpointError> {
+        let plan = plan_for::<T>(engine, circuit, opts)
+            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
+        let fingerprint = plan_fingerprint(circuit, T::BYTES as u8, plan.digest);
+        ck.verify_against(fingerprint, plan.blocks.len(), circuit.num_qubits())?;
+        let dist = DistributedState::from_state(&ck.state, engine.num_devices, engine.topology);
+        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
+    }
+}
+
+impl<T: Scalar> Stepper<T> for ShardedRun<T> {
+    /// A pairwise exchange failed mid-segment.
+    type Fault = CommError;
+
+    /// Applies fused blocks, timed on the engine's clock, and records the
+    /// `simulate` span and the `kernels.launched` / `gates.applied`
+    /// counters where [`qgear_statevec::SegmentedRun`] does.
+    fn advance(&mut self, max_blocks: usize) -> Result<(), CommError> {
+        let start = self.clock.now();
+        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
+        let from = self.cursor;
+        let end = self.cursor.saturating_add(max_blocks.max(1)).min(self.order.len());
+        let result = (self.cursor..end).try_for_each(|step| {
+            self.dist.apply_block(&self.plan.blocks[self.order[step]])?;
+            self.cursor = step + 1;
+            Ok(())
+        });
+        qgear_telemetry::counter_add(
+            qgear_telemetry::names::KERNELS_LAUNCHED,
+            (self.cursor - from) as u128,
+        );
+        if self.is_done() && self.cursor > from {
+            qgear_telemetry::counter_add(
+                qgear_telemetry::names::GATES_APPLIED,
+                self.counters().gates_applied as u128,
+            );
+        }
+        drop(sim_span);
+        self.elapsed += self.clock.now().saturating_sub(start);
+        result
+    }
+
+    fn is_done(&self) -> bool {
+        self.cursor >= self.order.len()
+    }
+
+    fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Schedule counters — including `bytes_touched` (one read + one
+    /// write of the full state per block) and `flops` — are
+    /// cursor-derived and therefore migration-invariant. Communication
+    /// counters and `elapsed` are this group instance's: a replacement
+    /// group does not inherit a dead one's traffic or time.
+    fn stats(&self) -> ExecStats {
         let counters = self.counters();
         let n_amps = 1u128 << self.dist.num_qubits();
         let traffic = self.dist.traffic();
@@ -230,38 +288,13 @@ impl<T: Scalar> ShardedRun<T> {
             ..ExecStats::default()
         }
     }
-}
 
-impl<T: CheckpointScalar> ShardedRun<T> {
-    /// Fingerprint of the plan this run executes (see
-    /// [`plan_fingerprint`]); computed on first use and cached.
-    pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| plan_fingerprint(&self.circuit, T::PRECISION_TAG, self.plan.digest))
-    }
-
-    /// Snapshot the run: gather the partitioned amplitudes (bit-exact at
-    /// any layout) into a QCKP checkpoint that any later run — on any
-    /// group width — can resume from. Prefer
-    /// [`Self::encode_checkpoint`] when only the bytes are wanted.
-    pub fn checkpoint(&self) -> StateCheckpoint<T> {
-        StateCheckpoint {
-            num_qubits: self.dist.num_qubits(),
-            cursor: self.cursor as u64,
-            steps_total: self.steps_total() as u64,
-            fingerprint: self.fingerprint(),
-            counters: self.counters(),
-            sampling: self.sampling,
-            state: self.dist.gather(),
-        }
-    }
-
-    /// The QCKP bytes of [`Self::checkpoint`] — `encode(&self.checkpoint())`
-    /// byte for byte — written from the slices where they lie: the
-    /// encoder walks [`DistributedState::logical_runs`], so nothing is
-    /// gathered and the output is the only state-sized buffer.
-    pub fn encode_checkpoint(&self) -> Vec<u8> {
+    /// The QCKP bytes of [`ShardedRun::checkpoint`] —
+    /// `encode(&self.checkpoint())` byte for byte — written from the
+    /// slices where they lie: the encoder walks
+    /// [`DistributedState::logical_runs`], so nothing is gathered and the
+    /// output is the only state-sized buffer.
+    fn encode_checkpoint(&self) -> Vec<u8> {
         encode_runs(
             self.dist.logical_runs(),
             self.dist.num_qubits(),
@@ -273,21 +306,13 @@ impl<T: CheckpointScalar> ShardedRun<T> {
         )
     }
 
-    /// Rebuild the plan for `(circuit, opts)`, refuse a checkpoint that
-    /// does not match it exactly ([`StateCheckpoint::verify_against`]),
-    /// then re-scatter the snapshot amplitudes onto `engine`'s group.
-    pub fn resume(
-        engine: &ClusterEngine,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        ck: StateCheckpoint<T>,
-    ) -> Result<Self, CheckpointError> {
-        let plan = plan_for::<T>(engine, circuit, opts)
-            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
-        let fingerprint = plan_fingerprint(circuit, T::PRECISION_TAG, plan.digest);
-        ck.verify_against(fingerprint, plan.blocks.len(), circuit.num_qubits())?;
-        let dist = DistributedState::from_state(&ck.state, engine.num_devices, engine.topology);
-        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
+    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
+        marginal_of_runs(self.dist.logical_runs(), self.dist.num_qubits(), measured)
+    }
+
+    /// The slices gathered into one state.
+    fn into_state(self) -> StateVector<T> {
+        self.dist.gather()
     }
 }
 
@@ -365,17 +390,6 @@ mod tests {
         let mut run: ShardedRun<f32> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
         run.advance(7).expect("healthy fabric");
         assert_eq!(run.encode_checkpoint(), encode(&run.checkpoint()));
-    }
-
-    #[test]
-    fn advance_usize_max_from_a_mid_run_cursor_finishes_the_schedule() {
-        let mut run: ShardedRun<f64> =
-            ShardedRun::new(&group(2), &job_circuit(), &opts()).unwrap();
-        run.advance(1).expect("healthy fabric");
-        // `cursor + usize::MAX` must saturate, not wrap to "apply nothing".
-        run.advance(usize::MAX).expect("healthy fabric");
-        assert!(run.is_done());
-        assert_eq!(run.cursor(), run.steps_total());
     }
 
     #[test]

@@ -15,7 +15,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// Implemented for `f32` and `f64` only. The associated constants expose the
 /// properties the simulators and the performance model need (machine epsilon
-/// for tolerance checks, byte width for memory-capacity accounting).
+/// for tolerance checks, byte width for memory-capacity accounting and as
+/// the precision tag a checkpoint carries).
 pub trait Scalar:
     Copy
     + Clone
@@ -87,6 +88,11 @@ pub trait Scalar:
     fn min(self, other: Self) -> Self;
     /// True if the value is finite (not NaN or infinite).
     fn is_finite(self) -> bool;
+    /// Write the value's little-endian bytes into `dst` (`BYTES` long):
+    /// the bit-exact route into a checkpoint's amplitude dataset.
+    fn write_le(self, dst: &mut [u8]);
+    /// Read a value back from its `BYTES` little-endian bytes.
+    fn read_le(src: &[u8]) -> Self;
 }
 
 macro_rules! impl_scalar {
@@ -150,6 +156,14 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn is_finite(self) -> bool {
                 self.is_finite()
+            }
+            #[inline(always)]
+            fn write_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline(always)]
+            fn read_le(src: &[u8]) -> Self {
+                <$t>::from_le_bytes(src.try_into().expect("one component wide"))
             }
         }
     };

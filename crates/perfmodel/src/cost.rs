@@ -216,31 +216,6 @@ impl CostModel {
     pub fn gpu_sampling(&self, shots: u64) -> f64 {
         shots as f64 * self.gpu_sample_per_shot
     }
-
-    /// Planner cost constants for the *modeled* target device — what the
-    /// adaptive planner (`qgear_statevec::planner`) would decide on the
-    /// paper's hardware rather than on this host (whose fit is
-    /// `PlannerCosts::host_reference`). In the bandwidth-bound regime
-    /// every throughput derives from sustained bandwidth over the bytes
-    /// each operation class moves per amplitude: a state pass reads and
-    /// writes 16 B, so element-wise classes and the per-gate loops run at
-    /// `bw/32` amplitudes per second, while dense mul-adds amortize
-    /// operand reuse inside the gathered tile to ~4 B of traffic each
-    /// (`bw/4`). Launch overhead maps across directly. Only the ratios
-    /// matter for mode ranking (`docs/PLANNER.md`); the derived model
-    /// favors pass-merging modes more strongly than the host fit because
-    /// real HBM bandwidth dwarfs the launch cost.
-    pub fn planner_costs(&self) -> qgear_statevec::PlannerCosts {
-        let bw = self.gpu.mem_bandwidth * self.gpu.efficiency;
-        qgear_statevec::PlannerCosts {
-            bytes_per_sec: bw,
-            madds_per_sec: bw / 4.0,
-            cmuls_per_sec: bw / 32.0,
-            gate_amps_per_sec: bw / 32.0,
-            launch_seconds: self.gpu.kernel_launch,
-            force_mode: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -348,29 +323,5 @@ mod tests {
         let qgear = m.gpu_unitary(28, 8, 4, 100, &empty);
         let penny = m.pennylane_unitary(28, 8, 4, 500, &empty);
         assert!(penny.total() > 2.0 * qgear.total());
-    }
-
-    #[test]
-    fn derived_planner_costs_prefer_pass_merging_on_phase_ladders() {
-        // On the modeled A100, launch overhead dominates tiny states and
-        // bandwidth dominates large ones — either way, one sweep pass per
-        // segment beats one pass per kernel on QFT-shaped ladders.
-        let costs = model().planner_costs();
-        let mut c = qgear_ir::Circuit::new(6);
-        for q in 0..5u32 {
-            c.h(q);
-            for t in (q + 1)..6 {
-                c.cr1(0.5, q, t);
-            }
-        }
-        let plan = qgear_statevec::plan(&c, 1, 12, true, &costs, 16).expect("plan");
-        assert!(!plan.is_empty());
-        let (_, sweeps) = plan.mode_histogram();
-        assert!(sweeps >= 1, "bandwidth-rich device model should sweep the ladders");
-        for seg in &plan.segments {
-            let p = seg.predicted.expect("priced");
-            let chosen = p.of(seg.mode);
-            assert!(chosen <= p.unfused && chosen <= p.sweep);
-        }
     }
 }

@@ -23,18 +23,19 @@ use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 use crate::shard::{ShardConfig, ShardSource};
-use crate::stepper::{drive, Attempt, DenseSource, Stepper};
+use crate::stepper::{drive, Attempt, DenseSource};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::{classify, clifford_projection, Circuit};
 use qgear_num::scalar::Precision;
+use qgear_num::Scalar;
 use qgear_perfmodel::memory::{plan_shard_count, state_bytes, tableau_bytes};
 use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
 use qgear_statevec::backend::sample_from_probs;
 use qgear_statevec::sampling::SamplingConfig;
 use qgear_statevec::{
-    CheckpointScalar, Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator,
+    Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator, Stepper,
 };
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
@@ -1123,7 +1124,7 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
 /// keeps a segmented, resumed or sharded run byte-identical to a straight
 /// one. Takes the finished run by value so the amplitudes are freed
 /// before the shot draw.
-pub(crate) fn sample_and_package<T: CheckpointScalar>(
+pub(crate) fn sample_and_package<T: Scalar>(
     run: impl Stepper<T>,
     mut stats: ExecStats,
     job: &QueuedJob,

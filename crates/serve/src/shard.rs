@@ -36,11 +36,12 @@
 use crate::event::EventKind;
 use crate::scheduler::QueuedJob;
 use crate::service::{shard_min_local_width, Injected, Shared};
-use crate::stepper::{StepSource, Stepper};
+use crate::stepper::StepSource;
 use qgear_cluster::{ClusterEngine, CommError, ShardedRun};
+use qgear_num::Scalar;
 use qgear_perfmodel::memory::plan_shard_count;
-use qgear_statevec::checkpoint::{CheckpointError, CheckpointScalar, StateCheckpoint};
-use qgear_statevec::{marginal_of_runs, ExecStats, RunOptions, SimError};
+use qgear_statevec::checkpoint::{CheckpointError, StateCheckpoint};
+use qgear_statevec::{RunOptions, SimError};
 use qgear_telemetry::{counter_inc, names};
 use std::cell::Cell;
 
@@ -115,33 +116,6 @@ pub enum ShardRecord {
     },
 }
 
-impl<T: CheckpointScalar> Stepper<T> for ShardedRun<T> {
-    fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
-        ShardedRun::advance(self, max_steps)
-    }
-
-    fn is_done(&self) -> bool {
-        ShardedRun::is_done(self)
-    }
-
-    fn cursor(&self) -> u64 {
-        ShardedRun::cursor(self) as u64
-    }
-
-    fn encode_checkpoint(&self) -> Vec<u8> {
-        ShardedRun::encode_checkpoint(self)
-    }
-
-    fn stats(&self) -> ExecStats {
-        ShardedRun::stats(self)
-    }
-
-    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
-        let dist = self.dist();
-        marginal_of_runs(dist.logical_runs(), dist.num_qubits(), measured)
-    }
-}
-
 /// Steppers for one dispatch of a sharded job, and the shard-specific
 /// reading of the driver's decisions:
 ///
@@ -204,7 +178,7 @@ impl<'a> ShardSource<'a> {
         })
     }
 
-    fn arm<T: CheckpointScalar>(&self, mut run: ShardedRun<T>) -> ShardedRun<T> {
+    fn arm<T: Scalar>(&self, mut run: ShardedRun<T>) -> ShardedRun<T> {
         if let Some((exchange, corrupt)) = self.link_fault.take() {
             let err = if corrupt { CommError::Corrupted } else { CommError::Dropped };
             run.inject_link_fault(u64::from(exchange), err);
@@ -217,7 +191,7 @@ fn log(shared: &Shared, record: ShardRecord) {
     shared.record(&mut shared.lock(), EventKind::Shard(record));
 }
 
-impl<T: CheckpointScalar> StepSource<T> for ShardSource<'_> {
+impl<T: Scalar> StepSource<T> for ShardSource<'_> {
     type Run = ShardedRun<T>;
 
     fn fresh(&self) -> Result<Self::Run, SimError> {

@@ -1,13 +1,14 @@
-//! The execution core: one stepper contract, one driver.
+//! The stepper driver: one contract, one driver.
 //!
 //! Every engine that walks a schedule with a cursor — the simulated-GPU
 //! dense engine ([`SegmentedRun`]) and the shard group
-//! ([`qgear_cluster::ShardedRun`]) — implements [`Stepper`], and [`drive`] is the
-//! only code that runs one. Execution modes are intervals of its loop:
-//! straight-through is unbounded (one segment, the checkpoint store
-//! never touched), checkpointed is finite, sharded is checkpointed plus
-//! the [`StepSource`] audit hooks (docs/SERVING.md, "The stepper
-//! driver"). Stepping is bit-identical at every interval and across a
+//! ([`qgear_cluster::ShardedRun`]) — keeps `qgear-statevec`'s one
+//! contract, [`Stepper`], and [`drive`] is the only code here that runs
+//! one. Execution modes are intervals of its loop: straight-through is
+//! unbounded (one segment, the checkpoint store never touched),
+//! checkpointed is finite, sharded is checkpointed plus the
+//! [`StepSource`] audit hooks (docs/SERVING.md, "The stepper driver").
+//! Stepping is bit-identical at every interval and across a
 //! checkpoint/restore boundary, so whichever rung the recovery ladder
 //! lands on produces byte-identical final counts.
 
@@ -15,41 +16,19 @@ use crate::checkpoint_store::CheckpointRecord;
 use crate::event::EventKind;
 use crate::scheduler::QueuedJob;
 use crate::service::{sample_and_package, Executed, Shared};
-use qgear_cluster::CommError;
 use qgear_ir::Circuit;
+use qgear_num::Scalar;
 use qgear_statevec::checkpoint::{decode as decode_checkpoint, CheckpointError, StateCheckpoint};
-use qgear_statevec::segment::SegmentedRun;
-use qgear_statevec::{marginal_probs, CheckpointScalar, ExecStats, GpuDevice, RunOptions, SimError};
+use qgear_statevec::{GpuDevice, RunOptions, SegmentedRun, SimError, Stepper};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_inc, histogram_record, span};
 
-/// A partially-executed job: evolving amplitudes plus a cursor into a
-/// fixed, deterministic step schedule.
-pub(crate) trait Stepper<T: CheckpointScalar> {
-    /// Apply up to `max_steps` further steps (at least one; `usize::MAX`
-    /// runs to the end). `Err` means a pairwise exchange failed
-    /// mid-segment: the partitioned state is inconsistent and this run
-    /// must be discarded. A run resident on one device never fails.
-    fn advance(&mut self, max_steps: usize) -> Result<(), CommError>;
-    /// True once every step has been applied.
-    fn is_done(&self) -> bool;
-    /// Steps applied so far.
-    fn cursor(&self) -> u64;
-    /// The execution state as QCKP wire bytes, written from where the
-    /// amplitudes lie (a resident state, or a partitioned one's slices
-    /// walked in logical order).
-    fn encode_checkpoint(&self) -> Vec<u8>;
-    /// Counters and evolve time accumulated so far.
-    fn stats(&self) -> ExecStats;
-    /// The measurement marginal over `measured`, read from where the
-    /// amplitudes lie (a partitioned state's slices are walked in logical
-    /// order, never gathered): [`qgear_statevec::marginal_of_runs`].
-    fn marginal(&self, measured: &[u32]) -> Vec<f64>;
-}
+/// A run a failed exchange just poisoned, with the fault it reported.
+pub(crate) type Broken<'a, T, R> = Option<(&'a R, <R as Stepper<T>>::Fault)>;
 
 /// How [`drive`] obtains steppers for one job, plus the audit hooks an
 /// engine may hang on the driver's decisions (no-ops by default).
-pub(crate) trait StepSource<T: CheckpointScalar> {
+pub(crate) trait StepSource<T: Scalar> {
     /// The stepper this source builds.
     type Run: Stepper<T>;
     /// A run positioned at step zero.
@@ -60,7 +39,7 @@ pub(crate) trait StepSource<T: CheckpointScalar> {
     /// The ladder settled: on the cursor it `restored`, or cold. At the
     /// start of a dispatch `broken` is `None`; mid-run it carries the
     /// run a failed exchange just poisoned.
-    fn settled(&self, _restored: Option<u64>, _broken: Option<(&Self::Run, CommError)>) {}
+    fn settled(&self, _restored: Option<u64>, _broken: Broken<'_, T, Self::Run>) {}
     /// The die-after budget fired after `segments_done` segments.
     fn died(&self, _segments_done: u32) {}
     /// The schedule completed on `run`.
@@ -88,7 +67,7 @@ pub(crate) enum Attempt {
 /// fires — at the end of the run, result unpublished, if the schedule
 /// was shorter — so the accounting for a scheduled death stays exact
 /// for any plan size.
-pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
+pub(crate) fn drive<T: Scalar, S: StepSource<T>>(
     shared: &Shared,
     job: &QueuedJob,
     source: &S,
@@ -110,7 +89,7 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
         if !run.is_done() {
             let write_span = span!(spans::CHECKPOINT_WRITE);
             let mut bytes = run.encode_checkpoint();
-            let cursor = run.cursor();
+            let cursor = run.cursor() as u64;
             let mut st = shared.lock();
             let generation = st.checkpoints.next_generation(id);
             if shared.cfg.schedule.corrupts_checkpoint(id, generation) {
@@ -145,12 +124,12 @@ pub(crate) fn drive<T: CheckpointScalar, S: StepSource<T>>(
 /// steps to the next older one. The first survivor becomes the resume
 /// point (`job.resumed_from` records its cursor); if generations existed
 /// but none survived, the attempt cold-restarts from `|0…0⟩`.
-fn settle<T: CheckpointScalar, S: StepSource<T>>(
+fn settle<T: Scalar, S: StepSource<T>>(
     shared: &Shared,
     id: u64,
     source: &S,
     interval: usize,
-    broken: Option<(&S::Run, CommError)>,
+    broken: Broken<'_, T, S::Run>,
 ) -> Result<S::Run, SimError> {
     // An unbounded interval never writes a generation, so there is
     // nothing to look for: straight-through runs stay off the store.
@@ -169,7 +148,7 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
         let generation = generation.generation;
         match verified {
             Ok(run) => {
-                let cursor = run.cursor();
+                let cursor = run.cursor() as u64;
                 histogram_record(names::JOB_RESUMED_FROM, cursor as f64);
                 let record = CheckpointRecord::Resumed { job: id, generation, cursor };
                 shared.record(&mut shared.lock(), EventKind::Checkpoint(record));
@@ -189,7 +168,7 @@ fn settle<T: CheckpointScalar, S: StepSource<T>>(
         let cold = CheckpointRecord::ColdRestart { job: id };
         shared.record(&mut shared.lock(), EventKind::Checkpoint(cold));
     }
-    source.settled(resumed.as_ref().map(|run| run.cursor()), broken);
+    source.settled(resumed.as_ref().map(|run| run.cursor() as u64), broken);
     match resumed {
         Some(run) => Ok(run),
         None => source.fresh(),
@@ -205,7 +184,7 @@ pub(crate) struct DenseSource<'a> {
     pub(crate) opts: RunOptions,
 }
 
-impl<T: CheckpointScalar> StepSource<T> for DenseSource<'_> {
+impl<T: Scalar> StepSource<T> for DenseSource<'_> {
     type Run = SegmentedRun<T>;
 
     fn fresh(&self) -> Result<Self::Run, SimError> {
@@ -214,35 +193,6 @@ impl<T: CheckpointScalar> StepSource<T> for DenseSource<'_> {
 
     fn resume(&self, ck: StateCheckpoint<T>) -> Result<Self::Run, CheckpointError> {
         SegmentedRun::resume(self.device, self.circuit, &self.opts, ck)
-    }
-}
-
-impl<T: CheckpointScalar> Stepper<T> for SegmentedRun<T> {
-    /// Times itself on the host clock: its kernels are real work even
-    /// under a virtual service clock.
-    fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
-        SegmentedRun::advance(self, max_steps);
-        Ok(())
-    }
-
-    fn is_done(&self) -> bool {
-        SegmentedRun::is_done(self)
-    }
-
-    fn cursor(&self) -> u64 {
-        SegmentedRun::cursor(self) as u64
-    }
-
-    fn encode_checkpoint(&self) -> Vec<u8> {
-        SegmentedRun::encode_checkpoint(self)
-    }
-
-    fn stats(&self) -> ExecStats {
-        SegmentedRun::stats(self)
-    }
-
-    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
-        marginal_probs(self.state(), measured)
     }
 }
 
@@ -255,8 +205,9 @@ mod tests {
     use crate::hashkey::CircuitKey;
     use crate::job::{Engine, JobId, JobSpec};
     use crate::{FaultKind, FaultSchedule, ServeConfig, Service, ServiceEvent};
+    use qgear_cluster::CommError;
     use qgear_statevec::checkpoint::{encode, CheckpointCounters};
-    use qgear_statevec::{SamplingConfig, StateVector};
+    use qgear_statevec::{marginal_probs, ExecStats, SamplingConfig, StateVector};
     use std::cell::{Cell, RefCell};
     use std::time::Duration;
 
@@ -265,17 +216,19 @@ mod tests {
     /// A cursor over `total` imaginary steps; `break_at` fails the
     /// advance that would leave that cursor, once per source.
     struct FakeRun {
-        cursor: u64,
-        total: u64,
-        break_at: Option<u64>,
+        cursor: usize,
+        total: usize,
+        break_at: Option<usize>,
     }
 
     impl Stepper<f64> for FakeRun {
+        type Fault = CommError;
+
         fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
             if self.break_at == Some(self.cursor) {
                 return Err(CommError::Dropped);
             }
-            self.cursor = self.total.min(self.cursor.saturating_add(max_steps.max(1) as u64));
+            self.cursor = self.total.min(self.cursor.saturating_add(max_steps.max(1)));
             Ok(())
         }
 
@@ -283,15 +236,15 @@ mod tests {
             self.cursor >= self.total
         }
 
-        fn cursor(&self) -> u64 {
+        fn cursor(&self) -> usize {
             self.cursor
         }
 
         fn encode_checkpoint(&self) -> Vec<u8> {
             encode(&StateCheckpoint {
                 num_qubits: 1,
-                cursor: self.cursor,
-                steps_total: self.total,
+                cursor: self.cursor as u64,
+                steps_total: self.total as u64,
                 fingerprint: FINGERPRINT,
                 counters: CheckpointCounters::default(),
                 sampling: SamplingConfig::single(0, 0),
@@ -300,22 +253,26 @@ mod tests {
         }
 
         fn stats(&self) -> ExecStats {
-            ExecStats { kernels_launched: self.cursor, ..ExecStats::default() }
+            ExecStats { kernels_launched: self.cursor as u64, ..ExecStats::default() }
         }
 
         fn marginal(&self, measured: &[u32]) -> Vec<f64> {
             marginal_probs(&StateVector::<f64>::zero(1), measured)
         }
+
+        fn into_state(self) -> StateVector<f64> {
+            StateVector::zero(1)
+        }
     }
 
     struct FakeSource {
-        total: u64,
-        break_at: Cell<Option<u64>>,
+        total: usize,
+        break_at: Cell<Option<usize>>,
         hooks: RefCell<Vec<String>>,
     }
 
     impl FakeSource {
-        fn new(total: u64) -> Self {
+        fn new(total: usize) -> Self {
             FakeSource { total, break_at: Cell::new(None), hooks: RefCell::new(Vec::new()) }
         }
     }
@@ -334,7 +291,8 @@ mod tests {
                     found: ck.fingerprint,
                 });
             }
-            Ok(FakeRun { cursor: ck.cursor, total: self.total, break_at: self.break_at.take() })
+            let cursor = ck.cursor as usize;
+            Ok(FakeRun { cursor, total: self.total, break_at: self.break_at.take() })
         }
 
         fn settled(&self, restored: Option<u64>, broken: Option<(&FakeRun, CommError)>) {

@@ -8,7 +8,10 @@
 //! has, so the baseline is honest rather than strawmanned; what it lacks,
 //! by design, is kernel fusion and data parallelism.
 
-use crate::backend::{check_capacity, sample_measured, ExecStats, RunOptions, RunOutput, SimError, Simulator};
+use crate::backend::{
+    check_capacity, marginal_probs, sample_from_probs, ExecStats, RunOptions, RunOutput, SimError,
+    Simulator,
+};
 use crate::state::StateVector;
 use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::{Complex, Mat2, Mat4, Scalar};
@@ -188,7 +191,11 @@ impl<T: Scalar> Simulator<T> for AerCpuBackend {
 
         let sample_start = Instant::now();
         let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        let counts = sample_measured(&state, &measured, opts);
+        let counts = if opts.shots > 0 && !measured.is_empty() {
+            sample_from_probs(&marginal_probs(&state, &measured), &measured, &opts.sampling())
+        } else {
+            None
+        };
         drop(sample_span);
         stats.sampling_elapsed = sample_start.elapsed();
 

@@ -306,20 +306,6 @@ pub fn sample_from_probs(
     Some(Counts { qubits: measured.to_vec(), map })
 }
 
-/// Shared post-run sampling: if the circuit measured qubits and shots were
-/// requested, draw a multinomial sample from the exact marginal.
-pub(crate) fn sample_measured<T: Scalar>(
-    state: &StateVector<T>,
-    measured: &[u32],
-    opts: &RunOptions,
-) -> Option<Counts> {
-    if opts.shots == 0 || measured.is_empty() {
-        return None;
-    }
-    let probs = marginal_probs(state, measured);
-    sample_from_probs(&probs, measured, &opts.sampling())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,43 +61,15 @@ const META_LEN: usize = 1 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 16 + 16 + 8 + 8 + 8;
 /// Path of the amplitude dataset inside the STATE container.
 const AMPLITUDE_DATASET: &str = "checkpoint/amplitudes";
 
-/// Scalars that can ride in a checkpoint: the codec needs a precision
-/// tag and a bit-exact route in and out of an hdf5lite [`Dataset`](qgear_hdf5lite::Dataset)'s
-/// little-endian bytes.
-pub trait CheckpointScalar: Scalar {
-    /// Precision tag stored in META (the per-component byte width).
-    const PRECISION_TAG: u8;
-
-    /// Element type of the amplitude dataset.
-    const DTYPE: Dtype;
-
-    /// Write the component's little-endian bytes into `dst`
-    /// (`PRECISION_TAG` bytes long).
-    fn write_le(self, dst: &mut [u8]);
-
-    /// Read a component back from its little-endian bytes.
-    fn read_le(src: &[u8]) -> Self;
+/// Element type of `T`'s amplitude dataset, picked from the precision tag
+/// META carries (`T::BYTES`: 4 for `f32`, 8 for `f64`, the only scalars).
+fn dtype<T: Scalar>() -> Dtype {
+    if T::BYTES == 4 {
+        Dtype::F32
+    } else {
+        Dtype::F64
+    }
 }
-
-macro_rules! checkpoint_scalar {
-    ($t:ty, $dtype:expr) => {
-        impl CheckpointScalar for $t {
-            const PRECISION_TAG: u8 = std::mem::size_of::<$t>() as u8;
-            const DTYPE: Dtype = $dtype;
-
-            fn write_le(self, dst: &mut [u8]) {
-                dst.copy_from_slice(&self.to_le_bytes());
-            }
-
-            fn read_le(src: &[u8]) -> Self {
-                <$t>::from_le_bytes(src.try_into().expect("one component wide"))
-            }
-        }
-    };
-}
-
-checkpoint_scalar!(f32, Dtype::F32);
-checkpoint_scalar!(f64, Dtype::F64);
 
 /// Why a checkpoint was rejected. Every variant means "do not load";
 /// the serving recovery ladder counts them and falls back a generation.
@@ -206,7 +178,7 @@ pub struct CheckpointCounters {
 /// One mid-circuit snapshot: everything needed to continue the run
 /// bit-identically from `cursor` steps into the schedule.
 #[derive(Debug, Clone)]
-pub struct StateCheckpoint<T: CheckpointScalar> {
+pub struct StateCheckpoint<T: Scalar> {
     /// Register width.
     pub num_qubits: u32,
     /// Schedule steps already applied to `state`.
@@ -226,7 +198,7 @@ pub struct StateCheckpoint<T: CheckpointScalar> {
     pub state: StateVector<T>,
 }
 
-impl<T: CheckpointScalar> StateCheckpoint<T> {
+impl<T: Scalar> StateCheckpoint<T> {
     /// Cross-check this checkpoint against the schedule a walker just
     /// rebuilt for the same job — its fingerprint, step count and
     /// register width. Both walkers ([`crate::SegmentedRun`] and the
@@ -305,7 +277,7 @@ fn end_section(out: &mut Vec<u8>, start: usize, payload_crc: u32) {
 }
 
 /// Serialize a checkpoint to its framed wire format.
-pub fn encode<T: CheckpointScalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
+pub fn encode<T: Scalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
     encode_amplitudes(
         ck.state.amplitudes(),
         ck.num_qubits,
@@ -320,7 +292,7 @@ pub fn encode<T: CheckpointScalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
 /// [`encode`] over borrowed amplitudes and the remaining
 /// [`StateCheckpoint`] fields, so a live run can be written without
 /// cloning its state into a `StateCheckpoint` first.
-pub fn encode_amplitudes<T: CheckpointScalar>(
+pub fn encode_amplitudes<T: Scalar>(
     amplitudes: &[Complex<T>],
     num_qubits: u32,
     cursor: u64,
@@ -346,7 +318,7 @@ pub fn encode_amplitudes<T: CheckpointScalar>(
 // The fields of a `StateCheckpoint` one by one: that struct is built by
 // literal outside this workspace, so they cannot be regrouped.
 #[allow(clippy::too_many_arguments)]
-pub fn encode_runs<'a, T: CheckpointScalar>(
+pub fn encode_runs<'a, T: Scalar>(
     runs: impl IntoIterator<Item = &'a [Complex<T>]>,
     num_qubits: u32,
     cursor: u64,
@@ -361,7 +333,7 @@ pub fn encode_runs<'a, T: CheckpointScalar>(
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
 
     let meta = begin_section(&mut out, SECTION_META);
-    out.push(T::PRECISION_TAG);
+    out.push(T::BYTES as u8);
     out.extend_from_slice(&num_qubits.to_le_bytes());
     out.extend_from_slice(&cursor.to_le_bytes());
     out.extend_from_slice(&steps_total.to_le_bytes());
@@ -379,13 +351,13 @@ pub fn encode_runs<'a, T: CheckpointScalar>(
     end_section(&mut out, meta, meta_crc);
 
     let state = begin_section(&mut out, SECTION_STATE);
-    let width = usize::from(T::PRECISION_TAG);
+    let width = T::BYTES;
     let mut runs = runs.into_iter();
     let mut run: &[Complex<T>] = &[];
     let container_crc = write_dataset_into(
         &mut out,
         AMPLITUDE_DATASET,
-        T::DTYPE,
+        dtype::<T>(),
         &[2u64 << num_qubits],
         Compression::ShuffleRle,
         |mut chunk| {
@@ -445,7 +417,7 @@ impl<'a> MetaReader<'a> {
 /// a flipped bit anywhere in the buffer, a wrong precision or plan —
 /// returns `Err`; this function never panics on arbitrary input and
 /// never allocates based on unverified size claims.
-pub fn decode<T: CheckpointScalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, CheckpointError> {
+pub fn decode<T: Scalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, CheckpointError> {
     if bytes.len() < 6 {
         return Err(CheckpointError::Truncated);
     }
@@ -500,9 +472,9 @@ pub fn decode<T: CheckpointScalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, C
 
     let mut r = MetaReader { buf: meta, off: 0 };
     let precision = r.u8();
-    if precision != T::PRECISION_TAG {
+    if precision != T::BYTES as u8 {
         return Err(CheckpointError::PrecisionMismatch {
-            expected: T::PRECISION_TAG,
+            expected: T::BYTES as u8,
             found: precision,
         });
     }
@@ -531,13 +503,14 @@ pub fn decode<T: CheckpointScalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, C
     let ds = file
         .dataset(AMPLITUDE_DATASET)
         .map_err(|e| CheckpointError::Container(e.to_string()))?;
-    if ds.dtype != T::DTYPE {
-        let mismatch = H5Error::DtypeMismatch { stored: ds.dtype.name(), requested: T::DTYPE.name() };
+    let requested = dtype::<T>();
+    if ds.dtype != requested {
+        let mismatch = H5Error::DtypeMismatch { stored: ds.dtype.name(), requested: requested.name() };
         return Err(CheckpointError::Container(mismatch.to_string()));
     }
     // The container has already held the payload to its shape, so this
     // is the number of components actually present.
-    let width = usize::from(T::PRECISION_TAG);
+    let width = T::BYTES;
     let expected = 2u64 << num_qubits;
     let found = (ds.data.len() / width) as u64;
     if found != expected {

@@ -39,11 +39,13 @@
 
 use crate::arena;
 use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
+use crate::segment::{straight_through, SegmentedRun};
 use crate::simd::{self, DiagTable};
 use qgear_ir::fusion::{DenseUnitary, FusedBlock};
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
 use qgear_num::{AlignedVec, Complex, Scalar, C64};
+use qgear_telemetry::clock::WallClock;
 use rayon::prelude::*;
 
 /// Simulated GPU device description. Defaults model one NVIDIA A100
@@ -712,10 +714,12 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
         "nvidia"
     }
 
-    /// One segment of [`crate::SegmentedRun`], start to finish: the plan
-    /// and the kernel loop live there, once.
+    /// One [`SegmentedRun`] through the one tail, [`straight_through`],
+    /// timed on the wall clock: the plan and the kernel loop live there.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        self.run_segmented(circuit, opts, usize::MAX)
+        let run = SegmentedRun::new(self, circuit, opts)?;
+        let Ok(out) = straight_through(run, circuit, opts, &WallClock::new());
+        Ok(out)
     }
 }
 

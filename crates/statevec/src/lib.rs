@@ -21,6 +21,13 @@
 //! runs each in the cheaper mode. See
 //! `docs/PLANNER.md` for the model and decision procedure.
 //!
+//! Both walkers of that plan — [`SegmentedRun`] here, the cluster
+//! crate's `ShardedRun` over a partitioned state — keep one contract,
+//! [`Stepper`], and [`straight_through`] is the one tail that drives a
+//! stepper to the end, samples and keeps the state: `GpuDevice::run` and
+//! `ClusterEngine::run` are calls to it, and the serving layer drives the
+//! same contract in checkpointed segments.
+//!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`
 //! ([`qgear_num::Scalar`]), Born-rule [`sampling`] with multinomial shot
 //! draws, and the [`Simulator`] trait the `qgear` core crate dispatches on.
@@ -71,11 +78,11 @@ pub use backend::{
 };
 pub use checkpoint::{
     decode as decode_checkpoint, encode as encode_checkpoint, plan_fingerprint,
-    CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
+    CheckpointCounters, CheckpointError, StateCheckpoint,
 };
 pub use gpu::GpuDevice;
 pub use planner::{plan, ExecutionPlan, PlannerCosts, SegmentMode};
 pub use sampling::SamplingConfig;
-pub use segment::SegmentedRun;
+pub use segment::{straight_through, SegmentedRun, Stepper};
 pub use simd::{set_simd_enabled, simd_enabled};
 pub use state::StateVector;

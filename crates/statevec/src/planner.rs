@@ -328,12 +328,6 @@ impl ExecutionPlan {
         self.segments.is_empty()
     }
 
-    /// How many segments run in each mode, in `(unfused, sweep)` order.
-    pub fn mode_histogram(&self) -> (usize, usize) {
-        let count = |m: SegmentMode| self.segments.iter().filter(|s| s.mode == m).count();
-        (count(SegmentMode::Unfused), count(SegmentMode::Sweep))
-    }
-
     /// Kernel indices into [`Self::blocks`] in execution order — what a
     /// walker that runs kernel-at-a-time (the cluster engine) steps
     /// through.
@@ -543,6 +537,12 @@ pub(crate) fn execute_segment<T: Scalar>(
 mod tests {
     use super::*;
 
+    /// How many segments run in each mode, in `(unfused, sweep)` order.
+    fn mode_histogram(plan: &ExecutionPlan) -> (usize, usize) {
+        let count = |m: SegmentMode| plan.segments.iter().filter(|s| s.mode == m).count();
+        (count(SegmentMode::Unfused), count(SegmentMode::Sweep))
+    }
+
     fn qft_like(n: u32) -> Circuit {
         let mut c = Circuit::new(n);
         for i in (0..n).rev() {
@@ -599,19 +599,19 @@ mod tests {
         // `host_reference` holds now, the sweep does.
         let c = random_like(12, 7);
         let lanes = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        assert_eq!(lanes.mode_histogram().0, 0, "got {:?}", lanes.mode_histogram());
+        assert_eq!(mode_histogram(&lanes).0, 0, "got {:?}", mode_histogram(&lanes));
         let scalar_rate = PlannerCosts { madds_per_sec: 7.0e8, ..PlannerCosts::default() };
         let scalar = plan(&c, 5, 12, true, &scalar_rate, 16).unwrap();
-        let (unfused, _) = scalar.mode_histogram();
-        assert!(unfused * 2 > scalar.segments.len(), "got {:?}", scalar.mode_histogram());
+        let (unfused, _) = mode_histogram(&scalar);
+        assert!(unfused * 2 > scalar.segments.len(), "got {:?}", mode_histogram(&scalar));
     }
 
     #[test]
     fn qft_ladders_plan_to_sweeps() {
         // Multi-kernel μ=1 segments amortize passes: sweeps must win.
         let p = plan(&qft_like(12), 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        let (_, sweep) = p.mode_histogram();
-        assert!(sweep > 0, "QFT should use sweep segments, got {:?}", p.mode_histogram());
+        let (_, sweep) = mode_histogram(&p);
+        assert!(sweep > 0, "QFT should use sweep segments, got {:?}", mode_histogram(&p));
         // And a sweep only where it is predicted no dearer than per-gate.
         for seg in &p.segments {
             let predicted = seg.predicted.expect("priced");
@@ -779,7 +779,7 @@ mod tests {
         // (ruinous per-gate loops) share the `Sweep` pin's.
         let all_sweep = PlannerCosts { gate_amps_per_sec: 1.0, ..PlannerCosts::host_reference() };
         let priced = plan(&qft_like(8), 5, 12, true, &all_sweep, 16).unwrap();
-        assert_eq!(priced.mode_histogram(), (0, priced.len()));
+        assert_eq!(mode_histogram(&priced), (0, priced.len()));
         let pin = plan(&qft_like(8), 5, 12, true, &PlannerCosts::pinned(SegmentMode::Sweep), 16);
         assert_eq!(priced.digest, pin.unwrap().digest);
     }

@@ -1,17 +1,24 @@
-//! The simulated-GPU execution core: a resumable cursor over an
-//! [`ExecutionPlan`].
+//! The execution core: one stepper contract, one straight-through tail,
+//! and the walker for a state resident on one simulated GPU.
 //!
-//! [`SegmentedRun`] is the walker for a state resident on one
-//! [`GpuDevice`]: it checks capacity, asks [`planner::plan`] — the only
+//! [`Stepper`] is the contract of every engine that walks a schedule
+//! with a cursor: [`SegmentedRun`] for a state resident on one
+//! [`GpuDevice`], the cluster crate's `ShardedRun` for a state pooled
+//! over a device group. [`straight_through`] is the one tail that drives
+//! a stepper to the end, samples and keeps the state — [`Simulator::run`]
+//! on a `GpuDevice` and on a `ClusterEngine` is a call to it — and
+//! `qgear-serve` drives the same contract in segments, writing
+//! checkpoints between them.
+//!
+//! [`SegmentedRun`] checks capacity, asks [`planner::plan`] — the only
 //! plan builder — for the schedule the options select, and applies it
-//! in bounded steps under caller control; [`Simulator::run`] is the
-//! degenerate caller that advances to the end in a single segment.
-//! Because the step kernels are deterministic over disjoint amplitude
-//! groups, the state after `k` steps is bit-identical whether those
-//! steps ran in one call, one per call, or across a checkpoint/restore
-//! boundary on a different worker. That property is what makes a
-//! [`StateCheckpoint`] safe to resume from: the cursor plus the
-//! amplitudes *are* the execution state; there is nothing hidden.
+//! in bounded steps under caller control. Because the step kernels are
+//! deterministic over disjoint amplitude groups, the state after `k`
+//! steps is bit-identical whether those steps ran in one call, one per
+//! call, or across a checkpoint/restore boundary on a different worker.
+//! That property is what makes a [`StateCheckpoint`] safe to resume
+//! from: the cursor plus the amplitudes *are* the execution state; there
+//! is nothing hidden.
 //!
 //! A step is one plan segment: one scheduled sweep, or one fused block
 //! at `sweep_width: 0`, executed in the mode the plan's selector pinned
@@ -22,11 +29,10 @@
 //! [`Simulator::run`]: crate::Simulator::run
 
 use crate::backend::{
-    check_capacity, sample_measured, ExecStats, RunOptions, RunOutput, SimError,
+    check_capacity, marginal_probs, sample_from_probs, ExecStats, RunOptions, RunOutput, SimError,
 };
 use crate::checkpoint::{
-    encode_amplitudes, plan_fingerprint, CheckpointCounters, CheckpointError, CheckpointScalar,
-    StateCheckpoint,
+    encode_amplitudes, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
 };
 use crate::gpu::GpuDevice;
 use crate::planner::{self, ExecutionPlan};
@@ -34,15 +40,74 @@ use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
+use qgear_telemetry::clock::Clock;
+use std::convert::Infallible;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// A partially-executed run: evolving amplitudes plus a cursor into a
+/// fixed, deterministic step schedule. A caller may advance in segments
+/// of any size and snapshot at any boundary between them; the final
+/// state is the same bits either way.
+pub trait Stepper<T: Scalar> {
+    /// Why [`Self::advance`] can fail: [`Infallible`] for a state
+    /// resident on one device, a broken pairwise exchange for a
+    /// partitioned one.
+    type Fault;
+    /// Apply up to `max_steps` further steps — at least one when not
+    /// already done, even at `max_steps == 0`; `usize::MAX` runs to the
+    /// end. On `Err` the state is inconsistent and this run must be
+    /// discarded; the cursor still names the last completed step.
+    fn advance(&mut self, max_steps: usize) -> Result<(), Self::Fault>;
+    /// True once every step has been applied.
+    fn is_done(&self) -> bool;
+    /// Steps applied so far.
+    fn cursor(&self) -> usize;
+    /// Counters and evolve time accumulated so far.
+    fn stats(&self) -> ExecStats;
+    /// The execution state as QCKP wire bytes, written from where the
+    /// amplitudes lie (a resident state, or a partitioned one's slices
+    /// walked in logical order).
+    fn encode_checkpoint(&self) -> Vec<u8>;
+    /// The measurement marginal over `measured`, read from where the
+    /// amplitudes lie (a partitioned state's slices are walked in logical
+    /// order, never gathered): [`crate::marginal_of_runs`].
+    fn marginal(&self, measured: &[u32]) -> Vec<f64>;
+    /// The state in logical amplitude order, for `keep_state`.
+    fn into_state(self) -> StateVector<T>;
+}
+
+/// The one straight-through tail: advance `run` to the end, sample the
+/// circuit's measured qubits from [`Stepper::marginal`] with one seeded
+/// draw — timed on `clock` — and keep the state if `opts` asks for it.
+pub fn straight_through<T: Scalar, S: Stepper<T>>(
+    mut run: S,
+    circuit: &Circuit,
+    opts: &RunOptions,
+    clock: &dyn Clock,
+) -> Result<RunOutput<T>, S::Fault> {
+    while !run.is_done() {
+        run.advance(usize::MAX)?;
+    }
+    let mut stats = run.stats();
+    let measured = circuit.measured_qubits();
+    let sample_start = clock.now();
+    let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
+    let counts = if opts.shots > 0 && !measured.is_empty() {
+        sample_from_probs(&run.marginal(&measured), &measured, &opts.sampling())
+    } else {
+        None
+    };
+    drop(sample_span);
+    stats.sampling_elapsed = clock.now().saturating_sub(sample_start);
+    Ok(RunOutput { state: opts.keep_state.then(|| run.into_state()), counts, stats })
+}
 
 /// A partially-executed simulation: the evolving state plus a cursor
 /// into its (fixed) plan.
 pub struct SegmentedRun<T: Scalar> {
     state: StateVector<T>,
     plan: ExecutionPlan,
-    measured: Vec<u32>,
     cursor: usize,
     counters: CheckpointCounters,
     /// Kept for the fingerprint, which Debug-formats the whole circuit:
@@ -92,7 +157,6 @@ impl<T: Scalar> SegmentedRun<T> {
         Ok(SegmentedRun {
             state,
             plan,
-            measured: circuit.measured_qubits(),
             cursor: 0,
             counters: CheckpointCounters::default(),
             circuit: circuit.clone(),
@@ -102,63 +166,9 @@ impl<T: Scalar> SegmentedRun<T> {
         })
     }
 
-    /// Apply up to `max_steps` further plan segments (at least one when
-    /// not already done, even if `max_steps == 0` would stall;
-    /// `usize::MAX` runs to the end). Returns the number of steps
-    /// actually applied. DRAM traffic is charged per full-state pass
-    /// (per sweep segment, per kernel or gate otherwise), arithmetic per
-    /// kernel; the per-call telemetry deltas sum to the same totals
-    /// whatever the segment size.
-    pub fn advance(&mut self, max_steps: usize) -> usize {
-        if self.is_done() {
-            return 0;
-        }
-        let start = Instant::now();
-        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        let from = self.cursor;
-        let end = self.steps_total().min(self.cursor.saturating_add(max_steps.max(1)));
-        let before = self.counters;
-        while self.cursor < end {
-            let amps = self.state.amplitudes_mut();
-            planner::execute_segment(amps, &self.plan, self.cursor, &mut self.counters);
-            self.cursor += 1;
-        }
-        let applied = self.counters;
-        if applied.sweeps_executed > before.sweeps_executed {
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::SWEEPS_EXECUTED,
-                (applied.sweeps_executed - before.sweeps_executed) as u128,
-            );
-        }
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::KERNELS_LAUNCHED,
-            (applied.kernels_launched - before.kernels_launched) as u128,
-        );
-        if self.is_done() && self.counters.gates_applied == 0 {
-            self.counters.gates_applied = self.plan.source_gates;
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::GATES_APPLIED,
-                self.counters.gates_applied as u128,
-            );
-        }
-        drop(sim_span);
-        self.elapsed += start.elapsed();
-        self.cursor - from
-    }
-
-    /// Steps applied so far.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
     /// Total steps in the schedule.
     pub fn steps_total(&self) -> usize {
         self.plan.len()
-    }
-
-    /// Whether every schedule step has been applied.
-    pub fn is_done(&self) -> bool {
-        self.cursor >= self.plan.len()
     }
 
     /// The (possibly partially-evolved) state.
@@ -166,49 +176,17 @@ impl<T: Scalar> SegmentedRun<T> {
         &self.state
     }
 
-    /// Counters accumulated so far, as [`ExecStats`] (real wall-clock
-    /// reflects only the work done *in this process* — resumed runs
-    /// don't inherit a dead worker's timings).
-    pub fn stats(&self) -> ExecStats {
-        ExecStats {
-            gates_applied: self.counters.gates_applied,
-            kernels_launched: self.counters.kernels_launched,
-            sweeps_executed: self.counters.sweeps_executed,
-            bytes_touched: self.counters.bytes_touched,
-            flops: self.counters.flops,
-            elapsed: self.elapsed,
-            ..ExecStats::default()
-        }
-    }
-
-    /// Finish the run: sample (if the circuit measures and shots were
-    /// requested) and hand back the same shape as
-    /// [`Simulator::run`](crate::Simulator::run). Panics if the
-    /// schedule is not complete — call after `is_done()`.
-    pub fn finish(self, opts: &RunOptions) -> RunOutput<T> {
-        assert!(self.is_done(), "finish() before the schedule completed");
-        let mut stats = self.stats();
-        let sample_start = Instant::now();
-        let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        let counts = sample_measured(&self.state, &self.measured, opts);
-        drop(sample_span);
-        stats.sampling_elapsed = sample_start.elapsed();
-        RunOutput { state: opts.keep_state.then_some(self.state), counts, stats }
-    }
-}
-
-impl<T: CheckpointScalar> SegmentedRun<T> {
     /// Fingerprint of the plan this run executes (see
     /// [`plan_fingerprint`]); computed on first use and cached.
     pub fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
-            .get_or_init(|| plan_fingerprint(&self.circuit, T::PRECISION_TAG, self.plan.digest))
+            .get_or_init(|| plan_fingerprint(&self.circuit, T::BYTES as u8, self.plan.digest))
     }
 
     /// Snapshot the current execution state as an owned value (one
     /// amplitude-vector clone). To serialize the snapshot, call
-    /// [`Self::encode_checkpoint`], which skips the clone.
+    /// [`Stepper::encode_checkpoint`], which skips the clone.
     pub fn checkpoint(&self) -> StateCheckpoint<T> {
         StateCheckpoint {
             num_qubits: self.state.num_qubits(),
@@ -219,21 +197,6 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
             sampling: self.sampling,
             state: self.state.clone(),
         }
-    }
-
-    /// [`encode`](crate::checkpoint::encode) of [`Self::checkpoint`],
-    /// written from the live state: what a segment boundary stores costs
-    /// no clone of the amplitudes.
-    pub fn encode_checkpoint(&self) -> Vec<u8> {
-        encode_amplitudes(
-            self.state.amplitudes(),
-            self.state.num_qubits(),
-            self.cursor as u64,
-            self.steps_total() as u64,
-            self.fingerprint(),
-            &self.counters,
-            &self.sampling,
-        )
     }
 
     /// Rebuild the plan for `(circuit, opts)` and install a verified
@@ -262,24 +225,94 @@ impl<T: CheckpointScalar> SegmentedRun<T> {
     }
 }
 
-impl GpuDevice {
-    /// Run a circuit to completion in segments of `segment_steps`
-    /// schedule steps each. Amplitudes, counts and counters are
-    /// bit-identical for every segment size; [`Simulator::run`] is this
-    /// with `usize::MAX` (one segment).
-    ///
-    /// [`Simulator::run`]: crate::Simulator::run
-    pub fn run_segmented<T: Scalar>(
-        &self,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        segment_steps: usize,
-    ) -> Result<RunOutput<T>, SimError> {
-        let mut run = SegmentedRun::new(self, circuit, opts)?;
-        while !run.is_done() {
-            run.advance(segment_steps);
+impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
+    /// A state resident on one device has no link to lose.
+    type Fault = Infallible;
+
+    /// Timed on the host clock, even under a virtual service clock: the
+    /// kernels are real work. DRAM traffic is charged per full-state
+    /// pass (per sweep segment, per kernel or gate otherwise), arithmetic
+    /// per kernel; the per-call telemetry deltas sum to the same totals
+    /// whatever the segment size.
+    fn advance(&mut self, max_steps: usize) -> Result<(), Infallible> {
+        if self.is_done() {
+            return Ok(());
         }
-        Ok(run.finish(opts))
+        let start = Instant::now();
+        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
+        let end = self.steps_total().min(self.cursor.saturating_add(max_steps.max(1)));
+        let before = self.counters;
+        while self.cursor < end {
+            let amps = self.state.amplitudes_mut();
+            planner::execute_segment(amps, &self.plan, self.cursor, &mut self.counters);
+            self.cursor += 1;
+        }
+        let applied = self.counters;
+        if applied.sweeps_executed > before.sweeps_executed {
+            qgear_telemetry::counter_add(
+                qgear_telemetry::names::SWEEPS_EXECUTED,
+                (applied.sweeps_executed - before.sweeps_executed) as u128,
+            );
+        }
+        qgear_telemetry::counter_add(
+            qgear_telemetry::names::KERNELS_LAUNCHED,
+            (applied.kernels_launched - before.kernels_launched) as u128,
+        );
+        if self.is_done() && self.counters.gates_applied == 0 {
+            self.counters.gates_applied = self.plan.source_gates;
+            qgear_telemetry::counter_add(
+                qgear_telemetry::names::GATES_APPLIED,
+                self.counters.gates_applied as u128,
+            );
+        }
+        drop(sim_span);
+        self.elapsed += start.elapsed();
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.cursor >= self.plan.len()
+    }
+
+    fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Real wall-clock reflects only the work done *in this process*:
+    /// resumed runs don't inherit a dead worker's timings.
+    fn stats(&self) -> ExecStats {
+        ExecStats {
+            gates_applied: self.counters.gates_applied,
+            kernels_launched: self.counters.kernels_launched,
+            sweeps_executed: self.counters.sweeps_executed,
+            bytes_touched: self.counters.bytes_touched,
+            flops: self.counters.flops,
+            elapsed: self.elapsed,
+            ..ExecStats::default()
+        }
+    }
+
+    /// [`encode`](crate::checkpoint::encode) of [`SegmentedRun::checkpoint`],
+    /// written from the live state: what a segment boundary stores costs
+    /// no clone of the amplitudes.
+    fn encode_checkpoint(&self) -> Vec<u8> {
+        encode_amplitudes(
+            self.state.amplitudes(),
+            self.state.num_qubits(),
+            self.cursor as u64,
+            self.steps_total() as u64,
+            self.fingerprint(),
+            &self.counters,
+            &self.sampling,
+        )
+    }
+
+    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
+        marginal_probs(&self.state, measured)
+    }
+
+    fn into_state(self) -> StateVector<T> {
+        self.state
     }
 }
 
@@ -300,7 +333,7 @@ mod tests {
         c
     }
 
-    fn bits<T: CheckpointScalar>(state: &StateVector<T>) -> Vec<u64> {
+    fn bits<T: Scalar>(state: &StateVector<T>) -> Vec<u64> {
         state
             .amplitudes()
             .iter()
@@ -311,6 +344,7 @@ mod tests {
     #[test]
     fn segmented_matches_straight_through() {
         use crate::Simulator;
+        use qgear_telemetry::clock::WallClock;
         let c = ghz(4);
         let opts = RunOptions { shots: 64, fusion_width: 1, sweep_width: 0, ..Default::default() };
         let dev = GpuDevice::a100_40gb();
@@ -318,7 +352,11 @@ mod tests {
         // `run` is the one-segment case of the same stepper, so this pins
         // interval-invariance: every segment size lands on the same bits.
         for interval in [1, 2, usize::MAX] {
-            let segmented: RunOutput<f64> = dev.run_segmented(&c, &opts, interval).unwrap();
+            let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &opts).unwrap();
+            while !run.is_done() {
+                let Ok(()) = run.advance(interval);
+            }
+            let Ok(segmented) = straight_through(run, &c, &opts, &WallClock::new());
             assert_eq!(
                 bits(straight.state.as_ref().unwrap()),
                 bits(segmented.state.as_ref().unwrap())
@@ -331,25 +369,14 @@ mod tests {
     }
 
     #[test]
-    fn advance_usize_max_from_a_mid_run_cursor_finishes_the_schedule() {
-        let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
-        let mut run: SegmentedRun<f64> =
-            SegmentedRun::new(&GpuDevice::a100_40gb(), &ghz(4), &opts).unwrap();
-        assert_eq!(run.advance(1), 1);
-        // `cursor + usize::MAX` must saturate, not wrap to "apply nothing".
-        assert_eq!(run.advance(usize::MAX), run.steps_total() - 1);
-        assert!(run.is_done());
-    }
-
-    #[test]
     fn fingerprint_is_lazy_and_matches_the_eager_digest() {
         let c = ghz(3);
         let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
         let mut run: SegmentedRun<f64> =
             SegmentedRun::new(&GpuDevice::a100_40gb(), &c, &opts).unwrap();
-        run.advance(usize::MAX);
+        let Ok(()) = run.advance(usize::MAX);
         assert!(run.fingerprint.get().is_none(), "a run that never checkpoints never formats");
-        let eager = plan_fingerprint(&c, f64::PRECISION_TAG, run.plan.digest);
+        let eager = plan_fingerprint(&c, 8, run.plan.digest);
         assert_eq!(run.checkpoint().fingerprint, eager);
         assert_eq!(run.fingerprint.get(), Some(&eager));
     }
@@ -362,11 +389,11 @@ mod tests {
 
         let mut clean: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &opts).unwrap();
         while !clean.is_done() {
-            clean.advance(1);
+            let Ok(()) = clean.advance(1);
         }
 
         let mut first: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &opts).unwrap();
-        first.advance(2);
+        let Ok(()) = first.advance(2);
         let bytes = encode(&first.checkpoint());
         drop(first); // the "worker" dies here
 
@@ -374,7 +401,7 @@ mod tests {
         assert_eq!(ck.cursor, 2);
         let mut resumed = SegmentedRun::resume(&dev, &c, &opts, ck).unwrap();
         while !resumed.is_done() {
-            resumed.advance(1);
+            let Ok(()) = resumed.advance(1);
         }
         assert_eq!(bits(clean.state()), bits(resumed.state()));
         assert_eq!(clean.stats().kernels_launched, resumed.stats().kernels_launched);
@@ -385,7 +412,7 @@ mod tests {
         let dev = GpuDevice::a100_40gb();
         let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
         let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &ghz(3), &opts).unwrap();
-        run.advance(1);
+        let Ok(()) = run.advance(1);
         let ck = run.checkpoint();
         let other = ghz(4);
         assert!(matches!(
@@ -433,7 +460,7 @@ mod tests {
         let swept = with(PlannerCosts::pinned(SegmentMode::Sweep));
         let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &swept).unwrap();
         assert!(run.steps_total() > 1);
-        run.advance(1);
+        let Ok(()) = run.advance(1);
         let ck = run.checkpoint();
 
         // Same circuit, same widths, the other pin: a different plan.
@@ -450,8 +477,8 @@ mod tests {
         let all_sweep = PlannerCosts { gate_amps_per_sec: 1.0, ..PlannerCosts::host_reference() };
         let mut resumed = SegmentedRun::resume(&dev, &c, &with(all_sweep), ck).unwrap();
         assert!(resumed.plan.segments.iter().all(|s| s.predicted.is_some()));
-        resumed.advance(usize::MAX);
-        run.advance(usize::MAX);
+        let Ok(()) = resumed.advance(usize::MAX);
+        let Ok(()) = run.advance(usize::MAX);
         assert_eq!(bits(run.state()), bits(resumed.state()));
         assert_eq!(run.stats().kernels_launched, resumed.stats().kernels_launched);
     }
@@ -488,11 +515,11 @@ mod tests {
         let dev = GpuDevice::a100_40gb();
         let mut run: SegmentedRun<f64> = SegmentedRun::new(&dev, &c, &opts).unwrap();
         assert!(run.steps_total() > 1, "plan should have multiple sweeps");
-        run.advance(1);
+        let Ok(()) = run.advance(1);
         let ck = decode::<f64>(&encode(&run.checkpoint())).unwrap();
         let mut resumed = SegmentedRun::resume(&dev, &c, &opts, ck).unwrap();
         while !resumed.is_done() {
-            resumed.advance(1);
+            let Ok(()) = resumed.advance(1);
         }
         let straight: RunOutput<f64> = dev.run(&c, &opts).unwrap();
         assert_eq!(bits(straight.state.as_ref().unwrap()), bits(resumed.state()));

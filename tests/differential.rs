@@ -48,12 +48,14 @@ use qgear_ir::schedule::{self, SweepOptions};
 use qgear_ir::{fusion, reference, transpile, Circuit};
 use qgear_num::approx::{approx_eq_up_to_phase, max_deviation};
 use qgear_num::complex::Complex;
+use qgear_num::Scalar;
 use qgear_serve::{JobSpec, ServeConfig, Service};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
-    decode_checkpoint, encode_checkpoint, AerCpuBackend, CheckpointScalar, GpuDevice, PlannerCosts,
-    RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, Simulator,
+    decode_checkpoint, encode_checkpoint, straight_through, AerCpuBackend, GpuDevice, PlannerCosts,
+    RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, Simulator, Stepper,
 };
+use qgear_telemetry::clock::WallClock;
 use qgear_statevec::{set_simd_enabled, simd_enabled};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use qgear_workloads::random::{generate_random_gate_list, RandomCircuitSpec};
@@ -508,7 +510,7 @@ fn cluster_matches_single_device_with_sweeps_enabled() {
 /// serialize through the full checkpoint codec (the same wire bytes a
 /// crashed worker leaves behind), decode, resume a *fresh* plan from the
 /// verified checkpoint, and finish in segments of `interval` steps.
-fn interrupted_at<T: CheckpointScalar>(
+fn interrupted_at<T: Scalar>(
     circ: &Circuit,
     opts: &RunOptions,
     k: usize,
@@ -517,7 +519,7 @@ fn interrupted_at<T: CheckpointScalar>(
     let device = GpuDevice::a100_40gb();
     let mut run = SegmentedRun::<T>::new(&device, circ, opts).expect("plan");
     for _ in 0..k {
-        run.advance(1);
+        let Ok(()) = run.advance(1);
     }
     assert_eq!(run.cursor(), k, "interruption point off the boundary");
     let bytes = encode_checkpoint(&run.checkpoint());
@@ -525,9 +527,10 @@ fn interrupted_at<T: CheckpointScalar>(
     let ck = decode_checkpoint::<T>(&bytes).expect("intact checkpoint verifies");
     let mut resumed = SegmentedRun::resume(&device, circ, opts, ck).expect("resume");
     while !resumed.is_done() {
-        resumed.advance(interval);
+        let Ok(()) = resumed.advance(interval);
     }
-    resumed.finish(opts)
+    let Ok(out) = straight_through(resumed, circ, opts, &WallClock::new());
+    out
 }
 
 /// Checkpoint/restore is invisible to the physics: interrupting at

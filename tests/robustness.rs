@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use qgear_container::slurm::{Cluster, Constraint, JobRequest, JobState, Scheduler};
 use qgear_hdf5lite::{Compression, H5File};
 use qgear_ir::{qpy, Circuit};
-use qgear_statevec::{decode_checkpoint, encode_checkpoint, GpuDevice, RunOptions, SegmentedRun};
+use qgear_statevec::{
+    decode_checkpoint, encode_checkpoint, GpuDevice, RunOptions, SegmentedRun, Stepper,
+};
 
 /// Valid checkpoint wire bytes from a small mid-flight segmented run —
 /// the corpus the bit-flip property mutates.
@@ -16,7 +18,7 @@ fn valid_checkpoint_bytes() -> Vec<u8> {
     let device = GpuDevice::a100_40gb();
     let opts = RunOptions { shots: 32, fusion_width: 1, ..Default::default() };
     let mut run = SegmentedRun::<f64>::new(&device, &c, &opts).unwrap();
-    run.advance(2);
+    let Ok(()) = run.advance(2);
     encode_checkpoint(&run.checkpoint())
 }
 

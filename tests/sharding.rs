@@ -23,7 +23,8 @@ use qgear_serve::{
 };
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
-    decode_checkpoint, encode_checkpoint, ExecStats, GpuDevice, RunOptions, RunOutput, Simulator,
+    decode_checkpoint, encode_checkpoint, ExecStats, GpuDevice, RunOptions, RunOutput,
+    SegmentedRun, Simulator, Stepper,
 };
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::time::Duration;
@@ -528,4 +529,42 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
             }
         }
     }
+}
+
+/// One stepper contract, checked once over both walkers through the
+/// trait alone: `advance(0)` applies one step rather than stalling,
+/// `advance(usize::MAX)` from a mid-run cursor saturates and finishes the
+/// schedule rather than wrapping to "apply nothing", a finished run
+/// advances no further, and `into_state` hands back the amplitudes the
+/// engine's straight-through run keeps.
+#[test]
+fn both_walkers_keep_the_one_stepper_contract() {
+    fn check<S: Stepper<f64>>(what: &str, fresh: impl Fn() -> S, straight: RunOutput<f64>)
+    where
+        S::Fault: std::fmt::Debug,
+    {
+        let mut whole = fresh();
+        whole.advance(usize::MAX).expect("healthy");
+        let total = whole.cursor();
+        assert!(whole.is_done() && total > 2, "{what}: {total} steps");
+        whole.advance(1).expect("healthy");
+        assert_eq!(whole.cursor(), total, "{what}: past the end");
+
+        let mut run = fresh();
+        run.advance(0).expect("healthy");
+        assert_eq!(run.cursor(), 1, "{what}: advance(0)");
+        run.advance(usize::MAX).expect("healthy");
+        assert!(run.is_done(), "{what}: advance(usize::MAX) from cursor 1");
+        assert_eq!(run.cursor(), total, "{what}");
+        let kept = straight.state.expect("state kept");
+        assert_eq!(run.into_state().amplitudes(), kept.amplitudes(), "{what}: into_state");
+    }
+    let (native, _) = decompose_to_native(&beyond_one_worker());
+    let opts = RunOptions { fusion_width: 1, sweep_width: 0, ..Default::default() };
+    let device = GpuDevice::a100_40gb();
+    let dense = || SegmentedRun::<f64>::new(&device, &native, &opts).expect("plan");
+    check("dense", dense, device.run(&native, &opts).expect("dense run"));
+    let group = ClusterEngine::a100_cluster(2);
+    let sharded = || ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    check("sharded", sharded, group.run(&native, &opts).expect("mgpu run"));
 }

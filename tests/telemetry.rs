@@ -88,14 +88,45 @@ fn pinned_plans_count_modes_but_record_no_cost_ratio() {
 
 #[test]
 fn gpu_qft_spans_nest_and_counters_match_exec_stats() {
+    use qgear_cluster::ClusterEngine;
+    use qgear_num::scalar::Precision;
+    use qgear_serve::{BackendKind, JobSpec, ServeConfig, Service, ShardConfig};
     let _l = LOCK.lock().unwrap();
     let opts = RunOptions { shots: 1000, ..Default::default() };
     let (out, snap) = instrumented_run(&GpuDevice::a100_40gb(), &opts);
+    let (cluster, cluster_snap) = instrumented_run(&ClusterEngine::a100_cluster(4), &opts);
+    // A clean served job on 4 KiB workers: the fp64 state goes over four shards.
+    qgear_telemetry::reset();
+    qgear_telemetry::enable();
+    let service = Service::start(ServeConfig {
+        workers: 1,
+        backend: BackendKind::Gpu(GpuDevice { memory_bytes: 1 << 12, ..GpuDevice::a100_40gb() }),
+        shard: Some(ShardConfig::default()),
+        ..Default::default()
+    });
+    let spec = JobSpec::new(qft10()).shots(1000).precision(Precision::Fp64);
+    let id = service.submit(spec).job_id().expect("admitted sharded");
+    let served = service.wait(id).expect("outcome").result().expect("completed").stats.clone();
+    service.shutdown();
+    qgear_telemetry::disable();
+    let served_snap = qgear_telemetry::snapshot();
+    qgear_telemetry::reset();
 
     // Counter totals agree with the engine's own ExecStats: gates.applied
-    // is the post-fusion source-gate count, one kernel per fused block.
-    assert_eq!(snap.counter(names::GATES_APPLIED), u128::from(out.stats.gates_applied));
-    assert_eq!(snap.counter(names::KERNELS_LAUNCHED), u128::from(out.stats.kernels_launched));
+    // is the post-fusion source-gate count, one kernel per fused block —
+    // on the dense walker, and on the shard walker straight through and
+    // served alike.
+    let runs = [
+        ("gpu", &out.stats, &snap),
+        ("cluster", &cluster.stats, &cluster_snap),
+        ("served sharded", &served, &served_snap),
+    ];
+    for (what, stats, snap) in runs {
+        assert!(stats.kernels_launched > 0, "{what}");
+        assert_eq!(snap.counter(names::GATES_APPLIED), u128::from(stats.gates_applied), "{what}");
+        let kernels = snap.counter(names::KERNELS_LAUNCHED);
+        assert_eq!(kernels, u128::from(stats.kernels_launched), "{what}");
+    }
     assert_eq!(snap.counter(names::SHOTS_SAMPLED), 1000);
     // Fusion consumed every applied gate and produced one block per kernel.
     assert_eq!(snap.counter(names::FUSION_SOURCE_GATES), u128::from(out.stats.gates_applied));

@@ -24,13 +24,11 @@
 use qgear_hdf5lite::codec::{self, CHUNK_SIZE};
 use qgear_hdf5lite::{format, Attr, Compression, Dataset, Dtype, H5File};
 use qgear_ir::{qpy, Circuit};
-use qgear_num::Complex;
-use qgear_statevec::checkpoint::{
-    CheckpointCounters, CheckpointError, CheckpointScalar, StateCheckpoint,
-};
+use qgear_num::{Complex, Scalar};
+use qgear_statevec::checkpoint::{CheckpointCounters, CheckpointError, StateCheckpoint};
 use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, GpuDevice, RunOptions, SamplingConfig, SegmentedRun,
-    StateVector,
+    StateVector, Stepper,
 };
 
 const CODECS: [Compression; 3] = [Compression::None, Compression::Rle, Compression::ShuffleRle];
@@ -94,7 +92,7 @@ fn payload_stream(data: &[u8], codec: Compression, width: usize) -> Vec<u8> {
     out
 }
 
-fn checkpoint_of<T: CheckpointScalar>(state: StateVector<T>) -> StateCheckpoint<T> {
+fn checkpoint_of<T: Scalar>(state: StateVector<T>) -> StateCheckpoint<T> {
     StateCheckpoint {
         num_qubits: state.num_qubits(),
         cursor: 24,
@@ -112,7 +110,7 @@ fn checkpoint_of<T: CheckpointScalar>(state: StateVector<T>) -> StateCheckpoint<
     }
 }
 
-fn dense_state<T: CheckpointScalar>(num_qubits: u32, seed: u64) -> StateVector<T> {
+fn dense_state<T: Scalar>(num_qubits: u32, seed: u64) -> StateVector<T> {
     let mut mix = Mix(seed);
     let mut state = StateVector::zero(num_qubits);
     for amp in state.amplitudes_mut() {
@@ -126,7 +124,7 @@ fn dense_state<T: CheckpointScalar>(num_qubits: u32, seed: u64) -> StateVector<T
 fn half_evolved_sparse() -> Vec<u8> {
     let (c, opts) = half_evolved_job();
     let mut run = SegmentedRun::<f64>::new(&GpuDevice::a100_40gb(), &c, &opts).expect("plan");
-    run.advance(run.steps_total() / 2);
+    let Ok(()) = run.advance(run.steps_total() / 2);
     encode_checkpoint(&run.checkpoint())
 }
 
