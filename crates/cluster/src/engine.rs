@@ -1,6 +1,5 @@
-//! Cluster execution engine: the `nvidia-mgpu` and `nvidia-mqpu` targets.
+//! Cluster execution engine: the `nvidia-mgpu` target.
 
-use crate::comm::ClusterTopology;
 use crate::sharded::ShardedRun;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
@@ -8,23 +7,15 @@ use qgear_statevec::backend::{RunOptions, RunOutput, SimError, Simulator};
 use qgear_statevec::{straight_through, GpuDevice};
 use qgear_telemetry::clock::{SharedClock, WallClock};
 
-/// A cluster of simulated GPUs.
-///
-/// * [`ClusterEngine::run`] — **mgpu** mode: one circuit pooled over all
-///   devices (each device must hold `2^n / P` amplitudes).
-/// * [`ClusterEngine::run_batch`] — **mqpu** mode: independent circuits,
-///   one per device round-robin, "effectively utilizing them as quantum
-///   processing units" (§3).
+/// A cluster of simulated GPUs pooling one circuit's state vector over
+/// all devices (each device must hold `2^n / P` amplitudes), linked by
+/// the default [`ClusterTopology`](crate::ClusterTopology).
 #[derive(Debug, Clone)]
 pub struct ClusterEngine {
     /// Per-device description (memory bound comes from here).
     pub device: GpuDevice,
-    /// Number of devices (a power of two for mgpu).
+    /// Number of devices (a power of two).
     pub num_devices: usize,
-    /// Interconnect layout.
-    pub topology: ClusterTopology,
-    /// Ablation: restore the identity qubit layout after every kernel.
-    pub restore_layout: bool,
     /// Clock that times the kernel walk and the sample phase
     /// ([`ExecStats::elapsed`](qgear_statevec::ExecStats) and
     /// `sampling_elapsed` are read from it). Production keeps the
@@ -34,46 +25,15 @@ pub struct ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// A cluster of `num_devices` A100-40GB devices in the default
-    /// Perlmutter-like topology.
+    /// A cluster of `num_devices` A100-40GB devices.
     pub fn a100_cluster(num_devices: usize) -> Self {
-        ClusterEngine {
-            device: GpuDevice::a100_40gb(),
-            num_devices,
-            topology: ClusterTopology::default(),
-            restore_layout: false,
-            clock: WallClock::shared(),
-        }
+        ClusterEngine { device: GpuDevice::a100_40gb(), num_devices, clock: WallClock::shared() }
     }
 
     /// Largest register width the pooled cluster can hold at `amp_bytes`
     /// per amplitude: single-device capacity plus `log2(P)` extra qubits.
     pub fn max_qubits(&self, amp_bytes: u128) -> u32 {
         self.device.max_qubits(amp_bytes) + self.num_devices.trailing_zeros()
-    }
-
-    /// Run independent circuits, one per device (mqpu). Circuits beyond
-    /// the device count wrap around round-robin, like queueing a second
-    /// wave of Slurm tasks. Outputs are index-aligned with the inputs.
-    pub fn run_batch<T: Scalar>(
-        &self,
-        circuits: &[Circuit],
-        opts: &RunOptions,
-    ) -> Vec<Result<RunOutput<T>, SimError>> {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::RUN_BATCH);
-        circuits
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                // Each device handles its own circuit with its own seed so
-                // results are independent of batch composition.
-                let device_opts = RunOptions {
-                    seed: opts.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ..opts.clone()
-                };
-                self.device.run(c, &device_opts)
-            })
-            .collect()
     }
 }
 
@@ -182,23 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn mqpu_batch_runs_independent_circuits() {
-        let eng = ClusterEngine::a100_cluster(4);
-        let circuits: Vec<Circuit> = (0..6).map(|i| entangling_circuit(5, 100 + i)).collect();
-        let outs: Vec<Result<RunOutput<f64>, _>> =
-            eng.run_batch(&circuits, &RunOptions::default());
-        assert_eq!(outs.len(), 6);
-        for (i, (out, c)) in outs.into_iter().zip(&circuits).enumerate() {
-            let out = out.unwrap();
-            let expect = reference::run(c);
-            assert!(
-                max_deviation(out.state.unwrap().amplitudes(), &expect) < 1e-11,
-                "circuit {i}"
-            );
-        }
-    }
-
-    #[test]
     fn non_power_of_two_rejected_for_mgpu() {
         let eng = ClusterEngine::a100_cluster(3);
         let c = entangling_circuit(5, 6);
@@ -217,17 +160,5 @@ mod tests {
             <ClusterEngine as Simulator<f64>>::run(&eng, &c, &RunOptions::default()),
             Err(SimError::TooManyQubits(_))
         ));
-    }
-
-    #[test]
-    fn restore_layout_ablation_still_correct() {
-        let c = entangling_circuit(7, 8);
-        let mut eng = ClusterEngine::a100_cluster(8);
-        eng.restore_layout = true;
-        let out: RunOutput<f64> = eng
-            .run(&c, &RunOptions { fusion_width: 2, ..Default::default() })
-            .unwrap();
-        let expect = reference::run(&c);
-        assert!(max_deviation(out.state.unwrap().amplitudes(), &expect) < 1e-11);
     }
 }

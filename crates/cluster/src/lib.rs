@@ -1,20 +1,15 @@
 //! Distributed multi-device state-vector simulation.
 //!
-//! Implements the paper's `nvidia-mgpu` and `nvidia-mqpu` targets over
-//! *simulated* GPUs:
-//!
-//! * **mgpu** ([`DistributedState`], walked by [`ShardedRun`];
-//!   `ClusterEngine::run` drives one straight through) — one state
-//!   vector pooled across `P = 2^p` devices. Device `r` owns the
-//!   amplitudes whose top `p` index bits equal `r`; gates on those global
-//!   qubits are handled by first *remapping* the global qubit onto a local
-//!   position with a pairwise half-exchange between partner devices (the
-//!   standard cuQuantum/mpi distribution scheme), after which every kernel
-//!   is local. This is what lets Fig. 4a's 4-GPU curve reach 34 qubits and
-//!   Fig. 4b scale to 42 qubits on 1024 GPUs.
-//! * **mqpu** ([`ClusterEngine::run_batch`]) — many independent circuits,
-//!   one per device, "effectively utilizing them as four quantum
-//!   processing units" (§3).
+//! Implements the paper's `nvidia-mgpu` target over *simulated* GPUs:
+//! one state vector ([`DistributedState`], walked by [`ShardedRun`];
+//! `ClusterEngine::run` drives one straight through) pooled across
+//! `P = 2^p` devices. Device `r` owns the amplitudes whose top `p` index
+//! bits equal `r`; gates on those global qubits are handled by first
+//! *remapping* the global qubit onto a local position with a pairwise
+//! half-exchange between partner devices (the standard cuQuantum/mpi
+//! distribution scheme), after which every kernel is local. This is what
+//! lets Fig. 4a's 4-GPU curve reach 34 qubits and Fig. 4b scale to 42
+//! qubits on 1024 GPUs.
 //!
 //! The devices are slices of one process's memory, so an exchange swaps
 //! the two partners' halves in place; what the interconnect would have

@@ -32,7 +32,7 @@
 //! across runs — and across group widths, since gathered amplitudes are
 //! width-independent.
 
-use crate::comm::{CommError, LinkClass};
+use crate::comm::{ClusterTopology, CommError, LinkClass};
 use crate::distributed::DistributedState;
 use crate::engine::ClusterEngine;
 use qgear_ir::{fusion, Circuit};
@@ -119,7 +119,11 @@ impl<T: Scalar> ShardedRun<T> {
         opts: &RunOptions,
     ) -> Result<Self, SimError> {
         let plan = plan_for::<T>(engine, circuit, opts)?;
-        let dist = DistributedState::zero(circuit.num_qubits(), engine.num_devices, engine.topology);
+        let dist = DistributedState::zero(
+            circuit.num_qubits(),
+            engine.num_devices,
+            ClusterTopology::default(),
+        );
         Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, 0))
     }
 
@@ -128,10 +132,9 @@ impl<T: Scalar> ShardedRun<T> {
         circuit: &Circuit,
         opts: &RunOptions,
         plan: ExecutionPlan,
-        mut dist: DistributedState<T>,
+        dist: DistributedState<T>,
         cursor: usize,
     ) -> Self {
-        dist.set_restore_layout(engine.restore_layout);
         ShardedRun {
             dist,
             order: plan.block_order(),
@@ -216,7 +219,8 @@ impl<T: Scalar> ShardedRun<T> {
             .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
         let fingerprint = plan_fingerprint(circuit, T::BYTES as u8, plan.digest);
         ck.verify_against(fingerprint, plan.blocks.len(), circuit.num_qubits())?;
-        let dist = DistributedState::from_state(&ck.state, engine.num_devices, engine.topology);
+        let dist =
+            DistributedState::from_state(&ck.state, engine.num_devices, ClusterTopology::default());
         Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
     }
 }

@@ -61,10 +61,11 @@ impl Target {
     }
 
     /// Parse a target string, with an optional `:<devices>` suffix for
-    /// the cluster targets (`"nvidia-mgpu:4"`).
+    /// the cluster targets (`"nvidia-mgpu:4"`). A zero device count is
+    /// refused.
     pub fn parse(s: &str) -> Option<Target> {
         let (name, devices) = match s.split_once(':') {
-            Some((n, d)) => (n, d.parse::<usize>().ok()?),
+            Some((n, d)) => (n, d.parse::<usize>().ok().filter(|&d| d > 0)?),
             None => (s, 4),
         };
         Some(match name {
@@ -108,6 +109,8 @@ mod tests {
             assert_eq!(Target::parse(&t.to_string()), Some(t), "{s}");
         }
         assert_eq!(Target::parse("tpu"), None);
+        assert_eq!(Target::parse("nvidia-mqpu:0"), None);
+        assert_eq!(Target::parse("nvidia-mgpu:0"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use qgear_ir::{Circuit, IrError, TensorEncoding};
 use qgear_num::scalar::Precision;
 use qgear_num::Scalar;
 use qgear_perfmodel::project::ProjectOptions;
-use qgear_perfmodel::{project_circuit, CostModel};
+use qgear_perfmodel::{project_circuit, CostModel, TimeBreakdown};
 use qgear_statevec::{AerCpuBackend, GpuDevice, RunOptions, RunOutput, SimError, Simulator};
 
 /// Pipeline configuration: what the paper's Slurm scripts pass on the
@@ -170,20 +170,16 @@ impl QGear {
         })
     }
 
-    fn run_options(&self) -> RunOptions {
-        RunOptions {
+    fn simulate<T: Scalar>(&self, circuit: &Circuit, seed: u64) -> Result<RunOutput<T>, SimError> {
+        let opts = RunOptions {
             shots: self.config.shots,
-            seed: self.config.seed,
+            seed,
             fusion_width: self.config.fusion_width,
             keep_state: self.config.keep_state,
             memory_limit: self.config.memory_limit,
             // Sweep scheduling rides on the engine defaults (sweeps on).
             ..RunOptions::default()
-        }
-    }
-
-    fn execute<T: Scalar>(&self, circuit: &Circuit) -> Result<RunOutput<T>, SimError> {
-        let opts = self.run_options();
+        };
         match self.config.target {
             Target::QiskitAerCpu => AerCpuBackend.run(circuit, &opts),
             Target::Nvidia => GpuDevice::a100_40gb().run(circuit, &opts),
@@ -195,13 +191,34 @@ impl QGear {
         }
     }
 
+    /// Simulate a prepared circuit at the configured precision, sampling
+    /// with `seed`.
+    fn execute(
+        &self,
+        circuit: &Circuit,
+        seed: u64,
+        modeled: TimeBreakdown,
+        global_phase: f64,
+    ) -> Result<RunResult, PipelineError> {
+        Ok(match self.config.precision {
+            Precision::Fp32 => {
+                let out: RunOutput<f32> = self.simulate(circuit, seed)?;
+                RunResult::from_output(out, modeled, Precision::Fp32, global_phase)
+            }
+            Precision::Fp64 => {
+                let out: RunOutput<f64> = self.simulate(circuit, seed)?;
+                RunResult::from_output(out, modeled, Precision::Fp64, global_phase)
+            }
+        })
+    }
+
     /// Project the testbed wall-clock for a circuit on this configuration.
     ///
     /// # Errors
     ///
     /// Propagates [`PipelineError::Fusion`] when the circuit cannot be
     /// fused (e.g. arity-3 gates that were never lowered).
-    pub fn project(&self, native: &Circuit) -> Result<qgear_perfmodel::TimeBreakdown, PipelineError> {
+    pub fn project(&self, native: &Circuit) -> Result<TimeBreakdown, PipelineError> {
         Ok(project_circuit(
             &self.config.model,
             native,
@@ -227,60 +244,40 @@ impl QGear {
             (artifacts.native, artifacts.global_phase)
         };
         let modeled = self.project(&exec_circuit)?;
-        let result = match self.config.precision {
-            Precision::Fp32 => {
-                let out: RunOutput<f32> = self.execute(&exec_circuit)?;
-                RunResult::from_output(out, modeled, Precision::Fp32, global_phase)
-            }
-            Precision::Fp64 => {
-                let out: RunOutput<f64> = self.execute(&exec_circuit)?;
-                RunResult::from_output(out, modeled, Precision::Fp64, global_phase)
-            }
-        };
-        Ok(result)
+        self.execute(&exec_circuit, self.config.seed, modeled, global_phase)
     }
 
-    /// mqpu batch: run independent circuits, one per simulated device.
-    /// Requires an `nvidia-mqpu` target.
+    /// mqpu batch: independent circuits, one per simulated device,
+    /// "effectively utilizing them as four quantum processing units"
+    /// (§3). Requires an `nvidia-mqpu` target.
+    ///
+    /// Every circuit is transformed and projected before any runs, so a
+    /// bad circuit costs no simulation. The circuits then run one after
+    /// another, one state resident at a time; circuit `i` samples with
+    /// seed `seed ^ i·0x9E37…`, so its counts do not depend on the batch
+    /// around it. Results are index-aligned with the inputs.
     pub fn run_batch(&self, circuits: &[Circuit]) -> Result<Vec<RunResult>, PipelineError> {
-        let Target::NvidiaMqpu { devices } = self.config.target else {
+        if !matches!(self.config.target, Target::NvidiaMqpu { .. }) {
             return Err(PipelineError::Usage(format!(
                 "run_batch requires the nvidia-mqpu target, got {}",
                 self.config.target
             )));
-        };
-        let engine = ClusterEngine::a100_cluster(devices);
-        let opts = self.run_options();
-        let mut natives = Vec::with_capacity(circuits.len());
-        let mut phases = Vec::with_capacity(circuits.len());
-        let mut modeled = Vec::with_capacity(circuits.len());
-        for c in circuits {
-            let artifacts = self.transform(c)?;
-            phases.push(artifacts.global_phase);
-            modeled.push(self.project(&artifacts.native)?);
-            natives.push(artifacts.native);
         }
-        let results: Vec<RunResult> = match self.config.precision {
-            Precision::Fp32 => engine
-                .run_batch::<f32>(&natives, &opts)
-                .into_iter()
-                .zip(&modeled)
-                .zip(&phases)
-                .map(|((out, t), &phase)| {
-                    out.map(|o| RunResult::from_output(o, *t, Precision::Fp32, phase))
-                })
-                .collect::<Result<_, _>>()?,
-            Precision::Fp64 => engine
-                .run_batch::<f64>(&natives, &opts)
-                .into_iter()
-                .zip(&modeled)
-                .zip(&phases)
-                .map(|((out, t), &phase)| {
-                    out.map(|o| RunResult::from_output(o, *t, Precision::Fp64, phase))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        Ok(results)
+        let prepared = circuits
+            .iter()
+            .map(|c| {
+                let artifacts = self.transform(c)?;
+                Ok((self.project(&artifacts.native)?, artifacts.native, artifacts.global_phase))
+            })
+            .collect::<Result<Vec<_>, PipelineError>>()?;
+        prepared
+            .into_iter()
+            .enumerate()
+            .map(|(i, (modeled, native, global_phase))| {
+                let seed = self.config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                self.execute(&native, seed, modeled, global_phase)
+            })
+            .collect()
     }
 }
 
@@ -362,27 +359,35 @@ mod tests {
 
     #[test]
     fn mqpu_batch_roundtrip() {
-        let circuits: Vec<Circuit> = (0..5)
+        // More circuits than devices, so the batch wraps round the devices.
+        let circuits: Vec<Circuit> = (0..9)
             .map(|i| {
                 let mut c = Circuit::new(3);
-                c.h(0).ry(0.2 * i as f64, 1).cx(0, 2);
+                c.h(0).ry(0.3 * i as f64, 1).cx(0, 2).cx(1, 2).measure_all();
                 c
             })
             .collect();
-        let qgear = QGear::new(QGearConfig {
-            target: Target::NvidiaMqpu { devices: 4 },
-            precision: Precision::Fp64,
-            ..Default::default()
-        });
-        let results = qgear.run_batch(&circuits).unwrap();
-        assert_eq!(results.len(), 5);
-        for (result, circ) in results.iter().zip(&circuits) {
-            let expect = reference::run(circ);
-            assert!(approx_eq_up_to_phase(
-                result.state.as_ref().unwrap().amplitudes(),
-                &expect,
-                1e-10
-            ));
+        // State-only (shots 0) and sampled, at both precisions: each result
+        // is `QGear::run` on `nvidia` at the circuit's per-index seed.
+        let cases = [(Precision::Fp32, 0), (Precision::Fp32, 2000), (Precision::Fp64, 2000)];
+        for (precision, shots) in cases {
+            let config = QGearConfig { precision, shots, ..Default::default() };
+            let qgear = QGear::new(QGearConfig {
+                target: Target::NvidiaMqpu { devices: 4 },
+                ..config.clone()
+            });
+            let results = qgear.run_batch(&circuits).unwrap();
+            assert_eq!(results.len(), circuits.len());
+            for (i, (result, circ)) in results.iter().zip(&circuits).enumerate() {
+                let label = format!("{precision} shots {shots} circuit {i}");
+                let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let nvidia = QGearConfig { target: Target::Nvidia, seed, ..config.clone() };
+                let direct = QGear::new(nvidia).run(circ).unwrap();
+                assert_eq!(result.counts, direct.counts, "{label}");
+                assert_eq!(result.counts.is_some(), shots > 0, "{label}");
+                let state = result.state.as_ref().expect("keep_state keeps the state");
+                assert!(state.amplitudes() == direct.state.unwrap().amplitudes(), "{label}");
+            }
         }
     }
 
@@ -403,6 +408,14 @@ mod tests {
         });
         assert!(matches!(
             qgear.run(&circ),
+            Err(PipelineError::Sim(SimError::OutOfMemory { .. }))
+        ));
+        let mqpu = QGear::new(QGearConfig {
+            target: Target::NvidiaMqpu { devices: 2 },
+            ..qgear.config().clone()
+        });
+        assert!(matches!(
+            mqpu.run_batch(&[circ]),
             Err(PipelineError::Sim(SimError::OutOfMemory { .. }))
         ));
     }

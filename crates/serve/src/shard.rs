@@ -47,7 +47,7 @@ use std::cell::Cell;
 
 /// Sharded-serving knobs. Attaching this to `ServeConfig::shard` turns
 /// beyond-cutoff rejections into shard-group admissions. Groups run on
-/// [`ClusterEngine::a100_cluster`]'s topology.
+/// the default [`qgear_cluster::ClusterTopology`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
     /// Largest shard group admission may plan (power-of-two widths up to

@@ -253,8 +253,6 @@ pub mod spans {
     pub const APPLY_SWEEP: &str = "apply_sweep";
     /// One inter-device exchange in the cluster engine.
     pub const EXCHANGE: &str = "exchange";
-    /// One mqpu batch of independent circuits across devices.
-    pub const RUN_BATCH: &str = "run_batch";
     /// One job's time on a serving worker, admission to outcome
     /// (`qgear-serve`); per-job service latency is the duration
     /// distribution of these spans.

@@ -466,9 +466,8 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
 /// `ClusterEngine::run` is the shard walker driven straight through:
 /// stepping the same walker one block at a time lands on the same
 /// amplitudes, the same counts and the same `ExecStats` counters, bit
-/// for bit — in program order and in sweep-reordered order, with and
-/// without the restore-layout ablation, measuring every qubit or a
-/// permuted subset.
+/// for bit — in program order and in sweep-reordered order, over 2 and
+/// 4 devices, measuring every qubit or a permuted subset.
 #[test]
 fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
     let counters = |stats: &ExecStats| ExecStats {
@@ -490,10 +489,9 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
     let circuits = [(&native, 1usize), (&native, 2), (&wide, 3), (&partial, 2)];
     for (circuit, fusion_width) in circuits {
         for sweep_width in [0usize, 3, 12] {
-            for (devices, restore_layout) in [(2usize, false), (2, true), (4, false), (4, true)] {
+            for devices in [2usize, 4] {
                 let label = format!(
-                    "n={} fusion {fusion_width} sweep {sweep_width} {devices} devices \
-                     restore {restore_layout}",
+                    "n={} fusion {fusion_width} sweep {sweep_width} {devices} devices",
                     circuit.num_qubits()
                 );
                 let opts = RunOptions {
@@ -504,7 +502,7 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
                     sweep_reorder: true,
                     ..Default::default()
                 };
-                let engine = ClusterEngine { restore_layout, ..ClusterEngine::a100_cluster(devices) };
+                let engine = ClusterEngine::a100_cluster(devices);
                 let whole: RunOutput<f64> = engine.run(circuit, &opts).expect("mgpu run");
 
                 let mut run = ShardedRun::<f64>::new(&engine, circuit, &opts).expect("admissible");
