@@ -6,22 +6,20 @@
 //! infeasible past ~32 qubits on the modelled A100 (Fig. 4a's memory
 //! wall); the tableau's quadratic footprint sails through, and this
 //! series records by how much: gates, shots, seconds, shots/s, and the
-//! tableau bytes the admission layer prices.
+//! tableau bytes the engine's memory gate checks.
 //!
 //! Usage: `cargo run --release -p qgear-bench --bin bench_backends` for
 //! the full shot counts, `--smoke` for a seconds-long run (same width
 //! grid — the tableau is cheap enough to take 128 qubits even in smoke —
 //! smaller shot counts).
 
-use qgear_perfmodel::memory::tableau_bytes;
-use qgear_stabilizer::StabilizerBackend;
+use qgear_stabilizer::{StabilizerBackend, Tableau};
 use qgear_statevec::{RunOptions, RunOutput, Simulator};
 use qgear_workloads::clifford::{ghz, random_clifford};
 use std::time::Instant;
 
 /// One stabilizer-scaling point: wall time for `shots` samples, printed
-/// with the tableau bytes admission prices this width at (quadratic, vs
-/// 2^n dense).
+/// with the tableau's bytes at this width (quadratic, vs 2^n dense).
 fn measure_stabilizer(workload: &str, n: u32, depth: usize, shots: u64) {
     // random_clifford measures every qubit; past 64 the sampler's 64-bit
     // outcome keys run out, so wide widths use GHZ with a 64-qubit
@@ -43,7 +41,7 @@ fn measure_stabilizer(workload: &str, n: u32, depth: usize, shots: u64) {
         n,
         circuit.gates().len(),
         shots as f64 / seconds.max(1e-9),
-        tableau_bytes(n)
+        Tableau::memory_bytes(n)
     );
 }
 

@@ -517,14 +517,10 @@ pub fn try_fuse(circ: &Circuit, width: usize) -> Result<FusedProgram, FusionErro
         let fits = cur.is_some() && cur_qubits.len() + needed.len() <= width;
         if !fits {
             flush(&mut cur, &mut cur_qubits, &mut cur_sources, &mut blocks);
-            if ops.len() > width {
-                // Width 1 but a 2-qubit gate: emit it as its own 2-qubit block.
-                cur_qubits = ops.to_vec();
-                cur = Some(DenseUnitary::identity(ops.len()));
-            } else {
-                cur_qubits = ops.to_vec();
-                cur = Some(DenseUnitary::identity(ops.len()));
-            }
+            // A fresh block of the gate's own arity — at width 1 a 2-qubit
+            // gate still gets its own 2-qubit block.
+            cur_qubits = ops.to_vec();
+            cur = Some(DenseUnitary::identity(ops.len()));
         } else if !needed.is_empty() {
             cur_qubits.extend_from_slice(&needed);
             cur = Some(cur.take().unwrap().grow(cur_qubits.len()));

@@ -30,7 +30,6 @@
 //! ```
 
 pub mod circuit;
-pub mod clifford;
 pub mod encoding;
 pub mod error;
 pub mod fusion;
@@ -42,7 +41,6 @@ pub mod shape;
 pub mod transpile;
 
 pub use circuit::Circuit;
-pub use clifford::{classify, clifford_projection, gate_is_clifford, CircuitClass, CliffordSummary};
 pub use encoding::{EncodedCircuit, TensorEncoding};
 pub use error::IrError;
 pub use fusion::{FusedBlock, FusedProgram, FusionError};

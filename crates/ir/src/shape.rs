@@ -1,19 +1,18 @@
-//! Circuit *shape* fingerprints for batched execution.
+//! Circuit *shape* fingerprints.
 //!
 //! Two circuits share a shape iff they have the same qubit count and the
 //! same gate sequence up to parameter values: identical gate kinds on
 //! identical operand qubits, in identical order. Same-shape circuits
 //! fuse into structurally congruent kernel schedules (same block
-//! boundaries, same qubit supports), which is what lets a batch executor
-//! broadcast one schedule across many parameter-sweep members — the
-//! dominant small-job traffic pattern (the same variational ansatz or
-//! QCrank template resubmitted with different angles).
+//! boundaries, same qubit supports) — the dominant small-job traffic
+//! pattern is the same variational ansatz or QCrank template resubmitted
+//! with different angles.
 //!
 //! The digest deliberately **excludes** gate parameters, shots, seeds,
-//! and precision: those vary across members of a legal batch. Serving
-//! layers fold precision and width knobs in on top (see
-//! `qgear-serve`'s batch key) — this digest captures only the structural
-//! identity of the gate list.
+//! and precision: it captures only the structural identity of the gate
+//! list. Today the repo benchmark times it as the `ir.shape_digest_us`
+//! layer; a plan cache keyed by (shape, precision, widths) is its
+//! intended reader.
 
 use crate::circuit::Circuit;
 

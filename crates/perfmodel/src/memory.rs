@@ -25,19 +25,6 @@ pub const fn state_bytes(n: u32, precision: Precision) -> u128 {
     (1u128 << n) * amp_bytes(precision) as u128
 }
 
-/// Bytes an `n`-qubit stabilizer tableau occupies: `2n + 1` Pauli rows of
-/// `2·⌈n/64⌉` packed 64-bit words plus one sign byte each — quadratic in
-/// width instead of exponential, which is why the admission layer prices
-/// Clifford jobs against this instead of [`state_bytes`]. Kept in sync
-/// with `qgear_stabilizer::Tableau::memory_bytes` by a differential test
-/// in `tests/backends.rs`.
-pub const fn tableau_bytes(n: u32) -> u128 {
-    let words = (n as u128).div_ceil(64);
-    let words = if words == 0 { 1 } else { words };
-    let rows = 2 * (n as u128) + 1;
-    rows * words * 16 + rows
-}
-
 /// Aer needs scratch alongside the state (measurement buffers, OpenMP
 /// working sets); 2.2× is a conservative envelope that reproduces the
 /// observed 34-qubit ceiling on the 460 GB node.
@@ -161,17 +148,6 @@ mod tests {
         // GPUs with a single circuit spread over all the GPUs".
         let gpu = GpuSpec::a100_40gb();
         assert_eq!(max_qubits_cluster(&gpu, Precision::Fp32, 1024), 42);
-    }
-
-    #[test]
-    fn tableau_bytes_polynomial_vs_state_exponential() {
-        // 100 qubits: dense is astronomically infeasible, the tableau is
-        // a few kilobytes.
-        assert!(state_bytes(100, Precision::Fp32) > 1u128 << 100);
-        assert!(tableau_bytes(100) < 10_000);
-        // Monotone in width, quadratic-ish growth.
-        assert!(tableau_bytes(128) > tableau_bytes(64));
-        assert_eq!(tableau_bytes(0), 17);
     }
 
     #[test]

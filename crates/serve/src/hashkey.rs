@@ -3,10 +3,9 @@
 //! Two submissions collide iff they would produce bit-identical results:
 //! the key digests the *transpiled* IR gate-by-gate (kind tag, operand
 //! qubits, parameter bit patterns) together with every knob that affects
-//! the sampled counts — shots, seed, precision, fusion width, engine tag
-//! and fidelity floor. Because every engine is deterministic and
-//! sampling is a seeded multinomial draw, equal keys guarantee equal
-//! `Counts`.
+//! the sampled counts — shots, seed, precision, fusion width and engine
+//! tag. Because every engine is deterministic and sampling is a seeded
+//! multinomial draw, equal keys guarantee equal `Counts`.
 
 use crate::job::{Engine, JobSpec};
 use qgear_ir::Circuit;
@@ -18,33 +17,30 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Cache key: a canonical digest of (transpiled circuit, shots, seed,
-/// precision, fusion width, engine, fidelity floor).
+/// precision, fusion width, engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CircuitKey(pub u64);
 
 impl CircuitKey {
     /// Digest a spec whose circuit has already been canonicalized
     /// (transpiled to the native set), together with the engine
-    /// admission routed it to. Different engines sample through
-    /// different code paths (dense marginal vs tableau), so the engine
-    /// tag is part of result identity; so is the fidelity floor, which
-    /// selects the Clifford-projected circuit.
+    /// admission routed it to; the engine tag is part of result
+    /// identity.
     pub fn for_spec(circuit: &Circuit, spec: &JobSpec, fusion_width: usize, engine: Engine) -> Self {
         CircuitKey::state_key(circuit, spec, fusion_width).sampled(spec, engine)
     }
 
     /// The result key of a job whose [state key](Self::state_key) this
     /// is: the state key with every knob that shapes the counts but not
-    /// the evolved state folded in — shots, seed, engine tag, fidelity
-    /// floor. Deriving it from the state key is what lets admission walk
-    /// the gate stream once for both caches.
+    /// the evolved state folded in — shots, seed, engine tag. Deriving
+    /// it from the state key is what lets admission walk the gate stream
+    /// once for both caches.
     pub fn sampled(self, spec: &JobSpec, engine: Engine) -> Self {
         let mut h = Fnv::new();
         h.u64(self.0);
         h.u64(spec.shots);
         h.u64(spec.seed);
         h.u64(engine.tag());
-        h.u64(spec.min_fidelity.to_bits());
         CircuitKey(h.finish())
     }
 
@@ -147,19 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_fidelity_floor_perturb_the_key() {
+    fn the_engine_tag_perturbs_the_key() {
         let c = ghz();
-        let base = CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Dense);
-        // Same circuit routed to the stabilizer engine samples through a
-        // different path: the results must not share a cache slot.
         assert_ne!(
-            CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Stabilizer),
-            base
-        );
-        // Fidelity floor participates: it selects the projected circuit.
-        assert_ne!(
-            CircuitKey::for_spec(&c, &spec(&c).min_fidelity(0.8), 5, Engine::Dense),
-            base
+            CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Sharded),
+            CircuitKey::for_spec(&c, &spec(&c), 5, Engine::Dense)
         );
     }
 

@@ -57,11 +57,9 @@ impl fmt::Display for Priority {
 /// Which execution engine admission routed a job to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Dense state-vector simulation (exponential memory, any circuit).
+    /// Dense state-vector simulation on one worker.
     #[default]
     Dense,
-    /// CHP stabilizer tableau (quadratic memory, Clifford circuits only).
-    Stabilizer,
     /// Dense state vector partitioned across a shard group of workers
     /// (pairwise amplitude exchange; admission plans the group width).
     /// Routes jobs *beyond* the single-worker memory wall.
@@ -73,17 +71,15 @@ impl Engine {
     pub const fn name(self) -> &'static str {
         match self {
             Engine::Dense => "dense",
-            Engine::Stabilizer => "stabilizer",
             Engine::Sharded => "sharded",
         }
     }
 
     /// Stable small tag for cache-key digests. Tags are never reused:
-    /// 2 and 3 belonged to removed engines.
+    /// 1, 2 and 3 belonged to removed engines.
     pub const fn tag(self) -> u64 {
         match self {
             Engine::Dense => 0,
-            Engine::Stabilizer => 1,
             Engine::Sharded => 4,
         }
     }
@@ -143,12 +139,6 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// Override the service-wide retry budget for this job.
     pub max_retries: Option<u32>,
-    /// Minimum acceptable result fidelity in `[0, 1]`. `1.0` (the
-    /// default) demands exact simulation; lower values let admission
-    /// substitute a cheaper approximate engine — e.g. project a
-    /// near-Clifford circuit onto its nearest Clifford circuit when the
-    /// projection fidelity clears this bar.
-    pub min_fidelity: f64,
 }
 
 impl JobSpec {
@@ -164,7 +154,6 @@ impl JobSpec {
             priority: Priority::Normal,
             deadline: None,
             max_retries: None,
-            min_fidelity: 1.0,
         }
     }
 
@@ -207,12 +196,6 @@ impl JobSpec {
     /// Cap retries for this job (0 = fail on first fault).
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.max_retries = Some(retries);
-        self
-    }
-
-    /// Set the minimum acceptable result fidelity (clamped to `[0, 1]`).
-    pub fn min_fidelity(mut self, fidelity: f64) -> Self {
-        self.min_fidelity = fidelity.clamp(0.0, 1.0);
         self
     }
 }

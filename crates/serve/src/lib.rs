@@ -73,5 +73,5 @@ pub use job::{
     Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, Priority, ServeError,
 };
 pub use scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
-pub use service::{BackendKind, BatchConfig, SelectionPolicy, ServeConfig, Service};
+pub use service::{BackendKind, BatchConfig, ServeConfig, Service};
 pub use shard::{ShardConfig, ShardRecord};

@@ -11,9 +11,8 @@
 //!
 //! A worker pops one job per dispatch, and every dispatch takes one road
 //! (docs/SERVING.md, "Dispatch lifecycle"): `precheck` → attempt loop →
-//! the stepper driver (`stepper.rs`, ending in `sample_and_package`) or
-//! the stabilizer tableau run whole → `publish_outcome`, or
-//! `requeue_after_death`.
+//! the stepper driver (`stepper.rs`, ending in `sample_and_package`) →
+//! `publish_outcome`, or `requeue_after_death`.
 
 use crate::cache::{CachedMarginal, CachedResult, MarginalCache, ResultCache};
 use crate::checkpoint_store::CheckpointStore;
@@ -27,16 +26,12 @@ use crate::stepper::{drive, Attempt, DenseSource};
 use qgear_ir::fusion::DEFAULT_FUSION_WIDTH;
 use qgear_ir::schedule::DEFAULT_SWEEP_WIDTH;
 use qgear_ir::transpile::decompose_to_native;
-use qgear_ir::{classify, clifford_projection, Circuit};
 use qgear_num::scalar::Precision;
 use qgear_num::Scalar;
-use qgear_perfmodel::memory::{plan_shard_count, state_bytes, tableau_bytes};
-use qgear_stabilizer::{StabilizerBackend, MAX_MEASURED_QUBITS};
+use qgear_perfmodel::memory::{plan_shard_count, state_bytes};
 use qgear_statevec::backend::sample_from_probs;
 use qgear_statevec::sampling::SamplingConfig;
-use qgear_statevec::{
-    Counts, ExecStats, GpuDevice, RunOptions, RunOutput, SimError, Simulator, Stepper,
-};
+use qgear_statevec::{Counts, ExecStats, GpuDevice, RunOptions, SimError, Stepper};
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_add, counter_inc, histogram_record, span};
@@ -88,22 +83,6 @@ impl Default for BackendKind {
     }
 }
 
-/// How admission picks the execution engine for each job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// Every job runs on the dense state-vector backend (sharded beyond
-    /// one worker's memory) — the legacy behaviour, preserved as the
-    /// default so bit-pinned regression hashes stay valid.
-    #[default]
-    DenseOnly,
-    /// Price every applicable engine and take the cheapest feasible one:
-    /// Clifford circuits (and near-Clifford circuits whose projection
-    /// clears the job's fidelity floor) route to the stabilizer tableau
-    /// — quadratic memory, so 100+ qubit Clifford jobs are admissible —
-    /// and everything else falls back to dense.
-    Auto,
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -124,7 +103,7 @@ pub struct ServeConfig {
     /// Schedule steps per execution segment when checkpointed execution
     /// is enabled. `0` (the default) disables checkpointing: each
     /// attempt then runs its whole schedule as one segment and nothing
-    /// is written. The stabilizer tableau runs whole regardless.
+    /// is written.
     pub checkpoint_interval: usize,
     /// Checkpoint generations retained per job (newest wins; older ones
     /// are the recovery ladder's fallbacks). Ignored while
@@ -158,9 +137,6 @@ pub struct ServeConfig {
     /// The clock every temporal decision reads. Production keeps the
     /// default [`WallClock`]; simulation substitutes a virtual clock.
     pub clock: SharedClock,
-    /// How admission chooses among execution engines (dense state
-    /// vector, stabilizer tableau, shard group).
-    pub selection: SelectionPolicy,
     /// Read by nothing: every dispatch is one job. Kept only because the
     /// repo benchmark (`benchmark/src/drive.rs`) still sets it; see
     /// [`BatchConfig`].
@@ -190,7 +166,6 @@ impl Default for ServeConfig {
             retry_backoff: Duration::from_millis(1),
             backoff_slice: Duration::from_millis(1),
             clock: WallClock::shared(),
-            selection: SelectionPolicy::default(),
             batch: BatchConfig::default(),
             shard: None,
         }
@@ -317,29 +292,20 @@ impl Service {
             decompose_to_native(&spec.circuit).0
         };
 
-        // Backend selection + feasibility gate: price every engine the
-        // policy allows and bounce jobs no engine can hold *before* they
-        // occupy queue space (Fig. 4a's memory wall turned into
-        // admission control). A rejection carries every verdict so the
-        // client sees why each candidate was ruled out.
+        // Feasibility gate: a width test that bounces jobs no engine can
+        // hold *before* they occupy queue space (Fig. 4a's memory wall
+        // turned into admission control). A rejection carries every
+        // verdict so the client sees why each candidate was ruled out.
         let device_bytes = self.shared.cfg.backend.memory_bytes();
-        let Selection { engine, canonical } =
-            match select_engine(&self.shared.cfg, &spec, canonical) {
-                Ok(selection) => selection,
-                Err(considered) => {
-                    counter_inc(names::SERVE_REJECTED_INFEASIBLE);
-                    let required_bytes = considered
-                        .iter()
-                        .map(|v| v.required_bytes)
-                        .min()
-                        .unwrap_or(u128::MAX);
-                    return Admission::RejectedInfeasible {
-                        required_bytes,
-                        device_bytes,
-                        considered,
-                    };
-                }
-            };
+        let engine = match select_engine(&self.shared.cfg, &spec, canonical.num_qubits()) {
+            Ok(engine) => engine,
+            Err(considered) => {
+                counter_inc(names::SERVE_REJECTED_INFEASIBLE);
+                let required_bytes =
+                    considered.iter().map(|v| v.required_bytes).min().unwrap_or(u128::MAX);
+                return Admission::RejectedInfeasible { required_bytes, device_bytes, considered };
+            }
+        };
 
         // The one walk of the gate stream is taken before the lock, which
         // workers block on; the result key is derived from the state key.
@@ -685,18 +651,11 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // State-marginal probe: the same circuit evolved before under
     // different sampling knobs. Re-sample the cached exact marginal —
     // no device time, and bit-identical to what a cold run would draw
-    // (both paths share `marginal_of_runs`/`sample_from_probs`). Only the
-    // exact-dense paths produce or consume marginals: the state key
-    // does not digest the engine, so a tableau-routed job must never
-    // alias a dense entry. Sharded runs qualify — their amplitudes, in
-    // logical order, are bit-identical to a single-device dense
-    // evolution of the same circuit.
-    let marginal = if matches!(job.engine, Engine::Dense | Engine::Sharded) {
-        let st = shared.lock();
-        st.marginals.get(job.state_key)
-    } else {
-        None
-    };
+    // (both paths share `marginal_of_runs`/`sample_from_probs`). The
+    // state key does not digest the engine: a sharded run's amplitudes,
+    // in logical order, are bit-identical to a single-device dense
+    // evolution of the same circuit, so both engines share entries.
+    let marginal = shared.lock().marginals.get(job.state_key);
     if let Some(hit) = marginal {
         let _job_span = span!(spans::SERVE_JOB);
         let sample_span = span!(spans::SAMPLE);
@@ -901,14 +860,6 @@ fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     }
 }
 
-/// The admission decision: which engine runs the job, and the circuit it
-/// runs (the original canonical circuit, or its Clifford projection when
-/// a near-Clifford downgrade cleared the job's fidelity floor).
-struct Selection {
-    engine: Engine,
-    canonical: Circuit,
-}
-
 fn verdict(
     engine: Engine,
     required_bytes: u128,
@@ -919,117 +870,26 @@ fn verdict(
     BackendVerdict { engine, required_bytes, capacity_bytes, feasible, reason: reason.into() }
 }
 
-/// Price every engine the policy allows against the job and pick the
-/// cheapest feasible one. `Err` carries the verdict for every candidate
-/// considered — the payload of [`Admission::RejectedInfeasible`].
-fn select_engine(
-    cfg: &ServeConfig,
-    spec: &JobSpec,
-    canonical: Circuit,
-) -> Result<Selection, Vec<BackendVerdict>> {
-    let n = canonical.num_qubits();
+/// Admission's width test over an `n`-qubit job: [`Engine::Dense`] when
+/// its state fits one worker, [`Engine::Sharded`] when a shard group can
+/// hold it. `Err` carries the verdict for every engine considered — the
+/// payload of [`Admission::RejectedInfeasible`].
+fn select_engine(cfg: &ServeConfig, spec: &JobSpec, n: u32) -> Result<Engine, Vec<BackendVerdict>> {
     let device_bytes = cfg.backend.memory_bytes();
     // Dense pricing: 100+ qubit registers are unconditionally beyond any
     // modelled device (2^100 amplitudes), and `state_bytes` would
     // overflow its shift there, so they price as infinite.
     let dense_required = if n >= 100 { u128::MAX } else { state_bytes(n, spec.precision) };
-    let dense_feasible = dense_required <= device_bytes;
-
-    let mut considered = Vec::new();
-
-    if cfg.selection == SelectionPolicy::Auto {
-        let tableau_required = tableau_bytes(n);
-        let summary = classify(&canonical);
-        // The candidate circuit the tableau would run: the job's own
-        // circuit when it is Clifford, or its nearest-Clifford projection
-        // when the job's fidelity floor admits the approximation.
-        let candidate = if summary.is_clifford() {
-            Some((canonical.clone(), "Clifford circuit".to_owned()))
-        } else if spec.min_fidelity < 1.0 {
-            match clifford_projection(&canonical) {
-                Some((projected, fidelity)) if fidelity >= spec.min_fidelity => Some((
-                    projected,
-                    format!(
-                        "near-Clifford projection at fidelity {fidelity:.4} >= floor {:.4}",
-                        spec.min_fidelity
-                    ),
-                )),
-                Some((_, fidelity)) => {
-                    considered.push(verdict(
-                        Engine::Stabilizer,
-                        tableau_required,
-                        device_bytes,
-                        false,
-                        format!(
-                            "Clifford projection fidelity {fidelity:.4} below floor {:.4}",
-                            spec.min_fidelity
-                        ),
-                    ));
-                    None
-                }
-                None => {
-                    considered.push(verdict(
-                        Engine::Stabilizer,
-                        tableau_required,
-                        device_bytes,
-                        false,
-                        "circuit has gates with no Clifford projection",
-                    ));
-                    None
-                }
-            }
-        } else {
-            considered.push(verdict(
-                Engine::Stabilizer,
-                tableau_required,
-                device_bytes,
-                false,
-                format!(
-                    "not a Clifford circuit ({} T gates, {} other non-Clifford)",
-                    summary.t_count, summary.other_non_clifford
-                ),
-            ));
-            None
-        };
-
-        if let Some((circuit, why)) = candidate {
-            let (_, measured) = circuit.split_measurements();
-            if measured.len() > MAX_MEASURED_QUBITS {
-                considered.push(verdict(
-                    Engine::Stabilizer,
-                    tableau_required,
-                    device_bytes,
-                    false,
-                    format!(
-                        "measures {} qubits; stabilizer sampling packs outcomes into \
-                         {MAX_MEASURED_QUBITS}-bit keys",
-                        measured.len()
-                    ),
-                ));
-            } else if tableau_required <= device_bytes {
-                return Ok(Selection { engine: Engine::Stabilizer, canonical: circuit });
-            } else {
-                considered.push(verdict(
-                    Engine::Stabilizer,
-                    tableau_required,
-                    device_bytes,
-                    false,
-                    format!("{why}, but the tableau exceeds device memory"),
-                ));
-            }
-        }
+    if dense_required <= device_bytes {
+        return Ok(Engine::Dense);
     }
-
-    if dense_feasible {
-        return Ok(Selection { engine: Engine::Dense, canonical });
-    }
-    considered.push(verdict(
+    let mut considered = vec![verdict(
         Engine::Dense,
         dense_required,
         device_bytes,
         false,
         "state vector exceeds device memory",
-    ));
+    )];
 
     // Beyond the single-worker memory wall: plan a shard group. Every
     // doubling of the group buys one qubit (each worker then holds half
@@ -1045,7 +905,7 @@ fn select_engine(
             Some(shards) => {
                 counter_inc(names::SERVE_SHARD_JOBS);
                 histogram_record(names::SERVE_SHARD_WIDTH, f64::from(shards));
-                return Ok(Selection { engine: Engine::Sharded, canonical });
+                return Ok(Engine::Sharded);
             }
             None => considered.push(verdict(
                 Engine::Sharded,
@@ -1069,18 +929,17 @@ pub(crate) fn shard_min_local_width(cfg: &ServeConfig) -> u32 {
 }
 
 /// What a finished execution hands the publisher: the counts, the
-/// engine's stats, and — dense engines only — the marginal artifact for
-/// the state cache.
+/// engine's stats, and the marginal artifact for the state cache (none
+/// when the circuit measures nothing).
 pub(crate) type Executed = (Option<Counts>, ExecStats, Option<CachedMarginal>);
 
 /// One execution attempt of a job that missed both caches.
 ///
-/// Engines with a schedule cursor — the simulated-GPU dense engine and
-/// the shard group — run through the one stepper driver
-/// ([`crate::stepper::drive`]): recovery ladder, segment loop, checkpoint
-/// writes, die-after budget, final sample. Straight-through execution is
-/// that driver with an unbounded interval (one segment, nothing written).
-/// The stabilizer tableau has no cursor and runs whole.
+/// Both engines — the simulated-GPU dense engine and the shard group —
+/// run through the one stepper driver ([`crate::stepper::drive`]):
+/// recovery ladder, segment loop, checkpoint writes, die-after budget,
+/// final sample. Straight-through execution is that driver with an
+/// unbounded interval (one segment, nothing written).
 /// Deterministic throughout: equal `(circuit, shots, seed, precision,
 /// fusion_width)` produce bit-identical `Counts` on whichever rung the
 /// ladder lands — the property the caches rely on.
@@ -1109,12 +968,6 @@ fn run_attempt(shared: &Shared, job: &QueuedJob, injected: &Injected) -> Result<
                 drive::<T, _>(shared, job, &source, interval, injected.die_after)
             })
         }
-        // The tableau evolves + samples inside the engine and never feeds
-        // the marginal cache: it has no state vector.
-        Engine::Stabilizer => with_precision!(job.spec.precision, T => {
-            let out: RunOutput<T> = StabilizerBackend::default().run(&job.canonical, &opts)?;
-            Ok(Attempt::Finished(Box::new((out.counts, out.stats, None))))
-        }),
     }
 }
 
@@ -1371,8 +1224,8 @@ mod tests {
         match admission {
             Admission::RejectedInfeasible { required_bytes, device_bytes, considered } => {
                 assert!(required_bytes > device_bytes);
-                // The default DenseOnly policy priced exactly one engine,
-                // and the verdict explains the rejection.
+                // Without a shard config admission prices exactly one
+                // engine, and the verdict explains the rejection.
                 assert_eq!(considered.len(), 1);
                 assert_eq!(considered[0].engine, Engine::Dense);
                 assert!(!considered[0].feasible);
@@ -1381,108 +1234,6 @@ mod tests {
             other => panic!("expected RejectedInfeasible, got {other:?}"),
         }
         assert_eq!(service.queue_depth(), 0);
-        service.shutdown();
-    }
-
-    #[test]
-    fn auto_policy_routes_clifford_to_stabilizer_and_keeps_dense_for_general() {
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            selection: SelectionPolicy::Auto,
-            ..Default::default()
-        });
-        // Clifford circuit → stabilizer engine.
-        let id = service.submit(JobSpec::new(bell()).shots(200)).job_id().unwrap();
-        let outcome = service.wait(id).unwrap();
-        let counts = outcome.result().unwrap().counts.clone().unwrap();
-        assert_eq!(counts.total(), 200);
-        assert_eq!(counts.get(0) + counts.get(3), 200, "Bell pair measures 00/11 only");
-        // Non-Clifford circuit (T gate) → dense engine, still served.
-        let mut general = Circuit::new(2);
-        general.h(0).t(0).cx(0, 1).measure_all();
-        let id = service.submit(JobSpec::new(general).shots(100)).job_id().unwrap();
-        let outcome = service.wait(id).unwrap();
-        assert_eq!(outcome.result().unwrap().counts.as_ref().unwrap().total(), 100);
-        service.shutdown();
-    }
-
-    #[test]
-    fn auto_policy_admits_hundred_qubit_clifford_job() {
-        // 2^100 amplitudes is unconditionally infeasible dense; the
-        // tableau is a few kilobytes. Auto admission must route the job
-        // to the stabilizer engine and complete it.
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            selection: SelectionPolicy::Auto,
-            ..Default::default()
-        });
-        let mut ghz = Circuit::new(100);
-        ghz.h(0);
-        for q in 1..100 {
-            ghz.cx(q - 1, q);
-        }
-        for q in 0..64 {
-            ghz.measure(q);
-        }
-        let id = service.submit(JobSpec::new(ghz).shots(64)).job_id().unwrap();
-        let outcome = service.wait(id).unwrap();
-        let counts = outcome.result().unwrap().counts.clone().unwrap();
-        assert_eq!(counts.total(), 64);
-        for &key in counts.map.keys() {
-            assert!(key == 0 || key == u64::MAX, "GHZ measures all-0 or all-1");
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn rejection_lists_every_considered_backend_under_auto() {
-        // 33 qubits with a T gate: stabilizer inapplicable (non-Clifford),
-        // dense infeasible (137 GB > 40 GB) — both verdicts reported.
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            selection: SelectionPolicy::Auto,
-            ..Default::default()
-        });
-        let mut c = Circuit::new(33);
-        c.h(0).t(0).measure(0);
-        match service.submit(JobSpec::new(c)) {
-            Admission::RejectedInfeasible { considered, .. } => {
-                assert_eq!(considered.len(), 2, "both engines priced: {considered:?}");
-                assert_eq!(considered[0].engine, Engine::Stabilizer);
-                assert!(considered[0].reason.contains("not a Clifford circuit"));
-                assert_eq!(considered[1].engine, Engine::Dense);
-                assert!(considered[1].reason.contains("exceeds device memory"));
-            }
-            other => panic!("expected RejectedInfeasible, got {other:?}"),
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn min_fidelity_floor_downgrades_near_clifford_to_stabilizer() {
-        // One T gate: projection fidelity cos²(π/8) ≈ 0.8536. A floor of
-        // 0.8 admits the projected circuit on the stabilizer engine even
-        // at widths dense could never hold.
-        let service = Service::start(ServeConfig {
-            workers: 1,
-            selection: SelectionPolicy::Auto,
-            ..Default::default()
-        });
-        let mut c = Circuit::new(101);
-        c.h(0).t(0).cx(0, 1).measure(0).measure(1);
-        let id = service
-            .submit(JobSpec::new(c.clone()).shots(100).min_fidelity(0.8))
-            .job_id()
-            .unwrap();
-        assert!(service.wait(id).unwrap().result().is_some());
-        // The same job demanding exact results is rejected: stabilizer
-        // inapplicable, dense can't hold 101 qubits.
-        match service.submit(JobSpec::new(c).shots(100)) {
-            Admission::RejectedInfeasible { considered, .. } => {
-                assert_eq!(considered.len(), 2);
-            }
-            other => panic!("expected RejectedInfeasible, got {other:?}"),
-        }
         service.shutdown();
     }
 

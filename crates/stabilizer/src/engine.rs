@@ -5,9 +5,7 @@
 //! map to powers of S conjugated into the right axis (`rx = H·rz·H`,
 //! `ry ≅ S·H·rz·H·S†` up to global phase, which tableaus ignore), and the
 //! controlled phase at multiples of π maps to powers of CZ. Anything
-//! non-Clifford is rejected with [`SimError::UnsupportedGate`] — the
-//! admission layer in `qgear-serve` is expected to have classified the
-//! circuit first via `qgear_ir::clifford`.
+//! non-Clifford is rejected with [`SimError::UnsupportedGate`].
 //!
 //! Sampling keeps the workspace's bit-exact contracts:
 //! * narrow measured sets (≤ [`StabilizerBackend::exact_marginal_cap`])
@@ -23,7 +21,6 @@
 //!   `docs/BACKENDS.md`).
 
 use crate::tableau::Tableau;
-use qgear_ir::clifford::ANGLE_EPS;
 use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::Scalar;
 use qgear_statevec::sampling::SamplingConfig;
@@ -36,7 +33,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// `Counts` packs one measured qubit per key bit.
-pub const MAX_MEASURED_QUBITS: usize = 64;
+const MAX_MEASURED_QUBITS: usize = 64;
+
+/// Tolerance for matching rotation angles against Clifford angles: it
+/// absorbs an ulp or two of user-side `k·π/2` arithmetic without
+/// accepting a genuinely non-Clifford angle.
+const ANGLE_EPS: f64 = 1e-9;
 
 /// SplitMix64 — derives shot `index`'s measurement seed from the run's
 /// master seed, so each sampled shot is reproducible on its own.
@@ -447,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_gate_uses_tableau_bytes() {
+    fn memory_gate_uses_tableau_memory_bytes() {
         let opts = RunOptions { memory_limit: Some(1024), ..Default::default() };
         let mut tiny = Circuit::new(8);
         tiny.h(0);

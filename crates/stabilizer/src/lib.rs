@@ -10,9 +10,9 @@
 //!   invariant checker the property-test suite leans on;
 //! * [`StabilizerBackend`] — that tableau behind the exact same
 //!   [`Simulator`](qgear_statevec::Simulator) contract every dense engine
-//!   implements, so `qgear-serve` can route Clifford jobs here at
-//!   admission time (see `docs/BACKENDS.md`) and 100+ qubit GHZ jobs
-//!   complete in microseconds instead of being rejected as infeasible.
+//!   implements — a standalone engine, not a served one (see
+//!   `docs/BACKENDS.md`) — so 100+ qubit GHZ circuits run in microseconds
+//!   where a state vector could never be allocated.
 //!
 //! ```
 //! use qgear_ir::Circuit;
@@ -38,5 +38,5 @@
 pub mod engine;
 pub mod tableau;
 
-pub use engine::{StabilizerBackend, MAX_MEASURED_QUBITS};
+pub use engine::StabilizerBackend;
 pub use tableau::{Measurement, Tableau};

@@ -268,8 +268,8 @@ impl GpuDevice {
         let union_bits = &union_bits;
         (0..groups).into_par_iter().with_min_len(min_items::<T>(tile)).for_each(move |g| {
             // Tile scratch comes from the per-thread arena: one aligned
-            // buffer per worker is reused across every tile, sweep,
-            // segment, and batch member of this size (scratch.reuse).
+            // buffer per worker is reused across every tile, sweep and
+            // segment of this size (scratch.reuse).
             arena::with_scratch::<T, _>(tile, |scratch| {
                 // Expand the tile index around the union's qubit bits.
                 let base = expand_index(g, union_bits);

@@ -215,7 +215,7 @@ pub const SERVE_SHARD_WIDTH: &str = "serve.shard.width";
 // argument is built: call them under `qgear_telemetry::is_enabled()`.
 
 /// Per-engine counter name for admission-time backend choice, e.g.
-/// `admission.backend_chosen.stabilizer`.
+/// `admission.backend_chosen.sharded`.
 pub fn admission_backend_chosen(engine: &str) -> String {
     format!("admission.backend_chosen.{engine}")
 }

@@ -95,13 +95,20 @@ pub fn random_clifford(num_qubits: u32, depth: usize, seed: u64) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgear_ir::classify;
+    use qgear_ir::GateKind;
 
     #[test]
-    fn all_families_classify_clifford() {
-        assert!(classify(&ghz(5, 5)).is_clifford());
-        assert!(classify(&teleportation()).is_clifford());
-        assert!(classify(&random_clifford(4, 20, 7)).is_clifford());
+    fn all_families_emit_only_clifford_generators() {
+        use GateKind::*;
+        for c in [ghz(5, 5), teleportation(), random_clifford(4, 20, 7)] {
+            for g in c.gates() {
+                assert!(
+                    matches!(g.kind, H | S | Sdg | X | Y | Z | Cx | Cz | Swap | Measure),
+                    "{}: {g}",
+                    c.name
+                );
+            }
+        }
     }
 
     #[test]

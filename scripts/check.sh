@@ -30,8 +30,9 @@ fi
 # The pub surface says what other files use: a `pub` item of `crates/*`
 # that no other file names is printed (a type a pub signature hands out
 # belongs there; anything else wants `pub(crate)` or less), and one that
-# only its own `#[cfg(test)]` module names — or nothing does — fails.
-echo "==> dead pub: no pub item lives only for its own unit tests"
+# only its own `#[cfg(test)]` module names — or nothing does — fails, as
+# does a printed list longer than the script's A_MAX.
+echo "==> dead pub: no pub item lives only for its own unit tests; list A at most its cap"
 scripts/dead_pub.sh
 
 # Every `unsafe` block, fn and impl of `crates/` is a site the AddressSanitizer

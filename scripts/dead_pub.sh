@@ -11,7 +11,8 @@
 #
 #   A  named in no other file: printed for review. Public surface only
 #      its own file reaches; most of it wants `pub(crate)` or no `pub`
-#      unless a pub signature or a doctest hands it out.
+#      unless a pub signature or a doctest hands it out. More than
+#      A_MAX entries fail the run, so a new one has to displace an old one.
 #   B  of those, named nowhere in its own file's non-test part either
 #      (a doctest names it, comment prose does not): code that only its
 #      own unit tests run, or nothing does. Any B entry fails the run —
@@ -22,6 +23,7 @@
 # the lists can only under-report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+A_MAX=16
 
 lists="$(git ls-files -co --exclude-standard -- \
     'crates/*.rs' 'shims/*.rs' 'tests/*.rs' 'examples/*.rs' 'benchmark/src/*.rs' |
@@ -63,4 +65,9 @@ echo "A: $a pub items named in no other file (review: pub(crate) or private unle
 sed -n 's/^A /  /p' <<<"$lists"
 echo "B: $b pub items named nowhere outside their own #[cfg(test)] module"
 sed -n 's/^B /  /p' <<<"$lists"
+if [ "$a" -gt "$A_MAX" ]; then
+    echo "list A holds $a pub items, more than $A_MAX:" >&2
+    sed -n 's/^A /  /p' <<<"$lists" >&2
+    exit 1
+fi
 [ "$b" -eq 0 ]

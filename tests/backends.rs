@@ -1,5 +1,5 @@
 //! Cross-engine differential and property tests for the stabilizer
-//! backend and admission's engine choice (docs/BACKENDS.md).
+//! backend, a standalone `Simulator` engine (docs/BACKENDS.md).
 //!
 //! Three layers:
 //!
@@ -10,22 +10,16 @@
 //! * **Property** — proptest drives random Clifford words onto the raw
 //!   tableau: algebraic identities (`H² = 1`, `S⁴ = 1`, `CX² = 1`),
 //!   the stabilizer/destabilizer anticommutation invariant, and
-//!   measurement idempotence.
-//! * **End-to-end** — the serving runtime under a virtual clock admits
-//!   a 100-qubit Clifford job (infeasible dense), routes it to the
-//!   stabilizer engine, and completes it; infeasible jobs report a
-//!   verdict for every backend admission considered.
+//!   measurement idempotence; random Clifford words run on the engine,
+//!   and any T gate makes it refuse.
+//! * **Wide** — widths no state vector reaches (64–128 qubits) run on
+//!   the tableau with every shot kept.
 
 use proptest::prelude::*;
-use qgear_ir::{classify, Circuit};
-use qgear_perfmodel::memory;
-use qgear_serve::{Admission, JobOutcome, JobSpec, SelectionPolicy, ServeConfig, Service};
-use qgear_simtest::VirtualClock;
+use qgear_ir::Circuit;
 use qgear_stabilizer::{StabilizerBackend, Tableau};
 use qgear_statevec::{AerCpuBackend, Counts, RunOptions, RunOutput, SimError, Simulator};
 use qgear_workloads::clifford::{ghz, random_clifford, teleportation};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Differential: stabilizer vs dense on small Clifford circuits
@@ -101,22 +95,7 @@ fn stabilizer_matches_dense_on_seeded_random_cliffords() {
 }
 
 // ---------------------------------------------------------------------
-// Perf-model sync: admission prices exactly what the tableau allocates
-// ---------------------------------------------------------------------
-
-#[test]
-fn perfmodel_tableau_bytes_matches_the_engine_allocation_model() {
-    for n in [1u32, 2, 3, 8, 63, 64, 65, 100, 127, 128, 129, 1000, 4096] {
-        assert_eq!(
-            memory::tableau_bytes(n),
-            Tableau::memory_bytes(n),
-            "perfmodel and tableau disagree at n={n}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Property tests: tableau algebra and classifier/engine consistency
+// Property tests: tableau algebra and the engine's gate set
 // ---------------------------------------------------------------------
 
 /// A random Clifford word as raw tableau updates: `(kind, a, boff)` with
@@ -218,11 +197,10 @@ proptest! {
         prop_assert_eq!(second.value, first.value);
     }
 
-    /// The classifier and the engine agree on what is Clifford: every
-    /// circuit the classifier passes must lower onto the tableau, and
-    /// every T gate the classifier counts must make the engine reject.
+    /// Every Clifford word lowers onto the tableau, and a single T gate
+    /// makes the engine refuse the circuit.
     #[test]
-    fn classifier_and_engine_agree_on_cliffordness(
+    fn the_engine_runs_every_clifford_word_and_rejects_t_gates(
         word in arb_clifford_word(4, 24),
         t_gates in 0usize..3,
     ) {
@@ -244,12 +222,10 @@ proptest! {
         for k in 0..t_gates {
             c.t(k as u32);
         }
-        let summary = classify(&c);
-        prop_assert_eq!(summary.t_count, t_gates);
         let out: Result<RunOutput<f64>, SimError> =
             StabilizerBackend::default().run(&c, &RunOptions::default());
-        if summary.is_clifford() {
-            prop_assert!(out.is_ok(), "classifier-approved circuit rejected: {:?}", out.err());
+        if t_gates == 0 {
+            prop_assert!(out.is_ok(), "Clifford word rejected: {:?}", out.err());
         } else {
             prop_assert!(
                 matches!(out, Err(SimError::UnsupportedGate(_))),
@@ -261,39 +237,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: admission routing under a virtual clock
+// Wide: widths no state vector reaches
 // ---------------------------------------------------------------------
 
-/// Drain a virtually-clocked service (same helper as `tests/simtest.rs`):
-/// advance to successive sleeper deadlines until nothing is in flight,
-/// bounded in real time so a scheduling bug fails instead of hanging.
-fn drain(service: &Service, clock: &VirtualClock) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !service.is_idle() {
-        assert!(Instant::now() < deadline, "service failed to quiesce in 30s real time");
-        if clock.advance_to_next_sleeper().is_none() {
-            std::thread::sleep(Duration::from_micros(100));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 #[test]
-fn hundred_qubit_clifford_job_completes_end_to_end_under_virtual_time() {
+fn wide_clifford_runs_conserve_every_shot_on_the_tableau() {
     // 100 dense qubits would need 2^100 amplitudes; the tableau needs a
-    // few kilobytes. Auto selection must admit, route to the stabilizer
-    // engine, and complete — all on the simulated clock. The widths
-    // either side (64 = the outcome-key limit, 128 = two tableau words
-    // past it) and a fully measured 64-qubit random Clifford ride along:
-    // no shot may be lost at any of them.
-    let clock = Arc::new(VirtualClock::new());
-    let service = Service::start(ServeConfig {
-        workers: 2,
-        selection: SelectionPolicy::Auto,
-        clock: clock.clone(),
-        ..Default::default()
-    });
+    // few kilobytes. The widths either side (64 = the outcome-key limit,
+    // 128 = two tableau words past it) and a fully measured 64-qubit
+    // random Clifford ride along: no shot may be lost at any of them.
     let shots = 512;
     // (name, circuit, whether it is a GHZ state: all zeros or all ones)
     let jobs = [
@@ -303,16 +255,7 @@ fn hundred_qubit_clifford_job_completes_end_to_end_under_virtual_time() {
         ("random-clifford-64", random_clifford(64, 8, 0xC11F + 64), false),
     ];
     for (what, circuit, is_ghz) in jobs {
-        let id = service
-            .submit(JobSpec::new(circuit).shots(shots).seed(29))
-            .job_id()
-            .unwrap_or_else(|| panic!("{what} must be admitted under Auto selection"));
-        drain(&service, &clock);
-        let outcome = service.try_outcome(id).expect("job reached a terminal state");
-        let JobOutcome::Completed(result) = outcome else {
-            panic!("{what} did not complete: {outcome:?}");
-        };
-        let counts = result.counts.expect("measured job yields counts");
+        let counts = counts_on(&StabilizerBackend::default(), &circuit, shots, 29);
         assert_eq!(counts.total(), shots, "{what} lost shots");
         if is_ghz {
             for &key in counts.map.keys() {
@@ -323,38 +266,4 @@ fn hundred_qubit_clifford_job_completes_end_to_end_under_virtual_time() {
             }
         }
     }
-    service.shutdown();
-}
-
-#[test]
-fn infeasible_job_reports_a_verdict_for_every_considered_backend() {
-    let clock = Arc::new(VirtualClock::new());
-    let service = Service::start(ServeConfig {
-        workers: 1,
-        selection: SelectionPolicy::Auto,
-        clock: clock.clone(),
-        ..Default::default()
-    });
-    // 40 dense qubits overflow the modelled device; the single T gate
-    // rules out the stabilizer engine. Both verdicts must come back.
-    let mut c = Circuit::new(40);
-    c.h(0).t(0).cx(0, 1);
-    c.measure(0);
-    match service.submit(JobSpec::new(c)) {
-        Admission::RejectedInfeasible { considered, device_bytes, .. } => {
-            assert_eq!(considered.len(), 2, "expected dense + stabilizer verdicts");
-            assert!(considered.iter().all(|v| !v.feasible));
-            assert!(
-                considered.iter().any(|v| v.reason.contains("Clifford")),
-                "stabilizer verdict must explain the Clifford failure: {considered:?}"
-            );
-            let dense = considered
-                .iter()
-                .find(|v| v.engine == qgear_serve::Engine::Dense)
-                .expect("dense verdict present");
-            assert!(dense.required_bytes > device_bytes, "dense verdict must be a memory failure");
-        }
-        other => panic!("expected RejectedInfeasible, got {other:?}"),
-    }
-    service.shutdown();
 }

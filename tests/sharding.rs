@@ -26,6 +26,7 @@ use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, ExecStats, GpuDevice, RunOptions, RunOutput,
     SegmentedRun, Simulator, Stepper,
 };
+use qgear_workloads::clifford::ghz;
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::time::Duration;
 
@@ -230,27 +231,35 @@ fn sharded_stats_match_the_cluster_closed_form_and_survive_migration() {
 /// Admission control: the same job on the same tiny device is rejected
 /// without a shard config; with a config capped below the needed group
 /// width it is rejected *with a `Sharded` verdict* naming the cap. A
-/// 2-qubit job stays dense-admissible either way.
+/// 2-qubit job stays dense-admissible either way. Admission is a width
+/// test: a Clifford GHZ of the same width gets exactly the same verdicts.
 #[test]
 fn admission_rejects_or_explains_when_sharding_cannot_help() {
-    // No shard config: the legacy rejection.
+    let clifford = ghz(beyond_one_worker().num_qubits(), 4);
+    let verdicts = |service: &Service, circuit: Circuit| {
+        match service.submit(JobSpec::new(circuit)) {
+            Admission::RejectedInfeasible { required_bytes, device_bytes, considered } => {
+                (required_bytes, device_bytes, considered)
+            }
+            other => panic!("expected RejectedInfeasible, got {other:?}"),
+        }
+    };
+    // No shard config: a lone dense verdict.
     let service = Service::start(ServeConfig {
         workers: 1,
         backend: BackendKind::Gpu(tiny_device()),
         fusion_width: 1,
         ..Default::default()
     });
-    match service.submit(JobSpec::new(beyond_one_worker())) {
-        Admission::RejectedInfeasible { required_bytes, device_bytes, considered } => {
-            assert_eq!(required_bytes, 256);
-            assert_eq!(device_bytes, 192);
-            assert!(
-                !considered.iter().any(|v| v.engine == Engine::Sharded),
-                "no shard config ⇒ sharding is never considered: {considered:?}"
-            );
-        }
-        other => panic!("expected RejectedInfeasible, got {other:?}"),
-    }
+    let (required_bytes, device_bytes, considered) = verdicts(&service, beyond_one_worker());
+    assert_eq!(required_bytes, 256);
+    assert_eq!(device_bytes, 192);
+    assert_eq!(
+        considered.iter().map(|v| v.engine).collect::<Vec<_>>(),
+        [Engine::Dense],
+        "no shard config ⇒ sharding is never considered: {considered:?}"
+    );
+    assert_eq!(verdicts(&service, clifford.clone()), (required_bytes, device_bytes, considered));
     // A small job still fits dense.
     let mut bell = Circuit::new(2);
     bell.h(0).cx(0, 1).measure_all();
@@ -265,20 +274,17 @@ fn admission_rejects_or_explains_when_sharding_cannot_help() {
         shard: Some(ShardConfig { max_shards: 1 }),
         ..sharded_config()
     });
-    match capped.submit(JobSpec::new(beyond_one_worker())) {
-        Admission::RejectedInfeasible { considered, .. } => {
-            let verdict = considered
-                .iter()
-                .find(|v| v.engine == Engine::Sharded)
-                .expect("sharding must appear among the considered engines");
-            assert!(!verdict.feasible);
-            assert!(
-                verdict.reason.contains("1-worker cap"),
-                "the verdict names the cap: {verdict:?}"
-            );
-        }
-        other => panic!("expected RejectedInfeasible with a shard verdict, got {other:?}"),
-    }
+    let rejected = verdicts(&capped, beyond_one_worker());
+    let considered = &rejected.2;
+    assert_eq!(
+        considered.iter().map(|v| v.engine).collect::<Vec<_>>(),
+        [Engine::Dense, Engine::Sharded],
+        "sharding must appear among the considered engines"
+    );
+    let verdict = &considered[1];
+    assert!(!verdict.feasible);
+    assert!(verdict.reason.contains("1-worker cap"), "the verdict names the cap: {verdict:?}");
+    assert_eq!(verdicts(&capped, clifford), rejected, "Cliffordness never changes admission");
     capped.shutdown();
 }
 

@@ -449,23 +449,25 @@ fn json_sink_roundtrips_against_documented_schema() {
 /// survives the JSON export round trip.
 #[test]
 fn backend_selection_metrics_flow_into_the_json_export() {
-    use qgear_serve::{JobSpec, SelectionPolicy, ServeConfig, Service};
+    use qgear_serve::{BackendKind, JobSpec, ServeConfig, Service, ShardConfig};
     use qgear_workloads::clifford::ghz;
     let _l = LOCK.lock().unwrap();
     qgear_telemetry::reset();
     qgear_telemetry::enable();
+    // A 192-byte worker holds a 2-qubit fp64 state (64 B) but not a
+    // 4-qubit one (256 B), which a 2-shard group takes instead.
+    let mut tiny = GpuDevice::a100_40gb();
+    tiny.memory_bytes = 192;
     let service = Service::start(ServeConfig {
         workers: 1,
-        selection: SelectionPolicy::Auto,
+        backend: BackendKind::Gpu(tiny),
+        shard: Some(ShardConfig::default()),
+        fusion_width: 1,
         ..Default::default()
     });
-    // A Clifford job routes to the stabilizer engine under Auto...
-    let stab = service.submit(JobSpec::new(ghz(20, 20)).shots(100).seed(1)).job_id().unwrap();
-    // ...and a T-gate circuit stays dense.
-    let mut general = qgear_ir::Circuit::new(3);
-    general.h(0).t(0).cx(0, 1).measure_all();
-    let dense = service.submit(JobSpec::new(general).shots(50).seed(2)).job_id().unwrap();
-    for id in [stab, dense] {
+    let dense = service.submit(JobSpec::new(ghz(2, 2)).shots(50).seed(2)).job_id().unwrap();
+    let sharded = service.submit(JobSpec::new(ghz(4, 4)).shots(100).seed(1)).job_id().unwrap();
+    for id in [dense, sharded] {
         assert!(service.wait(id).expect("outcome").is_completed());
     }
     service.shutdown();
@@ -473,8 +475,8 @@ fn backend_selection_metrics_flow_into_the_json_export() {
     let snap = qgear_telemetry::snapshot();
     qgear_telemetry::reset();
 
-    assert_eq!(snap.counter(&names::admission_backend_chosen("stabilizer")), 1);
     assert_eq!(snap.counter(&names::admission_backend_chosen("dense")), 1);
+    assert_eq!(snap.counter(&names::admission_backend_chosen("sharded")), 1);
 
     let dir = std::env::temp_dir().join(format!("qgear-telemetry-bk-{}", std::process::id()));
     let sink = JsonSink::new(&dir);
@@ -483,8 +485,8 @@ fn backend_selection_metrics_flow_into_the_json_export() {
     let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
     let counters = value["counters"].as_object().expect("counters object");
     for key in [
-        names::admission_backend_chosen("stabilizer"),
         names::admission_backend_chosen("dense"),
+        names::admission_backend_chosen("sharded"),
     ] {
         assert!(counters.iter().any(|(k, _)| k == &key), "counter {key} missing from export");
     }
