@@ -45,7 +45,7 @@ pub const DEFAULT_SWEEP_WIDTH: usize = 12;
 /// Hard ceiling on [`SweepOptions::max_width`]: a `2^20`-amplitude tile
 /// (16 MiB fp64) is already far past any cache; wider requests are
 /// clamped.
-pub const MAX_SWEEP_WIDTH: usize = 20;
+const MAX_SWEEP_WIDTH: usize = 20;
 
 /// Knobs for the sweep scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,7 +12,10 @@
 //! `max_generations` checkpoints. Generation numbers are monotone per
 //! job and never reused, even across worker deaths, so the fault
 //! schedule can target "generation 1 of job 3" unambiguously and the
-//! telemetry log reads causally.
+//! telemetry log reads causally. Once the job's outcome is published the
+//! store forgets it, counter included: job ids are never reused, so
+//! nothing writes for that id again, and the store holds only jobs in
+//! flight.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -71,11 +74,17 @@ pub enum CheckpointRecord {
     },
 }
 
+/// One job's retained window and the number its next write gets.
+#[derive(Debug, Default)]
+struct JobGenerations {
+    window: VecDeque<CheckpointGeneration>,
+    next: u64,
+}
+
 /// Bounded, generational checkpoint storage for every in-flight job.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    generations: HashMap<u64, VecDeque<CheckpointGeneration>>,
-    next_gen: HashMap<u64, u64>,
+    jobs: HashMap<u64, JobGenerations>,
     max_generations: usize,
 }
 
@@ -84,54 +93,55 @@ impl CheckpointStore {
     /// (older generations are evicted as newer ones arrive). A bound of
     /// zero disables retention entirely.
     pub fn new(max_generations: usize) -> Self {
-        CheckpointStore { generations: HashMap::new(), next_gen: HashMap::new(), max_generations }
+        CheckpointStore { jobs: HashMap::new(), max_generations }
     }
 
     /// The generation number the next write for `job` will get.
-    /// Monotone per job; unaffected by eviction or [`Self::clear`].
+    /// Monotone per job and unaffected by eviction; 0 again once
+    /// [`Self::clear`] has forgotten the job.
     pub fn next_generation(&self, job: u64) -> u64 {
-        self.next_gen.get(&job).copied().unwrap_or(0)
+        self.jobs.get(&job).map_or(0, |j| j.next)
     }
 
     /// Record a new checkpoint for `job`, returning its generation
     /// number. Evicts the oldest retained generation when the window is
     /// full.
     pub fn record(&mut self, job: u64, cursor: u64, bytes: Vec<u8>) -> u64 {
-        let generation = self.next_gen.entry(job).or_insert(0);
-        let this_gen = *generation;
-        *generation += 1;
+        let entry = self.jobs.entry(job).or_default();
+        let generation = entry.next;
+        entry.next += 1;
         if self.max_generations == 0 {
-            return this_gen;
+            return generation;
         }
-        let window = self.generations.entry(job).or_default();
-        if window.len() >= self.max_generations {
-            window.pop_front();
+        if entry.window.len() >= self.max_generations {
+            entry.window.pop_front();
         }
-        window.push_back(CheckpointGeneration { generation: this_gen, cursor, bytes: Arc::new(bytes) });
-        this_gen
+        entry.window.push_back(CheckpointGeneration { generation, cursor, bytes: Arc::new(bytes) });
+        generation
     }
 
     /// Retained generations for `job`, newest first — the order the
     /// recovery ladder tries them in.
     pub fn newest_first(&self, job: u64) -> Vec<CheckpointGeneration> {
-        self.generations
+        self.jobs
             .get(&job)
-            .map(|w| w.iter().rev().cloned().collect())
+            .map(|j| j.window.iter().rev().cloned().collect())
             .unwrap_or_default()
     }
 
     /// Drop one generation of `job` (after it failed verification).
     pub fn drop_generation(&mut self, job: u64, generation: u64) {
-        if let Some(window) = self.generations.get_mut(&job) {
-            window.retain(|g| g.generation != generation);
+        if let Some(entry) = self.jobs.get_mut(&job) {
+            entry.window.retain(|g| g.generation != generation);
         }
     }
 
-    /// Forget all retained generations for `job` (it completed or was
-    /// terminally failed/cancelled). The generation counter is kept so
-    /// numbers stay unique for the job id's lifetime.
+    /// Forget `job` entirely — retained generations and the generation
+    /// counter. Called once its outcome is published (it completed or
+    /// was terminally failed/cancelled); job ids are never reused, so
+    /// nothing writes for it again.
     pub fn clear(&mut self, job: u64) {
-        self.generations.remove(&job);
+        self.jobs.remove(&job);
     }
 }
 
@@ -163,13 +173,16 @@ mod tests {
     }
 
     #[test]
-    fn generation_numbers_survive_clear() {
+    fn clear_forgets_the_window_and_the_counter() {
         let mut store = CheckpointStore::new(4);
         store.record(1, 1, vec![]);
+        store.record(1, 2, vec![]);
+        store.record(2, 1, vec![]);
         store.clear(1);
         assert!(store.newest_first(1).is_empty());
-        assert_eq!(store.record(1, 1, vec![]), 1, "counter not reused");
-        assert_eq!(store.next_generation(1), 2);
+        assert_eq!(store.next_generation(1), 0, "nothing is kept for a cleared job");
+        assert_eq!(store.next_generation(2), 1, "other jobs are untouched");
+        assert_eq!(store.jobs.len(), 1);
     }
 
     #[test]

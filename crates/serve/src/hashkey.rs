@@ -54,8 +54,9 @@ impl CircuitKey {
         let mut h = Fnv::new();
         // Domain tag: state keys must never be confused with result keys.
         h.u64(0x5747_4154_454b_4559); // "WGATEKEY"
-        // The marginal cache is only populated and probed on the dense
-        // path, so engine knobs never reach this digest.
+        // No engine tag: inside one service, admission's engine is a
+        // function of width, precision and fusion width, all digested
+        // here, so two engines never share an entry.
         h.gates(circuit);
         h.u64(match spec.precision {
             Precision::Fp32 => 1,

@@ -103,9 +103,7 @@ pub struct BackendVerdict {
     pub required_bytes: u128,
     /// Bytes the backing device offers.
     pub capacity_bytes: u128,
-    /// True when the engine could have run the job.
-    pub feasible: bool,
-    /// Human-readable explanation (why infeasible, or why chosen).
+    /// Human-readable explanation (why infeasible).
     pub reason: String,
 }
 

@@ -101,13 +101,14 @@ pub struct ServeConfig {
     /// it is covered by the checkpoint plan fingerprint.
     pub sweep_width: usize,
     /// Schedule steps per execution segment when checkpointed execution
-    /// is enabled. `0` (the default) disables checkpointing: each
-    /// attempt then runs its whole schedule as one segment and nothing
-    /// is written.
+    /// is enabled. `0` (the default) disables checkpointing for dense
+    /// jobs: each attempt then runs its whole schedule as one segment
+    /// and nothing is written. Sharded jobs always checkpoint, every
+    /// `checkpoint_interval.max(1)` steps.
     pub checkpoint_interval: usize,
     /// Checkpoint generations retained per job (newest wins; older ones
-    /// are the recovery ladder's fallbacks). Ignored while
-    /// `checkpoint_interval == 0`.
+    /// are the recovery ladder's fallbacks). Dense jobs ignore it while
+    /// `checkpoint_interval == 0`; sharded jobs always use it.
     pub checkpoint_generations: usize,
     /// Result-cache entries to retain (0 disables caching).
     pub cache_capacity: usize,
@@ -652,9 +653,10 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     // different sampling knobs. Re-sample the cached exact marginal —
     // no device time, and bit-identical to what a cold run would draw
     // (both paths share `marginal_of_runs`/`sample_from_probs`). The
-    // state key does not digest the engine: a sharded run's amplitudes,
-    // in logical order, are bit-identical to a single-device dense
-    // evolution of the same circuit, so both engines share entries.
+    // state key need not digest the engine: inside one service,
+    // admission's engine is a function of width, precision and fusion
+    // width, all of which the key digests, so two engines never share
+    // an entry.
     let marginal = shared.lock().marginals.get(job.state_key);
     if let Some(hit) = marginal {
         let _job_span = span!(spans::SERVE_JOB);
@@ -864,10 +866,9 @@ fn verdict(
     engine: Engine,
     required_bytes: u128,
     capacity_bytes: u128,
-    feasible: bool,
     reason: impl Into<String>,
 ) -> BackendVerdict {
-    BackendVerdict { engine, required_bytes, capacity_bytes, feasible, reason: reason.into() }
+    BackendVerdict { engine, required_bytes, capacity_bytes, reason: reason.into() }
 }
 
 /// Admission's width test over an `n`-qubit job: [`Engine::Dense`] when
@@ -887,7 +888,6 @@ fn select_engine(cfg: &ServeConfig, spec: &JobSpec, n: u32) -> Result<Engine, Ve
         Engine::Dense,
         dense_required,
         device_bytes,
-        false,
         "state vector exceeds device memory",
     )];
 
@@ -911,7 +911,6 @@ fn select_engine(cfg: &ServeConfig, spec: &JobSpec, n: u32) -> Result<Engine, Ve
                 Engine::Sharded,
                 dense_required,
                 device_bytes,
-                false,
                 format!("no admissible shard group within the {}-worker cap", shard.max_shards),
             )),
         }
@@ -1091,6 +1090,33 @@ mod tests {
     }
 
     #[test]
+    fn a_published_job_leaves_nothing_in_the_checkpoint_store() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cx(1, 2).measure_all();
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            fusion_width: 1,
+            sweep_width: 0,
+            checkpoint_interval: 1,
+            checkpoint_generations: 3,
+            ..Default::default()
+        });
+        let id = service.submit(JobSpec::new(c).shots(100)).job_id().unwrap();
+        assert!(service.wait(id).unwrap().is_completed());
+        let wrote = checkpoint_records(&service);
+        assert!(
+            wrote.iter().any(|r| matches!(r, CheckpointRecord::Wrote { .. })),
+            "the job must have checkpointed: {wrote:?}"
+        );
+        {
+            let st = service.shared.lock();
+            assert_eq!(st.checkpoints.next_generation(id.0), 0);
+            assert!(st.checkpoints.newest_first(id.0).is_empty());
+        }
+        service.shutdown();
+    }
+
+    #[test]
     fn all_generations_corrupt_forces_a_cold_restart() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2).measure_all();
@@ -1228,7 +1254,6 @@ mod tests {
                 // engine, and the verdict explains the rejection.
                 assert_eq!(considered.len(), 1);
                 assert_eq!(considered[0].engine, Engine::Dense);
-                assert!(!considered[0].feasible);
                 assert!(considered[0].reason.contains("exceeds device memory"));
             }
             other => panic!("expected RejectedInfeasible, got {other:?}"),

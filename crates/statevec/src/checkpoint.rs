@@ -43,10 +43,10 @@ use qgear_num::{Complex, Scalar};
 use std::fmt;
 
 /// Leading magic of every checkpoint.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"QCKP";
+const CHECKPOINT_MAGIC: [u8; 4] = *b"QCKP";
 
 /// Current format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+const CHECKPOINT_VERSION: u16 = 1;
 
 /// Widest register a checkpoint may claim; anything larger is treated
 /// as metadata corruption (2^40 fp64 amplitudes is already 16 TiB).

@@ -97,7 +97,7 @@ impl SamplingConfig {
 /// normal(np, np(1-p)) approximation rounded and clamped — standard for
 /// the `np(1-p) > ~1000` regime where the approximation error is orders of
 /// magnitude below shot noise.
-pub fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
+fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
     if p <= 0.0 || n == 0 {
         return 0;
     }

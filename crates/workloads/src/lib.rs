@@ -1,6 +1,7 @@
 //! The paper's benchmark workloads.
 //!
-//! Three circuit families drive every figure in the evaluation:
+//! Three circuit families drive every figure in the evaluation, and
+//! [`images`] feeds the third:
 //!
 //! * [`random`] — Appendix D.1's randomized CX-block unitaries (Fig. 4a
 //!   "short"/"long" at 100/10 000 blocks; Fig. 4b's 3 000-block
@@ -13,12 +14,8 @@
 //!   CX per pixel, shot-based reconstruction, and quality metrics;
 //! * [`images`] — deterministic synthetic grayscale images standing in
 //!   for the paper's Finger/Shoes/Building/Zebra set (same dimensions;
-//!   QCrank's cost depends only on pixel count and qubit split);
-//! * [`clifford`] — Clifford circuit families (GHZ, teleportation,
-//!   seeded random Clifford) for the stabilizer backend's differential
-//!   tests and the 100+ qubit admission demonstrations.
+//!   QCrank's cost depends only on pixel count and qubit split).
 
-pub mod clifford;
 pub mod images;
 pub mod qcrank;
 pub mod qft;

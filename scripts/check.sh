@@ -6,16 +6,17 @@ cd "$(dirname "$0")/.."
 before="$(git status --porcelain --untracked-files=no)"
 
 # Manifests say what the sources use: a `[dependencies]` or
-# `[dev-dependencies]` entry of a crate or shim that no file under its
-# `src/`, `tests/` or `benches/` names is a leftover, and
-# shims/README.md's table lists exactly the shims that exist.
-echo "==> manifests: every declared dependency is named by its crate; shims/README.md lists every shim"
+# `[dev-dependencies]` entry of the root package, a crate or a shim that
+# no file under its `src/`, `tests/`, `benches/` or `examples/` names is
+# a leftover, and shims/README.md's table lists exactly the shims that
+# exist.
+echo "==> manifests: every declared dependency is named by its package; shims/README.md lists every shim"
 stale=0
-for manifest in crates/*/Cargo.toml shims/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
     dir="$(dirname "$manifest")"
     for dep in $(awk '/^\[/ { deps = /^\[(dev-)?dependencies\]$/ } deps && /^[a-z]/ { print $1 }' "$manifest"); do
-        if ! grep -rqw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" 2>/dev/null; then
-            echo "$manifest: '$dep' is named by no source file of the crate" >&2
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" "$dir/examples" 2>/dev/null; then
+            echo "$manifest: '$dep' is named by no source file of the package" >&2
             stale=1
         fi
     done

@@ -677,13 +677,10 @@ fn serve_counts_match_direct_evolve_and_sample() {
 }
 
 /// A served job's counts are bit-identical to directly evolving and
-/// sampling the canonical circuit with the same knobs, on a non-Clifford
-/// rotation ladder (the QFT case is
-/// `serve_counts_match_direct_evolve_and_sample`).
+/// sampling the canonical circuit with the same knobs, on a rotation
+/// ladder (the QFT case is `serve_counts_match_direct_evolve_and_sample`).
 #[test]
 fn a_served_rotation_ladder_matches_direct_evolve_and_sample() {
-    // Rotation angles keep the circuit off the Clifford/stabilizer path
-    // so admission selects the dense engine.
     let mut circ = Circuit::new(5);
     for q in 0..5 {
         circ.h(q).ry(0.23 + 0.31 * f64::from(q), q);

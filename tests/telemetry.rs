@@ -450,7 +450,15 @@ fn json_sink_roundtrips_against_documented_schema() {
 #[test]
 fn backend_selection_metrics_flow_into_the_json_export() {
     use qgear_serve::{BackendKind, JobSpec, ServeConfig, Service, ShardConfig};
-    use qgear_workloads::clifford::ghz;
+    let ghz = |n: u32| {
+        let mut c = qgear_ir::Circuit::new(n);
+        c.h(0);
+        for q in 1..n {
+            c.cx(q - 1, q);
+        }
+        c.measure_all();
+        c
+    };
     let _l = LOCK.lock().unwrap();
     qgear_telemetry::reset();
     qgear_telemetry::enable();
@@ -465,8 +473,8 @@ fn backend_selection_metrics_flow_into_the_json_export() {
         fusion_width: 1,
         ..Default::default()
     });
-    let dense = service.submit(JobSpec::new(ghz(2, 2)).shots(50).seed(2)).job_id().unwrap();
-    let sharded = service.submit(JobSpec::new(ghz(4, 4)).shots(100).seed(1)).job_id().unwrap();
+    let dense = service.submit(JobSpec::new(ghz(2)).shots(50).seed(2)).job_id().unwrap();
+    let sharded = service.submit(JobSpec::new(ghz(4)).shots(100).seed(1)).job_id().unwrap();
     for id in [dense, sharded] {
         assert!(service.wait(id).expect("outcome").is_completed());
     }
