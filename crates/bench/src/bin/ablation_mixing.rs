@@ -2,8 +2,8 @@
 //! optimization) vs naive remap-everything.
 //!
 //! Kernels that do not *mix* a device-global qubit — pure controls and
-//! diagonal phases — run with zero communication by conditioning each
-//! device's sub-block on its rank bits. This bin quantifies the exchange
+//! diagonal phases — run with zero communication: each device selects
+//! the sub-unitaries its rank bits pick. This bin quantifies the exchange
 //! traffic that optimization removes, per workload, at paper scale
 //! (planned) and small scale (executed).
 //!

@@ -145,8 +145,9 @@ impl<T: Scalar> DistributedState<T> {
     /// Global operands the kernel *mixes* are first remapped onto local
     /// positions (pairwise half-exchanges). Global operands it does **not**
     /// mix — pure controls and diagonal phases — stay global: each device
-    /// applies the sub-block conditioned on its own rank bits, with zero
-    /// communication (the cuQuantum-style control/diagonal optimization).
+    /// applies the sub-table its own rank bits select
+    /// ([`FusedBlock::select`]), with zero communication (the
+    /// cuQuantum-style control/diagonal optimization).
     ///
     /// The kernel itself is [`GpuDevice::apply_to_slices`]: planned once
     /// per step at the operands' physical positions — once per rank-bit
@@ -179,25 +180,25 @@ impl<T: Scalar> DistributedState<T> {
             bits.map(|(bit, &(_, rank_bit))| (rank >> rank_bit & 1) << bit).sum()
         };
         // One kernel per rank-bit pattern, shared by every device with
-        // that pattern: with nothing conditional, the block's own
-        // unitary on every slice.
+        // that pattern: the sub-table the pattern selects, or with
+        // nothing conditional the block itself on every slice.
         for pattern in 0..1usize << conditional.len() {
-            let conditioned;
-            let unitary = if conditional.is_empty() {
-                &block.unitary
+            let selected;
+            let kernel = if conditional.is_empty() {
+                block
             } else {
-                let conditions: Vec<(usize, usize)> = conditional
+                let fixed: Vec<(usize, usize)> = conditional
                     .iter()
                     .enumerate()
                     .map(|(bit, &(j, _))| (j, (pattern >> bit) & 1))
                     .collect();
-                conditioned = block.unitary.condition_on(&conditions);
-                &conditioned
+                selected = block.select(&fixed);
+                &selected
             };
             let slices = self.parts.iter_mut().enumerate();
             let slices = slices.filter(|&(rank, _)| pattern_of(rank) == pattern);
             let slices = slices.map(|(_, part)| part.as_mut_slice());
-            GpuDevice::apply_to_slices(slices, unitary, &positions);
+            GpuDevice::apply_to_slices(slices, kernel, &positions);
         }
         if self.restore_layout {
             self.restore_identity_layout()?;

@@ -80,7 +80,7 @@ impl QubitLayout {
     /// Mixing-aware planning: only operands the kernel actually *mixes*
     /// (per [`qgear_ir::fusion::FusedBlock::mixing_mask`]) must be local;
     /// unmixed operands (pure controls / diagonal phases) stay global and
-    /// are handled by rank-conditioned sub-blocks with zero communication.
+    /// are handled by rank-selected sub-tables with zero communication.
     pub fn plan_block_mixing(
         &mut self,
         block_qubits: &[u32],
@@ -98,10 +98,15 @@ impl QubitLayout {
             else {
                 break;
             };
+            // The highest local position no block qubit holds, else the
+            // highest one an unmixed block qubit holds: a block may span
+            // more qubits than the local width, never mix more.
+            let unmixed_at = |cand: u32| phys.iter().zip(mixing).any(|(&p, &m)| p == cand && !m);
             let free = (0..lw)
                 .rev()
                 .find(|cand| !phys.contains(cand))
-                .expect("block wider than local width");
+                .or_else(|| (0..lw).rev().find(|&cand| unmixed_at(cand)))
+                .expect("block mixes more qubits than the local width");
             let swap = PlannedSwap { local: free, global: phys[pos] };
             self.note_swap(swap.local, swap.global);
             swaps.push(swap);
@@ -236,6 +241,17 @@ mod tests {
         assert!(l.physical(7) < 5);
         // Planning again is free.
         assert!(l.plan_block(&[6, 7]).is_empty());
+    }
+
+    #[test]
+    fn a_block_wider_than_the_local_width_displaces_a_control() {
+        // Six qubits over four local positions: a kernel mixing global
+        // qubit 5 and only controlling 0..=4 holds every local position,
+        // so the control at the highest one goes global in its place.
+        let mut l = QubitLayout::identity(6, 4);
+        let swaps = l.plan_block_mixing(&[5, 0, 1, 2, 3, 4], &[true, false, false, false, false, false]);
+        assert_eq!(swaps, vec![PlannedSwap { local: 3, global: 5 }]);
+        assert_eq!((l.physical(5), l.physical(3)), (3, 5));
     }
 
     #[test]

@@ -70,6 +70,19 @@ mod tests {
     }
 
     #[test]
+    fn gates_on_different_qubits_stay_separate_kernels() {
+        // A native `cr1` opens with two `rz` on different qubits: phases a
+        // wider window would merge into one kernel. Here every native gate
+        // is its own kernel.
+        let mut c = Circuit::new(2);
+        c.h(0).h(1).cr1(0.7, 0, 1);
+        let native = qgear_ir::transpile::decompose_to_native(&c).0;
+        let out: RunOutput<f64> =
+            PennylaneLikeBackend::default().run(&native, &RunOptions::default()).unwrap();
+        assert_eq!(out.stats.kernels_launched as usize, native.gates().len());
+    }
+
+    #[test]
     fn fusion_width_request_is_ignored() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2).h(2);

@@ -1,22 +1,37 @@
-//! CUDA-Q-style gate fusion.
+//! CUDA-Q-style gate fusion into multiplexed kernels.
 //!
 //! The paper's QFT kernel "specifies hyperparameters (gate fusion = 5)"
-//! (Appendix D.2): consecutive gates whose combined support stays within a
-//! window of `k` qubits are multiplied into a single dense `2^k × 2^k`
-//! kernel, so each state-vector sweep applies many gates at once.
+//! (Appendix D.2): consecutive gates are multiplied into one kernel, so
+//! each state-vector pass applies many gates at once. A fused kernel here
+//! is a [`FusedBlock`]: its qubits, the mask of the qubits it **mixes**
+//! (couples the 0- and 1-subspaces of), and one `2^μ × 2^μ` sub-unitary
+//! per assignment of the `u` qubits it does not mix — a *multiplexed*
+//! kernel, block-diagonal in its controls and phases. A diagonal is the
+//! `μ = 0` case, a dense kernel the `u = 0` case, and a uniformly
+//! controlled rotation (QCrank's Gray-code `ry`/`cx` ladder) one kernel of
+//! `2^u` `2×2` sub-unitaries, as Qrack and Qibo's custom kernels apply it
+//! (PAPERS.md).
 //!
-//! Fusion trades state passes for arithmetic, and the trade is **not**
-//! unconditionally profitable: a dense width-`k` kernel costs `2^k`
-//! mul-adds per amplitude, so fusing a handful of cheap specialized gates
-//! (`cx`, `rz`) into one dense kernel can cost *more* than applying them
-//! one at a time — the hot-path bench measures a 3–6× fused-mode
-//! regression on the `random` and `qcrank` workloads. Fusion pays off
-//! when the kernel has exploitable structure (a diagonal kernel is one
-//! multiply per amplitude, one that mixes `μ < k` of its qubits `2^μ`
-//! mul-adds: [`DenseUnitary::diagonal`], [`DenseUnitary::mixed_bits`]) or
-//! when the run is bandwidth-bound and saving state passes dominates.
-//! The adaptive planner in `qgear-statevec::planner` makes that call per
-//! segment from a cost model instead of assuming fusion always wins.
+//! A kernel costs `2^μ` mul-adds per amplitude and one pass over the
+//! state, so the window that matters is the table, not the support:
+//! [`Window::Table`] admits a gate while the block's table stays within
+//! `4^w` entries (`2^u · 4^μ ≤ 4^w`, no larger than a dense width-`w`
+//! kernel), which lets a block grow through any number of qubits it only
+//! controls or phases. [`Window::Support`] is CUDA-Q's own rule — at most
+//! `w` qubits of support — which the A100 model in `qgear-perfmodel`
+//! keeps, because the paper's figures were measured under it. The two
+//! windows run one fuser loop; the admission test is the only
+//! difference. The adaptive planner in `qgear-statevec::planner` prices
+//! each scheduled segment of kernels against per-gate execution.
+//!
+//! Every table entry is the entry of the dense `2^k × 2^k` product the
+//! same gates would build, computed by the same expression over the same
+//! sources in the same order, less the terms whose source lies in another
+//! sub-unitary — an exact zero of the dense product, met by an exactly
+//! zero gate entry. Adding a zero changes no nonzero sum, so the entries
+//! agree bit for bit in every nonzero component; a zero component may
+//! differ in its sign, which no kernel result can see (the zero argument
+//! at `qgear-statevec`'s `classify`).
 //!
 //! [`fuse`] performs the greedy window fusion; [`FusedProgram`] is the
 //! executable kernel list handed to the engines in `qgear-statevec`,
@@ -24,11 +39,13 @@
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
-use qgear_num::C64;
+use qgear_num::{Mat2, Mat4, C64};
 use std::fmt;
 
-/// Maximum supported fusion window; `2^6 × 2^6` matrices are the largest
-/// dense kernels we materialize (the paper uses 5).
+/// Largest fusion width a caller may ask for. A block's table holds at
+/// most `4^width` entries — `2^u` sub-unitaries of `2^μ × 2^μ` with
+/// `u + 2μ ≤ 2·width` — so a block mixes at most `width` qubits and
+/// spans at most `2·width` (the paper uses 5).
 pub const MAX_FUSION_WIDTH: usize = 6;
 
 /// Errors the fusion pass can report instead of aborting the process.
@@ -39,7 +56,7 @@ pub const MAX_FUSION_WIDTH: usize = 6;
 /// that feed known-good circuits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FusionError {
-    /// A gate had more operands than dense-kernel fusion supports.
+    /// A gate had more operands than kernel fusion supports.
     UnsupportedArity {
         /// Gate mnemonic (e.g. `ccx`).
         gate: String,
@@ -80,311 +97,362 @@ impl std::error::Error for FusionError {}
 /// Default fusion window matching the paper's `gate fusion = 5`.
 pub const DEFAULT_FUSION_WIDTH: usize = 5;
 
-/// A dense unitary over `k ≤ MAX_FUSION_WIDTH` qubits, row-major
-/// `2^k × 2^k`, always stored in f64 (engines cast to their precision).
-///
-/// Local index convention: bit `j` of a row/column index corresponds to
-/// `qubits[j]` of the owning [`FusedBlock`] (little-endian, like the global
-/// state index).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseUnitary {
-    k: usize,
-    m: Vec<C64>,
+/// Which blocks a fusion width admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// CUDA-Q's rule: at most `width` qubits of support, however few of
+    /// them the block mixes.
+    Support,
+    /// At most `4^width` table entries: `2^u · 4^μ ≤ 4^width` for a block
+    /// that mixes `μ` qubits and only controls or phases `u` more. Width 1
+    /// is the per-gate window of both rules (a block of one qubit): a
+    /// table of two phases on two qubits would merge gates on different
+    /// qubits and buy no mul-add.
+    Table,
 }
 
-impl DenseUnitary {
-    /// Identity over `k` qubits.
-    pub fn identity(k: usize) -> Self {
-        assert!(k <= MAX_FUSION_WIDTH, "fusion width {k} exceeds {MAX_FUSION_WIDTH}");
-        let dim = 1usize << k;
-        let mut m = vec![C64::ZERO; dim * dim];
-        for i in 0..dim {
-            m[i * dim + i] = C64::ONE;
+impl Window {
+    fn admits(self, width: usize, unmixed: usize, mixed: usize) -> bool {
+        match self {
+            Window::Table if width > 1 => unmixed + 2 * mixed <= 2 * width,
+            _ => unmixed + mixed <= width,
         }
-        DenseUnitary { k, m }
     }
+}
 
-    /// Build a unitary from raw row-major elements (`2^k × 2^k` of them).
-    /// The caller is responsible for unitarity — check with
-    /// [`DenseUnitary::is_unitary`] when the elements come from outside
-    /// the fusion pass.
-    pub fn from_elements(k: usize, m: Vec<C64>) -> Self {
-        assert!(k <= MAX_FUSION_WIDTH, "fusion width {k} exceeds {MAX_FUSION_WIDTH}");
-        assert_eq!(m.len(), (1usize << k) * (1usize << k), "element count must be 4^k");
-        DenseUnitary { k, m }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.k
-    }
-
-    /// Matrix dimension `2^k`.
-    pub fn dim(&self) -> usize {
-        1 << self.k
-    }
-
-    /// Element at `(row, col)`.
-    #[inline]
-    pub fn at(&self, row: usize, col: usize) -> C64 {
-        self.m[row * self.dim() + col]
-    }
-
-    /// Raw row-major elements.
-    pub fn elements(&self) -> &[C64] {
-        &self.m
-    }
-
-    /// Grow to `k_new` qubits by tensoring identity onto new high local
-    /// bits: `I ⊗ self` (existing local bits keep their positions).
-    pub fn grow(&self, k_new: usize) -> Self {
-        assert!(k_new >= self.k && k_new <= MAX_FUSION_WIDTH);
-        if k_new == self.k {
-            return self.clone();
+/// Scatter the low bits of `packed` onto the set bits of `mask`, lowest
+/// first.
+#[inline]
+fn deposit(mut packed: usize, mut mask: usize) -> usize {
+    let mut out = 0;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        if packed & 1 != 0 {
+            out |= low;
         }
-        let old_dim = self.dim();
-        let new_dim = 1usize << k_new;
-        let mut m = vec![C64::ZERO; new_dim * new_dim];
-        let blocks = new_dim / old_dim;
-        for b in 0..blocks {
-            let off = b * old_dim;
-            for r in 0..old_dim {
-                for c in 0..old_dim {
-                    m[(off + r) * new_dim + (off + c)] = self.m[r * old_dim + c];
-                }
+        packed >>= 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+/// Gather the bits of `index` that `mask` selects into the low bits,
+/// lowest first (the inverse of [`deposit`]).
+#[inline]
+fn extract(index: usize, mut mask: usize) -> usize {
+    let (mut out, mut bit) = (0, 0);
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        if index & low != 0 {
+            out |= 1 << bit;
+        }
+        bit += 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+/// `2^k - 1`: the mask of `k` local bits.
+fn low_bits(k: usize) -> usize {
+    (1usize << k) - 1
+}
+
+/// Apply a 2×2 action to every pair of table rows one mixed bit apart:
+/// in each sub-unitary (`sq` entries) the entries `half` apart, row by
+/// row. `coef(t)` is the action in sub-unitary `t`, `row(g, lo, hi)` one
+/// output entry from its coefficient row and the two sources.
+fn pairs(
+    src: &[C64],
+    dst: &mut [C64],
+    sq: usize,
+    half: usize,
+    coef: impl Fn(usize) -> [[C64; 2]; 2],
+    row: impl Fn([C64; 2], C64, C64) -> C64,
+) {
+    for (t, (s, d)) in src.chunks_exact(sq).zip(dst.chunks_exact_mut(sq)).enumerate() {
+        let g = coef(t);
+        for (s, d) in s.chunks_exact(2 * half).zip(d.chunks_exact_mut(2 * half)) {
+            let (lo, hi) = s.split_at(half);
+            let (dlo, dhi) = d.split_at_mut(half);
+            for j in 0..half {
+                dlo[j] = row(g[0], lo[j], hi[j]);
+                dhi[j] = row(g[1], lo[j], hi[j]);
             }
         }
-        DenseUnitary { k: k_new, m }
+    }
+}
+
+/// Scale every sub-unitary (`sq` entries) by one entry, `coef(t)` for
+/// sub-unitary `t`: a gate that mixes none of its operands.
+fn scale(src: &[C64], dst: &mut [C64], sq: usize, coef: impl Fn(usize) -> C64) {
+    for (t, (s, d)) in src.chunks_exact(sq).zip(dst.chunks_exact_mut(sq)).enumerate() {
+        let g = coef(t);
+        for (e, &x) in d.iter_mut().zip(s) {
+            *e = g * x;
+        }
+    }
+}
+
+/// A gate's matrix, read once per gate.
+enum GateMatrix {
+    One(Mat2<f64>),
+    Two(Mat4<f64>),
+}
+
+impl GateMatrix {
+    fn of(gate: &Gate) -> Result<Self, FusionError> {
+        let missing = || FusionError::MissingMatrix { gate: gate.kind.name().to_owned() };
+        match gate.operands().len() {
+            1 => gate.matrix2::<f64>().map(GateMatrix::One).ok_or_else(missing),
+            2 => gate.matrix4::<f64>().map(GateMatrix::Two).ok_or_else(missing),
+            n => Err(FusionError::UnsupportedArity { gate: gate.kind.name().to_owned(), arity: n }),
+        }
     }
 
-    /// Left-multiply by a gate embedded at the given local bit positions:
-    /// `self ← E(gate) · self`, i.e. the gate is applied *after* the block's
-    /// existing contents (circuit order).
-    ///
-    /// `positions` maps each gate operand to its local bit (operand 0 → the
-    /// control/high bit of a [`qgear_num::Mat4`]).
-    ///
-    /// Rejects gates of unsupported arity instead of panicking, so a
-    /// serving worker can turn a malformed circuit into a job error.
-    ///
-    /// Out of line on purpose: inlined into its one caller's gate loop,
-    /// [`try_fuse`] measured 25–40 % slower (qft-12 150 → 190 µs,
-    /// qcrank-13 4.0 → 5.5 ms, best of 9 × 30, interleaved).
-    #[inline(never)]
-    fn try_push_gate(&mut self, gate: &Gate, positions: &[usize]) -> Result<(), FusionError> {
-        let dim = self.dim();
-        let mut out = vec![C64::ZERO; dim * dim];
-        match positions.len() {
-            1 => {
-                let g = gate.matrix2::<f64>().ok_or_else(|| FusionError::MissingMatrix {
-                    gate: gate.kind.name().to_owned(),
-                })?;
-                let p = positions[0];
-                let pm = 1usize << p;
-                // out[r][c] = sum_s E[r][s]·m[s][c]; E couples only rows
-                // differing in bit p.
-                for r in 0..dim {
-                    let rb = usize::from(r & pm != 0);
-                    let r0 = r & !pm;
-                    let r1 = r | pm;
-                    for c in 0..dim {
-                        out[r * dim + c] = g.m[rb][0] * self.m[r0 * dim + c]
-                            + g.m[rb][1] * self.m[r1 * dim + c];
-                    }
-                }
-            }
-            2 => {
-                let g = gate.matrix4::<f64>().ok_or_else(|| FusionError::MissingMatrix {
-                    gate: gate.kind.name().to_owned(),
-                })?;
-                let (pa, pb) = (positions[0], positions[1]);
-                let (ma, mb) = (1usize << pa, 1usize << pb);
-                for r in 0..dim {
-                    let ra = usize::from(r & ma != 0);
-                    let rb = usize::from(r & mb != 0);
-                    let row = 2 * ra + rb;
-                    let base = r & !(ma | mb);
-                    let sources = [base, base | mb, base | ma, base | ma | mb];
-                    for c in 0..dim {
-                        let mut acc = C64::ZERO;
-                        for (s, &src) in sources.iter().enumerate() {
-                            acc = g.m[row][s].mul_add(self.m[src * dim + c], acc);
+    /// Which operands the gate mixes (bit `j` for operand `j`): those with
+    /// an entry across their two values that is not exactly zero.
+    fn mixed_operands(&self) -> usize {
+        let nonzero = |e: C64| e.re != 0.0 || e.im != 0.0;
+        match self {
+            GateMatrix::One(g) => usize::from(nonzero(g.m[0][1]) || nonzero(g.m[1][0])),
+            GateMatrix::Two(g) => {
+                // Operand 0 is the high bit of the 4×4 index.
+                let mut bits = 0;
+                for (r, row) in g.m.iter().enumerate() {
+                    for (c, &e) in row.iter().enumerate() {
+                        if nonzero(e) {
+                            let x = r ^ c;
+                            bits |= (x >> 1 & 1) | (x & 1) << 1;
                         }
-                        out[r * dim + c] = acc;
                     }
                 }
-            }
-            n => {
-                return Err(FusionError::UnsupportedArity {
-                    gate: gate.kind.name().to_owned(),
-                    arity: n,
-                })
-            }
-        }
-        self.m = out;
-        Ok(())
-    }
-
-    /// Apply this unitary to a full state vector, with `qubits[j]` giving
-    /// the global qubit for local bit `j`. Reference implementation used by
-    /// tests and by the Aer fallback; the parallel engines re-implement
-    /// this loop with rayon.
-    pub fn apply_to_state(&self, state: &mut [C64], qubits: &[u32]) {
-        assert_eq!(qubits.len(), self.k);
-        let dim = self.dim();
-        let masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
-        let all_mask: usize = masks.iter().sum();
-        let mut scratch = vec![C64::ZERO; dim];
-        for base in 0..state.len() {
-            if base & all_mask != 0 {
-                continue;
-            }
-            // Gather the 2^k amplitudes of this group.
-            for (local, s) in scratch.iter_mut().enumerate() {
-                let mut idx = base;
-                for (j, &m) in masks.iter().enumerate() {
-                    if local & (1 << j) != 0 {
-                        idx |= m;
-                    }
-                }
-                *s = state[idx];
-            }
-            // Multiply and scatter.
-            for (local, row) in self.m.chunks_exact(dim).enumerate() {
-                let mut acc = C64::ZERO;
-                for (s, &e) in scratch.iter().zip(row) {
-                    acc = e.mul_add(*s, acc);
-                }
-                let mut idx = base;
-                for (j, &m) in masks.iter().enumerate() {
-                    if local & (1 << j) != 0 {
-                        idx |= m;
-                    }
-                }
-                state[idx] = acc;
+                bits
             }
         }
     }
+}
 
-    /// Mask of the local bits the unitary **mixes** (bit `j` set iff some
-    /// element above `tol` couples the `bit_j = 0` and `bit_j = 1`
-    /// subspaces), from one scan of the matrix. A bit that is *not* mixed
-    /// (the matrix is block-diagonal in it) acts as a control or phase
-    /// qubit — when that qubit is device-global in a distributed run,
-    /// each device can apply its rank-conditioned sub-block with **zero
-    /// communication** (the cuQuantum-style optimization).
+/// One fused kernel over an explicit set of global qubits: a table of
+/// `2^u` sub-unitaries of `2^μ × 2^μ`, one per assignment of the `u`
+/// qubits it does not mix.
+///
+/// Local bit `j` is `qubits[j]` (little-endian, like the global state
+/// index). Sub-unitary `t` is the one for the unmixed local bits packed
+/// in ascending order into `t`; its rows and columns are the mixed local
+/// bits packed the same way. Entries are `f64`; engines cast them to
+/// their precision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedBlock {
+    /// Global qubit of each local bit, ascending local significance.
+    pub qubits: Vec<u32>,
+    /// Local bits the table mixes.
+    mixed: usize,
+    /// The sub-unitaries, each row-major, concatenated in order of `t`.
+    table: Vec<C64>,
+    /// Number of source gates absorbed into this kernel.
+    pub source_gates: usize,
+}
+
+impl FusedBlock {
+    /// The identity over `qubits`, mixing the local bits of `mixed`.
+    fn identity(qubits: Vec<u32>, mixed: usize) -> Self {
+        let mu = mixed.count_ones() as usize;
+        let (subs, mdim) = (1usize << (qubits.len() - mu), 1usize << mu);
+        let mut table = vec![C64::ZERO; subs * mdim * mdim];
+        for sub in table.chunks_exact_mut(mdim * mdim) {
+            for i in 0..mdim {
+                sub[i * mdim + i] = C64::ONE;
+            }
+        }
+        FusedBlock { qubits, mixed, table, source_gates: 0 }
+    }
+
+    /// A dense kernel: every local bit mixed, `elements` the row-major
+    /// `2^k × 2^k` matrix over `qubits` (its one sub-unitary). The caller
+    /// is responsible for unitarity; the engines never ask.
+    pub fn from_dense(qubits: Vec<u32>, elements: Vec<C64>) -> Self {
+        let k = qubits.len();
+        assert!(k <= MAX_FUSION_WIDTH, "a dense block spans at most {MAX_FUSION_WIDTH} qubits");
+        assert_eq!(elements.len(), 1 << (2 * k), "element count must be 4^k");
+        FusedBlock { qubits, mixed: low_bits(k), table: elements, source_gates: 0 }
+    }
+
+    /// Local bits the table mixes (bit `j` for `qubits[j]`): `μ` is its
+    /// popcount.
+    pub fn mixed(&self) -> usize {
+        self.mixed
+    }
+
+    /// Sub-unitary dimension `2^μ`.
+    fn mdim(&self) -> usize {
+        1 << self.mixed.count_ones()
+    }
+
+    /// Local bits the table does not mix.
+    fn unmixed(&self) -> usize {
+        low_bits(self.qubits.len()) & !self.mixed
+    }
+
+    /// Entry `(row, col)` of the dense `2^k × 2^k` matrix the table
+    /// stands for: zero across different unmixed assignments.
+    pub fn entry(&self, row: usize, col: usize) -> C64 {
+        let unmixed = self.unmixed();
+        if (row ^ col) & unmixed != 0 {
+            return C64::ZERO;
+        }
+        let mdim = self.mdim();
+        let sub = extract(row, unmixed) * mdim * mdim;
+        self.table[sub + extract(row, self.mixed) * mdim + extract(col, self.mixed)]
+    }
+
+    /// The table re-cut for a kernel that mixes only the local bits of
+    /// `mixed`, a subset of the table's mask: one sub-unitary per
+    /// assignment of the other local bits, in the same packed order.
+    /// Entries across a bit the kernel drops are dropped — the caller
+    /// knows how small they are. With `mixed` the table's own mask this
+    /// is the table.
+    ///
+    /// # Panics
+    /// If `mixed` holds a bit the table does not mix.
+    pub fn sub_unitaries(&self, mixed: usize) -> Vec<C64> {
+        assert_eq!(mixed & !self.mixed, 0, "a kernel mixes a subset of the table's bits");
+        let (m, own_unmixed) = (self.mdim(), self.unmixed());
+        let unmixed = low_bits(self.qubits.len()) & !mixed;
+        // Row (and column) of the table's sub-unitary that each
+        // assignment of the kept bits reads; the dropped bits of a kernel
+        // sub-unitary add a fixed offset, since packing disjoint bits ORs.
+        let rows: Vec<usize> = (0..1usize << mixed.count_ones()).map(|r| extract(deposit(r, mixed), self.mixed)).collect();
+        let mut out = Vec::with_capacity((rows.len() * rows.len()) << unmixed.count_ones());
+        for t in 0..1usize << unmixed.count_ones() {
+            let d = deposit(t, unmixed);
+            let sub = &self.table[extract(d, own_unmixed) * m * m..][..m * m];
+            let dropped = extract(d, self.mixed);
+            for &r in &rows {
+                out.extend(rows.iter().map(|&c| sub[(dropped | r) * m + (dropped | c)]));
+            }
+        }
+        out
+    }
+
+    /// Mixed local bits that some entry above `tol` couples.
     pub fn mixed_bits(&self, tol: f64) -> usize {
         self.cross_bits(|e| e.norm() > tol)
     }
 
-    /// [`DenseUnitary::mixed_bits`] with nothing rounded away: bit `j` is
-    /// clear only if every element coupling its two subspaces is bitwise
+    /// Mixed local bits that some entry couples with nothing rounded
+    /// away: bit `j` is clear only if every entry across it is bitwise
     /// `±0.0` in both components. Not `mixed_bits(0.0)` — a `norm()` of
     /// `1e-200` squares to zero first.
     pub fn exactly_mixed_bits(&self) -> usize {
         self.cross_bits(|e| e.re != 0.0 || e.im != 0.0)
     }
 
-    /// OR of `row ^ col` over the elements `keep` accepts; an element
-    /// that could add no new bit is not asked about.
+    /// OR of the local bits `row ^ col` over the table entries `keep`
+    /// accepts; an entry that could add no new bit is not asked about.
     fn cross_bits(&self, keep: impl Fn(C64) -> bool) -> usize {
+        let mdim = self.mdim();
         let mut bits = 0usize;
-        for (r, row) in self.m.chunks_exact(self.dim()).enumerate() {
-            for (c, &e) in row.iter().enumerate() {
-                if (r ^ c) & !bits != 0 && keep(e) {
-                    bits |= r ^ c;
+        for sub in self.table.chunks_exact(mdim * mdim) {
+            for (r, row) in sub.chunks_exact(mdim).enumerate() {
+                for (c, &e) in row.iter().enumerate() {
+                    if (r ^ c) & !bits != 0 && keep(e) {
+                        bits |= r ^ c;
+                    }
                 }
             }
         }
-        bits
+        deposit(bits, self.mixed)
     }
 
-    /// If the unitary is diagonal, return its diagonal (length `2^k`);
-    /// `None` otherwise. Diagonal kernels (QFT `cr1` ladders, `rz` chains)
-    /// admit an element-wise phase sweep with no gather/scatter.
+    /// If every sub-unitary is diagonal within `tol`, the diagonal of the
+    /// dense matrix (length `2^k`, local index order); `None` otherwise.
+    /// Diagonal kernels (QFT `cr1` ladders, `rz` chains) admit an
+    /// element-wise phase pass with no gather/scatter.
     pub fn diagonal(&self, tol: f64) -> Option<Vec<C64>> {
-        let dim = self.dim();
-        for r in 0..dim {
-            for c in 0..dim {
-                if r != c && self.m[r * dim + c].norm() > tol {
-                    return None;
-                }
-            }
+        if self.mixed == 0 {
+            return Some(self.table.clone());
         }
-        Some((0..dim).map(|i| self.m[i * dim + i]).collect())
+        self.is_diagonal_within(tol)
+            .then(|| (0..1usize << self.qubits.len()).map(|i| self.entry(i, i)).collect())
     }
 
-    /// Project onto the subspace where the given local bits take fixed
-    /// values, producing the unitary over the remaining bits (which keep
-    /// their relative order). Every conditioned bit must be unmixed
-    /// (checked in debug builds) or the result would not be unitary.
+    /// No entry off the diagonal of any sub-unitary exceeds `tol`.
+    fn is_diagonal_within(&self, tol: f64) -> bool {
+        let mdim = self.mdim();
+        self.table.chunks_exact(mdim * mdim).all(|sub| {
+            sub.chunks_exact(mdim)
+                .enumerate()
+                .all(|(r, row)| row.iter().enumerate().all(|(c, e)| c == r || e.norm() <= tol))
+        })
+    }
+
+    /// The kernel on the subspace where the unmixed local bits of
+    /// `fixed` take fixed values (`(local bit, 0 or 1)` pairs): the
+    /// sub-unitaries of the matching assignments, over the other qubits
+    /// in their relative order. A device whose rank bits fix some of a
+    /// kernel's qubits applies this selection with no communication.
     ///
-    /// `conditions` maps local bit → fixed value (0 or 1).
-    pub fn condition_on(&self, conditions: &[(usize, usize)]) -> DenseUnitary {
-        debug_assert!(conditions.iter().all(|&(j, v)| j < self.k && v <= 1));
-        let cond_mask: usize = conditions.iter().map(|&(j, _)| 1usize << j).sum();
-        debug_assert_eq!(self.mixed_bits(1e-12) & cond_mask, 0, "conditioning a mixed bit");
-        let cond_value: usize = conditions.iter().map(|&(j, v)| v << j).sum();
-        let kept: Vec<usize> = (0..self.k).filter(|j| cond_mask & (1 << j) == 0).collect();
-        let new_k = kept.len();
-        let new_dim = 1usize << new_k;
-        let dim = self.dim();
-        let expand = |small: usize| -> usize {
-            let mut idx = cond_value;
-            for (new_bit, &old_bit) in kept.iter().enumerate() {
-                if small & (1 << new_bit) != 0 {
-                    idx |= 1 << old_bit;
-                }
-            }
-            idx
-        };
-        let mut m = vec![C64::ZERO; new_dim * new_dim];
-        for r in 0..new_dim {
-            let rr = expand(r);
-            for c in 0..new_dim {
-                m[r * new_dim + c] = self.m[rr * dim + expand(c)];
-            }
+    /// # Panics
+    /// If a fixed bit is one the table mixes.
+    pub fn select(&self, fixed: &[(usize, usize)]) -> FusedBlock {
+        let fixed_mask: usize = fixed.iter().map(|&(j, _)| 1usize << j).sum();
+        assert_eq!(fixed_mask & self.mixed, 0, "only an unmixed bit can be fixed");
+        let value: usize = fixed.iter().map(|&(j, v)| v << j).sum();
+        let unmixed = self.unmixed();
+        // In packed-unmixed coordinates: the fixed bits' value, and the
+        // positions the selection ranges over.
+        let (fixed_value, free) = (extract(value, unmixed), extract(unmixed & !fixed_mask, unmixed));
+        let kept = low_bits(self.qubits.len()) & !fixed_mask;
+        let sq = self.mdim() * self.mdim();
+        let mut table = Vec::with_capacity(self.table.len() >> fixed.len());
+        for t in 0..1usize << free.count_ones() {
+            let src = (deposit(t, free) | fixed_value) * sq;
+            table.extend_from_slice(&self.table[src..src + sq]);
         }
-        DenseUnitary { k: new_k, m }
+        FusedBlock {
+            qubits: (0..self.qubits.len()).filter(|j| kept >> j & 1 == 1).map(|j| self.qubits[j]).collect(),
+            mixed: extract(self.mixed, kept),
+            table,
+            source_gates: self.source_gates,
+        }
     }
 
-    /// True if `U†U ≈ I` within `tol`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        let dim = self.dim();
-        for i in 0..dim {
-            for j in 0..dim {
-                let mut acc = C64::ZERO;
-                for r in 0..dim {
-                    acc += self.m[r * dim + i].conj() * self.m[r * dim + j];
+    /// Apply the kernel to a full state vector, sub-unitary by
+    /// sub-unitary, every output row one `mul_add` chain in column order.
+    /// Reference implementation used by tests; the engines in
+    /// `qgear-statevec` run the same chain data-parallel.
+    pub fn apply_to_state(&self, state: &mut [C64]) {
+        let masks: Vec<usize> = self.qubits.iter().map(|&q| 1usize << q).collect();
+        let all: usize = masks.iter().sum();
+        // Global offset of every local index.
+        let offs: Vec<usize> = (0..1usize << masks.len())
+            .map(|local| masks.iter().enumerate().filter(|&(j, _)| local >> j & 1 == 1).map(|(_, m)| m).sum())
+            .collect();
+        let (mdim, unmixed) = (self.mdim(), self.unmixed());
+        let rows: Vec<usize> = (0..mdim).map(|r| deposit(r, self.mixed)).collect();
+        let mut scratch = vec![C64::ZERO; mdim];
+        for base in (0..state.len()).filter(|b| b & all == 0) {
+            for (t, sub) in self.table.chunks_exact(mdim * mdim).enumerate() {
+                let d = deposit(t, unmixed);
+                for (s, &r) in scratch.iter_mut().zip(&rows) {
+                    *s = state[base | offs[d | r]];
                 }
-                let expect = if i == j { C64::ONE } else { C64::ZERO };
-                if (acc - expect).norm() > tol {
-                    return false;
+                for (row, &r) in sub.chunks_exact(mdim).zip(&rows) {
+                    let mut acc = C64::ZERO;
+                    for (e, s) in row.iter().zip(&scratch) {
+                        acc = e.mul_add(*s, acc);
+                    }
+                    state[base | offs[d | r]] = acc;
                 }
             }
         }
-        true
     }
-}
 
-/// One fused kernel: a dense unitary over an explicit set of global qubits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedBlock {
-    /// Global qubit of each local bit, ascending local significance.
-    pub qubits: Vec<u32>,
-    /// The fused dense unitary.
-    pub unitary: DenseUnitary,
-    /// Number of source gates absorbed into this kernel.
-    pub source_gates: usize,
-}
-
-impl FusedBlock {
-    /// Which block qubits the kernel actually mixes (`mask[j]` for local
-    /// bit `j`). Unmixed qubits are pure controls/phases and never require
+    /// Which block qubits the kernel mixes (`mask[j]` for local bit `j`).
+    /// Unmixed qubits are pure controls/phases and never require
     /// remapping in distributed execution.
     pub fn mixing_mask(&self) -> Vec<bool> {
-        let mixed = self.unitary.mixed_bits(1e-12);
-        (0..self.qubits.len()).map(|j| mixed >> j & 1 == 1).collect()
+        (0..self.qubits.len()).map(|j| self.mixed >> j & 1 == 1).collect()
     }
 
     /// Global-qubit bitmask of this kernel's support (`bit q` set iff the
@@ -395,26 +463,163 @@ impl FusedBlock {
         self.qubits.iter().map(|&q| 1u128 << q).sum()
     }
 
-    /// Global-qubit bitmask of the qubits this kernel *mixes* (couples the
-    /// 0- and 1-subspaces of). Unmixed support qubits are controls/phases;
-    /// two kernels commute whenever neither mixes a shared qubit (both are
-    /// block-diagonal over the shared bits, and their private supports are
-    /// disjoint).
+    /// Global-qubit bitmask of the qubits this kernel *mixes*. Unmixed
+    /// support qubits are controls/phases; two kernels commute whenever
+    /// neither mixes a shared qubit (both are block-diagonal over the
+    /// shared bits, and their private supports are disjoint).
     pub fn mixed_support_mask(&self) -> u128 {
-        let mixed = self.unitary.mixed_bits(1e-12);
         self.qubits
             .iter()
             .enumerate()
-            .filter(|&(j, _)| mixed >> j & 1 == 1)
+            .filter(|&(j, _)| self.mixed >> j & 1 == 1)
             .map(|(_, &q)| 1u128 << q)
             .sum()
     }
 
-    /// True if the kernel is diagonal (a pure phase pattern): applies
-    /// element-wise with no gather/scatter, so it can join a sweep of any
-    /// width.
+    /// True if the kernel is diagonal within `1e-15` (a pure phase
+    /// pattern, as the engines classify it): it applies element-wise with
+    /// no gather/scatter, so it can join a sweep of any width. A block
+    /// that mixes nothing always is; one whose gates cancel their mixing
+    /// (a transpiled `cz` is `h·cx·h`) may be too.
     pub fn is_diagonal(&self) -> bool {
-        self.unitary.diagonal(1e-15).is_some()
+        self.is_diagonal_within(1e-15)
+    }
+
+    /// Re-express the table after `add` joined as new high local bits and
+    /// the local bits of `mixed` (a superset of today's mask, over the
+    /// grown block) became mixed: the kernel acts as the identity on the
+    /// new bits, and an entry across a bit that was unmixed is zero. Every
+    /// other entry is copied, so no value changes.
+    fn widen(&mut self, add: &[u32], mixed: usize) {
+        for &q in add {
+            let j = self.qubits.len();
+            self.qubits.push(q);
+            if mixed >> j & 1 == 0 {
+                // The highest unmixed bit: every sub-unitary again, for
+                // its value 1.
+                self.table.extend_from_within(..);
+                continue;
+            }
+            // The highest mixed bit: every sub-unitary `S` becomes
+            // `S ⊕ S`, its rows and columns for the new bit's value 1
+            // after those for 0.
+            let m = self.mdim();
+            self.mixed |= 1 << j;
+            let mut table = vec![C64::ZERO; 4 * self.table.len()];
+            for (src, dst) in self.table.chunks_exact(m * m).zip(table.chunks_exact_mut(4 * m * m)) {
+                for (r, row) in src.chunks_exact(m).enumerate() {
+                    dst[r * 2 * m..][..m].copy_from_slice(row);
+                    dst[(r + m) * 2 * m + m..][..m].copy_from_slice(row);
+                }
+            }
+            self.table = table;
+        }
+        let mut promote = mixed & !self.mixed;
+        while promote != 0 {
+            let j = promote.trailing_zeros() as usize;
+            promote &= promote - 1;
+            // Unmixed bit `j` sits at packed mask `a` of the sub-unitary
+            // index and takes packed position `b` of the row index: the
+            // two sub-unitaries it told apart merge into one.
+            let (m, a) = (self.mdim(), 1usize << (self.unmixed() & low_bits(j)).count_ones());
+            let b = (self.mixed & low_bits(j)).count_ones();
+            self.mixed |= 1 << j;
+            let insert = |r: usize, x: usize| (r & low_bits(b as usize)) | x << b | (r >> b) << (b + 1);
+            let mut table = vec![C64::ZERO; 2 * self.table.len()];
+            for (t, dst) in table.chunks_exact_mut(4 * m * m).enumerate() {
+                let base = (t & (a - 1)) | (t & !(a - 1)) << 1;
+                for x in 0..2 {
+                    let src = &self.table[(base | (x * a)) * m * m..][..m * m];
+                    for (r, row) in src.chunks_exact(m).enumerate() {
+                        let out = &mut dst[insert(r, x) * 2 * m..][..2 * m];
+                        for (c, &e) in row.iter().enumerate() {
+                            out[insert(c, x)] = e;
+                        }
+                    }
+                }
+            }
+            self.table = table;
+        }
+    }
+
+    /// Left-multiply by a gate embedded at the given local bit positions:
+    /// `self ← E(gate) · self`, i.e. the gate is applied *after* the block's
+    /// existing contents (circuit order). Every bit the gate mixes must
+    /// already be mixed by the table. `out` is scratch the new table is
+    /// written to; it comes back holding the old one.
+    ///
+    /// `positions` maps each gate operand to its local bit (operand 0 → the
+    /// control/high bit of a [`qgear_num::Mat4`]). Each entry is the dense
+    /// product's expression — a one-qubit gate's two products summed, a
+    /// two-qubit gate's `mul_add` chain over four sources in order — less
+    /// the terms whose source lies in another sub-unitary: those read an
+    /// exact zero through an exactly zero gate entry. A gate that mixes
+    /// none of its operands leaves one term, taken as a plain product.
+    /// Adding or dropping a zero changes no nonzero component.
+    ///
+    /// Out of line on purpose: inlined into its one caller's gate loop,
+    /// the dense-matrix form of this step measured 25–40 % slower
+    /// (qft-12 150 → 190 µs, qcrank-13 4.0 → 5.5 ms, best of 9 × 30,
+    /// interleaved).
+    #[inline(never)]
+    fn push_gate(&mut self, gate: &GateMatrix, positions: &[usize], out: &mut Vec<C64>) {
+        let (mdim, sq) = (self.mdim(), self.mdim() * self.mdim());
+        // Where a local bit lives: in the row index (mixed) or the
+        // sub-unitary index (unmixed), and its mask there.
+        let place = |p: usize| {
+            let mixed = self.mixed >> p & 1 == 1;
+            let below = if mixed { self.mixed } else { !self.mixed } & low_bits(p);
+            (mixed, 1usize << below.count_ones())
+        };
+        let bit = |t: usize, m: usize| usize::from(t & m != 0);
+        out.clear();
+        out.resize(self.table.len(), C64::ZERO);
+        let src = &self.table;
+        match (gate, positions) {
+            (GateMatrix::One(g), &[p]) => match place(p) {
+                (true, m) => pairs(src, out, sq, m * mdim, |_| g.m, |g, lo, hi| g[0] * lo + g[1] * hi),
+                // A gate that does not mix its bit is diagonal: each
+                // sub-unitary is scaled by the entry its bit selects.
+                (false, m) => scale(src, out, sq, |t| g.m[bit(t, m)][bit(t, m)]),
+            },
+            (GateMatrix::Two(g), &[pa, pb]) => match (place(pa), place(pb)) {
+                ((false, ua), (false, ub)) => scale(src, out, sq, |t| {
+                    let d = 2 * bit(t, ua) + bit(t, ub);
+                    g.m[d][d]
+                }),
+                ((true, ma), (true, mb)) => {
+                    for (s, d) in src.chunks_exact(sq).zip(out.chunks_exact_mut(sq)) {
+                        for (r, row) in d.chunks_exact_mut(mdim).enumerate() {
+                            let gr = &g.m[2 * bit(r, ma) + bit(r, mb)];
+                            let base = r & !(ma | mb);
+                            let sources = [base, base | mb, base | ma, base | ma | mb];
+                            for (c, e) in row.iter_mut().enumerate() {
+                                let mut acc = C64::ZERO;
+                                for (g, &r) in gr.iter().zip(&sources) {
+                                    acc = g.mul_add(s[r * mdim + c], acc);
+                                }
+                                *e = acc;
+                            }
+                        }
+                    }
+                }
+                // One operand unmixed: per sub-unitary, the 2×2 block of
+                // the gate its value selects acts on the other. `sm` and
+                // `su` are the mixed and unmixed operands' strides in the
+                // gate's 4×4 index (operand 0 is its high bit).
+                (a, b) => {
+                    let ((_, m), (_, um), sm, su) = if a.0 { (a, b, 2, 1) } else { (b, a, 1, 2) };
+                    let block = |t: usize| {
+                        let v = su * bit(t, um);
+                        [[g.m[v][v], g.m[v][sm + v]], [g.m[sm + v][v], g.m[sm + v][sm + v]]]
+                    };
+                    let chain = |g: [C64; 2], lo: C64, hi: C64| g[1].mul_add(hi, g[0].mul_add(lo, C64::ZERO));
+                    pairs(src, out, sq, m * mdim, block, chain);
+                }
+            },
+            _ => unreachable!("the gate matrix matches the operand count"),
+        }
+        std::mem::swap(&mut self.table, out);
     }
 }
 
@@ -448,13 +653,13 @@ impl FusedProgram {
     /// Apply the whole program to a state vector (reference path).
     pub fn apply_to_state(&self, state: &mut [C64]) {
         for b in &self.blocks {
-            b.unitary.apply_to_state(state, &b.qubits);
+            b.apply_to_state(state);
         }
     }
 }
 
-/// Greedily fuse a circuit's unitary gates into dense kernels of at most
-/// `width` qubits.
+/// Greedily fuse a circuit's unitary gates into kernels whose tables
+/// stay within `4^width` entries ([`Window::Table`]).
 ///
 /// Measurements and barriers flush the current window (they are
 /// synchronization points); measurements are *not* represented in the
@@ -474,69 +679,72 @@ pub fn fuse(circ: &Circuit, width: usize) -> FusedProgram {
 /// Fallible form of [`fuse`]: invalid widths and unsupported gate
 /// arities come back as a [`FusionError`] instead of a panic.
 pub fn try_fuse(circ: &Circuit, width: usize) -> Result<FusedProgram, FusionError> {
+    try_fuse_in(circ, width, Window::Table)
+}
+
+/// [`try_fuse`] under the given window: the one fuser loop.
+///
+/// A gate joins the open block when the block it would make fits the
+/// window — each operand the gate mixes becomes a mixed bit of the
+/// block, a new operand it does not mix joins unmixed — and otherwise
+/// opens a block of its own. A gate the window cannot hold even alone (a
+/// two-qubit gate at width 1) gets a block of its own, closed at once.
+pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<FusedProgram, FusionError> {
     if !(1..=MAX_FUSION_WIDTH).contains(&width) {
         return Err(FusionError::InvalidWidth { width });
     }
     let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::FUSE);
     let mut blocks: Vec<FusedBlock> = Vec::new();
-    let mut cur_qubits: Vec<u32> = Vec::new();
-    let mut cur: Option<DenseUnitary> = None;
-    let mut cur_sources = 0usize;
-
-    let flush =
-        |cur: &mut Option<DenseUnitary>, cur_qubits: &mut Vec<u32>, cur_sources: &mut usize,
-         blocks: &mut Vec<FusedBlock>| {
-            if let Some(u) = cur.take() {
-                blocks.push(FusedBlock {
-                    qubits: std::mem::take(cur_qubits),
-                    unitary: u,
-                    source_gates: std::mem::replace(cur_sources, 0),
-                });
-            }
-        };
+    let mut cur: Option<FusedBlock> = None;
+    let mut scratch: Vec<C64> = Vec::new();
+    let fits = |qubits: usize, mixed: usize| {
+        let mu = mixed.count_ones() as usize;
+        window.admits(width, qubits - mu, mu)
+    };
 
     for g in circ.gates() {
         if !g.is_unitary_op() {
-            flush(&mut cur, &mut cur_qubits, &mut cur_sources, &mut blocks);
+            blocks.extend(cur.take());
             continue;
         }
         let ops = g.operands();
-        if ops.len() > 2 {
-            return Err(FusionError::UnsupportedArity {
-                gate: g.kind.name().to_owned(),
-                arity: ops.len(),
-            });
+        let matrix = GateMatrix::of(g)?;
+        let gate_mixes = matrix.mixed_operands();
+        // Extend the open block when the block this gate would make — its
+        // new operands appended in operand order, every operand it mixes
+        // a mixed bit — fits the window; otherwise open a fresh one.
+        let extended = cur.as_mut().is_some_and(|b| {
+            let (mut add, mut added, mut mixed) = ([0u32; 2], 0, b.mixed);
+            for (j, &q) in ops.iter().enumerate() {
+                let local = b.qubits.iter().position(|&x| x == q).unwrap_or_else(|| {
+                    add[added] = q;
+                    added += 1;
+                    b.qubits.len() + added - 1
+                });
+                mixed |= (gate_mixes >> j & 1) << local;
+            }
+            let admitted = fits(b.qubits.len() + added, mixed);
+            if admitted {
+                b.widen(&add[..added], mixed);
+            }
+            admitted
+        });
+        if !extended {
+            blocks.extend(cur.take());
+            cur = Some(FusedBlock::identity(ops.to_vec(), gate_mixes));
         }
-        // For a minimum-width window that cannot hold a 2-qubit gate, fall
-        // back to per-gate blocks of the gate's own arity.
-        let needed: Vec<u32> = ops
-            .iter()
-            .copied()
-            .filter(|q| !cur_qubits.contains(q))
-            .collect();
-        let fits = cur.is_some() && cur_qubits.len() + needed.len() <= width;
-        if !fits {
-            flush(&mut cur, &mut cur_qubits, &mut cur_sources, &mut blocks);
-            // A fresh block of the gate's own arity — at width 1 a 2-qubit
-            // gate still gets its own 2-qubit block.
-            cur_qubits = ops.to_vec();
-            cur = Some(DenseUnitary::identity(ops.len()));
-        } else if !needed.is_empty() {
-            cur_qubits.extend_from_slice(&needed);
-            cur = Some(cur.take().unwrap().grow(cur_qubits.len()));
+        let b = cur.as_mut().expect("an open block");
+        let mut positions = [0usize; 2];
+        for (p, q) in positions.iter_mut().zip(ops) {
+            *p = b.qubits.iter().position(|c| c == q).expect("operand in block");
         }
-        let positions: Vec<usize> = ops
-            .iter()
-            .map(|q| cur_qubits.iter().position(|c| c == q).unwrap())
-            .collect();
-        cur.as_mut().unwrap().try_push_gate(g, &positions)?;
-        cur_sources += 1;
-        // A width-1 window never accumulates across 2-qubit gates.
-        if ops.len() > width {
-            flush(&mut cur, &mut cur_qubits, &mut cur_sources, &mut blocks);
+        b.push_gate(&matrix, &positions[..ops.len()], &mut scratch);
+        b.source_gates += 1;
+        if !fits(b.qubits.len(), b.mixed) {
+            blocks.extend(cur.take());
         }
     }
-    flush(&mut cur, &mut cur_qubits, &mut cur_sources, &mut blocks);
+    blocks.extend(cur.take());
 
     if qgear_telemetry::is_enabled() {
         use qgear_telemetry::names;
@@ -559,58 +767,245 @@ mod tests {
     use crate::reference;
     use qgear_num::approx::max_deviation;
 
+    /// The dense `2^k × 2^k` product a support-window fuser builds — the
+    /// oracle every table entry is held to. Grown by tensoring identity
+    /// onto new high local bits, multiplied gate by gate.
+    #[derive(Debug, Clone, PartialEq)]
+    struct DenseUnitary {
+        k: usize,
+        m: Vec<C64>,
+    }
+
+    impl DenseUnitary {
+        fn identity(k: usize) -> Self {
+            let dim = 1usize << k;
+            let mut m = vec![C64::ZERO; dim * dim];
+            for i in 0..dim {
+                m[i * dim + i] = C64::ONE;
+            }
+            DenseUnitary { k, m }
+        }
+
+        fn dim(&self) -> usize {
+            1 << self.k
+        }
+
+        fn of(block: &FusedBlock) -> Self {
+            let dim = 1usize << block.qubits.len();
+            let m = (0..dim * dim).map(|i| block.entry(i / dim, i % dim)).collect();
+            DenseUnitary { k: block.qubits.len(), m }
+        }
+
+        /// `I ⊗ self` over `k_new` qubits.
+        fn grow(&self, k_new: usize) -> Self {
+            let (old_dim, new_dim) = (self.dim(), 1usize << k_new);
+            let mut m = vec![C64::ZERO; new_dim * new_dim];
+            for b in 0..new_dim / old_dim {
+                let off = b * old_dim;
+                for r in 0..old_dim {
+                    for c in 0..old_dim {
+                        m[(off + r) * new_dim + (off + c)] = self.m[r * old_dim + c];
+                    }
+                }
+            }
+            DenseUnitary { k: k_new, m }
+        }
+
+        /// `self ← E(gate) · self`, the dense fuser's per-entry expressions.
+        fn push_gate(&mut self, gate: &Gate, positions: &[usize]) {
+            let dim = self.dim();
+            let mut out = vec![C64::ZERO; dim * dim];
+            if let [p] = *positions {
+                let g = gate.matrix2::<f64>().unwrap();
+                let pm = 1usize << p;
+                for r in 0..dim {
+                    let rb = usize::from(r & pm != 0);
+                    let (r0, r1) = (r & !pm, r | pm);
+                    for c in 0..dim {
+                        out[r * dim + c] =
+                            g.m[rb][0] * self.m[r0 * dim + c] + g.m[rb][1] * self.m[r1 * dim + c];
+                    }
+                }
+            } else {
+                let g = gate.matrix4::<f64>().unwrap();
+                let (ma, mb) = (1usize << positions[0], 1usize << positions[1]);
+                for r in 0..dim {
+                    let row = 2 * usize::from(r & ma != 0) + usize::from(r & mb != 0);
+                    let base = r & !(ma | mb);
+                    let sources = [base, base | mb, base | ma, base | ma | mb];
+                    for c in 0..dim {
+                        let mut acc = C64::ZERO;
+                        for (s, &src) in sources.iter().enumerate() {
+                            acc = g.m[row][s].mul_add(self.m[src * dim + c], acc);
+                        }
+                        out[r * dim + c] = acc;
+                    }
+                }
+            }
+            self.m = out;
+        }
+
+        fn is_unitary(&self, tol: f64) -> bool {
+            let dim = self.dim();
+            (0..dim).all(|i| {
+                (0..dim).all(|j| {
+                    let mut acc = C64::ZERO;
+                    for r in 0..dim {
+                        acc += self.m[r * dim + i].conj() * self.m[r * dim + j];
+                    }
+                    let expect = if i == j { C64::ONE } else { C64::ZERO };
+                    (acc - expect).norm() <= tol
+                })
+            })
+        }
+    }
+
+    /// The dense product of `gates` over `qubits`, grown as the fuser
+    /// grew it: first the first gate's operands, then each new operand as
+    /// it appears.
+    fn dense_product(gates: &[Gate], qubits: &[u32]) -> DenseUnitary {
+        let mut have: Vec<u32> = Vec::new();
+        let mut u: Option<DenseUnitary> = None;
+        for g in gates {
+            let ops = g.operands();
+            let new: Vec<u32> = ops.iter().copied().filter(|q| !have.contains(q)).collect();
+            have.extend(&new);
+            u = Some(match u {
+                None => DenseUnitary::identity(have.len()),
+                Some(u) => u.grow(have.len()),
+            });
+            let positions: Vec<usize> =
+                ops.iter().map(|q| have.iter().position(|h| h == q).unwrap()).collect();
+            u.as_mut().unwrap().push_gate(g, &positions);
+        }
+        assert_eq!(have, qubits, "the fuser's local order is first appearance");
+        u.unwrap()
+    }
+
     fn mixed_circuit(n: u32) -> Circuit {
         let mut c = Circuit::new(n);
         c.h(0).ry(0.3, 1).cx(0, 1).rz(-0.7, 2).cx(1, 2).rx(0.2, 0).cx(2, 3).ry(1.1, 3).cx(3, 0).h(2);
         c
     }
 
-    #[test]
-    fn identity_block_is_unitary() {
-        for k in 1..=4 {
-            assert!(DenseUnitary::identity(k).is_unitary(1e-14));
+    /// A seeded circuit over `n` qubits from a pool of mixing, diagonal,
+    /// controlled and permutation gates.
+    fn random_circuit(n: u32, gates: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new(n);
+        let mut s = seed | 1;
+        let mut rnd = move |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        for _ in 0..gates {
+            let a = rnd(u64::from(n)) as u32;
+            let b = (a + 1 + rnd(u64::from(n.max(2) - 1)) as u32) % n;
+            let theta = rnd(628) as f64 / 100.0 - 3.0;
+            match (rnd(9), n >= 2) {
+                (0, _) => c.h(a),
+                (1, _) => c.ry(theta, a),
+                (2, _) => c.rz(theta, a),
+                (3, _) => c.u(theta, 0.3 * theta, -0.7, a),
+                (4, true) => c.cx(a, b),
+                (5, true) => c.cr1(theta, a, b),
+                (6, true) => c.cz(a, b),
+                (7, true) => c.swap(a, b),
+                (_, true) => c.cry(theta, a, b),
+                (_, false) => c.x(a),
+            };
         }
+        c
+    }
+
+    fn bits(e: C64) -> [u64; 2] {
+        [e.re.to_bits(), e.im.to_bits()]
+    }
+
+    /// `a` and `b` in every bit of every nonzero component, and zero
+    /// where the other is zero (of either sign).
+    fn same(a: C64, b: C64) -> bool {
+        let component = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x == 0.0 && y == 0.0);
+        component(a.re, b.re) && component(a.im, b.im)
     }
 
     #[test]
-    fn grow_preserves_action_on_old_bits() {
-        let mut u = DenseUnitary::identity(1);
-        u.try_push_gate(&Gate::q1p1(GateKind::Ry, 0, 0.8), &[0]).unwrap();
-        let g = u.grow(3);
-        assert_eq!(g.num_qubits(), 3);
-        assert!(g.is_unitary(1e-13));
-        // Applying grown block on qubits [0,1,2] == applying small on [0].
-        let mut s1 = reference::random_state(4, 11);
-        let mut s2 = s1.clone();
-        g.apply_to_state(&mut s1, &[0, 1, 2]);
-        u.apply_to_state(&mut s2, &[0]);
-        assert!(max_deviation(&s1, &s2) < 1e-13);
+    fn table_entries_are_the_dense_products_bit_for_bit() {
+        let (mut blocks_checked, mut shared) = (0, 0);
+        for width in 1..=5usize {
+            for seed in 0..40u64 {
+                let n = 1 + (seed % 6) as u32;
+                let c = random_circuit(n, 40, seed * 31 + width as u64);
+                let gates: Vec<Gate> = c.gates().to_vec();
+                // The support window cuts the blocks the dense fuser cut;
+                // every entry of every table is that block's product's:
+                // bit for bit in every nonzero component, and a zero (of
+                // either sign — a dropped term added a zero) elsewhere.
+                let support = try_fuse_in(&c, width, Window::Support).unwrap();
+                let mut start = 0;
+                let mut ranges = Vec::new();
+                for b in &support.blocks {
+                    let dense = dense_product(&gates[start..start + b.source_gates], &b.qubits);
+                    let dim = dense.dim();
+                    for (i, &e) in dense.m.iter().enumerate() {
+                        let got = b.entry(i / dim, i % dim);
+                        let what = format!("width {width} seed {seed}: entry {i} of {:?}", b.qubits);
+                        assert!(same(got, e), "{what}: {got:?} vs {e:?}");
+                    }
+                    ranges.push((start, b.source_gates, b.qubits.clone(), b.table.clone()));
+                    start += b.source_gates;
+                    blocks_checked += 1;
+                }
+                // Where the table window cuts the same block, its table is
+                // the same, bit for bit.
+                let table = try_fuse(&c, width).unwrap();
+                let mut start = 0;
+                for b in &table.blocks {
+                    let same = |&&(s, g, ref q, _): &&(usize, usize, Vec<u32>, Vec<C64>)| {
+                        (s, g) == (start, b.source_gates) && *q == b.qubits
+                    };
+                    if let Some((_, _, _, t)) = ranges.iter().find(same) {
+                        let same_bits = |x: &Vec<C64>| x.iter().map(|&e| bits(e)).collect::<Vec<_>>();
+                        assert_eq!(same_bits(t), same_bits(&b.table));
+                        shared += 1;
+                    }
+                    start += b.source_gates;
+                }
+            }
+        }
+        assert!(blocks_checked > 500 && shared > 100, "{blocks_checked} blocks, {shared} shared");
     }
 
     #[test]
     fn fused_program_matches_unfused_execution() {
-        for width in 1..=5usize {
-            let c = mixed_circuit(5);
-            let prog = fuse(&c, width);
-            assert_eq!(prog.source_gate_count(), c.unitary_count());
-            let mut fused_state = reference::zero_state(5);
-            prog.apply_to_state(&mut fused_state);
-            let direct = reference::run(&c);
-            assert!(
-                max_deviation(&fused_state, &direct) < 1e-12,
-                "width {width}: deviation {}",
-                max_deviation(&fused_state, &direct)
-            );
+        for window in [Window::Support, Window::Table] {
+            for width in 1..=5usize {
+                let c = mixed_circuit(5);
+                let prog = try_fuse_in(&c, width, window).unwrap();
+                assert_eq!(prog.source_gate_count(), c.unitary_count());
+                let mut fused_state = reference::zero_state(5);
+                prog.apply_to_state(&mut fused_state);
+                let direct = reference::run(&c);
+                let dev = max_deviation(&fused_state, &direct);
+                assert!(dev < 1e-12, "{window:?} width {width}: deviation {dev}");
+            }
         }
     }
 
     #[test]
-    fn all_blocks_unitary() {
-        let c = mixed_circuit(6);
-        let prog = fuse(&c, 4);
-        for b in &prog.blocks {
-            assert!(b.unitary.is_unitary(1e-12));
-            assert_eq!(b.qubits.len(), b.unitary.num_qubits());
+    fn all_blocks_unitary_and_within_their_window() {
+        for seed in 0..20u64 {
+            let c = random_circuit(7, 60, seed);
+            for width in 1..=5usize {
+                for window in [Window::Support, Window::Table] {
+                    for b in try_fuse_in(&c, width, window).unwrap().blocks {
+                        assert!(DenseUnitary::of(&b).is_unitary(1e-12));
+                        let mu = b.mixed().count_ones() as usize;
+                        let u = b.qubits.len() - mu;
+                        assert_eq!(b.table.len(), 1 << (u + 2 * mu));
+                        assert!(window.admits(width, u, mu) || b.source_gates == 1, "{window:?} {u} {mu}");
+                    }
+                }
+            }
         }
     }
 
@@ -622,6 +1017,40 @@ mod tests {
         assert!(wide.blocks.len() <= narrow.blocks.len());
         assert!(wide.compression_ratio() >= narrow.compression_ratio());
         assert!(wide.compression_ratio() > 1.0);
+    }
+
+    #[test]
+    fn a_uniformly_controlled_rotation_is_one_kernel_of_two_by_two_sub_unitaries() {
+        // The Gray-code ladder of a uniformly controlled ry: eight controls
+        // and one target make one table of 256 2×2 sub-unitaries at width
+        // 5 (2^8 · 4 = 4^5 entries), where the support window cuts it
+        // into many 5-qubit blocks.
+        let mut c = Circuit::new(9);
+        for j in 0..256usize {
+            let ctrl = if j == 255 { 7 } else { (j + 1).trailing_zeros() };
+            c.ry(0.01 * j as f64, 8).cx(ctrl, 8);
+        }
+        let table = fuse(&c, 5);
+        assert_eq!(table.blocks.len(), 1);
+        let b = &table.blocks[0];
+        assert_eq!(b.mixing_mask().iter().filter(|&&m| m).count(), 1);
+        assert_eq!(b.qubits[0], 8, "the target opens the block");
+        assert!(try_fuse_in(&c, 5, Window::Support).unwrap().blocks.len() > 16);
+        let mut s = reference::random_state(9, 3);
+        let expect = {
+            let mut e = s.clone();
+            for g in c.gates() {
+                reference::apply_gate(&mut e, 9, g);
+            }
+            e
+        };
+        b.apply_to_state(&mut s);
+        assert!(max_deviation(&s, &expect) < 1e-12);
+        // A second target would make 2^8 4×4 sub-unitaries: refused.
+        let mut two = c.clone();
+        two.ry(0.4, 7);
+        two.cx(0, 7);
+        assert_eq!(fuse(&two, 5).blocks.len(), 2);
     }
 
     #[test]
@@ -709,8 +1138,6 @@ mod tests {
 
     #[test]
     fn mixes_bit_detects_controls_and_targets() {
-        // CX(control=q0 high?, ...): build cx with control as local bit 1
-        // (first operand) and target bit 0.
         let mut c = Circuit::new(2);
         c.cx(1, 0);
         let prog = fuse(&c, 2);
@@ -721,6 +1148,7 @@ mod tests {
         let mask = b.mixing_mask();
         assert!(!mask[0], "control bit must not mix");
         assert!(mask[1], "target bit must mix");
+        assert_eq!(b.table.len(), 8, "two 2×2 sub-unitaries: I and X");
     }
 
     #[test]
@@ -730,6 +1158,7 @@ mod tests {
         let prog = fuse(&c, 3);
         for b in &prog.blocks {
             assert!(b.mixing_mask().iter().all(|&m| !m), "diagonal kernels mix no bits");
+            assert_eq!(b.diagonal(0.0).as_deref(), Some(&b.table[..]));
         }
     }
 
@@ -744,82 +1173,114 @@ mod tests {
     }
 
     #[test]
-    fn condition_on_extracts_controlled_action() {
+    fn a_control_a_later_gate_mixes_is_promoted_in_place() {
+        // cx makes q1 a control of the block, h then mixes it: the two
+        // sub-unitaries merge into one 4×4 with zeros across q1.
+        let mut c = Circuit::new(2);
+        c.ry(0.3, 0).cx(1, 0).h(1).cr1(0.4, 1, 0);
+        let b = &fuse(&c, 2).blocks[0];
+        assert_eq!(b.mixed(), 0b11);
+        let dense = dense_product(c.gates(), &b.qubits);
+        for (i, &e) in dense.m.iter().enumerate() {
+            assert_eq!(b.entry(i / 4, i % 4), e);
+        }
+    }
+
+    #[test]
+    fn sub_unitaries_read_the_entries_of_the_kept_bits() {
+        // For every subset of a block's mask: sub-unitary `t` over the
+        // kept bits, entry `(r, c)`, is the dense entry at those bits with
+        // the others at assignment `t` — the table itself for the full mask.
+        let mut checked = 0;
+        for seed in 0..20u64 {
+            for b in &fuse(&random_circuit(6, 40, seed), 3).blocks {
+                let k = b.qubits.len();
+                let mut kept = b.mixed;
+                loop {
+                    let others = low_bits(k) & !kept;
+                    let dim = 1usize << kept.count_ones();
+                    let mut expect = Vec::new();
+                    for t in 0..1usize << others.count_ones() {
+                        let d = deposit(t, others);
+                        for r in 0..dim {
+                            expect.extend((0..dim).map(|c| b.entry(d | deposit(r, kept), d | deposit(c, kept))));
+                        }
+                    }
+                    assert_eq!(b.sub_unitaries(kept), expect, "seed {seed}, kept {kept:b}");
+                    checked += 1;
+                    if kept == 0 {
+                        break;
+                    }
+                    kept = (kept - 1) & b.mixed;
+                }
+                assert_eq!(b.sub_unitaries(b.mixed), b.table);
+            }
+        }
+        assert!(checked > 200, "{checked} cuts");
+    }
+
+    #[test]
+    fn selecting_a_control_value_extracts_the_controlled_action() {
         // CX conditioned on control=1 is X; on control=0 is I.
         let mut c = Circuit::new(2);
         c.cx(1, 0);
-        let prog = fuse(&c, 2);
-        let b = &prog.blocks[0];
+        let b = &fuse(&c, 2).blocks[0];
         // local bit 0 = control (qubit 1), local bit 1 = target (qubit 0).
-        let on = b.unitary.condition_on(&[(0, 1)]);
-        let off = b.unitary.condition_on(&[(0, 0)]);
-        assert_eq!(on.num_qubits(), 1);
-        assert!((on.at(0, 1) - C64::ONE).norm() < 1e-14, "X when control set");
-        assert!((on.at(1, 0) - C64::ONE).norm() < 1e-14);
-        assert!((off.at(0, 0) - C64::ONE).norm() < 1e-14, "I when control clear");
-        assert!((off.at(1, 1) - C64::ONE).norm() < 1e-14);
+        let on = b.select(&[(0, 1)]);
+        let off = b.select(&[(0, 0)]);
+        assert_eq!(on.qubits, vec![0]);
+        assert_eq!(on.entry(0, 1), C64::ONE, "X when control set");
+        assert_eq!(on.entry(1, 0), C64::ONE);
+        assert_eq!(off.entry(0, 0), C64::ONE, "I when control clear");
+        assert_eq!(off.entry(1, 1), C64::ONE);
     }
 
     #[test]
-    fn condition_on_multiple_bits() {
-        // cr1(λ) is diagonal in both bits: conditioning both yields the
-        // 1x1 phase.
+    fn selecting_every_bit_of_a_phase_leaves_its_entry() {
         let mut c = Circuit::new(2);
         c.cr1(0.8, 1, 0);
-        let prog = fuse(&c, 2);
-        let u = &prog.blocks[0].unitary;
-        let both_set = u.condition_on(&[(0, 1), (1, 1)]);
-        assert_eq!(both_set.num_qubits(), 0);
-        assert!((both_set.at(0, 0) - C64::cis(0.8)).norm() < 1e-14);
-        let control_clear = u.condition_on(&[(0, 0), (1, 1)]);
-        assert!((control_clear.at(0, 0) - C64::ONE).norm() < 1e-14);
+        let b = &fuse(&c, 2).blocks[0];
+        let both_set = b.select(&[(0, 1), (1, 1)]);
+        assert!(both_set.qubits.is_empty());
+        assert!((both_set.entry(0, 0) - C64::cis(0.8)).norm() < 1e-14);
+        let control_clear = b.select(&[(0, 0), (1, 1)]);
+        assert!((control_clear.entry(0, 0) - C64::ONE).norm() < 1e-14);
     }
 
     #[test]
-    fn conditioned_application_matches_full_block() {
-        // Applying the conditioned sub-blocks per half-space must equal
+    #[should_panic(expected = "only an unmixed bit")]
+    fn a_mixed_bit_cannot_be_selected() {
+        let mut c = Circuit::new(2);
+        c.cx(1, 0);
+        fuse(&c, 2).blocks[0].select(&[(1, 0)]);
+    }
+
+    #[test]
+    fn selected_application_matches_full_block() {
+        // Applying the selected sub-tables per half-space must equal
         // applying the full block.
         let mut c = Circuit::new(3);
         c.rz(0.3, 2).cx(2, 0).cr1(0.5, 2, 1);
         let prog = fuse(&c, 3);
         assert_eq!(prog.blocks.len(), 1);
         let b = &prog.blocks[0];
-        let mask = b.mixing_mask();
-        // Find an unmixed block qubit (qubit 2: control + diagonal only).
-        let j = mask.iter().position(|&m| !m).expect("an unmixed bit exists");
+        let j = b.mixing_mask().iter().position(|&m| !m).expect("an unmixed bit exists");
         let gq = b.qubits[j];
         let mut full = reference::random_state(3, 5);
         let mut cond = full.clone();
-        b.unitary.apply_to_state(&mut full, &b.qubits);
-        // Conditioned path: split the state on qubit gq.
+        b.apply_to_state(&mut full);
         for bit in 0..2usize {
-            let sub = b.unitary.condition_on(&[(j, bit)]);
-            let sub_qubits: Vec<u32> = b
-                .qubits
-                .iter()
-                .enumerate()
-                .filter(|&(idx, _)| idx != j)
-                .map(|(_, &q)| q)
-                .collect();
-            // Apply sub-block only to amplitudes with qubit gq == bit:
-            // gather those amplitudes into a temporary, transform, scatter.
-            let mask_g = 1usize << gq;
-            let mut half: Vec<C64> = Vec::with_capacity(cond.len() / 2);
-            let mut idxs: Vec<usize> = Vec::with_capacity(cond.len() / 2);
-            for (i, &a) in cond.iter().enumerate() {
-                if ((i & mask_g != 0) as usize) == bit {
-                    half.push(a);
-                    idxs.push(i);
-                }
-            }
-            // The gathered half has qubit gq removed: remap sub_qubits to
-            // their positions in the compacted index. Qubits above gq
+            let mut sub = b.select(&[(j, bit)]);
+            // The gathered half has qubit gq removed: qubits above it
             // shift down by one.
-            let remap: Vec<u32> = sub_qubits
-                .iter()
-                .map(|&q| if q > gq { q - 1 } else { q })
-                .collect();
-            sub.apply_to_state(&mut half, &remap);
+            for q in &mut sub.qubits {
+                *q -= u32::from(*q > gq);
+            }
+            let mask_g = 1usize << gq;
+            let idxs: Vec<usize> =
+                (0..cond.len()).filter(|i| usize::from(i & mask_g != 0) == bit).collect();
+            let mut half: Vec<C64> = idxs.iter().map(|&i| cond[i]).collect();
+            sub.apply_to_state(&mut half);
             for (a, &i) in half.iter().zip(&idxs) {
                 cond[i] = *a;
             }
@@ -828,44 +1289,31 @@ mod tests {
     }
 
     #[test]
-    fn from_elements_round_trips() {
+    fn a_dense_block_is_its_one_sub_unitary() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let u = &fuse(&c, 2).blocks[0].unitary;
-        let rebuilt = DenseUnitary::from_elements(2, u.elements().to_vec());
-        assert_eq!(&rebuilt, u);
+        let b = &fuse(&c, 2).blocks[0];
+        let dense = DenseUnitary::of(b);
+        let rebuilt = FusedBlock::from_dense(b.qubits.clone(), dense.m.clone());
+        assert_eq!(rebuilt.table, b.table);
+        assert_eq!(rebuilt.mixed(), 0b11);
     }
 
     #[test]
     fn deep_circuit_with_random_structure() {
-        // Pseudo-random 40-gate circuit over 6 qubits at width 5.
-        let mut c = Circuit::new(6);
-        let mut s = 12345u64;
-        let mut rnd = move |m: u64| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) % m
-        };
-        for _ in 0..40 {
-            match rnd(4) {
-                0 => {
-                    c.ry(rnd(628) as f64 / 100.0, rnd(6) as u32);
-                }
-                1 => {
-                    c.rz(rnd(628) as f64 / 100.0, rnd(6) as u32);
-                }
-                2 => {
-                    c.h(rnd(6) as u32);
-                }
-                _ => {
-                    let a = rnd(6) as u32;
-                    let b = (a + 1 + rnd(5) as u32) % 6;
-                    c.cx(a, b);
-                }
-            }
+        for window in [Window::Support, Window::Table] {
+            let c = random_circuit(6, 80, 12345);
+            let prog = try_fuse_in(&c, 5, window).unwrap();
+            let mut fused = reference::zero_state(6);
+            prog.apply_to_state(&mut fused);
+            assert!(max_deviation(&fused, &reference::run(&c)) < 1e-11, "{window:?}");
         }
-        let prog = fuse(&c, 5);
-        let mut fused = reference::zero_state(6);
-        prog.apply_to_state(&mut fused);
-        assert!(max_deviation(&fused, &reference::run(&c)) < 1e-11);
+    }
+
+    #[test]
+    fn x_gate_kind_is_a_mixing_permutation() {
+        let mut c = Circuit::new(1);
+        c.push(Gate::q1(GateKind::X, 0)).unwrap();
+        assert_eq!(fuse(&c, 1).blocks[0].mixed(), 1);
     }
 }

@@ -12,15 +12,17 @@
 //! * [`transpile`] — passes that lower circuits onto the native set
 //!   `{h, rx, ry, rz, cx}` (plus measurement), merge rotations, and prune
 //!   negligible angles (the AQFT optimization of Appendix D.2);
-//! * [`fusion`] — CUDA-Q-style gate fusion into dense `2^k × 2^k` kernels
-//!   (the paper runs with `gate fusion = 5`). The pass reports its block
-//!   counts and widths through `qgear-telemetry` when recording is on.
+//! * [`fusion`] — CUDA-Q-style gate fusion into multiplexed kernels: a
+//!   table of `2^μ × 2^μ` sub-unitaries, one per assignment of the qubits
+//!   a kernel only controls or phases (the paper runs with `gate fusion =
+//!   5`). The pass reports its block counts and widths through
+//!   `qgear-telemetry` when recording is on.
 //!
 //! ```
 //! use qgear_ir::{fusion, Circuit};
 //!
 //! // Build a circuit with the Qiskit-like builder and fuse it into
-//! // dense kernels — the §2.2 "kernel transformation".
+//! // kernels — the §2.2 "kernel transformation".
 //! let mut c = Circuit::new(3);
 //! c.h(0).cx(0, 1).ry(0.3, 1).cx(1, 2).rz(-0.7, 2);
 //! let program = fusion::fuse(&c, 3);

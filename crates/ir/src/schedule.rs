@@ -299,7 +299,7 @@ mod tests {
     fn apply_in_order(program: &FusedProgram, order: &[usize], state: &mut [C64]) {
         for &i in order {
             let b = &program.blocks[i];
-            b.unitary.apply_to_state(state, &b.qubits);
+            b.apply_to_state(state);
         }
     }
 

@@ -1,8 +1,8 @@
 //! The simulated-GPU engine.
 //!
 //! Plays the role of CUDA-Q's `nvidia` target on one A100: the circuit is
-//! fused into dense kernels (§2.2 "kernel transformation"; Appendix D.2
-//! `gate fusion = 5`) and each kernel sweeps the state vector
+//! fused into multiplexed kernels (§2.2 "kernel transformation"; Appendix
+//! D.2 `gate fusion = 5`) and each kernel sweeps the state vector
 //! **data-parallel** — rayon worker tasks stand in for CUDA thread blocks,
 //! with each task owning a disjoint set of amplitude groups exactly as a
 //! thread block owns a tile of the state.
@@ -41,7 +41,7 @@ use crate::arena;
 use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::segment::{straight_through, SegmentedRun};
 use crate::simd::{self, DiagTable};
-use qgear_ir::fusion::{DenseUnitary, FusedBlock};
+use qgear_ir::fusion::FusedBlock;
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
 use qgear_num::{AlignedVec, Complex, Scalar, C64};
@@ -104,10 +104,10 @@ impl GpuDevice {
     /// *same* plan body over its tiles, which is why order-preserving
     /// sweeps are bit-identical to this kernel-at-a-time path.
     pub fn apply_block<T: Scalar>(state: &mut [Complex<T>], block: &FusedBlock) {
-        GpuDevice::apply_to_slices([state], &block.unitary, &block.qubits);
+        GpuDevice::apply_to_slices([state], block, &block.qubits);
     }
 
-    /// Execute one kernel on every slice of a partitioned state: `unitary`
+    /// Execute one kernel on every slice of a partitioned state: `block`
     /// is planned **once**, in exact mode, with its local bit `j` at slice
     /// bit `positions[j]`, and that plan runs over each of the equally
     /// long `slices` in turn with the full-state driver.
@@ -115,16 +115,16 @@ impl GpuDevice {
     /// bit for bit what a whole state would, without a block, a
     /// relabelled qubit list or a second plan ever being built. The shard
     /// stepper calls it once per step, or once per rank-bit pattern with
-    /// the sub-unitary that pattern conditions.
+    /// the sub-table that pattern selects ([`FusedBlock::select`]).
     pub fn apply_to_slices<'a, T: Scalar>(
         slices: impl IntoIterator<Item = &'a mut [Complex<T>]>,
-        unitary: &DenseUnitary,
+        block: &FusedBlock,
         positions: &[u32],
     ) {
         let mut slices = slices.into_iter().peekable();
         let Some(first) = slices.peek() else { return };
         let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
-        let plan = KernelPlan::new(unitary, &masks, first.len(), true);
+        let plan = KernelPlan::new(block, &masks, first.len(), true);
         for slice in slices {
             plan.launch(slice);
         }
@@ -154,8 +154,8 @@ impl GpuDevice {
     /// block. The exact plan counts a bit unmixed only when every entry
     /// across it is exactly zero, which changes no result bit (see
     /// `classify`); when `false` (the default reordering schedules,
-    /// which already only agree up to round-off) entries below the
-    /// [`FusedBlock::mixing_mask`] tolerance are dropped as well.
+    /// which already only agree up to round-off) entries below `1e-12`
+    /// are dropped as well.
     pub fn apply_sweep<T: Scalar>(
         state: &mut [Complex<T>],
         blocks: &[FusedBlock],
@@ -183,7 +183,7 @@ impl GpuDevice {
                 .iter()
                 .map(|&ki| {
                     let b = &blocks[ki];
-                    let KernelClass::Diagonal(diag) = classify(&b.unitary, exact) else {
+                    let KernelClass::Diagonal(diag) = classify(b, exact) else {
                         panic!("diagonal sweep member")
                     };
                     let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
@@ -228,7 +228,7 @@ impl GpuDevice {
             .map(|&ki| {
                 let b = &blocks[ki];
                 let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << pos(q)).collect();
-                KernelPlan::new(&b.unitary, &masks, tile, exact)
+                KernelPlan::new(b, &masks, tile, exact)
             })
             .collect();
         for plan in &plans {
@@ -344,8 +344,9 @@ pub(crate) enum KernelClass {
 /// the `2^k` mul-add chain per amplitude, in column order, that every
 /// bitwise tier is pinned to — and keeps the promise while skipping
 /// the entries that are **exactly** zero
-/// ([`DenseUnitary::exactly_mixed_bits`]; a fused QFT block has two
-/// nonzero entries in a row of 32). The argument: a row's accumulator
+/// ([`FusedBlock::exactly_mixed_bits`], a scan of the block's table; a
+/// table holds no entry across the bits it does not mix, and those
+/// count as exact zeros). The argument: a row's accumulator
 /// starts at `+0.0`; a zero entry times a finite amplitude is `±0.0`,
 /// and under round-to-nearest `x + ±0.0 == x` bit for bit for every
 /// `x` except `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense
@@ -358,17 +359,16 @@ pub(crate) enum KernelClass {
 /// smallest subnormal — and then the two chains may differ in the
 /// sign of a zero. (Non-finite amplitudes have left the argument's
 /// premise, and any meaning, already.) The mask is taken on the `f64`
-/// matrix, so at fp32 an entry that only rounds to zero stays in the
+/// table, so at fp32 an entry that only rounds to zero stays in the
 /// chain.
 ///
-/// `exact: false` also drops cross entries below the
-/// [`FusedBlock::mixing_mask`] tolerance (`1e-12`), which agrees with
-/// the dense product only to that tolerance.
-pub(crate) fn classify(u: &DenseUnitary, exact: bool) -> KernelClass {
-    match u.diagonal(1e-15) {
+/// `exact: false` also drops cross entries below `1e-12`, which agrees
+/// with the dense product only to that tolerance.
+pub(crate) fn classify(block: &FusedBlock, exact: bool) -> KernelClass {
+    match block.diagonal(1e-15) {
         Some(diag) => KernelClass::Diagonal(diag),
-        None if exact => KernelClass::Mixed(u.exactly_mixed_bits()),
-        None => KernelClass::Mixed(u.mixed_bits(1e-12)),
+        None if exact => KernelClass::Mixed(block.exactly_mixed_bits()),
+        None => KernelClass::Mixed(block.mixed_bits(1e-12)),
     }
 }
 
@@ -394,9 +394,9 @@ enum KernelPlan<T: Scalar> {
 /// A kernel applied group by group: the block's `μ` *mixed* bits span a
 /// group of `2^μ` amplitudes, and every assignment of its unmixed
 /// (control/phase) bits selects one `2^μ × 2^μ` sub-unitary of the
-/// block-diagonal matrix — `2^μ` mul-adds per amplitude instead of the
-/// dense `2^k`. A dense kernel is the `μ = k` case: every bit mixed, one
-/// sub-unitary (the matrix itself), nothing to select.
+/// block's table — `2^μ` mul-adds per amplitude however many qubits the
+/// block spans. A dense kernel is the `μ = k` case: every bit mixed, one
+/// sub-unitary, nothing to select.
 ///
 /// The body works an *item* at a time. On the lane path an item is a
 /// lane block: the `T::LANES` groups that differ only in the *lane bits*,
@@ -442,18 +442,18 @@ enum LaneLayout {
 }
 
 impl<T: Scalar> KernelPlan<T> {
-    /// Plan `u`, as [`classify`] sorts it, over spans of `span`
+    /// Plan `block`, as [`classify`] sorts it, over spans of `span`
     /// amplitudes/slots, `masks[j]` being the span mask of kernel-local
     /// bit `j`: a diagonal becomes a [`DiagTable`], anything else a
     /// [`GroupKernel`] over the bits it mixes.
-    fn new(u: &DenseUnitary, masks: &[usize], span: usize, exact: bool) -> Self {
-        match classify(u, exact) {
+    fn new(block: &FusedBlock, masks: &[usize], span: usize, exact: bool) -> Self {
+        match classify(block, exact) {
             KernelClass::Diagonal(diag) => {
                 let d = diag.iter().map(|c| c.cast()).collect();
                 KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
             }
             KernelClass::Mixed(mixed) => {
-                KernelPlan::Grouped(GroupKernel::new(u, masks, span, mixed, simd::simd_enabled()))
+                KernelPlan::Grouped(GroupKernel::new(block, masks, span, mixed, simd::simd_enabled()))
             }
         }
     }
@@ -515,12 +515,11 @@ impl<T: Scalar> GroupKernel<T> {
     /// Plan a non-diagonal kernel over the local bits set in `mixed`.
     /// Whatever cross entries an unflagged bit has are dropped — the
     /// caller's mask says how small they are (exactly zero, or below
-    /// `1e-12`); with every bit flagged nothing is dropped and the single
-    /// sub-unitary is the matrix itself. `simd` allows the lane path,
-    /// which a span with `log2(LANES)` bits outside `masks` then takes.
-    fn new(u: &DenseUnitary, masks: &[usize], span: usize, mixed: usize, simd: bool) -> Self {
-        let k = u.num_qubits();
-        let dim = 1usize << k;
+    /// `1e-12`).
+    /// `simd` allows the lane path, which a span with `log2(LANES)` bits
+    /// outside `masks` then takes.
+    fn new(block: &FusedBlock, masks: &[usize], span: usize, mixed: usize, simd: bool) -> Self {
+        let k = block.qubits.len();
         // The unsafe body's bounds argument: item bases and offsets only
         // ever combine bits below a power-of-two span.
         assert!(
@@ -530,19 +529,7 @@ impl<T: Scalar> GroupKernel<T> {
         let (mixed_bits, diag_bits): (Vec<usize>, Vec<usize>) =
             (0..k).partition(|&j| mixed >> j & 1 == 1);
         let mdim = 1usize << mixed_bits.len();
-        // Kernel-local index of each assignment of the mixed bits, and of
-        // the unmixed bits.
-        let local = |bits: &[usize]| {
-            simd::local_offsets(&bits.iter().map(|&j| 1usize << j).collect::<Vec<_>>())
-        };
-        let (of_mixed, of_diag) = (local(&mixed_bits), local(&diag_bits));
-        let u = u.elements();
-        let mut subs: Vec<Complex<T>> = Vec::with_capacity(dim * mdim);
-        for &d in &of_diag {
-            for &r in &of_mixed {
-                subs.extend(of_mixed.iter().map(|&c| u[(d | r) * dim + (d | c)].cast::<T>()));
-            }
-        }
+        let subs: Vec<Complex<T>> = block.sub_unitaries(mixed).iter().map(|e| e.cast()).collect();
         let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
         let extract: Vec<(usize, usize)> =
             diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
@@ -723,14 +710,14 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
     }
 }
 
-/// `μ` of the group kernel `KernelPlan::new(u, .., exact)` really builds,
+/// `μ` of the group kernel `KernelPlan::new(block, .., exact)` really builds,
 /// `None` for a diagonal table: what the planner's pricing tests hold
 /// the priced `2^μ` against.
 #[cfg(test)]
-pub(crate) fn built_mixed_count(u: &DenseUnitary, exact: bool) -> Option<u32> {
-    let k = u.num_qubits();
+pub(crate) fn built_mixed_count(block: &FusedBlock, exact: bool) -> Option<u32> {
+    let k = block.qubits.len();
     let masks: Vec<usize> = (0..k).map(|j| 1usize << j).collect();
-    match KernelPlan::<f64>::new(u, &masks, 1 << k, exact) {
+    match KernelPlan::<f64>::new(block, &masks, 1 << k, exact) {
         KernelPlan::Diag { .. } => None,
         KernelPlan::Grouped(kernel) => Some(kernel.mdim.trailing_zeros()),
     }
@@ -934,7 +921,7 @@ mod tests {
     /// factored over the `1e-12` mask), lanes allowed or forced off — what
     /// `set_simd_enabled` selects, without racing the process-wide toggle.
     fn group_plan<T: Scalar>(
-        u: &DenseUnitary,
+        u: &FusedBlock,
         masks: &[usize],
         span: usize,
         exact: bool,
@@ -981,8 +968,8 @@ mod tests {
     ) -> &'static str {
         let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
         let state = rich_state::<T>(n);
-        let on = group_plan::<T>(&block.unitary, &masks, state.len(), exact, true);
-        let off = group_plan::<T>(&block.unitary, &masks, state.len(), exact, false);
+        let on = group_plan::<T>(block, &masks, state.len(), exact, true);
+        let off = group_plan::<T>(block, &masks, state.len(), exact, false);
         assert_eq!(layout(&off), "scalar");
         let ([full, tile], [off_full, off_tile]) = (both_drivers(&on, &state), both_drivers(&off, &state));
         let what = format!("{what} {}", T::PRECISION_NAME);
@@ -1074,7 +1061,7 @@ mod tests {
         NearDiagonal,
     }
 
-    fn shaped_matrix(k: usize, shape: Shape, rnd: &mut impl FnMut() -> f64) -> DenseUnitary {
+    fn shaped_matrix(k: usize, shape: Shape, rnd: &mut impl FnMut() -> f64) -> FusedBlock {
         let dim = 1usize << k;
         let signed_zero = |negative: bool| if negative { -0.0 } else { 0.0 };
         let mut m: Vec<qgear_num::C64> = (0..dim * dim)
@@ -1111,13 +1098,13 @@ mod tests {
                 }
             }
         }
-        DenseUnitary::from_elements(k, m)
+        FusedBlock::from_dense((0..k as u32).collect(), m)
     }
 
     /// The exact plan of `u` against the all-mixed plan of `u` — the
     /// dense `2^k` chain — on one state, every driver and lane form.
     fn assert_exact_plan_is_the_dense_chain<T: Scalar>(
-        u: &DenseUnitary,
+        u: &FusedBlock,
         masks: &[usize],
         state: &[Complex<T>],
         what: &str,
@@ -1197,7 +1184,7 @@ mod tests {
         let z = qgear_num::C64::ZERO;
         let e = |re: f64| qgear_num::C64::new(re, 0.0);
         #[rustfmt::skip]
-        let u = DenseUnitary::from_elements(2, vec![
+        let u = FusedBlock::from_dense(vec![0, 1], vec![
             e(0.6), e(0.8), e(1e-200), z,
             e(-0.8), e(0.6), z, z,
             z, z, e(0.6), e(-0.8),
@@ -1297,7 +1284,7 @@ mod tests {
         c.cr1(0.5, 0, 1).rz(0.2, 2).cr1(0.7, 2, 3).rz(-0.4, 0);
         let prog = fusion::fuse(&c, 4);
         assert_eq!(prog.blocks.len(), 1);
-        let diag = prog.blocks[0].unitary.diagonal(1e-14).expect("ladder is diagonal");
+        let diag = prog.blocks[0].diagonal(1e-14).expect("ladder is diagonal");
         assert_eq!(diag.len(), 16);
         for z in &diag {
             assert!((z.norm() - 1.0).abs() < 1e-13, "diagonal of a unitary is unimodular");

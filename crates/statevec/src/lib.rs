@@ -6,15 +6,16 @@
 //! * [`AerCpuBackend`] — the *baseline*: sequential, per-gate dense
 //!   application with no fusion, like Qiskit Aer's CPU state-vector method.
 //! * [`GpuDevice`] — the *simulated GPU*: circuits are first fused into
-//!   dense kernels (`qgear-ir::fusion`, the §2.2 "kernel transformation"),
+//!   multiplexed kernels (`qgear-ir::fusion`, the §2.2 "kernel
+//!   transformation"),
 //!   then each kernel sweeps the state vector data-parallel over rayon
 //!   worker threads standing in for CUDA thread blocks. Execution
 //!   statistics (kernel launches, bytes touched) feed the calibrated
 //!   performance model in `qgear-perfmodel`.
 //!
 //! Every simulated-GPU run walks one [`planner::ExecutionPlan`]. No
-//! single execution mode wins everywhere — dense fusion runs several
-//! times *slower* than the per-gate baseline on unstructured workloads —
+//! single execution mode wins everywhere — a fully mixed width-5 kernel
+//! spends 32 mul-adds per amplitude on the handful of gates it absorbed —
 //! so the plan's one selector ([`PlannerCosts::force_mode`]) either pins
 //! every segment to a mode (the default pins sweeps) or prices unfused
 //! and sweep execution per scheduled segment against a cost model and

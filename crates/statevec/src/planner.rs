@@ -190,7 +190,7 @@ impl PlannerCosts {
     /// one multiply per amplitude for a diagonal table, `2^μ` mul-adds
     /// over the bits the built kernel mixes otherwise.
     fn kernel_flop_seconds(&self, block: &FusedBlock, exact: bool, n_amps: f64) -> f64 {
-        match gpu::classify(&block.unitary, exact) {
+        match gpu::classify(block, exact) {
             KernelClass::Diagonal(_) => n_amps / self.cmuls_per_sec,
             KernelClass::Mixed(bits) => {
                 n_amps * (1u64 << bits.count_ones()) as f64 / self.madds_per_sec
@@ -634,7 +634,7 @@ mod tests {
         let flops: f64 = sweep
             .kernels
             .iter()
-            .map(|&ki| match gpu::built_mixed_count(&blocks[ki].unitary, exact || alone) {
+            .map(|&ki| match gpu::built_mixed_count(&blocks[ki], exact || alone) {
                 None => n_amps / costs.cmuls_per_sec,
                 Some(mu) => n_amps * f64::from(1u32 << mu) / costs.madds_per_sec,
             })
@@ -668,7 +668,7 @@ mod tests {
                     [only] => {
                         alone += 1;
                         let block = &p.blocks[*only];
-                        match gpu::built_mixed_count(&block.unitary, true) {
+                        match gpu::built_mixed_count(block, true) {
                             None => diagonal += 1,
                             Some(mu) if (mu as usize) < block.qubits.len() => factored += 1,
                             Some(_) => {}
@@ -690,13 +690,12 @@ mod tests {
         let z = qgear_num::C64::ZERO;
         let e = |re: f64| qgear_num::C64::new(re, 0.0);
         #[rustfmt::skip]
-        let unitary = fusion::DenseUnitary::from_elements(2, vec![
+        let block = FusedBlock::from_dense(vec![0, 1], vec![
             e(0.6), e(0.8), e(1e-14), z,
             e(-0.8), e(0.6), z, z,
             z, z, e(0.6), e(-0.8),
             z, z, e(0.8), e(0.6),
         ]);
-        let block = FusedBlock { qubits: vec![0, 1], unitary, source_gates: 1 };
         let blocks = [block.clone(), block];
         let costs = PlannerCosts::host_reference();
         let (n_amps, pass) = (1024.0, costs.pass_seconds(1024.0, 16.0));
@@ -739,7 +738,7 @@ mod tests {
             let swaps: Vec<_> = p.blocks.iter().filter(|b| b.source_gates <= 2).collect();
             assert!(!swaps.is_empty());
             for b in swaps {
-                assert!(gpu::built_mixed_count(&b.unitary, true).is_some_and(|mu| mu >= 2));
+                assert!(gpu::built_mixed_count(b, true).is_some_and(|mu| mu >= 2));
             }
             let opts = RunOptions {
                 sweep_width: 0,
@@ -788,12 +787,16 @@ mod tests {
     fn pinned_sweep_digests_are_what_every_stored_fingerprint_was_taken_over() {
         // Captured at 73fb931, when `SegmentMode` had a variant between
         // these two: a checkpoint written under the served default must
-        // keep resuming, so `Sweep`'s digest word may never move.
+        // keep resuming, so `Sweep`'s digest word may never move. The two
+        // QFT plans were re-taken when the table window let a block grow
+        // through the `cr1` phases it does not mix: fewer, wider blocks
+        // make a different schedule, and generations written under the
+        // old one refuse to resume (`PlanMismatch`), as they should.
         let pin = PlannerCosts::pinned(SegmentMode::Sweep);
         for (c, fusion_width, sweep_width, reorder, digest) in [
-            (qft_like(8), 5, 12, true, 0xd336_326e_91da_4cac_u64),
+            (qft_like(8), 5, 12, true, 0x9754_b535_3e64_00d5_u64),
             (random_like(6, 3), 2, 0, true, 0x35c8_22d7_61ff_0ae9),
-            (qft_with_swaps(6), 3, 3, false, 0x3748_726a_b8c5_2475),
+            (qft_with_swaps(6), 3, 3, false, 0x25b7_27b5_154c_acfe),
         ] {
             let p = plan(&c, fusion_width, sweep_width, reorder, &pin, 16).unwrap();
             assert_eq!(p.digest, digest, "{:#018x}", p.digest);

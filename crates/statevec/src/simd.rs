@@ -88,8 +88,10 @@ pub(crate) const DIAG_CHUNK: usize = 4096;
 pub(crate) struct DiagTable<T: Scalar> {
     /// Diagonal entries in execution precision.
     d: Vec<Complex<T>>,
-    /// Local-index contribution of the sub-chunk address bits.
-    lowtab: Vec<u8>,
+    /// Local-index contribution of the sub-chunk address bits. A diagonal
+    /// block spans up to `2·MAX_FUSION_WIDTH` local bits, so a byte does
+    /// not hold every index.
+    lowtab: Vec<u16>,
     /// `(global mask, local bit)` pairs for address bits ≥ chunk.
     hipairs: Vec<(usize, usize)>,
     /// Chunk length; divides the span and every chunk start.
@@ -103,7 +105,8 @@ impl<T: Scalar> DiagTable<T> {
     pub(crate) fn build(d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
         let chunk = DIAG_CHUNK.min(span).max(1);
         debug_assert!(span.is_multiple_of(chunk));
-        let mut lowtab = vec![0u8; chunk];
+        assert!(masks.len() <= 16, "a diagonal over {} local bits", masks.len());
+        let mut lowtab = vec![0u16; chunk];
         for (j, &mask) in masks.iter().enumerate() {
             if mask < chunk {
                 for (i, slot) in lowtab.iter_mut().enumerate() {
@@ -287,5 +290,29 @@ mod tests {
         let table = DiagTable::build(d, &masks, n);
         table.apply(&mut amps, 0);
         assert_eq!(amps, expect);
+    }
+
+    #[test]
+    fn diag_table_indexes_past_eight_local_bits_below_the_chunk() {
+        // Eleven local bits, ten of them below the 4096-amplitude chunk:
+        // the sub-chunk index needs more than a byte.
+        let masks: Vec<usize> = [0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 14].iter().map(|&b| 1usize << b).collect();
+        let d: Vec<C64> =
+            (0..1usize << masks.len()).map(|i| C64::cis(0.37 * i as f64 + 0.01 * (i % 13) as f64)).collect();
+        let n = 1usize << 16;
+        let mut amps: Vec<C64> =
+            (0..n).map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos())).collect();
+        let mut expect = amps.clone();
+        for (i, amp) in expect.iter_mut().enumerate() {
+            let local: usize = masks.iter().enumerate().filter(|&(_, &m)| i & m != 0).map(|(j, _)| 1 << j).sum();
+            *amp *= d[local];
+        }
+        let table = DiagTable::build(d, &masks, n);
+        assert!(table.chunk() == DIAG_CHUNK && masks.iter().filter(|&&m| m < DIAG_CHUNK).count() == 10);
+        for (ci, cs) in amps.chunks_mut(table.chunk()).enumerate() {
+            table.apply(cs, ci * table.chunk());
+        }
+        let bits = |v: &[C64]| v.iter().flat_map(|a| [a.re.to_bits(), a.im.to_bits()]).collect::<Vec<_>>();
+        assert!(bits(&amps) == bits(&expect));
     }
 }

@@ -88,6 +88,13 @@ cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_
 echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job -- --ignored (n = 18 shard tier)"
 cargo test -q --release --test sharding an_eighteen_qubit_job_is_bitwise_dense_over_four_shards -- --ignored
 
+# The full QCrank grid, kept out of tier-1 (which runs every split up to
+# 14 qubits): every (addr, data) split up to 20 qubits, fp32 and fp64,
+# multiplexed kernels against the closed-form QCrank state (held to the
+# IR's reference simulator up to 14 qubits).
+echo "==> cargo test -q --release --test differential qcrank_tracks_the_reference_at_every_split_up_to_twenty_qubits -- --ignored (QCrank grid)"
+cargo test -q --release --test differential qcrank_tracks_the_reference_at_every_split_up_to_twenty_qubits -- --ignored
+
 # Checkpoint throughput, self-calibrating (docs/CHECKPOINTS.md): on this
 # host, encoding a dense n=16 fp64 state must take less time than one
 # bit-by-bit CRC-32 pass over the encoder's own output, and decoding

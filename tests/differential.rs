@@ -268,9 +268,9 @@ fn rich_state(num_qubits: u32, seed: u64) -> Vec<Complex<f64>> {
 
 /// Fuse a circuit and check the engine's kernel for every block — a
 /// diagonal table, or a mul-add chain over the entries that are not
-/// exactly zero — against the IR's dense `2^k` reference on a rich
-/// state; `admissible` pins which matrix shapes the gate pool may
-/// legally produce.
+/// exactly zero — against the IR's reference application of the block's
+/// whole table on a rich state; `admissible` pins which matrix shapes
+/// the gate pool may legally produce.
 fn assert_kernel_matches_dense(
     circ: &Circuit,
     seed: u64,
@@ -283,7 +283,7 @@ fn assert_kernel_matches_dense(
         assert!(admissible(block), "gate pool produced an unexpected block on {:?}", block.qubits);
         let mut dense = rich_state(native.num_qubits(), seed);
         let mut kernel = dense.clone();
-        block.unitary.apply_to_state(&mut dense, &block.qubits);
+        block.apply_to_state(&mut dense);
         GpuDevice::apply_block(&mut kernel, block);
         assert!(
             max_deviation(&dense, &kernel) < 1e-12,
@@ -298,8 +298,8 @@ fn assert_kernel_matches_dense(
 /// round-off (a transpiled `x` is `rx(π)`, whose zeros are `6e-17`): a
 /// (phased) permutation.
 fn is_permutation(block: &fusion::FusedBlock) -> bool {
-    let dim = block.unitary.dim();
-    (0..dim).all(|c| (0..dim).filter(|&r| block.unitary.at(r, c).norm() > 1e-15).count() == 1)
+    let dim = 1usize << block.qubits.len();
+    (0..dim).all(|c| (0..dim).filter(|&r| block.entry(r, c).norm() > 1e-15).count() == 1)
 }
 
 /// Strategy: circuits drawn only from diagonal gates.
@@ -440,13 +440,13 @@ fn controlled_kernel_matches_dense_on_a_known_block() {
     let block = &program.blocks[0];
     assert!(!block.is_diagonal() && !is_permutation(block));
     assert_eq!(
-        block.unitary.exactly_mixed_bits().count_ones(),
+        block.exactly_mixed_bits().count_ones(),
         1,
         "two exact controls: the kernel factors into four 2x2 sub-unitaries"
     );
     let mut dense = rich_state(3, 9);
     let mut kernel = dense.clone();
-    block.unitary.apply_to_state(&mut dense, &block.qubits);
+    block.apply_to_state(&mut dense);
     GpuDevice::apply_block(&mut kernel, block);
     assert!(max_deviation(&dense, &kernel) < 1e-12);
 }
@@ -1111,4 +1111,116 @@ fn amplitude_storage_is_cache_line_aligned_in_both_precisions() {
     assert_eq!(align(out.state.expect("state").amplitudes().as_ptr().cast()), 0);
     let out: RunOutput<f32> = GpuDevice::a100_40gb().run(&circ, &opts).expect("run");
     assert_eq!(align(out.state.expect("state").amplitudes().as_ptr().cast()), 0);
+}
+
+/// Seeded values in `[-1, 1]` filling a QCrank register of `addr`
+/// address and `data` data qubits, the benchmark's `qcrank` shape.
+fn qcrank_values(addr: u32, data: u32, seed: u64) -> Vec<f64> {
+    let mut s = seed | 1;
+    (0..(data as usize) << addr)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        })
+        .collect()
+}
+
+/// The QCrank encoding of [`qcrank_values`].
+fn qcrank(addr: u32, data: u32, seed: u64) -> Circuit {
+    use qgear_workloads::qcrank::{QcrankCodec, QcrankConfig};
+    QcrankCodec::new(QcrankConfig { addr_qubits: addr, data_qubits: data }).encode(&qcrank_values(addr, data, seed))
+}
+
+/// The state QCrank encodes `values` into, in closed form: the address
+/// register uniform, and data qubit `d` at address `a` in
+/// `ry(θ)|0⟩ = cos(θ/2)|0⟩ + sin(θ/2)|1⟩` with `θ = acos(v)` of value
+/// `d·2^addr + a`, so `ψ(a, b) = 2^(-addr/2) Π_d (cos or sin)(θ_{a,d}/2)`.
+/// `O(2^n · data)`, which lets the grid reach 20 qubits at every split.
+fn qcrank_state(addr: u32, values: &[f64]) -> Vec<Complex<f64>> {
+    let per = 1usize << addr;
+    let data = values.len() / per;
+    let norm = f64::from(1u32 << addr).sqrt().recip();
+    let halves: Vec<(f64, f64)> = values.iter().map(|v| (v.acos() / 2.0).sin_cos()).collect();
+    (0..per << data)
+        .map(|i| {
+            let a = i & (per - 1);
+            let amp = (0..data).fold(norm, |acc, d| {
+                let (sin, cos) = halves[d * per + a];
+                acc * if i >> (addr as usize + d) & 1 == 1 { sin } else { cos }
+            });
+            Complex::new(amp, 0.0)
+        })
+        .collect()
+}
+
+/// QCrank at every `(addr, data)` split of `n` qubits for `n` up to
+/// `max_qubits`, run through the engine at both precisions under the
+/// served plan (sweeps of up to twelve qubits, reordering), against the
+/// closed-form state — itself held to `ir::reference` wherever the dense
+/// reference is cheap (up to 14 qubits).
+fn assert_qcrank_grid_tracks_the_reference(max_qubits: u32) {
+    for n in 2..=max_qubits {
+        for addr in 1..n {
+            let values = qcrank_values(addr, n - addr, u64::from(n * 31 + addr));
+            let c = qcrank(addr, n - addr, u64::from(n * 31 + addr));
+            let expect = qcrank_state(addr, &values);
+            let what = format!("qcrank {addr}+{}", n - addr);
+            if n <= 14 {
+                let dev = max_deviation(&reference::run(&c), &expect);
+                assert!(dev < 1e-12, "{what} closed form vs ir::reference: {dev:e}");
+            }
+            let run64: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &RunOptions::default()).expect("fp64");
+            let dev = max_deviation(run64.state.expect("state").amplitudes(), &expect);
+            assert!(dev < 1e-12, "{what} fp64: {dev:e}");
+            let run32: RunOutput<f32> = GpuDevice::a100_40gb().run(&c, &RunOptions::default()).expect("fp32");
+            let got: Vec<Complex<f64>> = run32.state.expect("state").amplitudes().iter().map(|a| a.cast()).collect();
+            let dev = max_deviation(&got, &expect);
+            assert!(dev < 1e-5, "{what} fp32: {dev:e}");
+        }
+    }
+}
+
+/// QCrank's uniformly controlled rotations run as multiplexed kernels
+/// (one table of `2×2` sub-unitaries per data qubit) and track the
+/// reference at every split up to 14 qubits.
+#[test]
+fn qcrank_tracks_the_reference_at_every_split() {
+    assert_qcrank_grid_tracks_the_reference(14);
+}
+
+/// The grid at every split up to 20 qubits — a 19-qubit address ladder
+/// splits into 2048 tables of 256 — too slow for a debug build, a few
+/// minutes in release (`scripts/check.sh` runs it with `--release --
+/// --ignored`).
+#[test]
+#[ignore]
+fn qcrank_tracks_the_reference_at_every_split_up_to_twenty_qubits() {
+    assert_qcrank_grid_tracks_the_reference(20);
+}
+
+/// The fused shape of the benchmark's QCrank jobs: the address
+/// superposition, then one `(u, μ) = (8, 1)` kernel per data qubit — a
+/// uniformly controlled `ry` is one table of 256 `2×2` sub-unitaries —
+/// except where the last `h` kernel takes the head of the first ladder.
+#[test]
+fn qcrank_fuses_into_one_multiplexed_kernel_per_data_qubit() {
+    for (data, blocks, shapes) in [
+        (10, 12, vec![((0, 5), 1), ((2, 4), 1), ((8, 1), 10)]),
+        (4, 6, vec![((0, 5), 1), ((2, 4), 1), ((8, 1), 4)]),
+    ] {
+        let c = qcrank(8, data, 7);
+        let program = fusion::try_fuse(&c.split_measurements().0, fusion::DEFAULT_FUSION_WIDTH).expect("fusable");
+        let mut histogram: Vec<((usize, usize), usize)> = Vec::new();
+        for b in &program.blocks {
+            let mu = b.mixed().count_ones() as usize;
+            let shape = (b.qubits.len() - mu, mu);
+            match histogram.iter_mut().find(|(s, _)| *s == shape) {
+                Some((_, count)) => *count += 1,
+                None => histogram.push((shape, 1)),
+            }
+        }
+        histogram.sort_unstable();
+        assert_eq!(program.blocks.len(), blocks, "8+{data}");
+        assert_eq!(histogram, shapes, "8+{data}");
+    }
 }

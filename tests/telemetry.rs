@@ -163,10 +163,13 @@ fn gpu_qft_spans_nest_and_counters_match_exec_stats() {
     assert_eq!(fuse.depth, 1);
     assert!(fuse.start_ns >= sim.start_ns);
     assert!(fuse.start_ns + fuse.duration_ns <= sim.start_ns + sim.duration_ns);
-    // Fused-block widths were observed, one per block, within 1..=5.
+    // Fused-block widths were observed, one per block. A block's table
+    // holds at most 4^5 entries, so it spans at most 10 qubits; the QFT's
+    // `cr1` phases join as controls, so its blocks span more than 5.
     let widths = &snap.histograms[names::FUSION_BLOCK_WIDTH];
     assert_eq!(u128::from(widths.count), snap.counter(names::FUSED_BLOCKS));
-    assert!(widths.min >= 1.0 && widths.max <= 5.0);
+    let window = 2.0 * qgear_ir::fusion::DEFAULT_FUSION_WIDTH as f64;
+    assert!(widths.min >= 1.0 && widths.max <= window && widths.max > 5.0, "{widths:?}");
 }
 
 #[test]
@@ -514,12 +517,13 @@ fn backend_selection_metrics_flow_into_the_json_export() {
 fn simd_and_scratch_metrics_flow_into_the_json_export() {
     let _l = LOCK.lock().unwrap();
 
-    // A 10-qubit QFT under narrow fusion: every width-2 kernel has
+    // A 10-qubit QFT under narrow fusion: every kernel of a width-2
+    // table (an `h` and up to two `cr1` controls, three qubits) has
     // spectator bits to run on lanes wherever its qubits sit — narrow
-    // sweep tiles are widened for it — and multi-kernel sweeps exercise
-    // the scratch arena. The scalar fallback is what a 3-qubit state
+    // sweep tiles are widened for it — and multi-kernel sweeps of four
+    // qubits exercise the scratch arena. The scalar fallback is what a 3-qubit state
     // gets: one bit to spare, and `f64x4` needs two.
-    let opts = RunOptions { fusion_width: 2, sweep_width: 3, ..Default::default() };
+    let opts = RunOptions { fusion_width: 2, sweep_width: 4, ..Default::default() };
     let run = |simd_on: bool| {
         qgear_statevec::set_simd_enabled(simd_on);
         let (_, snap) = instrumented_run(&GpuDevice::a100_40gb(), &opts);
