@@ -31,11 +31,18 @@
 //! zero gate entry. Adding a zero changes no nonzero sum, so the entries
 //! agree bit for bit in every nonzero component; a zero component may
 //! differ in its sign, which no kernel result can see (the zero argument
-//! at `qgear-statevec`'s `classify`).
+//! at `FusedBlock::close`).
+//!
+//! While a block grows its mask is structural: a bit is mixed once a gate
+//! that mixes it joined. A lowered `cr1` (`rz·rz·cx·rz·cx`) mixes its
+//! target twice and cancels to a phase, so the structural mask can be
+//! wider than what the table mixes. Closing a block demotes every bit no
+//! entry crosses, once; every consumer — the engines' kernels, the
+//! planner's pricing, the sweep scheduler, the cluster's remaps — then
+//! reads [`FusedBlock::mixed`] and never re-derives it.
 //!
 //! [`fuse`] performs the greedy window fusion; [`FusedProgram`] is the
-//! executable kernel list handed to the engines in `qgear-statevec`,
-//! which classify each kernel where they build it.
+//! executable kernel list handed to the engines in `qgear-statevec`.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -267,20 +274,30 @@ impl FusedBlock {
         FusedBlock { qubits, mixed, table, source_gates: 0 }
     }
 
-    /// A dense kernel: every local bit mixed, `elements` the row-major
-    /// `2^k × 2^k` matrix over `qubits` (its one sub-unitary). The caller
-    /// is responsible for unitarity; the engines never ask.
+    /// The kernel of the row-major `2^k × 2^k` matrix `elements` over
+    /// `qubits`, closed as a fused block is: it mixes the local bits some
+    /// nonzero entry crosses. The caller is responsible for unitarity;
+    /// the engines never ask.
     pub fn from_dense(qubits: Vec<u32>, elements: Vec<C64>) -> Self {
         let k = qubits.len();
         assert!(k <= MAX_FUSION_WIDTH, "a dense block spans at most {MAX_FUSION_WIDTH} qubits");
         assert_eq!(elements.len(), 1 << (2 * k), "element count must be 4^k");
-        FusedBlock { qubits, mixed: low_bits(k), table: elements, source_gates: 0 }
+        FusedBlock { qubits, mixed: low_bits(k), table: elements, source_gates: 0 }.close()
     }
 
     /// Local bits the table mixes (bit `j` for `qubits[j]`): `μ` is its
-    /// popcount.
+    /// popcount. Exact: a bit is set only if some entry across it is not
+    /// zero, so `mixed() == 0` is a pure phase pattern.
     pub fn mixed(&self) -> usize {
         self.mixed
+    }
+
+    /// The sub-unitaries, each row-major `2^μ × 2^μ`, concatenated in
+    /// order of the unmixed local bits packed ascending. With `mixed() ==
+    /// 0` every sub-unitary is one entry: the diagonal, in local-index
+    /// order.
+    pub fn table(&self) -> &[C64] {
+        &self.table
     }
 
     /// Sub-unitary dimension `2^μ`.
@@ -305,92 +322,76 @@ impl FusedBlock {
         self.table[sub + extract(row, self.mixed) * mdim + extract(col, self.mixed)]
     }
 
-    /// The table re-cut for a kernel that mixes only the local bits of
-    /// `mixed`, a subset of the table's mask: one sub-unitary per
-    /// assignment of the other local bits, in the same packed order.
-    /// Entries across a bit the kernel drops are dropped — the caller
-    /// knows how small they are. With `mixed` the table's own mask this
-    /// is the table.
+    /// Close the block: demote every mixed bit that no table entry
+    /// crosses with a nonzero component, and re-cut the table for the
+    /// narrower mask — one sub-unitary per assignment of the unmixed
+    /// bits, in the same packed order. Every entry kept is copied; the
+    /// entries dropped are `±0.0` in both components. The fuser closes
+    /// each block once, [`FusedBlock::from_dense`] and
+    /// [`FusedBlock::select`] close theirs, and from then on the mask is
+    /// the kernel decision: a diagonal table when it is empty, `2^μ`
+    /// mul-adds per amplitude over its bits otherwise.
     ///
-    /// # Panics
-    /// If `mixed` holds a bit the table does not mix.
-    pub fn sub_unitaries(&self, mixed: usize) -> Vec<C64> {
-        assert_eq!(mixed & !self.mixed, 0, "a kernel mixes a subset of the table's bits");
-        let (m, own_unmixed) = (self.mdim(), self.unmixed());
-        let unmixed = low_bits(self.qubits.len()) & !mixed;
-        // Row (and column) of the table's sub-unitary that each
-        // assignment of the kept bits reads; the dropped bits of a kernel
-        // sub-unitary add a fixed offset, since packing disjoint bits ORs.
-        let rows: Vec<usize> = (0..1usize << mixed.count_ones()).map(|r| extract(deposit(r, mixed), self.mixed)).collect();
-        let mut out = Vec::with_capacity((rows.len() * rows.len()) << unmixed.count_ones());
-        for t in 0..1usize << unmixed.count_ones() {
-            let d = deposit(t, unmixed);
-            let sub = &self.table[extract(d, own_unmixed) * m * m..][..m * m];
-            let dropped = extract(d, self.mixed);
-            for &r in &rows {
-                out.extend(rows.iter().map(|&c| sub[(dropped | r) * m + (dropped | c)]));
-            }
-        }
-        out
-    }
-
-    /// Mixed local bits that some entry above `tol` couples.
-    pub fn mixed_bits(&self, tol: f64) -> usize {
-        self.cross_bits(|e| e.norm() > tol)
-    }
-
-    /// Mixed local bits that some entry couples with nothing rounded
-    /// away: bit `j` is clear only if every entry across it is bitwise
-    /// `±0.0` in both components. Not `mixed_bits(0.0)` — a `norm()` of
-    /// `1e-200` squares to zero first.
-    pub fn exactly_mixed_bits(&self) -> usize {
-        self.cross_bits(|e| e.re != 0.0 || e.im != 0.0)
-    }
-
-    /// OR of the local bits `row ^ col` over the table entries `keep`
-    /// accepts; an entry that could add no new bit is not asked about.
-    fn cross_bits(&self, keep: impl Fn(C64) -> bool) -> usize {
-        let mdim = self.mdim();
-        let mut bits = 0usize;
-        for sub in self.table.chunks_exact(mdim * mdim) {
-            for (r, row) in sub.chunks_exact(mdim).enumerate() {
-                for (c, &e) in row.iter().enumerate() {
-                    if (r ^ c) & !bits != 0 && keep(e) {
-                        bits |= r ^ c;
+    /// Skipping the dropped entries changes no result bit of the dense
+    /// `2^k` mul-add chain per amplitude, in column order, that every
+    /// bitwise tier is pinned to. A row's accumulator starts at `+0.0`;
+    /// a zero entry times a finite amplitude is `±0.0`, and under
+    /// round-to-nearest `x + ±0.0 == x` bit for bit for every `x` except
+    /// `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense chain's zero
+    /// terms leave the accumulator as they found it, the nonzero terms
+    /// meet the same accumulator in the same order in both chains, and
+    /// the results agree in every bit. The one corner is an accumulator
+    /// that *is* `-0.0`: adding zero products to `+0.0` keeps it `+0.0`
+    /// and exact cancellation rounds to `+0.0`, so that takes a nonzero
+    /// partial sum underflowing to `-0.0` — a product below the smallest
+    /// subnormal — and then the two chains may differ in the sign of a
+    /// zero. (Non-finite amplitudes have left the argument's premise, and
+    /// any meaning, already.) The test is on the `f64` table and on both
+    /// components, not on a norm: an entry of `1e-200`, whose norm
+    /// squares to zero, stays mixed, and at fp32 an entry that only
+    /// rounds to zero stays in the chain.
+    fn close(mut self) -> Self {
+        let m = self.mdim();
+        let mut kept = 0usize;
+        for sub in self.table.chunks_exact(m * m) {
+            for (r, row) in sub.chunks_exact(m).enumerate() {
+                for (c, e) in row.iter().enumerate() {
+                    if (r ^ c) & !kept != 0 && (e.re != 0.0 || e.im != 0.0) {
+                        kept |= r ^ c;
                     }
                 }
             }
         }
-        deposit(bits, self.mixed)
-    }
-
-    /// If every sub-unitary is diagonal within `tol`, the diagonal of the
-    /// dense matrix (length `2^k`, local index order); `None` otherwise.
-    /// Diagonal kernels (QFT `cr1` ladders, `rz` chains) admit an
-    /// element-wise phase pass with no gather/scatter.
-    pub fn diagonal(&self, tol: f64) -> Option<Vec<C64>> {
-        if self.mixed == 0 {
-            return Some(self.table.clone());
+        let mixed = deposit(kept, self.mixed);
+        if mixed == self.mixed {
+            return self;
         }
-        self.is_diagonal_within(tol)
-            .then(|| (0..1usize << self.qubits.len()).map(|i| self.entry(i, i)).collect())
-    }
-
-    /// No entry off the diagonal of any sub-unitary exceeds `tol`.
-    fn is_diagonal_within(&self, tol: f64) -> bool {
-        let mdim = self.mdim();
-        self.table.chunks_exact(mdim * mdim).all(|sub| {
-            sub.chunks_exact(mdim)
-                .enumerate()
-                .all(|(r, row)| row.iter().enumerate().all(|(c, e)| c == r || e.norm() <= tol))
-        })
+        let (own_unmixed, unmixed) = (self.unmixed(), low_bits(self.qubits.len()) & !mixed);
+        // Row (and column) of the old sub-unitary that each assignment of
+        // the kept bits reads; the demoted bits add a fixed offset, since
+        // packing disjoint bits ORs.
+        let rows: Vec<usize> = (0..1usize << kept.count_ones()).map(|r| deposit(r, kept)).collect();
+        let mut table = Vec::with_capacity((rows.len() * rows.len()) << unmixed.count_ones());
+        for t in 0..1usize << unmixed.count_ones() {
+            let d = deposit(t, unmixed);
+            let sub = &self.table[extract(d, own_unmixed) * m * m..][..m * m];
+            let demoted = extract(d, self.mixed);
+            for &r in &rows {
+                table.extend(rows.iter().map(|&c| sub[(demoted | r) * m + (demoted | c)]));
+            }
+        }
+        self.mixed = mixed;
+        self.table = table;
+        self
     }
 
     /// The kernel on the subspace where the unmixed local bits of
     /// `fixed` take fixed values (`(local bit, 0 or 1)` pairs): the
     /// sub-unitaries of the matching assignments, over the other qubits
-    /// in their relative order. A device whose rank bits fix some of a
-    /// kernel's qubits applies this selection with no communication.
+    /// in their relative order, closed like a fused block (a bit the
+    /// selected sub-unitaries do not cross is demoted). A device whose
+    /// rank bits fix some of a kernel's qubits applies this selection
+    /// with no communication.
     ///
     /// # Panics
     /// If a fixed bit is one the table mixes.
@@ -415,6 +416,7 @@ impl FusedBlock {
             table,
             source_gates: self.source_gates,
         }
+        .close()
     }
 
     /// Apply the kernel to a full state vector, sub-unitary by
@@ -474,15 +476,6 @@ impl FusedBlock {
             .filter(|&(j, _)| self.mixed >> j & 1 == 1)
             .map(|(_, &q)| 1u128 << q)
             .sum()
-    }
-
-    /// True if the kernel is diagonal within `1e-15` (a pure phase
-    /// pattern, as the engines classify it): it applies element-wise with
-    /// no gather/scatter, so it can join a sweep of any width. A block
-    /// that mixes nothing always is; one whose gates cancel their mixing
-    /// (a transpiled `cz` is `h·cx·h`) may be too.
-    pub fn is_diagonal(&self) -> bool {
-        self.is_diagonal_within(1e-15)
     }
 
     /// Re-express the table after `add` joined as new high local bits and
@@ -689,6 +682,8 @@ pub fn try_fuse(circ: &Circuit, width: usize) -> Result<FusedProgram, FusionErro
 /// block, a new operand it does not mix joins unmixed — and otherwise
 /// opens a block of its own. A gate the window cannot hold even alone (a
 /// two-qubit gate at width 1) gets a block of its own, closed at once.
+/// Admission reads the structural mask; a block leaves the loop through
+/// `FusedBlock::close`, which makes its mask exact.
 pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<FusedProgram, FusionError> {
     if !(1..=MAX_FUSION_WIDTH).contains(&width) {
         return Err(FusionError::InvalidWidth { width });
@@ -704,7 +699,7 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
 
     for g in circ.gates() {
         if !g.is_unitary_op() {
-            blocks.extend(cur.take());
+            blocks.extend(cur.take().map(FusedBlock::close));
             continue;
         }
         let ops = g.operands();
@@ -730,7 +725,7 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
             admitted
         });
         if !extended {
-            blocks.extend(cur.take());
+            blocks.extend(cur.take().map(FusedBlock::close));
             cur = Some(FusedBlock::identity(ops.to_vec(), gate_mixes));
         }
         let b = cur.as_mut().expect("an open block");
@@ -741,10 +736,10 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
         b.push_gate(&matrix, &positions[..ops.len()], &mut scratch);
         b.source_gates += 1;
         if !fits(b.qubits.len(), b.mixed) {
-            blocks.extend(cur.take());
+            blocks.extend(cur.take().map(FusedBlock::close));
         }
     }
-    blocks.extend(cur.take());
+    blocks.extend(cur.take().map(FusedBlock::close));
 
     if qgear_telemetry::is_enabled() {
         use qgear_telemetry::names;
@@ -1158,7 +1153,8 @@ mod tests {
         let prog = fuse(&c, 3);
         for b in &prog.blocks {
             assert!(b.mixing_mask().iter().all(|&m| !m), "diagonal kernels mix no bits");
-            assert_eq!(b.diagonal(0.0).as_deref(), Some(&b.table[..]));
+            let diagonal: Vec<C64> = (0..1usize << b.qubits.len()).map(|i| b.entry(i, i)).collect();
+            assert_eq!(b.table(), &diagonal[..], "the table is the diagonal in local-index order");
         }
     }
 
@@ -1186,37 +1182,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sub_unitaries_read_the_entries_of_the_kept_bits() {
-        // For every subset of a block's mask: sub-unitary `t` over the
-        // kept bits, entry `(r, c)`, is the dense entry at those bits with
-        // the others at assignment `t` — the table itself for the full mask.
-        let mut checked = 0;
-        for seed in 0..20u64 {
-            for b in &fuse(&random_circuit(6, 40, seed), 3).blocks {
-                let k = b.qubits.len();
-                let mut kept = b.mixed;
-                loop {
-                    let others = low_bits(k) & !kept;
-                    let dim = 1usize << kept.count_ones();
-                    let mut expect = Vec::new();
-                    for t in 0..1usize << others.count_ones() {
-                        let d = deposit(t, others);
-                        for r in 0..dim {
-                            expect.extend((0..dim).map(|c| b.entry(d | deposit(r, kept), d | deposit(c, kept))));
-                        }
-                    }
-                    assert_eq!(b.sub_unitaries(kept), expect, "seed {seed}, kept {kept:b}");
-                    checked += 1;
-                    if kept == 0 {
-                        break;
-                    }
-                    kept = (kept - 1) & b.mixed;
+    /// The local bits some entry of `b`'s dense matrix crosses with a
+    /// nonzero component: the exact mask, read off `entry`.
+    fn crossed_bits(b: &FusedBlock) -> usize {
+        let dim = 1usize << b.qubits.len();
+        let mut bits = 0;
+        for r in 0..dim {
+            for c in 0..dim {
+                let e = b.entry(r, c);
+                if e.re != 0.0 || e.im != 0.0 {
+                    bits |= r ^ c;
                 }
-                assert_eq!(b.sub_unitaries(b.mixed), b.table);
             }
         }
-        assert!(checked > 200, "{checked} cuts");
+        bits
+    }
+
+    #[test]
+    fn closing_demotes_exactly_the_uncrossed_bits_and_keeps_every_entry() {
+        // Each fused block and its dense matrix as an all-mixed open block:
+        // closed, both mix exactly the bits a nonzero entry crosses, and
+        // the demoted block's `entry` is the open block's everywhere.
+        let mut demoted = 0;
+        for seed in 0..20u64 {
+            for b in &fuse(&random_circuit(6, 40, seed), 3).blocks {
+                assert_eq!(b.mixed, crossed_bits(b), "seed {seed}: a fused block is closed");
+                let k = b.qubits.len();
+                let dense = DenseUnitary::of(b);
+                let open =
+                    FusedBlock { qubits: b.qubits.clone(), mixed: low_bits(k), table: dense.m, source_gates: 0 };
+                let closed = open.clone().close();
+                assert_eq!(closed.mixed, b.mixed, "seed {seed}");
+                assert_eq!(closed.table, b.table, "seed {seed}");
+                let dim = 1usize << k;
+                for i in 0..dim * dim {
+                    assert_eq!(closed.entry(i / dim, i % dim), open.entry(i / dim, i % dim), "seed {seed}");
+                }
+                assert_eq!(closed.clone().close(), closed, "closing is idempotent");
+                demoted += usize::from(b.mixed != low_bits(k));
+            }
+        }
+        assert!(demoted > 20, "{demoted} blocks demoted");
+    }
+
+    #[test]
+    fn a_lowered_controlled_phase_closes_as_a_diagonal() {
+        // `cr1` lowered to rz·rz·cx·rz·cx: the cx pair mixes the target
+        // while the block grows and cancels by the time it closes.
+        let mut c = Circuit::new(2);
+        c.rz(0.3, 0).rz(0.2, 1).cx(0, 1).rz(-0.2, 1).cx(0, 1);
+        let b = &fuse(&c, 2).blocks[0];
+        assert_eq!(b.source_gates, 5);
+        assert_eq!(b.mixed(), 0);
+        assert_eq!(b.table().len(), 4);
     }
 
     #[test]

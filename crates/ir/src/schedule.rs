@@ -206,7 +206,7 @@ pub fn sweeps(program: &FusedProgram, opts: &SweepOptions) -> SweepSchedule {
     for (i, block) in program.blocks.iter().enumerate() {
         let support = block.support_mask();
         let mixed = block.mixed_support_mask();
-        let diagonal = block.is_diagonal();
+        let diagonal = block.mixed() == 0;
 
         // A kernel fits a sweep when the merged pass is still executable
         // in one cache-blocked traversal: all-diagonal sweeps have no

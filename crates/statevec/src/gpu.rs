@@ -22,12 +22,14 @@
 //! model in `qgear-perfmodel` converts into projected A100 timings are
 //! the per-kernel launch and byte counters a run charges to `ExecStats`.
 //!
-//! Kernel arithmetic exists once. `classify` sorts a fused block into
-//! a diagonal table or a group kernel over the bits the block mixes
-//! (dense being the all-mixed case) — the planner prices a kernel from
-//! the same answer — and `KernelPlan` owns the one gather / mul-add /
-//! scatter body; a full-state kernel ([`GpuDevice::apply_block`]) is that
-//! body driven over the whole state, a shard step
+//! Kernel arithmetic exists once. A fused block's mask
+//! ([`FusedBlock::mixed`], made exact when the fuser closed the block)
+//! is the kernel decision: an empty mask is a diagonal table, any other
+//! a group kernel over the bits it names (dense being the all-mixed
+//! case) — the planner prices a kernel from the same mask — and
+//! `KernelPlan` owns the one gather / mul-add / scatter body; a
+//! full-state kernel ([`GpuDevice::apply_block`]) is that body driven
+//! over the whole state, a shard step
 //! ([`GpuDevice::apply_to_slices`]) one plan driven over every slice in
 //! turn, a sweep ([`GpuDevice::apply_sweep`]) the same body driven over
 //! cache-sized tiles.
@@ -44,7 +46,7 @@ use crate::simd::{self, DiagTable};
 use qgear_ir::fusion::FusedBlock;
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
-use qgear_num::{AlignedVec, Complex, Scalar, C64};
+use qgear_num::{AlignedVec, Complex, Scalar};
 use qgear_telemetry::clock::WallClock;
 use rayon::prelude::*;
 
@@ -94,12 +96,12 @@ impl GpuDevice {
 
     /// Execute one fused block over the state, data-parallel.
     ///
-    /// The block is classified once, in exact mode (`classify`) —
-    /// a pure phase pattern (QFT's cr1 chains, rz runs) becomes one
+    /// A block that mixes nothing (QFT's cr1 chains, rz runs) is one
     /// element-wise table pass with no gather/scatter, exactly like a
     /// cuQuantum diagonal kernel; anything else a mul-add chain over the
-    /// entries that are not exactly zero, which is bit for bit the dense
-    /// `2^k` chain — and the full-state driver splits the independent
+    /// bits it mixes, which skips only entries that are exactly zero and
+    /// so is bit for bit the dense `2^k` chain — and the full-state
+    /// driver splits the independent
     /// amplitude groups across rayon workers. The sweep path runs the
     /// *same* plan body over its tiles, which is why order-preserving
     /// sweeps are bit-identical to this kernel-at-a-time path.
@@ -108,7 +110,7 @@ impl GpuDevice {
     }
 
     /// Execute one kernel on every slice of a partitioned state: `block`
-    /// is planned **once**, in exact mode, with its local bit `j` at slice
+    /// is planned **once**, with its local bit `j` at slice
     /// bit `positions[j]`, and that plan runs over each of the equally
     /// long `slices` in turn with the full-state driver.
     /// [`GpuDevice::apply_block`] is the one-slice case, so a slice gets
@@ -124,7 +126,7 @@ impl GpuDevice {
         let mut slices = slices.into_iter().peekable();
         let Some(first) = slices.peek() else { return };
         let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
-        let plan = KernelPlan::new(block, &masks, first.len(), true);
+        let plan = KernelPlan::new(block, &masks, first.len());
         for slice in slices {
             plan.launch(slice);
         }
@@ -142,26 +144,15 @@ impl GpuDevice {
     /// traffic is one read + one write of the state per *sweep* instead
     /// of per kernel.
     ///
-    /// `exact` selects the tile arithmetic. When `true` (order-preserving
-    /// schedules), each kernel is the exact plan [`GpuDevice::apply_block`]
-    /// builds, run by the same body, so sweep execution is
-    /// **bit-identical** to applying the sweep's kernels sequentially over
-    /// the full state in the same order. Either way a kernel of width `k`
-    /// that mixes only `μ` of its qubits splits into `2^(k-μ)` independent
-    /// `2^μ × 2^μ` sub-unitaries indexed by the unmixed (control/phase)
-    /// bits, cutting the per-amplitude cost from `2^k` to `2^μ` mul-adds —
-    /// 16× for QFT kernels, which mix only the single `h` qubit of each
-    /// block. The exact plan counts a bit unmixed only when every entry
-    /// across it is exactly zero, which changes no result bit (see
-    /// `classify`); when `false` (the default reordering schedules,
-    /// which already only agree up to round-off) entries below `1e-12`
-    /// are dropped as well.
-    pub fn apply_sweep<T: Scalar>(
-        state: &mut [Complex<T>],
-        blocks: &[FusedBlock],
-        sweep: &Sweep,
-        exact: bool,
-    ) {
+    /// Each kernel is the plan [`GpuDevice::apply_block`] builds, run by
+    /// the same body, so sweep execution is **bit-identical** to applying
+    /// the sweep's kernels sequentially over the full state in the same
+    /// order. A kernel of width `k` that mixes only `μ` of its qubits
+    /// splits into `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed
+    /// by the unmixed (control/phase) bits, cutting the per-amplitude cost
+    /// from `2^k` to `2^μ` mul-adds — 16× for QFT kernels, which mix only
+    /// the single `h` qubit of each block.
+    pub fn apply_sweep<T: Scalar>(state: &mut [Complex<T>], blocks: &[FusedBlock], sweep: &Sweep) {
         if let [only] = sweep.kernels.as_slice() {
             GpuDevice::apply_block(state, &blocks[*only]);
             return;
@@ -183,11 +174,11 @@ impl GpuDevice {
                 .iter()
                 .map(|&ki| {
                     let b = &blocks[ki];
-                    let KernelClass::Diagonal(diag) = classify(b, exact) else {
+                    let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
+                    let KernelPlan::Diag { table } = KernelPlan::new(b, &masks, state.len()) else {
                         panic!("diagonal sweep member")
                     };
-                    let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
-                    DiagTable::build(diag.iter().map(|c| c.cast()).collect(), &masks, state.len())
+                    table
                 })
                 .collect();
             let chunk = tables.first().map_or(state.len(), |t| t.chunk());
@@ -228,7 +219,7 @@ impl GpuDevice {
             .map(|&ki| {
                 let b = &blocks[ki];
                 let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << pos(q)).collect();
-                KernelPlan::new(b, &masks, tile, exact)
+                KernelPlan::new(b, &masks, tile)
             })
             .collect();
         for plan in &plans {
@@ -327,52 +318,7 @@ fn expand_index(mut index: usize, sorted_bits: &[usize]) -> usize {
     index
 }
 
-/// How a fused kernel executes: the answer [`classify`] gives, which
-/// `KernelPlan::new` builds from and the planner prices from.
-pub(crate) enum KernelClass {
-    /// Pure phase pattern, by its diagonal: one multiply per amplitude.
-    Diagonal(Vec<C64>),
-    /// A group kernel over the mixed local bits of this mask: `2^μ`
-    /// mul-adds per amplitude, `μ` its popcount.
-    Mixed(usize),
-}
-
-/// Classify `u` — the one place that decides whether a kernel is a
-/// diagonal table and, if not, which of its bits it mixes.
-///
-/// `exact: true` promises the bits of sequential dense application —
-/// the `2^k` mul-add chain per amplitude, in column order, that every
-/// bitwise tier is pinned to — and keeps the promise while skipping
-/// the entries that are **exactly** zero
-/// ([`FusedBlock::exactly_mixed_bits`], a scan of the block's table; a
-/// table holds no entry across the bits it does not mix, and those
-/// count as exact zeros). The argument: a row's accumulator
-/// starts at `+0.0`; a zero entry times a finite amplitude is `±0.0`,
-/// and under round-to-nearest `x + ±0.0 == x` bit for bit for every
-/// `x` except `-0.0` (where `-0.0 + +0.0` is `+0.0`). So the dense
-/// chain's zero terms leave the accumulator as they found it, the
-/// nonzero terms meet the same accumulator in the same order in both
-/// chains, and the results agree in every bit. The one corner is an
-/// accumulator that *is* `-0.0`: adding zero products to `+0.0` keeps
-/// it `+0.0` and exact cancellation rounds to `+0.0`, so that takes a
-/// nonzero partial sum underflowing to `-0.0` — a product below the
-/// smallest subnormal — and then the two chains may differ in the
-/// sign of a zero. (Non-finite amplitudes have left the argument's
-/// premise, and any meaning, already.) The mask is taken on the `f64`
-/// table, so at fp32 an entry that only rounds to zero stays in the
-/// chain.
-///
-/// `exact: false` also drops cross entries below `1e-12`, which agrees
-/// with the dense product only to that tolerance.
-pub(crate) fn classify(block: &FusedBlock, exact: bool) -> KernelClass {
-    match block.diagonal(1e-15) {
-        Some(diag) => KernelClass::Diagonal(diag),
-        None if exact => KernelClass::Mixed(block.exactly_mixed_bits()),
-        None => KernelClass::Mixed(block.mixed_bits(1e-12)),
-    }
-}
-
-/// One fused kernel, classified once and ready to run over `span`
+/// One fused kernel, planned once and ready to run over `span`
 /// amplitudes: a sweep tile (masks in tile-slot space) or the whole state
 /// (global bit masks) — the plan is mask-space agnostic, and both drivers
 /// ([`KernelPlan::run_tile`], [`KernelPlan::run_full`]) execute the same
@@ -442,19 +388,16 @@ enum LaneLayout {
 }
 
 impl<T: Scalar> KernelPlan<T> {
-    /// Plan `block`, as [`classify`] sorts it, over spans of `span`
-    /// amplitudes/slots, `masks[j]` being the span mask of kernel-local
-    /// bit `j`: a diagonal becomes a [`DiagTable`], anything else a
+    /// Plan `block` over spans of `span` amplitudes/slots, `masks[j]`
+    /// being the span mask of kernel-local bit `j`: a block that mixes
+    /// nothing becomes a [`DiagTable`] of its table, anything else a
     /// [`GroupKernel`] over the bits it mixes.
-    fn new(block: &FusedBlock, masks: &[usize], span: usize, exact: bool) -> Self {
-        match classify(block, exact) {
-            KernelClass::Diagonal(diag) => {
-                let d = diag.iter().map(|c| c.cast()).collect();
-                KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
-            }
-            KernelClass::Mixed(mixed) => {
-                KernelPlan::Grouped(GroupKernel::new(block, masks, span, mixed, simd::simd_enabled()))
-            }
+    fn new(block: &FusedBlock, masks: &[usize], span: usize) -> Self {
+        if block.mixed() == 0 {
+            let d = block.table().iter().map(|c| c.cast()).collect();
+            KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
+        } else {
+            KernelPlan::Grouped(GroupKernel::new(block, masks, span, simd::simd_enabled()))
         }
     }
 
@@ -512,13 +455,10 @@ impl<T: Scalar> KernelPlan<T> {
 }
 
 impl<T: Scalar> GroupKernel<T> {
-    /// Plan a non-diagonal kernel over the local bits set in `mixed`.
-    /// Whatever cross entries an unflagged bit has are dropped — the
-    /// caller's mask says how small they are (exactly zero, or below
-    /// `1e-12`).
-    /// `simd` allows the lane path, which a span with `log2(LANES)` bits
-    /// outside `masks` then takes.
-    fn new(block: &FusedBlock, masks: &[usize], span: usize, mixed: usize, simd: bool) -> Self {
+    /// Plan `block` over the local bits it mixes, its table cast to the
+    /// execution precision. `simd` allows the lane path, which a span
+    /// with `log2(LANES)` bits outside `masks` then takes.
+    fn new(block: &FusedBlock, masks: &[usize], span: usize, simd: bool) -> Self {
         let k = block.qubits.len();
         // The unsafe body's bounds argument: item bases and offsets only
         // ever combine bits below a power-of-two span.
@@ -527,9 +467,9 @@ impl<T: Scalar> GroupKernel<T> {
             "kernel bit masks must lie inside the span"
         );
         let (mixed_bits, diag_bits): (Vec<usize>, Vec<usize>) =
-            (0..k).partition(|&j| mixed >> j & 1 == 1);
+            (0..k).partition(|&j| block.mixed() >> j & 1 == 1);
         let mdim = 1usize << mixed_bits.len();
-        let subs: Vec<Complex<T>> = block.sub_unitaries(mixed).iter().map(|e| e.cast()).collect();
+        let subs: Vec<Complex<T>> = block.table().iter().map(|e| e.cast()).collect();
         let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
         let extract: Vec<(usize, usize)> =
             diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
@@ -710,14 +650,14 @@ impl<T: Scalar> Simulator<T> for GpuDevice {
     }
 }
 
-/// `μ` of the group kernel `KernelPlan::new(block, .., exact)` really builds,
-/// `None` for a diagonal table: what the planner's pricing tests hold
-/// the priced `2^μ` against.
+/// `μ` of the group kernel `KernelPlan::new` really builds, `None` for a
+/// diagonal table: what the planner's pricing tests hold the priced
+/// `2^μ` against.
 #[cfg(test)]
-pub(crate) fn built_mixed_count(block: &FusedBlock, exact: bool) -> Option<u32> {
+pub(crate) fn built_mixed_count(block: &FusedBlock) -> Option<u32> {
     let k = block.qubits.len();
     let masks: Vec<usize> = (0..k).map(|j| 1usize << j).collect();
-    match KernelPlan::<f64>::new(block, &masks, 1 << k, exact) {
+    match KernelPlan::<f64>::new(block, &masks, 1 << k) {
         KernelPlan::Diag { .. } => None,
         KernelPlan::Grouped(kernel) => Some(kernel.mdim.trailing_zeros()),
     }
@@ -730,6 +670,7 @@ mod tests {
     use crate::state::StateVector;
     use qgear_ir::reference;
     use qgear_num::approx::max_deviation;
+    use qgear_num::C64;
 
     fn rich_circuit(n: u32, seed: u64) -> Circuit {
         let mut c = Circuit::new(n);
@@ -917,30 +858,25 @@ mod tests {
         block
     }
 
-    /// `u`'s group kernel as [`KernelPlan::new`] plans it (exact, or
-    /// factored over the `1e-12` mask), lanes allowed or forced off — what
-    /// `set_simd_enabled` selects, without racing the process-wide toggle.
-    fn group_plan<T: Scalar>(
-        u: &FusedBlock,
-        masks: &[usize],
-        span: usize,
-        exact: bool,
-        simd: bool,
-    ) -> KernelPlan<T> {
-        let KernelClass::Mixed(mixed) = classify(u, exact) else { panic!("not a diagonal block") };
-        KernelPlan::Grouped(GroupKernel::new(u, masks, span, mixed, simd))
+    /// `u`'s group kernel as [`KernelPlan::new`] plans it, lanes allowed
+    /// or forced off — what `set_simd_enabled` selects, without racing the
+    /// process-wide toggle.
+    fn group_plan<T: Scalar>(u: &FusedBlock, masks: &[usize], span: usize, simd: bool) -> KernelPlan<T> {
+        assert_ne!(u.mixed(), 0, "not a diagonal block");
+        KernelPlan::Grouped(GroupKernel::new(u, masks, span, simd))
     }
 
     /// `plan` through the full-state driver and through the tile driver
     /// with the whole state as the one tile: both outputs' bits.
     fn both_drivers<T: Scalar>(plan: &KernelPlan<T>, state: &[Complex<T>]) -> [Vec<u64>; 2] {
-        let bits = |amps: &[Complex<T>]| -> Vec<u64> {
-            amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
-        };
         let (mut full, mut tile) = (state.to_vec(), state.to_vec());
         plan.run_full(&mut full);
         plan.run_tile(&mut tile);
         [bits(&full), bits(&tile)]
+    }
+
+    fn bits<T: Scalar>(amps: &[Complex<T>]) -> Vec<u64> {
+        amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
     }
 
     fn layout<T: Scalar>(plan: &KernelPlan<T>) -> &'static str {
@@ -960,16 +896,11 @@ mod tests {
 
     /// `block` on `n` qubits at precision `T`: lanes and scalar agree bit
     /// for bit, through both drivers. Returns the lane plan's layout.
-    fn assert_lanes_are_the_scalar_chain<T: Scalar>(
-        block: &FusedBlock,
-        exact: bool,
-        n: u32,
-        what: &str,
-    ) -> &'static str {
+    fn assert_lanes_are_the_scalar_chain<T: Scalar>(block: &FusedBlock, n: u32, what: &str) -> &'static str {
         let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
         let state = rich_state::<T>(n);
-        let on = group_plan::<T>(block, &masks, state.len(), exact, true);
-        let off = group_plan::<T>(block, &masks, state.len(), exact, false);
+        let on = group_plan::<T>(block, &masks, state.len(), true);
+        let off = group_plan::<T>(block, &masks, state.len(), false);
         assert_eq!(layout(&off), "scalar");
         let ([full, tile], [off_full, off_tile]) = (both_drivers(&on, &state), both_drivers(&off, &state));
         let what = format!("{what} {}", T::PRECISION_NAME);
@@ -998,12 +929,12 @@ mod tests {
             ([15, 6, 11, 4, 9], "contiguous"),
             ([15, 14, 11, 1, 0], "strided"),
         ];
-        for (mu, exact) in [(5, true), (1, false), (3, false)] {
+        for mu in [5, 1, 3] {
             for (qubits, expect) in placements {
                 let block = width5_block(mu, &qubits, 17 + mu as u64);
                 let what = format!("μ={mu} on {qubits:?}");
-                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, exact, n, &what), expect, "{what}");
-                assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, exact, n, &what), expect, "{what}");
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, n, &what), expect, "{what}");
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, n, &what), expect, "{what}");
             }
         }
     }
@@ -1024,14 +955,12 @@ mod tests {
         for (class, qubits, expect) in classes {
             for mu in 1..=5 {
                 let block = width5_block(mu, &qubits, 40 + mu as u64);
-                for exact in [true, false] {
-                    let what = format!("{class}: μ={mu} exact={exact} on {qubits:?}");
-                    let got = [
-                        assert_lanes_are_the_scalar_chain::<f64>(&block, exact, 14, &what),
-                        assert_lanes_are_the_scalar_chain::<f32>(&block, exact, 14, &what),
-                    ];
-                    assert_eq!(got, expect, "{what}");
-                }
+                let what = format!("{class}: μ={mu} on {qubits:?}");
+                let got = [
+                    assert_lanes_are_the_scalar_chain::<f64>(&block, 14, &what),
+                    assert_lanes_are_the_scalar_chain::<f32>(&block, 14, &what),
+                ];
+                assert_eq!(got, expect, "{what}");
             }
         }
         // Scalar is what is left when the span has no bits to spare: a
@@ -1039,8 +968,8 @@ mod tests {
         let block = width5_block(5, &[0, 1, 2, 3, 4], 45);
         for (n, expect) in [(6, ["scalar", "scalar"]), (7, ["strided", "scalar"]), (8, ["strided", "strided"])] {
             let got = [
-                assert_lanes_are_the_scalar_chain::<f64>(&block, true, n, "small span"),
-                assert_lanes_are_the_scalar_chain::<f32>(&block, true, n, "small span"),
+                assert_lanes_are_the_scalar_chain::<f64>(&block, n, "small span"),
+                assert_lanes_are_the_scalar_chain::<f32>(&block, n, "small span"),
             ];
             assert_eq!(got, expect, "n = {n}");
         }
@@ -1056,12 +985,12 @@ mod tests {
         Controlled(usize),
         /// One entry per column, unimodular.
         PhasedPermutation,
-        /// A diagonal plus entries of `1e-14 … 1e-18`: too big for the
-        /// `DiagTable`, far too small for the 1e-12 mixing mask.
+        /// A diagonal plus entries of `1e-14 … 1e-18`: nonzero, so every
+        /// bit one of them crosses stays mixed.
         NearDiagonal,
     }
 
-    fn shaped_matrix(k: usize, shape: Shape, rnd: &mut impl FnMut() -> f64) -> FusedBlock {
+    fn shaped_matrix(k: usize, shape: Shape, rnd: &mut impl FnMut() -> f64) -> Vec<C64> {
         let dim = 1usize << k;
         let signed_zero = |negative: bool| if negative { -0.0 } else { 0.0 };
         let mut m: Vec<qgear_num::C64> = (0..dim * dim)
@@ -1098,25 +1027,44 @@ mod tests {
                 }
             }
         }
-        FusedBlock::from_dense((0..k as u32).collect(), m)
+        m
     }
 
-    /// The exact plan of `u` against the all-mixed plan of `u` — the
-    /// dense `2^k` chain — on one state, every driver and lane form.
-    fn assert_exact_plan_is_the_dense_chain<T: Scalar>(
-        u: &FusedBlock,
+    /// The dense `2^k` chain of the row-major matrix `m` over `masks`:
+    /// every output row one `mul_add` chain over all `2^k` columns in
+    /// order, zero entries included. The bits of the result.
+    fn dense_chain<T: Scalar>(m: &[C64], masks: &[usize], state: &[Complex<T>]) -> Vec<u64> {
+        let dim = 1usize << masks.len();
+        let m: Vec<Complex<T>> = m.iter().map(|e| e.cast()).collect();
+        let offs = simd::local_offsets(masks);
+        let support = masks.iter().fold(0usize, |acc, &x| acc | x);
+        let mut out = state.to_vec();
+        for base in (0..state.len()).filter(|b| b & support == 0) {
+            for (r, row) in m.chunks_exact(dim).enumerate() {
+                let mut acc = Complex::<T>::ZERO;
+                for (e, &off) in row.iter().zip(&offs) {
+                    acc = e.mul_add(state[base | off], acc);
+                }
+                out[base | offs[r]] = acc;
+            }
+        }
+        bits(&out)
+    }
+
+    /// The plan of `from_dense(m)` against the dense chain of `m` on one
+    /// state, every driver and lane form.
+    fn assert_plan_is_the_dense_chain<T: Scalar>(
+        m: &[C64],
         masks: &[usize],
         state: &[Complex<T>],
         what: &str,
     ) {
-        let (all, span) = ((1usize << masks.len()) - 1, state.len());
+        let u = FusedBlock::from_dense((0..masks.len() as u32).collect(), m.to_vec());
+        let dense = dense_chain(m, masks, state);
         for simd in [true, false] {
-            let exact = both_drivers(&group_plan::<T>(u, masks, span, true, simd), state);
-            let dense =
-                both_drivers(&KernelPlan::Grouped(GroupKernel::<T>::new(u, masks, span, all, simd)), state);
-            assert!(exact[0] == dense[0], "{what}, simd {simd}: run_full");
-            assert!(exact[1] == dense[1], "{what}, simd {simd}: run_tile");
-            assert!(exact[0] == exact[1], "{what}, simd {simd}: full vs tile");
+            let [full, tile] = both_drivers(&group_plan::<T>(&u, masks, state.len(), simd), state);
+            assert!(full == dense, "{what}, simd {simd}: run_full");
+            assert!(tile == dense, "{what}, simd {simd}: run_tile");
         }
     }
 
@@ -1144,7 +1092,7 @@ mod tests {
             for shape in shapes {
                 case += 1;
                 let n = 8 + case % 7;
-                let u = shaped_matrix(k, shape, &mut rnd);
+                let m = shaped_matrix(k, shape, &mut rnd);
                 // Scattered positions, in no order.
                 let mut positions: Vec<u32> = (0..n).collect();
                 for i in (1..positions.len()).rev() {
@@ -1164,14 +1112,15 @@ mod tests {
                     .collect();
                 let what = format!("k={k} {shape:?} at {:?} of n={n}", &positions[..k]);
                 if let Shape::Controlled(unmixed) = shape {
-                    let plan = KernelPlan::<f64>::new(&u, &masks, state.len(), true);
+                    let u = FusedBlock::from_dense((0..k as u32).collect(), m.clone());
+                    let plan = KernelPlan::<f64>::new(&u, &masks, state.len());
                     let KernelPlan::Grouped(kernel) = plan else { panic!("{what}: grouped") };
                     let mixed = k - unmixed.count_ones() as usize;
                     assert_eq!(kernel.mdim, 1 << mixed, "{what}: factored");
                 }
-                assert_exact_plan_is_the_dense_chain::<f64>(&u, &masks, &state, &what);
+                assert_plan_is_the_dense_chain::<f64>(&m, &masks, &state, &what);
                 let state32: Vec<Complex<f32>> = state.iter().map(|a| a.cast()).collect();
-                assert_exact_plan_is_the_dense_chain::<f32>(&u, &masks, &state32, &what);
+                assert_plan_is_the_dense_chain::<f32>(&m, &masks, &state32, &what);
             }
         }
     }
@@ -1181,28 +1130,57 @@ mod tests {
         // Block-diagonal over local bit 1 but for one entry whose norm
         // squares to zero — and which moves amplitude 2's 1e250 into
         // amplitude 0 as 1e50.
-        let z = qgear_num::C64::ZERO;
-        let e = |re: f64| qgear_num::C64::new(re, 0.0);
+        let z = C64::ZERO;
+        let e = |re: f64| C64::new(re, 0.0);
         #[rustfmt::skip]
-        let u = FusedBlock::from_dense(vec![0, 1], vec![
+        let m = vec![
             e(0.6), e(0.8), e(1e-200), z,
             e(-0.8), e(0.6), z, z,
             z, z, e(0.6), e(-0.8),
             z, z, e(0.8), e(0.6),
-        ]);
-        assert_eq!(u.mixed_bits(0.0), 0b01, "a norm test loses it");
-        assert_eq!(u.exactly_mixed_bits(), 0b11);
+        ];
+        let u = FusedBlock::from_dense(vec![0, 1], m.clone());
+        assert_eq!(u.mixed(), 0b11);
         let masks = [1usize << 3, 1 << 6];
         let mut state: Vec<Complex<f64>> =
             (0..1 << 8).map(|i| Complex::new(f64::from(i), 0.5)).collect();
         state[1 << 6] = Complex::new(1e250, 0.0);
-        let KernelPlan::Grouped(kernel) = KernelPlan::<f64>::new(&u, &masks, state.len(), true)
+        let KernelPlan::Grouped(kernel) = KernelPlan::<f64>::new(&u, &masks, state.len())
         else { panic!("grouped") };
         assert_eq!(kernel.mdim, 4, "both bits mixed");
-        assert_exact_plan_is_the_dense_chain::<f64>(&u, &masks, &state, "1e-200");
+        assert_plan_is_the_dense_chain::<f64>(&m, &masks, &state, "1e-200");
         let mut out = state.clone();
-        KernelPlan::<f64>::new(&u, &masks, state.len(), true).run_full(&mut out);
+        KernelPlan::<f64>::new(&u, &masks, state.len()).run_full(&mut out);
         assert!((out[0].re / 1e50 - 1.0).abs() < 1e-12, "the entry acted");
+    }
+
+    #[test]
+    fn a_near_diagonal_block_is_grouped_over_the_bit_its_tiny_entry_crosses() {
+        // A phase pattern but for one cross entry of 1e-16, which moves
+        // amplitude 2's 1e10 into amplitude 0 as 1e-6: a tolerance of
+        // 1e-15 would call the block diagonal and drop it.
+        let z = C64::ZERO;
+        let d = |t: f64| C64::cis(t);
+        #[rustfmt::skip]
+        let m = vec![
+            d(0.1), z, C64::new(1e-16, 0.0), z,
+            z, d(0.2), z, z,
+            z, z, d(0.3), z,
+            z, z, z, d(0.4),
+        ];
+        let u = FusedBlock::from_dense(vec![0, 1], m.clone());
+        assert_eq!(u.mixed(), 0b10, "local bit 1 is crossed, bit 0 is not");
+        let masks = [1usize << 3, 1 << 6];
+        let mut state: Vec<Complex<f64>> =
+            (0..1 << 8).map(|i| Complex::new(f64::from(i), 0.5)).collect();
+        state[1 << 6] = Complex::new(1e10, 0.0);
+        let KernelPlan::Grouped(kernel) = KernelPlan::<f64>::new(&u, &masks, state.len())
+        else { panic!("grouped") };
+        assert_eq!((kernel.mdim, &kernel.offs[..]), (2, &[0, 1usize << 6][..]), "grouped over bit 1");
+        assert_plan_is_the_dense_chain::<f64>(&m, &masks, &state, "1e-16");
+        let mut out = state.clone();
+        KernelPlan::<f64>::new(&u, &masks, state.len()).run_full(&mut out);
+        assert!(((out[0] - d(0.1) * state[0]).re / 1e-6 - 1.0).abs() < 1e-9, "the entry acted");
     }
 
     #[test]
@@ -1284,9 +1262,10 @@ mod tests {
         c.cr1(0.5, 0, 1).rz(0.2, 2).cr1(0.7, 2, 3).rz(-0.4, 0);
         let prog = fusion::fuse(&c, 4);
         assert_eq!(prog.blocks.len(), 1);
-        let diag = prog.blocks[0].diagonal(1e-14).expect("ladder is diagonal");
+        assert_eq!(prog.blocks[0].mixed(), 0, "ladder is diagonal");
+        let diag = prog.blocks[0].table();
         assert_eq!(diag.len(), 16);
-        for z in &diag {
+        for z in diag {
             assert!((z.norm() - 1.0).abs() < 1e-13, "diagonal of a unitary is unimodular");
         }
     }

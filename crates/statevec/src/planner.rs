@@ -6,8 +6,9 @@
 //! in: **unfused** (per-gate specialized loops) or **sweep** (one
 //! cache-blocked tile pass; a one-kernel segment is the exact kernel,
 //! [`GpuDevice::apply_block`]). The two differ in passes over the
-//! state, not in kernel arithmetic: what a kernel costs is decided once
-//! (`gpu.rs`'s `classify`, which the kernel is built from), and read
+//! state, not in kernel arithmetic: what a kernel costs is decided once,
+//! by the mask the fuser closed the block with
+//! ([`FusedBlock::mixed`], which the kernel is built from), and read
 //! from there when a segment is priced. One selector decides the modes —
 //! [`PlannerCosts::force_mode`]:
 //!
@@ -54,7 +55,7 @@
 
 use crate::aer::AerCpuBackend;
 use crate::checkpoint::CheckpointCounters;
-use crate::gpu::{self, GpuDevice, KernelClass};
+use crate::gpu::GpuDevice;
 use qgear_ir::fusion::{self, FusedBlock, FusionError};
 use qgear_ir::schedule::{self, Sweep, SweepOptions};
 use qgear_ir::{Circuit, Gate};
@@ -187,14 +188,12 @@ impl PlannerCosts {
     }
 
     /// Arithmetic seconds of one kernel as [`GpuDevice`] will run it:
-    /// one multiply per amplitude for a diagonal table, `2^μ` mul-adds
-    /// over the bits the built kernel mixes otherwise.
-    fn kernel_flop_seconds(&self, block: &FusedBlock, exact: bool, n_amps: f64) -> f64 {
-        match gpu::classify(block, exact) {
-            KernelClass::Diagonal(_) => n_amps / self.cmuls_per_sec,
-            KernelClass::Mixed(bits) => {
-                n_amps * (1u64 << bits.count_ones()) as f64 / self.madds_per_sec
-            }
+    /// one multiply per amplitude for a block that mixes nothing (a
+    /// diagonal table), `2^μ` mul-adds over the bits it mixes otherwise.
+    fn kernel_flop_seconds(&self, block: &FusedBlock, n_amps: f64) -> f64 {
+        match block.mixed() {
+            0 => n_amps / self.cmuls_per_sec,
+            mixed => n_amps * (1u64 << mixed.count_ones()) as f64 / self.madds_per_sec,
         }
     }
 
@@ -207,27 +206,24 @@ impl PlannerCosts {
     }
 
     /// Price one segment under both modes. `gates[ki]` are the source
-    /// gates block `ki` absorbed, `pass` one state pass in seconds,
-    /// `exact` the plan's order-preserving flag.
+    /// gates block `ki` absorbed, `pass` one state pass in seconds.
     fn price(
         &self,
         sweep: &Sweep,
         blocks: &[FusedBlock],
         gates: &[&[Gate]],
-        exact: bool,
         n_amps: f64,
         pass: f64,
     ) -> ModeCosts {
-        // A one-kernel sweep is `apply_block`, whose plan is always the
-        // exact one; a pass of several gathers tiles (index math inflates
-        // the bandwidth term) unless it is all-diagonal — element-wise,
-        // no data movement.
+        // A one-kernel sweep is `apply_block`; a pass of several gathers
+        // tiles (index math inflates the bandwidth term) unless it is
+        // all-diagonal — element-wise, no data movement.
         let alone = sweep.kernels.len() == 1;
         let tile_factor = if alone || sweep.diagonal { 1.0 } else { 1.5 };
         let mut costs =
             ModeCosts { unfused: 0.0, sweep: self.launch_seconds + tile_factor * pass };
         for &ki in &sweep.kernels {
-            costs.sweep += self.kernel_flop_seconds(&blocks[ki], exact || alone, n_amps);
+            costs.sweep += self.kernel_flop_seconds(&blocks[ki], n_amps);
             for g in gates[ki] {
                 costs.unfused += self.unfused_gate_seconds(g, n_amps);
             }
@@ -306,9 +302,6 @@ pub struct ExecutionPlan {
     pub segments: Vec<PlannedSegment>,
     /// Source gates absorbed by the plan (pre-fusion count).
     pub source_gates: u64,
-    /// Order-preserving flag forwarded to sweep execution
-    /// (`!sweep_reorder`).
-    pub exact: bool,
     /// Digest of the clamped fusion width, the sweep options and every
     /// segment's size and mode — not of how the modes were selected, so
     /// a pinned plan and a priced plan that decided the same share it.
@@ -404,7 +397,6 @@ pub fn plan(
                     gates,
                     predicted: Some(predicted),
                 }],
-                exact: !sweep_reorder,
                 digest,
             });
         }
@@ -415,7 +407,7 @@ pub fn plan(
         let singleton = |(ki, b): (usize, &FusedBlock)| {
             let mut qubits = b.qubits.clone();
             qubits.sort_unstable();
-            Sweep { kernels: vec![ki], qubits, diagonal: b.is_diagonal() }
+            Sweep { kernels: vec![ki], qubits, diagonal: b.mixed() == 0 }
         };
         program.blocks.iter().enumerate().map(singleton).collect()
     } else {
@@ -442,8 +434,7 @@ pub fn plan(
         let (mode, predicted) = match costs.force_mode {
             Some(pin) => (pin, None),
             None => {
-                let priced =
-                    costs.price(&sweep, &program.blocks, &block_gates, !sweep_reorder, n_amps, pass);
+                let priced = costs.price(&sweep, &program.blocks, &block_gates, n_amps, pass);
                 (priced.cheapest(), Some(priced))
             }
         };
@@ -462,7 +453,6 @@ pub fn plan(
         source_gates: program.source_gate_count() as u64,
         blocks: program.blocks,
         segments,
-        exact: !sweep_reorder,
         digest,
     })
 }
@@ -506,7 +496,7 @@ pub(crate) fn execute_segment<T: Scalar>(
         // Every kernel of the segment in a single cache-blocked pass:
         // one pass of bytes, every kernel's arithmetic.
         SegmentMode::Sweep => {
-            GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep, plan.exact);
+            GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep);
             let n_amps = n_amps as u128;
             counters.kernels_launched += seg.sweep.kernels.len() as u64;
             counters.sweeps_executed += 1;
@@ -536,6 +526,7 @@ pub(crate) fn execute_segment<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu;
 
     /// How many segments run in each mode, in `(unfused, sweep)` order.
     fn mode_histogram(plan: &ExecutionPlan) -> (usize, usize) {
@@ -626,7 +617,6 @@ mod tests {
         costs: &PlannerCosts,
         sweep: &Sweep,
         blocks: &[FusedBlock],
-        exact: bool,
         n_amps: f64,
         pass: f64,
     ) -> f64 {
@@ -634,7 +624,7 @@ mod tests {
         let flops: f64 = sweep
             .kernels
             .iter()
-            .map(|&ki| match gpu::built_mixed_count(&blocks[ki], exact || alone) {
+            .map(|&ki| match gpu::built_mixed_count(&blocks[ki]) {
                 None => n_amps / costs.cmuls_per_sec,
                 Some(mu) => n_amps * f64::from(1u32 << mu) / costs.madds_per_sec,
             })
@@ -659,16 +649,14 @@ mod tests {
             let p = plan(&c, 5, sweep_width, reorder, &costs, 16).unwrap();
             assert!(!p.blocks.is_empty(), "not the skip-fusion shortcut");
             for seg in &p.segments {
-                let want = sweep_cost_of_the_built_kernels(
-                    &costs, &seg.sweep, &p.blocks, p.exact, n_amps, pass,
-                );
+                let want = sweep_cost_of_the_built_kernels(&costs, &seg.sweep, &p.blocks, n_amps, pass);
                 let got = seg.predicted.expect("priced").sweep;
                 assert!((got - want).abs() <= 1e-12 * want, "{got} vs {want}");
                 match seg.sweep.kernels.as_slice() {
                     [only] => {
                         alone += 1;
                         let block = &p.blocks[*only];
-                        match gpu::built_mixed_count(block, true) {
+                        match gpu::built_mixed_count(block) {
                             None => diagonal += 1,
                             Some(mu) if (mu as usize) < block.qubits.len() => factored += 1,
                             Some(_) => {}
@@ -686,7 +674,7 @@ mod tests {
     #[test]
     fn pricing_follows_the_mask_execution_takes_for_the_segment() {
         // Block-diagonal over local bit 1 but for a cross entry of 1e-14:
-        // exactly mixed, unmixed at the reordering sweeps' 1e-12.
+        // both bits mixed, in a one-kernel segment and in a tile pass.
         let z = qgear_num::C64::ZERO;
         let e = |re: f64| qgear_num::C64::new(re, 0.0);
         #[rustfmt::skip]
@@ -702,14 +690,14 @@ mod tests {
         let pair = Sweep { kernels: vec![0, 1], qubits: vec![0, 1], diagonal: false };
         let single = Sweep { kernels: vec![0], ..pair.clone() };
         let madd = n_amps / costs.madds_per_sec;
-        for (sweep, exact, flops) in [
-            (&pair, false, 2.0 * 2.0 * madd), // reordered tile pass: μ = 1 twice
-            (&pair, true, 2.0 * 4.0 * madd),  // order-preserving: μ = 2 twice
-            (&single, false, 4.0 * madd),     // `apply_block`: always exact
+        assert_eq!(blocks[0].mixed(), 0b11);
+        for (sweep, flops) in [
+            (&pair, 2.0 * 4.0 * madd), // tile pass: μ = 2 twice
+            (&single, 4.0 * madd),     // `apply_block`: μ = 2
         ] {
             let gates: [&[Gate]; 2] = [&[], &[]];
-            let got = costs.price(sweep, &blocks, &gates, exact, n_amps, pass).sweep;
-            let want = sweep_cost_of_the_built_kernels(&costs, sweep, &blocks, exact, n_amps, pass);
+            let got = costs.price(sweep, &blocks, &gates, n_amps, pass).sweep;
+            let want = sweep_cost_of_the_built_kernels(&costs, sweep, &blocks, n_amps, pass);
             assert!((got - want).abs() <= 1e-12 * want);
             let passes = if sweep.kernels.len() == 1 { 1.0 } else { 1.5 };
             let by_hand = costs.launch_seconds + passes * pass + flops;
@@ -738,7 +726,7 @@ mod tests {
             let swaps: Vec<_> = p.blocks.iter().filter(|b| b.source_gates <= 2).collect();
             assert!(!swaps.is_empty());
             for b in swaps {
-                assert!(gpu::built_mixed_count(b, true).is_some_and(|mu| mu >= 2));
+                assert!(gpu::built_mixed_count(b).is_some_and(|mu| mu >= 2));
             }
             let opts = RunOptions {
                 sweep_width: 0,

@@ -504,7 +504,7 @@ mod tests {
     fn sweep_schedule_checkpoints_at_sweep_granularity() {
         use crate::Simulator;
         let c = ghz(4);
-        // Narrow sweeps without reordering: several sweeps, exact mode.
+        // Narrow sweeps without reordering: several sweeps in program order.
         let opts = RunOptions {
             shots: 16,
             fusion_width: 1,

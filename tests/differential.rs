@@ -204,7 +204,7 @@ proptest! {
         let mut fixed = vec![Complex::<f64>::ZERO; 1 << native.num_qubits()];
         fixed[0] = Complex::ONE;
         for sweep in &schedule::sweeps(&program, &SweepOptions::default()).sweeps {
-            GpuDevice::apply_sweep(&mut fixed, &program.blocks, sweep, false);
+            GpuDevice::apply_sweep(&mut fixed, &program.blocks, sweep);
         }
 
         let default = RunOptions { keep_state: true, ..Default::default() };
@@ -400,7 +400,7 @@ proptest! {
         circ in diagonal_circuit(5, 24),
         seed in 0u64..1_000,
     ) {
-        assert_kernel_matches_dense(&circ, seed, fusion::FusedBlock::is_diagonal);
+        assert_kernel_matches_dense(&circ, seed, |b| b.mixed() == 0);
     }
 
     /// Permutation gate pools fuse into permutation matrices (one of
@@ -438,9 +438,9 @@ fn controlled_kernel_matches_dense_on_a_known_block() {
     let program = fusion::try_fuse(&unitary, 3).expect("fusable");
     assert_eq!(program.blocks.len(), 1, "expected one 3-qubit block");
     let block = &program.blocks[0];
-    assert!(!block.is_diagonal() && !is_permutation(block));
+    assert!(block.mixed() != 0 && !is_permutation(block));
     assert_eq!(
-        block.exactly_mixed_bits().count_ones(),
+        block.mixed().count_ones(),
         1,
         "two exact controls: the kernel factors into four 2x2 sub-unitaries"
     );
@@ -449,6 +449,46 @@ fn controlled_kernel_matches_dense_on_a_known_block() {
     block.apply_to_state(&mut dense);
     GpuDevice::apply_block(&mut kernel, block);
     assert!(max_deviation(&dense, &kernel) < 1e-12);
+}
+
+/// A served QFT is lowered first: each `cr1` becomes `rz·rz·cx·rz·cx`,
+/// whose `cx` pair mixes the target while a block grows and cancels to
+/// a phase by the time it closes. Every closed block's mask is the exact
+/// one — the bits some nonzero entry of its dense matrix crosses — so
+/// the phase-only blocks run as diagonal tables.
+#[test]
+fn lowered_qft_blocks_mix_exactly_the_bits_their_entries_cross() {
+    let n = 13;
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.ry(0.3 + 0.17 * f64::from(q), q);
+    }
+    for i in (0..n).rev() {
+        c.h(i);
+        for j in (0..i).rev() {
+            c.cr1(std::f64::consts::TAU / f64::powi(2.0, (i - j + 1) as i32), j, i);
+        }
+    }
+    for q in 0..n / 2 {
+        c.swap(q, n - 1 - q);
+    }
+    let (native, _) = transpile::decompose_to_native(&c);
+    let program = fusion::try_fuse(&native, 5).expect("fusable");
+    assert_eq!(program.blocks.len(), 15);
+    for (i, b) in program.blocks.iter().enumerate() {
+        let dim = 1usize << b.qubits.len();
+        let mut crossed = 0;
+        for r in 0..dim {
+            for col in 0..dim {
+                let e = b.entry(r, col);
+                if e.re != 0.0 || e.im != 0.0 {
+                    crossed |= r ^ col;
+                }
+            }
+        }
+        assert_eq!(b.mixed(), crossed, "block {i} on {:?}", b.qubits);
+    }
+    assert_eq!(program.blocks.iter().filter(|b| b.mixed() == 0).count(), 2, "diagonal kernels");
 }
 
 /// fp32 execution of the sweep-fused hot path tracks fp64 within single
