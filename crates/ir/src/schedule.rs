@@ -21,12 +21,15 @@
 //!
 //! The scheduler is greedy list scheduling: each kernel moves to the
 //! earliest sweep it can legally reach (it must commute with every kernel
-//! in every sweep it hops over) and fit into (the sweep's union support
-//! must stay within [`SweepOptions::max_width`] qubits, so the executor's
-//! per-tile scratch stays cache-sized). Sweeps whose kernels are *all
-//! diagonal* are exempt from the width cap — diagonal kernels apply
-//! element-wise with no gather/scatter, so a single pass can carry any
-//! number of them.
+//! in every sweep it hops over) and fit into. A sweep of several kernels
+//! that is not all-diagonal holds only kernels whose qubits all lie below
+//! [`SweepOptions::max_width`], so the executor's tile is always a
+//! contiguous, cache-sized slice of the state (the low qubits), run in
+//! place with no gather or scatter; any other dense kernel is a sweep of
+//! its own, the full-state kernel pass. Sweeps whose kernels are *all
+//! diagonal* are exempt from the cap — diagonal kernels apply
+//! element-wise, so a single pass can carry any number of them at any
+//! width.
 //!
 //! Execution order *within* a sweep preserves the original program order,
 //! so a schedule that performed no cross-sweep motion
@@ -37,9 +40,10 @@
 
 use crate::fusion::FusedProgram;
 
-/// Default cap on a dense sweep's union support: `2^12` fp64 amplitudes
-/// per tile = 64 KiB of scratch, sized to stay resident in L2 while every
-/// kernel of the sweep is applied to it.
+/// Default cap on a dense sweep: its kernels act on qubits `0..12`, so a
+/// tile is a contiguous slice of `2^12` amplitudes of the state itself
+/// (64 KiB at fp64), which stays resident in L2 while every kernel of the
+/// sweep is applied to it in place.
 pub const DEFAULT_SWEEP_WIDTH: usize = 12;
 
 /// Hard ceiling on [`SweepOptions::max_width`]: a `2^20`-amplitude tile
@@ -50,8 +54,9 @@ const MAX_SWEEP_WIDTH: usize = 20;
 /// Knobs for the sweep scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Maximum union support (qubits) of a dense sweep. Diagonal-only
-    /// sweeps ignore the cap. Clamped to `1..=MAX_SWEEP_WIDTH`.
+    /// A dense sweep of several kernels holds only kernels on qubits
+    /// `0..max_width`; diagonal-only sweeps ignore the cap. Clamped to
+    /// `1..=MAX_SWEEP_WIDTH`.
     pub max_width: usize,
     /// Allow moving kernels into *earlier* sweeps past commuting
     /// neighbours. With `false` the scheduler only groups **adjacent**
@@ -75,7 +80,7 @@ pub struct Sweep {
     /// Sorted union of the member kernels' global qubits.
     pub qubits: Vec<u32>,
     /// Every member kernel is diagonal (element-wise execution, no width
-    /// cap, no gather/scatter).
+    /// cap).
     pub diagonal: bool,
 }
 
@@ -125,25 +130,25 @@ impl SweepSchedule {
     }
 
     /// Check the schedule against its source program: every kernel
-    /// appears exactly once, dense sweeps respect the width cap, and the
-    /// reorder is legal (a kernel only ever hops over kernels it
-    /// commutes with). Returns a description of the first violation.
-    /// Intended for tests and the differential suite; `O(kernels²)`.
+    /// appears exactly once, a dense sweep of several kernels touches no
+    /// qubit at or above the cap, and the reorder is legal (a kernel only
+    /// ever hops over kernels it commutes with). Returns a description of
+    /// the first violation. Intended for tests and the differential
+    /// suite; `O(kernels²)`.
     pub fn validate(&self, program: &FusedProgram, opts: &SweepOptions) -> Result<(), String> {
         let n = program.blocks.len();
+        let max_width = opts.max_width.clamp(1, MAX_SWEEP_WIDTH);
         let mut seen = vec![false; n];
         for s in &self.sweeps {
-            if !s.diagonal && s.width() > opts.max_width.clamp(1, MAX_SWEEP_WIDTH) {
-                // A lone kernel wider than the cap is allowed (it must
-                // execute somehow); only multi-kernel sweeps are bounded.
-                if s.kernels.len() > 1 {
-                    return Err(format!(
-                        "dense sweep of {} kernels spans {} qubits (cap {})",
-                        s.kernels.len(),
-                        s.width(),
-                        opts.max_width
-                    ));
-                }
+            // A lone kernel runs on the whole state wherever it sits; only
+            // a multi-kernel dense sweep is a tile of the low qubits.
+            let top = s.qubits.last().map_or(0, |&q| q as usize + 1);
+            if !s.diagonal && s.kernels.len() > 1 && top > max_width {
+                return Err(format!(
+                    "dense sweep of {} kernels reaches qubit {} (cap {max_width})",
+                    s.kernels.len(),
+                    top - 1
+                ));
             }
             for &k in &s.kernels {
                 if k >= n || seen[k] {
@@ -208,15 +213,12 @@ pub fn sweeps(program: &FusedProgram, opts: &SweepOptions) -> SweepSchedule {
         let mixed = block.mixed_support_mask();
         let diagonal = block.mixed() == 0;
 
-        // A kernel fits a sweep when the merged pass is still executable
-        // in one cache-blocked traversal: all-diagonal sweeps have no
-        // width bound, dense sweeps must keep their union support within
-        // the scratch-tile cap.
+        // A kernel fits a sweep when the merged pass is still one
+        // traversal: all-diagonal sweeps have no bound, any other sweep
+        // must stay on qubits below the cap, where a tile is a contiguous
+        // slice of the state.
         let fits = |s: &SweepBuild| -> bool {
-            if s.diagonal && diagonal {
-                return true;
-            }
-            (s.support | support).count_ones() as usize <= max_width
+            (s.diagonal && diagonal) || (s.support | support) >> max_width == 0
         };
         // The kernel may hop over a sweep only if it commutes with every
         // member. Aggregated masks give a sound (conservative) test: any
@@ -391,6 +393,30 @@ mod tests {
         for s in &schedule.sweeps {
             assert!(s.width() <= 4);
         }
+    }
+
+    #[test]
+    fn high_dense_kernels_never_share_a_sweep() {
+        // Two commuting dense kernels on qubits 14–18 of 20: their union
+        // is four qubits, well inside the cap, but a tile holding them
+        // would not be a contiguous slice of the state, so each runs as a
+        // full-state pass of its own.
+        let mut c = Circuit::new(20);
+        c.ry(0.3, 14).cx(14, 15).ry(0.7, 17).cx(17, 18);
+        let program = fuse(&c, 2);
+        assert_eq!(program.blocks.len(), 2);
+        let opts = SweepOptions::default();
+        let schedule = sweeps(&program, &opts);
+        schedule.validate(&program, &opts).unwrap();
+        assert_eq!(schedule.sweeps.len(), 2, "one sweep per high dense kernel");
+        assert!(schedule.sweeps.iter().all(|s| s.kernels.len() == 1));
+        // The merged schedule the old union-width rule built is refused.
+        let merged = SweepSchedule {
+            sweeps: vec![Sweep { kernels: vec![0, 1], qubits: vec![14, 15, 17, 18], diagonal: false }],
+            moved_kernels: 0,
+            num_qubits: 20,
+        };
+        assert!(merged.validate(&program, &opts).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The simulator interface shared by every engine.
 
-use crate::gpu::{is_low_prefix, min_items};
+use crate::gpu::min_items;
 use crate::sampling;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
@@ -246,7 +246,7 @@ pub fn marginal_of_runs<'a, T: Scalar>(
 ) -> Vec<f64> {
     let m = measured.len();
     assert!(m <= 30, "marginal over too many qubits");
-    if m == num_qubits as usize && is_low_prefix(measured) {
+    if m == num_qubits as usize && measured.iter().enumerate().all(|(j, &q)| q as usize == j) {
         // Every qubit, in order (`measure_all`): the key is the index and
         // each slot gets exactly one term, so the pass is an element-wise
         // fill split across the kernel pool — the bits of the general

@@ -39,7 +39,6 @@
 //! once, in [`crate::segment`]; [`Simulator::run`] here is one unbounded
 //! segment of that stepper.
 
-use crate::arena;
 use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::segment::{straight_through, SegmentedRun};
 use crate::simd::{self, DiagTable};
@@ -135,14 +134,17 @@ impl GpuDevice {
     /// Execute one scheduled sweep — several mutually-reorderable fused
     /// kernels — in a single cache-blocked pass over the state.
     ///
-    /// This is the sweep-fusion analogue of CUDA shared-memory tiling:
-    /// each rayon task gathers one `2^u`-amplitude tile (`u` = the
-    /// sweep's union support, plus spectator qubits where that alone
-    /// would leave a kernel without lane bits) into a scratch buffer
-    /// sized to stay cache-resident, applies *every* kernel of the sweep
-    /// to the tile while it is hot, then scatters once. DRAM-level
-    /// traffic is one read + one write of the state per *sweep* instead
-    /// of per kernel.
+    /// This is the sweep-fusion analogue of CUDA shared-memory tiling. An
+    /// all-diagonal sweep is one element-wise pass at any width. Any other
+    /// sweep of several kernels acts on low qubits only (the scheduler's
+    /// rule), so its tile is a contiguous slice of the state: the low
+    /// `max(top + 1, widest + log2(LANES))` qubits, `top` the sweep's
+    /// highest qubit and `widest` its widest kernel — wide enough that
+    /// every kernel has lane bits to spare (see `GroupKernel`). Each
+    /// rayon task applies *every* kernel of the sweep to its tiles in
+    /// place while they are hot, so DRAM-level traffic is one read + one
+    /// write of the state per *sweep* instead of per kernel, with no
+    /// scratch copy.
     ///
     /// Each kernel is the plan [`GpuDevice::apply_block`] builds, run by
     /// the same body, so sweep execution is **bit-identical** to applying
@@ -163,11 +165,11 @@ impl GpuDevice {
             qgear_telemetry::names::AMPLITUDES_TOUCHED,
             2 * state.len() as u128,
         );
-        // All-diagonal sweeps need no gather/scatter at any width: one
-        // element-wise pass applies every phase pattern in order. Each
-        // kernel gets its own DiagTable; applying the tables kernel-major
-        // per chunk keeps every amplitude's multiplies in sweep order, so
-        // the pass stays bit-identical to sequential application.
+        // All-diagonal sweeps: one element-wise pass applies every phase
+        // pattern in order. Each kernel gets its own DiagTable; applying
+        // the tables kernel-major per chunk keeps every amplitude's
+        // multiplies in sweep order, so the pass stays bit-identical to
+        // sequential application.
         if sweep.diagonal {
             let tables: Vec<DiagTable<T>> = sweep
                 .kernels
@@ -194,93 +196,33 @@ impl GpuDevice {
             return;
         }
 
-        // The tile's qubits: the sweep's union support, widened with the
-        // lowest spectator qubits until its widest kernel has
-        // `log2(LANES)` tile bits outside its support — what the lane path
-        // needs (see [`GroupKernel`]). Spectators only ride along, so the
-        // arithmetic is the narrower tile's; the schedule never sees it.
-        let n = state.len().trailing_zeros();
+        // The tile: the low qubits, through the sweep's highest one and
+        // wide enough for lanes. Slot `j` of tile `g` *is* amplitude
+        // `g·2^u + j`, so every kernel is planned on global masks.
+        let n = state.len().trailing_zeros() as usize;
+        let top = sweep.qubits.last().map_or(0, |&q| q as usize + 1);
         let widest = sweep.kernels.iter().map(|&ki| blocks[ki].qubits.len()).max().unwrap_or(0);
-        let want = (widest + simd::lane_log2::<T>()).min(n as usize);
-        let mut qubits = sweep.qubits.clone();
-        let spectators = (0..n).filter(|q| !sweep.qubits.contains(q));
-        qubits.extend(spectators.take(want.saturating_sub(qubits.len())));
-        qubits.sort_unstable();
-        let qubits = &qubits;
-
-        let u = qubits.len();
-        let tile = 1usize << u;
-        debug_assert!(tile <= state.len());
-        // Scratch-slot position of a tile qubit (`qubits` is sorted).
-        let pos = |q: u32| qubits.iter().position(|&x| x == q).expect("kernel qubit in sweep");
+        let tile = 1usize << top.max(widest + simd::lane_log2::<T>()).min(n);
         let plans: Vec<KernelPlan<T>> = sweep
             .kernels
             .iter()
             .map(|&ki| {
                 let b = &blocks[ki];
-                let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << pos(q)).collect();
+                let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
                 KernelPlan::new(b, &masks, tile)
             })
             .collect();
         for plan in &plans {
             simd::record_dispatch::<T>(plan.lane_eligible());
         }
-        let groups = state.len() >> u;
-
-        // Zero-copy fast path: when the tile's qubits are exactly the low
-        // `u` qubits, slot `j` of tile `g` *is* amplitude
-        // `g·2^u + j` — the tile is a contiguous slice of the state, so
-        // the kernels run in place and the gather/scatter round-trip
-        // through scratch disappears.
-        if is_low_prefix(qubits) {
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::SWEEP_ZERO_COPY_TILES,
-                groups as u128,
-            );
-            let plans = &plans;
-            state.par_chunks_mut(tile).with_min_len(min_items::<T>(tile)).for_each(|tile_slice| {
-                for plan in plans {
-                    plan.run_tile(tile_slice);
-                }
-            });
-            return;
-        }
-
-        // Tile-slot → global-offset table: slot bit `j` lives at global
-        // bit `qubits[j]`. Built once per sweep, shared read-only.
-        let union_masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
-        let offs = simd::local_offsets(&union_masks);
-
-        let shared = SharedState(state.as_mut_ptr());
-        let shared = &shared;
-        let plans = &plans;
-        let offs = &offs;
-        let union_bits: Vec<usize> = qubits.iter().map(|&q| q as usize).collect();
-        let union_bits = &union_bits;
-        (0..groups).into_par_iter().with_min_len(min_items::<T>(tile)).for_each(move |g| {
-            // Tile scratch comes from the per-thread arena: one aligned
-            // buffer per worker is reused across every tile, sweep and
-            // segment of this size (scratch.reuse).
-            arena::with_scratch::<T, _>(tile, |scratch| {
-                // Expand the tile index around the union's qubit bits.
-                let base = expand_index(g, union_bits);
-                for (slot, &off) in offs.iter().enumerate() {
-                    // SAFETY: distinct `g` values produce disjoint index
-                    // sets (zero bits are reinserted at every union qubit
-                    // position), so tasks never alias, and every index
-                    // stays below `groups << u == state.len()`.
-                    scratch[slot] = unsafe { shared.read(base | off) };
-                }
-                // Apply every kernel while the tile is hot.
-                for plan in plans {
-                    plan.run_tile(scratch);
-                }
-                // Scatter once.
-                for (slot, &off) in offs.iter().enumerate() {
-                    // SAFETY: same disjointness argument as the gather.
-                    unsafe { shared.write(base | off, scratch[slot]) };
-                }
-            });
+        qgear_telemetry::counter_add(
+            qgear_telemetry::names::SWEEP_ZERO_COPY_TILES,
+            (state.len() / tile) as u128,
+        );
+        state.par_chunks_mut(tile).with_min_len(min_items::<T>(tile)).for_each(|tile_slice| {
+            for plan in &plans {
+                plan.run_tile(tile_slice);
+            }
         });
     }
 }
@@ -300,12 +242,6 @@ pub(crate) fn min_items<T: Scalar>(amps_per_item: usize) -> usize {
     (MIN_TASK_BYTES / (amps_per_item * std::mem::size_of::<Complex<T>>())).max(1)
 }
 
-/// True when sorted `qubits` are exactly `0..qubits.len()`: a tile over
-/// them is a contiguous slice of the state (the zero-copy sweep pass).
-pub(crate) fn is_low_prefix(qubits: &[u32]) -> bool {
-    qubits.iter().enumerate().all(|(j, &q)| q as usize == j)
-}
-
 /// Expand a group index around `sorted_bits` (ascending): reinsert a zero
 /// bit at every listed position, so distinct group indices address
 /// disjoint amplitude sets and `index | offset` ranges over the group.
@@ -319,11 +255,11 @@ fn expand_index(mut index: usize, sorted_bits: &[usize]) -> usize {
 }
 
 /// One fused kernel, planned once and ready to run over `span`
-/// amplitudes: a sweep tile (masks in tile-slot space) or the whole state
-/// (global bit masks) — the plan is mask-space agnostic, and both drivers
-/// ([`KernelPlan::run_tile`], [`KernelPlan::run_full`]) execute the same
-/// per-group body, so tile and full-state application of one plan are
-/// bit-identical. Everything derivable once per kernel — local-index
+/// amplitudes: a contiguous sweep tile, a shard slice or the whole state
+/// (masks are bit masks of that span) — the plan is span agnostic, and
+/// both drivers ([`KernelPlan::run_tile`], [`KernelPlan::run_full`])
+/// execute the same per-group body, so tile and full-state application
+/// of one plan are bit-identical. Everything derivable once per kernel — local-index
 /// address offsets, the factored sub-unitaries, diagonal lookup tables,
 /// the lane layout — is computed at build time and shared read-only
 /// across every tile and worker.
@@ -424,8 +360,7 @@ impl<T: Scalar> KernelPlan<T> {
     }
 
     /// Tile driver: apply the plan to one exclusively borrowed span —
-    /// a gathered (or zero-copy) sweep tile — item after item on the
-    /// calling thread.
+    /// a contiguous sweep tile — item after item on the calling thread.
     fn run_tile(&self, tile: &mut [Complex<T>]) {
         match self {
             KernelPlan::Diag { table } => table.apply(tile, 0),
@@ -620,22 +555,6 @@ unsafe impl<T: Scalar> Send for SharedState<T> {}
 // every dereference is an `unsafe` call whose caller owns its indices.
 unsafe impl<T: Scalar> Sync for SharedState<T> {}
 
-impl<T: Scalar> SharedState<T> {
-    /// SAFETY: caller guarantees `i` is in bounds and no concurrent task
-    /// writes the same index.
-    #[inline(always)]
-    unsafe fn read(&self, i: usize) -> Complex<T> {
-        *self.0.add(i)
-    }
-
-    /// SAFETY: caller guarantees `i` is in bounds and uniquely owned by the
-    /// calling task for the duration of the kernel.
-    #[inline(always)]
-    unsafe fn write(&self, i: usize, v: Complex<T>) {
-        *self.0.add(i) = v;
-    }
-}
-
 impl<T: Scalar> Simulator<T> for GpuDevice {
     fn name(&self) -> &'static str {
         "nvidia"
@@ -793,10 +712,11 @@ mod tests {
         // tile arithmetic replays the full-state op sequence exactly —
         // results must match the plain fused path bit for bit.
         let mut circuits: Vec<Circuit> = [2u64, 9, 40].iter().map(|&s| rich_circuit(8, s)).collect();
-        // n = 16, where a 2^6-amplitude tile pass is 1024 tiles in 16
+        // n = 16, where a tile pass over the low qubits is many tiles in
         // pooled tasks ([`min_items`]): gates on the low six qubits alone
-        // (their sweeps' union is a low-bit prefix: the zero-copy pass),
-        // then on all sixteen (the gathered pass), on a dense state.
+        // (multi-kernel sweeps, each a contiguous tile), then on all
+        // sixteen (kernels above the cap, each a full-state pass of its
+        // own), on a dense state.
         let mut wide = Circuit::new(16);
         for q in 0..16 {
             wide.h(q);
@@ -805,12 +725,14 @@ mod tests {
         push_rich_gates(&mut wide, 16, 78);
         let program = qgear_ir::fusion::fuse(&wide, RunOptions::default().fusion_width);
         let opts = qgear_ir::schedule::SweepOptions { max_width: 6, reorder: false };
-        let (zero_copy, gathered): (Vec<Sweep>, Vec<Sweep>) = qgear_ir::schedule::sweeps(&program, &opts)
-            .sweeps
-            .into_iter()
-            .filter(|s| s.kernels.len() > 1 && !s.diagonal)
-            .partition(|s| is_low_prefix(&s.qubits));
-        assert!(!zero_copy.is_empty() && !gathered.is_empty(), "both tile passes run");
+        let schedule = qgear_ir::schedule::sweeps(&program, &opts);
+        let (tiled, alone): (Vec<&Sweep>, Vec<&Sweep>) =
+            schedule.sweeps.iter().filter(|s| !s.diagonal).partition(|s| s.kernels.len() > 1);
+        assert!(!tiled.is_empty(), "multi-kernel dense sweeps run");
+        assert!(alone.iter().any(|s| s.qubits.iter().any(|&q| q >= 6)), "high kernels run alone");
+        for s in &tiled {
+            assert!(s.qubits.iter().all(|&q| q < 6), "dense sweep {:?} is not a low-prefix tile", s.qubits);
+        }
         circuits.push(wide);
         for (i, c) in circuits.iter().enumerate() {
             let plain: RunOutput<f64> = GpuDevice::default()

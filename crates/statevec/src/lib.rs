@@ -62,7 +62,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aer;
-pub mod arena;
 pub mod backend;
 pub mod checkpoint;
 pub mod gpu;

@@ -215,13 +215,10 @@ impl PlannerCosts {
         n_amps: f64,
         pass: f64,
     ) -> ModeCosts {
-        // A one-kernel sweep is `apply_block`; a pass of several gathers
-        // tiles (index math inflates the bandwidth term) unless it is
-        // all-diagonal — element-wise, no data movement.
-        let alone = sweep.kernels.len() == 1;
-        let tile_factor = if alone || sweep.diagonal { 1.0 } else { 1.5 };
-        let mut costs =
-            ModeCosts { unfused: 0.0, sweep: self.launch_seconds + tile_factor * pass };
+        // One pass of the state whatever the segment holds: a one-kernel
+        // sweep is `apply_block`, a diagonal sweep is element-wise and any
+        // other sweep runs its kernels in place on contiguous tiles.
+        let mut costs = ModeCosts { unfused: 0.0, sweep: self.launch_seconds + pass };
         for &ki in &sweep.kernels {
             costs.sweep += self.kernel_flop_seconds(&blocks[ki], n_amps);
             for g in gates[ki] {
@@ -610,9 +607,9 @@ mod tests {
         }
     }
 
-    /// What `price` must have charged `sweep` for: the launch, one pass
-    /// (half again for a gathered multi-kernel tile pass), and per kernel
-    /// the arithmetic of the plan `gpu.rs` really builds for it.
+    /// What `price` must have charged `sweep` for: the launch, one pass,
+    /// and per kernel the arithmetic of the plan `gpu.rs` really builds
+    /// for it.
     fn sweep_cost_of_the_built_kernels(
         costs: &PlannerCosts,
         sweep: &Sweep,
@@ -620,7 +617,6 @@ mod tests {
         n_amps: f64,
         pass: f64,
     ) -> f64 {
-        let alone = sweep.kernels.len() == 1;
         let flops: f64 = sweep
             .kernels
             .iter()
@@ -629,8 +625,7 @@ mod tests {
                 Some(mu) => n_amps * f64::from(1u32 << mu) / costs.madds_per_sec,
             })
             .sum();
-        let passes = if alone || sweep.diagonal { 1.0 } else { 1.5 };
-        costs.launch_seconds + passes * pass + flops
+        costs.launch_seconds + pass + flops
     }
 
     #[test]
@@ -699,8 +694,7 @@ mod tests {
             let got = costs.price(sweep, &blocks, &gates, n_amps, pass).sweep;
             let want = sweep_cost_of_the_built_kernels(&costs, sweep, &blocks, n_amps, pass);
             assert!((got - want).abs() <= 1e-12 * want);
-            let passes = if sweep.kernels.len() == 1 { 1.0 } else { 1.5 };
-            let by_hand = costs.launch_seconds + passes * pass + flops;
+            let by_hand = costs.launch_seconds + pass + flops;
             assert!((got - by_hand).abs() <= 1e-12 * by_hand, "{got} vs {by_hand}");
         }
     }

@@ -4,9 +4,14 @@
 //! inverse-CDF sampling is far too slow. We sample the full multinomial
 //! with the *conditional binomial* method: walk the outcome bins once,
 //! drawing `Binomial(remaining_shots, p_i / remaining_mass)` for each —
-//! O(bins) regardless of the shot count. Binomials use exact inversion for
-//! small n and a normal approximation for large n (error far below shot
-//! noise at these magnitudes).
+//! O(bins) regardless of the shot count. A binomial is a sum of Bernoulli
+//! draws for `n ≤ 64`, a normal approximation once its variance passes
+//! 1000 (error far below shot noise at these magnitudes), and geometric
+//! skips between successes otherwise. Most bins of a wide register draw
+//! nothing (10⁴ shots over 2²⁰ bins), and the skip path answers those
+//! from its first uniform without a logarithm: `u` below `1 − n(1−q)`
+//! lies below `qⁿ` by Bernoulli's inequality, so the first skip already
+//! passes `n` — see `binomial` for the bound's slack.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +20,17 @@ use rand::{Rng, SeedableRng};
 /// `shots`. Probabilities are normalized defensively; slightly negative
 /// inputs (fp round-off) are clamped to zero.
 pub fn multinomial(probs: &[f64], shots: u64, seed: u64) -> Vec<u64> {
+    multinomial_by(probs, shots, seed, binomial)
+}
+
+/// [`multinomial`] with the binomial sampler as a parameter, so the unit
+/// tests can replay a draw with a reference sampler.
+fn multinomial_by(
+    probs: &[f64],
+    shots: u64,
+    seed: u64,
+    binomial: impl Fn(&mut StdRng, u64, f64) -> u64,
+) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = vec![0u64; probs.len()];
     let total_mass: f64 = probs.iter().map(|&p| p.max(0.0)).sum();
@@ -90,14 +106,28 @@ impl SamplingConfig {
     }
 }
 
+/// Relative slack on the no-success bound of `binomial`'s skip path: it
+/// covers the rounding of the two logarithms and the division the skip
+/// loop would compute, and of the bound itself, with room to spare. At
+/// `n > 64` the bound's own second-order gap to `qⁿ` already clears that
+/// rounding; the slack keeps the argument from resting on it.
+const NO_SUCCESS_SLACK: f64 = 1.0 + 1e-12;
+
 /// Sample `Binomial(n, p)`.
 ///
-/// Strategy: exact Bernoulli summation for tiny `n`; exact geometric-skip
+/// Strategy: exact Bernoulli summation for `n ≤ 64`; exact geometric-skip
 /// inversion when the expected count is small; otherwise a
 /// normal(np, np(1-p)) approximation rounded and clamped — standard for
 /// the `np(1-p) > ~1000` regime where the approximation error is orders of
 /// magnitude below shot noise.
-fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
+///
+/// The skip path returns 0 from its first uniform `u` without a logarithm
+/// when `1 − u > n(1−q)·(1 + 10⁻¹²)`, `q = 1 − p`: then `u < 1 − n(1−q)
+/// ≤ qⁿ` (Bernoulli's inequality; `1 − q` is exact by Sterbenz, as `q ≥
+/// 0.5`), so the first skip `⌊ln u / ln q⌋ + 1` passes `n`, and the slack
+/// keeps that true of the rounded skip. The value and the draws consumed
+/// are the loop's own.
+fn binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
     if p <= 0.0 || n == 0 {
         return 0;
     }
@@ -128,16 +158,20 @@ fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
     }
     // Geometric-skip (BG) algorithm: draw the gap to the next success as a
     // Geometric(p) variable; expected iterations = np + 1.
-    let log_q = (1.0 - p).ln();
-    if log_q == 0.0 {
+    let q = 1.0 - p;
+    if q == 1.0 {
         // p below ~2^-53: `1 - p` rounded to 1. Success probability over n
         // trials is np < n·2^-53 — negligible next to shot noise.
         return 0;
     }
+    let mut u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+    if 1.0 - u > n as f64 * (1.0 - q) * NO_SUCCESS_SLACK {
+        return 0;
+    }
+    let log_q = q.ln();
     let mut k = 0u64;
     let mut trials = 0.0f64;
     loop {
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
         // Trials consumed until (and including) the next success.
         let gap = (u.ln() / log_q).floor() + 1.0;
         trials += gap;
@@ -148,11 +182,12 @@ fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
         if k == n {
             return k;
         }
+        u = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     }
 }
 
 /// One standard-normal draw via Box–Muller.
-fn standard_normal(rng: &mut StdRng) -> f64 {
+fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -161,6 +196,140 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+
+    /// The skip path as it was before the no-success shortcut: a
+    /// logarithm for every draw. The reference the shortcut must match.
+    fn reference_binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
+        if p <= 0.0 || n == 0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return n;
+        }
+        if p > 0.5 {
+            return n - reference_binomial(rng, n, 1.0 - p);
+        }
+        let np = n as f64 * p;
+        let var = np * (1.0 - p);
+        if var > 1000.0 {
+            let z = standard_normal(rng);
+            let x = (np + z * var.sqrt()).round();
+            return x.clamp(0.0, n as f64) as u64;
+        }
+        if n <= 64 {
+            let mut k = 0u64;
+            for _ in 0..n {
+                if rng.gen::<f64>() < p {
+                    k += 1;
+                }
+            }
+            return k;
+        }
+        let log_q = (1.0 - p).ln();
+        if log_q == 0.0 {
+            return 0;
+        }
+        let mut k = 0u64;
+        let mut trials = 0.0f64;
+        loop {
+            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+            let gap = (u.ln() / log_q).floor() + 1.0;
+            trials += gap;
+            if trials > n as f64 {
+                return k;
+            }
+            k += 1;
+            if k == n {
+                return k;
+            }
+        }
+    }
+
+    /// A stream whose first word is chosen, then a seeded one.
+    struct Scripted {
+        first: Option<u64>,
+        rest: StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.first.take().unwrap_or_else(|| self.rest.next_u64())
+        }
+    }
+
+    /// `binomial` and the reference from equal streams: the same value,
+    /// and the same draws consumed (the next word agrees).
+    fn assert_matches_reference(make: impl Fn() -> Scripted, n: u64, p: f64) {
+        let (mut a, mut b) = (make(), make());
+        let what = format!("n {n}, p {p:e}");
+        assert_eq!(binomial(&mut a, n, p), reference_binomial(&mut b, n, p), "{what}: value");
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{what}: draws consumed");
+    }
+
+    /// `p` from 1e-15 to 0.5, 24 per decade, then a `p` whose `1 - p`
+    /// rounds to 1.
+    fn p_grid() -> impl Iterator<Item = f64> {
+        (0..=24 * 15).map(|i| 0.5f64.min(1e-15 * 10f64.powf(f64::from(i) / 24.0))).chain([4e-17])
+    }
+
+    #[test]
+    fn the_no_success_shortcut_is_the_skip_loop_bit_for_bit() {
+        let mut bounds = (0, 0);
+        for n in [65u64, 1_000, 10_000, 1_000_000] {
+            for p in p_grid() {
+                let y = n as f64 * (1.0 - (1.0 - p));
+                if y < 1.0 {
+                    bounds.0 += 1;
+                } else {
+                    bounds.1 += 1;
+                }
+                for seed in 0..6 {
+                    let seeded = || Scripted { first: None, rest: StdRng::seed_from_u64(seed) };
+                    assert_matches_reference(seeded, n, p);
+                }
+                // First uniforms on either side of the bound, unslacked
+                // and slacked: `u = 1 − k·2^-53` for `k` around `y·2^53`.
+                for edge in [y, y * NO_SUCCESS_SLACK].into_iter().filter(|&e| e < 1.0) {
+                    let k0 = (edge * (1u64 << 53) as f64) as i64;
+                    for k in (k0 - 3).max(0)..=k0 + 3 {
+                        let word = ((1i64 << 53) - k) as u64;
+                        let scripted = || Scripted {
+                            first: Some(word.min((1 << 53) - 1) << 11),
+                            rest: StdRng::seed_from_u64(k as u64),
+                        };
+                        assert_matches_reference(scripted, n, p);
+                    }
+                }
+            }
+        }
+        assert!(bounds.0 > 0 && bounds.1 > 0, "the grid reaches both n(1-q) < 1 and ≥ 1");
+    }
+
+    #[test]
+    fn a_wide_multinomial_draws_the_reference_counts() {
+        // 2^16 bins at 10^4 shots: almost every bin takes the skip path
+        // with far fewer shots than bins, a few heavy ones the others.
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let probs: Vec<f64> = (0..1 << 16)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let r = (x >> 11) as f64 / (1u64 << 53) as f64;
+                match i % 4099 {
+                    0 => 50.0 * r,
+                    1 => 0.0,
+                    _ => r * r * r,
+                }
+            })
+            .collect();
+        for seed in [1, 7, 42] {
+            let got = multinomial(&probs, 10_000, seed);
+            assert_eq!(got.iter().sum::<u64>(), 10_000);
+            assert_eq!(got, multinomial_by(&probs, 10_000, seed, reference_binomial), "seed {seed}");
+        }
+    }
 
     #[test]
     fn multinomial_total_is_exact() {

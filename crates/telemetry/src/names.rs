@@ -178,18 +178,9 @@ pub const KERNEL_SIMD_F32X8: &str = "kernel.simd.f32x8";
 /// support (a width-5 kernel on a 6-qubit state).
 pub const KERNEL_SIMD_SCALAR: &str = "kernel.simd.scalar";
 
-/// Scratch-arena requests served by reusing a pooled buffer (no
-/// allocation). High reuse across segments, sweeps and jobs is the point
-/// of the arena.
-pub const SCRATCH_REUSE: &str = "scratch.reuse";
-
-/// Scratch-arena requests that had to allocate a fresh aligned buffer
-/// (first use of a size class on a thread).
-pub const SCRATCH_ALLOC: &str = "scratch.alloc";
-
-/// Sweep tiles executed zero-copy: the sweep's union support was the
-/// contiguous low qubits, so the tile *is* a contiguous state slice and
-/// the gather/scatter round-trip through scratch is skipped entirely.
+/// Sweep tiles executed: a dense sweep of several kernels acts on low
+/// qubits only, so each tile *is* a contiguous slice of the state and its
+/// kernels run in place, with no copy.
 pub const SWEEP_ZERO_COPY_TILES: &str = "sweep.tiles.zero_copy";
 
 // --- sharded serving: shard groups, migration -----------------------------

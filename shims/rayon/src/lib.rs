@@ -21,8 +21,6 @@
 //! terms: `with_min_len(m)` gives each task at least `m` items, so fewer
 //! than `2·m` items run inline and never touch the pool. Callers size `m`
 //! from the bytes an item moves (`min_items` in `qgear-statevec::gpu`).
-//! Helpers keep their thread-local state — the statevec scratch `arena` —
-//! between jobs: scratch is allocated once per helper and tile size.
 //!
 //! Semantics match rayon for the patterns used here: each element / index
 //! is visited exactly once, in no guaranteed order across tasks, and which

@@ -1038,11 +1038,11 @@ fn simd_toggle_is_bitwise_invisible_on_served_jobs() {
     assert_eq!(on, off, "served jobs must not see the SIMD toggle");
 }
 
-/// The zero-copy sweep tile fast path: when a sweep's qubits are exactly
-/// the low `u` positions, tiles are contiguous state slices and the
-/// executor must skip the gather/scatter round-trip (observable via the
-/// `sweep.tiles.zero_copy` counter) while staying bit-identical to both
-/// plain fused execution and the scalar path.
+/// The zero-copy sweep tile pass: a dense sweep of several kernels acts
+/// on low qubits only, so its tiles are contiguous state slices the
+/// executor runs in place (observable via the `sweep.tiles.zero_copy`
+/// counter) while staying bit-identical to both plain fused execution
+/// and the scalar path.
 #[test]
 fn zero_copy_sweep_tiles_engage_and_stay_bit_identical() {
     let _g = SIMD_LOCK.lock().unwrap();

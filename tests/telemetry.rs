@@ -506,23 +506,21 @@ fn backend_selection_metrics_flow_into_the_json_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SIMD-dispatch and scratch-arena telemetry: a sweep-scheduled run over
+/// SIMD-dispatch and sweep-tile telemetry: a sweep-scheduled run over
 /// lane-eligible kernels records lane dispatches (`kernel.simd.f64x4`),
 /// a scalar-forced run records only fallback dispatches
-/// (`kernel.simd.scalar`), scratch-arena traffic shows up as
-/// `scratch.alloc`/`scratch.reuse`, the zero-copy sweep fast path counts
-/// its tiles, and every new name survives the JSON export round trip —
-/// keeping the documented schema exhaustive.
+/// (`kernel.simd.scalar`), the zero-copy sweep pass counts its tiles,
+/// and every new name survives the JSON export round trip — keeping the
+/// documented schema exhaustive.
 #[test]
 fn simd_and_scratch_metrics_flow_into_the_json_export() {
     let _l = LOCK.lock().unwrap();
 
     // A 10-qubit QFT under narrow fusion: every kernel of a width-2
     // table (an `h` and up to two `cr1` controls, three qubits) has
-    // spectator bits to run on lanes wherever its qubits sit — narrow
-    // sweep tiles are widened for it — and multi-kernel sweeps of four
-    // qubits exercise the scratch arena. The scalar fallback is what a 3-qubit state
-    // gets: one bit to spare, and `f64x4` needs two.
+    // spectator bits to run on lanes wherever its qubits sit — a sweep's
+    // tile is always wide enough for it. The scalar fallback is what a
+    // 3-qubit state gets: one bit to spare, and `f64x4` needs two.
     let opts = RunOptions { fusion_width: 2, sweep_width: 4, ..Default::default() };
     let run = |simd_on: bool| {
         qgear_statevec::set_simd_enabled(simd_on);
@@ -541,10 +539,6 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
         0,
         "a 10-qubit state leaves no group kernel without lane bits"
     );
-    assert!(
-        lanes_snap.counter(names::SCRATCH_ALLOC) > 0,
-        "tiled sweeps should allocate scratch through the arena"
-    );
 
     let scalar_snap = run(false);
     assert_eq!(
@@ -557,7 +551,6 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
     // One snapshot with both dispatch kinds in it, for the export below.
     let mut tiny = qgear_ir::Circuit::new(3);
     tiny.h(0).cx(0, 1).ry(0.3, 2).cx(1, 2);
-    qgear_statevec::arena::clear_thread_pool();
     qgear_telemetry::reset();
     qgear_telemetry::enable();
     let _: RunOutput<f64> = GpuDevice::a100_40gb().run(&qft10(), &opts).expect("run");
@@ -568,19 +561,6 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
         snap.counter(names::KERNEL_SIMD_SCALAR) > 0,
         "a span with no spare bits should record scalar fallback dispatches"
     );
-
-    // Deterministic arena traffic: on a cleared pool the first request
-    // allocates, every same-size request after it is a pool hit.
-    qgear_telemetry::reset();
-    qgear_telemetry::enable();
-    qgear_statevec::arena::clear_thread_pool();
-    qgear_statevec::arena::with_scratch::<f64, _>(128, |_| {});
-    qgear_statevec::arena::with_scratch::<f64, _>(128, |_| {});
-    qgear_telemetry::disable();
-    let arena_snap = qgear_telemetry::snapshot();
-    qgear_telemetry::reset();
-    assert_eq!(arena_snap.counter(names::SCRATCH_ALLOC), 1);
-    assert_eq!(arena_snap.counter(names::SCRATCH_REUSE), 1);
 
     // A contiguous-prefix sweep takes the zero-copy tile path and says so.
     let mut low = qgear_ir::Circuit::new(8);
@@ -610,7 +590,7 @@ fn simd_and_scratch_metrics_flow_into_the_json_export() {
     let text = std::fs::read_to_string(&path).expect("read back");
     let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
     let counters = value["counters"].as_object().expect("counters object");
-    for key in [names::KERNEL_SIMD_F64X4, names::KERNEL_SIMD_SCALAR, names::SCRATCH_ALLOC] {
+    for key in [names::KERNEL_SIMD_F64X4, names::KERNEL_SIMD_SCALAR] {
         assert!(counters.iter().any(|(k, _)| k == key), "counter {key} missing from export");
     }
     assert_eq!(names::KERNEL_SIMD_F64X4, "kernel.simd.f64x4");
