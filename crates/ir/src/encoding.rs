@@ -166,7 +166,7 @@ impl TensorEncoding {
     }
 
     /// Borrow the view of circuit `i`.
-    pub fn view(&self, i: usize) -> EncodedCircuit<'_> {
+    fn view(&self, i: usize) -> EncodedCircuit<'_> {
         let base = i * self.capacity;
         let count = self.gate_counts[i] as usize;
         EncodedCircuit {

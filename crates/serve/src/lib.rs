@@ -59,6 +59,7 @@ pub mod event;
 pub mod fault;
 pub mod hashkey;
 pub mod job;
+mod retained;
 pub mod scheduler;
 pub mod service;
 pub mod shard;

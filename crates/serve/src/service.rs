@@ -20,6 +20,7 @@ use crate::event::{EventKind, ServiceEvent};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::hashkey::CircuitKey;
 use crate::job::{Admission, BackendVerdict, Engine, JobId, JobOutcome, JobResult, JobSpec, ServeError};
+use crate::retained::Retained;
 use crate::scheduler::{AdmissionQueue, DispatchRecord, QueuedJob};
 use crate::shard::{ShardConfig, ShardSource};
 use crate::stepper::{drive, Attempt, DenseSource};
@@ -190,9 +191,9 @@ pub(crate) struct State {
     queue: AdmissionQueue,
     cache: ResultCache,
     marginals: MarginalCache,
-    /// Every terminal outcome with the clock reading at the instant it
-    /// was published.
-    outcomes: HashMap<u64, (JobOutcome, Duration)>,
+    /// Every terminal outcome, its histogram packed, with the clock
+    /// reading at the instant it was published.
+    outcomes: HashMap<u64, (Arc<Retained>, Duration)>,
     /// In-flight jobs whose cancellation has been requested; workers
     /// observe these between backoff slices and attempts.
     cancel_requests: HashSet<u64>,
@@ -359,7 +360,7 @@ impl Service {
         let mut st = self.shared.lock();
         if st.queue.cancel(id).is_some() {
             counter_inc(names::SERVE_JOBS_CANCELLED);
-            st.outcomes.insert(id.0, (JobOutcome::Cancelled, now));
+            st.outcomes.insert(id.0, (Retained::new(JobOutcome::Cancelled), now));
             drop(st);
             self.shared.done_cv.notify_all();
             true
@@ -376,20 +377,23 @@ impl Service {
     /// was never admitted by this service.
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
         let mut st = self.shared.lock();
-        loop {
-            if let Some((outcome, _)) = st.outcomes.get(&id.0) {
-                return Some(outcome.clone());
+        let retained = loop {
+            if let Some((retained, _)) = st.outcomes.get(&id.0) {
+                break Arc::clone(retained);
             }
             if id.0 >= st.next_id {
                 return None;
             }
             st = self.shared.wait(&self.shared.done_cv, st);
-        }
+        };
+        drop(st);
+        Some(retained.outcome())
     }
 
     /// The outcome if `id` already finished, without blocking.
     pub fn try_outcome(&self, id: JobId) -> Option<JobOutcome> {
-        self.shared.lock().outcomes.get(&id.0).map(|(outcome, _)| outcome.clone())
+        let retained = self.shared.lock().outcomes.get(&id.0).map(|(retained, _)| Arc::clone(retained));
+        retained.map(|r| r.outcome())
     }
 
     /// The service-clock reading at which `id`'s terminal outcome was
@@ -459,7 +463,7 @@ impl Drop for Service {
 /// How one dispatch of a job ended: with a terminal outcome, or with the
 /// worker "dying" mid-job (injected fault) and the job owed a requeue.
 enum ServeStep {
-    Outcome(JobOutcome),
+    Outcome(Arc<Retained>),
     WorkerDied {
         /// Attempts consumed up to and including the dying one; carried
         /// into the requeued job so the retry budget spans dispatches.
@@ -471,7 +475,7 @@ enum ServeStep {
 enum Precheck {
     /// Resolved without executing (cancelled, expired, answered from a
     /// cache); the outcome is still to be published.
-    Resolved(JobOutcome),
+    Resolved(Arc<Retained>),
     /// Must execute: enters the attempt loop.
     Execute { queue_wait: Duration },
 }
@@ -545,11 +549,12 @@ fn dispatch(shared: &Shared, job: QueuedJob) {
     publish_outcome(shared, job.id, outcome);
 }
 
-/// Publish a terminal outcome for one dispatched job.
-fn publish_outcome(shared: &Shared, id: JobId, outcome: JobOutcome) {
+/// Publish a terminal outcome for one dispatched job, packed before the
+/// state lock is taken.
+fn publish_outcome(shared: &Shared, id: JobId, retained: Arc<Retained>) {
     let now = shared.cfg.clock.now();
     let mut st = shared.lock();
-    st.outcomes.insert(id.0, (outcome, now));
+    st.outcomes.insert(id.0, (retained, now));
     st.cancel_requests.remove(&id.0);
     // Terminal: retained checkpoint generations are dead weight now,
     // whatever the outcome was.
@@ -609,7 +614,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     if cancel_requested(shared, job.id) {
         let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_CANCELLED);
-        return Precheck::Resolved(JobOutcome::Cancelled);
+        return Precheck::Resolved(Retained::new(JobOutcome::Cancelled));
     }
 
     // Deadline: jobs that waited too long are dropped, not run late. A
@@ -618,7 +623,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
     if job.spec.deadline.is_some_and(|deadline| queue_wait > deadline) {
         let _job_span = span!(spans::SERVE_JOB);
         counter_inc(names::SERVE_JOBS_EXPIRED);
-        return Precheck::Resolved(JobOutcome::Expired);
+        return Precheck::Resolved(Retained::new(JobOutcome::Expired));
     }
 
     // Cache probe (hit/miss counters live in the cache). A scheduled
@@ -646,7 +651,7 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
             queue_wait,
             service_time: Duration::ZERO,
         };
-        return Precheck::Resolved(complete(shared, job, result));
+        return Precheck::Resolved(Retained::new(complete(shared, job, result)));
     }
 
     // State-marginal probe: the same circuit evolved before under
@@ -666,20 +671,18 @@ fn precheck(shared: &Shared, job: &QueuedJob) -> Precheck {
         drop(sample_span);
         let mut stats = hit.stats.clone();
         stats.elapsed = Duration::ZERO; // no simulation happened for *this* job
-        {
-            let mut st = shared.lock();
-            st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
-        }
         let result = JobResult {
-            counts,
-            stats,
+            counts: None,
+            stats: stats.clone(),
             from_cache: false,
             from_state_cache: true,
             attempts: 0,
             queue_wait,
             service_time: Duration::ZERO,
         };
-        return Precheck::Resolved(complete(shared, job, result));
+        let retained = Retained::with_counts(complete(shared, job, result), counts.as_ref());
+        shared.lock().cache.insert(job.key, CachedResult { counts, stats });
+        return Precheck::Resolved(retained);
     }
 
     Precheck::Execute { queue_wait }
@@ -699,32 +702,32 @@ fn complete(shared: &Shared, job: &QueuedJob, mut result: JobResult) -> JobOutco
     JobOutcome::Completed(Box::new(result))
 }
 
-/// The epilogue of a fresh execution: feed both caches, then
-/// [`complete`].
+/// The epilogue of a fresh execution: [`complete`], then feed both
+/// caches — the result cache the histogram itself, the retained outcome
+/// its packed copy.
 fn complete_fresh(
     shared: &Shared,
     job: &QueuedJob,
     queue_wait: Duration,
     attempts: u32,
     (counts, stats, fresh_marginal): Executed,
-) -> JobOutcome {
-    {
-        let mut st = shared.lock();
-        st.cache.insert(job.key, CachedResult { counts: counts.clone(), stats: stats.clone() });
-        if let Some(m) = fresh_marginal {
-            st.marginals.insert(job.state_key, m);
-        }
-    }
+) -> Arc<Retained> {
     let result = JobResult {
-        counts,
-        stats,
+        counts: None,
+        stats: stats.clone(),
         from_cache: false,
         from_state_cache: false,
         attempts,
         queue_wait,
         service_time: Duration::ZERO,
     };
-    complete(shared, job, result)
+    let retained = Retained::with_counts(complete(shared, job, result), counts.as_ref());
+    let mut st = shared.lock();
+    st.cache.insert(job.key, CachedResult { counts, stats });
+    if let Some(m) = fresh_marginal {
+        st.marginals.insert(job.state_key, m);
+    }
+    retained
 }
 
 /// The cold path of one dispatch, entered after [`precheck`]: execute
@@ -747,7 +750,7 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
         // was running (or racing the dispatch) takes effect here.
         if cancel_requested(shared, job.id) {
             counter_inc(names::SERVE_JOBS_CANCELLED);
-            return ServeStep::Outcome(JobOutcome::Cancelled);
+            return ServeStep::Outcome(Retained::new(JobOutcome::Cancelled));
         }
         let _attempt_span = span!(spans::SERVE_ATTEMPT);
         let sharded = job.engine == Engine::Sharded;
@@ -804,7 +807,7 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
                 if !backoff_with_cancel(shared, job.id, backoff) {
                     counter_inc(names::SERVE_JOBS_CANCELLED);
                     counter_inc(names::SERVE_CANCELLED_IN_BACKOFF);
-                    return ServeStep::Outcome(JobOutcome::Cancelled);
+                    return ServeStep::Outcome(Retained::new(JobOutcome::Cancelled));
                 }
                 continue;
             }
@@ -831,7 +834,7 @@ fn attempt_loop(shared: &Shared, job: &QueuedJob, queue_wait: Duration) -> Serve
         }
         Err(err) => {
             counter_inc(names::SERVE_JOBS_FAILED);
-            ServeStep::Outcome(JobOutcome::Failed(err))
+            ServeStep::Outcome(Retained::new(JobOutcome::Failed(err)))
         }
     }
 }
@@ -1371,6 +1374,43 @@ mod tests {
             .job_id()
             .unwrap();
         assert!(matches!(service.wait(id).unwrap(), JobOutcome::Expired));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_published_histogram_comes_back_equal_at_its_publish_time() {
+        #[derive(Debug)]
+        struct Frozen(Duration);
+        impl Clock for Frozen {
+            fn now(&self) -> Duration {
+                self.0
+            }
+            fn sleep_until(&self, _: Duration) {}
+        }
+        let at = Duration::from_millis(1234);
+        let service = Service::start(ServeConfig { workers: 1, clock: Arc::new(Frozen(at)), ..Default::default() });
+        let map = (0..1u64 << 12).map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1 + k * 37)).collect();
+        let counts = Counts { qubits: vec![4, 0, 7], map };
+        let result = JobResult {
+            counts: Some(counts.clone()),
+            stats: ExecStats::default(),
+            from_cache: false,
+            from_state_cache: false,
+            attempts: 1,
+            queue_wait: Duration::from_micros(5),
+            service_time: Duration::from_micros(9),
+        };
+        {
+            // Book job 0 as admitted and in flight, as a dispatch would.
+            let mut st = service.shared.lock();
+            st.next_id = 1;
+            st.in_flight += 1;
+        }
+        publish_outcome(&service.shared, JobId(0), Retained::new(JobOutcome::Completed(Box::new(result))));
+        for outcome in [service.wait(JobId(0)).unwrap(), service.try_outcome(JobId(0)).unwrap()] {
+            assert!(outcome.result().unwrap().counts.as_ref() == Some(&counts));
+        }
+        assert_eq!(service.outcome_time(JobId(0)), Some(at));
         service.shutdown();
     }
 

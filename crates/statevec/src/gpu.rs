@@ -897,6 +897,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn row_blocked_lanes_are_the_scalar_chain_at_every_group_size() {
+        // A dense `2^μ × 2^μ` block for every `2^μ` a kernel can have, 2
+        // to 64 (width 6), with its qubits lowest (gathered lanes) and
+        // above both lane widths (contiguous lanes): fewer rows than one
+        // row block, exactly one, and many.
+        let mut s = 0x5EED_u64;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        for mu in 1..=qgear_ir::fusion::MAX_FUSION_WIDTH as u32 {
+            let table: Vec<C64> = (0..1usize << (2 * mu)).map(|_| C64::new(rnd(), rnd())).collect();
+            for (low, expect) in [(0, "strided"), (4, "contiguous")] {
+                let block = FusedBlock::from_dense((low..low + mu).collect(), table.clone());
+                assert_eq!(block.mixed(), (1 << mu) - 1);
+                let what = format!("dense μ={mu} from qubit {low}");
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, 14, &what), expect);
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, 14, &what), expect);
+            }
+        }
+    }
+
     /// A `2^k × 2^k` matrix of one structure class (not necessarily
     /// unitary — the kernels never ask). Entries outside the structure
     /// are exact zeros of either sign.

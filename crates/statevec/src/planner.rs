@@ -126,10 +126,10 @@ impl Default for PlannerCosts {
 impl PlannerCosts {
     /// The priced selector with constants hand-fitted to a small x86
     /// host: dense width-5 kernels on a random circuit pin
-    /// `madds_per_sec` (refit when every group kernel moved onto SIMD
-    /// lanes: a dense pass at 20 qubits on two cores reads 4.3e9 at fp64
-    /// and 6.4e9 at fp32, one thread a little over half of that, a `2×2`
-    /// kernel a quarter; docs/PLANNER.md § "The lane rate"), the per-gate
+    /// `madds_per_sec` (refit when the lanes moved onto AVX2 registers
+    /// with four rows in flight: a dense pass at 16 to 20 qubits on two
+    /// cores reads 5.2–8.3e9 at fp64 and 10–15e9 at fp32;
+    /// docs/PLANNER.md § "The lane rate"), the per-gate
     /// loops on the same circuit pin `gate_amps_per_sec`, the chunked
     /// diagonal-table kernels of a QFT pin `cmuls_per_sec`,
     /// sweep-vs-per-kernel deltas pin the effective streaming bandwidth,
@@ -139,7 +139,7 @@ impl PlannerCosts {
     pub fn host_reference() -> Self {
         PlannerCosts {
             bytes_per_sec: 1.6e10,
-            madds_per_sec: 4.0e9,
+            madds_per_sec: 7.0e9,
             cmuls_per_sec: 2.5e9,
             gate_amps_per_sec: 1.0e9,
             launch_seconds: 5.0e-7,

@@ -164,6 +164,9 @@ impl<T: Scalar> DiagTable<T> {
     }
 }
 
+/// Output rows one pass of [`dense_block_lanes`] keeps in flight.
+const ROW_BLOCK: usize = 4;
+
 /// Apply one dense `M × M` kernel to the `LANES` groups of a lane block,
 /// lane `l` being the group at `base + l` (`lane_offs: None`, the lane
 /// bits are the span's lowest) or at `base | lane_offs[l]`.
@@ -173,10 +176,13 @@ impl<T: Scalar> DiagTable<T> {
 /// `M = 32` — more than L1 — and measured a sixth slower than
 /// broadcasting from the 8 KiB of scalars); `offs[c]` is the address
 /// offset of kernel-local index `c` (the OR of the masks selected by
-/// `c`'s bits). Accumulation runs in the same `c = 0..M` order with the
-/// same `mul_add` chain as the scalar loop, one lane per group, so
-/// results are bitwise identical. `M` is a constant so the column scratch
-/// is `M` lane vectors, every one loaded before it is read.
+/// `c`'s bits). Rows go [`ROW_BLOCK`] at a time: each column vector is
+/// read once per block and feeds that many independent accumulators, so
+/// the FMA latency of one row's chain hides behind the others. Each row
+/// still accumulates in the same `c = 0..M` order with the same
+/// `mul_add` chain as the scalar loop, one lane per group, so results
+/// are bitwise identical. `M` is a constant so the column scratch is `M`
+/// lane vectors, every one loaded before it is read.
 ///
 /// # Safety
 /// Caller guarantees every address `base | offs[c]` combined with every
@@ -198,24 +204,30 @@ pub(crate) unsafe fn dense_block_lanes<T: Scalar, const M: usize>(
         inp[c] = match lane_offs {
             // SAFETY: the caller's contract — `LANES` in-bounds
             // amplitudes from `at`, owned by this call.
-            None => unsafe { T::Lanes::load_ptr(ptr.add(at)) },
+            None => T::Lanes::load(unsafe { std::slice::from_raw_parts(ptr.add(at), T::LANES) }, 0),
             // SAFETY: as above, lane `l` at its own offset.
             Some(lane) => T::Lanes::from_fn(|l| unsafe { *ptr.add(at | lane[l]) }),
         };
     }
-    for (r, row) in m.chunks_exact(M).enumerate() {
-        let mut acc = zero;
-        for c in 0..M {
-            acc = T::Lanes::splat(row[c]).mul_add(inp[c], acc);
+    let rows = M.min(ROW_BLOCK);
+    let m = &m[..M * M];
+    for r0 in (0..M).step_by(rows) {
+        let mut acc = [zero; ROW_BLOCK];
+        for (c, &x) in inp.iter().enumerate() {
+            for (k, a) in acc[..rows].iter_mut().enumerate() {
+                *a = T::Lanes::splat(m[(r0 + k) * M + c]).mul_add(x, *a);
+            }
         }
-        let at = base | offs[r];
-        match lane_offs {
-            // SAFETY: same address set as the loads, all of them done.
-            None => unsafe { acc.store_ptr(ptr.add(at)) },
-            Some(lane) => {
-                for (l, &off) in lane.iter().enumerate() {
-                    // SAFETY: as above, lane `l` at its own offset.
-                    unsafe { *ptr.add(at | off) = acc.lane(l) };
+        for (k, a) in acc[..rows].iter().enumerate() {
+            let at = base | offs[r0 + k];
+            match lane_offs {
+                // SAFETY: same address set as the loads, all of them done.
+                None => a.store(unsafe { std::slice::from_raw_parts_mut(ptr.add(at), T::LANES) }, 0),
+                Some(lane) => {
+                    for (l, &off) in lane.iter().enumerate() {
+                        // SAFETY: as above, lane `l` at its own offset.
+                        unsafe { *ptr.add(at | off) = a.lane(l) };
+                    }
                 }
             }
         }
