@@ -1,13 +1,13 @@
 //! Console tables and JSON-lines result files.
 
-use serde::Serialize;
+use serde_json::Value;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
 /// One data row: experiment id, series label, x value, measured/modeled
 /// seconds, and the paper's reported value when one exists.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Experiment id ("fig4a", "table2", …).
     pub experiment: String,
@@ -25,6 +25,24 @@ pub struct Row {
     pub paper: Option<f64>,
     /// Free-form annotation ("OOM", "memory limit", …).
     pub note: Option<String>,
+}
+
+impl Row {
+    /// One JSON object, fields in declaration order. `None` is `null`,
+    /// and so is a NaN `value` (an infeasible point) when printed.
+    fn to_value(&self) -> Value {
+        let s = |v: &str| Value::Str(v.to_owned());
+        Value::Map(vec![
+            ("experiment".into(), s(&self.experiment)),
+            ("series".into(), s(&self.series)),
+            ("x".into(), Value::F64(self.x)),
+            ("value".into(), Value::F64(self.value)),
+            ("unit".into(), s(&self.unit)),
+            ("mode".into(), s(&self.mode)),
+            ("paper".into(), self.paper.map_or(Value::Null, Value::F64)),
+            ("note".into(), self.note.as_deref().map_or(Value::Null, s)),
+        ])
+    }
 }
 
 /// Collects rows, prints an aligned table, writes `results/<id>.jsonl`.
@@ -122,12 +140,7 @@ impl Report {
         let path = dir.join(format!("{}.jsonl", self.experiment));
         let mut f = fs::File::create(&path)?;
         for r in &self.rows {
-            // NaN is not valid JSON; encode infeasible points as null value.
-            let mut v = serde_json::to_value(r).expect("row serializes");
-            if r.value.is_nan() {
-                v["value"] = serde_json::Value::Null;
-            }
-            writeln!(f, "{v}")?;
+            writeln!(f, "{}", r.to_value())?;
         }
         Ok(path)
     }
@@ -190,9 +203,18 @@ mod tests {
         r.modeled("a", 1.0, 2.5);
         r.measured("b", 2.0, 0.1);
         r.infeasible("a", 3.0, "OOM");
-        assert_eq!(r.rows().len(), 3);
-        let json = serde_json::to_string(&r.rows()[0]).unwrap();
-        assert!(json.contains("\"experiment\":\"test_exp\""));
+        r.push("c", 30.0, 14.0, "min", "modeled", Some(13.5), None);
+        let json: Vec<String> =
+            r.rows().iter().map(|row| serde_json::to_string(&row.to_value()).unwrap()).collect();
+        assert_eq!(
+            json,
+            [
+                r#"{"experiment":"test_exp","series":"a","x":1,"value":2.5,"unit":"s","mode":"modeled","paper":null,"note":null}"#,
+                r#"{"experiment":"test_exp","series":"b","x":2,"value":0.1,"unit":"s","mode":"measured","paper":null,"note":null}"#,
+                r#"{"experiment":"test_exp","series":"a","x":3,"value":null,"unit":"s","mode":"modeled","paper":null,"note":"OOM"}"#,
+                r#"{"experiment":"test_exp","series":"c","x":30,"value":14,"unit":"min","mode":"modeled","paper":13.5,"note":null}"#,
+            ]
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl fmt::Display for LinkClass {
 }
 
 /// Physical layout of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
     /// GPUs per node (Perlmutter: 4).
     pub gpus_per_node: usize,

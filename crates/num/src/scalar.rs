@@ -173,7 +173,7 @@ impl_scalar!(f32, 4, "fp32", crate::simd::C32x8, 8);
 impl_scalar!(f64, 8, "fp64", crate::simd::C64x4, 4);
 
 /// Simulation precision selector, mirroring the CUDA-Q target option.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Single precision: 8 bytes per complex amplitude. The paper's default
     /// for the large GPU runs (Fig. 4a/4b use fp32).

@@ -11,10 +11,9 @@
 
 use crate::hardware::{perlmutter_links, CpuNodeSpec, GpuSpec, LinkSpec};
 use qgear_cluster::{ClusterTopology, LinkClass, TrafficStats};
-use serde::{Deserialize, Serialize};
 
 /// Projected wall-clock, split by phase. All values in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Front-end pipeline cost: circuit construction / transpilation /
     /// (for Q-Gear) tensor encode+decode.
@@ -55,7 +54,7 @@ impl std::fmt::Display for TimeBreakdown {
 }
 
 /// The full calibrated model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// GPU device description.
     pub gpu: GpuSpec,

@@ -6,10 +6,8 @@
 //! paper's headline ratios (≈400× GPU-vs-CPU on random unitaries,
 //! two-orders speedup on QCrank, minute-scale 34-qubit runs on 4 GPUs).
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Display name.
     pub name: String,
@@ -59,7 +57,7 @@ impl GpuSpec {
 }
 
 /// A CPU node model (the Qiskit-Aer baseline host).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuNodeSpec {
     /// Display name.
     pub name: String,
@@ -98,7 +96,7 @@ impl CpuNodeSpec {
 }
 
 /// One interconnect class between simulated devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth per device pair, B/s.
     pub pair_bandwidth: f64,

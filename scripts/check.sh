@@ -52,6 +52,28 @@ fi
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# The deterministic results files are what their bins write. Each of
+# these bins runs without `--measured` (model projections and seeded
+# simulations, about 2 s together in release) and rewrites
+# `results/<bin>.jsonl`; the file as it stood before the run is the
+# reference, so a stale one fails whether or not the tree was clean.
+# The file is put back either way.
+echo "==> results: the deterministic results/*.jsonl are what their bins write"
+saved="$(mktemp -d)"
+trap 'rm -rf "$saved"' EXIT
+stale=0
+for bin in fig4a fig4b fig4c fig5 fig6 ablation_mixing ablation_remap; do
+    file="results/$bin.jsonl"
+    cp "$file" "$saved/$bin.jsonl"
+    cargo run -q --release -p qgear-bench --bin "$bin" >/dev/null
+    if ! cmp -s "$saved/$bin.jsonl" "$file"; then
+        echo "$file is not what \`cargo run --release -p qgear-bench --bin $bin\` writes" >&2
+        stale=1
+    fi
+    cp "$saved/$bin.jsonl" "$file"
+done
+[ "$stale" -eq 0 ]
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

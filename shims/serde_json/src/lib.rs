@@ -1,20 +1,217 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! [`Value`] is an alias for the shim `serde` crate's `Content` tree
-//! (so it carries the same accessor/indexing API), and this crate adds
-//! the JSON text layer: [`to_string`] / [`to_string_pretty`] /
-//! [`to_value`] for writing and [`from_str`] / [`from_value`] for
-//! reading. Non-finite floats encode as `null`, matching the real
-//! crate's lossy arbitrary-precision-off behaviour closely enough for
-//! this workspace's benchmark reports and telemetry exports.
+//! [`Value`] is the JSON tree, with the accessor and indexing API of
+//! `serde_json::Value`; callers build and read it explicitly. Text goes
+//! out through [`to_string`] / [`to_string_pretty`] (or `Display`, the
+//! compact form) and comes back through [`from_str`]. A non-finite
+//! float prints as `null`, as the real crate writes it.
 
-use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 
-/// A parsed JSON value (alias of the shim serde data model).
-pub type Value = Content;
+/// A JSON value. Maps keep their keys in insertion order, so a value
+/// built field by field prints its fields in that order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// JSON boolean.
+    Bool(bool),
+    /// Unsigned integer (wide enough for `u128` byte counters).
+    U64(u128),
+    /// Signed integer.
+    I64(i128),
+    /// Floating-point number. A non-finite one prints as `null`, as
+    /// `serde_json` writes it.
+    F64(f64),
+    /// String.
+    Str(String),
+    /// Sequence.
+    Seq(Vec<Value>),
+    /// Map with insertion-ordered string keys.
+    Map(Vec<(String, Value)>),
+}
 
-/// Error for JSON parse or convert failures.
+static NULL: Value = Value::Null;
+
+impl Value {
+    /// Look up a key in a map; `None` for missing keys or non-maps.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Map(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Whether this is `Null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, Value::Null)
+    }
+
+    /// As a bool, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// As a `u64`, if it is an in-range integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::U64(v) => (*v).try_into().ok(),
+            Value::I64(v) => (*v).try_into().ok(),
+            _ => None,
+        }
+    }
+
+    /// As a `u128`, if it is a non-negative integer.
+    pub fn as_u128(&self) -> Option<u128> {
+        match self {
+            Value::U64(v) => Some(*v),
+            Value::I64(v) => (*v).try_into().ok(),
+            _ => None,
+        }
+    }
+
+    /// As an `i64`, if it is an in-range integer.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Value::U64(v) => (*v).try_into().ok(),
+            Value::I64(v) => (*v).try_into().ok(),
+            _ => None,
+        }
+    }
+
+    /// As an `f64` (integers convert), if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::F64(v) => Some(*v),
+            Value::U64(v) => Some(*v as f64),
+            Value::I64(v) => Some(*v as f64),
+            _ => None,
+        }
+    }
+
+    /// As a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// As a sequence, if it is one.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Seq(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// As ordered key/value pairs, if it is a map.
+    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
+        match self {
+            Value::Map(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+}
+
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+
+    /// Map lookup; missing keys and non-maps index to `Null`, like
+    /// `serde_json::Value`.
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
+    }
+}
+
+impl std::ops::IndexMut<&str> for Value {
+    /// Mutable map lookup, inserting `Null` for a missing key. A
+    /// `Null` value silently becomes an empty map first (the
+    /// `serde_json` behaviour); any other non-map panics.
+    fn index_mut(&mut self, key: &str) -> &mut Value {
+        if self.is_null() {
+            *self = Value::Map(Vec::new());
+        }
+        let Value::Map(pairs) = self else {
+            panic!("cannot index non-object value with a string key");
+        };
+        if let Some(pos) = pairs.iter().position(|(k, _)| k == key) {
+            return &mut pairs[pos].1;
+        }
+        pairs.push((key.to_owned(), Value::Null));
+        &mut pairs.last_mut().expect("just pushed").1
+    }
+}
+
+impl std::ops::Index<usize> for Value {
+    type Output = Value;
+
+    /// Sequence lookup; out-of-range and non-sequences index to `Null`.
+    fn index(&self, idx: usize) -> &Value {
+        match self {
+            Value::Seq(items) => items.get(idx).unwrap_or(&NULL),
+            _ => &NULL,
+        }
+    }
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+impl fmt::Display for Value {
+    /// Compact JSON: no whitespace between tokens.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::U64(v) => write!(f, "{v}"),
+            Value::I64(v) => write!(f, "{v}"),
+            Value::F64(v) if v.is_finite() => write!(f, "{v}"),
+            Value::F64(_) => f.write_str("null"),
+            Value::Str(s) => write_escaped(f, s),
+            Value::Seq(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Value::Map(pairs) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write_escaped(f, k)?;
+                    f.write_str(":")?;
+                    write!(f, "{v}")?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Error for a JSON parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -32,31 +229,15 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error(e.to_string())
-    }
+/// Compact JSON text (the `Display` form).
+pub fn to_string(value: &Value) -> Result<String, Error> {
+    Ok(value.to_string())
 }
 
-/// Convert any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize>(value: T) -> Result<Value, Error> {
-    Ok(value.serialize_content())
-}
-
-/// Rebuild a typed value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    Ok(T::deserialize_content(&value)?)
-}
-
-/// Serialize to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize_content().to_string())
-}
-
-/// Serialize to human-readable two-space-indented JSON text.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Human-readable two-space-indented JSON text.
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_pretty(&value.serialize_content(), 0, &mut out);
+    write_pretty(value, 0, &mut out);
     Ok(out)
 }
 
@@ -97,13 +278,8 @@ fn write_pretty(v: &Value, indent: usize, out: &mut String) {
     }
 }
 
-/// Parse JSON text into a typed value.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value_str(s)?;
-    Ok(T::deserialize_content(&value)?)
-}
-
-fn parse_value_str(s: &str) -> Result<Value, Error> {
+/// Parse JSON text.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
     let value = parse_value(bytes, &mut pos)?;
@@ -234,12 +410,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
+                // The whole run up to the next `"` or `\` in one pass:
+                // both are ASCII, so the run ends on a char boundary.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -310,8 +490,8 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        assert!(from_str::<Value>("{} extra").is_err());
-        assert!(from_str::<Value>("[1,]").is_err());
+        assert!(from_str("{} extra").is_err());
+        assert!(from_str("[1,]").is_err());
     }
 
     #[test]
@@ -327,10 +507,42 @@ mod tests {
     }
 
     #[test]
-    fn typed_from_str() {
-        let xs: Vec<u64> = from_str("[1,2,3]").unwrap();
-        assert_eq!(xs, vec![1, 2, 3]);
-        let opt: Option<f64> = from_str("null").unwrap();
-        assert_eq!(opt, None);
+    fn display_is_compact_json() {
+        let v = Value::Map(vec![
+            ("name".into(), Value::Str("a\"b".into())),
+            ("xs".into(), Value::Seq(vec![Value::U64(1), Value::Null])),
+            ("ok".into(), Value::Bool(true)),
+        ]);
+        assert_eq!(v.to_string(), r#"{"name":"a\"b","xs":[1,null],"ok":true}"#);
+    }
+
+    #[test]
+    fn non_finite_floats_render_null() {
+        assert_eq!(Value::F64(f64::INFINITY).to_string(), "null");
+        assert_eq!(Value::F64(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn index_mut_overwrites_and_inserts() {
+        let mut v = Value::Map(vec![("value".into(), Value::F64(1.0))]);
+        v["value"] = Value::Null;
+        assert!(v["value"].is_null());
+        v["new"] = Value::Bool(false);
+        assert_eq!(v["new"], Value::Bool(false));
+        assert!(v["missing"].is_null());
+    }
+
+    #[test]
+    fn parses_a_multi_mib_string_in_one_pass() {
+        // Multibyte UTF-8 between every kind of escape the writer emits;
+        // a parser that re-validates the rest of the input per character
+        // takes minutes here.
+        let unit = "aé€😀\"\\\n\r\t\u{1}/";
+        let s = unit.repeat((4 << 20) / unit.len());
+        let text = Value::Seq(vec![Value::Str(s.clone()), Value::U64(7)]).to_string();
+        assert!(text.len() > 4 << 20);
+        let back = from_str(&text).unwrap();
+        assert_eq!(back[0].as_str(), Some(s.as_str()));
+        assert_eq!(back[1].as_u64(), Some(7));
     }
 }
