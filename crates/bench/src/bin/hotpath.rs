@@ -15,7 +15,7 @@
 //! * **planned** — the priced plan (`PlannerCosts::host_reference()`):
 //!   per scheduled segment, the cheaper of the plan's two modes
 //!   (per-gate loops or one sweep pass) under the cost model. See
-//!   `docs/PLANNER.md` for how to read this series.
+//!   `docs/PIPELINE.md` § 4 for how to read this series.
 //!
 //! The GPU series differ only in the plan's one selector
 //! (`RunOptions::planner_costs`) and the sweep width. The four modes of

@@ -11,8 +11,8 @@
 //! Those loops are *not* reliably vectorized — built that way, the
 //! release kernels held 328 `vfmadd231sd` and 306 `vfmadd231ss` sites
 //! against 34 `vfmadd231pd` and 30 `vfmadd231ps` on `ymm` — so they are the
-//! portable fallback and nothing more (docs/PERFORMANCE.md § "Lanes on
-//! AVX2 registers").
+//! portable fallback and nothing more (docs/PIPELINE.md § 5, "Registers,
+//! four rows in flight").
 //!
 //! # Bit-identity contract
 //!

@@ -95,9 +95,6 @@ pub enum ShardRecord {
         exchange: u64,
         /// `true` = corrupted payload, `false` = dropped partner.
         corrupt: bool,
-        /// Cursor recovered to (`None` = no verified generation survived;
-        /// the dispatch cold-restarted from `|0…0⟩`).
-        resumed_from: Option<u64>,
     },
     /// The group finished the schedule and sampled. Traffic counters are
     /// the *final* group instance's (a migration or in-place recovery
@@ -205,12 +202,12 @@ impl<T: Scalar> StepSource<T> for ShardSource<'_> {
 
     fn settled(&self, restored: Option<u64>, broken: Option<(&Self::Run, CommError)>) {
         match (broken, restored) {
-            (Some((run, err)), resumed_from) => {
+            (Some((run, err)), _) => {
                 counter_inc(names::SERVE_SHARD_LINK_FAULTS);
                 let job = self.job.id.0;
                 let exchange = run.dist().exchanges().saturating_sub(1);
                 let corrupt = matches!(err, CommError::Corrupted);
-                log(self.shared, ShardRecord::LinkFault { job, exchange, corrupt, resumed_from });
+                log(self.shared, ShardRecord::LinkFault { job, exchange, corrupt });
             }
             // The ladder's own `Resumed` event is the record of it.
             (None, Some(_)) => counter_inc(names::SERVE_SHARD_MIGRATIONS),

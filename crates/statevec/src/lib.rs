@@ -20,7 +20,7 @@
 //! every segment to a mode (the default pins sweeps) or prices unfused
 //! and sweep execution per scheduled segment against a cost model and
 //! runs each in the cheaper mode. See
-//! `docs/PLANNER.md` for the model and decision procedure.
+//! `docs/PIPELINE.md` § 4 for the model and decision procedure.
 //!
 //! Both walkers of that plan — [`SegmentedRun`] here, the cluster
 //! crate's `ShardedRun` over a partitioned state — keep one contract,

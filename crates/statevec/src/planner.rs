@@ -32,7 +32,7 @@
 //! fingerprint always covers the digest, so a resumed walker can never
 //! continue under a different plan.
 //!
-//! See `docs/PLANNER.md` for the cost model and the decision procedure.
+//! See `docs/PIPELINE.md` § 4 for the cost model and the decision procedure.
 //!
 //! ```
 //! use qgear_ir::Circuit;
@@ -129,7 +129,7 @@ impl PlannerCosts {
     /// `madds_per_sec` (refit when the lanes moved onto AVX2 registers
     /// with four rows in flight: a dense pass at 16 to 20 qubits on two
     /// cores reads 5.2–8.3e9 at fp64 and 10–15e9 at fp32;
-    /// docs/PLANNER.md § "The lane rate"), the per-gate
+    /// docs/PIPELINE.md § 4), the per-gate
     /// loops on the same circuit pin `gate_amps_per_sec`, the chunked
     /// diagonal-table kernels of a QFT pin `cmuls_per_sec`,
     /// sweep-vs-per-kernel deltas pin the effective streaming bandwidth,

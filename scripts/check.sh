@@ -36,6 +36,13 @@ fi
 echo "==> dead pub: no pub item lives only for its own unit tests; list A at most its cap"
 scripts/dead_pub.sh
 
+# The docs describe code that exists: a backticked code name in docs/,
+# README.md, DESIGN.md, EXPERIMENTS.md or shims/README.md that names
+# nothing in the tree fails, and so does a `docs/<NAME>.md` path or link
+# to a file that is not there (the script's header has the rule).
+echo "==> doc names: every code name and docs/ path the docs use exists"
+scripts/doc_names.sh
+
 # Every `unsafe` block, fn and impl of `crates/` is a site the AddressSanitizer
 # run below has to cover; the count is capped so a new one has to displace
 # an old one.
@@ -105,7 +112,7 @@ RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
 # planned), interleaved rep by rep; --enforce-planned fails the gate if
 # the priced plan loses to the best pinned series by more than the
 # bin's one relative tolerance on any cell of at least 10 ms
-# (docs/PLANNER.md). Prints only.
+# (docs/PIPELINE.md § 4). Prints only.
 echo "==> hotpath smoke (per-mode kernels + planner gate)"
 cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned
 

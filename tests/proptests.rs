@@ -62,43 +62,109 @@ fn arb_circuit(max_qubits: u32, max_gates: usize) -> impl Strategy<Value = Circu
         })
 }
 
+// The properties every generated circuit must hold, one function each,
+// so the proptest block below and the recorded regression case run the
+// same assertions.
+
+fn norm_is_preserved(circ: &Circuit) {
+    let state = reference::run(circ);
+    let norm = reference::norm_sqr(&state);
+    assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
+}
+
+fn qpy_roundtrips(circ: &Circuit) {
+    let bytes = qpy::write(std::slice::from_ref(circ));
+    let back = qpy::read(&bytes).unwrap();
+    assert_eq!(back.len(), 1);
+    assert_eq!(&back[0], circ);
+}
+
+fn tensor_encoding_roundtrips(circ: &Circuit) {
+    // Encoding requires arity <= 2 (always true for this gate set).
+    let (native, _) = qgear_ir::transpile::decompose_to_native(circ);
+    let enc = TensorEncoding::encode(std::slice::from_ref(&native), None).unwrap();
+    assert_eq!(enc.decode_one(0).unwrap(), native);
+}
+
+fn transpile_is_exact(circ: &Circuit) {
+    let (native, phase) = qgear_ir::transpile::decompose_to_native(circ);
+    let mut got = reference::run(&native);
+    reference::apply_global_phase(&mut got, phase);
+    let expect = reference::run(circ);
+    let deviation = qgear_num::approx::max_deviation(&got, &expect);
+    assert!(deviation < 1e-9, "deviation {deviation}");
+}
+
+fn fusion_is_equivalent(circ: &Circuit, width: usize) {
+    let (native, _) = qgear_ir::transpile::decompose_to_native(circ);
+    let (unitary, _) = native.split_measurements();
+    let program = qgear_ir::fusion::fuse(&unitary, width);
+    let mut fused = reference::zero_state(circ.num_qubits());
+    program.apply_to_state(&mut fused);
+    let expect = reference::run(&unitary);
+    assert!(qgear_num::approx::max_deviation(&fused, &expect) < 1e-9);
+}
+
+fn pipeline_targets_agree(circ: &Circuit) {
+    let expect = reference::run(circ);
+    for target in [Target::Nvidia, Target::NvidiaMgpu { devices: 2 }] {
+        if matches!(target, Target::NvidiaMgpu { .. }) && circ.num_qubits() < 3 {
+            // mgpu needs at least a 2-qubit local slice per device.
+            continue;
+        }
+        let config = QGearConfig { target, precision: Precision::Fp64, ..Default::default() };
+        let result = QGear::new(config).run(circ).unwrap();
+        assert!(approx_eq_up_to_phase(result.state.unwrap().amplitudes(), &expect, 1e-8));
+    }
+}
+
+fn merge_pass_is_exact(circ: &Circuit) {
+    let merged = qgear_ir::transpile::merge_adjacent(circ);
+    assert!(merged.len() <= circ.len());
+    let a = reference::run(circ);
+    let b = reference::run(&merged);
+    assert!(qgear_num::approx::max_deviation(&a, &b) < 1e-9);
+}
+
+fn counts_total_the_shots(circ: &Circuit, shots: u64, seed: u64) {
+    let mut measured = circ.clone();
+    measured.measure_all();
+    let qgear = QGear::new(QGearConfig {
+        shots,
+        seed,
+        precision: Precision::Fp64,
+        keep_state: false,
+        ..Default::default()
+    });
+    let counts = qgear.run(&measured).unwrap().counts.unwrap();
+    assert_eq!(counts.total(), shots);
+    // Keys are within range.
+    for (&k, _) in counts.map.iter() {
+        assert!(k < (1 << measured.num_qubits()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     #[test]
     fn norm_preserved_by_any_circuit(circ in arb_circuit(6, 40)) {
-        let state = reference::run(&circ);
-        let norm = reference::norm_sqr(&state);
-        prop_assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
+        norm_is_preserved(&circ);
     }
 
     #[test]
     fn qpy_roundtrip_any_circuit(circ in arb_circuit(8, 60)) {
-        let bytes = qpy::write(std::slice::from_ref(&circ));
-        let back = qpy::read(&bytes).unwrap();
-        prop_assert_eq!(back.len(), 1);
-        prop_assert_eq!(&back[0], &circ);
+        qpy_roundtrips(&circ);
     }
 
     #[test]
     fn tensor_encoding_roundtrip_any_native_circuit(circ in arb_circuit(8, 60)) {
-        // Encoding requires arity <= 2 (always true for this gate set).
-        let (native, _) = qgear_ir::transpile::decompose_to_native(&circ);
-        let enc = TensorEncoding::encode(std::slice::from_ref(&native), None).unwrap();
-        prop_assert_eq!(enc.decode_one(0).unwrap(), native);
+        tensor_encoding_roundtrips(&circ);
     }
 
     #[test]
     fn transpile_preserves_unitary_exactly(circ in arb_circuit(5, 25)) {
-        let (native, phase) = qgear_ir::transpile::decompose_to_native(&circ);
-        let mut got = reference::run(&native);
-        reference::apply_global_phase(&mut got, phase);
-        let expect = reference::run(&circ);
-        prop_assert!(
-            qgear_num::approx::max_deviation(&got, &expect) < 1e-9,
-            "deviation {}",
-            qgear_num::approx::max_deviation(&got, &expect)
-        );
+        transpile_is_exact(&circ);
     }
 
     #[test]
@@ -106,44 +172,17 @@ proptest! {
         circ in arb_circuit(5, 30),
         width in 1usize..=5,
     ) {
-        let (native, _) = qgear_ir::transpile::decompose_to_native(&circ);
-        let (unitary, _) = native.split_measurements();
-        let program = qgear_ir::fusion::fuse(&unitary, width);
-        let mut fused = reference::zero_state(circ.num_qubits());
-        program.apply_to_state(&mut fused);
-        let expect = reference::run(&unitary);
-        prop_assert!(
-            qgear_num::approx::max_deviation(&fused, &expect) < 1e-9
-        );
+        fusion_is_equivalent(&circ, width);
     }
 
     #[test]
     fn pipeline_targets_agree_on_any_circuit(circ in arb_circuit(5, 20)) {
-        let expect = reference::run(&circ);
-        for target in [Target::Nvidia, Target::NvidiaMgpu { devices: 2 }] {
-            if matches!(target, Target::NvidiaMgpu { .. }) && circ.num_qubits() < 3 {
-                // mgpu needs at least a 2-qubit local slice per device.
-                continue;
-            }
-            let qgear = QGear::new(QGearConfig {
-                target,
-                precision: Precision::Fp64,
-                ..Default::default()
-            });
-            let result = qgear.run(&circ).unwrap();
-            prop_assert!(
-                approx_eq_up_to_phase(result.state.unwrap().amplitudes(), &expect, 1e-8)
-            );
-        }
+        pipeline_targets_agree(&circ);
     }
 
     #[test]
     fn merge_pass_preserves_semantics(circ in arb_circuit(5, 30)) {
-        let merged = qgear_ir::transpile::merge_adjacent(&circ);
-        prop_assert!(merged.len() <= circ.len());
-        let a = reference::run(&circ);
-        let b = reference::run(&merged);
-        prop_assert!(qgear_num::approx::max_deviation(&a, &b) < 1e-9);
+        merge_pass_is_exact(&circ);
     }
 
     #[test]
@@ -152,21 +191,7 @@ proptest! {
         shots in 1u64..5000,
         seed in any::<u64>(),
     ) {
-        let mut measured = circ.clone();
-        measured.measure_all();
-        let qgear = QGear::new(QGearConfig {
-            shots,
-            seed,
-            precision: Precision::Fp64,
-            keep_state: false,
-            ..Default::default()
-        });
-        let counts = qgear.run(&measured).unwrap().counts.unwrap();
-        prop_assert_eq!(counts.total(), shots);
-        // Keys are within range.
-        for (&k, _) in counts.map.iter() {
-            prop_assert!(k < (1 << measured.num_qubits()));
-        }
+        counts_total_the_shots(&circ, shots, seed);
     }
 
     #[test]
@@ -259,6 +284,24 @@ proptest! {
         layout.note_swap(a, b);
         prop_assert!(layout.is_identity());
     }
+}
+
+/// The one failure proptest ever recorded for these properties: the
+/// empty circuit on two qubits, run through every property that takes a
+/// generated circuit.
+#[test]
+fn an_empty_two_qubit_circuit_holds_every_circuit_property() {
+    let circ = Circuit::new(2);
+    norm_is_preserved(&circ);
+    qpy_roundtrips(&circ);
+    tensor_encoding_roundtrips(&circ);
+    transpile_is_exact(&circ);
+    for width in 1..=5 {
+        fusion_is_equivalent(&circ, width);
+    }
+    pipeline_targets_agree(&circ);
+    merge_pass_is_exact(&circ);
+    counts_total_the_shots(&circ, 1000, 7);
 }
 
 // A deterministic regression companion: the proptest strategies above

@@ -17,7 +17,7 @@
 use qgear_cluster::ClusterEngine;
 use qgear_ir::Circuit;
 use qgear_serve::{
-    CheckpointRecord, EventKind, FaultKind, FaultSchedule, JobOutcome, JobSpec, ServeConfig,
+    CheckpointRecord, EventKind, FaultKind, FaultSchedule, JobId, JobOutcome, JobSpec, ServeConfig,
     ServeError, Service, ShardRecord,
 };
 use qgear_simtest::{
@@ -468,7 +468,10 @@ fn shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically(
 /// partitioned state, but the same dispatch reloads the newest verified
 /// generation and finishes — one dispatch total, one retry consumed,
 /// and the completion is still bit-identical to the fault-free mirror
-/// (checked by the oracles). Both failure flavors are exercised.
+/// (checked by the oracles). Both failure flavors are exercised, and the
+/// job's whole life is pinned in order on one non-decreasing clock: the
+/// ladder's `Resumed` comes before the `LinkFault` it answers and is the
+/// one record of where the run resumed.
 #[test]
 fn a_link_fault_recovers_in_place_within_the_same_dispatch() {
     let _l = lock();
@@ -482,15 +485,44 @@ fn a_link_fault_recovers_in_place_within_the_same_dispatch() {
             .event(0, 0, FaultKind::LinkFault { exchange: 0, corrupt });
         let report = run_scenario(&scenario);
         assert!(report.is_ok(), "corrupt={corrupt}: violations: {:?}", report.violations);
-        let log = &report.events;
-        assert!(
-            log.iter().any(|e| matches!(
-                e.kind,
-                EventKind::Shard(ShardRecord::LinkFault { job: 1, exchange: 0, corrupt: c, .. })
-                    if c == corrupt
-            )),
-            "corrupt={corrupt}: the struck exchange must be logged; log: {log:?}"
+        let log: Vec<_> = report.events.iter().filter(|e| e.concerns(JobId(1))).collect();
+        let mut life: Vec<_> = log
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Dispatch(_) => "dispatch",
+                EventKind::Shard(ShardRecord::Started { .. }) => "started",
+                EventKind::Checkpoint(CheckpointRecord::Wrote { .. }) => "wrote",
+                EventKind::Checkpoint(CheckpointRecord::Resumed { .. }) => "resumed",
+                EventKind::Shard(ShardRecord::LinkFault { exchange: 0, corrupt: c, .. })
+                    if c == corrupt =>
+                {
+                    "link-fault"
+                }
+                EventKind::Shard(ShardRecord::Completed { .. }) => "completed",
+                _ => "unexpected",
+            })
+            .collect();
+        life.dedup(); // one "wrote" per run of interior boundaries
+        assert_eq!(
+            life,
+            ["dispatch", "started", "wrote", "resumed", "link-fault", "completed"],
+            "corrupt={corrupt}: log: {log:?}"
         );
+        assert!(log.windows(2).all(|w| w[0].at <= w[1].at), "corrupt={corrupt}: stamps: {log:?}");
+        // The recovery point: the newest generation the broken group wrote.
+        let newest = log.iter().rev().find_map(|e| match e.kind {
+            EventKind::Checkpoint(CheckpointRecord::Wrote { generation, cursor, .. }) => {
+                Some((generation, cursor))
+            }
+            _ => None,
+        });
+        let resumed = log.iter().find_map(|e| match e.kind {
+            EventKind::Checkpoint(CheckpointRecord::Resumed { generation, cursor, .. }) => {
+                Some((generation, cursor))
+            }
+            _ => None,
+        });
+        assert_eq!(resumed, newest, "corrupt={corrupt}: resume from the newest generation");
         assert_eq!(
             report.dispatch_counts.get(&1),
             Some(&1),

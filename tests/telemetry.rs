@@ -661,8 +661,8 @@ fn distributed_exchange_traffic_flows_into_per_class_comm_counters() {
 /// group kernel on the scalar path. Scalar is what a span with no
 /// spectator bits gets, and no span here is that small — if this fails,
 /// lane eligibility has silently narrowed again and `dense_large` is
-/// about to lose its factor of two and more (docs/PERFORMANCE.md § "SIMD
-/// lanes").
+/// about to lose its factor of two and more (docs/PIPELINE.md § 5, "Lanes
+/// over spectator bits").
 #[test]
 fn no_benchmark_circuit_shape_dispatches_a_scalar_kernel() {
     use qgear_num::scalar::Precision;
