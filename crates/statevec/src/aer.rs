@@ -7,23 +7,28 @@
 //! permutation gates get the same specialized inner loops a real Aer build
 //! has, so the baseline is honest rather than strawmanned; what it lacks,
 //! by design, is kernel fusion and data parallelism.
+//!
+//! The engine is the planner's per-gate plan (one `Unfused` segment per
+//! gate, in source order; see [`crate::planner`]) walked by a
+//! [`SegmentedRun`] through the one tail, [`straight_through`]: the
+//! loops below are what that plan's segments call. Unlike the simulated
+//! GPU it is bounded only by [`RunOptions::memory_limit`], and it reads
+//! none of the fusion, sweep or planner options.
 
-use crate::backend::{
-    check_capacity, marginal_probs, sample_from_probs, ExecStats, RunOptions, RunOutput, SimError,
-    Simulator,
-};
-use crate::state::StateVector;
+use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
+use crate::segment::{straight_through, SegmentedRun};
 use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::{Complex, Mat2, Mat4, Scalar};
-use std::time::Instant;
+use qgear_telemetry::clock::WallClock;
 
 /// The sequential, unfused CPU engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AerCpuBackend;
 
 impl AerCpuBackend {
-    /// Apply a single gate to the state, sequentially. Exposed for tests
-    /// and for the distributed engine's local-gate path.
+    /// Apply a single gate to the state, sequentially: the per-gate
+    /// plan's step. Measurements and barriers touch nothing; every other
+    /// kind has a specialized loop or a dense 2×2 / 4×4 matrix.
     ///
     /// Kept out of line: every gate is a full pass over the state, so the
     /// call is free, while inlined into the stepper these loops' codegen
@@ -31,34 +36,20 @@ impl AerCpuBackend {
     /// cells moved +14 % to +35 % (qft-16 16.7 → 22.3 ms) when an
     /// unrelated kernel refactor changed the caller, and back with this.
     #[inline(never)]
-    pub fn apply_gate<T: Scalar>(state: &mut [Complex<T>], g: &Gate) -> Result<(), SimError> {
+    pub fn apply_gate<T: Scalar>(state: &mut [Complex<T>], g: &Gate) {
         match g.kind {
-            GateKind::Measure | GateKind::Barrier => Ok(()),
-            GateKind::Ccx => {
-                apply_ccx(state, g.qubits[0], g.qubits[1], g.qubits[2]);
-                Ok(())
-            }
-            GateKind::Cx => {
-                apply_cx(state, g.qubits[0], g.qubits[1]);
-                Ok(())
-            }
-            GateKind::Rz => {
-                apply_rz(state, g.qubits[0], T::from_f64(g.params[0]));
-                Ok(())
-            }
-            GateKind::P => {
-                apply_phase(state, g.qubits[0], T::from_f64(g.params[0]));
-                Ok(())
-            }
+            GateKind::Measure | GateKind::Barrier => {}
+            GateKind::Ccx => apply_ccx(state, g.qubits[0], g.qubits[1], g.qubits[2]),
+            GateKind::Cx => apply_cx(state, g.qubits[0], g.qubits[1]),
+            GateKind::Rz => apply_rz(state, g.qubits[0], T::from_f64(g.params[0])),
+            GateKind::P => apply_phase(state, g.qubits[0], T::from_f64(g.params[0])),
             _ => {
                 if let Some(m) = g.matrix2::<T>() {
                     apply_mat2(state, g.qubits[0], &m);
-                    Ok(())
                 } else if let Some(m) = g.matrix4::<T>() {
                     apply_mat4(state, g.qubits[0], g.qubits[1], &m);
-                    Ok(())
                 } else {
-                    Err(SimError::UnsupportedGate(g.kind.name().to_owned()))
+                    unreachable!("{} has neither a loop nor a matrix", g.kind.name());
                 }
             }
         }
@@ -151,61 +142,19 @@ impl<T: Scalar> Simulator<T> for AerCpuBackend {
         "qiskit-aer-cpu"
     }
 
+    /// The per-gate plan's [`SegmentedRun`] through [`straight_through`],
+    /// timed on the wall clock.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        check_capacity::<T>(circuit.num_qubits(), opts.memory_limit)?;
-        let (unitary, measured) = circuit.split_measurements();
-        let mut state: StateVector<T> = StateVector::zero(circuit.num_qubits());
-        let amp_bytes = (2 * T::BYTES) as u128;
-        let n_amps = state.len() as u128;
-
-        let mut stats = ExecStats::default();
-        let start = Instant::now();
-        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        let telemetry_on = qgear_telemetry::is_enabled();
-        for g in unitary.gates() {
-            if g.kind == GateKind::Barrier {
-                continue;
-            }
-            Self::apply_gate(state.amplitudes_mut(), g)?;
-            stats.gates_applied += 1;
-            stats.kernels_launched += 1; // unfused: one sweep per gate
-            stats.bytes_touched += 2 * n_amps * amp_bytes; // read + write
-            stats.flops += n_amps * (1 << g.operands().len()) as u128;
-            if telemetry_on {
-                // Per-kind dispatch counters; the format! only runs while
-                // telemetry is recording.
-                qgear_telemetry::counter_inc(&format!("aer.dispatch.{}", g.kind.name()));
-            }
-        }
-        if telemetry_on {
-            use qgear_telemetry::names;
-            qgear_telemetry::counter_add(names::GATES_APPLIED, stats.gates_applied as u128);
-            qgear_telemetry::counter_add(names::KERNELS_LAUNCHED, stats.kernels_launched as u128);
-            qgear_telemetry::counter_add(
-                names::AMPLITUDES_TOUCHED,
-                2 * n_amps * stats.kernels_launched as u128,
-            );
-        }
-        drop(sim_span);
-        stats.elapsed = start.elapsed();
-
-        let sample_start = Instant::now();
-        let sample_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SAMPLE);
-        let counts = if opts.shots > 0 && !measured.is_empty() {
-            sample_from_probs(&marginal_probs(&state, &measured), &measured, &opts.sampling())
-        } else {
-            None
-        };
-        drop(sample_span);
-        stats.sampling_elapsed = sample_start.elapsed();
-
-        Ok(RunOutput { state: opts.keep_state.then_some(state), counts, stats })
+        let run = SegmentedRun::per_gate(circuit, opts)?;
+        let Ok(out) = straight_through(run, circuit, opts, &WallClock::new());
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateVector;
     use qgear_ir::reference;
     use qgear_num::approx::max_deviation;
     use qgear_num::C64;

@@ -55,20 +55,22 @@ pub struct RunOptions {
     /// RNG seed for sampling.
     pub seed: u64,
     /// Gate-fusion window for kernel-based engines (the paper's
-    /// `gate fusion = 5`); ignored by the unfused baseline.
+    /// `gate fusion = 5`); ignored by the per-gate plan (the unfused
+    /// baseline, and the `Unfused` pin).
     pub fusion_width: usize,
     /// Union-support cap (qubits) for the commutation-aware sweep
     /// scheduler: fused kernels are grouped into cache-blocked sweeps
     /// whose tiles hold `2^sweep_width` amplitudes, one plan segment per
     /// sweep. `0` means no grouping — one segment per fused block in
-    /// program order, whatever the selector (the exact kernel-at-a-time
-    /// reference schedule under the default pin); ignored by the unfused baseline.
+    /// program order, priced or pinned to `Sweep` (the exact
+    /// kernel-at-a-time reference schedule under the default pin);
+    /// ignored by the per-gate plan.
     pub sweep_width: usize,
     /// Allow the sweep scheduler to move kernels past *commuting*
     /// neighbours into earlier sweeps. `false` restricts it to grouping
     /// adjacent kernels, which keeps execution bit-identical to the
     /// plain fused path (reordered execution is equal only up to fp
-    /// round-off).
+    /// round-off); ignored by the per-gate plan.
     pub sweep_reorder: bool,
     /// Keep the final state in the output (costs memory).
     pub keep_state: bool,

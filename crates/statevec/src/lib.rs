@@ -13,7 +13,9 @@
 //!   statistics (kernel launches, bytes touched) feed the calibrated
 //!   performance model in `qgear-perfmodel`.
 //!
-//! Every simulated-GPU run walks one [`planner::ExecutionPlan`]. No
+//! Every run of either engine walks one [`planner::ExecutionPlan`]: the
+//! baseline's is the per-gate plan, which the `Unfused` pin also selects
+//! on the simulated GPU. No
 //! single execution mode wins everywhere — a fully mixed width-5 kernel
 //! spends 32 mul-adds per amplitude on the handful of gates it absorbed —
 //! so the plan's one selector ([`PlannerCosts::force_mode`]) either pins
@@ -25,9 +27,9 @@
 //! Both walkers of that plan — [`SegmentedRun`] here, the cluster
 //! crate's `ShardedRun` over a partitioned state — keep one contract,
 //! [`Stepper`], and [`straight_through`] is the one tail that drives a
-//! stepper to the end, samples and keeps the state: `GpuDevice::run` and
-//! `ClusterEngine::run` are calls to it, and the serving layer drives the
-//! same contract in checkpointed segments.
+//! stepper to the end, samples and keeps the state: `AerCpuBackend::run`,
+//! `GpuDevice::run` and `ClusterEngine::run` are calls to it, and the
+//! serving layer drives the same contract in checkpointed segments.
 //!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`
 //! ([`qgear_num::Scalar`]), Born-rule [`sampling`] with multinomial shot

@@ -1,34 +1,41 @@
 //! The execution planner: the one step schedule every run walks.
 //!
-//! An [`ExecutionPlan`] is the fused kernels of a circuit, partitioned
-//! into *segments* (one per scheduled sweep, or one per fused block at
-//! `sweep_width: 0`), each annotated with the [`SegmentMode`] it runs
-//! in: **unfused** (per-gate specialized loops) or **sweep** (one
+//! An [`ExecutionPlan`] cuts a circuit into *segments*, each annotated
+//! with the [`SegmentMode`] it runs in: **unfused** (per-gate
+//! specialized loops, [`AerCpuBackend::apply_gate`]) or **sweep** (one
 //! cache-blocked tile pass; a one-kernel segment is the exact kernel,
-//! [`GpuDevice::apply_block`]). The two differ in passes over the
-//! state, not in kernel arithmetic: what a kernel costs is decided once,
-//! by the mask the fuser closed the block with
-//! ([`FusedBlock::mixed`], which the kernel is built from), and read
-//! from there when a segment is priced. One selector decides the modes —
+//! [`GpuDevice::apply_block`]). A plan has one of two shapes:
+//!
+//! * the **per-gate plan**: one `Unfused` segment per unitary gate, in
+//!   source order, with no fusion, no schedule and no blocks — the Aer
+//!   baseline's run, and what the `Unfused` pin selects;
+//! * the **scheduled plan**: the circuit's fused kernels, one segment
+//!   per scheduled sweep (or per fused block at `sweep_width: 0`). Its
+//!   modes differ in passes over the state, not in kernel arithmetic:
+//!   what a kernel costs is decided once, by the mask the fuser closed
+//!   the block with ([`FusedBlock::mixed`], which the kernel is built
+//!   from), and read from there when a segment is priced.
+//!
+//! One selector decides the shape and the modes —
 //! [`PlannerCosts::force_mode`]:
 //!
 //! * `Some(mode)` **pins** every segment to that mode. A pinned plan
-//!   prices nothing and keeps no gate list it will not execute; the
-//!   historical fixed engines are pins (the default
-//!   [`RunOptions`](crate::RunOptions) pins `Sweep`).
-//! * `None` **prices** both modes per segment against the
-//!   [`PlannerCosts`] constants and takes the cheaper, because each pin
-//!   is a global bet that loses somewhere (dense width-5 kernels cost
-//!   `2^5` mul-adds per amplitude where the gates they absorbed cost a
-//!   handful; per-gate execution loses on QFT-shaped circuits where
-//!   sweeps amortize state passes).
+//!   prices nothing and builds only what it runs: the `Unfused` pin is
+//!   the per-gate plan, the `Sweep` pin a scheduled plan with no gate
+//!   list (the default [`RunOptions`](crate::RunOptions) pins `Sweep`).
+//! * `None` **prices** both modes per segment of the scheduled plan
+//!   against the [`PlannerCosts`] constants and takes the cheaper,
+//!   because each pin is a global bet that loses somewhere (dense
+//!   width-5 kernels cost `2^5` mul-adds per amplitude where the gates
+//!   they absorbed cost a handful; per-gate execution loses on
+//!   QFT-shaped circuits where sweeps amortize state passes).
 //!
 //! Every mode applies the same unitaries in the same schedule order, so
 //! any two plans of one circuit agree to floating-point round-off, and
 //! two plans that made the same decisions — however they were selected
 //! — are the same plan bit for bit. Plans are deterministic functions
-//! of `(circuit, options, costs)`; [`ExecutionPlan::digest`] covers the
-//! schedule-shaping options and every decision, and the checkpoint
+//! of `(circuit, options, costs)`; [`ExecutionPlan::digest`] covers
+//! what shapes the plan and every decision, and the checkpoint
 //! fingerprint always covers the digest, so a resumed walker can never
 //! continue under a different plan.
 //!
@@ -229,19 +236,6 @@ impl PlannerCosts {
     }
 }
 
-/// Estimated seconds to *build* the fused program: each absorbed gate
-/// multiplies into an accumulated dense block, ≈`4 · 4^w` mul-adds at
-/// full fusion width. This cost is paid once by every kernel-based mode
-/// but never by per-gate execution, so on small states it can exceed the
-/// entire unfused run — a priced plan skips fusion outright when it does
-/// (see [`plan`]). The fuser multiplies scalar `f64` matrices on one
-/// thread and never ran a lane kernel, so the rate is the scalar one the
-/// shortcut was fitted with, not [`PlannerCosts::madds_per_sec`].
-fn fusion_build_seconds(gates: usize, fusion_width: usize) -> f64 {
-    const FUSER_MADDS_PER_SEC: f64 = 7.0e8;
-    gates as f64 * 4.0 * (1u64 << (2 * fusion_width)) as f64 / FUSER_MADDS_PER_SEC
-}
-
 /// The two predicted per-segment costs, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeCosts {
@@ -275,7 +269,8 @@ impl ModeCosts {
 #[derive(Debug, Clone)]
 pub struct PlannedSegment {
     /// The scheduled sweep this segment executes (kernel indices into
-    /// [`ExecutionPlan::blocks`], union support, diagonal flag).
+    /// [`ExecutionPlan::blocks`], union support, diagonal flag); empty
+    /// in the per-gate plan.
     pub sweep: Sweep,
     /// The mode the segment runs in.
     pub mode: SegmentMode,
@@ -302,8 +297,9 @@ pub struct ExecutionPlan {
     /// Digest of the clamped fusion width, the sweep options and every
     /// segment's size and mode — not of how the modes were selected, so
     /// a pinned plan and a priced plan that decided the same share it.
-    /// The checkpoint fingerprint covers it: resume rejects a plan whose
-    /// schedule or decisions differ.
+    /// The per-gate plan's is of its gate count alone. The checkpoint
+    /// fingerprint covers it: resume rejects a plan whose schedule or
+    /// decisions differ.
     pub digest: u64,
 }
 
@@ -326,6 +322,9 @@ impl ExecutionPlan {
     }
 }
 
+/// The first word of every plan digest.
+const DIGEST_SEED: u64 = 0x51D3_C0DE;
+
 /// splitmix64 step, the same mixer `checkpoint::plan_fingerprint` uses.
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -336,14 +335,17 @@ fn mix(h: u64, v: u64) -> u64 {
 
 /// Build the execution plan for a circuit — the only plan builder.
 ///
-/// Fuses at `fusion_width` (clamped to the fusion ceiling, once, here),
-/// then segments the kernels: `sweep_width > 0` schedules
-/// commutation-aware sweeps of that union support (`sweep_reorder` as in
-/// [`SweepOptions`]); `sweep_width == 0` makes one segment per fused
-/// block in program order — the checkpoint-per-kernel, exact-kernel
-/// schedule. `costs.force_mode` then pins or prices every segment (see
-/// the module docs). Measurements are split off; errors surface exactly
-/// as fusion reports them.
+/// The `Unfused` pin gets the per-gate plan: one segment per unitary
+/// gate, in source order, with no fusion, no schedule and no blocks.
+/// Every other plan fuses at `fusion_width` (clamped to the fusion
+/// ceiling, once, here), then segments the kernels: `sweep_width > 0`
+/// schedules commutation-aware sweeps of that union support
+/// (`sweep_reorder` as in [`SweepOptions`]); `sweep_width == 0` makes
+/// one segment per fused block in program order — the
+/// checkpoint-per-kernel, exact-kernel schedule. `costs.force_mode` then
+/// pins or prices every segment (see the module docs). Measurements are
+/// split off; errors surface exactly as fusion reports them, so the
+/// per-gate plan has none.
 ///
 /// `amp_bytes` is the bytes-per-amplitude of the execution precision
 /// (8 for fp32, 16 for fp64) — it only scales the priced bandwidth term.
@@ -356,49 +358,18 @@ pub fn plan(
     amp_bytes: usize,
 ) -> Result<ExecutionPlan, FusionError> {
     let (unitary, _) = circuit.split_measurements();
-    let width = fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH);
-    let n_amps = (1u128 << unitary.num_qubits()) as f64;
-    let mut digest = mix(0x51D3_C0DE, width as u64);
-    digest = mix(digest, sweep_width as u64);
-    digest = mix(digest, u64::from(sweep_reorder));
     // The source gate stream, where a segment may be priced or run gate
     // by gate; a `Sweep` pin never reads it.
     let gates: Vec<Gate> = match costs.force_mode {
-        None | Some(SegmentMode::Unfused) => {
-            unitary.gates().iter().filter(|g| g.is_unitary_op()).copied().collect()
-        }
+        Some(SegmentMode::Unfused) => return Ok(per_gate(&unitary)),
         Some(SegmentMode::Sweep) => Vec::new(),
+        None => unitary.gates().iter().filter(|g| g.is_unitary_op()).copied().collect(),
     };
-
-    // Whole-circuit shortcut, priced plans only: building fused kernels
-    // costs real time (dense matrix products per absorbed gate) that
-    // per-gate execution never pays. On small states that build alone
-    // can exceed the entire unfused run, so when the model predicts it
-    // would, skip fusion and emit a single all-unfused segment in source
-    // order. Pins take the full path (they need the kernels to exist),
-    // and so does `sweep_width: 0`, which promises a step per block.
-    if costs.force_mode.is_none() && sweep_width > 0 && !gates.is_empty() {
-        let unfused: f64 = gates.iter().map(|g| costs.unfused_gate_seconds(g, n_amps)).sum();
-        if unfused < fusion_build_seconds(gates.len(), width) {
-            // Distinct digest arm: a shortcut plan has no kernel
-            // schedule, so it must never collide with a scheduled plan.
-            digest = mix(mix(digest, u64::MAX), gates.len() as u64);
-            let predicted = ModeCosts { unfused, sweep: f64::INFINITY };
-            return Ok(ExecutionPlan {
-                num_qubits: unitary.num_qubits(),
-                blocks: Vec::new(),
-                source_gates: gates.len() as u64,
-                segments: vec![PlannedSegment {
-                    sweep: Sweep { kernels: Vec::new(), qubits: Vec::new(), diagonal: false },
-                    mode: SegmentMode::Unfused,
-                    gates,
-                    predicted: Some(predicted),
-                }],
-                digest,
-            });
-        }
-    }
-
+    let width = fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH);
+    let n_amps = (1u128 << unitary.num_qubits()) as f64;
+    let mut digest = mix(DIGEST_SEED, width as u64);
+    digest = mix(digest, sweep_width as u64);
+    digest = mix(digest, u64::from(sweep_reorder));
     let program = fusion::try_fuse(&unitary, width)?;
     let sweeps: Vec<Sweep> = if sweep_width == 0 {
         let singleton = |(ki, b): (usize, &FusedBlock)| {
@@ -454,15 +425,32 @@ pub fn plan(
     })
 }
 
-/// One state pass of `n_amps` amplitudes by a `width`-qubit kernel (or
-/// unfused gate), charged to `counters`: bytes per pass, flops at the
-/// dense `2^k`-per-kernel rate (the audited "kernel grid" figure, even
-/// when the factored kernel does less work).
-fn charge_kernel_pass<T: Scalar>(counters: &mut CheckpointCounters, n_amps: usize, width: usize) {
-    let n_amps = n_amps as u128;
-    counters.kernels_launched += 1;
-    counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
-    counters.flops += n_amps << width;
+/// The per-gate plan of a measurement-free circuit: one `Unfused`
+/// segment per unitary gate, in source order — the Aer baseline's run,
+/// with a resumable cursor at every gate boundary. Nothing is priced.
+///
+/// Its digest folds only what shapes it: the gate count, after a
+/// marker no clamped fusion width equals, so it is distinct from every
+/// scheduled plan whatever the fusion and sweep options it never reads.
+fn per_gate(unitary: &Circuit) -> ExecutionPlan {
+    let segments: Vec<PlannedSegment> = unitary
+        .gates()
+        .iter()
+        .filter(|g| g.is_unitary_op())
+        .map(|g| PlannedSegment {
+            sweep: Sweep { kernels: Vec::new(), qubits: Vec::new(), diagonal: false },
+            mode: SegmentMode::Unfused,
+            gates: vec![*g],
+            predicted: None,
+        })
+        .collect();
+    ExecutionPlan {
+        num_qubits: unitary.num_qubits(),
+        blocks: Vec::new(),
+        source_gates: segments.len() as u64,
+        digest: mix(mix(DIGEST_SEED, u64::MAX), segments.len() as u64),
+        segments,
+    }
 }
 
 /// Execute segment `idx` of `plan` over the state — one
@@ -481,23 +469,37 @@ pub(crate) fn execute_segment<T: Scalar>(
     let seg = &plan.segments[idx];
     let telemetry_on = qgear_telemetry::is_enabled();
     let priced = seg.predicted.filter(|_| telemetry_on).map(|p| (p.of(seg.mode), Instant::now()));
-    let n_amps = state.len();
+    let n_amps = state.len() as u128;
+    // One state pass (read + write), in bytes.
+    let pass_bytes = 2 * n_amps * (2 * T::BYTES) as u128;
     match seg.mode {
+        // One specialized loop, one pass, per gate; flops at the dense
+        // `2^k` rate (the audited "kernel grid" figure, even where the
+        // specialized loop does less work).
         SegmentMode::Unfused => {
             for g in &seg.gates {
-                AerCpuBackend::apply_gate(state, g)
-                    .expect("fused gates are executable by the per-gate path");
-                charge_kernel_pass::<T>(counters, n_amps, g.operands().len());
+                AerCpuBackend::apply_gate(state, g);
+                counters.kernels_launched += 1;
+                counters.bytes_touched += pass_bytes;
+                counters.flops += n_amps << g.operands().len();
+                if telemetry_on {
+                    // Per-kind dispatch counters; the format! only runs
+                    // while telemetry is recording.
+                    qgear_telemetry::counter_inc(&format!("aer.dispatch.{}", g.kind.name()));
+                }
+            }
+            if telemetry_on {
+                let touched = 2 * n_amps * seg.gates.len() as u128;
+                qgear_telemetry::counter_add(names::AMPLITUDES_TOUCHED, touched);
             }
         }
         // Every kernel of the segment in a single cache-blocked pass:
         // one pass of bytes, every kernel's arithmetic.
         SegmentMode::Sweep => {
             GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep);
-            let n_amps = n_amps as u128;
             counters.kernels_launched += seg.sweep.kernels.len() as u64;
             counters.sweeps_executed += 1;
-            counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
+            counters.bytes_touched += pass_bytes;
             counters.flops +=
                 seg.sweep.kernels.iter().map(|&ki| n_amps << plan.blocks[ki].qubits.len()).sum::<u128>();
         }
@@ -567,6 +569,45 @@ mod tests {
             c.swap(q, n - 1 - q);
         }
         c
+    }
+
+    /// A QCrank-shaped encoder: uniform `h` over a (at most) 8-qubit
+    /// address register, then per data qubit a Gray-code ladder of
+    /// `ry` / `cx` pairs, one per address.
+    fn qcrank_like(n: u32) -> Circuit {
+        let addr = 8.min(n - 1);
+        let mut c = Circuit::new(n);
+        for q in 0..addr {
+            c.h(q);
+        }
+        for d in addr..n {
+            for a in 0..1u32 << addr {
+                c.ry(0.1 + 0.01 * f64::from(a), d);
+                c.cx((a + 1).trailing_zeros().min(addr - 1), d);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn a_priced_plan_fuses_however_small_the_state() {
+        // No whole-circuit per-gate shortcut: at 10 and 11 qubits the
+        // per-gate plan beat the sweep pin on some builders and lost on
+        // others, on cells no single fuser rate separates
+        // (docs/PIPELINE.md § 4). So a priced plan always fuses and
+        // prices every segment; only the `Unfused` pin runs per gate.
+        let priced = PlannerCosts::host_reference();
+        for n in [10, 11] {
+            for c in [qft_like(n), random_like(n, 7), qcrank_like(n)] {
+                for amp_bytes in [8, 16] {
+                    let p = plan(&c, 5, 12, true, &priced, amp_bytes).unwrap();
+                    assert!(!p.blocks.is_empty(), "n = {n}");
+                    for s in &p.segments {
+                        assert!(!s.sweep.kernels.is_empty() && s.predicted.is_some(), "n = {n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -642,7 +683,6 @@ mod tests {
             let n_amps = (1u64 << c.num_qubits()) as f64;
             let pass = costs.pass_seconds(n_amps, 16.0);
             let p = plan(&c, 5, sweep_width, reorder, &costs, 16).unwrap();
-            assert!(!p.blocks.is_empty(), "not the skip-fusion shortcut");
             for seg in &p.segments {
                 let want = sweep_cost_of_the_built_kernels(&costs, &seg.sweep, &p.blocks, n_amps, pass);
                 let got = seg.predicted.expect("priced").sweep;
@@ -744,6 +784,12 @@ mod tests {
             let kept: usize = p.segments.iter().map(|s| s.gates.len()).sum();
             let expect = if mode == SegmentMode::Unfused { p.source_gates as usize } else { 0 };
             assert_eq!(kept, expect, "{mode:?}");
+            // Nor a fused block unless a segment runs one: the `Unfused`
+            // pin is the per-gate plan, one segment per gate.
+            assert_eq!(p.blocks.is_empty(), mode == SegmentMode::Unfused, "{mode:?}");
+            if mode == SegmentMode::Unfused {
+                assert!(p.segments.iter().all(|s| s.gates.len() == 1));
+            }
         }
     }
 
@@ -787,12 +833,7 @@ mod tests {
 
     #[test]
     fn sweep_width_zero_is_one_segment_per_block_in_program_order() {
-        // A 7-qubit state is small enough that a priced plan at any
-        // positive sweep width takes the skip-fusion shortcut; width 0
-        // promises a step per block, so it must not.
-        let priced = PlannerCosts::host_reference();
-        assert!(plan(&qft_like(7), 5, 12, true, &priced, 16).unwrap().blocks.is_empty());
-        for costs in [priced, PlannerCosts::pinned(SegmentMode::Sweep)] {
+        for costs in [PlannerCosts::host_reference(), PlannerCosts::pinned(SegmentMode::Sweep)] {
             for (c, width) in [(qft_like(7), 5), (qft_like(8), 2), (random_like(6, 3), 2)] {
                 let p = plan(&c, width, 0, true, &costs, 16).unwrap();
                 assert!(p.len() > 1);

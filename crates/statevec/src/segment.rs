@@ -6,9 +6,9 @@
 //! [`GpuDevice`], the cluster crate's `ShardedRun` for a state pooled
 //! over a device group. [`straight_through`] is the one tail that drives
 //! a stepper to the end, samples and keeps the state — [`Simulator::run`]
-//! on a `GpuDevice` and on a `ClusterEngine` is a call to it — and
-//! `qgear-serve` drives the same contract in segments, writing
-//! checkpoints between them.
+//! on the `AerCpuBackend`, a `GpuDevice` and a `ClusterEngine` is a call
+//! to it — and `qgear-serve` drives the same contract in segments,
+//! writing checkpoints between them.
 //!
 //! [`SegmentedRun`] checks capacity, asks [`planner::plan`] — the only
 //! plan builder — for the schedule the options select, and applies it
@@ -20,11 +20,11 @@
 //! from: the cursor plus the amplitudes *are* the execution state; there
 //! is nothing hidden.
 //!
-//! A step is one plan segment: one scheduled sweep, or one fused block
-//! at `sweep_width: 0`, executed in the mode the plan's selector pinned
-//! or priced for it (see [`crate::planner`]). The plan's digest is part
-//! of the checkpoint fingerprint, so a cursor can only resume under the
-//! identical plan.
+//! A step is one plan segment: one scheduled sweep, one fused block at
+//! `sweep_width: 0`, or one gate of the per-gate plan, executed in the
+//! mode the plan's selector pinned or priced for it (see
+//! [`crate::planner`]). The plan's digest is part of the checkpoint
+//! fingerprint, so a cursor can only resume under the identical plan.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
 
@@ -35,7 +35,7 @@ use crate::checkpoint::{
     encode_amplitudes, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
 };
 use crate::gpu::GpuDevice;
-use crate::planner::{self, ExecutionPlan};
+use crate::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
@@ -134,6 +134,24 @@ impl<T: Scalar> SegmentedRun<T> {
         // Device memory is the default capacity bound; an explicit option
         // overrides (used by the harnesses to model other devices).
         check_capacity::<T>(circuit.num_qubits(), opts.memory_limit.or(Some(device.memory_bytes)))?;
+        Self::planned(circuit, opts, &opts.planner_costs)
+    }
+
+    /// The per-gate plan on no device: the Aer baseline's run, bounded
+    /// by [`RunOptions::memory_limit`] alone, reading none of the
+    /// fusion, sweep or planner options.
+    pub(crate) fn per_gate(circuit: &Circuit, opts: &RunOptions) -> Result<Self, SimError> {
+        check_capacity::<T>(circuit.num_qubits(), opts.memory_limit)?;
+        Self::planned(circuit, opts, &PlannerCosts::pinned(SegmentMode::Unfused))
+    }
+
+    /// `|0…0⟩` and the plan `costs` select, at step zero; the capacity
+    /// check is the caller's.
+    fn planned(
+        circuit: &Circuit,
+        opts: &RunOptions,
+        costs: &PlannerCosts,
+    ) -> Result<Self, SimError> {
         let state: StateVector<T> = StateVector::zero(circuit.num_qubits());
         let start = Instant::now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
@@ -142,7 +160,7 @@ impl<T: Scalar> SegmentedRun<T> {
             opts.fusion_width,
             opts.sweep_width,
             opts.sweep_reorder,
-            &opts.planner_costs,
+            costs,
             2 * T::BYTES,
         )
         // Fusion rejects arity-3 gates with a typed error; surface it as

@@ -43,15 +43,19 @@ scripts/dead_pub.sh
 echo "==> doc names: every code name and docs/ path the docs use exists"
 scripts/doc_names.sh
 
-# Every `unsafe` block, fn and impl of `crates/` is a site the AddressSanitizer
-# run below has to cover; the count is capped so a new one has to displace
-# an old one.
-echo "==> unsafe sites: at most 19 in crates/"
-unsafe_sites="$(grep -rnEo 'unsafe( fn| impl|\s*\{)' crates --include='*.rs' || true)"
+# Every `unsafe` block, fn and impl of `crates/` and `shims/` is a site
+# the AddressSanitizer run below has to cover (`shims/rayon`'s kernel pool
+# is under it as `-p rayon`); the count is capped so a new one has to
+# displace an old one.
+echo "==> unsafe sites: at most 25 in crates/ and shims/"
+unsafe_sites="$(grep -rnEo 'unsafe( fn| impl|\s*\{)' crates shims --include='*.rs' || true)"
 unsafe_count="$(grep -c . <<<"$unsafe_sites" || true)"
+for tree in crates shims; do
+    echo "$tree/: $(grep -c "^$tree/" <<<"$unsafe_sites" || true) unsafe sites"
+done
 echo "$unsafe_count unsafe sites"
-if [ "$unsafe_count" -gt 19 ]; then
-    echo "more than 19 unsafe sites in crates/:" >&2
+if [ "$unsafe_count" -gt 25 ]; then
+    echo "more than 25 unsafe sites in crates/ and shims/:" >&2
     echo "$unsafe_sites" >&2
     exit 1
 fi

@@ -4,7 +4,8 @@
 //! circuits:
 //!
 //! 1. the sequential reference simulator (`qgear_ir::reference`),
-//! 2. the unfused Aer-like CPU baseline (`AerCpuBackend`),
+//! 2. the unfused Aer-like CPU baseline (`AerCpuBackend`, the planner's
+//!    per-gate plan),
 //! 3. the fused GPU engine with sweep scheduling off (`sweep_width: 0`),
 //! 4. the fused GPU engine with sweep scheduling on (the default).
 //!
@@ -53,7 +54,7 @@ use qgear_serve::{JobSpec, ServeConfig, Service};
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
     decode_checkpoint, encode_checkpoint, straight_through, AerCpuBackend, GpuDevice, PlannerCosts,
-    RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, Simulator, Stepper,
+    RunOptions, RunOutput, SamplingConfig, SegmentMode, SegmentedRun, SimError, Simulator, Stepper,
 };
 use qgear_telemetry::clock::WallClock;
 use qgear_statevec::{set_simd_enabled, simd_enabled};
@@ -168,27 +169,31 @@ proptest! {
         prop_assert!(approx_eq_up_to_phase(planned.amplitudes(), &expect, 1e-9));
     }
 
-    /// A planner pinned to unfused mode with reordering off replays the
-    /// baseline's gate-at-a-time arithmetic in source order, so its state
-    /// is bit-identical to `AerCpuBackend` — segmentation is invisible.
+    /// The per-gate plan — `AerCpuBackend`, and the `Unfused` pin on the
+    /// simulated GPU — executes exactly the baseline's loops: one
+    /// `AerCpuBackend::apply_gate` per unitary gate in source order,
+    /// replayed here by hand outside the planner, bit for bit.
     #[test]
-    fn planner_forced_unfused_is_bit_identical_to_aer(circ in arb_circuit(5, 40)) {
+    fn per_gate_plan_is_apply_gate_replayed_in_source_order(circ in arb_circuit(5, 40)) {
         let (native, _) = transpile::decompose_to_native(&circ);
-        let aer: RunOutput<f64> = AerCpuBackend
-            .run(&native, &RunOptions { keep_state: true, ..Default::default() })
-            .expect("aer run");
-        let aer = aer.state.expect("state kept");
+        let mut by_hand = vec![Complex::<f64>::ZERO; 1 << native.num_qubits()];
+        by_hand[0] = Complex::ONE;
+        for g in native.gates().iter().filter(|g| g.is_unitary_op()) {
+            AerCpuBackend::apply_gate(&mut by_hand, g);
+        }
 
-        let opts = RunOptions {
-            sweep_reorder: false,
-            ..selected(PlannerCosts::pinned(SegmentMode::Unfused))
-        };
-        let planned: RunOutput<f64> =
-            GpuDevice::a100_40gb().run(&native, &opts).expect("planned run");
-        let planned = planned.state.expect("state kept");
-        for (a, b) in aer.amplitudes().iter().zip(planned.amplitudes().iter()) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+        // Aer reads no planner option: a priced selector changes nothing.
+        let aer: RunOutput<f64> = AerCpuBackend.run(&native, &selected(PlannerCosts::default()))
+            .expect("aer run");
+        let pinned: RunOutput<f64> = GpuDevice::a100_40gb()
+            .run(&native, &selected(PlannerCosts::pinned(SegmentMode::Unfused)))
+            .expect("pinned run");
+        for out in [aer, pinned] {
+            let state = out.state.expect("state kept");
+            for (a, b) in by_hand.iter().zip(state.amplitudes().iter()) {
+                prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
+                prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
         }
     }
 
@@ -489,6 +494,23 @@ fn lowered_qft_blocks_mix_exactly_the_bits_their_entries_cross() {
         assert_eq!(b.mixed(), crossed, "block {i} on {:?}", b.qubits);
     }
     assert_eq!(program.blocks.iter().filter(|b| b.mixed() == 0).count(), 2, "diagonal kernels");
+}
+
+/// The per-gate plan fuses nothing, so it runs what fusion refuses: a
+/// `ccx` circuit under the `Unfused` pin matches the reference, while
+/// the `Sweep` pin still asks for a transpile first.
+#[test]
+fn a_toffoli_circuit_runs_under_the_unfused_pin() {
+    let mut c = Circuit::new(4);
+    c.h(0).h(1).ry(0.7, 3).ccx(0, 1, 2).cx(2, 3).ccx(3, 2, 0).rz(-0.4, 1);
+    let expect = reference::run(&c);
+    let pinned: RunOutput<f64> = GpuDevice::a100_40gb()
+        .run(&c, &selected(PlannerCosts::pinned(SegmentMode::Unfused)))
+        .expect("the per-gate plan runs ccx");
+    let worst = max_deviation(pinned.state.expect("state kept").amplitudes(), &expect);
+    assert!(worst < 1e-12, "{worst}");
+    let swept = GpuDevice::a100_40gb().run(&c, &selected(PlannerCosts::pinned(SegmentMode::Sweep)));
+    assert!(matches!(swept, Err::<RunOutput<f64>, _>(SimError::UnsupportedGate(_))));
 }
 
 /// fp32 execution of the sweep-fused hot path tracks fp64 within single

@@ -67,6 +67,11 @@ fn pinned_plans_count_modes_but_record_no_cost_ratio() {
         assert_eq!(snap.counter(mode_counter), segments, "{mode_counter}");
         if mode_counter == names::PLANNER_MODE_SWEEP {
             assert_eq!(segments, u128::from(out.stats.sweeps_executed));
+        } else {
+            // The `Unfused` pin is the per-gate plan: a segment per gate,
+            // and the fuser never runs.
+            assert_eq!(segments, u128::from(out.stats.gates_applied));
+            assert!(snap.spans.iter().all(|s| s.path != "simulate/fuse"));
         }
         for name in priced_only {
             assert_eq!(samples(&snap, name), 0, "a pinned run recorded {name}");
