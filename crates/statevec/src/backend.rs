@@ -296,16 +296,10 @@ pub fn sample_from_probs(
     if cfg.shots == 0 || measured.is_empty() {
         return None;
     }
-    let draws = cfg.histogram(probs);
+    let pairs = cfg.histogram(probs);
     qgear_telemetry::counter_add(qgear_telemetry::names::SHOTS_SAMPLED, cfg.shots as u128);
     // Collected in key order: the map is bulk-built, every node full.
-    let map = draws
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, count)| count > 0)
-        .map(|(key, count)| (key as u64, count))
-        .collect();
-    Some(Counts { qubits: measured.to_vec(), map })
+    Some(Counts { qubits: measured.to_vec(), map: pairs.into_iter().collect() })
 }
 
 #[cfg(test)]

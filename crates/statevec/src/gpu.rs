@@ -239,7 +239,13 @@ const MIN_TASK_BYTES: usize = 64 << 10;
 /// one go-parallel rule; every site hands the pool its natural item and
 /// lets the byte count decide how many make a task.
 pub(crate) fn min_items<T: Scalar>(amps_per_item: usize) -> usize {
-    (MIN_TASK_BYTES / (amps_per_item * std::mem::size_of::<Complex<T>>())).max(1)
+    min_items_of_bytes(amps_per_item * std::mem::size_of::<Complex<T>>())
+}
+
+/// [`min_items`] for an item that reads `item_bytes` of anything, not
+/// amplitudes: the sampler's blocks of `f64` probabilities.
+pub(crate) fn min_items_of_bytes(item_bytes: usize) -> usize {
+    (MIN_TASK_BYTES / item_bytes).max(1)
 }
 
 /// Expand a group index around `sorted_bits` (ascending): reinsert a zero

@@ -32,8 +32,11 @@
 //! serving layer drives the same contract in checkpointed segments.
 //!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`
-//! ([`qgear_num::Scalar`]), Born-rule [`sampling`] with multinomial shot
-//! draws, and the [`Simulator`] trait the `qgear` core crate dispatches on.
+//! ([`qgear_num::Scalar`]), Born-rule [`sampling`] by a two-level
+//! multinomial draw (shots split over 4096-bin blocks, each block placed
+//! from its own seeded stream, so the counts do not depend on the thread
+//! count), and the [`Simulator`] trait the `qgear` core crate dispatches
+//! on.
 //!
 //! Both engines open `simulate`/`sample` spans and update the canonical
 //! counters from `qgear-telemetry` while recording is enabled; with

@@ -65,7 +65,7 @@ use crate::checkpoint::CheckpointCounters;
 use crate::gpu::GpuDevice;
 use qgear_ir::fusion::{self, FusedBlock, FusionError};
 use qgear_ir::schedule::{self, Sweep, SweepOptions};
-use qgear_ir::{Circuit, Gate};
+use qgear_ir::{Circuit, Gate, GateKind};
 use qgear_num::{Complex, Scalar};
 use qgear_telemetry::names;
 use std::time::Instant;
@@ -206,9 +206,15 @@ impl PlannerCosts {
 
     /// Per-gate seconds of the unfused specialized loops. Two-qubit
     /// gates walk the masked full-index loop (≈2× the strided
-    /// single-qubit cost); the launch term models per-gate dispatch.
+    /// single-qubit cost), a `swap` the dense 4×4 product at its
+    /// measured [`SWAP_WEIGHT`]; the launch term models per-gate
+    /// dispatch.
     fn unfused_gate_seconds(&self, gate: &Gate, n_amps: f64) -> f64 {
-        let weight = if gate.operands().len() >= 2 { 2.0 } else { 1.0 };
+        let weight = match gate.kind {
+            GateKind::Swap => SWAP_WEIGHT,
+            _ if gate.operands().len() >= 2 => 2.0,
+            _ => 1.0,
+        };
         self.launch_seconds + weight * n_amps / self.gate_amps_per_sec
     }
 
@@ -235,6 +241,14 @@ impl PlannerCosts {
         costs
     }
 }
+
+/// The unfused price weight of a `swap`, in `N / gate_amps_per_sec`
+/// units: one `AerCpuBackend::apply_gate` swap pass at fp64, best of 11,
+/// read 2.98 at n = 20 and 3.15 at n = 22 (a `cx` 1.94 and 2.51). At
+/// the generic two-qubit 2.0, fp64 QFT's closing swap pairs priced
+/// below their one-kernel sweep and ran per gate at twice its time
+/// (docs/PIPELINE.md § 4).
+const SWAP_WEIGHT: f64 = 3.0;
 
 /// The two predicted per-segment costs, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -587,6 +601,21 @@ mod tests {
             }
         }
         c
+    }
+
+    #[test]
+    fn a_priced_qft_runs_its_closing_swaps_as_sweeps() {
+        // At the generic two-qubit weight, fp64 QFT's closing swap pairs
+        // priced below their one-kernel sweep and ran per gate at twice
+        // its time (docs/PIPELINE.md § 4); at `SWAP_WEIGHT` every
+        // segment of either precision prices as a sweep.
+        let costs = PlannerCosts::host_reference();
+        for n in [14, 16, 18, 20] {
+            for amp_bytes in [8, 16] {
+                let p = plan(&qft_with_swaps(n), 5, 12, true, &costs, amp_bytes).unwrap();
+                assert_eq!(mode_histogram(&p), (0, p.len()), "qft-{n}, {amp_bytes} B an amplitude");
+            }
+        }
     }
 
     #[test]

@@ -140,6 +140,12 @@ cargo test -q --release --test sharding an_eighteen_qubit_job_is_bitwise_dense_o
 echo "==> cargo test -q --release --test differential qcrank_tracks_the_reference_at_every_split_up_to_twenty_qubits -- --ignored (QCrank grid)"
 cargo test -q --release --test differential qcrank_tracks_the_reference_at_every_split_up_to_twenty_qubits -- --ignored
 
+# The shot draw's heavy tests, kept out of tier-1 (seconds in release,
+# minutes in a debug build): the chi-square fit at 10^8 shots a draw and
+# the pooled draw against the serial one at n = 20, bit for bit.
+echo "==> cargo test -q --release -p qgear-statevec sampling -- --include-ignored (heavy draw tests)"
+cargo test -q --release -p qgear-statevec sampling -- --include-ignored
+
 # Checkpoint throughput, self-calibrating (docs/CHECKPOINTS.md): on this
 # host, encoding a dense n=16 fp64 state must take less time than one
 # bit-by-bit CRC-32 pass over the encoder's own output, and decoding

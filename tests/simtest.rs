@@ -669,11 +669,11 @@ fn replaying_a_seed_reproduces_the_trace_byte_for_byte() {
 /// The bitwise trace tier, binding: the trace hash of every scenario the
 /// four `scripts/check.sh` seeds derive (six per seed, as the random
 /// tests derive them) run plain, struck and sharded — 72 hashes, pinned
-/// here and independent of `QGEAR_SIMTEST_SEED`. The plain and sharded
-/// rows are those of 121f693; the struck rows were re-pinned when the
-/// family stopped batching (its scenarios are otherwise the batched
-/// family's, fault script included). A mismatch on another host is a
-/// bitwise-tier failure to report, not a table to re-pin.
+/// here and independent of `QGEAR_SIMTEST_SEED`. Every row was re-pinned
+/// when the shot draw became the two-level draw of
+/// `qgear_statevec::sampling` (a trace hash folds each job's counts). A
+/// mismatch on another host is a bitwise-tier failure to report, not a
+/// table to re-pin.
 #[test]
 fn the_seventy_two_simtest_trace_hashes_are_pinned() {
     let _l = lock();
@@ -682,16 +682,16 @@ fn the_seventy_two_simtest_trace_hashes_are_pinned() {
             0x51D3_C0DE,
             [
                 [
-                    0x492b9e5d3fb6ca13, 0x2adac3a35484542b, 0x8def4f62c90158c2,
-                    0x9363912d6c658352, 0x00252ea7a6eecbb3, 0x7783c27cf3f0dbbc,
+                    0x163b7ac19310102c, 0x48e82d6f6ef6d797, 0x180b85da731d11f5,
+                    0xf999661ad4cf2b61, 0xc03e56eb483ca5b1, 0xa2fca111ddb0f379,
                 ],
                 [
-                    0x2f1106d2330fde3c, 0x2adac3a35484542b, 0x8def4f62c90158c2,
-                    0x9363912d6c658352, 0x0e694009b4de2541, 0x7783c27cf3f0dbbc,
+                    0x6ea9588acc1a65cf, 0x48e82d6f6ef6d797, 0x180b85da731d11f5,
+                    0xf999661ad4cf2b61, 0x949443a15d870553, 0xa2fca111ddb0f379,
                 ],
                 [
-                    0x68f763115703cb68, 0x15ae3267af70e90f, 0x8ca5e08af1fcbda1,
-                    0x650eda0172407894, 0x39d71e2d2a29e0ce, 0x7a7607db64495f03,
+                    0x2448a89ee4596670, 0x89ca828ca1171be5, 0x23c9539a90d39f7e,
+                    0xca5d51c95f2e6941, 0xcea24020339a5d2a, 0x3bb40b14f62fa114,
                 ],
             ],
         ),
@@ -699,16 +699,16 @@ fn the_seventy_two_simtest_trace_hashes_are_pinned() {
             0xDEAD_BEEF,
             [
                 [
-                    0x3c38026ac9a56322, 0x553fbc1676362fda, 0x553fbc1676362fda,
-                    0x8ae5b0b761dea2f6, 0x60c3ee6efb066420, 0xdcbb9ef26235046a,
+                    0x135adc1e9e98ab24, 0xde9b4e46beef5ab0, 0xde9b4e46beef5ab0,
+                    0xba92eefa78287b5c, 0x1a4ab00e11c8bf25, 0x8f1f51677f0085c8,
                 ],
                 [
-                    0x3c38026ac9a56322, 0x553fbc1676362fda, 0x553fbc1676362fda,
-                    0x8ae5b0b761dea2f6, 0x60c3ee6efb066420, 0xaf473278a09aff04,
+                    0x135adc1e9e98ab24, 0xde9b4e46beef5ab0, 0xde9b4e46beef5ab0,
+                    0xba92eefa78287b5c, 0x1a4ab00e11c8bf25, 0x63ebe414d629ab3a,
                 ],
                 [
-                    0x922950c0e282588c, 0x42c8f2d3a3092763, 0xdfb323ab2c32f510,
-                    0x8fb58fcfbc77a6d9, 0x05524ed02fbcff90, 0x3c870ce6199ea320,
+                    0x9e70f1d744b6f3ec, 0xd34bcf9e76caf6de, 0x6feaf054cd7f02a7,
+                    0x4f2a928e214d1399, 0x15f19e39b4e59e05, 0x2e90c8eba746adeb,
                 ],
             ],
         ),
@@ -716,16 +716,16 @@ fn the_seventy_two_simtest_trace_hashes_are_pinned() {
             0x00C0_FFEE,
             [
                 [
-                    0xccb5a9b2a05e5729, 0x1c32e8b63b788180, 0xb9f6957c588bb5a9,
-                    0x6ba91fcd10e92fc0, 0x88786accd59dcb7c, 0xdbf347de6903525a,
+                    0x56e300dabae4bcf4, 0xc4eee7c89a9e56da, 0x4e37dfea8b2ece98,
+                    0xc8fa6837358bf006, 0xa72e220663da3b7e, 0x34d9d3e5ad466c7a,
                 ],
                 [
-                    0xccb5a9b2a05e5729, 0x1c32e8b63b788180, 0xa7d802f0f328f55e,
-                    0x536d357f4fb953cd, 0x88786accd59dcb7c, 0xdbf347de6903525a,
+                    0x56e300dabae4bcf4, 0xc4eee7c89a9e56da, 0x044efe185ebd1619,
+                    0x4df3ac23371231c9, 0xa72e220663da3b7e, 0x34d9d3e5ad466c7a,
                 ],
                 [
-                    0xc62fb4b273ce9503, 0x04b44fec7dca3a67, 0xde3176405727da3d,
-                    0x619fc81058d5de2c, 0x7248f462c3d9ee81, 0x2cf924463b83fac7,
+                    0x555d369d30243dd3, 0xcd071548a8acf7d3, 0xd5c9bbedaaeece17,
+                    0x1bf925a42483fe26, 0x552e84a000c98a07, 0x658ed7a3166b56eb,
                 ],
             ],
         ),
@@ -733,16 +733,16 @@ fn the_seventy_two_simtest_trace_hashes_are_pinned() {
             0x0C1C_ADA5,
             [
                 [
-                    0x5263cd5835a3c013, 0x06548e0f10a59819, 0x6f16bd32b0057af7,
-                    0xee5dbfb3046f0031, 0x87c48c60c661fb59, 0x49d89024ecf83a95,
+                    0xa70e72f0febe565d, 0x55feffb4a6dcf031, 0xe974d48bd16f5143,
+                    0xd69548fca8f05bf1, 0x37ba8dc5177bfcd3, 0x768182e58bbe3465,
                 ],
                 [
-                    0xbaa02b3db8cacee9, 0x06548e0f10a59819, 0xa7aaeb97af9f8729,
-                    0xee5dbfb3046f0031, 0x87c48c60c661fb59, 0x49d89024ecf83a95,
+                    0xe598903a24752103, 0x55feffb4a6dcf031, 0xe9aa5f20d6ed2c91,
+                    0xd69548fca8f05bf1, 0x37ba8dc5177bfcd3, 0x768182e58bbe3465,
                 ],
                 [
-                    0xc804db9a178d4a5b, 0x5b1fb4570b3dd055, 0xc7a4c1304c4b7fc3,
-                    0x360af181f5337fbf, 0xfe3643d4fc17b72a, 0x108a287a85c8b7cd,
+                    0x95b37798562cb197, 0x59a4261dfb4ae216, 0x26f20cc9634724ee,
+                    0xc086b882c54d4bfc, 0xe55e3375fa733da9, 0xe4e1d00a28f30955,
                 ],
             ],
         ),
