@@ -24,14 +24,26 @@
 //! difference. The adaptive planner in `qgear-statevec::planner` prices
 //! each scheduled segment of kernels against per-gate execution.
 //!
-//! Every table entry is the entry of the dense `2^k × 2^k` product the
-//! same gates would build, computed by the same expression over the same
-//! sources in the same order, less the terms whose source lies in another
-//! sub-unitary — an exact zero of the dense product, met by an exactly
-//! zero gate entry. Adding a zero changes no nonzero sum, so the entries
-//! agree bit for bit in every nonzero component; a zero component may
-//! differ in its sign, which no kernel result can see (the zero argument
-//! at `FusedBlock::close`).
+//! A gate is applied to the table with the dense `2^k × 2^k` product's
+//! own per-entry expression, over the same sources in the same order,
+//! less the terms whose source lies in another sub-unitary — an exact
+//! zero of the dense product, met by an exactly zero gate entry. Adding a
+//! zero changes no nonzero sum, so until a block first absorbs a pending
+//! product into a table that is not the identity, every entry is the
+//! dense product's bit for bit in every nonzero component; a zero
+//! component may differ in its sign, which no kernel result can see (the
+//! zero argument at `FusedBlock::close`). After that absorb the entries
+//! are the dense product's within round-off: the product is
+//! re-associated, as below.
+//!
+//! Past `PENDING_BITS` (4) unmixed bits a gate goes into a *pending
+//! product* instead: the same table update over the block's mixed bits
+//! and the few unmixed bits the pending gates read,
+//! `2^r · 4^μ` entries a gate against the table's `2^u · 4^μ`. The
+//! product is multiplied into the table when the mask would change, when
+//! a gate would read one unmixed bit too many, and when the block closes.
+//! A QCrank ladder reads one control a gate, so a data qubit's `(8, 1)`
+//! block rewrites its 1 024 entries once per absorb, not once per gate.
 //!
 //! While a block grows its mask is structural: a bit is mixed once a gate
 //! that mixes it joined. A lowered `cr1` (`rz·rz·cx·rz·cx`) mixes its
@@ -103,6 +115,10 @@ impl std::error::Error for FusionError {}
 
 /// Default fusion window matching the paper's `gate fusion = 5`.
 pub const DEFAULT_FUSION_WIDTH: usize = 5;
+
+/// The most unmixed bits an open block's pending product reads. A gate
+/// that reads one more first multiplies the product into the table.
+const PENDING_BITS: usize = 4;
 
 /// Which blocks a fusion width admits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,15 +279,25 @@ pub struct FusedBlock {
 impl FusedBlock {
     /// The identity over `qubits`, mixing the local bits of `mixed`.
     fn identity(qubits: Vec<u32>, mixed: usize) -> Self {
+        let mut b = FusedBlock { qubits, mixed, table: Vec::new(), source_gates: 0 };
+        b.reset(mixed);
+        b
+    }
+
+    /// Make the table the identity over today's qubits, mixing the local
+    /// bits of `mixed`, in the buffer it has.
+    fn reset(&mut self, mixed: usize) {
         let mu = mixed.count_ones() as usize;
-        let (subs, mdim) = (1usize << (qubits.len() - mu), 1usize << mu);
-        let mut table = vec![C64::ZERO; subs * mdim * mdim];
-        for sub in table.chunks_exact_mut(mdim * mdim) {
+        let (subs, mdim) = (1usize << (self.qubits.len() - mu), 1usize << mu);
+        self.mixed = mixed;
+        self.table.clear();
+        self.table.resize(subs * mdim * mdim, C64::ZERO);
+        for sub in self.table.chunks_exact_mut(mdim * mdim) {
             for i in 0..mdim {
                 sub[i * mdim + i] = C64::ONE;
             }
         }
-        FusedBlock { qubits, mixed, table, source_gates: 0 }
+        self.source_gates = 0;
     }
 
     /// The kernel of the row-major `2^k × 2^k` matrix `elements` over
@@ -549,12 +575,6 @@ impl FusedBlock {
     /// exact zero through an exactly zero gate entry. A gate that mixes
     /// none of its operands leaves one term, taken as a plain product.
     /// Adding or dropping a zero changes no nonzero component.
-    ///
-    /// Out of line on purpose: inlined into its one caller's gate loop,
-    /// the dense-matrix form of this step measured 25–40 % slower
-    /// (qft-12 150 → 190 µs, qcrank-13 4.0 → 5.5 ms, best of 9 × 30,
-    /// interleaved).
-    #[inline(never)]
     fn push_gate(&mut self, gate: &GateMatrix, positions: &[usize], out: &mut Vec<C64>) {
         let (mdim, sq) = (self.mdim(), self.mdim() * self.mdim());
         // Where a local bit lives: in the row index (mixed) or the
@@ -613,6 +633,98 @@ impl FusedBlock {
             _ => unreachable!("the gate matrix matches the operand count"),
         }
         std::mem::swap(&mut self.table, out);
+    }
+
+    /// Multiply `gate` at the block's local bits `positions` into the
+    /// pending product `p` rather than the table: the same `push_gate`,
+    /// on `2^r` sub-unitaries over the `r` unmixed bits the pending gates
+    /// read instead of the `2^u` of the table. Every bit the gate mixes
+    /// must already be mixed by the table.
+    ///
+    /// `p`'s qubits are local bits of this block: the mixed ones
+    /// ascending (so its rows are the table's), then the unmixed ones in
+    /// the order the pending gates first read them. An empty product
+    /// (`source_gates == 0`) opens as the identity over the mixed bits; a
+    /// gate that would take `r` past [`PENDING_BITS`] first absorbs it.
+    /// `out` is the table's scratch and `p_out` the product's, kept apart
+    /// so that neither buffer is regrown to the other's size.
+    fn push_pending(
+        &mut self,
+        p: &mut FusedBlock,
+        gate: &GateMatrix,
+        positions: &[usize],
+        out: &mut Vec<C64>,
+        p_out: &mut Vec<C64>,
+    ) {
+        let unmixed_reads = |p: &FusedBlock| {
+            positions.iter().filter(|&&j| self.mixed >> j & 1 == 0 && !p.qubits.contains(&(j as u32))).count()
+        };
+        let mu = self.mixed.count_ones() as usize;
+        if p.source_gates > 0 && p.qubits.len() - mu + unmixed_reads(p) > PENDING_BITS {
+            self.absorb(p, out);
+        }
+        if p.source_gates == 0 {
+            p.qubits.clear();
+            p.qubits.extend((0..self.qubits.len() as u32).filter(|&j| self.mixed >> j & 1 == 1));
+            p.reset(low_bits(mu));
+        }
+        let mut local = [0usize; 2];
+        for (l, &j) in local.iter_mut().zip(positions) {
+            *l = match p.qubits.iter().position(|&q| q == j as u32) {
+                Some(l) => l,
+                None => {
+                    p.widen(&[j as u32], p.mixed);
+                    p.qubits.len() - 1
+                }
+            };
+        }
+        p.push_gate(gate, &local[..positions.len()], p_out);
+        p.source_gates += 1;
+    }
+
+    /// Multiply the pending product `p` into the table, `T_t ← P_s(t) ·
+    /// T_t` for every sub-unitary `t`, where `s(t)` gathers `t`'s values
+    /// of the unmixed bits `p` reads; each entry is one `mul_add` chain
+    /// over the row of `P` in column order. Leaves `p` empty. Over an
+    /// identity table the chain adds only exact zeros to `P`'s entry, so
+    /// the table becomes `P` bit for bit (the zero argument at
+    /// `FusedBlock::close`); over any other table the product is
+    /// re-associated and moves entries at round-off.
+    fn absorb(&mut self, p: &mut FusedBlock, out: &mut Vec<C64>) {
+        if p.source_gates == 0 {
+            return;
+        }
+        let (mdim, sq) = (self.mdim(), self.mdim() * self.mdim());
+        let (unmixed, mu) = (self.unmixed(), self.mixed.count_ones() as usize);
+        // Where each bit `p` reads sits in the packed sub-unitary index.
+        let mut reads = [0usize; PENDING_BITS];
+        for (at, &j) in reads.iter_mut().zip(&p.qubits[mu..]) {
+            *at = (unmixed & low_bits(j as usize)).count_ones() as usize;
+        }
+        let reads = &reads[..p.qubits.len() - mu];
+        out.clear();
+        out.resize(self.table.len(), C64::ZERO);
+        for (t, (src, dst)) in self.table.chunks_exact(sq).zip(out.chunks_exact_mut(sq)).enumerate() {
+            let s = reads.iter().enumerate().fold(0, |s, (i, &at)| s | (t >> at & 1) << i);
+            let ps = &p.table[s * sq..][..sq];
+            for (prow, drow) in ps.chunks_exact(mdim).zip(dst.chunks_exact_mut(mdim)) {
+                for (c, e) in drow.iter_mut().enumerate() {
+                    let mut acc = C64::ZERO;
+                    for (k, g) in prow.iter().enumerate() {
+                        acc = g.mul_add(src[k * mdim + c], acc);
+                    }
+                    *e = acc;
+                }
+            }
+        }
+        std::mem::swap(&mut self.table, out);
+        p.source_gates = 0;
+    }
+
+    /// Absorb the pending product `p`, then close the block.
+    fn finish(mut self, p: &mut FusedBlock, out: &mut Vec<C64>) -> Self {
+        self.absorb(p, out);
+        self.close()
     }
 }
 
@@ -691,7 +803,10 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
     let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::FUSE);
     let mut blocks: Vec<FusedBlock> = Vec::new();
     let mut cur: Option<FusedBlock> = None;
-    let mut scratch: Vec<C64> = Vec::new();
+    // The open block's pending product (empty while `source_gates == 0`),
+    // and the scratch the table's updates and the product's write to.
+    let mut pending = FusedBlock::identity(Vec::new(), 0);
+    let (mut scratch, mut pending_scratch): (Vec<C64>, Vec<C64>) = (Vec::new(), Vec::new());
     let fits = |qubits: usize, mixed: usize| {
         let mu = mixed.count_ones() as usize;
         window.admits(width, qubits - mu, mu)
@@ -699,7 +814,7 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
 
     for g in circ.gates() {
         if !g.is_unitary_op() {
-            blocks.extend(cur.take().map(FusedBlock::close));
+            blocks.extend(cur.take().map(|b| b.finish(&mut pending, &mut scratch)));
             continue;
         }
         let ops = g.operands();
@@ -707,7 +822,11 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
         let gate_mixes = matrix.mixed_operands();
         // Extend the open block when the block this gate would make — its
         // new operands appended in operand order, every operand it mixes
-        // a mixed bit — fits the window; otherwise open a fresh one.
+        // a mixed bit — fits the window; otherwise open a fresh one. A
+        // new mask (a new mixed qubit, or a promote) re-cuts the table, so
+        // the pending product goes into it first; a new unmixed qubit is
+        // the highest local bit, under which the table is duplicated and
+        // which the product does not read, so it keeps the product.
         let extended = cur.as_mut().is_some_and(|b| {
             let (mut add, mut added, mut mixed) = ([0u32; 2], 0, b.mixed);
             for (j, &q) in ops.iter().enumerate() {
@@ -720,12 +839,15 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
             }
             let admitted = fits(b.qubits.len() + added, mixed);
             if admitted {
+                if mixed != b.mixed {
+                    b.absorb(&mut pending, &mut scratch);
+                }
                 b.widen(&add[..added], mixed);
             }
             admitted
         });
         if !extended {
-            blocks.extend(cur.take().map(FusedBlock::close));
+            blocks.extend(cur.take().map(|b| b.finish(&mut pending, &mut scratch)));
             cur = Some(FusedBlock::identity(ops.to_vec(), gate_mixes));
         }
         let b = cur.as_mut().expect("an open block");
@@ -733,13 +855,21 @@ pub fn try_fuse_in(circ: &Circuit, width: usize, window: Window) -> Result<Fused
         for (p, q) in positions.iter_mut().zip(ops) {
             *p = b.qubits.iter().position(|c| c == q).expect("operand in block");
         }
-        b.push_gate(&matrix, &positions[..ops.len()], &mut scratch);
+        let positions = &positions[..ops.len()];
+        // Past `PENDING_BITS` unmixed bits a gate costs less in the
+        // pending product than in the table. A fresh block has at most two.
+        if b.unmixed().count_ones() as usize > PENDING_BITS {
+            b.push_pending(&mut pending, &matrix, positions, &mut scratch, &mut pending_scratch);
+        } else {
+            debug_assert_eq!(pending.source_gates, 0, "a gate on the table follows the pending ones");
+            b.push_gate(&matrix, positions, &mut scratch);
+        }
         b.source_gates += 1;
         if !fits(b.qubits.len(), b.mixed) {
-            blocks.extend(cur.take().map(FusedBlock::close));
+            blocks.extend(cur.take().map(|b| b.finish(&mut pending, &mut scratch)));
         }
     }
-    blocks.extend(cur.take().map(FusedBlock::close));
+    blocks.extend(cur.take().map(|b| b.finish(&mut pending, &mut scratch)));
 
     if qgear_telemetry::is_enabled() {
         use qgear_telemetry::names;
@@ -968,6 +1098,158 @@ mod tests {
             }
         }
         assert!(blocks_checked > 500 && shared > 100, "{blocks_checked} blocks, {shared} shared");
+    }
+
+    /// A seeded stream over `n` qubits whose mixing gates act on two
+    /// targets and whose other gates control or phase the rest, so blocks
+    /// grow past `PENDING_BITS` unmixed bits; an occasional `h` or `ry`
+    /// off the targets re-masks the open block.
+    fn multiplexed_circuit(n: u32, gates: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new(n);
+        let mut s = seed | 1;
+        let mut rnd = move |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        for _ in 0..gates {
+            let t = rnd(2) as u32;
+            let a = 2 + rnd(u64::from(n) - 2) as u32;
+            let b = (a - 1 + rnd(u64::from(n) - 3) as u32) % (n - 2) + 2;
+            let theta = rnd(628) as f64 / 100.0 - 3.0;
+            match rnd(20) {
+                0..=3 => c.ry(theta, t),
+                4..=7 => c.cx(a, t),
+                8..=9 => c.cry(theta, a, t),
+                10..=11 => c.rz(theta, a),
+                12 => c.cr1(theta, a, b),
+                13 => c.cz(a, t),
+                14 => c.u(theta, 0.3 * theta, -0.7, t),
+                15 => c.cx(t, 1 - t),
+                16 => c.swap(0, 1),
+                17 => c.h(t),
+                18 => c.cr1(theta, a, t),
+                _ if rnd(3) == 0 => c.h(a),
+                _ => c.ry(theta, a),
+            };
+        }
+        c
+    }
+
+    /// A uniformly controlled `ry` as QCrank lowers it: a Gray-code ladder
+    /// of `2^k` `ry`/`cx` pairs over `controls`, onto `target`.
+    fn ucry_ladder(c: &mut Circuit, controls: &[u32], target: u32, seed: u64) {
+        let steps = 1usize << controls.len();
+        for j in 0..steps {
+            let bit = if j == steps - 1 { controls.len() - 1 } else { (j + 1).trailing_zeros() as usize };
+            c.ry(0.37 * seed as f64 + 0.01 * j as f64, target).cx(controls[bit], target);
+        }
+    }
+
+    /// The lowered QFT over `n` qubits after an `ry` layer.
+    fn lowered_qft(n: u32) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.ry(0.3 + 0.17 * f64::from(q), q);
+        }
+        for i in (0..n).rev() {
+            c.h(i);
+            for j in (0..i).rev() {
+                c.cr1(std::f64::consts::TAU / f64::powi(2.0, (i - j + 1) as i32), j, i);
+            }
+        }
+        for q in 0..n / 2 {
+            c.swap(q, n - 1 - q);
+        }
+        crate::transpile::decompose_to_native(&c).0
+    }
+
+    /// Hold every block of `c` fused at width 5 to the dense product of
+    /// its gates: each entry within `1e-13`, the mask the exact one of
+    /// that product. Returns the blocks checked, those with more than
+    /// `PENDING_BITS` unmixed bits, and those with some entry that is not
+    /// the dense product's bit for bit.
+    fn assert_blocks_track_the_dense_products(c: &Circuit, what: &str) -> (usize, usize, usize) {
+        let gates: Vec<Gate> = c.gates().to_vec();
+        let (mut checked, mut wide, mut moved) = (0, 0, 0);
+        let mut start = 0;
+        for (i, b) in try_fuse(c, 5).unwrap().blocks.iter().enumerate() {
+            let dense = dense_product(&gates[start..start + b.source_gates], &b.qubits);
+            start += b.source_gates;
+            let dim = dense.dim();
+            let mut crossed = 0;
+            let mut exact = true;
+            for (e_at, &e) in dense.m.iter().enumerate() {
+                let (r, col) = (e_at / dim, e_at % dim);
+                let got = b.entry(r, col);
+                assert!((got - e).norm() <= 1e-13, "{what}: block {i} entry ({r}, {col}): {got:?} vs {e:?}");
+                exact &= same(got, e);
+                if e.re != 0.0 || e.im != 0.0 {
+                    crossed |= r ^ col;
+                }
+            }
+            assert_eq!(b.mixed(), crossed, "{what}: block {i} on {:?}", b.qubits);
+            checked += 1;
+            wide += usize::from(b.qubits.len() - b.mixed().count_ones() as usize > PENDING_BITS);
+            moved += usize::from(!exact);
+        }
+        assert_eq!(start, gates.len(), "{what}: every gate is in a block");
+        (checked, wide, moved)
+    }
+
+    /// Past `PENDING_BITS` unmixed bits a block multiplies its gates into
+    /// a pending product and absorbs that into the table, which
+    /// re-associates each entry's product: the entries track the dense
+    /// product within round-off, no longer bit for bit, and the masks stay
+    /// exact. `moved > 0` is the proof that the pending path ran and
+    /// absorbed into tables that were not the identity.
+    fn assert_pending_products_track_the_dense_products(max_qubits: u32, max_controls: usize) {
+        let (mut checked, mut wide, mut moved) = (0, 0, 0);
+        let mut tally = |(c, w, m): (usize, usize, usize)| {
+            checked += c;
+            wide += w;
+            moved += m;
+        };
+        for n in 7..=max_qubits {
+            for seed in 0..6u64 {
+                let what = format!("random n = {n} seed {seed}");
+                tally(assert_blocks_track_the_dense_products(&random_circuit(n, 80, seed * 7 + u64::from(n)), &what));
+                let what = format!("multiplexed n = {n} seed {seed}");
+                tally(assert_blocks_track_the_dense_products(&multiplexed_circuit(n, 160, seed + u64::from(n)), &what));
+            }
+            tally(assert_blocks_track_the_dense_products(&lowered_qft(n), &format!("lowered qft-{n}")));
+        }
+        for k in 5..=max_controls {
+            let n = k as u32 + 2;
+            for seed in 0..3u64 {
+                // Controls in a seeded order around the target, then a
+                // second ladder sharing them, onto the one qubit left.
+                let second = 1 + seed as u32 % 2;
+                let mut controls: Vec<u32> = (0..n).filter(|&q| q != second).collect();
+                let target = controls.remove((seed as usize * 3) % controls.len());
+                controls.rotate_left(seed as usize);
+                let mut c = Circuit::new(n);
+                for q in 0..n {
+                    c.h(q);
+                }
+                ucry_ladder(&mut c, &controls, target, seed);
+                ucry_ladder(&mut c, &controls, second, seed + 1);
+                tally(assert_blocks_track_the_dense_products(&c, &format!("ladder k = {k} seed {seed}")));
+            }
+        }
+        assert!(wide > 50 && moved > 40, "{checked} blocks, {wide} past the pending bits, {moved} moved");
+    }
+
+    #[test]
+    fn pending_products_track_the_dense_products_within_round_off() {
+        assert_pending_products_track_the_dense_products(10, 8);
+    }
+
+    /// The same oracle at 12 qubits with `2^10`-step ladders: minutes
+    /// in a debug build of the dense products, seconds in release.
+    #[test]
+    #[ignore]
+    fn pending_products_track_the_dense_products_at_twelve_qubits() {
+        assert_pending_products_track_the_dense_products(12, 10);
     }
 
     #[test]

@@ -206,9 +206,8 @@ impl PlannerCosts {
 
     /// Per-gate seconds of the unfused specialized loops. Two-qubit
     /// gates walk the masked full-index loop (≈2× the strided
-    /// single-qubit cost), a `swap` the dense 4×4 product at its
-    /// measured [`SWAP_WEIGHT`]; the launch term models per-gate
-    /// dispatch.
+    /// single-qubit cost), a `swap` at [`SWAP_WEIGHT`]; the launch term
+    /// models per-gate dispatch.
     fn unfused_gate_seconds(&self, gate: &Gate, n_amps: f64) -> f64 {
         let weight = match gate.kind {
             GateKind::Swap => SWAP_WEIGHT,
@@ -243,10 +242,14 @@ impl PlannerCosts {
 }
 
 /// The unfused price weight of a `swap`, in `N / gate_amps_per_sec`
-/// units: one `AerCpuBackend::apply_gate` swap pass at fp64, best of 11,
-/// read 2.98 at n = 20 and 3.15 at n = 22 (a `cx` 1.94 and 2.51). At
-/// the generic two-qubit 2.0, fp64 QFT's closing swap pairs priced
-/// below their one-kernel sweep and ran per gate at twice its time
+/// units. A swap pass is a permutation loop and costs what a `cx` pass
+/// does (fp64, best of 11: 0.84–1.04 against 0.97–1.18 at n = 20,
+/// 1.48–1.91 against 1.26–2.12 at n = 22). The weight is above that
+/// because QFT's closing swap pairs fuse into one four-qubit permutation
+/// kernel, which the sweep price counts at `2^μ = 16` mul-adds an
+/// amplitude and which ran faster than the pair's two passes (fp64,
+/// best of 11: 9.2–10.5 against 12.8–16.5 ms at n = 22, 2.4–2.5 against
+/// 2.6 ms at n = 20). At the generic 2.0 those segments planned per gate
 /// (docs/PIPELINE.md § 4).
 const SWAP_WEIGHT: f64 = 3.0;
 

@@ -146,6 +146,14 @@ cargo test -q --release --test differential qcrank_tracks_the_reference_at_every
 echo "==> cargo test -q --release -p qgear-statevec sampling -- --include-ignored (heavy draw tests)"
 cargo test -q --release -p qgear-statevec sampling -- --include-ignored
 
+# The fuser's dense-product oracles, the ignored one included: every
+# table entry against the dense product of its block's gates, bit for
+# bit on blocks that never absorb a pending product and within 1e-13 on
+# those that do, up to 12-qubit streams with 2^10-step ladders (seconds
+# in release, minutes in a debug build).
+echo "==> cargo test -q --release -p qgear-ir fusion -- --include-ignored (fusion oracles)"
+cargo test -q --release -p qgear-ir fusion -- --include-ignored
+
 # Checkpoint throughput, self-calibrating (docs/CHECKPOINTS.md): on this
 # host, encoding a dense n=16 fp64 state must take less time than one
 # bit-by-bit CRC-32 pass over the encoder's own output, and decoding

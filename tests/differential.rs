@@ -1286,3 +1286,99 @@ fn qcrank_fuses_into_one_multiplexed_kernel_per_data_qubit() {
         assert_eq!(histogram, shapes, "8+{data}");
     }
 }
+
+/// The benchmark's circuit shapes at fixed seeds, transpiled to the
+/// native set as the service runs them: an `ry` layer and QFT at 13 and
+/// 20 qubits, random CX blocks (14 × 60 and 20 × 100) and QCrank (8 + 4
+/// and 8 + 10).
+fn benchmark_shapes() -> Vec<(&'static str, Circuit)> {
+    use qgear_workloads::qcrank::{QcrankCodec, QcrankConfig};
+    use qgear_workloads::images;
+    let qft = |n: u32| {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.ry(0.3 + 0.17 * f64::from(q), q);
+        }
+        c.compose(&qft_circuit(n, &QftOptions { measure: true, ..Default::default() })).expect("same width");
+        c
+    };
+    let random = |n: u32, blocks: usize| {
+        generate_random_gate_list(&RandomCircuitSpec { num_qubits: n, num_blocks: blocks, seed: 11, measure: true })
+    };
+    let image = QcrankCodec::new(QcrankConfig { addr_qubits: 8, data_qubits: 4 })
+        .encode_image(&images::synthetic(32, 32, 5));
+    vec![
+        ("qft-13", qft(13)),
+        ("qft-20", qft(20)),
+        ("random-14", random(14, 60)),
+        ("random-20", random(20, 100)),
+        ("qcrank-12", image),
+        ("qcrank-18", qcrank(8, 10, 7)),
+    ]
+}
+
+/// The fused structure of the benchmark's shapes — kernel count, the
+/// `(u, μ)` histogram and every block's `source_gates` in order — is a
+/// function of the gate stream alone: a change to how the fuser builds
+/// a table moves none of it.
+#[test]
+fn the_benchmark_circuits_keep_their_kernel_shapes() {
+    type Pin = (&'static str, usize, &'static [((usize, usize), usize)], &'static [usize]);
+    const PINS: [Pin; 6] = [
+        (
+            "qft-13",
+            15,
+            &[((0, 4), 3), ((0, 5), 2), ((2, 4), 1), ((4, 3), 1), ((7, 1), 5), ((8, 0), 1), ((8, 1), 1), ((9, 0), 1)],
+            &[5, 5, 34, 31, 40, 31, 35, 41, 31, 31, 51, 74, 13, 6, 6],
+        ),
+        (
+            "qft-20",
+            33,
+            &[((0, 4), 5), ((0, 5), 4), ((2, 4), 1), ((6, 2), 1), ((7, 1), 7), ((8, 0), 4), ((8, 1), 4), ((9, 0), 7)],
+            &[
+                5, 5, 5, 26, 40, 35, 41, 40, 31, 40, 31, 40, 35, 41, 35, 41, 31, 40, 31, 40, 31, 40, 41, 31, 31, 35, 67,
+                74, 13, 6, 6, 6, 6,
+            ],
+        ),
+        (
+            "random-14",
+            23,
+            &[((0, 4), 1), ((0, 5), 8), ((1, 4), 3), ((2, 4), 11)],
+            &[10, 9, 10, 9, 6, 6, 7, 10, 7, 6, 6, 7, 10, 7, 6, 10, 7, 7, 8, 7, 7, 9, 9],
+        ),
+        (
+            "random-20",
+            38,
+            &[((0, 2), 1), ((0, 5), 24), ((1, 4), 5), ((2, 4), 8)],
+            &[
+                7, 9, 8, 9, 7, 7, 10, 9, 10, 10, 6, 6, 8, 8, 9, 9, 7, 9, 8, 7, 7, 7, 7, 8, 7, 8, 9, 10, 7, 6, 7, 9, 9, 9, 7,
+                10, 7, 3,
+            ],
+        ),
+        ("qcrank-12", 6, &[((0, 5), 1), ((2, 4), 1), ((8, 1), 4)], &[5, 10, 505, 512, 512, 512]),
+        (
+            "qcrank-18",
+            12,
+            &[((0, 5), 1), ((2, 4), 1), ((8, 1), 10)],
+            &[5, 10, 505, 512, 512, 512, 512, 512, 512, 512, 512, 512],
+        ),
+    ];
+    for ((name, c), (pin, kernels, shapes, gates)) in benchmark_shapes().into_iter().zip(PINS) {
+        assert_eq!(name, pin);
+        let (native, _) = transpile::decompose_to_native(&c);
+        let program = fusion::try_fuse(&native.split_measurements().0, fusion::DEFAULT_FUSION_WIDTH).expect("fusable");
+        let mut histogram: Vec<((usize, usize), usize)> = Vec::new();
+        for b in &program.blocks {
+            let mu = b.mixed().count_ones() as usize;
+            let shape = (b.qubits.len() - mu, mu);
+            match histogram.iter_mut().find(|(s, _)| *s == shape) {
+                Some((_, count)) => *count += 1,
+                None => histogram.push((shape, 1)),
+            }
+        }
+        histogram.sort_unstable();
+        assert_eq!(program.blocks.len(), kernels, "{name}");
+        assert_eq!(histogram, shapes, "{name}");
+        assert_eq!(program.blocks.iter().map(|b| b.source_gates).collect::<Vec<_>>(), gates, "{name}");
+    }
+}
