@@ -65,7 +65,7 @@ struct Cost {
     gather: f64,
     sharded_write: f64,
     memcpy: f64,
-    table_crc: f64,
+    crc: f64,
     bitwise_crc: f64,
 }
 
@@ -95,7 +95,7 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
         gather: f64::MAX,
         sharded_write: f64::MAX,
         memcpy: f64::MAX,
-        table_crc: f64::MAX,
+        crc: f64::MAX,
         bitwise_crc: f64::MAX,
     };
     for _ in 0..ROUNDS {
@@ -104,7 +104,7 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
         cost.gather = cost.gather.min(seconds(|| run.dist().gather()));
         cost.sharded_write = cost.sharded_write.min(seconds(|| run.encode_checkpoint()));
         cost.memcpy = cost.memcpy.min(seconds(|| sink.copy_from_slice(black_box(&bytes))));
-        cost.table_crc = cost.table_crc.min(seconds(|| format::crc32(black_box(&bytes))));
+        cost.crc = cost.crc.min(seconds(|| format::crc32(black_box(&bytes))));
         cost.bitwise_crc = cost.bitwise_crc.min(seconds(|| qpy::crc32(black_box(&bytes))));
     }
     cost
@@ -145,7 +145,7 @@ fn main() {
     );
     println!(
         "| n | precision | bytes | encode ms | MB/s | decode ms | MB/s | gather ms \
-         | sharded write (no gather) ms | memcpy ms | table CRC ms | bitwise CRC ms |"
+         | sharded write (no gather) ms | memcpy ms | CRC ms | bitwise CRC ms |"
     );
     println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     for n in [14, 16, 18] {
@@ -157,7 +157,7 @@ fn main() {
                 c.encode * 1e3, mb(&c, c.encode),
                 c.decode * 1e3, mb(&c, c.decode),
                 c.gather * 1e3, c.sharded_write * 1e3, c.memcpy * 1e3,
-                c.table_crc * 1e3, c.bitwise_crc * 1e3,
+                c.crc * 1e3, c.bitwise_crc * 1e3,
             );
         }
     }

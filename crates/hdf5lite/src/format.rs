@@ -310,15 +310,29 @@ static TABLES: [[u32; 256]; 16] = {
     tables
 };
 
-/// CRC-32 (reflected IEEE polynomial `0xEDB88320`), table-driven: the
-/// one fast implementation in the workspace. Containers and the
-/// checkpoint sections that embed them run it over whole state vectors,
-/// so it has to move at memory-ish speed; `qgear_ir::qpy::crc32` is the
-/// same function as a bitwise loop, kept for QPY's small headers (the
-/// two crates do not depend on each other) and as this one's test
-/// oracle (`tests/wire_stability.rs`).
+/// CRC-32 (reflected IEEE polynomial `0xEDB88320`): the one fast
+/// implementation in the workspace. Containers and the checkpoint
+/// sections that embed them run it over whole state vectors, so it has to
+/// move at memory-ish speed. On a target with PCLMULQDQ an input of at
+/// least 64 bytes goes through `fold_update` (about ten times the table,
+/// docs/CHECKPOINTS.md); a shorter one, and every input on a target
+/// without it, through the slice-by-16 `table_update`. Both are the same
+/// function, bit for bit. `qgear_ir::qpy::crc32` is that function as a
+/// bitwise loop, kept for QPY's small headers (the two crates do not
+/// depend on each other) and as this one's test oracle
+/// (`tests/wire_stability.rs`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    #[cfg(all(target_arch = "x86_64", target_feature = "pclmulqdq"))]
+    if data.len() >= 64 {
+        // SAFETY: `fold_update`'s one requirement is the `pclmulqdq`
+        // target feature, which this line is compiled only with.
+        return !unsafe { fold_update(0xFFFF_FFFF, data) };
+    }
+    !table_update(0xFFFF_FFFF, data)
+}
+
+/// The CRC register after `data` from `crc`, sixteen bytes a step.
+fn table_update(mut crc: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(16);
     for block in &mut blocks {
         // Byte `i` of the block has 15 - i bytes behind it; the register
@@ -335,7 +349,53 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The CRC register after `data` (at least 64 bytes) from `crc`, by
+/// carry-less multiplication: Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), with
+/// the reflected constants of Linux's `crc32-pclmul`. Four 128-bit lanes
+/// hold the first 64 bytes, the register xored into the first. A step
+/// carry-less multiplies each lane's two 64-bit halves by constants that
+/// move them 512 bits on, modulo the polynomial, and xors in the next 64
+/// bytes, so the lanes stay congruent to everything read so far. The
+/// lanes then fold into one (constants for 128 bits), which folds in each
+/// remaining 16-byte block. What is left is 16 bytes whose register from
+/// zero is the register after everything folded, and a tail under 16:
+/// both go through [`table_update`], so no Barrett reduction is needed.
+#[cfg(all(target_arch = "x86_64", target_feature = "pclmulqdq"))]
+#[target_feature(enable = "pclmulqdq")]
+fn fold_update(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    let load = |b: &[u8]| {
+        let half = |i: usize| i64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    };
+    let fold = |x: __m128i, k: __m128i, next: __m128i| {
+        let (lo, hi) = (_mm_clmulepi64_si128::<0x00>(x, k), _mm_clmulepi64_si128::<0x11>(x, k));
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    };
+    let by_64 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+    let by_16 = _mm_set_epi64x(0xccaa_009e, 0x1_7519_97d0);
+    let (head, body) = data.split_at(64);
+    let mut lanes: [__m128i; 4] = std::array::from_fn(|i| load(&head[16 * i..]));
+    lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+    let mut lines = body.chunks_exact(64);
+    for line in &mut lines {
+        for (lane, block) in lanes.iter_mut().zip(line.chunks_exact(16)) {
+            *lane = fold(*lane, by_64, load(block));
+        }
+    }
+    let mut x = fold(fold(fold(lanes[0], by_16, lanes[1]), by_16, lanes[2]), by_16, lanes[3]);
+    let mut blocks = lines.remainder().chunks_exact(16);
+    for block in &mut blocks {
+        x = fold(x, by_16, load(block));
+    }
+    let mut folded = [0u8; 16];
+    folded[..8].copy_from_slice(&_mm_cvtsi128_si64(x).to_le_bytes());
+    folded[8..].copy_from_slice(&_mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x)).to_le_bytes());
+    table_update(table_update(0, &folded), blocks.remainder())
 }
 
 /// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()` — what a
@@ -416,6 +476,43 @@ mod tests {
             .collect()
     }
 
+    /// CRC-32 one bit at a time: the definition both bodies must equal.
+    fn bitwise_crc32(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn both_crc_bodies_equal_the_bitwise_reference_at_every_length_and_offset() {
+        // `crc32` is the fold from 64 bytes on a PCLMULQDQ target and the
+        // table everywhere else; `table_update` is the table everywhere.
+        let table = |d: &[u8]| !table_update(!0, d);
+        let data = noise((4 << 20) + 37 + 64, 3);
+        let mut x = 5u64;
+        for _ in 0..5 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let offset = (x >> 58) as usize;
+            for len in 0..=300 {
+                let d = &data[offset..offset + len];
+                let want = bitwise_crc32(d);
+                assert_eq!(crc32(d), want, "crc32, {len} bytes at offset {offset}");
+                assert_eq!(table(d), want, "table, {len} bytes at offset {offset}");
+            }
+        }
+        for len in [(1 << 20) + 37, (4 << 20) + 37] {
+            let d = &data[3..3 + len];
+            let want = bitwise_crc32(d);
+            assert_eq!(crc32(d), want, "crc32, {len} bytes");
+            assert_eq!(table(d), want, "table, {len} bytes");
+        }
+    }
+
     #[test]
     fn combined_crcs_equal_the_crc_of_the_concatenation() {
         // Around the 16-byte fold, around a chunk, and a long tail.
@@ -427,6 +524,13 @@ mod tests {
                 let whole = crc32(&[a.as_slice(), b.as_slice()].concat());
                 assert_eq!(crc32_combine(crc32(&a), crc32(&b), lb), whole, "{la} ‖ {lb}");
             }
+        }
+        // Every split of 300 bytes: most leave 64 or more on both sides,
+        // so on a PCLMULQDQ target it lands inside a fold step on each.
+        let data = noise(300, 13);
+        for at in 0..=data.len() {
+            let (a, b) = data.split_at(at);
+            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&data), "split at {at}");
         }
         let data = noise(300_000, 7);
         let mut x = 11u64;

@@ -22,7 +22,8 @@
 //! ```
 //!
 //! Every section is CRC-32-framed with the IEEE polynomial, computed by
-//! the container's table-driven [`qgear_hdf5lite::format::crc32`] (a
+//! the container's [`qgear_hdf5lite::format::crc32`] (carry-less-multiply
+//! folding where the target has it, a slice-by-16 table elsewhere; a
 //! STATE section is a whole state vector long); the STATE payload is a
 //! `qgear-hdf5lite` container (which carries its own internal CRC), so
 //! amplitude bytes are double-covered — the writer derives the outer

@@ -554,11 +554,12 @@ impl<T: Scalar> GroupKernel<T> {
 /// [`expand_index`]), so no two tasks alias.
 struct SharedState<T>(*mut Complex<T>);
 // SAFETY: the one field points into a `&mut [Complex<T>]` that the kernel
-// creating the wrapper holds for the whole parallel region; `T: Scalar`
-// amplitudes are plain `Send` data, and tasks only touch disjoint indices.
-unsafe impl<T: Scalar> Send for SharedState<T> {}
-// SAFETY: as for `Send` — sharing the wrapper shares only the address;
-// every dereference is an `unsafe` call whose caller owns its indices.
+// creating the wrapper holds for the whole parallel region, and tasks
+// reach it only through `&SharedState` (`drive` borrows it), so no task
+// outlives that borrow. Sharing the wrapper shares only the address:
+// every dereference is an `unsafe` call whose caller owns its indices,
+// and distinct tasks touch disjoint ones, which is handing `&mut` to
+// disjoint `T: Scalar` amplitudes (plain `Send` data) to other threads.
 unsafe impl<T: Scalar> Sync for SharedState<T> {}
 
 impl<T: Scalar> Simulator<T> for GpuDevice {

@@ -100,15 +100,18 @@ cargo test -q --test differential
 echo "==> cargo test -q --test differential resume_at_every_segment_boundary"
 cargo test -q --test differential resume_at_every_segment_boundary_is_bit_identical_to_straight_through
 
-# The portable lane types. With AVX2 and FMA in the target (the
+# The portable lane types and CRC. With AVX2 and FMA in the target (the
 # workspace's `target-cpu=native` on any recent x86-64) `qgear-num::simd`
-# compiles its register lanes and never the array fallback, so nothing
-# above builds the code a target without them runs. Rebuild at the
-# baseline x86-64 target into its own target dir and run the lane
-# types' own tests, the kernels' unit tests and the SIMD-toggle tier.
-echo "==> portable lanes (-C target-cpu=x86-64): qgear-num + qgear-statevec unit tests, differential simd"
+# compiles its register lanes and never the array fallback, and with
+# PCLMULQDQ `qgear-hdf5lite::format::crc32` folds by carry-less multiply
+# and runs its table body only under 64 bytes, so nothing above builds
+# the code a target without them runs. Rebuild at the baseline x86-64
+# target into its own target dir and run the lane types' own tests, the
+# kernels' unit tests, the CRC's unit tests (the table body at every
+# length) and the SIMD-toggle tier.
+echo "==> portable lanes (-C target-cpu=x86-64): qgear-num + qgear-statevec + qgear-hdf5lite unit tests, differential simd"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
-    cargo test -q -p qgear-num -p qgear-statevec --lib
+    cargo test -q -p qgear-num -p qgear-statevec -p qgear-hdf5lite --lib
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q --test differential simd
 
@@ -200,14 +203,15 @@ fi
 
 # The unsafe kernels under AddressSanitizer (docs/TESTING.md): the unit
 # tests of `qgear-num` (aligned.rs, simd.rs), `qgear-statevec` (gpu.rs
-# and the rest of its lib) and the `rayon` stand-in (the pool's erased
-# job closure and raw sub-slices) rebuilt with the installed nightly
-# into their own target dir. Miri is not installable offline; this is
-# the checker the image does have. Optional like clippy.
+# and the rest of its lib), `qgear-hdf5lite` (the CRC fold's call in
+# format.rs) and the `rayon` stand-in (the pool's erased job closure and
+# raw sub-slices) rebuilt with the installed nightly into their own
+# target dir. Miri is not installable offline; this is the checker the
+# image does have. Optional like clippy.
 if cargo +nightly --version >/dev/null 2>&1; then
-    echo "==> cargo +nightly test (-Zsanitizer=address) -p qgear-num -p qgear-statevec -p rayon --lib"
+    echo "==> cargo +nightly test (-Zsanitizer=address) -p qgear-num -p qgear-statevec -p qgear-hdf5lite -p rayon --lib"
     RUSTFLAGS="-Zsanitizer=address -C target-cpu=native" CARGO_TARGET_DIR=target/asan \
-        cargo +nightly test -q -p qgear-num -p qgear-statevec -p rayon --lib --target x86_64-unknown-linux-gnu
+        cargo +nightly test -q -p qgear-num -p qgear-statevec -p qgear-hdf5lite -p rayon --lib --target x86_64-unknown-linux-gnu
 else
     echo "==> nightly toolchain not installed; skipping the AddressSanitizer run"
 fi

@@ -17,8 +17,9 @@
 //! checkpoints written by that commit, which the decoder must still
 //! load.
 //!
-//! The CRC half: `qgear_hdf5lite::format::crc32` (table-driven, frames
-//! every multi-megabyte section) against `qgear_ir::qpy::crc32` (the
+//! The CRC half: `qgear_hdf5lite::format::crc32` (a carry-less-multiply
+//! fold from 64 bytes on a PCLMULQDQ target, a slice-by-16 table
+//! otherwise; frames every multi-megabyte section) against `qgear_ir::qpy::crc32` (the
 //! bitwise loop, kept for QPY's small headers and as the oracle here).
 
 use qgear_hdf5lite::codec::{self, CHUNK_SIZE};
