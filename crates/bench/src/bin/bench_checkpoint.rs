@@ -14,13 +14,20 @@
 //! first encoder — and passes with room for this one.
 //!
 //! Without `--smoke` it prints the host-stamped cost table of
-//! docs/CHECKPOINTS.md (n = 14, 16, 18, both precisions, 4 shards).
+//! docs/CHECKPOINTS.md (n = 14, 16, 18, both precisions, 4 shards). Its
+//! "recycled write" column is the write the service pays in steady
+//! state: the encoder into one reused buffer, as the checkpoint store
+//! hands a spare back. "faults / write" counts the minor page faults of
+//! one fresh encode and of one recycled write, read from field 10 of
+//! `/proc/thread-self/stat` (`n/a` where that file is absent).
 
 use qgear_cluster::{ClusterEngine, ShardedRun};
 use qgear_hdf5lite::format;
 use qgear_ir::qpy;
 use qgear_num::{Complex, Scalar};
-use qgear_statevec::checkpoint::{decode, encode, CheckpointCounters, StateCheckpoint};
+use qgear_statevec::checkpoint::{
+    decode, encode, encode_amplitudes, CheckpointCounters, StateCheckpoint,
+};
 use qgear_statevec::{RunOptions, SamplingConfig, StateVector, Stepper};
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::hint::black_box;
@@ -56,11 +63,29 @@ fn dense_checkpoint<T: Scalar>(num_qubits: u32) -> StateCheckpoint<T> {
     }
 }
 
+/// This thread's minor page faults so far: field 10 of
+/// `/proc/thread-self/stat`, counted after the parenthesised command
+/// name (which may hold spaces). `None` where the file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The minor faults `f` takes.
+fn faults_of<R>(f: impl FnOnce() -> R) -> Option<u64> {
+    let before = minor_faults();
+    black_box(f());
+    before.zip(minor_faults()).map(|(b, a)| a - b)
+}
+
 /// Best-of-`ROUNDS` seconds, measured round-robin so a noisy stretch of
-/// the host hits every column alike.
+/// the host hits every column alike; faults are the most a round took.
 struct Cost {
     bytes: usize,
     encode: f64,
+    recycled_write: f64,
+    /// Minor faults of a fresh encode and of a recycled write.
+    faults: Option<(u64, u64)>,
     decode: f64,
     gather: f64,
     sharded_write: f64,
@@ -88,9 +113,18 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
     run.advance(usize::MAX).expect("healthy fabric");
     let bytes = encode(&ck);
     let mut sink = vec![0u8; bytes.len()];
+    let mut reused = Vec::new();
+    let write = |out: &mut Vec<u8>| {
+        let amplitudes = ck.state.amplitudes();
+        let (n, counters, sampling) = (ck.num_qubits, &ck.counters, &ck.sampling);
+        encode_amplitudes(out, amplitudes, n, ck.cursor, ck.steps_total, ck.fingerprint, counters, sampling);
+    };
+    write(&mut reused);
     let mut cost = Cost {
         bytes: bytes.len(),
         encode: f64::MAX,
+        recycled_write: f64::MAX,
+        faults: None,
         decode: f64::MAX,
         gather: f64::MAX,
         sharded_write: f64::MAX,
@@ -100,9 +134,18 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
     };
     for _ in 0..ROUNDS {
         cost.encode = cost.encode.min(seconds(|| encode(&ck)));
+        cost.recycled_write = cost.recycled_write.min(seconds(|| write(&mut reused)));
+        let fresh = faults_of(|| encode(&ck));
+        let recycled = faults_of(|| write(&mut reused));
+        let most = |(a, b): (u64, u64)| cost.faults.map_or((a, b), |(x, y)| (x.max(a), y.max(b)));
+        cost.faults = fresh.zip(recycled).map(most);
         cost.decode = cost.decode.min(seconds(|| decode::<T>(&bytes).expect("decodes")));
         cost.gather = cost.gather.min(seconds(|| run.dist().gather()));
-        cost.sharded_write = cost.sharded_write.min(seconds(|| run.encode_checkpoint()));
+        cost.sharded_write = cost.sharded_write.min(seconds(|| {
+            let mut out = Vec::new();
+            run.encode_checkpoint(&mut out);
+            out
+        }));
         cost.memcpy = cost.memcpy.min(seconds(|| sink.copy_from_slice(black_box(&bytes))));
         cost.crc = cost.crc.min(seconds(|| format::crc32(black_box(&bytes))));
         cost.bitwise_crc = cost.bitwise_crc.min(seconds(|| qpy::crc32(black_box(&bytes))));
@@ -144,17 +187,19 @@ fn main() {
         host()
     );
     println!(
-        "| n | precision | bytes | encode ms | MB/s | decode ms | MB/s | gather ms \
-         | sharded write (no gather) ms | memcpy ms | CRC ms | bitwise CRC ms |"
+        "| n | precision | bytes | encode ms | recycled write ms | faults / write (fresh, recycled) \
+         | MB/s | decode ms | MB/s | gather ms | sharded write (no gather) ms | memcpy ms | CRC ms \
+         | bitwise CRC ms |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     for n in [14, 16, 18] {
         for (name, c) in [("fp32", measure::<f32>(n)), ("fp64", measure::<f64>(n))] {
+            let faults = c.faults.map_or("n/a".into(), |(fresh, recycled)| format!("{fresh}, {recycled}"));
             println!(
-                "| {n} | {name} | {} | {:.2} | {:.0} | {:.2} | {:.0} | {:.2} | {:.2} | {:.3} \
-                 | {:.2} | {:.2} |",
+                "| {n} | {name} | {} | {:.2} | {:.2} | {faults} | {:.0} | {:.2} | {:.0} | {:.2} | {:.2} \
+                 | {:.3} | {:.2} | {:.2} |",
                 c.bytes,
-                c.encode * 1e3, mb(&c, c.encode),
+                c.encode * 1e3, c.recycled_write * 1e3, mb(&c, c.encode),
                 c.decode * 1e3, mb(&c, c.decode),
                 c.gather * 1e3, c.sharded_write * 1e3, c.memcpy * 1e3,
                 c.crc * 1e3, c.bitwise_crc * 1e3,

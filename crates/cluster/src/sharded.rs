@@ -298,8 +298,9 @@ impl<T: Scalar> Stepper<T> for ShardedRun<T> {
     /// slices where they lie: the encoder walks
     /// [`DistributedState::logical_runs`], so nothing is gathered and the
     /// output is the only state-sized buffer.
-    fn encode_checkpoint(&self) -> Vec<u8> {
+    fn encode_checkpoint(&self, out: &mut Vec<u8>) {
         encode_runs(
+            out,
             self.dist.logical_runs(),
             self.dist.num_qubits(),
             self.cursor as u64,
@@ -376,10 +377,16 @@ mod tests {
         let mut c = Circuit::new(13);
         c.h(0).h(12).cx(12, 0).ry(0.4, 11).cx(0, 11).h(3).cr1(0.3, 12, 2).cx(11, 12);
         c.ry(1.1, 0).h(10).cx(10, 12).measure_all();
-        let check = |run: &ShardedRun<f64>| {
+        fn check<T: Scalar>(run: &ShardedRun<T>) {
             let gathered = encode(&run.checkpoint());
-            assert_eq!(run.encode_checkpoint(), gathered, "cursor {}", run.cursor());
-        };
+            let mut fresh = Vec::new();
+            run.encode_checkpoint(&mut fresh);
+            assert_eq!(fresh, gathered, "cursor {}", run.cursor());
+            // A recycled buffer: longer than the write, full of 0xAA.
+            let mut recycled = vec![0xAA; gathered.len() + 4096];
+            run.encode_checkpoint(&mut recycled);
+            assert_eq!(recycled, gathered, "recycled, cursor {}", run.cursor());
+        }
         let mut run: ShardedRun<f64> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
         let mut layouts = std::collections::BTreeSet::new();
         check(&run);
@@ -390,10 +397,12 @@ mod tests {
         }
         assert!(layouts.len() >= 3, "the layout was remapped: {layouts:?}");
         assert!(layouts.iter().any(|l| l[10] != 10), "a local bit displaced: {layouts:?}");
-        // fp32, whose chunks hold twice the amplitudes.
+        // fp32, whose chunks hold twice the amplitudes: |0…0⟩, which
+        // compresses, and a state that does not.
         let mut run: ShardedRun<f32> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
+        check(&run);
         run.advance(7).expect("healthy fabric");
-        assert_eq!(run.encode_checkpoint(), encode(&run.checkpoint()));
+        check(&run);
     }
 
     #[test]

@@ -70,28 +70,23 @@ fn rle_encode(out: &mut Vec<u8>, data: &[u8]) -> bool {
     !data.is_empty()
 }
 
-/// Invert [`rle_encode`] onto `out`. Returns `None` on malformed input
-/// (odd length or zero run counts) and on input that would decode to
-/// more than `limit` bytes — checked from the run counts alone, before
-/// anything is appended.
-fn rle_decode(out: &mut Vec<u8>, data: &[u8], limit: usize) -> Option<()> {
+/// The length [`rle_encode`]'s pairs `data` decode to, from the run
+/// counts alone; `None` on malformed pairs (an odd length or a zero run
+/// count).
+fn rle_len(data: &[u8]) -> Option<usize> {
     if !data.len().is_multiple_of(2) {
         return None;
     }
-    let mut decoded = 0usize;
-    for pair in data.chunks_exact(2) {
-        if pair[0] == 0 {
-            return None;
-        }
-        decoded += pair[0] as usize;
-    }
-    if decoded > limit {
-        return None;
-    }
+    data.chunks_exact(2).try_fold(0usize, |len, pair| (pair[0] != 0).then(|| len + pair[0] as usize))
+}
+
+/// Invert [`rle_encode`] into `out`, replacing what it held. The pairs
+/// must be well formed ([`rle_len`]).
+fn rle_decode(out: &mut Vec<u8>, data: &[u8]) {
+    out.clear();
     for pair in data.chunks_exact(2) {
         out.extend(std::iter::repeat_n(pair[1], pair[0] as usize));
     }
-    Some(())
 }
 
 /// Byte-shuffle `data` as an array of `width`-byte elements into `out`
@@ -128,19 +123,42 @@ fn unshuffle(out: &mut [u8], data: &[u8], width: usize) {
 }
 
 /// A lower bound on the `(count, byte)` pairs [`rle_encode`] needs for
-/// `data` after a `width`-byte [`shuffle`]: one per run, and bytes that
-/// end up adjacent inside a plane sit `width` apart in `data`. One
-/// contiguous compare-and-count pass, so a chunk that cannot shrink (a
-/// dense amplitude vector) is found out before it is shuffled.
-fn min_rle_pairs(data: &[u8], width: usize) -> usize {
+/// `data` after a `width`-byte [`shuffle`] — one per run, and bytes that
+/// end up adjacent inside a plane sit `width` apart in `data` — when it
+/// is under half of `data.len()`, so the chunk might shrink; `None` when
+/// it is not, so the chunk is stored raw and never shuffled. One
+/// contiguous compare-and-count pass, 32 byte pairs at a time into `u8`
+/// counters that are summed every 255 blocks (before they can wrap),
+/// which stops as soon as the count reaches half: a dense amplitude
+/// chunk is found out after about two thirds of it.
+fn shrinkable_pairs(data: &[u8], width: usize) -> Option<usize> {
+    const LANES: usize = 32;
+    const STRIPE: usize = 255 * LANES;
     let width = width.max(1);
     let shuffled = data.len() / width * width;
-    let boundaries = data[..shuffled]
-        .iter()
-        .zip(&data[..shuffled][width.min(shuffled)..])
-        .filter(|(a, b)| a != b)
-        .count();
-    1 + boundaries
+    let (left, right) = match shuffled.checked_sub(width) {
+        Some(pairs) => (&data[..pairs], &data[width..shuffled]),
+        None => (&data[..0], &data[..0]),
+    };
+    let cannot_shrink = |pairs: usize| 2 * pairs >= data.len();
+    let mut pairs = 1;
+    for (left, right) in left.chunks(STRIPE).zip(right.chunks(STRIPE)) {
+        let (left, right) = (left.chunks_exact(LANES), right.chunks_exact(LANES));
+        let tail = left.remainder().iter().zip(right.remainder()).filter(|(a, b)| a != b).count();
+        let mut lanes = [0u8; LANES];
+        for (a, b) in left.zip(right) {
+            let (a, b): (&[u8; LANES], &[u8; LANES]) =
+                (a.try_into().expect("a whole block"), b.try_into().expect("a whole block"));
+            for ((lane, a), b) in lanes.iter_mut().zip(a).zip(b) {
+                *lane += u8::from(a != b);
+            }
+        }
+        pairs += tail + lanes.iter().map(|&n| usize::from(n)).sum::<usize>();
+        if cannot_shrink(pairs) {
+            return None;
+        }
+    }
+    (!cannot_shrink(pairs)).then_some(pairs)
 }
 
 /// Compress one chunk onto `out`, self-tagged. `width` is the dataset
@@ -159,7 +177,7 @@ fn compress_chunk(
     let tag_at = out.len();
     out.push(codec.tag());
     let shrunk = codec != Compression::None
-        && 2 * min_rle_pairs(data, width) < data.len()
+        && shrinkable_pairs(data, width).is_some()
         && if width > 1 {
             scratch.resize(data.len(), 0);
             shuffle(scratch, data, width);
@@ -174,33 +192,36 @@ fn compress_chunk(
     }
 }
 
-/// Decompress one chunk produced by [`compress_chunk`] onto `out`;
-/// `None` if it is malformed or holds more than `limit` bytes.
-fn decompress_chunk(
-    out: &mut Vec<u8>,
-    chunk: &[u8],
-    width: usize,
-    limit: usize,
-    scratch: &mut Vec<u8>,
-) -> Option<()> {
+/// The length one chunk [`compress_chunk`] produced decodes to, from its
+/// tag and framing alone; `None` if either is malformed.
+fn chunk_len(chunk: &[u8]) -> Option<usize> {
     let (&tag, body) = chunk.split_first()?;
     match Compression::from_tag(tag)? {
-        Compression::None => {
-            if body.len() > limit {
-                return None;
-            }
-            out.extend_from_slice(body);
-        }
-        Compression::Rle => rle_decode(out, body, limit)?,
-        Compression::ShuffleRle => {
-            scratch.clear();
-            rle_decode(scratch, body, limit)?;
-            let start = out.len();
-            out.resize(start + scratch.len(), 0);
-            unshuffle(&mut out[start..], scratch, width);
-        }
+        Compression::None => Some(body.len()),
+        Compression::Rle | Compression::ShuffleRle => rle_len(body),
     }
-    Some(())
+}
+
+/// The bytes of one chunk [`chunk_len`] accepted: a raw body where it
+/// lies, a coded one decoded into `scratch` (through `planes` for the
+/// shuffle). Both buffers are reused from chunk to chunk.
+fn decompress_chunk<'a>(
+    chunk: &'a [u8],
+    width: usize,
+    scratch: &'a mut Vec<u8>,
+    planes: &mut Vec<u8>,
+) -> &'a [u8] {
+    let Some((&tag, body)) = chunk.split_first() else { return &[] };
+    match Compression::from_tag(tag) {
+        Some(Compression::Rle) => rle_decode(scratch, body),
+        Some(Compression::ShuffleRle) => {
+            rle_decode(planes, body);
+            scratch.resize(planes.len(), 0);
+            unshuffle(scratch, planes, width);
+        }
+        _ => return body,
+    }
+    scratch
 }
 
 /// One chunk as the container stores it: its stored length `u32`, then
@@ -253,30 +274,60 @@ pub fn compress_payload_with(
     }
 }
 
-/// Read back what [`compress_payload`] wrote, advancing `cur` past it.
-/// The stream is untrusted: `expected` (the length the dataset's shape
-/// and dtype imply) must be met exactly, no chunk may hold more than
-/// [`CHUNK_SIZE`] bytes, and every length is checked against the bytes
-/// actually present before anything is allocated for it, so the result
-/// never costs more than the stream's own RLE expansion. `None` on any
-/// violation.
-pub fn decompress_payload(cur: &mut &[u8], expected: usize, width: usize) -> Option<Vec<u8>> {
-    let u32_le = |cur: &mut &[u8]| (cur.remaining() >= 4).then(|| cur.get_u32_le() as usize);
-    let nchunks = u32_le(cur)?;
-    // A chunk is at least its length field and its tag.
-    if nchunks > cur.len() / 5 {
+/// Split one stored chunk off `cur`: its length `u32`, then its body.
+fn next_chunk<'a>(cur: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let stored = (cur.remaining() >= 4).then(|| cur.get_u32_le() as usize)?;
+    let chunk = cur.get(..stored)?;
+    cur.advance(stored);
+    Some(chunk)
+}
+
+/// Check the chunk stream [`compress_payload`] wrote for a payload of
+/// `expected` bytes without decoding it, and advance `cur` past it. The
+/// stream is untrusted: it must hold exactly the chunks the writer makes
+/// — `expected.div_ceil(CHUNK_SIZE)` of them, each decoding to
+/// [`CHUNK_SIZE`] bytes but the last — and every length is checked
+/// against the bytes actually present, so a caller may size its
+/// destination by `expected` once this succeeds. Returns the chunks,
+/// after the count, for [`drain_payload`]; `None` on any violation.
+pub(crate) fn verified_payload<'a>(cur: &mut &'a [u8], expected: usize) -> Option<&'a [u8]> {
+    let mut rest = *cur;
+    let nchunks = (rest.remaining() >= 4).then(|| rest.get_u32_le() as usize)?;
+    if nchunks != expected.div_ceil(CHUNK_SIZE) {
         return None;
     }
-    let mut out = Vec::with_capacity(expected.min(cur.len()));
-    let mut scratch = Vec::new();
-    for _ in 0..nchunks {
-        let stored = u32_le(cur)?;
-        let chunk = cur.get(..stored)?;
-        cur.advance(stored);
-        let limit = CHUNK_SIZE.min(expected - out.len());
-        decompress_chunk(&mut out, chunk, width, limit, &mut scratch)?;
+    let chunks = rest;
+    for start in (0..expected).step_by(CHUNK_SIZE) {
+        if chunk_len(next_chunk(&mut rest)?)? != CHUNK_SIZE.min(expected - start) {
+            return None;
+        }
     }
-    (out.len() == expected).then_some(out)
+    *cur = rest;
+    Some(&chunks[..chunks.len() - rest.len()])
+}
+
+/// Hand `drain` the payload of the chunks [`verified_payload`] returned,
+/// one chunk at a time and in order — the pieces
+/// [`compress_payload_with`]'s `fill` wrote. A raw chunk is handed over
+/// where it lies in the stream; only a coded one is decoded, into a
+/// chunk-sized scratch.
+pub(crate) fn drain_payload(chunks: &[u8], width: usize, mut drain: impl FnMut(&[u8])) {
+    let (mut scratch, mut planes) = (Vec::new(), Vec::new());
+    let mut rest = chunks;
+    while let Some(chunk) = next_chunk(&mut rest) {
+        drain(decompress_chunk(chunk, width, &mut scratch, &mut planes));
+    }
+}
+
+/// Read back what [`compress_payload`] wrote, advancing `cur` past it:
+/// `verified_payload`, then the payload collected into one buffer,
+/// which is sized only once the stream has been checked to fill it.
+/// `None` on any violation.
+pub fn decompress_payload(cur: &mut &[u8], expected: usize, width: usize) -> Option<Vec<u8>> {
+    let chunks = verified_payload(cur, expected)?;
+    let mut out = Vec::with_capacity(expected);
+    drain_payload(chunks, width, |chunk| out.extend_from_slice(chunk));
+    Some(out)
 }
 
 #[cfg(test)]
@@ -291,6 +342,96 @@ mod tests {
         let mut out = vec![0; data.len()];
         shuffle(&mut out, data, width);
         out
+    }
+
+    /// The byte-wise pair bound [`shrinkable_pairs`] replaced, kept as
+    /// its oracle: one compare per byte.
+    fn min_rle_pairs(data: &[u8], width: usize) -> usize {
+        let width = width.max(1);
+        let shuffled = data.len() / width * width;
+        let boundaries = data[..shuffled]
+            .iter()
+            .zip(&data[..shuffled][width.min(shuffled)..])
+            .filter(|(a, b)| a != b)
+            .count();
+        1 + boundaries
+    }
+
+    /// What the oracle decides for `data`: its count where the chunk
+    /// might shrink, `None` where it is stored raw.
+    fn oracle_decision(data: &[u8], width: usize) -> Option<usize> {
+        let pairs = min_rle_pairs(data, width);
+        (2 * pairs < data.len()).then_some(pairs)
+    }
+
+    /// A chunk of `len` bytes of one of four kinds: random, all zero,
+    /// periodic, or half compressible (each byte repeats the one `width`
+    /// back with probability one half, so the count sits at the bar).
+    fn probe_chunk(kind: u8, len: usize, width: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let period = 1 + (next() % 40) as usize;
+        let mut data = Vec::with_capacity(len);
+        for i in 0..len {
+            let r = next();
+            data.push(match kind {
+                0 => r as u8,
+                1 => 0,
+                2 => (i % period) as u8 ^ seed as u8,
+                _ if i >= width && r >> 63 == 0 => data[i - width],
+                _ => (r >> 8) as u8,
+            });
+        }
+        data
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        #[test]
+        fn the_word_wide_probe_decides_and_counts_as_the_byte_wise_one_does(
+            kind in 0u8..4,
+            width in proptest::prop_oneof![
+                proptest::Just(1usize), proptest::Just(4), proptest::Just(8), proptest::Just(16)
+            ],
+            len in 0usize..70_000,
+            seed in proptest::any::<u64>(),
+        ) {
+            let data = probe_chunk(kind, len, width, seed);
+            proptest::prop_assert_eq!(
+                shrinkable_pairs(&data, width),
+                oracle_decision(&data, width),
+                "kind {} len {} width {}", kind, len, width
+            );
+        }
+    }
+
+    #[test]
+    fn the_word_wide_probe_decides_as_the_byte_wise_one_at_every_block_edge() {
+        // Lengths on and either side of a 32-byte block, a 255-block
+        // stripe and a chunk, none a multiple of every width.
+        let edges = [0usize, 1, 3, 5, 31, 32, 33, 63, 255, 257, 8159, 8160, 8161, 16_337];
+        let lens = edges.iter().copied().chain([CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 7]);
+        for len in lens {
+            for width in [1usize, 4, 8, 16] {
+                for kind in 0..4 {
+                    let data = probe_chunk(kind, len, width, 0x5EED ^ len as u64);
+                    assert_eq!(
+                        shrinkable_pairs(&data, width),
+                        oracle_decision(&data, width),
+                        "kind {kind} len {len} width {width}"
+                    );
+                }
+            }
+        }
+        // All zero: one pair per plane run, found at the bar's far side.
+        assert_eq!(shrinkable_pairs(&[0; 100], 8), Some(1));
+        assert_eq!(shrinkable_pairs(&[0; 2], 1), None, "one pair is not under half of two bytes");
     }
 
     /// Reference encoder: the whole pair stream, however long.
@@ -325,6 +466,14 @@ mod tests {
             rest = later;
         });
         assert_eq!(streamed, stream, "{codec:?}, streamed");
+        // Drained, the payload comes back in the pieces `fill` was handed.
+        let mut cur = &stream[..];
+        let verified = verified_payload(&mut cur, data.len()).expect("the writer's own stream");
+        assert!(cur.is_empty());
+        let mut pieces = Vec::new();
+        drain_payload(verified, width, |piece| pieces.push(piece.to_vec()));
+        let fills: Vec<&[u8]> = data.chunks(CHUNK_SIZE).collect();
+        assert_eq!(pieces, fills, "{codec:?}, drained");
         stream
     }
 
@@ -340,8 +489,9 @@ mod tests {
         ];
         for case in cases {
             let pairs = rle(&case);
-            let mut back = Vec::new();
-            rle_decode(&mut back, &pairs, case.len()).unwrap();
+            assert_eq!(rle_len(&pairs), Some(case.len()));
+            let mut back = vec![9; 3];
+            rle_decode(&mut back, &pairs);
             assert_eq!(back, case);
             // The real encoder: the same pairs when they are a win,
             // nothing usable when they are not.
@@ -368,12 +518,11 @@ mod tests {
 
     #[test]
     fn rle_rejects_malformed() {
-        let mut out = Vec::new();
-        assert!(rle_decode(&mut out, &[1], 64).is_none(), "odd length");
-        assert!(rle_decode(&mut out, &[0, 5], 64).is_none(), "zero run");
-        assert!(rle_decode(&mut out, &[200, 5, 200, 6], 399).is_none(), "past the limit");
-        assert!(out.is_empty(), "nothing is appended for a rejected input");
-        assert!(rle_decode(&mut out, &[200, 5, 200, 6], 400).is_some());
+        assert_eq!(rle_len(&[1]), None, "odd length");
+        assert_eq!(rle_len(&[0, 5]), None, "zero run");
+        assert_eq!(rle_len(&[200, 5, 0, 6]), None, "zero run after a good one");
+        assert_eq!(rle_len(&[200, 5, 200, 6]), Some(400));
+        assert_eq!(rle_len(&[]), Some(0));
     }
 
     #[test]
@@ -428,13 +577,11 @@ mod tests {
             .collect();
         let c = chunk(&noise, Compression::ShuffleRle, 8);
         assert_eq!(c.len(), noise.len() + 1);
-        let mut back = Vec::new();
-        decompress_chunk(&mut back, &c, 8, noise.len(), &mut Vec::new()).unwrap();
+        assert_eq!(chunk_len(&c), Some(noise.len()));
+        let mut scratch = Vec::new();
+        let back = decompress_chunk(&c, 8, &mut scratch, &mut Vec::new());
         assert_eq!(back, noise);
-        assert!(
-            decompress_chunk(&mut back, &c, 8, noise.len() - 1, &mut Vec::new()).is_none(),
-            "a raw chunk past the limit is refused"
-        );
+        assert!(std::ptr::eq(back, &c[1..]), "a raw chunk is read where it lies");
     }
 
     #[test]
@@ -488,6 +635,15 @@ mod tests {
         fat.push(Compression::Rle.tag());
         fat.extend(std::iter::repeat_n([255u8, 0], 258).flatten());
         assert!(read(&fat, 258 * 255).is_none());
+        // The same bytes in a chunking the writer never makes: a short
+        // chunk first, the full one after it.
+        let mut split = 2u32.to_le_bytes().to_vec();
+        for part in [&data[..10], &data[10..]] {
+            let mut framed = Vec::new();
+            framed_chunk(&mut framed, part, Compression::None, 1, &mut Vec::new());
+            split.extend_from_slice(&framed);
+        }
+        assert!(read(&split, data.len()).is_none(), "chunks out of the writer's order");
     }
 
     #[test]

@@ -71,12 +71,20 @@ pub fn write_dataset_into(
     finish(buf, start)
 }
 
+/// The most bytes [`write_dataset_into`] appends for `payload` dataset
+/// bytes at a path of a few dozen bytes: every chunk stored raw (length
+/// field and tag each) and a kilobyte for the headers and the trailer.
+/// It reserves this much, so an output with this much spare capacity is
+/// written without a reallocation.
+pub fn container_bound(payload: usize) -> usize {
+    payload + payload.div_ceil(codec::CHUNK_SIZE) * 5 + 1024
+}
+
 /// Reserve for a container of `payload` dataset bytes and write its
 /// header. Returns where the container starts.
 fn begin(buf: &mut Vec<u8>, payload: usize, compression: Compression) -> usize {
-    // Room for every chunk stored raw (length field + tag each), so a
-    // dense payload is written without one regrowth copy.
-    buf.reserve(payload + payload / codec::CHUNK_SIZE * 5 + 1024);
+    // A dense payload is written without one regrowth copy.
+    buf.reserve(container_bound(payload));
     let start = buf.len();
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
@@ -159,6 +167,66 @@ fn dataset_header(buf: &mut Vec<u8>, attrs: &BTreeMap<String, Attr>, dtype: Dtyp
 
 /// Deserialize a container.
 pub fn read(data: &[u8]) -> Result<H5File, H5Error> {
+    let mut cur = open(data)?;
+    let root = match read_node(&mut cur, 0)? {
+        Node::Group(g) => g,
+        Node::Dataset(_) => return Err(H5Error::Malformed("root is a dataset".into())),
+    };
+    no_trailing_bytes(cur)?;
+    Ok(H5File { root })
+}
+
+/// Read back a container [`write_dataset_into`] wrote — one
+/// attribute-less dataset of `dtype` and `shape` at `path`, nothing else
+/// — without building it: `drain` is handed the payload one chunk at a
+/// time, in order, in the pieces `fill` wrote (all
+/// [`codec::CHUNK_SIZE`] long but the last). The whole container is
+/// checked first — its CRC, every header field, and that the chunks
+/// decode to exactly the shape's bytes (`codec::verified_payload`) —
+/// so `drain` is never called on one that is then refused, and a caller
+/// may size its destination at the first call. A dataset of another
+/// dtype is [`H5Error::DtypeMismatch`], of another shape
+/// [`H5Error::ShapeMismatch`] (`elements` is the stored count).
+pub fn read_dataset_with(
+    data: &[u8],
+    path: &str,
+    dtype: Dtype,
+    shape: &[u64],
+    drain: impl FnMut(&[u8]),
+) -> Result<(), H5Error> {
+    let not_lone = || H5Error::Malformed(format!("not one attribute-less dataset at '{path}'"));
+    let mut cur = open(data)?;
+    for name in path.split('/') {
+        need(&cur, 1)?;
+        if cur.get_u8() != 0 || !read_attrs(&mut cur)?.is_empty() {
+            return Err(not_lone());
+        }
+        need(&cur, 4)?;
+        if cur.get_u32_le() != 1 || read_str(&mut cur)? != name {
+            return Err(not_lone());
+        }
+    }
+    need(&cur, 1)?;
+    if cur.get_u8() != 1 || !read_attrs(&mut cur)?.is_empty() {
+        return Err(not_lone());
+    }
+    let (stored, dims, bytes) = dataset_header_fields(&mut cur)?;
+    if stored != dtype {
+        return Err(H5Error::DtypeMismatch { stored: stored.name(), requested: dtype.name() });
+    }
+    if dims != shape {
+        let count = |dims: &[u64]| dims.iter().fold(1usize, |n, &d| n.saturating_mul(d as usize));
+        return Err(H5Error::ShapeMismatch { elements: count(&dims), shape_product: count(shape) });
+    }
+    let chunks = codec::verified_payload(&mut cur, bytes).ok_or_else(undecodable)?;
+    no_trailing_bytes(cur)?;
+    codec::drain_payload(chunks, dtype.size(), drain);
+    Ok(())
+}
+
+/// Check a container's CRC, magic and version; returns the bytes from
+/// its root node to its trailer.
+fn open(data: &[u8]) -> Result<&[u8], H5Error> {
     if data.len() < 15 {
         return Err(H5Error::Malformed("shorter than minimal header".into()));
     }
@@ -178,14 +246,18 @@ pub fn read(data: &[u8]) -> Result<H5File, H5Error> {
         return Err(H5Error::UnsupportedVersion(version));
     }
     let _codec_tag = cur.get_u8(); // informational; chunks are self-tagged
-    let root = match read_node(&mut cur, 0)? {
-        Node::Group(g) => g,
-        Node::Dataset(_) => return Err(H5Error::Malformed("root is a dataset".into())),
-    };
+    Ok(cur)
+}
+
+fn no_trailing_bytes(cur: &[u8]) -> Result<(), H5Error> {
     if cur.has_remaining() {
         return Err(H5Error::Malformed(format!("{} trailing bytes", cur.remaining())));
     }
-    Ok(H5File { root })
+    Ok(())
+}
+
+fn undecodable() -> H5Error {
+    H5Error::Malformed("chunk stream does not decode to the dataset's shape".into())
 }
 
 fn need(cur: &&[u8], n: usize) -> Result<(), H5Error> {
@@ -257,25 +329,29 @@ fn read_node(cur: &mut &[u8], depth: usize) -> Result<Node, H5Error> {
         }
         1 => {
             let attrs = read_attrs(cur)?;
-            need(cur, 2)?;
-            let dtype = Dtype::from_tag(cur.get_u8())
-                .ok_or_else(|| H5Error::Malformed("unknown dtype".into()))?;
-            let ndim = cur.get_u8() as usize;
-            need(cur, ndim * 8)?;
-            let shape: Vec<u64> = (0..ndim).map(|_| cur.get_u64_le()).collect();
-            // The length the chunks must decode to, fixed before any of
-            // them is looked at.
-            let bytes = shape
-                .iter()
-                .try_fold(dtype.size() as u64, |acc, &d| acc.checked_mul(d))
-                .and_then(|b| usize::try_from(b).ok())
-                .ok_or_else(|| H5Error::Malformed("dataset size overflows".into()))?;
-            let data = codec::decompress_payload(cur, bytes, dtype.size())
-                .ok_or_else(|| H5Error::Malformed("chunk stream does not decode to the dataset's shape".into()))?;
+            let (dtype, shape, bytes) = dataset_header_fields(cur)?;
+            let data = codec::decompress_payload(cur, bytes, dtype.size()).ok_or_else(undecodable)?;
             Ok(Node::Dataset(Dataset { dtype, shape, data, attrs }))
         }
         t => Err(H5Error::Malformed(format!("unknown node tag {t}"))),
     }
+}
+
+/// A dataset's dtype and shape after its attributes, and the length its
+/// chunks must decode to, fixed before any of them is looked at.
+fn dataset_header_fields(cur: &mut &[u8]) -> Result<(Dtype, Vec<u64>, usize), H5Error> {
+    need(cur, 2)?;
+    let dtype =
+        Dtype::from_tag(cur.get_u8()).ok_or_else(|| H5Error::Malformed("unknown dtype".into()))?;
+    let ndim = cur.get_u8() as usize;
+    need(cur, ndim * 8)?;
+    let shape: Vec<u64> = (0..ndim).map(|_| cur.get_u64_le()).collect();
+    let bytes = shape
+        .iter()
+        .try_fold(dtype.size() as u64, |acc, &d| acc.checked_mul(d))
+        .and_then(|b| usize::try_from(b).ok())
+        .ok_or_else(|| H5Error::Malformed("dataset size overflows".into()))?;
+    Ok((dtype, shape, bytes))
 }
 
 /// Slice-by-16 lookup tables: `TABLES[k][b]` is the CRC register after
@@ -569,6 +645,63 @@ mod tests {
                 assert_eq!(streamed_crc, crc32(&streamed[5..]), "the CRC of what was appended");
             }
         }
+    }
+
+    #[test]
+    fn a_streamed_dataset_reads_back_chunk_by_chunk_and_nothing_else_does() {
+        let len = 3 * 8192 + 17;
+        let values: Vec<f64> =
+            noise(len, 4).iter().enumerate().map(|(i, &b)| if i % 3 == 0 { 0.0 } else { f64::from(b) }).collect();
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let shape = [len as u64];
+        let read_back = |container: &[u8], dtype, shape: &[u64]| {
+            let mut pieces = Vec::new();
+            let read = read_dataset_with(container, "a/b/values", dtype, shape, |p| pieces.push(p.to_vec()));
+            (read, pieces)
+        };
+        for codec in [Compression::None, Compression::Rle, Compression::ShuffleRle] {
+            let mut container = Vec::new();
+            let mut rest = bytes.as_slice();
+            write_dataset_into(&mut container, "a/b/values", Dtype::F64, &shape, codec, |chunk| {
+                let (now, later) = rest.split_at(chunk.len());
+                chunk.copy_from_slice(now);
+                rest = later;
+            });
+            let (read, pieces) = read_back(&container, Dtype::F64, &shape);
+            assert_eq!(read, Ok(()), "{codec:?}");
+            assert_eq!(pieces, bytes.chunks(codec::CHUNK_SIZE).collect::<Vec<_>>(), "{codec:?}");
+
+            // Refused, with `drain` never called.
+            let refused = |container: &[u8], dtype, shape: &[u64]| {
+                let (read, pieces) = read_back(container, dtype, shape);
+                assert!(pieces.is_empty(), "{codec:?}: drained before refusing {read:?}");
+                read.expect_err("refused")
+            };
+            assert!(matches!(refused(&container, Dtype::F32, &shape), H5Error::DtypeMismatch { .. }));
+            assert_eq!(
+                refused(&container, Dtype::F64, &[len as u64 + 1]),
+                H5Error::ShapeMismatch { elements: len, shape_product: len + 1 }
+            );
+            let mut other_path = Vec::new();
+            write_dataset_into(&mut other_path, "a/c/values", Dtype::F64, &shape, codec, |c| c.fill(0));
+            assert!(matches!(refused(&other_path, Dtype::F64, &shape), H5Error::Malformed(_)));
+            for cut in [1, 4, 5, container.len() / 2] {
+                refused(&container[..container.len() - cut], Dtype::F64, &shape);
+            }
+            let mut flipped = container.clone();
+            flipped[container.len() / 2] ^= 1;
+            refused(&flipped, Dtype::F64, &shape);
+        }
+        // The same dataset in a container that holds more than it.
+        let mut f = H5File::new();
+        f.write_dataset("a/b/values", Dataset::from_f64(&values, &shape)).unwrap();
+        assert_eq!(read_back(&write(&f, Compression::None), Dtype::F64, &shape).0, Ok(()));
+        f.set_attr("a/b/values", "unit", Attr::Str("amplitude".into())).unwrap();
+        assert!(read_back(&write(&f, Compression::None), Dtype::F64, &shape).0.is_err(), "an attribute");
+        let mut g = H5File::new();
+        g.write_dataset("a/b/values", Dataset::from_f64(&values, &shape)).unwrap();
+        g.write_dataset("a/b/more", Dataset::from_f64(&values, &shape)).unwrap();
+        assert!(read_back(&write(&g, Compression::None), Dtype::F64, &shape).0.is_err(), "a sibling");
     }
 
     #[test]

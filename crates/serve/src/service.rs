@@ -261,7 +261,7 @@ impl Service {
                 outcomes: HashMap::new(),
                 cancel_requests: HashSet::new(),
                 events: Vec::new(),
-                checkpoints: CheckpointStore::new(cfg.checkpoint_generations),
+                checkpoints: CheckpointStore::new(cfg.checkpoint_generations, worker_count),
                 next_id: 0,
                 in_flight: 0,
                 shutdown: false,
@@ -557,11 +557,12 @@ fn publish_outcome(shared: &Shared, id: JobId, retained: Arc<Retained>) {
     st.outcomes.insert(id.0, (retained, now));
     st.cancel_requests.remove(&id.0);
     // Terminal: retained checkpoint generations are dead weight now,
-    // whatever the outcome was.
-    st.checkpoints.clear(id.0);
+    // whatever the outcome was; they become spares or are dropped below.
+    let released = st.checkpoints.clear(id.0);
     st.in_flight -= 1;
     drop(st);
     shared.done_cv.notify_all();
+    drop(released);
 }
 
 /// One worker death: the stranded job goes back to the front of its

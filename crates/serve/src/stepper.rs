@@ -18,7 +18,9 @@ use crate::scheduler::QueuedJob;
 use crate::service::{sample_and_package, Executed, Shared};
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
-use qgear_statevec::checkpoint::{decode as decode_checkpoint, CheckpointError, StateCheckpoint};
+use qgear_statevec::checkpoint::{
+    decode as decode_checkpoint, max_encoded_len, CheckpointError, StateCheckpoint,
+};
 use qgear_statevec::{GpuDevice, RunOptions, SegmentedRun, SimError, Stepper};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_inc, histogram_record, span};
@@ -88,7 +90,15 @@ pub(crate) fn drive<T: Scalar, S: StepSource<T>>(
         segments_done += 1;
         if !run.is_done() {
             let write_span = span!(spans::CHECKPOINT_WRITE);
-            let mut bytes = run.encode_checkpoint();
+            // Into a spare whose pages are already faulted in; one too
+            // small to serve is dropped here, outside the lock, before
+            // the encoder allocates afresh.
+            let need = max_encoded_len::<T>(job.canonical.num_qubits());
+            let mut bytes = shared.lock().checkpoints.take_spare(need).unwrap_or_default();
+            if bytes.capacity() < need {
+                bytes = Vec::new();
+            }
+            run.encode_checkpoint(&mut bytes);
             let cursor = run.cursor() as u64;
             let mut st = shared.lock();
             let generation = st.checkpoints.next_generation(id);
@@ -96,10 +106,11 @@ pub(crate) fn drive<T: Scalar, S: StepSource<T>>(
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0x40;
             }
-            st.checkpoints.record(id, cursor, bytes);
+            let (_, released) = st.checkpoints.record(id, cursor, bytes);
             let wrote = CheckpointRecord::Wrote { job: id, generation, cursor };
             shared.record(&mut st, EventKind::Checkpoint(wrote));
             drop(st);
+            drop(released);
             counter_inc(names::CHECKPOINT_WRITES);
             drop(write_span);
         }
@@ -206,7 +217,7 @@ mod tests {
     use crate::job::{Engine, JobId, JobSpec};
     use crate::{FaultKind, FaultSchedule, ServeConfig, Service, ServiceEvent};
     use qgear_cluster::CommError;
-    use qgear_statevec::checkpoint::{encode, CheckpointCounters};
+    use qgear_statevec::checkpoint::{encode_amplitudes, CheckpointCounters};
     use qgear_statevec::{marginal_probs, ExecStats, SamplingConfig, StateVector};
     use std::cell::{Cell, RefCell};
     use std::time::Duration;
@@ -240,16 +251,11 @@ mod tests {
             self.cursor
         }
 
-        fn encode_checkpoint(&self) -> Vec<u8> {
-            encode(&StateCheckpoint {
-                num_qubits: 1,
-                cursor: self.cursor as u64,
-                steps_total: self.total as u64,
-                fingerprint: FINGERPRINT,
-                counters: CheckpointCounters::default(),
-                sampling: SamplingConfig::single(0, 0),
-                state: StateVector::<f64>::zero(1),
-            })
+        fn encode_checkpoint(&self, out: &mut Vec<u8>) {
+            let (cursor, total) = (self.cursor as u64, self.total as u64);
+            let (counters, sampling) = (CheckpointCounters::default(), SamplingConfig::single(0, 0));
+            let amplitudes = StateVector::<f64>::zero(1).into_amplitudes();
+            encode_amplitudes(out, &amplitudes, 1, cursor, total, FINGERPRINT, &counters, &sampling);
         }
 
         fn stats(&self) -> ExecStats {
@@ -359,6 +365,24 @@ mod tests {
         assert!(matches!(died, Attempt::Died));
         assert_eq!(*source.hooks.borrow(), ["settled None None", "died 2"]);
         source
+    }
+
+    /// Where each retained generation of `job` lies in memory.
+    fn buffers(service: &Service, job: u64) -> std::collections::BTreeSet<*const u8> {
+        let st = service.shared.lock();
+        st.checkpoints.newest_first(job).iter().map(|g| g.bytes.as_ptr()).collect()
+    }
+
+    #[test]
+    fn a_job_writes_into_the_buffers_a_published_one_left() {
+        let service = service(FaultSchedule::none());
+        die_after_two(&service, 6);
+        let left = buffers(&service, 6);
+        assert_eq!(left.len(), 2);
+        let released = service.shared.lock().checkpoints.clear(6);
+        assert!(released.is_empty(), "both generations became spares");
+        die_after_two(&service, 7);
+        assert_eq!(buffers(&service, 7), left, "job 7's two writes went into job 6's buffers");
     }
 
     #[test]

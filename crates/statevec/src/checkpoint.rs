@@ -37,8 +37,10 @@
 
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
-use qgear_hdf5lite::format::{crc32, crc32_combine, write_dataset_into};
-use qgear_hdf5lite::{Compression, Dtype, H5Error, H5File};
+use qgear_hdf5lite::format::{
+    container_bound, crc32, crc32_combine, read_dataset_with, write_dataset_into,
+};
+use qgear_hdf5lite::{Compression, Dtype, H5Error};
 use qgear_ir::Circuit;
 use qgear_num::{Complex, Scalar};
 use std::fmt;
@@ -277,9 +279,11 @@ fn end_section(out: &mut Vec<u8>, start: usize, payload_crc: u32) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Serialize a checkpoint to its framed wire format.
+/// Serialize a checkpoint to its framed wire format, in a fresh buffer.
 pub fn encode<T: Scalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
+    let mut out = Vec::new();
     encode_amplitudes(
+        &mut out,
         ck.state.amplitudes(),
         ck.num_qubits,
         ck.cursor,
@@ -287,13 +291,26 @@ pub fn encode<T: Scalar>(ck: &StateCheckpoint<T>) -> Vec<u8> {
         ck.fingerprint,
         &ck.counters,
         &ck.sampling,
-    )
+    );
+    out
+}
+
+/// The most bytes a checkpoint of a `num_qubits` register in `T` takes:
+/// what the encoder reserves, so an `out` whose capacity is at least this
+/// is written without a reallocation, and a recycled one that large
+/// keeps its pages.
+pub fn max_encoded_len<T: Scalar>(num_qubits: u32) -> usize {
+    let amplitudes = T::BYTES << (num_qubits + 1);
+    CHECKPOINT_MAGIC.len() + 2 + (9 + META_LEN) + 9 + container_bound(amplitudes)
 }
 
 /// [`encode`] over borrowed amplitudes and the remaining
-/// [`StateCheckpoint`] fields, so a live run can be written without
-/// cloning its state into a `StateCheckpoint` first.
+/// [`StateCheckpoint`] fields into `out` (cleared first), so a live run
+/// can be written without cloning its state into a `StateCheckpoint`,
+/// and into a buffer an earlier write left behind.
+#[allow(clippy::too_many_arguments)]
 pub fn encode_amplitudes<T: Scalar>(
+    out: &mut Vec<u8>,
     amplitudes: &[Complex<T>],
     num_qubits: u32,
     cursor: u64,
@@ -301,25 +318,28 @@ pub fn encode_amplitudes<T: Scalar>(
     fingerprint: u64,
     counters: &CheckpointCounters,
     sampling: &SamplingConfig,
-) -> Vec<u8> {
+) {
     let runs = std::iter::once(amplitudes);
-    encode_runs(runs, num_qubits, cursor, steps_total, fingerprint, counters, sampling)
+    encode_runs(out, runs, num_qubits, cursor, steps_total, fingerprint, counters, sampling)
 }
 
-/// [`encode`] over amplitudes that lie in pieces: `runs` yields the
-/// register in logical order, run after run, `2^num_qubits` amplitudes
-/// in all (a partitioned state's slices, walked in place — nothing is
-/// gathered first).
+/// [`encode_amplitudes`] over amplitudes that lie in pieces: `runs`
+/// yields the register in logical order, run after run, `2^num_qubits`
+/// amplitudes in all (a partitioned state's slices, walked in place —
+/// nothing is gathered first).
 ///
-/// Each amplitude is touched three times and no buffer but the output
-/// is state-sized: the runs are converted to little-endian bytes one
+/// Each amplitude is touched three times and no buffer but `out` is
+/// state-sized: the runs are converted to little-endian bytes one
 /// container chunk at a time, the chunk goes into the output compressed
 /// or raw while it is in cache, and one CRC pass over the finished
-/// container serves both checksums the format asks for.
+/// container serves both checksums the format asks for. `out` is
+/// cleared, then grown to [`max_encoded_len`] unless it holds that much
+/// already; the bytes do not depend on what it held.
 // The fields of a `StateCheckpoint` one by one: that struct is built by
 // literal outside this workspace, so they cannot be regrouped.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_runs<'a, T: Scalar>(
+    out: &mut Vec<u8>,
     runs: impl IntoIterator<Item = &'a [Complex<T>]>,
     num_qubits: u32,
     cursor: u64,
@@ -327,13 +347,13 @@ pub fn encode_runs<'a, T: Scalar>(
     fingerprint: u64,
     counters: &CheckpointCounters,
     sampling: &SamplingConfig,
-) -> Vec<u8> {
-    // The STATE container reserves for itself, which is all but ~130 bytes.
-    let mut out = Vec::new();
+) {
+    out.clear();
+    out.reserve(max_encoded_len::<T>(num_qubits));
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
 
-    let meta = begin_section(&mut out, SECTION_META);
+    let meta = begin_section(out, SECTION_META);
     out.push(T::BYTES as u8);
     out.extend_from_slice(&num_qubits.to_le_bytes());
     out.extend_from_slice(&cursor.to_le_bytes());
@@ -349,14 +369,14 @@ pub fn encode_runs<'a, T: Scalar>(
     out.extend_from_slice(&sampling.reserved.to_le_bytes());
     debug_assert_eq!(out.len() - meta - 5, META_LEN);
     let meta_crc = crc32(&out[meta + 5..]);
-    end_section(&mut out, meta, meta_crc);
+    end_section(out, meta, meta_crc);
 
-    let state = begin_section(&mut out, SECTION_STATE);
+    let state = begin_section(out, SECTION_STATE);
     let width = T::BYTES;
     let mut runs = runs.into_iter();
     let mut run: &[Complex<T>] = &[];
     let container_crc = write_dataset_into(
-        &mut out,
+        out,
         AMPLITUDE_DATASET,
         dtype::<T>(),
         &[2u64 << num_qubits],
@@ -378,8 +398,7 @@ pub fn encode_runs<'a, T: Scalar>(
         },
     );
     assert!(run.is_empty() && runs.next().is_none(), "the runs hold 2^num_qubits amplitudes");
-    end_section(&mut out, state, container_crc);
-    out
+    end_section(out, state, container_crc);
 }
 
 /// Little-endian readers over the fixed-width META payload.
@@ -499,29 +518,28 @@ pub fn decode<T: Scalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, CheckpointE
     let sampling =
         SamplingConfig { shots: r.u64(), seed: r.u64(), reserved: r.u64() };
 
-    let file =
-        H5File::from_bytes(state).map_err(|e| CheckpointError::Container(e.to_string()))?;
-    let ds = file
-        .dataset(AMPLITUDE_DATASET)
-        .map_err(|e| CheckpointError::Container(e.to_string()))?;
-    let requested = dtype::<T>();
-    if ds.dtype != requested {
-        let mismatch = H5Error::DtypeMismatch { stored: ds.dtype.name(), requested: requested.name() };
-        return Err(CheckpointError::Container(mismatch.to_string()));
-    }
-    // The container has already held the payload to its shape, so this
-    // is the number of components actually present.
+    // The container is verified whole before the first chunk arrives,
+    // so the state is sized by a length its bytes are known to fill.
     let width = T::BYTES;
     let expected = 2u64 << num_qubits;
-    let found = (ds.data.len() / width) as u64;
-    if found != expected {
-        return Err(CheckpointError::AmplitudeMismatch { expected, found });
+    let mut amplitudes: Option<StateVector<T>> = None;
+    let mut filled = 0;
+    let read = read_dataset_with(state, AMPLITUDE_DATASET, dtype::<T>(), &[expected], |chunk| {
+        let amps = amplitudes.get_or_insert_with(|| StateVector::zero(num_qubits)).amplitudes_mut();
+        for (amp, src) in amps[filled..].iter_mut().zip(chunk.chunks_exact(2 * width)) {
+            let (re, im) = src.split_at(width);
+            *amp = Complex::new(T::read_le(re), T::read_le(im));
+        }
+        filled += chunk.len() / (2 * width);
+    });
+    match read {
+        Ok(()) => {}
+        Err(H5Error::ShapeMismatch { elements, .. }) => {
+            return Err(CheckpointError::AmplitudeMismatch { expected, found: elements as u64 });
+        }
+        Err(e) => return Err(CheckpointError::Container(e.to_string())),
     }
-    let mut state = StateVector::zero(num_qubits);
-    for (amp, src) in state.amplitudes_mut().iter_mut().zip(ds.data.chunks_exact(2 * width)) {
-        let (re, im) = src.split_at(width);
-        *amp = Complex::new(T::read_le(re), T::read_le(im));
-    }
+    let state = amplitudes.ok_or(CheckpointError::Malformed("empty amplitude dataset"))?;
 
     Ok(StateCheckpoint { num_qubits, cursor, steps_total, fingerprint, counters, sampling, state })
 }

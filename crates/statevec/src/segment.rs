@@ -65,10 +65,11 @@ pub trait Stepper<T: Scalar> {
     fn cursor(&self) -> usize;
     /// Counters and evolve time accumulated so far.
     fn stats(&self) -> ExecStats;
-    /// The execution state as QCKP wire bytes, written from where the
-    /// amplitudes lie (a resident state, or a partitioned one's slices
-    /// walked in logical order).
-    fn encode_checkpoint(&self) -> Vec<u8>;
+    /// The execution state as QCKP wire bytes, written into `out` (cleared
+    /// first; a buffer an earlier write left behind keeps its pages) from
+    /// where the amplitudes lie (a resident state, or a partitioned one's
+    /// slices walked in logical order).
+    fn encode_checkpoint(&self, out: &mut Vec<u8>);
     /// The measurement marginal over `measured`, read from where the
     /// amplitudes lie (a partitioned state's slices are walked in logical
     /// order, never gathered): [`crate::marginal_of_runs`].
@@ -313,8 +314,9 @@ impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
     /// [`encode`](crate::checkpoint::encode) of [`SegmentedRun::checkpoint`],
     /// written from the live state: what a segment boundary stores costs
     /// no clone of the amplitudes.
-    fn encode_checkpoint(&self) -> Vec<u8> {
+    fn encode_checkpoint(&self, out: &mut Vec<u8>) {
         encode_amplitudes(
+            out,
             self.state.amplitudes(),
             self.state.num_qubits(),
             self.cursor as u64,
@@ -384,6 +386,45 @@ mod tests {
             assert_eq!(straight.stats.gates_applied, segmented.stats.gates_applied);
             assert_eq!(straight.stats.flops, segmented.stats.flops);
         }
+    }
+
+    /// At every cursor of a 13-qubit run (two container chunks of fp64,
+    /// from |0…0⟩, which compresses, to a dense state, which does not),
+    /// a write into a recycled buffer — longer than the checkpoint and
+    /// full of 0xAA — gives the fresh write's bytes, and a buffer of
+    /// exactly [`max_encoded_len`] is written in place.
+    fn recycled_writes_match_fresh_ones<T: Scalar>() {
+        use crate::checkpoint::max_encoded_len;
+        let mut c = Circuit::new(13);
+        for q in 0..13 {
+            c.ry(0.3 + 0.1 * f64::from(q), q);
+        }
+        for q in 1..13 {
+            c.cx(q - 1, q);
+        }
+        let opts = RunOptions { fusion_width: 2, sweep_width: 0, ..Default::default() };
+        let mut run: SegmentedRun<T> = SegmentedRun::new(&GpuDevice::a100_40gb(), &c, &opts).unwrap();
+        let mut exact = Vec::with_capacity(max_encoded_len::<T>(13));
+        let at = exact.as_ptr();
+        loop {
+            let fresh = encode(&run.checkpoint());
+            let mut recycled = vec![0xAA; fresh.len() + 4096];
+            run.encode_checkpoint(&mut recycled);
+            assert_eq!(recycled, fresh, "cursor {}", run.cursor());
+            run.encode_checkpoint(&mut exact);
+            assert_eq!(exact, fresh, "cursor {}", run.cursor());
+            assert_eq!(exact.as_ptr(), at, "reallocated at cursor {}", run.cursor());
+            if run.is_done() {
+                break;
+            }
+            let Ok(()) = run.advance(3);
+        }
+    }
+
+    #[test]
+    fn a_write_into_a_recycled_buffer_is_the_fresh_write_in_both_precisions() {
+        recycled_writes_match_fresh_ones::<f32>();
+        recycled_writes_match_fresh_ones::<f64>();
     }
 
     #[test]

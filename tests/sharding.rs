@@ -457,8 +457,12 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
     let group = ClusterEngine::a100_cluster(shards as usize);
     let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
     run.advance(24).expect("no faults armed");
-    let generation = run.encode_checkpoint();
+    let mut generation = Vec::new();
+    run.encode_checkpoint(&mut generation);
     assert_eq!(generation, encode_checkpoint(&run.checkpoint()), "written without gathering");
+    let mut recycled = vec![0xAA; 2 * generation.len()];
+    run.encode_checkpoint(&mut recycled);
+    assert_eq!(recycled, generation, "written into a recycled buffer");
     run.advance(usize::MAX).expect("no faults armed");
     assert_eq!(run.state().amplitudes(), dense.amplitudes(), "gathered");
     assert!(run.dist().exchanges() > 0);
