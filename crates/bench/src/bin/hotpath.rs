@@ -1,40 +1,45 @@
-//! Hot-path probe: unfused vs fused vs sweep-fused vs planned
-//! execution, kernel layer only (no `Service`; serving-level numbers
-//! come from `benchmark/`).
+//! Hot-path probe: unfused vs fused vs sweep-fused at each fusion
+//! width vs planned execution, kernel layer only (no `Service`;
+//! serving-level numbers come from `benchmark/`).
 //!
-//! Measures real wall-clock for the four kernel strategies on the three
-//! paper workloads (QFT, random CX blocks, QCrank encoding):
+//! Measures real wall-clock for the kernel strategies on the three
+//! paper workloads (QFT, random CX blocks, QCrank encoding), at fp32 and
+//! fp64:
 //!
 //! * **unfused** — the Aer-like CPU baseline, one full-state pass per gate;
-//! * **fused**   — the GPU engine with sweep scheduling off
-//!   (`sweep_width: 0`), one exact pass per fused kernel: the dense
-//!   mul-add chain minus its exactly-zero entries, bit for bit the same;
-//! * **sweep**   — the GPU engine with the commutation-aware sweep
-//!   scheduler on (the default), one full-state pass per *sweep* with
-//!   cache-blocked tiles kept hot across the sweep's kernels;
-//! * **planned** — the priced plan (`PlannerCosts::host_reference()`):
-//!   per scheduled segment, the cheaper of the plan's two modes
-//!   (per-gate loops or one sweep pass) under the cost model. See
-//!   `docs/PIPELINE.md` § 4 for how to read this series.
+//! * **fused**   — the GPU engine fused at width 5 with sweep scheduling
+//!   off (`sweep_width: 0`), one exact pass per fused kernel;
+//! * **w2 … w5** — the `Sweep` pin at fusion width 2, 3, 4 and 5: the
+//!   commutation-aware sweep scheduler on (the default), one full-state
+//!   pass per *sweep*, every kernel fused at that width (w5 is the
+//!   paper's width, and what the default options run);
+//! * **planned** — the priced plan (`PlannerCosts::host_reference()`),
+//!   what the service runs a dense job with: fused at width 5, each run
+//!   of compute-bound kernels re-fused at the width the cost model
+//!   prices cheapest. See `docs/PIPELINE.md` § 4 for how to read this
+//!   series.
 //!
 //! The GPU series differ only in the plan's one selector
-//! (`RunOptions::planner_costs`) and the sweep width. The four modes of
-//! a cell are interleaved rep by rep, so a slow stretch of the host
-//! lands on all of them, and each reports its best rep.
+//! (`RunOptions::planner_costs`), the fusion width and the sweep width.
+//! The series of a cell are interleaved rep by rep, [`REPS`] reps at
+//! every size, so a slow stretch of the host lands on all of them, and
+//! each reports its best rep. The unfused baseline, which anchors the
+//! table and is compared with nothing, runs in the first rep only.
 //!
 //! Prints its tables and writes nothing.
 //!
 //! Usage: `cargo run --release -p qgear-bench --bin hotpath` for the
-//! default grid (n = 16, 18, 20, 22); `--smoke` for a seconds-long CI
-//! grid (n = 16); `--full` to extend the default grid to n = 24.
+//! default grid (n = 16, 18, 20, 22); `--smoke` for a CI grid (n = 16);
+//! `--full` to extend the default grid to n = 24.
 //! `--workload <qft|random|qcrank>` restricts to one workload and
 //! `--sizes <a,b,...>` overrides the qubit grid (for quick probes).
 //! `--enforce-planned` exits nonzero if the planned series loses to the
-//! best pinned mode by more than [`TOLERANCE`] on any gated cell (CI's
+//! best pinned width by more than [`TOLERANCE`] on any gated cell (CI's
 //! planner regression gate, run by `scripts/check.sh` on the smoke
 //! grid).
 
 use qgear_bench::report::human_time;
+use qgear_num::Scalar;
 use qgear_statevec::{
     AerCpuBackend, GpuDevice, PlannerCosts, RunOptions, RunOutput, SegmentMode, Simulator,
 };
@@ -43,32 +48,45 @@ use qgear_workloads::qft::{qft_circuit, QftOptions};
 use qgear_workloads::random::{generate_random_gate_list, RandomCircuitSpec};
 use std::time::Instant;
 
-const MODES: [&str; 4] = ["unfused", "fused", "sweep", "planned"];
+const MODES: [&str; 7] = ["unfused", "fused", "w2", "w3", "w4", "w5", "planned"];
+
+/// The indices into `MODES` of the `Sweep` pin at widths 2 to 5.
+const WIDTH_SERIES: std::ops::Range<usize> = 2..6;
+
+/// Interleaved reps per cell, at every size; each series reports its
+/// best. Two copies of the width-2 pin in one run read 0.85 to 1.26 of
+/// each other on random-16 at 5 reps, and 0.82 to 1.15 at 15, on a
+/// shared 2-core host.
+const REPS: usize = 15;
 
 /// A cell is gated only when its best pinned mode takes at least this
 /// long: below it, one scheduler hiccup is a large ratio. Cells under
 /// the line are printed, not gated.
 const GATE_FLOOR_SECONDS: f64 = 0.010;
 
-/// The largest `planned / best pinned` ratio the gate accepts: the
+/// The largest `planned / best pinned width` ratio the gate accepts: the
 /// worst ratio seen on any smoke cell over fourteen `--smoke` runs when
 /// the gate was set × 1.1 — ten on a quiet 2-core host (worst 1.03) and
 /// four with a busy loop pinned on each core (worst 1.10, random n=16).
 const TOLERANCE: f64 = 1.21;
 
-/// Planned-vs-best-pinned comparison for one (workload, size) cell.
+/// Planned-vs-best-pinned comparison for one (workload, size,
+/// precision) cell.
 #[derive(Debug)]
 struct PlannedCell {
     workload: &'static str,
     num_qubits: u32,
+    precision: &'static str,
     planned_seconds: f64,
-    /// Fastest of the pinned modes measured on this cell.
+    /// Fastest of the pinned widths measured on this cell.
     best_pinned_seconds: f64,
     best_pinned_mode: &'static str,
+    /// The width-5 pin: what the paper fuses at.
+    w5_seconds: f64,
 }
 
 impl PlannedCell {
-    /// `≤ 1` means the planner matched or beat every pinned mode.
+    /// `≤ 1` means the planner matched or beat every pinned width.
     fn ratio(&self) -> f64 {
         self.planned_seconds / self.best_pinned_seconds
     }
@@ -113,24 +131,47 @@ fn workload(name: &str, n: u32) -> qgear_ir::Circuit {
     }
 }
 
-/// One run of `circ` in `mode`: wall-clock seconds and the run's stats.
-fn run_mode(circ: &qgear_ir::Circuit, mode: &str) -> (f64, qgear_statevec::ExecStats) {
+/// One run of `circ` in `mode` at precision `T`: wall-clock seconds and
+/// the run's stats.
+fn run_mode<T: Scalar>(circ: &qgear_ir::Circuit, mode: &str) -> (f64, qgear_statevec::ExecStats) {
     let select = |planner_costs| RunOptions { planner_costs, ..Default::default() };
+    let pin = PlannerCosts::pinned(SegmentMode::Sweep);
     let opts = match mode {
         // The Aer engine has one mode; it reads neither knob.
         "unfused" => select(PlannerCosts::pinned(SegmentMode::Unfused)),
-        "fused" => RunOptions { sweep_width: 0, ..select(PlannerCosts::pinned(SegmentMode::Sweep)) },
-        "sweep" => select(PlannerCosts::pinned(SegmentMode::Sweep)),
+        "fused" => RunOptions { sweep_width: 0, ..select(pin) },
         "planned" => select(PlannerCosts::host_reference()),
-        other => panic!("unknown mode {other}"),
+        width => RunOptions { fusion_width: width[1..].parse().expect("w<width>"), ..select(pin) },
     };
     let start = Instant::now();
-    let out: RunOutput<f64> = if mode == "unfused" {
+    let out: RunOutput<T> = if mode == "unfused" {
         AerCpuBackend.run(circ, &opts).expect("unfused run")
     } else {
         GpuDevice::a100_40gb().run(circ, &opts).expect("gpu run")
     };
     (start.elapsed().as_secs_f64(), out.stats)
+}
+
+/// Best-of-[`REPS`] seconds per mode (the unfused baseline: its one
+/// rep; NaN = not run) and the stats of the final rep, the modes
+/// interleaved rep by rep.
+fn measure<T: Scalar>(
+    circ: &qgear_ir::Circuit,
+    skip_unfused: bool,
+) -> ([f64; MODES.len()], [qgear_statevec::ExecStats; MODES.len()]) {
+    let mut best = [f64::NAN; MODES.len()];
+    let mut stats: [qgear_statevec::ExecStats; MODES.len()] = Default::default();
+    for rep in 0..REPS {
+        for (m, mode) in MODES.into_iter().enumerate() {
+            if mode == "unfused" && (skip_unfused || rep > 0) {
+                continue;
+            }
+            let (seconds, run_stats) = run_mode::<T>(circ, mode);
+            best[m] = seconds.min(best[m]);
+            stats[m] = run_stats;
+        }
+    }
+    (best, stats)
 }
 
 fn main() {
@@ -159,80 +200,78 @@ fn main() {
     };
 
     println!(
-        "{:>8} {:>3} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
-        "workload", "n", "mode", "gates", "kernels", "sweeps", "bytes", "wall-clock"
+        "{:>8} {:>3} {:>4} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
+        "workload", "n", "prec", "mode", "gates", "kernels", "sweeps", "bytes", "wall-clock"
     );
-    let mut qft_speedups: Vec<(u32, f64)> = Vec::new();
+    let mut qft_speedups: Vec<(u32, &'static str, f64)> = Vec::new();
     let mut planned_cells: Vec<PlannedCell> = Vec::new();
     for &n in &sizes {
         for name in workloads.iter().copied() {
             let circ = workload(name, n);
-            let reps = if n < 20 { 3 } else { 1 };
             let skip_unfused = (1u128 << n) * circ.len() as u128 > UNFUSED_COST_CAP;
-            // Best-of-`reps` seconds per mode (NaN = not run) plus the
-            // stats of the final rep.
-            let mut best = [f64::NAN; MODES.len()];
-            let mut stats: [qgear_statevec::ExecStats; MODES.len()] = Default::default();
-            for _ in 0..reps {
+            for precision in ["fp32", "fp64"] {
+                let (best, stats) = if precision == "fp32" {
+                    measure::<f32>(&circ, skip_unfused)
+                } else {
+                    measure::<f64>(&circ, skip_unfused)
+                };
                 for (m, mode) in MODES.into_iter().enumerate() {
-                    if mode == "unfused" && skip_unfused {
-                        continue;
-                    }
-                    let (seconds, run_stats) = run_mode(&circ, mode);
-                    best[m] = seconds.min(best[m]);
-                    stats[m] = run_stats;
+                    println!(
+                        "{:>8} {:>3} {:>4} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
+                        name,
+                        n,
+                        precision,
+                        mode,
+                        circ.len(),
+                        stats[m].kernels_launched,
+                        stats[m].sweeps_executed,
+                        stats[m].bytes_touched,
+                        human_time(best[m])
+                    );
                 }
-            }
-            for (m, mode) in MODES.into_iter().enumerate() {
-                println!(
-                    "{:>8} {:>3} {:>8} {:>9} {:>8} {:>8} {:>12} {:>12}",
-                    name,
-                    n,
-                    mode,
-                    circ.len(),
-                    stats[m].kernels_launched,
-                    stats[m].sweeps_executed,
-                    stats[m].bytes_touched,
-                    human_time(best[m])
-                );
-            }
-            let [unfused, fused, sweep, planned] = best;
-            if name == "qft" {
-                qft_speedups.push((n, fused / sweep));
-            }
-            // `total_cmp` orders NaN (a skipped unfused run) last.
-            let (best_pinned_mode, best_pinned_seconds) =
-                [("unfused", unfused), ("fused", fused), ("sweep", sweep)]
-                    .into_iter()
+                let pinned = &best[WIDTH_SERIES];
+                let w5 = pinned[pinned.len() - 1];
+                if name == "qft" {
+                    qft_speedups.push((n, precision, best[1] / w5));
+                }
+                let (w, best_pinned_seconds) = pinned
+                    .iter()
+                    .copied()
+                    .enumerate()
                     .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("three pinned modes");
-            planned_cells.push(PlannedCell {
-                workload: name,
-                num_qubits: n,
-                planned_seconds: planned,
-                best_pinned_seconds,
-                best_pinned_mode,
-            });
+                    .expect("four pinned widths");
+                planned_cells.push(PlannedCell {
+                    workload: name,
+                    num_qubits: n,
+                    precision,
+                    planned_seconds: best[MODES.len() - 1],
+                    best_pinned_seconds,
+                    best_pinned_mode: MODES[WIDTH_SERIES.start + w],
+                    w5_seconds: w5,
+                });
+            }
         }
     }
 
     if !qft_speedups.is_empty() {
-        println!("\nQFT sweep-fused speedup over plain fused:");
-        for (n, speedup) in &qft_speedups {
-            println!("  n={n:>2}: {speedup:.2}x");
+        println!("\nQFT sweep-fused speedup over plain fused (both at width 5):");
+        for (n, precision, speedup) in &qft_speedups {
+            println!("  n={n:>2} {precision}: {speedup:.2}x");
         }
     }
 
-    println!("\nplanned vs best pinned mode:");
+    println!("\nplanned vs best pinned width:");
     for c in &planned_cells {
         println!(
-            "  {:>8} n={:>2}: planned {} vs best pinned {} ({}) → ratio {:.2}{}",
+            "  {:>8} n={:>2} {}: planned {} vs best pinned {} ({}) → ratio {:.2}, {:.2} of w5{}",
             c.workload,
             c.num_qubits,
+            c.precision,
             human_time(c.planned_seconds),
             human_time(c.best_pinned_seconds),
             c.best_pinned_mode,
             c.ratio(),
+            c.planned_seconds / c.w5_seconds,
             if c.gated() { "" } else { "  (under the 10 ms gate floor)" }
         );
     }
@@ -240,9 +279,9 @@ fn main() {
     if args.iter().any(|a| a == "--enforce-planned") {
         let lost = losers(&planned_cells, TOLERANCE);
         if !lost.is_empty() {
-            eprintln!("planned-mode regression: over {TOLERANCE}x the best pinned mode on:");
+            eprintln!("planned-mode regression: over {TOLERANCE}x the best pinned width on:");
             for c in lost {
-                eprintln!("  {} n={}: ratio {:.2}", c.workload, c.num_qubits, c.ratio());
+                eprintln!("  {} n={} {}: ratio {:.2}", c.workload, c.num_qubits, c.precision, c.ratio());
             }
             std::process::exit(1);
         }
@@ -264,9 +303,11 @@ mod tests {
         PlannedCell {
             workload: "qft",
             num_qubits: 16,
+            precision: "fp64",
             planned_seconds: planned_ms / 1e3,
             best_pinned_seconds: best_pinned_ms / 1e3,
-            best_pinned_mode: "sweep",
+            best_pinned_mode: "w5",
+            w5_seconds: best_pinned_ms / 1e3,
         }
     }
 

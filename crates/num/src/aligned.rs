@@ -21,6 +21,10 @@ struct CacheLine([u8; 64]);
 /// The alignment (in bytes) guaranteed by [`AlignedVec`].
 pub const CACHE_LINE_BYTES: usize = 64;
 
+/// Cache lines in a 4 KiB page: the most [`AlignedVec::extend`] zeroes
+/// ahead of what it writes.
+const PAGE_LINES: usize = 4096 / CACHE_LINE_BYTES;
+
 /// A fixed-length, 64-byte-aligned array of `Copy` elements.
 ///
 /// Semantically a `Box<[T]>` whose base pointer is cache-line aligned.
@@ -47,6 +51,37 @@ impl<T: Copy> AlignedVec<T> {
             *slot = fill;
         }
         v
+    }
+
+    /// An empty array with room for `len` elements, which
+    /// [`Self::extend`] fills without moving it.
+    pub fn with_capacity(len: usize) -> Self {
+        let lines = (len * std::mem::size_of::<T>()).div_ceil(CACHE_LINE_BYTES);
+        Self { lines: Vec::with_capacity(lines), len: 0, _marker: std::marker::PhantomData }
+    }
+
+    /// Append `items`. The storage grows by at most a page of cache lines
+    /// at a time, zeroed and then overwritten while it is still in cache,
+    /// so memory sees each line written once — not zero-filled across the
+    /// whole array first and overwritten in a second pass.
+    pub fn extend(&mut self, items: impl IntoIterator<Item = T>) {
+        let size = std::mem::size_of::<T>();
+        assert!(size > 0 && std::mem::align_of::<T>() <= CACHE_LINE_BYTES);
+        let mut items = items.into_iter().peekable();
+        while items.peek().is_some() {
+            let room = self.lines.len() * CACHE_LINE_BYTES / size - self.len;
+            if room == 0 {
+                let want = (items.size_hint().0 * size).div_ceil(CACHE_LINE_BYTES);
+                let grown = self.lines.len() + want.clamp(1, PAGE_LINES);
+                self.lines.resize(grown, CacheLine([0u8; 64]));
+                continue;
+            }
+            let start = self.len;
+            self.len += room;
+            let slots = self.as_mut_slice()[start..].iter_mut();
+            let written = slots.zip(&mut items).map(|(slot, item)| *slot = item).count();
+            self.len = start + written;
+        }
     }
 
     /// Copy an existing slice into freshly aligned storage.
@@ -163,6 +198,22 @@ mod tests {
         let src: Vec<C64> = (0..13).map(|i| Complex::new(i as f64, -(i as f64))).collect();
         let v = AlignedVec::from_slice(&src);
         assert_eq!(v.to_vec(), src);
+    }
+
+    #[test]
+    fn extend_in_pieces_is_from_slice() {
+        let src: Vec<C32> = (0..1000).map(|i| Complex::new(i as f32, 0.5)).collect();
+        let mut v = AlignedVec::with_capacity(src.len());
+        for piece in src.chunks(37) {
+            v.extend(piece.iter().copied());
+        }
+        assert_eq!(v, AlignedVec::from_slice(&src));
+        assert_eq!(v.as_slice().as_ptr() as usize % CACHE_LINE_BYTES, 0);
+        // Past the capacity it still grows, and an empty extend adds nothing.
+        v.extend(std::iter::empty());
+        v.extend([C32::ZERO; 3]);
+        assert_eq!(v.len(), 1003);
+        assert_eq!(&v[..1000], &src[..]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use qgear_num::Scalar;
 use qgear_perfmodel::memory::{plan_shard_count, state_bytes};
 use qgear_statevec::backend::sample_from_probs;
 use qgear_statevec::sampling::SamplingConfig;
-use qgear_statevec::{Counts, ExecStats, GpuDevice, RunOptions, SimError, Stepper};
+use qgear_statevec::{Counts, ExecStats, GpuDevice, PlannerCosts, RunOptions, SimError, Stepper};
 use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use qgear_telemetry::names::{self, spans};
 use qgear_telemetry::{counter_add, counter_inc, histogram_record, span};
@@ -311,6 +311,12 @@ impl Service {
 
         // The one walk of the gate stream is taken before the lock, which
         // workers block on; the result key is derived from the state key.
+        // The keys need no plan words: a dense job's priced plan, the
+        // kernel widths it narrows to included, is a pure function of the
+        // canonical circuit, the precision and the fusion width under the
+        // planner's compile-time cost constants, and the engine (which
+        // picks the shard group's `Sweep` pin instead) is a function of
+        // the width and precision.
         let state_key = CircuitKey::state_key(&canonical, &spec, self.shared.cfg.fusion_width);
         let key = state_key.sampled(&spec, engine);
         let submitted_at = self.shared.cfg.clock.now();
@@ -853,7 +859,10 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// The execution options every attempt of a job runs with — one
 /// construction point, because the checkpoint plan fingerprint covers
 /// these knobs: a dispatch that rebuilt them differently could not
-/// resume its predecessor's generations.
+/// resume its predecessor's generations. A dense job runs the priced
+/// plan, which narrows the compute-bound kernels of a large register
+/// and is the `Sweep` pin's plan below the crossover
+/// (`qgear_statevec::planner`).
 fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     RunOptions {
         shots: job.spec.shots,
@@ -862,6 +871,7 @@ fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
         sweep_width: cfg.sweep_width,
         keep_state: false,
         memory_limit: Some(cfg.backend.memory_bytes()),
+        planner_costs: PlannerCosts::host_reference(),
         ..RunOptions::default()
     }
 }

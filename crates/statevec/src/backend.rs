@@ -78,12 +78,15 @@ pub struct RunOptions {
     /// Set to 40 GB to reproduce the single-A100 limit, 460 GB for the
     /// CPU-node limit.
     pub memory_limit: Option<u128>,
-    /// The execution-mode selector of the simulated-GPU engines, and
-    /// the cost constants a priced plan ranks modes with (see
-    /// [`crate::planner`]). The default pins every segment to
-    /// [`SegmentMode::Sweep`](crate::planner::SegmentMode) — the
-    /// sweep-scheduled engine; [`PlannerCosts::host_reference`] (or
-    /// [`PlannerCosts::calibrated`] output) prices each segment instead.
+    /// The plan selector of the simulated-GPU engines (see
+    /// [`crate::planner`], whose own constants price a width). The
+    /// default pins
+    /// [`SegmentMode::Sweep`](crate::planner::SegmentMode): every kernel
+    /// fused at `fusion_width`. [`PlannerCosts::host_reference`] — what
+    /// the serving layer runs a dense job with — re-fuses the
+    /// compute-bound kernels of a register above the crossover narrower
+    /// where the model prices that cheaper, and is the pin's plan below
+    /// it.
     ///
     /// ```
     /// use qgear_statevec::{GpuDevice, PlannerCosts, RunOptions, RunOutput, Simulator};
@@ -95,7 +98,6 @@ pub struct RunOptions {
     /// ```
     ///
     /// [`PlannerCosts::host_reference`]: crate::planner::PlannerCosts::host_reference
-    /// [`PlannerCosts::calibrated`]: crate::planner::PlannerCosts::calibrated
     pub planner_costs: crate::planner::PlannerCosts,
 }
 

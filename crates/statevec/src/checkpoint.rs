@@ -42,7 +42,7 @@ use qgear_hdf5lite::format::{
 };
 use qgear_hdf5lite::{Compression, Dtype, H5Error};
 use qgear_ir::Circuit;
-use qgear_num::{Complex, Scalar};
+use qgear_num::{AlignedVec, Complex, Scalar};
 use std::fmt;
 
 /// Leading magic of every checkpoint.
@@ -519,18 +519,18 @@ pub fn decode<T: Scalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, CheckpointE
         SamplingConfig { shots: r.u64(), seed: r.u64(), reserved: r.u64() };
 
     // The container is verified whole before the first chunk arrives,
-    // so the state is sized by a length its bytes are known to fill.
+    // so the state is sized by a length its bytes are known to fill, and
+    // each chunk is converted straight into it: no zero fill to
+    // overwrite.
     let width = T::BYTES;
     let expected = 2u64 << num_qubits;
-    let mut amplitudes: Option<StateVector<T>> = None;
-    let mut filled = 0;
+    let mut amplitudes: Option<AlignedVec<Complex<T>>> = None;
     let read = read_dataset_with(state, AMPLITUDE_DATASET, dtype::<T>(), &[expected], |chunk| {
-        let amps = amplitudes.get_or_insert_with(|| StateVector::zero(num_qubits)).amplitudes_mut();
-        for (amp, src) in amps[filled..].iter_mut().zip(chunk.chunks_exact(2 * width)) {
+        let amps = amplitudes.get_or_insert_with(|| AlignedVec::with_capacity(1 << num_qubits));
+        amps.extend(chunk.chunks_exact(2 * width).map(|src| {
             let (re, im) = src.split_at(width);
-            *amp = Complex::new(T::read_le(re), T::read_le(im));
-        }
-        filled += chunk.len() / (2 * width);
+            Complex::new(T::read_le(re), T::read_le(im))
+        }));
     });
     match read {
         Ok(()) => {}
@@ -539,7 +539,11 @@ pub fn decode<T: Scalar>(bytes: &[u8]) -> Result<StateCheckpoint<T>, CheckpointE
         }
         Err(e) => return Err(CheckpointError::Container(e.to_string())),
     }
-    let state = amplitudes.ok_or(CheckpointError::Malformed("empty amplitude dataset"))?;
+    let amps = amplitudes.ok_or(CheckpointError::Malformed("empty amplitude dataset"))?;
+    if amps.len() as u64 != expected / 2 {
+        return Err(CheckpointError::AmplitudeMismatch { expected, found: 2 * amps.len() as u64 });
+    }
+    let state = StateVector::from_aligned(amps);
 
     Ok(StateCheckpoint { num_qubits, cursor, steps_total, fingerprint, counters, sampling, state })
 }

@@ -15,14 +15,15 @@
 //!
 //! Every run of either engine walks one [`planner::ExecutionPlan`]: the
 //! baseline's is the per-gate plan, which the `Unfused` pin also selects
-//! on the simulated GPU. No
-//! single execution mode wins everywhere — a fully mixed width-5 kernel
-//! spends 32 mul-adds per amplitude on the handful of gates it absorbed —
-//! so the plan's one selector ([`PlannerCosts::force_mode`]) either pins
-//! every segment to a mode (the default pins sweeps) or prices unfused
-//! and sweep execution per scheduled segment against a cost model and
-//! runs each in the cheaper mode. See
-//! `docs/PIPELINE.md` § 4 for the model and decision procedure.
+//! on the simulated GPU; the simulated GPU's is a schedule of sweeps
+//! over fused kernels. No single fusion width wins everywhere — a fully
+//! mixed width-5 kernel spends 32 mul-adds per amplitude on the handful
+//! of gates it absorbed, while a QCrank ladder needs width 5 — so the
+//! plan's one selector ([`PlannerCosts::force_mode`]) either pins every
+//! kernel to the fusion width (the default) or prices each compute-bound
+//! kernel's width against a cost model and re-fuses it narrower where
+//! that is cheaper. See `docs/PIPELINE.md` § 4 for the model and the
+//! crossover.
 //!
 //! Both walkers of that plan — [`SegmentedRun`] here, the cluster
 //! crate's `ShardedRun` over a partitioned state — keep one contract,
@@ -57,8 +58,8 @@
 //! assert!(a.fidelity(&g) > 1.0 - 1e-12);
 //! assert!(gpu.stats.kernels_launched < aer.stats.kernels_launched);
 //!
-//! // A priced plan picks the cheapest mode per segment instead of one
-//! // pinned mode — same physics, never the worst-case path.
+//! // A priced plan prices each kernel's fusion width instead of pinning
+//! // it — same physics (on three qubits, the pin's plan).
 //! let priced = RunOptions { planner_costs: PlannerCosts::host_reference(), ..opts };
 //! let priced: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &priced).unwrap();
 //! assert!(priced.state.unwrap().fidelity(&g) > 1.0 - 1e-12);

@@ -530,12 +530,11 @@ mod tests {
             "an Unfused pin resumed a Sweep pin's cursor"
         );
 
-        // Costs under which every segment prices cheapest as `Sweep`
-        // (ruinous per-gate loops): the same decisions, so the same
-        // plan, however it was selected.
-        let all_sweep = PlannerCosts { gate_amps_per_sec: 1.0, ..PlannerCosts::host_reference() };
-        let mut resumed = SegmentedRun::resume(&dev, &c, &with(all_sweep), ck).unwrap();
-        assert!(resumed.plan.segments.iter().all(|s| s.predicted.is_some()));
+        // The priced selector on a register below the crossover: the
+        // pin's decisions, so the pin's plan, however it was selected.
+        let priced = with(PlannerCosts::host_reference());
+        let mut resumed = SegmentedRun::resume(&dev, &c, &priced, ck).unwrap();
+        assert!(resumed.plan.segments.iter().all(|s| s.predicted().is_none()));
         let Ok(()) = resumed.advance(usize::MAX);
         let Ok(()) = run.advance(usize::MAX);
         assert_eq!(bits(run.state()), bits(resumed.state()));

@@ -32,6 +32,13 @@ impl<T: Scalar> StateVector<T> {
         StateVector { num_qubits, amps: AlignedVec::from_slice(&amps) }
     }
 
+    /// Adopt amplitudes already in aligned storage (length must be a
+    /// power of two).
+    pub(crate) fn from_aligned(amps: AlignedVec<Complex<T>>) -> Self {
+        assert!(amps.len().is_power_of_two(), "amplitude count must be 2^n");
+        StateVector { num_qubits: amps.len().trailing_zeros(), amps }
+    }
+
     /// Register width.
     pub fn num_qubits(&self) -> u32 {
         self.num_qubits

@@ -12,10 +12,12 @@ pub const GATES_APPLIED: &str = "gates.applied";
 /// Dense fused kernels launched by the simulated-GPU engine.
 pub const KERNELS_LAUNCHED: &str = "kernels.launched";
 
-/// Fused blocks produced by the fusion pass.
+/// Fused blocks produced by the fusion pass — every pass, so a priced
+/// plan's re-fusions of its compute-bound runs count too.
 pub const FUSED_BLOCKS: &str = "fusion.blocks";
 
-/// Source gates consumed by the fusion pass (pre-fusion count).
+/// Source gates consumed by the fusion pass (pre-fusion count), a
+/// priced plan's re-fusions included.
 pub const FUSION_SOURCE_GATES: &str = "fusion.source_gates";
 
 /// State-vector amplitudes read or written by kernels.
@@ -88,7 +90,9 @@ pub const SERVE_LATENCY_MS: &str = "serve.latency_ms";
 /// Histogram of time spent waiting in the admission queue, milliseconds.
 pub const SERVE_QUEUE_WAIT_MS: &str = "serve.queue_wait_ms";
 
-/// Sweeps produced by the commutation-aware scheduler (`qgear-ir`).
+/// Sweeps produced by the commutation-aware scheduler (`qgear-ir`) —
+/// every call, so the schedules a priced plan prices its candidate
+/// kernel sets with count too.
 pub const SWEEPS_SCHEDULED: &str = "sweeps.scheduled";
 
 /// Kernels the scheduler moved into an earlier sweep past commuting
@@ -150,20 +154,14 @@ pub const PLANNER_MODE_UNFUSED: &str = "planner.mode_chosen.unfused";
 /// Executed segments that ran as one cache-blocked sweep pass.
 pub const PLANNER_MODE_SWEEP: &str = "planner.mode_chosen.sweep";
 
-/// Histogram of the predicted cost (µs of the chosen mode) of each
-/// executed *priced* segment; a pinned segment has no prediction.
+/// Histogram of the predicted cost (µs) of each executed *priced*
+/// segment; a pinned segment, and a priced plan below the crossover,
+/// has no prediction.
 pub const PLANNER_PREDICTED_US: &str = "planner.predicted_us";
 
 /// Histogram of measured execution time (µs) of each executed priced
 /// segment — compare against `planner.predicted_us` to audit the model.
 pub const PLANNER_ACTUAL_US: &str = "planner.actual_us";
-
-/// Histograms of actual/predicted cost ratio per executed priced
-/// segment, split by chosen mode (never fed by pinned runs). `PlannerCosts::calibrated` folds the means back into
-/// the cost constants (>1 ⇒ the model was optimistic for that mode).
-pub const PLANNER_RATIO_UNFUSED: &str = "planner.cost_ratio.unfused";
-/// See [`PLANNER_RATIO_UNFUSED`].
-pub const PLANNER_RATIO_SWEEP: &str = "planner.cost_ratio.sweep";
 
 /// Kernel launches that ran on the SIMD lane path in fp64 (4 complex
 /// amplitudes per `f64x4` lane vector).

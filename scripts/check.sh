@@ -115,11 +115,11 @@ RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q --test differential simd
 
-# The smoke grid (n = 16) runs all four series (unfused/fused/sweep/
-# planned), interleaved rep by rep; --enforce-planned fails the gate if
-# the priced plan loses to the best pinned series by more than the
-# bin's one relative tolerance on any cell of at least 10 ms
-# (docs/PIPELINE.md § 4). Prints only.
+# The smoke grid (n = 16) runs all seven series (unfused/fused/the
+# Sweep pin at widths 2-5/planned) at both precisions, interleaved rep
+# by rep; --enforce-planned fails the gate if the priced plan loses to
+# the best pinned width by more than the bin's one relative tolerance
+# on any cell of at least 10 ms (docs/PIPELINE.md § 4). Prints only.
 echo "==> hotpath smoke (per-mode kernels + planner gate)"
 cargo run --release -p qgear-bench --bin hotpath -- --smoke --enforce-planned
 

@@ -1382,3 +1382,125 @@ fn the_benchmark_circuits_keep_their_kernel_shapes() {
         assert_eq!(program.blocks.iter().map(|b| b.source_gates).collect::<Vec<_>>(), gates, "{name}");
     }
 }
+
+/// The serving shapes sit below the crossover: `serve_small`'s 10-qubit
+/// rotation ladder and `serve_mixed`'s qft-13, random-14 and QCrank
+/// 8 + 4, transpiled as the service runs them, plan under the priced
+/// selector exactly as under the `Sweep` pin — the same blocks,
+/// segments and digest, at both precisions — so their kernel counts,
+/// counts and checkpoint fingerprints stay where the pin put them.
+#[test]
+fn below_the_crossover_the_priced_plan_is_the_sweep_pin() {
+    let mut ladder = Circuit::new(10);
+    for layer in 0..4 {
+        for q in 0..10 {
+            ladder.h(q).ry(0.2 + 0.1 * f64::from(q + layer), q);
+        }
+        for q in 0..9 {
+            ladder.cx(q, q + 1);
+        }
+    }
+    ladder.measure_all();
+    let mut shapes = vec![("ladder-10", ladder)];
+    shapes.extend(benchmark_shapes().into_iter().filter(|(_, c)| c.num_qubits() <= 14));
+    assert_eq!(shapes.len(), 4);
+    let pin = PlannerCosts::pinned(SegmentMode::Sweep);
+    for (name, c) in shapes {
+        let (native, _) = transpile::decompose_to_native(&c);
+        for amp_bytes in [8, 16] {
+            let plan = |costs: &PlannerCosts| {
+                qgear_statevec::plan(&native, fusion::DEFAULT_FUSION_WIDTH, schedule::DEFAULT_SWEEP_WIDTH, true, costs, amp_bytes)
+                    .expect("plannable")
+            };
+            let (priced, pinned) = (plan(&PlannerCosts::host_reference()), plan(&pin));
+            assert_eq!(priced.blocks, pinned.blocks, "{name}, {amp_bytes} B");
+            assert_eq!(priced.segments, pinned.segments, "{name}, {amp_bytes} B");
+            assert_eq!(priced.digest, pinned.digest, "{name}, {amp_bytes} B");
+        }
+    }
+}
+
+/// Above the crossover the priced plan re-fuses compute-bound kernels
+/// narrower, and what it runs is still the circuit: random, QFT and
+/// QCrank at 16 to 18 qubits track the reference within round-off at
+/// both precisions; resume at every segment boundary of a narrowed plan
+/// is bit-identical to its straight-through run; a generation written
+/// under the width-5 pin refuses to resume under it; and planning is a
+/// function of its inputs.
+#[test]
+fn narrowed_plans_are_sound() {
+    let random = |n: u32, blocks: usize| {
+        generate_random_gate_list(&RandomCircuitSpec { num_qubits: n, num_blocks: blocks, seed: 3, measure: false })
+    };
+    let qft = |n: u32| {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.ry(0.3 + 0.17 * f64::from(q), q);
+        }
+        c.compose(&qft_circuit(n, &QftOptions::default())).expect("same width");
+        transpile::decompose_to_native(&c).0
+    };
+    let priced = selected(PlannerCosts::host_reference());
+    let pin = selected(PlannerCosts::pinned(SegmentMode::Sweep));
+    let narrowed = |c: &Circuit, amp_bytes: usize| {
+        let plan = |o: &RunOptions| {
+            qgear_statevec::plan(c, o.fusion_width, o.sweep_width, o.sweep_reorder, &o.planner_costs, amp_bytes)
+                .expect("plannable")
+        };
+        let (a, b) = (plan(&priced), plan(&priced));
+        assert_eq!((&a.blocks, &a.segments, a.digest), (&b.blocks, &b.segments, b.digest), "deterministic");
+        a.digest != plan(&pin).digest
+    };
+
+    let mut cases: Vec<(String, Circuit, Vec<Complex<f64>>)> = Vec::new();
+    for n in [16, 18] {
+        let c = random(n, 40);
+        let expect = reference::run(&c);
+        cases.push((format!("random-{n}"), c, expect));
+    }
+    for n in [16, 17] {
+        let c = qft(n);
+        let expect = reference::run(&c);
+        cases.push((format!("qft-{n}"), c, expect));
+    }
+    for data in [8, 10] {
+        let c = qcrank(8, data, 5).split_measurements().0;
+        cases.push((format!("qcrank-8+{data}"), c, qcrank_state(8, &qcrank_values(8, data, 5))));
+    }
+    for (name, c, expect) in &cases {
+        for amp_bytes in [8, 16] {
+            assert!(narrowed(c, amp_bytes), "{name}, {amp_bytes} B: nothing narrowed");
+        }
+        let run64: RunOutput<f64> = GpuDevice::a100_40gb().run(c, &priced).expect("fp64");
+        let dev = max_deviation(run64.state.expect("state").amplitudes(), expect);
+        assert!(dev < 1e-10, "{name} fp64: {dev:e}");
+        let run32: RunOutput<f32> = GpuDevice::a100_40gb().run(c, &priced).expect("fp32");
+        let got: Vec<Complex<f64>> = run32.state.expect("state").amplitudes().iter().map(|a| a.cast()).collect();
+        let dev = max_deviation(&got, expect);
+        assert!(dev < 1e-4, "{name} fp32: {dev:e}");
+    }
+
+    // Resume at every boundary of a narrowed plan, through the codec.
+    let mut c = random(16, 12);
+    c.measure_all();
+    let opts = RunOptions { shots: 256, seed: 41, ..priced.clone() };
+    assert!(narrowed(&c.split_measurements().0, 16));
+    let straight: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &opts).expect("straight run");
+    let steps = SegmentedRun::<f64>::new(&GpuDevice::a100_40gb(), &c, &opts).expect("plan").steps_total();
+    assert!(steps >= 3, "{steps} steps");
+    for k in 0..=steps {
+        let resumed = interrupted_at::<f64>(&c, &opts, k, usize::MAX);
+        assert_bits_eq_f64(
+            straight.state.as_ref().expect("state").amplitudes(),
+            resumed.state.as_ref().expect("state").amplitudes(),
+            &format!("resumed at {k}"),
+        );
+        assert_eq!(straight.counts.as_ref().unwrap().map, resumed.counts.unwrap().map, "counts at {k}");
+    }
+
+    // A generation written under the width-5 pin is another plan's.
+    let mut pinned = SegmentedRun::<f64>::new(&GpuDevice::a100_40gb(), &c, &pin).expect("plan");
+    let Ok(()) = pinned.advance(1);
+    let refused = SegmentedRun::<f64>::resume(&GpuDevice::a100_40gb(), &c, &opts, pinned.checkpoint());
+    assert!(matches!(refused, Err(qgear_statevec::CheckpointError::PlanMismatch { .. })));
+}
