@@ -51,11 +51,17 @@ pub trait CLanes<T: Scalar>: Copy + Send + Sync {
     fn load(src: &[Complex<T>], at: usize) -> Self;
     /// Store the lanes to `dst[at..at + LANES]`.
     fn store(self, dst: &mut [Complex<T>], at: usize);
-    /// Fill lane `l` with `f(l)` — the gather constructor used by the
-    /// diagonal kernels' table lookups.
-    fn from_fn(f: impl FnMut(usize) -> Complex<T>) -> Self;
-    /// The value in lane `l` — the scatter counterpart of [`Self::from_fn`].
-    fn lane(self, l: usize) -> Complex<T>;
+    /// Exchange lane bit `bit` with the pair index: the first output takes
+    /// the lanes of both inputs that have `bit` clear, the second those
+    /// that have it set, each in lane order with `self`'s before
+    /// `other`'s. Lane `l` of the first output is lane `l` of `self` where
+    /// `l` has `bit` clear and lane `l ^ (1 << bit)` of `other` where it
+    /// is set, and the second output is the mirror. Two vectors loaded
+    /// from addresses that differ in one bit `h` come out split on address
+    /// bit `bit` instead, their lane bit `bit` now standing for `h`; the
+    /// operation is its own inverse, so the same call merges them back.
+    /// Pure data movement, one shuffle network per bit.
+    fn split(self, other: Self, bit: usize) -> (Self, Self);
     /// Lane-wise complex multiply, each lane computed by the exact
     /// `Complex::mul` formula.
     fn mul(self, rhs: Self) -> Self;
@@ -69,15 +75,16 @@ pub trait CLanes<T: Scalar>: Copy + Send + Sync {
 /// `load` splits the interleaved `(re, im)` pairs with one shuffle per
 /// register and leaves the lanes in the order that shuffle produces —
 /// not memory order — and `store` is its exact inverse. Every operation
-/// is lane-wise, and `from_fn` / `lane` go through `load` / `store` on a
-/// local array, so the register order is never observable: lane `l` is
-/// amplitude `at + l` to every caller.
+/// is lane-wise, and `split` takes, for each memory lane bit, the shuffle pair of the
+/// register bit that lane bit landed on, so the register order is never
+/// observable: lane `l` is amplitude `at + l` to every caller.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
 macro_rules! impl_clanes_avx {
     ($cname:ident, $t:ty, $lanes:expr, $label:expr, $v:ty {
         set1: $set1:path, loadu: $loadu:path, storeu: $storeu:path, mul: $mulv:path,
         fmadd: $fmadd:path, fnmadd: $fnmadd:path, fmsub: $fmsub:path,
-        re_of: $re_of:expr, im_of: $im_of:expr, lo: $lo:path, hi: $hi:path $(,)?
+        re_of: $re_of:expr, im_of: $im_of:expr, lo: $lo:path, hi: $hi:path,
+        split: { $($bit:literal => $split_lo:expr, $split_hi:expr;)+ } $(,)?
     }) => {
         #[doc = concat!("Lane vector of complex `", stringify!($t), "` values (`", $label, "`): one AVX register of re parts, one of im parts.")]
         #[derive(Debug, Clone, Copy)]
@@ -125,19 +132,20 @@ macro_rules! impl_clanes_avx {
             }
 
             #[inline(always)]
-            fn from_fn(mut f: impl FnMut(usize) -> Complex<$t>) -> Self {
-                let mut vals = [Complex::<$t>::ZERO; $lanes];
-                for (l, v) in vals.iter_mut().enumerate() {
-                    *v = f(l);
+            fn split(self, other: Self, bit: usize) -> (Self, Self) {
+                // SAFETY: register-only intrinsics on an AVX2 + FMA target.
+                unsafe {
+                    match bit {
+                        $($bit => {
+                            let (lo, hi) = ($split_lo, $split_hi);
+                            (
+                                Self { re: lo(self.re, other.re), im: lo(self.im, other.im) },
+                                Self { re: hi(self.re, other.re), im: hi(self.im, other.im) },
+                            )
+                        })+
+                        _ => panic!("no lane bit {bit} in {} lanes", $lanes),
+                    }
                 }
-                Self::load(&vals, 0)
-            }
-
-            #[inline(always)]
-            fn lane(self, l: usize) -> Complex<$t> {
-                let mut vals = [Complex::<$t>::ZERO; $lanes];
-                self.store(&mut vals, 0);
-                vals[l]
             }
 
             #[inline(always)]
@@ -177,19 +185,35 @@ mod avx {
     use crate::complex::Complex;
     use std::arch::x86_64::*;
 
-    // `[r0 i0 r1 i1 | r2 i2 r3 i3]`, `[r4 .. | ..]` → re `[r0 r1 r4 r5 | r2 r3 r6 r7]`.
+    // `[r0 i0 r1 i1 | r2 i2 r3 i3]`, `[r4 .. | ..]` → re `[r0 r1 r4 r5 | r2 r3 r6 r7]`:
+    // memory lane bits 0, 1, 2 sit at register bits 0, 2, 1.
     impl_clanes_avx!(C32x8, f32, 8, "f32x8", __m256 {
         set1: _mm256_set1_ps, loadu: _mm256_loadu_ps, storeu: _mm256_storeu_ps, mul: _mm256_mul_ps,
         fmadd: _mm256_fmadd_ps, fnmadd: _mm256_fnmadd_ps, fmsub: _mm256_fmsub_ps,
         re_of: _mm256_shuffle_ps::<0b10_00_10_00>, im_of: _mm256_shuffle_ps::<0b11_01_11_01>,
         lo: _mm256_unpacklo_ps, hi: _mm256_unpackhi_ps,
+        split: {
+            // Adjacent elements: `[x0 y0 x2 y2 ..]`, `[x1 y1 x3 y3 ..]`.
+            0 => |x, y| _mm256_blend_ps::<0b1010_1010>(x, _mm256_moveldup_ps(y)),
+                 |x, y| _mm256_blend_ps::<0b1010_1010>(_mm256_movehdup_ps(x), y);
+            // 128-bit halves.
+            1 => |x, y| _mm256_permute2f128_ps::<0x20>(x, y), |x, y| _mm256_permute2f128_ps::<0x31>(x, y);
+            // Element pairs, as 64-bit elements.
+            2 => |x, y| _mm256_castpd_ps(_mm256_unpacklo_pd(_mm256_castps_pd(x), _mm256_castps_pd(y))),
+                 |x, y| _mm256_castpd_ps(_mm256_unpackhi_pd(_mm256_castps_pd(x), _mm256_castps_pd(y)));
+        },
     });
-    // `[r0 i0 r1 i1]`, `[r2 i2 r3 i3]` → re `[r0 r2 r1 r3]`.
+    // `[r0 i0 r1 i1]`, `[r2 i2 r3 i3]` → re `[r0 r2 r1 r3]`: memory lane
+    // bits 0, 1 sit at register bits 1, 0.
     impl_clanes_avx!(C64x4, f64, 4, "f64x4", __m256d {
         set1: _mm256_set1_pd, loadu: _mm256_loadu_pd, storeu: _mm256_storeu_pd, mul: _mm256_mul_pd,
         fmadd: _mm256_fmadd_pd, fnmadd: _mm256_fnmadd_pd, fmsub: _mm256_fmsub_pd,
         re_of: _mm256_unpacklo_pd, im_of: _mm256_unpackhi_pd,
         lo: _mm256_unpacklo_pd, hi: _mm256_unpackhi_pd,
+        split: {
+            0 => |x, y| _mm256_permute2f128_pd::<0x20>(x, y), |x, y| _mm256_permute2f128_pd::<0x31>(x, y);
+            1 => |x, y| _mm256_unpacklo_pd(x, y), |x, y| _mm256_unpackhi_pd(x, y);
+        },
     });
 }
 
@@ -241,20 +265,15 @@ macro_rules! impl_clanes {
             }
 
             #[inline(always)]
-            fn from_fn(mut f: impl FnMut(usize) -> Complex<$t>) -> Self {
-                let mut re = [0.0; $lanes];
-                let mut im = [0.0; $lanes];
-                for l in 0..$lanes {
-                    let v = f(l);
-                    re[l] = v.re;
-                    im[l] = v.im;
+            fn split(self, other: Self, bit: usize) -> (Self, Self) {
+                let b = 1usize << bit;
+                assert!(b < $lanes, "no lane bit {bit} in {} lanes", $lanes);
+                let (mut lo, mut hi) = (self, other);
+                for l in (0..$lanes).filter(|l| l & b == 0) {
+                    (lo.re[l | b], lo.im[l | b]) = (other.re[l], other.im[l]);
+                    (hi.re[l], hi.im[l]) = (self.re[l | b], self.im[l | b]);
                 }
-                Self { re, im }
-            }
-
-            #[inline(always)]
-            fn lane(self, l: usize) -> Complex<$t> {
-                Complex::new(self.re[l], self.im[l])
+                (lo, hi)
             }
 
             #[inline(always)]
@@ -391,26 +410,43 @@ mod tests {
         }
     }
 
-    fn from_fn_and_lane_agree_with_memory_order<T: Scalar>() {
-        let src = operands::<T>(4);
-        for at in (0..src.len()).step_by(T::LANES) {
-            let built = T::Lanes::from_fn(|l| src[at + l]);
-            let loaded = T::Lanes::load(&src, at);
-            let mut stored = vec![Complex::<T>::ZERO; T::LANES];
-            built.store(&mut stored, 0);
-            for l in 0..T::LANES {
-                assert_bits(built.lane(l), src[at + l], "from_fn/lane", at + l);
-                assert_bits(loaded.lane(l), src[at + l], "load/lane", at + l);
-                assert_bits(stored[l], src[at + l], "from_fn/store", at + l);
-            }
-        }
+    /// The lanes of `v` in memory order.
+    fn lanes_of<T: Scalar>(v: T::Lanes) -> Vec<Complex<T>> {
+        let mut out = vec![Complex::<T>::ZERO; T::LANES];
+        v.store(&mut out, 0);
+        out
     }
 
     fn splat_fills_every_lane<T: Scalar>() {
         for v in operands::<T>(6).into_iter().take(40) {
-            let s = T::Lanes::splat(v);
-            for l in 0..T::LANES {
-                assert_bits(s.lane(l), v, "splat", l);
+            for (l, got) in lanes_of::<T>(T::Lanes::splat(v)).into_iter().enumerate() {
+                assert_bits(got, v, "splat", l);
+            }
+        }
+    }
+
+    /// `split` on every lane bit is the transposition its doc states, lane
+    /// for lane in memory order, and undoes itself.
+    fn split_exchanges_one_lane_bit<T: Scalar>() {
+        let src = operands::<T>(8);
+        for at in (0..src.len() - T::LANES).step_by(2 * T::LANES) {
+            let (x, y) = (T::Lanes::load(&src, at), T::Lanes::load(&src, at + T::LANES));
+            for bit in 0..T::LANES.trailing_zeros() as usize {
+                let b = 1usize << bit;
+                let (lo, hi) = x.split(y, bit);
+                let (lo_lanes, hi_lanes) = (lanes_of::<T>(lo), lanes_of::<T>(hi));
+                for l in 0..T::LANES {
+                    let (from_lo, from_hi) =
+                        if l & b == 0 { (at + l, at + (l | b)) } else { (at + T::LANES + (l ^ b), at + T::LANES + l) };
+                    assert_bits(lo_lanes[l], src[from_lo], "split lo", l);
+                    assert_bits(hi_lanes[l], src[from_hi], "split hi", l);
+                }
+                let (x2, y2) = lo.split(hi, bit);
+                let (x_lanes, y_lanes) = (lanes_of::<T>(x2), lanes_of::<T>(y2));
+                for l in 0..T::LANES {
+                    assert_bits(x_lanes[l], src[at + l], "split twice", l);
+                    assert_bits(y_lanes[l], src[at + T::LANES + l], "split twice", l);
+                }
             }
         }
     }
@@ -446,13 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_and_lane_keep_memory_order_f64() {
-        from_fn_and_lane_agree_with_memory_order::<f64>();
+    fn split_exchanges_one_lane_bit_f64() {
+        split_exchanges_one_lane_bit::<f64>();
     }
 
     #[test]
-    fn from_fn_and_lane_keep_memory_order_f32() {
-        from_fn_and_lane_agree_with_memory_order::<f32>();
+    fn split_exchanges_one_lane_bit_f32() {
+        split_exchanges_one_lane_bit::<f32>();
     }
 
     #[test]

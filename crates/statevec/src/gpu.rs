@@ -45,7 +45,7 @@ use crate::simd::{self, DiagTable};
 use qgear_ir::fusion::FusedBlock;
 use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
-use qgear_num::{AlignedVec, Complex, Scalar};
+use qgear_num::{AlignedVec, CLanes, Complex, Scalar};
 use qgear_telemetry::clock::WallClock;
 use rayon::prelude::*;
 
@@ -286,47 +286,89 @@ enum KernelPlan<T: Scalar> {
 /// block spans. A dense kernel is the `μ = k` case: every bit mixed, one
 /// sub-unitary, nothing to select.
 ///
-/// The body works an *item* at a time. On the lane path an item is a
-/// lane block: the `T::LANES` groups that differ only in the *lane bits*,
-/// the lowest `log2(LANES)` span bits outside the kernel's support
-/// (mixed and unmixed alike) — spectators, so the groups of a block
-/// share one sub-unitary by construction and lane `l` runs exactly the
-/// chain its group runs alone. On the scalar path (a span with fewer
-/// than `log2(LANES)` spare bits, or SIMD switched off) an item is one
-/// group.
+/// The body works an *item* at a time. On the lane path an item is the
+/// amplitudes that differ only in the span's lowest `log2(LANES)` bits,
+/// the kernel's mixed bits and, when `m` kernel bits are among those
+/// lowest bits, the lowest `m` spectator bits above them (see
+/// [`LaneSplit`]): `LANES` spectator groups per sub-unitary it applies,
+/// lane `l` running exactly the chain its group runs alone. When the
+/// kernel's unmixed bits cover the lowest bits, nothing is split: an
+/// item is `LANES` groups, each lane under its own sub-unitary
+/// (`lane_subs`). On the scalar
+/// path (a span with fewer than `log2(LANES)` spare bits, or SIMD switched
+/// off) an item is one group.
 struct GroupKernel<T: Scalar> {
     /// The sub-unitaries, each row-major `2^μ × 2^μ` in execution
     /// precision, concatenated in order of the unmixed bits packed in
     /// kernel-local order. Cache-line aligned like the state: the body
     /// broadcasts every entry from here, and a `2×2` sub-unitary — one
     /// line at fp64, half a line at fp32 — then never straddles two.
+    /// Empty when `lane_subs` holds them.
     subs: AlignedVec<Complex<T>>,
+    /// The same table when the unmixed bits include every lane bit:
+    /// entry `d·4^μ + i` holds, in lane `l`, entry `i` of the sub-unitary
+    /// that lane bits `l` and `d` (the other unmixed bits, packed among
+    /// themselves) select, so every lane reads its own and no item is
+    /// split. Empty otherwise.
+    lane_subs: Vec<T::Lanes>,
     /// Address offset of each mixed-bit local index inside the span.
     offs: Vec<usize>,
     /// Span bit positions an item index expands around, ascending: the
-    /// mixed bits, and on the lane path the lane bits too.
+    /// mixed bits, and on the lane path the lane bits and the bits that
+    /// stand in for kernel lane bits too.
     expand: Vec<usize>,
     /// `(span mask, packed weight)` pairs extracting the sub-unitary
-    /// index from an item's base address.
+    /// index from an item's base address: every unmixed bit the base
+    /// carries.
     extract: Vec<(usize, usize)>,
+    /// The `extract` masks together: consecutive items share a
+    /// sub-unitary while their bases agree on these bits.
+    unmixed: usize,
     /// Sub-unitary dimension `2^μ`.
     mdim: usize,
     /// Amplitudes per application; every address the body forms is below
     /// it (checked at build time, and against the slice by the driver).
     span: usize,
-    /// How an item's lanes are addressed (decided at build time).
+    /// How an item's lanes are loaded (decided at build time).
     lanes: LaneLayout,
 }
 
-/// Where the `T::LANES` groups of a lane block sit.
+/// Scalar groups, or the one lane layout.
 enum LaneLayout {
     /// No lane path: an item is a single group.
     Scalar,
-    /// The lane bits are span bits `0..log2(LANES)`: lane `l` is the next
-    /// address up, one contiguous vector load or store per column.
-    Contiguous,
-    /// Lane `l` sits at this address offset — a per-lane gather/scatter.
-    Strided(Vec<usize>),
+    /// Lanes over the span's lowest `log2(LANES)` bits, every vector one
+    /// contiguous load and store; kernel bits among them are split out in
+    /// registers, unless unmixed kernel bits cover them all.
+    Lanes(LaneSplit),
+}
+
+/// How a lane item with `m` kernel bits among the lane bits is loaded.
+///
+/// Each kernel lane bit is paired with one of the `m` lowest span bits
+/// above the lane width outside the kernel's support, its stand-in. The
+/// item loads, per column, the `2^m` vectors that differ in the stand-ins
+/// — a group — and one [`CLanes::split`] per pair of the group and level
+/// exchanges each kernel lane bit with its stand-in, after which every
+/// vector holds one value of the kernel lane bits for `LANES` spectator
+/// groups: a column of one sub-unitary. Splitting the outputs again and
+/// storing them undoes it. With `m = 0` nothing is loaded this way: a
+/// column is the vector at its offset and none of this runs.
+struct LaneSplit {
+    /// `(address offset, slot)` of every vector an item loads, in groups
+    /// of `2^m`: vector `v` of a group sets the stand-ins of `v`'s bits.
+    /// Slot `u·2^μ + c` receives column `c` of the sub-unitary that
+    /// assignment `u` of the unmixed kernel lane bits selects.
+    loads: Vec<(usize, usize)>,
+    /// Level `i < m` exchanges lane bit `bits[i]` with group index bit `i`.
+    bits: [usize; 3],
+    /// Sub-unitary index contributed by each assignment `u < B` of the
+    /// unmixed kernel lane bits (`0` when there are none).
+    subs_low: [usize; 8],
+    /// `(B, K)`: the sub-unitaries an item applies, one per assignment of
+    /// the unmixed kernel lane bits, and the vectors of a group, `2^m`;
+    /// `(0, 0)` when `m = 0`.
+    shape: (usize, usize),
 }
 
 impl<T: Scalar> KernelPlan<T> {
@@ -410,34 +452,59 @@ impl<T: Scalar> GroupKernel<T> {
         let (mixed_bits, diag_bits): (Vec<usize>, Vec<usize>) =
             (0..k).partition(|&j| block.mixed() >> j & 1 == 1);
         let mdim = 1usize << mixed_bits.len();
-        let subs: Vec<Complex<T>> = block.table().iter().map(|e| e.cast()).collect();
         let mixed_masks: Vec<usize> = mixed_bits.iter().map(|&j| masks[j]).collect();
-        let extract: Vec<(usize, usize)> =
-            diag_bits.iter().enumerate().map(|(t, &j)| (masks[j], 1usize << t)).collect();
-        // Lane bits: the lowest `log2(LANES)` span bits no kernel bit
-        // occupies. Ascending, so they are `0..log2(LANES)` exactly when
-        // the last one is.
+        let offs = simd::local_offsets(&mixed_masks);
+        // Kernel lane bits, ascending, and the spare bits above the lane
+        // width that stand in for them: one each, or no lane path.
         let support = masks.iter().fold(0usize, |acc, &m| acc | m);
-        let lane_masks: Vec<usize> = (0..span.trailing_zeros())
+        let (mut lane_kernel, mut spare) = ([0usize; 3], [0usize; 3]);
+        let m = (0..k).filter(|&j| masks[j] < T::LANES).zip(&mut lane_kernel).map(|(j, slot)| *slot = j).count();
+        let spares = (simd::lane_log2::<T>()..span.trailing_zeros() as usize)
             .map(|b| 1usize << b)
             .filter(|m| support & m == 0)
-            .take(simd::lane_log2::<T>())
+            .zip(&mut spare[..m])
+            .map(|(b, slot)| *slot = b)
+            .count();
+        let on_lanes = simd && span >= T::LANES && spares == m;
+        // Every lane bit an unmixed kernel bit: the lanes read their own
+        // sub-unitaries (`lane_subs`, the table's size), and nothing is
+        // split.
+        let per_lane = on_lanes
+            && m == simd::lane_log2::<T>()
+            && lane_kernel[..m].iter().all(|&j| block.mixed() >> j & 1 == 0);
+        let split = if per_lane { 0 } else { m };
+        let on_lane_bits = |j: usize| on_lanes && masks[j] < T::LANES;
+        // The unmixed bits outside the lane width, weighted as the table
+        // packs them, or among themselves for `lane_subs`.
+        let extract: Vec<(usize, usize)> = diag_bits
+            .iter()
+            .enumerate()
+            .filter(|&(_, &j)| !on_lane_bits(j))
+            .enumerate()
+            .map(|(s, (t, &j))| (masks[j], 1usize << if per_lane { s } else { t }))
             .collect();
-        let lanes = if !simd || lane_masks.len() < simd::lane_log2::<T>() {
-            LaneLayout::Scalar
-        } else if lane_masks.last() == Some(&(T::LANES / 2)) {
-            LaneLayout::Contiguous
+        let mut expand: Vec<usize> =
+            mixed_bits.iter().filter(|&&j| !on_lane_bits(j)).map(|&j| masks[j].trailing_zeros() as usize).collect();
+        let lanes = if on_lanes {
+            expand.extend(0..simd::lane_log2::<T>());
+            expand.extend(spare[..split].iter().map(|m| m.trailing_zeros() as usize));
+            LaneLayout::Lanes(LaneSplit::new(&mixed_bits, &diag_bits, masks, &lane_kernel[..split], &spare[..split]))
         } else {
-            LaneLayout::Strided(simd::local_offsets(&lane_masks))
+            LaneLayout::Scalar
         };
-        let mut expand: Vec<usize> = mixed_masks.iter().map(|m| m.trailing_zeros() as usize).collect();
-        if !matches!(lanes, LaneLayout::Scalar) {
-            expand.extend(lane_masks.iter().map(|m| m.trailing_zeros() as usize));
-        }
         expand.sort_unstable();
+        let mut subs = AlignedVec::with_capacity(if per_lane { 0 } else { block.table().len() });
+        let lane_subs = if per_lane {
+            lane_subs::<T>(block.table(), &diag_bits, masks, mdim)
+        } else {
+            subs.extend(block.table().iter().map(|e| e.cast()));
+            Vec::new()
+        };
         GroupKernel {
-            offs: simd::local_offsets(&mixed_masks),
-            subs: AlignedVec::from_slice(&subs),
+            unmixed: extract.iter().fold(0, |acc, &(m, _)| acc | m),
+            offs,
+            subs,
+            lane_subs,
             expand,
             extract,
             mdim,
@@ -446,45 +513,91 @@ impl<T: Scalar> GroupKernel<T> {
         }
     }
 
-    /// Drive the body over every item of `amps`, on the calling thread or
-    /// (`pooled`) split across the kernel pool. The one place the group
-    /// dimension becomes a constant: each arm is the driver loop and the
-    /// body compiled for that `2^μ`, scratch included.
-    fn run(&self, amps: &mut [Complex<T>], pooled: bool) {
-        assert_eq!(amps.len(), self.span, "plan built for another span");
-        let shared = SharedState(amps.as_mut_ptr());
-        match self.mdim {
-            1 => self.drive::<1>(&shared, pooled),
-            2 => self.drive::<2>(&shared, pooled),
-            4 => self.drive::<4>(&shared, pooled),
-            8 => self.drive::<8>(&shared, pooled),
-            16 => self.drive::<16>(&shared, pooled),
-            32 => self.drive::<32>(&shared, pooled),
-            64 => self.drive::<64>(&shared, pooled),
-            wider => unreachable!("a fused kernel mixes at most 6 bits, not 2^μ = {wider}"),
+    /// `(B, K)` of an item with kernel lane bits: the sub-unitaries it
+    /// applies, one per assignment of the unmixed ones, and the vectors
+    /// of a split group, `2^m`; `(0, 0)` for an item without.
+    fn split_shape(&self) -> (usize, usize) {
+        match &self.lanes {
+            LaneLayout::Lanes(split) => split.shape,
+            LaneLayout::Scalar => (0, 0),
         }
     }
 
-    fn drive<const M: usize>(&self, shared: &SharedState<T>, pooled: bool) {
+    /// Drive the body over every item of `amps`, on the calling thread or
+    /// (`pooled`) split across the kernel pool. The one place the group
+    /// dimension `M = 2^μ`, the split's sub-unitaries per item `B` and
+    /// its group size `K` become constants: each arm is the driver loop
+    /// and the body compiled for them, scratch included. Only shapes a
+    /// kernel can have are compiled: `B ≤ K`, as the unmixed lane bits are
+    /// some of the `m` kernel lane bits, `K ≤ LANES`, so the eight-vector
+    /// groups exist at fp32 alone, and `B < LANES`, as a kernel whose
+    /// unmixed bits cover the lane bits reads `lane_subs` unsplit.
+    fn run(&self, amps: &mut [Complex<T>], pooled: bool) {
+        assert_eq!(amps.len(), self.span, "plan built for another span");
+        let shared = SharedState(amps.as_mut_ptr());
+        let eight = T::LANES == 8;
+        macro_rules! by_split {
+            ($m:literal) => {
+                match self.split_shape() {
+                    (0, _) => self.drive::<$m, 0, 0>(&shared, pooled),
+                    (1, 2) => self.drive::<$m, 1, 2>(&shared, pooled),
+                    (2, 2) => self.drive::<$m, 2, 2>(&shared, pooled),
+                    (1, 4) => self.drive::<$m, 1, 4>(&shared, pooled),
+                    (2, 4) => self.drive::<$m, 2, 4>(&shared, pooled),
+                    (4, 4) if eight => self.drive::<$m, 4, 4>(&shared, pooled),
+                    (1, 8) if eight => self.drive::<$m, 1, 8>(&shared, pooled),
+                    (2, 8) if eight => self.drive::<$m, 2, 8>(&shared, pooled),
+                    (4, 8) if eight => self.drive::<$m, 4, 8>(&shared, pooled),
+                    (b, k) => unreachable!("{b} sub-unitaries over groups of {k} vectors"),
+                }
+            };
+        }
+        match self.mdim {
+            2 => by_split!(2),
+            4 => by_split!(4),
+            8 => by_split!(8),
+            16 => by_split!(16),
+            32 => by_split!(32),
+            64 => by_split!(64),
+            other => unreachable!("a group kernel mixes 1 to 6 bits, not 2^μ = {other}"),
+        }
+    }
+
+    /// The sub-unitary an item's base selects: its index in `subs`, or
+    /// its block of `lane_subs`.
+    #[inline(always)]
+    fn sub_index(&self, base: usize) -> usize {
+        self.extract.iter().fold(0, |d, &(mask, weight)| if base & mask != 0 { d | weight } else { d })
+    }
+
+    fn drive<const M: usize, const B: usize, const K: usize>(&self, shared: &SharedState<T>, pooled: bool) {
         let items = self.span >> self.expand.len();
         // A run is the items one task works through: a whole tile on the
         // calling thread, [`MIN_TASK_BYTES`] of state in the pool. Only a
         // run's first base is expanded from its index; the rest step to
         // the next value of the bits outside `expand` by carrying across
-        // the bits inside it.
+        // the bits inside it, and the sub-unitary is chosen again only
+        // where that step changes an unmixed bit.
         let run = if pooled { min_items::<T>(1usize << self.expand.len()).min(items) } else { items };
         let skip = self.expand.iter().fold(0usize, |acc, &p| acc | 1 << p);
         let work = move |r: usize| {
+            // Empty unless the kernel has lane bits to split (`B > 0`).
+            let mut scratch = [[[T::Lanes::splat(Complex::ZERO); M]; B]; 2];
             let mut base = expand_index(r * run, &self.expand);
+            let mut d = self.sub_index(base);
             for _ in 0..run {
                 // SAFETY: the pointer addresses the `span` amplitudes of
                 // the exclusively borrowed slice (`run` checked its
                 // length), `base` is the expansion of an item below
                 // `span >> expand.len()` (runs tile the items), `M` is
-                // `mdim`, and distinct items touch disjoint amplitudes, so
-                // no two tasks alias.
-                unsafe { self.apply::<M>(shared.0, base) };
-                base = ((base | skip) + 1) & !skip;
+                // `mdim` and `(B, K)` the `split_shape`, and distinct
+                // items touch disjoint amplitudes, so no two tasks alias.
+                unsafe { self.apply::<M, B, K>(shared.0, base, d, &mut scratch) };
+                let next = ((base | skip) + 1) & !skip;
+                if (next ^ base) & self.unmixed != 0 {
+                    d = self.sub_index(next);
+                }
+                base = next;
             }
         };
         if pooled {
@@ -495,57 +608,215 @@ impl<T: Scalar> GroupKernel<T> {
     }
 
     /// The one gather / mul-add / scatter body. `base` is an item index
-    /// expanded around the mixed bits (and the lane bits) — it carries an
-    /// assignment of every other span bit, this kernel's unmixed bits
-    /// included, which picks the sub-unitary. Gathers the group's `2^μ`
+    /// expanded around `expand` — it carries an assignment of every other
+    /// span bit, this kernel's unmixed bits outside the lane width
+    /// included, which picked sub-unitary `d`. Gathers the group's `2^μ`
     /// amplitudes, accumulates each output row in column order with one
     /// `mul_add` per entry, and scatters. On the lane path the same runs
-    /// for the `T::LANES` groups of the block at once, one lane vector
-    /// per column, same accumulation order, bitwise identical.
+    /// for `LANES` groups at once, one lane vector per column, same
+    /// accumulation order, bitwise identical; `scratch` holds the split
+    /// columns and rows of an item of several groups.
     ///
     /// # Safety
     /// `ptr` must address `self.span` amplitudes; `base` must be below
-    /// `span` with every `expand` bit clear; `M` must be `self.mdim`; and
-    /// no other thread may access the item's amplitudes during the call.
-    /// Distinct items are disjoint: their bases differ outside the mixed
-    /// and lane positions and the offsets set only those bits.
+    /// `span` with every `expand` bit clear; `M` must be `self.mdim` and
+    /// `(B, K)` `self.split_shape()`; and no other thread may access the item's
+    /// amplitudes during the call. Distinct items are disjoint: their
+    /// bases differ outside the `expand` positions and the offsets set
+    /// only those bits.
     #[inline(always)]
-    unsafe fn apply<const M: usize>(&self, ptr: *mut Complex<T>, base: usize) {
-        let mut d = 0usize;
-        for &(mask, weight) in &self.extract {
-            if base & mask != 0 {
-                d |= weight;
-            }
-        }
-        let sub = d * M * M..(d + 1) * M * M;
+    unsafe fn apply<const M: usize, const B: usize, const K: usize>(
+        &self,
+        ptr: *mut Complex<T>,
+        base: usize,
+        d: usize,
+        scratch: &mut [[[T::Lanes; M]; B]; 2],
+    ) {
         // Sliced to `M` once, so the loops below index it unchecked.
         let offs = &self.offs[..M];
-        let lane_offs = match &self.lanes {
+        let split = match &self.lanes {
             LaneLayout::Scalar => {
-                let mut scratch = [Complex::<T>::ZERO; M];
+                let mut group = [Complex::<T>::ZERO; M];
                 for c in 0..M {
                     // SAFETY: `base | offs[c] < span` (bits below a
                     // power-of-two span, checked in `new`), owned by this
                     // call's group.
-                    scratch[c] = unsafe { *ptr.add(base | offs[c]) };
+                    group[c] = unsafe { *ptr.add(base | offs[c]) };
                 }
-                for (r, row) in self.subs[sub].chunks_exact(M).enumerate() {
+                for (r, row) in self.subs[d * M * M..(d + 1) * M * M].chunks_exact(M).enumerate() {
                     let mut acc = Complex::<T>::ZERO;
                     for c in 0..M {
-                        acc = row[c].mul_add(scratch[c], acc);
+                        acc = row[c].mul_add(group[c], acc);
                     }
                     // SAFETY: same address set as the gather.
                     unsafe { *ptr.add(base | offs[r]) = acc };
                 }
                 return;
             }
-            LaneLayout::Contiguous => None,
-            LaneLayout::Strided(lane_offs) => Some(&lane_offs[..T::LANES]),
+            LaneLayout::Lanes(split) => split,
         };
-        // SAFETY: the caller's contract; the lane bits lie outside the
-        // kernel's support, so the block's `T::LANES` groups share `d`,
-        // and every address is bits below the span, owned by this item.
-        unsafe { simd::dense_block_lanes::<T, M>(ptr, base, &self.subs[sub], offs, lane_offs) };
+        // SAFETY: the caller's contract — `base | off` for an offset of
+        // this item is the first of `LANES` in-bounds amplitudes (the
+        // lane bits are below it, all clear in both), owned by this call.
+        let load = |off: usize| T::Lanes::load(unsafe { std::slice::from_raw_parts(ptr.add(base | off), T::LANES) }, 0);
+        let store = |v: T::Lanes, off: usize| {
+            // SAFETY: as for `load`; each vector is stored after its loads.
+            v.store(unsafe { std::slice::from_raw_parts_mut(ptr.add(base | off), T::LANES) }, 0)
+        };
+        if B == 0 {
+            let mut cols = [T::Lanes::splat(Complex::ZERO); M];
+            for c in 0..M {
+                cols[c] = load(offs[c]);
+            }
+            let put = |r: usize, v| store(v, offs[r]);
+            if self.lane_subs.is_empty() {
+                let m = &self.subs[d * M * M..][..M * M];
+                simd::dense_block_lanes::<T, M>(|i| T::Lanes::splat(m[i]), &cols, put);
+            } else {
+                let m = &self.lane_subs[d * M * M..][..M * M];
+                simd::dense_block_lanes::<T, M>(|i| m[i], &cols, put);
+            }
+            return;
+        }
+        self.split_item::<M, B, K>(split, d, scratch, load, store);
+    }
+
+    /// The body of an item whose kernel has lane bits, its groups `K`
+    /// vectors each: every group is loaded and split in registers, and
+    /// its vectors go to their slots in `scratch`, the columns of the
+    /// item's `B` sub-unitaries; their rows come back the same way.
+    #[inline(always)]
+    fn split_item<const M: usize, const B: usize, const K: usize>(
+        &self,
+        split: &LaneSplit,
+        d: usize,
+        scratch: &mut [[[T::Lanes; M]; B]; 2],
+        load: impl Fn(usize) -> T::Lanes,
+        store: impl Fn(T::Lanes, usize),
+    ) {
+        let sub = |u: usize| &self.subs[(d | split.subs_low[u]) * M * M..][..M * M];
+        let bits = &split.bits;
+        let [cols, rows] = scratch;
+        for group in split.loads.chunks_exact(K) {
+            let mut x: [T::Lanes; K] = std::array::from_fn(|v| load(group[v].0));
+            split_group(&mut x, bits);
+            for (&v, &(_, slot)) in x.iter().zip(group) {
+                cols.as_flattened_mut()[slot] = v;
+            }
+        }
+        for (u, (cols, rows)) in cols.iter().zip(rows.iter_mut()).enumerate() {
+            let m = sub(u);
+            simd::dense_block_lanes::<T, M>(|i| T::Lanes::splat(m[i]), cols, |r, v| rows[r] = v);
+        }
+        for group in split.loads.chunks_exact(K) {
+            let mut y: [T::Lanes; K] = std::array::from_fn(|v| rows.as_flattened()[group[v].1]);
+            split_group(&mut y, bits);
+            for (&v, &(off, _)) in y.iter().zip(group) {
+                store(v, off);
+            }
+        }
+    }
+}
+
+/// Split the `K` vectors of one group on every level: level `i` pairs the
+/// vectors whose index differs in bit `i` and exchanges that index bit
+/// with lane bit `bits[i]`. Its own inverse, as each level is.
+#[inline(always)]
+fn split_group<L: CLanes<T>, T: Scalar, const K: usize>(x: &mut [L; K], bits: &[usize]) {
+    // Constant bounds and indices only, so the group stays in registers.
+    for i in 0..K.trailing_zeros() as usize {
+        let bit = bits[i];
+        for v in 0..K {
+            if v >> i & 1 == 0 {
+                (x[v], x[v | 1 << i]) = x[v].split(x[v | 1 << i], bit);
+            }
+        }
+    }
+}
+
+/// The table of a kernel whose `unmixed` local bits (in local order) at
+/// span `masks` include every lane bit, cast to execution precision as
+/// lane vectors: entry `d·M² + i`, `M` being `mdim`, holds in lane `l`
+/// entry `i` of the sub-unitary that lane bits `l` and `d` (the other
+/// unmixed bits, packed among themselves in local order) select. Its
+/// lanes are the table's sub-unitaries, so it is the table's size.
+fn lane_subs<T: Scalar>(table: &[Complex<f64>], unmixed: &[usize], masks: &[usize], mdim: usize) -> Vec<T::Lanes> {
+    let mut of_lane = [0usize; 8];
+    for (t, &j) in unmixed.iter().enumerate().filter(|&(_, &j)| masks[j] < T::LANES) {
+        for (l, sub) in of_lane[..T::LANES].iter_mut().enumerate() {
+            if l & masks[j] != 0 {
+                *sub |= 1 << t;
+            }
+        }
+    }
+    let others: Vec<usize> = (0..unmixed.len()).filter(|&t| masks[unmixed[t]] >= T::LANES).map(|t| 1 << t).collect();
+    let sq = mdim * mdim;
+    let mut out = Vec::with_capacity(table.len() / T::LANES);
+    let mut lanes = [Complex::<T>::ZERO; 8];
+    for d in simd::local_offsets(&others) {
+        for i in 0..sq {
+            for (v, &sub) in lanes.iter_mut().zip(&of_lane[..T::LANES]) {
+                *v = table[(sub | d) * sq + i].cast();
+            }
+            out.push(T::Lanes::load(&lanes, 0));
+        }
+    }
+    out
+}
+
+impl LaneSplit {
+    /// The split of a kernel with `mixed` and `unmixed` local bits (in
+    /// local order) at span `masks`, its lane bits `lane_kernel` standing
+    /// in for `spare` (ascending, one each). Built for every kernel of
+    /// every job, so it allocates only what it keeps.
+    fn new(mixed: &[usize], unmixed: &[usize], masks: &[usize], lane_kernel: &[usize], spare: &[usize]) -> Self {
+        if lane_kernel.is_empty() {
+            return LaneSplit { loads: Vec::new(), bits: [0; 3], subs_low: [0; 8], shape: (0, 0) };
+        }
+        let is_lane = |j: &usize| lane_kernel.contains(j);
+        let mdim = 1usize << mixed.len();
+        // `(slot bit, lane bit)` of each kernel lane bit: a column bit when
+        // it is mixed, an assignment bit above the columns when not, whose
+        // sub-unitary weight goes in `weights`.
+        let (mut by_slot, mut m) = ([(0usize, 0usize); 3], 0);
+        let (mut weights, mut b) = ([0usize; 3], 0);
+        for (t, &j) in mixed.iter().enumerate().filter(|(_, j)| is_lane(j)) {
+            by_slot[m] = (1 << t, masks[j].trailing_zeros() as usize);
+            m += 1;
+        }
+        for (t, &j) in unmixed.iter().enumerate().filter(|(_, j)| is_lane(j)) {
+            (by_slot[m], weights[b]) = ((mdim << b, masks[j].trailing_zeros() as usize), 1 << t);
+            (m, b) = (m + 1, b + 1);
+        }
+        // Group index bit `i` is the `i`-th lowest slot bit of a kernel
+        // lane bit: vector `v` of a group sets the stand-ins `stand[v]`
+        // and goes to slot `g | slot[v]`, `g` the group's column bits.
+        let by_slot = &mut by_slot[..m];
+        by_slot.sort_unstable();
+        let (k, mut stand, mut slot, mut subs_low) = (1usize << m, [0usize; 8], [0usize; 8], [0usize; 8]);
+        for v in 1..k {
+            let (i, rest) = (v.trailing_zeros() as usize, v & (v - 1));
+            (stand[v], slot[v]) = (stand[rest] | spare[i], slot[rest] | by_slot[i].0);
+            if v < 1 << b {
+                subs_low[v] = subs_low[rest] | weights[i];
+            }
+        }
+        // `(column bit, address mask)` of each mixed bit that is not a
+        // lane bit: every assignment of them is one group.
+        let (mut high, mut h) = ([(0usize, 0usize); 6], 0);
+        for (t, &j) in mixed.iter().enumerate().filter(|(_, j)| !is_lane(j)) {
+            (high[h], h) = ((1 << t, masks[j]), h + 1);
+        }
+        let mut loads = Vec::with_capacity(mdim << b);
+        for a in 0..1usize << h {
+            let (g, off) = (0..h).filter(|i| a >> i & 1 == 1).fold((0, 0), |(g, o), i| (g | high[i].0, o | high[i].1));
+            loads.extend((0..k).map(|v| (off | stand[v], g | slot[v])));
+        }
+        let mut bits = [0usize; 3];
+        for (bit, &(_, lane)) in bits.iter_mut().zip(by_slot.iter()) {
+            *bit = lane;
+        }
+        LaneSplit { loads, bits, subs_low, shape: (1 << b, k) }
     }
 }
 
@@ -810,10 +1081,11 @@ mod tests {
 
     fn layout<T: Scalar>(plan: &KernelPlan<T>) -> &'static str {
         let KernelPlan::Grouped(kernel) = plan else { panic!("a group kernel") };
-        match kernel.lanes {
+        match &kernel.lanes {
             LaneLayout::Scalar => "scalar",
-            LaneLayout::Contiguous => "contiguous",
-            LaneLayout::Strided(_) => "strided",
+            LaneLayout::Lanes(_) if !kernel.lane_subs.is_empty() => "per-lane",
+            LaneLayout::Lanes(split) if split.shape.1 == 0 => "contiguous",
+            LaneLayout::Lanes(_) => "split",
         }
     }
 
@@ -850,19 +1122,21 @@ mod tests {
         // local order, and high leading bits over low trailing ones (a low
         // mixed bit for the dense block, a low extract bit for the
         // factored ones). Every one has eleven spectator bits, so every
-        // one runs on lanes — gathered where a kernel bit sits below the
-        // lane width.
+        // one runs on lanes — split where a kernel bit sits below the lane
+        // width, or per lane where the unmixed bits cover it (qubits 0
+        // and 1 at fp64 while μ ≤ 3).
         let placements: [([u32; 5], &str); 4] = [
-            ([0, 1, 2, 7, 15], "strided"),
+            ([0, 1, 2, 7, 15], "split"),
             ([4, 6, 9, 11, 15], "contiguous"),
             ([15, 6, 11, 4, 9], "contiguous"),
-            ([15, 14, 11, 1, 0], "strided"),
+            ([15, 14, 11, 1, 0], "split"),
         ];
         for mu in [5, 1, 3] {
             for (qubits, expect) in placements {
                 let block = width5_block(mu, &qubits, 17 + mu as u64);
                 let what = format!("μ={mu} on {qubits:?}");
-                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, n, &what), expect, "{what}");
+                let fp64 = if qubits[3..] == [1, 0] && mu <= 3 { "per-lane" } else { expect };
+                assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, n, &what), fp64, "{what}");
                 assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, n, &what), expect, "{what}");
             }
         }
@@ -873,12 +1147,12 @@ mod tests {
         // n = 14 (fp64: four pooled tasks), kernel-local bits 0..μ mixed,
         // the rest extract. Per class, the layout at (fp64, fp32).
         let classes: [(&str, [u32; 5], [&str; 2]); 7] = [
-            ("all low", [0, 1, 2, 3, 4], ["strided", "strided"]),
-            ("straddling, lane bits 0, 2, 4", [1, 3, 6, 9, 13], ["strided", "strided"]),
+            ("all low", [0, 1, 2, 3, 4], ["split", "split"]),
+            ("straddling, lane bits 0, 2, 4", [1, 3, 6, 9, 13], ["split", "split"]),
             ("above both lane widths", [4, 6, 9, 11, 13], ["contiguous", "contiguous"]),
             ("scrambled local order", [13, 6, 11, 4, 9], ["contiguous", "contiguous"]),
-            ("extract bits below mixed bits", [13, 12, 11, 1, 0], ["strided", "strided"]),
-            ("between the lane widths", [2, 5, 8, 10, 12], ["contiguous", "strided"]),
+            ("extract bits below mixed bits", [13, 12, 11, 1, 0], ["split", "split"]),
+            ("between the lane widths", [2, 5, 8, 10, 12], ["contiguous", "split"]),
             ("all high", [9, 10, 11, 12, 13], ["contiguous", "contiguous"]),
         ];
         for (class, qubits, expect) in classes {
@@ -889,13 +1163,15 @@ mod tests {
                     assert_lanes_are_the_scalar_chain::<f64>(&block, 14, &what),
                     assert_lanes_are_the_scalar_chain::<f32>(&block, 14, &what),
                 ];
+                // Unmixed qubits 0 and 1 cover the fp64 lane bits while μ ≤ 3.
+                let expect = if qubits[3..] == [1, 0] && mu <= 3 { ["per-lane", expect[1]] } else { expect };
                 assert_eq!(got, expect, "{what}");
             }
         }
         // Scalar is what is left when the span has no bits to spare: a
         // width-5 kernel needs n = 7 for `f64x4` and n = 8 for `f32x8`.
         let block = width5_block(5, &[0, 1, 2, 3, 4], 45);
-        for (n, expect) in [(6, ["scalar", "scalar"]), (7, ["strided", "scalar"]), (8, ["strided", "strided"])] {
+        for (n, expect) in [(6, ["scalar", "scalar"]), (7, ["split", "scalar"]), (8, ["split", "split"])] {
             let got = [
                 assert_lanes_are_the_scalar_chain::<f64>(&block, n, "small span"),
                 assert_lanes_are_the_scalar_chain::<f32>(&block, n, "small span"),
@@ -917,13 +1193,149 @@ mod tests {
         };
         for mu in 1..=qgear_ir::fusion::MAX_FUSION_WIDTH as u32 {
             let table: Vec<C64> = (0..1usize << (2 * mu)).map(|_| C64::new(rnd(), rnd())).collect();
-            for (low, expect) in [(0, "strided"), (4, "contiguous")] {
+            for (low, expect) in [(0, "split"), (4, "contiguous")] {
                 let block = FusedBlock::from_dense((low..low + mu).collect(), table.clone());
                 assert_eq!(block.mixed(), (1 << mu) - 1);
                 let what = format!("dense μ={mu} from qubit {low}");
                 assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, 14, &what), expect);
                 assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, 14, &what), expect);
             }
+        }
+    }
+
+    /// Every assignment of kernel bits — absent, mixed or unmixed — to the
+    /// span's lowest `log2(LANES) + 1` bits, alone and with a mixed bit
+    /// above them, at precision `T`: the lane plan through the full-state,
+    /// tile and slice drivers is the scalar plan bit for bit, and it reads
+    /// per-lane sub-unitaries when every lane bit is an unmixed kernel bit
+    /// and splits when any other kernel bit is a lane bit.
+    fn every_lane_bit_assignment_is_the_scalar_chain<T: Scalar>(rnd: &mut impl FnMut() -> f64) {
+        let low = simd::lane_log2::<T>() + 1;
+        let n = 10u32;
+        let (state, slices) = (rich_state::<T>(n), 4);
+        let slice = state.len() / slices;
+        let mut split = 0;
+        for code in 0..3usize.pow(low as u32) {
+            // Digit `b` of `code` in base 3: bit `b` absent, mixed or unmixed.
+            let digit = |b: usize| code / 3usize.pow(b as u32) % 3;
+            for high in [None, Some(slice.trailing_zeros() as usize - 1)] {
+                let positions: Vec<usize> = (0..low).filter(|&b| digit(b) != 0).chain(high).collect();
+                let unmixed: usize =
+                    positions.iter().enumerate().filter(|&(_, &p)| p < low && digit(p) == 2).fold(0, |acc, (j, _)| acc | 1 << j);
+                let k = positions.len();
+                if k == unmixed.count_ones() as usize {
+                    continue; // nothing mixed: a diagonal table
+                }
+                let shape = if unmixed == 0 { Shape::Dense } else { Shape::Controlled(unmixed) };
+                let block = FusedBlock::from_dense((0..k as u32).collect(), shaped_matrix(k, shape, rnd));
+                assert_eq!(block.mixed(), (1 << k) - 1 - unmixed, "random entries mix every other bit");
+                let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
+                let what = format!("{} kernel bits {positions:?}, unmixed {unmixed:#b}", T::PRECISION_NAME);
+                let on = group_plan::<T>(&block, &masks, state.len(), true);
+                let lane_bit = positions.iter().any(|&p| p < low - 1);
+                let per_lane = (0..low - 1).all(|b| digit(b) == 2);
+                let expect = if per_lane { "per-lane" } else if lane_bit { "split" } else { "contiguous" };
+                assert_eq!(layout(&on), expect, "{what}");
+                split += usize::from(lane_bit);
+                let mut want = state.clone();
+                group_plan::<T>(&block, &masks, state.len(), false).run_tile(&mut want);
+                let want = bits(&want);
+                let [full, tile] = both_drivers(&on, &state);
+                assert!(full == want, "{what}: run_full");
+                assert!(tile == want, "{what}: run_tile");
+                // One plan over every slice, as `apply_to_slices` runs it.
+                let per_slice = group_plan::<T>(&block, &masks, slice, true);
+                let mut sliced = state.clone();
+                for s in sliced.chunks_mut(slice) {
+                    per_slice.run_full(s);
+                }
+                assert!(bits(&sliced) == want, "{what}: slices");
+            }
+        }
+        assert!(split > 3usize.pow(low as u32 - 1), "most assignments put a kernel bit on a lane bit");
+    }
+
+    #[test]
+    fn every_kernel_bit_assignment_over_the_lane_bits_splits_in_registers_and_changes_no_bit() {
+        let mut s = 0x5A17_u64;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        every_lane_bit_assignment_is_the_scalar_chain::<f64>(&mut rnd);
+        every_lane_bit_assignment_is_the_scalar_chain::<f32>(&mut rnd);
+    }
+
+    /// Every set of diagonal kernel bits over the span's lowest
+    /// `log2(LANES) + 1` bits, alone and with the span's top bit, through a
+    /// [`DiagTable`] at a span below [`simd::DIAG_CHUNK`] and one above:
+    /// the scalar `amp * d[local]` bit for bit.
+    fn every_lane_bit_assignment_of_a_diagonal<T: Scalar>() {
+        let low = simd::lane_log2::<T>() + 1;
+        for n in [10u32, 13] {
+            let state = rich_state::<T>(n);
+            for code in 1..1usize << low {
+                for high in [None, Some(n as usize - 1)] {
+                    let positions: Vec<usize> = (0..low).filter(|&b| code >> b & 1 == 1).chain(high).collect();
+                    let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
+                    let d: Vec<Complex<T>> =
+                        (0..1usize << masks.len()).map(|i| C64::cis(0.7 + 1.3 * i as f64).cast()).collect();
+                    let mut want = state.clone();
+                    for (i, amp) in want.iter_mut().enumerate() {
+                        let local: usize = masks.iter().enumerate().filter(|&(_, &m)| i & m != 0).map(|(j, _)| 1 << j).sum();
+                        *amp *= d[local];
+                    }
+                    let table = DiagTable::build(d, &masks, state.len());
+                    assert!((state.len() > simd::DIAG_CHUNK) == (table.chunk() < state.len()));
+                    let mut got = state.clone();
+                    for (ci, cs) in got.chunks_mut(table.chunk()).enumerate() {
+                        table.apply(cs, ci * table.chunk());
+                    }
+                    assert!(bits(&got) == bits(&want), "{} n={n} diagonal bits {positions:?}", T::PRECISION_NAME);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_diagonal_bit_assignment_over_the_lane_bits_changes_no_bit() {
+        every_lane_bit_assignment_of_a_diagonal::<f64>();
+        every_lane_bit_assignment_of_a_diagonal::<f32>();
+    }
+
+    #[test]
+    fn an_unmixed_bit_flipping_inside_a_pooled_run_or_at_its_edge_changes_no_bit() {
+        let mut s = 0xF11F_u64;
+        let mut rnd = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // n = 16 at fp64: 1 MiB, sixteen pooled runs. A kernel mixing bit
+        // 15 has items of `2^expand` amplitudes, `run` of them a task, and
+        // item index bit `i` is the `i`-th span bit outside `expand`: the
+        // one at `log2(run)` flips exactly where one run ends and the next
+        // begins, the one three below flips every eight items inside a run.
+        let n = 16;
+        let mixed = 1usize << 15;
+        let h = FusedBlock::from_dense(vec![0], shaped_matrix(1, Shape::Dense, &mut rnd));
+        let KernelPlan::Grouped(probe) = group_plan::<f64>(&h, &[mixed], 1 << n, true) else { panic!("grouped") };
+        let run = min_items::<f64>(1 << probe.expand.len());
+        let free: Vec<usize> = (0..n).filter(|b| !probe.expand.contains(b)).collect();
+        let edge = free[run.trailing_zeros() as usize];
+        let inside = free[run.trailing_zeros() as usize - 3];
+        assert!(run < (1 << n) >> probe.expand.len(), "several runs");
+        let state = rich_state::<f64>(n as u32);
+        for (what, unmixed) in [("inside a run", inside), ("at a run's edge", edge)] {
+            let block = FusedBlock::from_dense(vec![0, 1], shaped_matrix(2, Shape::Controlled(0b10), &mut rnd));
+            assert_eq!(block.mixed(), 0b01);
+            let masks = [mixed, 1usize << unmixed];
+            let on = group_plan::<f64>(&block, &masks, state.len(), true);
+            let KernelPlan::Grouped(kernel) = &on else { panic!("grouped") };
+            assert_eq!((&kernel.expand, kernel.unmixed), (&probe.expand, 1 << unmixed), "{what}: same items");
+            let mut want = state.clone();
+            group_plan::<f64>(&block, &masks, state.len(), false).run_tile(&mut want);
+            let [full, tile] = both_drivers(&on, &state);
+            assert!(full == bits(&want) && tile == bits(&want), "{what}: bit {unmixed}");
         }
     }
 

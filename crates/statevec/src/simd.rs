@@ -6,25 +6,31 @@
 //! the full-state and the sweep-tile driver. With SIMD enabled
 //! ([`simd_enabled`], a process-global toggle the differential tests flip
 //! to compare the two paths bit for bit) a group kernel runs on lanes
-//! wherever its qubits sit: the lanes of a vector are the `LANES` groups
-//! that differ only in `log2(LANES)` *spectator* bits — span bits the
-//! kernel neither mixes nor reads — so they share one sub-unitary and
-//! each lane carries one group's chain. When the spectators are the
-//! span's lowest bits a column is one contiguous vector load, otherwise
-//! a per-lane gather through a `LANES`-entry offset table
-//! (`dense_block_lanes`). The scalar path is what is left for a span
-//! with fewer than `log2(LANES)` bits to spare — a five-qubit kernel on a
-//! six-qubit state — which is also where the differential tier exercises
-//! it.
+//! wherever its qubits sit, and always over the same lane layout: a lane
+//! vector is `LANES` consecutive amplitudes, one load or store. When no
+//! kernel bit is among the span's lowest `log2(LANES)` bits, each column
+//! is one such vector and its lanes are `LANES` groups that differ only
+//! in spectator bits. When `m` kernel bits are, an item loads the `2^m`
+//! vectors per column that differ in the lowest `m` spectator bits above
+//! the lane width and exchanges each of those bits with a kernel lane bit
+//! in registers ([`CLanes::split`]), so that every vector again holds one
+//! column of `LANES` spectator groups; the stores undo it. When they are
+//! all unmixed kernel bits nothing is split: each lane reads the entries
+//! of its own sub-unitary. `dense_block_lanes` runs on the columns either
+//! way. The scalar
+//! path is what is left for a span with fewer than `log2(LANES)` bits to
+//! spare — a five-qubit kernel on a six-qubit state — which is also where
+//! the differential tier exercises it.
 //!
 //! # Bit identity
 //!
 //! The lane operations replicate the exact scalar `Complex` formulas per
-//! lane (see [`qgear_num::simd`]), and the vector kernels accumulate in the
-//! same order over the same operands as the scalar loops: which groups
-//! share a vector changes, what each group computes does not. Results are
-//! therefore **bitwise identical** in both precisions, which is what lets
-//! the toggle exist at all: flipping it mid-run cannot change any result.
+//! lane (see [`qgear_num::simd`]), the split only moves data, and the
+//! vector kernels accumulate in the same order over the same operands as
+//! the scalar loops: which groups share a vector changes, what each group
+//! computes does not. Results are therefore **bitwise identical** in both
+//! precisions, which is what lets the toggle exist at all: flipping it
+//! mid-run cannot change any result.
 
 use qgear_num::{CLanes, Complex, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,12 +87,20 @@ pub(crate) const DIAG_CHUNK: usize = 4096;
 /// sub-chunk bits is a `chunk`-entry lookup table and the contribution of
 /// the remaining bits is a single per-chunk constant. The inner loop is
 /// then a table load and one complex multiply — which the lane path does
-/// `LANES` amplitudes at a time.
+/// `LANES` amplitudes at a time, looking the table up once per vector.
+/// When no kernel bit is a lane bit every lane of a vector shares one
+/// factor. When some are, the table is built over every lane bit, the
+/// lowest bits of its local index in lane order, so a vector's factors
+/// are the `LANES` consecutive entries at its first amplitude's index:
+/// one load, the size of the kernel's table when every lane bit is a
+/// kernel bit, `LANES / 2^m` times it when `m` of them are.
 ///
 /// The multiplicand `d[hi | lowtab[j]]` is the exact value the scalar
 /// path computes, so both paths are bitwise identical.
 pub(crate) struct DiagTable<T: Scalar> {
-    /// Diagonal entries in execution precision.
+    /// Diagonal entries in execution precision, indexed by the local index
+    /// of `masks` — the block's, or with `lanes` every lane bit's first
+    /// and then the block's other bits.
     d: Vec<Complex<T>>,
     /// Local-index contribution of the sub-chunk address bits. A diagonal
     /// block spans up to `2·MAX_FUSION_WIDTH` local bits, so a byte does
@@ -96,25 +110,42 @@ pub(crate) struct DiagTable<T: Scalar> {
     hipairs: Vec<(usize, usize)>,
     /// Chunk length; divides the span and every chunk start.
     chunk: usize,
+    /// The table is built over the lane bits: a chunk of at least `LANES`
+    /// on which some kernel bit is a lane bit.
+    lanes: bool,
 }
 
 impl<T: Scalar> DiagTable<T> {
     /// Build the table for diagonal `d` over single-bit `masks` (mask `j`
     /// selects kernel-local bit `j`), applied to spans of `span` amplitudes
     /// starting at span-aligned offsets.
-    pub(crate) fn build(d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
+    pub(crate) fn build(mut d: Vec<Complex<T>>, masks: &[usize], span: usize) -> Self {
         let chunk = DIAG_CHUNK.min(span).max(1);
         debug_assert!(span.is_multiple_of(chunk));
+        let lanes = chunk >= T::LANES && masks.iter().any(|&m| m < T::LANES);
+        let mut masks = masks.to_vec();
+        if lanes {
+            // Local bit `b < log2(LANES)` is lane bit `b`, which reads
+            // kernel bit `j` (weight `1 << j`) or no bit of `d` (weight 0).
+            let lane = (0..T::LANES.trailing_zeros()).map(|b| 1usize << b);
+            let weights: Vec<usize> = lane
+                .clone()
+                .map(|m| masks.iter().position(|&k| k == m).map_or(0, |j| 1 << j))
+                .chain((0..masks.len()).filter(|&j| masks[j] >= T::LANES).map(|j| 1 << j))
+                .collect();
+            d = local_offsets(&weights).iter().map(|&i| d[i]).collect();
+            masks = lane.chain(masks.iter().copied().filter(|&m| m >= T::LANES)).collect();
+        }
         assert!(masks.len() <= 16, "a diagonal over {} local bits", masks.len());
+        // Entry `i` is entry `i` without its lowest set bit, plus the
+        // local bit that address bit selects (none for a spectator).
+        let mut local_bit = [0u16; usize::BITS as usize];
+        for (j, &mask) in masks.iter().enumerate().filter(|&(_, &mask)| mask < chunk) {
+            local_bit[mask.trailing_zeros() as usize] = 1 << j;
+        }
         let mut lowtab = vec![0u16; chunk];
-        for (j, &mask) in masks.iter().enumerate() {
-            if mask < chunk {
-                for (i, slot) in lowtab.iter_mut().enumerate() {
-                    if i & mask != 0 {
-                        *slot |= 1 << j;
-                    }
-                }
-            }
+        for i in 1..chunk {
+            lowtab[i] = lowtab[i & (i - 1)] | local_bit[i.trailing_zeros() as usize];
         }
         let hipairs = masks
             .iter()
@@ -122,7 +153,7 @@ impl<T: Scalar> DiagTable<T> {
             .filter(|&(_, &mask)| mask >= chunk)
             .map(|(j, &mask)| (mask, 1usize << j))
             .collect();
-        DiagTable { d, lowtab, hipairs, chunk }
+        DiagTable { d, lowtab, hipairs, chunk, lanes }
     }
 
     /// Chunk length the table was built for (parallel callers split the
@@ -145,19 +176,21 @@ impl<T: Scalar> DiagTable<T> {
                     hi |= bit;
                 }
             }
-            if vector {
-                let mut j = 0usize;
-                while j < cs.len() {
-                    let amps = T::Lanes::load(cs, j);
-                    let dv = T::Lanes::from_fn(|l| self.d[hi | self.lowtab[j + l] as usize]);
-                    // Same operand order as the scalar `*amp *= d[local]`
-                    // (MulAssign is `amp * d`), so bitwise identical.
-                    amps.mul(dv).store(cs, j);
-                    j += T::LANES;
-                }
-            } else {
+            // Same operand order as the scalar `*amp *= d[local]`
+            // (MulAssign is `amp * d`), so bitwise identical.
+            if !vector {
                 for (j, amp) in cs.iter_mut().enumerate() {
                     *amp *= self.d[hi | self.lowtab[j] as usize];
+                }
+            } else if self.lanes {
+                for j in (0..cs.len()).step_by(T::LANES) {
+                    let dv = T::Lanes::load(&self.d, hi | self.lowtab[j] as usize);
+                    T::Lanes::load(cs, j).mul(dv).store(cs, j);
+                }
+            } else {
+                for j in (0..cs.len()).step_by(T::LANES) {
+                    let dv = T::Lanes::splat(self.d[hi | self.lowtab[j] as usize]);
+                    T::Lanes::load(cs, j).mul(dv).store(cs, j);
                 }
             }
         }
@@ -167,69 +200,38 @@ impl<T: Scalar> DiagTable<T> {
 /// Output rows one pass of [`dense_block_lanes`] keeps in flight.
 const ROW_BLOCK: usize = 4;
 
-/// Apply one dense `M × M` kernel to the `LANES` groups of a lane block,
-/// lane `l` being the group at `base + l` (`lane_offs: None`, the lane
-/// bits are the span's lowest) or at `base | lane_offs[l]`.
+/// Apply one dense `M × M` kernel to the `LANES` groups whose column `c`
+/// is the lane vector `inp[c]`, handing output row `r` to `put(r, ·)`.
 ///
-/// `m` is the row-major matrix, each entry broadcast to a lane vector
-/// where it is used (a table of pre-broadcast entries is 64 KiB at
-/// `M = 32` — more than L1 — and measured a sixth slower than
-/// broadcasting from the 8 KiB of scalars); `offs[c]` is the address
-/// offset of kernel-local index `c` (the OR of the masks selected by
-/// `c`'s bits). Rows go [`ROW_BLOCK`] at a time: each column vector is
-/// read once per block and feeds that many independent accumulators, so
-/// the FMA latency of one row's chain hides behind the others. Each row
-/// still accumulates in the same `c = 0..M` order with the same
-/// `mul_add` chain as the scalar loop, one lane per group, so results
-/// are bitwise identical. `M` is a constant so the column scratch is `M`
-/// lane vectors, every one loaded before it is read.
-///
-/// # Safety
-/// Caller guarantees every address `base | offs[c]` combined with every
-/// lane offset is in bounds and not concurrently accessed by another task
-/// (distinct items are disjoint, see `GroupKernel::apply` in
-/// [`crate::gpu`]), and that `lane_offs`, when given, has `LANES` entries.
+/// `coef(r·M + c)` is entry `(r, c)` as a lane vector: a matrix entry
+/// broadcast where it is used when every lane applies the same matrix (a
+/// table of pre-broadcast entries is 64 KiB at `M = 32` — more than L1 —
+/// and measured a sixth slower than broadcasting from the 8 KiB of
+/// scalars), or each lane's own entry. Rows go [`ROW_BLOCK`] at a
+/// time: each column vector is read once per block and feeds that many
+/// independent accumulators, so the FMA latency of one row's chain hides
+/// behind the others. Each row still accumulates in the same `c = 0..M`
+/// order with the same `mul_add` chain as the scalar loop, one lane per
+/// group, so results are bitwise identical. `M` is a constant so the
+/// columns are `M` lane vectors, every one loaded before the first row is
+/// put.
 #[inline(always)]
-pub(crate) unsafe fn dense_block_lanes<T: Scalar, const M: usize>(
-    ptr: *mut Complex<T>,
-    base: usize,
-    m: &[Complex<T>],
-    offs: &[usize],
-    lane_offs: Option<&[usize]>,
+pub(crate) fn dense_block_lanes<T: Scalar, const M: usize>(
+    coef: impl Fn(usize) -> T::Lanes,
+    inp: &[T::Lanes; M],
+    mut put: impl FnMut(usize, T::Lanes),
 ) {
     let zero = T::Lanes::splat(Complex::ZERO);
-    let mut inp = [zero; M];
-    for c in 0..M {
-        let at = base | offs[c];
-        inp[c] = match lane_offs {
-            // SAFETY: the caller's contract — `LANES` in-bounds
-            // amplitudes from `at`, owned by this call.
-            None => T::Lanes::load(unsafe { std::slice::from_raw_parts(ptr.add(at), T::LANES) }, 0),
-            // SAFETY: as above, lane `l` at its own offset.
-            Some(lane) => T::Lanes::from_fn(|l| unsafe { *ptr.add(at | lane[l]) }),
-        };
-    }
     let rows = M.min(ROW_BLOCK);
-    let m = &m[..M * M];
     for r0 in (0..M).step_by(rows) {
         let mut acc = [zero; ROW_BLOCK];
         for (c, &x) in inp.iter().enumerate() {
             for (k, a) in acc[..rows].iter_mut().enumerate() {
-                *a = T::Lanes::splat(m[(r0 + k) * M + c]).mul_add(x, *a);
+                *a = coef((r0 + k) * M + c).mul_add(x, *a);
             }
         }
-        for (k, a) in acc[..rows].iter().enumerate() {
-            let at = base | offs[r0 + k];
-            match lane_offs {
-                // SAFETY: same address set as the loads, all of them done.
-                None => a.store(unsafe { std::slice::from_raw_parts_mut(ptr.add(at), T::LANES) }, 0),
-                Some(lane) => {
-                    for (l, &off) in lane.iter().enumerate() {
-                        // SAFETY: as above, lane `l` at its own offset.
-                        unsafe { *ptr.add(at | off) = a.lane(l) };
-                    }
-                }
-            }
+        for (k, &a) in acc[..rows].iter().enumerate() {
+            put(r0 + k, a);
         }
     }
 }
