@@ -177,10 +177,7 @@ impl GpuDevice {
                 .map(|&ki| {
                     let b = &blocks[ki];
                     let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
-                    let KernelPlan::Diag { table } = KernelPlan::new(b, &masks, state.len()) else {
-                        panic!("diagonal sweep member")
-                    };
-                    table
+                    DiagTable::new(b, &masks, state.len())
                 })
                 .collect();
             let chunk = tables.first().map_or(state.len(), |t| t.chunk());
@@ -378,8 +375,7 @@ impl<T: Scalar> KernelPlan<T> {
     /// [`GroupKernel`] over the bits it mixes.
     fn new(block: &FusedBlock, masks: &[usize], span: usize) -> Self {
         if block.mixed() == 0 {
-            let d = block.table().iter().map(|c| c.cast()).collect();
-            KernelPlan::Diag { table: DiagTable::build(d, masks, span) }
+            KernelPlan::Diag { table: DiagTable::new(block, masks, span) }
         } else {
             KernelPlan::Grouped(GroupKernel::new(block, masks, span, simd::simd_enabled()))
         }
@@ -513,52 +509,21 @@ impl<T: Scalar> GroupKernel<T> {
         }
     }
 
-    /// `(B, K)` of an item with kernel lane bits: the sub-unitaries it
-    /// applies, one per assignment of the unmixed ones, and the vectors
-    /// of a split group, `2^m`; `(0, 0)` for an item without.
-    fn split_shape(&self) -> (usize, usize) {
-        match &self.lanes {
-            LaneLayout::Lanes(split) => split.shape,
-            LaneLayout::Scalar => (0, 0),
-        }
-    }
-
     /// Drive the body over every item of `amps`, on the calling thread or
     /// (`pooled`) split across the kernel pool. The one place the group
-    /// dimension `M = 2^μ`, the split's sub-unitaries per item `B` and
-    /// its group size `K` become constants: each arm is the driver loop
-    /// and the body compiled for them, scratch included. Only shapes a
-    /// kernel can have are compiled: `B ≤ K`, as the unmixed lane bits are
-    /// some of the `m` kernel lane bits, `K ≤ LANES`, so the eight-vector
-    /// groups exist at fp32 alone, and `B < LANES`, as a kernel whose
-    /// unmixed bits cover the lane bits reads `lane_subs` unsplit.
+    /// dimension `M = 2^μ` becomes a constant: each arm is the driver loop
+    /// and the body compiled for it. The split shape `(B, K)` is the
+    /// plan's, read at run time.
     fn run(&self, amps: &mut [Complex<T>], pooled: bool) {
         assert_eq!(amps.len(), self.span, "plan built for another span");
         let shared = SharedState(amps.as_mut_ptr());
-        let eight = T::LANES == 8;
-        macro_rules! by_split {
-            ($m:literal) => {
-                match self.split_shape() {
-                    (0, _) => self.drive::<$m, 0, 0>(&shared, pooled),
-                    (1, 2) => self.drive::<$m, 1, 2>(&shared, pooled),
-                    (2, 2) => self.drive::<$m, 2, 2>(&shared, pooled),
-                    (1, 4) => self.drive::<$m, 1, 4>(&shared, pooled),
-                    (2, 4) => self.drive::<$m, 2, 4>(&shared, pooled),
-                    (4, 4) if eight => self.drive::<$m, 4, 4>(&shared, pooled),
-                    (1, 8) if eight => self.drive::<$m, 1, 8>(&shared, pooled),
-                    (2, 8) if eight => self.drive::<$m, 2, 8>(&shared, pooled),
-                    (4, 8) if eight => self.drive::<$m, 4, 8>(&shared, pooled),
-                    (b, k) => unreachable!("{b} sub-unitaries over groups of {k} vectors"),
-                }
-            };
-        }
         match self.mdim {
-            2 => by_split!(2),
-            4 => by_split!(4),
-            8 => by_split!(8),
-            16 => by_split!(16),
-            32 => by_split!(32),
-            64 => by_split!(64),
+            2 => self.drive::<2>(&shared, pooled),
+            4 => self.drive::<4>(&shared, pooled),
+            8 => self.drive::<8>(&shared, pooled),
+            16 => self.drive::<16>(&shared, pooled),
+            32 => self.drive::<32>(&shared, pooled),
+            64 => self.drive::<64>(&shared, pooled),
             other => unreachable!("a group kernel mixes 1 to 6 bits, not 2^μ = {other}"),
         }
     }
@@ -570,7 +535,7 @@ impl<T: Scalar> GroupKernel<T> {
         self.extract.iter().fold(0, |d, &(mask, weight)| if base & mask != 0 { d | weight } else { d })
     }
 
-    fn drive<const M: usize, const B: usize, const K: usize>(&self, shared: &SharedState<T>, pooled: bool) {
+    fn drive<const M: usize>(&self, shared: &SharedState<T>, pooled: bool) {
         let items = self.span >> self.expand.len();
         // A run is the items one task works through: a whole tile on the
         // calling thread, [`MIN_TASK_BYTES`] of state in the pool. Only a
@@ -580,9 +545,22 @@ impl<T: Scalar> GroupKernel<T> {
         // where that step changes an unmixed bit.
         let run = if pooled { min_items::<T>(1usize << self.expand.len()).min(items) } else { items };
         let skip = self.expand.iter().fold(0usize, |acc, &p| acc | 1 << p);
+        let subs_per_item = match &self.lanes {
+            LaneLayout::Lanes(split) => split.shape.0,
+            LaneLayout::Scalar => 0,
+        };
         let work = move |r: usize| {
-            // Empty unless the kernel has lane bits to split (`B > 0`).
-            let mut scratch = [[[T::Lanes::splat(Complex::ZERO); M]; B]; 2];
+            // The columns and rows of an item's `B` sub-unitaries, `B`
+            // below `LANES` and so at most four: none unless the kernel
+            // has lane bits to split.
+            let mut scratch;
+            let (cols, rows) = if subs_per_item == 0 {
+                (&mut [][..], &mut [][..])
+            } else {
+                scratch = [[[T::Lanes::splat(Complex::ZERO); M]; 4]; 2];
+                let [cols, rows] = &mut scratch;
+                (&mut cols[..subs_per_item], &mut rows[..subs_per_item])
+            };
             let mut base = expand_index(r * run, &self.expand);
             let mut d = self.sub_index(base);
             for _ in 0..run {
@@ -590,9 +568,9 @@ impl<T: Scalar> GroupKernel<T> {
                 // the exclusively borrowed slice (`run` checked its
                 // length), `base` is the expansion of an item below
                 // `span >> expand.len()` (runs tile the items), `M` is
-                // `mdim` and `(B, K)` the `split_shape`, and distinct
-                // items touch disjoint amplitudes, so no two tasks alias.
-                unsafe { self.apply::<M, B, K>(shared.0, base, d, &mut scratch) };
+                // `mdim`, and distinct items touch disjoint amplitudes, so
+                // no two tasks alias.
+                unsafe { self.apply::<M>(shared.0, base, d, cols, rows) };
                 let next = ((base | skip) + 1) & !skip;
                 if (next ^ base) & self.unmixed != 0 {
                     d = self.sub_index(next);
@@ -614,23 +592,24 @@ impl<T: Scalar> GroupKernel<T> {
     /// amplitudes, accumulates each output row in column order with one
     /// `mul_add` per entry, and scatters. On the lane path the same runs
     /// for `LANES` groups at once, one lane vector per column, same
-    /// accumulation order, bitwise identical; `scratch` holds the split
-    /// columns and rows of an item of several groups.
+    /// accumulation order, bitwise identical; `cols` and `rows` hold the
+    /// split columns and rows of an item of several groups, and are empty
+    /// for a kernel without lane bits to split.
     ///
     /// # Safety
     /// `ptr` must address `self.span` amplitudes; `base` must be below
-    /// `span` with every `expand` bit clear; `M` must be `self.mdim` and
-    /// `(B, K)` `self.split_shape()`; and no other thread may access the item's
-    /// amplitudes during the call. Distinct items are disjoint: their
-    /// bases differ outside the `expand` positions and the offsets set
-    /// only those bits.
+    /// `span` with every `expand` bit clear; `M` must be `self.mdim`; and
+    /// no other thread may access the item's amplitudes during the call.
+    /// Distinct items are disjoint: their bases differ outside the
+    /// `expand` positions and the offsets set only those bits.
     #[inline(always)]
-    unsafe fn apply<const M: usize, const B: usize, const K: usize>(
+    unsafe fn apply<const M: usize>(
         &self,
         ptr: *mut Complex<T>,
         base: usize,
         d: usize,
-        scratch: &mut [[[T::Lanes; M]; B]; 2],
+        cols: &mut [[T::Lanes; M]],
+        rows: &mut [[T::Lanes; M]],
     ) {
         // Sliced to `M` once, so the loops below index it unchecked.
         let offs = &self.offs[..M];
@@ -663,7 +642,7 @@ impl<T: Scalar> GroupKernel<T> {
             // SAFETY: as for `load`; each vector is stored after its loads.
             v.store(unsafe { std::slice::from_raw_parts_mut(ptr.add(base | off), T::LANES) }, 0)
         };
-        if B == 0 {
+        if cols.is_empty() {
             let mut cols = [T::Lanes::splat(Complex::ZERO); M];
             for c in 0..M {
                 cols[c] = load(offs[c]);
@@ -678,58 +657,59 @@ impl<T: Scalar> GroupKernel<T> {
             }
             return;
         }
-        self.split_item::<M, B, K>(split, d, scratch, load, store);
-    }
-
-    /// The body of an item whose kernel has lane bits, its groups `K`
-    /// vectors each: every group is loaded and split in registers, and
-    /// its vectors go to their slots in `scratch`, the columns of the
-    /// item's `B` sub-unitaries; their rows come back the same way.
-    #[inline(always)]
-    fn split_item<const M: usize, const B: usize, const K: usize>(
-        &self,
-        split: &LaneSplit,
-        d: usize,
-        scratch: &mut [[[T::Lanes; M]; B]; 2],
-        load: impl Fn(usize) -> T::Lanes,
-        store: impl Fn(T::Lanes, usize),
-    ) {
-        let sub = |u: usize| &self.subs[(d | split.subs_low[u]) * M * M..][..M * M];
-        let bits = &split.bits;
-        let [cols, rows] = scratch;
-        for group in split.loads.chunks_exact(K) {
-            let mut x: [T::Lanes; K] = std::array::from_fn(|v| load(group[v].0));
-            split_group(&mut x, bits);
-            for (&v, &(_, slot)) in x.iter().zip(group) {
-                cols.as_flattened_mut()[slot] = v;
-            }
-        }
+        // Every group is loaded and split in registers and its vectors go
+        // to their column slots; the rows come back the same way.
+        split_groups(split, |(off, _)| load(off), |(_, slot), v| cols.as_flattened_mut()[slot] = v);
         for (u, (cols, rows)) in cols.iter().zip(rows.iter_mut()).enumerate() {
-            let m = sub(u);
+            let m = &self.subs[(d | split.subs_low[u]) * M * M..][..M * M];
             simd::dense_block_lanes::<T, M>(|i| T::Lanes::splat(m[i]), cols, |r, v| rows[r] = v);
         }
-        for group in split.loads.chunks_exact(K) {
-            let mut y: [T::Lanes; K] = std::array::from_fn(|v| rows.as_flattened()[group[v].1]);
-            split_group(&mut y, bits);
-            for (&v, &(off, _)) in y.iter().zip(group) {
-                store(v, off);
-            }
-        }
+        let rows = rows.as_flattened();
+        split_groups(split, |(_, slot)| rows[slot], |(off, _), v| store(v, off));
     }
 }
 
-/// Split the `K` vectors of one group on every level: level `i` pairs the
-/// vectors whose index differs in bit `i` and exchanges that index bit
-/// with lane bit `bits[i]`. Its own inverse, as each level is.
+/// Every group of `split`'s load list through the exchange: its `K`
+/// vectors read by `(offset, slot)`, split, and handed back with theirs.
+/// `K` is read at run time and becomes a constant here, once per item
+/// and direction, so that a group stays in registers: the same exchange
+/// as a runtime loop went through memory and cost the split kernels
+/// 1.8–2.3× their time.
 #[inline(always)]
-fn split_group<L: CLanes<T>, T: Scalar, const K: usize>(x: &mut [L; K], bits: &[usize]) {
-    // Constant bounds and indices only, so the group stays in registers.
-    for i in 0..K.trailing_zeros() as usize {
-        let bit = bits[i];
-        for v in 0..K {
-            if v >> i & 1 == 0 {
-                (x[v], x[v | 1 << i]) = x[v].split(x[v | 1 << i], bit);
+fn split_groups<L: CLanes<T>, T: Scalar>(
+    split: &LaneSplit,
+    read: impl Fn((usize, usize)) -> L,
+    write: impl FnMut((usize, usize), L),
+) {
+    match split.shape.1 {
+        2 => split_groups_of::<L, T, 2>(split, read, write),
+        4 => split_groups_of::<L, T, 4>(split, read, write),
+        _ => split_groups_of::<L, T, 8>(split, read, write),
+    }
+}
+
+/// [`split_groups`] at `K` vectors a group: level `i` pairs the vectors
+/// whose index differs in bit `i` and exchanges that index bit with lane
+/// bit `bits[i]`. Its own inverse, as each level is.
+#[inline(always)]
+fn split_groups_of<L: CLanes<T>, T: Scalar, const K: usize>(
+    split: &LaneSplit,
+    read: impl Fn((usize, usize)) -> L,
+    mut write: impl FnMut((usize, usize), L),
+) {
+    for group in split.loads.chunks_exact(K) {
+        let mut x: [L; K] = std::array::from_fn(|v| read(group[v]));
+        // Constant bounds and indices only, so the group stays in registers.
+        for i in 0..K.trailing_zeros() as usize {
+            let bit = split.bits[i];
+            for v in 0..K {
+                if v >> i & 1 == 0 {
+                    (x[v], x[v | 1 << i]) = x[v].split(x[v | 1 << i], bit);
+                }
             }
+        }
+        for (&v, &at) in x.iter().zip(group) {
+            write(at, v);
         }
     }
 }
@@ -1180,12 +1160,37 @@ mod tests {
         }
     }
 
+    /// The split shape `(B, K)` of `block`'s lane plan on `n` qubits at
+    /// precision `T`, after holding it bit for bit to the scalar chain.
+    fn split_shape_of<T: Scalar>(block: &FusedBlock, n: u32, what: &str) -> (usize, usize) {
+        assert_eq!(assert_lanes_are_the_scalar_chain::<T>(block, n, what), "split", "{what}");
+        let masks: Vec<usize> = block.qubits.iter().map(|&q| 1usize << q).collect();
+        let KernelPlan::Grouped(kernel) = group_plan::<T>(block, &masks, 1 << n, true) else { panic!("grouped") };
+        let LaneLayout::Lanes(split) = &kernel.lanes else { panic!("{what}: on lanes") };
+        split.shape
+    }
+
+    /// A block of `mu` mixed bits with every lane bit of precision `T` a
+    /// kernel bit: lane bit 0 unmixed, the others mixed while `mu` lasts
+    /// and unmixed after, the rest of the mixed bits from qubit 4 up. At
+    /// `mu = 6` every bit is mixed, as a table of `2^u` sub-unitaries of
+    /// `2^μ × 2^μ` holds `u + 2μ ≤ 2·MAX_FUSION_WIDTH`.
+    fn controlled_on_the_lane_bits<T: Scalar>(mu: u32, rnd: &mut impl FnMut() -> f64) -> FusedBlock {
+        let lanes = simd::lane_log2::<T>() as u32;
+        let mixed_lanes = if mu == 6 { 0..lanes } else { 1..lanes.min(mu + 1) };
+        let qubits: Vec<u32> = (0..lanes).chain(4..4 + mu - mixed_lanes.len() as u32).collect();
+        let unmixed = (0..lanes).filter(|j| !mixed_lanes.contains(j)).fold(0, |acc, j| acc | 1 << j);
+        let block = FusedBlock::from_dense(qubits.clone(), shaped_matrix(qubits.len(), Shape::Controlled(unmixed), rnd));
+        assert_eq!(block.mixed().count_ones(), mu, "μ of {qubits:?}, unmixed {unmixed:#b}");
+        block
+    }
+
     #[test]
     fn row_blocked_lanes_are_the_scalar_chain_at_every_group_size() {
         // A dense `2^μ × 2^μ` block for every `2^μ` a kernel can have, 2
-        // to 64 (width 6), with its qubits lowest (gathered lanes) and
-        // above both lane widths (contiguous lanes): fewer rows than one
-        // row block, exactly one, and many.
+        // to 64 (width 6), with its qubits lowest (split lanes) and above
+        // both lane widths (contiguous lanes): fewer rows than one row
+        // block, exactly one, and many.
         let mut s = 0x5EED_u64;
         let mut rnd = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1200,6 +1205,20 @@ mod tests {
                 assert_eq!(assert_lanes_are_the_scalar_chain::<f64>(&block, 14, &what), expect);
                 assert_eq!(assert_lanes_are_the_scalar_chain::<f32>(&block, 14, &what), expect);
             }
+            // The one split body at this `2^μ` with several sub-unitaries
+            // an item and groups of `LANES` vectors: every lane bit a
+            // kernel bit, lane bit 0 unmixed (all mixed at μ = 6).
+            let what = format!("controlled μ={mu} on the lane bits");
+            let b64 = if mu == 6 { 1 } else { 2 };
+            let b32 = match mu {
+                1 => 4,
+                6 => 1,
+                _ => 2,
+            };
+            let fp64 = controlled_on_the_lane_bits::<f64>(mu, &mut rnd);
+            assert_eq!(split_shape_of::<f64>(&fp64, 14, &what), (b64, 4), "{what} fp64");
+            let fp32 = controlled_on_the_lane_bits::<f32>(mu, &mut rnd);
+            assert_eq!(split_shape_of::<f32>(&fp32, 14, &what), (b32, 8), "{what} fp32");
         }
     }
 

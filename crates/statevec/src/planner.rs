@@ -123,12 +123,6 @@ pub struct PlannerCosts {
     pub force_mode: Option<SegmentMode>,
 }
 
-impl Default for PlannerCosts {
-    fn default() -> Self {
-        PlannerCosts::host_reference()
-    }
-}
-
 impl PlannerCosts {
     /// The priced selector: what the service runs a dense job with.
     pub const fn host_reference() -> Self {
@@ -833,7 +827,7 @@ mod tests {
     #[test]
     fn plan_partitions_every_kernel_and_gate() {
         for c in [qft_like(8), random_like(16, 3)] {
-            let p = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
+            let p = plan(&c, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
             let scheduled: usize = p.segments.iter().map(|s| s.sweep.kernels.len()).sum();
             assert_eq!(scheduled, p.blocks.len(), "segments partition the kernels");
             assert_eq!(p.source_gates as usize, c.unitary_count());
@@ -976,8 +970,8 @@ mod tests {
     #[test]
     fn digest_tracks_width_decisions() {
         let c = random_like(16, 9);
-        let base = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
-        let same = plan(&c, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
+        let base = plan(&c, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
+        let same = plan(&c, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
         assert_eq!(base.digest, same.digest, "planning is deterministic");
         assert_eq!((base.blocks, base.segments), (same.blocks, same.segments));
         let pin = plan(&c, 5, 12, true, &PIN, 16).unwrap();
@@ -990,7 +984,7 @@ mod tests {
         for q in 0..16 {
             phases.h(q).cr1(0.3, q, (q + 1) % 16).barrier();
         }
-        let priced = plan(&phases, 5, 12, true, &PlannerCosts::default(), 16).unwrap();
+        let priced = plan(&phases, 5, 12, true, &PlannerCosts::host_reference(), 16).unwrap();
         let pin = plan(&phases, 5, 12, true, &PIN, 16).unwrap();
         assert!(priced.segments.iter().all(|s| s.predicted().is_some()));
         assert_eq!(priced.blocks, pin.blocks);

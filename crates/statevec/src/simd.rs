@@ -32,6 +32,7 @@
 //! precisions, which is what lets the toggle exist at all: flipping it
 //! mid-run cannot change any result.
 
+use qgear_ir::fusion::FusedBlock;
 use qgear_num::{CLanes, Complex, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -116,6 +117,13 @@ pub(crate) struct DiagTable<T: Scalar> {
 }
 
 impl<T: Scalar> DiagTable<T> {
+    /// The table of `block`, which mixes nothing, over single-bit `masks`
+    /// (mask `j` selects kernel-local bit `j`), cast to precision `T` and
+    /// applied to spans of `span` amplitudes.
+    pub(crate) fn new(block: &FusedBlock, masks: &[usize], span: usize) -> Self {
+        DiagTable::build(block.table().iter().map(|c| c.cast()).collect(), masks, span)
+    }
+
     /// Build the table for diagonal `d` over single-bit `masks` (mask `j`
     /// selects kernel-local bit `j`), applied to spans of `span` amplitudes
     /// starting at span-aligned offsets.

@@ -179,6 +179,23 @@ cargo run --release -p qgear-bench --bin bench_checkpoint -- --smoke
 echo "==> benchmark/run.sh --smoke (four workloads through the real Service)"
 bash benchmark/run.sh --smoke >/dev/null
 
+# The compiled group-kernel bodies: `GroupKernel::run` compiles one body
+# per group size `2^μ` and precision and reads the split shape at run
+# time, so the `GroupKernel` symbols of the benchmark binary built above
+# are capped at the count that gives, like the `unsafe` sites: a new
+# body has to displace an old one. Optional like clippy.
+if command -v nm >/dev/null 2>&1; then
+    echo "==> GroupKernel symbols: at most 28 in the benchmark binary"
+    kernels="$(nm -C "${CARGO_TARGET_DIR:-benchmark/target}/release/qgear-benchmark" | grep -c GroupKernel || true)"
+    echo "$kernels GroupKernel symbols"
+    if [ "$kernels" -gt 28 ]; then
+        echo "more than 28 GroupKernel symbols in the benchmark binary" >&2
+        exit 1
+    fi
+else
+    echo "==> nm not installed; skipping the GroupKernel symbol count"
+fi
+
 # Deterministic simulation matrix: the simtest suite re-runs under four
 # fixed scenario seeds so the oracle properties — including the
 # checkpoint-recovery acceptance scenario (die mid-run, newest

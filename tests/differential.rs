@@ -183,7 +183,7 @@ proptest! {
         }
 
         // Aer reads no planner option: a priced selector changes nothing.
-        let aer: RunOutput<f64> = AerCpuBackend.run(&native, &selected(PlannerCosts::default()))
+        let aer: RunOutput<f64> = AerCpuBackend.run(&native, &selected(PlannerCosts::host_reference()))
             .expect("aer run");
         let pinned: RunOutput<f64> = GpuDevice::a100_40gb()
             .run(&native, &selected(PlannerCosts::pinned(SegmentMode::Unfused)))
