@@ -152,6 +152,19 @@ mod tests {
     }
 
     #[test]
+    fn the_per_gate_selector_is_refused_not_walked_as_an_empty_plan() {
+        use qgear_statevec::planner::{PlannerCosts, SegmentMode};
+        let eng = ClusterEngine::a100_cluster(2);
+        let c = entangling_circuit(5, 8);
+        let per_gate = PlannerCosts::pinned(SegmentMode::Unfused);
+        let opts = RunOptions { planner_costs: per_gate, ..Default::default() };
+        match <ClusterEngine as Simulator<f64>>::run(&eng, &c, &opts) {
+            Err(SimError::UnsupportedGate(why)) => assert!(why.contains("fused kernels"), "{why}"),
+            other => panic!("a shard group walked the per-gate plan: {:?}", other.map(|o| o.stats)),
+        }
+    }
+
+    #[test]
     fn too_many_devices_for_width_rejected() {
         // 5 qubits over 16 devices leaves local width 1 < fusion width.
         let eng = ClusterEngine::a100_cluster(16);

@@ -1,31 +1,28 @@
 //! The partitioned-state walker: a resumable cursor over an
-//! [`ExecutionPlan`]'s kernels, executed on a [`DistributedState`].
+//! [`ExecutionPlan`]'s segments, executed on a [`DistributedState`].
 //!
 //! [`ShardedRun`] is to a state pooled over a device group what
 //! [`qgear_statevec::SegmentedRun`] is to a state resident on one
-//! device: it asks the same plan builder for the same schedule, applies
-//! it in bounded steps under caller control, and keeps the same
-//! contract, [`qgear_statevec::Stepper`], with a broken exchange as its
-//! fault. [`ClusterEngine::run`](crate::ClusterEngine) hands it to the
-//! one straight-through tail, [`qgear_statevec::straight_through`];
-//! `qgear-serve` drives it in segments, snapshots it at segment
-//! boundaries, and migrates the snapshots between shard groups.
+//! device: it asks the same plan builder, with the caller's selector, for
+//! the same plan, steps it one plan segment at a time under caller
+//! control, and keeps the same contract, [`qgear_statevec::Stepper`],
+//! with a broken exchange as its fault. [`ClusterEngine::run`](crate::ClusterEngine)
+//! hands it to the one straight-through tail,
+//! [`qgear_statevec::straight_through`]; `qgear-serve` drives it in
+//! segments, snapshots it at segment boundaries, and migrates the
+//! snapshots between shard groups.
 //!
-//! The distributed engine executes kernel-at-a-time (each kernel may
-//! force a layout exchange), so a step is one fused block and of the
-//! plan it takes the *ordering*: with sweep scheduling on, kernels with
-//! shared support land adjacently, which keeps hot qubits local between
-//! exchanges; at `sweep_width: 0` the order is the program's. Every
-//! block runs as the exact kernel — one plan per step, run over every
-//! slice ([`qgear_statevec::gpu::GpuDevice::apply_to_slices`]) —
-//! whatever mode a single-device walker would give its segment, so the
-//! plan is built under the [`SegmentMode::Sweep`] pin, which prices and
-//! classifies nothing. "Exact" is bit-identical to sequential dense
-//! application of the block to the gathered state, not the dense
-//! arithmetic itself: the kernel skips matrix entries that are exactly
-//! zero, which no result bit can see, short of a partial sum
-//! underflowing to `-0.0` (the argument is on `KernelPlan::new` in
-//! `qgear-statevec`'s `gpu.rs`).
+//! Only *where* a kernel runs differs from the dense walker. A step
+//! applies its segment's kernels in the segment's order, each through
+//! [`DistributedState::apply_block`] — the exact kernel over every slice
+//! ([`qgear_statevec::gpu::GpuDevice::apply_to_slices`]), after whatever
+//! exchanges bring its mixed qubits local — where the dense walker runs
+//! them as one cache-blocked tile pass. A sweep's tile pass is bit-identical
+//! to its kernels run in order (`GpuDevice::apply_sweep`), so the gathered
+//! state is the dense walker's bit for bit at every fusion width, sweep
+//! width and selector, and a cursor — a count of plan segments on either
+//! walker — resumes on either. The per-gate plan has no fused kernels to
+//! place on slices, so a group refuses it.
 //!
 //! Everything here is deterministic, so equal `(circuit, options,
 //! precision)` rebuild byte-identical schedules and a cursor is portable
@@ -40,7 +37,7 @@ use qgear_num::Scalar;
 use qgear_statevec::checkpoint::{
     encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
 };
-use qgear_statevec::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
+use qgear_statevec::planner::{self, ExecutionPlan, SegmentMode};
 use qgear_statevec::{
     marginal_of_runs, ExecStats, RunOptions, SamplingConfig, SimError, StateVector, Stepper,
 };
@@ -49,13 +46,10 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// A partially-executed pooled simulation: the partitioned state plus a
-/// cursor into its plan's kernel order.
+/// cursor into its plan's segments.
 pub struct ShardedRun<T: Scalar> {
     dist: DistributedState<T>,
     plan: ExecutionPlan,
-    /// [`ExecutionPlan::block_order`]: the schedule this run steps
-    /// through, one kernel per step.
-    order: Vec<usize>,
     cursor: usize,
     /// Kept for the fingerprint a checkpoint carries, which
     /// Debug-formats the whole circuit: computed on first use, so a run
@@ -69,9 +63,11 @@ pub struct ShardedRun<T: Scalar> {
 }
 
 /// Admission checks and the plan for `circuit` pooled over `engine`'s
-/// devices: the group must be a power of two, every kernel must be
-/// remappable onto local bits, and one slice must fit one device. The
-/// plan is built inside a `simulate` span, as `SegmentedRun`'s is.
+/// devices: the group must be a power of two, the plan must fuse, every
+/// kernel must be remappable onto local bits, and one slice must fit one
+/// device. The plan is the one `opts` selects for a dense walker, its
+/// fusion width clamped to the local width, built inside a `simulate`
+/// span, as `SegmentedRun`'s is.
 fn plan_for<T: Scalar>(
     engine: &ClusterEngine,
     circuit: &Circuit,
@@ -83,6 +79,11 @@ fn plan_for<T: Scalar>(
             "mgpu requires a power-of-two device count, got {}",
             engine.num_devices
         )));
+    }
+    if opts.planner_costs.force_mode == Some(SegmentMode::Unfused) {
+        return Err(SimError::UnsupportedGate(
+            "a shard group runs fused kernels; the per-gate plan has none".to_owned(),
+        ));
     }
     let p = engine.num_devices.trailing_zeros();
     // Kernels execute on local bits after remapping, so the fusion
@@ -103,7 +104,7 @@ fn plan_for<T: Scalar>(
         width,
         opts.sweep_width,
         opts.sweep_reorder,
-        &PlannerCosts::pinned(SegmentMode::Sweep),
+        &opts.planner_costs,
         2 * T::BYTES,
     )
     .map_err(|e| SimError::UnsupportedGate(e.to_string()))
@@ -137,7 +138,6 @@ impl<T: Scalar> ShardedRun<T> {
     ) -> Self {
         ShardedRun {
             dist,
-            order: plan.block_order(),
             plan,
             cursor,
             circuit: circuit.clone(),
@@ -148,9 +148,9 @@ impl<T: Scalar> ShardedRun<T> {
         }
     }
 
-    /// Total fused blocks in the schedule.
+    /// Total segments in the schedule.
     pub fn steps_total(&self) -> usize {
-        self.order.len()
+        self.plan.len()
     }
 
     /// The partitioned state (for cross-device sampling, the traffic
@@ -172,13 +172,21 @@ impl<T: Scalar> ShardedRun<T> {
 
     /// Deterministic engine counters for the blocks applied so far —
     /// derived from the cursor alone, so a resumed run's stats match an
-    /// uninterrupted one regardless of which generation it restored.
+    /// uninterrupted one regardless of which generation it restored — in
+    /// the dense walker's terms (source gates once the schedule
+    /// completes), so either walker resumes the other's generations.
     fn counters(&self) -> CheckpointCounters {
-        let applied = self.order[..self.cursor].iter().map(|&ki| &self.plan.blocks[ki]);
+        let n_amps = 1u128 << self.dist.num_qubits();
+        let applied = self.plan.segments[..self.cursor].iter().flat_map(|s| &s.sweep.kernels);
+        let widths = || applied.clone().map(|&ki| self.plan.blocks[ki].qubits.len());
+        let kernels = widths().count();
         CheckpointCounters {
-            gates_applied: applied.map(|b| b.source_gates as u64).sum(),
-            kernels_launched: self.cursor as u64,
-            ..CheckpointCounters::default()
+            gates_applied: if self.is_done() { self.plan.source_gates } else { 0 },
+            kernels_launched: kernels as u64,
+            sweeps_executed: 0,
+            // One read + one write of the full state per kernel.
+            bytes_touched: 2 * n_amps * (2 * T::BYTES * kernels) as u128,
+            flops: widths().map(|k| n_amps << k).sum(),
         }
     }
 
@@ -218,7 +226,7 @@ impl<T: Scalar> ShardedRun<T> {
         let plan = plan_for::<T>(engine, circuit, opts)
             .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
         let fingerprint = plan_fingerprint(circuit, T::BYTES as u8, plan.digest);
-        ck.verify_against(fingerprint, plan.blocks.len(), circuit.num_qubits())?;
+        ck.verify_against(fingerprint, plan.len(), circuit.num_qubits())?;
         let dist =
             DistributedState::from_state(&ck.state, engine.num_devices, ClusterTopology::default());
         Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
@@ -229,27 +237,31 @@ impl<T: Scalar> Stepper<T> for ShardedRun<T> {
     /// A pairwise exchange failed mid-segment.
     type Fault = CommError;
 
-    /// Applies fused blocks, timed on the engine's clock, and records the
-    /// `simulate` span and the `kernels.launched` / `gates.applied`
-    /// counters where [`qgear_statevec::SegmentedRun`] does.
-    fn advance(&mut self, max_blocks: usize) -> Result<(), CommError> {
+    /// Applies plan segments, each segment's kernels in its order, timed
+    /// on the engine's clock, and records the `simulate` span and the
+    /// `kernels.launched` / `gates.applied` counters where
+    /// [`qgear_statevec::SegmentedRun`] does.
+    fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
         let start = self.clock.now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let from = self.cursor;
-        let end = self.cursor.saturating_add(max_blocks.max(1)).min(self.order.len());
+        let end = self.cursor.saturating_add(max_steps.max(1)).min(self.plan.len());
         let result = (self.cursor..end).try_for_each(|step| {
-            self.dist.apply_block(&self.plan.blocks[self.order[step]])?;
+            for &ki in &self.plan.segments[step].sweep.kernels {
+                self.dist.apply_block(&self.plan.blocks[ki])?;
+            }
             self.cursor = step + 1;
             Ok(())
         });
+        let segments = &self.plan.segments[from..self.cursor];
         qgear_telemetry::counter_add(
             qgear_telemetry::names::KERNELS_LAUNCHED,
-            (self.cursor - from) as u128,
+            segments.iter().map(|s| s.sweep.kernels.len() as u128).sum(),
         );
         if self.is_done() && self.cursor > from {
             qgear_telemetry::counter_add(
                 qgear_telemetry::names::GATES_APPLIED,
-                self.counters().gates_applied as u128,
+                u128::from(self.plan.source_gates),
             );
         }
         drop(sim_span);
@@ -258,21 +270,19 @@ impl<T: Scalar> Stepper<T> for ShardedRun<T> {
     }
 
     fn is_done(&self) -> bool {
-        self.cursor >= self.order.len()
+        self.cursor >= self.plan.len()
     }
 
     fn cursor(&self) -> usize {
         self.cursor
     }
 
-    /// Schedule counters — including `bytes_touched` (one read + one
-    /// write of the full state per block) and `flops` — are
+    /// Schedule counters — the ones a checkpoint carries — are
     /// cursor-derived and therefore migration-invariant. Communication
     /// counters and `elapsed` are this group instance's: a replacement
     /// group does not inherit a dead one's traffic or time.
     fn stats(&self) -> ExecStats {
         let counters = self.counters();
-        let n_amps = 1u128 << self.dist.num_qubits();
         let traffic = self.dist.traffic();
         let mut comm_bytes = [0u128; 3];
         for class in LinkClass::ALL {
@@ -281,11 +291,8 @@ impl<T: Scalar> Stepper<T> for ShardedRun<T> {
         ExecStats {
             gates_applied: counters.gates_applied,
             kernels_launched: counters.kernels_launched,
-            bytes_touched: 2 * n_amps * (2 * T::BYTES) as u128 * self.cursor as u128,
-            flops: self.order[..self.cursor]
-                .iter()
-                .map(|&ki| n_amps << self.plan.blocks[ki].qubits.len())
-                .sum(),
+            bytes_touched: counters.bytes_touched,
+            flops: counters.flops,
             elapsed: self.elapsed,
             comm_bytes,
             comm_messages: traffic.total_messages(),

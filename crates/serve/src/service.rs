@@ -98,11 +98,11 @@ pub struct ServeConfig {
     /// key: different windows launch different kernels).
     pub fusion_width: usize,
     /// Sweep window passed to the cache-blocked sweep scheduler (0
-    /// disables sweeping). Shapes the segmented-execution schedule, so
-    /// it is covered by the checkpoint plan fingerprint.
+    /// disables sweeping). Shapes the one plan dense and sharded jobs
+    /// both walk, so it is covered by the checkpoint plan fingerprint.
     pub sweep_width: usize,
-    /// Schedule steps per execution segment when checkpointed execution
-    /// is enabled. `0` (the default) disables checkpointing for dense
+    /// Schedule steps — plan segments, on either engine — per execution
+    /// segment when checkpointed execution is enabled. `0` (the default) disables checkpointing for dense
     /// jobs: each attempt then runs its whole schedule as one segment
     /// and nothing is written. Sharded jobs always checkpoint, every
     /// `checkpoint_interval.max(1)` steps.
@@ -311,12 +311,11 @@ impl Service {
 
         // The one walk of the gate stream is taken before the lock, which
         // workers block on; the result key is derived from the state key.
-        // The keys need no plan words: a dense job's priced plan, the
-        // kernel widths it narrows to included, is a pure function of the
+        // The keys need no plan words: a job's priced plan, the kernel
+        // widths it narrows to included, is a pure function of the
         // canonical circuit, the precision and the fusion width under the
-        // planner's compile-time cost constants, and the engine (which
-        // picks the shard group's `Sweep` pin instead) is a function of
-        // the width and precision.
+        // planner's compile-time cost constants, and a shard group walks
+        // the same plan as a dense worker.
         let state_key = CircuitKey::state_key(&canonical, &spec, self.shared.cfg.fusion_width);
         let key = state_key.sampled(&spec, engine);
         let submitted_at = self.shared.cfg.clock.now();
@@ -859,9 +858,9 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// The execution options every attempt of a job runs with — one
 /// construction point, because the checkpoint plan fingerprint covers
 /// these knobs: a dispatch that rebuilt them differently could not
-/// resume its predecessor's generations. A dense job runs the priced
-/// plan, which narrows the compute-bound kernels of a large register
-/// and is the `Sweep` pin's plan below the crossover
+/// resume its predecessor's generations. A job runs the priced plan,
+/// dense or sharded, which narrows the compute-bound kernels of a large
+/// register and is the `Sweep` pin's plan below the crossover
 /// (`qgear_statevec::planner`).
 fn run_options(cfg: &ServeConfig, job: &QueuedJob) -> RunOptions {
     RunOptions {

@@ -7,8 +7,8 @@
 //! power-of-two shard group (`qgear_perfmodel::memory::plan_shard_count`
 //! picks the width at admission). The stepper driver advances the
 //! cluster crate's walker ([`ShardedRun`], the same one
-//! `ClusterEngine::run` drives straight through) in *segments* of fused
-//! blocks; what lives here is admission's group width, fault arming and
+//! `ClusterEngine::run` drives straight through) in *segments* of plan
+//! steps; what lives here is admission's group width, fault arming and
 //! the audit hooks. Every interior segment
 //! boundary writes a QCKP-v1 checkpoint generation — the bytes of the
 //! gathered state, written from the slices without gathering them —
@@ -25,13 +25,11 @@
 //!
 //! Both recoveries are bit-exact: gathered amplitudes are layout- and
 //! width-independent, so a migrated or recovered run finishes
-//! byte-identical to an unfaulted one. Against an *unsharded* run the
-//! same holds only when that one also runs kernel-at-a-time in program
-//! order — a service at `sweep_width: 0`, which is what a group steps at
-//! whatever the service is configured with: the distributed engine then
-//! applies the identical fused kernels the dense engine would. A dense
-//! service at its default sweep width reorders commuting kernels and
-//! agrees with a sharded run to round-off, not to the bit.
+//! byte-identical to an unfaulted one. A group runs the plan the dense
+//! service would run for the same job — the service's own run options,
+//! one step per plan segment — so a sharded job's counts are also the
+//! dense service's, bit for bit, at whatever fusion and sweep widths the
+//! service is configured with.
 
 use crate::event::EventKind;
 use crate::scheduler::QueuedJob;
@@ -129,10 +127,9 @@ pub(crate) struct ShardSource<'a> {
     /// The shard group as the cluster walker sees it: admission's width,
     /// the default topology, the service clock.
     engine: ClusterEngine,
-    /// The job's [`crate::service`] run options at `sweep_width: 0`: a
-    /// group steps — and checkpoints — per fused block in program order.
-    /// The checkpoint plan fingerprint covers them, so every dispatch
-    /// must rebuild the same.
+    /// The job's [`crate::service`] run options, as a dense dispatch
+    /// gets them. The checkpoint plan fingerprint covers them, so every
+    /// dispatch must rebuild the same.
     opts: RunOptions,
     lost_shard: u32,
     /// Armed on the first group this dispatch builds, then spent: the
@@ -169,7 +166,7 @@ impl<'a> ShardSource<'a> {
                 clock: cfg.clock.clone(),
                 ..ClusterEngine::a100_cluster(shards as usize)
             },
-            opts: RunOptions { sweep_width: 0, ..opts },
+            opts,
             lost_shard: injected.lost_shard,
             link_fault: Cell::new(injected.link_fault),
         })

@@ -461,13 +461,6 @@ impl ExecutionPlan {
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
-
-    /// Kernel indices into [`Self::blocks`] in execution order — what a
-    /// walker that runs kernel-at-a-time (the cluster engine) steps
-    /// through.
-    pub fn block_order(&self) -> Vec<usize> {
-        self.segments.iter().flat_map(|s| s.sweep.kernels.iter().copied()).collect()
-    }
 }
 
 /// The first word of every plan digest.
@@ -1017,8 +1010,8 @@ mod tests {
             for (c, width) in [(qft_like(7), 5), (qft_like(8), 2), (random_like(6, 3), 2), (random_like(16, 3), 5)] {
                 let p = plan(&c, width, 0, true, &costs, 16).unwrap();
                 assert!(p.len() > 1);
-                assert_eq!(p.block_order(), (0..p.blocks.len()).collect::<Vec<_>>());
-                assert!(p.segments.iter().all(|s| s.sweep.kernels.len() == 1));
+                assert_eq!(p.len(), p.blocks.len());
+                assert!(p.segments.iter().enumerate().all(|(ki, s)| s.sweep.kernels == [ki]));
             }
         }
     }

@@ -498,7 +498,7 @@ mod tests {
             assert!(a.plan.segments.iter().all(|s| s.mode == SegmentMode::Sweep));
             if sweep_width == 0 {
                 // One step per fused block, in program order.
-                assert_eq!(a.plan.block_order(), (0..a.plan.blocks.len()).collect::<Vec<_>>());
+                assert!(a.plan.segments.iter().enumerate().all(|(ki, s)| s.sweep.kernels == [ki]));
                 assert_eq!(a.steps_total(), a.plan.blocks.len());
             }
         }

@@ -136,6 +136,15 @@ cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_
 echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job -- --ignored (n = 18 shard tier)"
 cargo test -q --release --test sharding an_eighteen_qubit_job_is_bitwise_dense_over_four_shards -- --ignored
 
+# The same size at the served configuration: the `sharded_ckpt` shape
+# (an ry layer, then the QFT, fp64) over four shards at the default
+# ServeConfig widths (fusion 5, sweep 12, priced) and checkpoint_interval
+# 8. The group walks the dense service's plan, so its served counts and
+# kernels are the dense service's, and a resume from the generation at
+# cursor 8 finishes bitwise.
+echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job_at_the_served_configuration -- --ignored (n = 18 served-configuration tier)"
+cargo test -q --release --test sharding an_eighteen_qubit_job_at_the_served_configuration_is_bitwise_dense_over_four_shards -- --ignored
+
 # The full QCrank grid, kept out of tier-1 (which runs every split up to
 # 14 qubits): every (addr, data) split up to 20 qubits, fp32 and fp64,
 # multiplexed kernels against the closed-form QCrank state (held to the

@@ -25,8 +25,8 @@ use qgear_serve::{
 };
 use qgear_statevec::backend::{marginal_probs, sample_from_probs};
 use qgear_statevec::{
-    decode_checkpoint, encode_checkpoint, ExecStats, GpuDevice, RunOptions, RunOutput,
-    SegmentedRun, Simulator, Stepper,
+    decode_checkpoint, encode_checkpoint, plan, ExecStats, GpuDevice, PlannerCosts, RunOptions,
+    RunOutput, SegmentMode, SegmentedRun, Simulator, Stepper,
 };
 use qgear_workloads::qft::{qft_circuit, QftOptions};
 use std::time::Duration;
@@ -52,6 +52,40 @@ fn tiny_device() -> GpuDevice {
     let mut dev = GpuDevice::a100_40gb();
     dev.memory_bytes = 192;
     dev
+}
+
+/// The `sharded_ckpt` benchmark shape: an `ry` layer, then the QFT,
+/// every qubit measured.
+fn qft_after_ry_layer(n: u32) -> Circuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.ry(0.3 + 0.37 * f64::from(q), q);
+    }
+    c.compose(&qft_circuit(n, &QftOptions::default())).expect("same register width");
+    c.measure_all();
+    c
+}
+
+/// A worker that holds exactly one slice of an `n`-qubit fp64 state
+/// split `shards` ways.
+fn slice_device(n: u32, shards: u32) -> GpuDevice {
+    let mut device = GpuDevice::a100_40gb();
+    device.memory_bytes = (16u128 << n) / u128::from(shards);
+    device
+}
+
+/// What the service runs a job with at its default widths: fusion
+/// width 5, sweep width 12, priced.
+fn served_options() -> RunOptions {
+    let cfg = ServeConfig::default();
+    RunOptions {
+        shots: 0,
+        fusion_width: cfg.fusion_width,
+        sweep_width: cfg.sweep_width,
+        keep_state: true,
+        planner_costs: PlannerCosts::host_reference(),
+        ..Default::default()
+    }
 }
 
 fn sharded_config() -> ServeConfig {
@@ -176,6 +210,60 @@ fn a_sharded_job_matches_the_dense_service_bit_for_bit() {
                 result.stats.comm_bytes
             );
         }
+    }
+
+    // The served configuration: the service's default fusion width 5 and
+    // sweep width 12, priced, on a 16-qubit fp64 register above the
+    // crossover, where the priced plan re-fuses kernels narrower than the
+    // pin's and sweeps group them. The group walks that plan, one segment
+    // a step, and lands on the dense service's counts bit for bit.
+    let served = qft_after_ry_layer(16);
+    let (native, _) = decompose_to_native(&served);
+    let digest = |costs: &PlannerCosts| plan(&native, 5, 12, true, costs, 16).unwrap().digest;
+    assert_ne!(
+        digest(&PlannerCosts::host_reference()),
+        digest(&PlannerCosts::pinned(SegmentMode::Sweep)),
+        "the priced plan must differ from the pin's, or this case shows nothing"
+    );
+    let spec = || JobSpec::new(served.clone()).shots(4000).seed(17);
+    let dense = Service::start(ServeConfig { workers: 1, ..Default::default() });
+    let id = dense.submit(spec()).job_id().expect("dense admits");
+    let reference = dense.wait(id).unwrap().result().expect("dense completes").clone();
+    dense.shutdown();
+    let runs = [
+        ("clean", None),
+        ("worker death", Some(FaultKind::ShardWorkerDeath { shard: 1, after_segments: 1 })),
+        ("corrupted exchange", Some(FaultKind::LinkFault { exchange: 0, corrupt: true })),
+    ];
+    for (what, fault) in runs {
+        let schedule = fault
+            .map_or(FaultSchedule::none(), |kind| FaultSchedule::none().with_event(0, 0, kind));
+        let sharded = Service::start(ServeConfig {
+            workers: 1,
+            backend: BackendKind::Gpu(slice_device(16, 2)),
+            shard: Some(ShardConfig::default()),
+            checkpoint_interval: 4,
+            schedule,
+            ..Default::default()
+        });
+        let id = sharded.submit(spec()).job_id().expect("admitted sharded");
+        let result = sharded.wait(id).unwrap().result().expect("the sharded run completes").clone();
+        sharded.shutdown();
+        let what = format!("served configuration, {what}");
+        assert_eq!(result.counts, reference.counts, "{what}: counts");
+        assert_eq!(result.stats.kernels_launched, reference.stats.kernels_launched, "{what}");
+        let log = sharded.events_for(id);
+        let started = EventKind::Shard(ShardRecord::Started { job: 0, shards: 2 });
+        assert!(log.iter().any(|e| e.kind == started), "{what}: log: {log:?}");
+        let struck = log.iter().any(|e| match (fault, &e.kind) {
+            (None, EventKind::Shard(ShardRecord::Completed { .. })) => true,
+            (Some(FaultKind::ShardWorkerDeath { .. }), EventKind::Checkpoint(r)) => {
+                matches!(r, CheckpointRecord::Resumed { cursor: 4, .. })
+            }
+            (Some(_), EventKind::Shard(ShardRecord::LinkFault { .. })) => true,
+            _ => false,
+        });
+        assert!(struck, "{what}: the fault must actually have struck; log: {log:?}");
     }
 }
 
@@ -474,8 +562,115 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
     assert_eq!(resumed.state().amplitudes(), dense.amplitudes(), "resumed from cursor 24");
 }
 
+/// The served configuration's tier at the benchmark's own size, outside
+/// tier-1 beside its sweep-0 sibling above: the `sharded_ckpt` shape (an
+/// `ry` layer, then the QFT, fp64) at n = 18 over four shards, at the
+/// service's default widths — fusion 5, sweep 12, priced — and
+/// `checkpoint_interval: 8`. The group walks the dense service's plan,
+/// so its served counts and kernel count are the dense service's, and a
+/// run resumed from the generation at cursor 8 gathers the dense
+/// amplitudes bit for bit.
+#[test]
+#[ignore = "minutes in a debug build; scripts/check.sh runs it by name with --release"]
+fn an_eighteen_qubit_job_at_the_served_configuration_is_bitwise_dense_over_four_shards() {
+    let (n, shards) = (18u32, 4u32);
+    let circuit = qft_after_ry_layer(n);
+    let (native, _) = decompose_to_native(&circuit);
+    let served = |config: ServeConfig| {
+        let service = Service::start(ServeConfig { workers: 1, ..config });
+        let id = service
+            .submit(JobSpec::new(circuit.clone()).shots(4000).seed(31))
+            .job_id()
+            .expect("admitted");
+        let result = service.wait(id).unwrap().result().expect("completes").clone();
+        service.shutdown();
+        (result, service.events_for(id))
+    };
+    let (reference, _) = served(ServeConfig::default());
+    let (result, log) = served(ServeConfig {
+        backend: BackendKind::Gpu(slice_device(n, shards)),
+        shard: Some(ShardConfig::default()),
+        checkpoint_interval: 8,
+        checkpoint_generations: 8,
+        ..Default::default()
+    });
+    assert_eq!(result.counts, reference.counts, "served counts");
+    assert_eq!(result.stats.kernels_launched, reference.stats.kernels_launched, "kernels");
+    let started = EventKind::Shard(ShardRecord::Started { job: 0, shards });
+    assert!(log.iter().any(|e| e.kind == started), "the smallest sufficient group; log: {log:?}");
+    let wrote_at_8 = log.iter().any(|e| {
+        matches!(e.kind, EventKind::Checkpoint(CheckpointRecord::Wrote { cursor: 8, .. }))
+    });
+    assert!(wrote_at_8, "a generation at cursor 8; log: {log:?}");
+
+    let opts = served_options();
+    let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &opts).unwrap();
+    let dense = dense.state.expect("state kept");
+    let group = ClusterEngine::a100_cluster(shards as usize);
+    let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    run.advance(8).expect("no faults armed");
+    let mut generation = Vec::new();
+    run.encode_checkpoint(&mut generation);
+    run.advance(usize::MAX).expect("no faults armed");
+    assert_eq!(run.state().amplitudes(), dense.amplitudes(), "gathered");
+
+    let ck = decode_checkpoint::<f64>(&generation).expect("verifies");
+    let mut resumed = ShardedRun::resume(&group, &native, &opts, ck).expect("same plan");
+    assert_eq!(resumed.cursor(), 8);
+    resumed.advance(usize::MAX).expect("no faults armed");
+    assert_eq!(resumed.state().amplitudes(), dense.amplitudes(), "resumed from cursor 8");
+}
+
+/// The two walkers share one plan, one fingerprint and one cursor, so a
+/// generation either one writes resumes on the other. At the served
+/// configuration (fusion width 5, sweep width 12, priced) on a 16-qubit
+/// fp64 register above the crossover, a `SegmentedRun` generation
+/// finishes on a 2-shard `ShardedRun`, and a `ShardedRun` generation
+/// finishes on a `SegmentedRun`, both bit for bit on the dense
+/// straight-through state and with its kernel and gate counts.
+#[test]
+fn a_generation_resumes_across_engines_at_the_served_configuration() {
+    let circuit = qft_after_ry_layer(16);
+    let (native, _) = decompose_to_native(&circuit);
+    let opts = served_options();
+    let device = GpuDevice::a100_40gb();
+    let group = ClusterEngine::a100_cluster(2);
+    let straight: RunOutput<f64> = device.run(&native, &opts).unwrap();
+    let expect = straight.state.as_ref().expect("state kept").amplitudes();
+
+    let mut dense = SegmentedRun::<f64>::new(&device, &native, &opts).expect("plan");
+    let mut sharded = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    assert_eq!(dense.steps_total(), sharded.steps_total(), "one plan");
+    assert_eq!(dense.fingerprint(), sharded.fingerprint(), "one fingerprint");
+    let k = dense.steps_total() / 2;
+    assert!(k > 1 && k < dense.steps_total());
+    let Ok(()) = dense.advance(k);
+    sharded.advance(k).expect("no faults armed");
+    let (mut from_dense, mut from_sharded) = (Vec::new(), Vec::new());
+    dense.encode_checkpoint(&mut from_dense);
+    sharded.encode_checkpoint(&mut from_sharded);
+
+    let ck = decode_checkpoint::<f64>(&from_dense).expect("verifies");
+    let mut onto_group = ShardedRun::resume(&group, &native, &opts, ck).expect("dense → sharded");
+    assert_eq!(onto_group.cursor(), k);
+    onto_group.advance(usize::MAX).expect("no faults armed");
+    assert_eq!(onto_group.state().amplitudes(), expect, "dense generation, finished sharded");
+
+    let ck = decode_checkpoint::<f64>(&from_sharded).expect("verifies");
+    let onto_device = SegmentedRun::resume(&device, &native, &opts, ck);
+    let mut onto_device = onto_device.expect("sharded → dense");
+    assert_eq!(onto_device.cursor(), k);
+    let Ok(()) = onto_device.advance(usize::MAX);
+    assert_eq!(onto_device.state().amplitudes(), expect, "sharded generation, finished dense");
+
+    for (what, stats) in [("sharded", onto_group.stats()), ("dense", onto_device.stats())] {
+        assert_eq!(stats.kernels_launched, straight.stats.kernels_launched, "{what}: kernels");
+        assert_eq!(stats.gates_applied, straight.stats.gates_applied, "{what}: gates");
+    }
+}
+
 /// `ClusterEngine::run` is the shard walker driven straight through:
-/// stepping the same walker one block at a time lands on the same
+/// stepping the same walker one segment at a time lands on the same
 /// amplitudes, the same counts and the same `ExecStats` counters, bit
 /// for bit — in program order and in sweep-reordered order, over 2 and
 /// 4 devices, measuring every qubit or a permuted subset.
