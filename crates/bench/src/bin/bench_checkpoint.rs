@@ -21,7 +21,7 @@
 //! one fresh encode and of one recycled write, read from field 10 of
 //! `/proc/thread-self/stat` (`n/a` where that file is absent).
 
-use qgear_cluster::{ClusterEngine, ShardedRun};
+use qgear_cluster::ClusterEngine;
 use qgear_hdf5lite::format;
 use qgear_ir::qpy;
 use qgear_num::{Complex, Scalar};
@@ -102,14 +102,14 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
     let circuit = qft_circuit(num_qubits, &QftOptions::default());
     let group = ClusterEngine::a100_cluster(4);
     let opts = RunOptions { sweep_width: 0, ..Default::default() };
-    let fresh = ShardedRun::<T>::new(&group, &circuit, &opts).expect("admissible");
+    let fresh = group.stepper::<T>(&circuit, &opts).expect("admissible");
     let start = StateCheckpoint {
         cursor: 0,
         steps_total: fresh.steps_total() as u64,
         fingerprint: fresh.fingerprint(),
         ..ck.clone()
     };
-    let mut run = ShardedRun::resume(&group, &circuit, &opts, start).expect("same plan");
+    let mut run = group.resume(&circuit, &opts, start).expect("same plan");
     run.advance(usize::MAX).expect("healthy fabric");
     let bytes = encode(&ck);
     let mut sink = vec![0u8; bytes.len()];
@@ -140,7 +140,7 @@ fn measure<T: Scalar>(num_qubits: u32) -> Cost {
         let most = |(a, b): (u64, u64)| cost.faults.map_or((a, b), |(x, y)| (x.max(a), y.max(b)));
         cost.faults = fresh.zip(recycled).map(most);
         cost.decode = cost.decode.min(seconds(|| decode::<T>(&bytes).expect("decodes")));
-        cost.gather = cost.gather.min(seconds(|| run.dist().gather()));
+        cost.gather = cost.gather.min(seconds(|| run.state().gather()));
         cost.sharded_write = cost.sharded_write.min(seconds(|| {
             let mut out = Vec::new();
             run.encode_checkpoint(&mut out);

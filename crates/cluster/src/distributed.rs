@@ -11,12 +11,13 @@
 //! swapping back, and the default; see [`DistributedState::set_restore_layout`]
 //! for the ablation).
 
-use crate::comm::{ClusterTopology, CommError, TrafficStats};
+use crate::comm::{ClusterTopology, CommError, LinkClass, TrafficStats};
 use crate::layout::TrafficPlanner;
 use qgear_ir::fusion::{FusedBlock, FusedProgram};
 use qgear_num::{Complex, Scalar};
+use qgear_statevec::checkpoint::CheckpointCounters;
 use qgear_statevec::gpu::GpuDevice;
-use qgear_statevec::StateVector;
+use qgear_statevec::{ExecStats, ExecutionPlan, Placement, StateVector};
 
 /// A state vector partitioned over `2^p` simulated devices.
 #[derive(Debug, Clone)]
@@ -298,14 +299,7 @@ impl<T: Scalar> DistributedState<T> {
     /// Reassemble the full state in logical qubit order (bit-exact at any
     /// layout): [`DistributedState::logical_runs`], laid end to end.
     pub fn gather(&self) -> StateVector<T> {
-        let mut state = StateVector::zero(self.num_qubits());
-        let mut rest = state.amplitudes_mut();
-        for run in self.logical_runs() {
-            let (now, later) = rest.split_at_mut(run.len());
-            now.copy_from_slice(run);
-            rest = later;
-        }
-        state
+        StateVector::from_runs(self.num_qubits(), self.logical_runs())
     }
 
     /// Partition a full state vector (logical amplitude order) across
@@ -327,6 +321,72 @@ impl<T: Scalar> DistributedState<T> {
             part.copy_from_slice(&amps[base..base + (1 << lw)]);
         }
         dist
+    }
+}
+
+/// A state pooled over a device group, walked by the one walker
+/// ([`qgear_statevec::SegmentedRun`]; [`crate::ClusterEngine::stepper`]
+/// builds it). Only *where* a kernel runs differs from a resident state:
+/// a segment's kernels run in the segment's order, each through
+/// [`DistributedState::apply_block`] — the exact kernel over every slice,
+/// after whatever exchanges bring its mixed qubits local — where one
+/// device runs them as one cache-blocked tile pass. A sweep's tile pass
+/// is bit-identical to its kernels run in order
+/// (`GpuDevice::apply_sweep`), so the gathered state is the resident
+/// walker's bit for bit.
+impl<T: Scalar> Placement<T> for DistributedState<T> {
+    /// A pairwise exchange failed mid-segment.
+    type Fault = CommError;
+
+    /// One slice pass per kernel: no sweep is executed, and each kernel
+    /// reads and writes the whole state once.
+    fn apply(
+        &mut self,
+        plan: &ExecutionPlan,
+        segment: usize,
+        counters: &mut CheckpointCounters,
+    ) -> Result<(), CommError> {
+        let kernels = &plan.segments[segment].sweep.kernels;
+        for &ki in kernels {
+            self.apply_block(&plan.blocks[ki])?;
+        }
+        let n_amps = 1u128 << self.num_qubits();
+        for &ki in kernels {
+            counters.kernels_launched += 1;
+            counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
+            counters.flops += n_amps << plan.blocks[ki].qubits.len();
+        }
+        Ok(())
+    }
+
+    /// [`DistributedState::logical_runs`]: the slices, never gathered.
+    fn runs(&self) -> impl Iterator<Item = &[Complex<T>]> + '_ {
+        self.logical_runs()
+    }
+
+    /// The slices gathered into one state.
+    fn into_state(self) -> StateVector<T> {
+        self.gather()
+    }
+
+    /// Re-scatter `state` over as many devices on the same fabric, with
+    /// the identity layout and no traffic yet: how a migrated group takes
+    /// up a restored checkpoint.
+    fn restore(&mut self, state: StateVector<T>) {
+        let (devices, topology) = (self.num_devices(), self.planner.topology());
+        // Freed first, so a restore never holds two partitioned copies.
+        self.parts = Vec::new();
+        *self = DistributedState::from_state(&state, devices, topology);
+    }
+
+    /// This instance's exchange traffic: a replacement group does not
+    /// inherit a dead one's.
+    fn charge_traffic(&self, stats: &mut ExecStats) {
+        let traffic = self.traffic();
+        for class in LinkClass::ALL {
+            stats.comm_bytes[class as usize] = traffic.bytes_over(class);
+        }
+        stats.comm_messages = traffic.total_messages();
     }
 }
 

@@ -1,6 +1,5 @@
 //! Cluster execution engine: the `nvidia-mgpu` target.
 
-use crate::sharded::ShardedRun;
 use qgear_ir::Circuit;
 use qgear_num::Scalar;
 use qgear_statevec::backend::{RunOptions, RunOutput, SimError, Simulator};
@@ -16,8 +15,8 @@ pub struct ClusterEngine {
     pub device: GpuDevice,
     /// Number of devices (a power of two).
     pub num_devices: usize,
-    /// Clock that times the kernel walk and the sample phase
-    /// ([`ExecStats::elapsed`](qgear_statevec::ExecStats) and
+    /// Clock that times the plan build, the kernel walk and the sample
+    /// phase ([`ExecStats::elapsed`](qgear_statevec::ExecStats) and
     /// `sampling_elapsed` are read from it). Production keeps the
     /// default wall clock; the simulation harness substitutes a virtual
     /// one and asserts the recorded spans exactly.
@@ -42,14 +41,14 @@ impl<T: Scalar> Simulator<T> for ClusterEngine {
         "nvidia-mgpu"
     }
 
-    /// One [`ShardedRun`] through the one tail, [`straight_through`],
-    /// timed on the engine's clock: the plan, the kernel walk and the
-    /// counters live in the walker, the marginal read from the slices and
-    /// the draw in the tail — the single-device engines' marginal and
-    /// draw, so the counts are theirs bit for bit given the same
-    /// amplitudes, seed and shot split.
+    /// The group's walker ([`ClusterEngine::stepper`]) through the one
+    /// tail, [`straight_through`], timed on the engine's clock: the plan,
+    /// the kernel walk and the counters live in the walker, the marginal
+    /// read from the slices and the draw in the tail — the single-device
+    /// engines' walker, marginal and draw, so the counts are theirs bit
+    /// for bit given the same amplitudes, seed and shot split.
     fn run(&self, circuit: &Circuit, opts: &RunOptions) -> Result<RunOutput<T>, SimError> {
-        let run: ShardedRun<T> = ShardedRun::new(self, circuit, opts)?;
+        let run = self.stepper::<T>(circuit, opts)?;
         straight_through(run, circuit, opts, self.clock.as_ref())
             .map_err(|e| SimError::Interconnect(e.to_string()))
     }

@@ -199,6 +199,11 @@ impl TrafficPlanner {
     pub fn swaps(&self) -> u64 {
         self.swaps
     }
+
+    /// The fabric the traffic is charged against.
+    pub(crate) fn topology(&self) -> ClusterTopology {
+        self.topology
+    }
 }
 
 #[cfg(test)]

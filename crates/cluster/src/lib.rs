@@ -1,8 +1,10 @@
 //! Distributed multi-device state-vector simulation.
 //!
 //! Implements the paper's `nvidia-mgpu` target over *simulated* GPUs:
-//! one state vector ([`DistributedState`], walked by [`ShardedRun`];
-//! `ClusterEngine::run` drives one straight through) pooled across
+//! one state vector ([`DistributedState`], walked by
+//! `qgear_statevec::SegmentedRun` as any placement is, built by
+//! [`ClusterEngine::stepper`]; `ClusterEngine::run` drives one straight
+//! through) pooled across
 //! `P = 2^p` devices. Device `r` owns the amplitudes whose top `p` index
 //! bits equal `r`; gates on those global qubits are handled by first
 //! *remapping* the global qubit onto a local position with a pairwise
@@ -23,10 +25,9 @@ pub mod comm;
 pub mod distributed;
 pub mod engine;
 pub mod layout;
-pub mod sharded;
+mod sharded;
 
 pub use comm::{ClusterTopology, CommError, LinkClass, TrafficStats};
 pub use distributed::DistributedState;
 pub use layout::{QubitLayout, TrafficPlanner};
 pub use engine::ClusterEngine;
-pub use sharded::ShardedRun;

@@ -1,78 +1,55 @@
-//! The partitioned-state walker: a resumable cursor over an
-//! [`ExecutionPlan`]'s segments, executed on a [`DistributedState`].
+//! A shard group's walker: admission, then the one walker,
+//! [`qgear_statevec::SegmentedRun`], over a [`DistributedState`].
 //!
-//! [`ShardedRun`] is to a state pooled over a device group what
-//! [`qgear_statevec::SegmentedRun`] is to a state resident on one
-//! device: it asks the same plan builder, with the caller's selector, for
-//! the same plan, steps it one plan segment at a time under caller
-//! control, and keeps the same contract, [`qgear_statevec::Stepper`],
-//! with a broken exchange as its fault. [`ClusterEngine::run`](crate::ClusterEngine)
-//! hands it to the one straight-through tail,
-//! [`qgear_statevec::straight_through`]; `qgear-serve` drives it in
-//! segments, snapshots it at segment boundaries, and migrates the
+//! There is one walker and two placements of the amplitudes. A state
+//! pooled over a device group differs from one resident on one device
+//! only in where a kernel runs, which is its
+//! [`Placement`](qgear_statevec::Placement) impl
+//! (`distributed.rs`); the cursor, the plan, the fingerprint, the
+//! checkpoint, resume-and-verify, the counters, the telemetry and the
+//! [`qgear_statevec::Stepper`] contract are the walker's, the same code
+//! on either. What lives here is what only a group has: admission (a
+//! power-of-two group, fused kernels, a local width that holds them, a
+//! slice that fits one device), the fusion width clamped to the local
+//! width, and the engine's clock. [`ClusterEngine::stepper`] builds the
+//! walker at step zero; [`ClusterEngine::resume`] rebuilds it and
+//! installs a checkpoint. [`ClusterEngine::run`](crate::ClusterEngine)
+//! hands the first to the one straight-through tail,
+//! [`qgear_statevec::straight_through`]; `qgear-serve` drives both in
+//! segments, snapshots them at segment boundaries, and migrates the
 //! snapshots between shard groups.
 //!
-//! Only *where* a kernel runs differs from the dense walker. A step
-//! applies its segment's kernels in the segment's order, each through
-//! [`DistributedState::apply_block`] — the exact kernel over every slice
-//! ([`qgear_statevec::gpu::GpuDevice::apply_to_slices`]), after whatever
-//! exchanges bring its mixed qubits local — where the dense walker runs
-//! them as one cache-blocked tile pass. A sweep's tile pass is bit-identical
-//! to its kernels run in order (`GpuDevice::apply_sweep`), so the gathered
-//! state is the dense walker's bit for bit at every fusion width, sweep
-//! width and selector, and a cursor — a count of plan segments on either
-//! walker — resumes on either. The per-gate plan has no fused kernels to
-//! place on slices, so a group refuses it.
+//! A group asks the plan builder, with the caller's selector, for the
+//! plan a resident walker would run, so the gathered state is the
+//! resident walker's bit for bit at every fusion width and sweep width
+//! of the fused plans, and a cursor — a count of plan segments on either
+//! placement — resumes on either. The per-gate plan has no fused kernels
+//! to place on slices, so a group refuses it.
 //!
 //! Everything here is deterministic, so equal `(circuit, options,
 //! precision)` rebuild byte-identical schedules and a cursor is portable
 //! across runs — and across group widths, since gathered amplitudes are
 //! width-independent.
 
-use crate::comm::{ClusterTopology, CommError, LinkClass};
+use crate::comm::ClusterTopology;
 use crate::distributed::DistributedState;
 use crate::engine::ClusterEngine;
 use qgear_ir::{fusion, Circuit};
 use qgear_num::Scalar;
-use qgear_statevec::checkpoint::{
-    encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
-};
-use qgear_statevec::planner::{self, ExecutionPlan, SegmentMode};
-use qgear_statevec::{
-    marginal_of_runs, ExecStats, RunOptions, SamplingConfig, SimError, StateVector, Stepper,
-};
-use qgear_telemetry::clock::SharedClock;
-use std::sync::OnceLock;
-use std::time::Duration;
+use qgear_statevec::checkpoint::{CheckpointError, StateCheckpoint};
+use qgear_statevec::planner::SegmentMode;
+use qgear_statevec::{RunOptions, SegmentedRun, SimError};
 
-/// A partially-executed pooled simulation: the partitioned state plus a
-/// cursor into its plan's segments.
-pub struct ShardedRun<T: Scalar> {
-    dist: DistributedState<T>,
-    plan: ExecutionPlan,
-    cursor: usize,
-    /// Kept for the fingerprint a checkpoint carries, which
-    /// Debug-formats the whole circuit: computed on first use, so a run
-    /// that never checkpoints (`ClusterEngine::run`) never pays for it.
-    circuit: Circuit,
-    fingerprint: OnceLock<u64>,
-    sampling: SamplingConfig,
-    clock: SharedClock,
-    /// Time this group instance spent in `advance` calls, on `clock`.
-    elapsed: Duration,
-}
-
-/// Admission checks and the plan for `circuit` pooled over `engine`'s
-/// devices: the group must be a power of two, the plan must fuse, every
-/// kernel must be remappable onto local bits, and one slice must fit one
-/// device. The plan is the one `opts` selects for a dense walker, its
-/// fusion width clamped to the local width, built inside a `simulate`
-/// span, as `SegmentedRun`'s is.
-fn plan_for<T: Scalar>(
+/// Admission checks for `circuit` pooled over `engine`'s devices, and
+/// the fusion width its plan is built at: the group must be a power of
+/// two, the plan must fuse, every kernel must be remappable onto local
+/// bits, and one slice must fit one device. The width is the one `opts`
+/// selects for a resident walker, clamped to the local width.
+fn admitted_width<T: Scalar>(
     engine: &ClusterEngine,
     circuit: &Circuit,
     opts: &RunOptions,
-) -> Result<ExecutionPlan, SimError> {
+) -> Result<usize, SimError> {
     let n = circuit.num_qubits();
     if !engine.num_devices.is_power_of_two() {
         return Err(SimError::UnsupportedGate(format!(
@@ -92,246 +69,50 @@ fn plan_for<T: Scalar>(
     if p > n || n - p < 2 {
         return Err(SimError::TooManyQubits(n));
     }
-    let width = opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH).min((n - p) as usize);
     let local_bytes = (1u128 << (n - p)) * (2 * T::BYTES) as u128;
     let limit = opts.memory_limit.unwrap_or(engine.device.memory_bytes);
     if local_bytes > limit {
         return Err(SimError::OutOfMemory { required: local_bytes, limit });
     }
-    let _sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-    planner::plan(
-        circuit,
-        width,
-        opts.sweep_width,
-        opts.sweep_reorder,
-        &opts.planner_costs,
-        2 * T::BYTES,
-    )
-    .map_err(|e| SimError::UnsupportedGate(e.to_string()))
+    Ok(opts.fusion_width.clamp(1, fusion::MAX_FUSION_WIDTH).min((n - p) as usize))
 }
 
-impl<T: Scalar> ShardedRun<T> {
-    /// Check that `engine`'s group can hold `circuit`, build the plan
-    /// the options select, and position the cursor at step zero of
-    /// `|0…0⟩`.
-    pub fn new(
-        engine: &ClusterEngine,
+impl ClusterEngine {
+    /// The walker over `|0…0⟩` pooled over this group, at step zero of
+    /// the plan the options select, once the group is found able to hold
+    /// `circuit`. Its plan build and its steps are timed on the engine's
+    /// clock.
+    pub fn stepper<T: Scalar>(
+        &self,
         circuit: &Circuit,
         opts: &RunOptions,
-    ) -> Result<Self, SimError> {
-        let plan = plan_for::<T>(engine, circuit, opts)?;
-        let dist = DistributedState::zero(
-            circuit.num_qubits(),
-            engine.num_devices,
-            ClusterTopology::default(),
-        );
-        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, 0))
+    ) -> Result<SegmentedRun<T, DistributedState<T>>, SimError> {
+        let width = admitted_width::<T>(self, circuit, opts)?;
+        let n = circuit.num_qubits();
+        let state = DistributedState::zero(n, self.num_devices, ClusterTopology::default());
+        SegmentedRun::start(state, circuit, opts, width, &opts.planner_costs, self.clock.clone())
     }
 
-    fn assemble(
-        engine: &ClusterEngine,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        plan: ExecutionPlan,
-        dist: DistributedState<T>,
-        cursor: usize,
-    ) -> Self {
-        ShardedRun {
-            dist,
-            plan,
-            cursor,
-            circuit: circuit.clone(),
-            fingerprint: OnceLock::new(),
-            sampling: opts.sampling(),
-            clock: engine.clock.clone(),
-            elapsed: Duration::ZERO,
-        }
-    }
-
-    /// Total segments in the schedule.
-    pub fn steps_total(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// The partitioned state (for cross-device sampling, the traffic
-    /// counters, and link-fault injection).
-    pub fn dist(&self) -> &DistributedState<T> {
-        &self.dist
-    }
-
-    /// Arm a one-shot link fault on the group's fabric (see
-    /// [`DistributedState::inject_link_fault`]).
-    pub fn inject_link_fault(&mut self, at_exchange: u64, err: CommError) {
-        self.dist.inject_link_fault(at_exchange, err);
-    }
-
-    /// The full state in logical amplitude order.
-    pub fn state(&self) -> StateVector<T> {
-        self.dist.gather()
-    }
-
-    /// Deterministic engine counters for the blocks applied so far —
-    /// derived from the cursor alone, so a resumed run's stats match an
-    /// uninterrupted one regardless of which generation it restored — in
-    /// the dense walker's terms (source gates once the schedule
-    /// completes), so either walker resumes the other's generations.
-    fn counters(&self) -> CheckpointCounters {
-        let n_amps = 1u128 << self.dist.num_qubits();
-        let applied = self.plan.segments[..self.cursor].iter().flat_map(|s| &s.sweep.kernels);
-        let widths = || applied.clone().map(|&ki| self.plan.blocks[ki].qubits.len());
-        let kernels = widths().count();
-        CheckpointCounters {
-            gates_applied: if self.is_done() { self.plan.source_gates } else { 0 },
-            kernels_launched: kernels as u64,
-            sweeps_executed: 0,
-            // One read + one write of the full state per kernel.
-            bytes_touched: 2 * n_amps * (2 * T::BYTES * kernels) as u128,
-            flops: widths().map(|k| n_amps << k).sum(),
-        }
-    }
-
-    /// Fingerprint of the plan this run executes (see
-    /// [`plan_fingerprint`]); computed on first use and cached.
-    pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| plan_fingerprint(&self.circuit, T::BYTES as u8, self.plan.digest))
-    }
-
-    /// Snapshot the run: gather the partitioned amplitudes (bit-exact at
-    /// any layout) into a QCKP checkpoint that any later run — on any
-    /// group width — can resume from. Prefer
-    /// [`Stepper::encode_checkpoint`] when only the bytes are wanted.
-    pub fn checkpoint(&self) -> StateCheckpoint<T> {
-        StateCheckpoint {
-            num_qubits: self.dist.num_qubits(),
-            cursor: self.cursor as u64,
-            steps_total: self.steps_total() as u64,
-            fingerprint: self.fingerprint(),
-            counters: self.counters(),
-            sampling: self.sampling,
-            state: self.dist.gather(),
-        }
-    }
-
-    /// Rebuild the plan for `(circuit, opts)`, refuse a checkpoint that
-    /// does not match it exactly ([`StateCheckpoint::verify_against`]),
-    /// then re-scatter the snapshot amplitudes onto `engine`'s group.
-    pub fn resume(
-        engine: &ClusterEngine,
+    /// Rebuild the walker for `(circuit, opts)` on this group and install
+    /// a checkpoint into it ([`SegmentedRun::restore`]): refused unless it
+    /// matches the plan exactly, then re-scattered onto the group.
+    pub fn resume<T: Scalar>(
+        &self,
         circuit: &Circuit,
         opts: &RunOptions,
         ck: StateCheckpoint<T>,
-    ) -> Result<Self, CheckpointError> {
-        let plan = plan_for::<T>(engine, circuit, opts)
-            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
-        let fingerprint = plan_fingerprint(circuit, T::BYTES as u8, plan.digest);
-        ck.verify_against(fingerprint, plan.len(), circuit.num_qubits())?;
-        let dist =
-            DistributedState::from_state(&ck.state, engine.num_devices, ClusterTopology::default());
-        Ok(ShardedRun::assemble(engine, circuit, opts, plan, dist, ck.cursor as usize))
-    }
-}
-
-impl<T: Scalar> Stepper<T> for ShardedRun<T> {
-    /// A pairwise exchange failed mid-segment.
-    type Fault = CommError;
-
-    /// Applies plan segments, each segment's kernels in its order, timed
-    /// on the engine's clock, and records the `simulate` span and the
-    /// `kernels.launched` / `gates.applied` counters where
-    /// [`qgear_statevec::SegmentedRun`] does.
-    fn advance(&mut self, max_steps: usize) -> Result<(), CommError> {
-        let start = self.clock.now();
-        let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
-        let from = self.cursor;
-        let end = self.cursor.saturating_add(max_steps.max(1)).min(self.plan.len());
-        let result = (self.cursor..end).try_for_each(|step| {
-            for &ki in &self.plan.segments[step].sweep.kernels {
-                self.dist.apply_block(&self.plan.blocks[ki])?;
-            }
-            self.cursor = step + 1;
-            Ok(())
-        });
-        let segments = &self.plan.segments[from..self.cursor];
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::KERNELS_LAUNCHED,
-            segments.iter().map(|s| s.sweep.kernels.len() as u128).sum(),
-        );
-        if self.is_done() && self.cursor > from {
-            qgear_telemetry::counter_add(
-                qgear_telemetry::names::GATES_APPLIED,
-                u128::from(self.plan.source_gates),
-            );
-        }
-        drop(sim_span);
-        self.elapsed += self.clock.now().saturating_sub(start);
-        result
-    }
-
-    fn is_done(&self) -> bool {
-        self.cursor >= self.plan.len()
-    }
-
-    fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Schedule counters — the ones a checkpoint carries — are
-    /// cursor-derived and therefore migration-invariant. Communication
-    /// counters and `elapsed` are this group instance's: a replacement
-    /// group does not inherit a dead one's traffic or time.
-    fn stats(&self) -> ExecStats {
-        let counters = self.counters();
-        let traffic = self.dist.traffic();
-        let mut comm_bytes = [0u128; 3];
-        for class in LinkClass::ALL {
-            comm_bytes[class as usize] = traffic.bytes_over(class);
-        }
-        ExecStats {
-            gates_applied: counters.gates_applied,
-            kernels_launched: counters.kernels_launched,
-            bytes_touched: counters.bytes_touched,
-            flops: counters.flops,
-            elapsed: self.elapsed,
-            comm_bytes,
-            comm_messages: traffic.total_messages(),
-            ..ExecStats::default()
-        }
-    }
-
-    /// The QCKP bytes of [`ShardedRun::checkpoint`] —
-    /// `encode(&self.checkpoint())` byte for byte — written from the
-    /// slices where they lie: the encoder walks
-    /// [`DistributedState::logical_runs`], so nothing is gathered and the
-    /// output is the only state-sized buffer.
-    fn encode_checkpoint(&self, out: &mut Vec<u8>) {
-        encode_runs(
-            out,
-            self.dist.logical_runs(),
-            self.dist.num_qubits(),
-            self.cursor as u64,
-            self.steps_total() as u64,
-            self.fingerprint(),
-            &self.counters(),
-            &self.sampling,
-        )
-    }
-
-    fn marginal(&self, measured: &[u32]) -> Vec<f64> {
-        marginal_of_runs(self.dist.logical_runs(), self.dist.num_qubits(), measured)
-    }
-
-    /// The slices gathered into one state.
-    fn into_state(self) -> StateVector<T> {
-        self.dist.gather()
+    ) -> Result<SegmentedRun<T, DistributedState<T>>, CheckpointError> {
+        let run = self.stepper(circuit, opts);
+        run.map_err(|e| CheckpointError::Rebuild(e.to_string()))?.restore(ck)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::CommError;
     use qgear_statevec::checkpoint::{decode, encode};
+    use qgear_statevec::Stepper;
 
     fn job_circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -351,25 +132,24 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_resumes_bit_identically() {
         let c = job_circuit();
-        let mut whole: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        let mut whole = group(2).stepper::<f64>(&c, &opts()).unwrap();
         while !whole.is_done() {
             whole.advance(1).expect("healthy fabric");
         }
 
-        let mut front: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        let mut front = group(2).stepper::<f64>(&c, &opts()).unwrap();
         front.advance(3).expect("healthy fabric");
         let bytes = encode(&front.checkpoint());
         let ck = decode::<f64>(&bytes).expect("decodes");
         // Resume onto a *wider* group: amplitudes are width-independent.
-        let mut back: ShardedRun<f64> =
-            ShardedRun::resume(&group(4), &c, &opts(), ck).expect("resumes");
+        let mut back = group(4).resume(&c, &opts(), ck).expect("resumes");
         assert_eq!(back.cursor(), 3);
         while !back.is_done() {
             back.advance(1).expect("healthy fabric");
         }
         assert_eq!(
-            whole.state().amplitudes(),
-            back.state().amplitudes(),
+            whole.state().gather().amplitudes(),
+            back.state().gather().amplitudes(),
             "resumed run must be bit-identical"
         );
         assert_eq!(whole.stats().gates_applied, back.stats().gates_applied);
@@ -384,7 +164,7 @@ mod tests {
         let mut c = Circuit::new(13);
         c.h(0).h(12).cx(12, 0).ry(0.4, 11).cx(0, 11).h(3).cr1(0.3, 12, 2).cx(11, 12);
         c.ry(1.1, 0).h(10).cx(10, 12).measure_all();
-        fn check<T: Scalar>(run: &ShardedRun<T>) {
+        fn check<T: Scalar>(run: &SegmentedRun<T, DistributedState<T>>) {
             let gathered = encode(&run.checkpoint());
             let mut fresh = Vec::new();
             run.encode_checkpoint(&mut fresh);
@@ -394,19 +174,19 @@ mod tests {
             run.encode_checkpoint(&mut recycled);
             assert_eq!(recycled, gathered, "recycled, cursor {}", run.cursor());
         }
-        let mut run: ShardedRun<f64> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
+        let mut run = group(4).stepper::<f64>(&c, &opts()).unwrap();
         let mut layouts = std::collections::BTreeSet::new();
         check(&run);
         while !run.is_done() {
             run.advance(1).expect("healthy fabric");
             check(&run);
-            layouts.insert((0..13).map(|q| run.dist().physical(q)).collect::<Vec<_>>());
+            layouts.insert((0..13).map(|q| run.state().physical(q)).collect::<Vec<_>>());
         }
         assert!(layouts.len() >= 3, "the layout was remapped: {layouts:?}");
         assert!(layouts.iter().any(|l| l[10] != 10), "a local bit displaced: {layouts:?}");
         // fp32, whose chunks hold twice the amplitudes: |0…0⟩, which
         // compresses, and a state that does not.
-        let mut run: ShardedRun<f32> = ShardedRun::new(&group(4), &c, &opts()).unwrap();
+        let mut run = group(4).stepper::<f32>(&c, &opts()).unwrap();
         check(&run);
         run.advance(7).expect("healthy fabric");
         check(&run);
@@ -415,12 +195,12 @@ mod tests {
     #[test]
     fn resume_refuses_a_mismatched_plan() {
         let c = job_circuit();
-        let mut run: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        let mut run = group(2).stepper::<f64>(&c, &opts()).unwrap();
         run.advance(2).expect("healthy fabric");
         let ck = run.checkpoint();
         // A different fusion width rebuilds a different schedule.
         let wider = RunOptions { fusion_width: 2, ..opts() };
-        match ShardedRun::<f64>::resume(&group(2), &c, &wider, ck) {
+        match group(2).resume(&c, &wider, ck) {
             Err(CheckpointError::PlanMismatch { .. }) => {}
             Err(other) => panic!("wrong rejection: {other:?}"),
             Ok(_) => panic!("a mismatched plan must not resume"),
@@ -430,13 +210,13 @@ mod tests {
     #[test]
     fn resume_reports_the_rebuilt_schedule_on_a_step_count_mismatch() {
         let c = job_circuit();
-        let run: ShardedRun<f64> = ShardedRun::new(&group(2), &c, &opts()).unwrap();
+        let run = group(2).stepper::<f64>(&c, &opts()).unwrap();
         let rebuilt = run.steps_total() as u64;
         let mut ck = run.checkpoint();
         ck.steps_total = rebuilt + 5;
         ck.cursor = rebuilt + 2;
         // The same verdict, field for field, as `SegmentedRun::resume`.
-        match ShardedRun::<f64>::resume(&group(2), &c, &opts(), ck) {
+        match group(2).resume(&c, &opts(), ck) {
             Err(CheckpointError::CursorOutOfRange { cursor, steps_total }) => {
                 assert_eq!((cursor, steps_total), (rebuilt + 2, rebuilt));
             }
@@ -446,9 +226,8 @@ mod tests {
 
     #[test]
     fn link_fault_surfaces_and_leaves_the_cursor_at_the_last_good_block() {
-        let mut run: ShardedRun<f64> =
-            ShardedRun::new(&group(4), &job_circuit(), &opts()).unwrap();
-        run.inject_link_fault(0, CommError::Dropped);
+        let mut run = group(4).stepper::<f64>(&job_circuit(), &opts()).unwrap();
+        run.state_mut().inject_link_fault(0, CommError::Dropped);
         let mut failed_at = None;
         while !run.is_done() {
             if let Err(e) = run.advance(1) {
@@ -461,15 +240,96 @@ mod tests {
         assert!(cursor < run.steps_total());
     }
 
+    /// A native circuit of `gates` random `ry` / `rz` / `cx` triples.
+    fn random_circuit(n: u32, gates: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new(n);
+        let mut s = seed | 1;
+        let mut rnd = move |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        for q in 0..n {
+            c.h(q);
+        }
+        for _ in 0..gates {
+            let a = rnd(u64::from(n)) as u32;
+            let b = (a + 1 + rnd(u64::from(n) - 1) as u32) % n;
+            c.ry(rnd(628) as f64 / 100.0, a).rz(rnd(628) as f64 / 100.0, b).cx(a, b);
+        }
+        c
+    }
+
+    /// A fault between two kernels of one segment: the kernels before it
+    /// ran, but a segment is charged only once it completes, so the
+    /// cursor and the counters both name the last completed segment, and
+    /// the generation written there finishes on a fresh group bitwise on
+    /// the resident walker's state. Fourteen qubits over four shards at
+    /// sweep width 12: a kernel on qubit 12 or 13 is a segment of its
+    /// own, its remap sends a low qubit global, and a later sweep's
+    /// kernel on that qubit exchanges mid-sweep.
+    #[test]
+    fn a_link_fault_inside_a_segment_charges_only_the_completed_segments() {
+        use qgear_statevec::{plan, plan_fingerprint, GpuDevice, RunOutput, Simulator};
+        let c = random_circuit(14, 40, 3);
+        let opts = RunOptions { fusion_width: 2, sweep_width: 12, ..Default::default() };
+        let fresh = || group(4).stepper::<f64>(&c, &opts).unwrap();
+        // The walker's plan, rebuilt from the same inputs: same digest.
+        let plan = plan(&c, 2, 12, opts.sweep_reorder, &opts.planner_costs, 16).unwrap();
+        assert_eq!(fresh().fingerprint(), plan_fingerprint(&c, 8, plan.digest));
+        // Replay the plan kernel by kernel on a bare group to find an
+        // exchange that a later segment's second or later kernel makes.
+        let mut probe = DistributedState::<f64>::zero(14, 4, ClusterTopology::default());
+        let mut armed = None;
+        'segments: for (segment, seg) in plan.segments.iter().enumerate() {
+            for (kernel, &ki) in seg.sweep.kernels.iter().enumerate() {
+                let before = probe.exchanges();
+                probe.apply_block(&plan.blocks[ki]).expect("healthy fabric");
+                if segment > 0 && kernel > 0 && probe.exchanges() > before {
+                    armed = Some((segment, kernel, before));
+                    break 'segments;
+                }
+            }
+        }
+        let (segment, kernel, exchange) =
+            armed.expect("a sweep whose later kernel mixes a global bit");
+
+        let mut run = fresh();
+        run.state_mut().inject_link_fault(exchange, CommError::Dropped);
+        let mut generation = Vec::new();
+        let err = loop {
+            run.encode_checkpoint(&mut generation);
+            match run.advance(1) {
+                Err(err) => break err,
+                Ok(()) => assert!(!run.is_done(), "the armed fault must fire"),
+            }
+        };
+        assert_eq!(err, CommError::Dropped);
+        assert_eq!(run.cursor(), segment, "the cursor names the last completed segment");
+        let completed: usize = plan.segments[..segment].iter().map(|s| s.sweep.kernels.len()).sum();
+        assert_eq!(
+            run.stats().kernels_launched,
+            completed as u64,
+            "kernels 0..{kernel} of segment {segment} ran but are not charged"
+        );
+
+        let ck = decode::<f64>(&generation).expect("decodes");
+        assert_eq!(ck.cursor, segment as u64);
+        let mut resumed = group(4).resume(&c, &opts, ck).expect("same plan");
+        resumed.advance(usize::MAX).expect("a fresh group runs clean");
+        let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&c, &opts).unwrap();
+        assert_eq!(resumed.stats().kernels_launched, dense.stats.kernels_launched);
+        let dense = dense.state.expect("state kept");
+        assert_eq!(resumed.into_state().amplitudes(), dense.amplitudes(), "resumed at the fault");
+    }
+
     #[test]
     fn conservation_messages_are_twice_exchanges() {
-        let mut run: ShardedRun<f64> =
-            ShardedRun::new(&group(4), &job_circuit(), &opts()).unwrap();
+        let mut run = group(4).stepper::<f64>(&job_circuit(), &opts()).unwrap();
         while !run.is_done() {
             run.advance(2).expect("healthy fabric");
         }
-        let traffic = run.dist().traffic();
-        assert_eq!(traffic.total_messages(), 2 * run.dist().exchanges());
+        let traffic = run.state().traffic();
+        assert_eq!(traffic.total_messages(), 2 * run.state().exchanges());
         assert!(traffic.total_bytes() > 0, "4 qubits over 4 devices must exchange");
     }
 }

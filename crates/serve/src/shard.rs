@@ -5,11 +5,12 @@
 //! vector does not fit one device) are admitted as [`crate::job::Engine::Sharded`]
 //! and executed on a [`qgear_cluster::DistributedState`] spread over a
 //! power-of-two shard group (`qgear_perfmodel::memory::plan_shard_count`
-//! picks the width at admission). The stepper driver advances the
-//! cluster crate's walker ([`ShardedRun`], the same one
-//! `ClusterEngine::run` drives straight through) in *segments* of plan
-//! steps; what lives here is admission's group width, fault arming and
-//! the audit hooks. Every interior segment
+//! picks the width at admission). The stepper driver advances the one
+//! walker, [`SegmentedRun`] over that partitioned placement (built by
+//! [`ClusterEngine::stepper`], the same walker `ClusterEngine::run`
+//! drives straight through and a dense job walks resident), in
+//! *segments* of plan steps; what lives here is admission's group
+//! width, fault arming and the audit hooks. Every interior segment
 //! boundary writes a QCKP-v1 checkpoint generation — the bytes of the
 //! gathered state, written from the slices without gathering them —
 //! which makes the checkpoint, not the shard, the unit of migration:
@@ -35,11 +36,11 @@ use crate::event::EventKind;
 use crate::scheduler::QueuedJob;
 use crate::service::{shard_min_local_width, Injected, Shared};
 use crate::stepper::StepSource;
-use qgear_cluster::{ClusterEngine, CommError, ShardedRun};
+use qgear_cluster::{ClusterEngine, CommError, DistributedState};
 use qgear_num::Scalar;
 use qgear_perfmodel::memory::plan_shard_count;
 use qgear_statevec::checkpoint::{CheckpointError, StateCheckpoint};
-use qgear_statevec::{RunOptions, SimError};
+use qgear_statevec::{RunOptions, SegmentedRun, SimError};
 use qgear_telemetry::{counter_inc, names};
 use std::cell::Cell;
 
@@ -172,29 +173,31 @@ impl<'a> ShardSource<'a> {
         })
     }
 
-    fn arm<T: Scalar>(&self, mut run: ShardedRun<T>) -> ShardedRun<T> {
+    fn arm<T: Scalar>(&self, mut run: Walker<T>) -> Walker<T> {
         if let Some((exchange, corrupt)) = self.link_fault.take() {
             let err = if corrupt { CommError::Corrupted } else { CommError::Dropped };
-            run.inject_link_fault(u64::from(exchange), err);
+            run.state_mut().inject_link_fault(u64::from(exchange), err);
         }
         run
     }
 }
+
+/// The one walker over a shard group's partitioned state.
+type Walker<T> = SegmentedRun<T, DistributedState<T>>;
 
 fn log(shared: &Shared, record: ShardRecord) {
     shared.record(&mut shared.lock(), EventKind::Shard(record));
 }
 
 impl<T: Scalar> StepSource<T> for ShardSource<'_> {
-    type Run = ShardedRun<T>;
+    type Run = Walker<T>;
 
     fn fresh(&self) -> Result<Self::Run, SimError> {
-        ShardedRun::new(&self.engine, &self.job.canonical, &self.opts).map(|run| self.arm(run))
+        self.engine.stepper(&self.job.canonical, &self.opts).map(|run| self.arm(run))
     }
 
     fn resume(&self, ck: StateCheckpoint<T>) -> Result<Self::Run, CheckpointError> {
-        ShardedRun::resume(&self.engine, &self.job.canonical, &self.opts, ck)
-            .map(|run| self.arm(run))
+        self.engine.resume(&self.job.canonical, &self.opts, ck).map(|run| self.arm(run))
     }
 
     fn settled(&self, restored: Option<u64>, broken: Option<(&Self::Run, CommError)>) {
@@ -202,7 +205,7 @@ impl<T: Scalar> StepSource<T> for ShardSource<'_> {
             (Some((run, err)), _) => {
                 counter_inc(names::SERVE_SHARD_LINK_FAULTS);
                 let job = self.job.id.0;
-                let exchange = run.dist().exchanges().saturating_sub(1);
+                let exchange = run.state().exchanges().saturating_sub(1);
                 let corrupt = matches!(err, CommError::Corrupted);
                 log(self.shared, ShardRecord::LinkFault { job, exchange, corrupt });
             }
@@ -222,13 +225,13 @@ impl<T: Scalar> StepSource<T> for ShardSource<'_> {
     /// Record the surviving instance's traffic (the conservation oracle
     /// checks messages == 2 × exchanges against it).
     fn completed(&self, run: &Self::Run) {
-        let traffic = run.dist().traffic();
+        let traffic = run.state().traffic();
         log(
             self.shared,
             ShardRecord::Completed {
                 job: self.job.id.0,
                 shards: self.engine.num_devices as u32,
-                exchanges: run.dist().exchanges(),
+                exchanges: run.state().exchanges(),
                 messages: traffic.total_messages(),
                 bytes: traffic.total_bytes(),
             },

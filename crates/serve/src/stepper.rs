@@ -1,10 +1,11 @@
 //! The stepper driver: one contract, one driver.
 //!
-//! Every engine that walks a schedule with a cursor — the simulated-GPU
-//! dense engine ([`SegmentedRun`]) and the shard group
-//! ([`qgear_cluster::ShardedRun`]) — keeps `qgear-statevec`'s one
+//! There is one walker, [`SegmentedRun`], and two placements of its
+//! amplitudes: resident on one simulated GPU (a dense job) or pooled
+//! over a shard group (`SegmentedRun<T, qgear_cluster::DistributedState<T>>`,
+//! built by `ClusterEngine::stepper`). It keeps `qgear-statevec`'s one
 //! contract, [`Stepper`], and [`drive`] is the only code here that runs
-//! one. Execution modes are intervals of its loop: straight-through is
+//! it. Execution modes are intervals of its loop: straight-through is
 //! unbounded (one segment, the checkpoint store never touched),
 //! checkpointed is finite, sharded is checkpointed plus the
 //! [`StepSource`] audit hooks (docs/SERVING.md, "The stepper driver").

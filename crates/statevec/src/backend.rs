@@ -140,9 +140,12 @@ pub struct ExecStats {
     pub bytes_touched: u128,
     /// Complex multiply-adds performed by kernels.
     pub flops: u128,
-    /// Real elapsed wall time of the unitary phase.
+    /// Time of the unitary phase, plan build included, read from the
+    /// walker's clock ([`crate::SegmentedRun`]): the host's for a state
+    /// resident on one device, the engine's for a shard group. A resumed
+    /// run counts only its own plan build and steps.
     pub elapsed: Duration,
-    /// Real elapsed wall time of the sampling phase.
+    /// Time of the sampling phase, read from the caller's clock.
     pub sampling_elapsed: Duration,
     /// Inter-device communication bytes by link class:
     /// `[intra-node, inter-node, inter-rack]`. Zero for single-device runs.

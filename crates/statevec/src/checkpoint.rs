@@ -204,10 +204,10 @@ pub struct StateCheckpoint<T: Scalar> {
 impl<T: Scalar> StateCheckpoint<T> {
     /// Cross-check this checkpoint against the schedule a walker just
     /// rebuilt for the same job — its fingerprint, step count and
-    /// register width. Both walkers ([`crate::SegmentedRun`] and the
-    /// cluster's `ShardedRun`) resume through here, so a mismatch reads
-    /// the same whichever layout the state was in; the reported totals
-    /// are the rebuilt schedule's.
+    /// register width. The one walker ([`crate::SegmentedRun::restore`])
+    /// resumes through here on either placement, so a mismatch reads the
+    /// same whichever layout the state was in; the reported totals are
+    /// the rebuilt schedule's.
     pub fn verify_against(
         &self,
         fingerprint: u64,

@@ -114,9 +114,10 @@ impl GpuDevice {
     /// long `slices` in turn with the full-state driver.
     /// [`GpuDevice::apply_block`] is the one-slice case, so a slice gets
     /// bit for bit what a whole state would, without a block, a
-    /// relabelled qubit list or a second plan ever being built. The shard
-    /// stepper calls it once per step, or once per rank-bit pattern with
-    /// the sub-table that pattern selects ([`FusedBlock::select`]).
+    /// relabelled qubit list or a second plan ever being built. A
+    /// partitioned state calls it once per kernel, or once per rank-bit
+    /// pattern with the sub-table that pattern selects
+    /// ([`FusedBlock::select`]).
     pub fn apply_to_slices<'a, T: Scalar>(
         slices: impl IntoIterator<Item = &'a mut [Complex<T>]>,
         block: &FusedBlock,

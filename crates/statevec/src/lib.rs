@@ -25,12 +25,14 @@
 //! that is cheaper. See `docs/PIPELINE.md` § 4 for the model and the
 //! crossover.
 //!
-//! Both walkers of that plan — [`SegmentedRun`] here, the cluster
-//! crate's `ShardedRun` over a partitioned state — keep one contract,
-//! [`Stepper`], and [`straight_through`] is the one tail that drives a
-//! stepper to the end, samples and keeps the state: `AerCpuBackend::run`,
-//! `GpuDevice::run` and `ClusterEngine::run` are calls to it, and the
-//! serving layer drives the same contract in checkpointed segments.
+//! One walker, [`SegmentedRun`], walks that plan over either
+//! [`Placement`] of the amplitudes — a [`StateVector`] resident on one
+//! device, or the cluster crate's `DistributedState` pooled over a
+//! device group — and keeps the one contract, [`Stepper`];
+//! [`straight_through`] is the one tail that drives it to the end,
+//! samples and keeps the state: `AerCpuBackend::run`, `GpuDevice::run`
+//! and `ClusterEngine::run` are calls to it, and the serving layer drives
+//! the same contract in checkpointed segments.
 //!
 //! Shared infrastructure: [`StateVector`] storage generic over `f32`/`f64`
 //! ([`qgear_num::Scalar`]), Born-rule [`sampling`] by a two-level
@@ -89,6 +91,6 @@ pub use checkpoint::{
 pub use gpu::GpuDevice;
 pub use planner::{plan, ExecutionPlan, PlannerCosts, SegmentMode};
 pub use sampling::SamplingConfig;
-pub use segment::{straight_through, SegmentedRun, Stepper};
+pub use segment::{straight_through, Placement, SegmentedRun, Stepper};
 pub use simd::{set_simd_enabled, simd_enabled};
 pub use state::StateVector;

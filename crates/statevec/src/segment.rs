@@ -1,19 +1,20 @@
 //! The execution core: one stepper contract, one straight-through tail,
-//! and the walker for a state resident on one simulated GPU.
+//! and the one walker, over either placement of the amplitudes.
 //!
 //! [`Stepper`] is the contract of every engine that walks a schedule
-//! with a cursor: [`SegmentedRun`] for a state resident on one
-//! [`GpuDevice`], the cluster crate's `ShardedRun` for a state pooled
-//! over a device group. [`straight_through`] is the one tail that drives
-//! a stepper to the end, samples and keeps the state — [`Simulator::run`]
-//! on the `AerCpuBackend`, a `GpuDevice` and a `ClusterEngine` is a call
-//! to it — and `qgear-serve` drives the same contract in segments,
-//! writing checkpoints between them.
+//! with a cursor, and [`SegmentedRun`] is the one type that keeps it: a
+//! cursor over a plan's segments, applied by a [`Placement`] — a
+//! [`StateVector`] resident on one [`GpuDevice`], or the cluster crate's
+//! `DistributedState` pooled over a device group. [`straight_through`]
+//! is the one tail that drives a stepper to the end, samples and keeps
+//! the state — [`Simulator::run`] on the `AerCpuBackend`, a `GpuDevice`
+//! and a `ClusterEngine` is a call to it — and `qgear-serve` drives the
+//! same contract in segments, writing checkpoints between them.
 //!
-//! [`SegmentedRun`] checks capacity, asks [`planner::plan`] — the only
-//! plan builder — for the schedule the options select, and applies it
-//! in bounded steps under caller control. Because the step kernels are
-//! deterministic over disjoint amplitude groups, the state after `k`
+//! [`SegmentedRun::new`] checks capacity, asks [`planner::plan`] — the
+//! only plan builder — for the schedule the options select, and applies
+//! it in bounded steps under caller control. Because the step kernels
+//! are deterministic over disjoint amplitude groups, the state after `k`
 //! steps is bit-identical whether those steps ran in one call, one per
 //! call, or across a checkpoint/restore boundary on a different worker.
 //! That property is what makes a [`StateCheckpoint`] safe to resume
@@ -24,26 +25,29 @@
 //! `sweep_width: 0`, or one gate of the per-gate plan, executed in the
 //! mode the plan's selector pinned or priced for it (see
 //! [`crate::planner`]). The plan's digest is part of the checkpoint
-//! fingerprint, so a cursor can only resume under the identical plan.
+//! fingerprint, so a cursor can only resume under the identical plan —
+//! on either placement, since both read their runs in logical order.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
 
 use crate::backend::{
-    check_capacity, marginal_probs, sample_from_probs, ExecStats, RunOptions, RunOutput, SimError,
+    check_capacity, marginal_of_runs, sample_from_probs, ExecStats, RunOptions, RunOutput,
+    SimError,
 };
 use crate::checkpoint::{
-    encode_amplitudes, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
+    encode_runs, plan_fingerprint, CheckpointCounters, CheckpointError, StateCheckpoint,
 };
 use crate::gpu::GpuDevice;
 use crate::planner::{self, ExecutionPlan, PlannerCosts, SegmentMode};
 use crate::sampling::SamplingConfig;
 use crate::state::StateVector;
 use qgear_ir::Circuit;
-use qgear_num::Scalar;
-use qgear_telemetry::clock::Clock;
+use qgear_num::{Complex, Scalar};
+use qgear_telemetry::clock::{Clock, SharedClock, WallClock};
 use std::convert::Infallible;
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::marker::PhantomData;
+use std::sync::{LazyLock, OnceLock};
+use std::time::Duration;
 
 /// A partially-executed run: evolving amplitudes plus a cursor into a
 /// fixed, deterministic step schedule. A caller may advance in segments
@@ -104,10 +108,77 @@ pub fn straight_through<T: Scalar, S: Stepper<T>>(
     Ok(RunOutput { state: opts.keep_state.then(|| run.into_state()), counts, stats })
 }
 
-/// A partially-executed simulation: the evolving state plus a cursor
-/// into its (fixed) plan.
-pub struct SegmentedRun<T: Scalar> {
-    state: StateVector<T>,
+/// Where a walker's amplitudes lie, and how a plan segment runs there:
+/// the one thing the two placements of a register do differently.
+/// [`StateVector`] is a state resident on one device; the cluster
+/// crate's `DistributedState` is one pooled over a device group.
+pub trait Placement<T: Scalar> {
+    /// Why [`Placement::apply`] can fail.
+    type Fault;
+    /// Apply segment `segment` of `plan` and, once the whole segment has
+    /// run, charge its deterministic counters to `counters`. On `Err` the
+    /// amplitudes are inconsistent and `counters` is as it was.
+    fn apply(
+        &mut self,
+        plan: &ExecutionPlan,
+        segment: usize,
+        counters: &mut CheckpointCounters,
+    ) -> Result<(), Self::Fault>;
+    /// The register in logical amplitude order, as runs of amplitudes
+    /// that lie side by side: what the marginal and the checkpoint writer
+    /// read, neither gathering first.
+    fn runs(&self) -> impl Iterator<Item = &[Complex<T>]> + '_;
+    /// The state in logical amplitude order.
+    fn into_state(self) -> StateVector<T>;
+    /// Rebuild this placement from `state`, in logical amplitude order
+    /// (a restored checkpoint's).
+    fn restore(&mut self, state: StateVector<T>);
+    /// Add what the placement moved between devices to `stats`: nothing
+    /// for a state resident on one device.
+    fn charge_traffic(&self, _stats: &mut ExecStats) {}
+}
+
+/// A state resident on one device: a segment is the planner's
+/// `execute_segment` over its amplitudes, one tile pass for a sweep.
+impl<T: Scalar> Placement<T> for StateVector<T> {
+    /// A state resident on one device has no link to lose.
+    type Fault = Infallible;
+
+    fn apply(
+        &mut self,
+        plan: &ExecutionPlan,
+        segment: usize,
+        counters: &mut CheckpointCounters,
+    ) -> Result<(), Infallible> {
+        planner::execute_segment(self.amplitudes_mut(), plan, segment, counters);
+        Ok(())
+    }
+
+    fn runs(&self) -> impl Iterator<Item = &[Complex<T>]> + '_ {
+        std::iter::once(self.amplitudes())
+    }
+
+    fn into_state(self) -> StateVector<T> {
+        self
+    }
+
+    fn restore(&mut self, state: StateVector<T>) {
+        *self = state;
+    }
+}
+
+/// The clock a resident state's walker is timed on: the host's, even
+/// under a virtual service clock, since its kernels are real work.
+fn host_clock() -> SharedClock {
+    static HOST: LazyLock<SharedClock> = LazyLock::new(WallClock::shared);
+    HOST.clone()
+}
+
+/// A partially-executed simulation: the evolving state, on either
+/// placement, plus a cursor into its (fixed) plan. `SegmentedRun<T>` is
+/// the walker of a state resident on one device.
+pub struct SegmentedRun<T: Scalar, P = StateVector<T>> {
+    state: P,
     plan: ExecutionPlan,
     cursor: usize,
     counters: CheckpointCounters,
@@ -117,16 +188,17 @@ pub struct SegmentedRun<T: Scalar> {
     circuit: Circuit,
     fingerprint: OnceLock<u64>,
     sampling: SamplingConfig,
-    /// Real wall-clock spent building the plan and in `advance` calls.
+    /// What `elapsed` is read from: the host clock for a resident state,
+    /// the engine's for a partitioned one.
+    clock: SharedClock,
+    /// Time spent building the plan and in `advance` calls, on `clock`.
     elapsed: Duration,
+    precision: PhantomData<T>,
 }
 
 impl<T: Scalar> SegmentedRun<T> {
     /// Check capacity, build the plan the options select, and position
-    /// the cursor at step zero. Plan construction sits inside a
-    /// `simulate` span and counts toward [`ExecStats::elapsed`], so a
-    /// run's reported evolve time covers fusion and planning as well as
-    /// the kernels.
+    /// the cursor at step zero of `|0…0⟩` resident on `device`.
     pub fn new(
         device: &GpuDevice,
         circuit: &Circuit,
@@ -135,7 +207,8 @@ impl<T: Scalar> SegmentedRun<T> {
         // Device memory is the default capacity bound; an explicit option
         // overrides (used by the harnesses to model other devices).
         check_capacity::<T>(circuit.num_qubits(), opts.memory_limit.or(Some(device.memory_bytes)))?;
-        Self::planned(circuit, opts, &opts.planner_costs)
+        let state = StateVector::zero(circuit.num_qubits());
+        Self::start(state, circuit, opts, opts.fusion_width, &opts.planner_costs, host_clock())
     }
 
     /// The per-gate plan on no device: the Aer baseline's run, bounded
@@ -143,22 +216,45 @@ impl<T: Scalar> SegmentedRun<T> {
     /// fusion, sweep or planner options.
     pub(crate) fn per_gate(circuit: &Circuit, opts: &RunOptions) -> Result<Self, SimError> {
         check_capacity::<T>(circuit.num_qubits(), opts.memory_limit)?;
-        Self::planned(circuit, opts, &PlannerCosts::pinned(SegmentMode::Unfused))
+        let state = StateVector::zero(circuit.num_qubits());
+        let costs = PlannerCosts::pinned(SegmentMode::Unfused);
+        Self::start(state, circuit, opts, opts.fusion_width, &costs, host_clock())
     }
 
-    /// `|0…0⟩` and the plan `costs` select, at step zero; the capacity
-    /// check is the caller's.
-    fn planned(
+    /// Rebuild the plan for `(circuit, opts)` and install a verified
+    /// checkpoint into it ([`SegmentedRun::restore`]).
+    pub fn resume(
+        device: &GpuDevice,
         circuit: &Circuit,
         opts: &RunOptions,
+        ck: StateCheckpoint<T>,
+    ) -> Result<Self, CheckpointError> {
+        SegmentedRun::new(device, circuit, opts)
+            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?
+            .restore(ck)
+    }
+}
+
+impl<T: Scalar, P: Placement<T>> SegmentedRun<T, P> {
+    /// `state`, at step zero of the plan `costs` select for `circuit` at
+    /// `fusion_width` under `opts`' sweep options; admission is the
+    /// caller's. The plan build sits inside a `simulate` span and counts
+    /// toward [`ExecStats::elapsed`], read from `clock`, so a run's
+    /// reported evolve time covers fusion and planning as well as the
+    /// kernels.
+    pub fn start(
+        state: P,
+        circuit: &Circuit,
+        opts: &RunOptions,
+        fusion_width: usize,
         costs: &PlannerCosts,
+        clock: SharedClock,
     ) -> Result<Self, SimError> {
-        let state: StateVector<T> = StateVector::zero(circuit.num_qubits());
-        let start = Instant::now();
+        let start = clock.now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let plan = planner::plan(
             circuit,
-            opts.fusion_width,
+            fusion_width,
             opts.sweep_width,
             opts.sweep_reorder,
             costs,
@@ -173,6 +269,7 @@ impl<T: Scalar> SegmentedRun<T> {
             ))
         })?;
         drop(sim_span);
+        let elapsed = clock.now().saturating_sub(start);
         Ok(SegmentedRun {
             state,
             plan,
@@ -181,8 +278,29 @@ impl<T: Scalar> SegmentedRun<T> {
             circuit: circuit.clone(),
             fingerprint: OnceLock::new(),
             sampling: opts.sampling(),
-            elapsed: start.elapsed(),
+            clock,
+            elapsed,
+            precision: PhantomData,
         })
+    }
+
+    /// Install a checkpoint's amplitudes, cursor and counters into this
+    /// run, in place of whatever it had run.
+    ///
+    /// The checkpoint must describe the *same* plan
+    /// ([`StateCheckpoint::verify_against`]): a checkpoint from a
+    /// different circuit, fusion width, sweep configuration or mode
+    /// selection is rejected rather than silently producing wrong
+    /// amplitudes. The amplitudes are in logical order, so a generation
+    /// either placement wrote resumes on either. The sampling
+    /// configuration stays the run's own (the job spec stays
+    /// authoritative), which the codec round-trips for audit only.
+    pub fn restore(mut self, ck: StateCheckpoint<T>) -> Result<Self, CheckpointError> {
+        ck.verify_against(self.fingerprint(), self.steps_total(), self.circuit.num_qubits())?;
+        self.state.restore(ck.state);
+        self.cursor = ck.cursor as usize;
+        self.counters = ck.counters;
+        Ok(self)
     }
 
     /// Total steps in the schedule.
@@ -190,9 +308,15 @@ impl<T: Scalar> SegmentedRun<T> {
         self.plan.len()
     }
 
-    /// The (possibly partially-evolved) state.
-    pub fn state(&self) -> &StateVector<T> {
+    /// The (possibly partially-evolved) state, where it lies.
+    pub fn state(&self) -> &P {
         &self.state
+    }
+
+    /// The state, where it lies, for fault injection: a change to its
+    /// amplitudes is a change to the run.
+    pub fn state_mut(&mut self) -> &mut P {
+        &mut self.state
     }
 
     /// Fingerprint of the plan this run executes (see
@@ -203,69 +327,47 @@ impl<T: Scalar> SegmentedRun<T> {
             .get_or_init(|| plan_fingerprint(&self.circuit, T::BYTES as u8, self.plan.digest))
     }
 
-    /// Snapshot the current execution state as an owned value (one
-    /// amplitude-vector clone). To serialize the snapshot, call
-    /// [`Stepper::encode_checkpoint`], which skips the clone.
+    /// Snapshot the current execution state as an owned value (one copy
+    /// of the amplitudes, in logical order). To serialize the snapshot,
+    /// call [`Stepper::encode_checkpoint`], which makes no copy.
     pub fn checkpoint(&self) -> StateCheckpoint<T> {
+        let state = StateVector::from_runs(self.circuit.num_qubits(), self.state.runs());
         StateCheckpoint {
-            num_qubits: self.state.num_qubits(),
+            num_qubits: self.circuit.num_qubits(),
             cursor: self.cursor as u64,
             steps_total: self.steps_total() as u64,
             fingerprint: self.fingerprint(),
             counters: self.counters,
             sampling: self.sampling,
-            state: self.state.clone(),
+            state,
         }
-    }
-
-    /// Rebuild the plan for `(circuit, opts)` and install a verified
-    /// checkpoint's state and cursor into it.
-    ///
-    /// The checkpoint must describe the *same* plan
-    /// ([`StateCheckpoint::verify_against`]): a checkpoint from a
-    /// different circuit, fusion width, sweep configuration or mode
-    /// selection is rejected rather than silently producing wrong
-    /// amplitudes. The sampling configuration is taken from `opts` (the
-    /// job spec stays authoritative), which the codec round-trips for
-    /// audit only.
-    pub fn resume(
-        device: &GpuDevice,
-        circuit: &Circuit,
-        opts: &RunOptions,
-        ck: StateCheckpoint<T>,
-    ) -> Result<Self, CheckpointError> {
-        let mut run = SegmentedRun::new(device, circuit, opts)
-            .map_err(|e| CheckpointError::Rebuild(e.to_string()))?;
-        ck.verify_against(run.fingerprint(), run.steps_total(), run.state.num_qubits())?;
-        run.state = ck.state;
-        run.cursor = ck.cursor as usize;
-        run.counters = ck.counters;
-        Ok(run)
     }
 }
 
-impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
-    /// A state resident on one device has no link to lose.
-    type Fault = Infallible;
+impl<T: Scalar, P: Placement<T>> Stepper<T> for SegmentedRun<T, P> {
+    /// A resident state's is [`Infallible`]; a partitioned one's, a
+    /// pairwise exchange that failed mid-segment.
+    type Fault = P::Fault;
 
-    /// Timed on the host clock, even under a virtual service clock: the
-    /// kernels are real work. DRAM traffic is charged per full-state
-    /// pass (per sweep segment, per kernel or gate otherwise), arithmetic
-    /// per kernel; the per-call telemetry deltas sum to the same totals
-    /// whatever the segment size.
-    fn advance(&mut self, max_steps: usize) -> Result<(), Infallible> {
+    /// Timed on the run's clock. A segment's counters are charged once
+    /// it completes, so after a fault they name the last completed step,
+    /// as the cursor does. DRAM traffic is charged per full-state pass
+    /// (per sweep segment on one device, per kernel or gate otherwise),
+    /// arithmetic per kernel; the per-call telemetry deltas sum to the
+    /// same totals whatever the segment size.
+    fn advance(&mut self, max_steps: usize) -> Result<(), P::Fault> {
         if self.is_done() {
             return Ok(());
         }
-        let start = Instant::now();
+        let start = self.clock.now();
         let sim_span = qgear_telemetry::span!(qgear_telemetry::names::spans::SIMULATE);
         let end = self.steps_total().min(self.cursor.saturating_add(max_steps.max(1)));
         let before = self.counters;
-        while self.cursor < end {
-            let amps = self.state.amplitudes_mut();
-            planner::execute_segment(amps, &self.plan, self.cursor, &mut self.counters);
-            self.cursor += 1;
-        }
+        let result = (self.cursor..end).try_for_each(|step| {
+            self.state.apply(&self.plan, step, &mut self.counters)?;
+            self.cursor = step + 1;
+            Ok(())
+        });
         let applied = self.counters;
         if applied.sweeps_executed > before.sweeps_executed {
             qgear_telemetry::counter_add(
@@ -285,8 +387,8 @@ impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
             );
         }
         drop(sim_span);
-        self.elapsed += start.elapsed();
-        Ok(())
+        self.elapsed += self.clock.now().saturating_sub(start);
+        result
     }
 
     fn is_done(&self) -> bool {
@@ -297,10 +399,13 @@ impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
         self.cursor
     }
 
-    /// Real wall-clock reflects only the work done *in this process*:
-    /// resumed runs don't inherit a dead worker's timings.
+    /// The schedule counters a checkpoint carries — restored with it, so
+    /// a resumed run's match an uninterrupted one's — plus what this
+    /// instance's placement moved and the time it spent: a resumed run
+    /// inherits neither a dead worker's timings nor a dead group's
+    /// traffic.
     fn stats(&self) -> ExecStats {
-        ExecStats {
+        let mut stats = ExecStats {
             gates_applied: self.counters.gates_applied,
             kernels_launched: self.counters.kernels_launched,
             sweeps_executed: self.counters.sweeps_executed,
@@ -308,17 +413,20 @@ impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
             flops: self.counters.flops,
             elapsed: self.elapsed,
             ..ExecStats::default()
-        }
+        };
+        self.state.charge_traffic(&mut stats);
+        stats
     }
 
-    /// [`encode`](crate::checkpoint::encode) of [`SegmentedRun::checkpoint`],
-    /// written from the live state: what a segment boundary stores costs
-    /// no clone of the amplitudes.
+    /// The bytes of [`encode`](crate::checkpoint::encode) of
+    /// [`SegmentedRun::checkpoint`], written from the placement's runs
+    /// where they lie: what a segment boundary stores copies no
+    /// amplitudes, and the output is the only state-sized buffer.
     fn encode_checkpoint(&self, out: &mut Vec<u8>) {
-        encode_amplitudes(
+        encode_runs(
             out,
-            self.state.amplitudes(),
-            self.state.num_qubits(),
+            self.state.runs(),
+            self.circuit.num_qubits(),
             self.cursor as u64,
             self.steps_total() as u64,
             self.fingerprint(),
@@ -328,11 +436,11 @@ impl<T: Scalar> Stepper<T> for SegmentedRun<T> {
     }
 
     fn marginal(&self, measured: &[u32]) -> Vec<f64> {
-        marginal_probs(&self.state, measured)
+        marginal_of_runs(self.state.runs(), self.circuit.num_qubits(), measured)
     }
 
     fn into_state(self) -> StateVector<T> {
-        self.state
+        self.state.into_state()
     }
 }
 

@@ -32,6 +32,22 @@ impl<T: Scalar> StateVector<T> {
         StateVector { num_qubits, amps: AlignedVec::from_slice(&amps) }
     }
 
+    /// The register whose amplitudes `runs` yields in logical order, run
+    /// after run, `2^num_qubits` in all, laid end to end.
+    pub fn from_runs<'a>(
+        num_qubits: u32,
+        runs: impl IntoIterator<Item = &'a [Complex<T>]>,
+    ) -> Self {
+        let mut state = StateVector::zero(num_qubits);
+        let mut rest = state.amplitudes_mut();
+        for run in runs {
+            let (now, later) = rest.split_at_mut(run.len());
+            now.copy_from_slice(run);
+            rest = later;
+        }
+        state
+    }
+
     /// Adopt amplitudes already in aligned storage (length must be a
     /// power of two).
     pub(crate) fn from_aligned(amps: AlignedVec<Complex<T>>) -> Self {

@@ -128,20 +128,21 @@ echo "==> cargo test -q --test simtest shard_worker_death (named migration gate)
 cargo test -q --test simtest shard_worker_death_migrates_onto_a_fresh_group_and_completes_bit_identically
 
 # The shard tier at the repo benchmark's own size, kept out of tier-1
-# (n = 18 is minutes in a debug build, seconds in release): served
-# counts under checkpoint_interval 8, gathered amplitudes and a resume
-# from the generation at cursor 24 over four shards, all bitwise the
-# dense run's, and the gather-free checkpoint writer against the
-# gathering one on 64 container chunks.
+# (n = 18 is minutes in a debug build, seconds in release): the one
+# walker over a four-shard placement, at sweep width 0. Served counts
+# under checkpoint_interval 8, gathered amplitudes and a resume from the
+# generation at cursor 24, all bitwise the resident placement's, and the
+# gather-free checkpoint writer against the gathering one on 64
+# container chunks.
 echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job -- --ignored (n = 18 shard tier)"
 cargo test -q --release --test sharding an_eighteen_qubit_job_is_bitwise_dense_over_four_shards -- --ignored
 
 # The same size at the served configuration: the `sharded_ckpt` shape
 # (an ry layer, then the QFT, fp64) over four shards at the default
 # ServeConfig widths (fusion 5, sweep 12, priced) and checkpoint_interval
-# 8. The group walks the dense service's plan, so its served counts and
-# kernels are the dense service's, and a resume from the generation at
-# cursor 8 finishes bitwise.
+# 8. The group is the dense service's walker and plan on a partitioned
+# placement, so its served counts and kernels are the dense service's,
+# and a resume from the generation at cursor 8 finishes bitwise.
 echo "==> cargo test -q --release --test sharding an_eighteen_qubit_job_at_the_served_configuration -- --ignored (n = 18 served-configuration tier)"
 cargo test -q --release --test sharding an_eighteen_qubit_job_at_the_served_configuration_is_bitwise_dense_over_four_shards -- --ignored
 

@@ -16,7 +16,7 @@
 //! cap is too small the rejection carries an explicit `Sharded` verdict
 //! naming the cap, so clients can see sharding was considered.
 
-use qgear_cluster::{ClusterEngine, ShardedRun};
+use qgear_cluster::ClusterEngine;
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::Circuit;
 use qgear_serve::{
@@ -378,8 +378,8 @@ fn admission_rejects_or_explains_when_sharding_cannot_help() {
 }
 
 /// The engine-level identity underneath the service path: evolving the
-/// schedule through `ShardedRun` (2 and 4 shards) gathers amplitudes
-/// bitwise equal to straight dense execution of the same fused
+/// schedule through a shard group's walker (2 and 4 shards) gathers
+/// amplitudes bitwise equal to straight dense execution of the same fused
 /// schedule — not approximately, *exactly*, which is what licenses the
 /// harness's dense clean-hash mirror for sharded jobs.
 #[test]
@@ -403,18 +403,18 @@ fn sharded_evolution_gathers_bitwise_dense_amplitudes() {
                 continue;
             }
             let group = ClusterEngine::a100_cluster(shards as usize);
-            let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+            let mut run = group.stepper::<f64>(&native, &opts).expect("admissible");
             while !run.is_done() {
                 run.advance(1).expect("no faults armed");
             }
-            let gathered = run.state();
+            let gathered = run.state().gather();
             assert_eq!(
                 gathered.amplitudes(),
                 dense.amplitudes(),
                 "gather() must be bit-identical to dense (fusion {fusion_width}, \
                  {shards} shards)"
             );
-            let dist = run.dist();
+            let dist = run.state();
             assert_eq!(
                 dist.traffic().total_messages(),
                 2 * dist.exchanges(),
@@ -477,10 +477,10 @@ fn a_sixteen_qubit_job_is_bitwise_dense_over_two_and_four_shards() {
         assert!(result.stats.comm_messages > 0, "{shards} shards: the QFT mixes global qubits");
 
         let group = ClusterEngine::a100_cluster(shards as usize);
-        let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+        let mut run = group.stepper::<f64>(&native, &opts).expect("admissible");
         run.advance(usize::MAX).expect("no faults armed");
-        assert_eq!(run.state().amplitudes(), dense.amplitudes(), "{shards} shards: gathered");
-        assert!(run.dist().exchanges() > 0);
+        assert_eq!(run.state().gather().amplitudes(), dense.amplitudes(), "{shards} shards: gathered");
+        assert!(run.state().exchanges() > 0);
     }
 }
 
@@ -543,7 +543,7 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
     let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &opts).unwrap();
     let dense = dense.state.expect("state kept");
     let group = ClusterEngine::a100_cluster(shards as usize);
-    let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    let mut run = group.stepper::<f64>(&native, &opts).expect("admissible");
     run.advance(24).expect("no faults armed");
     let mut generation = Vec::new();
     run.encode_checkpoint(&mut generation);
@@ -552,14 +552,14 @@ fn an_eighteen_qubit_job_is_bitwise_dense_over_four_shards() {
     run.encode_checkpoint(&mut recycled);
     assert_eq!(recycled, generation, "written into a recycled buffer");
     run.advance(usize::MAX).expect("no faults armed");
-    assert_eq!(run.state().amplitudes(), dense.amplitudes(), "gathered");
-    assert!(run.dist().exchanges() > 0);
+    assert_eq!(run.state().gather().amplitudes(), dense.amplitudes(), "gathered");
+    assert!(run.state().exchanges() > 0);
 
     let ck = decode_checkpoint::<f64>(&generation).expect("verifies");
-    let mut resumed = ShardedRun::resume(&group, &native, &opts, ck).expect("same plan");
+    let mut resumed = group.resume(&native, &opts, ck).expect("same plan");
     assert_eq!(resumed.cursor(), 24);
     resumed.advance(usize::MAX).expect("no faults armed");
-    assert_eq!(resumed.state().amplitudes(), dense.amplitudes(), "resumed from cursor 24");
+    assert_eq!(resumed.state().gather().amplitudes(), dense.amplitudes(), "resumed from cursor 24");
 }
 
 /// The served configuration's tier at the benchmark's own size, outside
@@ -607,27 +607,28 @@ fn an_eighteen_qubit_job_at_the_served_configuration_is_bitwise_dense_over_four_
     let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&native, &opts).unwrap();
     let dense = dense.state.expect("state kept");
     let group = ClusterEngine::a100_cluster(shards as usize);
-    let mut run = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    let mut run = group.stepper::<f64>(&native, &opts).expect("admissible");
     run.advance(8).expect("no faults armed");
     let mut generation = Vec::new();
     run.encode_checkpoint(&mut generation);
     run.advance(usize::MAX).expect("no faults armed");
-    assert_eq!(run.state().amplitudes(), dense.amplitudes(), "gathered");
+    assert_eq!(run.state().gather().amplitudes(), dense.amplitudes(), "gathered");
 
     let ck = decode_checkpoint::<f64>(&generation).expect("verifies");
-    let mut resumed = ShardedRun::resume(&group, &native, &opts, ck).expect("same plan");
+    let mut resumed = group.resume(&native, &opts, ck).expect("same plan");
     assert_eq!(resumed.cursor(), 8);
     resumed.advance(usize::MAX).expect("no faults armed");
-    assert_eq!(resumed.state().amplitudes(), dense.amplitudes(), "resumed from cursor 8");
+    assert_eq!(resumed.state().gather().amplitudes(), dense.amplitudes(), "resumed from cursor 8");
 }
 
-/// The two walkers share one plan, one fingerprint and one cursor, so a
-/// generation either one writes resumes on the other. At the served
-/// configuration (fusion width 5, sweep width 12, priced) on a 16-qubit
-/// fp64 register above the crossover, a `SegmentedRun` generation
-/// finishes on a 2-shard `ShardedRun`, and a `ShardedRun` generation
-/// finishes on a `SegmentedRun`, both bit for bit on the dense
-/// straight-through state and with its kernel and gate counts.
+/// The walker's two placements share one plan, one fingerprint and one
+/// cursor, so a generation either one writes resumes on the other. At
+/// the served configuration (fusion width 5, sweep width 12, priced) on
+/// a 16-qubit fp64 register above the crossover, a resident
+/// `SegmentedRun` generation finishes on a 2-shard group
+/// (`ClusterEngine::resume`), and a group's generation finishes
+/// resident, both bit for bit on the dense straight-through state and
+/// with its kernel and gate counts.
 #[test]
 fn a_generation_resumes_across_engines_at_the_served_configuration() {
     let circuit = qft_after_ry_layer(16);
@@ -639,7 +640,7 @@ fn a_generation_resumes_across_engines_at_the_served_configuration() {
     let expect = straight.state.as_ref().expect("state kept").amplitudes();
 
     let mut dense = SegmentedRun::<f64>::new(&device, &native, &opts).expect("plan");
-    let mut sharded = ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    let mut sharded = group.stepper::<f64>(&native, &opts).expect("admissible");
     assert_eq!(dense.steps_total(), sharded.steps_total(), "one plan");
     assert_eq!(dense.fingerprint(), sharded.fingerprint(), "one fingerprint");
     let k = dense.steps_total() / 2;
@@ -651,10 +652,10 @@ fn a_generation_resumes_across_engines_at_the_served_configuration() {
     sharded.encode_checkpoint(&mut from_sharded);
 
     let ck = decode_checkpoint::<f64>(&from_dense).expect("verifies");
-    let mut onto_group = ShardedRun::resume(&group, &native, &opts, ck).expect("dense → sharded");
+    let mut onto_group = group.resume(&native, &opts, ck).expect("dense → sharded");
     assert_eq!(onto_group.cursor(), k);
     onto_group.advance(usize::MAX).expect("no faults armed");
-    assert_eq!(onto_group.state().amplitudes(), expect, "dense generation, finished sharded");
+    assert_eq!(onto_group.state().gather().amplitudes(), expect, "dense generation, finished sharded");
 
     let ck = decode_checkpoint::<f64>(&from_sharded).expect("verifies");
     let onto_device = SegmentedRun::resume(&device, &native, &opts, ck);
@@ -711,14 +712,14 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
                 let engine = ClusterEngine::a100_cluster(devices);
                 let whole: RunOutput<f64> = engine.run(circuit, &opts).expect("mgpu run");
 
-                let mut run = ShardedRun::<f64>::new(&engine, circuit, &opts).expect("admissible");
+                let mut run = engine.stepper::<f64>(circuit, &opts).expect("admissible");
                 let mut steps = 0;
                 while !run.is_done() {
                     run.advance(1).expect("no faults armed");
                     steps += 1;
                 }
                 assert_eq!(steps, run.steps_total(), "{label}");
-                let state = run.state();
+                let state = run.state().gather();
                 assert_eq!(
                     whole.state.as_ref().expect("state kept").amplitudes(),
                     state.amplitudes(),
@@ -735,8 +736,8 @@ fn cluster_engine_run_is_the_shard_walker_driven_straight_through() {
     }
 }
 
-/// One stepper contract, checked once over both walkers through the
-/// trait alone: `advance(0)` applies one step rather than stalling,
+/// One stepper contract, checked once over both placements of the one
+/// walker through the trait alone: `advance(0)` applies one step rather than stalling,
 /// `advance(usize::MAX)` from a mid-run cursor saturates and finishes the
 /// schedule rather than wrapping to "apply nothing", a finished run
 /// advances no further, and `into_state` hands back the amplitudes the
@@ -769,6 +770,6 @@ fn both_walkers_keep_the_one_stepper_contract() {
     let dense = || SegmentedRun::<f64>::new(&device, &native, &opts).expect("plan");
     check("dense", dense, device.run(&native, &opts).expect("dense run"));
     let group = ClusterEngine::a100_cluster(2);
-    let sharded = || ShardedRun::<f64>::new(&group, &native, &opts).expect("admissible");
+    let sharded = || group.stepper::<f64>(&native, &opts).expect("admissible");
     check("sharded", sharded, group.run(&native, &opts).expect("mgpu run"));
 }

@@ -869,9 +869,9 @@ fn scenario_runs_leave_a_balanced_span_tree() {
 }
 
 /// The cluster engine reads its phase timings from the injected clock:
-/// under a ticked virtual clock both recorded spans equal exactly one
-/// tick (one `now()` delta each), proving no wall-clock leaks into
-/// `ExecStats`.
+/// under a ticked virtual clock the evolve time is exactly two ticks (one
+/// `now()` delta for the plan build, one for the walk) and the sample
+/// time exactly one, proving no wall-clock leaks into `ExecStats`.
 #[test]
 fn cluster_engine_spans_are_exact_under_a_ticked_virtual_clock() {
     let tick = Duration::from_micros(7);
@@ -886,7 +886,7 @@ fn cluster_engine_spans_are_exact_under_a_ticked_virtual_clock() {
     let out: RunOutput<f64> = engine
         .run(&circuit, &RunOptions { shots: 100, ..Default::default() })
         .unwrap();
-    assert_eq!(out.stats.elapsed, tick, "simulate span is exactly one tick");
+    assert_eq!(out.stats.elapsed, 2 * tick, "plan build and walk are one tick each");
     assert_eq!(out.stats.sampling_elapsed, tick, "sample span is exactly one tick");
     assert_eq!(out.counts.unwrap().total(), 100);
 }

@@ -128,8 +128,8 @@ fn gpu_qft_spans_nest_and_counters_match_exec_stats() {
 
     // Counter totals agree with the engine's own ExecStats: gates.applied
     // is the post-fusion source-gate count, one kernel per fused block —
-    // on the dense walker, and on the shard walker straight through and
-    // served alike.
+    // on the walker resident on one device, and pooled over a shard group
+    // straight through and served alike.
     let runs = [
         ("gpu", &out.stats, &snap),
         ("cluster", &cluster.stats, &cluster_snap),
