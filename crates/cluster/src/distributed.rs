@@ -141,70 +141,74 @@ impl<T: Scalar> DistributedState<T> {
         })
     }
 
-    /// Apply one fused kernel addressed in *logical* qubits.
+    /// Apply one fused kernel addressed in *logical* qubits: the
+    /// one-kernel case of the walk a plan segment takes (`walk`).
+    pub fn apply_block(&mut self, block: &FusedBlock) -> Result<(), CommError> {
+        self.walk([block], |_| ())
+    }
+
+    /// Run `blocks` in order, as few passes over the slices as the
+    /// exchanges allow.
     ///
-    /// Global operands the kernel *mixes* are first remapped onto local
-    /// positions (pairwise half-exchanges). Global operands it does **not**
-    /// mix — pure controls and diagonal phases — stay global: each device
-    /// applies the sub-table its own rank bits select
-    /// ([`FusedBlock::select`]), with zero communication (the
+    /// Global operands a kernel *mixes* are first remapped onto local
+    /// positions (pairwise half-exchanges, planned by the shared
+    /// mixing-aware policy, `QubitLayout::plan_block_mixing`). Global
+    /// operands it does **not** mix — pure controls and diagonal phases —
+    /// stay global: each device applies the sub-table its own rank bits
+    /// select ([`FusedBlock::select`]), with zero communication (the
     /// cuQuantum-style control/diagonal optimization).
     ///
-    /// The kernel itself is [`GpuDevice::apply_to_slices`]: planned once
-    /// per step at the operands' physical positions — once per rank-bit
-    /// pattern when some stayed global — and run over every slice that
-    /// plan serves, each slice getting bit for bit what
-    /// [`GpuDevice::apply_block`] would do to it.
-    pub fn apply_block(&mut self, block: &FusedBlock) -> Result<(), CommError> {
-        // Plan remaps on a layout clone (the shared mixing-aware policy in
-        // `QubitLayout::plan_block_mixing`), then execute each planned
-        // swap — the data movement updates the planner's layout to match.
-        let mut planned = self.planner.layout.clone();
-        for swap in planned.plan_block_mixing(&block.qubits, &block.mixing_mask()) {
-            self.swap_local_global(swap.local, swap.global)?;
-        }
-        debug_assert_eq!(self.planner.layout, planned, "execution diverged from plan");
-        let lw = self.local_width();
-        // Split operands: still-global ones (all unmixed, by planning)
-        // condition the kernel on `(local bit, rank bit)`, the rest say
-        // which slice bits it acts on, in local-bit order.
-        let mut conditional: Vec<(usize, u32)> = Vec::new();
-        let mut positions: Vec<u32> = Vec::with_capacity(block.qubits.len());
-        for (j, &q) in block.qubits.iter().enumerate() {
-            match self.physical(q) {
-                p if p < lw => positions.push(p),
-                p => conditional.push((j, p - lw)),
+    /// The layout moves only at an exchange, so a maximal run of kernels
+    /// with no exchange between them runs at one layout, and it is one
+    /// [`GpuDevice::apply_sweep`] pass over every slice, in parallel:
+    /// cache-blocked tiles of the low physical bits the run touches, each
+    /// slice getting bit for bit what the resident state's kernels would
+    /// do to it. `on_pass` is told each pass's kernels once it has run.
+    fn walk<'b>(
+        &mut self,
+        blocks: impl IntoIterator<Item = &'b FusedBlock>,
+        mut on_pass: impl FnMut(&[&'b FusedBlock]),
+    ) -> Result<(), CommError> {
+        let mut run: Vec<&FusedBlock> = Vec::new();
+        for block in blocks {
+            // Plan the remaps on a layout clone, then execute each planned
+            // swap — the data movement updates the planner's layout to
+            // match — once the kernels before them have run.
+            let mut planned = self.planner.layout.clone();
+            let swaps = planned.plan_block_mixing(&block.qubits, &block.mixing_mask());
+            if !swaps.is_empty() {
+                self.pass(&mut run, &mut on_pass);
+            }
+            for swap in swaps {
+                self.swap_local_global(swap.local, swap.global)?;
+            }
+            debug_assert_eq!(self.planner.layout, planned, "execution diverged from plan");
+            run.push(block);
+            if self.restore_layout {
+                self.pass(&mut run, &mut on_pass);
+                self.restore_identity_layout()?;
             }
         }
-        let pattern_of = |rank: usize| -> usize {
-            let bits = conditional.iter().enumerate();
-            bits.map(|(bit, &(_, rank_bit))| (rank >> rank_bit & 1) << bit).sum()
-        };
-        // One kernel per rank-bit pattern, shared by every device with
-        // that pattern: the sub-table the pattern selects, or with
-        // nothing conditional the block itself on every slice.
-        for pattern in 0..1usize << conditional.len() {
-            let selected;
-            let kernel = if conditional.is_empty() {
-                block
-            } else {
-                let fixed: Vec<(usize, usize)> = conditional
-                    .iter()
-                    .enumerate()
-                    .map(|(bit, &(j, _))| (j, (pattern >> bit) & 1))
-                    .collect();
-                selected = block.select(&fixed);
-                &selected
-            };
-            let slices = self.parts.iter_mut().enumerate();
-            let slices = slices.filter(|&(rank, _)| pattern_of(rank) == pattern);
-            let slices = slices.map(|(_, part)| part.as_mut_slice());
-            GpuDevice::apply_to_slices(slices, kernel, &positions);
-        }
-        if self.restore_layout {
-            self.restore_identity_layout()?;
-        }
+        self.pass(&mut run, &mut on_pass);
         Ok(())
+    }
+
+    /// Run and empty `run`, if it holds any kernels, as one pass over
+    /// every slice at the current layout, and tell `on_pass`: each kernel
+    /// is placed at its operands' physical positions, still-global ones
+    /// (all unmixed, by planning) being bits of the slice index.
+    fn pass<'b>(&mut self, run: &mut Vec<&'b FusedBlock>, on_pass: &mut impl FnMut(&[&'b FusedBlock])) {
+        if run.is_empty() {
+            return;
+        }
+        let positions: Vec<Vec<u32>> =
+            run.iter().map(|b| b.qubits.iter().map(|&q| self.physical(q)).collect()).collect();
+        let kernels: Vec<(&FusedBlock, &[u32])> =
+            run.iter().zip(&positions).map(|(&block, at)| (block, at.as_slice())).collect();
+        let mut slices: Vec<&mut [Complex<T>]> = self.parts.iter_mut().map(Vec::as_mut_slice).collect();
+        GpuDevice::apply_sweep(&mut slices, &kernels);
+        on_pass(run);
+        run.clear();
     }
 
     /// Swap physical positions until the layout is the identity again.
@@ -327,35 +331,38 @@ impl<T: Scalar> DistributedState<T> {
 /// A state pooled over a device group, walked by the one walker
 /// ([`qgear_statevec::SegmentedRun`]; [`crate::ClusterEngine::stepper`]
 /// builds it). Only *where* a kernel runs differs from a resident state:
-/// a segment's kernels run in the segment's order, each through
-/// [`DistributedState::apply_block`] — the exact kernel over every slice,
-/// after whatever exchanges bring its mixed qubits local — where one
-/// device runs them as one cache-blocked tile pass. A sweep's tile pass
-/// is bit-identical to its kernels run in order
-/// (`GpuDevice::apply_sweep`), so the gathered state is the resident
+/// a segment's kernels run in the segment's order through
+/// `DistributedState::walk` — whatever exchanges bring each kernel's
+/// mixed qubits local, and between them one tile pass per slice, the
+/// slices in parallel — where one device runs them as one tile pass. A
+/// pass is bit-identical to its kernels run in order
+/// ([`GpuDevice::apply_sweep`]), so the gathered state is the resident
 /// walker's bit for bit.
 impl<T: Scalar> Placement<T> for DistributedState<T> {
     /// A pairwise exchange failed mid-segment.
     type Fault = CommError;
 
-    /// One slice pass per kernel: no sweep is executed, and each kernel
-    /// reads and writes the whole state once.
+    /// Each pass is charged as the resident walker charges a segment: one
+    /// pass of bytes, one sweep, its kernels and their arithmetic. A
+    /// segment no exchange splits is one pass, so it is charged exactly
+    /// as the resident walker charges it.
     fn apply(
         &mut self,
         plan: &ExecutionPlan,
         segment: usize,
         counters: &mut CheckpointCounters,
     ) -> Result<(), CommError> {
-        let kernels = &plan.segments[segment].sweep.kernels;
-        for &ki in kernels {
-            self.apply_block(&plan.blocks[ki])?;
-        }
         let n_amps = 1u128 << self.num_qubits();
-        for &ki in kernels {
-            counters.kernels_launched += 1;
-            counters.bytes_touched += 2 * n_amps * (2 * T::BYTES) as u128;
-            counters.flops += n_amps << plan.blocks[ki].qubits.len();
-        }
+        let pass_bytes = 2 * n_amps * (2 * T::BYTES) as u128;
+        let mut charged = *counters;
+        let blocks = plan.segments[segment].sweep.kernels.iter().map(|&ki| &plan.blocks[ki]);
+        self.walk(blocks, |pass| {
+            charged.kernels_launched += pass.len() as u64;
+            charged.sweeps_executed += 1;
+            charged.bytes_touched += pass_bytes;
+            charged.flops += pass.iter().map(|block| n_amps << block.qubits.len()).sum::<u128>();
+        })?;
+        *counters = charged;
         Ok(())
     }
 

@@ -20,7 +20,9 @@
 //! snapshots between shard groups.
 //!
 //! A group asks the plan builder, with the caller's selector, for the
-//! plan a resident walker would run, so the gathered state is the
+//! plan a resident walker would run, and runs each of its segments as
+//! the resident walker does, one tile pass, here per slice (two where an
+//! exchange falls between its kernels). So the gathered state is the
 //! resident walker's bit for bit at every fusion width and sweep width
 //! of the fused plans, and a cursor — a count of plan segments on either
 //! placement — resumes on either. The per-gate plan has no fused kernels

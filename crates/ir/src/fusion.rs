@@ -353,10 +353,11 @@ impl FusedBlock {
     /// narrower mask — one sub-unitary per assignment of the unmixed
     /// bits, in the same packed order. Every entry kept is copied; the
     /// entries dropped are `±0.0` in both components. The fuser closes
-    /// each block once, [`FusedBlock::from_dense`] and
-    /// [`FusedBlock::select`] close theirs, and from then on the mask is
-    /// the kernel decision: a diagonal table when it is empty, `2^μ`
-    /// mul-adds per amplitude over its bits otherwise.
+    /// each block once and [`FusedBlock::from_dense`] closes its own (a
+    /// selection, [`FusedBlock::select`], keeps its block's mask), and
+    /// from then on the mask is the kernel decision: a diagonal table
+    /// when it is empty, `2^μ` mul-adds per amplitude over its bits
+    /// otherwise.
     ///
     /// Skipping the dropped entries changes no result bit of the dense
     /// `2^k` mul-add chain per amplitude, in column order, that every
@@ -414,10 +415,15 @@ impl FusedBlock {
     /// The kernel on the subspace where the unmixed local bits of
     /// `fixed` take fixed values (`(local bit, 0 or 1)` pairs): the
     /// sub-unitaries of the matching assignments, over the other qubits
-    /// in their relative order, closed like a fused block (a bit the
-    /// selected sub-unitaries do not cross is demoted). A device whose
-    /// rank bits fix some of a kernel's qubits applies this selection
-    /// with no communication.
+    /// in their relative order. A device whose rank bits fix some of a
+    /// kernel's qubits applies this selection with no communication.
+    ///
+    /// The selection keeps the block's mixed bits, even one the selected
+    /// sub-unitaries happen not to cross: each amplitude then runs the
+    /// `mul_add` chain the whole block runs on it, so a device's slice
+    /// gets bit for bit what the resident state would. (Demoting such a
+    /// bit would turn a selection that crosses nothing into a phase
+    /// table, `amp * d`, whose rounding differs from the chain's.)
     ///
     /// # Panics
     /// If a fixed bit is one the table mixes.
@@ -442,7 +448,6 @@ impl FusedBlock {
             table,
             source_gates: self.source_gates,
         }
-        .close()
     }
 
     /// Apply the kernel to a full state vector, sub-unitary by
@@ -1585,7 +1590,8 @@ mod tests {
                 cond[i] = *a;
             }
         }
-        assert!(max_deviation(&full, &cond) < 1e-12);
+        let bits = |v: &[C64]| v.iter().flat_map(|a| [a.re.to_bits(), a.im.to_bits()]).collect::<Vec<_>>();
+        assert_eq!(bits(&full), bits(&cond), "every half-space runs the block's own chains");
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //! is the kernel decision: an empty mask is a diagonal table, any other
 //! a group kernel over the bits it names (dense being the all-mixed
 //! case) — the planner prices a kernel from the same mask — and
-//! `KernelPlan` owns the one gather / mul-add / scatter body; a
-//! full-state kernel ([`GpuDevice::apply_block`]) is that body driven
-//! over the whole state, a shard step
-//! ([`GpuDevice::apply_to_slices`]) one plan driven over every slice in
-//! turn, a sweep ([`GpuDevice::apply_sweep`]) the same body driven over
-//! cache-sized tiles.
+//! `KernelPlan` owns the one gather / mul-add / scatter body. One entry
+//! drives it, [`GpuDevice::apply_sweep`]: a run of kernels in one pass
+//! over a register held as one slice (a resident state) or several (a
+//! shard group's), one kernel over each whole slice, several over
+//! cache-sized tiles of every slice, every slice in one parallel loop. A
+//! full-state kernel ([`GpuDevice::apply_block`]) is its one-kernel,
+//! one-slice case.
 //!
 //! This module holds the device and its kernels only. The plan those
 //! kernels execute, the loop that walks it and the stats it charges live
@@ -43,7 +44,6 @@ use crate::backend::{RunOptions, RunOutput, SimError, Simulator};
 use crate::segment::{straight_through, SegmentedRun};
 use crate::simd::{self, DiagTable};
 use qgear_ir::fusion::FusedBlock;
-use qgear_ir::schedule::Sweep;
 use qgear_ir::Circuit;
 use qgear_num::{AlignedVec, CLanes, Complex, Scalar};
 use qgear_telemetry::clock::WallClock;
@@ -103,125 +103,157 @@ impl GpuDevice {
     /// driver splits the independent
     /// amplitude groups across rayon workers. The sweep path runs the
     /// *same* plan body over its tiles, which is why order-preserving
-    /// sweeps are bit-identical to this kernel-at-a-time path.
+    /// sweeps are bit-identical to this kernel-at-a-time path. It is the
+    /// one-kernel, one-slice case of [`GpuDevice::apply_sweep`].
     pub fn apply_block<T: Scalar>(state: &mut [Complex<T>], block: &FusedBlock) {
-        GpuDevice::apply_to_slices([state], block, &block.qubits);
+        GpuDevice::apply_sweep(&mut [state], &[(block, &block.qubits)]);
     }
 
-    /// Execute one kernel on every slice of a partitioned state: `block`
-    /// is planned **once**, with its local bit `j` at slice
-    /// bit `positions[j]`, and that plan runs over each of the equally
-    /// long `slices` in turn with the full-state driver.
-    /// [`GpuDevice::apply_block`] is the one-slice case, so a slice gets
-    /// bit for bit what a whole state would, without a block, a
-    /// relabelled qubit list or a second plan ever being built. A
-    /// partitioned state calls it once per kernel, or once per rank-bit
-    /// pattern with the sub-table that pattern selects
-    /// ([`FusedBlock::select`]).
-    pub fn apply_to_slices<'a, T: Scalar>(
-        slices: impl IntoIterator<Item = &'a mut [Complex<T>]>,
-        block: &FusedBlock,
-        positions: &[u32],
-    ) {
-        let mut slices = slices.into_iter().peekable();
-        let Some(first) = slices.peek() else { return };
-        let masks: Vec<usize> = positions.iter().map(|&p| 1usize << p).collect();
-        let plan = KernelPlan::new(block, &masks, first.len());
-        for slice in slices {
-            plan.launch(slice);
-        }
-    }
-
-    /// Execute one scheduled sweep — several mutually-reorderable fused
-    /// kernels — in a single cache-blocked pass over the state.
+    /// Execute a run of fused kernels — a scheduled sweep, or the part of
+    /// one a shard group runs between two exchanges — in a single pass
+    /// over a register held as equally long `slices`.
     ///
-    /// This is the sweep-fusion analogue of CUDA shared-memory tiling. An
-    /// all-diagonal sweep is one element-wise pass at any width. Any other
-    /// sweep of several kernels acts on low qubits only (the scheduler's
-    /// rule), so its tile is a contiguous slice of the state: the low
-    /// `max(top + 1, widest + log2(LANES))` qubits, `top` the sweep's
-    /// highest qubit and `widest` its widest kernel — wide enough that
-    /// every kernel has lane bits to spare (see `GroupKernel`). Each
-    /// rayon task applies *every* kernel of the sweep to its tiles in
-    /// place while they are hot, so DRAM-level traffic is one read + one
-    /// write of the state per *sweep* instead of per kernel, with no
-    /// scratch copy.
+    /// Slice `r` holds amplitudes `r·2^w` to `(r+1)·2^w − 1`, `2^w` being
+    /// a slice's length, and each kernel comes with the register bit each
+    /// of its local bits sits at: a resident state passes one slice and
+    /// each block's `qubits`, a shard group its slices and each kernel's
+    /// physical positions. A position below `w` is a bit inside every
+    /// slice. One at `w` or above is a bit of the slice index, which the
+    /// kernel must not mix (the group's exchanges bring every mixed bit
+    /// local first): the kernel is planned once per pattern of those rank
+    /// bits, as the sub-table the pattern selects ([`FusedBlock::select`],
+    /// which keeps the block's mixed bits and so its chains), and each
+    /// slice runs its pattern's plan.
+    ///
+    /// The pass is the sweep-fusion analogue of CUDA shared-memory
+    /// tiling:
+    /// - **One kernel** is the full-slice driver on every slice, its
+    ///   groups split across the kernel pool.
+    /// - **An all-diagonal run** is one element-wise pass at any width,
+    ///   every kernel's `DiagTable` applied chunk by chunk, kernel-major
+    ///   per chunk, so every amplitude's multiplies keep the run's order.
+    /// - **Any other run** is a cache-blocked tile pass. The tile is the
+    ///   low `max(top + 1, widest + log2(LANES))` bits of a slice, `top`
+    ///   the highest slice bit the run touches and `widest` its widest
+    ///   kernel — wide enough that every kernel has lane bits to spare
+    ///   (see `GroupKernel`). Every kernel of the run is applied to a tile
+    ///   in place while it is hot, so DRAM-level traffic is one read and
+    ///   one write of the state per *pass* instead of per kernel, with no
+    ///   scratch copy.
     ///
     /// Each kernel is the plan [`GpuDevice::apply_block`] builds, run by
-    /// the same body, so sweep execution is **bit-identical** to applying
-    /// the sweep's kernels sequentially over the full state in the same
+    /// the same body, so the pass is **bit-identical** to applying its
+    /// kernels one after another over the whole register in the same
     /// order. A kernel of width `k` that mixes only `μ` of its qubits
     /// splits into `2^(k-μ)` independent `2^μ × 2^μ` sub-unitaries indexed
     /// by the unmixed (control/phase) bits, cutting the per-amplitude cost
     /// from `2^k` to `2^μ` mul-adds — 16× for QFT kernels, which mix only
     /// the single `h` qubit of each block.
-    pub fn apply_sweep<T: Scalar>(state: &mut [Complex<T>], blocks: &[FusedBlock], sweep: &Sweep) {
-        if let [only] = sweep.kernels.as_slice() {
-            GpuDevice::apply_block(state, &blocks[*only]);
-            return;
-        }
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_SWEEP);
-        // One pass: the whole state is read and written once.
+    ///
+    /// Every slice, or every tile or chunk of every slice, is an item of
+    /// one parallel loop sized by `min_items`, so slices too small for
+    /// two tasks stay on the calling thread. The pass is accounted there
+    /// too — its `apply_block` (one kernel) or `apply_sweep` span, every
+    /// amplitude read and written once, one SIMD dispatch decision per
+    /// kernel — since span paths are per thread.
+    pub fn apply_sweep<T: Scalar>(slices: &mut [&mut [Complex<T>]], kernels: &[(&FusedBlock, &[u32])]) {
+        let (Some(span), false) = (slices.first().map(|s| s.len()), kernels.is_empty()) else { return };
+        let w = span.trailing_zeros();
+        let _span = qgear_telemetry::span!(match kernels {
+            [_] => qgear_telemetry::names::spans::APPLY_BLOCK,
+            _ => qgear_telemetry::names::spans::APPLY_SWEEP,
+        });
         qgear_telemetry::counter_add(
             qgear_telemetry::names::AMPLITUDES_TOUCHED,
-            2 * state.len() as u128,
+            2 * (span * slices.len()) as u128,
         );
-        // All-diagonal sweeps: one element-wise pass applies every phase
-        // pattern in order. Each kernel gets its own DiagTable; applying
-        // the tables kernel-major per chunk keeps every amplitude's
-        // multiplies in sweep order, so the pass stays bit-identical to
-        // sequential application.
-        if sweep.diagonal {
-            let tables: Vec<DiagTable<T>> = sweep
-                .kernels
-                .iter()
-                .map(|&ki| {
-                    let b = &blocks[ki];
-                    let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
-                    DiagTable::new(b, &masks, state.len())
-                })
-                .collect();
-            let chunk = tables.first().map_or(state.len(), |t| t.chunk());
-            for t in &tables {
-                simd::record_dispatch::<T>(simd::simd_enabled() && t.chunk() >= T::LANES);
-            }
-            let min = min_items::<T>(chunk);
-            state.par_chunks_mut(chunk).with_min_len(min).enumerate().for_each(|(ci, cs)| {
-                for t in &tables {
-                    t.apply(cs, ci * chunk);
-                }
+        // What every kernel is planned over: a whole slice, or the tile.
+        let diagonal = kernels.iter().all(|(block, _)| block.mixed() == 0);
+        let planned_span = if kernels.len() == 1 || diagonal {
+            span
+        } else {
+            let local = |at: &[u32]| at.iter().filter(|&&p| p < w).fold((0, 0), |(top, k), &p| (top.max(p + 1), k + 1));
+            let (top, widest) =
+                kernels.iter().map(|(_, at)| local(at)).fold((0, 0), |(t, k), (top, n)| (t.max(top), k.max(n)));
+            1usize << (top as usize).max(widest + simd::lane_log2::<T>()).min(w as usize)
+        };
+        let placed: Vec<SlicePlans<T>> =
+            kernels.iter().map(|&(block, at)| SlicePlans::new(block, at, w, planned_span)).collect();
+        for kernel in &placed {
+            simd::record_dispatch::<T>(kernel.first.lane_eligible());
+        }
+        if let [only] = placed.as_slice() {
+            slices.par_chunks_mut(1).with_min_len(min_items::<T>(span)).enumerate().for_each(|(rank, slice)| {
+                only.of(rank).run_full(slice[0]);
             });
             return;
         }
-
-        // The tile: the low qubits, through the sweep's highest one and
-        // wide enough for lanes. Slot `j` of tile `g` *is* amplitude
-        // `g·2^u + j`, so every kernel is planned on global masks.
-        let n = state.len().trailing_zeros() as usize;
-        let top = sweep.qubits.last().map_or(0, |&q| q as usize + 1);
-        let widest = sweep.kernels.iter().map(|&ki| blocks[ki].qubits.len()).max().unwrap_or(0);
-        let tile = 1usize << top.max(widest + simd::lane_log2::<T>()).min(n);
-        let plans: Vec<KernelPlan<T>> = sweep
-            .kernels
-            .iter()
-            .map(|&ki| {
-                let b = &blocks[ki];
-                let masks: Vec<usize> = b.qubits.iter().map(|&q| 1usize << q).collect();
-                KernelPlan::new(b, &masks, tile)
-            })
-            .collect();
-        for plan in &plans {
-            simd::record_dispatch::<T>(plan.lane_eligible());
+        // An item is a table chunk of a slice or a tile of one; a tile's
+        // plans address it from its own start, a table its chunk's offset
+        // in the slice.
+        let item = match &placed[0].first {
+            KernelPlan::Diag { table } if diagonal => table.chunk(),
+            _ => planned_span,
+        };
+        let per_slice = span / item;
+        let mut items: Vec<&mut [Complex<T>]> = slices.iter_mut().flat_map(|s| s.chunks_mut(item)).collect();
+        if !diagonal {
+            qgear_telemetry::counter_add(qgear_telemetry::names::SWEEP_ZERO_COPY_TILES, items.len() as u128);
         }
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::SWEEP_ZERO_COPY_TILES,
-            (state.len() / tile) as u128,
-        );
-        state.par_chunks_mut(tile).with_min_len(min_items::<T>(tile)).for_each(|tile_slice| {
-            for plan in &plans {
-                plan.run_tile(tile_slice);
+        items.par_chunks_mut(1).with_min_len(min_items::<T>(item)).enumerate().for_each(|(i, piece)| {
+            let (rank, at) = (i / per_slice, i % per_slice * item);
+            for kernel in &placed {
+                kernel.of(rank).run_tile(piece[0], at % planned_span);
             }
         });
+    }
+}
+
+/// One kernel of a pass, planned for every slice: the plan each pattern
+/// of its rank bits selects, the block's own when it has none.
+struct SlicePlans<T: Scalar> {
+    /// The plan of pattern 0, and of every slice when there are no rank
+    /// bits (a resident state's kernels, which then allocate no list).
+    first: KernelPlan<T>,
+    /// The plans of patterns 1 and up, packed in local-bit order.
+    rest: Vec<KernelPlan<T>>,
+    /// The slice-index bits the kernel's global (unmixed) bits sit at.
+    rank_bits: Vec<u32>,
+}
+
+impl<T: Scalar> SlicePlans<T> {
+    /// Plan `block`, its local bit `j` at register bit `positions[j]`, for
+    /// slices `2^w` long, over spans of `span` amplitudes: a position below
+    /// `w` is a span bit, any other selects a sub-table.
+    fn new(block: &FusedBlock, positions: &[u32], w: u32, span: usize) -> Self {
+        let (mut masks, mut conditional) = (Vec::with_capacity(positions.len()), Vec::new());
+        for (j, &p) in positions.iter().enumerate() {
+            match p.checked_sub(w) {
+                None => masks.push(1usize << p),
+                Some(rank_bit) => conditional.push((j, rank_bit)),
+            }
+        }
+        let plan = |pattern: usize| {
+            if conditional.is_empty() {
+                return KernelPlan::new(block, &masks, span);
+            }
+            let fixed: Vec<(usize, usize)> =
+                conditional.iter().enumerate().map(|(bit, &(j, _))| (j, pattern >> bit & 1)).collect();
+            KernelPlan::new(&block.select(&fixed), &masks, span)
+        };
+        SlicePlans {
+            first: plan(0),
+            rest: (1..1usize << conditional.len()).map(plan).collect(),
+            rank_bits: conditional.iter().map(|&(_, rank_bit)| rank_bit).collect(),
+        }
+    }
+
+    /// The plan slice `rank` runs.
+    fn of(&self, rank: usize) -> &KernelPlan<T> {
+        match self.rank_bits.iter().enumerate().fold(0, |acc, (bit, &r)| acc | (rank >> r & 1) << bit) {
+            0 => &self.first,
+            pattern => &self.rest[pattern - 1],
+        }
     }
 }
 
@@ -391,24 +423,14 @@ impl<T: Scalar> KernelPlan<T> {
         }
     }
 
-    /// One kernel pass over a whole state or shard slice, accounted as
-    /// one: the `apply_block` span, every amplitude read and written once,
-    /// one SIMD dispatch decision, then the full-state driver.
-    fn launch(&self, state: &mut [Complex<T>]) {
-        let _span = qgear_telemetry::span!(qgear_telemetry::names::spans::APPLY_BLOCK);
-        qgear_telemetry::counter_add(
-            qgear_telemetry::names::AMPLITUDES_TOUCHED,
-            2 * state.len() as u128,
-        );
-        simd::record_dispatch::<T>(self.lane_eligible());
-        self.run_full(state);
-    }
-
-    /// Tile driver: apply the plan to one exclusively borrowed span —
-    /// a contiguous sweep tile — item after item on the calling thread.
-    fn run_tile(&self, tile: &mut [Complex<T>]) {
+    /// Tile driver: apply the plan to one exclusively borrowed piece of
+    /// its span, item after item on the calling thread. A group kernel
+    /// takes its whole span (a contiguous sweep tile); a table takes any
+    /// run of its chunks, `start` being the first one's offset in the
+    /// span.
+    fn run_tile(&self, tile: &mut [Complex<T>], start: usize) {
         match self {
-            KernelPlan::Diag { table } => table.apply(tile, 0),
+            KernelPlan::Diag { table } => table.apply(tile, start),
             KernelPlan::Grouped(kernel) => kernel.run(tile, false),
         }
     }
@@ -848,6 +870,7 @@ mod tests {
     use crate::state::StateVector;
     use qgear_ir::reference;
     use qgear_num::approx::max_deviation;
+    use qgear_ir::schedule::Sweep;
     use qgear_num::C64;
 
     fn rich_circuit(n: u32, seed: u64) -> Circuit {
@@ -1052,7 +1075,7 @@ mod tests {
     fn both_drivers<T: Scalar>(plan: &KernelPlan<T>, state: &[Complex<T>]) -> [Vec<u64>; 2] {
         let (mut full, mut tile) = (state.to_vec(), state.to_vec());
         plan.run_full(&mut full);
-        plan.run_tile(&mut tile);
+        plan.run_tile(&mut tile, 0);
         [bits(&full), bits(&tile)]
     }
 
@@ -1258,12 +1281,13 @@ mod tests {
                 assert_eq!(layout(&on), expect, "{what}");
                 split += usize::from(lane_bit);
                 let mut want = state.clone();
-                group_plan::<T>(&block, &masks, state.len(), false).run_tile(&mut want);
+                group_plan::<T>(&block, &masks, state.len(), false).run_tile(&mut want, 0);
                 let want = bits(&want);
                 let [full, tile] = both_drivers(&on, &state);
                 assert!(full == want, "{what}: run_full");
                 assert!(tile == want, "{what}: run_tile");
-                // One plan over every slice, as `apply_to_slices` runs it.
+                // One plan over every slice, as a one-kernel pass of
+                // `apply_sweep` runs it.
                 let per_slice = group_plan::<T>(&block, &masks, slice, true);
                 let mut sliced = state.clone();
                 for s in sliced.chunks_mut(slice) {
@@ -1353,7 +1377,7 @@ mod tests {
             let KernelPlan::Grouped(kernel) = &on else { panic!("grouped") };
             assert_eq!((&kernel.expand, kernel.unmixed), (&probe.expand, 1 << unmixed), "{what}: same items");
             let mut want = state.clone();
-            group_plan::<f64>(&block, &masks, state.len(), false).run_tile(&mut want);
+            group_plan::<f64>(&block, &masks, state.len(), false).run_tile(&mut want, 0);
             let [full, tile] = both_drivers(&on, &state);
             assert!(full == bits(&want) && tile == bits(&want), "{what}: bit {unmixed}");
         }

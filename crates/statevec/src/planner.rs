@@ -623,7 +623,13 @@ pub(crate) fn execute_segment<T: Scalar>(
         // Every kernel of the segment in a single cache-blocked pass:
         // one pass of bytes, every kernel's arithmetic.
         SegmentMode::Sweep => {
-            GpuDevice::apply_sweep(state, &plan.blocks, &seg.sweep);
+            let kernels: Vec<(&FusedBlock, &[u32])> = seg
+                .sweep
+                .kernels
+                .iter()
+                .map(|&ki| (&plan.blocks[ki], plan.blocks[ki].qubits.as_slice()))
+                .collect();
+            GpuDevice::apply_sweep(&mut [state], &kernels);
             counters.kernels_launched += seg.sweep.kernels.len() as u64;
             counters.sweeps_executed += 1;
             counters.bytes_touched += pass_bytes;

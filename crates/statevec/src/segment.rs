@@ -352,8 +352,9 @@ impl<T: Scalar, P: Placement<T>> Stepper<T> for SegmentedRun<T, P> {
     /// Timed on the run's clock. A segment's counters are charged once
     /// it completes, so after a fault they name the last completed step,
     /// as the cursor does. DRAM traffic is charged per full-state pass
-    /// (per sweep segment on one device, per kernel or gate otherwise),
-    /// arithmetic per kernel; the per-call telemetry deltas sum to the
+    /// (per sweep segment on one device, per pass between exchanges on a
+    /// device group, per gate in the per-gate plan), arithmetic per
+    /// kernel; the per-call telemetry deltas sum to the
     /// same totals whatever the segment size.
     fn advance(&mut self, max_steps: usize) -> Result<(), P::Fault> {
         if self.is_done() {
@@ -400,10 +401,11 @@ impl<T: Scalar, P: Placement<T>> Stepper<T> for SegmentedRun<T, P> {
     }
 
     /// The schedule counters a checkpoint carries — restored with it, so
-    /// a resumed run's match an uninterrupted one's — plus what this
-    /// instance's placement moved and the time it spent: a resumed run
-    /// inherits neither a dead worker's timings nor a dead group's
-    /// traffic.
+    /// a resumed run counts an uninterrupted one's kernels, gates and
+    /// arithmetic (a group's passes, and so its sweeps and bytes, follow
+    /// its own layout) — plus what this instance's placement moved and
+    /// the time it spent: a resumed run inherits neither a dead worker's
+    /// timings nor a dead group's traffic.
     fn stats(&self) -> ExecStats {
         let mut stats = ExecStats {
             gates_applied: self.counters.gates_applied,

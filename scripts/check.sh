@@ -108,12 +108,15 @@ cargo test -q --test differential resume_at_every_segment_boundary_is_bit_identi
 # the code a target without them runs. Rebuild at the baseline x86-64
 # target into its own target dir and run the lane types' own tests, the
 # kernels' unit tests, the CRC's unit tests (the table body at every
-# length) and the SIMD-toggle tier.
-echo "==> portable lanes (-C target-cpu=x86-64): qgear-num + qgear-statevec + qgear-hdf5lite unit tests, differential simd"
+# length), the SIMD-toggle tier, and the shard tiers, whose slice tile
+# passes then run on the array lanes too.
+echo "==> portable lanes (-C target-cpu=x86-64): qgear-num + qgear-statevec + qgear-hdf5lite unit tests, differential simd, sharding"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q -p qgear-num -p qgear-statevec -p qgear-hdf5lite --lib
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q --test differential simd
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --test sharding
 
 # The smoke grid (n = 16) runs all seven series (unfused/fused/the
 # Sweep pin at widths 2-5/planned) at both precisions, interleaved rep

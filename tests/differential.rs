@@ -209,7 +209,9 @@ proptest! {
         let mut fixed = vec![Complex::<f64>::ZERO; 1 << native.num_qubits()];
         fixed[0] = Complex::ONE;
         for sweep in &schedule::sweeps(&program, &SweepOptions::default()).sweeps {
-            GpuDevice::apply_sweep(&mut fixed, &program.blocks, sweep);
+            let kernels: Vec<_> =
+                sweep.kernels.iter().map(|&ki| (&program.blocks[ki], program.blocks[ki].qubits.as_slice())).collect();
+            GpuDevice::apply_sweep(&mut [fixed.as_mut_slice()], &kernels);
         }
 
         let default = RunOptions { keep_state: true, ..Default::default() };

@@ -19,6 +19,7 @@
 use qgear_cluster::ClusterEngine;
 use qgear_ir::transpile::decompose_to_native;
 use qgear_ir::Circuit;
+use qgear_num::{Complex, Scalar};
 use qgear_serve::{
     Admission, BackendKind, CheckpointRecord, Engine, EventKind, JobSpec, ServeConfig, Service,
     ServiceEvent, ShardConfig, ShardRecord,
@@ -99,6 +100,39 @@ fn sharded_config() -> ServeConfig {
         checkpoint_generations: 3,
         ..Default::default()
     }
+}
+
+/// What a walker charges for its passes: kernels, sweeps, bytes and
+/// arithmetic.
+fn pass_counters(stats: &ExecStats) -> (u64, u64, u128, u128) {
+    (stats.kernels_launched, stats.sweeps_executed, stats.bytes_touched, stats.flops)
+}
+
+/// A native circuit of `gates` seeded `h` / `ry` / `rz` / `cx` gates.
+fn random_native(n: u32, gates: usize, seed: u64) -> Circuit {
+    let mut c = Circuit::new(n);
+    let mut s = seed | 1;
+    let mut rnd = move |m: u64| {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (s >> 33) % m
+    };
+    for _ in 0..gates {
+        match rnd(4) {
+            0 => c.h(rnd(u64::from(n)) as u32),
+            1 => c.ry(rnd(628) as f64 / 100.0, rnd(u64::from(n)) as u32),
+            2 => c.rz(rnd(628) as f64 / 100.0, rnd(u64::from(n)) as u32),
+            _ => {
+                let a = rnd(u64::from(n)) as u32;
+                c.cx(a, (a + 1 + rnd(u64::from(n) - 1) as u32) % n)
+            }
+        };
+    }
+    c
+}
+
+/// Every amplitude's bits.
+fn bits<T: Scalar>(amps: &[Complex<T>]) -> Vec<u64> {
+    amps.iter().flat_map(|a| [a.re.to_f64().to_bits(), a.im.to_f64().to_bits()]).collect()
 }
 
 /// One word per event, for asserting the order of a job's life.
@@ -596,6 +630,7 @@ fn an_eighteen_qubit_job_at_the_served_configuration_is_bitwise_dense_over_four_
     });
     assert_eq!(result.counts, reference.counts, "served counts");
     assert_eq!(result.stats.kernels_launched, reference.stats.kernels_launched, "kernels");
+    assert_eq!(pass_counters(&result.stats), pass_counters(&reference.stats), "passes charged");
     let started = EventKind::Shard(ShardRecord::Started { job: 0, shards });
     assert!(log.iter().any(|e| e.kind == started), "the smallest sufficient group; log: {log:?}");
     let wrote_at_8 = log.iter().any(|e| {
@@ -663,11 +698,25 @@ fn a_generation_resumes_across_engines_at_the_served_configuration() {
     assert_eq!(onto_device.cursor(), k);
     let Ok(()) = onto_device.advance(usize::MAX);
     assert_eq!(onto_device.state().amplitudes(), expect, "sharded generation, finished dense");
+    sharded.advance(usize::MAX).expect("no faults armed");
 
-    for (what, stats) in [("sharded", onto_group.stats()), ("dense", onto_device.stats())] {
+    for (what, stats) in [
+        ("sharded", onto_group.stats()),
+        ("dense", onto_device.stats()),
+        ("sharded straight through", sharded.stats()),
+    ] {
         assert_eq!(stats.kernels_launched, straight.stats.kernels_launched, "{what}: kernels");
         assert_eq!(stats.gates_applied, straight.stats.gates_applied, "{what}: gates");
+        assert_eq!(stats.flops, straight.stats.flops, "{what}: arithmetic");
     }
+    // A pass is charged as the resident walker charges a sweep: one
+    // sweep, one pass of bytes. At this width a group's remap sends a
+    // qubit global that a later kernel of its segment mixes, so the
+    // segment is two passes — each charged as one.
+    let (group, dense) = (sharded.stats(), &straight.stats);
+    let extra = group.sweeps_executed - dense.sweeps_executed;
+    let pass_bytes = dense.bytes_touched / u128::from(dense.sweeps_executed);
+    assert_eq!(group.bytes_touched, dense.bytes_touched + u128::from(extra) * pass_bytes, "{extra} extra passes");
 }
 
 /// `ClusterEngine::run` is the shard walker driven straight through:
@@ -772,4 +821,83 @@ fn both_walkers_keep_the_one_stepper_contract() {
     let group = ClusterEngine::a100_cluster(2);
     let sharded = || group.stepper::<f64>(&native, &opts).expect("admissible");
     check("sharded", sharded, group.run(&native, &opts).expect("mgpu run"));
+}
+
+/// A group runs the resident walker's chains at every fusion and sweep
+/// width. A kernel whose global operands stay unmixed runs, on each
+/// slice, the sub-table that slice's rank bits select, and that
+/// selection keeps the block's mixed bits: a selection that crosses none
+/// of them still runs the block's `mul_add` chain, never a phase table
+/// whose rounding differs. Random 12-qubit circuits at fusion widths 2
+/// and 3 and sweep widths 0 and 8, over 2, 4 and 16 shards, gather the
+/// dense walker's amplitudes bit for bit.
+#[test]
+fn a_group_is_bitwise_dense_at_every_fusion_and_sweep_width() {
+    for seed in [5u64, 6] {
+        let circuit = random_native(12, 480, seed);
+        for fusion_width in [2usize, 3] {
+            for sweep_width in [0usize, 8] {
+                let opts =
+                    RunOptions { shots: 0, fusion_width, sweep_width, keep_state: true, ..Default::default() };
+                let dense: RunOutput<f64> = GpuDevice::a100_40gb().run(&circuit, &opts).unwrap();
+                let dense = bits(dense.state.expect("state kept").amplitudes());
+                for shards in [2usize, 4, 16] {
+                    let group: RunOutput<f64> = ClusterEngine::a100_cluster(shards).run(&circuit, &opts).unwrap();
+                    let gathered = bits(group.state.expect("state kept").amplitudes());
+                    let label = format!("seed {seed}, fusion {fusion_width}, sweep {sweep_width}, {shards} shards");
+                    assert!(gathered == dense, "{label}: gathered amplitudes differ from the dense walker's");
+                }
+            }
+        }
+    }
+}
+
+/// Segments an exchange splits: when a later kernel of a plan segment
+/// mixes a qubit an earlier remap sent global, the group runs the
+/// kernels before that exchange as one pass and the rest as another.
+/// Random circuits at n = 14 over 4 shards (fusion 5, sweep 12) and at
+/// n = 10 over 16 shards (fusion 3, sweep 6), at both precisions: the
+/// group charges the dense walker's kernels and arithmetic and one sweep
+/// per pass, more passes than segments; it gathers the dense walker's
+/// amplitudes bit for bit; and a generation written at every segment
+/// boundary finishes on a fresh group bit for bit too.
+#[test]
+fn segments_split_at_an_exchange_stay_bitwise_dense_and_resume_at_every_boundary() {
+    fn check<T: Scalar>(n: u32, shards: usize, fusion_width: usize, sweep_width: usize, seed: u64) {
+        let circuit = random_native(n, 30 * n as usize, seed);
+        let opts = RunOptions { shots: 0, fusion_width, sweep_width, keep_state: true, ..Default::default() };
+        let label = format!("n={n} over {shards} shards, fusion {fusion_width}, sweep {sweep_width}, {}", T::PRECISION_NAME);
+        let dense: RunOutput<T> = GpuDevice::a100_40gb().run(&circuit, &opts).unwrap();
+        let expect = bits(dense.state.as_ref().expect("state kept").amplitudes());
+        let group = ClusterEngine::a100_cluster(shards);
+        let mut run = group.stepper::<T>(&circuit, &opts).expect("admissible");
+        let (mut extra, mut generations) = (0, Vec::new());
+        while !run.is_done() {
+            let mut generation = Vec::new();
+            run.encode_checkpoint(&mut generation);
+            generations.push(generation);
+            let before = run.stats().sweeps_executed;
+            run.advance(1).expect("no faults armed");
+            extra += run.stats().sweeps_executed - before - 1;
+        }
+        assert!(extra > 0, "{label}: no segment split");
+        let stats = run.stats();
+        assert_eq!(stats.sweeps_executed, dense.stats.sweeps_executed + extra, "{label}: {extra} extra passes");
+        assert_eq!((stats.kernels_launched, stats.flops), (dense.stats.kernels_launched, dense.stats.flops), "{label}");
+        assert!(bits(run.state().gather().amplitudes()) == expect, "{label}: gathered");
+        for (cursor, generation) in generations.iter().enumerate() {
+            let ck = decode_checkpoint::<T>(generation).expect("verifies");
+            let mut resumed = group.resume(&circuit, &opts, ck).expect("same plan");
+            resumed.advance(usize::MAX).expect("no faults armed");
+            assert!(bits(resumed.state().gather().amplitudes()) == expect, "{label}: resumed at {cursor}");
+            // A fresh group starts from the identity layout, so where
+            // its segments split is its own: only the work is the same.
+            let resumed = resumed.stats();
+            assert_eq!((resumed.kernels_launched, resumed.flops), (stats.kernels_launched, stats.flops), "{label}");
+        }
+    }
+    check::<f64>(14, 4, 5, 12, 1);
+    check::<f32>(14, 4, 5, 12, 1);
+    check::<f64>(10, 16, 3, 6, 14);
+    check::<f32>(10, 16, 3, 6, 14);
 }

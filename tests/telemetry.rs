@@ -186,6 +186,60 @@ fn gpu_qft_spans_nest_and_counters_match_exec_stats() {
     assert!(widths.min >= 1.0 && widths.max <= window && widths.max > 5.0, "{widths:?}");
 }
 
+/// A shard group's passes are accounted where the resident walker's
+/// sweeps are: on the thread that walks the plan, though a pass's slices
+/// and tiles run on the kernel pool (span paths are per thread). A traced
+/// 14-qubit QFT over two shards — slices of 128 KiB, so every pass is
+/// several pooled tasks — records one `apply_sweep` or `apply_block`
+/// span per pass, every one nested in `simulate` as the resident run's
+/// are and as many as the sweeps the run charges, and reads and writes
+/// every amplitude once a pass.
+#[test]
+fn a_sharded_runs_pass_spans_nest_like_the_dense_runs_and_count_its_passes() {
+    use qgear_cluster::ClusterEngine;
+    fn traced<S: Simulator<f64>>(engine: &S, circuit: &qgear_ir::Circuit) -> (RunOutput<f64>, TelemetrySnapshot) {
+        qgear_telemetry::reset();
+        qgear_telemetry::enable();
+        let out = engine.run(circuit, &RunOptions { shots: 100, ..Default::default() }).expect("run");
+        qgear_telemetry::disable();
+        let snap = qgear_telemetry::snapshot();
+        qgear_telemetry::reset();
+        (out, snap)
+    }
+    let _l = LOCK.lock().unwrap();
+    let n = 14;
+    let mut circuit = qft_circuit(n, &QftOptions::default());
+    circuit.measure_all();
+    let (dense, dense_snap) = traced(&GpuDevice::a100_40gb(), &circuit);
+    let (sharded, sharded_snap) = traced(&ClusterEngine::a100_cluster(2), &circuit);
+    let pass_paths = |snap: &TelemetrySnapshot| -> Vec<String> {
+        let mut paths: Vec<String> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == spans::APPLY_SWEEP || s.name == spans::APPLY_BLOCK)
+            .map(|s| s.path.clone())
+            .collect();
+        paths.sort();
+        paths
+    };
+    for (what, out, snap) in [("dense", &dense, &dense_snap), ("sharded", &sharded, &sharded_snap)] {
+        let paths = pass_paths(snap);
+        assert_eq!(paths.len() as u64, out.stats.sweeps_executed, "{what}: one span per pass charged");
+        for path in &paths {
+            assert!(path == "simulate/apply_sweep" || path == "simulate/apply_block", "{what}: {path}");
+        }
+        let passes = u128::from(out.stats.sweeps_executed);
+        assert_eq!(snap.counter(names::AMPLITUDES_TOUCHED), (2u128 << n) * passes, "{what}");
+    }
+    assert!(sharded.stats.comm_messages > 0, "the QFT mixes the global qubit");
+    let nesting = |snap: &TelemetrySnapshot| {
+        let mut paths = pass_paths(snap);
+        paths.dedup();
+        paths
+    };
+    assert_eq!(nesting(&sharded_snap), nesting(&dense_snap), "nested as the dense run's passes");
+}
+
 #[test]
 fn aer_qft_counters_match_exec_stats() {
     let _l = LOCK.lock().unwrap();
